@@ -62,11 +62,6 @@ func run(args []string) error {
 		outDir = fs.String("out", "results", "output directory")
 		rounds = fs.Int("rounds", 0, "override training rounds (0 = scale default)")
 		jobs   = fs.Int("jobs", 1, "grid cells trained concurrently (0 = GOMAXPROCS); CSVs are byte-identical for every value")
-
-		benchJSON  = fs.String("benchjson", "", "measure the training hot path and write ns/B/allocs per op to this JSON file (skips experiments)")
-		benchPop   = fs.String("benchpop", "", "measure the million-member population engine and write its memory/latency report to this JSON file (skips experiments)")
-		benchCheck = fs.String("benchcheck", "", "compare the live GEMM hot path against the recorded gemm stage in this report (e.g. BENCH_hotpath.json); exit non-zero on >25% regression (skips experiments)")
-		benchLabel = fs.String("benchlabel", "", "label recorded in the -benchjson/-benchpop report (e.g. baseline, after)")
 	)
 	var env cliutil.EnvFlags
 	env.Register(fs)
@@ -74,15 +69,6 @@ func run(args []string) error {
 	obsFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *benchJSON != "" {
-		return sweep.WriteHotPathBench(*benchJSON, *benchLabel)
-	}
-	if *benchPop != "" {
-		return sweep.WritePopulationBench(*benchPop, *benchLabel)
-	}
-	if *benchCheck != "" {
-		return sweep.CheckHotPathBench(*benchCheck)
 	}
 	sc, err := cliutil.ParseScale(*scale)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Command gsfl-loadgen measures what the GSFL transport sustains: it
 // starts one access point plus a fleet of protocol-conformant synthetic
 // clients over loopback TCP, drives full GSFL rounds, and emits a JSON
-// report (the BENCH_tcp.json artifact) with sustained clients/round,
-// round throughput, and byte counts.
+// report with sustained clients/round, round throughput, and byte
+// counts.
 //
 // Synthetic clients replay pre-encoded frames instead of training, so
 // the measured ceiling is the transport itself — framing, per-group
@@ -14,7 +14,7 @@
 //
 // Examples:
 //
-//	gsfl-loadgen -clients 1000 -groups 25 -rounds 5 -deadline 10s -out BENCH_tcp.json
+//	gsfl-loadgen -clients 1000 -groups 25 -rounds 5 -deadline 10s -out tcp.json
 //	gsfl-loadgen -clients 200 -groups 8 -rounds 3 -stall-frac 0.05 -spare-frac 0.1 \
 //	    -straggler reuse-last -deadline 2s
 package main

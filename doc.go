@@ -56,9 +56,7 @@
 // sampling via -population/-sample-fraction with live gauges on
 // -metrics, -list for the registries), cmd/gsfl-bench regenerates the
 // paper's figures and tables as CSV (concurrently with -jobs N,
-// byte-identical at any N; -benchpop writes the million-member
-// population report),
-// cmd/gsfl-sweep runs named or custom experiment grids through the
+// byte-identical at any N), cmd/gsfl-sweep runs named or custom experiment grids through the
 // sweep engine (concurrent, resumable, kill-safe; grid files may patch
 // any env.Spec field; -serve/-worker fan the grid across machines
 // through gsfl/fleet), cmd/gsfl-datagen renders synthetic GTSRB

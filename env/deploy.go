@@ -37,7 +37,7 @@ type (
 	StragglerPolicy = transport.StragglerPolicy
 	// LoadGenConfig sizes a synthetic-fleet load run against one AP.
 	LoadGenConfig = transport.LoadGenConfig
-	// LoadGenReport is a load run's outcome (what BENCH_tcp.json holds).
+	// LoadGenReport is a load run's outcome (gsfl-loadgen's JSON report).
 	LoadGenReport = transport.LoadGenReport
 )
 

@@ -14,7 +14,6 @@ import (
 	"gsfl/internal/metrics"
 	"gsfl/internal/transport"
 	"gsfl/obs"
-	"gsfl/sim"
 	"gsfl/sweep"
 )
 
@@ -45,7 +44,6 @@ type Config struct {
 
 // jobState tracks one unique job through the lease lifecycle.
 type jobState struct {
-	idx  int
 	job  sweep.Job
 	done bool
 
@@ -65,7 +63,6 @@ type Coordinator struct {
 	store    *sweep.Store
 	jobs     []sweep.Job // the caller's list, duplicates included
 	unique   []sweep.Job
-	indexOf  map[string]int
 	fp       uint64
 	listener net.Listener
 
@@ -110,24 +107,22 @@ func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coor
 		cfg.Retry = DefaultRetry
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		store:   store,
-		jobs:    jobs,
-		indexOf: map[string]int{},
-		byID:    map[string]*jobState{},
-		conns:   map[uint64]net.Conn{},
-		doneCh:  make(chan struct{}),
-		reg:     metrics.NewRegistry(),
+		cfg:    cfg,
+		store:  store,
+		jobs:   jobs,
+		byID:   map[string]*jobState{},
+		conns:  map[uint64]net.Conn{},
+		doneCh: make(chan struct{}),
+		reg:    metrics.NewRegistry(),
 	}
 	for _, j := range jobs {
 		if j.ID == "" {
 			return nil, fmt.Errorf("fleet: job %q has no ID (expand jobs via Grid.Jobs)", j.Name)
 		}
-		if _, ok := c.indexOf[j.ID]; ok {
+		if _, ok := c.byID[j.ID]; ok {
 			continue
 		}
-		st := &jobState{idx: len(c.unique), job: j}
-		c.indexOf[j.ID] = st.idx
+		st := &jobState{job: j}
 		c.unique = append(c.unique, j)
 		c.states = append(c.states, st)
 		c.byID[j.ID] = st
@@ -484,15 +479,13 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 	}
 
 	// Checkpoint handoff: attach the previous holder's uploaded state
-	// when it passes the same soundness check the Scheduler applies
-	// (checkpoint and progress sidecar agree on scheme and round).
+	// when the store vouches for it (LoadProgress applies the one
+	// resume-soundness rule the executor itself re-checks on arrival).
 	j := st.job
 	var progJSON, ckpt []byte
 	handoffRound := 0
-	if c.cfg.CheckpointEvery > 0 && c.store.HasCheckpoint(j) {
-		prior, ok := c.store.LoadProgress(j)
-		scheme, ckptRound, peekErr := sim.PeekCheckpoint(c.store.CheckpointPath(j))
-		if ok && peekErr == nil && scheme == j.Scheme && ckptRound == prior.Round && ckptRound < j.Rounds {
+	if c.cfg.CheckpointEvery > 0 {
+		if prior, ok := c.store.LoadProgress(j); ok {
 			if data, ok := c.store.ReadCheckpoint(j); ok {
 				if buf, err := json.Marshal(prior); err == nil {
 					progJSON, ckpt = buf, data

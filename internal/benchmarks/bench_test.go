@@ -356,12 +356,13 @@ func BenchmarkParallelMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w := tensor.New(32, 288).RandNormal(rng, 0, 1)
 	col := tensor.New(288, 1024).RandNormal(rng, 0, 1)
+	dst := tensor.New(32, 1024)
 	for _, workers := range speedupWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			parallel.SetWorkers(workers)
 			defer parallel.SetWorkers(0)
 			for i := 0; i < b.N; i++ {
-				tensor.MatMul(w, col)
+				tensor.MatMulInto(dst, w, col)
 			}
 		})
 	}

@@ -14,8 +14,8 @@ import (
 // path end to end: after warmup, a full GSFL round — model distribution,
 // split training in every group, latency pricing, FedAvg aggregation —
 // must stay within a small bookkeeping budget. The pre-workspace
-// implementation spent tens of thousands of allocations per round (see
-// BENCH_hotpath.json); the budget below covers round-scoped bookkeeping
+// implementation spent tens of thousands of allocations per round; the
+// budget below covers round-scoped bookkeeping
 // (ledgers, per-position slices, bandwidth allocations), not per-element
 // tensor traffic, so a regression that reintroduces per-step buffer
 // allocation trips it immediately. Measured 264 allocs/round after the

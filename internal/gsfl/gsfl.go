@@ -87,7 +87,12 @@ type Trainer struct {
 	serverOpts []*optim.SGD
 
 	loaders []*data.Loader
-	weights []float64 // per-group aggregation weights (sample counts)
+	// mounted[ci] is the sample count of the shard slot ci's loader is
+	// reading: the client's own dataset in the classic path, the sampled
+	// member's shard under a population. weights is the round's per-group
+	// aggregation weights: mounted summed over each group's participants.
+	mounted []float64
+	weights []float64
 
 	evalModel *model.SplitModel // scratch model for evaluation
 
@@ -145,15 +150,10 @@ func New(env *schemes.Env, cfg Config) (*Trainer, error) {
 	}
 
 	t.loaders = make([]*data.Loader, env.Fleet.N())
+	t.mounted = make([]float64, env.Fleet.N())
 	for ci, ds := range env.Train {
 		t.loaders[ci] = data.NewLoader(ds, env.Hyper.Batch, env.Arch.InShape, env.Rng("loader", ci))
-	}
-
-	t.weights = make([]float64, len(groups))
-	for g, members := range groups {
-		for _, ci := range members {
-			t.weights[g] += float64(env.Train[ci].Len())
-		}
+		t.mounted[ci] = float64(ds.Len())
 	}
 	return t, nil
 }
@@ -179,8 +179,7 @@ func (t *Trainer) ServerStorageBytes() int64 {
 // physical slots: every binding's slot loader is re-pointed at the
 // member's data shard under the member's participation seed, the
 // cohort is regrouped (bindings are dense — binding i owns slot i —
-// so group member indices remain valid slot indices), and aggregation
-// weights are recomputed from the mounted shard sizes. The per-round
+// so group member indices remain valid slot indices). The per-round
 // regrouping draws from the dedicated "pop-grouping" stream keyed by
 // round, leaving the classic path's "grouping" stream untouched.
 func (t *Trainer) mountCohort(binds []schemes.SlotBinding) {
@@ -188,6 +187,7 @@ func (t *Trainer) mountCohort(binds []schemes.SlotBinding) {
 	for i := range binds {
 		b := &binds[i]
 		t.loaders[b.Slot].Reset(env.Train[b.Shard], b.LoaderSeed)
+		t.mounted[b.Slot] = float64(env.Train[b.Shard].Len())
 	}
 	k := len(binds)
 	m := t.cfg.NumGroups
@@ -202,37 +202,34 @@ func (t *Trainer) mountCohort(binds []schemes.SlotBinding) {
 		t.popCaps = append(t.popCaps, env.Fleet.Clients[binds[i].Slot].FLOPS)
 	}
 	t.groups = partition.Groups(k, m, t.cfg.Strategy, t.popCaps, env.Rng("pop-grouping", t.round))
-	t.weights = t.weights[:0]
-	for _, members := range t.groups {
-		w := 0.0
-		for _, ci := range members {
-			w += float64(env.Train[binds[ci].Shard].Len())
-		}
-		t.weights = append(t.weights, w)
-	}
 }
 
 // availableGroups applies per-round client dropout, returning the
 // surviving members of each group (same outer length as t.groups; a
-// fully dropped group has an empty inner slice) plus the participant
-// weights for aggregation.
+// fully dropped group has an empty inner slice) plus each group's
+// aggregation weight: the samples mounted on its survivors' slots.
 func (t *Trainer) availableGroups() ([][]int, []float64) {
-	if t.cfg.DropoutProb == 0 {
-		return t.groups, t.weights
-	}
-	rng := t.env.Rng("dropout", t.round)
-	avail := make([][]int, len(t.groups))
-	weights := make([]float64, len(t.groups))
-	for g, members := range t.groups {
-		for _, ci := range members {
-			if rng.Float64() < t.cfg.DropoutProb {
-				continue
+	groups := t.groups
+	if t.cfg.DropoutProb > 0 {
+		rng := t.env.Rng("dropout", t.round)
+		groups = make([][]int, len(t.groups))
+		for g, members := range t.groups {
+			for _, ci := range members {
+				if rng.Float64() >= t.cfg.DropoutProb {
+					groups[g] = append(groups[g], ci)
+				}
 			}
-			avail[g] = append(avail[g], ci)
-			weights[g] += float64(t.env.Train[ci].Len())
 		}
 	}
-	return avail, weights
+	t.weights = t.weights[:0]
+	for _, members := range groups {
+		w := 0.0
+		for _, ci := range members {
+			w += t.mounted[ci]
+		}
+		t.weights = append(t.weights, w)
+	}
+	return groups, t.weights
 }
 
 // Round implements schemes.Trainer: one full distribute/train/aggregate

@@ -1,12 +1,6 @@
 package gsfl
 
-import (
-	"fmt"
-
-	"gsfl/internal/data"
-	"gsfl/internal/model"
-	"gsfl/internal/schemes"
-)
+import "gsfl/internal/schemes"
 
 func init() {
 	schemes.Register("gsfl", func(env *schemes.Env, opts schemes.FactoryOpts) (schemes.Trainer, error) {
@@ -19,79 +13,27 @@ func init() {
 	})
 }
 
-// CaptureState implements schemes.Checkpointer. GSFL's persistent state
-// is the two aggregated global halves, the per-group optimizer pairs
-// (replica parameters are rewritten from the global halves every round,
-// so they are derived, not state), the per-client loaders, the round
-// counter (which keys the dropout stream), and the channel cursor.
-// Optimizer slots are captured over the full configured group count
-// (clientOpts), not t.groups, which the population path re-slices per
-// round. In population mode the loaders carry no cross-round state —
-// every round Resets them from the sampled bindings, which the
-// population replays deterministically on resume — so zero-value
-// states are stored to keep the checkpoint shape fixed.
-func (t *Trainer) CaptureState() (*schemes.TrainerState, error) {
-	st := &schemes.TrainerState{
-		Round:   t.round,
-		Channel: t.env.Channel.State(),
-		Models: []model.SnapshotState{
-			t.globalClient.State(),
-			t.globalServer.State(),
+// StateParts implements schemes.Checkpointer. GSFL's persistent state is
+// the two aggregated global halves (replica parameters are rewritten
+// from them every round, so they are derived, not state), the per-group
+// optimizer pairs, the per-client loaders, the round counter (which keys
+// the dropout and population streams), and the channel cursor. Optimizer
+// slots cover the full configured group count (clientOpts), not
+// t.groups, which the population path re-slices per round.
+func (t *Trainer) StateParts() schemes.StateParts {
+	p := schemes.StateParts{
+		Scheme:  "gsfl",
+		Round:   &t.round,
+		Channel: t.env.Channel,
+		Models: []schemes.ModelPart{
+			{Net: t.evalModel.Client, Snap: &t.globalClient},
+			{Net: t.evalModel.Server, Snap: &t.globalServer},
 		},
+		Loaders:         t.loaders,
+		ReplayedLoaders: t.env.Pop != nil,
 	}
 	for g := range t.clientOpts {
-		st.Opts = append(st.Opts, t.clientOpts[g].State(), t.serverOpts[g].State())
+		p.Opts = append(p.Opts, t.clientOpts[g], t.serverOpts[g])
 	}
-	if t.env.Pop != nil {
-		st.Loaders = make([]data.LoaderState, len(t.loaders))
-	} else {
-		for _, l := range t.loaders {
-			st.Loaders = append(st.Loaders, l.State())
-		}
-	}
-	return st, nil
-}
-
-// RestoreState implements schemes.Checkpointer.
-func (t *Trainer) RestoreState(st *schemes.TrainerState) error {
-	if err := st.CheckCounts("gsfl", 2, 2*len(t.clientOpts), len(t.loaders)); err != nil {
-		return err
-	}
-	client, err := model.SnapshotFromState(st.Models[0])
-	if err != nil {
-		return fmt.Errorf("gsfl: restoring client half: %w", err)
-	}
-	server, err := model.SnapshotFromState(st.Models[1])
-	if err != nil {
-		return fmt.Errorf("gsfl: restoring server half: %w", err)
-	}
-	// Structural validation against the eval scratch model.
-	if err := schemes.RestoreSnapshots("gsfl",
-		schemes.SnapshotTarget{Snap: client, Dst: t.evalModel.Client},
-		schemes.SnapshotTarget{Snap: server, Dst: t.evalModel.Server},
-	); err != nil {
-		return err
-	}
-	t.globalClient = client.Clone()
-	t.globalServer = server.Clone()
-	for g := range t.clientOpts {
-		if err := t.clientOpts[g].Restore(st.Opts[2*g]); err != nil {
-			return fmt.Errorf("gsfl: group %d client optimizer: %w", g, err)
-		}
-		if err := t.serverOpts[g].Restore(st.Opts[2*g+1]); err != nil {
-			return fmt.Errorf("gsfl: group %d server optimizer: %w", g, err)
-		}
-	}
-	if t.env.Pop == nil {
-		for ci, l := range t.loaders {
-			if err := l.Restore(st.Loaders[ci]); err != nil {
-				return fmt.Errorf("gsfl: client %d loader: %w", ci, err)
-			}
-		}
-	}
-	if err := t.env.Channel.Restore(st.Channel); err != nil {
-		return fmt.Errorf("gsfl: channel: %w", err)
-	}
-	t.round = st.Round
-	return nil
+	return p
 }

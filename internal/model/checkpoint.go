@@ -30,8 +30,8 @@ func (sn Snapshot) State() SnapshotState {
 
 // StateOf captures a Sequential's parameters directly into serializable
 // form. It copies each tensor exactly once, where the older
-// TakeSnapshot(s).State() pattern copied twice; trainer CaptureState
-// implementations that do not already hold a Snapshot use it.
+// TakeSnapshot(s).State() pattern copied twice; the trainer-state codec
+// uses it for model halves that are trained in place.
 func StateOf(s *nn.Sequential) SnapshotState {
 	ps := s.Params()
 	out := make([]TensorState, len(ps))

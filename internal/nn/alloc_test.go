@@ -78,7 +78,7 @@ func TestFlattenAllocFree(t *testing.T) {
 
 // TestSequentialStepAllocFree drives a full CNN training step — forward,
 // zero-grads, backward — and asserts it is allocation-free after warmup,
-// which is what the per-round numbers in BENCH_hotpath.json rely on.
+// which is what the benchmark spine's gsfl.round.allocs rests on.
 func TestSequentialStepAllocFree(t *testing.T) {
 	serialWorkers(t)
 	rng := rand.New(rand.NewSource(10))

@@ -137,40 +137,16 @@ func (t *Trainer) Evaluate(ctx context.Context) (schemes.Eval, error) {
 	return schemes.Evaluate(ctx, t.m, t.env.Test, t.env.Arch.InShape)
 }
 
-// CaptureState implements schemes.Checkpointer. CL's persistent state is
-// the full model (held server-side at cut 0), its optimizer, and the
-// pooled loader.
-func (t *Trainer) CaptureState() (*schemes.TrainerState, error) {
-	return &schemes.TrainerState{
-		Channel: t.env.Channel.State(),
-		Models:  []model.SnapshotState{model.StateOf(t.m.Server)},
-		Opts:    []optim.SGDState{t.opt.State()},
-		Loaders: []data.LoaderState{t.loader.State()},
-	}, nil
-}
-
-// RestoreState implements schemes.Checkpointer.
-func (t *Trainer) RestoreState(st *schemes.TrainerState) error {
-	if err := st.CheckCounts("cl", 1, 1, 1); err != nil {
-		return err
+// StateParts implements schemes.Checkpointer. CL's persistent state is
+// the full model (held server-side at cut 0), its optimizer, the pooled
+// loader, and the round counter.
+func (t *Trainer) StateParts() schemes.StateParts {
+	return schemes.StateParts{
+		Scheme:  "cl",
+		Round:   &t.round,
+		Channel: t.env.Channel,
+		Models:  []schemes.ModelPart{{Net: t.m.Server}},
+		Opts:    []*optim.SGD{t.opt},
+		Loaders: []*data.Loader{t.loader},
 	}
-	full, err := model.SnapshotFromState(st.Models[0])
-	if err != nil {
-		return fmt.Errorf("cl: restoring model: %w", err)
-	}
-	if err := schemes.RestoreSnapshots("cl",
-		schemes.SnapshotTarget{Snap: full, Dst: t.m.Server},
-	); err != nil {
-		return err
-	}
-	if err := t.opt.Restore(st.Opts[0]); err != nil {
-		return fmt.Errorf("cl: optimizer: %w", err)
-	}
-	if err := t.loader.Restore(st.Loaders[0]); err != nil {
-		return fmt.Errorf("cl: loader: %w", err)
-	}
-	if err := t.env.Channel.Restore(st.Channel); err != nil {
-		return fmt.Errorf("cl: channel: %w", err)
-	}
-	return nil
 }

@@ -12,7 +12,6 @@ package fl
 
 import (
 	"context"
-	"fmt"
 
 	"gsfl/internal/agg"
 	"gsfl/internal/data"
@@ -39,7 +38,7 @@ type Trainer struct {
 	locals  []*model.SplitModel
 	opts    []*optim.SGD
 	loaders []*data.Loader
-	weights []float64
+	weights []float64 // samples in the shard mounted on each slot
 
 	evalModel *model.SplitModel
 	fullCut   int
@@ -51,9 +50,8 @@ type Trainer struct {
 	caps   []model.Snapshot
 
 	// round counts completed rounds (keys the population's sampling
-	// stream); popW is the population path's per-round weight scratch.
+	// stream).
 	round int
-	popW  []float64
 }
 
 // New validates the environment and assembles an FL trainer. The env's
@@ -98,11 +96,10 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	env.Channel.AdvanceRound() // new fading stream + client mobility
 	t.round++
 	n := env.Fleet.N()
-	weights := t.weights
 	if env.Pop != nil {
 		// Population mode: train only the sampled cohort. Bindings are
 		// dense (binding i owns slot i), so the round body below simply
-		// runs over the first n slots with per-round shard weights.
+		// runs over the first n slots, weighted by the mounted shards.
 		binds, err := env.Pop.BeginRound(t.round)
 		if err != nil {
 			return nil, err
@@ -110,14 +107,12 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		if len(binds) == 0 {
 			return &simnet.Ledger{}, nil
 		}
-		t.popW = t.popW[:0]
 		for i := range binds {
 			b := &binds[i]
 			t.loaders[b.Slot].Reset(env.Train[b.Shard], b.LoaderSeed)
-			t.popW = append(t.popW, float64(env.Train[b.Shard].Len()))
+			t.weights[b.Slot] = float64(env.Train[b.Shard].Len())
 		}
 		n = len(binds)
-		weights = t.popW
 	}
 	all := make([]int, n)
 	for i := range all {
@@ -174,7 +169,7 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	for ci := 0; ci < n; ci++ {
 		t.caps[ci].CaptureFrom(t.locals[ci].Client)
 	}
-	agg.FedAvgInto(&t.global, t.caps[:n], weights[:n])
+	agg.FedAvgInto(&t.global, t.caps[:n], t.weights[:n])
 	schemes.AggregationLatency(env, n, t.global.ParamCount(), round)
 	rt.End(round)
 	return round, nil
@@ -186,62 +181,18 @@ func (t *Trainer) Evaluate(ctx context.Context) (schemes.Eval, error) {
 	return schemes.Evaluate(ctx, t.evalModel, t.env.Test, t.env.Arch.InShape)
 }
 
-// CaptureState implements schemes.Checkpointer. FL's persistent state
-// is the aggregated global model (local replicas are rewritten from it
+// StateParts implements schemes.Checkpointer. FL's persistent state is
+// the aggregated global model (local replicas are rewritten from it
 // every round), the per-client optimizers, the loaders, and the round
-// counter (which keys the population sampling stream). In population
-// mode the loaders carry no cross-round state — every round Resets
-// them from the replayable sampled bindings — so zero-value states
-// keep the checkpoint shape fixed.
-func (t *Trainer) CaptureState() (*schemes.TrainerState, error) {
-	st := &schemes.TrainerState{
-		Round:   t.round,
-		Channel: t.env.Channel.State(),
-		Models:  []model.SnapshotState{t.global.State()},
+// counter (which keys the population sampling stream).
+func (t *Trainer) StateParts() schemes.StateParts {
+	return schemes.StateParts{
+		Scheme:          "fl",
+		Round:           &t.round,
+		Channel:         t.env.Channel,
+		Models:          []schemes.ModelPart{{Net: t.evalModel.Client, Snap: &t.global}},
+		Opts:            t.opts,
+		Loaders:         t.loaders,
+		ReplayedLoaders: t.env.Pop != nil,
 	}
-	for ci := range t.locals {
-		st.Opts = append(st.Opts, t.opts[ci].State())
-	}
-	if t.env.Pop != nil {
-		st.Loaders = make([]data.LoaderState, len(t.loaders))
-	} else {
-		for ci := range t.loaders {
-			st.Loaders = append(st.Loaders, t.loaders[ci].State())
-		}
-	}
-	return st, nil
-}
-
-// RestoreState implements schemes.Checkpointer.
-func (t *Trainer) RestoreState(st *schemes.TrainerState) error {
-	if err := st.CheckCounts("fl", 1, len(t.opts), len(t.loaders)); err != nil {
-		return err
-	}
-	global, err := model.SnapshotFromState(st.Models[0])
-	if err != nil {
-		return fmt.Errorf("fl: restoring global model: %w", err)
-	}
-	// Structural validation against the eval scratch model.
-	if err := schemes.RestoreSnapshots("fl",
-		schemes.SnapshotTarget{Snap: global, Dst: t.evalModel.Client},
-	); err != nil {
-		return err
-	}
-	t.global = global.Clone()
-	for ci := range t.opts {
-		if err := t.opts[ci].Restore(st.Opts[ci]); err != nil {
-			return fmt.Errorf("fl: client %d optimizer: %w", ci, err)
-		}
-		if t.env.Pop != nil {
-			continue // loaders are Reset from replayed bindings each round
-		}
-		if err := t.loaders[ci].Restore(st.Loaders[ci]); err != nil {
-			return fmt.Errorf("fl: client %d loader: %w", ci, err)
-		}
-	}
-	if err := t.env.Channel.Restore(st.Channel); err != nil {
-		return fmt.Errorf("fl: channel: %w", err)
-	}
-	t.round = st.Round
-	return nil
 }

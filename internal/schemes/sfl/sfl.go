@@ -12,7 +12,6 @@ package sfl
 
 import (
 	"context"
-	"fmt"
 
 	"gsfl/internal/agg"
 	"gsfl/internal/data"
@@ -40,7 +39,7 @@ type Trainer struct {
 	clientOpts []*optim.SGD
 	serverOpts []*optim.SGD
 	loaders    []*data.Loader
-	weights    []float64
+	weights    []float64 // samples in the shard mounted on each slot
 
 	evalModel *model.SplitModel
 
@@ -51,9 +50,8 @@ type Trainer struct {
 	capClient, capServer []model.Snapshot
 
 	// round counts completed rounds (keys the population's sampling
-	// stream); popW is the population path's per-round weight scratch.
+	// stream).
 	round int
-	popW  []float64
 }
 
 // New validates the environment and assembles a SplitFed trainer.
@@ -107,11 +105,10 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	env.Channel.AdvanceRound() // new fading stream + client mobility
 	t.round++
 	n := env.Fleet.N()
-	weights := t.weights
 	if env.Pop != nil {
 		// Population mode: train only the sampled cohort. Bindings are
 		// dense (binding i owns slot i), so the round body below simply
-		// runs over the first n slots with per-round shard weights.
+		// runs over the first n slots, weighted by the mounted shards.
 		binds, err := env.Pop.BeginRound(t.round)
 		if err != nil {
 			return nil, err
@@ -119,14 +116,12 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		if len(binds) == 0 {
 			return &simnet.Ledger{}, nil
 		}
-		t.popW = t.popW[:0]
 		for i := range binds {
 			b := &binds[i]
 			t.loaders[b.Slot].Reset(env.Train[b.Shard], b.LoaderSeed)
-			t.popW = append(t.popW, float64(env.Train[b.Shard].Len()))
+			t.weights[b.Slot] = float64(env.Train[b.Shard].Len())
 		}
 		n = len(binds)
-		weights = t.popW
 	}
 	all := make([]int, n)
 	for i := range all {
@@ -187,8 +182,8 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		t.capClient[ci].CaptureFrom(t.replicas[ci].Client)
 		t.capServer[ci].CaptureFrom(t.replicas[ci].Server)
 	}
-	agg.FedAvgInto(&t.globalClient, t.capClient[:n], weights[:n])
-	agg.FedAvgInto(&t.globalServer, t.capServer[:n], weights[:n])
+	agg.FedAvgInto(&t.globalClient, t.capClient[:n], t.weights[:n])
+	agg.FedAvgInto(&t.globalServer, t.capServer[:n], t.weights[:n])
 	schemes.AggregationLatency(env, n,
 		t.globalClient.ParamCount()+t.globalServer.ParamCount(), round)
 	rt.End(round)
@@ -202,75 +197,25 @@ func (t *Trainer) Evaluate(ctx context.Context) (schemes.Eval, error) {
 	return schemes.Evaluate(ctx, t.evalModel, t.env.Test, t.env.Arch.InShape)
 }
 
-// CaptureState implements schemes.Checkpointer. SplitFed's persistent
+// StateParts implements schemes.Checkpointer. SplitFed's persistent
 // state is the two aggregated global halves (per-client replicas are
-// rewritten from them every round), the per-client optimizer pairs,
-// the loaders, and the round counter (which keys the population
-// sampling stream). In population mode the loaders carry no
-// cross-round state — every round Resets them from the replayable
-// sampled bindings — so zero-value states keep the checkpoint shape
-// fixed.
-func (t *Trainer) CaptureState() (*schemes.TrainerState, error) {
-	st := &schemes.TrainerState{
-		Round:   t.round,
-		Channel: t.env.Channel.State(),
-		Models: []model.SnapshotState{
-			t.globalClient.State(),
-			t.globalServer.State(),
+// rewritten from them every round), the per-client optimizer pairs, the
+// loaders, and the round counter (which keys the population sampling
+// stream).
+func (t *Trainer) StateParts() schemes.StateParts {
+	p := schemes.StateParts{
+		Scheme:  "sfl",
+		Round:   &t.round,
+		Channel: t.env.Channel,
+		Models: []schemes.ModelPart{
+			{Net: t.evalModel.Client, Snap: &t.globalClient},
+			{Net: t.evalModel.Server, Snap: &t.globalServer},
 		},
+		Loaders:         t.loaders,
+		ReplayedLoaders: t.env.Pop != nil,
 	}
 	for ci := range t.replicas {
-		st.Opts = append(st.Opts, t.clientOpts[ci].State(), t.serverOpts[ci].State())
+		p.Opts = append(p.Opts, t.clientOpts[ci], t.serverOpts[ci])
 	}
-	if t.env.Pop != nil {
-		st.Loaders = make([]data.LoaderState, len(t.loaders))
-	} else {
-		for ci := range t.loaders {
-			st.Loaders = append(st.Loaders, t.loaders[ci].State())
-		}
-	}
-	return st, nil
-}
-
-// RestoreState implements schemes.Checkpointer.
-func (t *Trainer) RestoreState(st *schemes.TrainerState) error {
-	if err := st.CheckCounts("sfl", 2, 2*len(t.replicas), len(t.loaders)); err != nil {
-		return err
-	}
-	client, err := model.SnapshotFromState(st.Models[0])
-	if err != nil {
-		return fmt.Errorf("sfl: restoring client half: %w", err)
-	}
-	server, err := model.SnapshotFromState(st.Models[1])
-	if err != nil {
-		return fmt.Errorf("sfl: restoring server half: %w", err)
-	}
-	// Structural validation against the eval scratch model.
-	if err := schemes.RestoreSnapshots("sfl",
-		schemes.SnapshotTarget{Snap: client, Dst: t.evalModel.Client},
-		schemes.SnapshotTarget{Snap: server, Dst: t.evalModel.Server},
-	); err != nil {
-		return err
-	}
-	t.globalClient = client.Clone()
-	t.globalServer = server.Clone()
-	for ci := range t.replicas {
-		if err := t.clientOpts[ci].Restore(st.Opts[2*ci]); err != nil {
-			return fmt.Errorf("sfl: client %d client-half optimizer: %w", ci, err)
-		}
-		if err := t.serverOpts[ci].Restore(st.Opts[2*ci+1]); err != nil {
-			return fmt.Errorf("sfl: client %d server-half optimizer: %w", ci, err)
-		}
-		if t.env.Pop != nil {
-			continue // loaders are Reset from replayed bindings each round
-		}
-		if err := t.loaders[ci].Restore(st.Loaders[ci]); err != nil {
-			return fmt.Errorf("sfl: client %d loader: %w", ci, err)
-		}
-	}
-	if err := t.env.Channel.Restore(st.Channel); err != nil {
-		return fmt.Errorf("sfl: channel: %w", err)
-	}
-	t.round = st.Round
-	return nil
+	return p
 }

@@ -107,56 +107,17 @@ func (t *Trainer) Evaluate(ctx context.Context) (schemes.Eval, error) {
 	return schemes.Evaluate(ctx, t.m, t.env.Test, t.env.Arch.InShape)
 }
 
-// CaptureState implements schemes.Checkpointer. SL's persistent state
-// is the single shared split model (it is never rebuilt from snapshots),
-// its optimizer pair, and the per-client loaders.
-func (t *Trainer) CaptureState() (*schemes.TrainerState, error) {
-	st := &schemes.TrainerState{
-		Channel: t.env.Channel.State(),
-		Models: []model.SnapshotState{
-			model.StateOf(t.m.Client),
-			model.StateOf(t.m.Server),
-		},
-		Opts: []optim.SGDState{t.clientOpt.State(), t.serverOpt.State()},
+// StateParts implements schemes.Checkpointer. SL's persistent state is
+// the single shared split model (trained in place, never rebuilt from
+// snapshots), its optimizer pair, the per-client loaders, and the round
+// counter.
+func (t *Trainer) StateParts() schemes.StateParts {
+	return schemes.StateParts{
+		Scheme:  "sl",
+		Round:   &t.round,
+		Channel: t.env.Channel,
+		Models:  []schemes.ModelPart{{Net: t.m.Client}, {Net: t.m.Server}},
+		Opts:    []*optim.SGD{t.clientOpt, t.serverOpt},
+		Loaders: t.loaders,
 	}
-	for _, l := range t.loaders {
-		st.Loaders = append(st.Loaders, l.State())
-	}
-	return st, nil
-}
-
-// RestoreState implements schemes.Checkpointer.
-func (t *Trainer) RestoreState(st *schemes.TrainerState) error {
-	if err := st.CheckCounts("sl", 2, 2, len(t.loaders)); err != nil {
-		return err
-	}
-	client, err := model.SnapshotFromState(st.Models[0])
-	if err != nil {
-		return fmt.Errorf("sl: restoring client half: %w", err)
-	}
-	server, err := model.SnapshotFromState(st.Models[1])
-	if err != nil {
-		return fmt.Errorf("sl: restoring server half: %w", err)
-	}
-	if err := schemes.RestoreSnapshots("sl",
-		schemes.SnapshotTarget{Snap: client, Dst: t.m.Client},
-		schemes.SnapshotTarget{Snap: server, Dst: t.m.Server},
-	); err != nil {
-		return err
-	}
-	if err := t.clientOpt.Restore(st.Opts[0]); err != nil {
-		return fmt.Errorf("sl: client optimizer: %w", err)
-	}
-	if err := t.serverOpt.Restore(st.Opts[1]); err != nil {
-		return fmt.Errorf("sl: server optimizer: %w", err)
-	}
-	for ci, l := range t.loaders {
-		if err := l.Restore(st.Loaders[ci]); err != nil {
-			return fmt.Errorf("sl: client %d loader: %w", ci, err)
-		}
-	}
-	if err := t.env.Channel.Restore(st.Channel); err != nil {
-		return fmt.Errorf("sl: channel: %w", err)
-	}
-	return nil
 }

@@ -40,43 +40,124 @@ type TrainerState struct {
 // checkpoint/resume through the run API. All five built-in schemes
 // implement it.
 type Checkpointer interface {
-	// CaptureState deep-copies the trainer's complete mutable state.
-	// Only valid at a round boundary (between Round calls).
-	CaptureState() (*TrainerState, error)
-	// RestoreState resets a freshly constructed trainer to a captured
-	// state. The trainer must have been built over an Env identical to
-	// the one the state was captured from.
-	RestoreState(*TrainerState) error
+	// StateParts lists the trainer's mutable parts; the caller captures
+	// or restores them with the one codec below. The trainer must sit at
+	// a round boundary, and a restore target must be freshly constructed
+	// over an Env identical to the one the state was captured from.
+	StateParts() StateParts
 }
 
-// SnapshotTarget pairs a restored snapshot with the model half it is
-// destined for.
-type SnapshotTarget struct {
-	Snap model.Snapshot
-	Dst  *nn.Sequential
+// ModelPart is one persistent model half in a trainer's state.
+type ModelPart struct {
+	// Net is the live model the half trains in place (sl, cl) or, with
+	// Snap set, the structural reference a restored snapshot must fit
+	// (the trainer's eval model).
+	Net *nn.Sequential
+	// Snap, when non-nil, is the aggregated snapshot that is the state
+	// (replicas are rewritten from it every round, so they are derived).
+	Snap *model.Snapshot
 }
 
-// RestoreSnapshots validates every snapshot structurally against its
-// destination, then commits them all. On mismatch it returns an error
-// before mutating anything, so a failed restore never leaves a model
-// half-updated.
-func RestoreSnapshots(scheme string, targets ...SnapshotTarget) error {
-	for i, tgt := range targets {
-		ps := tgt.Dst.Params()
-		if len(ps) != len(tgt.Snap.Tensors) {
-			return fmt.Errorf("schemes: %s snapshot %d has %d tensors, model half has %d params",
-				scheme, i, len(tgt.Snap.Tensors), len(ps))
+// StateParts lists a trainer's mutable parts, each slice in the order
+// the scheme's TrainerState stores it. Capture and Restore are the one
+// trainer-state codec every scheme shares.
+type StateParts struct {
+	// Scheme names the trainer in errors.
+	Scheme string
+	// Round is the completed-round counter (trace labels, and the key of
+	// the dropout and population-sampling streams).
+	Round   *int
+	Channel *wireless.Channel
+	Models  []ModelPart
+	Opts    []*optim.SGD
+	Loaders []*data.Loader
+	// ReplayedLoaders marks loaders that carry no cross-round state: a
+	// population Resets them every round from sampled bindings it replays
+	// deterministically on resume. Zero-value states keep the checkpoint
+	// shape fixed, and Restore leaves the loaders alone.
+	ReplayedLoaders bool
+}
+
+// Capture deep-copies the parts into a TrainerState. Only valid at a
+// round boundary.
+func (p StateParts) Capture() *TrainerState {
+	st := &TrainerState{
+		Round:   *p.Round,
+		Channel: p.Channel.State(),
+		Models:  make([]model.SnapshotState, len(p.Models)),
+		Opts:    make([]optim.SGDState, len(p.Opts)),
+		Loaders: make([]data.LoaderState, len(p.Loaders)),
+	}
+	for i, m := range p.Models {
+		if m.Snap != nil {
+			st.Models[i] = m.Snap.State()
+		} else {
+			st.Models[i] = model.StateOf(m.Net)
 		}
-		for j, p := range ps {
-			if p.Size() != tgt.Snap.Tensors[j].Size() {
-				return fmt.Errorf("schemes: %s snapshot %d tensor %d has %d values, param has %d",
-					scheme, i, j, tgt.Snap.Tensors[j].Size(), p.Size())
+	}
+	for i, o := range p.Opts {
+		st.Opts[i] = o.State()
+	}
+	if !p.ReplayedLoaders {
+		for i, l := range p.Loaders {
+			st.Loaders[i] = l.State()
+		}
+	}
+	return st
+}
+
+// Restore resets the parts of a freshly constructed trainer to a
+// captured state. The slice arities and every model snapshot are
+// validated against the trainer before anything is mutated, so a state
+// from the wrong scheme, architecture or client count never leaves a
+// model half-updated; every error names the scheme, the part and its
+// index.
+func (p StateParts) Restore(st *TrainerState) error {
+	if err := st.CheckCounts(p.Scheme, len(p.Models), len(p.Opts), len(p.Loaders)); err != nil {
+		return err
+	}
+	snaps := make([]model.Snapshot, len(p.Models))
+	for i, m := range p.Models {
+		snap, err := model.SnapshotFromState(st.Models[i])
+		if err != nil {
+			return fmt.Errorf("schemes: %s model %d: %w", p.Scheme, i, err)
+		}
+		ps := m.Net.Params()
+		if len(ps) != len(snap.Tensors) {
+			return fmt.Errorf("schemes: %s model %d has %d tensors, model half has %d params",
+				p.Scheme, i, len(snap.Tensors), len(ps))
+		}
+		for j, param := range ps {
+			if param.Size() != snap.Tensors[j].Size() {
+				return fmt.Errorf("schemes: %s model %d tensor %d has %d values, param has %d",
+					p.Scheme, i, j, snap.Tensors[j].Size(), param.Size())
+			}
+		}
+		snaps[i] = snap
+	}
+	for i, m := range p.Models {
+		if m.Snap != nil {
+			*m.Snap = snaps[i]
+		} else {
+			snaps[i].Restore(m.Net)
+		}
+	}
+	for i, o := range p.Opts {
+		if err := o.Restore(st.Opts[i]); err != nil {
+			return fmt.Errorf("schemes: %s optimizer %d: %w", p.Scheme, i, err)
+		}
+	}
+	if !p.ReplayedLoaders {
+		for i, l := range p.Loaders {
+			if err := l.Restore(st.Loaders[i]); err != nil {
+				return fmt.Errorf("schemes: %s loader %d: %w", p.Scheme, i, err)
 			}
 		}
 	}
-	for _, tgt := range targets {
-		tgt.Snap.Restore(tgt.Dst)
+	if err := p.Channel.Restore(st.Channel); err != nil {
+		return fmt.Errorf("schemes: %s channel: %w", p.Scheme, err)
 	}
+	*p.Round = st.Round
 	return nil
 }
 

@@ -191,7 +191,7 @@ func gemmChunk(kern ukernFunc, dst, ap, bp []float64, asrc aSource, m, k, n, blo
 // (outC × InC*KH*KW), img is one flat CHW image of g's geometry, dst is
 // (outC × OutH*OutW). The packing routine reads the image through the
 // im2col index map, so results are bit-identical (in exact mode) to
-// Im2Col followed by MatMulInto. It returns dst.
+// materializing the columns and calling MatMulInto. It returns dst.
 func ConvMatMulInto(dst, w *Tensor, img []float64, g ConvGeom) *Tensor {
 	k := g.InC * g.KH * g.KW
 	n := g.OutH() * g.OutW()

@@ -55,6 +55,37 @@ func naiveTransB(dst, a, bt []float64, m, k, n int) {
 	}
 }
 
+// mm is the allocating a @ b the algebraic tests read best with.
+func mm(a, b *Tensor) *Tensor {
+	return MatMulInto(New(a.shape[0], b.shape[1]), a, b)
+}
+
+// im2colRef materializes one CHW image's column matrix — row
+// (c,kh,kw), column (oh,ow), zero where the window hangs over the
+// padding — which the implicit-GEMM conv kernels index without ever
+// building. Production code has no such function; this naive one is the
+// oracle the fused kernels are checked against bit for bit.
+func im2colRef(dst, src []float64, g ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				row := (c*g.KH+kh)*g.KW + kw
+				for oh := 0; oh < outH; oh++ {
+					for ow := 0; ow < outW; ow++ {
+						ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+						v := 0.0
+						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+							v = src[(c*g.InH+ih)*g.InW+iw]
+						}
+						dst[(row*outH+oh)*outW+ow] = v
+					}
+				}
+			}
+		}
+	}
+}
+
 // fillMixed fills buf with normal draws, zeroing roughly a third of the
 // entries — the post-ReLU sparsity pattern the old kernels special-cased
 // with a skip branch, so any +0/-0 or skip-dependence bug surfaces here.
@@ -151,7 +182,7 @@ var convGeoms = []ConvGeom{
 
 // TestConvMatMulMatchesIm2Col checks the implicit-GEMM conv kernels
 // against the two-step reference they replaced — materialize the column
-// matrix with Im2Col, then run the naive GEMM over it — bit for bit, in
+// matrix with im2colRef, then run the naive GEMM over it — bit for bit, in
 // both the forward (W @ col) and weight-gradient (dy @ colᵀ) shapes.
 func TestConvMatMulMatchesIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -164,7 +195,7 @@ func TestConvMatMulMatchesIm2Col(t *testing.T) {
 		img := make([]float64, g.ImageSize())
 		fillMixed(rng, img)
 		cols := make([]float64, g.ColSize())
-		Im2Col(cols, img, g)
+		im2colRef(cols, img, g)
 
 		for _, outC := range []int{3, 8} {
 			w := New(outC, colRows)
@@ -263,7 +294,7 @@ func FuzzPackedGEMM(f *testing.F) {
 		img := make([]float64, g.ImageSize())
 		fillMixed(rng, img)
 		cols := make([]float64, g.ColSize())
-		Im2Col(cols, img, g)
+		im2colRef(cols, img, g)
 		outC := int(mm)%6 + 1
 		w := make([]float64, outC*colRows)
 		fillMixed(rng, w)

@@ -49,7 +49,7 @@ func (g ConvGeom) Validate() error {
 }
 
 // grainChannels returns how many channels one parallel chunk must cover
-// for im2col/col2im, keeping chunks above the serial-work floor.
+// for col2im, keeping chunks above the serial-work floor.
 func grainChannels(g ConvGeom) int {
 	perChannel := g.KH * g.KW * g.OutH() * g.OutW()
 	if perChannel <= 0 {
@@ -62,132 +62,16 @@ func grainChannels(g ConvGeom) int {
 	return grain
 }
 
-// Im2Col unrolls one image (CHW, flat in src) into a column matrix of
-// shape (C*KH*KW) x (OutH*OutW), written into dst. This turns convolution
-// into a single MatMul, which is how Conv2D achieves acceptable CPU
-// performance. dst must have size (InC*KH*KW) * (OutH*OutW).
-//
-// Channels are partitioned across the parallel worker pool: channel c
-// owns column-matrix rows [c*KH*KW, (c+1)*KH*KW), so workers write
-// disjoint regions and the result is bit-identical to the serial loop.
-func Im2Col(dst, src []float64, g ConvGeom) {
-	cols := g.OutH() * g.OutW()
-	if want := g.InC * g.KH * g.KW * cols; len(dst) != want {
-		panic(fmt.Sprintf("tensor: Im2Col dst size %d, want %d", len(dst), want))
-	}
-	if want := g.InC * g.InH * g.InW; len(src) != want {
-		panic(fmt.Sprintf("tensor: Im2Col src size %d, want %d", len(src), want))
-	}
-	if grain := grainChannels(g); parallel.Inline(g.InC, grain) {
-		for c := 0; c < g.InC; c++ {
-			im2colChannel(dst, src, g, c)
-		}
-	} else {
-		parallel.For(g.InC, grain, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				im2colChannel(dst, src, g, c)
-			}
-		})
-	}
-}
-
-// Im2ColBatch unrolls n images at once: src holds n CHW images
-// back-to-back and dst receives their n column matrices back-to-back.
-// (sample, channel) units are partitioned across the worker pool, so a
-// convolution layer's whole batch keeps every core busy even when single
-// images are small. Results are bit-identical to n serial Im2Col calls.
-func Im2ColBatch(dst, src []float64, n int, g ConvGeom) {
-	colSize, imgSize := g.ColSize(), g.ImageSize()
-	if want := n * colSize; len(dst) != want {
-		panic(fmt.Sprintf("tensor: Im2ColBatch dst size %d, want %d", len(dst), want))
-	}
-	if want := n * imgSize; len(src) != want {
-		panic(fmt.Sprintf("tensor: Im2ColBatch src size %d, want %d", len(src), want))
-	}
-	if grain := grainChannels(g); parallel.Inline(n*g.InC, grain) {
-		for u := 0; u < n*g.InC; u++ {
-			i, c := u/g.InC, u%g.InC
-			im2colChannel(dst[i*colSize:(i+1)*colSize], src[i*imgSize:(i+1)*imgSize], g, c)
-		}
-	} else {
-		parallel.For(n*g.InC, grain, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				i, c := u/g.InC, u%g.InC
-				im2colChannel(dst[i*colSize:(i+1)*colSize], src[i*imgSize:(i+1)*imgSize], g, c)
-			}
-		})
-	}
-}
-
-// im2colChannel writes channel c's rows of one image's column matrix.
-func im2colChannel(dst, src []float64, g ConvGeom, c int) {
-	outH, outW := g.OutH(), g.OutW()
-	cols := outH * outW
-	chanBase := c * g.InH * g.InW
-	row := c * g.KH * g.KW
-	for kh := 0; kh < g.KH; kh++ {
-		for kw := 0; kw < g.KW; kw++ {
-			drow := dst[row*cols : (row+1)*cols]
-			row++
-			di := 0
-			for oh := 0; oh < outH; oh++ {
-				ih := oh*g.StrideH - g.PadH + kh
-				if ih < 0 || ih >= g.InH {
-					for ow := 0; ow < outW; ow++ {
-						drow[di] = 0
-						di++
-					}
-					continue
-				}
-				rowBase := chanBase + ih*g.InW
-				for ow := 0; ow < outW; ow++ {
-					iw := ow*g.StrideW - g.PadW + kw
-					if iw < 0 || iw >= g.InW {
-						drow[di] = 0
-					} else {
-						drow[di] = src[rowBase+iw]
-					}
-					di++
-				}
-			}
-		}
-	}
-}
-
-// Col2Im scatter-adds a column matrix (the layout produced by Im2Col) back
-// into an image (CHW, flat in dst). dst is NOT zeroed first: overlapping
+// Col2ImBatch scatter-adds n column matrices — each (C*KH*KW) x
+// (OutH*OutW), the layout the implicit-GEMM conv kernels index — back
+// into n CHW images (flat in dst). dst is NOT zeroed first: overlapping
 // windows accumulate, which is exactly the gradient semantics the conv
 // backward pass needs.
 //
-// Channels are partitioned across the worker pool: channel c only ever
-// scatter-adds into its own dst plane, and within a channel the
-// accumulation order matches the serial loop, so results are
-// bit-identical to a single-worker run.
-func Col2Im(dst, src []float64, g ConvGeom) {
-	cols := g.OutH() * g.OutW()
-	if want := g.InC * g.KH * g.KW * cols; len(src) != want {
-		panic(fmt.Sprintf("tensor: Col2Im src size %d, want %d", len(src), want))
-	}
-	if want := g.InC * g.InH * g.InW; len(dst) != want {
-		panic(fmt.Sprintf("tensor: Col2Im dst size %d, want %d", len(dst), want))
-	}
-	if grain := grainChannels(g); parallel.Inline(g.InC, grain) {
-		for c := 0; c < g.InC; c++ {
-			col2imChannel(dst, src, g, c)
-		}
-	} else {
-		parallel.For(g.InC, grain, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				col2imChannel(dst, src, g, c)
-			}
-		})
-	}
-}
-
-// Col2ImBatch scatter-adds n column matrices back into n CHW images,
-// partitioning (sample, channel) units across the worker pool. As with
-// Col2Im, dst is not zeroed. Results are bit-identical to n serial
-// Col2Im calls.
+// (sample, channel) units are partitioned across the worker pool:
+// channel c of image i only ever scatter-adds into its own dst plane,
+// and within a channel the accumulation order matches the serial loop,
+// so results are bit-identical to a single-worker run.
 func Col2ImBatch(dst, src []float64, n int, g ConvGeom) {
 	colSize, imgSize := g.ColSize(), g.ImageSize()
 	if want := n * colSize; len(src) != want {

@@ -25,26 +25,18 @@ func grainRows(flopsPerRow int) int {
 	return g
 }
 
-// MatMul returns the matrix product a @ b for 2-D tensors.
-// a is (m×k), b is (k×n); the result is (m×n).
+// MatMulInto computes dst = a @ b for 2-D tensors, reusing dst's
+// storage: a is (m×k), b is (k×n), dst must be (m×n) and must not alias
+// a or b. It returns dst.
 //
 // Layer-sized products run on the blocked, panel-packed GEMM engine
 // (gemm.go); small ones keep the scalar ikj schedule whose fork-join and
 // packing overhead they cannot amortize. Both paths accumulate every
 // output element in ascending-k order in a single accumulator and
 // partition output rows across the parallel worker pool, so results are
-// bit-identical to a single-worker run — and to each other.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul("MatMul", a, b)
-	out := New(m, n)
-	matMulInto(out.Data, a.Data, b.Data, m, k, n)
-	return out
-}
-
-// MatMulInto computes dst = a @ b, reusing dst's storage. dst must be
-// (m×n) and must not alias a or b. It returns dst. After warmup it
-// performs no allocations in serial runs (see parallel.Inline; the GEMM
-// packing panels are pooled).
+// bit-identical to a single-worker run — and to each other. After
+// warmup it performs no allocations in serial runs (see parallel.Inline;
+// the GEMM packing panels are pooled).
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return MatMulIntoOp("MatMulInto", dst, a, b)
 }
@@ -114,22 +106,13 @@ func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
 	}
 }
 
-// MatMulTransA returns aᵀ @ b where a is (k×m) and b is (k×n); the result
-// is (m×n). Used for weight gradients (xᵀ @ dy) without materializing the
-// transpose. Output rows are partitioned across workers; each output
-// element accumulates its k terms in ascending-k order on one worker, so
-// results are bit-identical to the serial schedule.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	k, m, n := checkMatMulTransA("MatMulTransA", a, b)
-	out := New(m, n)
-	matMulTransAInto(out.Data, a.Data, b.Data, k, m, n)
-	return out
-}
-
-// MatMulTransAInto computes dst = aᵀ @ b, reusing dst's storage — the
-// allocation-free variant the layer backward passes use to write a
-// gradient straight into a reusable workspace buffer. dst must be (m×n),
-// must not alias a or b, and is fully overwritten. It returns dst.
+// MatMulTransAInto computes dst = aᵀ @ b where a is (k×m) and b is
+// (k×n), reusing dst's storage — the layer backward passes use it to
+// write a weight gradient (xᵀ @ dy) straight into a reusable workspace
+// buffer without materializing the transpose. dst must be (m×n), must
+// not alias a or b, and is fully overwritten. Each output element
+// accumulates in ascending-k order on one worker, so results are
+// bit-identical to the serial schedule. It returns dst.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	return MatMulTransAIntoOp("MatMulTransAInto", dst, a, b)
 }
@@ -191,20 +174,12 @@ func matMulTransARows(dst, a, b []float64, k, m, n, lo, hi int) {
 	}
 }
 
-// MatMulTransB returns a @ bᵀ where a is (m×k) and b is (n×k); the result
-// is (m×n). Used for input gradients (dy @ wᵀ) without materializing the
-// transpose. Output rows are independent dot products, partitioned across
-// workers with bit-identical results.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulTransB("MatMulTransB", a, b)
-	out := New(m, n)
-	matMulTransBInto(out.Data, a.Data, b.Data, m, k, n)
-	return out
-}
-
-// MatMulTransBInto computes dst = a @ bᵀ, reusing dst's storage. dst must
-// be (m×n) and must not alias a or b; every element is overwritten.
-// It returns dst.
+// MatMulTransBInto computes dst = a @ bᵀ where a is (m×k) and b is
+// (n×k), reusing dst's storage — input gradients (dy @ wᵀ) without
+// materializing the transpose. dst must be (m×n) and must not alias a or
+// b; every element is overwritten. Output rows are independent dot
+// products, so results are bit-identical at any worker count. It
+// returns dst.
 func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	return MatMulTransBIntoOp("MatMulTransBInto", dst, a, b)
 }

@@ -23,8 +23,8 @@ package tensor
 // a plain (m×k) or transposed (k×m) A matrix, a plain (k×n) or
 // transposed (n×k) B matrix, and — for the implicit-GEMM convolution
 // path — a B matrix that is the im2col column matrix of a CHW image,
-// read directly through the same index map as im2colChannel without
-// ever materializing the columns.
+// read directly through the im2col index map without ever materializing
+// the columns.
 
 // packA packs A row-blocks [blo, bhi) from a plain (m×k) matrix.
 func packA(ap, a []float64, m, k, blo, bhi int) {
@@ -125,8 +125,8 @@ func packBTrans(bp, b []float64, k, n int) {
 // packBIm2col packs every NR-column panel of the implicit column matrix
 // of one CHW image: logical B is (k×n) with k = InC*KH*KW column-matrix
 // rows and n = OutH*OutW spatial positions, B[kk][j] being pixel
-// (c,ih,iw) under the same index map im2colChannel uses (zero outside
-// the padded input). The column matrix itself is never stored.
+// (c,ih,iw) under the im2col index map (ih = oh*StrideH-PadH+kh, iw
+// likewise; zero outside the padded input). The column matrix itself is never stored.
 func packBIm2col(bp, img []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	n := outH * outW

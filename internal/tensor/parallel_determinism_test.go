@@ -53,7 +53,7 @@ func TestMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 		a := New(m, k).RandNormal(rng, 0, 1)
 		b := New(k, n).RandNormal(rng, 0, 1)
 		mustBitIdentical(t, "MatMul", atWorkers(t, func() []float64 {
-			return MatMul(a, b).Data
+			return mm(a, b).Data
 		}))
 	}
 }
@@ -63,7 +63,7 @@ func TestMatMulTransABitIdenticalAcrossWorkers(t *testing.T) {
 	a := New(130, 71).RandNormal(rng, 0, 1)
 	b := New(130, 33).RandNormal(rng, 0, 1)
 	mustBitIdentical(t, "MatMulTransA", atWorkers(t, func() []float64 {
-		return MatMulTransA(a, b).Data
+		return MatMulTransAInto(New(71, 33), a, b).Data
 	}))
 }
 
@@ -72,7 +72,7 @@ func TestMatMulTransBBitIdenticalAcrossWorkers(t *testing.T) {
 	a := New(71, 130).RandNormal(rng, 0, 1)
 	b := New(33, 130).RandNormal(rng, 0, 1)
 	mustBitIdentical(t, "MatMulTransB", atWorkers(t, func() []float64 {
-		return MatMulTransB(a, b).Data
+		return MatMulTransBInto(New(71, 33), a, b).Data
 	}))
 }
 
@@ -85,46 +85,15 @@ func convTestGeom() ConvGeom {
 	}
 }
 
-func TestIm2ColBitIdenticalAcrossWorkers(t *testing.T) {
-	g := convTestGeom()
-	rng := rand.New(rand.NewSource(14))
-	src := New(g.ImageSize()).RandNormal(rng, 0, 1)
-	mustBitIdentical(t, "Im2Col", atWorkers(t, func() []float64 {
-		dst := make([]float64, g.ColSize())
-		Im2Col(dst, src.Data, g)
-		return dst
-	}))
-}
-
 func TestCol2ImBitIdenticalAcrossWorkers(t *testing.T) {
 	g := convTestGeom()
 	rng := rand.New(rand.NewSource(15))
 	src := New(g.ColSize()).RandNormal(rng, 0, 1)
 	mustBitIdentical(t, "Col2Im", atWorkers(t, func() []float64 {
 		dst := make([]float64, g.ImageSize())
-		Col2Im(dst, src.Data, g)
+		Col2ImBatch(dst, src.Data, 1, g)
 		return dst
 	}))
-}
-
-func TestIm2ColBatchMatchesPerSampleSerial(t *testing.T) {
-	g := convTestGeom()
-	const n = 6
-	rng := rand.New(rand.NewSource(16))
-	src := New(n*g.ImageSize()).RandNormal(rng, 0, 1)
-
-	parallel.SetWorkers(1)
-	want := make([]float64, n*g.ColSize())
-	for i := 0; i < n; i++ {
-		Im2Col(want[i*g.ColSize():(i+1)*g.ColSize()], src.Data[i*g.ImageSize():(i+1)*g.ImageSize()], g)
-	}
-	results := atWorkers(t, func() []float64 {
-		dst := make([]float64, n*g.ColSize())
-		Im2ColBatch(dst, src.Data, n, g)
-		return dst
-	})
-	parallel.SetWorkers(0)
-	mustBitIdentical(t, "Im2ColBatch", append([][]float64{want}, results...))
 }
 
 func TestCol2ImBatchMatchesPerSampleSerial(t *testing.T) {
@@ -136,7 +105,7 @@ func TestCol2ImBatchMatchesPerSampleSerial(t *testing.T) {
 	parallel.SetWorkers(1)
 	want := make([]float64, n*g.ImageSize())
 	for i := 0; i < n; i++ {
-		Col2Im(want[i*g.ImageSize():(i+1)*g.ImageSize()], src.Data[i*g.ColSize():(i+1)*g.ColSize()], g)
+		Col2ImBatch(want[i*g.ImageSize():(i+1)*g.ImageSize()], src.Data[i*g.ColSize():(i+1)*g.ColSize()], 1, g)
 	}
 	results := atWorkers(t, func() []float64 {
 		dst := make([]float64, n*g.ImageSize())

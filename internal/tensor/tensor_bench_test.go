@@ -17,36 +17,18 @@ import (
 // against.
 var benchWorkers = []int{1, 2, 4, 8}
 
-// BenchmarkMatMulWorkers measures the row-partitioned MatMul across pool
+// BenchmarkMatMulWorkers measures the row-partitioned MatMulInto across pool
 // widths on a layer-sized matrix product.
 func BenchmarkMatMulWorkers(b *testing.B) {
 	x, y := benchMatrices(256, 256, 256)
+	dst := New(256, 256)
 	for _, w := range benchWorkers {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			parallel.SetWorkers(w)
 			defer parallel.SetWorkers(0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatMul(x, y)
-			}
-		})
-	}
-}
-
-// BenchmarkIm2ColBatchWorkers measures the batched unroll across pool
-// widths on a training-batch-sized input.
-func BenchmarkIm2ColBatchWorkers(b *testing.B) {
-	g := ConvGeom{InC: 8, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	const n = 16
-	src := make([]float64, n*g.ImageSize())
-	dst := make([]float64, n*g.ColSize())
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			parallel.SetWorkers(w)
-			defer parallel.SetWorkers(0)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Im2ColBatch(dst, src, n, g)
+				MatMulInto(dst, x, y)
 			}
 		})
 	}
@@ -55,22 +37,6 @@ func BenchmarkIm2ColBatchWorkers(b *testing.B) {
 func benchMatrices(m, k, n int) (*Tensor, *Tensor) {
 	rng := rand.New(rand.NewSource(1))
 	return New(m, k).RandNormal(rng, 0, 1), New(k, n).RandNormal(rng, 0, 1)
-}
-
-func BenchmarkMatMul64(b *testing.B) {
-	x, y := benchMatrices(64, 64, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMul256(b *testing.B) {
-	x, y := benchMatrices(256, 256, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
 }
 
 func BenchmarkMatMulInto64(b *testing.B) {
@@ -83,7 +49,8 @@ func BenchmarkMatMulInto64(b *testing.B) {
 }
 
 // BenchmarkGEMMExact256 times the packed engine's exact micro-kernel on
-// the hot-path shape (the same 256³ matmul BENCH_hotpath.json records).
+// the hot-path shape (the 256³ matmul the benchmark spine records as
+// tensor.matmul_256.ns).
 func BenchmarkGEMMExact256(b *testing.B) {
 	x, y := benchMatrices(256, 256, 256)
 	dst := New(256, 256)
@@ -130,19 +97,10 @@ func BenchmarkMatMulTransA(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	x := New(128, 64).RandNormal(rng, 0, 1)
 	y := New(128, 32).RandNormal(rng, 0, 1)
+	dst := New(64, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMulTransA(x, y)
-	}
-}
-
-func BenchmarkIm2Col32(b *testing.B) {
-	g := ConvGeom{InC: 8, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	src := make([]float64, 8*32*32)
-	dst := make([]float64, 8*9*32*32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Im2Col(dst, src, g)
+		MatMulTransAInto(dst, x, y)
 	}
 }
 

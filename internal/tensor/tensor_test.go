@@ -249,7 +249,7 @@ func TestApplyAndMap(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	got := MatMul(a, b)
+	got := mm(a, b)
 	want := FromSlice([]float64{58, 64, 139, 154}, 2, 2)
 	if !AllClose(got, want, 1e-12) {
 		t.Fatalf("MatMul = %v, want %v", got, want)
@@ -263,17 +263,17 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id.Set(1, i, i)
 	}
-	if got := MatMul(a, id); !AllClose(got, a, 1e-12) {
+	if got := mm(a, id); !AllClose(got, a, 1e-12) {
 		t.Fatal("A @ I != A")
 	}
-	if got := MatMul(id, a); !AllClose(got, a, 1e-12) {
+	if got := mm(id, a); !AllClose(got, a, 1e-12) {
 		t.Fatal("I @ A != A")
 	}
 }
 
 func TestMatMulDimMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "dim mismatch")
-	MatMul(New(2, 3), New(2, 3))
+	mm(New(2, 3), New(2, 3))
 }
 
 func TestMatMulInto(t *testing.T) {
@@ -281,7 +281,7 @@ func TestMatMulInto(t *testing.T) {
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
 	dst := Full(999, 2, 2) // stale contents must be overwritten
 	MatMulInto(dst, a, b)
-	want := MatMul(a, b)
+	want := FromSlice([]float64{19, 22, 43, 50}, 2, 2)
 	if !AllClose(dst, want, 1e-12) {
 		t.Fatalf("MatMulInto = %v, want %v", dst, want)
 	}
@@ -291,15 +291,15 @@ func TestMatMulTransVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := New(5, 3).RandNormal(rng, 0, 1)
 	b := New(5, 4).RandNormal(rng, 0, 1)
-	got := MatMulTransA(a, b)
-	want := MatMul(a.Transpose2D(), b)
+	got := MatMulTransAInto(New(3, 4), a, b)
+	want := mm(a.Transpose2D(), b)
 	if !AllClose(got, want, 1e-10) {
 		t.Fatal("MatMulTransA != Aᵀ@B")
 	}
 	c := New(6, 3).RandNormal(rng, 0, 1)
 	d := New(4, 3).RandNormal(rng, 0, 1)
-	got2 := MatMulTransB(c, d)
-	want2 := MatMul(c, d.Transpose2D())
+	got2 := MatMulTransBInto(New(6, 4), c, d)
+	want2 := mm(c, d.Transpose2D())
 	if !AllClose(got2, want2, 1e-10) {
 		t.Fatal("MatMulTransB != A@Bᵀ")
 	}
@@ -379,8 +379,8 @@ func TestPropMatMulDistributive(t *testing.T) {
 		a := New(m, k).RandNormal(rng, 0, 1)
 		b := New(k, n).RandNormal(rng, 0, 1)
 		c := New(k, n).RandNormal(rng, 0, 1)
-		lhs := MatMul(a, Add(b, c))
-		rhs := Add(MatMul(a, b), MatMul(a, c))
+		lhs := mm(a, Add(b, c))
+		rhs := Add(mm(a, b), mm(a, c))
 		return AllClose(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -408,8 +408,8 @@ func TestPropMatMulTransposeIdentity(t *testing.T) {
 		m, k, n := 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(5)
 		a := New(m, k).RandNormal(rng, 0, 1)
 		b := New(k, n).RandNormal(rng, 0, 1)
-		lhs := MatMul(a, b).Transpose2D()
-		rhs := MatMul(b.Transpose2D(), a.Transpose2D())
+		lhs := mm(a, b).Transpose2D()
+		rhs := mm(b.Transpose2D(), a.Transpose2D())
 		return AllClose(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -442,9 +442,9 @@ func TestPropIm2ColIdentityKernel(t *testing.T) {
 		g := ConvGeom{InC: c, InH: h, InW: w, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 		src := New(c*h*w).RandNormal(rng, 0, 1)
 		col := make([]float64, c*g.OutH()*g.OutW())
-		Im2Col(col, src.Data, g)
+		im2colRef(col, src.Data, g)
 		back := make([]float64, c*h*w)
-		Col2Im(back, col, g)
+		Col2ImBatch(back, col, 1, g)
 		return AllClose(FromSlice(back, c*h*w), src, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -461,7 +461,7 @@ func TestIm2ColKnownValues(t *testing.T) {
 		7, 8, 9,
 	}
 	col := make([]float64, 4*4)
-	Im2Col(col, src, g)
+	im2colRef(col, src, g)
 	// Rows are kernel positions (kh,kw), columns are output positions.
 	want := []float64{
 		1, 2, 4, 5, // (0,0)
@@ -481,7 +481,7 @@ func TestIm2ColPadding(t *testing.T) {
 	}
 	src := []float64{1, 2, 3, 4}
 	col := make([]float64, 9*4)
-	Im2Col(col, src, g)
+	im2colRef(col, src, g)
 	// Kernel position (0,0) looks up-left of each output; with pad 1 the
 	// first column sees the zero padding everywhere except bottom-right.
 	row0 := col[0:4]

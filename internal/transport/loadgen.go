@@ -73,7 +73,7 @@ type LoadGenConfig struct {
 	OnRound func(RoundStats)
 }
 
-// LoadGenReport is the result of a load run — what BENCH_tcp.json holds.
+// LoadGenReport is the result of a load run (gsfl-loadgen's JSON report).
 type LoadGenReport struct {
 	Clients         int     `json:"clients"`
 	Groups          int     `json:"groups"`

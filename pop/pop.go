@@ -373,7 +373,7 @@ func (p *Population) MetricsHandler() http.Handler { return p.reg.Handler() }
 
 // MemoryBytes reports the population's resident record storage: the
 // per-member arrays plus the event queue and binding buffer. It is the
-// quantity BENCH_pop.json bounds.
+// quantity TestMemoryBound bounds.
 func (p *Population) MemoryBytes() int64 {
 	perMember := int64(cap(p.shard))*4 + int64(cap(p.profile)) +
 		int64(cap(p.pcur))*4 + int64(cap(p.tcur))*4 + int64(cap(p.stamp))*4 +

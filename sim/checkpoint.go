@@ -103,11 +103,7 @@ func envFingerprint(env *Env) uint64 {
 // completed rounds.
 func (r *Runner) saveCheckpoint(round int, elapsed float64, curve *Curve) error {
 	st := r.trainer.(*SchemeTrainer)
-	cp := st.Trainer.(schemes.Checkpointer)
-	state, err := cp.CaptureState()
-	if err != nil {
-		return fmt.Errorf("sim: capturing state after round %d: %w", round, err)
-	}
+	state := st.Trainer.(schemes.Checkpointer).StateParts().Capture()
 	cf := checkpointFile{
 		Version:   checkpointVersion,
 		Scheme:    st.scheme,
@@ -208,7 +204,7 @@ func Resume(path string, env *Env, opts ...RunOption) (*Runner, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: scheme %q does not support state capture", cf.Scheme)
 	}
-	if err := cp.RestoreState(&cf.State); err != nil {
+	if err := cp.StateParts().Restore(&cf.State); err != nil {
 		return nil, fmt.Errorf("sim: restoring %q state: %w", cf.Scheme, err)
 	}
 	r := &Runner{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gsfl/internal/model"
@@ -422,11 +423,8 @@ func TestRestoreStateRejectsForeignState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := other.Unwrap().(schemes.Checkpointer).CaptureState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.RestoreState(st); err == nil {
+	st := other.Unwrap().(schemes.Checkpointer).StateParts().Capture()
+	if err := cp.StateParts().Restore(st); err == nil {
 		t.Fatal("restoring a different-cut state must error")
 	}
 	after, err := tr.Evaluate(context.Background())
@@ -435,6 +433,52 @@ func TestRestoreStateRejectsForeignState(t *testing.T) {
 	}
 	if before != after {
 		t.Fatal("failed restore mutated the trainer's model")
+	}
+}
+
+// TestStateCodecAllSchemes pins the one trainer-state codec every
+// scheme feeds: the round counter is saved by all five (sl and cl
+// included), and a corrupt part is refused with an error naming the
+// scheme, the part and its index.
+func TestStateCodecAllSchemes(t *testing.T) {
+	for _, scheme := range sim.Schemes() {
+		t.Run(scheme, func(t *testing.T) {
+			mk := func() (*sim.SchemeTrainer, schemes.Checkpointer) {
+				tr, err := sim.New(scheme, schemestest.NewEnv(21, 4, 30), opts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr, tr.Unwrap().(schemes.Checkpointer)
+			}
+			tr, cp := mk()
+			if _, err := sim.NewRunner(tr, sim.WithRounds(3)).Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			capture := cp.StateParts().Capture
+			if st := capture(); st.Round != 3 {
+				t.Fatalf("captured round %d after 3 rounds", st.Round)
+			}
+			corrupt := map[string]func(*schemes.TrainerState){
+				scheme + " state has":   func(st *schemes.TrainerState) { st.Opts = st.Opts[1:] },
+				scheme + " model 0":     func(st *schemes.TrainerState) { st.Models[0].Tensors = st.Models[0].Tensors[1:] },
+				scheme + " optimizer 0": func(st *schemes.TrainerState) { st.Opts[0].Step = -1 },
+				scheme + " loader 0":    func(st *schemes.TrainerState) { st.Loaders[0].Pos = -1 },
+				scheme + " channel":     func(st *schemes.TrainerState) { st.Channel.Round = -1 },
+			}
+			for want, mutate := range corrupt {
+				st := capture()
+				mutate(st)
+				_, fresh := mk()
+				err := fresh.StateParts().Restore(st)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("restore error %v does not name %q", err, want)
+				}
+			}
+			_, fresh := mk()
+			if err := fresh.StateParts().Restore(capture()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

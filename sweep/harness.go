@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"gsfl/internal/experiment"
-	"gsfl/internal/hotbench"
-	"gsfl/internal/popbench"
 	"gsfl/internal/trace"
 )
 
@@ -90,29 +88,4 @@ func RunAblationGrouping(spec Spec, groupCounts []int, strategies []string, roun
 // policies on GSFL round latency, holding everything else fixed.
 func RunAblationAllocation(spec Spec, rounds int) ([]AllocationResult, error) {
 	return experiment.RunAblationAllocation(spec, rounds)
-}
-
-// WriteHotPathBench measures the training hot path (one reduced GSFL
-// round plus the tensor kernels under it) and writes ns/B/allocs per op
-// to a JSON report at path — gsfl-bench's -benchjson mode.
-func WriteHotPathBench(path, label string) error {
-	return hotbench.Write(path, label)
-}
-
-// CheckHotPathBench measures the live packed-GEMM matmul and errors
-// when it regresses more than 25% over the "gemm" stage recorded in the
-// committed hot-path report (BENCH_hotpath.json) — gsfl-bench's
-// -benchcheck mode, run by CI as a perf ratchet.
-func CheckHotPathBench(path string) error {
-	return hotbench.Check(path)
-}
-
-// WritePopulationBench measures the population engine at deployment
-// scale (a million-member churning population sampled a few hundred
-// members per round) and writes its memory footprint and per-round
-// costs to a JSON report at path — gsfl-bench's -benchpop mode. It
-// errors when the population's resident storage exceeds the record-
-// array byte budgets, so CI can gate on the exit code.
-func WritePopulationBench(path, label string) error {
-	return popbench.Write(path, label)
 }

@@ -1,8 +1,8 @@
 package sweep
 
 // Leased execution: the pieces the fleet job plane (gsfl/fleet) needs
-// to run one store-less job on a remote worker while keeping the
-// determinism contract. The coordinator owns the Store; a worker gets a
+// to run one job on a remote worker while keeping the determinism
+// contract. The coordinator owns the Store; a worker gets a
 // Job (and possibly a checkpoint handoff) over the wire, executes it
 // with RunLeased against a scratch directory, streams checkpoints back
 // through a callback, and ships the result home as ResultParts. All
@@ -20,7 +20,6 @@ import (
 	"gsfl/internal/experiment"
 	"gsfl/internal/metrics"
 	"gsfl/internal/simnet"
-	"gsfl/sim"
 )
 
 // wireJob is a Job's cross-process encoding. Job.Spec is json:"-" (a
@@ -63,9 +62,6 @@ func UnmarshalJobWire(data []byte) (Job, error) {
 	return j, nil
 }
 
-// RehashJob recomputes a job's content-hash ID from its fields.
-func RehashJob(j Job) (string, error) { return experiment.RehashJob(j) }
-
 // ResultParts is a JobResult's cross-process encoding: everything the
 // coordinator needs to reconstruct the result (and so the manifest
 // entry) bit-identically, without shipping internal ledger types.
@@ -75,39 +71,50 @@ type ResultParts struct {
 	Points       []Point            `json:"points"`
 }
 
-// PartsOf flattens a completed job's result for the fleet wire.
-func PartsOf(res JobResult) ResultParts {
-	p := ResultParts{TotalSeconds: res.TotalSeconds, Components: map[string]float64{}}
+// componentsOf flattens a ledger into the name-keyed map every
+// persisted form carries (manifest entries, progress sidecars, wire
+// results); components that never accrued time are omitted.
+func componentsOf(l *simnet.Ledger) map[string]float64 {
+	m := map[string]float64{}
 	for _, c := range simnet.Components() {
-		if v := res.Ledger.Get(c); v != 0 {
-			p.Components[c.String()] = v
+		if v := l.Get(c); v != 0 {
+			m[c.String()] = v
 		}
 	}
+	return m
+}
+
+// ledgerOf is componentsOf's inverse.
+func ledgerOf(m map[string]float64) simnet.Ledger {
+	var l simnet.Ledger
+	for _, c := range simnet.Components() {
+		if v, ok := m[c.String()]; ok {
+			l.Add(c, v)
+		}
+	}
+	return l
+}
+
+// PartsOf flattens a completed job's result for the fleet wire (and,
+// through entryOf, for the manifest).
+func PartsOf(res JobResult) ResultParts {
+	p := ResultParts{TotalSeconds: res.TotalSeconds, Components: componentsOf(&res.Ledger)}
 	if res.Curve != nil {
 		for _, pt := range res.Curve.Points {
-			p.Points = append(p.Points, Point{
-				Round: pt.Round, LatencySeconds: pt.LatencySeconds, Loss: pt.Loss, Accuracy: pt.Accuracy,
-			})
+			p.Points = append(p.Points, Point(pt))
 		}
 	}
 	return p
 }
 
-// ResultFrom reconstructs a JobResult from its wire parts, paired with
-// the coordinator's own canonical Job — exactly the inverse of PartsOf,
-// mirroring how Store.Result rebuilds results from manifest entries.
+// ResultFrom reconstructs a JobResult from its parts, paired with the
+// caller's own canonical Job — exactly the inverse of PartsOf, whether
+// the parts crossed the fleet wire or came out of a manifest entry.
 func ResultFrom(j Job, parts ResultParts) JobResult {
-	res := JobResult{Job: j, TotalSeconds: parts.TotalSeconds}
+	res := JobResult{Job: j, TotalSeconds: parts.TotalSeconds, Ledger: ledgerOf(parts.Components)}
 	res.Curve = &metrics.Curve{Scheme: j.Scheme, Points: make([]metrics.Point, len(parts.Points))}
 	for i, p := range parts.Points {
-		res.Curve.Points[i] = metrics.Point{
-			Round: p.Round, LatencySeconds: p.LatencySeconds, Loss: p.Loss, Accuracy: p.Accuracy,
-		}
-	}
-	for _, c := range simnet.Components() {
-		if v, ok := parts.Components[c.String()]; ok {
-			res.Ledger.Add(c, v)
-		}
+		res.Curve.Points[i] = metrics.Point(p)
 	}
 	return res
 }
@@ -134,99 +141,35 @@ type LeaseCallbacks struct {
 	OnCheckpoint func(p Progress, ckpt []byte) error
 }
 
-// RunLeased executes one job on a fleet worker: the store-less mirror
-// of the Scheduler's per-job path. The sim checkpoint lives under
-// scratchDir; handoff, when valid (sim.PeekCheckpoint agrees with the
-// progress sidecar, same resume-soundness rule as the Scheduler's),
-// seeds a bit-identical mid-job resume, and is otherwise discarded —
-// never wrong, only slower. Checkpoint bytes stream back through
+// RunLeased executes one job on a fleet worker: the Scheduler's
+// executor (runJob) over a sink made of the worker's scratch directory
+// and the lease. A sound handoff seeds a bit-identical mid-job resume,
+// any other is discarded; checkpoint bytes stream back through
 // cb.OnCheckpoint for the coordinator to persist.
 func RunLeased(ctx context.Context, j Job, scratchDir string, checkpointEvery int, handoff *LeaseCheckpoint, cb LeaseCallbacks) (JobResult, error) {
-	ckptPath := filepath.Join(scratchDir, j.ID+".ckpt")
-	defer os.Remove(ckptPath)
-
-	// Validate the handoff before running (exactly runOne's rule): the
-	// checkpoint and the progress sidecar must describe the same round
-	// boundary of the same scheme, with rounds still to run.
-	var prior Progress
-	resume := false
-	if handoff != nil && len(handoff.Ckpt) > 0 {
-		if err := os.WriteFile(ckptPath, handoff.Ckpt, 0o644); err != nil {
-			return JobResult{}, fmt.Errorf("sweep: staging handoff checkpoint: %w", err)
-		}
-		scheme, ckptRound, peekErr := sim.PeekCheckpoint(ckptPath)
-		if peekErr == nil && scheme == j.Scheme && ckptRound == handoff.Progress.Round && ckptRound < j.Rounds {
-			prior = handoff.Progress
-			resume = true
-		} else {
-			os.Remove(ckptPath)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// The accumulating observer, seeded like the Scheduler's so resumed
-	// floating-point summation order matches an uninterrupted run.
-	sum := simnet.Ledger{}
-	for _, c := range simnet.Components() {
-		if v, ok := prior.Components[c.String()]; ok {
-			sum.Add(c, v)
-		}
-	}
-	totalSec := prior.TotalSeconds
-	var cbErr error
-	observer := sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
-		sum.Merge(e.Ledger)
-		totalSec += e.RoundSeconds
-		if e.CheckpointPath != "" && cb.OnCheckpoint != nil && cbErr == nil {
-			comp := map[string]float64{}
-			for _, c := range simnet.Components() {
-				if v := sum.Get(c); v != 0 {
-					comp[c.String()] = v
-				}
+	path := filepath.Join(scratchDir, j.ID+".ckpt")
+	sink := &jobSink{
+		ckptPath: path,
+		// The handoff arrived with the lease: stage its bytes where the
+		// executor expects them. One that cannot be staged is no handoff.
+		load: func() (Progress, bool) {
+			if handoff == nil || len(handoff.Ckpt) == 0 || os.WriteFile(path, handoff.Ckpt, 0o644) != nil {
+				return Progress{}, false
 			}
-			data, err := os.ReadFile(e.CheckpointPath)
-			if err == nil {
-				err = cb.OnCheckpoint(Progress{Round: e.Round, Components: comp, TotalSeconds: totalSec}, data)
+			return handoff.Progress, true
+		},
+		save: func(p Progress) error {
+			if cb.OnCheckpoint == nil {
+				return nil
 			}
+			data, err := os.ReadFile(path)
 			if err != nil {
-				// Losing the lease (or the coordinator) aborts the job; the
-				// context cancellation lands at the next round boundary.
-				cbErr = err
-				cancel()
+				return err
 			}
-		}
-		if cb.OnRound != nil {
-			cb.OnRound(e.Round, e.Rounds, e.HostSeconds)
-		}
-	}))
-	opts := []sim.RunOption{observer}
-	if checkpointEvery > 0 {
-		opts = append(opts,
-			sim.WithCheckpointPath(ckptPath),
-			sim.WithCheckpointEvery(checkpointEvery),
-		)
+			return cb.OnCheckpoint(p, data)
+		},
+		drop: func() { os.Remove(path) },
 	}
-
-	var (
-		res JobResult
-		err error
-	)
-	if resume {
-		if cb.OnResumed != nil {
-			cb.OnResumed(prior.Round)
-		}
-		var startRound int
-		res, startRound, err = experiment.ResumeJob(ctx, j, ckptPath, priorLedger(prior), prior.TotalSeconds, opts...)
-		if err == nil && startRound != prior.Round {
-			err = fmt.Errorf("sweep: job %s: handoff checkpoint moved from round %d to %d during resume", j.Name, prior.Round, startRound)
-		}
-	} else {
-		res, err = experiment.RunJob(ctx, j, opts...)
-	}
-	if cbErr != nil {
-		return JobResult{}, cbErr
-	}
-	return res, err
+	defer sink.drop()
+	return runJob(ctx, j, checkpointEvery, sink, cb.OnResumed, cb.OnRound)
 }

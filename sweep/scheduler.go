@@ -7,11 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"gsfl/internal/experiment"
 	"gsfl/internal/parallel"
-	"gsfl/internal/simnet"
 	"gsfl/obs"
-	"gsfl/sim"
 )
 
 // EventKind labels a scheduler progress event.
@@ -237,98 +234,37 @@ func (s *Scheduler) runOne(ctx context.Context, j Job, idx, total int, store *St
 	jobSpan := tk.BeginWall(j.Name, "job")
 	defer jobSpan.End()
 
-	// The event-forwarding (and, with checkpointing, progress-writing)
-	// observer. prior seeds the cumulative accumulators on resume.
-	var opts []sim.RunOption
-	checkpointing := store != nil && s.CheckpointEvery > 0
-	makeObserver := func(prior Progress) sim.RunOption {
-		sum := simnet.Ledger{}
-		for _, c := range simnet.Components() {
-			if v, ok := prior.Components[c.String()]; ok {
-				sum.Add(c, v)
-			}
-		}
-		totalSec := prior.TotalSeconds
-		return sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
-			sum.Merge(e.Ledger)
-			totalSec += e.RoundSeconds
-			if checkpointing && e.CheckpointPath != "" {
-				comp := map[string]float64{}
-				for _, c := range simnet.Components() {
-					if v := sum.Get(c); v != 0 {
-						comp[c.String()] = v
-					}
-				}
-				// A failed progress write only costs resume work for this
-				// job; the run itself is unaffected.
-				_ = store.SaveProgress(j, Progress{Round: e.Round, Components: comp, TotalSeconds: totalSec})
-			}
+	// With a store and a checkpoint cadence the store is the job's sink,
+	// so a killed sweep resumes mid-job; otherwise nothing transient is
+	// kept.
+	var sink *jobSink
+	if store != nil && s.CheckpointEvery > 0 {
+		sink = store.sink(j)
+	}
+	start := time.Now()
+	emit(Event{Kind: JobStarted, Job: j, Index: idx, Total: total, Rounds: j.Rounds})
+	res, err := runJob(ctx, j, s.CheckpointEvery, sink,
+		func(round int) {
+			emit(Event{Kind: JobResumed, Job: j, Index: idx, Total: total, Round: round, Rounds: j.Rounds})
 			if tk.On() {
-				d := time.Duration(e.HostSeconds * float64(time.Second))
-				tk.WallSpanAt(tk.Labelf("round %d", e.Round), "round", time.Now().Add(-d), d)
+				tk.WallInstant("resume", "job", tk.Labelf("from round %d", round))
+			}
+		},
+		func(round, rounds int, hostSeconds float64) {
+			if tk.On() {
+				d := time.Duration(hostSeconds * float64(time.Second))
+				tk.WallSpanAt(tk.Labelf("round %d", round), "round", time.Now().Add(-d), d)
 			}
 			emit(Event{
 				Kind: JobRound, Job: j, Index: idx, Total: total,
-				Round: e.Round, Rounds: e.Rounds, HostSeconds: e.HostSeconds,
+				Round: round, Rounds: rounds, HostSeconds: hostSeconds,
 			})
-		}))
-	}
-
-	start := time.Now()
-	var (
-		res JobResult
-		err error
-	)
-	resumed := false
-	if checkpointing {
-		opts = append(opts,
-			sim.WithCheckpointPath(store.CheckpointPath(j)),
-			sim.WithCheckpointEvery(s.CheckpointEvery),
-		)
-		if store.HasCheckpoint(j) {
-			// A resume is only sound when the checkpoint and the progress
-			// sidecar describe the same round boundary — a crash between
-			// their writes leaves the sidecar one checkpoint behind, and
-			// seeding from it would corrupt the cumulative ledger. Verify
-			// BEFORE running; an unusable pair is dropped and the job
-			// reruns from scratch (never wrong, only slower).
-			prior, ok := store.LoadProgress(j)
-			scheme, ckptRound, peekErr := sim.PeekCheckpoint(store.CheckpointPath(j))
-			if ok && peekErr == nil && scheme == j.Scheme && ckptRound == prior.Round && ckptRound < j.Rounds {
-				var startRound int
-				ropts := append([]sim.RunOption{makeObserver(prior)}, opts...)
-				emit(Event{Kind: JobStarted, Job: j, Index: idx, Total: total, Rounds: j.Rounds})
-				emit(Event{Kind: JobResumed, Job: j, Index: idx, Total: total, Round: ckptRound, Rounds: j.Rounds})
-				if tk.On() {
-					tk.WallInstant("resume", "job", tk.Labelf("from round %d", ckptRound))
-				}
-				res, startRound, err = experiment.ResumeJob(ctx, j, store.CheckpointPath(j),
-					priorLedger(prior), prior.TotalSeconds, ropts...)
-				if err != nil {
-					if ctx.Err() != nil {
-						return JobResult{}, ctx.Err()
-					}
-					return JobResult{}, err
-				}
-				if startRound != ckptRound {
-					return JobResult{}, fmt.Errorf("sweep: job %s: checkpoint moved from round %d to %d during resume", j.Name, ckptRound, startRound)
-				}
-				resumed = true
-			} else {
-				store.DropTransient(j)
-			}
+		})
+	if err != nil {
+		if ctx.Err() != nil {
+			return JobResult{}, ctx.Err()
 		}
-	}
-	if !resumed {
-		ropts := append([]sim.RunOption{makeObserver(Progress{})}, opts...)
-		emit(Event{Kind: JobStarted, Job: j, Index: idx, Total: total, Rounds: j.Rounds})
-		res, err = experiment.RunJob(ctx, j, ropts...)
-		if err != nil {
-			if ctx.Err() != nil {
-				return JobResult{}, ctx.Err()
-			}
-			return JobResult{}, err
-		}
+		return JobResult{}, err
 	}
 
 	hostSec := time.Since(start).Seconds()
@@ -344,15 +280,4 @@ func (s *Scheduler) runOne(ctx context.Context, j Job, idx, total int, store *St
 		Round: j.Rounds, Rounds: j.Rounds, HostSeconds: hostSec,
 	})
 	return res, nil
-}
-
-// priorLedger reconstructs a progress sidecar's component sums.
-func priorLedger(p Progress) simnet.Ledger {
-	var l simnet.Ledger
-	for _, c := range simnet.Components() {
-		if v, ok := p.Components[c.String()]; ok {
-			l.Add(c, v)
-		}
-	}
-	return l
 }

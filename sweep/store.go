@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"gsfl/internal/metrics"
-	"gsfl/internal/simnet"
 	"gsfl/internal/trace"
 )
 
@@ -190,9 +190,6 @@ func openManifest(dir string) (*os.File, error) {
 	}
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // StoreExists reports whether dir already holds a sweep manifest —
 // i.e. opening it would continue (or collide with) an earlier sweep.
 func StoreExists(dir string) bool {
@@ -239,23 +236,12 @@ func (s *Store) Result(j Job) (JobResult, bool) {
 	if !ok {
 		return JobResult{}, false
 	}
-	res := JobResult{Job: j, TotalSeconds: e.TotalSeconds}
-	res.Curve = &metrics.Curve{Scheme: e.Scheme, Points: make([]metrics.Point, len(e.Points))}
-	for i, p := range e.Points {
-		res.Curve.Points[i] = metrics.Point{
-			Round: p.Round, LatencySeconds: p.LatencySeconds, Loss: p.Loss, Accuracy: p.Accuracy,
-		}
-	}
-	for _, c := range simnet.Components() {
-		if v, ok := e.Components[c.String()]; ok {
-			res.Ledger.Add(c, v)
-		}
-	}
-	return res, true
+	return ResultFrom(j, ResultParts{TotalSeconds: e.TotalSeconds, Components: e.Components, Points: e.Points}), true
 }
 
 // entryOf flattens a result into its manifest record.
 func (s *Store) entryOf(res JobResult) *Entry {
+	parts := PartsOf(res)
 	e := &Entry{
 		ID:           res.Job.ID,
 		Name:         res.Job.Name,
@@ -263,25 +249,16 @@ func (s *Store) entryOf(res JobResult) *Entry {
 		Rounds:       res.Job.Rounds,
 		EvalEvery:    res.Job.EvalEvery,
 		Seed:         res.Job.Spec.Seed,
-		TotalSeconds: res.TotalSeconds,
-		Components:   map[string]float64{},
+		TotalSeconds: parts.TotalSeconds,
+		Components:   parts.Components,
+		Points:       parts.Points,
 		CurveFile:    filepath.Join(curvesDir, res.Job.ID+".csv"),
-	}
-	for _, c := range simnet.Components() {
-		if v := res.Ledger.Get(c); v != 0 {
-			e.Components[c.String()] = v
-		}
 	}
 	if res.Curve != nil {
 		e.FinalAccuracy = res.Curve.FinalAccuracy()
-		for _, p := range res.Curve.Points {
-			e.Points = append(e.Points, Point{
-				Round: p.Round, LatencySeconds: p.LatencySeconds, Loss: p.Loss, Accuracy: p.Accuracy,
-			})
-		}
-		if n := len(res.Curve.Points); n > 0 {
-			e.ElapsedSeconds = res.Curve.Points[n-1].LatencySeconds
-		}
+	}
+	if n := len(e.Points); n > 0 {
+		e.ElapsedSeconds = e.Points[n-1].LatencySeconds
 	}
 	return e
 }
@@ -324,6 +301,25 @@ func (s *Store) progressPath(id string) string {
 	return filepath.Join(s.dir, ckptDir, id+".progress")
 }
 
+// writeAtomic replaces path with data through a temp file (named by
+// pattern, in path's directory) and a rename, so a reader or a crash
+// sees the old bytes or the new, never a torn write.
+func writeAtomic(path, pattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
 // SaveProgress atomically persists the sweep-side accumulators at a
 // checkpoint boundary.
 func (s *Store) SaveProgress(j Job, p Progress) error {
@@ -331,28 +327,16 @@ func (s *Store) SaveProgress(j Job, p Progress) error {
 	if err != nil {
 		return fmt.Errorf("sweep: encoding progress: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, ckptDir), ".progress-*")
-	if err != nil {
-		return fmt.Errorf("sweep: creating progress file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
+	if err := writeAtomic(s.progressPath(j.ID), ".progress-*", buf); err != nil {
 		return fmt.Errorf("sweep: writing progress: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sweep: writing progress: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.progressPath(j.ID)); err != nil {
-		return fmt.Errorf("sweep: committing progress: %w", err)
 	}
 	return nil
 }
 
-// LoadProgress reads the job's progress sidecar, reporting ok=false
+// readProgress reads the job's progress sidecar, reporting ok=false
 // when absent or unreadable.
-func (s *Store) LoadProgress(j Job) (Progress, bool) {
-	buf, err := os.ReadFile(s.progressPath(j.ID))
+func (s *Store) readProgress(id string) (Progress, bool) {
+	buf, err := os.ReadFile(s.progressPath(id))
 	if err != nil {
 		return Progress{}, false
 	}
@@ -363,23 +347,33 @@ func (s *Store) LoadProgress(j Job) (Progress, bool) {
 	return p, true
 }
 
+// LoadProgress returns the progress sidecar of a job that can resume
+// mid-run: ok only when the sidecar and the job's sim checkpoint form a
+// sound handoff (see soundHandoff). A fleet coordinator attaches that
+// pair to the job's next lease; anything else it drops.
+func (s *Store) LoadProgress(j Job) (Progress, bool) {
+	p, ok := s.readProgress(j.ID)
+	return p, ok && soundHandoff(j, s.CheckpointPath(j), p)
+}
+
+// sink is the Scheduler's jobSink for j: the sim checkpoint is written
+// straight into the store's ckpt directory, so progress is one sidecar
+// write and a handoff one sidecar read.
+func (s *Store) sink(j Job) *jobSink {
+	return &jobSink{
+		ckptPath: s.CheckpointPath(j),
+		load:     func() (Progress, bool) { return s.readProgress(j.ID) },
+		// A lost sidecar write only costs resume work; the run goes on.
+		save: func(p Progress) error { _ = s.SaveProgress(j, p); return nil },
+		drop: func() { s.DropTransient(j) },
+	}
+}
+
 // WriteCheckpoint atomically replaces the job's sim checkpoint with
 // bytes received from elsewhere (a fleet worker's progress upload).
 func (s *Store) WriteCheckpoint(j Job, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, ckptDir), ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("sweep: creating checkpoint file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	if err := writeAtomic(s.CheckpointPath(j), ".ckpt-*", data); err != nil {
 		return fmt.Errorf("sweep: writing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sweep: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.CheckpointPath(j)); err != nil {
-		return fmt.Errorf("sweep: committing checkpoint: %w", err)
 	}
 	return nil
 }
@@ -392,13 +386,6 @@ func (s *Store) ReadCheckpoint(j Job) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
-}
-
-// HasCheckpoint reports whether an in-flight sim checkpoint exists for
-// the job.
-func (s *Store) HasCheckpoint(j Job) bool {
-	_, err := os.Stat(s.CheckpointPath(j))
-	return err == nil
 }
 
 // DropTransient removes the job's checkpoint and progress files (used
@@ -498,36 +485,22 @@ func (s *Store) Compact(jobs []Job) error {
 		ordered = append(ordered, s.entries[id])
 	}
 
-	tmp, err := os.CreateTemp(s.dir, ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("sweep: compacting manifest: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
+	var buf bytes.Buffer
 	for _, e := range ordered {
 		line, err := json.Marshal(e)
 		if err != nil {
-			tmp.Close()
 			return fmt.Errorf("sweep: encoding manifest entry: %w", err)
 		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			tmp.Close()
-			return fmt.Errorf("sweep: writing manifest: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sweep: writing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sweep: writing manifest: %w", err)
+		buf.Write(line)
+		buf.WriteByte('\n')
 	}
 	path := filepath.Join(s.dir, manifestName)
 	if s.f != nil {
 		s.f.Close()
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("sweep: committing manifest: %w", err)
+	// openManifest recognizes an in-flight compaction by this pattern.
+	if err := writeAtomic(path, ".manifest-*", buf.Bytes()); err != nil {
+		return fmt.Errorf("sweep: compacting manifest: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
