@@ -27,8 +27,8 @@
 //
 // Setting Spec.Population (with SampleFraction, AvailTrace, and
 // DeviceProfileMix) attaches a persistent client population from
-// gsfl/pop: Build constructs the member records and availability event
-// queue, and the cohort-based schemes sample from it each round. A Spec
+// gsfl/pop: Build constructs the member records, and the cohort-based
+// schemes sample from it each round. A Spec
 // with Population == Clients and full always-on sampling is the classic
 // fixed-fleet world and attaches nothing.
 //

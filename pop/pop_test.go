@@ -1,8 +1,12 @@
 package pop
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"gsfl/internal/schemes"
@@ -208,9 +212,13 @@ func TestProfileMixShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lowEnd, err := ProfileByName("low-end")
+	if err != nil {
+		t.Fatal(err)
+	}
 	low := 0
-	for _, id := range p.profile {
-		if p.mix[id].Profile.Name == "low-end" {
+	for m := 0; m < cfg.Members; m++ {
+		if p.speedOf(int64(m)) == lowEnd.Speed {
 			low++
 		}
 	}
@@ -250,10 +258,10 @@ func TestSamplerUniformUnderChurn(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocFree pins the tentpole's memory contract: after
+// TestSteadyStateAllocFree pins the memory contract: after
 // construction, BeginRound performs no per-call heap allocation (the
-// metrics gauges are atomics, the event queue reuses its array, and
-// the bindings slice is recycled).
+// metrics gauges are atomics, lazy availability writes only the record
+// arrays, and the bindings slice is recycled).
 func TestSteadyStateAllocFree(t *testing.T) {
 	p, err := New(testConfig())
 	if err != nil {
@@ -274,7 +282,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestMemoryBound pins the record-array footprint: a million-member
-// population stays under 64 MB of resident record storage.
+// population stays under 32 MiB of resident record storage.
 func TestMemoryBound(t *testing.T) {
 	cfg := testConfig()
 	cfg.Members = 1_000_000
@@ -287,12 +295,12 @@ func TestMemoryBound(t *testing.T) {
 	if _, err := p.BeginRound(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.MemoryBytes(); got > 64<<20 {
-		t.Fatalf("1M-member population uses %d bytes of record storage, budget 64 MiB", got)
+	if got := p.MemoryBytes(); got > 32<<20 {
+		t.Fatalf("1M-member population uses %d bytes of record storage, budget 32 MiB", got)
 	}
 	perMember := float64(p.MemoryBytes()) / float64(cfg.Members)
-	if perMember > 64 {
-		t.Fatalf("%.1f bytes/member, want ≤ 64", perMember)
+	if perMember > 32 {
+		t.Fatalf("%.1f bytes/member, want ≤ 32", perMember)
 	}
 }
 
@@ -356,5 +364,373 @@ func TestParseMixNormalizes(t *testing.T) {
 	}
 	if math.Abs(mix[0].Weight-0.25) > 1e-12 || math.Abs(mix[1].Weight-0.75) > 1e-12 {
 		t.Fatalf("weights not normalized: %+v", mix)
+	}
+}
+
+// The tests below pin lazy per-member availability against two
+// independent references: a stateless oracle that recomputes any
+// member's state from time zero, and cohort-sequence hashes recorded
+// from the eager global-queue implementation this one replaced.
+
+func lazyConfig(trace string, s Sampler, members int) Config {
+	return Config{
+		Members: members, Slots: 50, Cohort: 40, Trace: trace, Sampler: s,
+		ProfileMix: "low-end:0.3,baseline:0.5,high-end:0.2", Seed: 7,
+	}
+}
+
+// refDraw is the population stream written out in full — three mixes,
+// no cached per-salt key.
+func refDraw(seed int64, salt, a, b uint64) uint64 {
+	return splitmix64(splitmix64(splitmix64(uint64(seed)^salt)^a) ^ b)
+}
+
+// offlineAt walks member m's dwell stream from time zero with no
+// cached state and reports whether it is offline at time t.
+func offlineAt(cfg Config, m int64, t float64) bool {
+	tr, err := TraceByName(cfg.Trace)
+	if err != nil {
+		panic(err)
+	}
+	online := tr.InitialOnline(unitOf(refDraw(cfg.Seed, saltInit, uint64(m), 0)))
+	at := 0.0
+	for cur := uint32(0); ; cur++ {
+		u := unitOf(refDraw(cfg.Seed, saltToggle, uint64(m), uint64(cur)))
+		at += math.Max(tr.NextDuration(online, cur, u), minDwell)
+		if at > t {
+			return !online
+		}
+		online = !online
+	}
+}
+
+func onlineAt(cfg Config, t float64) int {
+	n := 0
+	for m := 0; m < cfg.Members; m++ {
+		if !offlineAt(cfg, int64(m), t) {
+			n++
+		}
+	}
+	return n
+}
+
+// refCohort is the sampler's specification on top of the oracle: walk
+// the round's draw sequence, skip repeats, and bind the online members
+// among the distinct draws until the cohort (availability) or the
+// invitation budget (uniform) is used up.
+func refCohort(cfg Config, r int) (bound, rejected []int64) {
+	seen := map[int64]bool{}
+	for try := 0; try < 64*cfg.Cohort+256 && len(seen) < cfg.Members; try++ {
+		if cfg.Sampler == SamplerUniform && len(seen) >= cfg.Cohort || len(bound) >= cfg.Cohort {
+			break
+		}
+		m := int64(refDraw(cfg.Seed, saltSample, uint64(r), uint64(try)) % uint64(cfg.Members))
+		if seen[m] {
+			continue
+		}
+		seen[m] = true
+		if offlineAt(cfg, m, float64(r)) {
+			rejected = append(rejected, m)
+		} else {
+			bound = append(bound, m)
+		}
+	}
+	return bound, rejected
+}
+
+// refSpeed assigns member m's device profile by walking the mix's
+// weights with the member's profile draw.
+func refSpeed(t *testing.T, cfg Config, m int64) float64 {
+	t.Helper()
+	mix, err := ParseMix(cfg.ProfileMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, acc := unitOf(refDraw(cfg.Seed, saltProfile, uint64(m), 0)), 0.0
+	for _, e := range mix[:len(mix)-1] {
+		if acc += e.Weight; u < acc {
+			return e.Profile.Speed
+		}
+	}
+	return mix[len(mix)-1].Profile.Speed
+}
+
+// TestLazyMatchesStatelessOracle: every bound member is online per the
+// oracle and in the oracle's order, every rejected draw is offline in
+// the population too, loader seeds and speeds come from the written-out
+// stream, the census equals the oracle's count, and a fresh population
+// asked directly for the last round lands on the same cohort.
+func TestLazyMatchesStatelessOracle(t *testing.T) {
+	const rounds = 300
+	for _, trace := range []string{"always-on", "onoff", "diurnal"} {
+		for _, s := range []Sampler{SamplerAvailability, SamplerUniform} {
+			for _, members := range []int{50, 60, 5000} {
+				cfg := lazyConfig(trace, s, members)
+				t.Run(fmt.Sprintf("%s/%d/P=%d", trace, int(s), members), func(t *testing.T) {
+					p, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					taken := map[int64]uint64{} // participations so far
+					var last string
+					for r := 1; r <= rounds; r++ {
+						binds, err := p.BeginRound(r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, rejected := refCohort(cfg, r)
+						if len(binds) != len(want) {
+							t.Fatalf("round %d: bound %d members, oracle says %d", r, len(binds), len(want))
+						}
+						for i, b := range binds {
+							taken[b.Member]++
+							speed := refSpeed(t, cfg, b.Member)
+							seed := int64(refDraw(cfg.Seed, saltLoader, uint64(b.Member), taken[b.Member]))
+							if b.Member != want[i] || b.Slot != i || b.Shard != int(b.Member)%cfg.Slots ||
+								b.LoaderSeed != seed || b.Speed != speed {
+								t.Fatalf("round %d binding %d: %+v, oracle member %d seed %d speed %v",
+									r, i, b, want[i], seed, speed)
+							}
+						}
+						for _, m := range rejected {
+							if !p.isOffline(m) {
+								t.Fatalf("round %d: rejected member %d is online in the population", r, m)
+							}
+						}
+						if r%100 == 0 {
+							if got, want := p.Online(), onlineAt(cfg, float64(r)); got != want {
+								t.Fatalf("round %d: census %d, oracle %d", r, got, want)
+							}
+						}
+						last = fmt.Sprint(binds)
+					}
+
+					q, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					binds, err := q.BeginRound(rounds)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := fmt.Sprint(binds); got != last {
+						t.Fatalf("skip-ahead cohort %s, want %s", got, last)
+					}
+					if q.Online() != p.Online() {
+						t.Fatalf("skip-ahead census %d, want %d", q.Online(), p.Online())
+					}
+				})
+			}
+		}
+	}
+}
+
+// cohortHash folds rounds 1..300 and the final census into the digest
+// the parent-commit hashes below were recorded with.
+func cohortHash(t *testing.T, p *Population) string {
+	t.Helper()
+	h := sha256.New()
+	for r := 1; r <= 300; r++ {
+		binds, err := p.BeginRound(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%d:%v\n", r, binds)
+	}
+	fmt.Fprintf(h, "online=%d", p.Online())
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// TestCohortSequencePinned compares against hashes recorded on the
+// commit before lazy availability, where a global event queue advanced
+// every member every round: the change moved no output bit. P=50 under
+// onoff is the online<cohort case, where the sampler has no online
+// count to stop at.
+func TestCohortSequencePinned(t *testing.T) {
+	pinned := []struct {
+		trace   string
+		sampler Sampler
+		members int
+		want    string
+	}{
+		{"always-on", 0, 50, "7ca504dbadff3e7e"},
+		{"always-on", 0, 60, "68d195118a9783a0"},
+		{"always-on", 0, 5000, "681918d8f1628425"},
+		{"always-on", 0, 200000, "f9bc6b362e5fd832"},
+		{"always-on", 1, 50, "7ca504dbadff3e7e"},
+		{"always-on", 1, 60, "68d195118a9783a0"},
+		{"always-on", 1, 5000, "681918d8f1628425"},
+		{"always-on", 1, 200000, "f9bc6b362e5fd832"},
+		{"onoff", 0, 50, "9f5e8a461390614b"},
+		{"onoff", 0, 60, "74d9e5432640c897"},
+		{"onoff", 0, 5000, "d1177dbae2449f1b"},
+		{"onoff", 0, 200000, "e5f0ef792f592bef"},
+		{"onoff", 1, 50, "def3a119f1dd19f2"},
+		{"onoff", 1, 60, "42870ce15dc88245"},
+		{"onoff", 1, 5000, "994b82548369d451"},
+		{"onoff", 1, 200000, "b90bc14f5ab3f816"},
+		{"diurnal", 0, 50, "7e696671554ad6de"},
+		{"diurnal", 0, 60, "d35ac99dd66589cb"},
+		{"diurnal", 0, 5000, "ae56dc6e167979f6"},
+		{"diurnal", 0, 200000, "e26fd3bfdbcc879e"},
+		{"diurnal", 1, 50, "87d1e43141eef2f7"},
+		{"diurnal", 1, 60, "391d9e0eafe051c7"},
+		{"diurnal", 1, 5000, "20ec07958791674e"},
+		{"diurnal", 1, 200000, "bad93a7c3b595493"},
+	}
+	for _, pin := range pinned {
+		p, err := New(lazyConfig(pin.trace, pin.sampler, pin.members))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cohortHash(t, p); got != pin.want {
+			t.Errorf("%s sampler=%d P=%d: hash %s, parent commit recorded %s",
+				pin.trace, int(pin.sampler), pin.members, got, pin.want)
+		}
+	}
+}
+
+// TestRoundWorkIndependentOfPopulation bounds per-round work by count,
+// not by clock: the toggles replayed over 50 rounds at a million
+// members stay within 2× of ten thousand members at the same cohort.
+func TestRoundWorkIndependentOfPopulation(t *testing.T) {
+	toggles := func(members int) int64 {
+		cfg := testConfig()
+		cfg.Members, cfg.Slots, cfg.Cohort = members, 200, 200
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 1; r <= 50; r++ {
+			if _, err := p.BeginRound(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p.toggles
+	}
+	small, large := toggles(10_000), toggles(1_000_000)
+	t.Logf("toggles over 50 rounds: %d at 10k members, %d at 1M", small, large)
+	if small == 0 {
+		t.Fatal("test vacuous: no toggles replayed under onoff")
+	}
+	if large > 2*small {
+		t.Fatalf("50 rounds replayed %d toggles at 1M members vs %d at 10k: per-round work scales with population", large, small)
+	}
+}
+
+// scrapeGauges reads the online and offline gauges off one metrics page.
+func scrapeGauges(t *testing.T, p *Population) (online, offline int) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	p.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	online, offline = -1, -1
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		fmt.Sscanf(line, "gsfl_pop_online %d", &online)
+		fmt.Sscanf(line, "gsfl_pop_offline %d", &offline)
+	}
+	return online, offline
+}
+
+// TestCensusWhileRoundsAdvance scrapes the metrics page and calls
+// Online from a second goroutine while rounds run (the race detector
+// watches the shared record arrays): every page is a consistent
+// census, and scraping does not move the cohort sequence.
+func TestCensusWhileRoundsAdvance(t *testing.T) {
+	for _, trace := range []string{"always-on", "onoff"} {
+		cfg := lazyConfig(trace, SamplerAvailability, 5000)
+		quiet, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cohortHash(t, quiet)
+
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for scrapes := 0; ; scrapes++ {
+				select {
+				case <-stop:
+					if scrapes > 0 {
+						return
+					}
+				default:
+				}
+				online, offline := scrapeGauges(t, p)
+				if online+offline != cfg.Members || online < 0 || offline < 0 {
+					t.Errorf("%s: scraped online %d + offline %d, want %d members", trace, online, offline, cfg.Members)
+					return
+				}
+				if n := p.Online(); trace == "always-on" && (n != cfg.Members || online != cfg.Members) {
+					t.Errorf("always-on: census %d, scraped %d of %d members", n, online, cfg.Members)
+					return
+				}
+			}
+		}()
+		got := cohortHash(t, p)
+		close(stop)
+		wg.Wait()
+		if got != want {
+			t.Errorf("%s: cohort hash %s while scraped, %s undisturbed", trace, got, want)
+		}
+	}
+}
+
+// hostileTrace gives about half the members a NaN first dwell and
+// everyone else negative dwells forever.
+type hostileTrace struct{}
+
+func (hostileTrace) Name() string               { return "test-hostile" }
+func (hostileTrace) InitialOnline(float64) bool { return true }
+func (hostileTrace) NextDuration(_ bool, cursor uint32, u float64) float64 {
+	if cursor == 0 && u < 0.5 {
+		return math.NaN()
+	}
+	return -1
+}
+
+func init() { RegisterTrace(hostileTrace{}) }
+
+// TestHostileTraceCannotCorruptReplay: an out-of-tree trace returning
+// NaN freezes that member in its current state, and a negative dwell is
+// clamped to minDwell — time never runs backwards, rounds still finish,
+// and the census stays consistent.
+func TestHostileTraceCannotCorruptReplay(t *testing.T) {
+	cfg := lazyConfig("test-hostile", SamplerAvailability, 60)
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= 3; r++ {
+		if _, err := p.BeginRound(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	online := p.Online()
+	frozen := 0
+	for m := range p.next {
+		next, flips := p.next[m], p.tcur[m]
+		if math.IsNaN(next) {
+			frozen++
+			if flips != 0 || p.isOffline(int64(m)) {
+				t.Errorf("member %d: NaN dwell did not freeze it online (%d toggles)", m, flips)
+			}
+			continue
+		}
+		// Clamped dwells flip the member every minDwell: ~3000 toggles by round 3.
+		if next <= 3 || next > 3+2*minDwell || flips < 2990 || flips > 3010 || p.isOffline(int64(m)) != (flips%2 == 1) {
+			t.Errorf("member %d: next toggle at %v after %d toggles, offline=%v", m, next, flips, p.isOffline(int64(m)))
+		}
+	}
+	if frozen == 0 || frozen == cfg.Members {
+		t.Fatalf("test vacuous: %d of %d members frozen", frozen, cfg.Members)
+	}
+	if online < frozen || online > cfg.Members {
+		t.Fatalf("census %d outside [%d frozen online, %d]", online, frozen, cfg.Members)
 	}
 }
