@@ -77,8 +77,9 @@ func TestFlattenAllocFree(t *testing.T) {
 }
 
 // TestSequentialStepAllocFree drives a full CNN training step — forward,
-// zero-grads, backward — and asserts it is allocation-free after warmup,
-// which is what the benchmark spine's gsfl.round.allocs rests on.
+// zero-grads, backward, with and without the network-input gradient —
+// and asserts it is allocation-free after warmup, which is what the
+// benchmark spine's gsfl.round.allocs rests on.
 func TestSequentialStepAllocFree(t *testing.T) {
 	serialWorkers(t)
 	rng := rand.New(rand.NewSource(10))
@@ -98,6 +99,11 @@ func TestSequentialStepAllocFree(t *testing.T) {
 		net.Forward(x, true)
 		net.ZeroGrads()
 		net.Backward(dy)
+	})
+	testutil.MaxAllocs(t, "sequential step, parameters only", 0, func() {
+		net.Forward(x, true)
+		net.ZeroGrads()
+		net.BackwardParams(dy)
 	})
 }
 

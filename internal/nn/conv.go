@@ -18,12 +18,16 @@ import (
 // The forward pass runs one fused kernel per sample with samples
 // partitioned across the parallel worker pool; each sample writes a
 // disjoint slice of the output, so results are bit-identical to the
-// serial loop. The backward pass parallelizes the per-sample
-// column-gradient matmuls (dcol = Wᵀ @ dy, still materialized because
-// tensor.Col2ImBatch scatters it back to image space) the same way, but
-// accumulates dW and db serially in sample order to keep gradient
-// summation order — and hence training numerics — exactly equal to a
-// single-worker run.
+// serial loop. The backward pass has two independent halves. The
+// parameter half (BackwardParams) accumulates dW and db serially in
+// sample order, keeping gradient summation order — and hence training
+// numerics — exactly equal to a single-worker run. The input half
+// parallelizes the per-sample column-gradient matmuls (dcol = Wᵀ @ dy,
+// materialized because tensor.Col2ImBatch scatters it back to image
+// space) the same way the forward pass does. Backward runs both;
+// a Conv2D that is the first layer of a network whose caller discards
+// the input gradient (Sequential.BackwardParams) runs only the
+// parameter half and never sizes the dcols/dx buffers at all.
 //
 // All batch-shaped buffers (output, gradients) live in a lazily-sized
 // workspace, as do the per-sample tensor headers the parallel kernels
@@ -49,8 +53,8 @@ type Conv2D struct {
 // geometry the stored parallel-loop bodies read.
 type convWorkspace struct {
 	out   tensor.Tensor // forward output (N, outC, outH, outW)
-	dcols tensor.Tensor // batched column gradients
-	dx    tensor.Tensor // input gradient (N, C, H, W)
+	dcols tensor.Tensor // batched column gradients (input half of Backward only)
+	dx    tensor.Tensor // input gradient (N, C, H, W) (input half of Backward only)
 	dwT   tensor.Tensor // one sample's weight-gradient staging buffer
 
 	// Per-sample headers aliasing slices of the batched buffers; sample i
@@ -112,6 +116,16 @@ func (c *Conv2D) geomFor(x *tensor.Tensor) tensor.ConvGeom {
 	return g
 }
 
+// setGeom records g and the sizes derived from it for the stored loop
+// bodies.
+func (ws *convWorkspace) setGeom(g tensor.ConvGeom) {
+	ws.geom = g
+	ws.spatial = g.OutH() * g.OutW()
+	ws.colRows = g.InC * g.KH * g.KW
+	ws.colSize = g.ColSize()
+	ws.imgSize = g.ImageSize()
+}
+
 // forwardSamples computes output samples [lo, hi): one fused
 // W @ im2col(x_i) kernel per sample, written straight into the batched
 // output, plus the bias add.
@@ -144,11 +158,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.geomFor(x)
 	n, outH, outW := x.Dim(0), g.OutH(), g.OutW()
 	ws := &c.ws
-	ws.spatial = outH * outW
-	ws.colRows = c.InC * c.KH * c.KW
-	ws.colSize = g.ColSize()
-	ws.imgSize = g.ImageSize()
-	ws.geom = g
+	ws.setGeom(g)
 	ws.x = x
 
 	y := ws.out.Ensure(n, c.OutC, outH, outW)
@@ -175,29 +185,16 @@ func (c *Conv2D) backwardSamples(lo, hi int) {
 	}
 }
 
-// Backward implements Layer.
+// Backward implements Layer: BackwardParams plus the input gradient.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if c.x == nil {
-		panic("nn: Conv2D.Backward called before training-mode Forward")
-	}
+	c.BackwardParams(dy)
 	g := c.geom
 	n := c.x.Dim(0)
 	ws := &c.ws
-	// Sizes come from the cached training geometry, not from whatever the
-	// last Forward left behind. (The column *contents* still require that
-	// no other Forward ran since the matching training pass — the
-	// package-level buffer-ownership rule.)
-	ws.spatial = g.OutH() * g.OutW()
-	ws.colRows = c.InC * c.KH * c.KW
-	ws.colSize = g.ColSize()
-	ws.imgSize = g.ImageSize()
-	spatial, colRows, imgSize := ws.spatial, ws.colRows, ws.imgSize
-	outSize := c.OutC * spatial
 
 	// dcol_i = Wᵀ @ dy_i for every sample, then one batched scatter back
 	// to image space. Both phases write disjoint per-sample regions.
-	ws.dcols.Ensure(n, colRows, spatial)
-	ws.dyV = growHeaders(ws.dyV, n)
+	ws.dcols.Ensure(n, ws.colRows, ws.spatial)
 	ws.dcolV = growHeaders(ws.dcolV, n)
 	ws.dy = dy
 	parallel.For(n, 1, ws.bwdBody)
@@ -205,6 +202,27 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := ws.dx.Ensure(n, c.InC, g.InH, g.InW)
 	dx.Zero()
 	tensor.Col2ImBatch(dx.Data, ws.dcols.Data, n, g)
+	return dx
+}
+
+// BackwardParams accumulates dL/dW and dL/db from dy without computing
+// the input gradient: the half of Backward a first layer needs when
+// nothing upstream consumes dL/dx.
+func (c *Conv2D) BackwardParams(dy *tensor.Tensor) {
+	if c.x == nil {
+		panic("nn: Conv2D.Backward called before training-mode Forward")
+	}
+	g := c.geom
+	n := c.x.Dim(0)
+	ws := &c.ws
+	// Sizes come from the cached training geometry, not from whatever the
+	// last Forward left behind. (The cached input's *contents* still
+	// require that no other Forward ran since the matching training pass
+	// — the package-level buffer-ownership rule.)
+	ws.setGeom(g)
+	spatial, colRows, imgSize := ws.spatial, ws.colRows, ws.imgSize
+	outSize := c.OutC * spatial
+	ws.dyV = growHeaders(ws.dyV, n)
 
 	// Weight/bias gradients accumulate serially in sample order (the
 	// per-sample matmul itself is row-parallel) so the floating-point
@@ -224,7 +242,6 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			c.db.Data[oc] += s
 		}
 	}
-	return dx
 }
 
 // Params implements Layer.

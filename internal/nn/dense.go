@@ -61,15 +61,20 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer: BackwardParams plus dx = dy @ Wᵀ.
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	d.BackwardParams(dy)
+	return tensor.MatMulTransBIntoOp("Dense backward dx=dy@Wᵀ", d.ws.dx.Ensure(dy.Dim(0), d.In), dy, d.w)
+}
+
+// BackwardParams accumulates dW += xᵀ @ dy and db += column sums of dy
+// without computing the input gradient (see Sequential.BackwardParams).
+func (d *Dense) BackwardParams(dy *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: Dense.Backward called before training-mode Forward")
 	}
-	// dW += xᵀ @ dy ; db += column sums of dy ; dx = dy @ Wᵀ.
 	d.dw.AddInPlace(tensor.MatMulTransAIntoOp("Dense backward dW=xᵀ@dy", d.ws.dwT.Ensure(d.In, d.Out), d.x, dy))
 	d.db.AddInPlace(dy.SumRowsInto(&d.ws.dbT))
-	return tensor.MatMulTransBIntoOp("Dense backward dx=dy@Wᵀ", d.ws.dx.Ensure(dy.Dim(0), d.In), dy, d.w)
 }
 
 // Params implements Layer.

@@ -32,6 +32,10 @@
 //     pass would overwrite the cached activations Backward reads).
 //     Within a Sequential this holds automatically for the usual
 //     forward → backward → optimizer step loop.
+//   - A network whose input is a data batch has nobody to hand
+//     dL/d(input) to. Its caller runs Sequential.BackwardParams, which
+//     asks the first layer for parameter gradients only; a first-layer
+//     Conv2D then never computes — or allocates — its input gradient.
 //   - Buffer reuse never changes operation order: each reused buffer is
 //     written with exactly the per-element schedule the allocate-fresh
 //     implementation used, so results are bit-identical, at any worker

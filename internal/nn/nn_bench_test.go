@@ -64,3 +64,31 @@ func BenchmarkGTSRBNetForward(b *testing.B) {
 		net.Forward(x, false)
 	}
 }
+
+// benchActivations is a client-half-sized pre-activation batch: the
+// first conv's output at the benchmark spine's paper spec.
+func benchActivations() *tensor.Tensor {
+	return tensor.New(16, 8, 16, 16).RandNormal(rand.New(rand.NewSource(5)), 0, 1)
+}
+
+func BenchmarkReLU(b *testing.B) {
+	layer, x := NewReLU(), benchActivations()
+	dy := x.Clone()
+	b.SetBytes(int64(8 * x.Size()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		layer.Forward(x, true)
+		layer.Backward(dy)
+	}
+}
+
+func BenchmarkMaxPool2(b *testing.B) {
+	layer, x := NewMaxPool2D(2), benchActivations()
+	dy := layer.Forward(x, true).Clone()
+	b.SetBytes(int64(8 * x.Size()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		layer.Forward(x, true)
+		layer.Backward(dy)
+	}
+}

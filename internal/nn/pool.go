@@ -41,7 +41,13 @@ func growInts(xs []int, n int) []int {
 	return xs[:n]
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Each window is scanned row-major and a later
+// element replaces the running maximum only when strictly greater, so
+// ties go to the first occurrence. The scan starts from the window's
+// first element, not from -Inf: a window that is all NaN (a diverged
+// run) or all -Inf then outputs what it holds and routes its gradient
+// to a real position, instead of laundering the NaN into -Inf and
+// leaving no argmax at all.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	mustRank(p, x, 4)
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -54,28 +60,33 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		arg = growInts(p.argmax, y.Size())
 	}
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			inBase := (i*c + ch) * h * w
-			outBase := (i*c + ch) * outH * outW
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					best := math.Inf(-1)
-					bi := -1
-					for kh := 0; kh < p.K; kh++ {
-						rowBase := inBase + (oh*p.K+kh)*w + ow*p.K
-						for kw := 0; kw < p.K; kw++ {
-							if v := x.Data[rowBase+kw]; v > best {
-								best = v
-								bi = rowBase + kw
-							}
+	for plane := 0; plane < n*c; plane++ {
+		inBase, outBase := plane*h*w, plane*outH*outW
+		for oh := 0; oh < outH; oh++ {
+			out := y.Data[outBase+oh*outW:][:outW]
+			var argRow []int
+			if train {
+				argRow = arg[outBase+oh*outW:][:outW]
+			}
+			if p.K == 2 {
+				maxRow2(out, argRow, x.Data, inBase+2*oh*w, w)
+				continue
+			}
+			for ow := range out {
+				bi := inBase + oh*p.K*w + ow*p.K
+				best := x.Data[bi]
+				for kh := 0; kh < p.K; kh++ {
+					rowBase := inBase + (oh*p.K+kh)*w + ow*p.K
+					for kw := 0; kw < p.K; kw++ {
+						if v := x.Data[rowBase+kw]; v > best {
+							best = v
+							bi = rowBase + kw
 						}
 					}
-					oi := outBase + oh*outW + ow
-					y.Data[oi] = best
-					if train {
-						arg[oi] = bi
-					}
+				}
+				out[ow] = best
+				if train {
+					argRow[ow] = bi
 				}
 			}
 		}
@@ -85,6 +96,37 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		p.inShape = x.AppendShape(p.inShape[:0])
 	}
 	return y
+}
+
+// maxRow2 pools one output row of 2×2 windows — input rows starting at
+// data[base] and data[base+w] — in the generic loop's scan order with
+// its strict-> rule, as straight-line code. arg is nil outside
+// training.
+func maxRow2(out []float64, arg []int, data []float64, base, w int) {
+	r0 := data[base:][:2*len(out)]
+	r1 := data[base+w:][:2*len(out)]
+	for ow := range out {
+		best, bi := math.Float64bits(r0[2*ow]), 0
+		best, bi = takeGreater(best, bi, r0[2*ow+1], 1)
+		best, bi = takeGreater(best, bi, r1[2*ow], w)
+		best, bi = takeGreater(best, bi, r1[2*ow+1], w+1)
+		out[ow] = math.Float64frombits(best)
+		if arg != nil {
+			arg[ow] = base + 2*ow + bi
+		}
+	}
+}
+
+// takeGreater returns (v's bits, off) when v > best and (best, bi)
+// otherwise. Which element of a window wins is data-dependent and close
+// to random, so the comparison selects through a mask instead of
+// branching.
+func takeGreater(best uint64, bi int, v float64, off int) (uint64, int) {
+	var gt uint64
+	if v > math.Float64frombits(best) {
+		gt = 1
+	}
+	return best ^ (best^math.Float64bits(v))&-gt, bi ^ (bi^off)&-int(gt)
 }
 
 // Backward implements Layer: gradients route to the argmax positions.

@@ -77,12 +77,42 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward runs the full backward pass, returning the gradient with
 // respect to the network input (the "smashed-data gradient" when this
-// Sequential is a server-side model half).
+// Sequential is a server-side model half). Callers that would discard
+// that gradient — anything whose input is data, not another network's
+// activations — should call BackwardParams instead.
 func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		dy = s.Layers[i].Backward(dy)
 	}
 	return dy
+}
+
+// paramsBackwarder is implemented by layers (Conv2D, Dense) that can
+// accumulate their parameter gradients without computing dL/d(input).
+type paramsBackwarder interface {
+	BackwardParams(dy *tensor.Tensor)
+}
+
+// BackwardParams is Backward for callers that discard the input
+// gradient: a client-side model half or a whole local model, whose
+// input is a data batch. Every parameter gradient is accumulated
+// exactly as Backward accumulates it — the layers above the first run
+// their ordinary Backward — but the first layer is asked for its
+// parameter gradients only, so the network-input gradient (for a
+// Conv2D: the Wᵀ@dy products, the col2im scatter and both buffers they
+// fill) is never computed.
+func (s *Sequential) BackwardParams(dy *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		dy = s.Layers[i].Backward(dy)
+	}
+	if first, ok := s.Layers[0].(paramsBackwarder); ok {
+		first.BackwardParams(dy)
+	} else {
+		s.Layers[0].Backward(dy)
+	}
 }
 
 // ZeroGrads zeroes all parameter gradients. It walks the cached gradient

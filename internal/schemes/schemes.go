@@ -332,7 +332,7 @@ func (ws *StepWorkspace) SplitStep(m *model.SplitModel, clientOpt, serverOpt opt
 		dSmashed = ws.qDown.RoundTrip(dSmashed)
 	}
 	m.Client.ZeroGrads()
-	m.Client.Backward(dSmashed)
+	m.Client.BackwardParams(dSmashed)
 
 	serverOpt.Step(m.Server.Params(), m.Server.Grads(), m.Server.DecayMask())
 	clientOpt.Step(m.Client.Params(), m.Client.Grads(), m.Client.DecayMask())
@@ -346,7 +346,7 @@ func (ws *StepWorkspace) LocalStep(net *nn.Sequential, opt optim.Optimizer, batc
 	logits := net.Forward(batch.X, true)
 	l := loss.SoftmaxCrossEntropy{}.EvalInto(logits, batch.Y, &ws.lossGrad)
 	net.ZeroGrads()
-	net.Backward(&ws.lossGrad)
+	net.BackwardParams(&ws.lossGrad)
 	opt.Step(net.Params(), net.Grads(), net.DecayMask())
 	return l
 }

@@ -118,10 +118,8 @@ func gemmInto(dst []float64, m, k, n int, asrc aSource, bsrc bSource) {
 		packB(bp, bsrc.data, k, n)
 	case bTransposed:
 		packBTrans(bp, bsrc.data, k, n)
-	case bIm2col:
-		packBIm2col(bp, bsrc.data, bsrc.geom)
-	case bIm2colT:
-		packBIm2colT(bp, bsrc.data, bsrc.geom)
+	case bIm2col, bIm2colT:
+		packBIm2col(bp, bsrc.data, bsrc.geom, bsrc.kind == bIm2colT)
 	}
 	mblocks := (m + gemmMR - 1) / gemmMR
 	grain := grainRows(2 * k * n * gemmMR)

@@ -242,8 +242,9 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 }
 
 // FuzzPackedGEMM drives the packed index math (panel layouts, ragged
-// edge padding, im2col geometry walks) with fuzzed shapes and checks all
-// sources against the naive references bit for bit.
+// edge padding) with fuzzed shapes and checks the plain and transposed
+// sources against the naive references bit for bit; FuzzConvPack does
+// the same for the im2col sources.
 func FuzzPackedGEMM(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(9))
 	f.Add(int64(7), uint8(4), uint8(16), uint8(8))
@@ -277,39 +278,5 @@ func FuzzPackedGEMM(f *testing.F) {
 		naiveTransB(want, a, bt, m, k, n)
 		gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: bt, kind: bTransposed})
 		requireBitEqual(t, "fuzz gemm transB", got, want, m, k, n)
-
-		// Exercise the im2col packers too: derive a small geometry from
-		// the fuzzed sizes and compare against the materialized reference.
-		g := ConvGeom{
-			InC: k%3 + 1, InH: m%10 + 3, InW: n%10 + 3,
-			KH: k%3 + 1, KW: n%3 + 1,
-			StrideH: m%2 + 1, StrideW: k%2 + 1,
-			PadH: n % 2, PadW: m % 2,
-		}
-		if g.Validate() != nil {
-			return
-		}
-		colRows := g.InC * g.KH * g.KW
-		spatial := g.OutH() * g.OutW()
-		img := make([]float64, g.ImageSize())
-		fillMixed(rng, img)
-		cols := make([]float64, g.ColSize())
-		im2colRef(cols, img, g)
-		outC := int(mm)%6 + 1
-		w := make([]float64, outC*colRows)
-		fillMixed(rng, w)
-		cGot := make([]float64, outC*spatial)
-		cWant := make([]float64, outC*spatial)
-		naiveMatMul(cWant, w, cols, outC, colRows, spatial)
-		gemmInto(cGot, outC, colRows, spatial, aSource{data: w, kind: aPlain}, bSource{data: img, kind: bIm2col, geom: g})
-		requireBitEqual(t, "fuzz conv", cGot, cWant, outC, colRows, spatial)
-
-		dy := make([]float64, outC*spatial)
-		fillMixed(rng, dy)
-		dwGot := make([]float64, outC*colRows)
-		dwWant := make([]float64, outC*colRows)
-		naiveTransB(dwWant, dy, cols, outC, spatial, colRows)
-		gemmInto(dwGot, outC, spatial, colRows, aSource{data: dy, kind: aPlain}, bSource{data: img, kind: bIm2colT, geom: g})
-		requireBitEqual(t, "fuzz conv transB", dwGot, dwWant, outC, spatial, colRows)
 	})
 }

@@ -42,8 +42,12 @@ func (g ConvGeom) Validate() error {
 	if g.PadH < 0 || g.PadW < 0 {
 		return fmt.Errorf("tensor: conv geometry has negative padding %+v", g)
 	}
-	if g.OutH() <= 0 || g.OutW() <= 0 {
-		return fmt.Errorf("tensor: conv geometry produces empty output %+v", g)
+	// Tested on its own, not through OutH/OutW: integer division rounds
+	// a small negative numerator up to zero, so a kernel that overhangs
+	// the padded input by less than the stride would still report one
+	// output position.
+	if g.KH > g.InH+2*g.PadH || g.KW > g.InW+2*g.PadW {
+		return fmt.Errorf("tensor: conv kernel larger than the padded input %+v", g)
 	}
 	return nil
 }
@@ -81,45 +85,65 @@ func Col2ImBatch(dst, src []float64, n int, g ConvGeom) {
 		panic(fmt.Sprintf("tensor: Col2ImBatch dst size %d, want %d", len(dst), want))
 	}
 	if grain := grainChannels(g); parallel.Inline(n*g.InC, grain) {
-		for u := 0; u < n*g.InC; u++ {
-			i, c := u/g.InC, u%g.InC
-			col2imChannel(dst[i*imgSize:(i+1)*imgSize], src[i*colSize:(i+1)*colSize], g, c)
-		}
+		col2imUnits(dst, src, g, 0, n*g.InC)
 	} else {
-		parallel.For(n*g.InC, grain, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				i, c := u/g.InC, u%g.InC
-				col2imChannel(dst[i*imgSize:(i+1)*imgSize], src[i*colSize:(i+1)*colSize], g, c)
-			}
-		})
+		parallel.For(n*g.InC, grain, func(lo, hi int) { col2imUnits(dst, src, g, lo, hi) })
 	}
 }
 
-// col2imChannel scatter-adds channel c's rows of one column matrix into
-// the image plane it owns.
-func col2imChannel(dst, src []float64, g ConvGeom, c int) {
+// tapRange returns the half-open interval [lo, hi) of output
+// coordinates o in [0, out) whose input coordinate o*stride-pad+tap
+// lies in [0, in). The interval is empty (lo == hi) when the tap only
+// ever sees padding.
+func tapRange(tap, pad, stride, in, out int) (lo, hi int) {
+	if first := pad - tap; first > 0 {
+		lo = (first + stride - 1) / stride
+	}
+	hi = out
+	if last := in - 1 + pad - tap; last < 0 {
+		hi = 0
+	} else if h := last/stride + 1; h < hi {
+		hi = h
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
+// col2imUnits scatter-adds (sample, channel) units [lo, hi) — unit u is
+// channel u%InC of image u/InC — each into the image plane it owns. The
+// bounds tests of the im2col index map run once per kernel tap, not per
+// element: on each axis the output coordinates a tap maps inside the
+// image form one interval (tapRange), so per (tap, output row) one run
+// of column entries is added onto one run of pixels at a fixed step.
+// Taps, rows and positions are visited in ascending order, so every
+// pixel accumulates its terms in the order the per-element scatter did.
+func col2imUnits(dst, src []float64, g ConvGeom, lo, hi int) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
-	chanBase := c * g.InH * g.InW
-	row := c * g.KH * g.KW
-	for kh := 0; kh < g.KH; kh++ {
-		for kw := 0; kw < g.KW; kw++ {
-			srow := src[row*cols : (row+1)*cols]
-			row++
-			si := 0
-			for oh := 0; oh < outH; oh++ {
-				ih := oh*g.StrideH - g.PadH + kh
-				if ih < 0 || ih >= g.InH {
-					si += outW
-					continue
+	plane := g.InH * g.InW
+	chanCols := g.KH * g.KW * cols
+	sw := g.StrideW
+	for u := lo; u < hi; u++ {
+		// Images are InC planes and column matrices InC channel blocks,
+		// so unit u's plane and block sit at u times their size.
+		dplane := dst[u*plane : (u+1)*plane]
+		scol := src[u*chanCols : (u+1)*chanCols]
+		for kh := 0; kh < g.KH; kh++ {
+			ohLo, ohHi := tapRange(kh, g.PadH, g.StrideH, g.InH, outH)
+			for kw := 0; kw < g.KW; kw++ {
+				owLo, owHi := tapRange(kw, g.PadW, sw, g.InW, outW)
+				if owLo == owHi {
+					continue // the tap only sees padding: no pixel to address
 				}
-				rowBase := chanBase + ih*g.InW
-				for ow := 0; ow < outW; ow++ {
-					iw := ow*g.StrideW - g.PadW + kw
-					if iw >= 0 && iw < g.InW {
-						dst[rowBase+iw] += srow[si]
+				srow := scol[(kh*g.KW+kw)*cols:][:cols]
+				for oh := ohLo; oh < ohHi; oh++ {
+					run := srow[oh*outW+owLo : oh*outW+owHi]
+					pix := dplane[(oh*g.StrideH-g.PadH+kh)*g.InW+owLo*sw-g.PadW+kw:]
+					for t, v := range run {
+						pix[t*sw] += v
 					}
-					si++
 				}
 			}
 		}

@@ -24,7 +24,7 @@ package tensor
 // transposed (n×k) B matrix, and — for the implicit-GEMM convolution
 // path — a B matrix that is the im2col column matrix of a CHW image,
 // read directly through the im2col index map without ever materializing
-// the columns.
+// the columns (see "Implicit-GEMM packing" below).
 
 // packA packs A row-blocks [blo, bhi) from a plain (m×k) matrix.
 func packA(ap, a []float64, m, k, blo, bhi int) {
@@ -122,103 +122,125 @@ func packBTrans(bp, b []float64, k, n int) {
 	}
 }
 
-// packBIm2col packs every NR-column panel of the implicit column matrix
-// of one CHW image: logical B is (k×n) with k = InC*KH*KW column-matrix
-// rows and n = OutH*OutW spatial positions, B[kk][j] being pixel
-// (c,ih,iw) under the im2col index map (ih = oh*StrideH-PadH+kh, iw
-// likewise; zero outside the padded input). The column matrix itself is never stored.
-func packBIm2col(bp, img []float64, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	n := outH * outW
-	k := g.InC * g.KH * g.KW
-	np := (n + gemmNR - 1) / gemmNR
-	for p := 0; p < np; p++ {
-		j0 := p * gemmNR
-		jb := n - j0
-		if jb > gemmNR {
-			jb = gemmNR
+// Implicit-GEMM packing: the conv kernels' B operand is the im2col
+// column matrix of one CHW image — row (c,kh,kw), column (oh,ow), entry
+// pixel (c, oh*StrideH-PadH+kh, ow*StrideW-PadW+kw), zero where that
+// falls outside the image — in either orientation, and it is never
+// materialized. Packing it is two pure data movements:
+//
+//  1. padImage copies the image, one run per image row, into a scratch
+//     copy with the zero border written out. That is the only place the
+//     padding is decided: in padded coordinates every (tap, position)
+//     pair addresses a real element, at tapOffset + positionOffset, so
+//     no bounds test is left for any later loop.
+//  2. packGather fills the panels. Taps and positions are each a small
+//     grid of offsets into the padded copy (offsetGrid); one of them
+//     supplies the NR lanes of a panel, the other its rows. A panel row
+//     is NR loads through NR precomputed lane offsets and one contiguous
+//     NR-wide store, whichever orientation is being packed.
+//
+// Every value lands exactly where the per-element index map put it, so
+// the micro-kernel sees the same panels and no product can change a bit.
+
+// offsetGrid is the offsets i0*s0 + i1*s1 + i2*s2 of a d0×d1×d2 grid of
+// points, enumerated in row-major order.
+type offsetGrid struct{ d0, d1, d2, s0, s1, s2 int }
+
+func (og offsetGrid) size() int { return og.d0 * og.d1 * og.d2 }
+
+// gridWalker hands out an offsetGrid's offsets one at a time, in order,
+// carrying the indices along instead of dividing them out per point.
+type gridWalker struct {
+	og                  offsetGrid
+	i1, i2, o0, o1, off int
+}
+
+// next returns the current point's offset and steps to the next point.
+func (w *gridWalker) next() int {
+	off := w.off
+	w.off += w.og.s2
+	if w.i2++; w.i2 == w.og.d2 {
+		w.i2 = 0
+		w.o1 += w.og.s1
+		if w.i1++; w.i1 == w.og.d1 {
+			w.i1 = 0
+			w.o0 += w.og.s0
+			w.o1 = w.o0
 		}
-		off := p * k * gemmNR
-		kk := 0
-		for c := 0; c < g.InC; c++ {
-			chanBase := c * g.InH * g.InW
-			for kh := 0; kh < g.KH; kh++ {
-				for kw := 0; kw < g.KW; kw++ {
-					dst := bp[off+kk*gemmNR : off+kk*gemmNR+gemmNR]
-					oh, ow := (j0)/outW, (j0)%outW
-					for jr := 0; jr < jb; jr++ {
-						ih := oh*g.StrideH - g.PadH + kh
-						iw := ow*g.StrideW - g.PadW + kw
-						if ih < 0 || ih >= g.InH || iw < 0 || iw >= g.InW {
-							dst[jr] = 0
-						} else {
-							dst[jr] = img[chanBase+ih*g.InW+iw]
-						}
-						ow++
-						if ow == outW {
-							ow = 0
-							oh++
-						}
-					}
-					for jr := jb; jr < gemmNR; jr++ {
-						dst[jr] = 0
-					}
-					kk++
-				}
-			}
+		w.off = w.o1
+	}
+	return off
+}
+
+// paddedGrids returns g's two offset grids over the zero-padded image —
+// taps (c,kh,kw) and output positions (oh,ow); the pixel under tap t at
+// position p is at the sum of their two offsets — and the padded image's
+// element count.
+func paddedGrids(g ConvGeom) (taps, pos offsetGrid, size int) {
+	ph, pw := g.InH+2*g.PadH, g.InW+2*g.PadW
+	taps = offsetGrid{g.InC, g.KH, g.KW, ph * pw, pw, 1}
+	pos = offsetGrid{1, g.OutH(), g.OutW(), 0, g.StrideH * pw, g.StrideW}
+	return taps, pos, g.InC * ph * pw
+}
+
+// padImage writes img with its zero border into dst, which holds the
+// padded image followed by as many zeros again: an all-zero region any
+// row offset can be added to, which is what the lanes past a ragged
+// last panel read (see packGather).
+func padImage(dst, img []float64, g ConvGeom) {
+	clear(dst)
+	ph, pw := g.InH+2*g.PadH, g.InW+2*g.PadW
+	for c := 0; c < g.InC; c++ {
+		for h := 0; h < g.InH; h++ {
+			copy(dst[(c*ph+g.PadH+h)*pw+g.PadW:], img[(c*g.InH+h)*g.InW:][:g.InW])
 		}
 	}
 }
 
-// packBIm2colT packs every NR-column panel of the TRANSPOSED implicit
-// column matrix: logical B is (k×n) with k = OutH*OutW spatial positions
-// and n = InC*KH*KW column-matrix rows, B[kk][j] = colmat[j][kk]. This
-// is the dW = dy @ im2col(x)ᵀ orientation of the conv backward pass.
-func packBIm2colT(bp, img []float64, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	k := outH * outW
-	n := g.InC * g.KH * g.KW
-	np := (n + gemmNR - 1) / gemmNR
-	for p := 0; p < np; p++ {
-		j0 := p * gemmNR
-		jb := n - j0
-		if jb > gemmNR {
-			jb = gemmNR
-		}
-		off := p * k * gemmNR
-		for jr := 0; jr < jb; jr++ {
-			// Column-matrix row j0+jr decomposes into (channel, kh, kw).
-			r := j0 + jr
-			c := r / (g.KH * g.KW)
-			kh := (r / g.KW) % g.KH
-			kw := r % g.KW
-			chanBase := c * g.InH * g.InW
-			kk := 0
-			for oh := 0; oh < outH; oh++ {
-				ih := oh*g.StrideH - g.PadH + kh
-				if ih < 0 || ih >= g.InH {
-					for ow := 0; ow < outW; ow++ {
-						bp[off+kk*gemmNR+jr] = 0
-						kk++
-					}
-					continue
-				}
-				rowBase := chanBase + ih*g.InW
-				for ow := 0; ow < outW; ow++ {
-					iw := ow*g.StrideW - g.PadW + kw
-					if iw < 0 || iw >= g.InW {
-						bp[off+kk*gemmNR+jr] = 0
-					} else {
-						bp[off+kk*gemmNR+jr] = img[rowBase+iw]
-					}
-					kk++
-				}
+// packBIm2col packs every NR-column panel of the implicit column matrix
+// of one CHW image, logical B (k×n): k taps by n positions, or — with
+// transposed set, the dW = dy @ im2col(x)ᵀ orientation of the conv
+// backward pass — k positions by n taps.
+func packBIm2col(bp, img []float64, g ConvGeom, transposed bool) {
+	rows, lanes, size := paddedGrids(g)
+	if transposed {
+		rows, lanes = lanes, rows
+	}
+	padded := packPool.GetSlice(2 * size)
+	padImage(padded, img, g)
+	packGather(bp, padded, rows, lanes, size)
+	packPool.PutSlice(padded)
+}
+
+// packGather packs every NR-column panel of the (rows × lanes) matrix
+// B[r][l] = src[offset of row r + offset of lane l]. Lanes past the
+// last column read from zeroOff, which the caller guarantees is
+// followed by zeros for as far as any row offset reaches.
+func packGather(bp, src []float64, rows, lanes offsetGrid, zeroOff int) {
+	k, n := rows.size(), lanes.size()
+	lane := gridWalker{og: lanes}
+	for j0 := 0; j0 < n; j0 += gemmNR {
+		var l [gemmNR]int
+		for jr := range l {
+			l[jr] = zeroOff
+			if j0+jr < n {
+				l[jr] = lane.next()
 			}
 		}
-		for jr := jb; jr < gemmNR; jr++ {
-			for kk := 0; kk < k; kk++ {
-				bp[off+kk*gemmNR+jr] = 0
-			}
+		l0, l1, l2, l3, l4, l5, l6, l7 := l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]
+		dst := bp[j0*k:][:k*gemmNR]
+		row := gridWalker{og: rows}
+		for r := 0; r < k; r++ {
+			s := src[row.next():]
+			d := dst[r*gemmNR:][:gemmNR]
+			d[0] = s[l0]
+			d[1] = s[l1]
+			d[2] = s[l2]
+			d[3] = s[l3]
+			d[4] = s[l4]
+			d[5] = s[l5]
+			d[6] = s[l6]
+			d[7] = s[l7]
 		}
 	}
 }

@@ -113,3 +113,55 @@ func BenchmarkAddScaled(b *testing.B) {
 		x.AddScaled(0.001, y)
 	}
 }
+
+// paperConvGeoms are the two convolutions of the paper's GTSRB model as
+// the benchmark spine runs it (3→8 channels on 16×16, 8→16 on 8×8, both
+// 3×3 / stride 1 / pad 1): the shapes the three im2col index-map
+// routines spend the split step in.
+var paperConvGeoms = []struct {
+	name string
+	g    ConvGeom
+}{
+	{"3to8@16", ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+	{"8to16@8", ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+}
+
+// benchConvIndexMap runs fn over one image per iteration at each paper
+// geometry. SetBytes counts the column-matrix elements the routine moves
+// (8 bytes each), so MB/s ÷ 8 is elements per microsecond and
+// ns/op ÷ ColSize is ns per element.
+func benchConvIndexMap(b *testing.B, fn func(panel, img, cols []float64, g ConvGeom)) {
+	for _, pg := range paperConvGeoms {
+		g := pg.g
+		b.Run(pg.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			img := make([]float64, g.ImageSize())
+			cols := make([]float64, g.ColSize())
+			for i := range img {
+				img[i] = rng.NormFloat64()
+			}
+			for i := range cols {
+				cols[i] = rng.NormFloat64()
+			}
+			// Large enough for either orientation's NR-padded panels.
+			panel := make([]float64, g.ColSize()+gemmNR*(g.InC*g.KH*g.KW+g.OutH()*g.OutW()))
+			b.SetBytes(int64(8 * g.ColSize()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fn(panel, img, cols, g)
+			}
+		})
+	}
+}
+
+func BenchmarkPackIm2col(b *testing.B) {
+	benchConvIndexMap(b, func(panel, img, _ []float64, g ConvGeom) { packBIm2col(panel, img, g, false) })
+}
+
+func BenchmarkPackIm2colT(b *testing.B) {
+	benchConvIndexMap(b, func(panel, img, _ []float64, g ConvGeom) { packBIm2col(panel, img, g, true) })
+}
+
+func BenchmarkCol2Im(b *testing.B) {
+	benchConvIndexMap(b, func(_, img, cols []float64, g ConvGeom) { Col2ImBatch(img, cols, 1, g) })
+}

@@ -502,6 +502,7 @@ func TestConvGeomValidate(t *testing.T) {
 		{"zero stride", ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 0, StrideW: 1}, false},
 		{"negative pad", ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: -1}, false},
 		{"kernel too big", ConvGeom{InC: 1, InH: 2, InW: 2, KH: 5, KW: 5, StrideH: 1, StrideW: 1}, false},
+		{"kernel too big by less than the stride", ConvGeom{InC: 1, InH: 2, InW: 2, KH: 5, KW: 5, StrideH: 4, StrideW: 4}, false},
 		{"zero kernel", ConvGeom{InC: 1, InH: 2, InW: 2, KH: 0, KW: 1, StrideH: 1, StrideW: 1}, false},
 	}
 	for _, tc := range cases {
