@@ -46,8 +46,9 @@
 // dataset registry (internal/data), a wireless network and device
 // simulator (internal/wireless, internal/device, internal/simnet), the
 // GSFL scheme itself (internal/gsfl) — whose M groups really train on
-// concurrent goroutines — the CL, SL, FL, and SplitFed baselines
-// (internal/schemes/...), and the experiment harness that regenerates
+// concurrent goroutines, and which also registers the SL (M=1) and
+// SplitFed (M=N) baselines it contains — the CL and FL baselines
+// (internal/schemes/{cl,fl}), and the experiment harness that regenerates
 // every figure and table from the paper (internal/experiment), itself a
 // thin consumer of gsfl/env and gsfl/sim.
 //

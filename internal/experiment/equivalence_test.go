@@ -4,32 +4,32 @@ import (
 	"context"
 	"testing"
 
-	"gsfl/internal/gsfl"
-	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
-	"gsfl/internal/schemes/sfl"
-	"gsfl/internal/schemes/sl"
 )
 
-// GSFL is a strict generalization of both benchmark split schemes; these
-// tests pin the degenerate cases to be *numerically identical*, which
-// catches any drift between the three implementations.
+// GSFL is a strict generalization of both benchmark split schemes, and
+// all three are registrations of one engine (internal/gsfl) that differ,
+// beyond M, in two pricing-order flags. These tests pin the degenerate
+// cases to be *numerically identical* on every evaluation, which proves
+// the flags touch pricing only.
+
+// byName builds a registered scheme over a fresh fixture env.
+func byName(t *testing.T, scheme string, groups int, seed int64, clients, samples int) schemes.Trainer {
+	t.Helper()
+	tr, err := schemes.NewByName(scheme, schemestest.NewEnv(seed, clients, samples), schemes.FactoryOpts{Groups: groups})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 // TestGSFLWithOneGroupEqualsSL: M=1 GSFL is vanilla SL plus a vacuous
 // FedAvg over a single group (the identity). Same seeds, same loader
 // streams, same optimizer structure => identical evaluations each round.
 func TestGSFLWithOneGroupEqualsSL(t *testing.T) {
-	envG := schemestest.NewEnv(5, 5, 40)
-	g, err := gsfl.New(envG, gsfl.Config{NumGroups: 1, Strategy: partition.GroupRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	envS := schemestest.NewEnv(5, 5, 40)
-	s, err := sl.New(envS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := byName(t, "gsfl", 1, 5, 5, 40)
+	s := byName(t, "sl", 0, 5, 5, 40)
 	ctx := context.Background()
 	for r := 0; r < 4; r++ {
 		if _, err := g.Round(ctx); err != nil {
@@ -57,16 +57,8 @@ func TestGSFLWithOneGroupEqualsSL(t *testing.T) {
 // halves aggregate.
 func TestGSFLWithSingletonGroupsEqualsSFL(t *testing.T) {
 	const n = 5
-	envG := schemestest.NewEnv(6, n, 40)
-	g, err := gsfl.New(envG, gsfl.Config{NumGroups: n, Strategy: partition.GroupRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	envS := schemestest.NewEnv(6, n, 40)
-	s, err := sfl.New(envS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := byName(t, "gsfl", n, 6, n, 40)
+	s := byName(t, "sfl", 0, 6, n, 40)
 	ctx := context.Background()
 	for r := 0; r < 4; r++ {
 		if _, err := g.Round(ctx); err != nil {
@@ -93,25 +85,9 @@ func TestGSFLWithSingletonGroupsEqualsSFL(t *testing.T) {
 // same global initialization (the paper distributes ONE model), so their
 // round-0 evaluations coincide.
 func TestSchemesShareInitialModel(t *testing.T) {
-	build := func() (schemes.Trainer, schemes.Trainer, schemes.Trainer) {
-		e1 := schemestest.NewEnv(7, 4, 30)
-		g, err := gsfl.New(e1, gsfl.Config{NumGroups: 2, Strategy: partition.GroupRoundRobin})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2 := schemestest.NewEnv(7, 4, 30)
-		s, err := sl.New(e2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e3 := schemestest.NewEnv(7, 4, 30)
-		f, err := sfl.New(e3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, s, f
-	}
-	g, s, f := build()
+	g := byName(t, "gsfl", 2, 7, 4, 30)
+	s := byName(t, "sl", 0, 7, 4, 30)
+	f := byName(t, "sfl", 0, 7, 4, 30)
 	ctx := context.Background()
 	ge, err := g.Evaluate(ctx)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"gsfl/internal/gsfl"
 	"gsfl/internal/metrics"
-	"gsfl/internal/schemes/sfl"
 	"gsfl/internal/trace"
 )
 
@@ -71,30 +70,24 @@ func RunTable3(spec Spec) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := gsfl.New(world, gsfl.Config{NumGroups: spec.Groups, Strategy: opts.Strategy})
-	if err != nil {
-		return nil, err
-	}
-	world2, err := Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sfl.New(world2)
-	if err != nil {
-		return nil, err
-	}
 	tbl := trace.NewTable("table3-server-storage",
 		"scheme", "server_replicas", "server_storage_bytes")
-	tbl.Add(trace.Row{
-		"scheme":               "gsfl",
-		"server_replicas":      g.ServerReplicaCount(),
-		"server_storage_bytes": g.ServerStorageBytes(),
-	})
-	tbl.Add(trace.Row{
-		"scheme":               "sfl",
-		"server_replicas":      s.ServerReplicaCount(),
-		"server_storage_bytes": s.ServerStorageBytes(),
-	})
+	// SplitFed is the engine at M = N. No round runs, so the two
+	// trainers can share the world.
+	for _, row := range []struct {
+		scheme string
+		groups int
+	}{{"gsfl", spec.Groups}, {"sfl", spec.Clients}} {
+		tr, err := gsfl.New(world, gsfl.Config{NumGroups: row.groups, Strategy: opts.Strategy})
+		if err != nil {
+			return nil, err
+		}
+		tbl.Add(trace.Row{
+			"scheme":               row.scheme,
+			"server_replicas":      tr.ServerReplicaCount(),
+			"server_storage_bytes": tr.ServerStorageBytes(),
+		})
+	}
 	return tbl, nil
 }
 

@@ -31,6 +31,12 @@
 // Latency pricing, which consumes the shared wireless fading RNG, stays
 // serial in group order, so both training numerics and ledgers are
 // bit-identical for any worker count.
+//
+// The paper's two split baselines are members of the same family, and
+// this package registers them as such: vanilla split learning ("sl") is
+// one group of N, SplitFed ("sfl") is N groups of one. Their training
+// numerics are the engine's at that M; what each fixes beyond M is how
+// the round is priced (see plan).
 package gsfl
 
 import (
@@ -67,11 +73,45 @@ type Config struct {
 	Pipelined bool
 }
 
-// Trainer is the GSFL scheme mid-training. Create with New; drive with
-// Round/Evaluate (typically via a gsfl/sim Runner).
+// plan is what a registration fixes about the engine beyond Config: the
+// scheme's name, its M, and the two places where the baselines price a
+// round differently from GSFL at the same M. Pricing order is
+// bit-visible (every transfer draws from the shared fading RNG), and a
+// "gsfl" run at M=1 or M=N keeps GSFL pricing, so neither flag can be
+// derived from M; they are per-registration constants, never options.
+type plan struct {
+	// scheme is the registry key, curve label, checkpoint scheme and
+	// trace process.
+	scheme string
+	// groups maps the configured M and the client count N to the M the
+	// scheme trains with.
+	groups func(m, n int) int
+	// chain is vanilla split learning: the one client-side model is
+	// never distributed or aggregated, it circulates — the relay after
+	// the last turn wraps to the round's first client — and the sole
+	// active client takes the full uplink/downlink budget without the
+	// allocator being consulted. Sequential schemes train the full
+	// client list, so a population is rejected.
+	chain bool
+	// distributionInTurn prices each lane's Step-1 download at the head
+	// of its own turn instead of for all lanes up front: the same
+	// per-lane ledger, a different fading-draw order (SplitFed's).
+	distributionInTurn bool
+}
+
+var (
+	gsflPlan = plan{scheme: "gsfl", groups: func(m, _ int) int { return m }}
+	slPlan   = plan{scheme: "sl", groups: func(_, _ int) int { return 1 }, chain: true}
+	sflPlan  = plan{scheme: "sfl", groups: func(_, n int) int { return n }, distributionInTurn: true}
+)
+
+// Trainer is a grouped-split scheme mid-training. Create with New (or
+// by registry name); drive with Round/Evaluate (typically via a
+// gsfl/sim Runner).
 type Trainer struct {
 	env    *schemes.Env
 	cfg    Config
+	plan   plan
 	groups [][]int
 	round  int
 
@@ -114,9 +154,17 @@ type Trainer struct {
 
 // New validates the environment and assembles a GSFL trainer.
 func New(env *schemes.Env, cfg Config) (*Trainer, error) {
+	return newWithPlan(env, cfg, gsflPlan)
+}
+
+func newWithPlan(env *schemes.Env, cfg Config, p plan) (*Trainer, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
+	if p.chain && env.Pop != nil {
+		return nil, fmt.Errorf("%s: population sampling is not supported (sequential schemes train the full client list; use gsfl, fl, or sfl)", p.scheme)
+	}
+	cfg.NumGroups = p.groups(cfg.NumGroups, env.Fleet.N())
 	if cfg.NumGroups <= 0 || cfg.NumGroups > env.Fleet.N() {
 		return nil, fmt.Errorf("gsfl: %d groups for %d clients", cfg.NumGroups, env.Fleet.N())
 	}
@@ -126,7 +174,7 @@ func New(env *schemes.Env, cfg Config) (*Trainer, error) {
 	groups := partition.Groups(env.Fleet.N(), cfg.NumGroups, cfg.Strategy,
 		env.Fleet.Capacities(), env.Rng("grouping", 0))
 
-	t := &Trainer{env: env, cfg: cfg, groups: groups}
+	t := &Trainer{env: env, cfg: cfg, plan: p, groups: groups}
 
 	// One global initialization shared by every replica, so round 0
 	// starts from a single common model (the paper's model distribution).
@@ -145,8 +193,8 @@ func New(env *schemes.Env, cfg Config) (*Trainer, error) {
 		// Fresh structure; parameters are overwritten from the global
 		// snapshots at the start of every round.
 		t.replicas[g] = env.Arch.NewSplit(env.Rng("replica", g), env.Cut)
-		t.clientOpts[g] = env.NewOptimizer()
-		t.serverOpts[g] = env.NewOptimizer()
+		t.clientOpts[g] = env.Hyper.NewOptimizer()
+		t.serverOpts[g] = env.Hyper.NewOptimizer()
 	}
 
 	t.loaders = make([]*data.Loader, env.Fleet.N())
@@ -159,15 +207,16 @@ func New(env *schemes.Env, cfg Config) (*Trainer, error) {
 }
 
 // Name implements schemes.Trainer.
-func (t *Trainer) Name() string { return "gsfl" }
+func (t *Trainer) Name() string { return t.plan.scheme }
 
 // Groups exposes the group assignment (read-only view for diagnostics).
 func (t *Trainer) Groups() [][]int { return t.groups }
 
 // ServerReplicaCount returns how many server-side models the edge server
 // hosts — M for GSFL, the storage quantity Table 3 compares against
-// SplitFed's N.
-func (t *Trainer) ServerReplicaCount() int { return len(t.groups) }
+// SplitFed's N. It counts the replicas, not t.groups, which the
+// population path re-slices to the cohort every round.
+func (t *Trainer) ServerReplicaCount() int { return len(t.replicas) }
 
 // ServerStorageBytes returns the edge-server memory the server-side
 // replicas occupy.
@@ -271,12 +320,13 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 
 	// Tracing (nil when disabled): one lane per live group on the
 	// virtual clock, phase spans straight from the ledger adds.
-	rt := env.BeginRoundTrace("gsfl", t.round)
+	rt := env.BeginRoundTrace(t.plan.scheme, t.round)
 
 	// --- Step 1: model distribution -----------------------------------
 	// Every live group replica is reset to the global halves. The first
 	// available client of each group downloads the client-side model; the
-	// downloads are concurrent and share the downlink budget.
+	// downloads are concurrent and share the downlink budget. A chain has
+	// nothing to download: its model is already with the first client.
 	groupLeds := make(map[int]*simnet.Ledger, len(live))
 	firstClients := make([]int, len(live))
 	for li, g := range live {
@@ -286,11 +336,19 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		t.globalClient.Restore(t.replicas[g].Client)
 		t.globalServer.Restore(t.replicas[g].Server)
 	}
-	distAlloc := env.Alloc.Allocate(env.Channel, firstClients, env.Channel.DownlinkHz(), false)
-	for li, g := range live {
-		bytes := t.replicas[g].ClientParamBytes()
-		groupLeds[g].Add(simnet.Relay,
-			env.Channel.TransferSeconds(firstClients[li], bytes, distAlloc[li], false))
+	var distAlloc []float64
+	distribute := func(li int) {
+		g := live[li]
+		groupLeds[g].Add(simnet.Relay, env.Channel.TransferSeconds(firstClients[li],
+			t.replicas[g].ClientParamBytes(), distAlloc[li], false))
+	}
+	if !t.plan.chain {
+		distAlloc = env.Alloc.Allocate(env.Channel, firstClients, env.Channel.DownlinkHz(), false)
+		if !t.plan.distributionInTurn {
+			for li := range live {
+				distribute(li)
+			}
+		}
 	}
 
 	// --- Step 2: model training within groups (parallel) --------------
@@ -299,6 +357,11 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		if len(groups[g]) > maxLen {
 			maxLen = len(groups[g])
 		}
+	}
+	var upAlloc, downAlloc []float64
+	if t.plan.chain {
+		// The sole active client takes the full budget.
+		upAlloc, downAlloc = []float64{env.Channel.UplinkHz()}, []float64{env.Channel.DownlinkHz()}
 	}
 	for pos := 0; pos < maxLen; pos++ {
 		if err := ctx.Err(); err != nil {
@@ -313,8 +376,10 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 				activeClients = append(activeClients, groups[g][pos])
 			}
 		}
-		upAlloc := env.Alloc.Allocate(env.Channel, activeClients, env.Channel.UplinkHz(), true)
-		downAlloc := env.Alloc.Allocate(env.Channel, activeClients, env.Channel.DownlinkHz(), false)
+		if !t.plan.chain {
+			upAlloc = env.Alloc.Allocate(env.Channel, activeClients, env.Channel.UplinkHz(), true)
+			downAlloc = env.Alloc.Allocate(env.Channel, activeClients, env.Channel.DownlinkHz(), false)
+		}
 
 		// The active groups train concurrently — the paper's "M groups in
 		// parallel", executed as real goroutines. Each group touches only
@@ -344,10 +409,13 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		for ai, g := range activeGroups {
 			ci := activeClients[ai]
 			rep := t.replicas[g]
+			if pos == 0 && t.plan.distributionInTurn {
+				distribute(ai) // every live group is active at position 0
+			}
 			rt.BeginSlot(groupLeds[g], "client", ci)
 			if t.cfg.Pipelined {
 				if err := schemes.TurnLatency(env, rep, ci, env.Hyper.Batch, env.Hyper.StepsPerClient,
-					upAlloc[ai], downAlloc[ai], true, groupLeds[g]); err != nil {
+					upAlloc[ai], downAlloc[ai], groupLeds[g]); err != nil {
 					return nil, err
 				}
 			} else {
@@ -355,12 +423,15 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 					schemes.StepLatency(env, rep, ci, bn, upAlloc[ai], downAlloc[ai], groupLeds[g])
 				}
 			}
-			// Model sharing: relay to the next client in the group, or
-			// return the client model to the AP after the last client.
-			if pos+1 < len(groups[g]) {
-				next := groups[g][pos+1]
-				schemes.RelayLatency(env, rep, ci, next, upAlloc[ai], downAlloc[ai], groupLeds[g])
-			} else {
+			// Model sharing: relay to the next client in the group — a
+			// chain wraps to the round's first — or return the client
+			// model to the AP after the last client.
+			switch {
+			case pos+1 < len(groups[g]):
+				schemes.RelayLatency(env, rep, ci, groups[g][pos+1], upAlloc[ai], downAlloc[ai], groupLeds[g])
+			case t.plan.chain:
+				schemes.RelayLatency(env, rep, ci, groups[g][0], upAlloc[ai], downAlloc[ai], groupLeds[g])
+			default:
 				groupLeds[g].Add(simnet.Relay,
 					env.Channel.TransferSeconds(ci, rep.ClientParamBytes(), upAlloc[ai], true))
 			}
@@ -374,6 +445,14 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		leds = append(leds, groupLeds[g])
 	}
 	round := simnet.MaxOf(leds)
+	if t.plan.chain {
+		// Nothing to average and nothing to price: the trained model is
+		// the global model.
+		t.globalClient.CaptureFrom(t.replicas[live[0]].Client)
+		t.globalServer.CaptureFrom(t.replicas[live[0]].Server)
+		rt.End(round)
+		return round, nil
+	}
 	// Aggregation prices onto the critical-path ledger after the groups
 	// join; its spans belong on the AP's lane, starting where the
 	// slowest group finished.
@@ -409,18 +488,4 @@ func (t *Trainer) Evaluate(ctx context.Context) (schemes.Eval, error) {
 // checkpointing or cross-scheme comparisons).
 func (t *Trainer) GlobalSnapshots() (client, server model.Snapshot) {
 	return t.globalClient.Clone(), t.globalServer.Clone()
-}
-
-// RestoreGlobal replaces the aggregated global halves, e.g. when
-// resuming training from a checkpoint written with
-// model.SaveCheckpointFile. The snapshots must match the trainer's
-// architecture and cut. Optimizer momentum is not part of a checkpoint;
-// resumed training re-warms it within a few steps.
-func (t *Trainer) RestoreGlobal(client, server model.Snapshot) {
-	// Validate structure by restoring into the eval model first (Restore
-	// panics on mismatch before any trainer state is touched).
-	client.Restore(t.evalModel.Client)
-	server.Restore(t.evalModel.Server)
-	t.globalClient = client.Clone()
-	t.globalServer = server.Clone()
 }

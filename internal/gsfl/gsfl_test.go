@@ -2,10 +2,8 @@ package gsfl
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
-	"gsfl/internal/model"
 	"gsfl/internal/partition"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/simnet"
@@ -218,63 +216,4 @@ func TestGSFLQuantizedTransfersReduceLatency(t *testing.T) {
 	if quant >= full*0.6 {
 		t.Fatalf("8-bit transfer time %v not well below full-precision %v", quant, full)
 	}
-}
-
-func TestGSFLCheckpointResume(t *testing.T) {
-	// Train 3 rounds, checkpoint, build a fresh trainer from the same
-	// env, restore, and verify the restored trainer evaluates identically
-	// to the original — the production resume path.
-	env := schemestest.NewEnv(50, 4, 40)
-	tr, err := New(env, Config{NumGroups: 2, Strategy: partition.GroupRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		schemestest.MustRound(t, tr)
-	}
-	client, server := tr.GlobalSnapshots()
-	path := filepath.Join(t.TempDir(), "resume.gob")
-	if err := model.SaveCheckpointFile(path, client, server, env.Cut); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, s2, cut, err := model.LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut != env.Cut {
-		t.Fatalf("checkpoint cut = %d, want %d", cut, env.Cut)
-	}
-	env2 := schemestest.NewEnv(50, 4, 40)
-	resumed, err := New(env2, Config{NumGroups: 2, Strategy: partition.GroupRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.RestoreGlobal(c2, s2)
-
-	e1 := schemestest.MustEval(t, tr)
-	e2 := schemestest.MustEval(t, resumed)
-	if e1 != e2 {
-		t.Fatalf("resumed trainer differs: %+v vs %+v", e1, e2)
-	}
-	// And it must keep training without issue.
-	schemestest.MustRound(t, resumed)
-	if e := schemestest.MustEval(t, resumed); e.Accuracy < 0 || e.Accuracy > 1 {
-		t.Fatalf("post-resume accuracy %v", e.Accuracy)
-	}
-}
-
-func TestRestoreGlobalRejectsWrongStructure(t *testing.T) {
-	env := schemestest.NewEnv(51, 4, 30)
-	tr, err := New(env, Config{NumGroups: 2, Strategy: partition.GroupRoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic restoring mismatched snapshot")
-		}
-	}()
-	bad := model.Snapshot{}
-	tr.RestoreGlobal(bad, bad)
 }

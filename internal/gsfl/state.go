@@ -3,26 +3,36 @@ package gsfl
 import "gsfl/internal/schemes"
 
 func init() {
-	schemes.Register("gsfl", func(env *schemes.Env, opts schemes.FactoryOpts) (schemes.Trainer, error) {
-		return New(env, Config{
+	schemes.Register(gsflPlan.scheme, func(env *schemes.Env, opts schemes.FactoryOpts) (schemes.Trainer, error) {
+		return newWithPlan(env, Config{
 			NumGroups:   opts.Groups,
 			Strategy:    opts.Strategy,
 			Pipelined:   opts.Pipelined,
 			DropoutProb: opts.DropoutProb,
-		})
+		}, gsflPlan)
 	})
+	// The baselines take nothing from the options: their M is fixed by
+	// the plan, and the zero Config is identity-order (round-robin)
+	// grouping with no dropout and no pipelining.
+	for _, p := range []plan{slPlan, sflPlan} {
+		schemes.Register(p.scheme, func(env *schemes.Env, _ schemes.FactoryOpts) (schemes.Trainer, error) {
+			return newWithPlan(env, Config{}, p)
+		})
+	}
 }
 
-// StateParts implements schemes.Checkpointer. GSFL's persistent state is
-// the two aggregated global halves (replica parameters are rewritten
-// from them every round, so they are derived, not state), the per-group
-// optimizer pairs, the per-client loaders, the round counter (which keys
-// the dropout and population streams), and the channel cursor. Optimizer
-// slots cover the full configured group count (clientOpts), not
-// t.groups, which the population path re-slices per round.
+// StateParts implements schemes.Checkpointer. The engine's persistent
+// state is the two aggregated global halves (replica parameters are
+// rewritten from them every round, so they are derived, not state), the
+// per-group optimizer pairs, the per-client loaders, the round counter
+// (which keys the dropout and population streams), and the channel
+// cursor. Optimizer slots cover the full configured group count
+// (clientOpts), not t.groups, which the population path re-slices per
+// round. At M=1 and M=N this is the layout the former sl and sfl
+// trainers wrote, so their checkpoints restore here unchanged.
 func (t *Trainer) StateParts() schemes.StateParts {
 	p := schemes.StateParts{
-		Scheme:  "gsfl",
+		Scheme:  t.plan.scheme,
 		Round:   &t.round,
 		Channel: t.env.Channel,
 		Models: []schemes.ModelPart{

@@ -156,84 +156,6 @@ func DelayReduction(c, other *Curve, target float64) (reduction float64, ok bool
 	return (lo - lc) / lo, true
 }
 
-// ConfusionMatrix accumulates per-class prediction counts.
-type ConfusionMatrix struct {
-	classes int
-	counts  []int // row = truth, col = prediction
-}
-
-// NewConfusionMatrix creates a matrix for the given class count.
-func NewConfusionMatrix(classes int) *ConfusionMatrix {
-	if classes <= 0 {
-		panic(fmt.Sprintf("metrics: classes %d must be positive", classes))
-	}
-	return &ConfusionMatrix{classes: classes, counts: make([]int, classes*classes)}
-}
-
-// Observe records one (truth, prediction) pair.
-func (m *ConfusionMatrix) Observe(truth, pred int) {
-	if truth < 0 || truth >= m.classes || pred < 0 || pred >= m.classes {
-		panic(fmt.Sprintf("metrics: observation (%d,%d) outside %d classes", truth, pred, m.classes))
-	}
-	m.counts[truth*m.classes+pred]++
-}
-
-// Count returns the number of observations with the given truth and
-// prediction.
-func (m *ConfusionMatrix) Count(truth, pred int) int {
-	return m.counts[truth*m.classes+pred]
-}
-
-// Accuracy returns the global accuracy (0 when empty).
-func (m *ConfusionMatrix) Accuracy() float64 {
-	correct, total := 0, 0
-	for t := 0; t < m.classes; t++ {
-		for p := 0; p < m.classes; p++ {
-			c := m.Count(t, p)
-			total += c
-			if t == p {
-				correct += c
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
-// Recall returns per-class recall (NaN-free: classes with no samples get 0).
-func (m *ConfusionMatrix) Recall(class int) float64 {
-	total := 0
-	for p := 0; p < m.classes; p++ {
-		total += m.Count(class, p)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(m.Count(class, class)) / float64(total)
-}
-
-// MacroRecall averages recall over classes that have samples.
-func (m *ConfusionMatrix) MacroRecall() float64 {
-	sum, n := 0.0, 0
-	for c := 0; c < m.classes; c++ {
-		total := 0
-		for p := 0; p < m.classes; p++ {
-			total += m.Count(c, p)
-		}
-		if total == 0 {
-			continue
-		}
-		sum += m.Recall(c)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // AUCRounds approximates the area under the accuracy-vs-rounds curve via
 // the trapezoid rule, a single-number summary of convergence speed used
 // by the ablation benches.

@@ -134,42 +134,6 @@ func TestAccuracyAtLatencyInterpolation(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	m := NewConfusionMatrix(3)
-	m.Observe(0, 0)
-	m.Observe(0, 1)
-	m.Observe(1, 1)
-	m.Observe(2, 2)
-	if acc := m.Accuracy(); math.Abs(acc-0.75) > 1e-12 {
-		t.Fatalf("accuracy = %v, want 0.75", acc)
-	}
-	if r := m.Recall(0); math.Abs(r-0.5) > 1e-12 {
-		t.Fatalf("recall(0) = %v, want 0.5", r)
-	}
-	if r := m.Recall(1); r != 1 {
-		t.Fatalf("recall(1) = %v, want 1", r)
-	}
-	if mr := m.MacroRecall(); math.Abs(mr-(0.5+1+1)/3) > 1e-12 {
-		t.Fatalf("macro recall = %v", mr)
-	}
-}
-
-func TestConfusionMatrixEdges(t *testing.T) {
-	m := NewConfusionMatrix(2)
-	if m.Accuracy() != 0 || m.MacroRecall() != 0 {
-		t.Fatal("empty matrix must report 0, not NaN")
-	}
-	if m.Recall(0) != 0 {
-		t.Fatal("class with no samples must have recall 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad observation")
-		}
-	}()
-	m.Observe(0, 5)
-}
-
 func TestAUCRounds(t *testing.T) {
 	// Constant 0.5 accuracy => AUC 0.5.
 	c := mkCurve("x",

@@ -1,11 +1,7 @@
 package model
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
 	"gsfl/internal/nn"
 	"gsfl/internal/tensor"
@@ -44,79 +40,6 @@ func StateOf(s *nn.Sequential) SnapshotState {
 // SnapshotFromState validates a serialized snapshot and rebuilds it.
 func SnapshotFromState(st SnapshotState) (Snapshot, error) {
 	return fromCheckpoint(st.Tensors)
-}
-
-// checkpointFile is the on-disk layout: a format version plus the
-// client- and server-half parameters.
-type checkpointFile struct {
-	Version int
-	Cut     int
-	Client  []TensorState
-	Server  []TensorState
-}
-
-// checkpointVersion guards against reading incompatible files.
-const checkpointVersion = 1
-
-// SaveCheckpoint writes both halves of the model to w.
-func SaveCheckpoint(w io.Writer, client, server Snapshot, cut int) error {
-	cf := checkpointFile{
-		Version: checkpointVersion,
-		Cut:     cut,
-		Client:  toCheckpoint(client),
-		Server:  toCheckpoint(server),
-	}
-	if err := gob.NewEncoder(w).Encode(cf); err != nil {
-		return fmt.Errorf("model: encoding checkpoint: %w", err)
-	}
-	return nil
-}
-
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint.
-func LoadCheckpoint(r io.Reader) (client, server Snapshot, cut int, err error) {
-	var cf checkpointFile
-	if err := gob.NewDecoder(r).Decode(&cf); err != nil {
-		return Snapshot{}, Snapshot{}, 0, fmt.Errorf("model: decoding checkpoint: %w", err)
-	}
-	if cf.Version != checkpointVersion {
-		return Snapshot{}, Snapshot{}, 0, fmt.Errorf("model: checkpoint version %d, want %d", cf.Version, checkpointVersion)
-	}
-	c, err := fromCheckpoint(cf.Client)
-	if err != nil {
-		return Snapshot{}, Snapshot{}, 0, err
-	}
-	s, err := fromCheckpoint(cf.Server)
-	if err != nil {
-		return Snapshot{}, Snapshot{}, 0, err
-	}
-	return c, s, cf.Cut, nil
-}
-
-// SaveCheckpointFile writes a checkpoint to path, creating parent
-// directories.
-func SaveCheckpointFile(path string, client, server Snapshot, cut int) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("model: creating checkpoint directory: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("model: creating checkpoint: %w", err)
-	}
-	defer f.Close()
-	if err := SaveCheckpoint(f, client, server, cut); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadCheckpointFile reads a checkpoint from path.
-func LoadCheckpointFile(path string) (client, server Snapshot, cut int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Snapshot{}, Snapshot{}, 0, fmt.Errorf("model: opening checkpoint: %w", err)
-	}
-	defer f.Close()
-	return LoadCheckpoint(f)
 }
 
 func toCheckpoint(s Snapshot) []TensorState {

@@ -1,76 +1,10 @@
 package model
 
 import (
-	"bytes"
-	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"gsfl/internal/tensor"
 )
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	arch := MLP(6, 5, 3)
-	m := arch.NewSplit(rand.New(rand.NewSource(1)), MLPDefaultCut)
-	client := TakeSnapshot(m.Client)
-	server := TakeSnapshot(m.Server)
-
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, client, server, MLPDefaultCut); err != nil {
-		t.Fatal(err)
-	}
-	c2, s2, cut, err := LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut != MLPDefaultCut {
-		t.Fatalf("cut = %d, want %d", cut, MLPDefaultCut)
-	}
-	if client.L2Distance(c2) != 0 || server.L2Distance(s2) != 0 {
-		t.Fatal("checkpoint round trip changed parameters")
-	}
-}
-
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	arch := GTSRBCNN(16, 43)
-	m := arch.NewSplit(rand.New(rand.NewSource(2)), GTSRBCNNDefaultCut)
-	client := TakeSnapshot(m.Client)
-	server := TakeSnapshot(m.Server)
-
-	path := filepath.Join(t.TempDir(), "ckpt", "model.gob")
-	if err := SaveCheckpointFile(path, client, server, GTSRBCNNDefaultCut); err != nil {
-		t.Fatal(err)
-	}
-	c2, s2, cut, err := LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut != GTSRBCNNDefaultCut {
-		t.Fatalf("cut = %d", cut)
-	}
-	// Restoring into a fresh model must reproduce identical behaviour.
-	fresh := arch.NewSplit(rand.New(rand.NewSource(99)), GTSRBCNNDefaultCut)
-	c2.Restore(fresh.Client)
-	s2.Restore(fresh.Server)
-	if TakeSnapshot(fresh.Client).L2Distance(client) != 0 {
-		t.Fatal("restored client half differs")
-	}
-	if TakeSnapshot(fresh.Server).L2Distance(server) != 0 {
-		t.Fatal("restored server half differs")
-	}
-}
-
-func TestCheckpointRejectsGarbage(t *testing.T) {
-	if _, _, _, err := LoadCheckpoint(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("expected decode error")
-	}
-}
-
-func TestCheckpointMissingFile(t *testing.T) {
-	if _, _, _, err := LoadCheckpointFile(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Fatal("expected open error")
-	}
-}
 
 func TestSnapshotStateRoundTrip(t *testing.T) {
 	sn := Snapshot{Tensors: []*tensor.Tensor{

@@ -58,7 +58,7 @@ func New(env *schemes.Env) (*Trainer, error) {
 	t := &Trainer{
 		env:           env,
 		m:             env.Arch.NewSplit(env.Rng("init", 0), 0),
-		opt:           env.NewOptimizer(),
+		opt:           env.Hyper.NewOptimizer(),
 		loader:        data.NewLoader(pooled, env.Hyper.Batch, env.Arch.InShape, env.Rng("loader", 0)),
 		stepsPerRound: env.Fleet.N() * env.Hyper.StepsPerClient,
 	}

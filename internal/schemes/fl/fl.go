@@ -76,7 +76,7 @@ func New(env *schemes.Env) (*Trainer, error) {
 	t.caps = make([]model.Snapshot, n)
 	for ci := 0; ci < n; ci++ {
 		t.locals[ci] = env.Arch.NewSplit(env.Rng("local", ci), fullCut)
-		t.opts[ci] = env.NewOptimizer()
+		t.opts[ci] = env.Hyper.NewOptimizer()
 		t.loaders[ci] = data.NewLoader(env.Train[ci], env.Hyper.Batch, env.Arch.InShape, env.Rng("loader", ci))
 		t.weights[ci] = float64(env.Train[ci].Len())
 	}

@@ -15,8 +15,10 @@ func TestTurnLatencyPipelinedNeverSlower(t *testing.T) {
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
 	var plain, piped simnet.Ledger
 	// Use generous bandwidth so transfer jitter cannot flip the ordering.
-	schemes.TurnLatency(env, m, 0, 8, 6, 5e6, 5e6, false, &plain)
-	schemes.TurnLatency(env, m, 0, 8, 6, 5e6, 5e6, true, &piped)
+	for s := 0; s < 6; s++ {
+		schemes.StepLatency(env, m, 0, 8, 5e6, 5e6, &plain)
+	}
+	schemes.TurnLatency(env, m, 0, 8, 6, 5e6, 5e6, &piped)
 	if piped.Total() > plain.Total()*1.05 {
 		t.Fatalf("pipelined turn %v slower than sequential %v", piped.Total(), plain.Total())
 	}
@@ -29,7 +31,7 @@ func TestTurnLatencySingleStepEquivalent(t *testing.T) {
 	env := schemestest.NewEnv(21, 4, 30)
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
 	var led simnet.Ledger
-	schemes.TurnLatency(env, m, 0, 8, 1, 5e6, 5e6, true, &led)
+	schemes.TurnLatency(env, m, 0, 8, 1, 5e6, 5e6, &led)
 	for _, c := range []simnet.Component{
 		simnet.ClientCompute, simnet.Uplink, simnet.ServerCompute, simnet.Downlink,
 	} {
@@ -42,7 +44,7 @@ func TestTurnLatencySingleStepEquivalent(t *testing.T) {
 func TestTurnLatencyValidation(t *testing.T) {
 	env := schemestest.NewEnv(22, 4, 30)
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
-	if err := schemes.TurnLatency(env, m, 0, 8, 0, 1e6, 1e6, true, &simnet.Ledger{}); err == nil {
+	if err := schemes.TurnLatency(env, m, 0, 8, 0, 1e6, 1e6, &simnet.Ledger{}); err == nil {
 		t.Fatal("expected error for zero steps")
 	}
 }
@@ -51,7 +53,7 @@ func TestQuantizedSplitStepStillLearns(t *testing.T) {
 	env := schemestest.NewEnv(23, 4, 60)
 	env.Hyper.QuantizeTransfers = true
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
-	cOpt, sOpt := env.NewOptimizer(), env.NewOptimizer()
+	cOpt, sOpt := env.Hyper.NewOptimizer(), env.Hyper.NewOptimizer()
 	batch := data.All(env.Train[0], env.Arch.InShape)
 	var last float64
 	first := math.Inf(1)

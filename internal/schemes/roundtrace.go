@@ -8,8 +8,9 @@ import (
 )
 
 // RoundTrace adapts one training round onto the execution tracer's
-// virtual clock. Each parallel ledger (a GSFL group, an FL/SFL client,
-// the single SL/CL chain) gets its own lane starting at the round's
+// virtual clock. Each parallel ledger (a group of the split-round
+// engine — SL has one, SplitFed N — an FL client, the CL chain) gets
+// its own lane starting at the round's
 // virtual start time; the ledger's Add observer turns every latency
 // contribution into a phase span on that lane, so the trace shows
 // exactly what the latency model priced, in pricing order. End emits
@@ -101,14 +102,6 @@ func (rt *RoundTrace) EndSlot(led *simnet.Ledger) {
 		return
 	}
 	rt.lanes[led].End()
-}
-
-// Instant drops a marker with a note on led's lane at its cursor.
-func (rt *RoundTrace) Instant(led *simnet.Ledger, name, note string) {
-	if rt == nil {
-		return
-	}
-	rt.lanes[led].Instant(name, "mark", note)
 }
 
 // End detaches every lane, emits the round's critical-path span on the

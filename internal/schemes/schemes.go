@@ -1,7 +1,9 @@
 // Package schemes defines the environment and trainer contract shared by
 // every distributed-learning scheme in the reproduction: the paper's
-// GSFL (internal/gsfl) and the benchmark schemes CL, SL, FL, and SplitFed
-// (internal/schemes/{cl,sl,fl,sfl}).
+// GSFL together with the split baselines SL and SplitFed it contains as
+// M=1 and M=N (all three are registrations of internal/gsfl's one round
+// engine), and the genuinely different baselines CL and FL
+// (internal/schemes/{cl,fl}).
 //
 // A scheme consumes an Env — the fleet, the wireless channel, the
 // per-client datasets, the architecture and cut layer, and the training
@@ -27,7 +29,6 @@ import (
 	"gsfl/internal/data"
 	"gsfl/internal/device"
 	"gsfl/internal/loss"
-	"gsfl/internal/metrics"
 	"gsfl/internal/model"
 	"gsfl/internal/nn"
 	"gsfl/internal/optim"
@@ -185,14 +186,20 @@ func (e *Env) Validate() error {
 }
 
 // NewOptimizer builds the scheme-standard SGD from the hyperparameters.
-func (e *Env) NewOptimizer() *optim.SGD {
-	opt := optim.NewSGDMomentum(e.Hyper.LR, e.Hyper.Momentum)
-	opt.ClipNorm = e.Hyper.ClipNorm
-	if e.Hyper.LRDecayEvery > 0 {
-		opt.Schedule = optim.StepDecayLR(e.Hyper.LR, e.Hyper.LRDecayFactor, e.Hyper.LRDecayEvery)
+// It is the one constructor both execution substrates share: the
+// optimizer-step sequence is part of the simulator-vs-TCP byte-identity
+// contract.
+func (h Hyper) NewOptimizer() *optim.SGD {
+	opt := optim.NewSGDMomentum(h.LR, h.Momentum)
+	opt.ClipNorm = h.ClipNorm
+	if h.LRDecayEvery > 0 {
+		opt.Schedule = optim.StepDecayLR(h.LR, h.LRDecayFactor, h.LRDecayEvery)
 	}
 	return opt
 }
+
+// NewOptimizer is e.Hyper.NewOptimizer (the name internal/bench calls).
+func (e *Env) NewOptimizer() *optim.SGD { return e.Hyper.NewOptimizer() }
 
 // DeriveSeed maps (seed, purpose, k) to the seed of the named RNG
 // stream. It is the one definition both execution substrates share: the
@@ -246,9 +253,9 @@ type Trainer interface {
 // never allocate huge activations.
 const EvalChunk = 256
 
-// evalPool recycles the evaluation chunk buffers across Evaluate and
-// EvaluateConfusion calls (batch-shaped temporaries with no owning
-// workspace — exactly what tensor.Pool exists for).
+// evalPool recycles the evaluation chunk buffers across Evaluate calls
+// (batch-shaped temporaries with no owning workspace — exactly what
+// tensor.Pool exists for).
 var evalPool tensor.Pool
 
 // Evaluate runs the split model over the test set in chunks and returns
@@ -382,26 +389,20 @@ func StepLatency(e *Env, m *model.SplitModel, ci, batchN int, upHz, downHz float
 	led.Add(simnet.Downlink, e.Channel.TransferSeconds(ci, m.GradBytesWith(batchN, w), downHz, false))
 }
 
-// TurnLatency prices a whole client turn of `steps` mini-batches.
-// Without pipelining it is steps independent StepLatency charges. With
-// pipelining (the "parallel design" of the paper's reference [2]), the
-// four stages — client compute, uplink, server compute, downlink —
-// overlap across consecutive batches, so after a one-step warm-up the
-// turn advances at the pace of its slowest stage:
+// TurnLatency prices a whole pipelined client turn of `steps`
+// mini-batches (a non-pipelined turn is steps independent StepLatency
+// charges). With pipelining (the "parallel design" of the paper's
+// reference [2]), the four stages — client compute, uplink, server
+// compute, downlink — overlap across consecutive batches, so after a
+// one-step warm-up the turn advances at the pace of its slowest stage:
 //
 //	turn = (t_client + t_up + t_srv + t_down) + (steps-1) * max(stages)
 //
 // The warm-up charges each component once; the steady-state remainder is
 // attributed to the bottleneck component.
-func TurnLatency(e *Env, m *model.SplitModel, ci, batchN, steps int, upHz, downHz float64, pipelined bool, led *simnet.Ledger) error {
+func TurnLatency(e *Env, m *model.SplitModel, ci, batchN, steps int, upHz, downHz float64, led *simnet.Ledger) error {
 	if steps <= 0 {
 		return fmt.Errorf("schemes: turn needs positive steps, got %d", steps)
-	}
-	if !pipelined {
-		for s := 0; s < steps; s++ {
-			StepLatency(e, m, ci, batchN, upHz, downHz, led)
-		}
-		return nil
 	}
 	client := e.Fleet.Clients[ci]
 	b := int64(batchN)
@@ -441,34 +442,4 @@ func RelayLatency(e *Env, m *model.SplitModel, from, to int, upHz, downHz float6
 func AggregationLatency(e *Env, nModels, paramCount int, led *simnet.Ledger) {
 	flops := int64(2) * int64(nModels) * int64(paramCount)
 	led.Add(simnet.Aggregation, e.Fleet.Server.ComputeSeconds(flops))
-}
-
-// EvaluateConfusion runs the split model over the test set and returns
-// the full confusion matrix — per-class recall matters on GTSRB, where
-// rare sign classes are exactly the safety-critical ones.
-func EvaluateConfusion(m *model.SplitModel, test data.Dataset, inShape []int) *metrics.ConfusionMatrix {
-	cm := metrics.NewConfusionMatrix(test.Classes())
-	n := test.Len()
-	for lo := 0; lo < n; lo += EvalChunk {
-		hi := lo + EvalChunk
-		if hi > n {
-			hi = n
-		}
-		cnt := hi - lo
-		shape := append([]int{cnt}, inShape...)
-		x := evalPool.Get(shape...)
-		y := make([]int, cnt)
-		per := x.Size() / cnt
-		for i := lo; i < hi; i++ {
-			f, label := test.Sample(i)
-			copy(x.Data[(i-lo)*per:(i-lo+1)*per], f)
-			y[i-lo] = label
-		}
-		logits := m.Forward(x, false)
-		for i, p := range logits.ArgMaxRows() {
-			cm.Observe(y[i], p)
-		}
-		evalPool.Put(x)
-	}
-	return cm
 }

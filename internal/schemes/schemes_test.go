@@ -85,7 +85,7 @@ func TestEvaluateMatchesDirectComputation(t *testing.T) {
 func TestSplitStepReducesLoss(t *testing.T) {
 	env := schemestest.NewEnv(3, 4, 50)
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
-	cOpt, sOpt := env.NewOptimizer(), env.NewOptimizer()
+	cOpt, sOpt := env.Hyper.NewOptimizer(), env.Hyper.NewOptimizer()
 
 	// Train on a fixed batch; the loss on that batch must fall.
 	batch := data.All(env.Train[0], env.Arch.InShape)
@@ -146,28 +146,6 @@ func TestEvaluateHonoursCancellation(t *testing.T) {
 	}
 }
 
-func TestEvaluateConfusionConsistentWithEvaluate(t *testing.T) {
-	env := schemestest.NewEnv(9, 4, 30)
-	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
-	ev, err := schemes.Evaluate(context.Background(), m, env.Test, env.Arch.InShape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := schemes.EvaluateConfusion(m, env.Test, env.Arch.InShape)
-	if cm.Accuracy() != ev.Accuracy {
-		t.Fatalf("confusion accuracy %v != scalar accuracy %v", cm.Accuracy(), ev.Accuracy)
-	}
-	total := 0
-	for c := 0; c < schemestest.BlobClasses; c++ {
-		for p := 0; p < schemestest.BlobClasses; p++ {
-			total += cm.Count(c, p)
-		}
-	}
-	if total != env.Test.Len() {
-		t.Fatalf("confusion matrix covers %d samples, want %d", total, env.Test.Len())
-	}
-}
-
 func TestLRDecayValidation(t *testing.T) {
 	h := schemes.Hyper{Batch: 8, StepsPerClient: 2, LR: 0.1, LRDecayFactor: 0.5}
 	if err := h.Validate(); err == nil {
@@ -187,7 +165,7 @@ func TestLRDecayScheduleApplied(t *testing.T) {
 	env := schemestest.NewEnv(30, 4, 30)
 	env.Hyper.LRDecayFactor = 0.5
 	env.Hyper.LRDecayEvery = 1
-	opt := env.NewOptimizer()
+	opt := env.Hyper.NewOptimizer()
 	// Two steps on a unit gradient: first at LR, second at LR/2.
 	p := tensorOf(0)
 	g := tensorOf(1)

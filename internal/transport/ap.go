@@ -107,18 +107,6 @@ var phaseNames = []string{
 	phaseWriteGradient, phaseReadReturn,
 }
 
-// newOptimizer mirrors schemes.Env.NewOptimizer for the transport
-// configs: same constructor, same clipping, same decay schedule — the
-// optimizer-step sequence is part of the byte-identity contract.
-func newOptimizer(lr, momentum, clipNorm, decayFactor float64, decayEvery int) *optim.SGD {
-	opt := optim.NewSGDMomentum(lr, momentum)
-	opt.ClipNorm = clipNorm
-	if decayEvery > 0 {
-		opt.Schedule = optim.StepDecayLR(lr, decayFactor, decayEvery)
-	}
-	return opt
-}
-
 // RoundStats reports what one network round actually did — the
 // load-bearing counterpart of the simulator's latency ledger.
 type RoundStats struct {
@@ -354,8 +342,9 @@ func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
 		rep := cfg.Arch.NewSplit(rand.New(rand.NewSource(schemes.DeriveSeed(cfg.Seed, "replica", g))), cfg.Cut)
 		ap.groupRTs[g] = &groupRT{
 			server: rep.Server,
-			opt:    newOptimizer(cfg.LR, cfg.Momentum, cfg.ClipNorm, cfg.LRDecayFactor, cfg.LRDecayEvery),
-			track:  cfg.Tracer.Lane("ap", fmt.Sprintf("group %d", g)),
+			opt: schemes.Hyper{LR: cfg.LR, Momentum: cfg.Momentum, ClipNorm: cfg.ClipNorm,
+				LRDecayFactor: cfg.LRDecayFactor, LRDecayEvery: cfg.LRDecayEvery}.NewOptimizer(),
+			track: cfg.Tracer.Lane("ap", fmt.Sprintf("group %d", g)),
 		}
 	}
 

@@ -106,7 +106,8 @@ func NewClientConn(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		fc:   newFrameConn(conn, cfg.MaxFrameBytes),
 		// Structure only; parameters are overwritten by each train frame.
 		half: cfg.Arch.NewSplit(rand.New(rand.NewSource(cfg.Seed)), cfg.Cut),
-		opt:  newOptimizer(cfg.LR, cfg.Momentum, cfg.ClipNorm, cfg.LRDecayFactor, cfg.LRDecayEvery),
+		opt: schemes.Hyper{LR: cfg.LR, Momentum: cfg.Momentum, ClipNorm: cfg.ClipNorm,
+			LRDecayFactor: cfg.LRDecayFactor, LRDecayEvery: cfg.LRDecayEvery}.NewOptimizer(),
 		loader: data.NewLoader(cfg.Train, cfg.Batch, cfg.Arch.InShape,
 			rand.New(rand.NewSource(schemes.DeriveSeed(cfg.Seed, "loader", cfg.ID)))),
 	}

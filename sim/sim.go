@@ -40,13 +40,11 @@ import (
 	"gsfl/internal/simnet"
 
 	// The built-in schemes self-register into the registry from their
-	// init functions; importing gsfl/sim therefore makes all five
-	// available by name.
+	// init functions (internal/gsfl registers gsfl, sl and sfl);
+	// importing gsfl/sim therefore makes all five available by name.
 	_ "gsfl/internal/gsfl"
 	_ "gsfl/internal/schemes/cl"
 	_ "gsfl/internal/schemes/fl"
-	_ "gsfl/internal/schemes/sfl"
-	_ "gsfl/internal/schemes/sl"
 )
 
 // Aliases re-export the contract types so callers of the run API need
