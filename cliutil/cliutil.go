@@ -1,7 +1,7 @@
 // Package cliutil holds the flag vocabulary shared by the harness CLIs
-// (gsfl-sim, gsfl-bench, gsfl-sweep): the environment knobs every
-// command exposes (-alloc, -strategy, -arch, -numeric, -workers), the -scale
-// presets mapping to experiment specs, and the -list registry dump.
+// (gsfl-sim, gsfl-sweep): the environment knobs every command exposes
+// (-alloc, -strategy, -arch, -numeric, -workers), the -scale presets
+// mapping to experiment specs, and the -list registry dump.
 // Centralizing them keeps the commands' help text, accepted tokens, and
 // defaults identical.
 //

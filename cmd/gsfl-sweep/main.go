@@ -1,13 +1,17 @@
 // Command gsfl-sweep runs experiment grids through the concurrent,
-// resumable sweep engine (gsfl/sweep).
+// resumable sweep engine (gsfl/sweep). It is the one producer of the
+// paper's figures and tables.
 //
 // A sweep is either a named paper experiment (-exp fig2a, -exp grouping,
-// …, -exp all — the same grids gsfl-bench regenerates figures from) or a
-// custom grid file (-grid grid.json). Results land in a store directory
-// (-out): a JSON-lines manifest (one record per completed job: identity,
-// final accuracy, virtual-latency breakdown, curve points) plus one
-// curve CSV per job. For named experiments the figure/table CSVs are
-// folded and written into the store directory as well.
+// …, -exp all — the catalogue in gsfl/sweep) or a custom grid file
+// (-grid grid.json). Results land in a store directory (-out): a
+// JSON-lines manifest (one record per completed job: identity, final
+// accuracy, virtual-latency breakdown, curve points) plus one curve CSV
+// per job. For named experiments the figure/table CSVs are folded and
+// written into the store directory as well (README.md, "Which experiment
+// regenerates which paper result", maps each -exp name to its CSVs;
+// -exp all writes all 17). table3 and validate train nothing: alone they
+// write their CSV without opening a store.
 //
 // Sweeps are resumable: with -resume, jobs already recorded in the
 // manifest are skipped, and jobs killed mid-run continue from their sim
@@ -55,6 +59,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"gsfl/cliutil"
@@ -76,7 +81,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("gsfl-sweep", flag.ContinueOnError)
 	var (
 		gridFile  = fs.String("grid", "", "JSON grid file to sweep (mutually exclusive with -exp)")
-		exp       = fs.String("exp", "", "named experiment grid(s): fig2a|fig2b|table1|table2|cutlayer|grouping|resalloc|pipeline|quant|dropout|noniid|popsample|seeds|numeric|all")
+		exp       = fs.String("exp", "", "named experiment(s): "+strings.Join(sweep.ExperimentNames(), "|")+"|all")
 		scale     = fs.String("scale", "test", "base spec scale: test|medium|paper")
 		outDir    = fs.String("out", "results/sweep", "store directory (manifest, curves, checkpoints)")
 		jobs      = fs.Int("jobs", 0, "jobs trained concurrently (0 = GOMAXPROCS)")
@@ -141,16 +146,17 @@ func run(ctx context.Context, args []string) error {
 			r = *rounds
 		}
 		catalogue := sweep.GridExperiments(spec, r, sc.EvalEvery, sc.Target)
-		known := map[string]bool{"all": true}
-		for _, e := range catalogue {
-			known[e.Name] = true
-		}
-		if !known[*exp] {
-			return fmt.Errorf("unknown experiment %q", *exp)
-		}
 		if sel, err = sweep.SelectGridExperiments(catalogue, *exp); err != nil {
 			return err
 		}
+	}
+	saved := func(name string, cells int) {
+		fmt.Printf("%-10s folded (%d cells)\n", name, cells)
+	}
+	if len(sel.Jobs) == 0 {
+		// table3 / validate alone: nothing to train, so no store,
+		// scheduler or fleet — the fold computes the table from the spec.
+		return sel.Save(*outDir, nil, saved)
 	}
 
 	if !*resume && sweep.StoreExists(*outDir) {
@@ -198,9 +204,7 @@ func run(ctx context.Context, args []string) error {
 	fmt.Printf("sweep complete: %d jobs (%d unique) in %v; store: %s\n",
 		len(sel.Jobs), store.Len(), time.Since(start).Round(time.Millisecond), *outDir)
 
-	return sel.Save(*outDir, results, func(name string, cells int) {
-		fmt.Printf("%-10s folded (%d cells)\n", name, cells)
-	})
+	return sel.Save(*outDir, results, saved)
 }
 
 // runWorker joins a fleet coordinator and executes leased jobs until

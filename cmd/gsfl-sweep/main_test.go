@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gsfl/sweep"
 )
 
 func TestRunNamedExperiment(t *testing.T) {
@@ -67,11 +69,97 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(context.Background(), []string{"-grid", "x.json", "-exp", "fig2a"}); err == nil {
 		t.Fatal("expected error when both -grid and -exp are given")
 	}
-	if err := run(context.Background(), []string{"-exp", "bogus", "-out", t.TempDir() + "/s"}); err == nil {
-		t.Fatal("expected error for unknown experiment")
-	}
+}
+
+func TestRunRejectsBadScale(t *testing.T) {
 	if err := run(context.Background(), []string{"-exp", "fig2a", "-scale", "bogus"}); err == nil {
 		t.Fatal("expected error for unknown scale")
+	}
+}
+
+// TestRunRejectsUnknownExperiment: the error is the catalogue's, names
+// what -exp accepts, and arrives before any store is created.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "s")
+	err := run(context.Background(), []string{"-exp", "bogus", "-scale", "test", "-out", dir})
+	if err == nil || !strings.Contains(err.Error(), "validate") {
+		t.Fatalf("expected an unknown-experiment error listing the catalogue, got %v", err)
+	}
+	if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+		t.Fatalf("unknown -exp left a store behind: %v", statErr)
+	}
+}
+
+// TestRunSingleExperiments runs every -exp name alone at test scale with
+// very few rounds and checks its CSV set. table3 and validate have no
+// jobs: they must write their CSV without opening a store — so they
+// leave no manifest, and run again into the same directory without
+// -resume.
+func TestRunSingleExperiments(t *testing.T) {
+	cases := map[string][]string{
+		"fig2a":     {"fig2a.csv"},
+		"fig2b":     {"fig2b.csv"},
+		"table1":    {"table1.csv", "table1_curves.csv"},
+		"table2":    {"table2.csv"},
+		"table3":    {"table3.csv"},
+		"cutlayer":  {"ablation_cutlayer.csv"},
+		"grouping":  {"ablation_grouping.csv"},
+		"resalloc":  {"ablation_resalloc.csv"},
+		"pipeline":  {"ablation_pipeline.csv"},
+		"quant":     {"ablation_quant.csv"},
+		"dropout":   {"ablation_dropout.csv"},
+		"noniid":    {"ablation_noniid.csv"},
+		"popsample": {"popsample.csv"},
+		"seeds":     {"seed_variance.csv"},
+		"numeric":   {"numeric.csv"},
+		"validate":  {"latency_model_validation.csv"},
+	}
+	if len(cases) != len(sweep.ExperimentNames()) {
+		t.Fatalf("%d cases for catalogue %v", len(cases), sweep.ExperimentNames())
+	}
+	for exp, files := range cases {
+		t.Run(exp, func(t *testing.T) {
+			dir := t.TempDir()
+			args := []string{"-exp", exp, "-scale", "test", "-rounds", "2", "-quiet", "-out", dir}
+			if err := run(context.Background(), args); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+					t.Fatalf("missing artifact %s: %v", f, err)
+				}
+			}
+			if exp == "table3" || exp == "validate" {
+				if sweep.StoreExists(dir) {
+					t.Fatal("a zero-job experiment opened a store")
+				}
+				if err := run(context.Background(), args); err != nil {
+					t.Fatalf("second run into the same directory: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// TestRunJobsEquivalence pins the figure contract: the CSVs are
+// byte-identical at -jobs 1 (the serial reference) and at -jobs 4.
+func TestRunJobsEquivalence(t *testing.T) {
+	dirSerial, dirJobs := t.TempDir(), t.TempDir()
+	for dir, jobs := range map[string]string{dirSerial: "1", dirJobs: "4"} {
+		if err := run(context.Background(), []string{"-exp", "fig2a", "-scale", "test", "-rounds", "2", "-jobs", jobs, "-quiet", "-out", dir}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := os.ReadFile(filepath.Join(dirSerial, "fig2a.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dirJobs, "fig2a.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("fig2a.csv differs between -jobs 1 and -jobs 4:\n%s\nvs\n%s", a, b)
 	}
 }
 

@@ -55,19 +55,20 @@
 // Entry points: cmd/gsfl-sim runs one scheme through the run API
 // (streaming table or JSON-lines output, checkpoint/resume, population
 // sampling via -population/-sample-fraction with live gauges on
-// -metrics, -list for the registries), cmd/gsfl-bench regenerates the
-// paper's figures and tables as CSV (concurrently with -jobs N,
-// byte-identical at any N), cmd/gsfl-sweep runs named or custom experiment grids through the
-// sweep engine (concurrent, resumable, kill-safe; grid files may patch
-// any env.Spec field; -serve/-worker fan the grid across machines
-// through gsfl/fleet), cmd/gsfl-datagen renders synthetic GTSRB
-// samples, and cmd/gsfl-ap with cmd/gsfl-client run GSFL as real TCP
-// processes — all of them, like the examples, built exclusively on the
-// public packages. internal/benchmarks exposes one testing.B benchmark
-// per experiment plus serial-vs-parallel speedup benchmarks. README.md
-// covers usage (including migration notes for the pre-registry entry
-// points and the env.Spec migration); docs/ARCHITECTURE.md covers the
-// layer structure, the environment API and its registries, the run API
-// and its checkpoint contract, the latency model, and the parallel
-// execution engine's determinism contract.
+// -metrics, -list for the registries), cmd/gsfl-sweep runs named or
+// custom experiment grids through the sweep engine (concurrent,
+// resumable, kill-safe; grid files may patch any env.Spec field;
+// -serve/-worker fan the grid across machines through gsfl/fleet) and
+// is the one producer of the paper's figures and tables (-exp <name>
+// folds the catalogue's CSVs, byte-identical at any -jobs),
+// cmd/gsfl-datagen renders synthetic GTSRB samples, and cmd/gsfl-ap
+// with cmd/gsfl-client run GSFL as real TCP processes — all of them,
+// like the examples, built exclusively on the public packages.
+// internal/bench is the performance benchmark (bash
+// internal/bench/run.sh). README.md covers usage (including migration
+// notes for the pre-registry entry points and the env.Spec migration);
+// docs/ARCHITECTURE.md covers the layer structure, the environment API
+// and its registries, the run API and its checkpoint contract, the
+// latency model, and the parallel execution engine's determinism
+// contract.
 package gsfl

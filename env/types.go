@@ -109,10 +109,3 @@ func NewChannel(cfg WirelessConfig, n int, seed int64) *Channel {
 func PartitionIID(ds Dataset, n int, rng Rng) []*Subset {
 	return partition.IID(ds, n, rng)
 }
-
-// PartitionDirichlet splits ds across n clients with class proportions
-// drawn from Dir(alpha); small alpha produces highly skewed non-IID
-// clients.
-func PartitionDirichlet(ds Dataset, n int, alpha float64, rng Rng) []*Subset {
-	return partition.Dirichlet(ds, n, alpha, rng)
-}

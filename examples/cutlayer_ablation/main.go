@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -40,19 +41,29 @@ func main() {
 
 	// Dynamic sweep: train GSFL briefly at several cuts and compare the
 	// realized round latency.
-	cuts := []int{1, 3, 6, 9}
+	grid := sweep.Grid{
+		Name: "cutlayer", Base: spec, Rounds: 8, EvalEvery: 4,
+		Axes: sweep.Axes{Cuts: []int{1, 3, 6, 9}},
+	}
 	fmt.Println("\ntraining GSFL at each cut (8 rounds each)...")
-	res, err := sweep.RunAblationCutLayer(spec, cuts, 8, 4)
+	jobs, err := grid.Jobs()
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := (&sweep.Scheduler{Jobs: 1}).Run(context.Background(), jobs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%4s %16s %14s\n", "cut", "round latency", "accuracy")
-	best := res[0]
-	for _, r := range res {
-		fmt.Printf("%4d %15.4fs %13.2f%%\n", r.Cut, r.RoundLatency, r.FinalAccuracy*100)
-		if r.RoundLatency < best.RoundLatency {
-			best = r
+	bestCut, bestLatency := 0, 0.0
+	for i, r := range results {
+		// The curve's last point carries the cumulative simulated latency.
+		last := r.Curve.Points[len(r.Curve.Points)-1]
+		latency := last.LatencySeconds / float64(r.Job.Rounds)
+		fmt.Printf("%4d %15.4fs %13.2f%%\n", r.Job.Spec.Cut, latency, r.Curve.FinalAccuracy()*100)
+		if i == 0 || latency < bestLatency {
+			bestCut, bestLatency = r.Job.Spec.Cut, latency
 		}
 	}
-	fmt.Printf("\nfastest round latency at cut %d — the latency-optimal split for this fleet\n", best.Cut)
+	fmt.Printf("\nfastest round latency at cut %d — the latency-optimal split for this fleet\n", bestCut)
 }

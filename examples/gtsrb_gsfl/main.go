@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -32,9 +33,21 @@ func main() {
 	spec.Hyper.Batch = 8
 
 	fmt.Printf("running Fig. 2(a): CL vs SL vs GSFL vs FL, %d rounds each...\n", *rounds)
-	curves, err := sweep.RunFig2a(spec, *rounds, 4)
+	grid := sweep.Grid{
+		Name: "fig2a", Base: spec, Rounds: *rounds, EvalEvery: 4,
+		Axes: sweep.Axes{Schemes: []string{"cl", "sl", "gsfl", "fl"}},
+	}
+	jobs, err := grid.Jobs()
 	if err != nil {
 		log.Fatal(err)
+	}
+	results, err := (&sweep.Scheduler{Jobs: 1}).Run(context.Background(), jobs, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	curves := make([]*sim.Curve, len(results))
+	for i, r := range results {
+		curves[i] = r.Curve
 	}
 
 	fmt.Printf("\n%-6s %8s %14s %10s\n", "scheme", "round", "latency(s)", "accuracy")

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,16 +51,25 @@ func main() {
 
 	// Then measure realized GSFL round latency under each policy.
 	fmt.Println("\nGSFL mean round latency per policy (6 rounds):")
-	res, err := sweep.RunAblationAllocation(spec, 6)
+	grid := sweep.Grid{
+		Name: "resalloc", Base: spec, Rounds: 6, EvalEvery: 6,
+		Axes: sweep.Axes{Allocators: []string{"uniform", "proportional-fair", "latency-min"}},
+	}
+	jobs, err := grid.Jobs()
 	if err != nil {
 		log.Fatal(err)
 	}
-	best := res[0]
-	for _, r := range res {
-		fmt.Printf("  %-18s %.4fs\n", r.Allocator, r.RoundLatency)
-		if r.RoundLatency < best.RoundLatency {
-			best = r
+	results, err := (&sweep.Scheduler{Jobs: 1}).Run(context.Background(), jobs, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	best, bestLatency := "", 0.0
+	for i, r := range results {
+		latency := r.TotalSeconds / float64(r.Job.Rounds)
+		fmt.Printf("  %-18s %.4fs\n", r.Job.Spec.Alloc, latency)
+		if i == 0 || latency < bestLatency {
+			best, bestLatency = r.Job.Spec.Alloc, latency
 		}
 	}
-	fmt.Printf("\nbest policy for this fleet: %s\n", best.Allocator)
+	fmt.Printf("\nbest policy for this fleet: %s\n", best)
 }

@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"gsfl/env"
 	"gsfl/fleet"
-	"gsfl/internal/experiment"
 	"gsfl/internal/transport"
 	"gsfl/sweep"
 )
@@ -44,7 +44,7 @@ func TestMain(m *testing.M) {
 // testGrid is a small 2x2 grid over the CI spec: 4 jobs, 3 rounds each.
 func testGrid() sweep.Grid {
 	return sweep.Grid{
-		Name: "t", Base: experiment.TestSpec(), Rounds: 3, EvalEvery: 1,
+		Name: "t", Base: env.TestSpec(), Rounds: 3, EvalEvery: 1,
 		Axes: sweep.Axes{
 			Groups:  []int{1, 2},
 			Schemes: []string{"gsfl", "sl"},

@@ -105,14 +105,3 @@ func (f *Fleet) Capacities() []float64 {
 	}
 	return out
 }
-
-// SlowestClient returns the index of the lowest-capacity client.
-func (f *Fleet) SlowestClient() int {
-	slowest := 0
-	for i, c := range f.Clients {
-		if c.FLOPS < f.Clients[slowest].FLOPS {
-			slowest = i
-		}
-	}
-	return slowest
-}

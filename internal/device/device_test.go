@@ -95,13 +95,6 @@ func TestCapacities(t *testing.T) {
 	}
 }
 
-func TestSlowestClient(t *testing.T) {
-	f := &Fleet{Clients: []Device{{FLOPS: 5}, {FLOPS: 1}, {FLOPS: 3}}}
-	if got := f.SlowestClient(); got != 1 {
-		t.Fatalf("SlowestClient = %d, want 1", got)
-	}
-}
-
 func TestNewFleetValidation(t *testing.T) {
 	mustPanic := func(name string, cfg Config) {
 		t.Helper()

@@ -1,76 +1,23 @@
 // Package experiment is the paper-reproduction harness: it declares the
-// figures, tables, and ablations as experiment grids over environment
-// specs, runs them, and folds the results into the paper's CSVs.
+// figures, tables, and ablations as one catalogue of experiments over
+// environment specs, and folds their jobs' results into the paper's
+// CSVs.
 //
-// Environment construction lives in the public gsfl/env package — this
-// package is a thin consumer: its Spec is an alias of env.Spec, Build
-// delegates to env.Build, and the extension points (allocators,
-// grouping strategies, datasets, architectures) resolve through the
-// env registries. What remains here is the harness itself: the Grid
-// expansion with stable job content hashes (grid.go), the catalogue of
-// paper experiments and their folds (grids.go), and the Run* reference
-// wrappers (figures.go, extensions.go).
+// Environment construction lives in the public gsfl/env package — Spec
+// is an alias of env.Spec, worlds come from env.Build, and the
+// extension points (allocators, grouping strategies, datasets,
+// architectures) resolve through the env registries. What lives here is
+// the harness itself: the Grid expansion with stable job content hashes
+// and the single job executor (grid.go), and the catalogue of paper
+// experiments with their folds (grids.go; table3.go and validation.go
+// hold the two entries that train nothing). cmd/gsfl-sweep -exp is the
+// catalogue's only runner.
 package experiment
 
-import (
-	"context"
-
-	"gsfl/env"
-	"gsfl/internal/metrics"
-	"gsfl/internal/schemes"
-	"gsfl/sim"
-)
+import "gsfl/env"
 
 // Spec describes one experimental configuration; it is the public
 // env.Spec (fully JSON-serializable, extension points by registered
-// name). The zero value is not usable; start from PaperSpec or TestSpec
-// and override.
+// name). The zero value is not usable; start from env.PaperSpec or
+// env.TestSpec and override.
 type Spec = env.Spec
-
-// PaperSpec is the configuration of Section III: 30 clients, 6 groups,
-// GTSRB-scale images, mildly non-IID data.
-func PaperSpec() Spec { return env.PaperSpec() }
-
-// TestSpec is a minimal configuration for fast CI runs: 6 clients in 2
-// groups on 8x8 images.
-func TestSpec() Spec { return env.TestSpec() }
-
-// Build materializes the Spec into a schemes.Env via the public
-// environment builder.
-func Build(spec Spec) (*schemes.Env, error) { return env.Build(spec) }
-
-// NewTrainer instantiates the named scheme over a fresh env built from
-// spec, through the gsfl/sim registry (see sim.Schemes for the
-// recognized names).
-func NewTrainer(spec Spec, scheme string) (schemes.Trainer, error) {
-	world, err := Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := spec.SchemeOptions()
-	if err != nil {
-		return nil, err
-	}
-	return sim.New(scheme, world, opts)
-}
-
-// RunScheme builds the named scheme and trains it for the given number
-// of rounds, evaluating every evalEvery rounds. It is a convenience
-// wrapper over the run API; drive sim.NewRunner directly for streaming
-// events, cancellation, or checkpointing.
-func RunScheme(spec Spec, scheme string, rounds, evalEvery int) (*metrics.Curve, error) {
-	tr, err := NewTrainer(spec, scheme)
-	if err != nil {
-		return nil, err
-	}
-	return runCurve(tr, rounds, evalEvery)
-}
-
-// runCurve drives a trainer to a finished curve — the harness-internal
-// shorthand for a Runner with no observers.
-func runCurve(tr schemes.Trainer, rounds, evalEvery int) (*metrics.Curve, error) {
-	return sim.NewRunner(tr,
-		sim.WithRounds(rounds),
-		sim.WithEvalEvery(evalEvery),
-	).Run(context.Background())
-}

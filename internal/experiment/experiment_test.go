@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
+	"gsfl/env"
 	"gsfl/internal/gsfl"
 	"gsfl/internal/metrics"
 	"gsfl/internal/partition"
@@ -11,19 +13,37 @@ import (
 	"gsfl/internal/schemes/schemestest"
 )
 
-func TestBuildProducesValidEnv(t *testing.T) {
-	env, err := Build(TestSpec())
+// runGrid expands and executes a grid serially, in job order — the
+// one-worker reference execution every concurrent schedule must match
+// bit-for-bit.
+func runGrid(t *testing.T, g Grid) []JobResult {
+	t.Helper()
+	jobs, err := g.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := env.Validate(); err != nil {
+	out := make([]JobResult, len(jobs))
+	for i, j := range jobs {
+		if out[i], err = RunJob(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func TestBuildProducesValidEnv(t *testing.T) {
+	world, err := env.Build(env.TestSpec())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(env.Train) != 6 {
-		t.Fatalf("train partitions = %d", len(env.Train))
+	if err := world.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(world.Train) != 6 {
+		t.Fatalf("train partitions = %d", len(world.Train))
 	}
 	total := 0
-	for _, d := range env.Train {
+	for _, d := range world.Train {
 		total += d.Len()
 	}
 	if total != 6*40 {
@@ -32,14 +52,14 @@ func TestBuildProducesValidEnv(t *testing.T) {
 }
 
 func TestBuildIIDWhenAlphaZero(t *testing.T) {
-	spec := TestSpec()
+	spec := env.TestSpec()
 	spec.Alpha = 0
-	env, err := Build(spec)
+	world, err := env.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// IID split: every client has the same sample count (240/6 = 40).
-	for i, d := range env.Train {
+	for i, d := range world.Train {
 		if d.Len() != 40 {
 			t.Fatalf("client %d has %d samples under IID", i, d.Len())
 		}
@@ -47,60 +67,25 @@ func TestBuildIIDWhenAlphaZero(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	bad := TestSpec()
+	bad := env.TestSpec()
 	bad.Groups = 100
-	if _, err := Build(bad); err == nil {
+	if _, err := env.Build(bad); err == nil {
 		t.Fatal("expected error for M > N")
 	}
-	bad2 := TestSpec()
+	bad2 := env.TestSpec()
 	bad2.Alloc = ""
-	if _, err := Build(bad2); err == nil {
+	if _, err := env.Build(bad2); err == nil {
 		t.Fatal("expected error for missing allocator")
 	}
-	bad3 := TestSpec()
+	bad3 := env.TestSpec()
 	bad3.Alloc = "no-such-policy"
-	if _, err := Build(bad3); err == nil {
+	if _, err := env.Build(bad3); err == nil {
 		t.Fatal("expected error for unknown allocator")
 	}
 }
 
-func TestNewTrainerAllSchemes(t *testing.T) {
-	for _, scheme := range []string{"gsfl", "sl", "fl", "cl", "sfl"} {
-		tr, err := NewTrainer(TestSpec(), scheme)
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if tr.Name() != scheme {
-			t.Fatalf("trainer name %q, want %q", tr.Name(), scheme)
-		}
-	}
-	if _, err := NewTrainer(TestSpec(), "bogus"); err == nil {
-		t.Fatal("expected error for unknown scheme")
-	}
-}
-
-func TestRunSchemeDeterministic(t *testing.T) {
-	spec := TestSpec()
-	c1, err := RunScheme(spec, "gsfl", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := RunScheme(spec, "gsfl", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range c1.Points {
-		if c1.Points[i] != c2.Points[i] {
-			t.Fatalf("nondeterministic experiment at point %d", i)
-		}
-	}
-}
-
 func TestFig2aShape(t *testing.T) {
-	curves, err := RunFig2a(TestSpec(), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := FoldCurves(runGrid(t, Fig2aGrid(env.TestSpec(), 3, 1)))
 	if len(curves) != 4 {
 		t.Fatalf("fig2a needs 4 curves, got %d", len(curves))
 	}
@@ -122,10 +107,7 @@ func TestFig2bLatencyOrdering(t *testing.T) {
 	// The paper's headline: GSFL accumulates training latency more slowly
 	// than SL. At any common round index, GSFL's cumulative latency must
 	// be lower.
-	curves, err := RunFig2b(TestSpec(), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := FoldCurves(runGrid(t, Fig2bGrid(env.TestSpec(), 3, 1)))
 	var gsflC, slC *metrics.Curve
 	for _, c := range curves {
 		switch c.Scheme {
@@ -145,10 +127,7 @@ func TestFig2bLatencyOrdering(t *testing.T) {
 }
 
 func TestTable2LatencyBreakdown(t *testing.T) {
-	tbl, err := RunTable2(TestSpec(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := FoldTable2(runGrid(t, Table2Grid(env.TestSpec(), 2)))
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("table2 rows = %d, want 5 schemes", len(tbl.Rows))
 	}
@@ -170,7 +149,7 @@ func TestTable2LatencyBreakdown(t *testing.T) {
 }
 
 func TestTable3StorageOrdering(t *testing.T) {
-	tbl, err := RunTable3(TestSpec())
+	tbl, err := RunTable3(env.TestSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +194,7 @@ func TestConvergenceGSFLFasterThanFLInRounds(t *testing.T) {
 }
 
 func TestAblationCutLayer(t *testing.T) {
-	spec := TestSpec()
-	res, err := RunAblationCutLayer(spec, []int{1, 3, 6}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := FoldCutLayer(runGrid(t, CutLayerGrid(env.TestSpec(), []int{1, 3, 6}, 2, 1)))
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -237,12 +212,8 @@ func TestAblationCutLayer(t *testing.T) {
 }
 
 func TestAblationGrouping(t *testing.T) {
-	spec := TestSpec()
-	res, err := RunAblationGrouping(spec, []int{1, 3},
-		[]string{"round-robin"}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := FoldGrouping(runGrid(t, GroupingGrid(env.TestSpec(), []int{1, 3},
+		[]string{"round-robin"}, 2, 1)))
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -253,10 +224,7 @@ func TestAblationGrouping(t *testing.T) {
 }
 
 func TestAblationAllocation(t *testing.T) {
-	res, err := RunAblationAllocation(TestSpec(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := FoldAllocation(runGrid(t, AllocationGrid(env.TestSpec(), 2)))
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -278,10 +246,8 @@ func TestTable1Structure(t *testing.T) {
 	// Table 1 at tiny scale: just verify structure and that every scheme
 	// appears (convergence itself is covered by the blob test above and
 	// the full-scale bench).
-	tbl, curves, err := RunTable1(TestSpec(), 2, 1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := FoldCurves(runGrid(t, Fig2aGrid(env.TestSpec(), 2, 1)))
+	tbl := FoldTable1(curves, 0.9)
 	if len(tbl.Rows) != 4 || len(curves) != 4 {
 		t.Fatalf("rows=%d curves=%d", len(tbl.Rows), len(curves))
 	}

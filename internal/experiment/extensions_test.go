@@ -1,12 +1,13 @@
 package experiment
 
-import "testing"
+import (
+	"testing"
+
+	"gsfl/env"
+)
 
 func TestAblationPipelining(t *testing.T) {
-	res, err := RunAblationPipelining(TestSpec(), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := FoldPipelining(runGrid(t, PipelineGrid(env.TestSpec(), 3, 1)))
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -30,10 +31,7 @@ func TestAblationPipelining(t *testing.T) {
 }
 
 func TestAblationQuantization(t *testing.T) {
-	res, err := RunAblationQuantization(TestSpec(), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := FoldQuantization(runGrid(t, QuantGrid(env.TestSpec(), 3, 1)))
 	var full, quant QuantResult
 	for _, r := range res {
 		if r.Quantized {
@@ -51,10 +49,7 @@ func TestAblationQuantization(t *testing.T) {
 }
 
 func TestAblationDropoutSweep(t *testing.T) {
-	res, err := RunAblationDropout(TestSpec(), []float64{0, 0.3}, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := FoldDropout(runGrid(t, DropoutGrid(env.TestSpec(), []float64{0, 0.3}, 3, 1)))
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -65,10 +60,7 @@ func TestAblationDropoutSweep(t *testing.T) {
 }
 
 func TestAblationNonIID(t *testing.T) {
-	res, err := RunAblationNonIID(TestSpec(), []float64{0.1, 10}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := FoldNonIID(runGrid(t, NonIIDGrid(env.TestSpec(), []float64{0.1, 10}, 2, 1)))
 	if len(res) != 4 { // 2 alphas x 2 schemes
 		t.Fatalf("got %d results", len(res))
 	}
@@ -83,10 +75,7 @@ func TestAblationNonIID(t *testing.T) {
 }
 
 func TestSeedSweepStats(t *testing.T) {
-	st, err := RunSeedSweep(TestSpec(), "gsfl", 3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := FoldSeedStats(runGrid(t, SeedSweepGrid(env.TestSpec(), "gsfl", 3, 2, 1)))
 	if st.Seeds != 3 || st.Scheme != "gsfl" {
 		t.Fatalf("stats header wrong: %+v", st)
 	}
@@ -98,14 +87,8 @@ func TestSeedSweepStats(t *testing.T) {
 	}
 }
 
-func TestSeedSweepValidation(t *testing.T) {
-	if _, err := RunSeedSweep(TestSpec(), "gsfl", 0, 1, 1); err == nil {
-		t.Fatal("expected error for zero seeds")
-	}
-}
-
 func TestValidationEventDriven(t *testing.T) {
-	res, err := RunValidationEventDriven(TestSpec())
+	res, err := RunValidationEventDriven(env.TestSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

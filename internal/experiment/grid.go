@@ -457,8 +457,8 @@ func resultObserver(res *JobResult) sim.RunOption {
 // RunJob executes one cell from scratch: build the world, construct the
 // scheme, drive the Runner. Extra options (observers, checkpointing)
 // are appended to the job's own rounds/cadence configuration. This is
-// the single job-execution path shared by the serial harness (RunGrid)
-// and the concurrent scheduler (gsfl/sweep).
+// the single job-execution path: gsfl/sweep's scheduler and the fleet
+// workers both reach it through sweep's runJob.
 func RunJob(ctx context.Context, j Job, opts ...sim.RunOption) (JobResult, error) {
 	// The numeric mode is a process-global kernel switch: hold it for
 	// the job's duration so concurrent same-mode jobs proceed together
@@ -468,7 +468,7 @@ func RunJob(ctx context.Context, j Job, opts ...sim.RunOption) (JobResult, error
 		return JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
 	}
 	defer release()
-	world, err := Build(j.Spec)
+	world, err := env.Build(j.Spec)
 	if err != nil {
 		return JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
 	}
@@ -507,7 +507,7 @@ func ResumeJob(ctx context.Context, j Job, ckptPath string, prior simnet.Ledger,
 		return JobResult{}, 0, fmt.Errorf("experiment: job %s: %w", j.Name, err)
 	}
 	defer release()
-	world, err := Build(j.Spec)
+	world, err := env.Build(j.Spec)
 	if err != nil {
 		return JobResult{}, 0, fmt.Errorf("experiment: job %s: %w", j.Name, err)
 	}
@@ -530,22 +530,4 @@ func ResumeJob(ctx context.Context, j Job, ckptPath string, prior simnet.Ledger,
 		return JobResult{}, startRound, fmt.Errorf("experiment: job %s: %w", j.Name, err)
 	}
 	return res, startRound, nil
-}
-
-// RunGrid expands and executes a grid serially, in job order — the
-// one-worker reference execution every concurrent schedule must match
-// bit-for-bit. Use gsfl/sweep's Scheduler to run the same jobs
-// concurrently with a store, resume, and progress events.
-func RunGrid(ctx context.Context, g Grid) ([]JobResult, error) {
-	jobs, err := g.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]JobResult, len(jobs))
-	for i, j := range jobs {
-		if out[i], err = RunJob(ctx, j); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"gsfl/env"
+	"gsfl/sim"
 )
 
 func TestGridJobsExpansionOrder(t *testing.T) {
-	spec := TestSpec()
+	spec := env.TestSpec()
 	g := Grid{
 		Name: "demo", Base: spec, Rounds: 4, EvalEvery: 2,
 		Axes: Axes{
@@ -44,7 +47,7 @@ func TestGridJobsExpansionOrder(t *testing.T) {
 
 func TestGridSingleValueAxesOmittedFromNames(t *testing.T) {
 	g := Grid{
-		Name: "solo", Base: TestSpec(), Rounds: 2, EvalEvery: 1,
+		Name: "solo", Base: env.TestSpec(), Rounds: 2, EvalEvery: 1,
 		Axes: Axes{Cuts: []int{3}, Schemes: []string{"sl"}},
 	}
 	jobs, err := g.Jobs()
@@ -57,7 +60,7 @@ func TestGridSingleValueAxesOmittedFromNames(t *testing.T) {
 }
 
 func TestGridDefaultsToGSFL(t *testing.T) {
-	g := Grid{Name: "d", Base: TestSpec(), Rounds: 2, EvalEvery: 1, Axes: Axes{Cuts: []int{1, 3}}}
+	g := Grid{Name: "d", Base: env.TestSpec(), Rounds: 2, EvalEvery: 1, Axes: Axes{Cuts: []int{1, 3}}}
 	jobs, err := g.Jobs()
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +73,7 @@ func TestGridDefaultsToGSFL(t *testing.T) {
 }
 
 func TestJobIDsStableAndContentSensitive(t *testing.T) {
-	g := Fig2aGrid(TestSpec(), 4, 2)
+	g := Fig2aGrid(env.TestSpec(), 4, 2)
 	a, err := g.Jobs()
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +119,11 @@ func TestJobIDsStableAndContentSensitive(t *testing.T) {
 func TestGridOverlapSharesIDs(t *testing.T) {
 	// fig2b's cells are a subset of fig2a's; equal cells must hash equal
 	// so schedulers deduplicate across experiments.
-	a, err := Fig2aGrid(TestSpec(), 4, 2).Jobs()
+	a, err := Fig2aGrid(env.TestSpec(), 4, 2).Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig2bGrid(TestSpec(), 4, 2).Jobs()
+	b, err := Fig2bGrid(env.TestSpec(), 4, 2).Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +139,13 @@ func TestGridOverlapSharesIDs(t *testing.T) {
 }
 
 func TestGridJobsValidation(t *testing.T) {
-	if _, err := (Grid{Name: "x", Base: TestSpec(), EvalEvery: 1}).Jobs(); err == nil {
+	if _, err := (Grid{Name: "x", Base: env.TestSpec(), EvalEvery: 1}).Jobs(); err == nil {
 		t.Fatal("expected error for zero rounds")
 	}
-	if _, err := (Grid{Name: "x", Base: TestSpec(), Rounds: 2}).Jobs(); err == nil {
+	if _, err := (Grid{Name: "x", Base: env.TestSpec(), Rounds: 2}).Jobs(); err == nil {
 		t.Fatal("expected error for zero eval cadence")
 	}
-	bad := Grid{Name: "x", Base: TestSpec(), Rounds: 2, EvalEvery: 1, Axes: Axes{Strategies: []string{"bogus"}}}
+	bad := Grid{Name: "x", Base: env.TestSpec(), Rounds: 2, EvalEvery: 1, Axes: Axes{Strategies: []string{"bogus"}}}
 	if _, err := bad.Jobs(); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("expected strategy parse error, got %v", err)
 	}
@@ -152,11 +155,25 @@ func TestGridJobsValidation(t *testing.T) {
 	}
 }
 
-// TestRunJobMatchesRunScheme pins the single-job executor to the
-// historical convenience wrapper: same spec, same curve.
-func TestRunJobMatchesRunScheme(t *testing.T) {
-	spec := TestSpec()
-	want, err := RunScheme(spec, "sl", 2, 1)
+// TestRunJobMatchesDirectRunner pins the single-job executor to the run
+// API it wraps: the same spec driven through env.Build, sim.New and a
+// bare sim.Runner gives the same curve, so RunJob's accumulating
+// observer perturbs nothing.
+func TestRunJobMatchesDirectRunner(t *testing.T) {
+	spec := env.TestSpec()
+	world, err := env.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := spec.SchemeOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.New("sl", world, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.NewRunner(tr, sim.WithRounds(2), sim.WithEvalEvery(1)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +215,7 @@ func TestDefaultGroupCounts(t *testing.T) {
 // canonicalized onto the expanded jobs, so folds and stores record one
 // spelling per extension.
 func TestJobSpecsCarryCanonicalNames(t *testing.T) {
-	base := TestSpec()
+	base := env.TestSpec()
 	base.Alloc = "propfair"
 	base.Strategy = "balanced"
 	g := Grid{Name: "alias-base", Base: base, Rounds: 2, EvalEvery: 1, Axes: Axes{}}

@@ -3,6 +3,8 @@ package experiment
 import (
 	"fmt"
 	"testing"
+
+	"gsfl/env"
 )
 
 // goldenJobIDs pins the content-hash ID of every cell in the paper
@@ -88,7 +90,7 @@ var goldenJobIDs = []string{
 // compares every (experiment, id, name) triple against the pinned
 // pre-migration values.
 func TestGridIDStabilityAcrossSpecMigration(t *testing.T) {
-	spec := TestSpec()
+	spec := env.TestSpec()
 	var got []string
 	for _, e := range GridExperiments(spec, 3, 2, 0.3) {
 		jobs, err := e.Jobs()
@@ -115,7 +117,7 @@ func TestGridIDStabilityAcrossSpecMigration(t *testing.T) {
 func TestGridIDAliasCanonicalization(t *testing.T) {
 	mk := func(strategy, alloc string) string {
 		g := Grid{
-			Name: "alias", Base: TestSpec(), Rounds: 2, EvalEvery: 1,
+			Name: "alias", Base: env.TestSpec(), Rounds: 2, EvalEvery: 1,
 			Axes: Axes{Strategies: []string{strategy}, Allocators: []string{alloc}},
 		}
 		jobs, err := g.Jobs()
@@ -138,7 +140,7 @@ func TestGridIDAliasCanonicalization(t *testing.T) {
 // produce distinct IDs.
 func TestGridIDDefaultExtensionsKeepHistoricalHash(t *testing.T) {
 	id := func(mutate func(*Spec)) string {
-		s := TestSpec()
+		s := env.TestSpec()
 		mutate(&s)
 		g := Grid{Name: "x", Base: s, Rounds: 2, EvalEvery: 1, Axes: Axes{}}
 		jobs, err := g.Jobs()

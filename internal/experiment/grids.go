@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 
 	"gsfl/env"
 	"gsfl/internal/metrics"
@@ -14,11 +15,11 @@ import (
 )
 
 // This file declares the paper's figures, tables, and ablations as
-// Grids plus pure folds over the expanded jobs' results. The Run*
-// wrappers in figures.go and extensions.go execute them serially;
-// cmd/gsfl-bench and cmd/gsfl-sweep run the same grids concurrently
-// through gsfl/sweep's scheduler and apply the same folds, so one-worker
-// and N-worker harnesses produce byte-identical CSVs.
+// Grids plus pure folds over the expanded jobs' results, and lists them
+// in one catalogue (GridExperiments). cmd/gsfl-sweep -exp runs the
+// catalogue's jobs through gsfl/sweep's scheduler (or a fleet) and
+// applies the folds; results come back in job order, so any -jobs value
+// produces byte-identical CSVs.
 
 // Fig2aGrid sweeps the four schemes of Fig. 2(a).
 func Fig2aGrid(spec Spec, rounds, evalEvery int) Grid {
@@ -309,6 +310,17 @@ func lastLatency(c *metrics.Curve) float64 {
 	return c.Points[len(c.Points)-1].LatencySeconds
 }
 
+// CutLayerResult is one row of the cut-layer ablation (A1): the split
+// index (future work §IV) against smashed-data size, client-model size,
+// mean round latency and final accuracy.
+type CutLayerResult struct {
+	Cut           int
+	SmashedBytes  int64
+	ClientBytes   int64
+	RoundLatency  float64
+	FinalAccuracy float64
+}
+
 // FoldCutLayer derives the cut-layer ablation rows from each cell's
 // curve plus a data-free architecture probe.
 func FoldCutLayer(res []JobResult) []CutLayerResult {
@@ -327,6 +339,15 @@ func FoldCutLayer(res []JobResult) []CutLayerResult {
 	return out
 }
 
+// GroupingResult is one row of the grouping ablation (A2). Strategy is
+// the canonical registry name.
+type GroupingResult struct {
+	Groups        int
+	Strategy      string
+	RoundLatency  float64
+	FinalAccuracy float64
+}
+
 // FoldGrouping derives the grouping ablation rows.
 func FoldGrouping(res []JobResult) []GroupingResult {
 	out := make([]GroupingResult, 0, len(res))
@@ -339,6 +360,12 @@ func FoldGrouping(res []JobResult) []GroupingResult {
 		})
 	}
 	return out
+}
+
+// AllocationResult is one row of the resource-allocation ablation (A3).
+type AllocationResult struct {
+	Allocator    string
+	RoundLatency float64
 }
 
 // FoldAllocation derives the allocation ablation rows from the summed
@@ -356,6 +383,17 @@ func FoldAllocation(res []JobResult) []AllocationResult {
 	return out
 }
 
+// PipelineResult is one row of the communication/computation-overlap
+// ablation (the "parallel design" of the paper's reference [2]).
+// Training numerics are identical with and without overlap; only the
+// latency model changes, so the accuracy columns match and the latency
+// column favours pipelining.
+type PipelineResult struct {
+	Pipelined     bool
+	RoundLatency  float64
+	FinalAccuracy float64
+}
+
 // FoldPipelining derives the pipelining ablation rows.
 func FoldPipelining(res []JobResult) []PipelineResult {
 	out := make([]PipelineResult, 0, len(res))
@@ -367,6 +405,15 @@ func FoldPipelining(res []JobResult) []PipelineResult {
 		})
 	}
 	return out
+}
+
+// QuantResult is one row of the transfer-precision ablation: float32
+// wire against 8-bit quantized smashed-data/gradient transfers (4x less
+// traffic versus whatever accuracy the precision loss costs).
+type QuantResult struct {
+	Quantized     bool
+	RoundLatency  float64
+	FinalAccuracy float64
 }
 
 // FoldQuantization derives the transfer-precision ablation rows.
@@ -382,6 +429,13 @@ func FoldQuantization(res []JobResult) []QuantResult {
 	return out
 }
 
+// DropoutResult is one row of the client-dropout robustness sweep.
+type DropoutResult struct {
+	DropoutProb   float64
+	RoundLatency  float64
+	FinalAccuracy float64
+}
+
 // FoldDropout derives the dropout robustness rows.
 func FoldDropout(res []JobResult) []DropoutResult {
 	out := make([]DropoutResult, 0, len(res))
@@ -393,6 +447,17 @@ func FoldDropout(res []JobResult) []DropoutResult {
 		})
 	}
 	return out
+}
+
+// NonIIDResult is one row of the data-heterogeneity sweep over the
+// Dirichlet concentration alpha (small = highly skewed client data) for
+// GSFL and FL.
+type NonIIDResult struct {
+	Alpha         float64
+	Scheme        string
+	FinalAccuracy float64
+	RoundsToHalf  int // rounds to 50% accuracy
+	ReachedHalf   bool
 }
 
 // FoldNonIID derives the heterogeneity sweep rows.
@@ -409,6 +474,18 @@ func FoldNonIID(res []JobResult) []NonIIDResult {
 		})
 	}
 	return out
+}
+
+// SeedStats summarizes a scheme's final accuracy across seeds — the
+// variance bar a credible reproduction publishes alongside point
+// estimates.
+type SeedStats struct {
+	Scheme   string
+	Seeds    int
+	MeanAcc  float64
+	StdAcc   float64
+	WorstAcc float64
+	BestAcc  float64
 }
 
 // FoldSeedStats summarizes a seed sweep's final accuracies.
@@ -453,16 +530,17 @@ func DefaultGroupCounts(n int) []int {
 	return out
 }
 
-// GridExperiment is one named figure/table whose cells come from one or
-// more Grids and whose output files come from folding the cells'
-// results. Both harness CLIs (gsfl-bench, gsfl-sweep) iterate this
-// catalogue, so they regenerate identical CSVs from identical jobs.
+// GridExperiment is one named figure/table whose cells come from zero
+// or more Grids and whose output files come from folding the cells'
+// results. The catalogue of these (GridExperiments) is the single
+// description of every paper artifact.
 type GridExperiment struct {
 	// Name is the -exp token ("fig2a", "grouping", …).
 	Name string
 	// Grids expand (concatenated, in order) into the experiment's jobs.
 	// Most experiments are a single grid; the seed-variance study is one
-	// seed grid per scheme.
+	// seed grid per scheme; table3 and validate train nothing and have
+	// none.
 	Grids []Grid
 	// Save folds the results (in job order, aligned with Jobs()) and
 	// writes the experiment's CSV file(s) under outDir.
@@ -484,20 +562,30 @@ func (e GridExperiment) Jobs() ([]Job, error) {
 
 // GridSelection is a resolved -exp choice: the selected experiments,
 // their concatenated job list, and the bookkeeping to slice scheduler
-// results back per experiment. Both harness CLIs (gsfl-bench,
-// gsfl-sweep) build and consume one, so the job concatenation and the
-// result slicing — which the byte-identical-CSV contract depends on —
-// have a single implementation.
+// results back per experiment.
 type GridSelection struct {
 	Experiments []GridExperiment
 	Jobs        []Job
 	counts      []int // Jobs per experiment, aligned with Experiments
 }
 
+// ExperimentNames lists the catalogue's -exp tokens in canonical order
+// (without "all"), for flag usage text.
+func ExperimentNames() []string {
+	return names(GridExperiments(Spec{}, 0, 0, 0))
+}
+
+func names(catalogue []GridExperiment) []string {
+	out := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		out[i] = e.Name
+	}
+	return out
+}
+
 // SelectGridExperiments filters the catalogue by an -exp token ("all"
-// selects everything) and expands the chosen grids. Tokens matching no
-// catalogue entry yield an empty selection; callers validate the token
-// against their own accepted set first.
+// selects everything) and expands the chosen grids. A token matching no
+// catalogue entry is an error naming the accepted ones.
 func SelectGridExperiments(catalogue []GridExperiment, name string) (GridSelection, error) {
 	var sel GridSelection
 	for _, e := range catalogue {
@@ -511,6 +599,9 @@ func SelectGridExperiments(catalogue []GridExperiment, name string) (GridSelecti
 		sel.Experiments = append(sel.Experiments, e)
 		sel.counts = append(sel.counts, len(js))
 		sel.Jobs = append(sel.Jobs, js...)
+	}
+	if len(sel.Experiments) == 0 {
+		return GridSelection{}, fmt.Errorf("unknown experiment %q (have: %s, all)", name, strings.Join(names(catalogue), ", "))
 	}
 	return sel, nil
 }
@@ -537,10 +628,11 @@ func (s GridSelection) Save(outDir string, results []JobResult, saved func(name 
 	return nil
 }
 
-// GridExperiments catalogues every grid-backed experiment at the given
-// scale parameters, in the harness's canonical order. Table 3 (storage
+// GridExperiments catalogues every paper experiment at the given scale
+// parameters, in the harness's canonical order. Table 3 (storage
 // accounting) and the event-driven latency validation run no training
-// rounds and stay outside the catalogue.
+// rounds: they are entries without grids whose Save computes the table
+// from spec.
 func GridExperiments(spec Spec, rounds, evalEvery int, target float64) []GridExperiment {
 	return []GridExperiment{
 		{
@@ -573,6 +665,16 @@ func GridExperiments(spec Spec, rounds, evalEvery int, target float64) []GridExp
 			Grids: []Grid{Table2Grid(spec, rounds)},
 			Save: func(outDir string, res []JobResult) error {
 				return FoldTable2(res).SaveCSV(filepath.Join(outDir, "table2.csv"))
+			},
+		},
+		{
+			Name: "table3",
+			Save: func(outDir string, _ []JobResult) error {
+				tbl, err := RunTable3(spec)
+				if err != nil {
+					return err
+				}
+				return tbl.SaveCSV(filepath.Join(outDir, "table3.csv"))
 			},
 		},
 		{
@@ -746,6 +848,23 @@ func GridExperiments(spec Spec, rounds, evalEvery int, target float64) []GridExp
 					})
 				}
 				return tbl.SaveCSV(filepath.Join(outDir, "numeric.csv"))
+			},
+		},
+		{
+			Name: "validate",
+			Save: func(outDir string, _ []JobResult) error {
+				res, err := RunValidationEventDriven(spec)
+				if err != nil {
+					return err
+				}
+				tbl := trace.NewTable("latency-model-validation",
+					"analytic_s", "event_driven_s", "relative_gap")
+				tbl.Add(trace.Row{
+					"analytic_s":     fmt.Sprintf("%.4f", res.AnalyticSeconds),
+					"event_driven_s": fmt.Sprintf("%.4f", res.EventDrivenSeconds),
+					"relative_gap":   fmt.Sprintf("%+.4f", res.RelativeGap),
+				})
+				return tbl.SaveCSV(filepath.Join(outDir, "latency_model_validation.csv"))
 			},
 		},
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"gsfl/env"
 )
 
 // TestNumericGridFastWithinGoldenTolerance executes the numeric study's
@@ -18,7 +20,7 @@ import (
 //     absolute band. On hardware without FMA the fast kernels fall back
 //     to the exact ones and the band is trivially met.
 func TestNumericGridFastWithinGoldenTolerance(t *testing.T) {
-	spec := TestSpec()
+	spec := env.TestSpec()
 	jobs, err := NumericGrid(spec, []string{"exact", "fast"}, 3, 1).Jobs()
 	if err != nil {
 		t.Fatal(err)

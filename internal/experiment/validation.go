@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"gsfl/env"
 	"gsfl/internal/gsfl"
 	"gsfl/internal/simnet"
 )
@@ -33,7 +34,7 @@ func RunValidationEventDriven(spec Spec) (ValidationResult, error) {
 	spec.Wireless.FadingJitter = 0
 	spec.Wireless.OutageProb = 0
 
-	world, err := Build(spec)
+	world, err := env.Build(spec)
 	if err != nil {
 		return ValidationResult{}, err
 	}
@@ -54,7 +55,7 @@ func RunValidationEventDriven(spec Spec) (ValidationResult, error) {
 	// Rebuild the same round's task structure as event-sim chains. The
 	// model quantities (FLOPs, bytes) are identical by construction; only
 	// the bandwidth-sharing discipline differs.
-	env2, err := Build(spec)
+	env2, err := env.Build(spec)
 	if err != nil {
 		return ValidationResult{}, err
 	}

@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Point is one evaluation on a training curve.
@@ -85,54 +84,6 @@ func (c *Curve) LatencyToAccuracy(target float64) (float64, bool) {
 	return 0, false
 }
 
-// MovingAverage returns a copy of the curve with accuracy smoothed over a
-// trailing window — the standard presentation for noisy SGD curves.
-func (c *Curve) MovingAverage(window int) *Curve {
-	if window <= 0 {
-		panic(fmt.Sprintf("metrics: window %d must be positive", window))
-	}
-	out := &Curve{Scheme: c.Scheme, Points: make([]Point, len(c.Points))}
-	for i, p := range c.Points {
-		lo := i - window + 1
-		if lo < 0 {
-			lo = 0
-		}
-		accSum, lossSum := 0.0, 0.0
-		for _, q := range c.Points[lo : i+1] {
-			accSum += q.Accuracy
-			lossSum += q.Loss
-		}
-		n := float64(i - lo + 1)
-		p.Accuracy = accSum / n
-		p.Loss = lossSum / n
-		out.Points[i] = p
-	}
-	return out
-}
-
-// AccuracyAtLatency interpolates the curve's accuracy at time t, clamping
-// to the curve's endpoints. Used to compare schemes at a common latency
-// budget.
-func (c *Curve) AccuracyAtLatency(t float64) float64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	pts := c.Points
-	if t <= pts[0].LatencySeconds {
-		return pts[0].Accuracy
-	}
-	if t >= pts[len(pts)-1].LatencySeconds {
-		return pts[len(pts)-1].Accuracy
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].LatencySeconds >= t })
-	a, b := pts[i-1], pts[i]
-	if b.LatencySeconds == a.LatencySeconds {
-		return b.Accuracy
-	}
-	frac := (t - a.LatencySeconds) / (b.LatencySeconds - a.LatencySeconds)
-	return a.Accuracy + frac*(b.Accuracy-a.Accuracy)
-}
-
 // SpeedupVsRounds returns how many times fewer rounds c needs than other
 // to reach target (e.g. 5.0 = "500% improvement in convergence speed").
 // ok is false when either curve never reaches the target.
@@ -154,25 +105,6 @@ func DelayReduction(c, other *Curve, target float64) (reduction float64, ok bool
 		return 0, false
 	}
 	return (lo - lc) / lo, true
-}
-
-// AUCRounds approximates the area under the accuracy-vs-rounds curve via
-// the trapezoid rule, a single-number summary of convergence speed used
-// by the ablation benches.
-func (c *Curve) AUCRounds() float64 {
-	if len(c.Points) < 2 {
-		return 0
-	}
-	area := 0.0
-	for i := 1; i < len(c.Points); i++ {
-		a, b := c.Points[i-1], c.Points[i]
-		area += (a.Accuracy + b.Accuracy) / 2 * float64(b.Round-a.Round)
-	}
-	span := float64(c.Points[len(c.Points)-1].Round - c.Points[0].Round)
-	if span == 0 {
-		return 0
-	}
-	return area / span
 }
 
 // IsFinite reports whether every numeric field of every point is finite;

@@ -84,83 +84,6 @@ func TestDelayReduction(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	c := mkCurve("x",
-		Point{Round: 1, Accuracy: 0.0, Loss: 2},
-		Point{Round: 2, Accuracy: 1.0, Loss: 0},
-		Point{Round: 3, Accuracy: 0.5, Loss: 1},
-	)
-	s := c.MovingAverage(2)
-	want := []float64{0.0, 0.5, 0.75}
-	for i, p := range s.Points {
-		if math.Abs(p.Accuracy-want[i]) > 1e-12 {
-			t.Fatalf("smoothed[%d] = %v, want %v", i, p.Accuracy, want[i])
-		}
-	}
-	// Original untouched.
-	if c.Points[1].Accuracy != 1.0 {
-		t.Fatal("MovingAverage mutated the source curve")
-	}
-}
-
-func TestMovingAverageValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&Curve{}).MovingAverage(0)
-}
-
-func TestAccuracyAtLatencyInterpolation(t *testing.T) {
-	c := mkCurve("x",
-		Point{Round: 1, LatencySeconds: 10, Accuracy: 0.2},
-		Point{Round: 2, LatencySeconds: 20, Accuracy: 0.6},
-	)
-	cases := map[float64]float64{
-		5:  0.2, // clamp low
-		10: 0.2,
-		15: 0.4, // midpoint
-		20: 0.6,
-		99: 0.6, // clamp high
-	}
-	for at, want := range cases {
-		if got := c.AccuracyAtLatency(at); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("AccuracyAtLatency(%v) = %v, want %v", at, got, want)
-		}
-	}
-	if (&Curve{}).AccuracyAtLatency(1) != 0 {
-		t.Fatal("empty curve interpolation must be 0")
-	}
-}
-
-func TestAUCRounds(t *testing.T) {
-	// Constant 0.5 accuracy => AUC 0.5.
-	c := mkCurve("x",
-		Point{Round: 0, Accuracy: 0.5},
-		Point{Round: 10, Accuracy: 0.5},
-	)
-	if a := c.AUCRounds(); math.Abs(a-0.5) > 1e-12 {
-		t.Fatalf("AUC = %v, want 0.5", a)
-	}
-	// Linear 0→1 => AUC 0.5; better curve (fast rise) must score higher.
-	fast := mkCurve("fast",
-		Point{Round: 0, Accuracy: 0},
-		Point{Round: 1, Accuracy: 1},
-		Point{Round: 10, Accuracy: 1},
-	)
-	slow := mkCurve("slow",
-		Point{Round: 0, Accuracy: 0},
-		Point{Round: 10, Accuracy: 1},
-	)
-	if fast.AUCRounds() <= slow.AUCRounds() {
-		t.Fatalf("fast AUC %v must beat slow AUC %v", fast.AUCRounds(), slow.AUCRounds())
-	}
-	if (&Curve{}).AUCRounds() != 0 {
-		t.Fatal("empty AUC must be 0")
-	}
-}
-
 func TestIsFinite(t *testing.T) {
 	good := mkCurve("x", Point{Round: 1, Accuracy: 0.5, Loss: 1})
 	if !good.IsFinite() {

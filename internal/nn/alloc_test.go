@@ -48,16 +48,9 @@ func TestMaxPoolAllocFree(t *testing.T) {
 	layerAllocCase(t, NewMaxPool2D(2), tensor.New(4, 3, 8, 8).RandNormal(rng, 0, 1))
 }
 
-func TestAvgPoolAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	layerAllocCase(t, NewAvgPool2D(2), tensor.New(4, 3, 8, 8).RandNormal(rng, 0, 1))
-}
-
 func TestActivationsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, l := range []Layer{NewReLU(), NewLeakyReLU(0.1), NewTanh(), NewSigmoid()} {
-		layerAllocCase(t, l, tensor.New(8, 32).RandNormal(rng, 0, 1))
-	}
+	layerAllocCase(t, NewReLU(), tensor.New(8, 32).RandNormal(rng, 0, 1))
 }
 
 func TestBatchNormAllocFree(t *testing.T) {

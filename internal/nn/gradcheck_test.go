@@ -123,33 +123,6 @@ func TestReLUGradients(t *testing.T) {
 	checkLayerGradients(t, layer, x, 1e-6)
 }
 
-func TestLeakyReLUGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	layer := NewLeakyReLU(0.1)
-	x := tensor.New(4, 6).RandNormal(rng, 0, 1)
-	x.Apply(func(v float64) float64 {
-		if math.Abs(v) < 0.1 {
-			return v + 0.2
-		}
-		return v
-	})
-	checkLayerGradients(t, layer, x, 1e-6)
-}
-
-func TestTanhGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	layer := NewTanh()
-	x := tensor.New(3, 5).RandNormal(rng, 0, 1)
-	checkLayerGradients(t, layer, x, 1e-6)
-}
-
-func TestSigmoidGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	layer := NewSigmoid()
-	x := tensor.New(3, 5).RandNormal(rng, 0, 1)
-	checkLayerGradients(t, layer, x, 1e-6)
-}
-
 func TestBatchNorm2DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	layer := NewBatchNorm(4)
@@ -228,11 +201,4 @@ func TestSequentialCNNGradients(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestAvgPoolGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	layer := NewAvgPool2D(2)
-	x := tensor.New(2, 2, 4, 4).RandNormal(rng, 0, 1)
-	checkLayerGradients(t, layer, x, 1e-6)
 }

@@ -334,43 +334,5 @@ func TestConstructorValidation(t *testing.T) {
 	mustPanic("conv", func() { NewConv2D(rng, 1, 1, 0, 1, 0) })
 	mustPanic("pool", func() { NewMaxPool2D(0) })
 	mustPanic("dropout", func() { NewDropout(rng, 1.0) })
-	mustPanic("leakyrelu", func() { NewLeakyReLU(1.5) })
 	mustPanic("batchnorm", func() { NewBatchNorm(0) })
-}
-
-func TestAvgPoolKnownValues(t *testing.T) {
-	p := NewAvgPool2D(2)
-	x := tensor.FromSlice([]float64{
-		1, 2, 5, 6,
-		3, 4, 7, 8,
-		8, 0, 2, 2,
-		0, 0, 2, 2,
-	}, 1, 1, 4, 4)
-	y := p.Forward(x, false)
-	want := tensor.FromSlice([]float64{2.5, 6.5, 2, 2}, 1, 1, 2, 2)
-	if !tensor.AllClose(y, want, 1e-12) {
-		t.Fatalf("avgpool = %v, want %v", y, want)
-	}
-}
-
-func TestAvgPoolBackwardSpreadsGradient(t *testing.T) {
-	p := NewAvgPool2D(2)
-	x := tensor.New(1, 1, 2, 2)
-	p.Forward(x, true)
-	dy := tensor.FromSlice([]float64{4}, 1, 1, 1, 1)
-	dx := p.Backward(dy)
-	for _, v := range dx.Data {
-		if v != 1 {
-			t.Fatalf("gradient not spread evenly: %v", dx.Data)
-		}
-	}
-}
-
-func TestAvgPoolValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero window")
-		}
-	}()
-	NewAvgPool2D(0)
 }

@@ -1,9 +1,9 @@
 // Package optim implements the gradient-descent optimizers the training
 // schemes use to update client-side and server-side model halves.
 //
-// An Optimizer owns per-parameter state (momentum buffers, Adam moments)
-// keyed by position, so each model half gets its own optimizer instance;
-// the split schemes create one per server-side replica and one per
+// An Optimizer owns per-parameter state (momentum buffers) keyed by
+// position, so each model half gets its own optimizer instance; the
+// split schemes create one per server-side replica and one per
 // client-side model, mirroring how the paper's AP and clients update
 // their halves independently.
 package optim
@@ -38,19 +38,6 @@ func StepDecayLR(lr, factor float64, interval int) LRSchedule {
 	}
 	return func(step int) float64 {
 		return lr * math.Pow(factor, float64(step/interval))
-	}
-}
-
-// CosineLR anneals from lr to floor over horizon steps, then stays at floor.
-func CosineLR(lr, floor float64, horizon int) LRSchedule {
-	if horizon <= 0 {
-		panic(fmt.Sprintf("optim: CosineLR horizon must be positive, got %d", horizon))
-	}
-	return func(step int) float64 {
-		if step >= horizon {
-			return floor
-		}
-		return floor + (lr-floor)*0.5*(1+math.Cos(math.Pi*float64(step)/float64(horizon)))
 	}
 }
 
@@ -164,59 +151,6 @@ func (s *SGD) Restore(st SGDState) error {
 	s.step = st.Step
 	s.velocity = vel
 	return nil
-}
-
-// Adam implements the Adam optimizer with bias correction.
-type Adam struct {
-	Schedule    LRSchedule
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
-
-	step int
-	m, v []*tensor.Tensor
-}
-
-// NewAdam constructs Adam with the canonical defaults.
-func NewAdam(lr float64) *Adam {
-	return &Adam{Schedule: ConstLR(lr), Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
-
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
-
-// Step implements Optimizer.
-func (a *Adam) Step(params, grads []*tensor.Tensor, decay []bool) {
-	checkAligned(params, grads, decay)
-	lr := a.Schedule(a.step)
-	a.step++
-	if a.m == nil {
-		a.m = make([]*tensor.Tensor, len(params))
-		a.v = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			a.m[i] = tensor.New(p.Shape()...)
-			a.v[i] = tensor.New(p.Shape()...)
-		}
-	}
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	for i, p := range params {
-		g := grads[i]
-		wd := a.WeightDecay
-		if decay != nil && !decay[i] {
-			wd = 0
-		}
-		m, v := a.m[i], a.v[i]
-		for j := range p.Data {
-			gj := g.Data[j] + wd*p.Data[j]
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*gj
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*gj*gj
-			mhat := m.Data[j] / bc1
-			vhat := v.Data[j] / bc2
-			p.Data[j] -= lr * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
-	}
 }
 
 // clipFactor returns the multiplier that caps the global gradient norm at

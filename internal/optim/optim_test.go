@@ -48,12 +48,6 @@ func TestSGDMomentumConverges(t *testing.T) {
 	}
 }
 
-func TestAdamConverges(t *testing.T) {
-	if v := runOptimizer(t, NewAdam(0.05), 1000); v > 1e-6 {
-		t.Fatalf("Adam final value %v, want ≈0", v)
-	}
-}
-
 func TestSGDSingleStepExact(t *testing.T) {
 	p := tensor.FromSlice([]float64{1, 2}, 2)
 	g := tensor.FromSlice([]float64{0.5, -0.5}, 2)
@@ -121,23 +115,6 @@ func TestStepDecaySchedule(t *testing.T) {
 		if got := s(step); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("schedule(%d) = %v, want %v", step, got, want)
 		}
-	}
-}
-
-func TestCosineSchedule(t *testing.T) {
-	s := CosineLR(1.0, 0.1, 100)
-	if got := s(0); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("cosine(0) = %v, want 1.0", got)
-	}
-	if got := s(100); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("cosine(100) = %v, want 0.1", got)
-	}
-	if got := s(1000); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("cosine(1000) = %v, want floor", got)
-	}
-	mid := s(50)
-	if mid <= 0.1 || mid >= 1.0 {
-		t.Fatalf("cosine(50) = %v, want strictly between floor and peak", mid)
 	}
 }
 

@@ -3,8 +3,7 @@
 // all clients.
 //
 // CL has no wireless cost per round (the data is assumed resident at the
-// server; the optional one-time raw-data upload can be priced with
-// UploadCost) and the server's compute capacity makes its rounds fast —
+// server) and the server's compute capacity makes its rounds fast —
 // it is the accuracy ceiling the distributed schemes are measured
 // against, not a deployable alternative (it violates the privacy
 // constraint that motivates FL/SL in the first place).
@@ -103,33 +102,6 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	}
 	rt.End(led)
 	return led, nil
-}
-
-// UploadCost prices the one-time raw-data upload that centralizing the
-// training data would require: every client ships its whole dataset over
-// the shared uplink concurrently. Returned separately because the paper
-// treats CL as an accuracy reference, not a latency competitor.
-func (t *Trainer) UploadCost() *simnet.Ledger {
-	env := t.env
-	n := env.Fleet.N()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	alloc := env.Alloc.Allocate(env.Channel, all, env.Channel.UplinkHz(), true)
-	leds := make([]*simnet.Ledger, n)
-	perSample := int64(1)
-	for _, d := range env.Arch.InShape {
-		perSample *= int64(d)
-	}
-	perSample = perSample*model.WireBytesPerScalar + model.WireBytesPerScalar // +label
-	for ci := 0; ci < n; ci++ {
-		led := &simnet.Ledger{}
-		bytes := perSample * int64(env.Train[ci].Len())
-		led.Add(simnet.Uplink, env.Channel.TransferSeconds(ci, bytes, alloc[ci], true))
-		leds[ci] = led
-	}
-	return simnet.MaxOf(leds)
 }
 
 // Evaluate implements schemes.Trainer.

@@ -63,14 +63,6 @@ func TestCLFastestPerRound(t *testing.T) {
 	}
 }
 
-func TestCLUploadCostPositive(t *testing.T) {
-	tr := newTrainer(t, 5, 4)
-	led := tr.UploadCost()
-	if led.Get(simnet.Uplink) <= 0 {
-		t.Fatal("one-time raw-data upload must cost uplink time")
-	}
-}
-
 func TestCLInvalidEnv(t *testing.T) {
 	env := schemestest.NewEnv(1, 4, 30)
 	env.Hyper.Batch = 0

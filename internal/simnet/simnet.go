@@ -10,11 +10,7 @@
 // and exact.
 package simnet
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Component labels one contributor to round latency.
 type Component int
@@ -141,28 +137,6 @@ func MaxOf(ls []*Ledger) *Ledger {
 	return &cp
 }
 
-// Breakdown renders the per-component totals, largest first.
-func (l *Ledger) Breakdown() string {
-	type row struct {
-		c Component
-		s float64
-	}
-	rows := make([]row, 0, numComponents)
-	for i, s := range l.seconds {
-		rows = append(rows, row{Component(i), s})
-	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a].s > rows[b].s })
-	var sb strings.Builder
-	for _, r := range rows {
-		if r.s == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "%-16s %12.4fs\n", r.c, r.s)
-	}
-	fmt.Fprintf(&sb, "%-16s %12.4fs\n", "total", l.Total())
-	return sb.String()
-}
-
 // Clock is a monotone virtual clock measured in seconds.
 type Clock struct {
 	now float64
@@ -177,12 +151,4 @@ func (c *Clock) Advance(dt float64) {
 		panic(fmt.Sprintf("simnet: clock cannot move backward (dt=%v)", dt))
 	}
 	c.now += dt
-}
-
-// AdvanceTo moves the clock to t, which must not be in the past.
-func (c *Clock) AdvanceTo(t float64) {
-	if t < c.now {
-		panic(fmt.Sprintf("simnet: AdvanceTo(%v) before now (%v)", t, c.now))
-	}
-	c.now = t
 }

@@ -65,7 +65,7 @@ func TestMaxOfPicksCriticalPath(t *testing.T) {
 	c.Add(Downlink, 3)
 	got := MaxOf([]*Ledger{&a, &b, &c})
 	if got.Total() != 5 || got.Get(ServerCompute) != 5 {
-		t.Fatalf("MaxOf picked wrong ledger: %v", got.Breakdown())
+		t.Fatalf("MaxOf picked wrong ledger: total %v, server compute %v", got.Total(), got.Get(ServerCompute))
 	}
 	// The returned ledger is a copy: mutating it must not affect b.
 	got.Add(Uplink, 100)
@@ -81,24 +81,6 @@ func TestMaxOfEmptyPanics(t *testing.T) {
 		}
 	}()
 	MaxOf(nil)
-}
-
-func TestBreakdownRendering(t *testing.T) {
-	var l Ledger
-	l.Add(Uplink, 2)
-	l.Add(ClientCompute, 1)
-	s := l.Breakdown()
-	if !strings.Contains(s, "uplink") || !strings.Contains(s, "total") {
-		t.Fatalf("breakdown missing rows:\n%s", s)
-	}
-	// Zero components are suppressed.
-	if strings.Contains(s, "aggregation") {
-		t.Fatalf("breakdown shows zero component:\n%s", s)
-	}
-	// Largest first.
-	if strings.Index(s, "uplink") > strings.Index(s, "client-compute") {
-		t.Fatalf("breakdown not sorted:\n%s", s)
-	}
 }
 
 func TestComponentsAndStrings(t *testing.T) {
@@ -119,7 +101,7 @@ func TestClock(t *testing.T) {
 		t.Fatal("zero clock must start at 0")
 	}
 	c.Advance(1.5)
-	c.AdvanceTo(3)
+	c.Advance(1.5)
 	if c.Now() != 3 {
 		t.Fatalf("Now = %v, want 3", c.Now())
 	}
@@ -128,19 +110,12 @@ func TestClock(t *testing.T) {
 func TestClockBackwardPanics(t *testing.T) {
 	var c Clock
 	c.Advance(5)
-	for name, f := range map[string]func(){
-		"advance": func() { c.Advance(-1) },
-		"to":      func() { c.AdvanceTo(1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	c.Advance(-1)
 }
 
 // prop: Total is additive under Merge and Ledger ordering is irrelevant.

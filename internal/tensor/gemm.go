@@ -33,12 +33,6 @@ const (
 	// architectural vector registers on amd64 with room for operands.
 	gemmMR = 4
 	gemmNR = 8
-
-	// gemmMinFLOPs is the total-work floor below which the packed path's
-	// packing overhead beats its kernel win and the scalar fallback runs
-	// instead. 2*m*k*n flops; 8192 keeps every tile-edge case reachable
-	// by the exhaustive small-shape tests (17³ is above the floor).
-	gemmMinFLOPs = 8192
 )
 
 // packPool services the packing panels for every GEMM call in the
@@ -90,12 +84,6 @@ type bSource struct {
 	data []float64
 	kind bKind
 	geom ConvGeom // for the im2col kinds
-}
-
-// gemmUsable reports whether (m,k,n) is worth routing through the packed
-// engine; below the floor the original scalar kernels win.
-func gemmUsable(m, k, n int) bool {
-	return m >= gemmMR && n >= gemmNR && 2*m*k*n >= gemmMinFLOPs
 }
 
 // gemmInto computes dst = A @ B for the logical operands described by

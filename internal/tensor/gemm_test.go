@@ -9,10 +9,9 @@ import (
 )
 
 // Tests for the packed GEMM engine. The exact-mode contract is bitwise:
-// every shape, every transpose variant, and both dispatch paths (the
-// packed engine and the small-shape scalar kernels) must reproduce a
-// naive single-accumulator ascending-k reference bit for bit — that is
-// the property the repo-wide determinism guarantee rests on.
+// every shape and every transpose variant must reproduce a naive
+// single-accumulator ascending-k reference bit for bit — that is the
+// property the repo-wide determinism guarantee rests on.
 
 // naiveMatMul is the reference contract: dst = a @ b with one
 // accumulator per output element, ascending k, separate multiply then
@@ -111,12 +110,11 @@ func requireBitEqual(t *testing.T, what string, got, want []float64, m, k, n int
 }
 
 // TestGEMMExhaustiveSmallShapes sweeps every (m,k,n) in 1..17 across all
-// three transpose variants and checks both the packed engine (called
-// directly, so shapes the dispatcher would route to the scalar kernels
-// still exercise the pack/micro-kernel path and its edge padding) and
-// the public dispatch against the naive reference, bit for bit. 17
-// crosses the MR=4/NR=8 tile edges and the flop floor, so full tiles,
-// ragged edges, and both dispatch decisions are all covered.
+// three transpose variants and checks the public entry points — every
+// one of which runs the packed engine, whatever the shape — against the
+// naive reference, bit for bit. 17 crosses the MR=4/NR=8 tile edges, so
+// full tiles, ragged edges and degenerate m < MR / n < NR panels are all
+// covered.
 func TestGEMMExhaustiveSmallShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const max = 17
@@ -130,16 +128,12 @@ func TestGEMMExhaustiveSmallShapes(t *testing.T) {
 				fillMixed(rng, a[:m*k])
 				fillMixed(rng, b[:k*n])
 				naiveMatMul(want, a, b, m, k, n)
-				gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: b, kind: bPlain})
-				requireBitEqual(t, "gemm", got[:m*n], want[:m*n], m, k, n)
 				MatMulInto(FromSlice(got[:m*n], m, n), FromSlice(a[:m*k], m, k), FromSlice(b[:k*n], k, n))
 				requireBitEqual(t, "MatMulInto", got[:m*n], want[:m*n], m, k, n)
 
 				// at is (k×m): reuse a's buffer with the transposed fill.
 				fillMixed(rng, a[:k*m])
 				naiveTransA(want, a, b, m, k, n)
-				gemmInto(got, m, k, n, aSource{data: a, kind: aTransposed}, bSource{data: b, kind: bPlain})
-				requireBitEqual(t, "gemm transA", got[:m*n], want[:m*n], m, k, n)
 				MatMulTransAInto(FromSlice(got[:m*n], m, n), FromSlice(a[:k*m], k, m), FromSlice(b[:k*n], k, n))
 				requireBitEqual(t, "MatMulTransAInto", got[:m*n], want[:m*n], m, k, n)
 
@@ -147,8 +141,6 @@ func TestGEMMExhaustiveSmallShapes(t *testing.T) {
 				fillMixed(rng, a[:m*k])
 				fillMixed(rng, b[:n*k])
 				naiveTransB(want, a, b, m, k, n)
-				gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: b, kind: bTransposed})
-				requireBitEqual(t, "gemm transB", got[:m*n], want[:m*n], m, k, n)
 				MatMulTransBInto(FromSlice(got[:m*n], m, n), FromSlice(a[:m*k], m, k), FromSlice(b[:n*k], n, k))
 				requireBitEqual(t, "MatMulTransBInto", got[:m*n], want[:m*n], m, k, n)
 			}
@@ -168,9 +160,53 @@ func TestGEMMZeroK(t *testing.T) {
 	}
 }
 
+// TestMatMulNonFiniteIsShapeIndependent pins IEEE propagation through
+// every orientation at shapes on both sides of the former dispatch
+// floor: 0·Inf and 0·NaN are NaN whatever the product's size or the
+// worker count, so a diverged model evaluates to the same loss whether
+// the test set leaves a 3-row or a 16-row last batch. Elements the
+// non-finite operand does not feed stay exactly zero.
+func TestMatMulNonFiniteIsShapeIndependent(t *testing.T) {
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	shapes := [][3]int{{2, 3, 5}, {3, 64, 43}, {8, 16, 8}, {16, 64, 43}}
+	for _, workers := range []int{1, 2, 8} {
+		parallel.SetWorkers(workers)
+		for _, sh := range shapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			for _, bad := range []float64{math.Inf(1), math.NaN()} {
+				a := New(m, k) // all zeros, in either orientation
+				at := New(k, m)
+				b := New(k, n)
+				bt := New(n, k)
+				b.Data[0], bt.Data[0] = bad, bad
+				for _, c := range []struct {
+					name string
+					got  *Tensor
+				}{
+					{"MatMulInto", MatMulInto(New(m, n), a, b)},
+					{"MatMulTransAInto", MatMulTransAInto(New(m, n), at, b)},
+					{"MatMulTransBInto", MatMulTransBInto(New(m, n), a, bt)},
+				} {
+					// Element (i,0) multiplies a zero by the non-finite entry.
+					for i := 0; i < m; i++ {
+						if v := c.got.Data[i*n]; !math.IsNaN(v) {
+							t.Fatalf("%s %dx%dx%d workers=%d: 0*%v gave d[%d,0] = %v, want NaN", c.name, m, k, n, workers, bad, i, v)
+						}
+						for j := 1; j < n; j++ {
+							if v := c.got.Data[i*n+j]; v != 0 {
+								t.Fatalf("%s %dx%dx%d workers=%d: d[%d,%d] = %v, want 0", c.name, m, k, n, workers, i, j, v)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // convGeoms are the shapes the fused-conv tests sweep: odd sizes,
-// strides, 1×1 kernels, zero padding, and one large-enough case that the
-// packed engine (not the scalar fallback) runs.
+// strides, 1×1 kernels, zero padding, and one case with several full
+// tiles in both directions.
 var convGeoms = []ConvGeom{
 	{InC: 1, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
 	{InC: 3, InH: 8, InW: 6, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},

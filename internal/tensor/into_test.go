@@ -38,15 +38,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	if !AllClose(AddInto(&dst, x, y), Add(x, y), 0) {
 		t.Fatal("AddInto != Add")
 	}
-	if !AllClose(SubInto(&dst, x, y), Sub(x, y), 0) {
-		t.Fatal("SubInto != Sub")
-	}
-	if !AllClose(MulInto(&dst, x, y), Mul(x, y), 0) {
-		t.Fatal("MulInto != Mul")
-	}
-	if !AllClose(ScaleInto(&dst, 0.37, x), x.Clone().Scale(0.37), 0) {
-		t.Fatal("ScaleInto != Scale")
-	}
 	var sums Tensor
 	if !AllClose(x.SumRowsInto(&sums), x.SumRows(), 0) {
 		t.Fatal("SumRowsInto != SumRows")

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"gsfl/internal/parallel"
-)
+import "fmt"
 
 // minChunkFLOPs is the serial-work floor per parallel chunk: matrices
 // whose total work is below ~2 chunks of this size run on the calling
@@ -29,14 +25,12 @@ func grainRows(flopsPerRow int) int {
 // storage: a is (m×k), b is (k×n), dst must be (m×n) and must not alias
 // a or b. It returns dst.
 //
-// Layer-sized products run on the blocked, panel-packed GEMM engine
-// (gemm.go); small ones keep the scalar ikj schedule whose fork-join and
-// packing overhead they cannot amortize. Both paths accumulate every
-// output element in ascending-k order in a single accumulator and
-// partition output rows across the parallel worker pool, so results are
-// bit-identical to a single-worker run — and to each other. After
-// warmup it performs no allocations in serial runs (see parallel.Inline;
-// the GEMM packing panels are pooled).
+// Every shape runs on the blocked, panel-packed GEMM engine (gemm.go),
+// which accumulates each output element in ascending-k order in a
+// single accumulator and partitions output rows across the parallel
+// worker pool, so results are bit-identical to a single-worker run.
+// After warmup it performs no allocations in serial runs (see
+// parallel.Inline; the GEMM packing panels are pooled).
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return MatMulIntoOp("MatMulInto", dst, a, b)
 }
@@ -47,7 +41,7 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 func MatMulIntoOp(op string, dst, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul(op, a, b)
 	checkMatMulDst(op, dst, m, n)
-	matMulInto(dst.Data, a.Data, b.Data, m, k, n)
+	gemmInto(dst.Data, m, k, n, aSource{data: a.Data}, bSource{data: b.Data})
 	return dst
 }
 
@@ -70,42 +64,6 @@ func checkMatMulDst(op string, dst *Tensor, m, n int) {
 	}
 }
 
-func matMulInto(dst, a, b []float64, m, k, n int) {
-	if gemmUsable(m, k, n) {
-		gemmInto(dst, m, k, n, aSource{data: a}, bSource{data: b})
-		return
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	grain := grainRows(2 * k * n)
-	if parallel.Inline(m, grain) {
-		matMulRows(dst, a, b, k, n, 0, m)
-		return
-	}
-	parallel.For(m, grain, func(lo, hi int) {
-		matMulRows(dst, a, b, k, n, lo, hi)
-	})
-}
-
-// matMulRows computes output rows [lo, hi) of dst = a @ b with the
-// serial ikj schedule. Each call writes only its own rows.
-func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*n : (kk+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
 // MatMulTransAInto computes dst = aᵀ @ b where a is (k×m) and b is
 // (k×n), reusing dst's storage — the layer backward passes use it to
 // write a weight gradient (xᵀ @ dy) straight into a reusable workspace
@@ -122,7 +80,7 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 func MatMulTransAIntoOp(op string, dst, a, b *Tensor) *Tensor {
 	k, m, n := checkMatMulTransA(op, a, b)
 	checkMatMulDst(op, dst, m, n)
-	matMulTransAInto(dst.Data, a.Data, b.Data, k, m, n)
+	gemmInto(dst.Data, m, k, n, aSource{data: a.Data, kind: aTransposed}, bSource{data: b.Data})
 	return dst
 }
 
@@ -135,43 +93,6 @@ func checkMatMulTransA(op string, a, b *Tensor) (k, m, n int) {
 			op, a.shape[0], a.shape[1], b.shape[0], b.shape[1], a.shape[0], b.shape[0]))
 	}
 	return a.shape[0], a.shape[1], b.shape[1]
-}
-
-func matMulTransAInto(dst, a, b []float64, k, m, n int) {
-	if gemmUsable(m, k, n) {
-		gemmInto(dst, m, k, n, aSource{data: a, kind: aTransposed}, bSource{data: b})
-		return
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	grain := grainRows(2 * k * n)
-	if parallel.Inline(m, grain) {
-		matMulTransARows(dst, a, b, k, m, n, 0, m)
-		return
-	}
-	parallel.For(m, grain, func(lo, hi int) {
-		matMulTransARows(dst, a, b, k, m, n, lo, hi)
-	})
-}
-
-// matMulTransARows computes output rows [lo, hi) of aᵀ @ b, keeping the
-// serial code's ascending-k accumulation order per element.
-func matMulTransARows(dst, a, b []float64, k, m, n, lo, hi int) {
-	for kk := 0; kk < k; kk++ {
-		arow := a[kk*m : (kk+1)*m]
-		brow := b[kk*n : (kk+1)*n]
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			drow := dst[i*n : (i+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
 }
 
 // MatMulTransBInto computes dst = a @ bᵀ where a is (m×k) and b is
@@ -189,7 +110,7 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 func MatMulTransBIntoOp(op string, dst, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulTransB(op, a, b)
 	checkMatMulDst(op, dst, m, n)
-	matMulTransBInto(dst.Data, a.Data, b.Data, m, k, n)
+	gemmInto(dst.Data, m, k, n, aSource{data: a.Data}, bSource{data: b.Data, kind: bTransposed})
 	return dst
 }
 
@@ -202,37 +123,6 @@ func checkMatMulTransB(op string, a, b *Tensor) (m, k, n int) {
 			op, a.shape[0], a.shape[1], b.shape[0], b.shape[1], a.shape[1], b.shape[1]))
 	}
 	return a.shape[0], a.shape[1], b.shape[0]
-}
-
-func matMulTransBInto(dst, a, b []float64, m, k, n int) {
-	if gemmUsable(m, k, n) {
-		gemmInto(dst, m, k, n, aSource{data: a}, bSource{data: b, kind: bTransposed})
-		return
-	}
-	grain := grainRows(2 * k * n)
-	if parallel.Inline(m, grain) {
-		matMulTransBRows(dst, a, b, k, n, 0, m)
-		return
-	}
-	parallel.For(m, grain, func(lo, hi int) {
-		matMulTransBRows(dst, a, b, k, n, lo, hi)
-	})
-}
-
-// matMulTransBRows computes output rows [lo, hi) of a @ bᵀ.
-func matMulTransBRows(dst, a, b []float64, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			s := 0.0
-			for kk, av := range arow {
-				s += av * brow[kk]
-			}
-			drow[j] = s
-		}
-	}
 }
 
 // Transpose2D returns the transpose of a 2-D tensor as a new tensor.

@@ -5,18 +5,9 @@ import (
 	"math/rand"
 )
 
-// RandUniform fills t with samples from Uniform[lo, hi) drawn from rng and
+// RandNormal fills t with samples from N(mean, std²) drawn from rng and
 // returns t. Passing the RNG explicitly keeps every fill deterministic and
 // lets concurrent group replicas own independent streams.
-func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) *Tensor {
-	span := hi - lo
-	for i := range t.Data {
-		t.Data[i] = lo + span*rng.Float64()
-	}
-	return t
-}
-
-// RandNormal fills t with samples from N(mean, std²) and returns t.
 func (t *Tensor) RandNormal(rng *rand.Rand, mean, std float64) *Tensor {
 	for i := range t.Data {
 		t.Data[i] = mean + std*rng.NormFloat64()
@@ -31,20 +22,4 @@ func (t *Tensor) HeInit(rng *rand.Rand, fanIn int) *Tensor {
 		fanIn = 1
 	}
 	return t.RandNormal(rng, 0, math.Sqrt(2/float64(fanIn)))
-}
-
-// XavierInit fills t with the Glorot-uniform initialization appropriate
-// for tanh/sigmoid layers: Uniform(-a, a) with a = sqrt(6/(fanIn+fanOut)).
-func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) *Tensor {
-	if fanIn+fanOut <= 0 {
-		return t.Zeroed()
-	}
-	a := math.Sqrt(6 / float64(fanIn+fanOut))
-	return t.RandUniform(rng, -a, a)
-}
-
-// Zeroed zeroes t and returns it (chaining helper).
-func (t *Tensor) Zeroed() *Tensor {
-	t.Zero()
-	return t
 }

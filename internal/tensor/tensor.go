@@ -278,15 +278,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	return t
 }
 
-// Map returns a new tensor whose elements are f applied to t's elements.
-func (t *Tensor) Map(f func(float64) float64) *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
 // AddInPlace adds o to t elementwise. Shapes must have equal element counts.
 func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
 	checkSameSize("AddInPlace", t, o)
@@ -347,38 +338,6 @@ func AddInto(dst, a, b *Tensor) *Tensor {
 	dst.EnsureShapeOf(a)
 	for i, v := range a.Data {
 		dst.Data[i] = v + b.Data[i]
-	}
-	return dst
-}
-
-// SubInto computes dst = a - b elementwise, shaping dst like a (reusing
-// its storage) and returning dst. dst may alias a or b.
-func SubInto(dst, a, b *Tensor) *Tensor {
-	checkSameSize("SubInto", a, b)
-	dst.EnsureShapeOf(a)
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
-	return dst
-}
-
-// MulInto computes the elementwise product dst = a * b, shaping dst like
-// a (reusing its storage) and returning dst. dst may alias a or b.
-func MulInto(dst, a, b *Tensor) *Tensor {
-	checkSameSize("MulInto", a, b)
-	dst.EnsureShapeOf(a)
-	for i, v := range a.Data {
-		dst.Data[i] = v * b.Data[i]
-	}
-	return dst
-}
-
-// ScaleInto computes dst = s*a, shaping dst like a (reusing its storage)
-// and returning dst. dst may alias a.
-func ScaleInto(dst *Tensor, s float64, a *Tensor) *Tensor {
-	dst.EnsureShapeOf(a)
-	for i, v := range a.Data {
-		dst.Data[i] = s * v
 	}
 	return dst
 }

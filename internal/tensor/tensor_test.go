@@ -231,15 +231,8 @@ func TestSumRows(t *testing.T) {
 	}
 }
 
-func TestApplyAndMap(t *testing.T) {
+func TestApply(t *testing.T) {
 	x := FromSlice([]float64{1, 4, 9}, 3)
-	y := x.Map(math.Sqrt)
-	if !AllClose(y, FromSlice([]float64{1, 2, 3}, 3), 1e-12) {
-		t.Fatalf("Map = %v", y)
-	}
-	if x.Data[1] != 4 {
-		t.Fatal("Map must not mutate the receiver")
-	}
 	x.Apply(func(v float64) float64 { return -v })
 	if x.Data[2] != -9 {
 		t.Fatalf("Apply in place failed: %v", x)
@@ -348,17 +341,6 @@ func TestHeInitScale(t *testing.T) {
 	std := math.Sqrt(ss/n - mean*mean)
 	if math.Abs(mean) > 0.01 || math.Abs(std-wantStd)/wantStd > 0.05 {
 		t.Fatalf("HeInit mean=%v std=%v, want mean≈0 std≈%v", mean, std, wantStd)
-	}
-}
-
-func TestXavierInitBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := New(10000).XavierInit(rng, 30, 20)
-	a := math.Sqrt(6.0 / 50.0)
-	for _, v := range x.Data {
-		if v < -a || v >= a {
-			t.Fatalf("Xavier sample %v outside [-%v, %v)", v, a, a)
-		}
 	}
 }
 

@@ -19,28 +19,6 @@ import (
 	"gsfl/internal/metrics"
 )
 
-// WriteCurveCSV writes one curve as CSV with a header row:
-// round,latency_seconds,loss,accuracy.
-func WriteCurveCSV(w io.Writer, c *metrics.Curve) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"round", "latency_seconds", "loss", "accuracy"}); err != nil {
-		return fmt.Errorf("trace: writing header: %w", err)
-	}
-	for _, p := range c.Points {
-		rec := []string{
-			strconv.Itoa(p.Round),
-			strconv.FormatFloat(p.LatencySeconds, 'g', -1, 64),
-			strconv.FormatFloat(p.Loss, 'g', -1, 64),
-			strconv.FormatFloat(p.Accuracy, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("trace: writing point: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteCurvesCSV writes several curves in long format:
 // scheme,round,latency_seconds,loss,accuracy — the layout plotting tools
 // expect for multi-series figures.

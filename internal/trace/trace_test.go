@@ -18,23 +18,6 @@ func sampleCurve() *metrics.Curve {
 	return c
 }
 
-func TestWriteCurveCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCurveCSV(&buf, sampleCurve()); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want header + 2", len(recs))
-	}
-	if recs[0][0] != "round" || recs[1][0] != "1" || recs[2][3] != "0.5" {
-		t.Fatalf("unexpected CSV contents: %v", recs)
-	}
-}
-
 func TestWriteCurvesCSVLongFormat(t *testing.T) {
 	var buf bytes.Buffer
 	c2 := &metrics.Curve{Scheme: "sl"}
@@ -134,9 +117,6 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteCurveCSVPropagatesErrors(t *testing.T) {
-	if err := WriteCurveCSV(&failWriter{n: 0}, sampleCurve()); err == nil {
-		t.Fatal("expected write error")
-	}
 	if err := WriteCurvesCSV(&failWriter{n: 0}, []*metrics.Curve{sampleCurve()}); err == nil {
 		t.Fatal("expected write error")
 	}

@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gsfl/internal/experiment"
+	"gsfl/env"
 	"gsfl/sweep"
 )
 
@@ -28,7 +28,7 @@ const handoffRounds = 4
 func newHandoffFixture(t *testing.T) handoffFixture {
 	t.Helper()
 	jobs := jobsOf(t, sweep.Grid{
-		Name: "h", Base: experiment.TestSpec(), Rounds: handoffRounds, EvalEvery: 1,
+		Name: "h", Base: env.TestSpec(), Rounds: handoffRounds, EvalEvery: 1,
 		Axes: sweep.Axes{Groups: []int{2}, Schemes: []string{"gsfl", "sl"}},
 	})
 	fx := handoffFixture{job: jobs[0], ckpt: map[int][]byte{}, prog: map[int]sweep.Progress{}}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gsfl/env"
 	"gsfl/internal/experiment"
 	"gsfl/internal/simnet"
 	"gsfl/sweep"
@@ -15,7 +16,7 @@ import (
 // testGrid is a small 2x2 grid over the CI spec: 4 jobs, 3 rounds each.
 func testGrid() sweep.Grid {
 	return sweep.Grid{
-		Name: "t", Base: experiment.TestSpec(), Rounds: 3, EvalEvery: 1,
+		Name: "t", Base: env.TestSpec(), Rounds: 3, EvalEvery: 1,
 		Axes: sweep.Axes{
 			Groups:  []int{1, 2},
 			Schemes: []string{"gsfl", "sl"},
@@ -116,7 +117,7 @@ func TestSchedulerDeterministicAcrossJobCounts(t *testing.T) {
 // TestSchedulerDedupsSharedIDs: overlapping grids (fig2a ⊃ fig2b) must
 // execute shared cells once and fan the result out to every position.
 func TestSchedulerDedupsSharedIDs(t *testing.T) {
-	spec := experiment.TestSpec()
+	spec := env.TestSpec()
 	a := jobsOf(t, experiment.Fig2aGrid(spec, 2, 1))
 	b := jobsOf(t, experiment.Fig2bGrid(spec, 2, 1))
 	all := append(append([]sweep.Job{}, a...), b...)
