@@ -50,6 +50,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -81,7 +82,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("gsfl-sweep", flag.ContinueOnError)
 	var (
 		gridFile  = fs.String("grid", "", "JSON grid file to sweep (mutually exclusive with -exp)")
-		exp       = fs.String("exp", "", "named experiment(s): "+strings.Join(sweep.ExperimentNames(), "|")+"|all")
+		exp       = fs.String("exp", "", "named experiment: "+strings.Join(sweep.ExperimentNames(), "|")+", or all")
 		scale     = fs.String("scale", "test", "base spec scale: test|medium|paper")
 		outDir    = fs.String("out", "results/sweep", "store directory (manifest, curves, checkpoints)")
 		jobs      = fs.Int("jobs", 0, "jobs trained concurrently (0 = GOMAXPROCS)")
@@ -293,14 +294,17 @@ type gridFileSpec struct {
 // "base" object is an env.Spec patch applied onto the scale's spec
 // before the axes sweep — any Spec field, including registry-named
 // extension points (dataset, arch, alloc, strategy), is expressible
-// from a file.
+// from a file. A key the format does not know — at the top level, in
+// "axes" or in "base" — is an error naming it: a misspelt axis would
+// otherwise be dropped and the sweep would silently train the wrong
+// cells.
 func loadGrid(path string, base sweep.Spec, defRounds, defEval int) (sweep.Grid, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return sweep.Grid{}, fmt.Errorf("reading grid: %w", err)
 	}
 	var gf gridFileSpec
-	if err := json.Unmarshal(buf, &gf); err != nil {
+	if err := decodeStrict(buf, &gf); err != nil {
 		return sweep.Grid{}, fmt.Errorf("parsing grid %s: %w", path, err)
 	}
 	if gf.Name == "" {
@@ -313,7 +317,7 @@ func loadGrid(path string, base sweep.Spec, defRounds, defEval int) (sweep.Grid,
 		gf.EvalEvery = defEval
 	}
 	if len(gf.Base) > 0 {
-		if err := json.Unmarshal(gf.Base, &base); err != nil {
+		if err := decodeStrict(gf.Base, &base); err != nil {
 			return sweep.Grid{}, fmt.Errorf("parsing grid %s base spec: %w", path, err)
 		}
 		if err := base.Validate(); err != nil {
@@ -325,6 +329,20 @@ func loadGrid(path string, base sweep.Spec, defRounds, defEval int) (sweep.Grid,
 		Rounds: gf.Rounds, EvalEvery: gf.EvalEvery,
 		Axes: gf.Axes,
 	}, nil
+}
+
+// decodeStrict is json.Unmarshal that rejects unknown object keys (the
+// error names the key) at every nesting level of v.
+func decodeStrict(buf []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data after the JSON object")
+	}
+	return nil
 }
 
 // progressObserver renders one line per job state change plus a coarse

@@ -96,23 +96,13 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 // leave no manifest, and run again into the same directory without
 // -resume.
 func TestRunSingleExperiments(t *testing.T) {
-	cases := map[string][]string{
-		"fig2a":     {"fig2a.csv"},
-		"fig2b":     {"fig2b.csv"},
-		"table1":    {"table1.csv", "table1_curves.csv"},
-		"table2":    {"table2.csv"},
-		"table3":    {"table3.csv"},
-		"cutlayer":  {"ablation_cutlayer.csv"},
-		"grouping":  {"ablation_grouping.csv"},
-		"resalloc":  {"ablation_resalloc.csv"},
-		"pipeline":  {"ablation_pipeline.csv"},
-		"quant":     {"ablation_quant.csv"},
-		"dropout":   {"ablation_dropout.csv"},
-		"noniid":    {"ablation_noniid.csv"},
-		"popsample": {"popsample.csv"},
-		"seeds":     {"seed_variance.csv"},
-		"numeric":   {"numeric.csv"},
-		"validate":  {"latency_model_validation.csv"},
+	// What each entry writes is the catalogue's to say (its Outputs);
+	// the catalogue's own tests pin the 16 names and 17 files.
+	cases := map[string][]string{}
+	for _, e := range sweep.GridExperiments(sweep.Spec{}, 2, 2, 0.3) {
+		for _, o := range e.Outputs {
+			cases[e.Name] = append(cases[e.Name], o.File)
+		}
 	}
 	if len(cases) != len(sweep.ExperimentNames()) {
 		t.Fatalf("%d cases for catalogue %v", len(cases), sweep.ExperimentNames())
@@ -226,5 +216,34 @@ func TestGridFileBasePatch(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-grid", bad, "-scale", "test", "-quiet", "-out", filepath.Join(tmp, "store2")}); err == nil || !strings.Contains(err.Error(), "Alloc") {
 		t.Fatalf("expected base-spec validation error, got %v", err)
+	}
+}
+
+// TestGridFileRejectsUnknownKeys: a misspelt key — at the top level, in
+// "axes", or in the "base" patch — used to be dropped, so the sweep ran
+// (here: one default cell instead of four) and exited 0. It is now an
+// error naming the key and the file, before any store exists.
+func TestGridFileRejectsUnknownKeys(t *testing.T) {
+	for key, body := range map[string]string{
+		"alpha":     `{"name":"typo","rounds":2,"eval_every":1,"axes":{"alpha":[0.1,1],"schemes":["gsfl","sl"]}}`,
+		"scheme":    `{"name":"typo","rounds":2,"eval_every":1,"axes":{"alphas":[0.1,1],"scheme":["gsfl","sl"]}}`,
+		"allocator": `{"name":"typo","rounds":2,"eval_every":1,"base":{"allocator":"latency-min"},"axes":{"alphas":[0.1,1]}}`,
+		"round":     `{"name":"typo","round":2,"eval_every":1,"axes":{"alphas":[0.1,1]}}`,
+	} {
+		t.Run(key, func(t *testing.T) {
+			tmp := t.TempDir()
+			grid := filepath.Join(tmp, "typo.json")
+			if err := os.WriteFile(grid, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(tmp, "store")
+			err := run(context.Background(), []string{"-grid", grid, "-scale", "test", "-quiet", "-out", dir})
+			if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) || !strings.Contains(err.Error(), "typo.json") {
+				t.Fatalf("expected an error naming %q and the file, got %v", key, err)
+			}
+			if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+				t.Fatalf("a rejected grid file left a store behind: %v", statErr)
+			}
+		})
 	}
 }

@@ -20,8 +20,8 @@
 // trains N jobs concurrently under a shared worker budget, a Store
 // (JSON-lines manifest plus per-job curve CSVs) makes sweeps resumable
 // and byte-identical at any concurrency, and the paper's figure/table
-// catalogue with its folds is re-exported for harness frontends. The
-// population engine in gsfl/pop scales the fixed-fleet world to
+// catalogue (rows of grids and outputs) is re-exported for harness
+// frontends. The population engine in gsfl/pop scales the fixed-fleet world to
 // cross-device deployment size: a persistent population of up to
 // millions of members held as compact records (never live models),
 // churned by registered availability traces and device-profile mixes,

@@ -23,7 +23,10 @@
 //     CLI flag, or a grid-file axis) selects one by that name. The
 //     built-ins self-register, so the names "uniform", "round-robin",
 //     "gtsrb-synth", "gtsrb-cnn", "onoff", "low-end", … are always
-//     available.
+//     available. Spec.Canonical is the one place a Spec's names meet
+//     the registries: it rewrites aliases ("propfair") to canonical
+//     names and reports an unknown name with the field at fault;
+//     Validate, grid expansion and job hashing all go through it.
 //
 // Setting Spec.Population (with SampleFraction, AvailTrace, and
 // DeviceProfileMix) attaches a persistent client population from

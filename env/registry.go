@@ -16,12 +16,13 @@ import (
 	_ "gsfl/internal/gtsrb"
 )
 
-// This file is the extension surface of the environment API: four
-// registries — allocators, grouping strategies, dataset generators,
-// model architectures — each with Register/List/resolve entry points,
-// mirroring the scheme registry in gsfl/sim. Register panics on
-// duplicate or empty names (programmer errors at init time); resolution
-// by unknown name returns an error listing what is registered.
+// This file is the extension surface of the environment API: the
+// allocator, grouping-strategy, dataset, architecture, availability-
+// trace and device-profile registries, each with Register/List/resolve
+// entry points, mirroring the scheme registry in gsfl/sim. Register
+// panics on duplicate or empty names (programmer errors at init time);
+// resolution by unknown name returns an error listing what is
+// registered. Spec.Canonical is where a Spec's names meet them.
 
 // RegisterAllocator adds a bandwidth-allocation policy under its Name()
 // plus any extra aliases, making it usable by name in Spec.Alloc, grid
@@ -44,12 +45,15 @@ func NewAllocator(name string) (Allocator, error) {
 // CanonicalAllocator resolves an allocator name or alias to its
 // canonical Name() — the form job content hashes, manifests, and CSVs
 // record.
-func CanonicalAllocator(name string) (string, error) {
-	a, err := wireless.ParseAllocator(name)
+func CanonicalAllocator(name string) (string, error) { return nameOf(wireless.ParseAllocator(name)) }
+
+// nameOf turns a registry lookup's (value, error) into the canonical
+// name the resolved value carries.
+func nameOf[T interface{ Name() string }](v T, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return a.Name(), nil
+	return v.Name(), nil
 }
 
 // RegisterStrategy adds a grouping policy under its canonical name,
@@ -118,14 +122,7 @@ func NewDataset(name string, cfg DataConfig) (DataSource, error) {
 // without instantiating a generator, returning the name job content
 // hashes and manifests record (dataset names have no aliases today, so
 // the canonical form is the name itself).
-func CanonicalDataset(name string) (string, error) {
-	for _, n := range data.SourceNames() {
-		if n == name {
-			return name, nil
-		}
-	}
-	return "", fmt.Errorf("unknown dataset %q (registered: %v)", name, Datasets())
-}
+func CanonicalDataset(name string) (string, error) { return data.CanonicalSource(name) }
 
 // RegisterArch adds a model architecture factory under its name, making
 // it usable by name in Spec.Arch, grid files, and the -arch flag.
@@ -145,14 +142,7 @@ func NewArch(name string, cfg ArchConfig) (Arch, error) {
 // without building anything, returning the name job content hashes and
 // manifests record (arch names have no aliases today, so the canonical
 // form is the name itself).
-func CanonicalArch(name string) (string, error) {
-	for _, n := range model.ArchNames() {
-		if n == name {
-			return name, nil
-		}
-	}
-	return "", fmt.Errorf("unknown architecture %q (registered: %v)", name, Archs())
-}
+func CanonicalArch(name string) (string, error) { return model.CanonicalArch(name) }
 
 // RegisterAvailTrace adds an availability/churn trace under its Name(),
 // making it usable by name in Spec.AvailTrace, grid files, and the
@@ -167,12 +157,7 @@ func AvailTraces() []string { return pop.Traces() }
 // registry, returning the name job content hashes and manifests record
 // (trace names have no aliases, so the canonical form is the name
 // itself).
-func CanonicalAvailTrace(name string) (string, error) {
-	if _, err := pop.TraceByName(name); err != nil {
-		return "", err
-	}
-	return name, nil
-}
+func CanonicalAvailTrace(name string) (string, error) { return nameOf(pop.TraceByName(name)) }
 
 // RegisterDeviceProfile adds a device-heterogeneity profile, making it
 // usable in Spec.DeviceProfileMix expressions and the -profile-mix

@@ -211,13 +211,48 @@ func (s Spec) populationActive() bool {
 	return !identity
 }
 
-// Validate checks every Spec field eagerly and reports the first
-// problem with a field-specific error. Registry-named fields (Alloc,
-// Strategy, Dataset, Arch) must resolve; Build performs the remaining
-// checks that need the materialized architecture (the cut index upper
-// bound).
-func (s Spec) Validate() error {
+// Canonical returns the normalized spec with every registry-named field
+// resolved: Alloc and Strategy aliases rewritten to their canonical
+// names, and Dataset, Arch, AvailTrace (when a population is set) and
+// Numeric checked to exist. It is the single name-resolution point —
+// Validate, grid expansion and the job content hash all go through it —
+// so an unknown name is reported once, prefixed with the field at
+// fault. Alloc has no default: an empty one is an error.
+func (s Spec) Canonical() (Spec, error) {
 	s = s.Normalized()
+	if s.Alloc == "" {
+		return s, fmt.Errorf("env: missing allocator (set Spec.Alloc to one of %v)", Allocators())
+	}
+	var err error
+	resolve := func(field string, name *string, canonical func(string) (string, error)) {
+		if err != nil {
+			return
+		}
+		if *name, err = canonical(*name); err != nil {
+			err = fmt.Errorf("env: %s: %w", field, err)
+		}
+	}
+	resolve("Alloc", &s.Alloc, CanonicalAllocator)
+	resolve("Strategy", &s.Strategy, CanonicalStrategy)
+	resolve("Dataset", &s.Dataset, CanonicalDataset)
+	resolve("Arch", &s.Arch, CanonicalArch)
+	if s.Population > 0 { // otherwise validatePopulation requires it unset
+		resolve("AvailTrace", &s.AvailTrace, CanonicalAvailTrace)
+	}
+	resolve("Numeric", &s.Numeric, CanonicalNumericMode)
+	// Resolving "" spelled the numeric default out; fold it back.
+	return s.Normalized(), err
+}
+
+// Validate checks every Spec field eagerly and reports the first
+// problem with a field-specific error. Registry-named fields must
+// resolve (see Canonical); Build performs the remaining checks that
+// need the materialized architecture (the cut index upper bound).
+func (s Spec) Validate() error {
+	s, err := s.Canonical()
+	if err != nil {
+		return err
+	}
 	if s.Clients <= 0 {
 		return fmt.Errorf("env: Clients %d must be positive", s.Clients)
 	}
@@ -245,36 +280,15 @@ func (s Spec) Validate() error {
 	if err := s.Hyper.Validate(); err != nil {
 		return fmt.Errorf("env: %w", err)
 	}
-	if s.Alloc == "" {
-		return fmt.Errorf("env: missing allocator (set Spec.Alloc to one of %v)", Allocators())
-	}
-	if _, err := wireless.ParseAllocator(s.Alloc); err != nil {
-		return fmt.Errorf("env: Alloc: %w", err)
-	}
-	if _, err := partition.ParseStrategy(s.Strategy); err != nil {
-		return fmt.Errorf("env: Strategy: %w", err)
-	}
-	if _, err := CanonicalDataset(s.Dataset); err != nil {
-		return fmt.Errorf("env: Dataset: %w", err)
-	}
-	if _, err := CanonicalArch(s.Arch); err != nil {
-		return fmt.Errorf("env: Arch: %w", err)
-	}
 	if s.DropoutProb < 0 || s.DropoutProb >= 1 {
 		return fmt.Errorf("env: DropoutProb %v outside [0,1)", s.DropoutProb)
 	}
-	if err := s.validatePopulation(); err != nil {
-		return err
-	}
-	if _, err := CanonicalNumericMode(s.Numeric); err != nil {
-		return fmt.Errorf("env: Numeric: %w", err)
-	}
-	return nil
+	return s.validatePopulation()
 }
 
 // validatePopulation checks the population fields (the spec is already
-// normalized). Zero Population requires the satellite fields unset;
-// a set Population requires a coherent, registry-resolvable sampling
+// canonical, so the trace name resolved). Zero Population requires the
+// satellite fields unset; a set Population requires a coherent sampling
 // configuration.
 func (s Spec) validatePopulation() error {
 	if s.Population < 0 {
@@ -301,9 +315,6 @@ func (s Spec) validatePopulation() error {
 	if k := s.CohortSize(); k > s.Clients {
 		return fmt.Errorf("env: cohort %d (SampleFraction %v × Population %d) exceeds the %d client slots",
 			k, s.SampleFraction, s.Population, s.Clients)
-	}
-	if _, err := CanonicalAvailTrace(s.AvailTrace); err != nil {
-		return fmt.Errorf("env: AvailTrace: %w", err)
 	}
 	if _, err := pop.ParseMix(s.DeviceProfileMix); err != nil {
 		return fmt.Errorf("env: DeviceProfileMix: %w", err)

@@ -14,7 +14,7 @@ import (
 // runSpec builds the spec's world, trains GSFL for rounds, and returns
 // the curve (evaluating every round, so latencies and numerics are both
 // pinned).
-func runSpec(t *testing.T, spec env.Spec, rounds int) *sim.Curve {
+func runSpec(t *testing.T, spec env.Spec, rounds int, ropts ...sim.RunOption) *sim.Curve {
 	t.Helper()
 	world, err := env.Build(spec)
 	if err != nil {
@@ -28,7 +28,8 @@ func runSpec(t *testing.T, spec env.Spec, rounds int) *sim.Curve {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve, err := sim.NewRunner(tr, sim.WithRounds(rounds), sim.WithEvalEvery(1)).Run(context.Background())
+	ropts = append([]sim.RunOption{sim.WithRounds(rounds), sim.WithEvalEvery(1)}, ropts...)
+	curve, err := sim.NewRunner(tr, ropts...).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

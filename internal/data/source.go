@@ -1,10 +1,6 @@
 package data
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "gsfl/internal/registry"
 
 // SourceConfig parameterizes a registered dataset generator.
 type SourceConfig struct {
@@ -41,10 +37,7 @@ type Source interface {
 // validating it eagerly (bad sizes return errors, not panics).
 type SourceFactory func(cfg SourceConfig) (Source, error)
 
-var (
-	sourceMu     sync.RWMutex
-	sourceByName = map[string]SourceFactory{}
-)
+var sources = registry.New[SourceFactory]("data", "dataset")
 
 // RegisterSource adds a dataset generator factory under its name,
 // making it resolvable by NewSource and usable by name in experiment
@@ -52,41 +45,21 @@ var (
 // duplicate name — programmer errors at init time. The built-in
 // generator (synthetic GTSRB) registers itself; call this only for
 // out-of-tree datasets.
-func RegisterSource(name string, f SourceFactory) {
-	if name == "" {
-		panic("data: RegisterSource with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("data: RegisterSource(%q) with nil factory", name))
-	}
-	sourceMu.Lock()
-	defer sourceMu.Unlock()
-	if _, dup := sourceByName[name]; dup {
-		panic(fmt.Sprintf("data: dataset %q registered twice", name))
-	}
-	sourceByName[name] = f
-}
+func RegisterSource(name string, f SourceFactory) { sources.Register(name, f) }
 
 // SourceNames returns the registered dataset names in sorted order.
-func SourceNames() []string {
-	sourceMu.RLock()
-	defer sourceMu.RUnlock()
-	out := make([]string, 0, len(sourceByName))
-	for name := range sourceByName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func SourceNames() []string { return sources.Names() }
+
+// CanonicalSource checks a dataset name against the registry without
+// instantiating a generator and returns the name manifests record.
+func CanonicalSource(name string) (string, error) { return sources.Canonical(name) }
 
 // NewSource instantiates the named dataset generator — the single
 // name-to-dataset resolution path.
 func NewSource(name string, cfg SourceConfig) (Source, error) {
-	sourceMu.RLock()
-	f, ok := sourceByName[name]
-	sourceMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("data: unknown dataset %q (registered: %v)", name, SourceNames())
+	f, err := sources.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(cfg)
 }

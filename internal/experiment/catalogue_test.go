@@ -1,63 +1,72 @@
 package experiment
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"gsfl/env"
 )
 
-// catalogueFiles is every CSV the catalogue writes, per experiment.
-var catalogueFiles = map[string][]string{
-	"fig2a":     {"fig2a.csv"},
-	"fig2b":     {"fig2b.csv"},
-	"table1":    {"table1.csv", "table1_curves.csv"},
-	"table2":    {"table2.csv"},
-	"table3":    {"table3.csv"},
-	"cutlayer":  {"ablation_cutlayer.csv"},
-	"grouping":  {"ablation_grouping.csv"},
-	"resalloc":  {"ablation_resalloc.csv"},
-	"pipeline":  {"ablation_pipeline.csv"},
-	"quant":     {"ablation_quant.csv"},
-	"dropout":   {"ablation_dropout.csv"},
-	"noniid":    {"ablation_noniid.csv"},
-	"popsample": {"popsample.csv"},
-	"seeds":     {"seed_variance.csv"},
-	"numeric":   {"numeric.csv"},
-	"validate":  {"latency_model_validation.csv"},
-}
-
-// TestCatalogueAllWritesSeventeenFiles runs "-exp all" at test scale
-// with 2 rounds the way gsfl-sweep does — select, execute each unique
-// job once, Save — and pins the exact set of artifacts: 16 experiments,
-// 17 CSVs, nothing else.
-func TestCatalogueAllWritesSeventeenFiles(t *testing.T) {
+// catalogueAll is "-exp all" at test scale with 2 rounds the way
+// gsfl-sweep runs it — select, execute each unique job once — shared by
+// the tests that look at what it writes.
+var catalogueAll = sync.OnceValues(func() (allRun, error) {
 	sel, err := SelectGridExperiments(GridExperiments(env.TestSpec(), 2, 2, 0.3), "all")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if got := names(sel.Experiments); !reflect.DeepEqual(got, ExperimentNames()) || len(got) != len(catalogueFiles) {
-		t.Fatalf("\"all\" selected %v, catalogue names are %v", got, ExperimentNames())
+		return allRun{}, err
 	}
 	byID := map[string]JobResult{}
 	results := make([]JobResult, len(sel.Jobs))
 	for i, j := range sel.Jobs {
 		res, ok := byID[j.ID]
 		if !ok {
-			if res, err = RunJob(context.Background(), j); err != nil {
-				t.Fatal(err)
+			if res, err = RunJob(context.Background(), j, nil); err != nil {
+				return allRun{}, err
 			}
 			byID[j.ID] = res
 		}
 		results[i] = res
 	}
-	dir := t.TempDir()
-	if err := sel.Save(dir, results, nil); err != nil {
+	return allRun{sel, results}, nil
+})
+
+type allRun struct {
+	sel     GridSelection
+	results []JobResult
+}
+
+// saveAll writes catalogueAll's CSVs into a fresh directory.
+func saveAll(t *testing.T) (dir string, sel GridSelection) {
+	t.Helper()
+	all, err := catalogueAll()
+	if err != nil {
 		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	if err := all.sel.Save(dir, all.results, nil); err != nil {
+		t.Fatal(err)
+	}
+	return dir, all.sel
+}
+
+// TestCatalogueAllWritesSeventeenFiles pins the exact set of artifacts
+// of "-exp all": 16 experiments, the 17 CSVs their Outputs declare,
+// nothing else.
+func TestCatalogueAllWritesSeventeenFiles(t *testing.T) {
+	dir, sel := saveAll(t)
+	if got := names(sel.Experiments); !reflect.DeepEqual(got, ExperimentNames()) || len(got) != 16 {
+		t.Fatalf("\"all\" selected %v, catalogue names are %v", got, ExperimentNames())
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -67,12 +76,91 @@ func TestCatalogueAllWritesSeventeenFiles(t *testing.T) {
 	for _, e := range entries {
 		got = append(got, e.Name())
 	}
-	for _, files := range catalogueFiles {
-		want = append(want, files...)
+	for _, e := range sel.Experiments {
+		for _, o := range e.Outputs {
+			want = append(want, o.File)
+		}
 	}
 	sort.Strings(want)
 	if len(want) != 17 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("-exp all wrote %v, want the 17 files %v", got, want)
+	}
+}
+
+// TestCatalogueBytesPinned holds every CSV of "-exp all" to the bytes
+// the hand-written folds produced before the catalogue became rows of
+// data: testdata/catalogue_sha256.txt was generated from the parent
+// commit's gsfl-sweep binary (-exp all -scale test -rounds 2). A header,
+// a format verb, a column order or a file name edited in the catalogue
+// fails here. numeric.csv is pinned on its header and exact row only —
+// the fast row is FMA-dependent across CPUs.
+func TestCatalogueBytesPinned(t *testing.T) {
+	dir, _ := saveAll(t)
+	pins, err := os.Open(filepath.Join("testdata", "catalogue_sha256.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pins.Close()
+	pinned := 0
+	for sc := bufio.NewScanner(pins); sc.Scan(); {
+		want, name, ok := strings.Cut(sc.Text(), "  ")
+		if !ok || strings.HasPrefix(sc.Text(), "#") {
+			continue
+		}
+		file, exactOnly := strings.CutSuffix(name, "#exact")
+		buf, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exactOnly {
+			lines := bytes.SplitAfterN(buf, []byte("\n"), 3)
+			if len(lines) < 2 || !bytes.HasPrefix(lines[1], []byte("exact,")) {
+				t.Fatalf("%s: second line is not the exact row:\n%s", file, buf)
+			}
+			buf = bytes.Join(lines[:2], nil)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != want {
+			t.Errorf("%s: sha256 %s, pinned %s; contents:\n%s", name, got, want, buf)
+		}
+		pinned++
+	}
+	if pinned != 17 {
+		t.Fatalf("pin file covers %d CSVs, want 17", pinned)
+	}
+}
+
+// TestReadmeTableMatchesCatalogue: README's "Which experiment
+// regenerates which paper result" table is hand-kept; it must list
+// exactly the catalogue's entries with exactly their output files, in
+// catalogue order.
+func TestReadmeTableMatchesCatalogue(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "## Which experiment regenerates which paper result")
+	if !ok {
+		t.Fatal("README has no \"Which experiment regenerates which paper result\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	row := regexp.MustCompile("(?m)^\\|[^|]*\\| `([a-z0-9]+)` \\| (.*) \\|$")
+	var got []string
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		got = append(got, m[1]+": "+strings.ReplaceAll(m[2], "`", ""))
+	}
+	var want []string
+	files := 0
+	for _, e := range GridExperiments(env.TestSpec(), 2, 2, 0.3) {
+		var fs []string
+		for _, o := range e.Outputs {
+			fs = append(fs, o.File)
+		}
+		files += len(fs)
+		want = append(want, e.Name+": "+strings.Join(fs, ", "))
+	}
+	if len(want) != 16 || files != 17 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("README table lists\n  %s\nthe catalogue has %d entries, %d files\n  %s",
+			strings.Join(got, "\n  "), len(want), files, strings.Join(want, "\n  "))
 	}
 }
 

@@ -1,17 +1,19 @@
 // Package experiment is the paper-reproduction harness: it declares the
 // figures, tables, and ablations as one catalogue of experiments over
-// environment specs, and folds their jobs' results into the paper's
-// CSVs.
+// environment specs, each a row of data — the grids it trains and,
+// column by column, the CSVs it derives from their results.
 //
 // Environment construction lives in the public gsfl/env package — Spec
-// is an alias of env.Spec, worlds come from env.Build, and the
-// extension points (allocators, grouping strategies, datasets,
-// architectures) resolve through the env registries. What lives here is
-// the harness itself: the Grid expansion with stable job content hashes
-// and the single job executor (grid.go), and the catalogue of paper
-// experiments with their folds (grids.go; table3.go and validation.go
-// hold the two entries that train nothing). cmd/gsfl-sweep -exp is the
-// catalogue's only runner.
+// is an alias of env.Spec, worlds come from env.Build, and every name a
+// spec carries (allocator, grouping strategy, dataset, architecture,
+// availability trace, numeric mode) is resolved in one place,
+// Spec.Canonical. What lives here is the harness itself: the Grid
+// expansion (a table of axes) with stable job content hashes and the
+// single job executor, RunJob (grid.go), and the catalogue,
+// GridExperiments, with the one Save that renders any entry (grids.go;
+// table3.go and validation.go hold the two entries that train nothing).
+// Adding an experiment is adding a row to the catalogue. cmd/gsfl-sweep
+// -exp is its only runner.
 package experiment
 
 import "gsfl/env"

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strconv"
 	"testing"
 
@@ -13,20 +15,86 @@ import (
 	"gsfl/internal/schemes/schemestest"
 )
 
-// runGrid expands and executes a grid serially, in job order — the
+// entry returns the named catalogue entry at env.TestSpec() with the
+// given run shape (and a table-1 target of 0.9). narrow, when non-nil,
+// edits the axes of the entry's first grid: the tests sweep fewer values
+// than the paper's ablations do.
+func entry(t *testing.T, name string, rounds, evalEvery int, narrow func(*Axes)) GridExperiment {
+	t.Helper()
+	for _, e := range GridExperiments(env.TestSpec(), rounds, evalEvery, 0.9) {
+		if e.Name == name {
+			if narrow != nil {
+				narrow(&e.Grids[0].Axes)
+			}
+			return e
+		}
+	}
+	t.Fatalf("no catalogue entry %q", name)
+	return GridExperiment{}
+}
+
+// run expands and executes the entry's jobs serially, in job order — the
 // one-worker reference execution every concurrent schedule must match
 // bit-for-bit.
-func runGrid(t *testing.T, g Grid) []JobResult {
+func run(t *testing.T, e GridExperiment) []JobResult {
 	t.Helper()
-	jobs, err := g.Jobs()
+	jobs, err := e.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]JobResult, len(jobs))
 	for i, j := range jobs {
-		if out[i], err = RunJob(context.Background(), j); err != nil {
+		if out[i], err = RunJob(context.Background(), j, nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return out
+}
+
+// table renders the entry's one table output (skipping curve files)
+// from res and returns its rows keyed by column name — the cells
+// exactly as the CSV will show them.
+func table(t *testing.T, e GridExperiment, res []JobResult) []map[string]any {
+	t.Helper()
+	for _, o := range e.Outputs {
+		if o.Header == nil {
+			continue
+		}
+		rows, err := o.Rows(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]map[string]any, len(rows))
+		for i, row := range rows {
+			if len(row) != len(o.Header) {
+				t.Fatalf("%s row %d has %d cells for %d columns", o.File, i, len(row), len(o.Header))
+			}
+			out[i] = map[string]any{}
+			for k, col := range o.Header {
+				out[i][col] = row[k]
+			}
+		}
+		return out
+	}
+	t.Fatalf("entry %q has no table output", e.Name)
+	return nil
+}
+
+// num reads a numeric cell: a formatted string or an integer.
+func num(t *testing.T, cell any) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(fmt.Sprint(cell), 64)
+	if err != nil {
+		t.Fatalf("cell %v is not numeric: %v", cell, err)
+	}
+	return v
+}
+
+// curvesOf extracts the results' training curves, in job order.
+func curvesOf(res []JobResult) []*metrics.Curve {
+	out := make([]*metrics.Curve, len(res))
+	for i, r := range res {
+		out[i] = r.Curve
 	}
 	return out
 }
@@ -85,7 +153,7 @@ func TestBuildValidation(t *testing.T) {
 }
 
 func TestFig2aShape(t *testing.T) {
-	curves := FoldCurves(runGrid(t, Fig2aGrid(env.TestSpec(), 3, 1)))
+	curves := curvesOf(run(t, entry(t, "fig2a", 3, 1, nil)))
 	if len(curves) != 4 {
 		t.Fatalf("fig2a needs 4 curves, got %d", len(curves))
 	}
@@ -107,7 +175,7 @@ func TestFig2bLatencyOrdering(t *testing.T) {
 	// The paper's headline: GSFL accumulates training latency more slowly
 	// than SL. At any common round index, GSFL's cumulative latency must
 	// be lower.
-	curves := FoldCurves(runGrid(t, Fig2bGrid(env.TestSpec(), 3, 1)))
+	curves := curvesOf(run(t, entry(t, "fig2b", 3, 1, nil)))
 	var gsflC, slC *metrics.Curve
 	for _, c := range curves {
 		switch c.Scheme {
@@ -127,17 +195,24 @@ func TestFig2bLatencyOrdering(t *testing.T) {
 }
 
 func TestTable2LatencyBreakdown(t *testing.T) {
-	tbl := FoldTable2(runGrid(t, Table2Grid(env.TestSpec(), 2)))
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("table2 rows = %d, want 5 schemes", len(tbl.Rows))
+	e := entry(t, "table2", 2, 1, nil)
+	rows := table(t, e, run(t, e))
+	if len(rows) != 5 {
+		t.Fatalf("table2 rows = %d, want 5 schemes", len(rows))
 	}
 	totals := map[string]float64{}
-	for _, r := range tbl.Rows {
-		v, err := strconv.ParseFloat(r["total_s"].(string), 64)
-		if err != nil {
-			t.Fatal(err)
+	for _, r := range rows {
+		total := num(t, r["total_s"])
+		totals[r["scheme"].(string)] = total
+		// The six components are the whole round; each cell is rounded to
+		// 4 decimals, so they add up to the total within 6 half-units.
+		sum := 0.0
+		for _, col := range []string{"client_compute_s", "uplink_s", "server_compute_s", "downlink_s", "relay_s", "aggregation_s"} {
+			sum += num(t, r[col])
 		}
-		totals[r["scheme"].(string)] = v
+		if math.Abs(sum-total) > 6*0.00005+1e-12 {
+			t.Fatalf("%v: components sum to %v, total_s is %v", r["scheme"], sum, total)
+		}
 	}
 	// Headline orderings: GSFL beats SL; CL (server-only) is cheapest.
 	if totals["gsfl"] >= totals["sl"] {
@@ -149,12 +224,8 @@ func TestTable2LatencyBreakdown(t *testing.T) {
 }
 
 func TestTable3StorageOrdering(t *testing.T) {
-	tbl, err := RunTable3(env.TestSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
 	byScheme := map[string]int{}
-	for _, r := range tbl.Rows {
+	for _, r := range table(t, entry(t, "table3", 2, 1, nil), nil) {
 		byScheme[r["scheme"].(string)] = r["server_replicas"].(int)
 	}
 	if byScheme["gsfl"] != 2 {
@@ -194,46 +265,52 @@ func TestConvergenceGSFLFasterThanFLInRounds(t *testing.T) {
 }
 
 func TestAblationCutLayer(t *testing.T) {
-	res := FoldCutLayer(runGrid(t, CutLayerGrid(env.TestSpec(), []int{1, 3, 6}, 2, 1)))
+	e := entry(t, "cutlayer", 2, 1, func(a *Axes) { a.Cuts = []int{1, 3, 6} })
+	res := table(t, e, run(t, e))
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
+	client := func(i int) float64 { return num(t, res[i]["client_model_bytes"]) }
+	smashed := func(i int) float64 { return num(t, res[i]["smashed_bytes_per_batch"]) }
 	// Deeper cuts never shrink the client side (ReLU/pool layers carry no
 	// parameters, so cuts 1 and 3 tie) and strictly grow once the second
 	// conv block moves over.
-	if res[0].ClientBytes > res[1].ClientBytes || res[1].ClientBytes >= res[2].ClientBytes {
+	if client(0) > client(1) || client(1) >= client(2) {
 		t.Fatalf("client bytes not monotone in cut: %+v", res)
 	}
 	// Cutting after pooling (cut 3) shrinks the smashed data versus
 	// cutting before it (cut 1).
-	if res[1].SmashedBytes >= res[0].SmashedBytes {
+	if smashed(1) >= smashed(0) {
 		t.Fatalf("pooled cut should shrink smashed data: %+v", res)
 	}
 }
 
 func TestAblationGrouping(t *testing.T) {
-	res := FoldGrouping(runGrid(t, GroupingGrid(env.TestSpec(), []int{1, 3},
-		[]string{"round-robin"}, 2, 1)))
+	e := entry(t, "grouping", 2, 1, func(a *Axes) {
+		a.Groups, a.Strategies = []int{1, 3}, []string{"round-robin"}
+	})
+	res := table(t, e, run(t, e))
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
 	// More groups = more parallelism = shorter rounds.
-	if res[1].RoundLatency >= res[0].RoundLatency {
-		t.Fatalf("M=3 latency %v not below M=1 latency %v", res[1].RoundLatency, res[0].RoundLatency)
+	if m3, m1 := num(t, res[1]["round_latency_s"]), num(t, res[0]["round_latency_s"]); m3 >= m1 {
+		t.Fatalf("M=3 latency %v not below M=1 latency %v", m3, m1)
 	}
 }
 
 func TestAblationAllocation(t *testing.T) {
-	res := FoldAllocation(runGrid(t, AllocationGrid(env.TestSpec(), 2)))
+	e := entry(t, "resalloc", 2, 1, nil)
+	res := table(t, e, run(t, e))
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
 	names := map[string]bool{}
 	for _, r := range res {
-		if r.RoundLatency <= 0 {
-			t.Fatalf("allocator %s latency %v", r.Allocator, r.RoundLatency)
+		if num(t, r["round_latency_s"]) <= 0 {
+			t.Fatalf("allocator %s latency %v", r["allocator"], r["round_latency_s"])
 		}
-		names[r.Allocator] = true
+		names[r["allocator"].(string)] = true
 	}
 	for _, want := range []string{"uniform", "proportional-fair", "latency-min"} {
 		if !names[want] {
@@ -245,10 +322,17 @@ func TestAblationAllocation(t *testing.T) {
 func TestTable1Structure(t *testing.T) {
 	// Table 1 at tiny scale: just verify structure and that every scheme
 	// appears (convergence itself is covered by the blob test above and
-	// the full-scale bench).
-	curves := FoldCurves(runGrid(t, Fig2aGrid(env.TestSpec(), 2, 1)))
-	tbl := FoldTable1(curves, 0.9)
-	if len(tbl.Rows) != 4 || len(curves) != 4 {
-		t.Fatalf("rows=%d curves=%d", len(tbl.Rows), len(curves))
+	// the full-scale bench). Nothing reaches 0.9 in two rounds, so the
+	// rounds and speedup cells are empty.
+	e := entry(t, "table1", 2, 1, nil)
+	res := run(t, e)
+	rows := table(t, e, res)
+	if len(rows) != 4 || len(res) != 4 {
+		t.Fatalf("rows=%d curves=%d", len(rows), len(res))
+	}
+	for _, r := range rows {
+		if r["reached"] != false || r["rounds_to_target"] != nil || r["speedup_vs_scheme_for_gsfl"] != nil {
+			t.Fatalf("unreached row carries values: %+v", r)
+		}
 	}
 }

@@ -115,91 +115,67 @@ type jobIdentity struct {
 	DropoutProb    float64
 }
 
-// hashJob derives the stable content ID of a (scheme, spec, rounds,
-// evalEvery) cell. Extension names are canonicalized through the env
-// registries before hashing, so a spec saying "propfair" and one saying
-// "proportional-fair" are the same cell.
-func hashJob(scheme string, s Spec, rounds, evalEvery int) (string, error) {
-	if s.Alloc == "" {
-		return "", fmt.Errorf("experiment: job spec has no allocator")
+// hashJob derives the stable content ID of a cell from its scheme, run
+// shape and spec. The spec must be canonical (Spec.Canonical), so that
+// one saying "propfair" and one saying "proportional-fair" are the same
+// cell; grid expansion canonicalizes once per cell, RehashJob does it
+// for a job that arrived from elsewhere.
+func hashJob(j Job) (string, error) {
+	s := j.Spec
+	h := fnv.New64a()
+	var err error
+	write := func(part any) {
+		if err == nil {
+			var buf []byte
+			buf, err = json.Marshal(part) // struct field order is fixed => deterministic bytes
+			_, _ = h.Write(buf)
+		}
 	}
-	s = s.Normalized()
-	alloc, err := env.CanonicalAllocator(s.Alloc)
-	if err != nil {
-		return "", fmt.Errorf("experiment: job identity: %w", err)
-	}
-	strategy, err := env.CanonicalStrategy(s.Strategy)
-	if err != nil {
-		return "", fmt.Errorf("experiment: job identity: %w", err)
-	}
-	id := jobIdentity{
-		Scheme:         scheme,
-		Rounds:         rounds,
-		EvalEvery:      evalEvery,
+	write(jobIdentity{
+		Scheme:         j.Scheme,
+		Rounds:         j.Rounds,
+		EvalEvery:      j.EvalEvery,
 		Clients:        s.Clients,
 		Groups:         s.Groups,
-		Strategy:       strategy,
+		Strategy:       s.Strategy,
 		ImageSize:      s.ImageSize,
 		TrainPerClient: s.TrainPerClient,
 		TestPerClass:   s.TestPerClass,
 		Alpha:          s.Alpha,
 		Cut:            s.Cut,
 		Hyper:          s.Hyper,
-		Alloc:          alloc,
+		Alloc:          s.Alloc,
 		Device:         s.Device,
 		Wireless:       s.Wireless,
 		Seed:           s.Seed,
 		Pipelined:      s.Pipelined,
 		DropoutProb:    s.DropoutProb,
-	}
-	buf, err := json.Marshal(id) // struct field order is fixed => deterministic bytes
-	if err != nil {
-		return "", fmt.Errorf("experiment: encoding job identity: %w", err)
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(buf)
+	})
 	// The dataset and architecture joined the identity after the format
 	// above was pinned; they extend the hash only when non-default, so
 	// every historical job keeps its historical ID.
 	if s.Dataset != env.DefaultDataset || s.Arch != env.DefaultArch {
-		ext, err := json.Marshal(struct{ Dataset, Arch string }{s.Dataset, s.Arch})
-		if err != nil {
-			return "", fmt.Errorf("experiment: encoding job identity extension: %w", err)
-		}
-		_, _ = h.Write(ext)
+		write(struct{ Dataset, Arch string }{s.Dataset, s.Arch})
 	}
 	// The population fields joined later still (PR 7); same rule — only a
 	// spec that actually configures a population extends the hash, so
 	// population-free jobs keep their historical IDs.
 	if s.Population != 0 {
-		trace, err := env.CanonicalAvailTrace(s.AvailTrace)
-		if err != nil {
-			return "", fmt.Errorf("experiment: job identity: %w", err)
-		}
-		ext, err := json.Marshal(struct {
+		write(struct {
 			Population     int
 			SampleFraction float64
 			AvailTrace     string
 			ProfileMix     string
-		}{s.Population, s.SampleFraction, trace, s.DeviceProfileMix})
-		if err != nil {
-			return "", fmt.Errorf("experiment: encoding job identity extension: %w", err)
-		}
-		_, _ = h.Write(ext)
+		}{s.Population, s.SampleFraction, s.AvailTrace, s.DeviceProfileMix})
 	}
 	// The numeric mode (PR 8) extends the hash only when it is not the
-	// default, so every exact-mode job — the entire historical catalogue —
-	// keeps its historical ID.
-	numeric, err := env.CanonicalNumericMode(s.Numeric)
-	if err != nil {
-		return "", fmt.Errorf("experiment: job identity: %w", err)
+	// default (which canonicalizes to ""), so every exact-mode job — the
+	// entire historical catalogue — keeps its historical ID.
+	if s.Numeric != "" {
+		write(struct{ Numeric string }{s.Numeric})
 	}
-	if numeric != env.DefaultNumericMode {
-		ext, err := json.Marshal(struct{ Numeric string }{numeric})
-		if err != nil {
-			return "", fmt.Errorf("experiment: encoding job identity extension: %w", err)
-		}
-		_, _ = h.Write(ext)
+	if err != nil {
+		return "", fmt.Errorf("experiment: encoding job identity: %w", err)
 	}
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
@@ -210,170 +186,60 @@ func hashJob(scheme string, s Spec, rounds, evalEvery int) (string, error) {
 // corrupted (or built by a coordinator with drifted identity rules) and
 // must not execute under the claimed identity.
 func RehashJob(j Job) (string, error) {
-	return hashJob(j.Scheme, j.Spec, j.Rounds, j.EvalEvery)
+	var err error
+	if j.Spec, err = j.Spec.Canonical(); err != nil {
+		return "", fmt.Errorf("experiment: job identity: %w", err)
+	}
+	return hashJob(j)
 }
 
-// canonicalizeSpec rewrites the spec's extension names to their
-// canonical registry forms (empty strategy/dataset/arch to defaults,
-// aliases like "propfair" to "proportional-fair"). An empty allocator
-// is left for hashJob's dedicated error.
-func canonicalizeSpec(s *Spec) error {
-	*s = s.Normalized()
-	if s.Alloc != "" {
-		alloc, err := env.CanonicalAllocator(s.Alloc)
-		if err != nil {
-			return err
-		}
-		s.Alloc = alloc
-	}
-	strategy, err := env.CanonicalStrategy(s.Strategy)
-	if err != nil {
-		return err
-	}
-	s.Strategy = strategy
-	if _, err := env.CanonicalDataset(s.Dataset); err != nil {
-		return err
-	}
-	if _, err := env.CanonicalArch(s.Arch); err != nil {
-		return err
-	}
-	if s.Population > 0 {
-		if _, err := env.CanonicalAvailTrace(s.AvailTrace); err != nil {
-			return err
-		}
-	}
-	if _, err := env.CanonicalNumericMode(s.Numeric); err != nil {
-		return err
-	}
-	return nil
-}
-
-// axis is one expanded dimension: a key for labels and one apply
-// function per value.
-type axis struct {
-	key  string
-	vals []axisVal
-}
+// axis is one expanded dimension: a label and a setter per value.
+type axis []axisVal
 
 type axisVal struct {
 	label string
-	apply func(j *Job) error
+	apply func(j *Job)
 }
 
-// axes assembles the expansion plan in canonical nesting order.
+// axisOf builds one axis row: key names it in job labels, verb formats
+// a value there, set writes a value onto the cell. Names are assigned
+// as written; Spec.Canonical resolves them once per cell.
+func axisOf[T any](key string, vals []T, verb string, set func(*Job, T)) axis {
+	var a axis
+	for _, v := range vals {
+		a = append(a, axisVal{
+			label: fmt.Sprintf("%s="+verb, key, v),
+			apply: func(j *Job) { set(j, v) },
+		})
+	}
+	return a
+}
+
+// axes lists the sixteen swept dimensions in canonical nesting order;
+// Jobs skips the empty ones.
 func (g Grid) axes() []axis {
-	var out []axis
-	add := func(key string, n int, label func(i int) string, apply func(j *Job, i int) error) {
-		if n == 0 {
-			return
-		}
-		a := axis{key: key}
-		for i := 0; i < n; i++ {
-			i := i
-			a.vals = append(a.vals, axisVal{
-				label: fmt.Sprintf("%s=%s", key, label(i)),
-				apply: func(j *Job) error { return apply(j, i) },
-			})
-		}
-		out = append(out, a)
+	ax, schemes := g.Axes, g.Axes.Schemes
+	if len(schemes) == 0 {
+		schemes = []string{"gsfl"}
 	}
-	add("seed", len(g.Axes.Seeds),
-		func(i int) string { return fmt.Sprintf("%d", g.Axes.Seeds[i]) },
-		func(j *Job, i int) error { j.Spec.Seed = g.Axes.Seeds[i]; return nil })
-	add("alpha", len(g.Axes.Alphas),
-		func(i int) string { return fmt.Sprintf("%g", g.Axes.Alphas[i]) },
-		func(j *Job, i int) error { j.Spec.Alpha = g.Axes.Alphas[i]; return nil })
-	add("cut", len(g.Axes.Cuts),
-		func(i int) string { return fmt.Sprintf("%d", g.Axes.Cuts[i]) },
-		func(j *Job, i int) error { j.Spec.Cut = g.Axes.Cuts[i]; return nil })
-	add("groups", len(g.Axes.Groups),
-		func(i int) string { return fmt.Sprintf("%d", g.Axes.Groups[i]) },
-		func(j *Job, i int) error { j.Spec.Groups = g.Axes.Groups[i]; return nil })
-	add("strategy", len(g.Axes.Strategies),
-		func(i int) string { return g.Axes.Strategies[i] },
-		func(j *Job, i int) error {
-			st, err := env.CanonicalStrategy(g.Axes.Strategies[i])
-			if err != nil {
-				return err
-			}
-			j.Spec.Strategy = st
-			return nil
-		})
-	add("alloc", len(g.Axes.Allocators),
-		func(i int) string { return g.Axes.Allocators[i] },
-		func(j *Job, i int) error {
-			al, err := env.CanonicalAllocator(g.Axes.Allocators[i])
-			if err != nil {
-				return err
-			}
-			j.Spec.Alloc = al
-			return nil
-		})
-	add("dropout", len(g.Axes.Dropouts),
-		func(i int) string { return fmt.Sprintf("%g", g.Axes.Dropouts[i]) },
-		func(j *Job, i int) error { j.Spec.DropoutProb = g.Axes.Dropouts[i]; return nil })
-	add("quant", len(g.Axes.Quantized),
-		func(i int) string { return fmt.Sprintf("%t", g.Axes.Quantized[i]) },
-		func(j *Job, i int) error { j.Spec.Hyper.QuantizeTransfers = g.Axes.Quantized[i]; return nil })
-	add("pipe", len(g.Axes.Pipelined),
-		func(i int) string { return fmt.Sprintf("%t", g.Axes.Pipelined[i]) },
-		func(j *Job, i int) error { j.Spec.Pipelined = g.Axes.Pipelined[i]; return nil })
-	add("dataset", len(g.Axes.Datasets),
-		func(i int) string { return g.Axes.Datasets[i] },
-		func(j *Job, i int) error {
-			name, err := env.CanonicalDataset(g.Axes.Datasets[i])
-			if err != nil {
-				return err
-			}
-			j.Spec.Dataset = name
-			return nil
-		})
-	add("arch", len(g.Axes.Archs),
-		func(i int) string { return g.Axes.Archs[i] },
-		func(j *Job, i int) error {
-			name, err := env.CanonicalArch(g.Axes.Archs[i])
-			if err != nil {
-				return err
-			}
-			j.Spec.Arch = name
-			return nil
-		})
-	add("pop", len(g.Axes.Populations),
-		func(i int) string { return fmt.Sprintf("%d", g.Axes.Populations[i]) },
-		func(j *Job, i int) error { j.Spec.Population = g.Axes.Populations[i]; return nil })
-	add("frac", len(g.Axes.SampleFractions),
-		func(i int) string { return fmt.Sprintf("%g", g.Axes.SampleFractions[i]) },
-		func(j *Job, i int) error { j.Spec.SampleFraction = g.Axes.SampleFractions[i]; return nil })
-	add("trace", len(g.Axes.AvailTraces),
-		func(i int) string { return g.Axes.AvailTraces[i] },
-		func(j *Job, i int) error {
-			name, err := env.CanonicalAvailTrace(g.Axes.AvailTraces[i])
-			if err != nil {
-				return err
-			}
-			j.Spec.AvailTrace = name
-			return nil
-		})
-	add("numeric", len(g.Axes.Numerics),
-		func(i int) string { return g.Axes.Numerics[i] },
-		func(j *Job, i int) error {
-			name, err := env.CanonicalNumericMode(g.Axes.Numerics[i])
-			if err != nil {
-				return err
-			}
-			// canonicalizeSpec's Normalized folds the default back to "",
-			// so the exact-mode cell dedups against numeric-free grids.
-			j.Spec.Numeric = name
-			return nil
-		})
-	schemesAxis := g.Axes.Schemes
-	if len(schemesAxis) == 0 {
-		schemesAxis = []string{"gsfl"}
+	return []axis{
+		axisOf("seed", ax.Seeds, "%d", func(j *Job, v int64) { j.Spec.Seed = v }),
+		axisOf("alpha", ax.Alphas, "%g", func(j *Job, v float64) { j.Spec.Alpha = v }),
+		axisOf("cut", ax.Cuts, "%d", func(j *Job, v int) { j.Spec.Cut = v }),
+		axisOf("groups", ax.Groups, "%d", func(j *Job, v int) { j.Spec.Groups = v }),
+		axisOf("strategy", ax.Strategies, "%s", func(j *Job, v string) { j.Spec.Strategy = v }),
+		axisOf("alloc", ax.Allocators, "%s", func(j *Job, v string) { j.Spec.Alloc = v }),
+		axisOf("dropout", ax.Dropouts, "%g", func(j *Job, v float64) { j.Spec.DropoutProb = v }),
+		axisOf("quant", ax.Quantized, "%t", func(j *Job, v bool) { j.Spec.Hyper.QuantizeTransfers = v }),
+		axisOf("pipe", ax.Pipelined, "%t", func(j *Job, v bool) { j.Spec.Pipelined = v }),
+		axisOf("dataset", ax.Datasets, "%s", func(j *Job, v string) { j.Spec.Dataset = v }),
+		axisOf("arch", ax.Archs, "%s", func(j *Job, v string) { j.Spec.Arch = v }),
+		axisOf("pop", ax.Populations, "%d", func(j *Job, v int) { j.Spec.Population = v }),
+		axisOf("frac", ax.SampleFractions, "%g", func(j *Job, v float64) { j.Spec.SampleFraction = v }),
+		axisOf("trace", ax.AvailTraces, "%s", func(j *Job, v string) { j.Spec.AvailTrace = v }),
+		axisOf("numeric", ax.Numerics, "%s", func(j *Job, v string) { j.Spec.Numeric = v }),
+		axisOf("scheme", schemes, "%s", func(j *Job, v string) { j.Scheme = v }),
 	}
-	add("scheme", len(schemesAxis),
-		func(i int) string { return schemesAxis[i] },
-		func(j *Job, i int) error { j.Scheme = schemesAxis[i]; return nil })
-	return out
 }
 
 // Jobs expands the grid into its cells, outermost axis first. Axis value
@@ -387,47 +253,46 @@ func (g Grid) Jobs() ([]Job, error) {
 	if g.EvalEvery <= 0 {
 		return nil, fmt.Errorf("experiment: grid %q needs positive eval cadence, got %d", g.Name, g.EvalEvery)
 	}
-	axes := g.axes()
+	var axes []axis
+	for _, a := range g.axes() {
+		if len(a) > 0 {
+			axes = append(axes, a)
+		}
+	}
 	var jobs []Job
-	var expand func(prefix []string, applied []func(j *Job) error, depth int) error
-	expand = func(prefix []string, applied []func(j *Job) error, depth int) error {
-		if depth == len(axes) {
-			j := Job{Name: g.Name, Spec: g.Base, Rounds: g.Rounds, EvalEvery: g.EvalEvery}
-			for _, apply := range applied {
-				if err := apply(&j); err != nil {
-					return fmt.Errorf("experiment: grid %q: %w", g.Name, err)
+	var expand func(j Job, labels []string, depth int) error
+	expand = func(j Job, labels []string, depth int) error {
+		if depth < len(axes) {
+			for _, v := range axes[depth] {
+				cell, l := j, labels
+				v.apply(&cell)
+				if len(axes[depth]) > 1 {
+					l = append(l[:len(l):len(l)], v.label)
+				}
+				if err := expand(cell, l, depth+1); err != nil {
+					return err
 				}
 			}
-			if len(prefix) > 0 {
-				j.Name += "/" + strings.Join(prefix, ",")
-			}
-			// The job carries the canonical spec (alias names from a grid
-			// file's base patch resolved, defaults filled in), so folds,
-			// stores, and logs all record one spelling per extension.
-			if err := canonicalizeSpec(&j.Spec); err != nil {
-				return fmt.Errorf("experiment: grid %q cell %s: %w", g.Name, j.Name, err)
-			}
-			id, err := hashJob(j.Scheme, j.Spec, j.Rounds, j.EvalEvery)
-			if err != nil {
-				return fmt.Errorf("experiment: grid %q cell %s: %w", g.Name, j.Name, err)
-			}
-			j.ID = id
-			jobs = append(jobs, j)
 			return nil
 		}
-		a := axes[depth]
-		for _, v := range a.vals {
-			p := prefix
-			if len(a.vals) > 1 {
-				p = append(p[:len(p):len(p)], v.label)
-			}
-			if err := expand(p, append(applied[:len(applied):len(applied)], v.apply), depth+1); err != nil {
-				return err
-			}
+		if len(labels) > 0 {
+			j.Name += "/" + strings.Join(labels, ",")
 		}
+		// The job carries the canonical spec (aliases from an axis or a
+		// grid file's base patch resolved, defaults filled in), so the
+		// catalogue's columns, stores, and logs all record one spelling
+		// per extension.
+		var err error
+		if j.Spec, err = j.Spec.Canonical(); err == nil {
+			j.ID, err = hashJob(j)
+		}
+		if err != nil {
+			return fmt.Errorf("experiment: grid %q cell %s: %w", g.Name, j.Name, err)
+		}
+		jobs = append(jobs, j)
 		return nil
 	}
-	if err := expand(nil, nil, 0); err != nil {
+	if err := expand(Job{Name: g.Name, Spec: g.Base, Rounds: g.Rounds, EvalEvery: g.EvalEvery}, nil, 0); err != nil {
 		return nil, err
 	}
 	return jobs, nil
@@ -435,10 +300,11 @@ func (g Grid) Jobs() ([]Job, error) {
 
 // JobResult is one completed cell: the training curve plus the summed
 // per-component latency ledger over every executed round (the breakdown
-// the latency tables fold over). TotalSeconds accumulates each round's
-// critical-path total in round order — numerically it is Ledger.Total()
-// in a different floating-point summation order, kept separate so folds
-// reproduce the historical per-round accumulation bit for bit.
+// the latency tables' columns read). TotalSeconds accumulates each
+// round's critical-path total in round order — numerically it is
+// Ledger.Total() in a different floating-point summation order, kept
+// separate so the resalloc column reproduces the historical per-round
+// accumulation bit for bit.
 type JobResult struct {
 	Job          Job
 	Curve        *metrics.Curve
@@ -446,88 +312,76 @@ type JobResult struct {
 	TotalSeconds float64
 }
 
-// resultObserver accumulates every round's ledger and total into res.
-func resultObserver(res *JobResult) sim.RunOption {
-	return sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
-		res.Ledger.Merge(e.Ledger)
-		res.TotalSeconds += e.RoundSeconds
-	}))
+// Handoff is what an earlier, killed execution of a job left behind: a
+// sim checkpoint plus the ledger and total accumulated over exactly the
+// Round rounds that checkpoint had completed (the sweep store persists
+// them alongside it).
+type Handoff struct {
+	CheckpointPath string
+	Round          int
+	Ledger         simnet.Ledger
+	TotalSeconds   float64
 }
 
-// RunJob executes one cell from scratch: build the world, construct the
-// scheme, drive the Runner. Extra options (observers, checkpointing)
-// are appended to the job's own rounds/cadence configuration. This is
-// the single job-execution path: gsfl/sweep's scheduler and the fleet
+// RunJob executes one cell: build the world, then drive a Runner over a
+// freshly constructed scheme or — given a handoff — over the trainer
+// its checkpoint restores. The handoff's sums seed the result's
+// accumulators rather than being merged in afterwards, which keeps the
+// floating-point addition order of an uninterrupted run, so a resumed
+// result is bit identical. Extra options (observers, checkpointing) are
+// appended to the job's own rounds/cadence configuration. This is the
+// single job-execution path: gsfl/sweep's scheduler and the fleet
 // workers both reach it through sweep's runJob.
-func RunJob(ctx context.Context, j Job, opts ...sim.RunOption) (JobResult, error) {
+func RunJob(ctx context.Context, j Job, from *Handoff, opts ...sim.RunOption) (res JobResult, err error) {
+	defer func() {
+		if err != nil {
+			res, err = JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
+		}
+	}()
 	// The numeric mode is a process-global kernel switch: hold it for
 	// the job's duration so concurrent same-mode jobs proceed together
 	// while a mixed exact/fast grid serializes only at mode boundaries.
 	release, err := tensor.AcquireNumericMode(j.Spec.Numeric)
 	if err != nil {
-		return JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
+		return res, err
 	}
 	defer release()
 	world, err := env.Build(j.Spec)
 	if err != nil {
-		return JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
+		return res, err
 	}
-	schemeOpts, err := j.Spec.SchemeOptions()
-	if err != nil {
-		return JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
-	}
-	tr, err := sim.New(j.Scheme, world, schemeOpts)
-	if err != nil {
-		return JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
-	}
-	res := JobResult{Job: j}
+	res.Job = j
 	ropts := append([]sim.RunOption{
 		sim.WithRounds(j.Rounds),
 		sim.WithEvalEvery(j.EvalEvery),
-		resultObserver(&res),
+		sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
+			res.Ledger.Merge(e.Ledger)
+			res.TotalSeconds += e.RoundSeconds
+		})),
 	}, opts...)
-	res.Curve, err = sim.NewRunner(tr, ropts...).Run(ctx)
-	if err != nil {
-		return JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
+	var runner *sim.Runner
+	if from == nil {
+		schemeOpts, err := j.Spec.SchemeOptions()
+		if err != nil {
+			return res, err
+		}
+		tr, err := sim.New(j.Scheme, world, schemeOpts)
+		if err != nil {
+			return res, err
+		}
+		runner = sim.NewRunner(tr, ropts...)
+	} else {
+		res.Ledger, res.TotalSeconds = from.Ledger, from.TotalSeconds
+		if runner, err = sim.Resume(from.CheckpointPath, world, ropts...); err != nil {
+			return res, err
+		}
+		if runner.Scheme() != j.Scheme {
+			return res, fmt.Errorf("checkpoint trains %q, job wants %q", runner.Scheme(), j.Scheme)
+		}
+		if runner.CompletedRounds() != from.Round {
+			return res, fmt.Errorf("checkpoint is at round %d, handoff sums cover %d", runner.CompletedRounds(), from.Round)
+		}
 	}
-	return res, nil
-}
-
-// ResumeJob continues a cell from a sim checkpoint written by an earlier
-// (killed) execution of the same job. prior and priorTotal seed the
-// ledger/total accumulators with the already-completed rounds' sums
-// (persisted by the sweep store alongside the checkpoint): seeding —
-// rather than merging afterwards — keeps the floating-point addition
-// order identical to an uninterrupted run, so the resumed result is bit
-// identical. startRound reports how many rounds the checkpoint had
-// completed; callers must ensure prior covers exactly those rounds.
-func ResumeJob(ctx context.Context, j Job, ckptPath string, prior simnet.Ledger, priorTotal float64, opts ...sim.RunOption) (res JobResult, startRound int, err error) {
-	release, err := tensor.AcquireNumericMode(j.Spec.Numeric)
-	if err != nil {
-		return JobResult{}, 0, fmt.Errorf("experiment: job %s: %w", j.Name, err)
-	}
-	defer release()
-	world, err := env.Build(j.Spec)
-	if err != nil {
-		return JobResult{}, 0, fmt.Errorf("experiment: job %s: %w", j.Name, err)
-	}
-	res = JobResult{Job: j, Ledger: prior, TotalSeconds: priorTotal}
-	ropts := append([]sim.RunOption{
-		sim.WithRounds(j.Rounds),
-		sim.WithEvalEvery(j.EvalEvery),
-		resultObserver(&res),
-	}, opts...)
-	r, err := sim.Resume(ckptPath, world, ropts...)
-	if err != nil {
-		return JobResult{}, 0, fmt.Errorf("experiment: job %s: %w", j.Name, err)
-	}
-	if r.Scheme() != j.Scheme {
-		return JobResult{}, 0, fmt.Errorf("experiment: job %s: checkpoint trains %q, job wants %q", j.Name, r.Scheme(), j.Scheme)
-	}
-	startRound = r.CompletedRounds()
-	res.Curve, err = r.Run(ctx)
-	if err != nil {
-		return JobResult{}, startRound, fmt.Errorf("experiment: job %s: %w", j.Name, err)
-	}
-	return res, startRound, nil
+	res.Curve, err = runner.Run(ctx)
+	return res, err
 }

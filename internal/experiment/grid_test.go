@@ -73,7 +73,7 @@ func TestGridDefaultsToGSFL(t *testing.T) {
 }
 
 func TestJobIDsStableAndContentSensitive(t *testing.T) {
-	g := Fig2aGrid(env.TestSpec(), 4, 2)
+	g := entry(t, "fig2a", 4, 2, nil).Grids[0]
 	a, err := g.Jobs()
 	if err != nil {
 		t.Fatal(err)
@@ -119,11 +119,11 @@ func TestJobIDsStableAndContentSensitive(t *testing.T) {
 func TestGridOverlapSharesIDs(t *testing.T) {
 	// fig2b's cells are a subset of fig2a's; equal cells must hash equal
 	// so schedulers deduplicate across experiments.
-	a, err := Fig2aGrid(env.TestSpec(), 4, 2).Jobs()
+	a, err := entry(t, "fig2a", 4, 2, nil).Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig2bGrid(env.TestSpec(), 4, 2).Jobs()
+	b, err := entry(t, "fig2b", 4, 2, nil).Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestRunJobMatchesDirectRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunJob(context.Background(), jobs[0])
+	res, err := RunJob(context.Background(), jobs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,270 +14,138 @@ import (
 	"gsfl/internal/trace"
 )
 
-// This file declares the paper's figures, tables, and ablations as
-// Grids plus pure folds over the expanded jobs' results, and lists them
-// in one catalogue (GridExperiments). cmd/gsfl-sweep -exp runs the
-// catalogue's jobs through gsfl/sweep's scheduler (or a fleet) and
-// applies the folds; results come back in job order, so any -jobs value
+// This file is the catalogue of the paper's figures, tables, and
+// ablations (GridExperiments): each entry is a row of data — the grids
+// whose cells it trains and the CSV files, column by column, it derives
+// from their results. cmd/gsfl-sweep -exp runs the catalogue's jobs
+// through gsfl/sweep's scheduler (or a fleet) and GridExperiment.Save
+// renders the rows; results come back in job order, so any -jobs value
 // produces byte-identical CSVs.
 
-// Fig2aGrid sweeps the four schemes of Fig. 2(a).
-func Fig2aGrid(spec Spec, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "fig2a", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Schemes: []string{"cl", "sl", "gsfl", "fl"}},
-	}
+// GridExperiment is one named figure/table: the cells it trains and the
+// files it derives from them. The catalogue of these (GridExperiments)
+// is the single description of every paper artifact.
+type GridExperiment struct {
+	// Name is the -exp token ("fig2a", "grouping", …).
+	Name string
+	// Grids expand (concatenated, in order) into the experiment's jobs.
+	// Most experiments are a single grid; the seed-variance study is one
+	// seed grid per scheme; table3 and validate train nothing and have
+	// none.
+	Grids []Grid
+	// Outputs are the CSV files derived from the jobs' results.
+	Outputs []Output
 }
 
-// Fig2bGrid sweeps the two schemes of Fig. 2(b). Its cells are a subset
-// of Fig2aGrid's (same IDs), so a sweep running both executes them once.
-func Fig2bGrid(spec Spec, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "fig2b", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Schemes: []string{"gsfl", "sl"}},
-	}
+// Output is one CSV file of an experiment.
+type Output struct {
+	// File is the name under the output directory.
+	File string
+	// Header names the table's columns. A nil Header means the file is
+	// the long-format curves CSV of the experiment's jobs.
+	Header []string
+	// Rows derives the table's cells from the results (in job order,
+	// aligned with Jobs()), one row per record and one cell per Header
+	// column. Cells are written through fmt.Sprint, so a column that
+	// needs a fixed precision returns the formatted string; nil is an
+	// empty cell.
+	Rows func(res []JobResult) ([][]any, error)
 }
 
-// Table2Grid sweeps all five schemes for the per-round latency
-// breakdown. Accuracy is irrelevant here, so cells evaluate only after
-// the final round (the historical harness never evaluated them at all;
-// evaluation does not perturb training numerics or latency).
-func Table2Grid(spec Spec, rounds int) Grid {
-	return Grid{
-		Name: "table2", Base: spec, Rounds: rounds, EvalEvery: rounds,
-		Axes: Axes{Schemes: []string{"gsfl", "sl", "fl", "sfl", "cl"}},
-	}
-}
-
-// CutLayerGrid sweeps the split index (ablation A1).
-func CutLayerGrid(spec Spec, cuts []int, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "cutlayer", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Cuts: cuts},
-	}
-}
-
-// GroupingGrid sweeps group count and grouping strategy (ablation A2),
-// groups outermost — the historical row order. Strategies are registry
-// names (see env.Strategies).
-func GroupingGrid(spec Spec, groupCounts []int, strategies []string, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "grouping", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Groups: groupCounts, Strategies: strategies},
-	}
-}
-
-// AllocationGrid sweeps the bandwidth allocation policy (ablation A3),
-// latency-only like Table2Grid.
-func AllocationGrid(spec Spec, rounds int) Grid {
-	return Grid{
-		Name: "resalloc", Base: spec, Rounds: rounds, EvalEvery: rounds,
-		Axes: Axes{Allocators: []string{"uniform", "proportional-fair", "latency-min"}},
-	}
-}
-
-// PipelineGrid compares GSFL without and with communication/computation
-// overlap.
-func PipelineGrid(spec Spec, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "pipeline", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Pipelined: []bool{false, true}},
-	}
-}
-
-// QuantGrid compares full-precision against 8-bit quantized transfers.
-func QuantGrid(spec Spec, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "quant", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Quantized: []bool{false, true}},
-	}
-}
-
-// DropoutGrid sweeps per-round client unavailability.
-func DropoutGrid(spec Spec, probs []float64, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "dropout", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Dropouts: probs},
-	}
-}
-
-// NonIIDGrid crosses Dirichlet concentration with {gsfl, fl}, alphas
-// outermost — the historical row order.
-func NonIIDGrid(spec Spec, alphas []float64, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "noniid", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Alphas: alphas, Schemes: []string{"gsfl", "fl"}},
-	}
-}
-
-// PopSampleGrid crosses the per-round sampling fraction with the group
-// count over a persistent client population (PR 7): the population is a
-// fixed multiple of the slot count, members churn through the "onoff"
-// availability trace, and each cell trains GSFL on the cohorts the
-// population samples. Fractions are relative to the population, so at
-// the default scale (30 clients, 120 members) they span cohorts from a
-// handful of clients up to every slot.
-func PopSampleGrid(spec Spec, fractions []float64, groupCounts []int, rounds, evalEvery int) Grid {
-	spec.Population = popMembersPerSlot * spec.Clients
-	spec.AvailTrace = "onoff"
-	return Grid{
-		Name: "popsample", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{SampleFractions: fractions, Groups: groupCounts},
-	}
-}
-
-// popMembersPerSlot sizes the popsample population relative to the slot
-// count; with DefaultPopFractions the largest cohort exactly fills the
-// slots.
-const popMembersPerSlot = 4
-
-// DefaultPopFractions is the popsample study's sampling-fraction sweep.
-func DefaultPopFractions() []float64 { return []float64{0.05, 0.1, 0.25} }
-
-// PopSampleResult is one popsample cell's folded row.
-type PopSampleResult struct {
-	Fraction      float64
-	Population    int
-	Cohort        int
-	Groups        int
-	RoundLatency  float64
-	FinalAccuracy float64
-}
-
-// FoldPopSample derives the population-sampling study rows.
-func FoldPopSample(res []JobResult) []PopSampleResult {
-	out := make([]PopSampleResult, 0, len(res))
-	for _, r := range res {
-		s := r.Job.Spec
-		out = append(out, PopSampleResult{
-			Fraction:      s.SampleFraction,
-			Population:    s.Population,
-			Cohort:        s.CohortSize(),
-			Groups:        s.Groups,
-			RoundLatency:  lastLatency(r.Curve) / float64(r.Job.Rounds),
-			FinalAccuracy: r.Curve.FinalAccuracy(),
-		})
-	}
-	return out
-}
-
-// NumericGrid reruns the base GSFL cell under each registered numeric
-// mode (PR 8). The exact-mode cell normalizes to a numeric-free spec,
-// so it shares its job ID — and therefore its sweep-store entry — with
-// the historical catalogue; only non-default modes add cells.
-func NumericGrid(spec Spec, modes []string, rounds, evalEvery int) Grid {
-	return Grid{
-		Name: "numeric", Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Numerics: modes},
-	}
-}
-
-// NumericResult is one numeric-mode cell's folded row.
-type NumericResult struct {
-	Mode          string
-	RoundLatency  float64
-	FinalAccuracy float64
-}
-
-// FoldNumeric derives the numeric-mode comparison rows. Both derived
-// columns are simulation-deterministic — simulated latency and final
-// accuracy, never host wall-clock — so the CSV stays byte-identical
-// across harness worker counts even though the cells ran under
-// different kernels.
-func FoldNumeric(res []JobResult) []NumericResult {
-	out := make([]NumericResult, 0, len(res))
-	for _, r := range res {
-		mode, err := env.CanonicalNumericMode(r.Job.Spec.Numeric)
+// Jobs expands the experiment's grids into one concatenated job list.
+func (e GridExperiment) Jobs() ([]Job, error) {
+	var out []Job
+	for _, g := range e.Grids {
+		jobs, err := g.Jobs()
 		if err != nil {
-			// The grid expansion already validated the name.
-			panic(fmt.Sprintf("experiment: fold numeric: %v", err))
+			return nil, err
 		}
-		out = append(out, NumericResult{
-			Mode:          mode,
-			RoundLatency:  lastLatency(r.Curve) / float64(r.Job.Rounds),
-			FinalAccuracy: r.Curve.FinalAccuracy(),
-		})
+		out = append(out, jobs...)
 	}
-	return out
+	return out, nil
 }
 
-// SeedSweepGrid reruns one scheme across k seeds spaced as the
-// historical seed-variance study spaced them.
-func SeedSweepGrid(spec Spec, scheme string, seeds, rounds, evalEvery int) Grid {
-	sv := make([]int64, seeds)
-	for k := range sv {
-		sv[k] = spec.Seed + int64(1000*k)
+// Save writes the experiment's outputs under outDir from its jobs'
+// results.
+func (e GridExperiment) Save(outDir string, res []JobResult) error {
+	for _, o := range e.Outputs {
+		path := filepath.Join(outDir, o.File)
+		if o.Header == nil {
+			curves := make([]*metrics.Curve, len(res))
+			for i, r := range res {
+				curves[i] = r.Curve
+			}
+			if err := trace.SaveCurvesCSV(path, curves); err != nil {
+				return err
+			}
+			continue
+		}
+		rows, err := o.Rows(res)
+		if err != nil {
+			return err
+		}
+		if err := trace.SaveTableCSV(path, o.Header, rows); err != nil {
+			return err
+		}
 	}
-	return Grid{
-		Name: "seeds-" + scheme, Base: spec, Rounds: rounds, EvalEvery: evalEvery,
-		Axes: Axes{Seeds: sv, Schemes: []string{scheme}},
-	}
+	return nil
 }
 
-// FoldCurves extracts each result's training curve, in job order.
-func FoldCurves(res []JobResult) []*metrics.Curve {
-	out := make([]*metrics.Curve, len(res))
-	for i, r := range res {
-		out[i] = r.Curve
-	}
-	return out
+// column is one named column of a per-job table: how its cell derives
+// from one job's result.
+type column struct {
+	name string
+	cell func(r JobResult) any
 }
 
-// FoldTable1 derives the convergence-speed table from Fig. 2(a)'s
-// curves: rounds to target accuracy per scheme and the speedup of GSFL
-// over each.
-func FoldTable1(curves []*metrics.Curve, target float64) *trace.Table {
-	var gsflCurve *metrics.Curve
-	for _, c := range curves {
-		if c.Scheme == "gsfl" {
-			gsflCurve = c
-		}
+func col(name string, cell func(r JobResult) any) column { return column{name, cell} }
+
+// perJob is the output of a table with a row per job: the columns'
+// names are its header, each column applied to each result its cells.
+func perJob(file string, cols ...column) Output {
+	header := make([]string, len(cols))
+	for k, c := range cols {
+		header[k] = c.name
 	}
-	tbl := trace.NewTable("table1-convergence",
-		"scheme", "target_accuracy", "rounds_to_target", "reached", "speedup_vs_scheme_for_gsfl")
-	for _, c := range curves {
-		r, ok := c.RoundsToAccuracy(target)
-		row := trace.Row{
-			"scheme":          c.Scheme,
-			"target_accuracy": target,
-			"reached":         ok,
+	return Output{File: file, Header: header, Rows: func(res []JobResult) ([][]any, error) {
+		rows := make([][]any, len(res))
+		for i, r := range res {
+			rows[i] = make([]any, len(cols))
+			for k, c := range cols {
+				rows[i][k] = c.cell(r)
+			}
 		}
-		if ok {
-			row["rounds_to_target"] = r
-		}
-		if s, sok := metrics.SpeedupVsRounds(gsflCurve, c, target); sok {
-			row["speedup_vs_scheme_for_gsfl"] = fmt.Sprintf("%.2f", s)
-		}
-		tbl.Add(row)
-	}
-	return tbl
+		return rows, nil
+	}}
 }
 
-// FoldTable2 averages each scheme's summed ledger into the per-round
-// latency and energy breakdown table.
-func FoldTable2(res []JobResult) *trace.Table {
-	tbl := trace.NewTable("table2-latency-breakdown",
-		"scheme", "client_compute_s", "uplink_s", "server_compute_s",
-		"downlink_s", "relay_s", "aggregation_s", "total_s",
-		"client_energy_J", "server_energy_J")
-	energy := simnet.DefaultEnergyModel()
-	for _, r := range res {
-		sum := r.Ledger
-		inv := 1 / float64(r.Job.Rounds)
-		tbl.Add(trace.Row{
-			"scheme":           r.Job.Scheme,
-			"client_compute_s": fmt.Sprintf("%.4f", sum.Get(simnet.ClientCompute)*inv),
-			"uplink_s":         fmt.Sprintf("%.4f", sum.Get(simnet.Uplink)*inv),
-			"server_compute_s": fmt.Sprintf("%.4f", sum.Get(simnet.ServerCompute)*inv),
-			"downlink_s":       fmt.Sprintf("%.4f", sum.Get(simnet.Downlink)*inv),
-			"relay_s":          fmt.Sprintf("%.4f", sum.Get(simnet.Relay)*inv),
-			"aggregation_s":    fmt.Sprintf("%.4f", sum.Get(simnet.Aggregation)*inv),
-			"total_s":          fmt.Sprintf("%.4f", sum.Total()*inv),
-			"client_energy_J":  fmt.Sprintf("%.4f", energy.ClientEnergyJ(&sum)*inv),
-			"server_energy_J":  fmt.Sprintf("%.4f", energy.ServerEnergyJ(&sum)*inv),
-		})
-	}
-	return tbl
+func f4(x float64) string { return fmt.Sprintf("%.4f", x) }
+
+// The columns most tables share.
+var (
+	schemeCol = col("scheme", func(r JobResult) any { return r.Job.Scheme })
+	groupsCol = col("groups", func(r JobResult) any { return r.Job.Spec.Groups })
+	// roundLatency is the mean simulated seconds per round, from the
+	// curve's final cumulative latency (0 when the curve is empty).
+	roundLatency = col("round_latency_s", func(r JobResult) any {
+		last := 0.0
+		if n := len(r.Curve.Points); n > 0 {
+			last = r.Curve.Points[n-1].LatencySeconds
+		}
+		return f4(last / float64(r.Job.Rounds))
+	})
+	finalAccuracy = col("final_accuracy", func(r JobResult) any { return f4(r.Curve.FinalAccuracy()) })
+)
+
+// perRound is a quantity of the job's summed ledger as its mean over
+// the rounds.
+func perRound(name string, of func(l *simnet.Ledger) float64) column {
+	return col(name, func(r JobResult) any { return f4(of(&r.Ledger) * (1 / float64(r.Job.Rounds))) })
+}
+
+// ledgerMean is one latency component's per-round mean.
+func ledgerMean(name string, c simnet.Component) column {
+	return perRound(name, func(l *simnet.Ledger) float64 { return l.Get(c) })
 }
 
 // probeSplit rebuilds the architecture probe the cut-layer ablation
@@ -301,220 +169,73 @@ func probeSplit(s Spec) *model.SplitModel {
 	return arch.NewSplit(probeEnv.Rng("probe", 0), s.Cut)
 }
 
-// lastLatency returns the curve's final cumulative latency (0 when the
-// curve is empty).
-func lastLatency(c *metrics.Curve) float64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	return c.Points[len(c.Points)-1].LatencySeconds
-}
-
-// CutLayerResult is one row of the cut-layer ablation (A1): the split
-// index (future work §IV) against smashed-data size, client-model size,
-// mean round latency and final accuracy.
-type CutLayerResult struct {
-	Cut           int
-	SmashedBytes  int64
-	ClientBytes   int64
-	RoundLatency  float64
-	FinalAccuracy float64
-}
-
-// FoldCutLayer derives the cut-layer ablation rows from each cell's
-// curve plus a data-free architecture probe.
-func FoldCutLayer(res []JobResult) []CutLayerResult {
-	out := make([]CutLayerResult, 0, len(res))
-	for _, r := range res {
-		s := r.Job.Spec
-		probe := probeSplit(s)
-		out = append(out, CutLayerResult{
-			Cut:           s.Cut,
-			SmashedBytes:  probe.SmashedBytes(s.Hyper.Batch),
-			ClientBytes:   probe.ClientParamBytes(),
-			RoundLatency:  lastLatency(r.Curve) / float64(r.Job.Rounds),
-			FinalAccuracy: r.Curve.FinalAccuracy(),
-		})
-	}
-	return out
-}
-
-// GroupingResult is one row of the grouping ablation (A2). Strategy is
-// the canonical registry name.
-type GroupingResult struct {
-	Groups        int
-	Strategy      string
-	RoundLatency  float64
-	FinalAccuracy float64
-}
-
-// FoldGrouping derives the grouping ablation rows.
-func FoldGrouping(res []JobResult) []GroupingResult {
-	out := make([]GroupingResult, 0, len(res))
-	for _, r := range res {
-		out = append(out, GroupingResult{
-			Groups:        r.Job.Spec.Groups,
-			Strategy:      r.Job.Spec.Strategy,
-			RoundLatency:  lastLatency(r.Curve) / float64(r.Job.Rounds),
-			FinalAccuracy: r.Curve.FinalAccuracy(),
-		})
-	}
-	return out
-}
-
-// AllocationResult is one row of the resource-allocation ablation (A3).
-type AllocationResult struct {
-	Allocator    string
-	RoundLatency float64
-}
-
-// FoldAllocation derives the allocation ablation rows from the summed
-// round latencies (the cells never needed accuracy). TotalSeconds is
-// used rather than Ledger.Total() to keep the floating-point summation
-// order of the historical per-round accumulation.
-func FoldAllocation(res []JobResult) []AllocationResult {
-	out := make([]AllocationResult, 0, len(res))
-	for _, r := range res {
-		out = append(out, AllocationResult{
-			Allocator:    r.Job.Spec.Alloc, // canonical: grid expansion resolved it
-			RoundLatency: r.TotalSeconds / float64(r.Job.Rounds),
-		})
-	}
-	return out
-}
-
-// PipelineResult is one row of the communication/computation-overlap
-// ablation (the "parallel design" of the paper's reference [2]).
-// Training numerics are identical with and without overlap; only the
-// latency model changes, so the accuracy columns match and the latency
-// column favours pipelining.
-type PipelineResult struct {
-	Pipelined     bool
-	RoundLatency  float64
-	FinalAccuracy float64
-}
-
-// FoldPipelining derives the pipelining ablation rows.
-func FoldPipelining(res []JobResult) []PipelineResult {
-	out := make([]PipelineResult, 0, len(res))
-	for _, r := range res {
-		out = append(out, PipelineResult{
-			Pipelined:     r.Job.Spec.Pipelined,
-			RoundLatency:  lastLatency(r.Curve) / float64(r.Job.Rounds),
-			FinalAccuracy: r.Curve.FinalAccuracy(),
-		})
-	}
-	return out
-}
-
-// QuantResult is one row of the transfer-precision ablation: float32
-// wire against 8-bit quantized smashed-data/gradient transfers (4x less
-// traffic versus whatever accuracy the precision loss costs).
-type QuantResult struct {
-	Quantized     bool
-	RoundLatency  float64
-	FinalAccuracy float64
-}
-
-// FoldQuantization derives the transfer-precision ablation rows.
-func FoldQuantization(res []JobResult) []QuantResult {
-	out := make([]QuantResult, 0, len(res))
-	for _, r := range res {
-		out = append(out, QuantResult{
-			Quantized:     r.Job.Spec.Hyper.QuantizeTransfers,
-			RoundLatency:  lastLatency(r.Curve) / float64(r.Job.Rounds),
-			FinalAccuracy: r.Curve.FinalAccuracy(),
-		})
-	}
-	return out
-}
-
-// DropoutResult is one row of the client-dropout robustness sweep.
-type DropoutResult struct {
-	DropoutProb   float64
-	RoundLatency  float64
-	FinalAccuracy float64
-}
-
-// FoldDropout derives the dropout robustness rows.
-func FoldDropout(res []JobResult) []DropoutResult {
-	out := make([]DropoutResult, 0, len(res))
-	for _, r := range res {
-		out = append(out, DropoutResult{
-			DropoutProb:   r.Job.Spec.DropoutProb,
-			RoundLatency:  lastLatency(r.Curve) / float64(r.Job.Rounds),
-			FinalAccuracy: r.Curve.FinalAccuracy(),
-		})
-	}
-	return out
-}
-
-// NonIIDResult is one row of the data-heterogeneity sweep over the
-// Dirichlet concentration alpha (small = highly skewed client data) for
-// GSFL and FL.
-type NonIIDResult struct {
-	Alpha         float64
-	Scheme        string
-	FinalAccuracy float64
-	RoundsToHalf  int // rounds to 50% accuracy
-	ReachedHalf   bool
-}
-
-// FoldNonIID derives the heterogeneity sweep rows.
-func FoldNonIID(res []JobResult) []NonIIDResult {
-	out := make([]NonIIDResult, 0, len(res))
-	for _, r := range res {
-		rounds, ok := r.Curve.RoundsToAccuracy(0.5)
-		out = append(out, NonIIDResult{
-			Alpha:         r.Job.Spec.Alpha,
-			Scheme:        r.Job.Scheme,
-			FinalAccuracy: r.Curve.FinalAccuracy(),
-			RoundsToHalf:  rounds,
-			ReachedHalf:   ok,
-		})
-	}
-	return out
-}
-
-// SeedStats summarizes a scheme's final accuracy across seeds — the
-// variance bar a credible reproduction publishes alongside point
-// estimates.
-type SeedStats struct {
-	Scheme   string
-	Seeds    int
-	MeanAcc  float64
-	StdAcc   float64
-	WorstAcc float64
-	BestAcc  float64
-}
-
-// FoldSeedStats summarizes a seed sweep's final accuracies.
-func FoldSeedStats(res []JobResult) SeedStats {
-	accs := make([]float64, 0, len(res))
-	scheme := ""
-	for _, r := range res {
-		accs = append(accs, r.Curve.FinalAccuracy())
-		scheme = r.Job.Scheme
-	}
-	st := SeedStats{Scheme: scheme, Seeds: len(accs), WorstAcc: accs[0], BestAcc: accs[0]}
-	sum := 0.0
-	for _, a := range accs {
-		sum += a
-		if a < st.WorstAcc {
-			st.WorstAcc = a
+// table1Rows derives the convergence-speed table from Fig. 2(a)'s
+// curves: rounds to target accuracy per scheme and the speedup of GSFL
+// over each. A scheme that never reaches the target leaves both cells
+// empty.
+func table1Rows(target float64) func([]JobResult) ([][]any, error) {
+	return func(res []JobResult) ([][]any, error) {
+		var gsflCurve *metrics.Curve
+		for _, r := range res {
+			if r.Curve.Scheme == "gsfl" {
+				gsflCurve = r.Curve
+			}
 		}
-		if a > st.BestAcc {
-			st.BestAcc = a
+		var rows [][]any
+		for _, r := range res {
+			row := []any{r.Curve.Scheme, target, nil, false, nil}
+			if n, ok := r.Curve.RoundsToAccuracy(target); ok {
+				row[2], row[3] = n, true
+			}
+			if s, ok := metrics.SpeedupVsRounds(gsflCurve, r.Curve, target); ok {
+				row[4] = fmt.Sprintf("%.2f", s)
+			}
+			rows = append(rows, row)
 		}
+		return rows, nil
 	}
-	st.MeanAcc = sum / float64(len(accs))
-	ss := 0.0
-	for _, a := range accs {
-		d := a - st.MeanAcc
-		ss += d * d
+}
+
+// seedsPerScheme is the seed-variance study's per-scheme seed count.
+const seedsPerScheme = 3
+
+// seedGrid reruns one scheme across seedsPerScheme seeds spaced as the
+// historical seed-variance study spaced them.
+func seedGrid(spec Spec, scheme string, rounds, evalEvery int) Grid {
+	sv := make([]int64, seedsPerScheme)
+	for k := range sv {
+		sv[k] = spec.Seed + int64(1000*k)
 	}
-	st.StdAcc = math.Sqrt(ss / float64(len(accs)))
-	return st
+	return Grid{
+		Name: "seeds-" + scheme, Base: spec, Rounds: rounds, EvalEvery: evalEvery,
+		Axes: Axes{Seeds: sv, Schemes: []string{scheme}},
+	}
+}
+
+// seedStatsRows summarizes each scheme's final accuracy across its
+// seeds — the variance bar a credible reproduction publishes alongside
+// point estimates. The results are the seed grids' jobs concatenated,
+// seedsPerScheme per scheme.
+func seedStatsRows(res []JobResult) ([][]any, error) {
+	var rows [][]any
+	for ; len(res) >= seedsPerScheme; res = res[seedsPerScheme:] {
+		worst, best, sum := math.Inf(1), math.Inf(-1), 0.0
+		for _, r := range res[:seedsPerScheme] {
+			a := r.Curve.FinalAccuracy()
+			sum += a
+			worst, best = math.Min(worst, a), math.Max(best, a)
+		}
+		mean := sum / seedsPerScheme
+		ss := 0.0
+		for _, r := range res[:seedsPerScheme] {
+			d := r.Curve.FinalAccuracy() - mean
+			ss += d * d
+		}
+		rows = append(rows, []any{
+			res[0].Job.Scheme, seedsPerScheme, f4(mean), f4(math.Sqrt(ss / seedsPerScheme)), f4(worst), f4(best),
+		})
+	}
+	return rows, nil
 }
 
 // DefaultGroupCounts picks the grouping ablation's sweep of M values for
@@ -530,34 +251,203 @@ func DefaultGroupCounts(n int) []int {
 	return out
 }
 
-// GridExperiment is one named figure/table whose cells come from zero
-// or more Grids and whose output files come from folding the cells'
-// results. The catalogue of these (GridExperiments) is the single
-// description of every paper artifact.
-type GridExperiment struct {
-	// Name is the -exp token ("fig2a", "grouping", …).
-	Name string
-	// Grids expand (concatenated, in order) into the experiment's jobs.
-	// Most experiments are a single grid; the seed-variance study is one
-	// seed grid per scheme; table3 and validate train nothing and have
-	// none.
-	Grids []Grid
-	// Save folds the results (in job order, aligned with Jobs()) and
-	// writes the experiment's CSV file(s) under outDir.
-	Save func(outDir string, res []JobResult) error
-}
+// popMembersPerSlot sizes the popsample population relative to the slot
+// count; with its fraction sweep the largest cohort exactly fills the
+// slots.
+const popMembersPerSlot = 4
 
-// Jobs expands the experiment's grids into one concatenated job list.
-func (e GridExperiment) Jobs() ([]Job, error) {
-	var out []Job
-	for _, g := range e.Grids {
-		jobs, err := g.Jobs()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, jobs...)
+// GridExperiments catalogues every paper experiment at the given scale
+// parameters, in the harness's canonical order. Adding an experiment is
+// adding a row here. Cells shared between entries (table1 and fig2b
+// repeat fig2a's, every ablation contains the base GSFL cell) hash to
+// the same job ID, so a sweep running several entries trains them once.
+func GridExperiments(spec Spec, rounds, evalEvery int, target float64) []GridExperiment {
+	grid := func(name string, evalEvery int, axes Axes) []Grid {
+		return []Grid{{Name: name, Base: spec, Rounds: rounds, EvalEvery: evalEvery, Axes: axes}}
 	}
-	return out, nil
+	// Latency-only tables never read accuracy, so their cells evaluate
+	// once, after the final round (evaluation perturbs neither training
+	// numerics nor latency).
+	latencyOnly := rounds
+	fig2a := grid("fig2a", evalEvery, Axes{Schemes: []string{"cl", "sl", "gsfl", "fl"}})
+	// The popsample study puts a persistent population (PR 7) of a fixed
+	// multiple of the slot count behind the slots; members churn through
+	// the "onoff" availability trace. Fractions are relative to the
+	// population, so they span cohorts from a handful of clients up to
+	// every slot.
+	popSpec := spec
+	popSpec.Population, popSpec.AvailTrace = popMembersPerSlot*spec.Clients, "onoff"
+	energy := simnet.DefaultEnergyModel()
+
+	return []GridExperiment{
+		{Name: "fig2a", Grids: fig2a, Outputs: []Output{{File: "fig2a.csv"}}},
+		{
+			Name:    "fig2b",
+			Grids:   grid("fig2b", evalEvery, Axes{Schemes: []string{"gsfl", "sl"}}),
+			Outputs: []Output{{File: "fig2b.csv"}},
+		},
+		{
+			Name: "table1", Grids: fig2a,
+			Outputs: []Output{
+				{
+					File:   "table1.csv",
+					Header: []string{"scheme", "target_accuracy", "rounds_to_target", "reached", "speedup_vs_scheme_for_gsfl"},
+					Rows:   table1Rows(target),
+				},
+				{File: "table1_curves.csv"},
+			},
+		},
+		{
+			// Per-round latency and energy breakdown of all five schemes.
+			Name:  "table2",
+			Grids: grid("table2", latencyOnly, Axes{Schemes: []string{"gsfl", "sl", "fl", "sfl", "cl"}}),
+			Outputs: []Output{perJob("table2.csv", schemeCol,
+				ledgerMean("client_compute_s", simnet.ClientCompute), ledgerMean("uplink_s", simnet.Uplink),
+				ledgerMean("server_compute_s", simnet.ServerCompute), ledgerMean("downlink_s", simnet.Downlink),
+				ledgerMean("relay_s", simnet.Relay), ledgerMean("aggregation_s", simnet.Aggregation),
+				perRound("total_s", (*simnet.Ledger).Total),
+				perRound("client_energy_J", energy.ClientEnergyJ), perRound("server_energy_J", energy.ServerEnergyJ))},
+		},
+		{
+			// Server-side storage, GSFL's M replicas against SplitFed's N;
+			// trains nothing.
+			Name: "table3",
+			Outputs: []Output{{
+				File:   "table3.csv",
+				Header: []string{"scheme", "server_replicas", "server_storage_bytes"},
+				Rows:   func([]JobResult) ([][]any, error) { return RunTable3(spec) },
+			}},
+		},
+		{
+			// A1: the split index (future work §IV) against smashed-data
+			// size, client-model size, round latency and accuracy.
+			Name:  "cutlayer",
+			Grids: grid("cutlayer", evalEvery, Axes{Cuts: []int{1, 3, 6, 9}}),
+			Outputs: []Output{perJob("ablation_cutlayer.csv",
+				col("cut", func(r JobResult) any { return r.Job.Spec.Cut }),
+				col("smashed_bytes_per_batch", func(r JobResult) any {
+					return probeSplit(r.Job.Spec).SmashedBytes(r.Job.Spec.Hyper.Batch)
+				}),
+				col("client_model_bytes", func(r JobResult) any { return probeSplit(r.Job.Spec).ClientParamBytes() }),
+				roundLatency, finalAccuracy)},
+		},
+		{
+			// A2: group count × grouping strategy, groups outermost.
+			Name: "grouping",
+			Grids: grid("grouping", evalEvery, Axes{
+				Groups:     DefaultGroupCounts(spec.Clients),
+				Strategies: []string{"round-robin", "random", "compute-balanced"},
+			}),
+			Outputs: []Output{perJob("ablation_grouping.csv", groupsCol,
+				col("strategy", func(r JobResult) any { return r.Job.Spec.Strategy }),
+				roundLatency, finalAccuracy)},
+		},
+		{
+			// A3: the bandwidth allocation policy. TotalSeconds is used
+			// rather than the curve (the cells never needed accuracy); it
+			// keeps the floating-point summation order of the historical
+			// per-round accumulation.
+			Name:  "resalloc",
+			Grids: grid("resalloc", latencyOnly, Axes{Allocators: []string{"uniform", "proportional-fair", "latency-min"}}),
+			Outputs: []Output{perJob("ablation_resalloc.csv",
+				col("allocator", func(r JobResult) any { return r.Job.Spec.Alloc }),
+				col("round_latency_s", func(r JobResult) any { return f4(r.TotalSeconds / float64(r.Job.Rounds)) }))},
+		},
+		{
+			// GSFL without and with communication/computation overlap (the
+			// "parallel design" of the paper's reference [2]): numerics are
+			// identical, only the latency model changes.
+			Name:  "pipeline",
+			Grids: grid("pipeline", evalEvery, Axes{Pipelined: []bool{false, true}}),
+			Outputs: []Output{perJob("ablation_pipeline.csv",
+				col("pipelined", func(r JobResult) any { return r.Job.Spec.Pipelined }),
+				roundLatency, finalAccuracy)},
+		},
+		{
+			// float32 wire against 8-bit quantized smashed-data/gradient
+			// transfers: 4x less traffic versus the precision loss.
+			Name:  "quant",
+			Grids: grid("quant", evalEvery, Axes{Quantized: []bool{false, true}}),
+			Outputs: []Output{perJob("ablation_quant.csv",
+				col("quantized", func(r JobResult) any { return r.Job.Spec.Hyper.QuantizeTransfers }),
+				roundLatency, finalAccuracy)},
+		},
+		{
+			// Robustness to per-round client unavailability.
+			Name:  "dropout",
+			Grids: grid("dropout", evalEvery, Axes{Dropouts: []float64{0, 0.1, 0.2, 0.3}}),
+			Outputs: []Output{perJob("ablation_dropout.csv",
+				col("dropout_prob", func(r JobResult) any { return fmt.Sprintf("%.2f", r.Job.Spec.DropoutProb) }),
+				roundLatency, finalAccuracy)},
+		},
+		{
+			// Data heterogeneity: Dirichlet alpha (small = highly skewed)
+			// × {gsfl, fl}, alphas outermost.
+			Name:  "noniid",
+			Grids: grid("noniid", evalEvery, Axes{Alphas: []float64{0.1, 1, 100}, Schemes: []string{"gsfl", "fl"}}),
+			Outputs: []Output{perJob("ablation_noniid.csv",
+				col("alpha", func(r JobResult) any { return fmt.Sprintf("%g", r.Job.Spec.Alpha) }),
+				schemeCol, finalAccuracy,
+				col("rounds_to_50pct", func(r JobResult) any { n, _ := r.Curve.RoundsToAccuracy(0.5); return n }),
+				col("reached", func(r JobResult) any { _, ok := r.Curve.RoundsToAccuracy(0.5); return ok }))},
+		},
+		{
+			// Per-round sampling fraction × group count over popSpec.
+			Name: "popsample",
+			Grids: []Grid{{
+				Name: "popsample", Base: popSpec, Rounds: rounds, EvalEvery: evalEvery,
+				Axes: Axes{SampleFractions: []float64{0.05, 0.1, 0.25}, Groups: []int{2, 6}},
+			}},
+			Outputs: []Output{perJob("popsample.csv",
+				col("fraction", func(r JobResult) any { return fmt.Sprintf("%g", r.Job.Spec.SampleFraction) }),
+				col("population", func(r JobResult) any { return r.Job.Spec.Population }),
+				col("cohort", func(r JobResult) any { return r.Job.Spec.CohortSize() }),
+				groupsCol, roundLatency, finalAccuracy)},
+		},
+		{
+			Name: "seeds",
+			Grids: []Grid{
+				seedGrid(spec, "gsfl", rounds, evalEvery),
+				seedGrid(spec, "sl", rounds, evalEvery),
+				seedGrid(spec, "fl", rounds, evalEvery),
+			},
+			Outputs: []Output{{
+				File:   "seed_variance.csv",
+				Header: []string{"scheme", "seeds", "mean_acc", "std_acc", "worst_acc", "best_acc"},
+				Rows:   seedStatsRows,
+			}},
+		},
+		{
+			// The base GSFL cell under each registered numeric mode (PR 8).
+			// The exact-mode cell canonicalizes to a numeric-free spec, so it
+			// shares its job ID — and its sweep-store entry — with the rest
+			// of the catalogue; only non-default modes add cells. Both
+			// derived columns are simulation-deterministic, never host
+			// wall-clock, so the CSV is identical at any -jobs value even
+			// though the cells ran under different kernels.
+			Name:  "numeric",
+			Grids: grid("numeric", evalEvery, Axes{Numerics: env.NumericModes()}),
+			Outputs: []Output{perJob("numeric.csv",
+				col("numeric", func(r JobResult) any { mode, _ := env.CanonicalNumericMode(r.Job.Spec.Numeric); return mode }),
+				roundLatency, finalAccuracy)},
+		},
+		{
+			// Analytic latency model against event-driven processor
+			// sharing; trains nothing.
+			Name: "validate",
+			Outputs: []Output{{
+				File:   "latency_model_validation.csv",
+				Header: []string{"analytic_s", "event_driven_s", "relative_gap"},
+				Rows: func([]JobResult) ([][]any, error) {
+					v, err := RunValidationEventDriven(spec)
+					if err != nil {
+						return nil, err
+					}
+					return [][]any{{f4(v.AnalyticSeconds), f4(v.EventDrivenSeconds), fmt.Sprintf("%+.4f", v.RelativeGap)}}, nil
+				},
+			}},
+		},
+	}
 }
 
 // GridSelection is a resolved -exp choice: the selected experiments,
@@ -606,7 +496,7 @@ func SelectGridExperiments(catalogue []GridExperiment, name string) (GridSelecti
 	return sel, nil
 }
 
-// Save folds each selected experiment over its slice of the results
+// Save renders each selected experiment from its slice of the results
 // (which must align with Jobs, as a scheduler run over them returns)
 // and writes its CSVs under outDir. saved, when non-nil, is called per
 // experiment with its name and cell count.
@@ -627,248 +517,3 @@ func (s GridSelection) Save(outDir string, results []JobResult, saved func(name 
 	}
 	return nil
 }
-
-// GridExperiments catalogues every paper experiment at the given scale
-// parameters, in the harness's canonical order. Table 3 (storage
-// accounting) and the event-driven latency validation run no training
-// rounds: they are entries without grids whose Save computes the table
-// from spec.
-func GridExperiments(spec Spec, rounds, evalEvery int, target float64) []GridExperiment {
-	return []GridExperiment{
-		{
-			Name:  "fig2a",
-			Grids: []Grid{Fig2aGrid(spec, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				return trace.SaveCurvesCSV(filepath.Join(outDir, "fig2a.csv"), FoldCurves(res))
-			},
-		},
-		{
-			Name:  "fig2b",
-			Grids: []Grid{Fig2bGrid(spec, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				return trace.SaveCurvesCSV(filepath.Join(outDir, "fig2b.csv"), FoldCurves(res))
-			},
-		},
-		{
-			Name:  "table1",
-			Grids: []Grid{Fig2aGrid(spec, rounds, evalEvery)}, // same cells as fig2a; the scheduler dedups
-			Save: func(outDir string, res []JobResult) error {
-				curves := FoldCurves(res)
-				if err := trace.SaveCurvesCSV(filepath.Join(outDir, "table1_curves.csv"), curves); err != nil {
-					return err
-				}
-				return FoldTable1(curves, target).SaveCSV(filepath.Join(outDir, "table1.csv"))
-			},
-		},
-		{
-			Name:  "table2",
-			Grids: []Grid{Table2Grid(spec, rounds)},
-			Save: func(outDir string, res []JobResult) error {
-				return FoldTable2(res).SaveCSV(filepath.Join(outDir, "table2.csv"))
-			},
-		},
-		{
-			Name: "table3",
-			Save: func(outDir string, _ []JobResult) error {
-				tbl, err := RunTable3(spec)
-				if err != nil {
-					return err
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "table3.csv"))
-			},
-		},
-		{
-			Name:  "cutlayer",
-			Grids: []Grid{CutLayerGrid(spec, []int{1, 3, 6, 9}, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("ablation-cutlayer",
-					"cut", "smashed_bytes_per_batch", "client_model_bytes", "round_latency_s", "final_accuracy")
-				for _, x := range FoldCutLayer(res) {
-					tbl.Add(trace.Row{
-						"cut":                     x.Cut,
-						"smashed_bytes_per_batch": x.SmashedBytes,
-						"client_model_bytes":      x.ClientBytes,
-						"round_latency_s":         fmt.Sprintf("%.4f", x.RoundLatency),
-						"final_accuracy":          fmt.Sprintf("%.4f", x.FinalAccuracy),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "ablation_cutlayer.csv"))
-			},
-		},
-		{
-			Name: "grouping",
-			Grids: []Grid{GroupingGrid(spec, DefaultGroupCounts(spec.Clients), []string{
-				"round-robin", "random", "compute-balanced",
-			}, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("ablation-grouping",
-					"groups", "strategy", "round_latency_s", "final_accuracy")
-				for _, x := range FoldGrouping(res) {
-					tbl.Add(trace.Row{
-						"groups":          x.Groups,
-						"strategy":        x.Strategy,
-						"round_latency_s": fmt.Sprintf("%.4f", x.RoundLatency),
-						"final_accuracy":  fmt.Sprintf("%.4f", x.FinalAccuracy),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "ablation_grouping.csv"))
-			},
-		},
-		{
-			Name:  "resalloc",
-			Grids: []Grid{AllocationGrid(spec, rounds)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("ablation-resalloc", "allocator", "round_latency_s")
-				for _, x := range FoldAllocation(res) {
-					tbl.Add(trace.Row{
-						"allocator":       x.Allocator,
-						"round_latency_s": fmt.Sprintf("%.4f", x.RoundLatency),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "ablation_resalloc.csv"))
-			},
-		},
-		{
-			Name:  "pipeline",
-			Grids: []Grid{PipelineGrid(spec, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("ablation-pipeline", "pipelined", "round_latency_s", "final_accuracy")
-				for _, x := range FoldPipelining(res) {
-					tbl.Add(trace.Row{
-						"pipelined":       x.Pipelined,
-						"round_latency_s": fmt.Sprintf("%.4f", x.RoundLatency),
-						"final_accuracy":  fmt.Sprintf("%.4f", x.FinalAccuracy),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "ablation_pipeline.csv"))
-			},
-		},
-		{
-			Name:  "quant",
-			Grids: []Grid{QuantGrid(spec, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("ablation-quant", "quantized", "round_latency_s", "final_accuracy")
-				for _, x := range FoldQuantization(res) {
-					tbl.Add(trace.Row{
-						"quantized":       x.Quantized,
-						"round_latency_s": fmt.Sprintf("%.4f", x.RoundLatency),
-						"final_accuracy":  fmt.Sprintf("%.4f", x.FinalAccuracy),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "ablation_quant.csv"))
-			},
-		},
-		{
-			Name:  "dropout",
-			Grids: []Grid{DropoutGrid(spec, []float64{0, 0.1, 0.2, 0.3}, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("ablation-dropout", "dropout_prob", "round_latency_s", "final_accuracy")
-				for _, x := range FoldDropout(res) {
-					tbl.Add(trace.Row{
-						"dropout_prob":    fmt.Sprintf("%.2f", x.DropoutProb),
-						"round_latency_s": fmt.Sprintf("%.4f", x.RoundLatency),
-						"final_accuracy":  fmt.Sprintf("%.4f", x.FinalAccuracy),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "ablation_dropout.csv"))
-			},
-		},
-		{
-			Name:  "noniid",
-			Grids: []Grid{NonIIDGrid(spec, []float64{0.1, 1, 100}, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("ablation-noniid",
-					"alpha", "scheme", "final_accuracy", "rounds_to_50pct", "reached")
-				for _, x := range FoldNonIID(res) {
-					tbl.Add(trace.Row{
-						"alpha":           fmt.Sprintf("%g", x.Alpha),
-						"scheme":          x.Scheme,
-						"final_accuracy":  fmt.Sprintf("%.4f", x.FinalAccuracy),
-						"rounds_to_50pct": x.RoundsToHalf,
-						"reached":         x.ReachedHalf,
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "ablation_noniid.csv"))
-			},
-		},
-		{
-			Name:  "popsample",
-			Grids: []Grid{PopSampleGrid(spec, DefaultPopFractions(), []int{2, 6}, rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("popsample",
-					"fraction", "population", "cohort", "groups", "round_latency_s", "final_accuracy")
-				for _, x := range FoldPopSample(res) {
-					tbl.Add(trace.Row{
-						"fraction":        fmt.Sprintf("%g", x.Fraction),
-						"population":      x.Population,
-						"cohort":          x.Cohort,
-						"groups":          x.Groups,
-						"round_latency_s": fmt.Sprintf("%.4f", x.RoundLatency),
-						"final_accuracy":  fmt.Sprintf("%.4f", x.FinalAccuracy),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "popsample.csv"))
-			},
-		},
-		{
-			Name: "seeds",
-			Grids: []Grid{
-				SeedSweepGrid(spec, "gsfl", seedsPerScheme, rounds, evalEvery),
-				SeedSweepGrid(spec, "sl", seedsPerScheme, rounds, evalEvery),
-				SeedSweepGrid(spec, "fl", seedsPerScheme, rounds, evalEvery),
-			},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("seed-variance",
-					"scheme", "seeds", "mean_acc", "std_acc", "worst_acc", "best_acc")
-				for i := 0; i+seedsPerScheme <= len(res); i += seedsPerScheme {
-					st := FoldSeedStats(res[i : i+seedsPerScheme])
-					tbl.Add(trace.Row{
-						"scheme":    st.Scheme,
-						"seeds":     st.Seeds,
-						"mean_acc":  fmt.Sprintf("%.4f", st.MeanAcc),
-						"std_acc":   fmt.Sprintf("%.4f", st.StdAcc),
-						"worst_acc": fmt.Sprintf("%.4f", st.WorstAcc),
-						"best_acc":  fmt.Sprintf("%.4f", st.BestAcc),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "seed_variance.csv"))
-			},
-		},
-		{
-			Name:  "numeric",
-			Grids: []Grid{NumericGrid(spec, env.NumericModes(), rounds, evalEvery)},
-			Save: func(outDir string, res []JobResult) error {
-				tbl := trace.NewTable("numeric-modes",
-					"numeric", "round_latency_s", "final_accuracy")
-				for _, x := range FoldNumeric(res) {
-					tbl.Add(trace.Row{
-						"numeric":         x.Mode,
-						"round_latency_s": fmt.Sprintf("%.4f", x.RoundLatency),
-						"final_accuracy":  fmt.Sprintf("%.4f", x.FinalAccuracy),
-					})
-				}
-				return tbl.SaveCSV(filepath.Join(outDir, "numeric.csv"))
-			},
-		},
-		{
-			Name: "validate",
-			Save: func(outDir string, _ []JobResult) error {
-				res, err := RunValidationEventDriven(spec)
-				if err != nil {
-					return err
-				}
-				tbl := trace.NewTable("latency-model-validation",
-					"analytic_s", "event_driven_s", "relative_gap")
-				tbl.Add(trace.Row{
-					"analytic_s":     fmt.Sprintf("%.4f", res.AnalyticSeconds),
-					"event_driven_s": fmt.Sprintf("%.4f", res.EventDrivenSeconds),
-					"relative_gap":   fmt.Sprintf("%+.4f", res.RelativeGap),
-				})
-				return tbl.SaveCSV(filepath.Join(outDir, "latency_model_validation.csv"))
-			},
-		},
-	}
-}
-
-// seedsPerScheme is the seed-variance study's per-scheme seed count.
-const seedsPerScheme = 3

@@ -21,7 +21,7 @@ import (
 //     to the exact ones and the band is trivially met.
 func TestNumericGridFastWithinGoldenTolerance(t *testing.T) {
 	spec := env.TestSpec()
-	jobs, err := NumericGrid(spec, []string{"exact", "fast"}, 3, 1).Jobs()
+	jobs, err := entry(t, "numeric", 3, 1, func(a *Axes) { a.Numerics = []string{"exact", "fast"} }).Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,15 +39,15 @@ func TestNumericGridFastWithinGoldenTolerance(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	base, err := RunJob(ctx, baseJobs[0])
+	base, err := RunJob(ctx, baseJobs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := RunJob(ctx, jobs[0])
+	exact, err := RunJob(ctx, jobs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := RunJob(ctx, jobs[1])
+	fast, err := RunJob(ctx, jobs[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,14 @@ package experiment
 import (
 	"gsfl/env"
 	"gsfl/internal/gsfl"
-	"gsfl/internal/trace"
 )
 
 // RunTable3 regenerates the server-storage comparison from §I: the edge
 // server hosts M server-side replicas under GSFL versus N under SplitFed.
 // It runs no training rounds: the catalogue's "table3" entry has no grids
-// and calls this from its Save.
-func RunTable3(spec Spec) (*trace.Table, error) {
+// and its Rows is this, one (scheme, server_replicas,
+// server_storage_bytes) row per scheme.
+func RunTable3(spec Spec) ([][]any, error) {
 	world, err := env.Build(spec)
 	if err != nil {
 		return nil, err
@@ -19,10 +19,9 @@ func RunTable3(spec Spec) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := trace.NewTable("table3-server-storage",
-		"scheme", "server_replicas", "server_storage_bytes")
 	// SplitFed is the engine at M = N. No round runs, so the two
 	// trainers can share the world.
+	var rows [][]any
 	for _, row := range []struct {
 		scheme string
 		groups int
@@ -31,11 +30,7 @@ func RunTable3(spec Spec) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tbl.Add(trace.Row{
-			"scheme":               row.scheme,
-			"server_replicas":      tr.ServerReplicaCount(),
-			"server_storage_bytes": tr.ServerStorageBytes(),
-		})
+		rows = append(rows, []any{row.scheme, tr.ServerReplicaCount(), tr.ServerStorageBytes()})
 	}
-	return tbl, nil
+	return rows, nil
 }

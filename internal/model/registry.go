@@ -2,8 +2,8 @@ package model
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"gsfl/internal/registry"
 )
 
 // ArchConfig parameterizes a registered architecture factory: the
@@ -23,51 +23,28 @@ type ArchConfig struct {
 // eagerly (bad sizes return errors, not panics).
 type ArchFactory func(cfg ArchConfig) (Arch, error)
 
-var (
-	archMu     sync.RWMutex
-	archByName = map[string]ArchFactory{}
-)
+var archs = registry.New[ArchFactory]("model", "architecture")
 
 // RegisterArch adds a model architecture factory under its name, making
 // it resolvable by NewArch and usable by name in experiment specs and
 // grid files. It panics on an empty name, a nil factory, or a duplicate
 // name — programmer errors at init time. The built-in architectures
 // register themselves; call this only for out-of-tree archs.
-func RegisterArch(name string, f ArchFactory) {
-	if name == "" {
-		panic("model: RegisterArch with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("model: RegisterArch(%q) with nil factory", name))
-	}
-	archMu.Lock()
-	defer archMu.Unlock()
-	if _, dup := archByName[name]; dup {
-		panic(fmt.Sprintf("model: architecture %q registered twice", name))
-	}
-	archByName[name] = f
-}
+func RegisterArch(name string, f ArchFactory) { archs.Register(name, f) }
 
 // ArchNames returns the registered architecture names in sorted order.
-func ArchNames() []string {
-	archMu.RLock()
-	defer archMu.RUnlock()
-	out := make([]string, 0, len(archByName))
-	for name := range archByName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func ArchNames() []string { return archs.Names() }
+
+// CanonicalArch checks an architecture name against the registry
+// without building anything and returns the name manifests record.
+func CanonicalArch(name string) (string, error) { return archs.Canonical(name) }
 
 // NewArch instantiates the named architecture — the single
 // name-to-architecture resolution path.
 func NewArch(name string, cfg ArchConfig) (Arch, error) {
-	archMu.RLock()
-	f, ok := archByName[name]
-	archMu.RUnlock()
-	if !ok {
-		return Arch{}, fmt.Errorf("model: unknown architecture %q (registered: %v)", name, ArchNames())
+	f, err := archs.Get(name)
+	if err != nil {
+		return Arch{}, err
 	}
 	return f(cfg)
 }

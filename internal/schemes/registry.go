@@ -1,11 +1,8 @@
 package schemes
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"gsfl/internal/partition"
+	"gsfl/internal/registry"
 )
 
 // FactoryOpts carries the scheme-structure knobs a Factory may consume.
@@ -27,52 +24,25 @@ type FactoryOpts struct {
 // factories must validate env and opts and return errors, not panic.
 type Factory func(env *Env, opts FactoryOpts) (Trainer, error)
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
+var factories = registry.New[Factory]("schemes", "scheme")
 
 // Register adds a scheme factory under its name. The scheme packages
 // self-register from their init functions, so importing a scheme (or
 // the gsfl/sim facade, which imports all of them) makes it available by
 // name. Register panics on an empty name, a nil factory, or a duplicate
 // name — all programmer errors at init time.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("schemes: Register with empty scheme name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("schemes: Register(%q) with nil factory", name))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("schemes: scheme %q registered twice", name))
-	}
-	registry[name] = f
-}
+func Register(name string, f Factory) { factories.Register(name, f) }
 
 // Names returns the registered scheme names in sorted order.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return factories.Names() }
 
 // NewByName instantiates the named scheme over env. It is the single
 // name-to-scheme resolution path; callers outside this module use the
 // gsfl/sim facade instead.
 func NewByName(name string, env *Env, opts FactoryOpts) (Trainer, error) {
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("schemes: unknown scheme %q (registered: %v)", name, Names())
+	f, err := factories.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(env, opts)
 }

@@ -1,5 +1,5 @@
-// Package trace writes experiment results as CSV and JSON so figure
-// series can be regenerated, diffed, and plotted outside Go.
+// Package trace writes experiment results as CSV so figure series and
+// tables can be regenerated, diffed, and plotted outside Go.
 //
 // Despite the name, this package is about figure data — accuracy and
 // latency curves — not execution tracing. Round-lifecycle execution
@@ -9,7 +9,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -47,61 +46,41 @@ func WriteCurvesCSV(w io.Writer, curves []*metrics.Curve) error {
 
 // SaveCurvesCSV writes curves to path, creating parent directories.
 func SaveCurvesCSV(path string, curves []*metrics.Curve) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("trace: creating directory: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: creating %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := WriteCurvesCSV(f, curves); err != nil {
-		return err
-	}
-	return f.Close()
+	return save(path, func(w io.Writer) error { return WriteCurvesCSV(w, curves) })
 }
 
-// Row is one generic result record (ablation tables, breakdowns).
-type Row map[string]any
-
-// Table is an ordered collection of rows sharing a column set.
-type Table struct {
-	Name    string   `json:"name"`
-	Columns []string `json:"columns"`
-	Rows    []Row    `json:"rows"`
-}
-
-// NewTable creates a table with a fixed column order.
-func NewTable(name string, columns ...string) *Table {
-	return &Table{Name: name, Columns: columns}
-}
-
-// Add appends a row; missing columns render as empty cells.
-func (t *Table) Add(r Row) { t.Rows = append(t.Rows, r) }
-
-// WriteCSV renders the table with its declared column order.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return fmt.Errorf("trace: writing table header: %w", err)
-	}
-	for _, r := range t.Rows {
-		rec := make([]string, len(t.Columns))
-		for i, col := range t.Columns {
-			if v, ok := r[col]; ok {
-				rec[i] = fmt.Sprint(v)
+// SaveTableCSV writes a header row and one record per row to path,
+// creating parent directories. Cells render through fmt.Sprint; a nil
+// cell is empty. Every row must be as wide as the header.
+func SaveTableCSV(path string, header []string, rows [][]any) error {
+	return save(path, func(w io.Writer) error {
+		cw := csv.NewWriter(w)
+		if err := cw.Write(header); err != nil {
+			return fmt.Errorf("trace: writing table header: %w", err)
+		}
+		rec := make([]string, len(header))
+		for i, row := range rows {
+			if len(row) != len(header) {
+				return fmt.Errorf("trace: table row %d has %d cells for %d columns", i, len(row), len(header))
+			}
+			for k, v := range row {
+				rec[k] = ""
+				if v != nil {
+					rec[k] = fmt.Sprint(v)
+				}
+			}
+			if err := cw.Write(rec); err != nil {
+				return fmt.Errorf("trace: writing table row: %w", err)
 			}
 		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("trace: writing table row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		cw.Flush()
+		return cw.Error()
+	})
 }
 
-// SaveCSV writes the table to path, creating parent directories.
-func (t *Table) SaveCSV(path string) error {
+// save creates path (and its parent directories) and streams write's
+// output into it.
+func save(path string, write func(io.Writer) error) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("trace: creating directory: %w", err)
 	}
@@ -110,18 +89,8 @@ func (t *Table) SaveCSV(path string) error {
 		return fmt.Errorf("trace: creating %s: %w", path, err)
 	}
 	defer f.Close()
-	if err := t.WriteCSV(f); err != nil {
+	if err := write(f); err != nil {
 		return err
 	}
 	return f.Close()
-}
-
-// WriteJSON renders the table as indented JSON.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(t); err != nil {
-		return fmt.Errorf("trace: encoding table: %w", err)
-	}
-	return nil
 }

@@ -52,53 +52,54 @@ func TestSaveCurvesCSVCreatesDirs(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tbl := NewTable("latency", "scheme", "seconds")
-	tbl.Add(Row{"scheme": "gsfl", "seconds": 686.4})
-	tbl.Add(Row{"scheme": "sl", "seconds": 1001.2})
-	tbl.Add(Row{"scheme": "mystery"}) // missing column -> empty cell
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
+// readCSV parses a file SaveTableCSV wrote.
+func readCSV(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+func TestTableCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "latency.csv")
+	err := SaveTableCSV(path, []string{"scheme", "seconds", "reached"}, [][]any{
+		{"gsfl", 686.4, true},
+		{"sl", "1001.20", false},
+		{"mystery", nil, false}, // nil -> empty cell
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := readCSV(t, path)
 	if len(recs) != 4 {
 		t.Fatalf("got %d records", len(recs))
 	}
-	if recs[1][1] != "686.4" {
-		t.Fatalf("cell = %q", recs[1][1])
+	if strings.Join(recs[0], ",") != "scheme,seconds,reached" {
+		t.Fatalf("header order = %v", recs[0])
+	}
+	if recs[1][1] != "686.4" || recs[1][2] != "true" || recs[2][1] != "1001.20" {
+		t.Fatalf("cells = %v", recs[1:3])
 	}
 	if recs[3][1] != "" {
-		t.Fatalf("missing column should be empty, got %q", recs[3][1])
-	}
-}
-
-func TestTableJSON(t *testing.T) {
-	tbl := NewTable("t", "a")
-	tbl.Add(Row{"a": 1})
-	var buf bytes.Buffer
-	if err := tbl.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, `"name": "t"`) || !strings.Contains(s, `"a": 1`) {
-		t.Fatalf("JSON output: %s", s)
+		t.Fatalf("nil cell should be empty, got %q", recs[3][1])
 	}
 }
 
 func TestTableSaveCSV(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out", "table.csv")
-	tbl := NewTable("x", "col")
-	tbl.Add(Row{"col": "v"})
-	if err := tbl.SaveCSV(path); err != nil {
+	if err := SaveTableCSV(path, []string{"col"}, [][]any{{"v"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
+	if recs := readCSV(t, path); len(recs) != 2 || recs[1][0] != "v" {
+		t.Fatalf("table.csv = %v", recs)
 	}
 }
 
@@ -123,13 +124,17 @@ func TestWriteCurveCSVPropagatesErrors(t *testing.T) {
 }
 
 func TestTableWriteErrorsPropagate(t *testing.T) {
-	tbl := NewTable("t", "a")
-	tbl.Add(Row{"a": 1})
-	if err := tbl.WriteCSV(&failWriter{n: 0}); err == nil {
-		t.Fatal("expected CSV write error")
+	// A row narrower or wider than the header is the caller's bug, and
+	// an error — not a silently shifted column.
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := SaveTableCSV(path, []string{"a", "b"}, [][]any{{1, 2}, {3}}); err == nil || !strings.Contains(err.Error(), "row 1") {
+		t.Fatalf("expected a row-width error naming row 1, got %v", err)
 	}
-	if err := tbl.WriteJSON(&failWriter{n: 0}); err == nil {
-		t.Fatal("expected JSON write error")
+	// /dev/full accepts the open and fails the write.
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := SaveTableCSV("/dev/full", []string{"a"}, [][]any{{1}}); err == nil {
+			t.Fatal("expected CSV write error")
+		}
 	}
 }
 
@@ -144,8 +149,7 @@ func TestSaveCurvesCSVBadPath(t *testing.T) {
 	if err := SaveCurvesCSV(bad, []*metrics.Curve{sampleCurve()}); err == nil {
 		t.Fatal("expected path error")
 	}
-	tbl := NewTable("t", "a")
-	if err := tbl.SaveCSV(bad); err == nil {
+	if err := SaveTableCSV(bad, []string{"a"}, nil); err == nil {
 		t.Fatal("expected path error")
 	}
 }

@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "gsfl/internal/registry"
 
 // StragglerPolicy decides how a group's relay chain proceeds when a
 // client misses the round deadline (or dies mid-turn). It receives the
@@ -19,56 +15,18 @@ import (
 // straight into the relay chain and, at round end, into FedAvg.
 type StragglerPolicy func(handed, lastGood *TurnState) (next *TurnState, counted bool)
 
-var (
-	stragglerMu       sync.Mutex
-	stragglerPolicies = map[string]StragglerPolicy{}
-)
+var stragglerPolicies = registry.New[StragglerPolicy]("transport", "straggler policy")
 
 // RegisterStragglerPolicy adds a fallback policy under its name, making
 // it selectable through APConfig.Straggler. It panics on an empty name,
 // a nil policy, or a duplicate registration (programmer errors at init
 // time).
-func RegisterStragglerPolicy(name string, p StragglerPolicy) {
-	if name == "" {
-		panic("transport: straggler policy with empty name")
-	}
-	if p == nil {
-		panic(fmt.Sprintf("transport: nil straggler policy %q", name))
-	}
-	stragglerMu.Lock()
-	defer stragglerMu.Unlock()
-	if _, dup := stragglerPolicies[name]; dup {
-		panic(fmt.Sprintf("transport: straggler policy %q registered twice", name))
-	}
-	stragglerPolicies[name] = p
-}
+func RegisterStragglerPolicy(name string, p StragglerPolicy) { stragglerPolicies.Register(name, p) }
 
 // StragglerPolicies returns the registered policy names in sorted order.
-func StragglerPolicies() []string {
-	stragglerMu.Lock()
-	defer stragglerMu.Unlock()
-	return stragglerNamesLocked()
-}
+func StragglerPolicies() []string { return stragglerPolicies.Names() }
 
-// stragglerNamesLocked lists registered names; callers hold stragglerMu.
-func stragglerNamesLocked() []string {
-	names := make([]string, 0, len(stragglerPolicies))
-	for n := range stragglerPolicies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func stragglerPolicyByName(name string) (StragglerPolicy, error) {
-	stragglerMu.Lock()
-	defer stragglerMu.Unlock()
-	p, ok := stragglerPolicies[name]
-	if !ok {
-		return nil, fmt.Errorf("transport: unknown straggler policy %q (have %v)", name, stragglerNamesLocked())
-	}
-	return p, nil
-}
+func stragglerPolicyByName(name string) (StragglerPolicy, error) { return stragglerPolicies.Get(name) }
 
 func init() {
 	// drop: the straggler contributes nothing. The chain continues from

@@ -2,8 +2,8 @@ package wireless
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"gsfl/internal/registry"
 )
 
 // Allocator splits a bandwidth budget among a set of concurrently
@@ -92,11 +92,7 @@ func (LatencyMin) Allocate(ch *Channel, clients []int, budgetHz float64, uplink 
 	return out
 }
 
-var (
-	allocatorMu     sync.RWMutex
-	allocatorByName = map[string]Allocator{}
-	allocatorNames  []string // canonical names, registration order
-)
+var allocators = registry.New[Allocator]("wireless", "allocator")
 
 // RegisterAllocator adds a bandwidth-allocation policy to the registry
 // under its Name() plus any extra aliases (CLI shorthands). Registered
@@ -109,49 +105,19 @@ func RegisterAllocator(a Allocator, aliases ...string) {
 	if a == nil {
 		panic("wireless: RegisterAllocator with nil allocator")
 	}
-	name := a.Name()
-	if name == "" {
-		panic("wireless: RegisterAllocator with empty Name()")
-	}
-	allocatorMu.Lock()
-	defer allocatorMu.Unlock()
-	if _, dup := allocatorByName[name]; dup {
-		panic(fmt.Sprintf("wireless: allocator %q registered twice", name))
-	}
-	allocatorByName[name] = a
-	allocatorNames = append(allocatorNames, name)
-	for _, alias := range aliases {
-		if _, dup := allocatorByName[alias]; dup {
-			panic(fmt.Sprintf("wireless: allocator alias %q registered twice", alias))
-		}
-		allocatorByName[alias] = a
-	}
+	allocators.Register(a.Name(), a, aliases...)
 }
 
 // AllocatorNames returns the canonical names of every registered
 // allocator in sorted order.
-func AllocatorNames() []string {
-	allocatorMu.RLock()
-	defer allocatorMu.RUnlock()
-	out := append([]string(nil), allocatorNames...)
-	sort.Strings(out)
-	return out
-}
+func AllocatorNames() []string { return allocators.Names() }
 
 // ParseAllocator resolves an allocator policy from its canonical Name()
 // or a registered alias. The built-ins answer to "uniform",
 // "propfair"/"proportional-fair", and "latmin"/"latency-min". It is the
 // single name-to-allocator resolution path shared by the CLIs, grid
 // files, and the env registry.
-func ParseAllocator(name string) (Allocator, error) {
-	allocatorMu.RLock()
-	a, ok := allocatorByName[name]
-	allocatorMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("wireless: unknown allocator %q (registered: %v)", name, AllocatorNames())
-	}
-	return a, nil
-}
+func ParseAllocator(name string) (Allocator, error) { return allocators.Get(name) }
 
 // The built-in policies register like out-of-tree ones, so name
 // resolution, listing, and dispatch have exactly one path.

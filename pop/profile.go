@@ -2,10 +2,10 @@ package pop
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"gsfl/internal/registry"
 )
 
 // Profile is one device-heterogeneity class: a named compute-speed
@@ -20,50 +20,22 @@ type Profile struct {
 	Speed float64
 }
 
-var (
-	profileMu  sync.RWMutex
-	profileReg = map[string]Profile{}
-)
+var profiles = registry.New[Profile]("pop", "device profile")
 
 // RegisterProfile adds a device profile to the registry. It panics on
 // an empty name, a non-positive speed, or a duplicate registration.
 func RegisterProfile(p Profile) {
-	if p.Name == "" {
-		panic("pop: RegisterProfile with empty name")
-	}
 	if p.Speed <= 0 {
 		panic(fmt.Sprintf("pop: profile %q speed %v must be positive", p.Name, p.Speed))
 	}
-	profileMu.Lock()
-	defer profileMu.Unlock()
-	if _, dup := profileReg[p.Name]; dup {
-		panic(fmt.Sprintf("pop: profile %q registered twice", p.Name))
-	}
-	profileReg[p.Name] = p
+	profiles.Register(p.Name, p)
 }
 
 // Profiles returns the registered profile names, sorted.
-func Profiles() []string {
-	profileMu.RLock()
-	defer profileMu.RUnlock()
-	names := make([]string, 0, len(profileReg))
-	for n := range profileReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Profiles() []string { return profiles.Names() }
 
 // ProfileByName resolves a registered profile.
-func ProfileByName(name string) (Profile, error) {
-	profileMu.RLock()
-	p, ok := profileReg[name]
-	profileMu.RUnlock()
-	if !ok {
-		return Profile{}, fmt.Errorf("pop: unknown device profile %q (registered: %v)", name, Profiles())
-	}
-	return p, nil
-}
+func ProfileByName(name string) (Profile, error) { return profiles.Get(name) }
 
 // DefaultProfile is the profile every member gets under an empty mix.
 const DefaultProfile = "baseline"

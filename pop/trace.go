@@ -1,10 +1,9 @@
 package pop
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"sync"
+
+	"gsfl/internal/registry"
 )
 
 // Trace models one member's availability process: whether it starts
@@ -27,49 +26,18 @@ type Trace interface {
 	NextDuration(online bool, cursor uint32, u float64) float64
 }
 
-var (
-	traceMu  sync.RWMutex
-	traceReg = map[string]Trace{}
-)
+var traces = registry.New[Trace]("pop", "availability trace")
 
 // RegisterTrace adds an availability trace to the registry under its
 // Name. It panics on an empty name or a duplicate registration —
 // programmer errors at init time, matching the env registries.
-func RegisterTrace(t Trace) {
-	name := t.Name()
-	if name == "" {
-		panic("pop: RegisterTrace with empty name")
-	}
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	if _, dup := traceReg[name]; dup {
-		panic(fmt.Sprintf("pop: trace %q registered twice", name))
-	}
-	traceReg[name] = t
-}
+func RegisterTrace(t Trace) { traces.Register(t.Name(), t) }
 
 // Traces returns the registered trace names, sorted.
-func Traces() []string {
-	traceMu.RLock()
-	defer traceMu.RUnlock()
-	names := make([]string, 0, len(traceReg))
-	for n := range traceReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Traces() []string { return traces.Names() }
 
 // TraceByName resolves a registered trace.
-func TraceByName(name string) (Trace, error) {
-	traceMu.RLock()
-	t, ok := traceReg[name]
-	traceMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("pop: unknown availability trace %q (registered: %v)", name, Traces())
-	}
-	return t, nil
-}
+func TraceByName(name string) (Trace, error) { return traces.Get(name) }
 
 // DefaultTrace is the trace a population spec gets when none is named:
 // every member online forever, which is exactly the classic

@@ -2,15 +2,13 @@ package sim
 
 import (
 	"gsfl/internal/metrics"
-	"gsfl/internal/parallel"
 	"gsfl/internal/simnet"
 	"gsfl/internal/trace"
 )
 
 // This file re-exports the run-output vocabulary — latency components,
-// curve analysis, CSV persistence, and the global worker budget — so
-// tooling built on the run API (CLIs, examples, the sweep engine) needs
-// no internal imports.
+// curve analysis, CSV persistence — so tooling built on the run API
+// (CLIs, examples, the sweep engine) needs no internal imports.
 
 // Component identifies one latency component of a round's Ledger
 // (client compute, uplink, server compute, downlink, relay,
@@ -41,10 +39,3 @@ func SpeedupVsRounds(c, other *Curve, target float64) (speedup float64, ok bool)
 func DelayReduction(c, other *Curve, target float64) (reduction float64, ok bool) {
 	return metrics.DelayReduction(c, other, target)
 }
-
-// SetWorkers sets the process-global worker-goroutine budget for
-// parallel execution (0 = GOMAXPROCS, 1 = serial). Results are
-// bit-identical at any setting; it is intended to be called once at
-// startup from a -workers flag. Prefer WithWorkers to scope the budget
-// to one Runner.
-func SetWorkers(n int) { parallel.SetWorkers(n) }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"fmt"
 
 	"gsfl/internal/experiment"
 	"gsfl/sim"
@@ -69,8 +68,8 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 
 	// The sidecar's accumulators, seeded from the handoff — not merged in
 	// afterwards — so a resumed job adds its rounds in the floating-point
-	// order of an uninterrupted run. ResumeJob seeds the result the same
-	// way from a copy of sum taken before the first round.
+	// order of an uninterrupted run. RunJob seeds the result the same way
+	// from the handoff's copy of sum, taken before the first round.
 	sum, totalSec := ledgerOf(prior.Components), prior.TotalSeconds
 	var sinkErr error
 	opts = append(opts, sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
@@ -88,22 +87,14 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 		}
 	})))
 
-	var (
-		res JobResult
-		err error
-	)
+	var from *experiment.Handoff
 	if resume {
 		if onResumed != nil {
 			onResumed(prior.Round)
 		}
-		var startRound int
-		res, startRound, err = experiment.ResumeJob(ctx, j, sink.ckptPath, sum, prior.TotalSeconds, opts...)
-		if err == nil && startRound != prior.Round {
-			res, err = JobResult{}, fmt.Errorf("sweep: job %s: checkpoint moved from round %d to %d during resume", j.Name, prior.Round, startRound)
-		}
-	} else {
-		res, err = experiment.RunJob(ctx, j, opts...)
+		from = &experiment.Handoff{CheckpointPath: sink.ckptPath, Round: prior.Round, Ledger: sum, TotalSeconds: totalSec}
 	}
+	res, err := experiment.RunJob(ctx, j, from, opts...)
 	if sinkErr != nil {
 		return JobResult{}, sinkErr
 	}

@@ -3,13 +3,13 @@ package sweep
 import "gsfl/internal/experiment"
 
 // This file re-exports the paper-reproduction catalogue — every figure,
-// table and ablation with its fold — so cmd/gsfl-sweep can regenerate
-// each artifact without internal imports. The grid vocabulary itself
+// table and ablation as a row of grids and outputs — so cmd/gsfl-sweep
+// can regenerate each artifact without internal imports. The grid vocabulary itself
 // (Spec, Grid, Job, …) is re-exported in sweep.go.
 
 type (
 	// GridExperiment is one named figure/table: grids to expand plus the
-	// fold that writes its CSVs.
+	// CSV outputs derived from their results.
 	GridExperiment = experiment.GridExperiment
 	// GridSelection is a resolved experiment choice: selected
 	// experiments, concatenated jobs, and per-experiment result slicing.

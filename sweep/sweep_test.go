@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gsfl/env"
-	"gsfl/internal/experiment"
 	"gsfl/internal/simnet"
 	"gsfl/sweep"
 )
@@ -118,8 +117,10 @@ func TestSchedulerDeterministicAcrossJobCounts(t *testing.T) {
 // execute shared cells once and fan the result out to every position.
 func TestSchedulerDedupsSharedIDs(t *testing.T) {
 	spec := env.TestSpec()
-	a := jobsOf(t, experiment.Fig2aGrid(spec, 2, 1))
-	b := jobsOf(t, experiment.Fig2bGrid(spec, 2, 1))
+	a := jobsOf(t, sweep.Grid{Name: "fig2a", Base: spec, Rounds: 2, EvalEvery: 1,
+		Axes: sweep.Axes{Schemes: []string{"cl", "sl", "gsfl", "fl"}}})
+	b := jobsOf(t, sweep.Grid{Name: "fig2b", Base: spec, Rounds: 2, EvalEvery: 1,
+		Axes: sweep.Axes{Schemes: []string{"gsfl", "sl"}}})
 	all := append(append([]sweep.Job{}, a...), b...)
 
 	var started atomic.Int32
