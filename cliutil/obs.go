@@ -35,14 +35,12 @@ func (o *ObsFlags) Register(fs *flag.FlagSet) {
 // function writes the trace file; call it once, after the run.
 func (o *ObsFlags) Start(clock obs.Clock) (*obs.Tracer, func() error, error) {
 	if o.Pprof != "" {
-		// Bind synchronously so an unusable address fails the command
-		// instead of profiling nothing for the whole run.
-		ln, err := net.Listen("tcp", o.Pprof)
+		// Serves for the life of the process: the stop is not kept.
+		bound, _, err := ServeHTTP(o.Pprof, http.DefaultServeMux)
 		if err != nil {
 			return nil, nil, fmt.Errorf("pprof: %w", err)
 		}
-		go http.Serve(ln, http.DefaultServeMux)
-		fmt.Fprintf(os.Stderr, "pprof: serving http://%s/debug/pprof/\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "pprof: serving http://%s/debug/pprof/\n", bound)
 	}
 	if o.Trace == "" {
 		return nil, func() error { return nil }, nil
@@ -56,4 +54,19 @@ func (o *ObsFlags) Start(clock obs.Clock) (*obs.Tracer, func() error, error) {
 		return nil
 	}
 	return tr, stop, nil
+}
+
+// ServeHTTP serves h at every path of addr until stop is called — the
+// one HTTP server behind -pprof and the commands' -metrics pages. It
+// binds synchronously, so an unusable address fails the command instead
+// of serving nothing for the whole run, and reports the bound address
+// (addr may ask for port 0).
+func ServeHTTP(addr string, h http.Handler) (bound net.Addr, stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln)
+	return ln.Addr(), func() { srv.Close() }, nil
 }

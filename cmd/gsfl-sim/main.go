@@ -119,22 +119,17 @@ func run(ctx context.Context, args []string) error {
 	if *metrics != "" {
 		runMetrics = sim.NewRunMetrics()
 		pm, _ := world.Pop.(interface{ MetricsHandler() http.Handler })
-		handler := func(w http.ResponseWriter, r *http.Request) {
+		_, stop, err := cliutil.ServeHTTP(*metrics, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			runMetrics.WriteText(w)
 			if pm != nil {
 				pm.MetricsHandler().ServeHTTP(w, r)
 			}
+		}))
+		if err != nil {
+			return fmt.Errorf("metrics endpoint: %w", err)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", handler)
-		srv := &http.Server{Addr: *metrics, Handler: mux}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "gsfl-sim: metrics endpoint:", err)
-			}
-		}()
-		defer srv.Close()
+		defer stop()
 	}
 
 	tracer, obsStop, err := obsFlags.Start(obs.ClockVirtual)

@@ -56,8 +56,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -239,14 +237,12 @@ func serveFleet(ctx context.Context, addr, metricsAddr string, jobs []sweep.Job,
 	fmt.Printf("coordinator on %s: %d jobs, lease %v, checkpoint every %d rounds\n",
 		c.Addr(), len(jobs), cfg.LeaseTTL, cfg.CheckpointEvery)
 	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
+		bound, stop, err := cliutil.ServeHTTP(metricsAddr, c.MetricsHandler())
 		if err != nil {
 			return nil, fmt.Errorf("metrics listener: %w", err)
 		}
-		srv := &http.Server{Handler: c.MetricsHandler()}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("fleet metrics on http://%s/\n", ln.Addr())
+		defer stop()
+		fmt.Printf("fleet metrics on http://%s/\n", bound)
 	}
 	return c.Wait(ctx)
 }

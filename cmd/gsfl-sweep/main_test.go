@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gsfl/env"
 	"gsfl/sweep"
 )
 
@@ -244,6 +245,72 @@ func TestGridFileRejectsUnknownKeys(t *testing.T) {
 			if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
 				t.Fatalf("a rejected grid file left a store behind: %v", statErr)
 			}
+		})
+	}
+}
+
+// TestHostileHardwareIsAnError: an out-of-range Wireless or Device
+// value is an error naming the field, never a panic or a hang, at every
+// door outside input comes through — Spec.Validate, env.Build, a grid
+// file's base patch, and a job arriving over the fleet wire.
+func TestHostileHardwareIsAnError(t *testing.T) {
+	for field, patch := range map[string]string{
+		"Wireless.OutageProb":      `{"wireless":{"OutageProb":1.5}}`,
+		"Wireless.UplinkHz":        `{"wireless":{"UplinkHz":0}}`,
+		"Wireless.DownlinkHz":      `{"wireless":{"DownlinkHz":-20e6}}`,
+		"Wireless.MinDistanceM":    `{"wireless":{"MinDistanceM":0}}`,
+		"Wireless.MaxDistanceM":    `{"wireless":{"MaxDistanceM":1}}`,
+		"Wireless.FadingJitter":    `{"wireless":{"FadingJitter":1}}`,
+		"Wireless.MobilitySigmaM":  `{"wireless":{"MobilitySigmaM":1e9}}`,
+		"Device.ServerFLOPS":       `{"device":{"ServerFLOPS":-1}}`,
+		"Device.ClientMedianFLOPS": `{"device":{"ClientMedianFLOPS":0}}`,
+		"Device.ClientSpread":      `{"device":{"ClientSpread":-0.5}}`,
+	} {
+		t.Run(field, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			names := func(door string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), field) {
+					t.Fatalf("%s: error %v, want one naming %s", door, err, field)
+				}
+			}
+			spec := env.TestSpec()
+			if err := decodeStrict([]byte(patch), &spec); err != nil {
+				t.Fatal(err)
+			}
+			names("Spec.Validate", spec.Validate())
+			_, err := env.Build(spec)
+			names("env.Build", err)
+
+			grid := filepath.Join(t.TempDir(), "hostile.json")
+			body := `{"name":"hostile","rounds":1,"eval_every":1,"base":` + patch + `,"axes":{"schemes":["gsfl"]}}`
+			if err := os.WriteFile(grid, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = loadGrid(grid, env.TestSpec(), 1, 1)
+			names("loadGrid", err)
+
+			// Grid expansion canonicalizes but does not validate, so a
+			// coordinator handed this grid ships the job with a consistent
+			// ID; the worker must still refuse to run it.
+			jobs, err := sweep.Grid{Name: "hostile", Base: spec, Rounds: 1, EvalEvery: 1,
+				Axes: sweep.Axes{Schemes: []string{"gsfl"}}}.Jobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := sweep.MarshalJobWire(jobs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := sweep.UnmarshalJobWire(wire)
+			if err == nil {
+				_, err = sweep.RunLeased(context.Background(), j, t.TempDir(), 0, nil, sweep.LeaseCallbacks{})
+			}
+			names("UnmarshalJobWire+RunLeased", err)
 		})
 	}
 }

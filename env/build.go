@@ -100,7 +100,6 @@ func Build(spec Spec) (*Env, error) {
 			Cohort:     spec.CohortSize(),
 			Trace:      spec.AvailTrace,
 			ProfileMix: spec.DeviceProfileMix,
-			Sampler:    pop.SamplerAvailability,
 			Seed:       spec.Seed + 5,
 			Fleet:      fleet,
 		})

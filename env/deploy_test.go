@@ -23,7 +23,7 @@ func runSimRounds(t *testing.T, spec env.Spec, rounds int) (client, server model
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := gsfl.New(world, gsfl.Config{NumGroups: opts.Groups, Strategy: opts.Strategy})
+	tr, err := gsfl.New(world, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func runTCPRounds(t *testing.T, spec env.Spec, rounds int) (client, server model
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := gsfl.New(world, gsfl.Config{NumGroups: opts.Groups, Strategy: opts.Strategy})
+	tr, err := gsfl.New(world, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,18 +12,12 @@ type NumericMode = tensor.NumericMode
 // DefaultNumericMode is the name of the bit-identical default mode.
 const DefaultNumericMode = tensor.DefaultNumericMode
 
-// RegisterNumericMode adds a numeric mode to the registry, making it
-// usable by name in Spec.Numeric, grid files, and the -numeric flag.
-// "exact" and "fast" are built in.
-func RegisterNumericMode(mode NumericMode) { tensor.RegisterNumericMode(mode) }
-
-// NumericModes returns the registered numeric-mode names in sorted
-// order.
+// NumericModes returns the numeric-mode names ("exact", "fast") usable
+// in Spec.Numeric, grid files, and the -numeric flag.
 func NumericModes() []string { return tensor.NumericModes() }
 
-// CanonicalNumericMode validates a numeric-mode name against the
-// registry and returns its canonical form; the empty name means the
-// default mode.
+// CanonicalNumericMode validates a numeric-mode name and returns its
+// canonical form; the empty name means the default mode.
 func CanonicalNumericMode(name string) (string, error) {
 	return tensor.CanonicalNumericMode(name)
 }

@@ -60,8 +60,10 @@ type Spec struct {
 	// an empty name is a validation error, because the allocator is the
 	// knob the paper's future work sweeps.
 	Alloc string `json:"alloc"`
-	// Device and Wireless override the hardware environment; zero values
-	// take the package defaults.
+	// Device and Wireless are the hardware environment. Build hands them
+	// to the fleet and the channel verbatim (only Device.N is overwritten,
+	// with Clients) and Validate holds them to those packages' ranges, so
+	// a zero value is an error, not a default: start from PaperSpec.
 	Device   DeviceConfig   `json:"device"`
 	Wireless WirelessConfig `json:"wireless"`
 	// Seed derives all randomness.
@@ -282,6 +284,13 @@ func (s Spec) Validate() error {
 	}
 	if s.DropoutProb < 0 || s.DropoutProb >= 1 {
 		return fmt.Errorf("env: DropoutProb %v outside [0,1)", s.DropoutProb)
+	}
+	if err := s.Wireless.Validate(); err != nil {
+		return fmt.Errorf("env: Wireless.%w", err)
+	}
+	s.Device.N = s.Clients // as Build sets it
+	if err := s.Device.Validate(); err != nil {
+		return fmt.Errorf("env: Device.%w", err)
 	}
 	return s.validatePopulation()
 }

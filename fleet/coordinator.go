@@ -17,23 +17,16 @@ import (
 	"gsfl/sweep"
 )
 
-// Config parameterizes a coordinator. The zero value of every optional
-// field is usable: defaults fill the cadences, the frame cap, and the
-// metrics registry.
+// Config parameterizes a coordinator. The zero value of every field is
+// usable.
 type Config struct {
 	// LeaseTTL is how long a lease survives without any message from
 	// its holder (default DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// Retry is the poll interval handed to workers when all remaining
-	// jobs are leased (default DefaultRetry).
-	Retry time.Duration
 	// CheckpointEvery is the mid-job checkpoint cadence, in rounds,
 	// every worker must follow (0 disables mid-job handoff; a killed
 	// job then restarts from scratch on its next worker).
 	CheckpointEvery int
-	// MaxFrame caps a single frame's payload (0 = the transport
-	// default). Checkpoint uploads carry whole model states.
-	MaxFrame int
 	// Observers receive coordinator events.
 	Observers []Observer
 	// Tracer, when non-nil, records one wall-clock track per worker
@@ -59,12 +52,13 @@ type jobState struct {
 // Coordinator owns the sweep store and leases jobs to fleet workers.
 // Create one with Serve; it accepts connections until Close.
 type Coordinator struct {
-	cfg      Config
-	store    *sweep.Store
-	jobs     []sweep.Job // the caller's list, duplicates included
-	unique   []sweep.Job
-	fp       uint64
-	listener net.Listener
+	cfg     Config
+	store   *sweep.Store
+	jobs    []sweep.Job // the caller's list, duplicates included
+	unique  []sweep.Job
+	fp      uint64
+	addr    net.Addr
+	greeter *transport.Greeter
 
 	reg           *metrics.Registry
 	mWorkers      *metrics.Gauge
@@ -81,7 +75,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	states   []*jobState
 	byID     map[string]*jobState
-	conns    map[uint64]net.Conn // open worker connections, for Close
+	conns    map[uint64]net.Conn // admitted worker connections, for Close
 	doneN    int
 	workers  int
 	nextConn uint64
@@ -91,7 +85,7 @@ type Coordinator struct {
 	doneCh   chan struct{}
 	closed   bool
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the lease reaper
 }
 
 // Serve starts a coordinator listening on addr ("host:port"; port 0
@@ -102,9 +96,6 @@ type Coordinator struct {
 func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.Retry <= 0 {
-		cfg.Retry = DefaultRetry
 	}
 	c := &Coordinator{
 		cfg:    cfg,
@@ -156,20 +147,20 @@ func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coor
 	if err != nil {
 		return nil, fmt.Errorf("fleet: listen %s: %w", addr, err)
 	}
-	c.listener = ln
+	c.addr = ln.Addr()
 	// A sweep that is already fully recorded needs no workers.
 	c.mu.Lock()
 	c.maybeFinishLocked()
 	c.mu.Unlock()
 
-	c.wg.Add(2)
-	go c.acceptLoop()
+	c.wg.Add(1)
 	go c.reaperLoop()
+	c.greeter = transport.Greet(ln, c.handle)
 	return c, nil
 }
 
 // Addr returns the coordinator's bound listen address.
-func (c *Coordinator) Addr() net.Addr { return c.listener.Addr() }
+func (c *Coordinator) Addr() net.Addr { return c.addr }
 
 // MetricsHandler exposes the fleet registry in Prometheus text format.
 func (c *Coordinator) MetricsHandler() http.Handler { return c.reg.Handler() }
@@ -200,11 +191,11 @@ func (c *Coordinator) Wait(ctx context.Context) ([]sweep.JobResult, error) {
 	return out, nil
 }
 
-// Close stops accepting and tears down every worker connection. Safe
-// to call more than once. Connected workers get a short grace period to
-// pull their drain reply and disconnect themselves — a worker that
+// Close stops accepting and tears down every connection: peers that
+// have not yet said hello at once, workers after a short grace period
+// to pull their drain reply and disconnect themselves — a worker that
 // outlives a completed sweep should exit cleanly, not with a dial
-// error — before any stragglers are cut off.
+// error. Safe to call more than once.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	already := c.closed
@@ -217,7 +208,7 @@ func (c *Coordinator) Close() error {
 	if already {
 		return nil
 	}
-	err := c.listener.Close()
+	err := c.greeter.Stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		c.mu.Lock()
@@ -233,6 +224,7 @@ func (c *Coordinator) Close() error {
 		c.mu.Unlock()
 		time.Sleep(10 * time.Millisecond)
 	}
+	c.greeter.Wait()
 	c.wg.Wait()
 	return err
 }
@@ -291,23 +283,6 @@ func (c *Coordinator) failLocked(err error) {
 	c.finishLocked()
 }
 
-func (c *Coordinator) acceptLoop() {
-	defer c.wg.Done()
-	var conns sync.WaitGroup
-	defer conns.Wait()
-	for {
-		conn, err := c.listener.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		conns.Add(1)
-		go func() {
-			defer conns.Done()
-			c.handle(conn)
-		}()
-	}
-}
-
 // reaperLoop expires leases whose holders went silent.
 func (c *Coordinator) reaperLoop() {
 	defer c.wg.Done()
@@ -346,10 +321,12 @@ func (c *Coordinator) releaseLocked(st *jobState, why string) {
 	c.emitLocked(Event{Kind: JobReassigned, Worker: st.worker, Job: st.job, Round: st.round})
 }
 
-// handle runs one worker connection to completion.
-func (c *Coordinator) handle(conn net.Conn) {
+// handle runs one worker connection to completion, under the greeter:
+// until admit the connection is the greeter's to abort, afterwards it
+// sits in c.conns.
+func (c *Coordinator) handle(conn net.Conn, admit func() bool) {
 	defer conn.Close()
-	fc := transport.NewFleetConn(conn, c.cfg.MaxFrame)
+	fc := transport.NewFleetConn(conn, transport.DefaultMaxFrameBytes)
 
 	// Handshake: the first frame must be a worker hello.
 	kind, payload, err := fc.ReadFrame()
@@ -357,7 +334,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 		return
 	}
 	hello, err := transport.DecodeFleetHello(payload)
-	if err != nil {
+	if err != nil || !admit() {
 		return
 	}
 	// Worker display names need not be unique; fencing uses connID.
@@ -402,7 +379,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 		Fingerprint:     c.fp,
 		Jobs:            len(c.unique),
 		LeaseMillis:     int(c.cfg.LeaseTTL / time.Millisecond),
-		RetryMillis:     int(c.cfg.Retry / time.Millisecond),
+		RetryMillis:     int(DefaultRetry / time.Millisecond),
 		CheckpointEvery: c.cfg.CheckpointEvery,
 	}); err != nil {
 		return
@@ -474,7 +451,7 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 		c.mu.Unlock()
 		return fc.WriteLease(transport.FleetLease{
 			Status:      transport.LeaseWait,
-			RetryMillis: int(c.cfg.Retry / time.Millisecond),
+			RetryMillis: int(DefaultRetry / time.Millisecond),
 		})
 	}
 

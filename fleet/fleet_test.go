@@ -14,6 +14,7 @@ import (
 
 	"gsfl/env"
 	"gsfl/fleet"
+	"gsfl/internal/testutil"
 	"gsfl/internal/transport"
 	"gsfl/sweep"
 )
@@ -442,4 +443,50 @@ func TestFleetResumesCompletedStore(t *testing.T) {
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 	}
+}
+
+// TestFleetCloseWithSilentPeer: a peer that connects and never sends
+// its hello must not keep Close from returning, nor leave a handler
+// goroutine behind.
+func TestFleetCloseWithSilentPeer(t *testing.T) {
+	store, err := sweep.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	c, err := fleet.Serve("127.0.0.1:0", jobsOf(t, testGrid()), store, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", c.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// Connections are accepted in order, so once a later peer has its
+	// welcome the silent one is inside the coordinator.
+	conn, err := net.Dial("tcp", c.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := transport.NewFleetConn(conn, 0)
+	if err := fc.WriteHello(transport.FleetHello{Worker: "prompt", PID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if kind, _, err := fc.ReadFrame(); err != nil || kind != transport.FrameFleetHello {
+		t.Fatalf("welcome: kind %d err %v", kind, err)
+	}
+	conn.Close()
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		c.Close()
+	}()
+	select {
+	case <-closed:
+	case <-time.After(8 * time.Second): // under the 10 s hello deadline
+		t.Fatal("Close hung on a peer that never sent its hello")
+	}
+	testutil.ExpectNoGoroutines(t, "gsfl/fleet.(*Coordinator)")
 }

@@ -26,17 +26,17 @@ type WorkerConfig struct {
 	// ScratchDir holds in-flight job checkpoints (default: a fresh
 	// temp directory, removed on exit).
 	ScratchDir string
-	// MaxFrame caps a single frame's payload (0 = transport default).
-	MaxFrame int
-	// DialRetry is the reconnect backoff after a lost coordinator
-	// connection (default 500ms).
-	DialRetry time.Duration
-	// DialAttempts bounds consecutive failed dials before giving up
-	// (default 20).
-	DialAttempts int
 	// Logf, when non-nil, receives one line per lifecycle step.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// dialRetry is the reconnect backoff after a lost coordinator
+	// connection.
+	dialRetry = 500 * time.Millisecond
+	// dialAttempts bounds consecutive failed dials before giving up.
+	dialAttempts = 20
+)
 
 // errDrain reports the coordinator declared the sweep complete.
 var errDrain = errors.New("fleet: drained")
@@ -53,12 +53,6 @@ var errLeaseLost = errors.New("fleet: lease lost")
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("worker-%d", os.Getpid())
-	}
-	if cfg.DialRetry <= 0 {
-		cfg.DialRetry = 500 * time.Millisecond
-	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = 20
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -83,14 +77,14 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
 		if err != nil {
 			fails++
-			if fails >= cfg.DialAttempts {
+			if fails >= dialAttempts {
 				return fmt.Errorf("fleet: dialing coordinator %s: %w", cfg.Addr, err)
 			}
 			logf("dial %s failed (%v), retrying", cfg.Addr, err)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(cfg.DialRetry):
+			case <-time.After(dialRetry):
 			}
 			continue
 		}
@@ -110,7 +104,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(cfg.DialRetry):
+			case <-time.After(dialRetry):
 			}
 		}
 	}
@@ -143,7 +137,7 @@ func (w *workerConn) roundTripAck(write func(fc *transport.FleetConn) error) (tr
 
 // workerSession runs one connection: handshake, then the lease loop.
 func workerSession(ctx context.Context, conn net.Conn, cfg WorkerConfig, scratch string, logf func(string, ...any)) error {
-	wc := &workerConn{fc: transport.NewFleetConn(conn, cfg.MaxFrame)}
+	wc := &workerConn{fc: transport.NewFleetConn(conn, transport.DefaultMaxFrameBytes)}
 	if err := wc.fc.WriteHello(transport.FleetHello{Worker: cfg.Name, PID: uint64(os.Getpid())}); err != nil {
 		return err
 	}

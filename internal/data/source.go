@@ -11,7 +11,7 @@ type SourceConfig struct {
 	// bit-identical samples.
 	Seed int64
 	// Options carries generator-specific knobs by name (e.g. the
-	// synthetic-GTSRB "noise_std"); generators ignore unknown keys. Nil
+	// synthetic-GTSRB "noise_std"); generators reject unknown keys. Nil
 	// means all defaults.
 	Options map[string]float64
 }

@@ -65,17 +65,31 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// NewFleet synthesizes a fleet from cfg, deterministic in seed.
-func NewFleet(cfg Config, seed int64) *Fleet {
+// Validate is the one definition of the config's ranges. Errors lead
+// with the field name, so callers can prefix their own path to it. The
+// comparisons are written to fail on NaN.
+func (cfg Config) Validate() error {
 	if cfg.N <= 0 {
-		panic(fmt.Sprintf("device: fleet size %d must be positive", cfg.N))
+		return fmt.Errorf("N %d must be positive", cfg.N)
 	}
-	if cfg.ClientMedianFLOPS <= 0 || cfg.ServerFLOPS <= 0 {
-		panic(fmt.Sprintf("device: FLOPS must be positive (client %v, server %v)",
-			cfg.ClientMedianFLOPS, cfg.ServerFLOPS))
+	if !(cfg.ClientMedianFLOPS > 0) {
+		return fmt.Errorf("ClientMedianFLOPS %v must be positive", cfg.ClientMedianFLOPS)
 	}
-	if cfg.ClientSpread < 0 {
-		panic(fmt.Sprintf("device: negative spread %v", cfg.ClientSpread))
+	if !(cfg.ServerFLOPS > 0) {
+		return fmt.Errorf("ServerFLOPS %v must be positive", cfg.ServerFLOPS)
+	}
+	if !(cfg.ClientSpread >= 0) {
+		return fmt.Errorf("ClientSpread %v must be non-negative", cfg.ClientSpread)
+	}
+	return nil
+}
+
+// NewFleet synthesizes a fleet from cfg, deterministic in seed. A config
+// that fails Validate is a programmer error and panics; code holding
+// outside input validates first.
+func NewFleet(cfg Config, seed int64) *Fleet {
+	if err := cfg.Validate(); err != nil {
+		panic("device: " + err.Error())
 	}
 	rng := rand.New(rand.NewSource(seed))
 	f := &Fleet{

@@ -3,6 +3,7 @@ package experiment
 import (
 	"gsfl/env"
 	"gsfl/internal/gsfl"
+	"gsfl/internal/schemes"
 )
 
 // RunTable3 regenerates the server-storage comparison from §I: the edge
@@ -26,7 +27,7 @@ func RunTable3(spec Spec) ([][]any, error) {
 		scheme string
 		groups int
 	}{{"gsfl", spec.Groups}, {"sfl", spec.Clients}} {
-		tr, err := gsfl.New(world, gsfl.Config{NumGroups: row.groups, Strategy: opts.Strategy})
+		tr, err := gsfl.New(world, schemes.FactoryOpts{Groups: row.groups, Strategy: opts.Strategy})
 		if err != nil {
 			return nil, err
 		}

@@ -42,7 +42,7 @@ func RunValidationEventDriven(spec Spec) (ValidationResult, error) {
 	if err != nil {
 		return ValidationResult{}, err
 	}
-	tr, err := gsfl.New(world, gsfl.Config{NumGroups: spec.Groups, Strategy: opts.Strategy})
+	tr, err := gsfl.New(world, opts)
 	if err != nil {
 		return ValidationResult{}, err
 	}
@@ -60,7 +60,7 @@ func RunValidationEventDriven(spec Spec) (ValidationResult, error) {
 		return ValidationResult{}, err
 	}
 	probe := env2.Arch.NewSplit(env2.Rng("probe", 0), spec.Cut)
-	tr2, err := gsfl.New(env2, gsfl.Config{NumGroups: spec.Groups, Strategy: opts.Strategy})
+	tr2, err := gsfl.New(env2, opts)
 	if err != nil {
 		return ValidationResult{}, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"gsfl/internal/parallel"
 	"gsfl/internal/partition"
+	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/testutil"
 )
@@ -27,7 +28,7 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 
 	env := schemestest.NewEnv(7, 6, 48)
-	tr, err := New(env, Config{NumGroups: 2, Strategy: partition.GroupRoundRobin})
+	tr, err := New(env, schemes.FactoryOpts{Groups: 2, Strategy: partition.GroupRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func TestServerReplicaCountSurvivesSmallCohort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(world, Config{NumGroups: spec.Groups})
+	tr, err := New(world, schemes.FactoryOpts{Groups: spec.Groups})
 	if err != nil {
 		t.Fatal(err)
 	}

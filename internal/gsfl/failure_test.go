@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"gsfl/internal/partition"
+	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 )
 
 func newDropoutTrainer(t *testing.T, seed int64, n, groups int, p float64) *Trainer {
 	t.Helper()
 	env := schemestest.NewEnv(seed, n, 40)
-	tr, err := New(env, Config{NumGroups: groups, Strategy: partition.GroupRoundRobin, DropoutProb: p})
+	tr, err := New(env, schemes.FactoryOpts{Groups: groups, Strategy: partition.GroupRoundRobin, DropoutProb: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +83,10 @@ func TestFullDropoutRoundIsNoOp(t *testing.T) {
 
 func TestInvalidDropoutRejected(t *testing.T) {
 	env := schemestest.NewEnv(5, 4, 30)
-	if _, err := New(env, Config{NumGroups: 2, DropoutProb: 1.0}); err == nil {
+	if _, err := New(env, schemes.FactoryOpts{Groups: 2, DropoutProb: 1.0}); err == nil {
 		t.Fatal("dropout = 1 must be rejected")
 	}
-	if _, err := New(env, Config{NumGroups: 2, DropoutProb: -0.1}); err == nil {
+	if _, err := New(env, schemes.FactoryOpts{Groups: 2, DropoutProb: -0.1}); err == nil {
 		t.Fatal("negative dropout must be rejected")
 	}
 }

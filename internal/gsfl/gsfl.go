@@ -53,29 +53,10 @@ import (
 	"gsfl/internal/simnet"
 )
 
-// Config selects GSFL's structural parameters on top of a schemes.Env.
-type Config struct {
-	// NumGroups is M, the number of parallel groups.
-	NumGroups int
-	// Strategy chooses how clients are assigned to groups.
-	Strategy partition.GroupStrategy
-	// DropoutProb is the per-round probability that a client is
-	// unavailable (battery, mobility, deep outage). Unavailable clients
-	// are skipped; their group trains with whoever remains, and a group
-	// whose clients all drop sits the round out (it is excluded from that
-	// round's aggregation). 0 disables failure injection.
-	DropoutProb float64
-	// Pipelined enables communication/computation overlap within each
-	// client's turn (the "parallel design" of the paper's reference [2]):
-	// after a one-step warm-up the turn advances at the pace of its
-	// slowest stage instead of the sum of all stages. Training numerics
-	// are unchanged; only latency pricing differs.
-	Pipelined bool
-}
-
-// plan is what a registration fixes about the engine beyond Config: the
-// scheme's name, its M, and the two places where the baselines price a
-// round differently from GSFL at the same M. Pricing order is
+// plan is what a registration fixes about the engine beyond its
+// options: the scheme's name, its M, and the two places where the
+// baselines price a round differently from GSFL at the same M. Pricing
+// order is
 // bit-visible (every transfer draws from the shared fading RNG), and a
 // "gsfl" run at M=1 or M=N keeps GSFL pricing, so neither flag can be
 // derived from M; they are per-registration constants, never options.
@@ -110,7 +91,7 @@ var (
 // gsfl/sim Runner).
 type Trainer struct {
 	env    *schemes.Env
-	cfg    Config
+	cfg    schemes.FactoryOpts
 	plan   plan
 	groups [][]int
 	round  int
@@ -153,25 +134,25 @@ type Trainer struct {
 }
 
 // New validates the environment and assembles a GSFL trainer.
-func New(env *schemes.Env, cfg Config) (*Trainer, error) {
+func New(env *schemes.Env, cfg schemes.FactoryOpts) (*Trainer, error) {
 	return newWithPlan(env, cfg, gsflPlan)
 }
 
-func newWithPlan(env *schemes.Env, cfg Config, p plan) (*Trainer, error) {
+func newWithPlan(env *schemes.Env, cfg schemes.FactoryOpts, p plan) (*Trainer, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
 	if p.chain && env.Pop != nil {
 		return nil, fmt.Errorf("%s: population sampling is not supported (sequential schemes train the full client list; use gsfl, fl, or sfl)", p.scheme)
 	}
-	cfg.NumGroups = p.groups(cfg.NumGroups, env.Fleet.N())
-	if cfg.NumGroups <= 0 || cfg.NumGroups > env.Fleet.N() {
-		return nil, fmt.Errorf("gsfl: %d groups for %d clients", cfg.NumGroups, env.Fleet.N())
+	cfg.Groups = p.groups(cfg.Groups, env.Fleet.N())
+	if cfg.Groups <= 0 || cfg.Groups > env.Fleet.N() {
+		return nil, fmt.Errorf("gsfl: %d groups for %d clients", cfg.Groups, env.Fleet.N())
 	}
 	if cfg.DropoutProb < 0 || cfg.DropoutProb >= 1 {
 		return nil, fmt.Errorf("gsfl: dropout probability %v outside [0,1)", cfg.DropoutProb)
 	}
-	groups := partition.Groups(env.Fleet.N(), cfg.NumGroups, cfg.Strategy,
+	groups := partition.Groups(env.Fleet.N(), cfg.Groups, cfg.Strategy,
 		env.Fleet.Capacities(), env.Rng("grouping", 0))
 
 	t := &Trainer{env: env, cfg: cfg, plan: p, groups: groups}
@@ -239,7 +220,7 @@ func (t *Trainer) mountCohort(binds []schemes.SlotBinding) {
 		t.mounted[b.Slot] = float64(env.Train[b.Shard].Len())
 	}
 	k := len(binds)
-	m := t.cfg.NumGroups
+	m := t.cfg.Groups
 	if m > k {
 		m = k
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gsfl/internal/partition"
+	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/simnet"
 )
@@ -12,7 +13,7 @@ import (
 func newTrainer(t *testing.T, seed int64, nClients, groups int) *Trainer {
 	t.Helper()
 	env := schemestest.NewEnv(seed, nClients, 40)
-	tr, err := New(env, Config{NumGroups: groups, Strategy: partition.GroupRoundRobin})
+	tr, err := New(env, schemes.FactoryOpts{Groups: groups, Strategy: partition.GroupRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +134,15 @@ func TestGSFLAggregationKeepsReplicasInSync(t *testing.T) {
 
 func TestGSFLConfigValidation(t *testing.T) {
 	env := schemestest.NewEnv(1, 4, 30)
-	if _, err := New(env, Config{NumGroups: 0}); err == nil {
+	if _, err := New(env, schemes.FactoryOpts{Groups: 0}); err == nil {
 		t.Fatal("expected error for zero groups")
 	}
-	if _, err := New(env, Config{NumGroups: 5}); err == nil {
+	if _, err := New(env, schemes.FactoryOpts{Groups: 5}); err == nil {
 		t.Fatal("expected error for more groups than clients")
 	}
 	bad := schemestest.NewEnv(1, 4, 30)
 	bad.Train = bad.Train[:2]
-	if _, err := New(bad, Config{NumGroups: 2}); err == nil {
+	if _, err := New(bad, schemes.FactoryOpts{Groups: 2}); err == nil {
 		t.Fatal("expected error for invalid env")
 	}
 }
@@ -174,8 +175,8 @@ func TestGSFLGlobalSnapshotsAreCopies(t *testing.T) {
 func TestGSFLPipelinedSameAccuracyLessLatency(t *testing.T) {
 	run := func(pipelined bool) (float64, float64) {
 		env := schemestest.NewEnv(42, 6, 40)
-		tr, err := New(env, Config{
-			NumGroups: 2,
+		tr, err := New(env, schemes.FactoryOpts{
+			Groups:    2,
 			Strategy:  partition.GroupRoundRobin,
 			Pipelined: pipelined,
 		})
@@ -200,7 +201,7 @@ func TestGSFLQuantizedTransfersReduceLatency(t *testing.T) {
 	run := func(quant bool) float64 {
 		env := schemestest.NewEnv(43, 6, 40)
 		env.Hyper.QuantizeTransfers = quant
-		tr, err := New(env, Config{NumGroups: 2, Strategy: partition.GroupRoundRobin})
+		tr, err := New(env, schemes.FactoryOpts{Groups: 2, Strategy: partition.GroupRoundRobin})
 		if err != nil {
 			t.Fatal(err)
 		}

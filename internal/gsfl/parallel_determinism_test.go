@@ -7,6 +7,7 @@ import (
 	"gsfl/internal/model"
 	"gsfl/internal/parallel"
 	"gsfl/internal/partition"
+	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 )
 
@@ -18,7 +19,7 @@ import (
 
 // runAtWorkers trains a fresh GSFL trainer under the given worker count
 // and returns its curve plus the final aggregated halves.
-func runAtWorkers(t *testing.T, workers int, cfg Config) (*metrics.Curve, model.Snapshot, model.Snapshot) {
+func runAtWorkers(t *testing.T, workers int, cfg schemes.FactoryOpts) (*metrics.Curve, model.Snapshot, model.Snapshot) {
 	t.Helper()
 	parallel.SetWorkers(workers)
 	env := schemestest.NewEnv(21, 8, 40)
@@ -62,10 +63,10 @@ func mustEqualSnapshots(t *testing.T, workers int, name string, a, b model.Snaps
 
 func TestGSFLBitIdenticalAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
-	for _, cfg := range []Config{
-		{NumGroups: 3, Strategy: partition.GroupRoundRobin},
-		{NumGroups: 3, Strategy: partition.GroupRoundRobin, Pipelined: true},
-		{NumGroups: 3, Strategy: partition.GroupRoundRobin, DropoutProb: 0.2},
+	for _, cfg := range []schemes.FactoryOpts{
+		{Groups: 3, Strategy: partition.GroupRoundRobin},
+		{Groups: 3, Strategy: partition.GroupRoundRobin, Pipelined: true},
+		{Groups: 3, Strategy: partition.GroupRoundRobin, DropoutProb: 0.2},
 	} {
 		baseCurve, baseClient, baseServer := runAtWorkers(t, 1, cfg)
 		for _, workers := range []int{2, 8} {

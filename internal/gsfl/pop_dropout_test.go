@@ -38,7 +38,7 @@ func TestPopulationDropoutWeighsMountedShards(t *testing.T) {
 	}
 	cohort := &recordingCohort{Cohort: world.Pop}
 	world.Pop = cohort
-	tr, err := New(world, Config{NumGroups: 2, Strategy: partition.GroupRoundRobin, DropoutProb: spec.DropoutProb})
+	tr, err := New(world, schemes.FactoryOpts{Groups: 2, Strategy: partition.GroupRoundRobin, DropoutProb: spec.DropoutProb})
 	if err != nil {
 		t.Fatal(err)
 	}

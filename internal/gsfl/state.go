@@ -4,19 +4,14 @@ import "gsfl/internal/schemes"
 
 func init() {
 	schemes.Register(gsflPlan.scheme, func(env *schemes.Env, opts schemes.FactoryOpts) (schemes.Trainer, error) {
-		return newWithPlan(env, Config{
-			NumGroups:   opts.Groups,
-			Strategy:    opts.Strategy,
-			Pipelined:   opts.Pipelined,
-			DropoutProb: opts.DropoutProb,
-		}, gsflPlan)
+		return newWithPlan(env, opts, gsflPlan)
 	})
 	// The baselines take nothing from the options: their M is fixed by
-	// the plan, and the zero Config is identity-order (round-robin)
+	// the plan, and the zero options are identity-order (round-robin)
 	// grouping with no dropout and no pipelining.
 	for _, p := range []plan{slPlan, sflPlan} {
 		schemes.Register(p.scheme, func(env *schemes.Env, _ schemes.FactoryOpts) (schemes.Trainer, error) {
-			return newWithPlan(env, Config{}, p)
+			return newWithPlan(env, schemes.FactoryOpts{}, p)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package gtsrb
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gsfl/internal/data"
@@ -221,5 +222,19 @@ func TestRotationZeroMatchesLegacy(t *testing.T) {
 		if fa[i] != fb[i] {
 			t.Fatal("zero rotation changed generation")
 		}
+	}
+}
+
+// TestSourceRejectsUnknownOption: the registered source takes
+// "noise_std" and names any other key in its error instead of silently
+// dropping a typo.
+func TestSourceRejectsUnknownOption(t *testing.T) {
+	cfg := data.SourceConfig{ImageSize: 8, Seed: 1, Options: map[string]float64{"noise_std": 0.2}}
+	if _, err := data.NewSource(SourceName, cfg); err != nil {
+		t.Fatalf("noise_std rejected: %v", err)
+	}
+	cfg.Options = map[string]float64{"noise_sdt": 0.2}
+	if _, err := data.NewSource(SourceName, cfg); err == nil || !strings.Contains(err.Error(), `"noise_sdt"`) {
+		t.Fatalf("unknown option error = %v, want one naming \"noise_sdt\"", err)
 	}
 }

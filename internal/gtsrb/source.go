@@ -23,9 +23,9 @@ func (s source) Balanced(perClass int) *data.InMemory {
 	return s.gen.Balanced(perClass)
 }
 
-// init registers the generator into the dataset registry. Config
-// options map onto the generator's jitter knobs by name; absent keys
-// keep the photographic-difficulty defaults.
+// init registers the generator into the dataset registry. "noise_std"
+// is its one option; any other key is a typo and is rejected by name,
+// like an unknown key in a grid file.
 func init() {
 	data.RegisterSource(SourceName, func(cfg data.SourceConfig) (data.Source, error) {
 		if cfg.ImageSize < 8 {
@@ -33,23 +33,10 @@ func init() {
 		}
 		c := DefaultConfig(cfg.ImageSize)
 		for key, v := range cfg.Options {
-			switch key {
-			case "noise_std":
-				c.NoiseStd = v
-			case "jitter":
-				c.Jitter = v
-			case "scale_jitter":
-				c.ScaleJitter = v
-			case "brightness_jitter":
-				c.BrightnessJitter = v
-			case "rotation_jitter":
-				c.RotationJitter = v
-			case "label_noise":
-				if v < 0 || v >= 1 {
-					return nil, fmt.Errorf("gtsrb: label noise %v outside [0,1)", v)
-				}
-				c.LabelNoise = v
+			if key != "noise_std" {
+				return nil, fmt.Errorf("gtsrb: unknown option %q (known: noise_std)", key)
 			}
+			c.NoiseStd = v
 		}
 		return source{gen: NewGenerator(c, cfg.Seed)}, nil
 	})

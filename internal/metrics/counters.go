@@ -38,9 +38,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Name returns the metric name.
-func (c *Counter) Name() string { return c.name }
-
 // Gauge is a settable int64 metric. Safe for concurrent use.
 type Gauge struct {
 	name, help string
@@ -55,9 +52,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Name returns the metric name.
-func (g *Gauge) Name() string { return g.name }
 
 // Registry holds a set of named counters, gauges, and histograms and
 // renders them in the Prometheus text exposition format. Metrics are

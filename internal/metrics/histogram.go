@@ -78,9 +78,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Name returns the metric name.
-func (h *Histogram) Name() string { return h.name }
-
 // Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
 // counts with Prometheus-style linear interpolation inside the target
 // bucket (the first bucket interpolates from zero). Observations above

@@ -14,9 +14,17 @@ type FactoryOpts struct {
 	Groups int
 	// Strategy chooses how clients are assigned to groups.
 	Strategy partition.GroupStrategy
-	// Pipelined enables communication/computation overlap within turns.
+	// Pipelined enables communication/computation overlap within each
+	// client's turn (the "parallel design" of the paper's reference [2]):
+	// after a one-step warm-up the turn advances at the pace of its
+	// slowest stage instead of the sum of all stages. Training numerics
+	// are unchanged; only latency pricing differs.
 	Pipelined bool
-	// DropoutProb injects per-round client unavailability.
+	// DropoutProb is the per-round probability that a client is
+	// unavailable (battery, mobility, deep outage). Unavailable clients
+	// are skipped; their group trains with whoever remains, and a group
+	// whose clients all drop sits the round out (it is excluded from that
+	// round's aggregation). 0 disables failure injection.
 	DropoutProb float64
 }
 

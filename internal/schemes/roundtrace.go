@@ -44,9 +44,6 @@ func (e *Env) BeginRoundTrace(scheme string, round int) *RoundTrace {
 	}
 }
 
-// On reports whether the round is being traced.
-func (rt *RoundTrace) On() bool { return rt != nil }
-
 func laneName(kind string, id int) string {
 	if id < 0 {
 		return kind

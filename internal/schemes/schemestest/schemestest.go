@@ -95,23 +95,10 @@ func Blobs(n int, noise float64, rng *rand.Rand) *data.InMemory {
 	return data.NewInMemory(x, y, BlobClasses)
 }
 
-// EnvOption mutates the default environment before validation.
-type EnvOption func(*schemes.Env)
-
-// WithHyper overrides the hyperparameters.
-func WithHyper(h schemes.Hyper) EnvOption {
-	return func(e *schemes.Env) { e.Hyper = h }
-}
-
-// WithCut overrides the split index.
-func WithCut(cut int) EnvOption {
-	return func(e *schemes.Env) { e.Cut = cut }
-}
-
 // NewEnv builds a complete toy environment: nClients clients with IID
 // blob data, an MLP cut at its default index, a heterogeneous fleet, and
 // a default wireless channel. Deterministic in seed.
-func NewEnv(seed int64, nClients, samplesPerClient int, opts ...EnvOption) *schemes.Env {
+func NewEnv(seed int64, nClients, samplesPerClient int) *schemes.Env {
 	rng := rand.New(rand.NewSource(seed))
 	pool := Blobs(nClients*samplesPerClient, 0.6, rng)
 	test := Blobs(200, 0.6, rand.New(rand.NewSource(seed+1)))
@@ -136,9 +123,6 @@ func NewEnv(seed int64, nClients, samplesPerClient int, opts ...EnvOption) *sche
 	env.Train = make([]data.Dataset, len(subsets))
 	for i, s := range subsets {
 		env.Train[i] = s
-	}
-	for _, o := range opts {
-		o(env)
 	}
 	if err := env.Validate(); err != nil {
 		panic("schemestest: invalid fixture env: " + err.Error())

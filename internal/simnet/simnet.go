@@ -136,19 +136,3 @@ func MaxOf(ls []*Ledger) *Ledger {
 	cp.onAdd = nil
 	return &cp
 }
-
-// Clock is a monotone virtual clock measured in seconds.
-type Clock struct {
-	now float64
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() float64 { return c.now }
-
-// Advance moves the clock forward by dt seconds.
-func (c *Clock) Advance(dt float64) {
-	if dt < 0 {
-		panic(fmt.Sprintf("simnet: clock cannot move backward (dt=%v)", dt))
-	}
-	c.now += dt
-}

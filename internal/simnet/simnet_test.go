@@ -95,29 +95,6 @@ func TestComponentsAndStrings(t *testing.T) {
 	}
 }
 
-func TestClock(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Fatal("zero clock must start at 0")
-	}
-	c.Advance(1.5)
-	c.Advance(1.5)
-	if c.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", c.Now())
-	}
-}
-
-func TestClockBackwardPanics(t *testing.T) {
-	var c Clock
-	c.Advance(5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.Advance(-1)
-}
-
 // prop: Total is additive under Merge and Ledger ordering is irrelevant.
 func TestPropLedgerAdditive(t *testing.T) {
 	f := func(seed int64) bool {

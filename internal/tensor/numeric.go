@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -23,7 +22,7 @@ import (
 // rows are partitioned. Reassociating modes are pinned by golden-curve
 // tolerance tests rather than bit-equality.
 type NumericMode struct {
-	// Name is the registry key ("exact", "fast", ...).
+	// Name is "exact" or "fast".
 	Name string
 	// Reassociate permits FMA contraction and in-kernel reassociation.
 	Reassociate bool
@@ -32,9 +31,15 @@ type NumericMode struct {
 // DefaultNumericMode is the name of the bit-identical default mode.
 const DefaultNumericMode = "exact"
 
+// numericModes is the closed set, sorted by name: one row per GEMM
+// micro-kernel (kernExact, kernFast).
+var numericModes = [...]NumericMode{
+	{Name: DefaultNumericMode},
+	{Name: "fast", Reassociate: true},
+}
+
 var (
-	numericMu    sync.Mutex
-	numericModes = map[string]NumericMode{}
+	numericMu sync.Mutex
 
 	// numericReassoc mirrors the current mode's Reassociate flag for the
 	// kernel hot path (read once per GEMM call, no lock).
@@ -43,80 +48,51 @@ var (
 	// is what SetNumericMode installed (the process-wide CLI choice);
 	// current may temporarily differ while AcquireNumericMode holds a
 	// job-scoped mode.
-	numericCurrent NumericMode
-	numericAmbient NumericMode
+	numericCurrent = numericModes[0]
+	numericAmbient = numericModes[0]
 )
 
-func init() {
-	exact := NumericMode{Name: DefaultNumericMode}
-	numericModes[exact.Name] = exact
-	numericModes["fast"] = NumericMode{Name: "fast", Reassociate: true}
-	numericCurrent = exact
-	numericAmbient = exact
-}
-
-// RegisterNumericMode adds a numeric mode to the registry. Registering a
-// name twice or registering the empty name panics — modes are wired at
-// init time and a clash is a programming error.
-func RegisterNumericMode(mode NumericMode) {
-	if mode.Name == "" {
-		panic("tensor: RegisterNumericMode with empty name")
-	}
-	numericMu.Lock()
-	defer numericMu.Unlock()
-	if _, dup := numericModes[mode.Name]; dup {
-		panic(fmt.Sprintf("tensor: numeric mode %q registered twice", mode.Name))
-	}
-	numericModes[mode.Name] = mode
-}
-
-// NumericModes returns the sorted names of all registered numeric modes.
+// NumericModes returns the sorted names of the numeric modes.
 func NumericModes() []string {
-	numericMu.Lock()
-	defer numericMu.Unlock()
-	names := make([]string, 0, len(numericModes))
-	for name := range numericModes {
-		names = append(names, name)
+	names := make([]string, len(numericModes))
+	for i, m := range numericModes {
+		names[i] = m.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// CanonicalNumericMode resolves a mode token to its registered name. The
-// empty token means the default mode, so specs that never mention
-// numerics keep their byte-identical JSON and hashes.
-func CanonicalNumericMode(name string) (string, error) {
+// numericModeByName resolves a mode token; the empty token means the
+// default mode, so specs that never mention numerics keep their
+// byte-identical JSON and hashes.
+func numericModeByName(name string) (NumericMode, error) {
 	if name == "" {
-		return DefaultNumericMode, nil
+		name = DefaultNumericMode
 	}
-	numericMu.Lock()
-	defer numericMu.Unlock()
-	if _, ok := numericModes[name]; !ok {
-		return "", fmt.Errorf("tensor: unknown numeric mode %q (registered: %v)", name, numericNamesLocked())
+	for _, m := range numericModes {
+		if m.Name == name {
+			return m, nil
+		}
 	}
-	return name, nil
+	return NumericMode{}, fmt.Errorf("tensor: unknown numeric mode %q (registered: %v)", name, NumericModes())
 }
 
-func numericNamesLocked() []string {
-	names := make([]string, 0, len(numericModes))
-	for name := range numericModes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+// CanonicalNumericMode resolves a mode token to its name ("" to the
+// default's).
+func CanonicalNumericMode(name string) (string, error) {
+	mode, err := numericModeByName(name)
+	return mode.Name, err
 }
 
 // SetNumericMode installs the process-wide numeric mode (the CLI
 // `-numeric` choice). It fails on unknown names and while a different
 // mode is held by AcquireNumericMode.
 func SetNumericMode(name string) error {
-	canon, err := CanonicalNumericMode(name)
+	mode, err := numericModeByName(name)
 	if err != nil {
 		return err
 	}
 	numericMu.Lock()
 	defer numericMu.Unlock()
-	mode := numericModes[canon]
 	if acquireCount > 0 && numericCurrent.Name != mode.Name {
 		return fmt.Errorf("tensor: numeric mode %q is held by %d running job(s); cannot switch to %q",
 			numericCurrent.Name, acquireCount, mode.Name)
@@ -149,13 +125,12 @@ var (
 // and a barrier only at mode switches. When the last holder releases,
 // the ambient SetNumericMode choice is restored.
 func AcquireNumericMode(name string) (release func(), err error) {
-	canon, err := CanonicalNumericMode(name)
+	mode, err := numericModeByName(name)
 	if err != nil {
 		return nil, err
 	}
 	numericMu.Lock()
 	defer numericMu.Unlock()
-	mode := numericModes[canon]
 	for acquireCount > 0 && numericCurrent.Name != mode.Name {
 		acquireCond.Wait()
 	}

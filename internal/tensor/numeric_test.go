@@ -36,16 +36,6 @@ func TestNumericModeRegistry(t *testing.T) {
 	}
 }
 
-func TestRegisterNumericModeEmptyNamePanics(t *testing.T) {
-	defer expectPanic(t, "empty name")
-	RegisterNumericMode(NumericMode{})
-}
-
-func TestRegisterNumericModeDuplicatePanics(t *testing.T) {
-	defer expectPanic(t, "registered twice")
-	RegisterNumericMode(NumericMode{Name: "exact"})
-}
-
 func TestSetNumericMode(t *testing.T) {
 	t.Cleanup(func() {
 		if err := SetNumericMode(DefaultNumericMode); err != nil {

@@ -105,15 +105,6 @@ func Wrap(c net.Conn, p Profile) *Conn {
 	return &Conn{inner: c, p: p, rng: rand.New(rand.NewSource(p.Seed)), closed: make(chan struct{})}
 }
 
-// Pipe returns an in-memory, synchronous connection pair (net.Pipe)
-// with per-end fault profiles — the standard substrate of the transport
-// fault tests, because its unbuffered writes make stalls and
-// backpressure fully deterministic.
-func Pipe(pa, pb Profile) (*Conn, *Conn) {
-	a, b := net.Pipe()
-	return Wrap(a, pa), Wrap(b, pb)
-}
-
 // record appends an event under mu.
 func (c *Conn) record(op string, n int, fault string, bytes int) {
 	c.events = append(c.events, Event{Op: op, N: n, Fault: fault, Bytes: bytes})

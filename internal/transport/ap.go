@@ -25,11 +25,6 @@ import (
 	"gsfl/obs"
 )
 
-// registerTimeout bounds how long a fresh connection may take to present
-// its hello frame before the AP drops it. Keeps half-open or silent
-// connections from pinning registration goroutines.
-const registerTimeout = 10 * time.Second
-
 // ErrShutdown is returned by Round on an AP that has been shut down.
 var ErrShutdown = errors.New("transport: ap is shut down")
 
@@ -77,8 +72,6 @@ type APConfig struct {
 	// "reuse-last", or anything added via RegisterStragglerPolicy).
 	// Empty selects "drop".
 	Straggler string
-	// MaxFrameBytes caps a frame payload (0 = DefaultMaxFrameBytes).
-	MaxFrameBytes int
 	// MetricsAddr, when non-empty, serves the AP's operational counters
 	// in Prometheus text format at GET /metrics on this address.
 	MetricsAddr string
@@ -201,13 +194,11 @@ type AP struct {
 	slotted  map[int]bool
 	joined   map[int]*clientConn
 	everSeen map[int]bool
-	pending  map[net.Conn]bool
 	arrived  chan struct{} // signalled on each registration
 	closed   bool
 	round    int
 
-	regWG      sync.WaitGroup
-	acceptDone chan struct{}
+	greeter *Greeter
 
 	metricsLn   net.Listener
 	metricsSrv  *http.Server
@@ -301,9 +292,7 @@ func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
 		slotted:      map[int]bool{},
 		joined:       map[int]*clientConn{},
 		everSeen:     map[int]bool{},
-		pending:      map[net.Conn]bool{},
 		arrived:      make(chan struct{}, 1),
-		acceptDone:   make(chan struct{}),
 	}
 	ap.mRounds = ap.reg.Counter("gsfl_rounds_total", "Completed training rounds.")
 	ap.mBytesIn = ap.reg.Counter("gsfl_bytes_read_total", "Framed bytes read from clients.")
@@ -354,7 +343,7 @@ func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
 			return nil, err
 		}
 	}
-	go ap.acceptLoop()
+	ap.greeter = Greet(ln, ap.register)
 	return ap, nil
 }
 
@@ -427,36 +416,12 @@ func (ap *AP) serveMetrics(addr string) error {
 	return nil
 }
 
-// acceptLoop registers incoming clients until the listener closes. Every
-// in-flight registration is tracked (pending set + regWG) so Shutdown
-// can abort and await them — no half-registered connection outlives it.
-func (ap *AP) acceptLoop() {
-	defer close(ap.acceptDone)
-	for {
-		conn, err := ap.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		ap.mu.Lock()
-		if ap.closed {
-			ap.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		ap.pending[conn] = true
-		ap.regWG.Add(1)
-		ap.mu.Unlock()
-		go ap.register(conn)
-	}
-}
-
 // register reads the hello frame and files the connection under its
 // client ID: into its group slot if it has one, as a spare otherwise.
-// Bad or duplicate registrations drop the connection.
-func (ap *AP) register(conn net.Conn) {
-	defer ap.regWG.Done()
-	conn.SetReadDeadline(time.Now().Add(registerTimeout))
-	fc := newFrameConn(conn, ap.cfg.MaxFrameBytes)
+// Bad or duplicate registrations drop the connection. It runs under the
+// greeter, which tracks the connection and bounds the hello read.
+func (ap *AP) register(conn net.Conn, admit func() bool) {
+	fc := newFrameConn(conn, DefaultMaxFrameBytes)
 	fc.onRead = func(n int) {
 		ap.mBytesIn.Add(int64(n))
 		ap.hFrameIn.Observe(float64(n))
@@ -476,16 +441,14 @@ func (ap *AP) register(conn net.Conn) {
 	if err == nil && ap.cfg.Quantize != hello.Quantize {
 		err = fmt.Errorf("transport: client %d quantize=%v, ap has %v", hello.ClientID, hello.Quantize, ap.cfg.Quantize)
 	}
-	conn.SetReadDeadline(time.Time{})
-
-	ap.mu.Lock()
-	delete(ap.pending, conn)
-	if err != nil || ap.closed {
-		ap.mu.Unlock()
+	if err != nil || !admit() {
 		conn.Close()
 		return
 	}
-	if _, dup := ap.joined[hello.ClientID]; dup {
+
+	ap.mu.Lock()
+	_, dup := ap.joined[hello.ClientID]
+	if dup || ap.closed {
 		ap.mu.Unlock()
 		conn.Close()
 		return
@@ -921,24 +884,12 @@ func (ap *AP) Shutdown() error {
 		conns = append(conns, cc)
 	}
 	ap.joined = map[int]*clientConn{}
-	pend := make([]net.Conn, 0, len(ap.pending))
-	for c := range ap.pending {
-		pend = append(pend, c)
-	}
 	ap.mu.Unlock()
 
-	// Listener first: no new connections can slip in behind the roster
-	// sweep. Then abort in-flight registrations and drain their
-	// goroutines, then dismiss registered clients.
-	var firstErr error
-	if err := ap.ln.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	for _, c := range pend {
-		c.Close()
-	}
-	<-ap.acceptDone
-	ap.regWG.Wait()
+	// Abort in-flight registrations and drain their goroutines, then
+	// dismiss registered clients.
+	firstErr := ap.greeter.Stop()
+	ap.greeter.Wait()
 
 	for _, cc := range conns {
 		cc.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))

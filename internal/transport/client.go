@@ -43,8 +43,6 @@ type ClientConfig struct {
 	// Quantize must match the AP's setting: 8-bit smashed-data frames
 	// out, 8-bit gradient frames expected back.
 	Quantize bool
-	// MaxFrameBytes caps a frame payload (0 = DefaultMaxFrameBytes).
-	MaxFrameBytes int
 }
 
 // Client is one mobile device participating in GSFL over the network.
@@ -103,7 +101,7 @@ func NewClientConn(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:  cfg,
 		conn: conn,
-		fc:   newFrameConn(conn, cfg.MaxFrameBytes),
+		fc:   newFrameConn(conn, DefaultMaxFrameBytes),
 		// Structure only; parameters are overwritten by each train frame.
 		half: cfg.Arch.NewSplit(rand.New(rand.NewSource(cfg.Seed)), cfg.Cut),
 		opt: schemes.Hyper{LR: cfg.LR, Momentum: cfg.Momentum, ClipNorm: cfg.ClipNorm,

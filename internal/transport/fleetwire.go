@@ -415,12 +415,6 @@ func NewFleetConn(c net.Conn, maxFrame int) *FleetConn {
 	return &FleetConn{fc: newFrameConn(c, maxFrame)}
 }
 
-// Conn returns the underlying connection (for deadlines and Close).
-func (f *FleetConn) Conn() net.Conn { return f.fc.c }
-
-// Close closes the underlying connection.
-func (f *FleetConn) Close() error { return f.fc.c.Close() }
-
 // ReadFrame returns the next frame's kind and payload. The payload is
 // valid until the next ReadFrame call; the Decode* functions copy any
 // byte strings they return.

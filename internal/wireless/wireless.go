@@ -67,6 +67,37 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate is the one definition of the config's ranges. Errors lead
+// with the field name, so callers can prefix their own path to it. The
+// comparisons are written to fail on NaN.
+func (cfg Config) Validate() error {
+	if !(cfg.UplinkHz > 0) {
+		return fmt.Errorf("UplinkHz %v must be positive", cfg.UplinkHz)
+	}
+	if !(cfg.DownlinkHz > 0) {
+		return fmt.Errorf("DownlinkHz %v must be positive", cfg.DownlinkHz)
+	}
+	if !(cfg.MinDistanceM > 0) {
+		return fmt.Errorf("MinDistanceM %v must be positive", cfg.MinDistanceM)
+	}
+	if !(cfg.MaxDistanceM >= cfg.MinDistanceM) {
+		return fmt.Errorf("MaxDistanceM %v below MinDistanceM %v", cfg.MaxDistanceM, cfg.MinDistanceM)
+	}
+	if !(cfg.FadingJitter >= 0 && cfg.FadingJitter < 1) {
+		return fmt.Errorf("FadingJitter %v outside [0,1)", cfg.FadingJitter)
+	}
+	if !(cfg.OutageProb >= 0 && cfg.OutageProb < 1) {
+		return fmt.Errorf("OutageProb %v outside [0,1)", cfg.OutageProb)
+	}
+	// AdvanceRound reflects a step back into the annulus one width at a
+	// time: a step wider than the annulus (or any step in a zero-width
+	// one) would reflect without end.
+	if width := cfg.MaxDistanceM - cfg.MinDistanceM; !(cfg.MobilitySigmaM >= 0 && cfg.MobilitySigmaM <= width) {
+		return fmt.Errorf("MobilitySigmaM %v outside [0,%v] (the annulus width)", cfg.MobilitySigmaM, width)
+	}
+	return nil
+}
+
 // Channel is the instantiated radio environment for a fleet of N
 // clients. Construction samples static client positions and shadowing;
 // per-transfer fading is drawn from the channel's RNG at transfer time.
@@ -89,22 +120,15 @@ type Channel struct {
 }
 
 // NewChannel places n clients uniformly in the configured annulus and
-// samples their shadowing. Deterministic in seed.
+// samples their shadowing. Deterministic in seed. A non-positive n or a
+// config that fails Validate is a programmer error and panics; code
+// holding outside input validates first.
 func NewChannel(cfg Config, n int, seed int64) *Channel {
 	if n <= 0 {
 		panic(fmt.Sprintf("wireless: client count %d must be positive", n))
 	}
-	if cfg.UplinkHz <= 0 || cfg.DownlinkHz <= 0 {
-		panic(fmt.Sprintf("wireless: bandwidth must be positive (up %v, down %v)", cfg.UplinkHz, cfg.DownlinkHz))
-	}
-	if cfg.MinDistanceM <= 0 || cfg.MaxDistanceM < cfg.MinDistanceM {
-		panic(fmt.Sprintf("wireless: bad distance bounds [%v, %v]", cfg.MinDistanceM, cfg.MaxDistanceM))
-	}
-	if cfg.FadingJitter < 0 || cfg.FadingJitter >= 1 {
-		panic(fmt.Sprintf("wireless: fading jitter %v outside [0,1)", cfg.FadingJitter))
-	}
-	if cfg.OutageProb < 0 || cfg.OutageProb >= 1 {
-		panic(fmt.Sprintf("wireless: outage probability %v outside [0,1)", cfg.OutageProb))
+	if err := cfg.Validate(); err != nil {
+		panic("wireless: " + err.Error())
 	}
 	placeRng := rand.New(rand.NewSource(seed))
 	ch := &Channel{

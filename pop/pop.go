@@ -13,22 +13,6 @@ import (
 	"gsfl/internal/schemes"
 )
 
-// Sampler selects how the per-round cohort is drawn.
-type Sampler int
-
-const (
-	// SamplerAvailability draws uniformly from the currently-online
-	// members: every sampled member participates. This is what the env
-	// layer wires in (under the always-on trace it coincides with
-	// SamplerUniform).
-	SamplerAvailability Sampler = iota
-	// SamplerUniform draws uniformly from the whole population,
-	// ignoring availability; sampled members that happen to be offline
-	// are counted as non-respondents and yield no binding — the
-	// classic FedAvg sampling assumption under churn.
-	SamplerUniform
-)
-
 // Config describes a population.
 type Config struct {
 	// Members is the population size P.
@@ -43,8 +27,6 @@ type Config struct {
 	Trace string
 	// ProfileMix is a ParseMix expression ("" = all baseline).
 	ProfileMix string
-	// Sampler selects the cohort-draw policy.
-	Sampler Sampler
 	// Seed derives every stream the population consumes: initial
 	// states, dwell durations, sampling draws, loader seeds.
 	Seed int64
@@ -131,9 +113,6 @@ func New(cfg Config) (*Population, error) {
 	}
 	if cfg.Cohort < 1 || cfg.Cohort > cfg.Slots {
 		return nil, fmt.Errorf("pop: cohort %d outside [1,%d]", cfg.Cohort, cfg.Slots)
-	}
-	if cfg.Sampler != SamplerAvailability && cfg.Sampler != SamplerUniform {
-		return nil, fmt.Errorf("pop: unknown sampler %d", int(cfg.Sampler))
 	}
 	traceName := cfg.Trace
 	if traceName == "" {
@@ -280,16 +259,7 @@ func (p *Population) sample(r int) {
 	p.binds = p.binds[:0]
 	maxTries := 64*p.cfg.Cohort + 256
 	drawn := 0
-	for try := 0; try < maxTries && drawn < p.cfg.Members; try++ {
-		// Uniform counts distinct drawn members: an offline draw is a
-		// non-respondent, consuming one of the K invitations.
-		filled := len(p.binds)
-		if p.cfg.Sampler == SamplerUniform {
-			filled = drawn
-		}
-		if filled >= p.cfg.Cohort {
-			break
-		}
+	for try := 0; try < maxTries && drawn < p.cfg.Members && len(p.binds) < p.cfg.Cohort; try++ {
 		m := int64(draw(p.kSample, uint64(r), uint64(try)) % uint64(p.cfg.Members))
 		if p.stamp[m] == uint32(r) {
 			continue // already drawn this round
@@ -298,8 +268,7 @@ func (p *Population) sample(r int) {
 		drawn++
 		p.touch(m, float64(r))
 		if p.isOffline(m) {
-			// Availability-aware: reject and redraw another member.
-			continue
+			continue // reject and redraw: every sampled member participates
 		}
 		p.pcur[m]++
 		p.binds = append(p.binds, schemes.SlotBinding{
@@ -347,9 +316,11 @@ func (p *Population) BeginRound(round int) ([]schemes.SlotBinding, error) {
 
 // Identity implements schemes.Cohort; it is folded into checkpoint env
 // fingerprints so resuming under a different population is rejected.
+// "sampler=0" is the availability-aware draw, the only one there is;
+// the literal stays so checkpoints written before it was fixed resume.
 func (p *Population) Identity() string {
-	return fmt.Sprintf("pop{members=%d slots=%d cohort=%d trace=%s mix=%q sampler=%d seed=%d}",
-		p.cfg.Members, p.cfg.Slots, p.cfg.Cohort, p.cfg.Trace, p.cfg.ProfileMix, int(p.cfg.Sampler), p.cfg.Seed)
+	return fmt.Sprintf("pop{members=%d slots=%d cohort=%d trace=%s mix=%q sampler=0 seed=%d}",
+		p.cfg.Members, p.cfg.Slots, p.cfg.Cohort, p.cfg.Trace, p.cfg.ProfileMix, p.cfg.Seed)
 }
 
 // BaseCapacities returns a copy of the fleet's FLOPS before

@@ -228,33 +228,17 @@ func TestProfileMixShares(t *testing.T) {
 	}
 }
 
-// TestSamplerUniformUnderChurn: the uniform sampler under churn yields
-// cohorts that can come up short (non-respondents) but never include
-// an offline member.
-func TestSamplerUniformUnderChurn(t *testing.T) {
-	cfg := testConfig()
-	cfg.Sampler = SamplerUniform
-	p, err := New(cfg)
+// TestIdentityPinned holds Identity to the string the parent commit
+// printed for this config: it feeds the checkpoint env fingerprint, so
+// any drift strands every population checkpoint already on disk.
+func TestIdentityPinned(t *testing.T) {
+	p, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := 0
-	for r := 1; r <= 30; r++ {
-		binds, err := p.BeginRound(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range binds {
-			if p.isOffline(b.Member) {
-				t.Fatalf("round %d: offline member %d bound", r, b.Member)
-			}
-		}
-		if len(binds) < cfg.Cohort {
-			short++
-		}
-	}
-	if short == 0 {
-		t.Fatal("uniform sampling under 2/3 availability never came up short — non-response not modelled?")
+	const want = `pop{members=5000 slots=50 cohort=20 trace=onoff mix="low-end:0.3,baseline:0.5,high-end:0.2" sampler=0 seed=42}`
+	if got := p.Identity(); got != want {
+		t.Fatalf("Identity() = %s\nwant         %s", got, want)
 	}
 }
 
@@ -372,9 +356,9 @@ func TestParseMixNormalizes(t *testing.T) {
 // member's state from time zero, and cohort-sequence hashes recorded
 // from the eager global-queue implementation this one replaced.
 
-func lazyConfig(trace string, s Sampler, members int) Config {
+func lazyConfig(trace string, members int) Config {
 	return Config{
-		Members: members, Slots: 50, Cohort: 40, Trace: trace, Sampler: s,
+		Members: members, Slots: 50, Cohort: 40, Trace: trace,
 		ProfileMix: "low-end:0.3,baseline:0.5,high-end:0.2", Seed: 7,
 	}
 }
@@ -416,12 +400,11 @@ func onlineAt(cfg Config, t float64) int {
 
 // refCohort is the sampler's specification on top of the oracle: walk
 // the round's draw sequence, skip repeats, and bind the online members
-// among the distinct draws until the cohort (availability) or the
-// invitation budget (uniform) is used up.
+// among the distinct draws until the cohort is full.
 func refCohort(cfg Config, r int) (bound, rejected []int64) {
 	seen := map[int64]bool{}
 	for try := 0; try < 64*cfg.Cohort+256 && len(seen) < cfg.Members; try++ {
-		if cfg.Sampler == SamplerUniform && len(seen) >= cfg.Cohort || len(bound) >= cfg.Cohort {
+		if len(bound) >= cfg.Cohort {
 			break
 		}
 		m := int64(refDraw(cfg.Seed, saltSample, uint64(r), uint64(try)) % uint64(cfg.Members))
@@ -463,64 +446,63 @@ func refSpeed(t *testing.T, cfg Config, m int64) float64 {
 func TestLazyMatchesStatelessOracle(t *testing.T) {
 	const rounds = 300
 	for _, trace := range []string{"always-on", "onoff", "diurnal"} {
-		for _, s := range []Sampler{SamplerAvailability, SamplerUniform} {
-			for _, members := range []int{50, 60, 5000} {
-				cfg := lazyConfig(trace, s, members)
-				t.Run(fmt.Sprintf("%s/%d/P=%d", trace, int(s), members), func(t *testing.T) {
-					p, err := New(cfg)
+		for _, members := range []int{50, 60, 5000} {
+			cfg := lazyConfig(trace, members)
+			// The 0 is the sampler id Identity still prints.
+			t.Run(fmt.Sprintf("%s/0/P=%d", trace, members), func(t *testing.T) {
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				taken := map[int64]uint64{} // participations so far
+				var last string
+				for r := 1; r <= rounds; r++ {
+					binds, err := p.BeginRound(r)
 					if err != nil {
 						t.Fatal(err)
 					}
-					taken := map[int64]uint64{} // participations so far
-					var last string
-					for r := 1; r <= rounds; r++ {
-						binds, err := p.BeginRound(r)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, rejected := refCohort(cfg, r)
-						if len(binds) != len(want) {
-							t.Fatalf("round %d: bound %d members, oracle says %d", r, len(binds), len(want))
-						}
-						for i, b := range binds {
-							taken[b.Member]++
-							speed := refSpeed(t, cfg, b.Member)
-							seed := int64(refDraw(cfg.Seed, saltLoader, uint64(b.Member), taken[b.Member]))
-							if b.Member != want[i] || b.Slot != i || b.Shard != int(b.Member)%cfg.Slots ||
-								b.LoaderSeed != seed || b.Speed != speed {
-								t.Fatalf("round %d binding %d: %+v, oracle member %d seed %d speed %v",
-									r, i, b, want[i], seed, speed)
-							}
-						}
-						for _, m := range rejected {
-							if !p.isOffline(m) {
-								t.Fatalf("round %d: rejected member %d is online in the population", r, m)
-							}
-						}
-						if r%100 == 0 {
-							if got, want := p.Online(), onlineAt(cfg, float64(r)); got != want {
-								t.Fatalf("round %d: census %d, oracle %d", r, got, want)
-							}
-						}
-						last = fmt.Sprint(binds)
+					want, rejected := refCohort(cfg, r)
+					if len(binds) != len(want) {
+						t.Fatalf("round %d: bound %d members, oracle says %d", r, len(binds), len(want))
 					}
+					for i, b := range binds {
+						taken[b.Member]++
+						speed := refSpeed(t, cfg, b.Member)
+						seed := int64(refDraw(cfg.Seed, saltLoader, uint64(b.Member), taken[b.Member]))
+						if b.Member != want[i] || b.Slot != i || b.Shard != int(b.Member)%cfg.Slots ||
+							b.LoaderSeed != seed || b.Speed != speed {
+							t.Fatalf("round %d binding %d: %+v, oracle member %d seed %d speed %v",
+								r, i, b, want[i], seed, speed)
+						}
+					}
+					for _, m := range rejected {
+						if !p.isOffline(m) {
+							t.Fatalf("round %d: rejected member %d is online in the population", r, m)
+						}
+					}
+					if r%100 == 0 {
+						if got, want := p.Online(), onlineAt(cfg, float64(r)); got != want {
+							t.Fatalf("round %d: census %d, oracle %d", r, got, want)
+						}
+					}
+					last = fmt.Sprint(binds)
+				}
 
-					q, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					binds, err := q.BeginRound(rounds)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := fmt.Sprint(binds); got != last {
-						t.Fatalf("skip-ahead cohort %s, want %s", got, last)
-					}
-					if q.Online() != p.Online() {
-						t.Fatalf("skip-ahead census %d, want %d", q.Online(), p.Online())
-					}
-				})
-			}
+				q, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binds, err := q.BeginRound(rounds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprint(binds); got != last {
+					t.Fatalf("skip-ahead cohort %s, want %s", got, last)
+				}
+				if q.Online() != p.Online() {
+					t.Fatalf("skip-ahead census %d, want %d", q.Online(), p.Online())
+				}
+			})
 		}
 	}
 }
@@ -549,43 +531,30 @@ func cohortHash(t *testing.T, p *Population) string {
 func TestCohortSequencePinned(t *testing.T) {
 	pinned := []struct {
 		trace   string
-		sampler Sampler
 		members int
 		want    string
 	}{
-		{"always-on", 0, 50, "7ca504dbadff3e7e"},
-		{"always-on", 0, 60, "68d195118a9783a0"},
-		{"always-on", 0, 5000, "681918d8f1628425"},
-		{"always-on", 0, 200000, "f9bc6b362e5fd832"},
-		{"always-on", 1, 50, "7ca504dbadff3e7e"},
-		{"always-on", 1, 60, "68d195118a9783a0"},
-		{"always-on", 1, 5000, "681918d8f1628425"},
-		{"always-on", 1, 200000, "f9bc6b362e5fd832"},
-		{"onoff", 0, 50, "9f5e8a461390614b"},
-		{"onoff", 0, 60, "74d9e5432640c897"},
-		{"onoff", 0, 5000, "d1177dbae2449f1b"},
-		{"onoff", 0, 200000, "e5f0ef792f592bef"},
-		{"onoff", 1, 50, "def3a119f1dd19f2"},
-		{"onoff", 1, 60, "42870ce15dc88245"},
-		{"onoff", 1, 5000, "994b82548369d451"},
-		{"onoff", 1, 200000, "b90bc14f5ab3f816"},
-		{"diurnal", 0, 50, "7e696671554ad6de"},
-		{"diurnal", 0, 60, "d35ac99dd66589cb"},
-		{"diurnal", 0, 5000, "ae56dc6e167979f6"},
-		{"diurnal", 0, 200000, "e26fd3bfdbcc879e"},
-		{"diurnal", 1, 50, "87d1e43141eef2f7"},
-		{"diurnal", 1, 60, "391d9e0eafe051c7"},
-		{"diurnal", 1, 5000, "20ec07958791674e"},
-		{"diurnal", 1, 200000, "bad93a7c3b595493"},
+		{"always-on", 50, "7ca504dbadff3e7e"},
+		{"always-on", 60, "68d195118a9783a0"},
+		{"always-on", 5000, "681918d8f1628425"},
+		{"always-on", 200000, "f9bc6b362e5fd832"},
+		{"onoff", 50, "9f5e8a461390614b"},
+		{"onoff", 60, "74d9e5432640c897"},
+		{"onoff", 5000, "d1177dbae2449f1b"},
+		{"onoff", 200000, "e5f0ef792f592bef"},
+		{"diurnal", 50, "7e696671554ad6de"},
+		{"diurnal", 60, "d35ac99dd66589cb"},
+		{"diurnal", 5000, "ae56dc6e167979f6"},
+		{"diurnal", 200000, "e26fd3bfdbcc879e"},
 	}
 	for _, pin := range pinned {
-		p, err := New(lazyConfig(pin.trace, pin.sampler, pin.members))
+		p, err := New(lazyConfig(pin.trace, pin.members))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := cohortHash(t, p); got != pin.want {
-			t.Errorf("%s sampler=%d P=%d: hash %s, parent commit recorded %s",
-				pin.trace, int(pin.sampler), pin.members, got, pin.want)
+			t.Errorf("%s P=%d: hash %s, parent commit recorded %s",
+				pin.trace, pin.members, got, pin.want)
 		}
 	}
 }
@@ -637,7 +606,7 @@ func scrapeGauges(t *testing.T, p *Population) (online, offline int) {
 // census, and scraping does not move the cohort sequence.
 func TestCensusWhileRoundsAdvance(t *testing.T) {
 	for _, trace := range []string{"always-on", "onoff"} {
-		cfg := lazyConfig(trace, SamplerAvailability, 5000)
+		cfg := lazyConfig(trace, 5000)
 		quiet, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -701,7 +670,7 @@ func init() { RegisterTrace(hostileTrace{}) }
 // clamped to minDwell — time never runs backwards, rounds still finish,
 // and the census stays consistent.
 func TestHostileTraceCannotCorruptReplay(t *testing.T) {
-	cfg := lazyConfig("test-hostile", SamplerAvailability, 60)
+	cfg := lazyConfig("test-hostile", 60)
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 
+	"gsfl/internal/atomicfile"
 	"gsfl/internal/schemes"
 	"gsfl/internal/tensor"
 	"gsfl/internal/wireless"
@@ -121,20 +123,11 @@ func (r *Runner) saveCheckpoint(round int, elapsed float64, curve *Curve) error 
 			return fmt.Errorf("sim: creating checkpoint directory: %w", err)
 		}
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(r.ckptPath), ".ckpt-*")
+	err := atomicfile.Write(r.ckptPath, ".ckpt-*", func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(cf)
+	})
 	if err != nil {
-		return fmt.Errorf("sim: creating checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := gob.NewEncoder(tmp).Encode(cf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sim: encoding checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("sim: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), r.ckptPath); err != nil {
-		return fmt.Errorf("sim: committing checkpoint: %w", err)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"io"
-	"net/http"
 	"strings"
 
 	"gsfl/internal/metrics"
@@ -74,11 +73,8 @@ func (m *RunMetrics) OnRound(e RoundEvent) {
 	}
 }
 
-// Handler serves the run's metrics in the text exposition format.
-func (m *RunMetrics) Handler() http.Handler { return m.reg.Handler() }
-
-// WriteText renders the current metrics page into w — the same bytes
-// the Handler serves.
+// WriteText renders the current metrics page into w in the text
+// exposition format.
 func (m *RunMetrics) WriteText(w io.Writer) error {
 	return m.reg.WriteText(w)
 }

@@ -416,9 +416,8 @@ func TestRestoreStateRejectsForeignState(t *testing.T) {
 	}
 	// A state from a wider model: same Models/Opts/Loaders arity, but
 	// tensor sizes differ.
-	otherEnv := schemestest.NewEnv(14, 4, 30, func(e *sim.Env) {
-		e.Arch = model.MLP(schemestest.BlobDim, 32, schemestest.BlobClasses)
-	})
+	otherEnv := schemestest.NewEnv(14, 4, 30)
+	otherEnv.Arch = model.MLP(schemestest.BlobDim, 32, schemestest.BlobClasses)
 	other, err := sim.New("sl", otherEnv, sim.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"syscall"
 	"time"
 
+	"gsfl/internal/atomicfile"
 	"gsfl/internal/metrics"
 	"gsfl/internal/trace"
 )
@@ -301,23 +303,12 @@ func (s *Store) progressPath(id string) string {
 	return filepath.Join(s.dir, ckptDir, id+".progress")
 }
 
-// writeAtomic replaces path with data through a temp file (named by
-// pattern, in path's directory) and a rename, so a reader or a crash
-// sees the old bytes or the new, never a torn write.
+// writeAtomic replaces path with data (see atomicfile.Write).
 func writeAtomic(path, pattern string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
-	if err != nil {
+	return atomicfile.Write(path, pattern, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 // SaveProgress atomically persists the sweep-side accumulators at a
