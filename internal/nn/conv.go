@@ -11,9 +11,10 @@ import (
 // Conv2D is a 2-D convolution over NCHW inputs, implemented as implicit
 // GEMM: the forward product W @ im2col(x) and the weight-gradient
 // product dy @ im2col(x)ᵀ run on tensor's fused convolution kernels,
-// whose packing routines read the image directly through the im2col
-// index map — the column matrix is never materialized. Weights have
-// shape (outC, inC*KH*KW); bias is (outC).
+// whose micro-kernel reads a zero-padded copy of the image in place
+// through the im2col index map — the column matrix is never
+// materialized or packed. Weights have shape (outC, inC*KH*KW); bias is
+// (outC).
 //
 // The forward pass runs one fused kernel per sample with samples
 // partitioned across the parallel worker pool; each sample writes a

@@ -9,7 +9,7 @@ import (
 )
 
 // Tests for the three routines that walk the im2col index map — the two
-// implicit-GEMM packing orientations and the col2im scatter — against
+// row-indirect convolution products and the col2im scatter — against
 // per-element references that test every pixel's bounds one at a time.
 
 // col2imRef is the per-element scatter Col2ImBatch must reproduce bit
@@ -94,11 +94,12 @@ var convPackWorkers = []int{1, 2, 8}
 // TestConvPackGeometrySweep checks every geometry with inputs up to
 // 10×10, non-square kernels up to 4×4, strides up to 3 on either axis
 // and paddings up to the kernel size (so whole taps see only padding):
-// InC*KH*KW and OutH*OutW both range from 1 to well past NR, so panels
-// come out empty-padded, exactly full and ragged in both orientations.
-// These shapes are too small to fork, so under the race detector (ten
-// times slower, nothing concurrent to watch) and -short one geometry in
-// eight is checked; TestConvPackForkJoin is the concurrent case.
+// InC*KH*KW and OutH*OutW both range from 1 to well past MR, and outC
+// is 5, so row blocks come out exactly full and ragged in both
+// orientations and the one panel always ragged. These shapes are too
+// small to fork, so under the race detector (ten times slower, nothing
+// concurrent to watch) and -short one geometry in eight is checked;
+// TestConvPackForkJoin is the concurrent case.
 func TestConvPackGeometrySweep(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(21))
@@ -137,18 +138,52 @@ func TestConvPackGeometrySweep(t *testing.T) {
 	t.Logf("%d geometries", count)
 }
 
+// forkingConvOutC returns an outC, ragged against NR, at which both conv
+// products over g are at least four chunks of minChunkFLOPs, and fails
+// the test unless both fork once there are two workers. The products
+// partition MR-row blocks of positions (forward) or taps (dW), so g needs
+// at least four blocks of each.
+func forkingConvOutC(t *testing.T, g ConvGeom) int {
+	t.Helper()
+	taps, pos := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	outC := 4*minChunkFLOPs/(2*taps*pos) + 3
+	parallel.SetWorkers(2)
+	defer parallel.SetWorkers(0)
+	blocks := func(rows int) int { return (rows + gemmMR - 1) / gemmMR }
+	if parallel.Inline(blocks(pos), grainRows(2*taps*outC*gemmMR)) ||
+		parallel.Inline(blocks(taps), grainRows(2*pos*outC*gemmMR)) {
+		t.Fatalf("%+v outC=%d does not fork at a %d-FLOP floor", g, outC, minChunkFLOPs)
+	}
+	return outC
+}
+
 // TestConvPackForkJoin repeats the check where the worker pool actually
-// forks: enough output channels for the GEMM row blocks and enough
-// (sample, channel) units for the scatter to split across workers.
+// forks: on the geometries with enough row blocks for forkingConvOutC,
+// and with a batch that is four chunks of the scatter's (sample,
+// channel) units.
 func TestConvPackForkJoin(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(22))
+	ran := 0
 	for _, g := range append([]ConvGeom{convTestGeom()}, convGeoms...) {
-		c := newConvPackCase(rng, g, 40, 24)
+		if min(g.InC*g.KH*g.KW, g.OutH()*g.OutW()) < 4*gemmMR {
+			continue
+		}
+		ran++
+		outC := forkingConvOutC(t, g)
+		batch := 4*grainChannels(g)/g.InC + 1
+		parallel.SetWorkers(2)
+		if parallel.Inline(batch*g.InC, grainChannels(g)) {
+			t.Fatalf("%+v batch=%d: col2im does not fork at a %d-FLOP floor", g, batch, minChunkFLOPs)
+		}
+		c := newConvPackCase(rng, g, outC, batch)
 		for _, w := range convPackWorkers {
 			parallel.SetWorkers(w)
 			c.check(t)
 		}
+	}
+	if ran < 3 {
+		t.Fatalf("only %d geometries have four row blocks in both orientations", ran)
 	}
 }
 

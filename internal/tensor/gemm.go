@@ -8,22 +8,24 @@ import (
 
 // Blocked, panel-packed GEMM engine.
 //
-// All three matmul orientations (plain, aᵀ@b, a@bᵀ) and the
-// implicit-GEMM convolution kernels funnel into gemmInto: the right-hand
-// operand is packed once into NR-column panels, output rows are
-// partitioned across the worker pool in MR-row blocks, and each chunk
-// packs its own A panels before running the micro-kernel over its tiles.
-// Packing buffers come from an internal Pool, so steady-state calls
-// allocate nothing in serial runs.
+// All three matmul orientations (plain, aᵀ@b, a@bᵀ) funnel into
+// gemmInto: the right-hand operand is packed once into NR-column panels,
+// output rows are partitioned across the worker pool in MR-row blocks,
+// and each chunk packs its own A panels before running the micro-kernel
+// over its tiles. The two implicit-GEMM convolution products funnel into
+// convGemmInto, which packs only their small dense operand and lets a
+// row-indirect micro-kernel read the image in place. Packing buffers
+// come from an internal Pool, so steady-state calls allocate nothing
+// unless they fork.
 //
 // Determinism: every output element is produced by exactly one
 // micro-kernel call that accumulates its k terms in ascending order in a
 // single accumulator. Chunk boundaries fall between MR-row blocks and
 // never change any element's accumulation sequence, so results are
 // bit-identical at any worker count — the same contract the previous
-// scalar kernels had. In the default "exact" numeric mode the kernel
-// rounds every multiply and add separately (scalar and AVX2 paths agree
-// bit-for-bit); a Reassociate mode swaps in an FMA kernel whose results
+// scalar kernels had. In the default "exact" numeric mode the kernels
+// round every multiply and add separately (scalar and AVX2 paths agree
+// bit-for-bit); a Reassociate mode swaps in FMA kernels whose results
 // are still worker-count-independent but only tolerance-comparable to
 // exact mode.
 
@@ -40,20 +42,33 @@ const (
 // loop reuses the same handful of panels round after round.
 var packPool Pool
 
+// offsetPool does the same for the convolution products' offset tables.
+var offsetPool slicePool[int]
+
 // ukernFunc computes one MR×NR output tile over the full k extent of a
 // packed A panel (k×MR interleaved) and packed B panel (k×NR
 // interleaved). The tile is overwritten, not accumulated; row r starts
 // at c[r*ldc].
 type ukernFunc func(k int, ap, bp, c []float64, ldc int)
 
-// kernExact / kernFast are the active micro-kernels, overridden at init
-// by the amd64 vector kernels when the CPU supports them. kernExact is
-// always bit-identical to ukernExactGeneric; kernFast may contract
-// multiply-adds (FMA) and falls back to the exact kernel on hardware
-// without FMA.
+// rowKernFunc computes one MR×NR tile of a row-indirect product over
+// the full extent of koff: element (r, j) is the sum over kk of
+// bp[kk*NR+j] · x[rows[r]+koff[kk]], where bp is a packed B panel. The
+// tile is overwritten and stored transposed: column j starts at
+// c[j*ldc]. koff must not be empty.
+type rowKernFunc func(x []float64, rows, koff []int, bp, c []float64, ldc int)
+
+// kernExact / kernFast (and rowKernExact / rowKernFast) are the active
+// micro-kernels, overridden at init by the amd64 vector kernels when the
+// CPU supports them. The exact ones are always bit-identical to their
+// generic bodies; the fast ones may contract multiply-adds (FMA) and
+// fall back to the exact kernels on hardware without FMA.
 var (
 	kernExact ukernFunc = ukernExactGeneric
 	kernFast  ukernFunc = ukernExactGeneric
+
+	rowKernExact rowKernFunc = rowKernExactGeneric
+	rowKernFast  rowKernFunc = rowKernExactGeneric
 )
 
 type aKind uint8
@@ -68,8 +83,6 @@ type bKind uint8
 const (
 	bPlain      bKind = iota // b is (k×n) row-major
 	bTransposed              // b is (n×k) row-major, logical B = bᵀ
-	bIm2col                  // b is a CHW image; logical B = im2col(b)
-	bIm2colT                 // b is a CHW image; logical B = im2col(b)ᵀ
 )
 
 // aSource / bSource describe the logical (m×k) and (k×n) operands in
@@ -83,7 +96,6 @@ type aSource struct {
 type bSource struct {
 	data []float64
 	kind bKind
-	geom ConvGeom // for the im2col kinds
 }
 
 // gemmInto computes dst = A @ B for the logical operands described by
@@ -106,8 +118,6 @@ func gemmInto(dst []float64, m, k, n int, asrc aSource, bsrc bSource) {
 		packB(bp, bsrc.data, k, n)
 	case bTransposed:
 		packBTrans(bp, bsrc.data, k, n)
-	case bIm2col, bIm2colT:
-		packBIm2col(bp, bsrc.data, bsrc.geom, bsrc.kind == bIm2colT)
 	}
 	mblocks := (m + gemmMR - 1) / gemmMR
 	grain := grainRows(2 * k * n * gemmMR)
@@ -172,17 +182,101 @@ func gemmChunk(kern ukernFunc, dst, ap, bp []float64, asrc aSource, m, k, n, blo
 	}
 }
 
+// convGemmInto is the driver of both implicit-GEMM convolution
+// products. In padded coordinates the column matrix of an image is a sum
+// of two offset tables, col[t][p] = x[tap[t] + pos[p]] (paddedGrids), so
+// either product is
+//
+//	dst[oc][r] = Σ_kk dense[oc][kk] · x[row[r] + koff[kk]]
+//
+// with (row, koff) = (pos, tap) for the forward pass and (tap, pos) for
+// the weight gradient. The image side is the micro-kernel's broadcast
+// operand and is read where padImage put it; only dense, (outC × k), is
+// packed. Rows past a ragged last block point at the zero half of the
+// padded copy, so the kernel has no edge path; MR-row blocks are
+// partitioned across the worker pool exactly as gemmInto's are.
+func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, weightGrad bool) {
+	kGrid, rowGrid, size := paddedGrids(g)
+	if weightGrad {
+		kGrid, rowGrid = rowGrid, kGrid
+	}
+	k, rows := kGrid.size(), rowGrid.size()
+	if k == 0 {
+		clear(dst[:outC*rows])
+		return
+	}
+	kern := rowKernExact
+	if numericReassoc.Load() {
+		kern = rowKernFast
+	}
+	rblocks := (rows + gemmMR - 1) / gemmMR
+	offs := offsetPool.GetSlice(k + rblocks*gemmMR)
+	koff, rowOff := offs[:k], offs[k:]
+	kGrid.fill(koff)
+	rowGrid.fill(rowOff)
+	for r := rows; r < len(rowOff); r++ {
+		rowOff[r] = size
+	}
+	panels := (outC + gemmNR - 1) / gemmNR * k * gemmNR
+	buf := packPool.GetSlice(2*size + panels + gemmMR*gemmNR)
+	x, bp, spill := buf[:2*size], buf[2*size:2*size+panels], buf[2*size+panels:]
+	padImage(x, img, g)
+	packBTrans(bp, dense, k, outC)
+	grain := grainRows(2 * k * outC * gemmMR)
+	if parallel.Inline(rblocks, grain) {
+		convGemmChunk(kern, dst, x, rowOff, koff, bp, spill, rows, outC, 0, rblocks)
+	} else {
+		convGemmParallel(kern, dst, x, rowOff, koff, bp, rows, outC, rblocks, grain)
+	}
+	packPool.PutSlice(buf)
+	offsetPool.PutSlice(offs)
+}
+
+// convGemmParallel is convGemmInto's fork-join path, split out for the
+// reason gemmParallel is. Each chunk borrows its own spill tile.
+func convGemmParallel(kern rowKernFunc, dst, x []float64, rowOff, koff []int, bp []float64, rows, outC, rblocks, grain int) {
+	parallel.For(rblocks, grain, func(blo, bhi int) {
+		spill := packPool.GetSlice(gemmMR * gemmNR)
+		convGemmChunk(kern, dst, x, rowOff, koff, bp, spill, rows, outC, blo, bhi)
+		packPool.PutSlice(spill)
+	})
+}
+
+// convGemmChunk runs the row-indirect micro-kernel over every tile of
+// row blocks [blo, bhi). Full tiles are stored straight into dst, which
+// is (outC × rows) row-major — the kernel's transposed store; ragged
+// ones go through spill (heap-backed for the reason gemmChunk's is).
+func convGemmChunk(kern rowKernFunc, dst, x []float64, rowOff, koff []int, bp, spill []float64, rows, outC, blo, bhi int) {
+	k := len(koff)
+	for bi := blo; bi < bhi; bi++ {
+		r0 := bi * gemmMR
+		rb := min(rows-r0, gemmMR)
+		for j0 := 0; j0 < outC; j0 += gemmNR {
+			jb := min(outC-j0, gemmNR)
+			bpan := bp[j0*k:]
+			if rb == gemmMR && jb == gemmNR {
+				kern(x, rowOff[r0:], koff, bpan, dst[j0*rows+r0:], rows)
+				continue
+			}
+			kern(x, rowOff[r0:], koff, bpan, spill, gemmMR)
+			for j := 0; j < jb; j++ {
+				copy(dst[(j0+j)*rows+r0:][:rb], spill[j*gemmMR:])
+			}
+		}
+	}
+}
+
 // ConvMatMulInto computes dst = w @ im2col(img) without materializing
 // the column matrix — the implicit-GEMM convolution forward pass. w is
 // (outC × InC*KH*KW), img is one flat CHW image of g's geometry, dst is
-// (outC × OutH*OutW). The packing routine reads the image through the
-// im2col index map, so results are bit-identical (in exact mode) to
+// (outC × OutH*OutW). The micro-kernel reads the padded image through
+// the im2col index map, so results are bit-identical (in exact mode) to
 // materializing the columns and calling MatMulInto. It returns dst.
 func ConvMatMulInto(dst, w *Tensor, img []float64, g ConvGeom) *Tensor {
 	k := g.InC * g.KH * g.KW
 	n := g.OutH() * g.OutW()
 	m := checkConvMatMul("ConvMatMulInto", dst, w, img, g, k, n)
-	gemmInto(dst.Data, m, k, n, aSource{data: w.Data}, bSource{data: img, kind: bIm2col, geom: g})
+	convGemmInto(dst.Data, w.Data, m, img, g, false)
 	return dst
 }
 
@@ -194,7 +288,7 @@ func ConvMatMulTransBInto(dst, dy *Tensor, img []float64, g ConvGeom) *Tensor {
 	k := g.OutH() * g.OutW()
 	n := g.InC * g.KH * g.KW
 	m := checkConvMatMul("ConvMatMulTransBInto", dst, dy, img, g, k, n)
-	gemmInto(dst.Data, m, k, n, aSource{data: dy.Data}, bSource{data: img, kind: bIm2colT, geom: g})
+	convGemmInto(dst.Data, dy.Data, m, img, g, true)
 	return dst
 }
 

@@ -5,14 +5,20 @@ package tensor
 // AVX2 micro-kernel bindings. The kernels are selected at init after a
 // CPUID probe: the exact kernel needs AVX2 (and OS-enabled YMM state),
 // the fast kernel additionally needs FMA. Without the hardware the
-// portable generic kernel stays active — still bit-identical, since the
-// exact AVX2 kernel performs the same per-element operation sequence.
+// portable generic kernels stay active — still bit-identical, since the
+// exact AVX2 kernels perform the same per-element operation sequence.
 
 //go:noescape
 func ukernExact4x8(k int64, ap, bp, c *float64, ldc int64)
 
 //go:noescape
 func ukernFast4x8(k int64, ap, bp, c *float64, ldc int64)
+
+//go:noescape
+func ukernRowExact4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
+
+//go:noescape
+func ukernRowFast4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -34,6 +40,14 @@ func ukernFastAVX2(k int, ap, bp, c []float64, ldc int) {
 	ukernFast4x8(int64(k), &ap[0], &bp[0], &c[0], int64(ldc))
 }
 
+func rowKernExactAVX2(x []float64, rows, koff []int, bp, c []float64, ldc int) {
+	ukernRowExact4x8(int64(len(koff)), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc))
+}
+
+func rowKernFastAVX2(x []float64, rows, koff []int, bp, c []float64, ldc int) {
+	ukernRowFast4x8(int64(len(koff)), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc))
+}
+
 func zeroTile(c []float64, ldc int) {
 	for r := 0; r < gemmMR; r++ {
 		row := c[r*ldc : r*ldc+gemmNR]
@@ -48,10 +62,10 @@ func init() {
 	if !avx2 {
 		return
 	}
-	kernExact = ukernExactAVX2
-	kernFast = ukernExactAVX2
+	kernExact, rowKernExact = ukernExactAVX2, rowKernExactAVX2
+	kernFast, rowKernFast = ukernExactAVX2, rowKernExactAVX2
 	if fma {
-		kernFast = ukernFastAVX2
+		kernFast, rowKernFast = ukernFastAVX2, rowKernFastAVX2
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,13 +150,24 @@ func TestGEMMExhaustiveSmallShapes(t *testing.T) {
 }
 
 // TestGEMMZeroK pins the degenerate inner dimension: the engine must
-// fully overwrite dst with zeros, not leave stale values.
+// fully overwrite dst with zeros, not leave stale values — and the conv
+// driver must not hand its do-while kernel an empty offset table (a
+// kernel overhanging its input has no output positions, which is dW's k).
 func TestGEMMZeroK(t *testing.T) {
 	got := []float64{1, 2, 3, 4, 5, 6}
 	gemmInto(got, 2, 0, 3, aSource{kind: aPlain}, bSource{kind: bPlain})
 	for i, v := range got {
 		if v != 0 {
 			t.Fatalf("k=0 output element %d = %v, want 0", i, v)
+		}
+	}
+	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	dw := New(2, 9)
+	dw.Fill(7)
+	ConvMatMulTransBInto(dw, New(2, 0), make([]float64, 4), g)
+	for i, v := range dw.Data {
+		if v != 0 {
+			t.Fatalf("conv k=0 output element %d = %v, want 0", i, v)
 		}
 	}
 }
@@ -219,8 +231,19 @@ var convGeoms = []ConvGeom{
 // TestConvMatMulMatchesIm2Col checks the implicit-GEMM conv kernels
 // against the two-step reference they replaced — materialize the column
 // matrix with im2colRef, then run the naive GEMM over it — bit for bit, in
-// both the forward (W @ col) and weight-gradient (dy @ colᵀ) shapes.
+// both the forward (W @ col) and weight-gradient (dy @ colᵀ) shapes: once
+// with the active row kernel and once with the portable one swapped in,
+// which no AVX2 host would otherwise run.
 func TestConvMatMulMatchesIm2Col(t *testing.T) {
+	t.Run("active", checkConvMatMulMatchesIm2Col)
+	t.Run("generic", func(t *testing.T) {
+		defer func(k rowKernFunc) { rowKernExact = k }(rowKernExact)
+		rowKernExact = rowKernExactGeneric
+		checkConvMatMulMatchesIm2Col(t)
+	})
+}
+
+func checkConvMatMulMatchesIm2Col(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, g := range convGeoms {
 		if err := g.Validate(); err != nil {
@@ -233,7 +256,7 @@ func TestConvMatMulMatchesIm2Col(t *testing.T) {
 		cols := make([]float64, g.ColSize())
 		im2colRef(cols, img, g)
 
-		for _, outC := range []int{3, 8} {
+		for _, outC := range []int{3, 8, 19} {
 			w := New(outC, colRows)
 			fillMixed(rng, w.Data)
 			want := make([]float64, outC*spatial)
@@ -251,36 +274,170 @@ func TestConvMatMulMatchesIm2Col(t *testing.T) {
 	}
 }
 
+// fillHostile fills buf with normal draws and, one element in eight, a
+// value the kernels must treat exactly as IEEE says: a signed zero, a
+// subnormal, an infinity or a NaN.
+func fillHostile(rng *rand.Rand, buf []float64) {
+	hostile := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := range buf {
+		if rng.Intn(8) == 0 {
+			buf[i] = hostile[rng.Intn(len(hostile))]
+		} else {
+			buf[i] = rng.NormFloat64()
+		}
+	}
+}
+
+// requireSameFloats is requireBitEqual with NaN-ness compared in place
+// of NaN payloads, which x86 takes from whichever operand came first.
+func requireSameFloats(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.IsNaN(got[i]) != math.IsNaN(want[i]) ||
+			!math.IsNaN(want[i]) && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (bits %016x), want %v (bits %016x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestGenericKernelsMatchActive drives both kernel families — packed
+// and row-indirect — through their portable bodies and whatever init
+// installed (the assembly, on an AVX2 host) on the same operands, and
+// requires the same bits: the portable kernels are the exact mode's
+// definition and the only kernels off amd64, yet nothing else calls them
+// where the assembly is available.
+func TestGenericKernelsMatchActive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const ldc = 11
+	for k := 1; k <= 40; k++ {
+		for trial := 0; trial < 8; trial++ {
+			ap := make([]float64, k*gemmMR)
+			bp := make([]float64, k*gemmNR)
+			fillHostile(rng, ap)
+			fillHostile(rng, bp)
+			got, want := make([]float64, gemmMR*ldc), make([]float64, gemmMR*ldc)
+			kernExact(k, ap, bp, got, ldc)
+			ukernExactGeneric(k, ap, bp, want, ldc)
+			requireSameFloats(t, fmt.Sprintf("packed kernel k=%d", k), got, want)
+
+			// Row r of the tile reads x at rows[r]+koff[kk]: overlapping
+			// windows of one buffer, as a convolution's are.
+			x := make([]float64, 3*k+gemmMR)
+			fillHostile(rng, x)
+			rows := []int{rng.Intn(gemmMR), rng.Intn(gemmMR), rng.Intn(gemmMR), rng.Intn(gemmMR)}
+			koff := make([]int, k)
+			for kk := range koff {
+				koff[kk] = rng.Intn(3 * k)
+			}
+			got, want = make([]float64, gemmNR*ldc), make([]float64, gemmNR*ldc)
+			rowKernExact(x, rows, koff, bp, got, ldc)
+			rowKernExactGeneric(x, rows, koff, bp, want, ldc)
+			requireSameFloats(t, fmt.Sprintf("row kernel k=%d", k), got, want)
+		}
+	}
+}
+
+// TestConvNonFiniteIsShapeIndependent is the conv products' share of
+// TestMatMulNonFiniteIsShapeIndependent: one +Inf or NaN entry in an
+// otherwise zero dense operand (a weight forward, a dy entry for dW)
+// meets a padded image a third of whose pixels are zero. 0·Inf is NaN
+// whether the zero is a pixel or padding the kernel reads from its
+// scratch copy, so the output is NaN exactly where the materialized
+// column matrix and the naive GEMM put one, and every row the entry does
+// not feed stays exactly zero — at any worker count and outC.
+func TestConvNonFiniteIsShapeIndependent(t *testing.T) {
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	rng := rand.New(rand.NewSource(33))
+	for _, g := range convGeoms {
+		colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+		img := make([]float64, g.ImageSize())
+		fillMixed(rng, img)
+		cols := make([]float64, g.ColSize())
+		im2colRef(cols, img, g)
+		for _, outC := range []int{2, 8, 13} {
+			for _, bad := range []float64{math.Inf(1), math.NaN()} {
+				w, dy := New(outC, colRows), New(outC, spatial)
+				hot := outC - 1 // the one row the bad entry feeds
+				w.Data[hot*colRows+rng.Intn(colRows)] = bad
+				dy.Data[hot*spatial+rng.Intn(spatial)] = bad
+				wantOut := make([]float64, outC*spatial)
+				naiveMatMul(wantOut, w.Data, cols, outC, colRows, spatial)
+				wantDW := make([]float64, outC*colRows)
+				naiveTransB(wantDW, dy.Data, cols, outC, spatial, colRows)
+				for _, workers := range []int{1, 2, 8} {
+					parallel.SetWorkers(workers)
+					for _, c := range []struct {
+						name      string
+						got, want []float64
+					}{
+						{"ConvMatMulInto", ConvMatMulInto(New(outC, spatial), w, img, g).Data, wantOut},
+						{"ConvMatMulTransBInto", ConvMatMulTransBInto(New(outC, colRows), dy, img, g).Data, wantDW},
+					} {
+						what := fmt.Sprintf("%s %+v outC=%d bad=%v workers=%d", c.name, g, outC, bad, workers)
+						requireSameFloats(t, what, c.got, c.want)
+						cold := c.got[:hot*len(c.got)/outC]
+						for i, v := range cold {
+							if v != 0 {
+								t.Fatalf("%s: element %d of a row the entry does not feed = %v, want 0", what, i, v)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFastModeToleranceAndWorkerDeterminism pins the reassociating
-// mode's two contracts: it stays within a tight tolerance of exact mode
-// (FMA changes only last-ulp rounding), and on one machine it is still
-// bit-identical across worker counts (the per-element instruction
-// sequence does not depend on how output rows are partitioned).
+// mode's two contracts, for the packed engine and both conv products: it
+// stays within a tight tolerance of exact mode (FMA changes only
+// last-ulp rounding), and on one machine it is still bit-identical
+// across worker counts (the per-element instruction sequence does not
+// depend on how output rows are partitioned). The shapes are sized to
+// fork (forkingRows, forkingConvOutC).
 func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
+	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(9))
-	a := New(48, 64).RandNormal(rng, 0, 1)
+	m := forkingRows(t, 64, 40)
+	a := New(m, 64).RandNormal(rng, 0, 1)
 	b := New(64, 40).RandNormal(rng, 0, 1)
-	exact := MatMulInto(New(48, 40), a, b)
+	g := convGeoms[len(convGeoms)-1]
+	colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	outC := forkingConvOutC(t, g)
+	img := New(g.ImageSize()).RandNormal(rng, 0, 1).Data
+	w := New(outC, colRows).RandNormal(rng, 0, 1)
+	dy := New(outC, spatial).RandNormal(rng, 0, 1)
+	products := func() []*Tensor {
+		return []*Tensor{
+			MatMulInto(New(m, 40), a, b),
+			ConvMatMulInto(New(outC, spatial), w, img, g),
+			ConvMatMulTransBInto(New(outC, colRows), dy, img, g),
+		}
+	}
+	exact := products()
 
 	release, err := AcquireNumericMode("fast")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	fast1 := MatMulInto(New(48, 40), a, b)
-	if !AllClose(exact, fast1, 1e-10) {
-		t.Fatal("fast mode drifted beyond tolerance from exact mode")
-	}
+	parallel.SetWorkers(1)
+	fast1 := products()
 	parallel.SetWorkers(4)
-	t.Cleanup(func() { parallel.SetWorkers(0) })
-	fastN := MatMulInto(New(48, 40), a, b)
-	requireBitEqual(t, "fast workers=4 vs workers=ambient", fastN.Data, fast1.Data, 48, 64, 40)
+	fastN := products()
+	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto"} {
+		if !AllClose(exact[i], fast1[i], 1e-10) {
+			t.Fatalf("%s: fast mode drifted beyond tolerance from exact mode", name)
+		}
+		requireSameFloats(t, name+" fast workers=4 vs workers=1", fastN[i].Data, fast1[i].Data)
+	}
 }
 
 // FuzzPackedGEMM drives the packed index math (panel layouts, ragged
 // edge padding) with fuzzed shapes and checks the plain and transposed
 // sources against the naive references bit for bit; FuzzConvPack does
-// the same for the im2col sources.
+// the same for the conv products.
 func FuzzPackedGEMM(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(9))
 	f.Add(int64(7), uint8(4), uint8(16), uint8(8))

@@ -2,11 +2,15 @@ package tensor
 
 import "fmt"
 
-// minChunkFLOPs is the serial-work floor per parallel chunk: matrices
-// whose total work is below ~2 chunks of this size run on the calling
-// goroutine, so the layer-sized matmuls in the hot path parallelize while
-// tiny ones skip the fork-join overhead entirely.
-const minChunkFLOPs = 64 << 10
+// minChunkFLOPs is the serial-work floor per parallel chunk: a product
+// whose total work fits one chunk runs on the calling goroutine, and no
+// chunk of a forked one is smaller. At ≈10 GFLOP/s a chunk is ≈50 µs of
+// kernel time against a fork-join that costs 7 allocations and, when the
+// helper's thread has to be woken, tens of microseconds; every GEMM of a
+// paper-shaped training step (the largest is the 16×256×64 dense layer,
+// exactly one chunk) stays inline. BenchmarkMatMulWorkers sweeps shapes
+// either side of it; docs/ARCHITECTURE.md "The pool" has the numbers.
+const minChunkFLOPs = 512 << 10
 
 // grainRows converts a per-row FLOP estimate into the minimum number of
 // output rows one parallel chunk must cover.

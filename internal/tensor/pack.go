@@ -19,12 +19,11 @@ package tensor
 // feeds scratch columns that are discarded, so packing never perturbs
 // the bit-exact accumulation of live elements.
 //
-// Four logical operand layouts are packed from three physical sources:
-// a plain (m×k) or transposed (k×m) A matrix, a plain (k×n) or
-// transposed (n×k) B matrix, and — for the implicit-GEMM convolution
-// path — a B matrix that is the im2col column matrix of a CHW image,
-// read directly through the im2col index map without ever materializing
-// the columns (see "Implicit-GEMM packing" below).
+// Four logical operand layouts are packed: a plain (m×k) or transposed
+// (k×m) A matrix and a plain (k×n) or transposed (n×k) B matrix. The
+// convolution products pack only their dense operand (packBTrans); what
+// they need of the image — a zero-padded copy and two offset tables — is
+// at the end of this file.
 
 // packA packs A row-blocks [blo, bhi) from a plain (m×k) matrix.
 func packA(ap, a []float64, m, k, blo, bhi int) {
@@ -98,49 +97,46 @@ func packB(bp, b []float64, k, n int) {
 }
 
 // packBTrans packs every NR-column panel where the logical B (k×n) is
-// stored transposed as (n×k): B[kk][j] = b[j*k+kk].
+// stored transposed as (n×k): B[kk][j] = b[j*k+kk]. A full panel reads
+// its eight rows of b side by side, so every panel row is one contiguous
+// store; this is also the pack of the convolution products' dense
+// operand, once per sample.
 func packBTrans(bp, b []float64, k, n int) {
-	np := (n + gemmNR - 1) / gemmNR
-	for p := 0; p < np; p++ {
-		j0 := p * gemmNR
-		jb := n - j0
-		if jb > gemmNR {
-			jb = gemmNR
+	for j0 := 0; j0 < n; j0 += gemmNR {
+		jb := min(n-j0, gemmNR)
+		pan := bp[j0*k:][:k*gemmNR]
+		if jb == gemmNR {
+			r0, r1, r2, r3 := b[(j0+0)*k:][:k], b[(j0+1)*k:][:k], b[(j0+2)*k:][:k], b[(j0+3)*k:][:k]
+			r4, r5, r6, r7 := b[(j0+4)*k:][:k], b[(j0+5)*k:][:k], b[(j0+6)*k:][:k], b[(j0+7)*k:][:k]
+			for kk := range r0 {
+				d := pan[kk*gemmNR:][:gemmNR]
+				d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
+				d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+			}
+			continue
 		}
-		off := p * k * gemmNR
 		for jr := 0; jr < jb; jr++ {
-			brow := b[(j0+jr)*k : (j0+jr+1)*k]
-			for kk, bv := range brow {
-				bp[off+kk*gemmNR+jr] = bv
+			for kk, bv := range b[(j0+jr)*k:][:k] {
+				pan[kk*gemmNR+jr] = bv
 			}
 		}
 		for jr := jb; jr < gemmNR; jr++ {
 			for kk := 0; kk < k; kk++ {
-				bp[off+kk*gemmNR+jr] = 0
+				pan[kk*gemmNR+jr] = 0
 			}
 		}
 	}
 }
 
-// Implicit-GEMM packing: the conv kernels' B operand is the im2col
+// The image side of the convolution products (convGemmInto). The im2col
 // column matrix of one CHW image — row (c,kh,kw), column (oh,ow), entry
 // pixel (c, oh*StrideH-PadH+kh, ow*StrideW-PadW+kw), zero where that
-// falls outside the image — in either orientation, and it is never
-// materialized. Packing it is two pure data movements:
-//
-//  1. padImage copies the image, one run per image row, into a scratch
-//     copy with the zero border written out. That is the only place the
-//     padding is decided: in padded coordinates every (tap, position)
-//     pair addresses a real element, at tapOffset + positionOffset, so
-//     no bounds test is left for any later loop.
-//  2. packGather fills the panels. Taps and positions are each a small
-//     grid of offsets into the padded copy (offsetGrid); one of them
-//     supplies the NR lanes of a panel, the other its rows. A panel row
-//     is NR loads through NR precomputed lane offsets and one contiguous
-//     NR-wide store, whichever orientation is being packed.
-//
-// Every value lands exactly where the per-element index map put it, so
-// the micro-kernel sees the same panels and no product can change a bit.
+// falls outside the image — is never materialized. padImage copies the
+// image into scratch with the zero border written out; that is the only
+// place the padding is decided, because in padded coordinates every
+// (tap, position) pair addresses a real element, at tap offset plus
+// position offset. Taps and positions are each a small grid of offsets
+// (offsetGrid) that the driver tabulates and the micro-kernel adds.
 
 // offsetGrid is the offsets i0*s0 + i1*s1 + i2*s2 of a d0×d1×d2 grid of
 // points, enumerated in row-major order.
@@ -148,28 +144,17 @@ type offsetGrid struct{ d0, d1, d2, s0, s1, s2 int }
 
 func (og offsetGrid) size() int { return og.d0 * og.d1 * og.d2 }
 
-// gridWalker hands out an offsetGrid's offsets one at a time, in order,
-// carrying the indices along instead of dividing them out per point.
-type gridWalker struct {
-	og                  offsetGrid
-	i1, i2, o0, o1, off int
-}
-
-// next returns the current point's offset and steps to the next point.
-func (w *gridWalker) next() int {
-	off := w.off
-	w.off += w.og.s2
-	if w.i2++; w.i2 == w.og.d2 {
-		w.i2 = 0
-		w.o1 += w.og.s1
-		if w.i1++; w.i1 == w.og.d1 {
-			w.i1 = 0
-			w.o0 += w.og.s0
-			w.o1 = w.o0
+// fill writes the grid's offsets, in order, to the front of dst.
+func (og offsetGrid) fill(dst []int) {
+	i := 0
+	for i0, o0 := 0, 0; i0 < og.d0; i0, o0 = i0+1, o0+og.s0 {
+		for i1, o1 := 0, o0; i1 < og.d1; i1, o1 = i1+1, o1+og.s1 {
+			for i2, o2 := 0, o1; i2 < og.d2; i2, o2 = i2+1, o2+og.s2 {
+				dst[i] = o2
+				i++
+			}
 		}
-		w.off = w.o1
 	}
-	return off
 }
 
 // paddedGrids returns g's two offset grids over the zero-padded image —
@@ -185,62 +170,14 @@ func paddedGrids(g ConvGeom) (taps, pos offsetGrid, size int) {
 
 // padImage writes img with its zero border into dst, which holds the
 // padded image followed by as many zeros again: an all-zero region any
-// row offset can be added to, which is what the lanes past a ragged
-// last panel read (see packGather).
+// offset can be added to, which is what the rows past a ragged last
+// block read (see convGemmInto).
 func padImage(dst, img []float64, g ConvGeom) {
 	clear(dst)
 	ph, pw := g.InH+2*g.PadH, g.InW+2*g.PadW
 	for c := 0; c < g.InC; c++ {
 		for h := 0; h < g.InH; h++ {
 			copy(dst[(c*ph+g.PadH+h)*pw+g.PadW:], img[(c*g.InH+h)*g.InW:][:g.InW])
-		}
-	}
-}
-
-// packBIm2col packs every NR-column panel of the implicit column matrix
-// of one CHW image, logical B (k×n): k taps by n positions, or — with
-// transposed set, the dW = dy @ im2col(x)ᵀ orientation of the conv
-// backward pass — k positions by n taps.
-func packBIm2col(bp, img []float64, g ConvGeom, transposed bool) {
-	rows, lanes, size := paddedGrids(g)
-	if transposed {
-		rows, lanes = lanes, rows
-	}
-	padded := packPool.GetSlice(2 * size)
-	padImage(padded, img, g)
-	packGather(bp, padded, rows, lanes, size)
-	packPool.PutSlice(padded)
-}
-
-// packGather packs every NR-column panel of the (rows × lanes) matrix
-// B[r][l] = src[offset of row r + offset of lane l]. Lanes past the
-// last column read from zeroOff, which the caller guarantees is
-// followed by zeros for as far as any row offset reaches.
-func packGather(bp, src []float64, rows, lanes offsetGrid, zeroOff int) {
-	k, n := rows.size(), lanes.size()
-	lane := gridWalker{og: lanes}
-	for j0 := 0; j0 < n; j0 += gemmNR {
-		var l [gemmNR]int
-		for jr := range l {
-			l[jr] = zeroOff
-			if j0+jr < n {
-				l[jr] = lane.next()
-			}
-		}
-		l0, l1, l2, l3, l4, l5, l6, l7 := l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]
-		dst := bp[j0*k:][:k*gemmNR]
-		row := gridWalker{og: rows}
-		for r := 0; r < k; r++ {
-			s := src[row.next():]
-			d := dst[r*gemmNR:][:gemmNR]
-			d[0] = s[l0]
-			d[1] = s[l1]
-			d[2] = s[l2]
-			d[3] = s[l3]
-			d[4] = s[l4]
-			d[5] = s[l5]
-			d[6] = s[l6]
-			d[7] = s[l7]
 		}
 	}
 }

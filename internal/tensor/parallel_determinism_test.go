@@ -58,21 +58,39 @@ func TestMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// forkingRows returns a row count m, ragged against MR, at which an
+// (m×k)@(k×n) product is at least four chunks of minChunkFLOPs, and
+// fails the test unless the engine forks it once there are two workers
+// — a worker-determinism test over a product that runs inline proves
+// nothing, whatever the floor is moved to.
+func forkingRows(t *testing.T, k, n int) int {
+	t.Helper()
+	m := 4*minChunkFLOPs/(2*k*n) + gemmMR + 3
+	parallel.SetWorkers(2)
+	defer parallel.SetWorkers(0)
+	if parallel.Inline((m+gemmMR-1)/gemmMR, grainRows(2*k*n*gemmMR)) {
+		t.Fatalf("%d×%d×%d (%d FLOPs) does not fork at a %d-FLOP floor", m, k, n, 2*m*k*n, minChunkFLOPs)
+	}
+	return m
+}
+
 func TestMatMulTransABitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	a := New(130, 71).RandNormal(rng, 0, 1)
+	m := forkingRows(t, 130, 33)
+	a := New(130, m).RandNormal(rng, 0, 1)
 	b := New(130, 33).RandNormal(rng, 0, 1)
 	mustBitIdentical(t, "MatMulTransA", atWorkers(t, func() []float64 {
-		return MatMulTransAInto(New(71, 33), a, b).Data
+		return MatMulTransAInto(New(m, 33), a, b).Data
 	}))
 }
 
 func TestMatMulTransBBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	a := New(71, 130).RandNormal(rng, 0, 1)
+	m := forkingRows(t, 130, 33)
+	a := New(m, 130).RandNormal(rng, 0, 1)
 	b := New(33, 130).RandNormal(rng, 0, 1)
 	mustBitIdentical(t, "MatMulTransB", atWorkers(t, func() []float64 {
-		return MatMulTransBInto(New(71, 33), a, b).Data
+		return MatMulTransBInto(New(m, 33), a, b).Data
 	}))
 }
 

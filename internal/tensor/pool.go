@@ -28,9 +28,14 @@ const poolBucketCap = 8
 // A Pool is safe for concurrent use. The zero value is ready to use.
 // Long-lived per-replica state (layer workspaces) should own its buffers
 // directly; the pool is for transient borrow/return patterns.
-type Pool struct {
+type Pool struct{ slicePool[float64] }
+
+// slicePool is the bucketed free list itself, over any element type:
+// Pool is the float64 instance every tensor buffer comes from, and the
+// convolution driver keeps an int instance for its offset tables.
+type slicePool[T any] struct {
 	mu      sync.Mutex
-	buckets [poolBuckets][][]float64
+	buckets [poolBuckets][][]T
 }
 
 // bucketFor returns the bucket index whose buffers can hold n elements:
@@ -67,18 +72,18 @@ func (p *Pool) Get(shape ...int) *Tensor {
 	return &Tensor{Data: buf, shape: append([]int(nil), shape...)}
 }
 
-// GetSlice returns a raw buffer of n float64s with unspecified
+// GetSlice returns a raw buffer of n elements with unspecified
 // contents, reusing a pooled buffer when one of sufficient capacity is
 // available. It is the header-free, zero-fill-free variant of Get for
 // internal scratch (GEMM packing panels) whose every element is written
 // before it is read: steady-state GetSlice/PutSlice cycles allocate
 // nothing at all, not even a tensor header.
-func (p *Pool) GetSlice(n int) []float64 {
+func (p *slicePool[T]) GetSlice(n int) []T {
 	if n < 0 {
 		panic("tensor: Pool.GetSlice with negative size")
 	}
 	b := bucketFor(n)
-	var buf []float64
+	var buf []T
 	p.mu.Lock()
 	if free := p.buckets[b]; len(free) > 0 {
 		buf = free[len(free)-1]
@@ -86,14 +91,14 @@ func (p *Pool) GetSlice(n int) []float64 {
 	}
 	p.mu.Unlock()
 	if buf == nil {
-		buf = make([]float64, n, 1<<b)
+		buf = make([]T, n, 1<<b)
 	}
 	return buf[:n]
 }
 
 // PutSlice returns a buffer obtained from GetSlice to the pool. The
 // caller must not use buf afterwards.
-func (p *Pool) PutSlice(buf []float64) {
+func (p *slicePool[T]) PutSlice(buf []T) {
 	if cap(buf) == 0 {
 		return
 	}

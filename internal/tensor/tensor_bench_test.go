@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gsfl/internal/parallel"
+	"gsfl/internal/testutil"
 )
 
 // Micro-benchmarks for the numerical kernels the NN framework spends its
@@ -17,20 +18,29 @@ import (
 // against.
 var benchWorkers = []int{1, 2, 4, 8}
 
-// BenchmarkMatMulWorkers measures the row-partitioned MatMulInto across pool
-// widths on a layer-sized matrix product.
+// BenchmarkMatMulWorkers measures the row-partitioned MatMulInto across
+// pool widths, on shapes from 64 k to 32 M FLOPs: either side of the
+// fork floor (minChunkFLOPs), below which the widths must read alike,
+// and up to where a second worker pays. 16×256×64 is the paper model's
+// first dense layer at batch 16, 256³ the spine's tensor.matmul_256.
 func BenchmarkMatMulWorkers(b *testing.B) {
-	x, y := benchMatrices(256, 256, 256)
-	dst := New(256, 256)
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			parallel.SetWorkers(w)
-			defer parallel.SetWorkers(0)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(dst, x, y)
-			}
-		})
+	for _, sh := range [][3]int{
+		{32, 32, 32}, {32, 64, 32}, {64, 32, 64}, {16, 256, 64}, {64, 64, 64},
+		{32, 128, 128}, {64, 128, 64}, {128, 64, 128}, {128, 128, 128}, {256, 128, 128}, {256, 128, 256}, {256, 256, 256},
+	} {
+		m, k, n := sh[0], sh[1], sh[2]
+		x, y := benchMatrices(m, k, n)
+		dst := New(m, n)
+		for _, w := range benchWorkers {
+			b.Run(fmt.Sprintf("%dx%dx%d_%dkFLOP/workers=%d", m, k, n, 2*m*k*n>>10, w), func(b *testing.B) {
+				parallel.SetWorkers(w)
+				defer parallel.SetWorkers(0)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MatMulInto(dst, x, y)
+				}
+			})
+		}
 	}
 }
 
@@ -116,52 +126,80 @@ func BenchmarkAddScaled(b *testing.B) {
 
 // paperConvGeoms are the two convolutions of the paper's GTSRB model as
 // the benchmark spine runs it (3→8 channels on 16×16, 8→16 on 8×8, both
-// 3×3 / stride 1 / pad 1): the shapes the three im2col index-map
-// routines spend the split step in.
+// 3×3 / stride 1 / pad 1): the shapes the conv products and the col2im
+// scatter spend the split step in.
 var paperConvGeoms = []struct {
 	name string
+	outC int
 	g    ConvGeom
 }{
-	{"3to8@16", ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
-	{"8to16@8", ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+	{"3to8@16", 8, ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+	{"8to16@8", 16, ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
 }
 
-// benchConvIndexMap runs fn over one image per iteration at each paper
-// geometry. SetBytes counts the column-matrix elements the routine moves
-// (8 bytes each), so MB/s ÷ 8 is elements per microsecond and
-// ns/op ÷ ColSize is ns per element.
-func benchConvIndexMap(b *testing.B, fn func(panel, img, cols []float64, g ConvGeom)) {
+// convProduct is one sample's forward or weight-gradient product at a
+// paper geometry, as a closure over preallocated operands. bytes counts
+// the column-matrix elements it consumes (8 bytes each), so ns/op ÷
+// (bytes/8) is ns per multiply-add per output channel.
+type convProduct struct {
+	name  string
+	bytes int64
+	run   func()
+}
+
+func paperConvProducts() []convProduct {
+	rng := rand.New(rand.NewSource(5))
+	var ops []convProduct
 	for _, pg := range paperConvGeoms {
 		g := pg.g
-		b.Run(pg.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(5))
-			img := make([]float64, g.ImageSize())
-			cols := make([]float64, g.ColSize())
-			for i := range img {
-				img[i] = rng.NormFloat64()
-			}
-			for i := range cols {
-				cols[i] = rng.NormFloat64()
-			}
-			// Large enough for either orientation's NR-padded panels.
-			panel := make([]float64, g.ColSize()+gemmNR*(g.InC*g.KH*g.KW+g.OutH()*g.OutW()))
-			b.SetBytes(int64(8 * g.ColSize()))
+		colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+		img := New(g.ImageSize()).RandNormal(rng, 0, 1).Data
+		w := New(pg.outC, colRows).RandNormal(rng, 0, 1)
+		dy := New(pg.outC, spatial).RandNormal(rng, 0, 1)
+		out, dw := New(pg.outC, spatial), New(pg.outC, colRows)
+		bytes := int64(8 * g.ColSize())
+		ops = append(ops,
+			convProduct{pg.name + "/forward", bytes, func() { ConvMatMulInto(out, w, img, g) }},
+			convProduct{pg.name + "/dW", bytes, func() { ConvMatMulTransBInto(dw, dy, img, g) }})
+	}
+	return ops
+}
+
+// BenchmarkConvMatMulPaper times the products the split step spends its
+// convolutions in.
+func BenchmarkConvMatMulPaper(b *testing.B) {
+	for _, op := range paperConvProducts() {
+		b.Run(op.name, func(b *testing.B) {
+			b.SetBytes(op.bytes)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fn(panel, img, cols, g)
+				op.run()
 			}
 		})
 	}
 }
 
-func BenchmarkPackIm2col(b *testing.B) {
-	benchConvIndexMap(b, func(panel, img, _ []float64, g ConvGeom) { packBIm2col(panel, img, g, false) })
-}
-
-func BenchmarkPackIm2colT(b *testing.B) {
-	benchConvIndexMap(b, func(panel, img, _ []float64, g ConvGeom) { packBIm2col(panel, img, g, true) })
+// TestConvMatMulPaperAllocFree holds BenchmarkConvMatMulPaper's
+// allocs/op at zero at the ambient worker count: below the fork floor
+// the products borrow every buffer from the pools.
+func TestConvMatMulPaperAllocFree(t *testing.T) {
+	for _, op := range paperConvProducts() {
+		testutil.MaxAllocs(t, op.name, 0, op.run)
+	}
 }
 
 func BenchmarkCol2Im(b *testing.B) {
-	benchConvIndexMap(b, func(_, img, cols []float64, g ConvGeom) { Col2ImBatch(img, cols, 1, g) })
+	rng := rand.New(rand.NewSource(5))
+	for _, pg := range paperConvGeoms {
+		g := pg.g
+		b.Run(pg.name, func(b *testing.B) {
+			img := New(g.ImageSize()).RandNormal(rng, 0, 1).Data
+			cols := New(g.ColSize()).RandNormal(rng, 0, 1).Data
+			b.SetBytes(int64(8 * g.ColSize()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Col2ImBatch(img, cols, 1, g)
+			}
+		})
+	}
 }
