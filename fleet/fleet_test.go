@@ -490,3 +490,105 @@ func TestFleetCloseWithSilentPeer(t *testing.T) {
 	}
 	testutil.ExpectNoGoroutines(t, "gsfl/fleet.(*Coordinator)")
 }
+
+// TestFleetWorkerWritesNothingPerRound: a lease checkpoints into the
+// wire, not into the worker's scratch directory. Listed while the worker
+// blocks on each upload's ack, the directory holds nothing for a job
+// leased fresh and only the staged handoff for one that resumed — whose
+// Runner, left alone, would rewrite the file it resumed from.
+func TestFleetWorkerWritesNothingPerRound(t *testing.T) {
+	jobs := jobsOf(t, testGrid())
+	store, err := sweep.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	// What a worker that died after its first upload leaves behind.
+	resumed := jobs[0]
+	errStop := errors.New("stop after the first checkpoint")
+	_, err = sweep.RunLeased(context.Background(), resumed, t.TempDir(), 1, nil, sweep.LeaseCallbacks{
+		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
+			if err := store.WriteCheckpoint(resumed, ckpt); err != nil {
+				return err
+			}
+			if err := store.SaveProgress(resumed, p); err != nil {
+				return err
+			}
+			return errStop
+		},
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("seeding the handoff: %v", err)
+	}
+
+	scratch := t.TempDir()
+	var (
+		mu      sync.Mutex
+		handoff = map[string]bool{} // job ID -> leased with a checkpoint
+		uploads int
+	)
+	observer := fleet.ObserverFunc(func(e fleet.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch e.Kind {
+		case fleet.JobLeased:
+			handoff[e.Job.ID] = e.Round > 0
+		case fleet.JobProgressed:
+			uploads++
+			entries, err := os.ReadDir(scratch)
+			if err != nil {
+				t.Error(err)
+			}
+			var names []string
+			for _, ent := range entries {
+				names = append(names, ent.Name())
+			}
+			var want []string
+			if handoff[e.Job.ID] {
+				want = []string{e.Job.ID + ".ckpt"}
+			}
+			if fmt.Sprint(names) != fmt.Sprint(want) {
+				t.Errorf("scratch holds %v at round %d of %s (handoff %v), want %v",
+					names, e.Round, e.Job.Name, handoff[e.Job.ID], want)
+			}
+		}
+	})
+	c, err := fleet.Serve("127.0.0.1:0", jobs, store, fleet.Config{
+		CheckpointEvery: 1,
+		Observers:       []fleet.Observer{observer},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- fleet.RunWorker(ctx, fleet.WorkerConfig{Addr: c.Addr().String(), Name: "w", ScratchDir: scratch})
+	}()
+	wctx, wcancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer wcancel()
+	if _, err := c.Wait(wctx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if werr := <-done; !workerOK(werr) {
+		t.Fatalf("worker: %v", werr)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !handoff[resumed.ID] {
+		t.Fatalf("%s was not leased with its handoff", resumed.Name)
+	}
+	// Every round of the fresh jobs, every round but the first of the
+	// resumed one.
+	if want := len(jobs)*testGrid().Rounds - 1; uploads != want {
+		t.Fatalf("saw %d checkpoint uploads, want %d", uploads, want)
+	}
+	if entries, err := os.ReadDir(scratch); err != nil || len(entries) != 0 {
+		t.Fatalf("scratch after the sweep: %v, %v", entries, err)
+	}
+}

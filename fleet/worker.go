@@ -23,8 +23,10 @@ type WorkerConfig struct {
 	// label events, metrics lanes, and logs; the coordinator fences
 	// leases by connection, not by name.
 	Name string
-	// ScratchDir holds in-flight job checkpoints (default: a fresh
-	// temp directory, removed on exit).
+	// ScratchDir stages the checkpoint a resumed lease arrived with, for
+	// the length of that job (default: a fresh temp directory, removed on
+	// exit). Nothing is written there per round: a lease's checkpoints go
+	// into the wire.
 	ScratchDir string
 	// Logf, when non-nil, receives one line per lifecycle step.
 	Logf func(format string, args ...any)

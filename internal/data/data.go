@@ -185,7 +185,7 @@ func (l *Loader) reshuffle() {
 // LoaderState is a Loader's complete mutable state: because the shuffle
 // order of epoch k is a pure function of the loader's RNG seed and k,
 // (epoch, position) fully determine both the current order and the RNG
-// stream position. Plain exported fields keep it gob-serializable.
+// stream position.
 type LoaderState struct {
 	Epoch int
 	Pos   int

@@ -11,18 +11,26 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 		tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3),
 		tensor.FromSlice([]float64{7, 8}, 2),
 	}}
-	back, err := SnapshotFromState(sn.State())
+	var st SnapshotState
+	for _, ts := range sn.Tensors {
+		st.Tensors = append(st.Tensors, TensorState{Shape: ts.Shape(), Data: append([]float64(nil), ts.Data...)})
+	}
+	back, err := SnapshotFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.L2Distance(sn) != 0 {
 		t.Fatal("state round trip changed values")
 	}
-	// The state is a deep copy: mutating it must not touch the source.
-	st := sn.State()
+	for i, ts := range back.Tensors {
+		if !ts.SameShape(sn.Tensors[i]) {
+			t.Fatalf("tensor %d came back with shape %v, want %v", i, ts.Shape(), sn.Tensors[i].Shape())
+		}
+	}
+	// The snapshot is a deep copy: mutating the state must not touch it.
 	st.Tensors[0].Data[0] = 99
-	if sn.Tensors[0].Data[0] == 99 {
-		t.Fatal("State must deep-copy tensor data")
+	if back.Tensors[0].Data[0] == 99 {
+		t.Fatal("SnapshotFromState must deep-copy tensor data")
 	}
 }
 

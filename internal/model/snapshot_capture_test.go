@@ -37,29 +37,3 @@ func TestCaptureFromAllocFree(t *testing.T) {
 	var sn Snapshot
 	testutil.MaxAllocs(t, "Snapshot.CaptureFrom", 0, func() { sn.CaptureFrom(net) })
 }
-
-// TestStateOfMatchesSnapshotState pins the single-copy checkpoint
-// capture to the older two-copy pattern.
-func TestStateOfMatchesSnapshotState(t *testing.T) {
-	net := testNet(3)
-	want := TakeSnapshot(net).State()
-	got := StateOf(net)
-	if len(got.Tensors) != len(want.Tensors) {
-		t.Fatalf("tensor count %d vs %d", len(got.Tensors), len(want.Tensors))
-	}
-	for i := range got.Tensors {
-		if len(got.Tensors[i].Data) != len(want.Tensors[i].Data) {
-			t.Fatalf("tensor %d length mismatch", i)
-		}
-		for j := range got.Tensors[i].Data {
-			if got.Tensors[i].Data[j] != want.Tensors[i].Data[j] {
-				t.Fatalf("tensor %d element %d mismatch", i, j)
-			}
-		}
-	}
-	// The state must be a copy, not an alias of the live parameters.
-	net.Params()[0].Data[0] += 1
-	if got.Tensors[0].Data[0] == net.Params()[0].Data[0] {
-		t.Fatal("StateOf aliased live parameter memory")
-	}
-}

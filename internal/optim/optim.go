@@ -103,8 +103,8 @@ func (s *SGD) Step(params, grads []*tensor.Tensor, decay []bool) {
 }
 
 // SGDState is an SGD optimizer's complete mutable state — the step
-// counter (which drives LR schedules) and the momentum buffers. Plain
-// exported fields keep it gob-serializable for training checkpoints.
+// counter (which drives LR schedules) and the momentum buffers — as
+// plain data: what a decoded checkpoint or relay frame holds.
 type SGDState struct {
 	Step int
 	// VelocityShapes/VelocityData hold the per-parameter momentum
@@ -114,7 +114,15 @@ type SGDState struct {
 	VelocityData   [][]float64
 }
 
-// State captures the optimizer for checkpointing.
+// Steps returns the number of updates applied so far.
+func (s *SGD) Steps() int { return s.step }
+
+// Velocity returns the live momentum buffers (empty when momentum is
+// disabled or no step has allocated them yet) — read-only, for the
+// checkpoint encoder, which writes them without the copy State makes.
+func (s *SGD) Velocity() []*tensor.Tensor { return s.velocity }
+
+// State deep-copies the optimizer's state (the TCP relay ships it).
 func (s *SGD) State() SGDState {
 	st := SGDState{Step: s.step}
 	for _, v := range s.velocity {

@@ -12,7 +12,7 @@ import (
 // obvious candidates for the grouping ablation (experiment A2), and
 // RegisterStrategy extends the set with out-of-tree policies resolved
 // by name. The built-in constants' integer values are stable (they are
-// gob-encoded into run checkpoints); dynamically registered strategies
+// written into run checkpoints); dynamically registered strategies
 // receive values in registration order.
 type GroupStrategy int
 

@@ -3,6 +3,7 @@ package schemes
 import (
 	"fmt"
 
+	"gsfl/internal/bincodec"
 	"gsfl/internal/data"
 	"gsfl/internal/model"
 	"gsfl/internal/nn"
@@ -11,10 +12,11 @@ import (
 )
 
 // TrainerState is a trainer's complete mutable state at a round
-// boundary, in a gob-serializable form. Each scheme defines its own
-// ordering for the Models/Opts/Loaders slices; a state captured from one
-// scheme restores only into a freshly constructed trainer of the same
-// scheme over an identical Env.
+// boundary as plain data: what DecodeState reads out of a checkpoint
+// and Restore validates before it touches a trainer. Each scheme
+// defines its own ordering for the Models/Opts/Loaders slices; a state
+// encoded from one scheme restores only into a freshly constructed
+// trainer of the same scheme over an identical Env.
 //
 // Combined with the deterministic construction path (everything a
 // trainer derives at New time is a pure function of the Env), restoring
@@ -40,10 +42,12 @@ type TrainerState struct {
 // checkpoint/resume through the run API. All five built-in schemes
 // implement it.
 type Checkpointer interface {
-	// StateParts lists the trainer's mutable parts; the caller captures
-	// or restores them with the one codec below. The trainer must sit at
-	// a round boundary, and a restore target must be freshly constructed
-	// over an Env identical to the one the state was captured from.
+	// StateParts lists the trainer's mutable parts; the caller encodes or
+	// restores them with the one codec below. The parts point at the
+	// live trainer, so one listing serves every later round boundary. The
+	// trainer must sit at a round boundary, and a restore target must be
+	// freshly constructed over an Env identical to the one the state was
+	// encoded from.
 	StateParts() StateParts
 }
 
@@ -59,8 +63,8 @@ type ModelPart struct {
 }
 
 // StateParts lists a trainer's mutable parts, each slice in the order
-// the scheme's TrainerState stores it. Capture and Restore are the one
-// trainer-state codec every scheme shares.
+// the scheme's TrainerState stores it. AppendState, DecodeState and
+// Restore are the one trainer-state codec every scheme shares.
 type StateParts struct {
 	// Scheme names the trainer in errors.
 	Scheme string
@@ -78,36 +82,94 @@ type StateParts struct {
 	ReplayedLoaders bool
 }
 
-// Capture deep-copies the parts into a TrainerState. Only valid at a
-// round boundary.
-func (p StateParts) Capture() *TrainerState {
-	st := &TrainerState{
-		Round:   *p.Round,
-		Channel: p.Channel.State(),
-		Models:  make([]model.SnapshotState, len(p.Models)),
-		Opts:    make([]optim.SGDState, len(p.Opts)),
-		Loaders: make([]data.LoaderState, len(p.Loaders)),
-	}
-	for i, m := range p.Models {
+// AppendState encodes the parts in internal/bincodec's vocabulary,
+// straight from the live tensors, snapshots and momentum buffers — the
+// encoder runs on the training goroutine at a round boundary, so there
+// is nothing to copy first and nothing is allocated beyond the
+// encoder's own (reused) buffer.
+//
+//	state   := u64 round | channel | u32 count | count × tensors (models)
+//	           | u32 count | count × optstate | u32 count | count × loader
+//	channel := u64 round | u32 n | n × f64 (DistM) | u32 n | n × f64 (ShadowDB)
+//	loader  := u64 epoch | u64 pos
+func (p StateParts) AppendState(e *bincodec.Enc) {
+	e.U64(uint64(*p.Round))
+	ch := p.Channel.State()
+	e.U64(uint64(ch.Round))
+	e.U32(uint32(len(ch.DistM)))
+	e.F64s(ch.DistM)
+	e.U32(uint32(len(ch.ShadowDB)))
+	e.F64s(ch.ShadowDB)
+	e.U32(uint32(len(p.Models)))
+	for _, m := range p.Models {
 		if m.Snap != nil {
-			st.Models[i] = m.Snap.State()
+			e.Tensors(m.Snap.Tensors)
 		} else {
-			st.Models[i] = model.StateOf(m.Net)
+			e.Tensors(m.Net.Params())
 		}
 	}
-	for i, o := range p.Opts {
-		st.Opts[i] = o.State()
+	e.U32(uint32(len(p.Opts)))
+	for _, o := range p.Opts {
+		// optstate, spelled from the live buffers.
+		e.U64(uint64(o.Steps()))
+		e.Tensors(o.Velocity())
 	}
-	if !p.ReplayedLoaders {
-		for i, l := range p.Loaders {
-			st.Loaders[i] = l.State()
+	e.U32(uint32(len(p.Loaders)))
+	for _, l := range p.Loaders {
+		var st data.LoaderState
+		if !p.ReplayedLoaders {
+			st = l.State()
 		}
+		e.U64(uint64(st.Epoch))
+		e.U64(uint64(st.Pos))
+	}
+}
+
+// DecodeState reads a state AppendState wrote. Every count is checked
+// against the bytes that remain, and the lists grow only as entries are
+// actually read, so hostile input cannot make it allocate more than a
+// small multiple of its own length; what the values mean for a
+// particular trainer is Restore's to judge. The decoder's sticky error
+// reports a failure.
+func DecodeState(d *bincodec.Dec) *TrainerState {
+	st := &TrainerState{Round: int(int64(d.U64()))}
+	st.Channel.Round = int64(d.U64())
+	st.Channel.DistM = d.F64s(int(d.U32()))
+	st.Channel.ShadowDB = d.F64s(int(d.U32()))
+	// The smallest encodings: an empty tensor list is 2 bytes, an
+	// optimizer without momentum 10, a loader 16.
+	for n := count(d, "model", 2); len(st.Models) < n && d.Err() == nil; {
+		var m model.SnapshotState
+		for _, t := range d.TensorList(nil) {
+			m.Tensors = append(m.Tensors, model.TensorState{Shape: t.Shape(), Data: t.Data})
+		}
+		st.Models = append(st.Models, m)
+	}
+	for n := count(d, "optimizer", 10); len(st.Opts) < n && d.Err() == nil; {
+		st.Opts = append(st.Opts, d.OptState())
+	}
+	for n := count(d, "loader", 16); len(st.Loaders) < n && d.Err() == nil; {
+		st.Loaders = append(st.Loaders, data.LoaderState{Epoch: int(int64(d.U64())), Pos: int(int64(d.U64()))})
 	}
 	return st
 }
 
+// count reads a list length and fails the decoder when the remaining
+// bytes could not hold that many entries of at least minBytes each.
+func count(d *bincodec.Dec, what string, minBytes int) int {
+	n := int(d.U32())
+	if d.Err() != nil {
+		return 0
+	}
+	if n > d.Remaining()/minBytes {
+		d.Fail("state claims %d %ss in %d bytes", n, what, d.Remaining())
+		return 0
+	}
+	return n
+}
+
 // Restore resets the parts of a freshly constructed trainer to a
-// captured state. The slice arities and every model snapshot are
+// decoded state. The slice arities and every model snapshot are
 // validated against the trainer before anything is mutated, so a state
 // from the wrong scheme, architecture or client count never leaves a
 // model half-updated; every error names the scheme, the part and its

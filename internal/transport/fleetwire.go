@@ -148,73 +148,29 @@ type FleetAck struct {
 	OK bool
 }
 
-// --- encoding helpers ---------------------------------------------------
-
-func (e *wireEnc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *wireEnc) blob(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// --- decoding helpers ---------------------------------------------------
-
-// str reads a length-prefixed string bounded by maxFleetNameLen.
-func (d *wireDec) str() string {
-	n := int(d.u32())
-	if d.err != nil {
-		return ""
-	}
-	if n > maxFleetNameLen {
-		d.fail("string length %d exceeds %d", n, maxFleetNameLen)
-		return ""
-	}
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// blob reads a length-prefixed byte string. The returned slice is a
-// copy, so it survives the connection's read-buffer reuse.
-func (d *wireDec) blob() []byte {
-	n := int(d.u32())
-	if d.err != nil || !d.need(n) {
-		return nil
-	}
-	b := append([]byte(nil), d.b[d.off:d.off+n]...)
-	d.off += n
-	return b
-}
-
 // --- message codecs -----------------------------------------------------
 
 func decodeFleetRole(d *wireDec, want byte, what string) bool {
-	if magic := d.u32(); d.err == nil && magic != wireMagic {
-		d.fail("bad fleet hello magic %#x", magic)
+	if magic := d.U32(); d.Err() == nil && magic != wireMagic {
+		d.Fail("bad fleet hello magic %#x", magic)
 	}
-	if v := d.u16(); d.err == nil && v != fleetVersion {
-		d.fail("fleet protocol version %d, want %d", v, fleetVersion)
+	if v := d.U16(); d.Err() == nil && v != fleetVersion {
+		d.Fail("fleet protocol version %d, want %d", v, fleetVersion)
 	}
-	if role := d.u8(); d.err == nil && role != want {
-		d.fail("fleet hello role %d is not a %s", role, what)
+	if role := d.U8(); d.Err() == nil && role != want {
+		d.Fail("fleet hello role %d is not a %s", role, what)
 	}
-	return d.err == nil
+	return d.Err() == nil
 }
 
 // DecodeFleetHello decodes a worker registration frame.
 func DecodeFleetHello(p []byte) (FleetHello, error) {
-	d := wireDec{b: p}
+	d := newWireDec(p)
 	if !decodeFleetRole(&d, fleetRoleWorker, "worker hello") {
-		return FleetHello{}, d.err
+		return FleetHello{}, d.Err()
 	}
-	h := FleetHello{Worker: d.str(), PID: d.u64()}
-	if err := d.finish(); err != nil {
+	h := FleetHello{Worker: d.Str(maxFleetNameLen), PID: d.U64()}
+	if err := d.Finish(); err != nil {
 		return FleetHello{}, err
 	}
 	if h.Worker == "" {
@@ -225,18 +181,18 @@ func DecodeFleetHello(p []byte) (FleetHello, error) {
 
 // DecodeFleetWelcome decodes a coordinator welcome frame.
 func DecodeFleetWelcome(p []byte) (FleetWelcome, error) {
-	d := wireDec{b: p}
+	d := newWireDec(p)
 	if !decodeFleetRole(&d, fleetRoleCoord, "coordinator welcome") {
-		return FleetWelcome{}, d.err
+		return FleetWelcome{}, d.Err()
 	}
 	w := FleetWelcome{
-		Fingerprint:     d.u64(),
-		Jobs:            int(d.u32()),
-		LeaseMillis:     int(d.u32()),
-		RetryMillis:     int(d.u32()),
-		CheckpointEvery: int(d.u32()),
+		Fingerprint:     d.U64(),
+		Jobs:            int(d.U32()),
+		LeaseMillis:     int(d.U32()),
+		RetryMillis:     int(d.U32()),
+		CheckpointEvery: int(d.U32()),
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return FleetWelcome{}, err
 	}
 	if w.LeaseMillis <= 0 || w.RetryMillis <= 0 {
@@ -251,24 +207,24 @@ func DecodeFleetLease(p []byte) (FleetLease, error) {
 	if len(p) == 0 {
 		return FleetLease{}, nil // request
 	}
-	d := wireDec{b: p}
-	l := FleetLease{Status: d.u8()}
+	d := newWireDec(p)
+	l := FleetLease{Status: d.U8()}
 	switch l.Status {
 	case LeaseGrant:
-		l.JobID = d.str()
-		l.Job = d.blob()
-		l.Progress = d.blob()
-		l.Ckpt = d.blob()
+		l.JobID = d.Str(maxFleetNameLen)
+		l.Job = d.Blob()
+		l.Progress = d.Blob()
+		l.Ckpt = d.Blob()
 	case LeaseWait:
-		l.RetryMillis = int(d.u32())
-		if d.err == nil && l.RetryMillis <= 0 {
-			d.fail("lease wait with retry %dms", l.RetryMillis)
+		l.RetryMillis = int(d.U32())
+		if d.Err() == nil && l.RetryMillis <= 0 {
+			d.Fail("lease wait with retry %dms", l.RetryMillis)
 		}
 	case LeaseDrain:
 	default:
-		d.fail("unknown lease status %d", l.Status)
+		d.Fail("unknown lease status %d", l.Status)
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return FleetLease{}, err
 	}
 	if l.Status == LeaseGrant {
@@ -284,11 +240,11 @@ func DecodeFleetLease(p []byte) (FleetLease, error) {
 
 // DecodeFleetProgress decodes a checkpoint-upload frame.
 func DecodeFleetProgress(p []byte) (FleetProgress, error) {
-	d := wireDec{b: p}
-	m := FleetProgress{JobID: d.str(), Round: int(d.u32()), HostSeconds: d.f64()}
-	m.Progress = d.blob()
-	m.Ckpt = d.blob()
-	if err := d.finish(); err != nil {
+	d := newWireDec(p)
+	m := FleetProgress{JobID: d.Str(maxFleetNameLen), Round: int(d.U32()), HostSeconds: d.F64()}
+	m.Progress = d.Blob()
+	m.Ckpt = d.Blob()
+	if err := d.Finish(); err != nil {
 		return FleetProgress{}, err
 	}
 	if m.JobID == "" {
@@ -302,18 +258,18 @@ func DecodeFleetProgress(p []byte) (FleetProgress, error) {
 
 // DecodeFleetResult decodes a job-completion frame.
 func DecodeFleetResult(p []byte) (FleetResult, error) {
-	d := wireDec{b: p}
-	m := FleetResult{JobID: d.str()}
-	switch f := d.u8(); f {
+	d := newWireDec(p)
+	m := FleetResult{JobID: d.Str(maxFleetNameLen)}
+	switch f := d.U8(); f {
 	case 0:
 	case 1:
 		m.Failed = true
 	default:
-		d.fail("result frame failure flag %d", f)
+		d.Fail("result frame failure flag %d", f)
 	}
-	m.HostSeconds = d.f64()
-	m.Body = d.blob()
-	if err := d.finish(); err != nil {
+	m.HostSeconds = d.F64()
+	m.Body = d.Blob()
+	if err := d.Finish(); err != nil {
 		return FleetResult{}, err
 	}
 	if m.JobID == "" {
@@ -324,12 +280,12 @@ func DecodeFleetResult(p []byte) (FleetResult, error) {
 
 // DecodeFleetHeartbeat decodes a worker keepalive frame.
 func DecodeFleetHeartbeat(p []byte) (FleetHeartbeat, error) {
-	d := wireDec{b: p}
-	if role := d.u8(); d.err == nil && role != fleetRoleWorker {
-		d.fail("heartbeat role %d is not a worker keepalive", role)
+	d := newWireDec(p)
+	if role := d.U8(); d.Err() == nil && role != fleetRoleWorker {
+		d.Fail("heartbeat role %d is not a worker keepalive", role)
 	}
-	m := FleetHeartbeat{JobID: d.str(), Round: int(d.u32())}
-	if err := d.finish(); err != nil {
+	m := FleetHeartbeat{JobID: d.Str(maxFleetNameLen), Round: int(d.U32())}
+	if err := d.Finish(); err != nil {
 		return FleetHeartbeat{}, err
 	}
 	if m.JobID == "" {
@@ -340,12 +296,12 @@ func DecodeFleetHeartbeat(p []byte) (FleetHeartbeat, error) {
 
 // DecodeFleetAck decodes a coordinator ack (heartbeat kind, role=coord).
 func DecodeFleetAck(p []byte) (FleetAck, error) {
-	d := wireDec{b: p}
-	if role := d.u8(); d.err == nil && role != fleetRoleCoord {
-		d.fail("heartbeat role %d is not a coordinator ack", role)
+	d := newWireDec(p)
+	if role := d.U8(); d.Err() == nil && role != fleetRoleCoord {
+		d.Fail("heartbeat role %d is not a coordinator ack", role)
 	}
-	flags := d.u8()
-	if err := d.finish(); err != nil {
+	flags := d.U8()
+	if err := d.Finish(); err != nil {
 		return FleetAck{}, err
 	}
 	return FleetAck{OK: flags&1 != 0}, nil
@@ -424,11 +380,11 @@ func (f *FleetConn) ReadFrame() (byte, []byte, error) { return f.fc.readFrame() 
 func (f *FleetConn) WriteHello(h FleetHello) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetHello)
-	e.u32(wireMagic)
-	e.u16(fleetVersion)
-	e.u8(fleetRoleWorker)
-	e.str(h.Worker)
-	e.u64(h.PID)
+	e.U32(wireMagic)
+	e.U16(fleetVersion)
+	e.U8(fleetRoleWorker)
+	e.Str(h.Worker)
+	e.U64(h.PID)
 	return f.fc.flush()
 }
 
@@ -436,14 +392,14 @@ func (f *FleetConn) WriteHello(h FleetHello) error {
 func (f *FleetConn) WriteWelcome(w FleetWelcome) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetHello)
-	e.u32(wireMagic)
-	e.u16(fleetVersion)
-	e.u8(fleetRoleCoord)
-	e.u64(w.Fingerprint)
-	e.u32(uint32(w.Jobs))
-	e.u32(uint32(w.LeaseMillis))
-	e.u32(uint32(w.RetryMillis))
-	e.u32(uint32(w.CheckpointEvery))
+	e.U32(wireMagic)
+	e.U16(fleetVersion)
+	e.U8(fleetRoleCoord)
+	e.U64(w.Fingerprint)
+	e.U32(uint32(w.Jobs))
+	e.U32(uint32(w.LeaseMillis))
+	e.U32(uint32(w.RetryMillis))
+	e.U32(uint32(w.CheckpointEvery))
 	return f.fc.flush()
 }
 
@@ -457,15 +413,15 @@ func (f *FleetConn) WriteLeaseRequest() error {
 func (f *FleetConn) WriteLease(l FleetLease) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetLease)
-	e.u8(l.Status)
+	e.U8(l.Status)
 	switch l.Status {
 	case LeaseGrant:
-		e.str(l.JobID)
-		e.blob(l.Job)
-		e.blob(l.Progress)
-		e.blob(l.Ckpt)
+		e.Str(l.JobID)
+		e.Blob(l.Job)
+		e.Blob(l.Progress)
+		e.Blob(l.Ckpt)
 	case LeaseWait:
-		e.u32(uint32(l.RetryMillis))
+		e.U32(uint32(l.RetryMillis))
 	}
 	return f.fc.flush()
 }
@@ -474,11 +430,11 @@ func (f *FleetConn) WriteLease(l FleetLease) error {
 func (f *FleetConn) WriteProgress(m FleetProgress) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetProgress)
-	e.str(m.JobID)
-	e.u32(uint32(m.Round))
-	e.f64(m.HostSeconds)
-	e.blob(m.Progress)
-	e.blob(m.Ckpt)
+	e.Str(m.JobID)
+	e.U32(uint32(m.Round))
+	e.F64(m.HostSeconds)
+	e.Blob(m.Progress)
+	e.Blob(m.Ckpt)
 	return f.fc.flush()
 }
 
@@ -486,14 +442,14 @@ func (f *FleetConn) WriteProgress(m FleetProgress) error {
 func (f *FleetConn) WriteResult(m FleetResult) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetResult)
-	e.str(m.JobID)
+	e.Str(m.JobID)
 	if m.Failed {
-		e.u8(1)
+		e.U8(1)
 	} else {
-		e.u8(0)
+		e.U8(0)
 	}
-	e.f64(m.HostSeconds)
-	e.blob(m.Body)
+	e.F64(m.HostSeconds)
+	e.Blob(m.Body)
 	return f.fc.flush()
 }
 
@@ -501,9 +457,9 @@ func (f *FleetConn) WriteResult(m FleetResult) error {
 func (f *FleetConn) WriteHeartbeat(m FleetHeartbeat) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetHeartbeat)
-	e.u8(fleetRoleWorker)
-	e.str(m.JobID)
-	e.u32(uint32(m.Round))
+	e.U8(fleetRoleWorker)
+	e.Str(m.JobID)
+	e.U32(uint32(m.Round))
 	return f.fc.flush()
 }
 
@@ -511,11 +467,11 @@ func (f *FleetConn) WriteHeartbeat(m FleetHeartbeat) error {
 func (f *FleetConn) WriteAck(a FleetAck) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetHeartbeat)
-	e.u8(fleetRoleCoord)
+	e.U8(fleetRoleCoord)
 	var flags byte
 	if a.OK {
 		flags |= 1
 	}
-	e.u8(flags)
+	e.U8(flags)
 	return f.fc.flush()
 }

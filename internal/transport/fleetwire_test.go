@@ -227,11 +227,11 @@ func TestFleetDecodersRejectHostileInput(t *testing.T) {
 		var e wireEnc
 		e.begin(FrameFleetLease)
 		l := testLeaseGrant()
-		e.u8(l.Status)
-		e.str(l.JobID)
-		e.blob(l.Job)
-		e.blob(l.Progress)
-		e.blob(l.Ckpt)
+		e.U8(l.Status)
+		e.Str(l.JobID)
+		e.Blob(l.Job)
+		e.Blob(l.Progress)
+		e.Blob(l.Ckpt)
 		return append([]byte(nil), e.finish()[frameHeaderLen:]...)
 	}()
 	cases := []struct {
@@ -314,65 +314,65 @@ func TestFleetConnSurfacesShortWrite(t *testing.T) {
 func fleetFuzzSeeds(addFrame func(build func(e *wireEnc))) {
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetHello)
-		e.u32(wireMagic)
-		e.u16(fleetVersion)
-		e.u8(fleetRoleWorker)
-		e.str("worker-1")
-		e.u64(99)
+		e.U32(wireMagic)
+		e.U16(fleetVersion)
+		e.U8(fleetRoleWorker)
+		e.Str("worker-1")
+		e.U64(99)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetHello)
-		e.u32(wireMagic)
-		e.u16(fleetVersion)
-		e.u8(fleetRoleCoord)
-		e.u64(0xFEEDFACE)
-		e.u32(65)
-		e.u32(15000)
-		e.u32(250)
-		e.u32(2)
+		e.U32(wireMagic)
+		e.U16(fleetVersion)
+		e.U8(fleetRoleCoord)
+		e.U64(0xFEEDFACE)
+		e.U32(65)
+		e.U32(15000)
+		e.U32(250)
+		e.U32(2)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetLease)
 		l := testLeaseGrant()
-		e.u8(l.Status)
-		e.str(l.JobID)
-		e.blob(l.Job)
-		e.blob(l.Progress)
-		e.blob(l.Ckpt)
+		e.U8(l.Status)
+		e.Str(l.JobID)
+		e.Blob(l.Job)
+		e.Blob(l.Progress)
+		e.Blob(l.Ckpt)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetLease)
-		e.u8(LeaseWait)
-		e.u32(250)
+		e.U8(LeaseWait)
+		e.U32(250)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetLease)
-		e.u8(LeaseDrain)
+		e.U8(LeaseDrain)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetProgress)
-		e.str("a1b2c3d4")
-		e.u32(4)
-		e.f64(3.25)
-		e.blob([]byte(`{"round":4}`))
-		e.blob([]byte{1, 2, 3, 4})
+		e.Str("a1b2c3d4")
+		e.U32(4)
+		e.F64(3.25)
+		e.Blob([]byte(`{"round":4}`))
+		e.Blob([]byte{1, 2, 3, 4})
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetResult)
-		e.str("a1b2c3d4")
-		e.u8(0)
-		e.f64(9.5)
-		e.blob([]byte(`{"total_seconds":1.5}`))
+		e.Str("a1b2c3d4")
+		e.U8(0)
+		e.F64(9.5)
+		e.Blob([]byte(`{"total_seconds":1.5}`))
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetHeartbeat)
-		e.u8(fleetRoleWorker)
-		e.str("a1b2c3d4")
-		e.u32(3)
+		e.U8(fleetRoleWorker)
+		e.Str("a1b2c3d4")
+		e.U32(3)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(FrameFleetHeartbeat)
-		e.u8(fleetRoleCoord)
-		e.u8(1)
+		e.U8(fleetRoleCoord)
+		e.U8(1)
 	})
 }

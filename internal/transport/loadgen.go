@@ -329,11 +329,11 @@ func syntheticSmashedPayload(arch model.Arch, cut, batch int, quantized bool, se
 	var e wireEnc
 	e.begin(frameSmashed)
 	if quantized {
-		e.u8(encQuant8)
+		e.U8(encQuant8)
 		e.quantized(quantize.Quantize(acts))
 	} else {
-		e.u8(encFloat64)
-		e.tensor(acts)
+		e.U8(encFloat64)
+		e.Tensor(acts)
 	}
 	e.labels(ys)
 	frame := e.finish()

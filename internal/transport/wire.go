@@ -13,14 +13,13 @@
 //
 // # Wire format
 //
-// Every frame is length-prefixed binary, little-endian throughout:
+// Every frame is length-prefixed binary, little-endian throughout.
+// tensor, tensors and optstate are internal/bincodec's, the vocabulary
+// the run checkpoint is written in too; the rest is the wire's own:
 //
 //	frame    := u32 payloadLen | u8 kind | payload
-//	tensor   := u8 ndim | ndim × u32 dim | n × f64
-//	tensors  := u16 count | count × tensor
 //	quant    := f64 min | f64 scale | u8 ndim | ndim × u32 dim | n × u8
 //	labels   := u32 count | count × u32
-//	optstate := u64 step | tensors (momentum buffers)
 //	state    := optstate | tensors (client-half parameters)
 //
 // Frame payloads by kind:
@@ -40,10 +39,11 @@
 // single Write per frame; decoding reads into one reusable buffer and
 // materializes tensors from a tensor.Pool. Steady-state rounds therefore
 // run the framing layer allocation-free — the per-message buffer churn
-// of the previous gob stream is gone. Every decoder validates claimed
-// sizes against the actual payload length before allocating, so a
-// hostile or corrupt peer can make a frame fail, never make the AP
-// over-allocate or panic (FuzzDecodeFrame pins this).
+// of the previous gob stream is gone. Every decoder is bincodec's
+// hardened cursor, which validates claimed sizes against the actual
+// payload length before allocating, so a hostile or corrupt peer can
+// make a frame fail, never make the AP over-allocate or panic
+// (FuzzDecodeFrame pins this).
 package transport
 
 import (
@@ -51,9 +51,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 
+	"gsfl/internal/bincodec"
 	"gsfl/internal/model"
 	"gsfl/internal/optim"
 	"gsfl/internal/quantize"
@@ -69,10 +69,6 @@ const (
 	// config overrides it. Oversize length prefixes are rejected before
 	// any allocation.
 	DefaultMaxFrameBytes = 256 << 20
-
-	// maxTensorDims bounds tensor rank on the wire; nothing this system
-	// builds exceeds rank 4.
-	maxTensorDims = 8
 )
 
 // Frame kinds. AP -> client: train, gradient, shutdown. Client -> AP:
@@ -120,324 +116,102 @@ type helloMsg struct {
 
 // --- encoding ----------------------------------------------------------
 
-// wireEnc builds one frame in a reusable buffer.
+// wireEnc builds one frame in a reusable buffer: bincodec's vocabulary
+// plus the frame header and the payload parts only frames carry.
 type wireEnc struct {
-	buf []byte
+	bincodec.Enc
 }
 
 func (e *wireEnc) begin(kind byte) {
-	e.buf = append(e.buf[:0], 0, 0, 0, 0, kind)
+	e.Buf = append(e.Buf[:0], 0, 0, 0, 0, kind)
 }
 
 // finish patches the length prefix and returns the complete frame.
 func (e *wireEnc) finish() []byte {
-	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(e.buf)-frameHeaderLen))
-	return e.buf
-}
-
-func (e *wireEnc) u8(v byte)    { e.buf = append(e.buf, v) }
-func (e *wireEnc) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-func (e *wireEnc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *wireEnc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *wireEnc) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *wireEnc) f64s(xs []float64) {
-	for _, x := range xs {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(x))
-	}
-}
-
-func (e *wireEnc) shape(dims []int) {
-	e.u8(byte(len(dims)))
-	for _, d := range dims {
-		e.u32(uint32(d))
-	}
-}
-
-func (e *wireEnc) tensor(t *tensor.Tensor) {
-	e.shape(t.Shape())
-	e.f64s(t.Data)
-}
-
-func (e *wireEnc) tensors(ts []*tensor.Tensor) {
-	e.u16(uint16(len(ts)))
-	for _, t := range ts {
-		e.tensor(t)
-	}
+	binary.LittleEndian.PutUint32(e.Buf[0:4], uint32(len(e.Buf)-frameHeaderLen))
+	return e.Buf
 }
 
 func (e *wireEnc) quantized(q *quantize.Quantized) {
-	e.f64(q.Min)
-	e.f64(q.Scale)
-	e.shape(q.Shape)
-	e.buf = append(e.buf, q.Codes...)
+	e.F64(q.Min)
+	e.F64(q.Scale)
+	e.Shape(q.Shape)
+	e.Raw(q.Codes)
 }
 
 func (e *wireEnc) labels(ys []int) {
-	e.u32(uint32(len(ys)))
+	e.U32(uint32(len(ys)))
 	for _, y := range ys {
-		e.u32(uint32(y))
-	}
-}
-
-func (e *wireEnc) optState(st *optim.SGDState) {
-	e.u64(uint64(st.Step))
-	e.u16(uint16(len(st.VelocityData)))
-	for i, data := range st.VelocityData {
-		e.shape(st.VelocityShapes[i])
-		e.f64s(data)
+		e.U32(uint32(y))
 	}
 }
 
 func (e *wireEnc) turnState(st *TurnState) {
-	e.optState(&st.Opt)
-	e.tensors(st.Model.Tensors)
+	e.OptState(&st.Opt)
+	e.Tensors(st.Model.Tensors)
 }
 
 // --- decoding ----------------------------------------------------------
 
-// wireDec is a cursor over one frame payload with a sticky error. Every
-// read validates the remaining length first, so truncated or hostile
-// payloads produce errors — never panics, never allocations sized from
-// unvalidated input.
+// wireDec is a cursor over one frame payload: bincodec's hardened
+// decoder plus the payload parts only frames carry.
 type wireDec struct {
-	b   []byte
-	off int
-	err error
+	bincodec.Dec
 }
 
-func (d *wireDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("transport: "+format, args...)
-	}
-}
-
-func (d *wireDec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b)-d.off < n {
-		d.fail("truncated frame: need %d bytes at offset %d of %d", n, d.off, len(d.b))
-		return false
-	}
-	return true
-}
-
-func (d *wireDec) u8() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *wireDec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *wireDec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *wireDec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *wireDec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// shape reads a dimension list and returns the element count. The
-// product is bounded by what the remaining payload could possibly back
-// (elemBytes per element), so a hostile shape cannot trigger a huge
-// allocation downstream.
-func (d *wireDec) shape(elemBytes int) (dims []int, n int) {
-	nd := int(d.u8())
-	if d.err != nil {
-		return nil, 0
-	}
-	if nd > maxTensorDims {
-		d.fail("tensor rank %d exceeds %d", nd, maxTensorDims)
-		return nil, 0
-	}
-	dims = make([]int, nd)
-	n = 1
-	for i := range dims {
-		v := d.u32()
-		if d.err != nil {
-			return nil, 0
-		}
-		dims[i] = int(v)
-		n *= int(v)
-		if n < 0 || n > (len(d.b)-d.off)/elemBytes+1 {
-			d.fail("tensor shape %v claims more elements than the %d payload bytes hold", dims[:i+1], len(d.b)-d.off)
-			return nil, 0
-		}
-	}
-	if n*elemBytes > len(d.b)-d.off {
-		d.fail("tensor shape %v needs %d bytes, payload has %d", dims, n*elemBytes, len(d.b)-d.off)
-		return nil, 0
-	}
-	return dims, n
-}
-
-func (d *wireDec) f64sInto(dst []float64) {
-	if !d.need(8 * len(dst)) {
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-		d.off += 8
-	}
-}
-
-// tensor decodes one tensor, drawing the backing buffer from pool when
-// one is supplied.
-func (d *wireDec) tensor(pool *tensor.Pool) *tensor.Tensor {
-	dims, n := d.shape(8)
-	if d.err != nil {
-		return nil
-	}
-	_ = n
-	var t *tensor.Tensor
-	if pool != nil {
-		t = pool.Get(dims...)
-	} else {
-		t = tensor.New(dims...)
-	}
-	d.f64sInto(t.Data)
-	return t
-}
-
-func (d *wireDec) tensorList(pool *tensor.Pool) []*tensor.Tensor {
-	count := int(d.u16())
-	if d.err != nil {
-		return nil
-	}
-	// Each tensor costs at least its 1-byte rank on the wire.
-	if count > len(d.b)-d.off {
-		d.fail("tensor list claims %d tensors in %d bytes", count, len(d.b)-d.off)
-		return nil
-	}
-	ts := make([]*tensor.Tensor, count)
-	for i := range ts {
-		ts[i] = d.tensor(pool)
-		if d.err != nil {
-			return nil
-		}
-	}
-	return ts
-}
+func newWireDec(p []byte) wireDec { return wireDec{bincodec.NewDec("transport", p)} }
 
 func (d *wireDec) quantized() *quantize.Quantized {
-	q := &quantize.Quantized{Min: d.f64(), Scale: d.f64()}
-	dims, n := d.shape(1)
-	if d.err != nil {
+	q := &quantize.Quantized{Min: d.F64(), Scale: d.F64()}
+	dims, n := d.Shape(1)
+	if d.Err() != nil {
 		return nil
 	}
 	q.Shape = dims
-	if !d.need(n) {
+	codes := d.Raw(n)
+	if d.Err() != nil {
 		return nil
 	}
-	q.Codes = append([]uint8(nil), d.b[d.off:d.off+n]...)
-	d.off += n
+	q.Codes = append([]uint8(nil), codes...)
 	return q
 }
 
 func (d *wireDec) labels() []int {
-	count := int(d.u32())
-	if d.err != nil {
+	count := int(d.U32())
+	if d.Err() != nil {
 		return nil
 	}
-	if count > (len(d.b)-d.off)/4 {
-		d.fail("label list claims %d entries in %d bytes", count, len(d.b)-d.off)
+	if count > d.Remaining()/4 {
+		d.Fail("label list claims %d entries in %d bytes", count, d.Remaining())
 		return nil
 	}
 	ys := make([]int, count)
 	for i := range ys {
-		ys[i] = int(d.u32())
+		ys[i] = int(d.U32())
 	}
 	return ys
 }
 
-func (d *wireDec) optState() optim.SGDState {
-	st := optim.SGDState{Step: int(d.u64())}
-	if st.Step < 0 {
-		d.fail("negative optimizer step count")
-		return optim.SGDState{}
-	}
-	count := int(d.u16())
-	if d.err != nil {
-		return optim.SGDState{}
-	}
-	if count > len(d.b)-d.off {
-		d.fail("optimizer state claims %d buffers in %d bytes", count, len(d.b)-d.off)
-		return optim.SGDState{}
-	}
-	for i := 0; i < count; i++ {
-		dims, n := d.shape(8)
-		if d.err != nil {
-			return optim.SGDState{}
-		}
-		data := make([]float64, n)
-		d.f64sInto(data)
-		if d.err != nil {
-			return optim.SGDState{}
-		}
-		st.VelocityShapes = append(st.VelocityShapes, dims)
-		st.VelocityData = append(st.VelocityData, data)
-	}
-	return st
-}
-
 func (d *wireDec) turnState(pool *tensor.Pool) TurnState {
-	st := TurnState{Opt: d.optState()}
-	st.Model = model.Snapshot{Tensors: d.tensorList(pool)}
+	st := TurnState{Opt: d.OptState()}
+	st.Model = model.Snapshot{Tensors: d.TensorList(pool)}
 	return st
-}
-
-// finish reports the decoder's sticky error, or a trailing-garbage error
-// when the payload was longer than its message.
-func (d *wireDec) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("transport: %d trailing bytes after message", len(d.b)-d.off)
-	}
-	return nil
 }
 
 // --- message codecs ----------------------------------------------------
 
 func decodeHello(p []byte) (helloMsg, error) {
-	d := wireDec{b: p}
-	if magic := d.u32(); d.err == nil && magic != wireMagic {
+	d := newWireDec(p)
+	if magic := d.U32(); d.Err() == nil && magic != wireMagic {
 		return helloMsg{}, fmt.Errorf("transport: bad hello magic %#x", magic)
 	}
-	if v := d.u16(); d.err == nil && v != wireVersion {
+	if v := d.U16(); d.Err() == nil && v != wireVersion {
 		return helloMsg{}, fmt.Errorf("transport: wire version %d, want %d", v, wireVersion)
 	}
-	msg := helloMsg{ClientID: int(int32(d.u32())), Samples: int64(d.u64())}
-	flags := d.u8()
+	msg := helloMsg{ClientID: int(int32(d.U32())), Samples: int64(d.U64())}
+	flags := d.U8()
 	msg.Quantize = flags&helloFlagQuantize != 0
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return helloMsg{}, err
 	}
 	if msg.ClientID < 0 {
@@ -450,10 +224,10 @@ func decodeHello(p []byte) (helloMsg, error) {
 }
 
 func decodeTrain(p []byte, pool *tensor.Pool) (steps int, st TurnState, err error) {
-	d := wireDec{b: p}
-	steps = int(d.u32())
+	d := newWireDec(p)
+	steps = int(d.U32())
 	st = d.turnState(pool)
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return 0, TurnState{}, err
 	}
 	if steps <= 0 {
@@ -463,44 +237,44 @@ func decodeTrain(p []byte, pool *tensor.Pool) (steps int, st TurnState, err erro
 }
 
 func decodeSmashed(p []byte, pool *tensor.Pool) (acts *tensor.Tensor, q *quantize.Quantized, ys []int, err error) {
-	d := wireDec{b: p}
-	switch enc := d.u8(); {
-	case d.err != nil:
+	d := newWireDec(p)
+	switch enc := d.U8(); {
+	case d.Err() != nil:
 	case enc == encFloat64:
-		acts = d.tensor(pool)
+		acts = d.Tensor(pool)
 	case enc == encQuant8:
 		q = d.quantized()
 	default:
-		d.fail("unknown transfer encoding %d", enc)
+		d.Fail("unknown transfer encoding %d", enc)
 	}
 	ys = d.labels()
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, nil, nil, err
 	}
 	return acts, q, ys, nil
 }
 
 func decodeGradient(p []byte, pool *tensor.Pool) (grad *tensor.Tensor, q *quantize.Quantized, err error) {
-	d := wireDec{b: p}
-	switch enc := d.u8(); {
-	case d.err != nil:
+	d := newWireDec(p)
+	switch enc := d.U8(); {
+	case d.Err() != nil:
 	case enc == encFloat64:
-		grad = d.tensor(pool)
+		grad = d.Tensor(pool)
 	case enc == encQuant8:
 		q = d.quantized()
 	default:
-		d.fail("unknown transfer encoding %d", enc)
+		d.Fail("unknown transfer encoding %d", enc)
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, nil, err
 	}
 	return grad, q, nil
 }
 
 func decodeReturn(p []byte, pool *tensor.Pool) (TurnState, error) {
-	d := wireDec{b: p}
+	d := newWireDec(p)
 	st := d.turnState(pool)
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		return TurnState{}, err
 	}
 	return st, nil
@@ -610,21 +384,21 @@ func (fc *frameConn) flush() error {
 
 func (fc *frameConn) writeHello(id int, samples int64, quantized bool) error {
 	fc.enc.begin(frameHello)
-	fc.enc.u32(wireMagic)
-	fc.enc.u16(wireVersion)
-	fc.enc.u32(uint32(id))
-	fc.enc.u64(uint64(samples))
+	fc.enc.U32(wireMagic)
+	fc.enc.U16(wireVersion)
+	fc.enc.U32(uint32(id))
+	fc.enc.U64(uint64(samples))
 	var flags byte
 	if quantized {
 		flags |= helloFlagQuantize
 	}
-	fc.enc.u8(flags)
+	fc.enc.U8(flags)
 	return fc.flush()
 }
 
 func (fc *frameConn) writeTrain(steps int, st *TurnState) error {
 	fc.enc.begin(frameTrain)
-	fc.enc.u32(uint32(steps))
+	fc.enc.U32(uint32(steps))
 	fc.enc.turnState(st)
 	return fc.flush()
 }
@@ -632,11 +406,11 @@ func (fc *frameConn) writeTrain(steps int, st *TurnState) error {
 func (fc *frameConn) writeSmashed(acts *tensor.Tensor, q *quantize.Quantized, ys []int) error {
 	fc.enc.begin(frameSmashed)
 	if q != nil {
-		fc.enc.u8(encQuant8)
+		fc.enc.U8(encQuant8)
 		fc.enc.quantized(q)
 	} else {
-		fc.enc.u8(encFloat64)
-		fc.enc.tensor(acts)
+		fc.enc.U8(encFloat64)
+		fc.enc.Tensor(acts)
 	}
 	fc.enc.labels(ys)
 	return fc.flush()
@@ -645,11 +419,11 @@ func (fc *frameConn) writeSmashed(acts *tensor.Tensor, q *quantize.Quantized, ys
 func (fc *frameConn) writeGradient(grad *tensor.Tensor, q *quantize.Quantized) error {
 	fc.enc.begin(frameGradient)
 	if q != nil {
-		fc.enc.u8(encQuant8)
+		fc.enc.U8(encQuant8)
 		fc.enc.quantized(q)
 	} else {
-		fc.enc.u8(encFloat64)
-		fc.enc.tensor(grad)
+		fc.enc.U8(encFloat64)
+		fc.enc.Tensor(grad)
 	}
 	return fc.flush()
 }
@@ -668,6 +442,6 @@ func (fc *frameConn) writeShutdown() error {
 // writeRaw frames an already-encoded payload (the loadgen echo path).
 func (fc *frameConn) writeRaw(kind byte, payload []byte) error {
 	fc.enc.begin(kind)
-	fc.enc.buf = append(fc.enc.buf, payload...)
+	fc.enc.Buf = append(fc.enc.Buf, payload...)
 	return fc.flush()
 }

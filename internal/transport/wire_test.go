@@ -44,11 +44,11 @@ func testTurnState(seed int64) TurnState {
 func TestWireHelloRoundTrip(t *testing.T) {
 	kind, payload := encodeFrame(func(e *wireEnc) {
 		e.begin(frameHello)
-		e.u32(wireMagic)
-		e.u16(wireVersion)
-		e.u32(42)
-		e.u64(1234)
-		e.u8(helloFlagQuantize)
+		e.U32(wireMagic)
+		e.U16(wireVersion)
+		e.U32(42)
+		e.U64(1234)
+		e.U8(helloFlagQuantize)
 	})
 	if kind != frameHello {
 		t.Fatalf("kind %d", kind)
@@ -65,22 +65,22 @@ func TestWireHelloRoundTrip(t *testing.T) {
 func TestWireHelloRejectsBadMagicAndVersion(t *testing.T) {
 	_, badMagic := encodeFrame(func(e *wireEnc) {
 		e.begin(frameHello)
-		e.u32(0xDEADBEEF)
-		e.u16(wireVersion)
-		e.u32(1)
-		e.u64(1)
-		e.u8(0)
+		e.U32(0xDEADBEEF)
+		e.U16(wireVersion)
+		e.U32(1)
+		e.U64(1)
+		e.U8(0)
 	})
 	if _, err := decodeHello(badMagic); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	_, badVersion := encodeFrame(func(e *wireEnc) {
 		e.begin(frameHello)
-		e.u32(wireMagic)
-		e.u16(wireVersion + 1)
-		e.u32(1)
-		e.u64(1)
-		e.u8(0)
+		e.U32(wireMagic)
+		e.U16(wireVersion + 1)
+		e.U32(1)
+		e.U64(1)
+		e.U8(0)
 	})
 	if _, err := decodeHello(badVersion); err == nil {
 		t.Fatal("future version accepted")
@@ -91,7 +91,7 @@ func TestWireTrainRoundTrip(t *testing.T) {
 	want := testTurnState(5)
 	_, payload := encodeFrame(func(e *wireEnc) {
 		e.begin(frameTrain)
-		e.u32(3)
+		e.U32(3)
 		e.turnState(&want)
 	})
 	steps, got, err := decodeTrain(payload, nil)
@@ -123,7 +123,7 @@ func TestWireTrainReturnPayloadAlignment(t *testing.T) {
 	st := testTurnState(9)
 	_, train := encodeFrame(func(e *wireEnc) {
 		e.begin(frameTrain)
-		e.u32(5)
+		e.U32(5)
 		e.turnState(&st)
 	})
 	if _, err := decodeReturn(train[4:], nil); err != nil {
@@ -136,8 +136,8 @@ func TestWireSmashedRoundTrip(t *testing.T) {
 	ys := []int{1, 0}
 	_, payload := encodeFrame(func(e *wireEnc) {
 		e.begin(frameSmashed)
-		e.u8(encFloat64)
-		e.tensor(acts)
+		e.U8(encFloat64)
+		e.Tensor(acts)
 		e.labels(ys)
 	})
 	got, q, gotYs, err := decodeSmashed(payload, nil)
@@ -165,7 +165,7 @@ func TestWireQuantizedSmashedRoundTrip(t *testing.T) {
 	q := quantize.Quantize(acts)
 	_, payload := encodeFrame(func(e *wireEnc) {
 		e.begin(frameSmashed)
-		e.u8(encQuant8)
+		e.U8(encQuant8)
 		e.quantized(q)
 		e.labels([]int{0, 1, 2, 3})
 	})
@@ -196,8 +196,8 @@ func TestWireGradientRoundTrip(t *testing.T) {
 	grad := tensor.New(2, 3).RandNormal(rand.New(rand.NewSource(17)), 0, 1)
 	_, payload := encodeFrame(func(e *wireEnc) {
 		e.begin(frameGradient)
-		e.u8(encFloat64)
-		e.tensor(grad)
+		e.U8(encFloat64)
+		e.Tensor(grad)
 	})
 	got, q, err := decodeGradient(payload, nil)
 	if err != nil {
@@ -302,33 +302,33 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	addFrame(func(e *wireEnc) {
 		e.begin(frameHello)
-		e.u32(wireMagic)
-		e.u16(wireVersion)
-		e.u32(3)
-		e.u64(100)
-		e.u8(helloFlagQuantize)
+		e.U32(wireMagic)
+		e.U16(wireVersion)
+		e.U32(3)
+		e.U64(100)
+		e.U8(helloFlagQuantize)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(frameTrain)
-		e.u32(2)
+		e.U32(2)
 		e.turnState(&st)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(frameSmashed)
-		e.u8(encFloat64)
-		e.tensor(acts)
+		e.U8(encFloat64)
+		e.Tensor(acts)
 		e.labels([]int{0, 1})
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(frameSmashed)
-		e.u8(encQuant8)
+		e.U8(encQuant8)
 		e.quantized(quantize.Quantize(acts))
 		e.labels([]int{0, 1})
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(frameGradient)
-		e.u8(encFloat64)
-		e.tensor(acts)
+		e.U8(encFloat64)
+		e.Tensor(acts)
 	})
 	addFrame(func(e *wireEnc) {
 		e.begin(frameReturn)

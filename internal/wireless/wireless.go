@@ -270,8 +270,7 @@ func (c *Channel) AdvanceRound() {
 }
 
 // ChannelState is the channel's complete mutable state at a round
-// boundary, as captured into a training checkpoint. Plain exported
-// fields keep it gob-serializable.
+// boundary, as plain data: what a training checkpoint stores.
 type ChannelState struct {
 	// Round is the AdvanceRound count.
 	Round int64
@@ -281,14 +280,13 @@ type ChannelState struct {
 	ShadowDB []float64
 }
 
-// State captures the channel for checkpointing. Valid at a round
-// boundary: mid-round fading-stream positions are not represented.
+// State returns the channel's state for the checkpoint encoder. Valid
+// at a round boundary: mid-round fading-stream positions are not
+// represented. The slices alias the live channel — they change at the
+// next AdvanceRound or Restore, so a caller that keeps the state copies
+// them (Restore does).
 func (c *Channel) State() ChannelState {
-	return ChannelState{
-		Round:    c.round,
-		DistM:    append([]float64(nil), c.distM...),
-		ShadowDB: append([]float64(nil), c.shadowDB...),
-	}
+	return ChannelState{Round: c.round, DistM: c.distM, ShadowDB: c.shadowDB}
 }
 
 // Restore resets the channel to a state captured by State on a channel

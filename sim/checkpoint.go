@@ -1,31 +1,49 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
-	"path/filepath"
 
 	"gsfl/internal/atomicfile"
+	"gsfl/internal/bincodec"
+	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/tensor"
 	"gsfl/internal/wireless"
 )
 
-// checkpointVersion guards against reading incompatible files.
-const checkpointVersion = 1
+// A checkpoint is one flat binary message in internal/bincodec's
+// vocabulary — the one the TCP wire speaks — so the trainer state has a
+// single hardened decoder wherever it travels:
+//
+//	file   := u32 magic | u16 version | str scheme | opts | u64 envHash
+//	          | u32 evalEvery | u32 ckptEvery | u64 round | f64 elapsed
+//	          | points | state
+//	opts   := u64 groups | u64 strategy | u8 pipelined | f64 dropoutProb
+//	points := u32 count | count × (u64 round | f64 latency | f64 loss | f64 accuracy)
+//
+// with state as schemes.StateParts.AppendState lays it out. Version 2 is
+// the only format written or read. Version 1 was a gob stream; a
+// checkpoint is transient by contract (it exists while its run is in
+// flight), so there is no v1 reader: Resume refuses the file, an
+// orchestrator drops it and reruns from round 0, and the determinism
+// contract makes that run's bytes the same.
+const (
+	checkpointMagic   = 0x4B435347 // "GSCK"
+	checkpointVersion = 2
+	// maxSchemeNameLen bounds the scheme name a checkpoint may claim.
+	maxSchemeNameLen = 256
+)
 
-// checkpointFile is the on-disk layout of a run checkpoint: which
-// scheme (and options) to rebuild, how far the run had progressed, the
-// curve so far, and the trainer's complete mutable state. Everything is
-// gob-encoded through plain exported structs, layered on the tensor
-// serialization of internal/model's checkpoint format.
+// checkpointFile is a decoded checkpoint: which scheme (and options) to
+// rebuild, how far the run had progressed, the curve so far, and the
+// trainer's complete mutable state.
 type checkpointFile struct {
-	Version int
-	Scheme  string
-	Opts    schemes.FactoryOpts
+	Scheme string
+	Opts   schemes.FactoryOpts
 	// EnvHash fingerprints the environment the run was built over;
 	// Resume rejects an env that does not match, since continuing in a
 	// different world would silently break the bit-identical contract.
@@ -40,7 +58,7 @@ type checkpointFile struct {
 	Round   int
 	Elapsed float64
 	Points  []Point
-	State   schemes.TrainerState
+	State   *schemes.TrainerState
 }
 
 // envFingerprint hashes the run-relevant identity of an environment:
@@ -101,55 +119,113 @@ func envFingerprint(env *Env) uint64 {
 	return h.Sum64()
 }
 
-// saveCheckpoint atomically writes the run's state after `round`
-// completed rounds.
-func (r *Runner) saveCheckpoint(round int, elapsed float64, curve *Curve) error {
-	st := r.trainer.(*SchemeTrainer)
-	state := st.Trainer.(schemes.Checkpointer).StateParts().Capture()
-	cf := checkpointFile{
-		Version:   checkpointVersion,
-		Scheme:    st.scheme,
-		Opts:      st.opts,
-		EnvHash:   envFingerprint(st.env),
-		EvalEvery: r.evalEvery,
-		CkptEvery: r.ckptEvery,
-		Round:     round,
-		Elapsed:   elapsed,
-		Points:    append([]Point(nil), curve.Points...),
-		State:     *state,
-	}
-	if dir := filepath.Dir(r.ckptPath); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("sim: creating checkpoint directory: %w", err)
+// saveCheckpoint encodes the run's state after `round` completed rounds
+// and, when the Runner has a path, atomically replaces that file with
+// it. The returned bytes are the Runner's buffer, valid until the next
+// save.
+func (r *Runner) saveCheckpoint(round int, elapsed float64, curve *Curve) ([]byte, error) {
+	buf := r.encodeCheckpoint(round, elapsed, curve)
+	if r.ckptPath != "" {
+		if err := atomicfile.Write(r.ckptPath, ".ckpt-*", buf); err != nil {
+			return nil, fmt.Errorf("sim: writing checkpoint: %w", err)
 		}
 	}
-	err := atomicfile.Write(r.ckptPath, ".ckpt-*", func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(cf)
-	})
-	if err != nil {
-		return fmt.Errorf("sim: writing checkpoint: %w", err)
-	}
-	return nil
+	return buf, nil
 }
 
-// loadCheckpoint reads and validates a checkpoint file.
-func loadCheckpoint(path string) (*checkpointFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sim: opening checkpoint: %w", err)
+// encodeCheckpoint writes the checkpoint into the Runner's reused
+// buffer, straight from the live trainer.
+func (r *Runner) encodeCheckpoint(round int, elapsed float64, curve *Curve) []byte {
+	st := r.trainer.(*SchemeTrainer)
+	e := &r.ckptEnc
+	e.Buf = e.Buf[:0]
+	e.U32(checkpointMagic)
+	e.U16(checkpointVersion)
+	e.Str(st.scheme)
+	e.U64(uint64(st.opts.Groups))
+	e.U64(uint64(st.opts.Strategy))
+	var pipelined byte
+	if st.opts.Pipelined {
+		pipelined = 1
 	}
-	defer f.Close()
-	var cf checkpointFile
-	if err := gob.NewDecoder(f).Decode(&cf); err != nil {
+	e.U8(pipelined)
+	e.F64(st.opts.DropoutProb)
+	e.U64(r.envHash)
+	e.U32(uint32(r.evalEvery))
+	e.U32(uint32(r.ckptEvery))
+	e.U64(uint64(round))
+	e.F64(elapsed)
+	e.U32(uint32(len(curve.Points)))
+	for _, p := range curve.Points {
+		e.U64(uint64(p.Round))
+		e.F64(p.LatencySeconds)
+		e.F64(p.Loss)
+		e.F64(p.Accuracy)
+	}
+	r.ckptParts.AppendState(e)
+	return e.Buf
+}
+
+// gobTypeName is how a version 1 file announces itself: gob opens a
+// stream with the type definition of the value it carries.
+var gobTypeName = []byte("checkpointFile")
+
+// decodeCheckpoint reads and validates a checkpoint's bytes.
+func decodeCheckpoint(data []byte) (*checkpointFile, error) {
+	d := bincodec.NewDec("sim", data)
+	magic, version := d.U32(), d.U16()
+	switch {
+	case d.Err() == nil && magic == checkpointMagic && version == checkpointVersion:
+	case d.Err() == nil && magic == checkpointMagic:
+		return nil, fmt.Errorf("sim: checkpoint format v%d is not readable by this version, which reads v%d", version, checkpointVersion)
+	case bytes.Contains(data[:min(len(data), 64)], gobTypeName):
+		return nil, fmt.Errorf("sim: checkpoint format v1 is not readable by this version (rerun from round 0)")
+	case d.Err() != nil:
+		return nil, fmt.Errorf("sim: not a checkpoint: %d bytes hold no header", len(data))
+	default:
+		return nil, fmt.Errorf("sim: not a checkpoint: magic %#08x, want %#08x", magic, uint32(checkpointMagic))
+	}
+	cf := &checkpointFile{Scheme: d.Str(maxSchemeNameLen)}
+	cf.Opts.Groups = int(int64(d.U64()))
+	cf.Opts.Strategy = partition.GroupStrategy(int64(d.U64()))
+	switch b := d.U8(); b {
+	case 0, 1:
+		cf.Opts.Pipelined = b == 1
+	default:
+		d.Fail("checkpoint pipelined flag %d", b)
+	}
+	cf.Opts.DropoutProb = d.F64()
+	cf.EnvHash = d.U64()
+	cf.EvalEvery = int(d.U32())
+	cf.CkptEvery = int(d.U32())
+	cf.Round = int(int64(d.U64()))
+	cf.Elapsed = d.F64()
+	n := int(d.U32())
+	if d.Err() == nil && n > d.Remaining()/32 {
+		d.Fail("checkpoint claims %d curve points in %d bytes", n, d.Remaining())
+	}
+	for len(cf.Points) < n && d.Err() == nil {
+		cf.Points = append(cf.Points, Point{
+			Round: int(int64(d.U64())), LatencySeconds: d.F64(), Loss: d.F64(), Accuracy: d.F64(),
+		})
+	}
+	cf.State = schemes.DecodeState(&d)
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("sim: decoding checkpoint: %w", err)
-	}
-	if cf.Version != checkpointVersion {
-		return nil, fmt.Errorf("sim: checkpoint version %d, want %d", cf.Version, checkpointVersion)
 	}
 	if cf.Round <= 0 {
 		return nil, fmt.Errorf("sim: checkpoint at round %d", cf.Round)
 	}
-	return &cf, nil
+	return cf, nil
+}
+
+// loadCheckpoint reads and validates a checkpoint file.
+func loadCheckpoint(path string) (*checkpointFile, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("sim: opening checkpoint: %w", err)
+	}
+	return decodeCheckpoint(data)
 }
 
 // PeekCheckpoint reads a checkpoint's identity — which scheme it trains
@@ -186,7 +262,8 @@ func Resume(path string, env *Env, opts ...RunOption) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got := envFingerprint(env); got != cf.EnvHash {
+	envHash := envFingerprint(env)
+	if envHash != cf.EnvHash {
 		return nil, fmt.Errorf("sim: environment does not match the checkpointed run (rebuild it from the original spec and seed before resuming)")
 	}
 	tr, err := New(cf.Scheme, env, cf.Opts)
@@ -197,7 +274,7 @@ func Resume(path string, env *Env, opts ...RunOption) (*Runner, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: scheme %q does not support state capture", cf.Scheme)
 	}
-	if err := cp.StateParts().Restore(&cf.State); err != nil {
+	if err := cp.StateParts().Restore(cf.State); err != nil {
 		return nil, fmt.Errorf("sim: restoring %q state: %w", cf.Scheme, err)
 	}
 	r := &Runner{
@@ -205,6 +282,7 @@ func Resume(path string, env *Env, opts ...RunOption) (*Runner, error) {
 		evalEvery:    cf.EvalEvery,
 		ckptEvery:    cf.CkptEvery,
 		ckptPath:     path,
+		envHash:      envHash,
 		startRound:   cf.Round,
 		startElapsed: cf.Elapsed,
 		priorPoints:  cf.Points,

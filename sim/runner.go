@@ -3,8 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
+	"gsfl/internal/bincodec"
 	"gsfl/internal/metrics"
 	"gsfl/internal/parallel"
 	"gsfl/internal/schemes"
@@ -35,8 +38,14 @@ type RoundEvent struct {
 	// Eval is the post-round evaluation, nil on rounds the evaluation
 	// cadence skipped.
 	Eval *Eval
-	// CheckpointPath is the checkpoint written after this round, empty
-	// when none was.
+	// Checkpoint is the run's encoded checkpoint after this round, nil on
+	// rounds the checkpoint cadence skipped. It is the Runner's own
+	// buffer, rewritten at the next checkpoint: valid during the OnRound
+	// call only, so an observer that keeps it copies it.
+	Checkpoint []byte
+	// CheckpointPath is the file those bytes were written to, empty when
+	// the run checkpoints into its observers alone (no
+	// WithCheckpointPath) or the round had no checkpoint.
 	CheckpointPath string
 }
 
@@ -80,18 +89,20 @@ func WithWorkers(n int) RunOption {
 	return func(r *Runner) { r.workers = &n }
 }
 
-// WithCheckpointEvery enables checkpointing: the trainer's complete
-// state is persisted to the WithCheckpointPath file after every n-th
-// round and after the final round. Requires a trainer constructed by
-// New (or Resume) whose scheme supports state capture — all built-in
-// schemes do.
+// WithCheckpointEvery enables checkpointing: after every n-th round
+// and after the final round the trainer's complete state is encoded,
+// handed to the observers (RoundEvent.Checkpoint) and, with
+// WithCheckpointPath, written to that file. Requires a trainer
+// constructed by New (or Resume) whose scheme supports state capture —
+// all built-in schemes do — and a path or an observer to receive it.
 func WithCheckpointEvery(n int) RunOption {
 	return func(r *Runner) { r.ckptEvery = n }
 }
 
 // WithCheckpointPath sets the checkpoint file location. The file is
 // rewritten atomically at each checkpoint. On resume it defaults to the
-// file the run resumed from.
+// file the run resumed from; an empty path there keeps the continued
+// run's checkpoints off the disk.
 func WithCheckpointPath(path string) RunOption {
 	return func(r *Runner) { r.ckptPath = path }
 }
@@ -119,6 +130,13 @@ type Runner struct {
 	ckptEvery int
 	ckptPath  string
 	tracer    *obs.Tracer
+
+	// Checkpoint encoding state, set up once: the trainer's parts (they
+	// point at the live trainer), the environment fingerprint (constant
+	// for a run by construction), and the buffer every save reuses.
+	ckptParts schemes.StateParts
+	envHash   uint64
+	ckptEnc   bincodec.Enc
 
 	// Resume state: rounds already completed, their cumulative latency,
 	// and the curve points they produced.
@@ -157,15 +175,20 @@ func (r *Runner) validate() error {
 		return fmt.Errorf("sim: checkpoint path set without sim.WithCheckpointEvery")
 	}
 	if r.ckptEvery > 0 {
-		if r.ckptPath == "" {
-			return fmt.Errorf("sim: checkpointing needs sim.WithCheckpointPath")
+		if r.ckptPath == "" && len(r.observers) == 0 {
+			return fmt.Errorf("sim: a checkpoint cadence with neither sim.WithCheckpointPath nor an observer checkpoints into nothing")
 		}
 		st, ok := r.trainer.(*SchemeTrainer)
 		if !ok {
 			return fmt.Errorf("sim: checkpointing needs a trainer constructed by sim.New")
 		}
-		if _, ok := st.Trainer.(schemes.Checkpointer); !ok {
+		cp, ok := st.Trainer.(schemes.Checkpointer)
+		if !ok {
 			return fmt.Errorf("sim: scheme %q does not support state capture", st.scheme)
+		}
+		r.ckptParts = cp.StateParts()
+		if r.startRound == 0 { // Resume has fingerprinted the env already
+			r.envHash = envFingerprint(st.env)
 		}
 	}
 	return nil
@@ -206,6 +229,11 @@ func (r *Runner) Run(ctx context.Context) (*Curve, error) {
 			r.tracer.Advance(gap)
 		}
 	}
+	if dir := filepath.Dir(r.ckptPath); r.ckptPath != "" && dir != "." {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("sim: creating checkpoint directory: %w", err)
+		}
+	}
 	curve := &Curve{Scheme: r.trainer.Name(), Points: append([]Point(nil), r.priorPoints...)}
 	elapsed := r.startElapsed
 	for round := r.startRound + 1; round <= r.rounds; round++ {
@@ -243,7 +271,7 @@ func (r *Runner) Run(ctx context.Context) (*Curve, error) {
 			}
 		}
 		if r.ckptEvery > 0 && (round%r.ckptEvery == 0 || round == r.rounds) {
-			if err := r.saveCheckpoint(round, elapsed, curve); err != nil {
+			if ev.Checkpoint, err = r.saveCheckpoint(round, elapsed, curve); err != nil {
 				return curve, err
 			}
 			ev.CheckpointPath = r.ckptPath

@@ -3,10 +3,12 @@ package sim_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"gsfl/internal/bincodec"
 	"gsfl/internal/model"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
@@ -149,6 +151,72 @@ func TestRunnerAlreadyCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := sim.NewRunner(tr, sim.WithRounds(3)).Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestRunnerCheckpointsIntoObserver: a cadence without a path encodes
+// every checkpoint and hands it to the observers, writing no file; the
+// bytes are what a path would have received, so a run resumes from them
+// bit-identically.
+func TestRunnerCheckpointsIntoObserver(t *testing.T) {
+	const seed = 9
+	run := func(extra ...sim.RunOption) (*sim.Curve, map[int][]byte) {
+		tr, err := sim.New("gsfl", newTestEnv(t, seed), opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[int][]byte{}
+		o := append([]sim.RunOption{sim.WithRounds(5), sim.WithCheckpointEvery(2),
+			sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
+				if e.Checkpoint != nil {
+					got[e.Round] = append([]byte(nil), e.Checkpoint...)
+				}
+				if wantPath := len(extra) > 0 && e.Checkpoint != nil; (e.CheckpointPath != "") != wantPath {
+					t.Errorf("round %d reports checkpoint path %q", e.Round, e.CheckpointPath)
+				}
+			}))}, extra...)
+		curve, err := sim.NewRunner(tr, o...).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return curve, got
+	}
+	want, sunk := run()
+	if len(sunk) != 3 || sunk[2] == nil || sunk[4] == nil || sunk[5] == nil {
+		t.Fatalf("%d checkpoints reached the observer, want rounds 2, 4 and the final 5", len(sunk))
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	_, filed := run(sim.WithCheckpointPath(path))
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(onDisk) != string(filed[5]) || string(filed[2]) != string(sunk[2]) {
+		t.Fatal("the event's bytes are not the bytes the file received")
+	}
+
+	if err := os.WriteFile(path, sunk[2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runner, err := sim.Resume(path, newTestEnv(t, seed), sim.WithRounds(5), sim.WithCheckpointPath(""),
+		sim.WithObserver(sim.ObserverFunc(func(sim.RoundEvent) {})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runner.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Points) != len(want.Points) {
+		t.Fatalf("resumed curve has %d points, want %d", len(got.Points), len(want.Points))
+	}
+	for i := range want.Points {
+		if got.Points[i] != want.Points[i] {
+			t.Fatalf("point %d diverged after resuming from an observer's bytes", i)
+		}
+	}
+	if left, _ := os.ReadFile(path); string(left) != string(sunk[2]) {
+		t.Fatal("a resume told to keep its checkpoints off the disk rewrote the file it resumed from")
 	}
 }
 
@@ -399,6 +467,20 @@ func TestResumeInheritsCadences(t *testing.T) {
 	}
 }
 
+// stateOf reads a trainer's state the way a checkpoint carries it:
+// encoded from the live parts, decoded again.
+func stateOf(t *testing.T, cp schemes.Checkpointer) *schemes.TrainerState {
+	t.Helper()
+	var e bincodec.Enc
+	cp.StateParts().AppendState(&e)
+	d := bincodec.NewDec("test", e.Buf)
+	st := schemes.DecodeState(&d)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestRestoreStateRejectsForeignState verifies a structurally foreign
 // TrainerState errors without leaving a half-restored trainer.
 func TestRestoreStateRejectsForeignState(t *testing.T) {
@@ -422,7 +504,7 @@ func TestRestoreStateRejectsForeignState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := other.Unwrap().(schemes.Checkpointer).StateParts().Capture()
+	st := stateOf(t, other.Unwrap().(schemes.Checkpointer))
 	if err := cp.StateParts().Restore(st); err == nil {
 		t.Fatal("restoring a different-cut state must error")
 	}
@@ -453,7 +535,7 @@ func TestStateCodecAllSchemes(t *testing.T) {
 			if _, err := sim.NewRunner(tr, sim.WithRounds(3)).Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			capture := cp.StateParts().Capture
+			capture := func() *schemes.TrainerState { return stateOf(t, cp) }
 			if st := capture(); st.Round != 3 {
 				t.Fatalf("captured round %d after 3 rounds", st.Round)
 			}

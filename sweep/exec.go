@@ -8,18 +8,24 @@ import (
 )
 
 // jobSink is where one executing job keeps its transient state: the
-// Scheduler's is the Store (Store.sink), a fleet worker's its scratch
-// directory plus the lease callbacks (RunLeased).
+// Scheduler's is the Store (Store.sink), a fleet worker's the lease
+// callbacks, with its scratch directory staging a handoff (RunLeased).
 type jobSink struct {
-	// ckptPath is where the job's sim checkpoint lives.
+	// ckptPath is where an earlier execution's sim checkpoint lives when
+	// there is a handoff.
 	ckptPath string
+	// runnerWrites has the job's Runner rewrite ckptPath at every
+	// checkpoint (the Store keeps its jobs' checkpoints on disk); without
+	// it the bytes reach save alone (a lease checkpoints into the wire).
+	runnerWrites bool
 	// load returns the progress sidecar an earlier execution left with
 	// the checkpoint at ckptPath, ok=false when there is none. Whether
 	// the pair is usable is soundHandoff's call.
 	load func() (Progress, bool)
-	// save persists the sidecar for the checkpoint just written at
-	// ckptPath. An error aborts the job.
-	save func(Progress) error
+	// save persists the sidecar of the checkpoint the Runner just encoded
+	// (and, with runnerWrites, wrote). ckpt is the Runner's buffer, valid
+	// during the call only. An error aborts the job.
+	save func(p Progress, ckpt []byte) error
 	// drop removes the checkpoint and its sidecar.
 	drop func()
 }
@@ -55,12 +61,14 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 		} else {
 			sink.drop()
 		}
-		if checkpointEvery > 0 {
-			opts = append(opts,
-				sim.WithCheckpointPath(sink.ckptPath),
-				sim.WithCheckpointEvery(checkpointEvery),
-			)
+		// Stated even when empty or zero: a resumed Runner would otherwise
+		// inherit the handoff file as its path, and the cadence it was
+		// written at.
+		path := ""
+		if sink.runnerWrites && checkpointEvery > 0 {
+			path = sink.ckptPath
 		}
+		opts = append(opts, sim.WithCheckpointPath(path), sim.WithCheckpointEvery(checkpointEvery))
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -75,9 +83,9 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 	opts = append(opts, sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
 		sum.Merge(e.Ledger)
 		totalSec += e.RoundSeconds
-		if sink != nil && e.CheckpointPath != "" && sinkErr == nil {
+		if sink != nil && e.Checkpoint != nil && sinkErr == nil {
 			p := Progress{Round: e.Round, Components: componentsOf(&sum), TotalSeconds: totalSec}
-			if sinkErr = sink.save(p); sinkErr != nil {
+			if sinkErr = sink.save(p, e.Checkpoint); sinkErr != nil {
 				// The cancellation lands at the next round boundary.
 				cancel()
 			}

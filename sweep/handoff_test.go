@@ -21,6 +21,9 @@ type handoffFixture struct {
 	ckpt    map[int][]byte
 	prog    map[int]sweep.Progress
 	slCkpt2 []byte
+	// v1Ckpt is a checkpoint in the retired gob format, as a sweep killed
+	// under an older binary leaves one.
+	v1Ckpt []byte
 }
 
 const handoffRounds = 4
@@ -59,6 +62,9 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if fx.v1Ckpt, err = os.ReadFile(filepath.Join("..", "sim", "testdata", "checkpoint_v1.gob")); err != nil {
+		t.Fatal(err)
+	}
 	return fx
 }
 
@@ -79,6 +85,7 @@ func (fx handoffFixture) cases() []handoffCase {
 		{"scheme mismatch", fx.slCkpt2, p(2), 0},
 		{"checkpoint at Rounds", fx.ckpt[handoffRounds], p(handoffRounds), 0},
 		{"unreadable checkpoint", []byte("not a checkpoint"), p(2), 0},
+		{"parent-format (v1) checkpoint", fx.v1Ckpt, p(2), 0},
 		{"sidecar missing", fx.ckpt[2], nil, 0},
 		{"valid handoff", fx.ckpt[2], p(2), 2},
 	}

@@ -136,16 +136,20 @@ type LeaseCallbacks struct {
 	// the handoff checkpoint rather than starting fresh.
 	OnResumed func(round int)
 	// OnCheckpoint fires at every checkpoint boundary with the progress
-	// sidecar and the checkpoint bytes just written. An error aborts the
-	// job (the worker lost its lease, or the coordinator is gone).
+	// sidecar and the checkpoint bytes just encoded — the Runner's own
+	// buffer, valid during the call only. An error aborts the job (the
+	// worker lost its lease, or the coordinator is gone).
 	OnCheckpoint func(p Progress, ckpt []byte) error
 }
 
 // RunLeased executes one job on a fleet worker: the Scheduler's
-// executor (runJob) over a sink made of the worker's scratch directory
-// and the lease. A sound handoff seeds a bit-identical mid-job resume,
-// any other is discarded; checkpoint bytes stream back through
-// cb.OnCheckpoint for the coordinator to persist.
+// executor (runJob) over a sink made of the lease. A sound handoff —
+// staged in scratchDir for the length of the job, the only file a
+// lease writes — seeds a bit-identical mid-job resume, any other is
+// discarded; checkpoint bytes go from the Runner's buffer straight to
+// cb.OnCheckpoint for the coordinator to persist, never to the
+// worker's disk: the next leaseholder resumes from the coordinator's
+// copy, so nothing would read one.
 func RunLeased(ctx context.Context, j Job, scratchDir string, checkpointEvery int, handoff *LeaseCheckpoint, cb LeaseCallbacks) (JobResult, error) {
 	path := filepath.Join(scratchDir, j.ID+".ckpt")
 	sink := &jobSink{
@@ -158,15 +162,11 @@ func RunLeased(ctx context.Context, j Job, scratchDir string, checkpointEvery in
 			}
 			return handoff.Progress, true
 		},
-		save: func(p Progress) error {
+		save: func(p Progress, ckpt []byte) error {
 			if cb.OnCheckpoint == nil {
 				return nil
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			return cb.OnCheckpoint(p, data)
+			return cb.OnCheckpoint(p, ckpt)
 		},
 		drop: func() { os.Remove(path) },
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,6 +42,11 @@ const (
 	timingsName = "timings.jsonl"
 	// lockName is the store's advisory-lock file.
 	lockName = ".lock"
+	// ckptTemp and progressTemp name the temp files a transient pair is
+	// written through (atomicfile.Write patterns; ckptTemp is also the
+	// one sim's Runner writes CheckpointPath through).
+	ckptTemp     = ".ckpt-*"
+	progressTemp = ".progress-*"
 )
 
 // Point is one stored curve evaluation (a metrics.Point with fixed JSON
@@ -124,6 +128,14 @@ func OpenStore(dir string) (*Store, error) {
 	lock, err := lockStore(dir)
 	if err != nil {
 		return nil, err
+	}
+	// A writer killed between CreateTemp and Rename left its temp file
+	// behind; under the lock no live writer can own one.
+	for _, pattern := range []string{ckptTemp, progressTemp} {
+		orphans, _ := filepath.Glob(filepath.Join(dir, ckptDir, pattern))
+		for _, o := range orphans {
+			os.Remove(o)
+		}
 	}
 	s := &Store{dir: dir, entries: map[string]*Entry{}, timings: map[string]float64{}, lock: lock}
 	path := filepath.Join(dir, manifestName)
@@ -303,14 +315,6 @@ func (s *Store) progressPath(id string) string {
 	return filepath.Join(s.dir, ckptDir, id+".progress")
 }
 
-// writeAtomic replaces path with data (see atomicfile.Write).
-func writeAtomic(path, pattern string, data []byte) error {
-	return atomicfile.Write(path, pattern, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // SaveProgress atomically persists the sweep-side accumulators at a
 // checkpoint boundary.
 func (s *Store) SaveProgress(j Job, p Progress) error {
@@ -318,7 +322,7 @@ func (s *Store) SaveProgress(j Job, p Progress) error {
 	if err != nil {
 		return fmt.Errorf("sweep: encoding progress: %w", err)
 	}
-	if err := writeAtomic(s.progressPath(j.ID), ".progress-*", buf); err != nil {
+	if err := atomicfile.Write(s.progressPath(j.ID), progressTemp, buf); err != nil {
 		return fmt.Errorf("sweep: writing progress: %w", err)
 	}
 	return nil
@@ -352,10 +356,11 @@ func (s *Store) LoadProgress(j Job) (Progress, bool) {
 // write and a handoff one sidecar read.
 func (s *Store) sink(j Job) *jobSink {
 	return &jobSink{
-		ckptPath: s.CheckpointPath(j),
-		load:     func() (Progress, bool) { return s.readProgress(j.ID) },
+		ckptPath:     s.CheckpointPath(j),
+		runnerWrites: true,
+		load:         func() (Progress, bool) { return s.readProgress(j.ID) },
 		// A lost sidecar write only costs resume work; the run goes on.
-		save: func(p Progress) error { _ = s.SaveProgress(j, p); return nil },
+		save: func(p Progress, _ []byte) error { _ = s.SaveProgress(j, p); return nil },
 		drop: func() { s.DropTransient(j) },
 	}
 }
@@ -363,7 +368,7 @@ func (s *Store) sink(j Job) *jobSink {
 // WriteCheckpoint atomically replaces the job's sim checkpoint with
 // bytes received from elsewhere (a fleet worker's progress upload).
 func (s *Store) WriteCheckpoint(j Job, data []byte) error {
-	if err := writeAtomic(s.CheckpointPath(j), ".ckpt-*", data); err != nil {
+	if err := atomicfile.Write(s.CheckpointPath(j), ckptTemp, data); err != nil {
 		return fmt.Errorf("sweep: writing checkpoint: %w", err)
 	}
 	return nil
@@ -490,7 +495,7 @@ func (s *Store) Compact(jobs []Job) error {
 		s.f.Close()
 	}
 	// openManifest recognizes an in-flight compaction by this pattern.
-	if err := writeAtomic(path, ".manifest-*", buf.Bytes()); err != nil {
+	if err := atomicfile.Write(path, ".manifest-*", buf.Bytes()); err != nil {
 		return fmt.Errorf("sweep: compacting manifest: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
