@@ -106,7 +106,7 @@ func (MSE) EvalInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) fl
 				target = 1
 			}
 			d := v - target
-			total += d * d
+			total += float64(d * d)
 			g[j] = 2 * d * inv
 		}
 	}

@@ -1,14 +1,10 @@
 package nn
 
-import (
-	"math"
+import "gsfl/internal/tensor"
 
-	"gsfl/internal/tensor"
-)
-
-// ReLU applies max(0, x) elementwise. Both passes are branch-free: the
-// sign pattern of a pre-activation batch is close to random, so a
-// compare-and-branch per element mispredicts about every other time.
+// ReLU applies max(0, x) elementwise. Both passes are one
+// tensor.MaskPositive: the value (x forward, dy backward) kept where the
+// gate (x, or the layer's own output) is positive.
 type ReLU struct {
 	// y is the training-mode output. It is positive exactly where the
 	// input was, so it is also the mask Backward routes gradients by.
@@ -25,31 +21,10 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
 
-// positiveMask returns all ones when v > 0 and zero otherwise — for
-// v <= 0, for -0 and for NaN, exactly like the comparison.
-func positiveMask(v float64) uint64 {
-	// As integers the positive floats up to +Inf are 1..infBits, so
-	// bits-1 lies in [0, infBits) for them and for nothing else: +0
-	// wraps to -1, a set sign bit keeps bits-1 negative (-0, the most
-	// negative integer, wraps above every float), and the positive NaNs
-	// sit above infBits.
-	const infBits = 0x7FF0000000000000
-	t := int64(math.Float64bits(v)) - 1
-	return uint64((^t & (t - infBits)) >> 63)
-}
-
-// maskPositive writes src[i] where gate[i] > 0 and +0 elsewhere.
-func maskPositive(dst, src, gate []float64) {
-	src, gate = src[:len(dst)], gate[:len(dst)]
-	for i := range dst {
-		dst[i] = math.Float64frombits(math.Float64bits(src[i]) & positiveMask(gate[i]))
-	}
-}
-
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := r.ws.out.EnsureShapeOf(x)
-	maskPositive(y.Data, x.Data, x.Data)
+	tensor.MaskPositive(y.Data, x.Data, x.Data)
 	if train {
 		r.y = y
 	}
@@ -62,7 +37,7 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		panic("nn: ReLU.Backward called before training-mode Forward")
 	}
 	dx := r.ws.dx.EnsureShapeOf(dy)
-	maskPositive(dx.Data, dy.Data, r.y.Data)
+	tensor.MaskPositive(dx.Data, dy.Data, r.y.Data)
 	return dx
 }
 

@@ -129,7 +129,7 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			inv[f] = 1 / math.Sqrt(b.runVar.Data[f]+b.Eps)
 		}
 		b.forEach(x, spatial, func(f, i int) {
-			y.Data[i] = b.gamma.Data[f]*(x.Data[i]-b.runMean.Data[f])*inv[f] + b.beta.Data[f]
+			y.Data[i] = float64(b.gamma.Data[f]*(x.Data[i]-b.runMean.Data[f])*inv[f]) + b.beta.Data[f]
 		})
 		return y
 	}
@@ -148,7 +148,7 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	b.forEach(x, spatial, func(f, i int) {
 		d := x.Data[i] - mean[f]
-		variance[f] += d * d
+		variance[f] += float64(d * d)
 	})
 	for f := range variance {
 		variance[f] /= count
@@ -161,12 +161,12 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	xhat := b.ws.xhat.EnsureShapeOf(x)
 	b.forEach(x, spatial, func(f, i int) {
 		xhat.Data[i] = (x.Data[i] - mean[f]) * invStd[f]
-		y.Data[i] = b.gamma.Data[f]*xhat.Data[i] + b.beta.Data[f]
+		y.Data[i] = float64(b.gamma.Data[f]*xhat.Data[i]) + b.beta.Data[f]
 	})
 
 	for f := 0; f < b.F; f++ {
-		b.runMean.Data[f] = b.Momentum*b.runMean.Data[f] + (1-b.Momentum)*mean[f]
-		b.runVar.Data[f] = b.Momentum*b.runVar.Data[f] + (1-b.Momentum)*variance[f]
+		b.runMean.Data[f] = float64(b.Momentum*b.runMean.Data[f]) + float64((1-b.Momentum)*mean[f])
+		b.runVar.Data[f] = float64(b.Momentum*b.runVar.Data[f]) + float64((1-b.Momentum)*variance[f])
 	}
 
 	b.xhat = xhat
@@ -196,7 +196,7 @@ func (b *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	b.forEach(dy, spatial, func(f, i int) {
 		sumDy[f] += dy.Data[i]
-		sumDyXhat[f] += dy.Data[i] * b.xhat.Data[i]
+		sumDyXhat[f] += float64(dy.Data[i] * b.xhat.Data[i])
 	})
 	for f := 0; f < b.F; f++ {
 		b.dbeta.Data[f] += sumDy[f]
@@ -206,7 +206,7 @@ func (b *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := b.ws.dx.Ensure(b.inShape...)
 	b.forEach(dy, spatial, func(f, i int) {
 		dx.Data[i] = b.gamma.Data[f] * b.invStd[f] / count *
-			(count*dy.Data[i] - sumDy[f] - b.xhat.Data[i]*sumDyXhat[f])
+			(float64(count*dy.Data[i]) - sumDy[f] - float64(b.xhat.Data[i]*sumDyXhat[f]))
 	})
 	return dx
 }

@@ -107,10 +107,15 @@ func TestReLUMatchesBranchyReference(t *testing.T) {
 			wantDX[i] = dy.Data[i]
 		}
 	}
-	r := NewReLU()
-	testutil.RequireSameBits(t, "eval forward", r.Forward(x, false).Data, wantY)
-	testutil.RequireSameBits(t, "train forward", r.Forward(x, true).Data, wantY)
-	testutil.RequireSameBits(t, "backward", r.Backward(dy).Data, wantDX)
+	// All 98 elements run 24 vector steps and a 2-element tail; the
+	// short prefixes are all tail (3), all vector (4) and one of each (5).
+	for _, n := range []int{x.Size(), 3, 4, 5} {
+		xn, dyn := tensor.FromSlice(x.Data[:n], n), tensor.FromSlice(dy.Data[:n], n)
+		r := NewReLU()
+		testutil.RequireSameBits(t, "eval forward", r.Forward(xn, false).Data, wantY[:n])
+		testutil.RequireSameBits(t, "train forward", r.Forward(xn, true).Data, wantY[:n])
+		testutil.RequireSameBits(t, "backward", r.Backward(dyn).Data, wantDX[:n])
+	}
 }
 
 // maxPoolRef is the generic window scan — row-major, strict >, seeded
@@ -143,7 +148,10 @@ func maxPoolRef(x *tensor.Tensor, k int) (out []float64, arg []int) {
 // against the generic scan where the two could part ways: ties (every
 // value drawn from three, so most windows repeat their maximum),
 // all-negative windows, signed zeros, NaN and infinities in any
-// position, and odd input sizes with a dropped row and column.
+// position, and odd input sizes with a dropped row and column. The
+// widths cover every split of an output row between the 4-wide vector
+// body and the scalar tail: all vector (8 → 4 outputs), all tail (2, 6,
+// 7 → 1, 3, 3), and both (12, 22 → 4+2, 8+3).
 func TestMaxPool2MatchesGenericScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	fills := map[string]func() float64{
@@ -155,7 +163,7 @@ func TestMaxPool2MatchesGenericScan(t *testing.T) {
 		"normal": rng.NormFloat64,
 	}
 	for name, fill := range fills {
-		for _, hw := range [][2]int{{8, 8}, {5, 7}, {2, 2}} {
+		for _, hw := range [][2]int{{8, 8}, {5, 7}, {2, 2}, {6, 6}, {4, 12}, {5, 22}} {
 			x := tensor.New(3, 2, hw[0], hw[1])
 			for i := range x.Data {
 				x.Data[i] = fill()

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"gsfl/internal/tensor"
 )
@@ -62,15 +61,19 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	for plane := 0; plane < n*c; plane++ {
 		inBase, outBase := plane*h*w, plane*outH*outW
+		if p.K == 2 {
+			var argPlane []int
+			if train {
+				argPlane = arg[outBase:][:outH*outW]
+			}
+			tensor.MaxPool2Plane(y.Data[outBase:][:outH*outW], argPlane, x.Data[inBase:][:h*w], inBase, h, w)
+			continue
+		}
 		for oh := 0; oh < outH; oh++ {
 			out := y.Data[outBase+oh*outW:][:outW]
 			var argRow []int
 			if train {
 				argRow = arg[outBase+oh*outW:][:outW]
-			}
-			if p.K == 2 {
-				maxRow2(out, argRow, x.Data, inBase+2*oh*w, w)
-				continue
 			}
 			for ow := range out {
 				bi := inBase + oh*p.K*w + ow*p.K
@@ -96,37 +99,6 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		p.inShape = x.AppendShape(p.inShape[:0])
 	}
 	return y
-}
-
-// maxRow2 pools one output row of 2×2 windows — input rows starting at
-// data[base] and data[base+w] — in the generic loop's scan order with
-// its strict-> rule, as straight-line code. arg is nil outside
-// training.
-func maxRow2(out []float64, arg []int, data []float64, base, w int) {
-	r0 := data[base:][:2*len(out)]
-	r1 := data[base+w:][:2*len(out)]
-	for ow := range out {
-		best, bi := math.Float64bits(r0[2*ow]), 0
-		best, bi = takeGreater(best, bi, r0[2*ow+1], 1)
-		best, bi = takeGreater(best, bi, r1[2*ow], w)
-		best, bi = takeGreater(best, bi, r1[2*ow+1], w+1)
-		out[ow] = math.Float64frombits(best)
-		if arg != nil {
-			arg[ow] = base + 2*ow + bi
-		}
-	}
-}
-
-// takeGreater returns (v's bits, off) when v > best and (best, bi)
-// otherwise. Which element of a window wins is data-dependent and close
-// to random, so the comparison selects through a mask instead of
-// branching.
-func takeGreater(best uint64, bi int, v float64, off int) (uint64, int) {
-	var gt uint64
-	if v > math.Float64frombits(best) {
-		gt = 1
-	}
-	return best ^ (best^math.Float64bits(v))&-gt, bi ^ (bi^off)&-int(gt)
 }
 
 // Backward implements Layer: gradients route to the argmax positions.

@@ -66,9 +66,11 @@ func NewSGDMomentum(lr, momentum float64) *SGD {
 // Name implements Optimizer.
 func (s *SGD) Name() string { return "sgd" }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Everything that can be wrong with its
+// operands — params against grads, decay flags, a Restored velocity —
+// is checked before the first element is written.
 func (s *SGD) Step(params, grads []*tensor.Tensor, decay []bool) {
-	checkAligned(params, grads, decay)
+	checkAligned(params, grads, decay, s.velocity)
 	lr := s.Schedule(s.step)
 	s.step++
 
@@ -86,18 +88,16 @@ func (s *SGD) Step(params, grads []*tensor.Tensor, decay []bool) {
 		if decay != nil && !decay[i] {
 			wd = 0
 		}
-		if s.Momentum == 0 {
-			for j := range p.Data {
-				gj := g.Data[j]*clipScale + wd*p.Data[j]
-				p.Data[j] -= lr * gj
-			}
+		if s.Momentum != 0 {
+			tensor.SGDMomentum(p.Data, s.velocity[i].Data, g.Data, lr, s.Momentum, clipScale, wd)
 			continue
 		}
-		v := s.velocity[i]
+		// No workload runs without momentum, so this branch has no
+		// vector body. The conversions keep arm64 from fusing a product
+		// into the sum that consumes it (see tensor/vec.go).
 		for j := range p.Data {
-			gj := g.Data[j]*clipScale + wd*p.Data[j]
-			v.Data[j] = s.Momentum*v.Data[j] + gj
-			p.Data[j] -= lr * v.Data[j]
+			gj := float64(g.Data[j]*clipScale) + float64(wd*p.Data[j])
+			p.Data[j] -= float64(lr * gj)
 		}
 	}
 }
@@ -170,7 +170,7 @@ func clipFactor(grads []*tensor.Tensor, clip float64) float64 {
 	ss := 0.0
 	for _, g := range grads {
 		for _, v := range g.Data {
-			ss += v * v
+			ss += float64(v * v)
 		}
 	}
 	norm := math.Sqrt(ss)
@@ -180,16 +180,25 @@ func clipFactor(grads []*tensor.Tensor, clip float64) float64 {
 	return clip / norm
 }
 
-func checkAligned(params, grads []*tensor.Tensor, decay []bool) {
+// checkAligned panics unless grads, decay (when given) and velocity
+// (nil until the first momentum step allocates it, or whatever Restore
+// installed) each line up with params, count and sizes.
+func checkAligned(params, grads []*tensor.Tensor, decay []bool, velocity []*tensor.Tensor) {
 	if len(params) != len(grads) {
 		panic(fmt.Sprintf("optim: %d params vs %d grads", len(params), len(grads)))
 	}
 	if decay != nil && len(decay) != len(params) {
 		panic(fmt.Sprintf("optim: %d params vs %d decay flags", len(params), len(decay)))
 	}
+	if velocity != nil && len(velocity) != len(params) {
+		panic(fmt.Sprintf("optim: %d params vs %d velocity buffers", len(params), len(velocity)))
+	}
 	for i := range params {
 		if params[i].Size() != grads[i].Size() {
 			panic(fmt.Sprintf("optim: param %d size %d vs grad size %d", i, params[i].Size(), grads[i].Size()))
+		}
+		if velocity != nil && params[i].Size() != velocity[i].Size() {
+			panic(fmt.Sprintf("optim: param %d size %d vs velocity size %d", i, params[i].Size(), velocity[i].Size()))
 		}
 	}
 }

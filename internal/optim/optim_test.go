@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gsfl/internal/tensor"
+	"gsfl/internal/testutil"
 )
 
 // quadratic is the convex test problem f(p) = ||p - target||²; its exact
@@ -206,5 +207,59 @@ func TestSGDRestoreValidation(t *testing.T) {
 		VelocityData:   [][]float64{{1, 2, 3}},
 	}); err == nil {
 		t.Fatal("shape/data mismatch must error")
+	}
+
+	// A state that is sound in itself but belongs to another model —
+	// the wrong number of buffers, or a buffer of the wrong size — is
+	// only detectable against the parameters, so Step refuses it, and
+	// does so before it has changed any of them.
+	for name, st := range map[string]SGDState{
+		"wrong count": {VelocityShapes: [][]int{{3}}, VelocityData: [][]float64{{1, 2, 3}}},
+		"wrong size":  {VelocityShapes: [][]int{{3}, {1}}, VelocityData: [][]float64{{1, 2, 3}, {4}}},
+	} {
+		opt := NewSGDMomentum(0.1, 0.9)
+		if err := opt.Restore(st); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		params := []*tensor.Tensor{tensor.FromSlice([]float64{1, 2, 3}, 3), tensor.FromSlice([]float64{4, 5}, 2)}
+		grads := []*tensor.Tensor{tensor.FromSlice([]float64{1, 1, 1}, 3), tensor.FromSlice([]float64{1, 1}, 2)}
+		before := []*tensor.Tensor{params[0].Clone(), params[1].Clone()}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Step accepted a velocity that does not fit the params", name)
+				}
+			}()
+			opt.Step(params, grads, nil)
+		}()
+		for i := range params {
+			testutil.RequireSameBits(t, name+": params after the refused step", params[i].Data, before[i].Data)
+		}
+	}
+}
+
+// BenchmarkSGDStep is one update of the paper model's server half as
+// the benchmark spine runs it (16-pixel GTSRB CNN cut after the first
+// conv block: conv 8→16, dense 256→64, dense 64→43), with momentum,
+// weight decay on the weights and clipping on — the configuration every
+// workload trains with.
+func BenchmarkSGDStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var params, grads []*tensor.Tensor
+	var decay []bool
+	size := 0
+	for _, shape := range [][]int{{16, 72}, {16}, {256, 64}, {64}, {64, 43}, {43}} {
+		params = append(params, tensor.New(shape...).RandNormal(rng, 0, 0.1))
+		grads = append(grads, tensor.New(shape...).RandNormal(rng, 0, 0.01))
+		decay = append(decay, len(shape) > 1)
+		size += params[len(params)-1].Size()
+	}
+	sgd := NewSGDMomentum(0.01, 0.9)
+	sgd.WeightDecay = 1e-4
+	sgd.ClipNorm = 5
+	b.SetBytes(int64(8 * size))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sgd.Step(params, grads, decay)
 	}
 }

@@ -58,6 +58,13 @@ type ukernFunc func(k int, ap, bp, c []float64, ldc int)
 // c[j*ldc]. koff must not be empty.
 type rowKernFunc func(x []float64, rows, koff []int, bp, c []float64, ldc int)
 
+// ukernPairFunc computes the 2·MR×NR tile of two vertically adjacent
+// row blocks — packed A panels ap0 and ap1 against one B panel — with
+// the result two ukernFunc calls would give, bit for bit. The
+// row-indirect kernel's pair form needs no type of its own: it is a
+// rowKernFunc that reads 2·MR rows and stores 2·MR-long columns.
+type ukernPairFunc func(k int, ap0, ap1, bp, c []float64, ldc int)
+
 // kernExact / kernFast (and rowKernExact / rowKernFast) are the active
 // micro-kernels, overridden at init by the amd64 vector kernels when the
 // CPU supports them. The exact ones are always bit-identical to their
@@ -70,6 +77,42 @@ var (
 	rowKernExact rowKernFunc = rowKernExactGeneric
 	rowKernFast  rowKernFunc = rowKernExactGeneric
 )
+
+// kernExactPair / rowKernExactPair are the exact kernels' pair forms,
+// nil unless init found hardware with a register file wide enough for
+// them (AVX-512 on amd64). The chunk drivers hand them two full row
+// blocks at a time and everything else — ragged tiles, the odd last
+// block of a chunk, fast mode — to the 4×8 kernels.
+var (
+	kernExactPair    ukernPairFunc
+	rowKernExactPair rowKernFunc
+)
+
+// pairMinSteps is the least pair-kernel work — full 8×8 tiles times k,
+// i.e. k steps of the pair kernel's inner loop — a product must offer
+// before its drivers use the pair kernels at all. A core that executes
+// 512-bit multiplies runs everything at a lower clock for a while
+// afterwards, so a product with a handful of short tiles taxes the rest
+// of the program by more than it saves itself: measured on the
+// benchmark host, a server step of the load generator's 32→4 layer (4
+// tiles, k = 4: 16 steps) made its round 5–8 % slower, while the
+// smallest convolution of an 8-pixel job (≥ 192 steps) is where the
+// gain starts (ARCHITECTURE, "Blocking scheme"). The gate is a property
+// of the operands, so it is the same at any worker count, and it cannot
+// be seen in any bit.
+const pairMinSteps = 64
+
+// pairWorthwhile reports whether an (m×k)·(k×n) product clears
+// pairMinSteps.
+func pairWorthwhile(m, k, n int) bool {
+	return (m/(2*gemmMR))*(n/gemmNR)*k >= pairMinSteps
+}
+
+// cpu records what the amd64 CPUID probe found, once, at init; every
+// field is false elsewhere. It is the only thing that selects between a
+// portable body and an assembly one — for the micro-kernels above and
+// for the elementwise bodies in vec.go alike.
+var cpu struct{ avx2, fma, avx512 bool }
 
 type aKind uint8
 
@@ -107,9 +150,11 @@ func gemmInto(dst []float64, m, k, n int, asrc aSource, bsrc bSource) {
 		}
 		return
 	}
-	kern := kernExact
+	kern, pair := kernExact, kernExactPair
 	if numericReassoc.Load() {
-		kern = kernFast
+		kern, pair = kernFast, nil
+	} else if !pairWorthwhile(m, k, n) {
+		pair = nil
 	}
 	nb := (n + gemmNR - 1) / gemmNR
 	bp := packPool.GetSlice(nb * k * gemmNR)
@@ -123,10 +168,10 @@ func gemmInto(dst []float64, m, k, n int, asrc aSource, bsrc bSource) {
 	grain := grainRows(2 * k * n * gemmMR)
 	if parallel.Inline(mblocks, grain) {
 		ap := packPool.GetSlice(mblocks*k*gemmMR + gemmMR*gemmNR)
-		gemmChunk(kern, dst, ap, bp, asrc, m, k, n, 0, mblocks)
+		gemmChunk(kern, pair, dst, ap, bp, asrc, m, k, n, 0, mblocks)
 		packPool.PutSlice(ap)
 	} else {
-		gemmParallel(kern, dst, bp, asrc, m, k, n, mblocks, grain)
+		gemmParallel(kern, pair, dst, bp, asrc, m, k, n, mblocks, grain)
 	}
 	packPool.PutSlice(bp)
 }
@@ -134,10 +179,10 @@ func gemmInto(dst []float64, m, k, n int, asrc aSource, bsrc bSource) {
 // gemmParallel is the fork-join path, split out so its closure (and the
 // escape of everything it captures) is only paid when the matrix is big
 // enough to fan out.
-func gemmParallel(kern ukernFunc, dst, bp []float64, asrc aSource, m, k, n, mblocks, grain int) {
+func gemmParallel(kern ukernFunc, pair ukernPairFunc, dst, bp []float64, asrc aSource, m, k, n, mblocks, grain int) {
 	parallel.For(mblocks, grain, func(blo, bhi int) {
 		ap := packPool.GetSlice((bhi-blo)*k*gemmMR + gemmMR*gemmNR)
-		gemmChunk(kern, dst, ap, bp, asrc, m, k, n, blo, bhi)
+		gemmChunk(kern, pair, dst, ap, bp, asrc, m, k, n, blo, bhi)
 		packPool.PutSlice(ap)
 	})
 }
@@ -147,7 +192,12 @@ func gemmParallel(kern ukernFunc, dst, bp []float64, asrc aSource, m, k, n, mblo
 // extra elements at its tail used as the spill tile for ragged edges
 // (keeping the scratch heap-backed so passing it to the kernel does not
 // force a per-call allocation).
-func gemmChunk(kern ukernFunc, dst, ap, bp []float64, asrc aSource, m, k, n, blo, bhi int) {
+//
+// When pair is not nil, two full row blocks at a time go to it wherever
+// the column panel is full too. A pair never straddles a chunk boundary
+// and computes each element exactly as kern would, so neither the
+// worker count nor the presence of pair is visible in any bit.
+func gemmChunk(kern ukernFunc, pair ukernPairFunc, dst, ap, bp []float64, asrc aSource, m, k, n, blo, bhi int) {
 	switch asrc.kind {
 	case aPlain:
 		packA(ap, asrc.data, m, k, blo, bhi)
@@ -156,29 +206,35 @@ func gemmChunk(kern ukernFunc, dst, ap, bp []float64, asrc aSource, m, k, n, blo
 	}
 	nb := (n + gemmNR - 1) / gemmNR
 	scratch := ap[(bhi-blo)*k*gemmMR:]
-	for bi := blo; bi < bhi; bi++ {
-		i0 := bi * gemmMR
-		ib := m - i0
-		if ib > gemmMR {
-			ib = gemmMR
+	for bi := blo; bi < bhi; {
+		blocks := 1
+		if pair != nil && bi+2 <= bhi && (bi+2)*gemmMR <= m {
+			blocks = 2
 		}
-		apan := ap[(bi-blo)*k*gemmMR:]
 		for p := 0; p < nb; p++ {
 			j0 := p * gemmNR
-			jb := n - j0
-			if jb > gemmNR {
-				jb = gemmNR
-			}
+			jb := min(n-j0, gemmNR)
 			bpan := bp[p*k*gemmNR:]
-			if ib == gemmMR && jb == gemmNR {
-				kern(k, apan, bpan, dst[i0*n+j0:], n)
-			} else {
+			if blocks == 2 && jb == gemmNR {
+				apan := ap[(bi-blo)*k*gemmMR:]
+				pair(k, apan, apan[k*gemmMR:], bpan, dst[bi*gemmMR*n+j0:], n)
+				continue
+			}
+			for b := bi; b < bi+blocks; b++ {
+				i0 := b * gemmMR
+				ib := min(m-i0, gemmMR)
+				apan := ap[(b-blo)*k*gemmMR:]
+				if ib == gemmMR && jb == gemmNR {
+					kern(k, apan, bpan, dst[i0*n+j0:], n)
+					continue
+				}
 				kern(k, apan, bpan, scratch, gemmNR)
 				for r := 0; r < ib; r++ {
 					copy(dst[(i0+r)*n+j0:(i0+r)*n+j0+jb], scratch[r*gemmNR:r*gemmNR+jb])
 				}
 			}
 		}
+		bi += blocks
 	}
 }
 
@@ -205,9 +261,11 @@ func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, wei
 		clear(dst[:outC*rows])
 		return
 	}
-	kern := rowKernExact
+	kern, pair := rowKernExact, rowKernExactPair
 	if numericReassoc.Load() {
-		kern = rowKernFast
+		kern, pair = rowKernFast, nil
+	} else if !pairWorthwhile(rows, k, outC) {
+		pair = nil
 	}
 	rblocks := (rows + gemmMR - 1) / gemmMR
 	offs := offsetPool.GetSlice(k + rblocks*gemmMR)
@@ -224,9 +282,9 @@ func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, wei
 	packBTrans(bp, dense, k, outC)
 	grain := grainRows(2 * k * outC * gemmMR)
 	if parallel.Inline(rblocks, grain) {
-		convGemmChunk(kern, dst, x, rowOff, koff, bp, spill, rows, outC, 0, rblocks)
+		convGemmChunk(kern, pair, dst, x, rowOff, koff, bp, spill, rows, outC, 0, rblocks)
 	} else {
-		convGemmParallel(kern, dst, x, rowOff, koff, bp, rows, outC, rblocks, grain)
+		convGemmParallel(kern, pair, dst, x, rowOff, koff, bp, rows, outC, rblocks, grain)
 	}
 	packPool.PutSlice(buf)
 	offsetPool.PutSlice(offs)
@@ -234,10 +292,10 @@ func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, wei
 
 // convGemmParallel is convGemmInto's fork-join path, split out for the
 // reason gemmParallel is. Each chunk borrows its own spill tile.
-func convGemmParallel(kern rowKernFunc, dst, x []float64, rowOff, koff []int, bp []float64, rows, outC, rblocks, grain int) {
+func convGemmParallel(kern, pair rowKernFunc, dst, x []float64, rowOff, koff []int, bp []float64, rows, outC, rblocks, grain int) {
 	parallel.For(rblocks, grain, func(blo, bhi int) {
 		spill := packPool.GetSlice(gemmMR * gemmNR)
-		convGemmChunk(kern, dst, x, rowOff, koff, bp, spill, rows, outC, blo, bhi)
+		convGemmChunk(kern, pair, dst, x, rowOff, koff, bp, spill, rows, outC, blo, bhi)
 		packPool.PutSlice(spill)
 	})
 }
@@ -246,23 +304,35 @@ func convGemmParallel(kern rowKernFunc, dst, x []float64, rowOff, koff []int, bp
 // row blocks [blo, bhi). Full tiles are stored straight into dst, which
 // is (outC × rows) row-major — the kernel's transposed store; ragged
 // ones go through spill (heap-backed for the reason gemmChunk's is).
-func convGemmChunk(kern rowKernFunc, dst, x []float64, rowOff, koff []int, bp, spill []float64, rows, outC, blo, bhi int) {
+// pair takes two full row blocks at a time under gemmChunk's rule.
+func convGemmChunk(kern, pair rowKernFunc, dst, x []float64, rowOff, koff []int, bp, spill []float64, rows, outC, blo, bhi int) {
 	k := len(koff)
-	for bi := blo; bi < bhi; bi++ {
-		r0 := bi * gemmMR
-		rb := min(rows-r0, gemmMR)
+	for bi := blo; bi < bhi; {
+		blocks := 1
+		if pair != nil && bi+2 <= bhi && (bi+2)*gemmMR <= rows {
+			blocks = 2
+		}
 		for j0 := 0; j0 < outC; j0 += gemmNR {
 			jb := min(outC-j0, gemmNR)
 			bpan := bp[j0*k:]
-			if rb == gemmMR && jb == gemmNR {
-				kern(x, rowOff[r0:], koff, bpan, dst[j0*rows+r0:], rows)
+			if blocks == 2 && jb == gemmNR {
+				pair(x, rowOff[bi*gemmMR:], koff, bpan, dst[j0*rows+bi*gemmMR:], rows)
 				continue
 			}
-			kern(x, rowOff[r0:], koff, bpan, spill, gemmMR)
-			for j := 0; j < jb; j++ {
-				copy(dst[(j0+j)*rows+r0:][:rb], spill[j*gemmMR:])
+			for b := bi; b < bi+blocks; b++ {
+				r0 := b * gemmMR
+				rb := min(rows-r0, gemmMR)
+				if rb == gemmMR && jb == gemmNR {
+					kern(x, rowOff[r0:], koff, bpan, dst[j0*rows+r0:], rows)
+					continue
+				}
+				kern(x, rowOff[r0:], koff, bpan, spill, gemmMR)
+				for j := 0; j < jb; j++ {
+					copy(dst[(j0+j)*rows+r0:][:rb], spill[j*gemmMR:])
+				}
 			}
 		}
+		bi += blocks
 	}
 }
 

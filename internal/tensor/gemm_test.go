@@ -237,8 +237,8 @@ var convGeoms = []ConvGeom{
 func TestConvMatMulMatchesIm2Col(t *testing.T) {
 	t.Run("active", checkConvMatMulMatchesIm2Col)
 	t.Run("generic", func(t *testing.T) {
-		defer func(k rowKernFunc) { rowKernExact = k }(rowKernExact)
-		rowKernExact = rowKernExactGeneric
+		defer func(k, pair rowKernFunc) { rowKernExact, rowKernExactPair = k, pair }(rowKernExact, rowKernExactPair)
+		rowKernExact, rowKernExactPair = rowKernExactGeneric, nil
 		checkConvMatMulMatchesIm2Col(t)
 	})
 }
@@ -306,8 +306,14 @@ func requireSameFloats(t *testing.T, what string, got, want []float64) {
 // installed (the assembly, on an AVX2 host) on the same operands, and
 // requires the same bits: the portable kernels are the exact mode's
 // definition and the only kernels off amd64, yet nothing else calls them
-// where the assembly is available.
+// where the assembly is available. The pair subtest is the 8×8 case.
 func TestGenericKernelsMatchActive(t *testing.T) {
+	t.Logf("kernels: avx2=%v fma=%v avx512=%v", cpu.avx2, cpu.fma, cpu.avx512)
+	t.Run("tile", testTileKernelsMatchGeneric)
+	t.Run("pair", testPairKernelsMatchTwoGenericTiles)
+}
+
+func testTileKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const ldc = 11
 	for k := 1; k <= 40; k++ {
@@ -323,17 +329,131 @@ func TestGenericKernelsMatchActive(t *testing.T) {
 
 			// Row r of the tile reads x at rows[r]+koff[kk]: overlapping
 			// windows of one buffer, as a convolution's are.
-			x := make([]float64, 3*k+gemmMR)
-			fillHostile(rng, x)
-			rows := []int{rng.Intn(gemmMR), rng.Intn(gemmMR), rng.Intn(gemmMR), rng.Intn(gemmMR)}
-			koff := make([]int, k)
-			for kk := range koff {
-				koff[kk] = rng.Intn(3 * k)
-			}
+			x, rows, koff := drawRowKernelOperands(rng, k, gemmMR)
 			got, want = make([]float64, gemmNR*ldc), make([]float64, gemmNR*ldc)
 			rowKernExact(x, rows, koff, bp, got, ldc)
 			rowKernExactGeneric(x, rows, koff, bp, want, ldc)
 			requireSameFloats(t, fmt.Sprintf("row kernel k=%d", k), got, want)
+		}
+	}
+}
+
+// drawRowKernelOperands draws a row-indirect kernel's image-side
+// operands: a hostile buffer, nrows random (so overlapping) row bases
+// and a k-long offset table into it.
+func drawRowKernelOperands(rng *rand.Rand, k, nrows int) (x []float64, rows, koff []int) {
+	x = make([]float64, 3*k+nrows)
+	fillHostile(rng, x)
+	rows = make([]int, nrows)
+	for r := range rows {
+		rows[r] = rng.Intn(nrows)
+	}
+	koff = make([]int, k)
+	for kk := range koff {
+		koff[kk] = rng.Intn(3 * k)
+	}
+	return x, rows, koff
+}
+
+// testPairKernelsMatchTwoGenericTiles holds each pair kernel to two
+// portable 4×8 calls on the same panels — the pairing must not be
+// visible in any bit. The tiles sit in a canary-filled buffer at a row
+// stride wider than the tile, so a store outside the tile is caught as
+// well.
+func testPairKernelsMatchTwoGenericTiles(t *testing.T) {
+	if kernExactPair == nil {
+		t.Skip("no pair kernels on this host: they need CPUID leaf 7 EBX bit 16 (AVX512F) with opmask and ZMM state enabled in XCR0")
+	}
+	rng := rand.New(rand.NewSource(37))
+	const ldc = 13
+	fresh := func(n int) []float64 {
+		buf := make([]float64, n)
+		for i := range buf {
+			buf[i] = math.Float64frombits(canary)
+		}
+		return buf
+	}
+	for k := 1; k <= 40; k++ {
+		for trial := 0; trial < 8; trial++ {
+			ap := make([]float64, 2*k*gemmMR) // two adjacent A panels, as gemmChunk packs them
+			bp := make([]float64, k*gemmNR)
+			fillHostile(rng, ap)
+			fillHostile(rng, bp)
+			got, want := fresh(2*gemmMR*ldc), fresh(2*gemmMR*ldc)
+			kernExactPair(k, ap, ap[k*gemmMR:], bp, got, ldc)
+			ukernExactGeneric(k, ap, bp, want, ldc)
+			ukernExactGeneric(k, ap[k*gemmMR:], bp, want[gemmMR*ldc:], ldc)
+			requireSameFloats(t, fmt.Sprintf("packed pair kernel k=%d", k), got, want)
+
+			x, rows, koff := drawRowKernelOperands(rng, k, 2*gemmMR)
+			got, want = fresh(gemmNR*ldc), fresh(gemmNR*ldc)
+			rowKernExactPair(x, rows, koff, bp, got, ldc)
+			rowKernExactGeneric(x, rows, koff, bp, want, ldc)
+			rowKernExactGeneric(x, rows[gemmMR:], koff, bp, want[gemmMR:], ldc)
+			requireSameFloats(t, fmt.Sprintf("row pair kernel k=%d", k), got, want)
+		}
+	}
+}
+
+// TestPairDriversMatchNaive walks the chunk drivers' pair rule through
+// the cases it distinguishes — a pair with full and with ragged column
+// panels, the odd last block, a ragged last row block — at shapes that
+// clear pairMinSteps, against the naive references, at workers 1/2/8.
+// (Chunk boundaries between would-be partners are the fork tests'
+// business: forkingRows / TestConvPackForkJoin shapes clear the gate
+// too.) Without pair kernels it is one more pass over the 4×8 path.
+func TestPairDriversMatchNaive(t *testing.T) {
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	rng := rand.New(rand.NewSource(39))
+	for _, workers := range []int{1, 2, 8} {
+		parallel.SetWorkers(workers)
+		for _, m := range []int{8, 11, 12, 16, 20, 23, 40} {
+			for _, n := range []int{8, 13, 16, 29} {
+				for _, k := range []int{64, 65, 130} {
+					if !pairWorthwhile(m, k, n) {
+						t.Fatalf("%d×%d×%d does not clear the pair gate: the test would miss the path it is for", m, k, n)
+					}
+					a, at := make([]float64, m*k), make([]float64, k*m)
+					b, bt := make([]float64, k*n), make([]float64, n*k)
+					for _, s := range [][]float64{a, at, b, bt} {
+						fillMixed(rng, s)
+					}
+					got, want := make([]float64, m*n), make([]float64, m*n)
+					naiveMatMul(want, a, b, m, k, n)
+					gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: b, kind: bPlain})
+					requireBitEqual(t, fmt.Sprintf("workers=%d plain", workers), got, want, m, k, n)
+					naiveTransA(want, at, b, m, k, n)
+					gemmInto(got, m, k, n, aSource{data: at, kind: aTransposed}, bSource{data: b, kind: bPlain})
+					requireBitEqual(t, fmt.Sprintf("workers=%d transA", workers), got, want, m, k, n)
+					naiveTransB(want, a, bt, m, k, n)
+					gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: bt, kind: bTransposed})
+					requireBitEqual(t, fmt.Sprintf("workers=%d transB", workers), got, want, m, k, n)
+				}
+			}
+		}
+		// The conv products: positions (forward) and taps (dW) as rows,
+		// both ragged against 8, outC with and without a ragged panel.
+		g := ConvGeom{InC: 4, InH: 7, InW: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+		colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+		img := make([]float64, g.ImageSize())
+		fillMixed(rng, img)
+		cols := make([]float64, g.ColSize())
+		im2colRef(cols, img, g)
+		for _, outC := range []int{8, 13, 24} {
+			if !pairWorthwhile(spatial, colRows, outC) || !pairWorthwhile(colRows, spatial, outC) {
+				t.Fatalf("conv %+v outC=%d does not clear the pair gate", g, outC)
+			}
+			w, dy := New(outC, colRows), New(outC, spatial)
+			fillMixed(rng, w.Data)
+			fillMixed(rng, dy.Data)
+			want := make([]float64, outC*spatial)
+			naiveMatMul(want, w.Data, cols, outC, colRows, spatial)
+			got := ConvMatMulInto(New(outC, spatial), w, img, g)
+			requireBitEqual(t, fmt.Sprintf("workers=%d ConvMatMulInto", workers), got.Data, want, outC, colRows, spatial)
+			wantDW := make([]float64, outC*colRows)
+			naiveTransB(wantDW, dy.Data, cols, outC, spatial, colRows)
+			gotDW := ConvMatMulTransBInto(New(outC, colRows), dy, img, g)
+			requireBitEqual(t, fmt.Sprintf("workers=%d ConvMatMulTransBInto", workers), gotDW.Data, wantDW, outC, spatial, colRows)
 		}
 	}
 }

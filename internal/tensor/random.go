@@ -10,7 +10,7 @@ import (
 // lets concurrent group replicas own independent streams.
 func (t *Tensor) RandNormal(rng *rand.Rand, mean, std float64) *Tensor {
 	for i := range t.Data {
-		t.Data[i] = mean + std*rng.NormFloat64()
+		t.Data[i] = mean + float64(std*rng.NormFloat64())
 	}
 	return t
 }

@@ -281,9 +281,7 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 // AddInPlace adds o to t elementwise. Shapes must have equal element counts.
 func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
 	checkSameSize("AddInPlace", t, o)
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
+	addTo(t.Data, o.Data)
 	return t
 }
 
@@ -317,7 +315,7 @@ func (t *Tensor) Scale(s float64) *Tensor {
 func (t *Tensor) AddScaled(s float64, o *Tensor) *Tensor {
 	checkSameSize("AddScaled", t, o)
 	for i, v := range o.Data {
-		t.Data[i] += s * v
+		t.Data[i] += float64(s * v)
 	}
 	return t
 }
@@ -397,7 +395,7 @@ func (t *Tensor) Min() float64 {
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0
 	for _, v := range t.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -407,7 +405,7 @@ func Dot(a, b *Tensor) float64 {
 	checkSameSize("Dot", a, b)
 	s := 0.0
 	for i, v := range a.Data {
-		s += v * b.Data[i]
+		s += float64(v * b.Data[i])
 	}
 	return s
 }

@@ -124,6 +124,19 @@ func BenchmarkAddScaled(b *testing.B) {
 	}
 }
 
+// BenchmarkAddInPlace accumulates the largest gradient of the paper's
+// model (the 256→64 dense layer's dW at the spine's 16-pixel spec).
+func BenchmarkAddInPlace(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	x := New(256, 64)
+	y := New(256, 64).RandNormal(rng, 0, 1e-3)
+	b.SetBytes(int64(8 * x.Size()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		x.AddInPlace(y)
+	}
+}
+
 // paperConvGeoms are the two convolutions of the paper's GTSRB model as
 // the benchmark spine runs it (3→8 channels on 16×16, 8→16 on 8×8, both
 // 3×3 / stride 1 / pad 1): the shapes the conv products and the col2im

@@ -183,12 +183,20 @@ func lockStore(dir string) (*os.File, error) {
 	return lock, nil
 }
 
+// afterManifestMiss is a test seam, nil outside tests: openManifest
+// calls it between finding no manifest and looking for Compact's temp
+// file, the window in which a rename can land.
+var afterManifestMiss func()
+
 // openManifest opens the manifest tolerating a concurrently-compacting
 // coordinator. Compact replaces the file atomically via rename, but a
 // reader that raced StoreExists can still observe ErrNotExist on
 // filesystems that surface the swap as unlink+link; the in-flight
 // rename is distinguishable from a genuinely fresh store by Compact's
-// temp file, so retry while one is visible.
+// temp file, so retry while one is visible. Seeing neither the manifest
+// nor a temp file is not yet a fresh store: the rename may have landed
+// between the two looks — the only way the temp can vanish — so the
+// manifest gets one more look, and only its absence then means fresh.
 func openManifest(dir string) (*os.File, error) {
 	path := filepath.Join(dir, manifestName)
 	for attempt := 0; ; attempt++ {
@@ -196,9 +204,12 @@ func openManifest(dir string) (*os.File, error) {
 		if err == nil || !errors.Is(err, os.ErrNotExist) || attempt >= 100 {
 			return f, err
 		}
+		if afterManifestMiss != nil {
+			afterManifestMiss()
+		}
 		tmps, _ := filepath.Glob(filepath.Join(dir, ".manifest-*"))
 		if len(tmps) == 0 {
-			return nil, err // fresh store, not a rename in flight
+			return os.Open(path)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

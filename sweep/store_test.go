@@ -62,6 +62,39 @@ func TestOpenStoreWaitsOutCompactRename(t *testing.T) {
 	}
 }
 
+// TestOpenStoreSeesRenameLandingBetweenItsTwoLooks is the window the
+// test above used to hit one run in a few hundred: the manifest is
+// absent when OpenStore looks for it, Compact's rename lands, and the
+// temp file is gone when OpenStore looks for that — neither look finds
+// anything, yet the store is complete, and treating it as fresh would
+// rerun every finished job. The seam performs the rename at exactly
+// that point.
+func TestOpenStoreSeesRenameLandingBetweenItsTwoLooks(t *testing.T) {
+	dir := t.TempDir()
+	line, err := json.Marshal(sweep.Entry{ID: "job-1", Name: "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, ".manifest-123")
+	if err := os.WriteFile(tmp, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sweep.SetAfterManifestMiss(func() {
+		if err := os.Rename(tmp, filepath.Join(dir, "manifest.jsonl")); err != nil {
+			t.Error(err)
+		}
+	})
+	defer sweep.SetAfterManifestMiss(nil)
+	s, err := sweep.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 1 {
+		t.Fatalf("store loaded %d entries when the rename landed between the open and the glob, want 1", s.Len())
+	}
+}
+
 // TestOpenStoreFreshDirIsNotRetried: no manifest and no compact temp
 // file is simply a new store, not a rename in flight.
 func TestOpenStoreFreshDirIsNotRetried(t *testing.T) {
