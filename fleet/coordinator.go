@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"net"
 	"net/http"
+	"os"
 	"sync"
 	"time"
 
@@ -403,7 +404,11 @@ func (c *Coordinator) handle(conn net.Conn, admit func() bool) {
 			if err != nil {
 				return
 			}
-			if err := fc.WriteAck(transport.FleetAck{OK: c.applyProgress(worker, connID, msg)}); err != nil {
+			ok, perr := c.applyProgress(worker, connID, msg)
+			if perr != nil {
+				return // the sweep has failed; the worker's next lease request drains it
+			}
+			if err := fc.WriteAck(transport.FleetAck{OK: ok}); err != nil {
 				return
 			}
 		case transport.FrameFleetResult:
@@ -456,14 +461,14 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 	}
 
 	// Checkpoint handoff: attach the previous holder's uploaded state
-	// when the store vouches for it (LoadProgress applies the one
+	// when the store vouches for it (LoadBoundary applies the one
 	// resume-soundness rule the executor itself re-checks on arrival).
 	j := st.job
 	var progJSON, ckpt []byte
 	handoffRound := 0
 	if c.cfg.CheckpointEvery > 0 {
-		if prior, ok := c.store.LoadProgress(j); ok {
-			if data, ok := c.store.ReadCheckpoint(j); ok {
+		if prior, path, ok := c.store.LoadBoundary(j); ok {
+			if data, err := os.ReadFile(path); err == nil {
 				if buf, err := json.Marshal(prior); err == nil {
 					progJSON, ckpt = buf, data
 					handoffRound = prior.Round
@@ -516,33 +521,34 @@ func (c *Coordinator) leaseOfLocked(connID uint64, jobID string) *jobState {
 }
 
 // applyProgress persists a checkpoint upload and renews the lease.
-// Returns false when the sender no longer holds the lease.
-func (c *Coordinator) applyProgress(worker string, connID uint64, msg transport.FleetProgress) bool {
+// ok=false means the sender no longer holds the lease, and only that: a
+// store that cannot take the upload is an error, which has already
+// failed the sweep — acked as a lost lease it would have the worker
+// abandon the job and the next holder fail at the same write, forever.
+func (c *Coordinator) applyProgress(worker string, connID uint64, msg transport.FleetProgress) (ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.leaseOfLocked(connID, msg.JobID)
 	if st == nil {
 		c.mStale.Inc()
-		return false
+		return false, nil
 	}
 	var p sweep.Progress
 	if err := json.Unmarshal(msg.Progress, &p); err != nil || p.Round != msg.Round {
 		c.mStale.Inc()
-		return false
+		return false, nil
 	}
-	// Checkpoint first, then the sidecar — the same write order the
-	// Scheduler's resume-soundness rule assumes.
-	if err := c.store.WriteCheckpoint(st.job, msg.Ckpt); err != nil {
-		return false
-	}
-	if err := c.store.SaveProgress(st.job, p); err != nil {
-		return false
+	if err := c.store.SaveBoundary(st.job, p, msg.Ckpt); err != nil {
+		err = fmt.Errorf("fleet: persisting round %d of job %s: %w", msg.Round, st.job.Name, err)
+		c.emitLocked(Event{Kind: JobFailed, Worker: worker, Job: st.job, Round: msg.Round, Err: err})
+		c.failLocked(err)
+		return false, err
 	}
 	st.round = msg.Round
 	st.deadline = time.Now().Add(c.cfg.LeaseTTL)
 	c.mCkptBytes.Observe(float64(len(msg.Ckpt)))
 	c.emitLocked(Event{Kind: JobProgressed, Worker: worker, Job: st.job, Round: msg.Round})
-	return true
+	return true, nil
 }
 
 // applyResult records a completed job (or aborts the sweep on a worker

@@ -22,9 +22,9 @@
 //     partition) has its job reassigned; its uploaded checkpoints let
 //     the next worker resume mid-job bit-identically (the same
 //     resume-soundness rule as the Scheduler: checkpoint and progress
-//     sidecar must agree, else the job reruns from scratch — never
-//     wrong, only slower). A zombie worker's late messages are fenced
-//     by a per-grant lease nonce.
+//     sidecar must agree, else the pair before them is taken, or the
+//     job reruns from scratch — never wrong, only slower). A zombie
+//     worker's late messages are fenced by a per-grant lease nonce.
 //
 // Protocol (strictly worker-initiated request/response):
 //
@@ -79,8 +79,9 @@ const (
 	JobReassigned
 	// JobRecorded fires when a job's result lands in the store.
 	JobRecorded
-	// JobFailed fires when a worker reports a job error (the sweep
-	// aborts, mirroring the Scheduler's first-error semantics).
+	// JobFailed fires when a worker reports a job error, or the store
+	// cannot take a checkpoint it uploaded (the sweep aborts, mirroring
+	// the Scheduler's first-error semantics).
 	JobFailed
 	// SweepCompleted fires once, after the final result is recorded and
 	// the store compacted.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -509,10 +510,7 @@ func TestFleetWorkerWritesNothingPerRound(t *testing.T) {
 	errStop := errors.New("stop after the first checkpoint")
 	_, err = sweep.RunLeased(context.Background(), resumed, t.TempDir(), 1, nil, sweep.LeaseCallbacks{
 		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
-			if err := store.WriteCheckpoint(resumed, ckpt); err != nil {
-				return err
-			}
-			if err := store.SaveProgress(resumed, p); err != nil {
+			if err := store.SaveBoundary(resumed, p, ckpt); err != nil {
 				return err
 			}
 			return errStop
@@ -583,12 +581,85 @@ func TestFleetWorkerWritesNothingPerRound(t *testing.T) {
 	if !handoff[resumed.ID] {
 		t.Fatalf("%s was not leased with its handoff", resumed.Name)
 	}
-	// Every round of the fresh jobs, every round but the first of the
-	// resumed one.
-	if want := len(jobs)*testGrid().Rounds - 1; uploads != want {
+	// Every round but the last of the fresh jobs, and not the first
+	// either of the resumed one.
+	if want := len(jobs)*(testGrid().Rounds-1) - 1; uploads != want {
 		t.Fatalf("saw %d checkpoint uploads, want %d", uploads, want)
 	}
 	if entries, err := os.ReadDir(scratch); err != nil || len(entries) != 0 {
 		t.Fatalf("scratch after the sweep: %v, %v", entries, err)
+	}
+}
+
+// TestFleetPersistenceFailureFailsTheSweep: a store that cannot take a
+// worker's checkpoint is the coordinator's failure, not the worker's
+// lost lease. Acked as one, the worker abandons the job, the lease
+// expires, the next grant fails at the same write, and the sweep never
+// ends nor reports why; instead the first failed write must come out of
+// Wait naming the job, the round and the file, with the job never
+// leased again.
+func TestFleetPersistenceFailureFailsTheSweep(t *testing.T) {
+	jobs := jobsOf(t, testGrid())[:1]
+	dir := t.TempDir()
+	store, err := sweep.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	// A regular file where the directory should be refuses every write
+	// below it, for root too.
+	ckpt := filepath.Join(dir, "ckpt")
+	if err := os.Remove(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu     sync.Mutex
+		leases int
+	)
+	c, err := fleet.Serve("127.0.0.1:0", jobs, store, fleet.Config{
+		LeaseTTL:        200 * time.Millisecond,
+		CheckpointEvery: 1,
+		Observers: []fleet.Observer{fleet.ObserverFunc(func(e fleet.Event) {
+			if e.Kind == fleet.JobLeased {
+				mu.Lock()
+				leases++
+				mu.Unlock()
+			}
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- fleet.RunWorker(ctx, fleet.WorkerConfig{Addr: c.Addr().String(), Name: "w"})
+	}()
+	wctx, wcancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer wcancel()
+	_, err = c.Wait(wctx)
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait = %v, want the store's write error", err)
+	}
+	for _, part := range []string{jobs[0].Name, "round 1", ckpt} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
+	}
+	// The worker is told the sweep is over, not that its lease is lost.
+	if werr := <-done; !workerOK(werr) {
+		t.Fatalf("worker: %v", werr)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if leases != 1 {
+		t.Fatalf("the job was leased %d times, want once", leases)
 	}
 }

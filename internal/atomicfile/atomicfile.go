@@ -1,7 +1,8 @@
 // Package atomicfile is the single durable-write path: every file the
-// repo replaces in place (sim checkpoints, progress sidecars, uploaded
-// checkpoints, the compacted manifest) goes through Write, so a crash
-// harness has one seam to cut.
+// repo writes whole or not at all — a sim checkpoint at a user-named
+// path and the compacted manifest, replaced in place; a sweep store's
+// checkpoint and sidecar generations, each onto a name nothing holds —
+// goes through Write, so a crash harness has one seam to cut.
 package atomicfile
 
 import (

@@ -10,6 +10,7 @@ const (
 	TempCreated = tempCreated
 	HalfWritten = halfWritten
 	AllWritten  = allWritten
+	Closed      = closed
 	Renamed     = renamed
 )
 

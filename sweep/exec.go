@@ -10,33 +10,30 @@ import (
 // jobSink is where one executing job keeps its transient state: the
 // Scheduler's is the Store (Store.sink), a fleet worker's the lease
 // callbacks, with its scratch directory staging a handoff (RunLeased).
+// The job's Runner writes no file either way: every checkpoint it
+// encodes reaches save and nothing else.
 type jobSink struct {
-	// ckptPath is where an earlier execution's sim checkpoint lives when
-	// there is a handoff.
-	ckptPath string
-	// runnerWrites has the job's Runner rewrite ckptPath at every
-	// checkpoint (the Store keeps its jobs' checkpoints on disk); without
-	// it the bytes reach save alone (a lease checkpoints into the wire).
-	runnerWrites bool
-	// load returns the progress sidecar an earlier execution left with
-	// the checkpoint at ckptPath, ok=false when there is none. Whether
-	// the pair is usable is soundHandoff's call.
-	load func() (Progress, bool)
-	// save persists the sidecar of the checkpoint the Runner just encoded
-	// (and, with runnerWrites, wrote). ckpt is the Runner's buffer, valid
-	// during the call only. An error aborts the job.
+	// load returns the progress sidecar an earlier execution left and
+	// the path of the sim checkpoint it goes with, ok=false when there is
+	// none — drop is then not called, a load that declines leaves
+	// nothing it should remove. Whether the pair is usable is
+	// soundHandoff's call.
+	load func() (p Progress, ckptPath string, ok bool)
+	// save persists the checkpoint the Runner just encoded and its
+	// sidecar. ckpt is the Runner's buffer, valid during the call only.
+	// An error aborts the job.
 	save func(p Progress, ckpt []byte) error
-	// drop removes the checkpoint and its sidecar.
+	// drop removes whatever load found.
 	drop func()
 }
 
 // soundHandoff is the resume-soundness rule: a job may continue from a
 // sim checkpoint only when the checkpoint and the progress sidecar name
-// the same round of the job's scheme, with rounds still to run. A crash
-// between the two writes leaves the sidecar one checkpoint behind, and
-// seeding the cumulative ledger from it would corrupt every later sum —
-// so anything else is discarded and the job reruns from scratch (never
-// wrong, only slower).
+// the same round of the job's scheme, with rounds still to run. Seeding
+// the cumulative ledger from a sidecar of any other round would corrupt
+// every later sum — so anything else is discarded (never wrong, only
+// slower: the Store falls back to the generation before, a lease to a
+// rerun from scratch).
 func soundHandoff(j Job, ckptPath string, prior Progress) bool {
 	scheme, round, err := sim.PeekCheckpoint(ckptPath)
 	return err == nil && scheme == j.Scheme && round == prior.Round && round < j.Rounds
@@ -45,30 +42,29 @@ func soundHandoff(j Job, ckptPath string, prior Progress) bool {
 // runJob executes one job to completion: resumed from the sink's
 // handoff when it is sound, from scratch otherwise. With a sink and a
 // positive checkpointEvery the run checkpoints at that cadence and
-// hands the sink a progress sidecar at every boundary; a nil sink keeps
-// no transient state. onResumed (once, before training) and onRound
-// (after every round) may be nil and run on the training goroutine.
+// hands the sink the pair of every boundary but the one after the last
+// round — nothing could resume from that one (soundHandoff), and saving
+// it would supersede the last pair something can; a nil sink keeps no
+// transient state. onResumed (once, before training) and onRound (after
+// every round) may be nil and run on the training goroutine.
 func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 	onResumed func(round int), onRound func(round, rounds int, hostSeconds float64)) (JobResult, error) {
 	var (
-		prior  Progress
-		resume bool
-		opts   []sim.RunOption
+		prior    Progress
+		ckptPath string
+		resume   bool
+		opts     []sim.RunOption
 	)
 	if sink != nil {
-		if p, ok := sink.load(); ok && soundHandoff(j, sink.ckptPath, p) {
-			prior, resume = p, true
-		} else {
+		if p, path, ok := sink.load(); ok && soundHandoff(j, path, p) {
+			prior, ckptPath, resume = p, path, true
+		} else if ok {
 			sink.drop()
 		}
-		// Stated even when empty or zero: a resumed Runner would otherwise
-		// inherit the handoff file as its path, and the cadence it was
-		// written at.
-		path := ""
-		if sink.runnerWrites && checkpointEvery > 0 {
-			path = sink.ckptPath
-		}
-		opts = append(opts, sim.WithCheckpointPath(path), sim.WithCheckpointEvery(checkpointEvery))
+		// Stated even though empty or zero: a resumed Runner would
+		// otherwise inherit the handoff file as its path, and the cadence
+		// it was written at.
+		opts = append(opts, sim.WithCheckpointPath(""), sim.WithCheckpointEvery(checkpointEvery))
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -83,7 +79,7 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 	opts = append(opts, sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
 		sum.Merge(e.Ledger)
 		totalSec += e.RoundSeconds
-		if sink != nil && e.Checkpoint != nil && sinkErr == nil {
+		if sink != nil && e.Checkpoint != nil && e.Round < j.Rounds && sinkErr == nil {
 			p := Progress{Round: e.Round, Components: componentsOf(&sum), TotalSeconds: totalSec}
 			if sinkErr = sink.save(p, e.Checkpoint); sinkErr != nil {
 				// The cancellation lands at the next round boundary.
@@ -100,7 +96,7 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 		if onResumed != nil {
 			onResumed(prior.Round)
 		}
-		from = &experiment.Handoff{CheckpointPath: sink.ckptPath, Round: prior.Round, Ledger: sum, TotalSeconds: totalSec}
+		from = &experiment.Handoff{CheckpointPath: ckptPath, Round: prior.Round, Ledger: sum, TotalSeconds: totalSec}
 	}
 	res, err := experiment.RunJob(ctx, j, from, opts...)
 	if sinkErr != nil {

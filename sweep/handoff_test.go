@@ -3,6 +3,7 @@ package sweep_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,14 +14,15 @@ import (
 
 // handoffFixture holds one 4-round job, its uninterrupted result, and
 // the (checkpoint, sidecar) pair a killed execution would have left at
-// every round boundary — plus a round-2 checkpoint of the same cell
-// trained under another scheme.
+// every round boundary it saves — every one but the last round's, whose
+// pair (taken from a run one round longer) no sink is handed — plus the
+// checkpoints of the same cell trained under another scheme.
 type handoffFixture struct {
-	job     sweep.Job
-	ref     sweep.JobResult
-	ckpt    map[int][]byte
-	prog    map[int]sweep.Progress
-	slCkpt2 []byte
+	job    sweep.Job
+	ref    sweep.JobResult
+	ckpt   map[int][]byte
+	prog   map[int]sweep.Progress
+	slCkpt map[int][]byte
 	// v1Ckpt is a checkpoint in the retired gob format, as a sweep killed
 	// under an older binary leaves one.
 	v1Ckpt []byte
@@ -34,7 +36,7 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 		Name: "h", Base: env.TestSpec(), Rounds: handoffRounds, EvalEvery: 1,
 		Axes: sweep.Axes{Groups: []int{2}, Schemes: []string{"gsfl", "sl"}},
 	})
-	fx := handoffFixture{job: jobs[0], ckpt: map[int][]byte{}, prog: map[int]sweep.Progress{}}
+	fx := handoffFixture{job: jobs[0], ckpt: map[int][]byte{}, prog: map[int]sweep.Progress{}, slCkpt: map[int][]byte{}}
 	if fx.job.Scheme != "gsfl" || jobs[1].Scheme != "sl" {
 		t.Fatalf("fixture grid expanded to %s, %s", fx.job.Scheme, jobs[1].Scheme)
 	}
@@ -49,18 +51,34 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fx.ckpt) != handoffRounds {
-		t.Fatalf("captured %d checkpoints, want %d", len(fx.ckpt), handoffRounds)
+	// The boundary after the last round is not saved: the newest pair a
+	// crash between that round and the result leaves is round Rounds-1's.
+	if _, saved := fx.ckpt[handoffRounds]; saved || len(fx.ckpt) != handoffRounds-1 {
+		t.Fatalf("captured checkpoints of %d rounds (last round's: %v), want rounds 1..%d",
+			len(fx.ckpt), saved, handoffRounds-1)
 	}
-	if _, err := sweep.RunLeased(context.Background(), jobs[1], t.TempDir(), 1, nil, sweep.LeaseCallbacks{
-		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
-			if p.Round == 2 {
-				fx.slCkpt2 = append([]byte(nil), ckpt...)
-			}
-			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
+	longer := jobsOf(t, sweep.Grid{
+		Name: "h", Base: env.TestSpec(), Rounds: handoffRounds + 1, EvalEvery: 1,
+		Axes: sweep.Axes{Groups: []int{2}, Schemes: []string{"gsfl"}},
+	})
+	for _, other := range []sweep.Job{jobs[1], longer[0]} {
+		if _, err := sweep.RunLeased(context.Background(), other, t.TempDir(), 1, nil, sweep.LeaseCallbacks{
+			OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
+				switch {
+				case other.Scheme == "sl":
+					fx.slCkpt[p.Round] = append([]byte(nil), ckpt...)
+				case other.Scheme == "gsfl" && p.Round == handoffRounds:
+					fx.ckpt[p.Round] = append([]byte(nil), ckpt...)
+					fx.prog[p.Round] = p
+				}
+				return nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(fx.slCkpt) != handoffRounds-1 || fx.ckpt[handoffRounds] == nil {
+		t.Fatal("fixture runs did not reach the boundaries they are run for")
 	}
 	if fx.v1Ckpt, err = os.ReadFile(filepath.Join("..", "sim", "testdata", "checkpoint_v1.gob")); err != nil {
 		t.Fatal(err)
@@ -69,10 +87,12 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 }
 
 // handoffCase is one state a killed execution (or a hostile disk) can
-// leave behind. prog nil means the sidecar is missing; resumeAt 0 means
-// the handoff must be rejected.
+// leave behind: a pair, in the store as the generation named gen. prog
+// nil means the sidecar is missing; resumeAt 0 means the handoff must
+// be rejected.
 type handoffCase struct {
 	name     string
+	gen      int
 	ckpt     []byte
 	prog     *sweep.Progress
 	resumeAt int
@@ -80,20 +100,82 @@ type handoffCase struct {
 
 func (fx handoffFixture) cases() []handoffCase {
 	p := func(r int) *sweep.Progress { v := fx.prog[r]; return &v }
+	last := handoffRounds - 1
 	return []handoffCase{
-		{"sidecar one checkpoint behind", fx.ckpt[2], p(1), 0},
-		{"scheme mismatch", fx.slCkpt2, p(2), 0},
-		{"checkpoint at Rounds", fx.ckpt[handoffRounds], p(handoffRounds), 0},
-		{"unreadable checkpoint", []byte("not a checkpoint"), p(2), 0},
-		{"parent-format (v1) checkpoint", fx.v1Ckpt, p(2), 0},
-		{"sidecar missing", fx.ckpt[2], nil, 0},
-		{"valid handoff", fx.ckpt[2], p(2), 2},
+		{"sidecar one checkpoint behind", 2, fx.ckpt[2], p(1), 0},
+		{"scheme mismatch", 2, fx.slCkpt[2], p(2), 0},
+		{"checkpoint at Rounds", handoffRounds, fx.ckpt[handoffRounds], p(handoffRounds), 0},
+		{"unreadable checkpoint", 2, []byte("not a checkpoint"), p(2), 0},
+		{"parent-format (v1) checkpoint", 2, fx.v1Ckpt, p(2), 0},
+		{"sidecar missing", 2, fx.ckpt[2], nil, 0},
+		{"valid handoff", 2, fx.ckpt[2], p(2), 2},
+		// The last round ran and the result did not land: what is held is
+		// the pair before it, and only that round is run again.
+		{"crash after the last round", last, fx.ckpt[last], p(last), last},
 	}
 }
 
 func exists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
+}
+
+// genFile is where a store rooted at dir keeps one file (ext "ckpt" or
+// "progress") of the job's generation at round.
+func genFile(dir string, j sweep.Job, round int, ext string) string {
+	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%d.%s", j.ID, round, ext))
+}
+
+// plantGen writes a generation into a store's directory as a killed
+// execution would have left it, sound or not; a nil half is left out.
+func plantGen(t *testing.T, dir string, j sweep.Job, round int, ckpt []byte, prog *sweep.Progress) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, "ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if ckpt != nil {
+		if err := os.WriteFile(genFile(dir, j, round, "ckpt"), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if prog != nil {
+		buf, err := json.Marshal(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(genFile(dir, j, round, "progress"), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// requireStore fails unless the store rooted at dir holds exactly the
+// files of an uninterrupted run — so nothing under ckpt/.
+func requireStore(t *testing.T, want map[string]string, dir string) {
+	t.Helper()
+	got := readTree(t, dir)
+	if len(got) != len(want) {
+		t.Fatalf("store has %d files, want %d", len(got), len(want))
+	}
+	for path, body := range want {
+		if got[path] != body {
+			t.Fatalf("store file %s differs from the uninterrupted run", path)
+		}
+	}
+}
+
+// ckptFiles lists what a store rooted at dir holds under ckpt/.
+func ckptFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestHandoffRuleStoreSink drives the one resume rule through the
@@ -109,21 +191,12 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 	for _, tc := range fx.cases() {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
+			plantGen(t, dir, fx.job, tc.gen, tc.ckpt, tc.prog)
 			store, err := sweep.OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer store.Close()
-			if err := store.WriteCheckpoint(fx.job, tc.ckpt); err != nil {
-				t.Fatal(err)
-			}
-			if tc.prog != nil {
-				if err := store.SaveProgress(fx.job, *tc.prog); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ckptPath := store.CheckpointPath(fx.job)
-			progPath := filepath.Join(dir, "ckpt", fx.job.ID+".progress")
 
 			var kinds []sweep.EventKind
 			resumedAt, firstRound := 0, 0
@@ -138,8 +211,8 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 						resumedAt = e.Round
 					case e.Kind == sweep.JobRound && firstRound == 0:
 						firstRound = e.Round
-						if tc.resumeAt == 0 && (exists(ckptPath) || exists(progPath)) {
-							t.Errorf("rejected handoff left its transient pair behind")
+						if left := ckptFiles(t, dir); tc.resumeAt == 0 && len(left) != 0 {
+							t.Errorf("rejected handoff left its transient pair behind: %v", left)
 						}
 					}
 				})}}
@@ -166,17 +239,50 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 					t.Fatalf("event sequence %v, want %v", kinds, wantKinds)
 				}
 			}
-			got := readTree(t, dir)
-			if len(got) != len(want) {
-				t.Fatalf("store has %d files, want %d", len(got), len(want))
-			}
-			for path, body := range want {
-				if got[path] != body {
-					t.Fatalf("store file %s differs from the uninterrupted run", path)
-				}
-			}
+			requireStore(t, want, dir)
 		})
 	}
+
+	// The last case again, the pair not planted but taken from a live
+	// store at the instant its last round ends: the Scheduler must not
+	// have superseded the last pair a job can resume from.
+	t.Run("crash after the last round, as a live run leaves it", func(t *testing.T) {
+		live, crashed := t.TempDir(), t.TempDir()
+		runSweep(t, []sweep.Job{fx.job}, live, &sweep.Scheduler{Jobs: 1, CheckpointEvery: 1,
+			Observers: []sweep.Observer{sweep.ObserverFunc(func(e sweep.Event) {
+				if e.Kind != sweep.JobRound || e.Round != handoffRounds {
+					return
+				}
+				for _, name := range ckptFiles(t, live) {
+					buf, err := os.ReadFile(filepath.Join(live, "ckpt", name))
+					if err != nil {
+						t.Error(err)
+					}
+					if err := os.MkdirAll(filepath.Join(crashed, "ckpt"), 0o755); err != nil {
+						t.Error(err)
+					}
+					if err := os.WriteFile(filepath.Join(crashed, "ckpt", name), buf, 0o644); err != nil {
+						t.Error(err)
+					}
+				}
+			})}})
+		last := handoffRounds - 1
+		wantFiles := []string{filepath.Base(genFile(crashed, fx.job, last, "ckpt")), filepath.Base(genFile(crashed, fx.job, last, "progress"))}
+		if got := ckptFiles(t, crashed); fmt.Sprint(got) != fmt.Sprint(wantFiles) {
+			t.Fatalf("after the last round ckpt/ held %v, want %v", got, wantFiles)
+		}
+		resumedAt := -1
+		runSweep(t, []sweep.Job{fx.job}, crashed, &sweep.Scheduler{Jobs: 1, CheckpointEvery: 1,
+			Observers: []sweep.Observer{sweep.ObserverFunc(func(e sweep.Event) {
+				if e.Kind == sweep.JobResumed {
+					resumedAt = e.Round
+				}
+			})}})
+		if resumedAt != last {
+			t.Fatalf("resumed after round %d, want %d", resumedAt, last)
+		}
+		requireStore(t, want, crashed)
+	})
 }
 
 // TestHandoffRuleLeaseSink drives the same table through RunLeased

@@ -135,10 +135,12 @@ type LeaseCallbacks struct {
 	// OnResumed fires once, before training, when the job continues from
 	// the handoff checkpoint rather than starting fresh.
 	OnResumed func(round int)
-	// OnCheckpoint fires at every checkpoint boundary with the progress
-	// sidecar and the checkpoint bytes just encoded — the Runner's own
-	// buffer, valid during the call only. An error aborts the job (the
-	// worker lost its lease, or the coordinator is gone).
+	// OnCheckpoint fires at every checkpoint boundary but the one after
+	// the last round (the result follows at once, and nothing resumes a
+	// finished job) with the progress sidecar and the checkpoint bytes
+	// just encoded — the Runner's own buffer, valid during the call
+	// only. An error aborts the job (the worker lost its lease, or the
+	// coordinator is gone).
 	OnCheckpoint func(p Progress, ckpt []byte) error
 }
 
@@ -153,14 +155,13 @@ type LeaseCallbacks struct {
 func RunLeased(ctx context.Context, j Job, scratchDir string, checkpointEvery int, handoff *LeaseCheckpoint, cb LeaseCallbacks) (JobResult, error) {
 	path := filepath.Join(scratchDir, j.ID+".ckpt")
 	sink := &jobSink{
-		ckptPath: path,
-		// The handoff arrived with the lease: stage its bytes where the
-		// executor expects them. One that cannot be staged is no handoff.
-		load: func() (Progress, bool) {
+		// The handoff arrived with the lease: stage its bytes for the
+		// executor to resume from. One that cannot be staged is no handoff.
+		load: func() (Progress, string, bool) {
 			if handoff == nil || len(handoff.Ckpt) == 0 || os.WriteFile(path, handoff.Ckpt, 0o644) != nil {
-				return Progress{}, false
+				return Progress{}, "", false
 			}
-			return handoff.Progress, true
+			return handoff.Progress, path, true
 		},
 		save: func(p Progress, ckpt []byte) error {
 			if cb.OnCheckpoint == nil {

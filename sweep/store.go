@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -20,15 +23,27 @@ import (
 
 // Store layout under its directory:
 //
-//	manifest.jsonl         one Entry per completed job, appended as jobs
-//	                       finish, rewritten into job order on Compact
-//	curves/<id>.csv        the job's training curve (trace long format)
-//	ckpt/<id>.ckpt         sim checkpoint of an in-flight job (transient)
-//	ckpt/<id>.progress     sweep-side cumulative ledger at the same round
-//	                       boundary as the checkpoint (transient)
+//	manifest.jsonl           one Entry per completed job, appended as jobs
+//	                         finish, rewritten into job order on Compact
+//	curves/<id>.csv          the job's training curve (trace long format)
+//	ckpt/<id>.<r>.ckpt       sim checkpoint of an in-flight job after
+//	                         round r (transient)
+//	ckpt/<id>.<r>.progress   sweep-side cumulative ledger at the same
+//	                         boundary (transient); its rename commits the
+//	                         pair
 //
 // Everything durable is keyed by the job's content-hash ID, so a store
 // is shared safely by overlapping grids and across resumed runs.
+//
+// A boundary's pair is a generation, named by its round, and a
+// generation is written onto names nothing holds: the checkpoint, then
+// the sidecar, and only once the sidecar has landed is the generation
+// before it unlinked. No live transient file is ever overwritten — a
+// rename onto an existing name makes ext4 (auto_da_alloc) allocate and
+// write the new file back at once, 200 KB to the block device every
+// round for state deleted a round later, while a file renamed onto a
+// fresh name and unlinked soon after never leaves the page cache. A
+// sound pair is on disk at every instant from the first boundary on.
 const (
 	manifestName = "manifest.jsonl"
 	curvesDir    = "curves"
@@ -42,9 +57,11 @@ const (
 	timingsName = "timings.jsonl"
 	// lockName is the store's advisory-lock file.
 	lockName = ".lock"
-	// ckptTemp and progressTemp name the temp files a transient pair is
-	// written through (atomicfile.Write patterns; ckptTemp is also the
-	// one sim's Runner writes CheckpointPath through).
+	// ckptExt and progressExt end the two files of a generation;
+	// ckptTemp and progressTemp name the temp files they are written
+	// through (atomicfile.Write patterns).
+	ckptExt      = ".ckpt"
+	progressExt  = ".progress"
 	ckptTemp     = ".ckpt-*"
 	progressTemp = ".progress-*"
 )
@@ -84,9 +101,10 @@ type Entry struct {
 
 // Progress is the transient sidecar persisted next to a job's sim
 // checkpoint: the sweep-level accumulators the checkpoint itself does
-// not carry. Round must match the checkpoint's completed rounds; a
-// mismatch (crash between the two writes) discards both and the job
-// restarts from scratch — determinism is never at risk, only work.
+// not carry. Round must match the checkpoint's completed rounds and the
+// round the pair's generation is named by; a pair that does not is
+// discarded for the generation before it, or a rerun from scratch —
+// determinism is never at risk, only work.
 // It is exported because the fleet coordinator ships it to workers as
 // part of a lease's checkpoint handoff.
 type Progress struct {
@@ -111,6 +129,11 @@ type Store struct {
 	timings map[string]float64 // job ID -> host seconds (transient sidecar)
 	f       *os.File           // manifest append handle
 	lock    *os.File           // flock handle on lockName
+
+	// genMu guards gen alone, apart from mu: a job's boundary must not
+	// wait behind another job's Record, which fsyncs under mu.
+	genMu sync.Mutex
+	gen   map[string]int // job ID -> round of its newest committed generation
 }
 
 // OpenStore opens (creating if needed) a sweep results directory and
@@ -129,15 +152,18 @@ func OpenStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A writer killed between CreateTemp and Rename left its temp file
-	// behind; under the lock no live writer can own one.
-	for _, pattern := range []string{ckptTemp, progressTemp} {
-		orphans, _ := filepath.Glob(filepath.Join(dir, ckptDir, pattern))
-		for _, o := range orphans {
-			os.Remove(o)
+	// Under the lock no live writer owns a file in ckpt/, and whatever is
+	// not a generation there has no reader: the temp file of a writer
+	// killed between CreateTemp and Rename, or a fixed-name <id>.ckpt /
+	// <id>.progress pair left by a binary from before generations — that
+	// job reruns from scratch, to the same bytes.
+	entries, _ := os.ReadDir(filepath.Join(dir, ckptDir))
+	for _, e := range entries {
+		if _, _, ok := splitGen(e.Name()); !ok {
+			os.Remove(filepath.Join(dir, ckptDir, e.Name()))
 		}
 	}
-	s := &Store{dir: dir, entries: map[string]*Entry{}, timings: map[string]float64{}, lock: lock}
+	s := &Store{dir: dir, entries: map[string]*Entry{}, timings: map[string]float64{}, gen: map[string]int{}, lock: lock}
 	path := filepath.Join(dir, manifestName)
 	if data, err := openManifest(dir); err == nil {
 		sc := bufio.NewScanner(data)
@@ -312,100 +338,155 @@ func (s *Store) Record(res JobResult) error {
 		return fmt.Errorf("sweep: syncing manifest: %w", err)
 	}
 	s.entries[e.ID] = e
-	s.dropTransientLocked(res.Job.ID)
+	s.dropTransient(res.Job.ID)
 	return nil
 }
 
-// CheckpointPath returns where the scheduler checkpoints an in-flight
-// job.
-func (s *Store) CheckpointPath(j Job) string {
-	return filepath.Join(s.dir, ckptDir, j.ID+".ckpt")
+// genName names one file of a job's generation at round.
+func genName(id string, round int, ext string) string {
+	return id + "." + strconv.Itoa(round) + ext
 }
 
-func (s *Store) progressPath(id string) string {
-	return filepath.Join(s.dir, ckptDir, id+".progress")
+// splitGen is genName's inverse: ok=false for any name that is not a
+// generation file — a temp file, a fixed-name <id>.ckpt of the layout
+// before generations, a round not spelt the one way genName spells it.
+// A job's files are the names whose id equals the job's, whole, so no
+// job's listing can match another's.
+func splitGen(name string) (id string, round int, ok bool) {
+	ext := filepath.Ext(name)
+	if ext != ckptExt && ext != progressExt {
+		return "", 0, false
+	}
+	stem := strings.TrimSuffix(name, ext)
+	dot := strings.LastIndexByte(stem, '.')
+	if dot < 1 {
+		return "", 0, false
+	}
+	round, err := strconv.Atoi(stem[dot+1:])
+	if err != nil || round < 1 || name != genName(stem[:dot], round, ext) {
+		return "", 0, false
+	}
+	return stem[:dot], round, true
 }
 
-// SaveProgress atomically persists the sweep-side accumulators at a
-// checkpoint boundary.
+func (s *Store) genPath(id string, round int, ext string) string {
+	return filepath.Join(s.dir, ckptDir, genName(id, round, ext))
+}
+
+// generations lists the rounds the job has a file of under ckpt/,
+// newest first.
+func (s *Store) generations(id string) []int {
+	entries, _ := os.ReadDir(filepath.Join(s.dir, ckptDir))
+	var rounds []int
+	for _, e := range entries {
+		if gid, r, ok := splitGen(e.Name()); ok && gid == id {
+			rounds = append(rounds, r)
+		}
+	}
+	slices.Sort(rounds)
+	rounds = slices.Compact(rounds) // a whole generation is two files
+	slices.Reverse(rounds)
+	return rounds
+}
+
+// removeGen unlinks one generation, the sidecar that commits it first.
+func (s *Store) removeGen(id string, round int) {
+	os.Remove(s.genPath(id, round, progressExt))
+	os.Remove(s.genPath(id, round, ckptExt))
+}
+
+// SaveBoundary persists the boundary after round p.Round of an
+// in-flight job as a new generation: the sim checkpoint, then — the
+// commit — the progress sidecar, each onto a name nothing holds, and
+// last the unlink of the generation it supersedes. A crash anywhere in
+// between leaves the newest committed pair whole for LoadBoundary.
+func (s *Store) SaveBoundary(j Job, p Progress, ckpt []byte) error {
+	path := s.genPath(j.ID, p.Round, ckptExt)
+	if err := atomicfile.Write(path, ckptTemp, ckpt); err != nil {
+		return fmt.Errorf("sweep: writing checkpoint %s: %w", path, err)
+	}
+	return s.SaveProgress(j, p)
+}
+
+// SaveProgress is the commit half of SaveBoundary: it atomically writes
+// the sidecar of generation p.Round, then unlinks the generation that
+// was the job's newest until now.
 func (s *Store) SaveProgress(j Job, p Progress) error {
 	buf, err := json.Marshal(p)
 	if err != nil {
 		return fmt.Errorf("sweep: encoding progress: %w", err)
 	}
-	if err := atomicfile.Write(s.progressPath(j.ID), progressTemp, buf); err != nil {
-		return fmt.Errorf("sweep: writing progress: %w", err)
+	path := s.genPath(j.ID, p.Round, progressExt)
+	if err := atomicfile.Write(path, progressTemp, buf); err != nil {
+		return fmt.Errorf("sweep: writing progress %s: %w", path, err)
+	}
+	s.genMu.Lock()
+	prev := s.gen[j.ID]
+	s.gen[j.ID] = p.Round
+	s.genMu.Unlock()
+	if prev != 0 && prev != p.Round {
+		s.removeGen(j.ID, prev)
 	}
 	return nil
 }
 
-// readProgress reads the job's progress sidecar, reporting ok=false
-// when absent or unreadable.
-func (s *Store) readProgress(id string) (Progress, bool) {
-	buf, err := os.ReadFile(s.progressPath(id))
-	if err != nil {
-		return Progress{}, false
+// LoadBoundary returns the handoff an earlier execution of the job left
+// behind: the newest generation whose sidecar names its own round and
+// forms a sound handoff with its checkpoint (see soundHandoff), as the
+// sidecar and the checkpoint's path. Every other file of the job — a
+// newer generation a crash tore, older ones it had no time to unlink,
+// an orphan checkpoint — is removed, so ok=false leaves the job nothing.
+func (s *Store) LoadBoundary(j Job) (p Progress, ckptPath string, ok bool) {
+	chosen := 0
+	for _, r := range s.generations(j.ID) {
+		if chosen == 0 {
+			q, err := s.readProgress(j.ID, r)
+			if err == nil && q.Round == r && soundHandoff(j, s.genPath(j.ID, r, ckptExt), q) {
+				p, chosen = q, r
+				continue
+			}
+		}
+		s.removeGen(j.ID, r)
 	}
+	s.genMu.Lock()
+	defer s.genMu.Unlock()
+	if chosen == 0 {
+		delete(s.gen, j.ID)
+		return Progress{}, "", false
+	}
+	s.gen[j.ID] = chosen
+	return p, s.genPath(j.ID, chosen, ckptExt), true
+}
+
+func (s *Store) readProgress(id string, round int) (Progress, error) {
 	var p Progress
-	if err := json.Unmarshal(buf, &p); err != nil {
-		return Progress{}, false
+	buf, err := os.ReadFile(s.genPath(id, round, progressExt))
+	if err == nil {
+		err = json.Unmarshal(buf, &p)
 	}
-	return p, true
+	return p, err
 }
 
-// LoadProgress returns the progress sidecar of a job that can resume
-// mid-run: ok only when the sidecar and the job's sim checkpoint form a
-// sound handoff (see soundHandoff). A fleet coordinator attaches that
-// pair to the job's next lease; anything else it drops.
-func (s *Store) LoadProgress(j Job) (Progress, bool) {
-	p, ok := s.readProgress(j.ID)
-	return p, ok && soundHandoff(j, s.CheckpointPath(j), p)
-}
-
-// sink is the Scheduler's jobSink for j: the sim checkpoint is written
-// straight into the store's ckpt directory, so progress is one sidecar
-// write and a handoff one sidecar read.
+// sink is the Scheduler's jobSink for j: the store itself.
 func (s *Store) sink(j Job) *jobSink {
 	return &jobSink{
-		ckptPath:     s.CheckpointPath(j),
-		runnerWrites: true,
-		load:         func() (Progress, bool) { return s.readProgress(j.ID) },
-		// A lost sidecar write only costs resume work; the run goes on.
-		save: func(p Progress, _ []byte) error { _ = s.SaveProgress(j, p); return nil },
+		load: func() (Progress, string, bool) { return s.LoadBoundary(j) },
+		save: func(p Progress, ckpt []byte) error { return s.SaveBoundary(j, p, ckpt) },
 		drop: func() { s.DropTransient(j) },
 	}
 }
 
-// WriteCheckpoint atomically replaces the job's sim checkpoint with
-// bytes received from elsewhere (a fleet worker's progress upload).
-func (s *Store) WriteCheckpoint(j Job, data []byte) error {
-	if err := atomicfile.Write(s.CheckpointPath(j), ckptTemp, data); err != nil {
-		return fmt.Errorf("sweep: writing checkpoint: %w", err)
+// DropTransient removes every generation of the job (used when falling
+// back to a from-scratch run, and once its result is recorded).
+func (s *Store) DropTransient(j Job) { s.dropTransient(j.ID) }
+
+func (s *Store) dropTransient(id string) {
+	for _, r := range s.generations(id) {
+		s.removeGen(id, r)
 	}
-	return nil
-}
-
-// ReadCheckpoint returns the job's sim checkpoint bytes (for handing a
-// partially-executed job to a fleet worker), or ok=false when absent.
-func (s *Store) ReadCheckpoint(j Job) ([]byte, bool) {
-	data, err := os.ReadFile(s.CheckpointPath(j))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// DropTransient removes the job's checkpoint and progress files (used
-// when falling back to a from-scratch run).
-func (s *Store) DropTransient(j Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropTransientLocked(j.ID)
-}
-
-func (s *Store) dropTransientLocked(id string) {
-	os.Remove(filepath.Join(s.dir, ckptDir, id+".ckpt"))
-	os.Remove(s.progressPath(id))
+	s.genMu.Lock()
+	delete(s.gen, id)
+	s.genMu.Unlock()
 }
 
 // timingEntry is one line of the transient timings sidecar.

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -179,5 +181,159 @@ func TestSkippedJobsCarryHostSeconds(t *testing.T) {
 	}
 	if got != 3.25 {
 		t.Fatalf("JobSkipped.HostSeconds = %v, want 3.25", got)
+	}
+}
+
+// TestLoadBoundaryPicksNewestSoundGeneration: what a killed run leaves
+// under ckpt/ is a set of generations, and the pair load takes the
+// newest one the resume rule accepts and removes every other file of
+// the job — whatever made the newer ones unsound.
+func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
+	fx := newHandoffFixture(t)
+	p := func(r int) *sweep.Progress { v := fx.prog[r]; return &v }
+	for _, tc := range []struct {
+		name string
+		ckpt []byte          // generation 3's checkpoint
+		prog *sweep.Progress // and its sidecar
+	}{
+		{"sidecar missing", fx.ckpt[3], nil},
+		{"checkpoint torn", fx.ckpt[3][:len(fx.ckpt[3])/2], p(3)},
+		{"scheme mismatch", fx.slCkpt[3], p(3)},
+		{"sidecar round is not the file name's", fx.ckpt[2], p(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			plantGen(t, dir, fx.job, 1, fx.ckpt[1], p(1))
+			plantGen(t, dir, fx.job, 2, fx.ckpt[2], p(2))
+			plantGen(t, dir, fx.job, 3, tc.ckpt, tc.prog)
+			store, err := sweep.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			got, path, ok := store.LoadBoundary(fx.job)
+			if !ok || got.Round != 2 || path != genFile(dir, fx.job, 2, "ckpt") {
+				t.Fatalf("LoadBoundary = (round %d, %s, %v), want generation 2", got.Round, path, ok)
+			}
+			want := []string{filepath.Base(genFile(dir, fx.job, 2, "ckpt")), filepath.Base(genFile(dir, fx.job, 2, "progress"))}
+			if left := ckptFiles(t, dir); fmt.Sprint(left) != fmt.Sprint(want) {
+				t.Fatalf("ckpt/ holds %v after the load, want %v", left, want)
+			}
+		})
+	}
+
+	t.Run("orphan checkpoint alone", func(t *testing.T) {
+		dir := t.TempDir()
+		plantGen(t, dir, fx.job, 2, fx.ckpt[2], nil)
+		store, err := sweep.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		if _, _, ok := store.LoadBoundary(fx.job); ok {
+			t.Fatal("a checkpoint without a sidecar was offered as a handoff")
+		}
+		if left := ckptFiles(t, dir); len(left) != 0 {
+			t.Fatalf("ckpt/ holds %v after the load, want nothing", left)
+		}
+	})
+
+	// A pair in the fixed-name layout of the binaries before generations
+	// is not read: OpenStore removes it and the job runs from round 1.
+	t.Run("parent-layout pair", func(t *testing.T) {
+		dir := t.TempDir()
+		plantGen(t, dir, fx.job, 2, nil, nil) // ckpt/ itself
+		buf, err := json.Marshal(fx.prog[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, body := range map[string][]byte{fx.job.ID + ".ckpt": fx.ckpt[2], fx.job.ID + ".progress": buf} {
+			if err := os.WriteFile(filepath.Join(dir, "ckpt", name), body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store, err := sweep.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		if left := ckptFiles(t, dir); len(left) != 0 {
+			t.Fatalf("OpenStore kept %v", left)
+		}
+		first := 0
+		sched := &sweep.Scheduler{Jobs: 1, CheckpointEvery: 1,
+			Observers: []sweep.Observer{sweep.ObserverFunc(func(e sweep.Event) {
+				if e.Kind == sweep.JobResumed {
+					t.Errorf("resumed after round %d from a parent-layout pair", e.Round)
+				}
+				if e.Kind == sweep.JobRound && first == 0 {
+					first = e.Round
+				}
+			})}}
+		if _, err := sched.Run(context.Background(), []sweep.Job{fx.job}, store); err != nil {
+			t.Fatal(err)
+		}
+		if first != 1 {
+			t.Fatalf("first trained round %d, want 1", first)
+		}
+	})
+
+	// One job's listing is its own files: not another job's, and not a
+	// name that merely starts with its ID.
+	t.Run("another job's files", func(t *testing.T) {
+		dir := t.TempDir()
+		other := fx.job
+		other.ID = fx.job.ID + ".1" // <id>.1.2.ckpt is this job's round 2, not fx.job's
+		third := fx.job
+		third.ID = "z" + fx.job.ID[1:]
+		plantGen(t, dir, fx.job, 2, fx.ckpt[2], p(2))
+		plantGen(t, dir, other, 2, fx.ckpt[2], p(2))
+		plantGen(t, dir, third, 3, fx.ckpt[3], p(3))
+		store, err := sweep.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		foreign := []string{
+			filepath.Base(genFile(dir, other, 2, "ckpt")), filepath.Base(genFile(dir, other, 2, "progress")),
+			filepath.Base(genFile(dir, third, 3, "ckpt")), filepath.Base(genFile(dir, third, 3, "progress")),
+		}
+		sort.Strings(foreign)
+		if got, _, ok := store.LoadBoundary(fx.job); !ok || got.Round != 2 {
+			t.Fatalf("LoadBoundary = (round %d, %v), want the job's own generation 2", got.Round, ok)
+		}
+		if left := ckptFiles(t, dir); len(left) != len(foreign)+2 {
+			t.Fatalf("ckpt/ holds %v after the load, want all six files", left)
+		}
+		store.DropTransient(fx.job)
+		if left := ckptFiles(t, dir); fmt.Sprint(left) != fmt.Sprint(foreign) {
+			t.Fatalf("ckpt/ holds %v after the job's drop, want %v", left, foreign)
+		}
+	})
+}
+
+// BenchmarkStoreBoundary is one boundary of an in-flight job: a 200 KB
+// checkpoint and its sidecar written into a store that holds the
+// boundary before, which the write supersedes.
+func BenchmarkStoreBoundary(b *testing.B) {
+	store, err := sweep.OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	j := sweep.Job{ID: "0123456789abcdef"}
+	ckpt := make([]byte, 200<<10)
+	p := sweep.Progress{Components: map[string]float64{"client-compute": 1, "uplink": 2, "relay": 3}, TotalSeconds: 6}
+	save := func(round int) {
+		p.Round = round
+		if err := store.SaveBoundary(j, p, ckpt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	save(1)
+	b.SetBytes(int64(len(ckpt)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		save(i + 2)
 	}
 }
