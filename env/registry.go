@@ -70,13 +70,7 @@ func Strategies() []string { return partition.StrategyNames() }
 // CanonicalStrategy resolves a strategy name or alias
 // ("roundrobin"/"round-robin", "random", "balanced"/"compute-balanced",
 // plus anything registered out of tree) to its canonical name.
-func CanonicalStrategy(name string) (string, error) {
-	st, err := partition.ParseStrategy(name)
-	if err != nil {
-		return "", err
-	}
-	return st.String(), nil
-}
+func CanonicalStrategy(name string) (string, error) { return partition.CanonicalStrategy(name) }
 
 // GroupClients assigns n clients (identified by index) to m groups
 // using the named strategy. capacity carries per-client compute
@@ -86,8 +80,7 @@ func CanonicalStrategy(name string) (string, error) {
 // rng for "random") come back as errors, not panics — this is a public
 // entry point.
 func GroupClients(n, m int, strategy string, capacity []float64, rng Rng) (out [][]int, err error) {
-	st, err := partition.ParseStrategy(strategy)
-	if err != nil {
+	if _, err := partition.CanonicalStrategy(strategy); err != nil {
 		return nil, err
 	}
 	if n <= 0 || m <= 0 {
@@ -101,7 +94,7 @@ func GroupClients(n, m int, strategy string, capacity []float64, rng Rng) (out [
 			out, err = nil, fmt.Errorf("env: grouping with %q: %v", strategy, r)
 		}
 	}()
-	return partition.Groups(n, m, st, capacity, rng), nil
+	return partition.Groups(n, m, strategy, capacity, rng), nil
 }
 
 // RegisterDataset adds a dataset generator factory under its name,

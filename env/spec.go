@@ -340,7 +340,7 @@ func (s Spec) EnvSeed() int64 { return s.Seed + 4 }
 // API's factory options, resolving the grouping strategy name through
 // the registry.
 func (s Spec) SchemeOptions() (schemes.FactoryOpts, error) {
-	st, err := partition.ParseStrategy(s.Normalized().Strategy)
+	st, err := partition.CanonicalStrategy(s.Strategy)
 	if err != nil {
 		return schemes.FactoryOpts{}, fmt.Errorf("env: Strategy: %w", err)
 	}

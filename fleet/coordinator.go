@@ -44,7 +44,6 @@ type jobState struct {
 	leased    bool
 	worker    string // display name of the leaseholder
 	connID    uint64 // fencing: which connection holds the lease
-	nonce     uint64 // fencing: which grant the lease belongs to
 	deadline  time.Time
 	grantedAt time.Time
 	round     int // last checkpointed round
@@ -80,7 +79,6 @@ type Coordinator struct {
 	doneN    int
 	workers  int
 	nextConn uint64
-	nonces   uint64
 	firstErr error
 	finished bool // results recorded + store compacted (or sweep failed)
 	doneCh   chan struct{}
@@ -139,7 +137,7 @@ func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coor
 	c.mGranted = c.reg.Counter("gsfl_fleet_leases_granted_total", "Job leases granted to workers.")
 	c.mReassigned = c.reg.Counter("gsfl_fleet_leases_reassigned_total", "Leases revoked after expiry or worker disconnect.")
 	c.mResults = c.reg.Counter("gsfl_fleet_results_total", "Job results accepted and recorded.")
-	c.mStale = c.reg.Counter("gsfl_fleet_stale_messages_total", "Messages fenced off by a stale lease nonce.")
+	c.mStale = c.reg.Counter("gsfl_fleet_stale_messages_total", "Messages from a connection that no longer holds the lease they name.")
 	c.mLeaseSeconds = c.reg.Histogram("gsfl_fleet_lease_seconds", "Wall-clock from lease grant to recorded result.", metrics.DefSecondsBuckets)
 	c.mCkptBytes = c.reg.Histogram("gsfl_fleet_checkpoint_bytes", "Checkpoint payload sizes uploaded by workers.", metrics.DefBytesBuckets)
 	c.gaugesLocked()
@@ -306,15 +304,14 @@ func (c *Coordinator) reaperLoop() {
 	}
 }
 
-// releaseLocked returns a leased job to the pending pool. The nonce
-// advance fences every in-flight message from the old holder.
+// releaseLocked returns a leased job to the pending pool. Clearing
+// leased fences every in-flight message from the old holder
+// (leaseOfLocked).
 func (c *Coordinator) releaseLocked(st *jobState, why string) {
 	if !st.leased {
 		return
 	}
 	st.leased = false
-	c.nonces++
-	st.nonce = c.nonces // invalidate the old grant
 	c.mReassigned.Inc()
 	if tk := c.cfg.Tracer.Lane("fleet", st.worker); tk.On() {
 		tk.WallInstant("reassign "+st.job.Name, "lease", why)
@@ -462,7 +459,8 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 
 	// Checkpoint handoff: attach the previous holder's uploaded state
 	// when the store vouches for it (LoadBoundary applies the one
-	// resume-soundness rule the executor itself re-checks on arrival).
+	// resume-soundness rule; the worker's sink applies it again to the
+	// bytes that arrive).
 	j := st.job
 	var progJSON, ckpt []byte
 	handoffRound := 0
@@ -489,8 +487,6 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 	st.leased = true
 	st.worker = worker
 	st.connID = connID
-	c.nonces++
-	st.nonce = c.nonces
 	st.grantedAt = time.Now()
 	st.deadline = st.grantedAt.Add(c.cfg.LeaseTTL)
 	st.round = handoffRound
@@ -511,7 +507,9 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 
 // leaseOfLocked returns the job state iff connID currently holds its
 // lease. Stale holders (expired, reassigned, or already-done jobs) get
-// nil — their messages are fenced, not applied.
+// nil — their messages are fenced, not applied. The connection and the
+// leased flag are the whole fence; the package comment says why no
+// per-grant token is needed.
 func (c *Coordinator) leaseOfLocked(connID uint64, jobID string) *jobState {
 	st, ok := c.byID[jobID]
 	if !ok || st.done || !st.leased || st.connID != connID {

@@ -24,7 +24,12 @@
 //     resume-soundness rule as the Scheduler: checkpoint and progress
 //     sidecar must agree, else the pair before them is taken, or the
 //     job reruns from scratch — never wrong, only slower). A zombie
-//     worker's late messages are fenced by a per-grant lease nonce.
+//     worker's late messages are fenced by the connection they arrive
+//     on: a message counts only while that connection holds the lease
+//     it names. That is sufficient because a connection is strictly
+//     request/response and a worker quiesces its heartbeat goroutine
+//     before asking for the next lease, so no message about an earlier
+//     grant can trail a later grant to the same connection.
 //
 // Protocol (strictly worker-initiated request/response):
 //

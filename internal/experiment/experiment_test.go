@@ -10,7 +10,6 @@ import (
 	"gsfl/env"
 	"gsfl/internal/gsfl"
 	"gsfl/internal/metrics"
-	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/fl"
 	"gsfl/internal/schemes/schemestest"
@@ -243,7 +242,7 @@ func TestConvergenceGSFLFasterThanFLInRounds(t *testing.T) {
 	// averaged local updates, so GSFL reaches the target in fewer rounds
 	// (the paper's ~5x claim, direction-checked here at toy scale).
 	env1 := schemestest.NewEnv(11, 6, 40)
-	g, err := gsfl.New(env1, schemes.FactoryOpts{Groups: 2, Strategy: partition.GroupRoundRobin})
+	g, err := gsfl.New(env1, schemes.FactoryOpts{Groups: 2, Strategy: "round-robin"})
 	if err != nil {
 		t.Fatal(err)
 	}

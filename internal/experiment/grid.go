@@ -359,12 +359,12 @@ func RunJob(ctx context.Context, j Job, from *Handoff, opts ...sim.RunOption) (r
 			res.TotalSeconds += e.RoundSeconds
 		})),
 	}, opts...)
+	schemeOpts, err := j.Spec.SchemeOptions()
+	if err != nil {
+		return res, err
+	}
 	var runner *sim.Runner
 	if from == nil {
-		schemeOpts, err := j.Spec.SchemeOptions()
-		if err != nil {
-			return res, err
-		}
 		tr, err := sim.New(j.Scheme, world, schemeOpts)
 		if err != nil {
 			return res, err
@@ -375,11 +375,19 @@ func RunJob(ctx context.Context, j Job, from *Handoff, opts ...sim.RunOption) (r
 		if runner, err = sim.Resume(from.CheckpointPath, world, ropts...); err != nil {
 			return res, err
 		}
+		// Resume took the scheme and its options from the file. This is
+		// the one hard check that the Runner it built is the one the
+		// handoff described and the job names: the environment fingerprint
+		// does not cover the options, so a sibling cell's checkpoint (same
+		// world, other groups or strategy) restores without complaint.
 		if runner.Scheme() != j.Scheme {
 			return res, fmt.Errorf("checkpoint trains %q, job wants %q", runner.Scheme(), j.Scheme)
 		}
 		if runner.CompletedRounds() != from.Round {
 			return res, fmt.Errorf("checkpoint is at round %d, handoff sums cover %d", runner.CompletedRounds(), from.Round)
+		}
+		if got := runner.Options(); got != schemeOpts {
+			return res, fmt.Errorf("checkpoint trains under options %+v, job wants %+v", got, schemeOpts)
 		}
 	}
 	res.Curve, err = runner.Run(ctx)

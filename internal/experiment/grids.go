@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/csv"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 
@@ -11,7 +14,6 @@ import (
 	"gsfl/internal/model"
 	"gsfl/internal/schemes"
 	"gsfl/internal/simnet"
-	"gsfl/internal/trace"
 )
 
 // This file is the catalogue of the paper's figures, tables, and
@@ -75,7 +77,7 @@ func (e GridExperiment) Save(outDir string, res []JobResult) error {
 			for i, r := range res {
 				curves[i] = r.Curve
 			}
-			if err := trace.SaveCurvesCSV(path, curves); err != nil {
+			if err := metrics.SaveCurvesCSV(path, curves); err != nil {
 				return err
 			}
 			continue
@@ -84,9 +86,42 @@ func (e GridExperiment) Save(outDir string, res []JobResult) error {
 		if err != nil {
 			return err
 		}
-		if err := trace.SaveTableCSV(path, o.Header, rows); err != nil {
+		if err := saveTableCSV(path, o.Header, rows); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// saveTableCSV writes a header row and one record per row to path,
+// creating parent directories. Cells render through fmt.Sprint; a nil
+// cell is empty. Every row must be as wide as the header.
+func saveTableCSV(path string, header []string, rows [][]any) error {
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	cw.Write(header) // a bytes.Buffer does not fail; Flush's error covers it
+	rec := make([]string, len(header))
+	for i, row := range rows {
+		if len(row) != len(header) {
+			return fmt.Errorf("experiment: table row %d has %d cells for %d columns", i, len(row), len(header))
+		}
+		for k, v := range row {
+			rec[k] = ""
+			if v != nil {
+				rec[k] = fmt.Sprint(v)
+			}
+		}
+		cw.Write(rec)
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return fmt.Errorf("experiment: writing table: %w", err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("experiment: creating directory: %w", err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
+		return fmt.Errorf("experiment: writing %s: %w", path, err)
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gsfl/internal/parallel"
-	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/testutil"
@@ -28,7 +27,7 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 
 	env := schemestest.NewEnv(7, 6, 48)
-	tr, err := New(env, schemes.FactoryOpts{Groups: 2, Strategy: partition.GroupRoundRobin})
+	tr, err := New(env, schemes.FactoryOpts{Groups: 2, Strategy: "round-robin"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package gsfl
 import (
 	"testing"
 
-	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 )
@@ -11,7 +10,7 @@ import (
 func newDropoutTrainer(t *testing.T, seed int64, n, groups int, p float64) *Trainer {
 	t.Helper()
 	env := schemestest.NewEnv(seed, n, 40)
-	tr, err := New(env, schemes.FactoryOpts{Groups: groups, Strategy: partition.GroupRoundRobin, DropoutProb: p})
+	tr, err := New(env, schemes.FactoryOpts{Groups: groups, Strategy: "round-robin", DropoutProb: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,6 +152,9 @@ func newWithPlan(env *schemes.Env, cfg schemes.FactoryOpts, p plan) (*Trainer, e
 	if cfg.DropoutProb < 0 || cfg.DropoutProb >= 1 {
 		return nil, fmt.Errorf("gsfl: dropout probability %v outside [0,1)", cfg.DropoutProb)
 	}
+	if _, err := partition.CanonicalStrategy(cfg.Strategy); err != nil {
+		return nil, fmt.Errorf("gsfl: %w", err)
+	}
 	groups := partition.Groups(env.Fleet.N(), cfg.Groups, cfg.Strategy,
 		env.Fleet.Capacities(), env.Rng("grouping", 0))
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/simnet"
@@ -13,7 +12,7 @@ import (
 func newTrainer(t *testing.T, seed int64, nClients, groups int) *Trainer {
 	t.Helper()
 	env := schemestest.NewEnv(seed, nClients, 40)
-	tr, err := New(env, schemes.FactoryOpts{Groups: groups, Strategy: partition.GroupRoundRobin})
+	tr, err := New(env, schemes.FactoryOpts{Groups: groups, Strategy: "round-robin"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestGSFLPipelinedSameAccuracyLessLatency(t *testing.T) {
 		env := schemestest.NewEnv(42, 6, 40)
 		tr, err := New(env, schemes.FactoryOpts{
 			Groups:    2,
-			Strategy:  partition.GroupRoundRobin,
+			Strategy:  "round-robin",
 			Pipelined: pipelined,
 		})
 		if err != nil {
@@ -201,7 +200,7 @@ func TestGSFLQuantizedTransfersReduceLatency(t *testing.T) {
 	run := func(quant bool) float64 {
 		env := schemestest.NewEnv(43, 6, 40)
 		env.Hyper.QuantizeTransfers = quant
-		tr, err := New(env, schemes.FactoryOpts{Groups: 2, Strategy: partition.GroupRoundRobin})
+		tr, err := New(env, schemes.FactoryOpts{Groups: 2, Strategy: "round-robin"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"gsfl/internal/metrics"
 	"gsfl/internal/model"
 	"gsfl/internal/parallel"
-	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 )
@@ -64,9 +63,9 @@ func mustEqualSnapshots(t *testing.T, workers int, name string, a, b model.Snaps
 func TestGSFLBitIdenticalAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	for _, cfg := range []schemes.FactoryOpts{
-		{Groups: 3, Strategy: partition.GroupRoundRobin},
-		{Groups: 3, Strategy: partition.GroupRoundRobin, Pipelined: true},
-		{Groups: 3, Strategy: partition.GroupRoundRobin, DropoutProb: 0.2},
+		{Groups: 3, Strategy: "round-robin"},
+		{Groups: 3, Strategy: "round-robin", Pipelined: true},
+		{Groups: 3, Strategy: "round-robin", DropoutProb: 0.2},
 	} {
 		baseCurve, baseClient, baseServer := runAtWorkers(t, 1, cfg)
 		for _, workers := range []int{2, 8} {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gsfl/env"
-	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 )
@@ -38,7 +37,7 @@ func TestPopulationDropoutWeighsMountedShards(t *testing.T) {
 	}
 	cohort := &recordingCohort{Cohort: world.Pop}
 	world.Pop = cohort
-	tr, err := New(world, schemes.FactoryOpts{Groups: 2, Strategy: partition.GroupRoundRobin, DropoutProb: spec.DropoutProb})
+	tr, err := New(world, schemes.FactoryOpts{Groups: 2, Strategy: "round-robin", DropoutProb: spec.DropoutProb})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // ExampleGroups shows the paper's default grouping: clients assigned to
 // groups round-robin, as in "30 clients divided into 6 groups".
 func ExampleGroups() {
-	groups := partition.Groups(9, 3, partition.GroupRoundRobin, nil, nil)
+	groups := partition.Groups(9, 3, "round-robin", nil, nil)
 	for g, members := range groups {
 		fmt.Printf("group %d: %v\n", g, members)
 	}
@@ -24,7 +24,7 @@ func ExampleGroups() {
 // with the fastest ones.
 func ExampleGroups_computeBalanced() {
 	capacities := []float64{10, 10, 1, 10}
-	groups := partition.Groups(4, 2, partition.GroupComputeBalanced, capacities, nil)
+	groups := partition.Groups(4, 2, "compute-balanced", capacities, nil)
 	fmt.Println(len(groups[0]), len(groups[1]))
 	// Output: 2 2
 }

@@ -4,32 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-)
 
-// GroupStrategy identifies a client-grouping policy. The paper defers
-// grouping policy to future work; the built-in values implement the
-// obvious candidates for the grouping ablation (experiment A2), and
-// RegisterStrategy extends the set with out-of-tree policies resolved
-// by name. The built-in constants' integer values are stable (they are
-// written into run checkpoints); dynamically registered strategies
-// receive values in registration order.
-type GroupStrategy int
-
-const (
-	// GroupRoundRobin assigns client i to group i mod M (the default).
-	GroupRoundRobin GroupStrategy = iota
-	// GroupRandom shuffles clients, then splits into contiguous chunks.
-	GroupRandom
-	// GroupComputeBalanced greedily balances the sum of client compute
-	// capacities across groups, minimizing the slowest-group bottleneck
-	// (groups run in parallel, so the round ends when the slowest group
-	// finishes).
-	GroupComputeBalanced
-
-	// firstDynamicStrategy is where RegisterStrategy starts handing out
-	// values.
-	firstDynamicStrategy
+	"gsfl/internal/registry"
 )
 
 // GroupFunc implements a grouping policy: assign n clients (identified
@@ -41,130 +17,67 @@ const (
 // given (n, m, capacity, rng state).
 type GroupFunc func(n, m int, capacity []float64, rng *rand.Rand) [][]int
 
-// strategyEntry is one registered policy.
-type strategyEntry struct {
-	name string
-	fn   GroupFunc
-}
+// strategies is the grouping-policy table. The paper defers grouping
+// policy to future work; the built-ins implement the obvious candidates
+// for the grouping ablation (experiment A2) and RegisterStrategy
+// extends the set out of tree. A policy's identity is its canonical
+// name — in specs, job hashes, scheme options and run checkpoints — so
+// it means the same thing in every process that registered it.
+var strategies = registry.New[GroupFunc]("partition", "grouping strategy")
 
-var (
-	strategyMu      sync.RWMutex
-	strategyByName  = map[string]GroupStrategy{}
-	strategyEntries = map[GroupStrategy]strategyEntry{}
-	nextStrategy    = firstDynamicStrategy
-)
-
-// registerStrategyAs installs fn under a fixed strategy value, its
-// canonical name, and any aliases. Shared by the built-in init
-// registrations (fixed values) and RegisterStrategy (dynamic values).
-func registerStrategyAs(s GroupStrategy, name string, fn GroupFunc, aliases ...string) {
-	if name == "" {
-		panic("partition: RegisterStrategy with empty name")
-	}
-	if fn == nil {
-		panic(fmt.Sprintf("partition: RegisterStrategy(%q) with nil GroupFunc", name))
-	}
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	if _, dup := strategyByName[name]; dup {
-		panic(fmt.Sprintf("partition: grouping strategy %q registered twice", name))
-	}
-	strategyByName[name] = s
-	strategyEntries[s] = strategyEntry{name: name, fn: fn}
-	for _, a := range aliases {
-		if _, dup := strategyByName[a]; dup {
-			panic(fmt.Sprintf("partition: grouping strategy alias %q registered twice", a))
+// The built-in policies register like out-of-tree ones. The empty name
+// is an alias of round-robin (the paper's default), so the zero
+// schemes.FactoryOpts groups round-robin.
+func init() {
+	strategies.Register("round-robin", roundRobin, "roundrobin", "")
+	// "random" shuffles clients, then splits into contiguous chunks.
+	strategies.Register("random", randomChunks)
+	// "compute-balanced" greedily balances the sum of client compute
+	// capacities across groups, minimizing the slowest-group bottleneck
+	// (groups run in parallel, so the round ends when the slowest group
+	// finishes).
+	strategies.Register("compute-balanced", func(n, m int, capacity []float64, _ *rand.Rand) [][]int {
+		if len(capacity) != n {
+			panic(fmt.Sprintf("partition: compute-balanced grouping needs %d capacities, got %d", n, len(capacity)))
 		}
-		strategyByName[a] = s
-	}
+		return computeBalanced(n, m, capacity)
+	}, "balanced")
 }
 
-// RegisterStrategy adds a grouping policy under its canonical name and
-// returns the GroupStrategy value that now identifies it (usable in
-// schemes.FactoryOpts and experiment specs). It panics on an empty
-// name, a nil function, or a duplicate name — programmer errors at init
-// time. Note that dynamic values are assigned in registration order, so
-// checkpoints of runs using registered strategies resume correctly only
-// under the same registration order.
-func RegisterStrategy(name string, fn GroupFunc) GroupStrategy {
-	strategyMu.Lock()
-	s := nextStrategy
-	nextStrategy++
-	strategyMu.Unlock()
-	registerStrategyAs(s, name, fn)
-	return s
-}
+// RegisterStrategy adds a grouping policy under its canonical name. It
+// panics on an empty name, a nil function, or a duplicate name —
+// programmer errors at init time.
+func RegisterStrategy(name string, fn GroupFunc) { strategies.Register(name, fn) }
 
 // StrategyNames returns the canonical names of every registered
 // grouping strategy in sorted order.
-func StrategyNames() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	out := make([]string, 0, len(strategyEntries))
-	for _, e := range strategyEntries {
-		out = append(out, e.name)
-	}
-	sort.Strings(out)
-	return out
-}
+func StrategyNames() []string { return strategies.Names() }
 
-// ParseStrategy resolves a grouping strategy from its canonical name or
-// a registered alias. The built-ins answer to "roundrobin"/"round-robin",
-// "random", and "balanced"/"compute-balanced". It is the single
-// name-to-strategy resolution path shared by the CLIs, grid files, and
-// the env registry.
-func ParseStrategy(name string) (GroupStrategy, error) {
-	strategyMu.RLock()
-	s, ok := strategyByName[name]
-	strategyMu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("partition: unknown grouping strategy %q (registered: %v)", name, StrategyNames())
-	}
-	return s, nil
-}
-
-// String implements fmt.Stringer, returning the canonical name.
-func (s GroupStrategy) String() string {
-	strategyMu.RLock()
-	e, ok := strategyEntries[s]
-	strategyMu.RUnlock()
-	if !ok {
-		return fmt.Sprintf("GroupStrategy(%d)", int(s))
-	}
-	return e.name
-}
+// CanonicalStrategy resolves a strategy's canonical name or an alias of
+// it ("roundrobin", "balanced", "" for the default) to the canonical
+// name. It is the single name-resolution path shared by the CLIs, grid
+// files, the env registry and the schemes.
+func CanonicalStrategy(name string) (string, error) { return strategies.Canonical(name) }
 
 // Groups assigns n clients (identified by index) to m groups using the
-// given strategy. capacity is required by GroupComputeBalanced (client
-// compute capability; lower = slower) and ignored otherwise. Every group
-// receives at least one client when n >= m.
-func Groups(n, m int, strategy GroupStrategy, capacity []float64, rng *rand.Rand) [][]int {
+// named strategy (anything CanonicalStrategy resolves). capacity is
+// required by "compute-balanced" (client compute capability; lower =
+// slower) and ignored by the other built-ins. Every group receives at
+// least one client when n >= m. An unregistered strategy panics:
+// callers that take the name from outside validate it with
+// CanonicalStrategy first.
+func Groups(n, m int, strategy string, capacity []float64, rng *rand.Rand) [][]int {
 	if n <= 0 || m <= 0 {
 		panic(fmt.Sprintf("partition: groups need positive n=%d m=%d", n, m))
 	}
 	if m > n {
 		panic(fmt.Sprintf("partition: %d groups cannot be filled by %d clients", m, n))
 	}
-	strategyMu.RLock()
-	e, ok := strategyEntries[strategy]
-	strategyMu.RUnlock()
-	if !ok {
-		panic(fmt.Sprintf("partition: unknown grouping strategy %d", strategy))
+	fn, err := strategies.Get(strategy)
+	if err != nil {
+		panic(err.Error())
 	}
-	return e.fn(n, m, capacity, rng)
-}
-
-// The built-in policies register like out-of-tree ones, so name
-// resolution, listing, and dispatch have exactly one path.
-func init() {
-	registerStrategyAs(GroupRoundRobin, "round-robin", roundRobin, "roundrobin")
-	registerStrategyAs(GroupRandom, "random", randomChunks)
-	registerStrategyAs(GroupComputeBalanced, "compute-balanced", func(n, m int, capacity []float64, _ *rand.Rand) [][]int {
-		if len(capacity) != n {
-			panic(fmt.Sprintf("partition: compute-balanced grouping needs %d capacities, got %d", n, len(capacity)))
-		}
-		return computeBalanced(n, m, capacity)
-	}, "balanced")
+	return fn(n, m, capacity, rng)
 }
 
 // roundRobin assigns client i to group i mod m.

@@ -3,6 +3,8 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -161,7 +163,7 @@ func TestPropPartitionExactCover(t *testing.T) {
 }
 
 func TestGroupsRoundRobin(t *testing.T) {
-	g := Groups(7, 3, GroupRoundRobin, nil, nil)
+	g := Groups(7, 3, "round-robin", nil, nil)
 	want := [][]int{{0, 3, 6}, {1, 4}, {2, 5}}
 	for gi := range want {
 		if len(g[gi]) != len(want[gi]) {
@@ -176,7 +178,7 @@ func TestGroupsRoundRobin(t *testing.T) {
 }
 
 func TestGroupsRandomCoverAndSize(t *testing.T) {
-	g := Groups(30, 6, GroupRandom, nil, rand.New(rand.NewSource(5)))
+	g := Groups(30, 6, "random", nil, rand.New(rand.NewSource(5)))
 	seen := map[int]bool{}
 	for _, grp := range g {
 		if len(grp) != 5 {
@@ -198,7 +200,7 @@ func TestGroupsComputeBalanced(t *testing.T) {
 	// Two fast and two slow clients into two groups: each group must get
 	// one fast and one slow for balanced load.
 	cap := []float64{10, 10, 1, 1}
-	g := Groups(4, 2, GroupComputeBalanced, cap, nil)
+	g := Groups(4, 2, "compute-balanced", cap, nil)
 	for gi, grp := range g {
 		if len(grp) != 2 {
 			t.Fatalf("group %d size %d", gi, len(grp))
@@ -240,8 +242,8 @@ func TestGroupsComputeBalancedBeatsRoundRobinOnSkew(t *testing.T) {
 		}
 		return worst
 	}
-	rr := load(Groups(n, m, GroupRoundRobin, nil, nil))
-	cb := load(Groups(n, m, GroupComputeBalanced, cap, nil))
+	rr := load(Groups(n, m, "round-robin", nil, nil))
+	cb := load(Groups(n, m, "compute-balanced", cap, nil))
 	if cb >= rr {
 		t.Fatalf("compute-balanced max load %v should beat round-robin %v", cb, rr)
 	}
@@ -257,18 +259,19 @@ func TestGroupsValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("m>n", func() { Groups(2, 3, GroupRoundRobin, nil, nil) })
-	mustPanic("zero", func() { Groups(0, 1, GroupRoundRobin, nil, nil) })
-	mustPanic("caps", func() { Groups(4, 2, GroupComputeBalanced, []float64{1}, nil) })
-	mustPanic("neg cap", func() { Groups(2, 1, GroupComputeBalanced, []float64{1, -1}, nil) })
-	mustPanic("unknown", func() { Groups(2, 1, GroupStrategy(99), nil, nil) })
+	mustPanic("m>n", func() { Groups(2, 3, "round-robin", nil, nil) })
+	mustPanic("zero", func() { Groups(0, 1, "round-robin", nil, nil) })
+	mustPanic("caps", func() { Groups(4, 2, "compute-balanced", []float64{1}, nil) })
+	mustPanic("neg cap", func() { Groups(2, 1, "compute-balanced", []float64{1, -1}, nil) })
+	mustPanic("unknown", func() { Groups(2, 1, "no-such-strategy", nil, nil) })
 }
 
+// TestGroupStrategyString: a strategy's identity is its canonical name,
+// and the listing is those names (never the aliases), sorted.
 func TestGroupStrategyString(t *testing.T) {
-	if GroupRoundRobin.String() != "round-robin" ||
-		GroupRandom.String() != "random" ||
-		GroupComputeBalanced.String() != "compute-balanced" {
-		t.Fatal("GroupStrategy.String mismatch")
+	want := []string{"compute-balanced", "random", "round-robin"}
+	if got := StrategyNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StrategyNames() = %v, want %v", got, want)
 	}
 }
 
@@ -283,7 +286,7 @@ func TestPropGroupsExactCover(t *testing.T) {
 		for i := range caps {
 			caps[i] = 0.5 + rng.Float64()*10
 		}
-		for _, st := range []GroupStrategy{GroupRoundRobin, GroupRandom, GroupComputeBalanced} {
+		for _, st := range []string{"round-robin", "random", "compute-balanced"} {
 			g := Groups(n, m, st, caps, rng)
 			if len(g) != m {
 				return false
@@ -312,22 +315,23 @@ func TestPropGroupsExactCover(t *testing.T) {
 }
 
 func TestParseStrategy(t *testing.T) {
-	for name, want := range map[string]GroupStrategy{
-		"roundrobin":       GroupRoundRobin,
-		"round-robin":      GroupRoundRobin,
-		"random":           GroupRandom,
-		"balanced":         GroupComputeBalanced,
-		"compute-balanced": GroupComputeBalanced,
+	for name, want := range map[string]string{
+		"":                 "round-robin", // the zero FactoryOpts
+		"roundrobin":       "round-robin",
+		"round-robin":      "round-robin",
+		"random":           "random",
+		"balanced":         "compute-balanced",
+		"compute-balanced": "compute-balanced",
 	} {
-		got, err := ParseStrategy(name)
+		got, err := CanonicalStrategy(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got != want {
-			t.Fatalf("ParseStrategy(%q) = %v, want %v", name, got, want)
+			t.Fatalf("CanonicalStrategy(%q) = %q, want %q", name, got, want)
 		}
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Fatal("expected error for unknown strategy")
+	if _, err := CanonicalStrategy("bogus"); err == nil || !strings.Contains(err.Error(), `"bogus" (registered: [compute-balanced random round-robin])`) {
+		t.Fatalf("unknown strategy: %v", err)
 	}
 }

@@ -41,7 +41,6 @@ type Trainer struct {
 	weights []float64 // samples in the shard mounted on each slot
 
 	evalModel *model.SplitModel
-	fullCut   int
 
 	// Per-client reusable state: stepWS[ci] holds client ci's batch and
 	// loss-gradient buffers; caps[ci] is its re-captured model snapshot
@@ -61,7 +60,7 @@ func New(env *schemes.Env) (*Trainer, error) {
 		return nil, err
 	}
 	fullCut := len(env.Arch.Build(env.Rng("probe", 0)))
-	t := &Trainer{env: env, fullCut: fullCut}
+	t := &Trainer{env: env}
 
 	init := env.Arch.NewSplit(env.Rng("init", 0), fullCut)
 	t.global = model.TakeSnapshot(init.Client)

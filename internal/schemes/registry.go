@@ -1,9 +1,6 @@
 package schemes
 
-import (
-	"gsfl/internal/partition"
-	"gsfl/internal/registry"
-)
+import "gsfl/internal/registry"
 
 // FactoryOpts carries the scheme-structure knobs a Factory may consume.
 // Schemes ignore the fields that do not apply to them (only GSFL reads
@@ -12,8 +9,10 @@ import (
 type FactoryOpts struct {
 	// Groups is M, the number of parallel GSFL groups.
 	Groups int
-	// Strategy chooses how clients are assigned to groups.
-	Strategy partition.GroupStrategy
+	// Strategy names the registered grouping policy (canonical name or
+	// alias; see internal/partition) assigning clients to groups. Empty
+	// means the default, round-robin.
+	Strategy string
 	// Pipelined enables communication/computation overlap within each
 	// client's turn (the "parallel design" of the paper's reference [2]):
 	// after a one-step warm-up the turn advances at the pace of its

@@ -12,8 +12,8 @@ import (
 )
 
 // TrainerState is a trainer's complete mutable state at a round
-// boundary as plain data: what DecodeState reads out of a checkpoint
-// and Restore validates before it touches a trainer. Each scheme
+// boundary: what DecodeState reads out of a checkpoint and Restore
+// validates before it touches a trainer. Each scheme
 // defines its own ordering for the Models/Opts/Loaders slices; a state
 // encoded from one scheme restores only into a freshly constructed
 // trainer of the same scheme over an identical Env.
@@ -30,8 +30,10 @@ type TrainerState struct {
 	// Channel is the shared wireless channel's state (round cursor,
 	// client positions, shadowing).
 	Channel wireless.ChannelState
-	// Models holds the scheme's persistent model halves.
-	Models []model.SnapshotState
+	// Models holds the scheme's persistent model halves. The decoder
+	// built the tensors and nothing else refers to them, so Restore may
+	// keep one as the trainer's own.
+	Models []model.Snapshot
 	// Opts holds the scheme's optimizer states.
 	Opts []optim.SGDState
 	// Loaders holds the per-client data-loader states.
@@ -139,11 +141,7 @@ func DecodeState(d *bincodec.Dec) *TrainerState {
 	// The smallest encodings: an empty tensor list is 2 bytes, an
 	// optimizer without momentum 10, a loader 16.
 	for n := count(d, "model", 2); len(st.Models) < n && d.Err() == nil; {
-		var m model.SnapshotState
-		for _, t := range d.TensorList(nil) {
-			m.Tensors = append(m.Tensors, model.TensorState{Shape: t.Shape(), Data: t.Data})
-		}
-		st.Models = append(st.Models, m)
+		st.Models = append(st.Models, model.Snapshot{Tensors: d.TensorList(nil)})
 	}
 	for n := count(d, "optimizer", 10); len(st.Opts) < n && d.Err() == nil; {
 		st.Opts = append(st.Opts, d.OptState())
@@ -169,7 +167,8 @@ func count(d *bincodec.Dec, what string, minBytes int) int {
 }
 
 // Restore resets the parts of a freshly constructed trainer to a
-// decoded state. The slice arities and every model snapshot are
+// decoded state, which it consumes: a snapshot part takes the state's
+// tensors as its own. The slice arities and every model snapshot are
 // validated against the trainer before anything is mutated, so a state
 // from the wrong scheme, architecture or client count never leaves a
 // model half-updated; every error names the scheme, the part and its
@@ -178,13 +177,8 @@ func (p StateParts) Restore(st *TrainerState) error {
 	if err := st.CheckCounts(p.Scheme, len(p.Models), len(p.Opts), len(p.Loaders)); err != nil {
 		return err
 	}
-	snaps := make([]model.Snapshot, len(p.Models))
 	for i, m := range p.Models {
-		snap, err := model.SnapshotFromState(st.Models[i])
-		if err != nil {
-			return fmt.Errorf("schemes: %s model %d: %w", p.Scheme, i, err)
-		}
-		ps := m.Net.Params()
+		snap, ps := st.Models[i], m.Net.Params()
 		if len(ps) != len(snap.Tensors) {
 			return fmt.Errorf("schemes: %s model %d has %d tensors, model half has %d params",
 				p.Scheme, i, len(snap.Tensors), len(ps))
@@ -195,13 +189,12 @@ func (p StateParts) Restore(st *TrainerState) error {
 					p.Scheme, i, j, snap.Tensors[j].Size(), param.Size())
 			}
 		}
-		snaps[i] = snap
 	}
 	for i, m := range p.Models {
 		if m.Snap != nil {
-			*m.Snap = snaps[i]
+			*m.Snap = st.Models[i]
 		} else {
-			snaps[i].Restore(m.Net)
+			st.Models[i].Restore(m.Net)
 		}
 	}
 	for i, o := range p.Opts {

@@ -60,6 +60,20 @@ func mm(a, b *Tensor) *Tensor {
 	return MatMulInto(New(a.shape[0], b.shape[1]), a, b)
 }
 
+// transposed is the materialized aᵀ of a 2-D tensor, the reference the
+// transposed-operand kernels are checked against. Production code has
+// no such function: every caller multiplies by a transpose in place.
+func transposed(t *Tensor) *Tensor {
+	r, c := t.shape[0], t.shape[1]
+	out := New(c, r)
+	for i := 0; i < r; i++ {
+		for j, v := range t.Data[i*c : (i+1)*c] {
+			out.Data[j*r+i] = v
+		}
+	}
+	return out
+}
+
 // im2colRef materializes one CHW image's column matrix — row
 // (c,kh,kw), column (oh,ow), zero where the window hangs over the
 // padding — which the implicit-GEMM conv kernels index without ever

@@ -129,22 +129,6 @@ func checkMatMulTransB(op string, a, b *Tensor) (m, k, n int) {
 	return a.shape[0], a.shape[1], b.shape[0]
 }
 
-// Transpose2D returns the transpose of a 2-D tensor as a new tensor.
-func (t *Tensor) Transpose2D() *Tensor {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D on %d-D tensor", len(t.shape)))
-	}
-	r, c := t.shape[0], t.shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
-		for j, v := range row {
-			out.Data[j*r+i] = v
-		}
-	}
-	return out
-}
-
 // AddRowVector adds a 1-D vector v (length n) to every row of a 2-D
 // (m×n) tensor in place. Used for bias addition.
 func (t *Tensor) AddRowVector(v *Tensor) *Tensor {

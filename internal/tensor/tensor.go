@@ -294,15 +294,6 @@ func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
 	return t
 }
 
-// MulInPlace multiplies t by o elementwise (Hadamard product).
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
-	checkSameSize("MulInPlace", t, o)
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-	return t
-}
-
 // Scale multiplies every element by s in place and returns t.
 func (t *Tensor) Scale(s float64) *Tensor {
 	for i := range t.Data {
@@ -325,20 +316,6 @@ func Add(t, o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
 
 // Sub returns t - o as a new tensor.
 func Sub(t, o *Tensor) *Tensor { return t.Clone().SubInPlace(o) }
-
-// Mul returns the elementwise product as a new tensor.
-func Mul(t, o *Tensor) *Tensor { return t.Clone().MulInPlace(o) }
-
-// AddInto computes dst = a + b elementwise, shaping dst like a (reusing
-// its storage) and returning dst. dst may alias a or b.
-func AddInto(dst, a, b *Tensor) *Tensor {
-	checkSameSize("AddInto", a, b)
-	dst.EnsureShapeOf(a)
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
-	}
-	return dst
-}
 
 func checkSameSize(op string, a, b *Tensor) {
 	if len(a.Data) != len(b.Data) {

@@ -183,9 +183,8 @@ type AP struct {
 	hFrameIn    *metrics.Histogram
 	hFrameOut   *metrics.Histogram
 
-	// tracer/roundTrack record execution spans (nil-safe no-ops when
+	// roundTrack records execution spans (a nil-safe no-op when
 	// disabled); flight is the always-on post-mortem ring buffer.
-	tracer     *obs.Tracer
 	roundTrack *obs.Track
 	flight     *obs.FlightRecorder
 
@@ -314,7 +313,6 @@ func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
 		"Size of framed messages read from clients.", metrics.DefBytesBuckets)
 	ap.hFrameOut = ap.reg.Histogram("gsfl_frame_write_bytes",
 		"Size of framed messages written to clients.", metrics.DefBytesBuckets)
-	ap.tracer = cfg.Tracer
 	ap.roundTrack = cfg.Tracer.Lane("ap", "rounds")
 	ap.flight = obs.NewFlightRecorder(0)
 

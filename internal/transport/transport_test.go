@@ -31,7 +31,7 @@ func launchWorld(t *testing.T, nClients, nGroups, steps int, tweak ...func(*APCo
 	parts := partition.IID(pool, nClients, rand.New(rand.NewSource(2)))
 	test := schemestest.Blobs(200, 0.6, rand.New(rand.NewSource(3)))
 
-	groups := partition.Groups(nClients, nGroups, partition.GroupRoundRobin, nil, nil)
+	groups := partition.Groups(nClients, nGroups, "round-robin", nil, nil)
 	cfg := APConfig{
 		Arch:           arch,
 		Cut:            cut,
@@ -394,7 +394,7 @@ func TestNetworkGSFLQuantizedFramesTrain(t *testing.T) {
 	pool := schemestest.Blobs(nClients*40, 0.6, rng)
 	parts := partition.IID(pool, nClients, rand.New(rand.NewSource(22)))
 	test := schemestest.Blobs(200, 0.6, rand.New(rand.NewSource(23)))
-	groups := partition.Groups(nClients, 2, partition.GroupRoundRobin, nil, nil)
+	groups := partition.Groups(nClients, 2, "round-robin", nil, nil)
 
 	ap, err := NewAP("127.0.0.1:0", APConfig{
 		Arch: arch, Cut: cut, Groups: groups,

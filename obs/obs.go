@@ -19,10 +19,6 @@
 // paths stay allocation-free when tracing is off. Call sites that would
 // compute span names (fmt.Sprintf etc.) should guard on Track.On().
 //
-// Not to be confused with gsfl/internal/trace, which writes *figure
-// data* — accuracy/latency curve CSVs for the paper's plots. This
-// package records *execution*: where time goes inside a round.
-//
 // Concurrency: Track creation (Tracer.Lane) and global virtual-clock
 // access are mutex-guarded and safe from any goroutine. Span emission
 // on a single Track is not synchronized — each Track must be owned by

@@ -9,7 +9,6 @@ import (
 
 	"gsfl/internal/atomicfile"
 	"gsfl/internal/bincodec"
-	"gsfl/internal/partition"
 	"gsfl/internal/schemes"
 	"gsfl/internal/tensor"
 	"gsfl/internal/wireless"
@@ -22,20 +21,24 @@ import (
 //	file   := u32 magic | u16 version | str scheme | opts | u64 envHash
 //	          | u32 evalEvery | u32 ckptEvery | u64 round | f64 elapsed
 //	          | points | state
-//	opts   := u64 groups | u64 strategy | u8 pipelined | f64 dropoutProb
+//	opts   := u64 groups | str strategy | u8 pipelined | f64 dropoutProb
 //	points := u32 count | count × (u64 round | f64 latency | f64 loss | f64 accuracy)
 //
-// with state as schemes.StateParts.AppendState lays it out. Version 2 is
-// the only format written or read. Version 1 was a gob stream; a
-// checkpoint is transient by contract (it exists while its run is in
-// flight), so there is no v1 reader: Resume refuses the file, an
-// orchestrator drops it and reruns from round 0, and the determinism
-// contract makes that run's bytes the same.
+// with state as schemes.StateParts.AppendState lays it out. The scheme
+// and the grouping strategy travel as the names they are registered
+// under, so a file means the same run in every process that can read
+// it. Version 3 is the only format written or read. Version 2 stored
+// the strategy as an integer minted by registration order and version 1
+// was a gob stream; a checkpoint is transient by contract (it exists
+// while its run is in flight), so neither has a reader: Resume refuses
+// the file, an orchestrator drops it and reruns from round 0, and the
+// determinism contract makes that run's bytes the same.
 const (
 	checkpointMagic   = 0x4B435347 // "GSCK"
-	checkpointVersion = 2
-	// maxSchemeNameLen bounds the scheme name a checkpoint may claim.
-	maxSchemeNameLen = 256
+	checkpointVersion = 3
+	// maxNameLen bounds the scheme and strategy names a checkpoint may
+	// claim.
+	maxNameLen = 256
 )
 
 // checkpointFile is a decoded checkpoint: which scheme (and options) to
@@ -143,7 +146,7 @@ func (r *Runner) encodeCheckpoint(round int, elapsed float64, curve *Curve) []by
 	e.U16(checkpointVersion)
 	e.Str(st.scheme)
 	e.U64(uint64(st.opts.Groups))
-	e.U64(uint64(st.opts.Strategy))
+	e.Str(st.opts.Strategy)
 	var pipelined byte
 	if st.opts.Pipelined {
 		pipelined = 1
@@ -185,9 +188,9 @@ func decodeCheckpoint(data []byte) (*checkpointFile, error) {
 	default:
 		return nil, fmt.Errorf("sim: not a checkpoint: magic %#08x, want %#08x", magic, uint32(checkpointMagic))
 	}
-	cf := &checkpointFile{Scheme: d.Str(maxSchemeNameLen)}
+	cf := &checkpointFile{Scheme: d.Str(maxNameLen)}
 	cf.Opts.Groups = int(int64(d.U64()))
-	cf.Opts.Strategy = partition.GroupStrategy(int64(d.U64()))
+	cf.Opts.Strategy = d.Str(maxNameLen)
 	switch b := d.U8(); b {
 	case 0, 1:
 		cf.Opts.Pipelined = b == 1

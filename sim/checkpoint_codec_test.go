@@ -41,9 +41,13 @@ func realCheckpoint(tb testing.TB, scheme string) []byte {
 	return data
 }
 
-func v1Checkpoint(tb testing.TB) []byte {
+// retiredCheckpoint reads a file an earlier binary wrote:
+// checkpoint_v1.gob (the gob stream) or checkpoint_v2.bin (the binary
+// layout whose strategy was an integer; realCheckpoint's gsfl file as
+// the commit before format v3 wrote it).
+func retiredCheckpoint(tb testing.TB, name string) []byte {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.gob"))
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -58,7 +62,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, scheme := range Schemes() {
 		f.Add(realCheckpoint(f, scheme))
 	}
-	f.Add(v1Checkpoint(f))
+	f.Add(retiredCheckpoint(f, "checkpoint_v1.gob"))
+	f.Add(retiredCheckpoint(f, "checkpoint_v2.bin"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cf, err := decodeCheckpoint(data)
@@ -124,10 +129,12 @@ func TestLoadCheckpointHostileInput(t *testing.T) {
 		copy(mut[off:], b)
 		return mut
 	}
-	schemeLen := int(binary.LittleEndian.Uint32(file[6:]))
-	// Past the scheme name: opts (25), env hash (8), two cadences (8),
-	// round (8), elapsed (8), then the curve's point count.
-	pointCount := 10 + schemeLen + 25 + 8 + 8 + 8 + 8
+	// Past the header (6) come the scheme name, the group count (8) and
+	// the strategy name; past that the rest of opts (9), env hash (8),
+	// two cadences (8), round (8), elapsed (8), then the curve's point
+	// count.
+	strategy := 6 + 4 + int(binary.LittleEndian.Uint32(file[6:])) + 8
+	pointCount := strategy + 4 + int(binary.LittleEndian.Uint32(file[strategy:])) + 9 + 8 + 8 + 8 + 8
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -136,9 +143,11 @@ func TestLoadCheckpointHostileInput(t *testing.T) {
 		{"empty file", nil, "no header"},
 		{"wrong magic", patched(0, 'G', 'S', 'F', 'L'), "not a checkpoint: magic"},
 		{"text", []byte("not a checkpoint"), "not a checkpoint: magic"},
-		{"later version", patched(4, 3, 0), "format v3 is not readable"},
-		{"parent-format gob file", v1Checkpoint(t), "sim: checkpoint format v1 is not readable by this version (rerun from round 0)"},
+		{"later version", patched(4, 4, 0), "format v4 is not readable"},
+		{"parent-format gob file", retiredCheckpoint(t, "checkpoint_v1.gob"), "sim: checkpoint format v1 is not readable by this version (rerun from round 0)"},
+		{"parent-format v2 file", retiredCheckpoint(t, "checkpoint_v2.bin"), "sim: checkpoint format v2 is not readable by this version, which reads v3"},
 		{"scheme name length past the file", patched(6, 0xFF, 0xFF, 0xFF, 0x7F), "string length"},
+		{"strategy name length past the file", patched(strategy, 0xFF, 0xFF, 0xFF, 0x7F), "string length"},
 		{"curve point count past the file", patched(pointCount, 0xFF, 0xFF, 0xFF, 0xFF), "curve points"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,7 +3,6 @@ package sim
 import (
 	"gsfl/internal/metrics"
 	"gsfl/internal/simnet"
-	"gsfl/internal/trace"
 )
 
 // This file re-exports the run-output vocabulary — latency components,
@@ -23,7 +22,7 @@ func Components() []Component { return simnet.Components() }
 // (scheme, round, latency, loss, accuracy), creating parent directories
 // as needed.
 func SaveCurvesCSV(path string, curves []*Curve) error {
-	return trace.SaveCurvesCSV(path, curves)
+	return metrics.SaveCurvesCSV(path, curves)
 }
 
 // SpeedupVsRounds reports how many times faster (in rounds) curve c

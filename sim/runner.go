@@ -202,6 +202,16 @@ func (r *Runner) Scheme() string {
 	return r.trainer.Name()
 }
 
+// Options returns the scheme options of the driven trainer: the ones it
+// was given to sim.New or, after Resume, the ones its checkpoint
+// carried. A trainer not built by either has none.
+func (r *Runner) Options() Options {
+	if st, ok := r.trainer.(*SchemeTrainer); ok {
+		return st.opts
+	}
+	return Options{}
+}
+
 // CompletedRounds returns how many rounds were already done before this
 // Runner starts — zero for a fresh run, the checkpointed round after
 // Resume.

@@ -13,18 +13,16 @@ import (
 // The job's Runner writes no file either way: every checkpoint it
 // encodes reaches save and nothing else.
 type jobSink struct {
-	// load returns the progress sidecar an earlier execution left and
-	// the path of the sim checkpoint it goes with, ok=false when there is
-	// none — drop is then not called, a load that declines leaves
-	// nothing it should remove. Whether the pair is usable is
-	// soundHandoff's call.
+	// load returns the handoff an earlier execution left: the progress
+	// sidecar and the path of the sim checkpoint it goes with. It returns
+	// only what soundHandoff accepted — the sink applies the rule where
+	// it finds the pair, once — and with ok=false it has removed whatever
+	// it found.
 	load func() (p Progress, ckptPath string, ok bool)
 	// save persists the checkpoint the Runner just encoded and its
 	// sidecar. ckpt is the Runner's buffer, valid during the call only.
 	// An error aborts the job.
 	save func(p Progress, ckpt []byte) error
-	// drop removes whatever load found.
-	drop func()
 }
 
 // soundHandoff is the resume-soundness rule: a job may continue from a
@@ -40,7 +38,7 @@ func soundHandoff(j Job, ckptPath string, prior Progress) bool {
 }
 
 // runJob executes one job to completion: resumed from the sink's
-// handoff when it is sound, from scratch otherwise. With a sink and a
+// handoff when it has one, from scratch otherwise. With a sink and a
 // positive checkpointEvery the run checkpoints at that cadence and
 // hands the sink the pair of every boundary but the one after the last
 // round — nothing could resume from that one (soundHandoff), and saving
@@ -56,11 +54,7 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 		opts     []sim.RunOption
 	)
 	if sink != nil {
-		if p, path, ok := sink.load(); ok && soundHandoff(j, path, p) {
-			prior, ckptPath, resume = p, path, true
-		} else if ok {
-			sink.drop()
-		}
+		prior, ckptPath, resume = sink.load()
 		// Stated even though empty or zero: a resumed Runner would
 		// otherwise inherit the handoff file as its path, and the cadence
 		// it was written at.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gsfl/env"
@@ -23,9 +24,13 @@ type handoffFixture struct {
 	ckpt   map[int][]byte
 	prog   map[int]sweep.Progress
 	slCkpt map[int][]byte
-	// v1Ckpt is a checkpoint in the retired gob format, as a sweep killed
-	// under an older binary leaves one.
-	v1Ckpt []byte
+	// v1Ckpt and v2Ckpt are checkpoints in the retired formats (the gob
+	// stream; the binary layout with an integer strategy), as a sweep
+	// killed under an older binary leaves them.
+	v1Ckpt, v2Ckpt []byte
+	// sibling is the job's groups=3 neighbour in the same world: the
+	// environment fingerprint cannot tell their checkpoints apart.
+	sibling sweep.Job
 }
 
 const handoffRounds = 4
@@ -83,6 +88,13 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 	if fx.v1Ckpt, err = os.ReadFile(filepath.Join("..", "sim", "testdata", "checkpoint_v1.gob")); err != nil {
 		t.Fatal(err)
 	}
+	if fx.v2Ckpt, err = os.ReadFile(filepath.Join("..", "sim", "testdata", "checkpoint_v2.bin")); err != nil {
+		t.Fatal(err)
+	}
+	fx.sibling = jobsOf(t, sweep.Grid{
+		Name: "h", Base: env.TestSpec(), Rounds: handoffRounds, EvalEvery: 1,
+		Axes: sweep.Axes{Groups: []int{3}, Schemes: []string{"gsfl"}},
+	})[0]
 	return fx
 }
 
@@ -107,11 +119,27 @@ func (fx handoffFixture) cases() []handoffCase {
 		{"checkpoint at Rounds", handoffRounds, fx.ckpt[handoffRounds], p(handoffRounds), 0},
 		{"unreadable checkpoint", 2, []byte("not a checkpoint"), p(2), 0},
 		{"parent-format (v1) checkpoint", 2, fx.v1Ckpt, p(2), 0},
+		{"parent-format (v2) checkpoint", 2, fx.v2Ckpt, p(2), 0},
 		{"sidecar missing", 2, fx.ckpt[2], nil, 0},
 		{"valid handoff", 2, fx.ckpt[2], p(2), 2},
 		// The last round ran and the result did not land: what is held is
 		// the pair before it, and only that round is run again.
 		{"crash after the last round", last, fx.ckpt[last], p(last), last},
+	}
+}
+
+// siblingOptionsError is what a job handed its groups=2 sibling's pair
+// must fail with: the pair is sound by the handoff rule (right scheme,
+// right round, same world), so only the options clause of RunJob's
+// assertion stands between the job and a result trained under the
+// file's options and recorded under its own ID.
+const siblingOptionsError = "checkpoint trains under options {Groups:2 Strategy:round-robin Pipelined:false DropoutProb:0}, " +
+	"job wants {Groups:3 Strategy:round-robin Pipelined:false DropoutProb:0}"
+
+func requireSiblingRefused(t *testing.T, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), siblingOptionsError) {
+		t.Fatalf("a sibling cell's checkpoint: error %v, want one containing %q", err, siblingOptionsError)
 	}
 }
 
@@ -243,6 +271,19 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 		})
 	}
 
+	t.Run("sibling cell's checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		prog := fx.prog[2]
+		plantGen(t, dir, fx.sibling, 2, fx.ckpt[2], &prog)
+		store, err := sweep.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		_, err = (&sweep.Scheduler{Jobs: 1, CheckpointEvery: 3}).Run(context.Background(), []sweep.Job{fx.sibling}, store)
+		requireSiblingRefused(t, err)
+	})
+
 	// The last case again, the pair not planted but taken from a live
 	// store at the instant its last round ends: the Scheduler must not
 	// have superseded the last pair a job can resume from.
@@ -330,4 +371,10 @@ func TestHandoffRuleLeaseSink(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("sibling cell's checkpoint", func(t *testing.T) {
+		handoff := &sweep.LeaseCheckpoint{Progress: fx.prog[2], Ckpt: fx.ckpt[2]}
+		_, err := sweep.RunLeased(context.Background(), fx.sibling, t.TempDir(), 3, handoff, sweep.LeaseCallbacks{})
+		requireSiblingRefused(t, err)
+	})
 }

@@ -148,17 +148,24 @@ type LeaseCallbacks struct {
 // executor (runJob) over a sink made of the lease. A sound handoff —
 // staged in scratchDir for the length of the job, the only file a
 // lease writes — seeds a bit-identical mid-job resume, any other is
-// discarded; checkpoint bytes go from the Runner's buffer straight to
+// discarded where it is staged (soundHandoff, the sink's one call);
+// checkpoint bytes go from the Runner's buffer straight to
 // cb.OnCheckpoint for the coordinator to persist, never to the
 // worker's disk: the next leaseholder resumes from the coordinator's
 // copy, so nothing would read one.
 func RunLeased(ctx context.Context, j Job, scratchDir string, checkpointEvery int, handoff *LeaseCheckpoint, cb LeaseCallbacks) (JobResult, error) {
 	path := filepath.Join(scratchDir, j.ID+".ckpt")
+	defer os.Remove(path)
 	sink := &jobSink{
 		// The handoff arrived with the lease: stage its bytes for the
-		// executor to resume from. One that cannot be staged is no handoff.
+		// executor to resume from. One that cannot be staged, or that the
+		// resume rule turns down, is no handoff.
 		load: func() (Progress, string, bool) {
-			if handoff == nil || len(handoff.Ckpt) == 0 || os.WriteFile(path, handoff.Ckpt, 0o644) != nil {
+			if handoff == nil || len(handoff.Ckpt) == 0 {
+				return Progress{}, "", false
+			}
+			if os.WriteFile(path, handoff.Ckpt, 0o644) != nil || !soundHandoff(j, path, handoff.Progress) {
+				os.Remove(path)
 				return Progress{}, "", false
 			}
 			return handoff.Progress, path, true
@@ -169,8 +176,6 @@ func RunLeased(ctx context.Context, j Job, scratchDir string, checkpointEvery in
 			}
 			return cb.OnCheckpoint(p, ckpt)
 		},
-		drop: func() { os.Remove(path) },
 	}
-	defer sink.drop()
 	return runJob(ctx, j, checkpointEvery, sink, cb.OnResumed, cb.OnRound)
 }

@@ -18,7 +18,6 @@ import (
 
 	"gsfl/internal/atomicfile"
 	"gsfl/internal/metrics"
-	"gsfl/internal/trace"
 )
 
 // Store layout under its directory:
@@ -319,7 +318,7 @@ func (s *Store) entryOf(res JobResult) *Entry {
 // drops the job's transient checkpoint state.
 func (s *Store) Record(res JobResult) error {
 	e := s.entryOf(res)
-	if err := trace.SaveCurvesCSV(filepath.Join(s.dir, e.CurveFile), []*metrics.Curve{res.Curve}); err != nil {
+	if err := metrics.SaveCurvesCSV(filepath.Join(s.dir, e.CurveFile), []*metrics.Curve{res.Curve}); err != nil {
 		return err
 	}
 	line, err := json.Marshal(e)
@@ -472,7 +471,6 @@ func (s *Store) sink(j Job) *jobSink {
 	return &jobSink{
 		load: func() (Progress, string, bool) { return s.LoadBoundary(j) },
 		save: func(p Progress, ckpt []byte) error { return s.SaveBoundary(j, p, ckpt) },
-		drop: func() { s.DropTransient(j) },
 	}
 }
 
