@@ -2,6 +2,7 @@ package gsfl_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -10,9 +11,7 @@ import (
 	"gsfl/env"
 	"gsfl/internal/schemes"
 	"gsfl/internal/simnet"
-
-	// Links every built-in scheme into the registry.
-	_ "gsfl/sim"
+	"gsfl/sim"
 )
 
 // pinnedRounds is how many rounds each row trains and hashes.
@@ -20,7 +19,8 @@ const pinnedRounds = 6
 
 // pinnedHashes are the per-round hashes of every TestPinnedRounds row,
 // recorded on the commit before this file's engine took over sl and sfl
-// (1c129f3, three trainers).
+// (1c129f3, three trainers); the fl rows were recorded while fl still had
+// its own trainer.
 var pinnedHashes = map[string][pinnedRounds]uint64{
 	"gsfl/M=2":                   {0x8f57bac6eebc5dbf, 0x284cd75792aa40e9, 0x0f442434f4d10397, 0xf6d4b5c2913260ef, 0x7f8b3dc4931f5b78, 0x2dde67c2ed0d51b2},
 	"gsfl/M=2/quant":             {0x9aa462b7057ee43e, 0x8d0c1e16bf298b32, 0x860a419ec2011e5f, 0x5137191625b1fe44, 0x596217dc280a7063, 0x6c692405f55077a5},
@@ -41,6 +41,12 @@ var pinnedHashes = map[string][pinnedRounds]uint64{
 	"sfl":                        {0x91ec71c175325174, 0x11dc6a45a6698251, 0x03b2a1f62a25183e, 0x68054e8ffad074ad, 0x8bae8fba45e858be, 0xda9faf1764bfed26},
 	"sfl/quant":                  {0x64c30abee9802054, 0x860154fb35af0263, 0xbb2bbf17299b2f0b, 0xdad97eb6457f2ce4, 0xe046f865ea1d9392, 0x594908e0ee32028b},
 	"sfl/population":             {0xfbd4d0e3ce89f2a3, 0x6461d88eeb37dbb7, 0xd3d031f01275dc19, 0x19ab6dce517631c0, 0xfd891a27dede188d, 0x0e43fab827f1470f},
+	"fl":                         {0x4aae1708c7dad32f, 0x59221e2e43c51851, 0xed09ca7b06792aab, 0x04a5c00b7f899be5, 0x798848b25a357a07, 0x37c63a08e7e52fc1},
+	"fl/quant":                   {0x4aae1708c7dad32f, 0x59221e2e43c51851, 0xed09ca7b06792aab, 0x04a5c00b7f899be5, 0x798848b25a357a07, 0x37c63a08e7e52fc1},
+	"fl/proportional-fair":       {0x56a281121de74cfb, 0x78c658774c96aca9, 0xfc0d702842a8debf, 0x2e031ece5cdd0613, 0x03c4a0d186c1252e, 0xbf7839fec3ff2dc0},
+	"fl/latency-min":             {0xd72420139d931e8a, 0x890a0dbc41d62d50, 0xbfd535a598c847e3, 0x2d131c678309c62f, 0xc6daedcd2787e805, 0xea728a8219ad857d},
+	"fl/population":              {0x074ac61e143f3036, 0x072b29109f87cda0, 0x3def4971f4612716, 0xf84fb945d1431266, 0xe83d14b3d3eed886, 0x379a4f388449c543},
+	"fl/options-ignored":         {0x4aae1708c7dad32f, 0x59221e2e43c51851, 0xed09ca7b06792aab, 0x04a5c00b7f899be5, 0x798848b25a357a07, 0x37c63a08e7e52fc1},
 }
 
 // roundHash folds the float bits of one round's ledger (every
@@ -64,6 +70,15 @@ func roundHash(led *simnet.Ledger, ev schemes.Eval) uint64 {
 	return h.Sum64()
 }
 
+// population puts the pinned rows behind a sampled population whose
+// cohort is smaller than the fleet.
+func population(s *env.Spec) {
+	s.Population = 4 * s.Clients
+	s.SampleFraction = 0.25
+	s.AvailTrace = "onoff"
+	s.Alpha = 0.1
+}
+
 // TestPinnedRounds holds the grouped-split schemes to the exact latency
 // ledgers and evaluations recorded before sl and sfl became
 // registrations of this package's engine: pricing order is bit-visible
@@ -73,11 +88,12 @@ func TestPinnedRounds(t *testing.T) {
 	quant := func(s *env.Spec) { s.Hyper.QuantizeTransfers = true }
 	groups := func(m int) func(*env.Spec) { return func(s *env.Spec) { s.Groups = m } }
 	alloc := func(name string) func(*env.Spec) { return func(s *env.Spec) { s.Alloc = name } }
-	population := func(s *env.Spec) {
-		s.Population = 4 * s.Clients
-		s.SampleFraction = 0.25
-		s.AvailTrace = "onoff"
-		s.Alpha = 0.1
+	// fl takes no options: dropout, pipelining and the grouping strategy
+	// in the spec must not reach it.
+	ignored := func(s *env.Spec) {
+		s.DropoutProb = 0.3
+		s.Pipelined = true
+		s.Strategy = "random"
 	}
 	rows := []struct {
 		name   string
@@ -103,6 +119,12 @@ func TestPinnedRounds(t *testing.T) {
 		{"sfl", "sfl", nil},
 		{"sfl/quant", "sfl", []func(*env.Spec){quant}},
 		{"sfl/population", "sfl", []func(*env.Spec){population}},
+		{"fl", "fl", nil},
+		{"fl/quant", "fl", []func(*env.Spec){quant}},
+		{"fl/proportional-fair", "fl", []func(*env.Spec){alloc("proportional-fair")}},
+		{"fl/latency-min", "fl", []func(*env.Spec){alloc("latency-min")}},
+		{"fl/population", "fl", []func(*env.Spec){population}},
+		{"fl/options-ignored", "fl", []func(*env.Spec){ignored}},
 	}
 	ctx := context.Background()
 	for _, row := range rows {
@@ -141,6 +163,58 @@ func TestPinnedRounds(t *testing.T) {
 					lit += fmt.Sprintf("%#016x, ", h)
 				}
 				t.Fatalf("ledger/eval bits moved\n\t%q: {%s},\nwant %#016x", row.name, lit, want)
+			}
+		})
+	}
+}
+
+// pinnedCheckpoints are the sha256 digests of the checkpoint a Runner
+// hands its observers after round 3, recorded while fl still had its own
+// trainer: the state layout, not just the numerics, must not move.
+var pinnedCheckpoints = map[string]string{
+	"fl":            "625b1d186ea19b20ad033bd7c5beb48396c3fb31a7cbd4a835ca53f55467b00d",
+	"fl/population": "8b884452651e262a4d4c512e167b67aca39f0ac9fe4e8dd61dc43ed1f8baf026",
+}
+
+func TestPinnedCheckpoints(t *testing.T) {
+	rows := []struct {
+		name   string
+		scheme string
+		mods   []func(*env.Spec)
+	}{
+		{"fl", "fl", nil},
+		{"fl/population", "fl", []func(*env.Spec){population}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			spec := env.TestSpec()
+			for _, mod := range row.mods {
+				mod(&spec)
+			}
+			world, err := env.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts, err := spec.SchemeOptions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := sim.New(row.scheme, world, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got string
+			_, err = sim.NewRunner(tr, sim.WithRounds(3), sim.WithCheckpointEvery(3),
+				sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
+					if e.Round == 3 {
+						got = fmt.Sprintf("%x", sha256.Sum256(e.Checkpoint))
+					}
+				}))).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := pinnedCheckpoints[row.name]; got != want {
+				t.Fatalf("checkpoint bytes moved\n\t%q: %q,\nwant %q", row.name, got, want)
 			}
 		})
 	}
