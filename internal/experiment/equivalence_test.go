@@ -9,8 +9,8 @@ import (
 )
 
 // GSFL is a strict generalization of both benchmark split schemes, and
-// all three are registrations of one engine (internal/gsfl) that differ,
-// beyond M, in two pricing-order flags. These tests pin the degenerate
+// all three (and FL) are registrations of one engine (internal/gsfl) that
+// differ, beyond M, in two pricing-order flags. These tests pin the degenerate
 // cases to be *numerically identical* on every evaluation, which proves
 // the flags touch pricing only.
 
@@ -81,27 +81,22 @@ func TestGSFLWithSingletonGroupsEqualsSFL(t *testing.T) {
 	}
 }
 
-// TestSchemesShareInitialModel: every split scheme must start from the
+// TestSchemesShareInitialModel: every engine scheme must start from the
 // same global initialization (the paper distributes ONE model), so their
-// round-0 evaluations coincide.
+// round-0 evaluations coincide — FL's included: the same "init" stream
+// builds the same weights, cut after the last layer instead.
 func TestSchemesShareInitialModel(t *testing.T) {
-	g := byName(t, "gsfl", 2, 7, 4, 30)
-	s := byName(t, "sl", 0, 7, 4, 30)
-	f := byName(t, "sfl", 0, 7, 4, 30)
 	ctx := context.Background()
-	ge, err := g.Evaluate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, err := s.Evaluate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe, err := f.Evaluate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ge != se || ge != fe {
-		t.Fatalf("initial models differ: %+v / %+v / %+v", ge, se, fe)
+	var first schemes.Eval
+	for i, scheme := range []string{"gsfl", "sl", "sfl", "fl"} {
+		ev, err := byName(t, scheme, 2, 7, 4, 30).Evaluate(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = ev
+		} else if ev != first {
+			t.Fatalf("initial %s model differs from gsfl's: %+v vs %+v", scheme, ev, first)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"gsfl/internal/gsfl"
 	"gsfl/internal/metrics"
 	"gsfl/internal/schemes"
-	"gsfl/internal/schemes/fl"
 	"gsfl/internal/schemes/schemestest"
 )
 
@@ -247,7 +246,7 @@ func TestConvergenceGSFLFasterThanFLInRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	env2 := schemestest.NewEnv(11, 6, 40)
-	f, err := fl.New(env2)
+	f, err := schemes.NewByName("fl", env2, schemes.FactoryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,34 +4,48 @@ import (
 	"testing"
 
 	"gsfl/env"
+	"gsfl/internal/device"
 	"gsfl/internal/metrics"
 	"gsfl/internal/parallel"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/simnet"
+	"gsfl/internal/wireless"
 )
 
-// The split baselines are registrations of this package's engine; these
-// are the behavioural tests their own packages carried, driven through
-// the registry so they exercise exactly what "sl" and "sfl" resolve to.
+// The baselines are registrations of this package's engine; these are
+// the behavioural tests their own packages carried, driven through the
+// registry so they exercise exactly what "sl", "sfl" and "fl" resolve to.
 
-// baselines lists what differs between the two rows of each table test.
+// baselines lists what differs between the rows of each table test.
 var baselines = []struct {
 	scheme string
-	// learnRounds/evalEvery size the learns-blobs run.
+	// learnRounds/evalEvery size the learns-blobs run; minAccuracy is the
+	// final accuracy it must reach.
 	learnRounds, evalEvery int
-	// aggregates: SplitFed pays FedAvg time every round, vanilla SL never.
-	aggregates bool
+	minAccuracy            float64
+	// pays lists the latency components a round charges; every other
+	// component must stay zero.
+	pays []simnet.Component
 	// scalesOK judges the 4-client vs 8-client round latency.
 	scalesOK func(small, large float64) bool
 	scaling  string
 }{
-	{"sl", 10, 2, false,
+	// Vanilla SL relays its one model and never aggregates.
+	{"sl", 10, 2, 0.7,
+		[]simnet.Component{simnet.ClientCompute, simnet.Uplink, simnet.ServerCompute, simnet.Downlink, simnet.Relay},
 		func(small, large float64) bool { return large >= 1.5*small },
 		"sequential training: doubling the clients should roughly double the round"},
-	{"sfl", 15, 3, true,
+	// SplitFed pays every component, FedAvg included.
+	{"sfl", 15, 3, 0.7, simnet.Components(),
 		func(small, large float64) bool { return large < 1.9*small },
 		"all clients train at once: latency must scale sublinearly in the fleet size"},
+	// FL has no split point: the server never computes activations and no
+	// client-model relays occur.
+	{"fl", 20, 4, 0.6,
+		[]simnet.Component{simnet.ClientCompute, simnet.Uplink, simnet.Downlink, simnet.Aggregation},
+		func(small, large float64) bool { return large < 2*small },
+		"all clients train at once and only the whole-model transfers split the spectrum: latency must grow slower than the fleet"},
 }
 
 func newBaseline(t *testing.T, scheme string, seed int64, n int) schemes.Trainer {
@@ -53,7 +67,7 @@ func TestBaselinesLearnBlobs(t *testing.T) {
 			if curve.Scheme != b.scheme {
 				t.Fatalf("curve labelled %q", curve.Scheme)
 			}
-			if acc := curve.FinalAccuracy(); acc < 0.7 {
+			if acc := curve.FinalAccuracy(); acc < b.minAccuracy {
 				t.Fatalf("final accuracy %v; %s failed to learn", acc, b.scheme)
 			}
 		})
@@ -78,16 +92,14 @@ func TestBaselinesRoundComponents(t *testing.T) {
 	for _, b := range baselines {
 		t.Run(b.scheme, func(t *testing.T) {
 			led := schemestest.MustRound(t, newBaseline(t, b.scheme, 4, 4))
-			for _, c := range []simnet.Component{
-				simnet.ClientCompute, simnet.Uplink, simnet.ServerCompute,
-				simnet.Downlink, simnet.Relay,
-			} {
-				if led.Get(c) <= 0 {
-					t.Fatalf("component %v is zero", c)
-				}
+			pays := make(map[simnet.Component]bool)
+			for _, c := range b.pays {
+				pays[c] = true
 			}
-			if got := led.Get(simnet.Aggregation) > 0; got != b.aggregates {
-				t.Fatalf("aggregation time %v, want paid=%v", led.Get(simnet.Aggregation), b.aggregates)
+			for _, c := range simnet.Components() {
+				if paid := led.Get(c) > 0; paid != pays[c] {
+					t.Fatalf("component %v = %v, want paid=%v", c, led.Get(c), pays[c])
+				}
 			}
 		})
 	}
@@ -128,6 +140,54 @@ func TestSFLStoresOneReplicaPerClient(t *testing.T) {
 	}
 	if tr.ServerStorageBytes() <= 0 {
 		t.Fatal("storage must be positive")
+	}
+}
+
+func TestFLTransfersFullModel(t *testing.T) {
+	// FL uplink time per round must exceed SL-style smashed-data uplink
+	// cost scaled appropriately; here we simply verify the uplink
+	// component reflects full-model bytes by checking it dwarfs the
+	// aggregation time.
+	led := schemestest.MustRound(t, newBaseline(t, "fl", 5, 4))
+	if led.Get(simnet.Uplink) <= led.Get(simnet.Aggregation) {
+		t.Fatalf("uplink %v should dominate aggregation %v",
+			led.Get(simnet.Uplink), led.Get(simnet.Aggregation))
+	}
+}
+
+func TestFLParallelRoundBeatsSequentialSum(t *testing.T) {
+	// FL trains clients in parallel; its round latency (slowest client
+	// under shared bandwidth, plus aggregation) must be well below the
+	// cost of serving the clients one at a time, each with the full
+	// bandwidth. Use a homogeneous fleet and disable fading so both sides
+	// are exactly computable.
+	env := schemestest.NewEnv(6, 8, 40)
+	dcfg := device.DefaultConfig(8)
+	dcfg.ClientSpread = 0
+	env.Fleet = device.NewFleet(dcfg, 99)
+	wcfg := wireless.DefaultConfig()
+	wcfg.FadingJitter = 0
+	env.Channel = wireless.NewChannel(wcfg, 8, 100)
+
+	tr, err := schemes.NewByName("fl", env, schemes.FactoryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	concurrent := schemestest.MustRound(t, tr).Total()
+
+	// Sequential estimate: every client gets the full budget but they go
+	// one after another.
+	probe := env.Arch.NewSplit(env.Rng("probe", 1), len(env.Arch.Build(env.Rng("probe", 2))))
+	bytes := probe.ClientParamBytes()
+	perStep := 3 * probe.ClientFwdFLOPs() * int64(env.Hyper.Batch)
+	sequential := 0.0
+	for ci := 0; ci < 8; ci++ {
+		sequential += env.Channel.TransferSeconds(ci, bytes, env.Channel.DownlinkHz(), false)
+		sequential += env.Fleet.Clients[ci].ComputeSeconds(perStep) * float64(env.Hyper.StepsPerClient)
+		sequential += env.Channel.TransferSeconds(ci, bytes, env.Channel.UplinkHz(), true)
+	}
+	if concurrent >= sequential {
+		t.Fatalf("parallel FL round (%v) not below sequential sum (%v)", concurrent, sequential)
 	}
 }
 

@@ -32,11 +32,12 @@
 // serial in group order, so both training numerics and ledgers are
 // bit-identical for any worker count.
 //
-// The paper's two split baselines are members of the same family, and
-// this package registers them as such: vanilla split learning ("sl") is
-// one group of N, SplitFed ("sfl") is N groups of one. Their training
-// numerics are the engine's at that M; what each fixes beyond M is how
-// the round is priced (see plan).
+// The paper's baselines other than centralized learning are members of
+// the same family, and this package registers them as such: vanilla
+// split learning ("sl") is one group of N, SplitFed ("sfl") is N groups
+// of one, and FedAvg ("fl") is SplitFed with the cut after the last
+// layer. Their training numerics are the engine's at that M and cut;
+// what each fixes beyond them is how the round is priced (see plan).
 package gsfl
 
 import (
@@ -54,12 +55,12 @@ import (
 )
 
 // plan is what a registration fixes about the engine beyond its
-// options: the scheme's name, its M, and the two places where the
-// baselines price a round differently from GSFL at the same M. Pricing
-// order is
-// bit-visible (every transfer draws from the shared fading RNG), and a
-// "gsfl" run at M=1 or M=N keeps GSFL pricing, so neither flag can be
-// derived from M; they are per-registration constants, never options.
+// options: the scheme's name, its M, and the places where the baselines
+// train or price a round differently from GSFL at the same M. Pricing
+// order is bit-visible (every transfer draws from the shared fading
+// RNG), and a "gsfl" run at M=1, M=N or a cut after the last layer keeps
+// GSFL pricing, so no flag can be derived from M or the cut; they are
+// per-registration constants, never options.
 type plan struct {
 	// scheme is the registry key, curve label, checkpoint scheme and
 	// trace process.
@@ -78,12 +79,20 @@ type plan struct {
 	// of its own turn instead of for all lanes up front: the same
 	// per-lane ledger, a different fading-draw order (SplitFed's).
 	distributionInTurn bool
+	// local is federated learning: the cut is after the architecture's
+	// last layer, so the loss is computed on the client and nothing
+	// crosses the air per step — a step prices client compute only, the
+	// transfers are unquantized, the distribution and return of the
+	// (whole) model are a Downlink and an Uplink rather than a Relay, and
+	// the empty server half carries no state.
+	local bool
 }
 
 var (
 	gsflPlan = plan{scheme: "gsfl", groups: func(m, _ int) int { return m }}
 	slPlan   = plan{scheme: "sl", groups: func(_, _ int) int { return 1 }, chain: true}
 	sflPlan  = plan{scheme: "sfl", groups: func(_, n int) int { return n }, distributionInTurn: true}
+	flPlan   = plan{scheme: "fl", groups: func(_, n int) int { return n }, distributionInTurn: true, local: true}
 )
 
 // Trainer is a grouped-split scheme mid-training. Create with New (or
@@ -159,10 +168,14 @@ func newWithPlan(env *schemes.Env, cfg schemes.FactoryOpts, p plan) (*Trainer, e
 		env.Fleet.Capacities(), env.Rng("grouping", 0))
 
 	t := &Trainer{env: env, cfg: cfg, plan: p, groups: groups}
+	cut := env.Cut
+	if p.local {
+		cut = len(env.Arch.Build(env.Rng("probe", 0)))
+	}
 
 	// One global initialization shared by every replica, so round 0
 	// starts from a single common model (the paper's model distribution).
-	init := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
+	init := env.Arch.NewSplit(env.Rng("init", 0), cut)
 	t.globalClient = model.TakeSnapshot(init.Client)
 	t.globalServer = model.TakeSnapshot(init.Server)
 	t.evalModel = init
@@ -176,7 +189,7 @@ func newWithPlan(env *schemes.Env, cfg schemes.FactoryOpts, p plan) (*Trainer, e
 	for g := range groups {
 		// Fresh structure; parameters are overwritten from the global
 		// snapshots at the start of every round.
-		t.replicas[g] = env.Arch.NewSplit(env.Rng("replica", g), env.Cut)
+		t.replicas[g] = env.Arch.NewSplit(env.Rng("replica", g), cut)
 		t.clientOpts[g] = env.Hyper.NewOptimizer()
 		t.serverOpts[g] = env.Hyper.NewOptimizer()
 	}
@@ -311,6 +324,12 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	// available client of each group downloads the client-side model; the
 	// downloads are concurrent and share the downlink budget. A chain has
 	// nothing to download: its model is already with the first client.
+	// Under FL the client half is the whole model, and its download and
+	// return are the round's only transfers: FL's Downlink and Uplink.
+	handOff, giveBack := simnet.Relay, simnet.Relay
+	if t.plan.local {
+		handOff, giveBack = simnet.Downlink, simnet.Uplink
+	}
 	groupLeds := make(map[int]*simnet.Ledger, len(live))
 	firstClients := make([]int, len(live))
 	for li, g := range live {
@@ -323,7 +342,7 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	var distAlloc []float64
 	distribute := func(li int) {
 		g := live[li]
-		groupLeds[g].Add(simnet.Relay, env.Channel.TransferSeconds(firstClients[li],
+		groupLeds[g].Add(handOff, env.Channel.TransferSeconds(firstClients[li],
 			t.replicas[g].ClientParamBytes(), distAlloc[li], false))
 	}
 	if !t.plan.chain {
@@ -347,6 +366,8 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		// The sole active client takes the full budget.
 		upAlloc, downAlloc = []float64{env.Channel.UplinkHz()}, []float64{env.Channel.DownlinkHz()}
 	}
+	// FL's steps send nothing, so there is nothing to quantize.
+	quantize := env.Hyper.QuantizeTransfers && !t.plan.local
 	for pos := 0; pos < maxLen; pos++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -379,7 +400,7 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 				sizes := make([]int, env.Hyper.StepsPerClient)
 				for s := 0; s < env.Hyper.StepsPerClient; s++ {
 					t.loaders[ci].NextInto(&ws.Batch)
-					ws.SplitStep(rep, t.clientOpts[g], t.serverOpts[g], ws.Batch, env.Hyper.QuantizeTransfers)
+					ws.SplitStep(rep, t.clientOpts[g], t.serverOpts[g], ws.Batch, quantize)
 					sizes[s] = len(ws.Batch.Y)
 				}
 				batchSizes[ai] = sizes
@@ -404,7 +425,12 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 				}
 			} else {
 				for _, bn := range batchSizes[ai] {
-					schemes.StepLatency(env, rep, ci, bn, upAlloc[ai], downAlloc[ai], groupLeds[g])
+					if t.plan.local { // the loss is on the client: no per-step transfers
+						groupLeds[g].Add(simnet.ClientCompute,
+							env.Fleet.Clients[ci].ComputeSeconds(3*rep.ClientFwdFLOPs()*int64(bn)))
+					} else {
+						schemes.StepLatency(env, rep, ci, bn, upAlloc[ai], downAlloc[ai], groupLeds[g])
+					}
 				}
 			}
 			// Model sharing: relay to the next client in the group — a
@@ -416,7 +442,7 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 			case t.plan.chain:
 				schemes.RelayLatency(env, rep, ci, groups[g][0], upAlloc[ai], downAlloc[ai], groupLeds[g])
 			default:
-				groupLeds[g].Add(simnet.Relay,
+				groupLeds[g].Add(giveBack,
 					env.Channel.TransferSeconds(ci, rep.ClientParamBytes(), upAlloc[ai], true))
 			}
 			rt.EndSlot(groupLeds[g])

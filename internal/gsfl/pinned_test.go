@@ -79,8 +79,8 @@ func population(s *env.Spec) {
 	s.Alpha = 0.1
 }
 
-// TestPinnedRounds holds the grouped-split schemes to the exact latency
-// ledgers and evaluations recorded before sl and sfl became
+// TestPinnedRounds holds the engine's schemes to the exact latency
+// ledgers and evaluations recorded before sl, sfl and fl became
 // registrations of this package's engine: pricing order is bit-visible
 // through the fading RNG, so any reordering of transfers, allocations
 // or aggregation changes a hash.

@@ -109,12 +109,6 @@ func (m *SplitModel) ServerParamBytes() int64 {
 	return int64(m.Server.ParamCount()) * WireBytesPerScalar
 }
 
-// TotalParamBytes returns the wire size of the full model (what FL
-// uploads and downloads every round).
-func (m *SplitModel) TotalParamBytes() int64 {
-	return m.ClientParamBytes() + m.ServerParamBytes()
-}
-
 // ClientFwdFLOPs returns per-sample forward FLOPs of the client half.
 func (m *SplitModel) ClientFwdFLOPs() int64 { return m.Client.FwdFLOPs(m.Arch.InShape) }
 

@@ -54,8 +54,10 @@ func TestByteAccounting(t *testing.T) {
 	if got := m.ServerParamBytes(); got != 21*WireBytesPerScalar {
 		t.Fatalf("ServerParamBytes = %d, want %d", got, 21*WireBytesPerScalar)
 	}
-	if got := m.TotalParamBytes(); got != 87*WireBytesPerScalar {
-		t.Fatalf("TotalParamBytes = %d", got)
+	// Cut after the last layer (FL): the client half is the whole model.
+	full := arch.NewSplit(rand.New(rand.NewSource(1)), len(arch.Build(rand.New(rand.NewSource(0)))))
+	if got := full.ClientParamBytes(); got != 87*WireBytesPerScalar {
+		t.Fatalf("ClientParamBytes at full depth = %d, want %d", got, 87*WireBytesPerScalar)
 	}
 	// Smashed data: 6 activations + 1 label per sample.
 	if got := m.SmashedBytes(4); got != 4*7*WireBytesPerScalar {
@@ -79,7 +81,7 @@ func TestCutMonotonicity(t *testing.T) {
 			t.Fatalf("client bytes decreased at cut %d", cut)
 		}
 		prevClient = cb
-		tt := m.TotalParamBytes()
+		tt := cb + m.ServerParamBytes()
 		if total == 0 {
 			total = tt
 		}

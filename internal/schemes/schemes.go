@@ -1,9 +1,9 @@
 // Package schemes defines the environment and trainer contract shared by
 // every distributed-learning scheme in the reproduction: the paper's
-// GSFL together with the split baselines SL and SplitFed it contains as
-// M=1 and M=N (all three are registrations of internal/gsfl's one round
-// engine), and the genuinely different baselines CL and FL
-// (internal/schemes/{cl,fl}).
+// GSFL together with the baselines it contains — SL and SplitFed as M=1
+// and M=N, FL as M=N with the cut after the last layer (all four are
+// registrations of internal/gsfl's one round engine) — and the
+// genuinely different baseline CL (internal/schemes/cl).
 //
 // A scheme consumes an Env — the fleet, the wireless channel, the
 // per-client datasets, the architecture and cut layer, and the training
@@ -347,8 +347,8 @@ func (ws *StepWorkspace) SplitStep(m *model.SplitModel, clientOpt, serverOpt opt
 }
 
 // LocalStep runs one full-model mini-batch (forward, loss, backward,
-// optimizer step) on net — the centralized / FedAvg-style update CL and
-// FL use. It returns the batch loss.
+// optimizer step) on net — the centralized update CL uses. It returns
+// the batch loss.
 func (ws *StepWorkspace) LocalStep(net *nn.Sequential, opt optim.Optimizer, batch data.Batch) float64 {
 	logits := net.Forward(batch.X, true)
 	l := loss.SoftmaxCrossEntropy{}.EvalInto(logits, batch.Y, &ws.lossGrad)

@@ -40,11 +40,10 @@ import (
 	"gsfl/internal/simnet"
 
 	// The built-in schemes self-register into the registry from their
-	// init functions (internal/gsfl registers gsfl, sl and sfl);
+	// init functions (internal/gsfl registers gsfl, sl, sfl and fl);
 	// importing gsfl/sim therefore makes all five available by name.
 	_ "gsfl/internal/gsfl"
 	_ "gsfl/internal/schemes/cl"
-	_ "gsfl/internal/schemes/fl"
 )
 
 // Aliases re-export the contract types so callers of the run API need
