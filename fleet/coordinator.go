@@ -96,6 +96,11 @@ func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coor
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
+	// The welcome carries the TTL in whole milliseconds, and a worker
+	// refuses a zero one: a shorter lease is one no worker could hold.
+	if cfg.LeaseTTL < time.Millisecond {
+		return nil, fmt.Errorf("fleet: lease TTL %v is under the 1ms the wire can carry", cfg.LeaseTTL)
+	}
 	c := &Coordinator{
 		cfg:    cfg,
 		store:  store,

@@ -663,3 +663,70 @@ func TestFleetPersistenceFailureFailsTheSweep(t *testing.T) {
 		t.Fatalf("the job was leased %d times, want once", leases)
 	}
 }
+
+// TestFleetRefusesSubMillisecondLease: the welcome carries the lease TTL
+// in whole milliseconds, so Serve refuses one under a millisecond. 500µs
+// would reach every worker as a zero it rejects, and 2ns would also stop
+// the lease reaper's ticker (TTL/4 = 0) with a panic that kills the
+// process.
+func TestFleetRefusesSubMillisecondLease(t *testing.T) {
+	store, err := sweep.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for _, ttl := range []time.Duration{500 * time.Microsecond, 2 * time.Nanosecond} {
+		c, err := fleet.Serve("127.0.0.1:0", jobsOf(t, testGrid()), store, fleet.Config{LeaseTTL: ttl})
+		if err == nil {
+			c.Close()
+			t.Fatalf("Serve accepted a %v lease TTL", ttl)
+		}
+		if !strings.Contains(err.Error(), ttl.String()) {
+			t.Fatalf("Serve error %q does not name the %v TTL", err, ttl)
+		}
+	}
+}
+
+// TestFleetWorkerStopsOnUnusableWelcome: a worker whose coordinator
+// welcome fails to decode returns that error after one connection. It
+// used to treat it as a dropped session and redial every 500ms for as
+// long as the coordinator listened.
+func TestFleetWorkerStopsOnUnusableWelcome(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	accepted := 0
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			accepted++
+			mu.Unlock()
+			fc := transport.NewFleetConn(conn, 0)
+			if _, _, err := fc.ReadFrame(); err == nil {
+				_ = fc.WriteWelcome(transport.FleetWelcome{Jobs: 1, LeaseMillis: 0, RetryMillis: 100})
+			}
+			go func() { // hold the connection until the worker drops it
+				_, _, _ = fc.ReadFrame()
+				conn.Close()
+			}()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err = fleet.RunWorker(ctx, fleet.WorkerConfig{Addr: ln.Addr().String(), Name: "w", ScratchDir: t.TempDir()})
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "lease 0ms") {
+		t.Fatalf("RunWorker returned %v (context: %v), want the welcome's decode error", err, ctx.Err())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if accepted != 1 {
+		t.Fatalf("worker connected %d times, want once", accepted)
+	}
+}

@@ -46,12 +46,18 @@ var errDrain = errors.New("fleet: drained")
 // errLeaseLost reports the coordinator fenced this worker off a job.
 var errLeaseLost = errors.New("fleet: lease lost")
 
+// errBadWelcome marks a coordinator welcome this worker cannot follow.
+// Reconnecting would only fetch the same welcome again, so it ends
+// RunWorker.
+var errBadWelcome = errors.New("fleet: unusable coordinator welcome")
+
 // RunWorker runs the pull-based worker loop against a coordinator:
 // request a lease, execute the job (resuming from the handoff
 // checkpoint when one rides along), stream checkpoints back, report
 // the result, repeat — until the coordinator drains it or ctx ends.
 // A lost connection reconnects with backoff; a lost lease abandons the
-// job (some other worker owns it now) and asks for the next one.
+// job (some other worker owns it now) and asks for the next one. A
+// welcome the worker cannot decode is returned as an error.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("worker-%d", os.Getpid())
@@ -97,6 +103,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		case errors.Is(err, errDrain):
 			logf("drained: sweep complete")
 			return nil
+		case errors.Is(err, errBadWelcome):
+			return err
 		case ctx.Err() != nil:
 			return ctx.Err()
 		default:
@@ -152,7 +160,7 @@ func workerSession(ctx context.Context, conn net.Conn, cfg WorkerConfig, scratch
 	}
 	welcome, err := transport.DecodeFleetWelcome(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w from %s: %w", errBadWelcome, cfg.Addr, err)
 	}
 	logf("joined %s: %d jobs, grid %016x, lease %dms, checkpoint every %d rounds",
 		cfg.Addr, welcome.Jobs, welcome.Fingerprint, welcome.LeaseMillis, welcome.CheckpointEvery)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gsfl/internal/parallel"
 	"gsfl/internal/tensor"
 )
 
@@ -16,24 +15,25 @@ import (
 // materialized or packed. Weights have shape (outC, inC*KH*KW); bias is
 // (outC).
 //
-// The forward pass runs one fused kernel per sample with samples
-// partitioned across the parallel worker pool; each sample writes a
-// disjoint slice of the output, so results are bit-identical to the
-// serial loop. The backward pass has two independent halves. The
-// parameter half (BackwardParams) accumulates dW and db serially in
-// sample order, keeping gradient summation order — and hence training
-// numerics — exactly equal to a single-worker run. The input half
-// parallelizes the per-sample column-gradient matmuls (dcol = Wᵀ @ dy,
-// materialized because tensor.Col2ImBatch scatters it back to image
-// space) the same way the forward pass does. Backward runs both;
-// a Conv2D that is the first layer of a network whose caller discards
-// the input gradient (Sequential.BackwardParams) runs only the
-// parameter half and never sizes the dcols/dx buffers at all.
+// The forward pass is one tensor batch call: W is packed once per call
+// and every sample's product, partitioned across the parallel worker
+// pool, reads that one pack and writes a disjoint slice of the output,
+// so results are bit-identical to the serial loop. The backward pass
+// has two independent halves. The parameter half (BackwardParams)
+// accumulates dW and db serially in sample order, keeping gradient
+// summation order — and hence training numerics — exactly equal to a
+// single-worker run. The input half computes the column gradients
+// (dcol = Wᵀ @ dy, materialized because tensor.Col2ImBatch scatters it
+// back to image space) in one batch call that packs Wᵀ once, the way
+// the forward pass does. Backward runs both; a Conv2D that is the first
+// layer of a network whose caller discards the input gradient
+// (Sequential.BackwardParams) runs only the parameter half and never
+// sizes the dcols/dx buffers at all.
 //
 // All batch-shaped buffers (output, gradients) live in a lazily-sized
-// workspace, as do the per-sample tensor headers the parallel kernels
-// address them through and the two loop bodies handed to parallel.For,
-// so steady-state Forward/Backward calls allocate nothing.
+// workspace, as does the tensor header the weight-gradient loop
+// addresses one sample of dy through, so steady-state Forward/Backward
+// calls allocate nothing.
 type Conv2D struct {
 	InC, OutC int
 	KH, KW    int
@@ -50,34 +50,13 @@ type Conv2D struct {
 	ws convWorkspace
 }
 
-// convWorkspace is Conv2D's reusable buffer set plus the per-call
-// geometry the stored parallel-loop bodies read.
+// convWorkspace is Conv2D's reusable buffer set.
 type convWorkspace struct {
 	out   tensor.Tensor // forward output (N, outC, outH, outW)
 	dcols tensor.Tensor // batched column gradients (input half of Backward only)
 	dx    tensor.Tensor // input gradient (N, C, H, W) (input half of Backward only)
 	dwT   tensor.Tensor // one sample's weight-gradient staging buffer
-
-	// Per-sample headers aliasing slices of the batched buffers; sample i
-	// only ever touches index i, so the parallel loops stay disjoint.
-	outV, dyV, dcolV []tensor.Tensor
-
-	// Loop bodies handed to parallel.For, built once so the hot path does
-	// not re-create (and so re-allocate) closures every call.
-	fwdBody, bwdBody func(lo, hi int)
-
-	// Per-call parameters for the stored bodies.
-	spatial, colRows, colSize, imgSize int
-	geom                               tensor.ConvGeom
-	x, dy                              *tensor.Tensor
-}
-
-// growHeaders returns hs with at least n zero-value tensor headers.
-func growHeaders(hs []tensor.Tensor, n int) []tensor.Tensor {
-	if cap(hs) < n {
-		return make([]tensor.Tensor, n)
-	}
-	return hs[:n]
+	dyI   tensor.Tensor // header aliasing one sample's slice of dy
 }
 
 // NewConv2D constructs a Conv2D layer with He initialization. Stride and
@@ -87,16 +66,13 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
 		panic(fmt.Sprintf("nn: bad Conv2D config inC=%d outC=%d k=%d stride=%d pad=%d", inC, outC, k, stride, pad))
 	}
 	fanIn := inC * k * k
-	c := &Conv2D{
+	return &Conv2D{
 		InC: inC, OutC: outC, KH: k, KW: k, Stride: stride, Pad: pad,
 		w:  tensor.New(outC, fanIn).HeInit(rng, fanIn),
 		b:  tensor.New(outC),
 		dw: tensor.New(outC, fanIn),
 		db: tensor.New(outC),
 	}
-	c.ws.fwdBody = c.forwardSamples
-	c.ws.bwdBody = c.backwardSamples
-	return c
 }
 
 // Name implements Layer.
@@ -117,39 +93,6 @@ func (c *Conv2D) geomFor(x *tensor.Tensor) tensor.ConvGeom {
 	return g
 }
 
-// setGeom records g and the sizes derived from it for the stored loop
-// bodies.
-func (ws *convWorkspace) setGeom(g tensor.ConvGeom) {
-	ws.geom = g
-	ws.spatial = g.OutH() * g.OutW()
-	ws.colRows = g.InC * g.KH * g.KW
-	ws.colSize = g.ColSize()
-	ws.imgSize = g.ImageSize()
-}
-
-// forwardSamples computes output samples [lo, hi): one fused
-// W @ im2col(x_i) kernel per sample, written straight into the batched
-// output, plus the bias add.
-func (c *Conv2D) forwardSamples(lo, hi int) {
-	ws := &c.ws
-	spatial, imgSize := ws.spatial, ws.imgSize
-	outSize := c.OutC * spatial
-	for i := lo; i < hi; i++ {
-		img := ws.x.Data[i*imgSize : (i+1)*imgSize]
-		// (outC × colRows) @ im2col -> (outC × spatial), column matrix
-		// read implicitly from the image.
-		out := ws.outV[i].SliceViewOf(&ws.out, i*outSize, (i+1)*outSize, c.OutC, spatial)
-		tensor.ConvMatMulInto(out, c.w, img, ws.geom)
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.b.Data[oc]
-			row := out.Data[oc*spatial : (oc+1)*spatial]
-			for j := range row {
-				row[j] += bias
-			}
-		}
-	}
-}
-
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	mustRank(c, x, 4)
@@ -157,33 +100,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s got %d input channels", c.Name(), x.Dim(1)))
 	}
 	g := c.geomFor(x)
-	n, outH, outW := x.Dim(0), g.OutH(), g.OutW()
-	ws := &c.ws
-	ws.setGeom(g)
-	ws.x = x
-
-	y := ws.out.Ensure(n, c.OutC, outH, outW)
+	y := c.ws.out.Ensure(x.Dim(0), c.OutC, g.OutH(), g.OutW())
 	if train {
 		c.x = x
 		c.geom = g
 	}
-	ws.outV = growHeaders(ws.outV, n)
-	parallel.For(n, 1, ws.fwdBody)
-	ws.x = nil
-	return y
-}
-
-// backwardSamples computes the column gradients of samples [lo, hi):
-// dcol_i = Wᵀ @ dy_i, written straight into the batched buffer.
-func (c *Conv2D) backwardSamples(lo, hi int) {
-	ws := &c.ws
-	spatial, colRows, colSize := ws.spatial, ws.colRows, ws.colSize
-	outSize := c.OutC * spatial
-	for i := lo; i < hi; i++ {
-		dyMat := ws.dyV[i].SliceViewOf(ws.dy, i*outSize, (i+1)*outSize, c.OutC, spatial)
-		dcol := ws.dcolV[i].SliceViewOf(&ws.dcols, i*colSize, (i+1)*colSize, colRows, spatial)
-		tensor.MatMulTransAIntoOp("Conv2D backward dcol=Wᵀ@dy", dcol, c.w, dyMat)
-	}
+	return tensor.ConvForwardBatchInto(y, c.w, c.b, x, g)
 }
 
 // Backward implements Layer: BackwardParams plus the input gradient.
@@ -195,14 +117,11 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 	// dcol_i = Wᵀ @ dy_i for every sample, then one batched scatter back
 	// to image space. Both phases write disjoint per-sample regions.
-	ws.dcols.Ensure(n, ws.colRows, ws.spatial)
-	ws.dcolV = growHeaders(ws.dcolV, n)
-	ws.dy = dy
-	parallel.For(n, 1, ws.bwdBody)
-	ws.dy = nil
+	dcols := ws.dcols.Ensure(n, g.InC*g.KH*g.KW, g.OutH()*g.OutW())
+	tensor.ConvColGradBatchInto(dcols, c.w, dy, g)
 	dx := ws.dx.Ensure(n, c.InC, g.InH, g.InW)
 	dx.Zero()
-	tensor.Col2ImBatch(dx.Data, ws.dcols.Data, n, g)
+	tensor.Col2ImBatch(dx.Data, dcols.Data, n, g)
 	return dx
 }
 
@@ -217,20 +136,18 @@ func (c *Conv2D) BackwardParams(dy *tensor.Tensor) {
 	n := c.x.Dim(0)
 	ws := &c.ws
 	// Sizes come from the cached training geometry, not from whatever the
-	// last Forward left behind. (The cached input's *contents* still
-	// require that no other Forward ran since the matching training pass
-	// — the package-level buffer-ownership rule.)
-	ws.setGeom(g)
-	spatial, colRows, imgSize := ws.spatial, ws.colRows, ws.imgSize
+	// last Forward saw. (The cached input's *contents* still require that
+	// no other Forward ran since the matching training pass — the
+	// package-level buffer-ownership rule.)
+	spatial, colRows, imgSize := g.OutH()*g.OutW(), g.InC*g.KH*g.KW, g.ImageSize()
 	outSize := c.OutC * spatial
-	ws.dyV = growHeaders(ws.dyV, n)
 
 	// Weight/bias gradients accumulate serially in sample order (the
 	// per-sample matmul itself is row-parallel) so the floating-point
 	// summation order matches the serial implementation bit for bit.
 	dwT := ws.dwT.Ensure(c.OutC, colRows)
 	for i := 0; i < n; i++ {
-		dyMat := ws.dyV[i].SliceViewOf(dy, i*outSize, (i+1)*outSize, c.OutC, spatial)
+		dyMat := ws.dyI.SliceViewOf(dy, i*outSize, (i+1)*outSize, c.OutC, spatial)
 		img := c.x.Data[i*imgSize : (i+1)*imgSize]
 		// dW += dy_mat @ im2col(x_i)ᵀ (columns read implicitly from the
 		// cached input); db += row sums of dy_mat.

@@ -1,18 +1,20 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"gsfl/internal/parallel"
 	"gsfl/internal/tensor"
 	"gsfl/internal/testutil"
 )
 
-// Tests for the split step's memory-bound half: the first layer's
-// skipped input gradient, the branch-free ReLU and the 2×2 max-pool
-// path, each against the plain implementation it must equal bit for
-// bit.
+// Tests for the split step's hot path: the first layer's skipped input
+// gradient, the conv layer's once-per-call weight pack, the branch-free
+// ReLU and the 2×2 max-pool path, each against the plain implementation
+// it must equal bit for bit.
 
 // TestBackwardParamsMatchesBackward builds each stack twice from one
 // seed, runs Backward on one twin and BackwardParams on the other, and
@@ -199,6 +201,93 @@ func TestMaxPoolNaNWindow(t *testing.T) {
 			if dx.Data[0] != 1 {
 				t.Fatalf("k=%d window of %v: gradient routed to %v, want the window's first element", k, v, dx.Data)
 			}
+		}
+	}
+}
+
+// TestConv2DSharedPackMatchesPerImage holds Conv2D, whose batch calls
+// pack W once per layer call for every image to read, to a per-image
+// reference built from the single-image products on the same weights:
+// output, dx, dW and db, bit for bit. Batches 1, 3 and 16; outC 5, 12
+// (a full and a ragged 8-wide panel) and 16 (full panels only); inC 1,
+// whose 9 taps leave a ragged MR block in dcol = Wᵀ@dy, beside inC 3;
+// 35 output positions, a ragged block the other way; workers 1, 2, 8.
+func TestConv2DSharedPackMatchesPerImage(t *testing.T) {
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	rng := rand.New(rand.NewSource(31))
+	for _, batch := range []int{1, 3, 16} {
+		for _, outC := range []int{5, 12, 16} {
+			for _, inC := range []int{1, 3} {
+				c := NewConv2D(rng, inC, outC, 3, 1, 1)
+				c.b.RandNormal(rng, 0, 1)
+				x := tensor.New(batch, inC, 5, 7).RandNormal(rng, 0, 1)
+				dy := tensor.New(batch, outC, 5, 7).RandNormal(rng, 0, 1)
+				parallel.SetWorkers(1)
+				want := convPerImage(c, x, dy)
+				for _, workers := range []int{1, 2, 8} {
+					parallel.SetWorkers(workers)
+					name := fmt.Sprintf("batch=%d inC=%d outC=%d workers=%d", batch, inC, outC, workers)
+					ZeroGrads([]Layer{c})
+					requireSameBits(t, name+" output", c.Forward(x, true).Data, want.y)
+					requireSameBits(t, name+" dx", c.Backward(dy).Data, want.dx)
+					requireSameBits(t, name+" dW", c.dw.Data, want.dw)
+					requireSameBits(t, name+" db", c.db.Data, want.db)
+				}
+			}
+		}
+	}
+}
+
+// convRef is one Conv2D training step computed image by image.
+type convRef struct{ y, dx, dw, db []float64 }
+
+// convPerImage computes c's forward output and, for output gradient dy,
+// its input and parameter gradients one image at a time through the
+// exported single-image products: ConvMatMulInto plus the bias,
+// MatMulTransAInto for the column gradients, ConvMatMulTransBInto and
+// row sums accumulated in image order.
+func convPerImage(c *Conv2D, x, dy *tensor.Tensor) convRef {
+	g := c.geomFor(x)
+	n, colRows, spatial := x.Dim(0), g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	imgSize, outSize := g.ImageSize(), c.OutC*spatial
+	ref := convRef{
+		y: make([]float64, n*outSize), dx: make([]float64, n*imgSize),
+		dw: make([]float64, c.OutC*colRows), db: make([]float64, c.OutC),
+	}
+	dcols := make([]float64, n*g.ColSize())
+	out, dyI := tensor.New(c.OutC, spatial), tensor.New(c.OutC, spatial)
+	dcol, dwI := tensor.New(colRows, spatial), tensor.New(c.OutC, colRows)
+	for i := 0; i < n; i++ {
+		img := x.Data[i*imgSize : (i+1)*imgSize]
+		tensor.ConvMatMulInto(out, c.w, img, g)
+		for j, v := range out.Data {
+			ref.y[i*outSize+j] = v + c.b.Data[j/spatial]
+		}
+		copy(dyI.Data, dy.Data[i*outSize:(i+1)*outSize])
+		copy(dcols[i*g.ColSize():], tensor.MatMulTransAInto(dcol, c.w, dyI).Data)
+		for j, v := range tensor.ConvMatMulTransBInto(dwI, dyI, img, g).Data {
+			ref.dw[j] += v
+		}
+		for oc := range ref.db {
+			s := 0.0
+			for _, v := range dyI.Row(oc) {
+				s += v
+			}
+			ref.db[oc] += s
+		}
+	}
+	tensor.Col2ImBatch(ref.dx, dcols, n, g)
+	return ref
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }

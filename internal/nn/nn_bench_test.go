@@ -10,25 +10,48 @@ import (
 // Micro-benchmarks for layer forward/backward passes (simulation
 // wall-clock cost, not paper figures).
 
+// convBenchCases are the Conv2D shapes the layer benchmarks time: the
+// paper's first convolution at 32 px, and the two convolutions of
+// env.TestSpec's CNN — 8 px images, a 2×2 pool between them, batch 8 —
+// which every sweep_grid and fleet_grid job trains. At the small shapes
+// the per-call setup (packing W, the offset tables) is a large share of
+// a call, which is what the 32 px case cannot show.
+var convBenchCases = []struct {
+	name                 string
+	inC, outC, px, batch int
+}{
+	{"3to8@32/batch16", 3, 8, 32, 16},
+	{"3to8@8/batch8", 3, 8, 8, 8},
+	{"8to16@4/batch8", 8, 16, 4, 8},
+}
+
 func BenchmarkConv2DForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	layer := NewConv2D(rng, 3, 8, 3, 1, 1)
-	x := tensor.New(16, 3, 32, 32).RandNormal(rng, 0, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		layer.Forward(x, false)
+	for _, bc := range convBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			layer := NewConv2D(rng, bc.inC, bc.outC, 3, 1, 1)
+			x := tensor.New(bc.batch, bc.inC, bc.px, bc.px).RandNormal(rng, 0, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				layer.Forward(x, false)
+			}
+		})
 	}
 }
 
 func BenchmarkConv2DForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	layer := NewConv2D(rng, 3, 8, 3, 1, 1)
-	x := tensor.New(16, 3, 32, 32).RandNormal(rng, 0, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		y := layer.Forward(x, true)
-		ZeroGrads([]Layer{layer})
-		layer.Backward(y)
+	for _, bc := range convBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			layer := NewConv2D(rng, bc.inC, bc.outC, 3, 1, 1)
+			x := tensor.New(bc.batch, bc.inC, bc.px, bc.px).RandNormal(rng, 0, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				y := layer.Forward(x, true)
+				ZeroGrads([]Layer{layer})
+				layer.Backward(y)
+			}
+		})
 	}
 }
 

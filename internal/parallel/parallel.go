@@ -1,7 +1,7 @@
 // Package parallel provides the shared bounded worker pool behind every
-// concurrent hot path in the reproduction: the row-partitioned tensor
-// kernels (internal/tensor), the sample-partitioned convolution layers
-// (internal/nn), and the concurrent group/client training loops in
+// concurrent hot path in the reproduction: the row- and
+// sample-partitioned tensor kernels (internal/tensor), and the
+// concurrent group/client training loops in
 // internal/gsfl and internal/schemes/{fl,sfl}.
 //
 // # Design

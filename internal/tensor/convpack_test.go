@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -87,6 +88,40 @@ func (c *convPackCase) check(t *testing.T) {
 	dst := append([]float64(nil), c.imgs...)
 	Col2ImBatch(dst, c.cols, c.batch, g)
 	requireBitEqual(t, "Col2ImBatch", dst, c.want, c.batch, colRows, spatial)
+}
+
+// checkBatch runs the two batch calls over every image of the case, so
+// one pack of w is read by all of them, against per-image naive
+// references: the forward product plus a bias, and the column gradients
+// wᵀ @ dy_i. rng draws the bias and the per-image gradients.
+func (c *convPackCase) checkBatch(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	g := c.g
+	colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	bias := New(c.outC)
+	dys := New(c.batch, c.outC, spatial)
+	fillMixed(rng, bias.Data)
+	fillMixed(rng, dys.Data)
+	wantOut := make([]float64, c.batch*c.outC*spatial)
+	wantCols := make([]float64, c.batch*colRows*spatial)
+	cols := make([]float64, g.ColSize())
+	for i := 0; i < c.batch; i++ {
+		im2colRef(cols, c.imgs[i*g.ImageSize():(i+1)*g.ImageSize()], g)
+		out := wantOut[i*c.outC*spatial : (i+1)*c.outC*spatial]
+		naiveMatMul(out, c.w.Data, cols, c.outC, colRows, spatial)
+		for j := range out {
+			out[j] += bias.Data[j/spatial]
+		}
+		naiveTransA(wantCols[i*colRows*spatial:], c.w.Data, dys.Data[i*c.outC*spatial:], colRows, c.outC, spatial)
+	}
+	x := FromSlice(c.imgs, c.batch, g.InC, g.InH, g.InW)
+	for _, w := range convPackWorkers {
+		parallel.SetWorkers(w)
+		got := ConvForwardBatchInto(New(c.batch, c.outC, spatial), c.w, bias, x, g)
+		requireBitEqual(t, fmt.Sprintf("workers=%d ConvForwardBatchInto", w), got.Data, wantOut, c.outC, colRows, spatial)
+		gotCols := ConvColGradBatchInto(New(c.batch, colRows, spatial), c.w, dys, g)
+		requireBitEqual(t, fmt.Sprintf("workers=%d ConvColGradBatchInto", w), gotCols.Data, wantCols, colRows, c.outC, spatial)
+	}
 }
 
 var convPackWorkers = []int{1, 2, 8}
@@ -190,7 +225,8 @@ func TestConvPackForkJoin(t *testing.T) {
 // FuzzConvPack drives the same check with fuzzed geometries, seeded
 // with the sweep's corners: 1×1 everything, padding at and past the
 // kernel size, strides that skip most of the input, unequal axes, and
-// tap/position counts on both sides of NR.
+// tap/position counts on both sides of NR. It also runs the batch calls
+// over the case's three images, each reading the one pack of w.
 func FuzzConvPack(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(4), uint8(4), uint8(3), uint8(3), uint8(4), uint8(4))
@@ -216,5 +252,6 @@ func FuzzConvPack(f *testing.F) {
 			parallel.SetWorkers(w)
 			c.check(t)
 		}
+		c.checkBatch(t, rng)
 	})
 }

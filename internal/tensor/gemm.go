@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"gsfl/internal/parallel"
 )
@@ -13,10 +14,12 @@ import (
 // output rows are partitioned across the worker pool in MR-row blocks,
 // and each chunk packs its own A panels before running the micro-kernel
 // over its tiles. The two implicit-GEMM convolution products funnel into
-// convGemmInto, which packs only their small dense operand and lets a
-// row-indirect micro-kernel read the image in place. Packing buffers
-// come from an internal Pool, so steady-state calls allocate nothing
-// unless they fork.
+// a convPlan, which packs only their small dense operand and lets a
+// row-indirect micro-kernel read the image in place. The batch calls a
+// convolution layer makes (ConvForwardBatchInto, ConvColGradBatchInto)
+// pack their weights once per call and let every image of the batch
+// read that one pack. Packing buffers come from an internal Pool, so
+// steady-state calls allocate nothing unless they fork.
 //
 // Determinism: every output element is produced by exactly one
 // micro-kernel call that accumulates its k terms in ascending order in a
@@ -141,6 +144,30 @@ type bSource struct {
 	kind bKind
 }
 
+// gemmKernels returns the packed kernels for an (m×k)·(k×n) product: the
+// exact 4×8 kernel and, when the product clears pairWorthwhile, its pair
+// form; in Reassociate mode the fast kernel alone.
+func gemmKernels(m, k, n int) (ukernFunc, ukernPairFunc) {
+	if numericReassoc.Load() {
+		return kernFast, nil
+	}
+	if !pairWorthwhile(m, k, n) {
+		return kernExact, nil
+	}
+	return kernExact, kernExactPair
+}
+
+// rowKernels is gemmKernels for the row-indirect kernels.
+func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
+	if numericReassoc.Load() {
+		return rowKernFast, nil
+	}
+	if !pairWorthwhile(rows, k, outC) {
+		return rowKernExact, nil
+	}
+	return rowKernExact, rowKernExactPair
+}
+
 // gemmInto computes dst = A @ B for the logical operands described by
 // asrc and bsrc. dst is fully overwritten.
 func gemmInto(dst []float64, m, k, n int, asrc aSource, bsrc bSource) {
@@ -150,12 +177,7 @@ func gemmInto(dst []float64, m, k, n int, asrc aSource, bsrc bSource) {
 		}
 		return
 	}
-	kern, pair := kernExact, kernExactPair
-	if numericReassoc.Load() {
-		kern, pair = kernFast, nil
-	} else if !pairWorthwhile(m, k, n) {
-		pair = nil
-	}
+	kern, pair := gemmKernels(m, k, n)
 	nb := (n + gemmNR - 1) / gemmNR
 	bp := packPool.GetSlice(nb * k * gemmNR)
 	switch bsrc.kind {
@@ -187,16 +209,10 @@ func gemmParallel(kern ukernFunc, pair ukernPairFunc, dst, bp []float64, asrc aS
 	})
 }
 
-// gemmChunk packs A row-blocks [blo, bhi) into ap and runs the
-// micro-kernel over every tile of the chunk. ap carries gemmMR*gemmNR
-// extra elements at its tail used as the spill tile for ragged edges
-// (keeping the scratch heap-backed so passing it to the kernel does not
-// force a per-call allocation).
-//
-// When pair is not nil, two full row blocks at a time go to it wherever
-// the column panel is full too. A pair never straddles a chunk boundary
-// and computes each element exactly as kern would, so neither the
-// worker count nor the presence of pair is visible in any bit.
+// gemmChunk packs A row-blocks [blo, bhi) into ap and runs gemmTiles
+// over them. ap carries gemmMR*gemmNR extra elements at its tail used as
+// the spill tile (keeping the scratch heap-backed so passing it to the
+// kernel does not force a per-call allocation).
 func gemmChunk(kern ukernFunc, pair ukernPairFunc, dst, ap, bp []float64, asrc aSource, m, k, n, blo, bhi int) {
 	switch asrc.kind {
 	case aPlain:
@@ -204,8 +220,20 @@ func gemmChunk(kern ukernFunc, pair ukernPairFunc, dst, ap, bp []float64, asrc a
 	case aTransposed:
 		packATrans(ap, asrc.data, m, k, blo, bhi)
 	}
+	gemmTiles(kern, pair, dst, ap, bp, ap[(bhi-blo)*k*gemmMR:], m, k, n, blo, bhi)
+}
+
+// gemmTiles runs the micro-kernel over every tile of row blocks
+// [blo, bhi), whose A panels ap holds from its start; tiles ragged in
+// rows or columns go through spill (gemmMR*gemmNR elements) and only
+// their live part is copied out.
+//
+// When pair is not nil, two full row blocks at a time go to it wherever
+// the column panel is full too. A pair never straddles a chunk boundary
+// and computes each element exactly as kern would, so neither the
+// worker count nor the presence of pair is visible in any bit.
+func gemmTiles(kern ukernFunc, pair ukernPairFunc, dst, ap, bp, spill []float64, m, k, n, blo, bhi int) {
 	nb := (n + gemmNR - 1) / gemmNR
-	scratch := ap[(bhi-blo)*k*gemmMR:]
 	for bi := blo; bi < bhi; {
 		blocks := 1
 		if pair != nil && bi+2 <= bhi && (bi+2)*gemmMR <= m {
@@ -228,9 +256,9 @@ func gemmChunk(kern ukernFunc, pair ukernPairFunc, dst, ap, bp []float64, asrc a
 					kern(k, apan, bpan, dst[i0*n+j0:], n)
 					continue
 				}
-				kern(k, apan, bpan, scratch, gemmNR)
+				kern(k, apan, bpan, spill, gemmNR)
 				for r := 0; r < ib; r++ {
-					copy(dst[(i0+r)*n+j0:(i0+r)*n+j0+jb], scratch[r*gemmNR:r*gemmNR+jb])
+					copy(dst[(i0+r)*n+j0:(i0+r)*n+j0+jb], spill[r*gemmNR:r*gemmNR+jb])
 				}
 			}
 		}
@@ -238,9 +266,85 @@ func gemmChunk(kern ukernFunc, pair ukernPairFunc, dst, ap, bp []float64, asrc a
 	}
 }
 
-// convGemmInto is the driver of both implicit-GEMM convolution
-// products. In padded coordinates the column matrix of an image is a sum
-// of two offset tables, col[t][p] = x[tap[t] + pos[p]] (paddedGrids), so
+// ConvColGradBatchInto computes the column gradients of a convolution's
+// input half for a whole batch: dcol_i = wᵀ @ dy_i for each of the n
+// images, where w is (outC × InC*KH*KW), dy holds n (outC × OutH*OutW)
+// output gradients and dcols, whose leading dimension is n, receives n
+// (InC*KH*KW × OutH*OutW) column matrices — the layout Col2ImBatch
+// scatters back to image space.
+//
+// wᵀ is packed into A panels once for the batch, and every image reads
+// that one read-only pack; an image packs only its own dy_i. Images are
+// partitioned across the worker pool and each writes its own column
+// matrix, so the result is bit-identical to n MatMulTransAInto calls at
+// any worker count. It returns dcols.
+func ConvColGradBatchInto(dcols, w, dy *Tensor, g ConvGeom) *Tensor {
+	m, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	k := checkConvDense("ConvColGradBatchInto", w, m, g)
+	n := checkConvBatch("ConvColGradBatchInto", dcols, m*spatial, dy, k*spatial, g)
+	if k == 0 {
+		clear(dcols.Data)
+		return dcols
+	}
+	gb := gemmBatches.Get().(*gemmBatch)
+	gb.kern, gb.pair = gemmKernels(m, k, spatial)
+	gb.m, gb.k, gb.n = m, k, spatial
+	mblocks := (m + gemmMR - 1) / gemmMR
+	gb.ap = packPool.GetSlice(mblocks * k * gemmMR)
+	packATrans(gb.ap, w.Data, m, k, 0, mblocks)
+	gb.dst, gb.b = dcols.Data, dy.Data
+	parallel.For(n, 1, gb.body)
+	packPool.PutSlice(gb.ap)
+	*gb = gemmBatch{body: gb.body}
+	gemmBatches.Put(gb)
+	return dcols
+}
+
+// gemmBatch is one ConvColGradBatchInto call's shared state: A packed
+// for every row block, and the batch of (k×n) B operands.
+//
+// Batch state is pooled, and each value binds its loop body once, when
+// it is made: a batch call that forks hands parallel.For that stored
+// body rather than a fresh closure, so it allocates nothing of its own.
+// At two workers every conv layer call of a training step forks, and
+// one closure a call was 9 MiB of garbage over a sim_paper pass, which
+// runs no collection after its set-up.
+type gemmBatch struct {
+	kern       ukernFunc
+	pair       ukernPairFunc
+	ap, dst, b []float64
+	m, k, n    int
+	body       func(lo, hi int)
+}
+
+var gemmBatches = sync.Pool{New: func() any {
+	gb := new(gemmBatch)
+	gb.body = gb.images
+	return gb
+}}
+
+// images computes dst_i = A @ B_i for images [lo, hi), packing each B_i
+// in turn into the chunk's own panels, whose tail is the spill tile.
+func (gb *gemmBatch) images(lo, hi int) {
+	m, k, n := gb.m, gb.k, gb.n
+	panels := (n + gemmNR - 1) / gemmNR * k * gemmNR
+	bp := packPool.GetSlice(panels + gemmMR*gemmNR)
+	mblocks := (m + gemmMR - 1) / gemmMR
+	for i := lo; i < hi; i++ {
+		packB(bp, gb.b[i*k*n:(i+1)*k*n], k, n)
+		gemmTiles(gb.kern, gb.pair, gb.dst[i*m*n:(i+1)*m*n], gb.ap, bp, bp[panels:], m, k, n, 0, mblocks)
+	}
+	packPool.PutSlice(bp)
+}
+
+// convPlan is what every image of one implicit-GEMM convolution product
+// shares: the kernels, the two offset tables and the packed dense
+// operand. newConvPlan leases its buffers; release returns them.
+// Plans are pooled and bind their loop body once, for gemmBatch's
+// reason.
+//
+// In padded coordinates the column matrix of an image is a sum of two
+// offset tables, col[t][p] = x[tap[t] + pos[p]] (paddedGrids), so
 // either product is
 //
 //	dst[oc][r] = Σ_kk dense[oc][kk] · x[row[r] + koff[kk]]
@@ -248,65 +352,118 @@ func gemmChunk(kern ukernFunc, pair ukernPairFunc, dst, ap, bp []float64, asrc a
 // with (row, koff) = (pos, tap) for the forward pass and (tap, pos) for
 // the weight gradient. The image side is the micro-kernel's broadcast
 // operand and is read where padImage put it; only dense, (outC × k), is
-// packed. Rows past a ragged last block point at the zero half of the
-// padded copy, so the kernel has no edge path; MR-row blocks are
-// partitioned across the worker pool exactly as gemmInto's are.
-func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, weightGrad bool) {
+// packed — once per plan, however many images read it. Rows past a
+// ragged last block point at the zero half of the padded copy, so the
+// kernel has no edge path; MR-row blocks are partitioned across the
+// worker pool exactly as gemmInto's are.
+type convPlan struct {
+	g                  ConvGeom
+	kern, pair         rowKernFunc
+	offs, koff, rowOff []int     // offs is the lease koff and rowOff live in
+	bp                 []float64 // dense, packed into k×NR panels
+	outC, rows, size   int       // size: the padded image's element count
+	rblocks, grain     int
+
+	// The operands images reads: src's images, their outputs in dst,
+	// and the bias (nil for none).
+	dst, bias, src []float64
+	body           func(lo, hi int) // images, bound once
+}
+
+var convPlans = sync.Pool{New: func() any {
+	p := new(convPlan)
+	p.body = p.images
+	return p
+}}
+
+// newConvPlan builds the plan of dense (outC × k) against images of g's
+// geometry: the forward product, or with weightGrad the weight
+// gradient's.
+func newConvPlan(dense []float64, outC int, g ConvGeom, weightGrad bool) *convPlan {
 	kGrid, rowGrid, size := paddedGrids(g)
 	if weightGrad {
 		kGrid, rowGrid = rowGrid, kGrid
 	}
 	k, rows := kGrid.size(), rowGrid.size()
-	if k == 0 {
-		clear(dst[:outC*rows])
-		return
+	p := convPlans.Get().(*convPlan)
+	p.g, p.outC, p.rows, p.size = g, outC, rows, size
+	p.kern, p.pair = rowKernels(rows, k, outC)
+	p.rblocks = (rows + gemmMR - 1) / gemmMR
+	p.offs = offsetPool.GetSlice(k + p.rblocks*gemmMR)
+	p.koff, p.rowOff = p.offs[:k], p.offs[k:]
+	kGrid.fill(p.koff)
+	rowGrid.fill(p.rowOff)
+	for r := rows; r < len(p.rowOff); r++ {
+		p.rowOff[r] = size
 	}
-	kern, pair := rowKernExact, rowKernExactPair
-	if numericReassoc.Load() {
-		kern, pair = rowKernFast, nil
-	} else if !pairWorthwhile(rows, k, outC) {
-		pair = nil
-	}
-	rblocks := (rows + gemmMR - 1) / gemmMR
-	offs := offsetPool.GetSlice(k + rblocks*gemmMR)
-	koff, rowOff := offs[:k], offs[k:]
-	kGrid.fill(koff)
-	rowGrid.fill(rowOff)
-	for r := rows; r < len(rowOff); r++ {
-		rowOff[r] = size
-	}
-	panels := (outC + gemmNR - 1) / gemmNR * k * gemmNR
-	buf := packPool.GetSlice(2*size + panels + gemmMR*gemmNR)
-	x, bp, spill := buf[:2*size], buf[2*size:2*size+panels], buf[2*size+panels:]
-	padImage(x, img, g)
-	packBTrans(bp, dense, k, outC)
-	grain := grainRows(2 * k * outC * gemmMR)
-	if parallel.Inline(rblocks, grain) {
-		convGemmChunk(kern, pair, dst, x, rowOff, koff, bp, spill, rows, outC, 0, rblocks)
-	} else {
-		convGemmParallel(kern, pair, dst, x, rowOff, koff, bp, rows, outC, rblocks, grain)
-	}
-	packPool.PutSlice(buf)
-	offsetPool.PutSlice(offs)
+	p.bp = packPool.GetSlice((outC + gemmNR - 1) / gemmNR * k * gemmNR)
+	packBTrans(p.bp, dense, k, outC)
+	p.grain = grainRows(2 * k * outC * gemmMR)
+	return p
 }
 
-// convGemmParallel is convGemmInto's fork-join path, split out for the
-// reason gemmParallel is. Each chunk borrows its own spill tile.
-func convGemmParallel(kern, pair rowKernFunc, dst, x []float64, rowOff, koff []int, bp []float64, rows, outC, rblocks, grain int) {
-	parallel.For(rblocks, grain, func(blo, bhi int) {
+// release returns the plan's leases and the plan itself.
+func (p *convPlan) release() {
+	packPool.PutSlice(p.bp)
+	offsetPool.PutSlice(p.offs)
+	*p = convPlan{body: p.body}
+	convPlans.Put(p)
+}
+
+// images computes the product of images [lo, hi) of p.src, each writing
+// its own (outC × rows) block of p.dst, and adds p.bias[oc] to every
+// element of row oc. The padded copies share one lease.
+func (p *convPlan) images(lo, hi int) {
+	imgSize, outSize := p.g.ImageSize(), p.outC*p.rows
+	buf := packPool.GetSlice(2*p.size + gemmMR*gemmNR)
+	for i := lo; i < hi; i++ {
+		out := p.dst[i*outSize : (i+1)*outSize]
+		p.image(out, p.src[i*imgSize:(i+1)*imgSize], buf[:2*p.size], buf[2*p.size:])
+		for oc, b := range p.bias {
+			row := out[oc*p.rows : (oc+1)*p.rows]
+			for j := range row {
+				row[j] += b
+			}
+		}
+	}
+	packPool.PutSlice(buf)
+}
+
+// image computes one image's product into dst: the padded copy goes to
+// x (2·size elements: the image, then as many zeros), and the kernel
+// runs over every row block — partitioned across the worker pool when
+// the image is more than one chunk. spill stages ragged tiles.
+func (p *convPlan) image(dst, img, x, spill []float64) {
+	if len(p.koff) == 0 {
+		clear(dst[:p.outC*p.rows])
+		return
+	}
+	padImage(x, img, p.g)
+	if parallel.Inline(p.rblocks, p.grain) {
+		p.chunk(dst, x, spill, 0, p.rblocks)
+	} else {
+		convGemmParallel(p, dst, x)
+	}
+}
+
+// convGemmParallel is image's fork-join path, split out for the reason
+// gemmParallel is. Each chunk borrows its own spill tile.
+func convGemmParallel(p *convPlan, dst, x []float64) {
+	parallel.For(p.rblocks, p.grain, func(blo, bhi int) {
 		spill := packPool.GetSlice(gemmMR * gemmNR)
-		convGemmChunk(kern, pair, dst, x, rowOff, koff, bp, spill, rows, outC, blo, bhi)
+		p.chunk(dst, x, spill, blo, bhi)
 		packPool.PutSlice(spill)
 	})
 }
 
-// convGemmChunk runs the row-indirect micro-kernel over every tile of
-// row blocks [blo, bhi). Full tiles are stored straight into dst, which
-// is (outC × rows) row-major — the kernel's transposed store; ragged
-// ones go through spill (heap-backed for the reason gemmChunk's is).
-// pair takes two full row blocks at a time under gemmChunk's rule.
-func convGemmChunk(kern, pair rowKernFunc, dst, x []float64, rowOff, koff []int, bp, spill []float64, rows, outC, blo, bhi int) {
-	k := len(koff)
+// chunk runs the row-indirect micro-kernel over every tile of row blocks
+// [blo, bhi) of the padded image x. Full tiles are stored straight into
+// dst, which is (outC × rows) row-major — the kernel's transposed store;
+// ragged ones go through spill (heap-backed for the reason gemmChunk's
+// is). pair takes two full row blocks at a time under gemmTiles' rule.
+func (p *convPlan) chunk(dst, x, spill []float64, blo, bhi int) {
+	kern, pair, rowOff, koff, bp := p.kern, p.pair, p.rowOff, p.koff, p.bp
+	rows, outC, k := p.rows, p.outC, len(koff)
 	for bi := blo; bi < bhi; {
 		blocks := 1
 		if pair != nil && bi+2 <= bhi && (bi+2)*gemmMR <= rows {
@@ -336,12 +493,51 @@ func convGemmChunk(kern, pair rowKernFunc, dst, x []float64, rowOff, koff []int,
 	}
 }
 
+// convGemmInto is one image's product of either kind: a plan, then that
+// plan's one image.
+func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, weightGrad bool) {
+	p := newConvPlan(dense, outC, g, weightGrad)
+	p.dst, p.src = dst, img
+	p.images(0, 1)
+	p.release()
+}
+
+// ConvForwardBatchInto computes a convolution's forward pass for a whole
+// batch: for each of the n images of x (n is its leading dimension; each
+// image one CHW image of g's geometry), dst_i = w @ im2col(x_i), plus
+// b[oc] on every element of row oc when b is not nil. w is
+// (outC × InC*KH*KW) and dst receives n (outC × OutH*OutW) outputs.
+//
+// w is packed and the two offset tables filled once for the batch, and
+// every image reads that one read-only plan. Images are partitioned
+// across the worker pool, each writing its own output, so the result is
+// bit-identical to n ConvMatMulInto calls followed by the bias add, at
+// any worker count. It returns dst.
+func ConvForwardBatchInto(dst, w, b, x *Tensor, g ConvGeom) *Tensor {
+	k, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	outC := checkConvDense("ConvForwardBatchInto", w, k, g)
+	n := checkConvBatch("ConvForwardBatchInto", x, g.ImageSize(), dst, outC*spatial, g)
+	var bias []float64
+	if b != nil {
+		if b.Size() != outC {
+			panic(fmt.Sprintf("tensor: ConvForwardBatchInto: bias has %d elements, want %d", b.Size(), outC))
+		}
+		bias = b.Data
+	}
+	p := newConvPlan(w.Data, outC, g, false)
+	p.dst, p.bias, p.src = dst.Data, bias, x.Data
+	parallel.For(n, 1, p.body)
+	p.release()
+	return dst
+}
+
 // ConvMatMulInto computes dst = w @ im2col(img) without materializing
 // the column matrix — the implicit-GEMM convolution forward pass. w is
 // (outC × InC*KH*KW), img is one flat CHW image of g's geometry, dst is
 // (outC × OutH*OutW). The micro-kernel reads the padded image through
 // the im2col index map, so results are bit-identical (in exact mode) to
-// materializing the columns and calling MatMulInto. It returns dst.
+// materializing the columns and calling MatMulInto. It is
+// ConvForwardBatchInto for one image and no bias. It returns dst.
 func ConvMatMulInto(dst, w *Tensor, img []float64, g ConvGeom) *Tensor {
 	k := g.InC * g.KH * g.KW
 	n := g.OutH() * g.OutW()
@@ -360,6 +556,29 @@ func ConvMatMulTransBInto(dst, dy *Tensor, img []float64, g ConvGeom) *Tensor {
 	m := checkConvMatMul("ConvMatMulTransBInto", dst, dy, img, g, k, n)
 	convGemmInto(dst.Data, dy.Data, m, img, g, true)
 	return dst
+}
+
+// checkConvDense validates a batch call's dense operand, which must be
+// (m×k), and returns m.
+func checkConvDense(op string, w *Tensor, k int, g ConvGeom) int {
+	if len(w.shape) != 2 || w.shape[1] != k {
+		panic(fmt.Sprintf("tensor: %s: weights are %v, want (outC×%d) for conv geometry %+v", op, w.shape, k, g))
+	}
+	return w.shape[0]
+}
+
+// checkConvBatch validates a batch call's two batch operands: a holds
+// n items of aPer elements each, n being its leading dimension, and b n
+// items of bPer. It returns n.
+func checkConvBatch(op string, a *Tensor, aPer int, b *Tensor, bPer int, g ConvGeom) int {
+	if len(a.shape) == 0 || a.Size() != a.shape[0]*aPer {
+		panic(fmt.Sprintf("tensor: %s: batch operand is %v, want n items of %d elements for conv geometry %+v", op, a.shape, aPer, g))
+	}
+	n := a.shape[0]
+	if b.Size() != n*bPer {
+		panic(fmt.Sprintf("tensor: %s: operand is %v, want %d items of %d elements for conv geometry %+v", op, b.shape, n, bPer, g))
+	}
+	return n
 }
 
 // checkConvMatMul validates one implicit-GEMM call: a must be (m×ak),

@@ -100,7 +100,7 @@ func packB(bp, b []float64, k, n int) {
 // stored transposed as (n×k): B[kk][j] = b[j*k+kk]. A full panel reads
 // its eight rows of b side by side, so every panel row is one contiguous
 // store; this is also the pack of the convolution products' dense
-// operand, once per sample.
+// operand, once per call however many images the call covers.
 func packBTrans(bp, b []float64, k, n int) {
 	for j0 := 0; j0 < n; j0 += gemmNR {
 		jb := min(n-j0, gemmNR)

@@ -144,8 +144,8 @@ func (t *Tensor) ViewOf(src *Tensor, shape ...int) *Tensor {
 
 // SliceViewOf repoints t to alias src.Data[lo:hi) under the given shape.
 // Like ViewOf it moves no data and allocates nothing when t's header is
-// reused; the per-sample matmuls in the convolution layers use it to
-// address one sample's slice of a batched buffer.
+// reused; the convolution layer's per-sample weight-gradient products
+// use it to address one sample's slice of a batched buffer.
 func (t *Tensor) SliceViewOf(src *Tensor, lo, hi int, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if lo < 0 || hi > len(src.Data) || lo > hi || hi-lo != n {
