@@ -55,8 +55,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		d.x = x
 	}
-	y := d.ws.out.Ensure(x.Dim(0), d.Out)
-	tensor.MatMulIntoOp("Dense forward y=x@W", y, x, d.w)
+	y := tensor.DenseForwardInto(d.ws.out.Ensure(x.Dim(0), d.Out), x, d.w)
 	y.AddRowVector(d.b)
 	return y
 }
@@ -64,7 +63,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer: BackwardParams plus dx = dy @ Wᵀ.
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	d.BackwardParams(dy)
-	return tensor.MatMulTransBIntoOp("Dense backward dx=dy@Wᵀ", d.ws.dx.Ensure(dy.Dim(0), d.In), dy, d.w)
+	return tensor.DenseInputGradInto(d.ws.dx.Ensure(dy.Dim(0), d.In), dy, d.w)
 }
 
 // BackwardParams accumulates dW += xᵀ @ dy and db += column sums of dy

@@ -55,15 +55,39 @@ func BenchmarkConv2DForwardBackward(b *testing.B) {
 	}
 }
 
+// denseBenchCases are the Dense shapes the layer benchmark times: the
+// paper CNN's first dense layer at 32 px, the layers the benchmark
+// workloads train — pop_1m's 192→64→43 MLP at batch 8, sweep_grid's
+// 64→64 at batch 8, sim_paper's 256→64 server layer at batch 16 — and
+// that server layer at an evaluation chunk's 256 rows. The training
+// shapes multiply a batch of a few rows against all of W, which is
+// where reading W in place pays; the evaluation shape is the trade-off
+// ARCHITECTURE "Blocking scheme" records.
+var denseBenchCases = []struct {
+	name           string
+	in, out, batch int
+}{
+	{"1024to64/batch16", 1024, 64, 16},
+	{"192to64/batch8", 192, 64, 8},
+	{"64to43/batch8", 64, 43, 8},
+	{"64to64/batch8", 64, 64, 8},
+	{"256to64/batch16", 256, 64, 16},
+	{"256to64/batch256", 256, 64, 256},
+}
+
 func BenchmarkDenseForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	layer := NewDense(rng, 1024, 64)
-	x := tensor.New(16, 1024).RandNormal(rng, 0, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		y := layer.Forward(x, true)
-		ZeroGrads([]Layer{layer})
-		layer.Backward(y)
+	for _, bc := range denseBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			layer := NewDense(rng, bc.in, bc.out)
+			x := tensor.New(bc.batch, bc.in).RandNormal(rng, 0, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				y := layer.Forward(x, true)
+				ZeroGrads([]Layer{layer})
+				layer.Backward(y)
+			}
+		})
 	}
 }
 

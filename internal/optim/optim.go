@@ -163,6 +163,12 @@ func (s *SGD) Restore(st SGDState) error {
 
 // clipFactor returns the multiplier that caps the global gradient norm at
 // clip (1 when clipping is disabled or unnecessary).
+//
+// A finite gradient with a value of magnitude ≳ 1.3e154 has a sum of
+// squares that overflows to +Inf, and clip/Inf would zero the whole
+// step; only then is the norm taken again with every value scaled by the
+// largest magnitude. An infinite or NaN value keeps the plain sum's
+// factor (0 or NaN), as does every finite sum.
 func clipFactor(grads []*tensor.Tensor, clip float64) float64 {
 	if clip <= 0 {
 		return 1
@@ -173,11 +179,45 @@ func clipFactor(grads []*tensor.Tensor, clip float64) float64 {
 			ss += float64(v * v)
 		}
 	}
+	if math.IsInf(ss, 1) {
+		if scale := maxAbs(grads); !math.IsInf(scale, 1) {
+			return scaledClipFactor(grads, clip, scale)
+		}
+	}
 	norm := math.Sqrt(ss)
 	if norm <= clip {
 		return 1
 	}
 	return clip / norm
+}
+
+// maxAbs returns the largest magnitude among grads' values.
+func maxAbs(grads []*tensor.Tensor) float64 {
+	m := 0.0
+	for _, g := range grads {
+		for _, v := range g.Data {
+			m = max(m, math.Abs(v))
+		}
+	}
+	return m
+}
+
+// scaledClipFactor is clipFactor for finite grads whose largest
+// magnitude is scale: the norm is scale·√Σ(v/scale)², whose sum lies in
+// [1, len], and the comparison with clip is made in the same units.
+func scaledClipFactor(grads []*tensor.Tensor, clip, scale float64) float64 {
+	ss := 0.0
+	for _, g := range grads {
+		for _, v := range g.Data {
+			r := v / scale
+			ss += float64(r * r)
+		}
+	}
+	rel, root := clip/scale, math.Sqrt(ss)
+	if root <= rel {
+		return 1
+	}
+	return rel / root
 }
 
 // checkAligned panics unless grads, decay (when given) and velocity

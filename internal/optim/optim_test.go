@@ -98,6 +98,33 @@ func TestClipNormCapsUpdates(t *testing.T) {
 	}
 }
 
+// TestClipNormOverflowingNormStillClips pins a finite gradient whose sum
+// of squares overflows: it is clipped to the norm like any other, not
+// zeroed. Infinite and NaN gradients keep their factors (0 and NaN).
+func TestClipNormOverflowingNormStillClips(t *testing.T) {
+	p := tensor.New(2)
+	g := tensor.FromSlice([]float64{1e200, 0}, 2)
+	opt := NewSGD(1.0)
+	opt.ClipNorm = 5
+	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}, nil)
+	if p.Data[0] != -5 || p.Data[1] != 0 {
+		t.Fatalf("p = %v, want [-5 0] (gradient clipped to norm 5)", p.Data)
+	}
+	spread := tensor.FromSlice([]float64{3e200, -4e200, 1}, 3) // norm 5e200
+	if f := clipFactor([]*tensor.Tensor{spread}, 5); math.Abs(f*5e200-5) > 1e-12 {
+		t.Fatalf("factor %v scales the norm to %v, want 5", f, f*5e200)
+	}
+	if f := clipFactor([]*tensor.Tensor{tensor.FromSlice([]float64{1e200, 0}, 2)}, 1e300); f != 1 {
+		t.Fatalf("norm 1e200 under clip 1e300: factor %v, want 1", f)
+	}
+	if f := clipFactor([]*tensor.Tensor{tensor.FromSlice([]float64{math.Inf(-1), 1e200}, 2)}, 5); f != 0 {
+		t.Fatalf("infinite gradient: factor %v, want 0", f)
+	}
+	if f := clipFactor([]*tensor.Tensor{tensor.FromSlice([]float64{math.NaN(), 1e200}, 2)}, 5); !math.IsNaN(f) {
+		t.Fatalf("NaN gradient: factor %v, want NaN", f)
+	}
+}
+
 func TestClipNormNoEffectWhenSmall(t *testing.T) {
 	p := tensor.New(1)
 	g := tensor.FromSlice([]float64{0.1}, 1)

@@ -9,17 +9,20 @@ import (
 
 // Blocked, panel-packed GEMM engine.
 //
-// All three matmul orientations (plain, aᵀ@b, a@bᵀ) funnel into
+// The two general matmul orientations (plain, aᵀ@b) funnel into
 // gemmInto: the right-hand operand is packed once into NR-column panels,
 // output rows are partitioned across the worker pool in MR-row blocks,
 // and each chunk packs its own A panels before running the micro-kernel
-// over its tiles. The two implicit-GEMM convolution products funnel into
-// a convPlan, which packs only their small dense operand and lets a
-// row-indirect micro-kernel read the image in place. The batch calls a
-// convolution layer makes (ConvForwardBatchInto, ConvColGradBatchInto)
-// pack their weights once per call and let every image of the batch
-// read that one pack. Packing buffers come from an internal Pool, so
-// steady-state calls allocate nothing unless they fork.
+// over its tiles. The products that multiply a small operand against a
+// large one that is already laid out for reading — the two implicit-GEMM
+// convolution products and a dense layer's two weight products — funnel
+// into a rowPlan instead, which packs only the small operand and lets a
+// row-indirect micro-kernel read the large one in place: the image, or
+// the dense layer's W. The batch calls a convolution layer makes
+// (ConvForwardBatchInto, ConvColGradBatchInto) pack their weights once
+// per call and let every image of the batch read that one pack. Packing
+// buffers come from an internal Pool, so steady-state calls allocate
+// nothing unless they fork.
 //
 // Determinism: every output element is produced by exactly one
 // micro-kernel call that accumulates its k terms in ascending order in a
@@ -124,24 +127,12 @@ const (
 	aTransposed              // a is (k×m) row-major, logical A = aᵀ
 )
 
-type bKind uint8
-
-const (
-	bPlain      bKind = iota // b is (k×n) row-major
-	bTransposed              // b is (n×k) row-major, logical B = bᵀ
-)
-
-// aSource / bSource describe the logical (m×k) and (k×n) operands in
-// terms of their physical storage. They are small values passed on the
-// stack; constructing them never allocates.
+// aSource describes the logical (m×k) left operand in terms of its
+// physical storage. It is a small value passed on the stack;
+// constructing it never allocates.
 type aSource struct {
 	data []float64
 	kind aKind
-}
-
-type bSource struct {
-	data []float64
-	kind bKind
 }
 
 // gemmKernels returns the packed kernels for an (m×k)·(k×n) product: the
@@ -168,24 +159,17 @@ func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 	return rowKernExact, rowKernExactPair
 }
 
-// gemmInto computes dst = A @ B for the logical operands described by
-// asrc and bsrc. dst is fully overwritten.
-func gemmInto(dst []float64, m, k, n int, asrc aSource, bsrc bSource) {
+// gemmInto computes dst = A @ b for the logical A described by asrc and
+// b, a plain (k×n) matrix. dst is fully overwritten.
+func gemmInto(dst []float64, m, k, n int, asrc aSource, b []float64) {
 	if k == 0 {
-		for i := range dst[:m*n] {
-			dst[i] = 0
-		}
+		clear(dst[:m*n])
 		return
 	}
 	kern, pair := gemmKernels(m, k, n)
 	nb := (n + gemmNR - 1) / gemmNR
 	bp := packPool.GetSlice(nb * k * gemmNR)
-	switch bsrc.kind {
-	case bPlain:
-		packB(bp, bsrc.data, k, n)
-	case bTransposed:
-		packBTrans(bp, bsrc.data, k, n)
-	}
+	packB(bp, b, k, n)
 	mblocks := (m + gemmMR - 1) / gemmMR
 	grain := grainRows(2 * k * n * gemmMR)
 	if parallel.Inline(mblocks, grain) {
@@ -337,64 +321,80 @@ func (gb *gemmBatch) images(lo, hi int) {
 	packPool.PutSlice(bp)
 }
 
-// convPlan is what every image of one implicit-GEMM convolution product
-// shares: the kernels, the two offset tables and the packed dense
-// operand. newConvPlan leases its buffers; release returns them.
-// Plans are pooled and bind their loop body once, for gemmBatch's
-// reason.
-//
-// In padded coordinates the column matrix of an image is a sum of two
-// offset tables, col[t][p] = x[tap[t] + pos[p]] (paddedGrids), so
-// either product is
+// rowPlan is one row-indirect product,
 //
 //	dst[oc][r] = Σ_kk dense[oc][kk] · x[row[r] + koff[kk]]
 //
-// with (row, koff) = (pos, tap) for the forward pass and (tap, pos) for
-// the weight gradient. The image side is the micro-kernel's broadcast
-// operand and is read where padImage put it; only dense, (outC × k), is
-// packed — once per plan, however many images read it. Rows past a
-// ragged last block point at the zero half of the padded copy, so the
-// kernel has no edge path; MR-row blocks are partitioned across the
-// worker pool exactly as gemmInto's are.
-type convPlan struct {
-	g                  ConvGeom
+// with dense (outC × k) small and x large: the kernels, the two offset
+// tables and dense, packed. x is the micro-kernel's broadcast operand
+// and is read where it lies; only dense is packed — once per plan,
+// however many x's read it. newRowPlan leases the buffers; release
+// returns them. Plans are pooled and bind their loop body once, for
+// gemmBatch's reason.
+//
+// Rows past a ragged last block read at the past-row offset the plan
+// was built with; those lanes only ever reach the spill tile, so the
+// kernel has no edge path. MR-row blocks are partitioned across the
+// worker pool exactly as gemmInto's are. Its two uses:
+//
+//   - Convolution (newConvPlan). In padded coordinates the column matrix
+//     of an image is a sum of two offset tables, col[t][p] = x[tap[t] +
+//     pos[p]] (paddedGrids), so (row, koff) = (pos, tap) for the forward
+//     pass and (tap, pos) for the weight gradient; x is the padded copy
+//     of each image in turn, and past rows read its zero half.
+//   - A dense layer's two weight products (denseInto), where x is W
+//     (in × out) itself and each table is one strided line: the forward
+//     y = x@W has dense = x, k = in, koff[kk] = kk·out and row[r] = r;
+//     the input gradient dx = dy@Wᵀ has dense = dy, k = out, koff[kk] =
+//     kk and row[r] = r·out.
+type rowPlan struct {
 	kern, pair         rowKernFunc
 	offs, koff, rowOff []int     // offs is the lease koff and rowOff live in
 	bp                 []float64 // dense, packed into k×NR panels
-	outC, rows, size   int       // size: the padded image's element count
+	outC, rows         int
 	rblocks, grain     int
 
-	// The operands images reads: src's images, their outputs in dst,
-	// and the bias (nil for none).
+	// A convolution's: the geometry, the padded image's element count,
+	// and the operands images reads — src's images, their outputs in
+	// dst, and the bias (nil for none).
+	g              ConvGeom
+	size           int
 	dst, bias, src []float64
 	body           func(lo, hi int) // images, bound once
 }
 
-var convPlans = sync.Pool{New: func() any {
-	p := new(convPlan)
+var rowPlans = sync.Pool{New: func() any {
+	p := new(rowPlan)
 	p.body = p.images
 	return p
 }}
 
-// newConvPlan builds the plan of dense (outC × k) against images of g's
-// geometry: the forward product, or with weightGrad the weight
-// gradient's.
-func newConvPlan(dense []float64, outC int, g ConvGeom, weightGrad bool) *convPlan {
-	kGrid, rowGrid, size := paddedGrids(g)
-	if weightGrad {
-		kGrid, rowGrid = rowGrid, kGrid
-	}
+// newRowPlan builds the plan of dense (outC × k) against an x of xLen
+// elements, with koff and the rows' offsets the points of kGrid and
+// rowGrid and past rows at pastRow. The kernels index x with no bounds
+// check, so it panics unless every offset it will read — the largest
+// row (past rows included) plus the largest koff — is inside x.
+func newRowPlan(dense []float64, outC int, kGrid, rowGrid offsetGrid, pastRow, xLen int) *rowPlan {
 	k, rows := kGrid.size(), rowGrid.size()
-	p := convPlans.Get().(*convPlan)
-	p.g, p.outC, p.rows, p.size = g, outC, rows, size
+	rblocks := (rows + gemmMR - 1) / gemmMR
+	if k > 0 && rows > 0 {
+		hi := rowGrid.last()
+		if rblocks*gemmMR > rows {
+			hi = max(hi, pastRow)
+		}
+		if end := hi + kGrid.last(); end >= xLen {
+			panic(fmt.Sprintf("tensor: row plan reads x[%d], past its %d elements", end, xLen))
+		}
+	}
+	p := rowPlans.Get().(*rowPlan)
+	p.outC, p.rows, p.rblocks = outC, rows, rblocks
 	p.kern, p.pair = rowKernels(rows, k, outC)
-	p.rblocks = (rows + gemmMR - 1) / gemmMR
-	p.offs = offsetPool.GetSlice(k + p.rblocks*gemmMR)
+	p.offs = offsetPool.GetSlice(k + rblocks*gemmMR)
 	p.koff, p.rowOff = p.offs[:k], p.offs[k:]
 	kGrid.fill(p.koff)
 	rowGrid.fill(p.rowOff)
 	for r := rows; r < len(p.rowOff); r++ {
-		p.rowOff[r] = size
+		p.rowOff[r] = pastRow
 	}
 	p.bp = packPool.GetSlice((outC + gemmNR - 1) / gemmNR * k * gemmNR)
 	packBTrans(p.bp, dense, k, outC)
@@ -402,18 +402,43 @@ func newConvPlan(dense []float64, outC int, g ConvGeom, weightGrad bool) *convPl
 	return p
 }
 
+// newConvPlan builds the plan of dense (outC × k) against images of g's
+// geometry: the forward product, or with weightGrad the weight
+// gradient's. x is a padded copy and its zero half (padImage).
+func newConvPlan(dense []float64, outC int, g ConvGeom, weightGrad bool) *rowPlan {
+	kGrid, rowGrid, size := paddedGrids(g)
+	if weightGrad {
+		kGrid, rowGrid = rowGrid, kGrid
+	}
+	p := newRowPlan(dense, outC, kGrid, rowGrid, size, 2*size)
+	p.g, p.size = g, size
+	return p
+}
+
 // release returns the plan's leases and the plan itself.
-func (p *convPlan) release() {
+func (p *rowPlan) release() {
 	packPool.PutSlice(p.bp)
 	offsetPool.PutSlice(p.offs)
-	*p = convPlan{body: p.body}
-	convPlans.Put(p)
+	*p = rowPlan{body: p.body}
+	rowPlans.Put(p)
+}
+
+// run computes the plan's product against x into dst, (outC × rows)
+// row-major, over every row block — partitioned across the worker pool
+// when the product is more than one chunk. spill stages ragged tiles.
+// The plan's k must not be zero.
+func (p *rowPlan) run(dst, x, spill []float64) {
+	if parallel.Inline(p.rblocks, p.grain) {
+		p.chunk(dst, x, spill, 0, p.rblocks)
+	} else {
+		rowPlanParallel(p, dst, x)
+	}
 }
 
 // images computes the product of images [lo, hi) of p.src, each writing
 // its own (outC × rows) block of p.dst, and adds p.bias[oc] to every
 // element of row oc. The padded copies share one lease.
-func (p *convPlan) images(lo, hi int) {
+func (p *rowPlan) images(lo, hi int) {
 	imgSize, outSize := p.g.ImageSize(), p.outC*p.rows
 	buf := packPool.GetSlice(2*p.size + gemmMR*gemmNR)
 	for i := lo; i < hi; i++ {
@@ -430,25 +455,20 @@ func (p *convPlan) images(lo, hi int) {
 }
 
 // image computes one image's product into dst: the padded copy goes to
-// x (2·size elements: the image, then as many zeros), and the kernel
-// runs over every row block — partitioned across the worker pool when
-// the image is more than one chunk. spill stages ragged tiles.
-func (p *convPlan) image(dst, img, x, spill []float64) {
+// x (2·size elements: the image, then as many zeros), and the plan runs
+// against it.
+func (p *rowPlan) image(dst, img, x, spill []float64) {
 	if len(p.koff) == 0 {
 		clear(dst[:p.outC*p.rows])
 		return
 	}
 	padImage(x, img, p.g)
-	if parallel.Inline(p.rblocks, p.grain) {
-		p.chunk(dst, x, spill, 0, p.rblocks)
-	} else {
-		convGemmParallel(p, dst, x)
-	}
+	p.run(dst, x, spill)
 }
 
-// convGemmParallel is image's fork-join path, split out for the reason
+// rowPlanParallel is run's fork-join path, split out for the reason
 // gemmParallel is. Each chunk borrows its own spill tile.
-func convGemmParallel(p *convPlan, dst, x []float64) {
+func rowPlanParallel(p *rowPlan, dst, x []float64) {
 	parallel.For(p.rblocks, p.grain, func(blo, bhi int) {
 		spill := packPool.GetSlice(gemmMR * gemmNR)
 		p.chunk(dst, x, spill, blo, bhi)
@@ -457,11 +477,11 @@ func convGemmParallel(p *convPlan, dst, x []float64) {
 }
 
 // chunk runs the row-indirect micro-kernel over every tile of row blocks
-// [blo, bhi) of the padded image x. Full tiles are stored straight into
-// dst, which is (outC × rows) row-major — the kernel's transposed store;
-// ragged ones go through spill (heap-backed for the reason gemmChunk's
-// is). pair takes two full row blocks at a time under gemmTiles' rule.
-func (p *convPlan) chunk(dst, x, spill []float64, blo, bhi int) {
+// [blo, bhi) against x. Full tiles are stored straight into dst, which
+// is (outC × rows) row-major — the kernel's transposed store; ragged
+// ones go through spill (heap-backed for the reason gemmChunk's is).
+// pair takes two full row blocks at a time under gemmTiles' rule.
+func (p *rowPlan) chunk(dst, x, spill []float64, blo, bhi int) {
 	kern, pair, rowOff, koff, bp := p.kern, p.pair, p.rowOff, p.koff, p.bp
 	rows, outC, k := p.rows, p.outC, len(koff)
 	for bi := blo; bi < bhi; {
@@ -499,6 +519,21 @@ func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, wei
 	p := newConvPlan(dense, outC, g, weightGrad)
 	p.dst, p.src = dst, img
 	p.images(0, 1)
+	p.release()
+}
+
+// denseInto is either weight product of a dense layer (see rowPlan):
+// dense (outC × k) against w read in place through kGrid and rowGrid.
+// Past rows read at row 0, which every table keeps inside w.
+func denseInto(dst, dense []float64, outC int, w []float64, kGrid, rowGrid offsetGrid) {
+	if kGrid.size() == 0 {
+		clear(dst)
+		return
+	}
+	p := newRowPlan(dense, outC, kGrid, rowGrid, 0, len(w))
+	spill := packPool.GetSlice(gemmMR * gemmNR)
+	p.run(dst, w, spill)
+	packPool.PutSlice(spill)
 	p.release()
 }
 

@@ -124,13 +124,24 @@ func requireBitEqual(t *testing.T, what string, got, want []float64, m, k, n int
 	}
 }
 
-// TestGEMMExhaustiveSmallShapes sweeps every (m,k,n) in 1..17 across all
-// three transpose variants and checks the public entry points — every
-// one of which runs the packed engine, whatever the shape — against the
-// naive reference, bit for bit. 17 crosses the MR=4/NR=8 tile edges, so
-// full tiles, ragged edges and degenerate m < MR / n < NR panels are all
-// covered.
+// TestGEMMExhaustiveSmallShapes sweeps every (m,k,n) in 1..17 across
+// every product orientation and checks the public entry points — the
+// packed engine's and the dense layer's row-indirect ones, whatever the
+// shape — against the naive reference, bit for bit. 17 crosses the
+// MR=4/NR=8 tile edges, so full tiles, ragged edges, degenerate
+// m < MR / n < NR panels and (where the hardware has them) pairs are all
+// covered: once with the active row kernel and once with the portable
+// one swapped in, which no AVX2 host would otherwise run.
 func TestGEMMExhaustiveSmallShapes(t *testing.T) {
+	t.Run("active", checkGEMMExhaustiveSmallShapes)
+	t.Run("generic", func(t *testing.T) {
+		defer func(k, pair rowKernFunc) { rowKernExact, rowKernExactPair = k, pair }(rowKernExact, rowKernExactPair)
+		rowKernExact, rowKernExactPair = rowKernExactGeneric, nil
+		checkGEMMExhaustiveSmallShapes(t)
+	})
+}
+
+func checkGEMMExhaustiveSmallShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const max = 17
 	a := make([]float64, max*max)
@@ -145,6 +156,8 @@ func TestGEMMExhaustiveSmallShapes(t *testing.T) {
 				naiveMatMul(want, a, b, m, k, n)
 				MatMulInto(FromSlice(got[:m*n], m, n), FromSlice(a[:m*k], m, k), FromSlice(b[:k*n], k, n))
 				requireBitEqual(t, "MatMulInto", got[:m*n], want[:m*n], m, k, n)
+				DenseForwardInto(FromSlice(got[:m*n], m, n), FromSlice(a[:m*k], m, k), FromSlice(b[:k*n], k, n))
+				requireBitEqual(t, "DenseForwardInto", got[:m*n], want[:m*n], m, k, n)
 
 				// at is (k×m): reuse a's buffer with the transposed fill.
 				fillMixed(rng, a[:k*m])
@@ -152,12 +165,12 @@ func TestGEMMExhaustiveSmallShapes(t *testing.T) {
 				MatMulTransAInto(FromSlice(got[:m*n], m, n), FromSlice(a[:k*m], k, m), FromSlice(b[:k*n], k, n))
 				requireBitEqual(t, "MatMulTransAInto", got[:m*n], want[:m*n], m, k, n)
 
-				// bt is (n×k).
+				// bt is (n×k): W, (in×out), read as Wᵀ.
 				fillMixed(rng, a[:m*k])
 				fillMixed(rng, b[:n*k])
 				naiveTransB(want, a, b, m, k, n)
-				MatMulTransBInto(FromSlice(got[:m*n], m, n), FromSlice(a[:m*k], m, k), FromSlice(b[:n*k], n, k))
-				requireBitEqual(t, "MatMulTransBInto", got[:m*n], want[:m*n], m, k, n)
+				DenseInputGradInto(FromSlice(got[:m*n], m, n), FromSlice(a[:m*k], m, k), FromSlice(b[:n*k], n, k))
+				requireBitEqual(t, "DenseInputGradInto", got[:m*n], want[:m*n], m, k, n)
 			}
 		}
 	}
@@ -169,10 +182,25 @@ func TestGEMMExhaustiveSmallShapes(t *testing.T) {
 // kernel overhanging its input has no output positions, which is dW's k).
 func TestGEMMZeroK(t *testing.T) {
 	got := []float64{1, 2, 3, 4, 5, 6}
-	gemmInto(got, 2, 0, 3, aSource{kind: aPlain}, bSource{kind: bPlain})
+	gemmInto(got, 2, 0, 3, aSource{kind: aPlain}, nil)
 	for i, v := range got {
 		if v != 0 {
 			t.Fatalf("k=0 output element %d = %v, want 0", i, v)
+		}
+	}
+	// The dense products' k is x's width and dy's: with it zero the
+	// row-indirect kernel must not be handed an empty offset table.
+	for _, c := range []struct {
+		name string
+		got  *Tensor
+	}{
+		{"DenseForwardInto", DenseForwardInto(Full(7, 2, 3), New(2, 0), New(0, 3))},
+		{"DenseInputGradInto", DenseInputGradInto(Full(7, 2, 3), New(2, 0), New(3, 0))},
+	} {
+		for i, v := range c.got.Data {
+			if v != 0 {
+				t.Fatalf("%s k=0 output element %d = %v, want 0", c.name, i, v)
+			}
 		}
 	}
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
@@ -183,6 +211,31 @@ func TestGEMMZeroK(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("conv k=0 output element %d = %v, want 0", i, v)
 		}
+	}
+}
+
+// TestRowPlanRefusesShortX pins the row-indirect plan's one bounds
+// check: its kernels index x in assembly with none, so a plan whose
+// largest row plus largest koff — past rows included — falls outside x
+// panics when it is built, and one that fits exactly does not.
+func TestRowPlanRefusesShortX(t *testing.T) {
+	dense := make([]float64, 3*4)
+	line := func(d, s int) offsetGrid { return offsetGrid{1, 1, d, 0, 0, s} }
+	build := func(rows offsetGrid, pastRow, xLen int) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		newRowPlan(dense, 3, line(4, 5), rows, pastRow, xLen).release()
+		return false
+	}
+	// koff reaches 15, rows 3 (a full block of four): x needs 19 elements.
+	if build(line(4, 1), 0, 19) {
+		t.Fatal("plan that fits x exactly panicked")
+	}
+	if !build(line(4, 1), 0, 18) {
+		t.Fatal("plan reading x[18] of 18 elements did not panic")
+	}
+	// Three rows leave a past row in the block: it is read too.
+	if !build(line(3, 1), 9, 20) {
+		t.Fatal("plan whose past row reads x[24] of 20 elements did not panic")
 	}
 }
 
@@ -211,7 +264,8 @@ func TestMatMulNonFiniteIsShapeIndependent(t *testing.T) {
 				}{
 					{"MatMulInto", MatMulInto(New(m, n), a, b)},
 					{"MatMulTransAInto", MatMulTransAInto(New(m, n), at, b)},
-					{"MatMulTransBInto", MatMulTransBInto(New(m, n), a, bt)},
+					{"DenseForwardInto", DenseForwardInto(New(m, n), a, b)},
+					{"DenseInputGradInto", DenseInputGradInto(New(m, n), a, bt)},
 				} {
 					// Element (i,0) multiplies a zero by the non-finite entry.
 					for i := 0; i < m; i++ {
@@ -434,14 +488,17 @@ func TestPairDriversMatchNaive(t *testing.T) {
 					}
 					got, want := make([]float64, m*n), make([]float64, m*n)
 					naiveMatMul(want, a, b, m, k, n)
-					gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: b, kind: bPlain})
+					gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, b)
 					requireBitEqual(t, fmt.Sprintf("workers=%d plain", workers), got, want, m, k, n)
 					naiveTransA(want, at, b, m, k, n)
-					gemmInto(got, m, k, n, aSource{data: at, kind: aTransposed}, bSource{data: b, kind: bPlain})
+					gemmInto(got, m, k, n, aSource{data: at, kind: aTransposed}, b)
 					requireBitEqual(t, fmt.Sprintf("workers=%d transA", workers), got, want, m, k, n)
+					naiveMatMul(want, a, b, m, k, n)
+					DenseForwardInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(b, k, n))
+					requireBitEqual(t, fmt.Sprintf("workers=%d DenseForwardInto", workers), got, want, m, k, n)
 					naiveTransB(want, a, bt, m, k, n)
-					gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: bt, kind: bTransposed})
-					requireBitEqual(t, fmt.Sprintf("workers=%d transB", workers), got, want, m, k, n)
+					DenseInputGradInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(bt, n, k))
+					requireBitEqual(t, fmt.Sprintf("workers=%d DenseInputGradInto", workers), got, want, m, k, n)
 				}
 			}
 		}
@@ -524,12 +581,13 @@ func TestConvNonFiniteIsShapeIndependent(t *testing.T) {
 }
 
 // TestFastModeToleranceAndWorkerDeterminism pins the reassociating
-// mode's two contracts, for the packed engine and both conv products: it
-// stays within a tight tolerance of exact mode (FMA changes only
-// last-ulp rounding), and on one machine it is still bit-identical
-// across worker counts (the per-element instruction sequence does not
-// depend on how output rows are partitioned). The shapes are sized to
-// fork (forkingRows, forkingConvOutC).
+// mode's two contracts, for the packed engine, both conv products and
+// both dense products: it stays within a tight tolerance of exact mode
+// (FMA changes only last-ulp rounding), and on one machine it is still
+// bit-identical across worker counts (the per-element instruction
+// sequence does not depend on how output rows are partitioned). The
+// shapes are sized to fork (forkingRows, forkingConvOutC; the dense
+// products' m-row operand makes each W row block a chunk's worth).
 func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(9))
@@ -542,11 +600,14 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	img := New(g.ImageSize()).RandNormal(rng, 0, 1).Data
 	w := New(outC, colRows).RandNormal(rng, 0, 1)
 	dy := New(outC, spatial).RandNormal(rng, 0, 1)
+	dyDense := New(m, 40).RandNormal(rng, 0, 1)
 	products := func() []*Tensor {
 		return []*Tensor{
 			MatMulInto(New(m, 40), a, b),
 			ConvMatMulInto(New(outC, spatial), w, img, g),
 			ConvMatMulTransBInto(New(outC, colRows), dy, img, g),
+			DenseForwardInto(New(m, 40), a, b),
+			DenseInputGradInto(New(m, 64), dyDense, b),
 		}
 	}
 	exact := products()
@@ -560,7 +621,7 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	fast1 := products()
 	parallel.SetWorkers(4)
 	fastN := products()
-	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto"} {
+	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto", "DenseForwardInto", "DenseInputGradInto"} {
 		if !AllClose(exact[i], fast1[i], 1e-10) {
 			t.Fatalf("%s: fast mode drifted beyond tolerance from exact mode", name)
 		}
@@ -569,9 +630,9 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 }
 
 // FuzzPackedGEMM drives the packed index math (panel layouts, ragged
-// edge padding) with fuzzed shapes and checks the plain and transposed
-// sources against the naive references bit for bit; FuzzConvPack does
-// the same for the conv products.
+// edge padding) and the dense products' row-indirect tables with fuzzed
+// shapes and checks every orientation against the naive references bit
+// for bit; FuzzConvPack does the same for the conv products.
 func FuzzPackedGEMM(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(9))
 	f.Add(int64(7), uint8(4), uint8(16), uint8(8))
@@ -591,19 +652,21 @@ func FuzzPackedGEMM(f *testing.F) {
 		fillMixed(rng, a)
 		fillMixed(rng, b)
 		naiveMatMul(want, a, b, m, k, n)
-		gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: b, kind: bPlain})
+		gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, b)
 		requireBitEqual(t, "fuzz gemm", got, want, m, k, n)
+		DenseForwardInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(b, k, n))
+		requireBitEqual(t, "fuzz DenseForwardInto", got, want, m, k, n)
 
 		at := make([]float64, k*m)
 		fillMixed(rng, at)
 		naiveTransA(want, at, b, m, k, n)
-		gemmInto(got, m, k, n, aSource{data: at, kind: aTransposed}, bSource{data: b, kind: bPlain})
+		gemmInto(got, m, k, n, aSource{data: at, kind: aTransposed}, b)
 		requireBitEqual(t, "fuzz gemm transA", got, want, m, k, n)
 
 		bt := make([]float64, n*k)
 		fillMixed(rng, bt)
 		naiveTransB(want, a, bt, m, k, n)
-		gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, bSource{data: bt, kind: bTransposed})
-		requireBitEqual(t, "fuzz gemm transB", got, want, m, k, n)
+		DenseInputGradInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(bt, n, k))
+		requireBitEqual(t, "fuzz DenseInputGradInto", got, want, m, k, n)
 	})
 }

@@ -26,10 +26,14 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	if got := MatMulTransAInto(New(7, 9), at, b); !AllClose(got, want, 0) {
 		t.Fatal("MatMulTransAInto != naive aᵀ@b")
 	}
+	naiveMatMul(want.Data, a.Data, b.Data, 7, 5, 9)
+	if got := DenseForwardInto(New(7, 9), a, b); !AllClose(got, want, 0) {
+		t.Fatal("DenseForwardInto != naive x@W")
+	}
 	bt := New(9, 5).RandNormal(rng, 0, 1)
 	naiveTransB(want.Data, a.Data, bt.Data, 7, 5, 9)
-	if got := MatMulTransBInto(New(7, 9), a, bt); !AllClose(got, want, 0) {
-		t.Fatal("MatMulTransBInto != naive a@bᵀ")
+	if got := DenseInputGradInto(New(7, 9), a, bt); !AllClose(got, want, 0) {
+		t.Fatal("DenseInputGradInto != naive dy@Wᵀ")
 	}
 
 	x := New(4, 6).RandNormal(rng, 0, 1)
@@ -152,8 +156,9 @@ func TestKernelsAllocFreeSerial(t *testing.T) {
 	testutil.MaxAllocs(t, "MatMulInto", 0, func() { MatMulInto(dst, a, b) })
 	at := New(48, 32).RandNormal(rng, 0, 1)
 	testutil.MaxAllocs(t, "MatMulTransAInto", 0, func() { MatMulTransAInto(dst, at, b) })
+	testutil.MaxAllocs(t, "DenseForwardInto", 0, func() { DenseForwardInto(dst, a, b) })
 	bt := New(24, 48).RandNormal(rng, 0, 1)
-	testutil.MaxAllocs(t, "MatMulTransBInto", 0, func() { MatMulTransBInto(dst, a, bt) })
+	testutil.MaxAllocs(t, "DenseInputGradInto", 0, func() { DenseInputGradInto(dst, a, bt) })
 
 	g := ConvGeom{InC: 2, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	src := make([]float64, 2*g.ImageSize())

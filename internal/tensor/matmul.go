@@ -36,16 +36,9 @@ func grainRows(flopsPerRow int) int {
 // After warmup it performs no allocations in serial runs (see
 // parallel.Inline; the GEMM packing panels are pooled).
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	return MatMulIntoOp("MatMulInto", dst, a, b)
-}
-
-// MatMulIntoOp is MatMulInto with a caller-supplied operation name used
-// in panic messages, so a shape mismatch reports the layer and pass that
-// issued the kernel instead of the bare kernel name.
-func MatMulIntoOp(op string, dst, a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul(op, a, b)
-	checkMatMulDst(op, dst, m, n)
-	gemmInto(dst.Data, m, k, n, aSource{data: a.Data}, bSource{data: b.Data})
+	m, k, n := checkMatMul("MatMulInto", a, b)
+	checkMatMulDst("MatMulInto", dst, m, n)
+	gemmInto(dst.Data, m, k, n, aSource{data: a.Data}, b.Data)
 	return dst
 }
 
@@ -84,7 +77,7 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 func MatMulTransAIntoOp(op string, dst, a, b *Tensor) *Tensor {
 	k, m, n := checkMatMulTransA(op, a, b)
 	checkMatMulDst(op, dst, m, n)
-	gemmInto(dst.Data, m, k, n, aSource{data: a.Data, kind: aTransposed}, bSource{data: b.Data})
+	gemmInto(dst.Data, m, k, n, aSource{data: a.Data, kind: aTransposed}, b.Data)
 	return dst
 }
 
@@ -99,22 +92,30 @@ func checkMatMulTransA(op string, a, b *Tensor) (k, m, n int) {
 	return a.shape[0], a.shape[1], b.shape[1]
 }
 
-// MatMulTransBInto computes dst = a @ bᵀ where a is (m×k) and b is
-// (n×k), reusing dst's storage — input gradients (dy @ wᵀ) without
-// materializing the transpose. dst must be (m×n) and must not alias a or
-// b; every element is overwritten. Output rows are independent dot
-// products, so results are bit-identical at any worker count. It
+// DenseForwardInto computes a dense layer's forward product dst = x @ w,
+// where x is (batch×in), w is (in×out) and dst must be (batch×out), not
+// aliasing x or w; every element is overwritten. Only x, the
+// batch-sized operand, is packed: the micro-kernel reads w where it
+// lies (rowPlan), so a call costs the multiply, not a repack of the
+// weights. Each element accumulates in ascending-k order on one worker,
+// so results are bit-identical to MatMulInto's at any worker count. It
 // returns dst.
-func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
-	return MatMulTransBIntoOp("MatMulTransBInto", dst, a, b)
+func DenseForwardInto(dst, x, w *Tensor) *Tensor {
+	batch, in, out := checkMatMul("DenseForwardInto", x, w)
+	checkMatMulDst("DenseForwardInto", dst, batch, out)
+	denseInto(dst.Data, x.Data, batch, w.Data, offsetGrid{1, 1, in, 0, 0, out}, offsetGrid{1, 1, out, 0, 0, 1})
+	return dst
 }
 
-// MatMulTransBIntoOp is MatMulTransBInto with a caller-supplied
-// operation name for panic messages.
-func MatMulTransBIntoOp(op string, dst, a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulTransB(op, a, b)
-	checkMatMulDst(op, dst, m, n)
-	gemmInto(dst.Data, m, k, n, aSource{data: a.Data}, bSource{data: b.Data, kind: bTransposed})
+// DenseInputGradInto computes a dense layer's input gradient
+// dst = dy @ wᵀ, where dy is (batch×out), w is (in×out) and dst must be
+// (batch×in), not aliasing dy or w; every element is overwritten. As in
+// DenseForwardInto only dy is packed and w is read in place, so the
+// transpose is never materialized. It returns dst.
+func DenseInputGradInto(dst, dy, w *Tensor) *Tensor {
+	batch, out, in := checkMatMulTransB("DenseInputGradInto", dy, w)
+	checkMatMulDst("DenseInputGradInto", dst, batch, in)
+	denseInto(dst.Data, dy.Data, batch, w.Data, offsetGrid{1, 1, out, 0, 0, 1}, offsetGrid{1, 1, in, 0, 0, out})
 	return dst
 }
 

@@ -20,10 +20,10 @@ package tensor
 // the bit-exact accumulation of live elements.
 //
 // Four logical operand layouts are packed: a plain (m×k) or transposed
-// (k×m) A matrix and a plain (k×n) or transposed (n×k) B matrix. The
-// convolution products pack only their dense operand (packBTrans); what
-// they need of the image — a zero-padded copy and two offset tables — is
-// at the end of this file.
+// (k×m) A matrix, a plain (k×n) B matrix for gemmInto, and the small
+// operand of the row-indirect products (packBTrans). What those read in
+// place — a convolution's zero-padded image, a dense layer's W — is
+// addressed through two offset tables, at the end of this file.
 
 // packA packs A row-blocks [blo, bhi) from a plain (m×k) matrix.
 func packA(ap, a []float64, m, k, blo, bhi int) {
@@ -99,8 +99,9 @@ func packB(bp, b []float64, k, n int) {
 // packBTrans packs every NR-column panel where the logical B (k×n) is
 // stored transposed as (n×k): B[kk][j] = b[j*k+kk]. A full panel reads
 // its eight rows of b side by side, so every panel row is one contiguous
-// store; this is also the pack of the convolution products' dense
-// operand, once per call however many images the call covers.
+// store. It is the pack of every row-indirect product's small operand
+// (rowPlan): a convolution's weights or dy, once per call however many
+// images the call covers, and a dense layer's x or dy.
 func packBTrans(bp, b []float64, k, n int) {
 	for j0 := 0; j0 < n; j0 += gemmNR {
 		jb := min(n-j0, gemmNR)
@@ -136,13 +137,20 @@ func packBTrans(bp, b []float64, k, n int) {
 // place the padding is decided, because in padded coordinates every
 // (tap, position) pair addresses a real element, at tap offset plus
 // position offset. Taps and positions are each a small grid of offsets
-// (offsetGrid) that the driver tabulates and the micro-kernel adds.
+// (offsetGrid) that the driver tabulates and the micro-kernel adds. A
+// dense layer's W needs no copy: its two tables are strided lines
+// (denseInto).
 
 // offsetGrid is the offsets i0*s0 + i1*s1 + i2*s2 of a d0×d1×d2 grid of
-// points, enumerated in row-major order.
+// points, enumerated in row-major order; {1, 1, d, 0, 0, s} is the line
+// 0, s, …, (d-1)·s.
 type offsetGrid struct{ d0, d1, d2, s0, s1, s2 int }
 
 func (og offsetGrid) size() int { return og.d0 * og.d1 * og.d2 }
+
+// last returns the grid's largest offset, that of its last point (no
+// stride is negative). The grid must not be empty.
+func (og offsetGrid) last() int { return (og.d0-1)*og.s0 + (og.d1-1)*og.s1 + (og.d2-1)*og.s2 }
 
 // fill writes the grid's offsets, in order, to the front of dst.
 func (og offsetGrid) fill(dst []int) {

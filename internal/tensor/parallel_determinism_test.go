@@ -84,13 +84,28 @@ func TestMatMulTransABitIdenticalAcrossWorkers(t *testing.T) {
 	}))
 }
 
-func TestMatMulTransBBitIdenticalAcrossWorkers(t *testing.T) {
+// TestDenseProductsBitIdenticalAcrossWorkers runs both dense products at
+// an evaluation-sized batch — 256 rows against a 256→64 layer — where
+// the row-indirect plan partitions W's rows across the pool, and fails
+// unless both fork once there are two workers.
+func TestDenseProductsBitIdenticalAcrossWorkers(t *testing.T) {
+	const batch, in, out = 256, 256, 64
+	parallel.SetWorkers(2)
+	for _, p := range []struct{ rows, k int }{{out, in}, {in, out}} {
+		if parallel.Inline((p.rows+gemmMR-1)/gemmMR, grainRows(2*p.k*batch*gemmMR)) {
+			t.Fatalf("dense product of %d W rows, k=%d, batch %d does not fork", p.rows, p.k, batch)
+		}
+	}
+	parallel.SetWorkers(0)
 	rng := rand.New(rand.NewSource(13))
-	m := forkingRows(t, 130, 33)
-	a := New(m, 130).RandNormal(rng, 0, 1)
-	b := New(33, 130).RandNormal(rng, 0, 1)
-	mustBitIdentical(t, "MatMulTransB", atWorkers(t, func() []float64 {
-		return MatMulTransBInto(New(m, 33), a, b).Data
+	x := New(batch, in).RandNormal(rng, 0, 1)
+	w := New(in, out).RandNormal(rng, 0, 1)
+	dy := New(batch, out).RandNormal(rng, 0, 1)
+	mustBitIdentical(t, "DenseForwardInto", atWorkers(t, func() []float64 {
+		return DenseForwardInto(New(batch, out), x, w).Data
+	}))
+	mustBitIdentical(t, "DenseInputGradInto", atWorkers(t, func() []float64 {
+		return DenseInputGradInto(New(batch, in), dy, w).Data
 	}))
 }
 

@@ -288,10 +288,10 @@ func TestMatMulTransVariants(t *testing.T) {
 	}
 	c := New(6, 3).RandNormal(rng, 0, 1)
 	d := New(4, 3).RandNormal(rng, 0, 1)
-	got2 := MatMulTransBInto(New(6, 4), c, d)
+	got2 := DenseInputGradInto(New(6, 4), c, d)
 	want2 := mm(c, transposed(d))
 	if !AllClose(got2, want2, 1e-10) {
-		t.Fatal("MatMulTransB != A@Bᵀ")
+		t.Fatal("DenseInputGradInto != A@Bᵀ")
 	}
 }
 
