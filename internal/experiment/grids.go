@@ -264,7 +264,7 @@ func seedStatsRows(res []JobResult) ([][]any, error) {
 		ss := 0.0
 		for _, r := range res[:seedsPerScheme] {
 			d := r.Curve.FinalAccuracy() - mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		rows = append(rows, []any{
 			res[0].Job.Scheme, seedsPerScheme, f4(mean), f4(math.Sqrt(ss / seedsPerScheme)), f4(worst), f4(best),

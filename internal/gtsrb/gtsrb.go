@@ -75,10 +75,10 @@ func specFor(c int) classSpec {
 // hsvToRGB converts h,s,v in [0,1] to r,g,b in [0,1].
 func hsvToRGB(h, s, v float64) (r, g, b float64) {
 	i := int(h*6) % 6
-	f := h*6 - math.Floor(h*6)
+	f := float64(h*6) - math.Floor(h*6)
 	p := v * (1 - s)
-	q := v * (1 - f*s)
-	t := v * (1 - (1-f)*s)
+	q := v * (1 - float64(f*s))
+	t := v * (1 - float64((1-f)*s))
 	switch i {
 	case 0:
 		return v, t, p
@@ -179,6 +179,13 @@ func NewGenerator(cfg Config, seed int64) *Generator {
 	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
+// jitter draws uniformly from [-amp, amp). Neither multiply may fuse
+// into an add on arm64 — rand's scaling into the doubling, or the result
+// into the sum it meets — or the dataset would differ from amd64's.
+func (g *Generator) jitter(amp float64) float64 {
+	return float64((float64(g.rng.Float64())*2 - 1) * amp)
+}
+
 // Sample renders one image of the given class, returning CHW-flattened
 // features (3*Size*Size) and the (possibly noise-corrupted) label.
 func (g *Generator) Sample(class int) ([]float64, int) {
@@ -187,17 +194,17 @@ func (g *Generator) Sample(class int) ([]float64, int) {
 	img := make([]float64, 3*s*s)
 
 	// Per-sample perturbations.
-	cx := (g.rng.Float64()*2 - 1) * g.cfg.Jitter
-	cy := (g.rng.Float64()*2 - 1) * g.cfg.Jitter
-	scale := 1 + (g.rng.Float64()*2-1)*g.cfg.ScaleJitter
-	bright := 1 + (g.rng.Float64()*2-1)*g.cfg.BrightnessJitter
-	bgR := 0.2 + 0.3*g.rng.Float64()
-	bgG := 0.2 + 0.3*g.rng.Float64()
-	bgB := 0.2 + 0.3*g.rng.Float64()
-	phase := g.rng.Float64() * 2 * math.Pi
+	cx := g.jitter(g.cfg.Jitter)
+	cy := g.jitter(g.cfg.Jitter)
+	scale := 1 + g.jitter(g.cfg.ScaleJitter)
+	bright := 1 + g.jitter(g.cfg.BrightnessJitter)
+	bgR := 0.2 + float64(0.3*g.rng.Float64())
+	bgG := 0.2 + float64(0.3*g.rng.Float64())
+	bgB := 0.2 + float64(0.3*g.rng.Float64())
+	phase := float64(float64(g.rng.Float64()) * 2 * math.Pi)
 	var sinR, cosR float64 = 0, 1
 	if g.cfg.RotationJitter > 0 {
-		theta := (g.rng.Float64()*2 - 1) * g.cfg.RotationJitter
+		theta := g.jitter(g.cfg.RotationJitter)
 		sinR, cosR = math.Sin(theta), math.Cos(theta)
 	}
 
@@ -208,7 +215,7 @@ func (g *Generator) Sample(class int) ([]float64, int) {
 			x := ((float64(px)+0.5)/float64(s)*2 - 1 - cx) / (0.9 * scale)
 			y := ((float64(py)+0.5)/float64(s)*2 - 1 - cy) / (0.9 * scale)
 			// Rotate sign-local coordinates (inverse rotation of the sign).
-			x, y = x*cosR+y*sinR, -x*sinR+y*cosR
+			x, y = float64(x*cosR)+float64(y*sinR), float64(-x*sinR)+float64(y*cosR)
 			r, gg, b := bgR, bgG, bgB
 			if in, border := spec.inside(x, y); in {
 				if border {
@@ -216,8 +223,8 @@ func (g *Generator) Sample(class int) ([]float64, int) {
 				} else {
 					r, gg, b = spec.fillR, spec.fillG, spec.fillB
 					// Oriented stripe glyph in the interior.
-					u := x*math.Cos(spec.stripeAngle) + y*math.Sin(spec.stripeAngle)
-					if math.Sin(u*spec.stripeFreq*math.Pi+phase) > 0.3 {
+					u := float64(x*math.Cos(spec.stripeAngle)) + float64(y*math.Sin(spec.stripeAngle))
+					if math.Sin(float64(u*spec.stripeFreq*math.Pi)+phase) > 0.3 {
 						r *= spec.stripeDark
 						gg *= spec.stripeDark
 						b *= spec.stripeDark
@@ -225,9 +232,9 @@ func (g *Generator) Sample(class int) ([]float64, int) {
 				}
 			}
 			i := py*s + px
-			img[i] = clamp01(r*bright + g.rng.NormFloat64()*g.cfg.NoiseStd)
-			img[plane+i] = clamp01(gg*bright + g.rng.NormFloat64()*g.cfg.NoiseStd)
-			img[2*plane+i] = clamp01(b*bright + g.rng.NormFloat64()*g.cfg.NoiseStd)
+			img[i] = clamp01(float64(r*bright) + float64(g.rng.NormFloat64()*g.cfg.NoiseStd))
+			img[plane+i] = clamp01(float64(gg*bright) + float64(g.rng.NormFloat64()*g.cfg.NoiseStd))
+			img[2*plane+i] = clamp01(float64(b*bright) + float64(g.rng.NormFloat64()*g.cfg.NoiseStd))
 		}
 	}
 

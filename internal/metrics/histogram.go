@@ -92,7 +92,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	} else if q > 1 {
 		q = 1
 	}
-	target := q * float64(total)
+	target := float64(q * float64(total))
 	var cum float64
 	for i := range h.bounds {
 		c := float64(h.counts[i].Load())
@@ -102,7 +102,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 				lower = h.bounds[i-1]
 			}
 			frac := (target - cum) / c
-			return lower + (h.bounds[i]-lower)*frac
+			return lower + float64((h.bounds[i]-lower)*frac)
 		}
 		cum += c
 	}

@@ -95,7 +95,7 @@ func (sn Snapshot) L2Distance(other Snapshot) float64 {
 		}
 		for j, v := range t.Data {
 			d := v - o.Data[j]
-			ss += d * d
+			ss += float64(d * d)
 		}
 	}
 	return math.Sqrt(ss)

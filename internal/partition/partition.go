@@ -79,7 +79,7 @@ func Dirichlet(ds data.Dataset, n int, alpha float64, rng *rand.Rand) []*data.Su
 		cum := 0.0
 		for ci := 0; ci < n; ci++ {
 			cum += props[ci] / total
-			end := int(cum*float64(len(idxs)) + 0.5)
+			end := int(float64(cum*float64(len(idxs))) + 0.5)
 			if ci == n-1 {
 				end = len(idxs)
 			}
@@ -137,16 +137,16 @@ func gammaSample(rng *rand.Rand, alpha float64) float64 {
 	c := 1.0 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -98,7 +98,7 @@ func (q *Quantized) DequantizeInto(dst *tensor.Tensor) *tensor.Tensor {
 		return dst
 	}
 	for i, c := range q.Codes {
-		dst.Data[i] = q.Min + float64(c)*q.Scale
+		dst.Data[i] = q.Min + float64(float64(c)*q.Scale)
 	}
 	return dst
 }

@@ -286,7 +286,7 @@ func Evaluate(ctx context.Context, m *model.SplitModel, test data.Dataset, inSha
 		}
 		logits := m.Forward(x, false)
 		l, _ := lossFn.Eval(logits, y)
-		totalLoss += l * float64(cnt)
+		totalLoss += float64(l * float64(cnt))
 		for i, p := range logits.ArgMaxRows() {
 			if p == y[i] {
 				correct++

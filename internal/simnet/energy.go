@@ -42,10 +42,10 @@ func (m EnergyModel) Validate() error {
 // ClientEnergyJ estimates total client-side energy for the ledger.
 func (m EnergyModel) ClientEnergyJ(l *Ledger) float64 {
 	relayW := (m.ClientTxW + m.ClientRxW) / 2
-	return l.Get(ClientCompute)*m.ClientComputeW +
-		l.Get(Uplink)*m.ClientTxW +
-		l.Get(Downlink)*m.ClientRxW +
-		l.Get(Relay)*relayW
+	return float64(l.Get(ClientCompute)*m.ClientComputeW) +
+		float64(l.Get(Uplink)*m.ClientTxW) +
+		float64(l.Get(Downlink)*m.ClientRxW) +
+		float64(l.Get(Relay)*relayW)
 }
 
 // ServerEnergyJ estimates total edge-server energy for the ledger.

@@ -156,7 +156,7 @@ func RunChains(chains [][]Task, upHz, downHz float64, rate RateFunc) (EventResul
 			}
 			task := chains[i][st[i].idx]
 			res.Ledgers[i].Add(task.Component, dt)
-			st[i].remaining -= dt * speed[i]
+			st[i].remaining -= float64(dt * speed[i])
 			if st[i].remaining <= eps*math.Max(1, taskBudget(task)) {
 				st[i].idx++
 				if st[i].idx >= len(chains[i]) {

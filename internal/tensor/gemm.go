@@ -7,22 +7,20 @@ import (
 	"gsfl/internal/parallel"
 )
 
-// Blocked, panel-packed GEMM engine.
+// The GEMM engine: one row-indirect plan.
 //
-// The two general matmul orientations (plain, aᵀ@b) funnel into
-// gemmInto: the right-hand operand is packed once into NR-column panels,
-// output rows are partitioned across the worker pool in MR-row blocks,
-// and each chunk packs its own A panels before running the micro-kernel
-// over its tiles. The products that multiply a small operand against a
-// large one that is already laid out for reading — the two implicit-GEMM
-// convolution products and a dense layer's two weight products — funnel
-// into a rowPlan instead, which packs only the small operand and lets a
-// row-indirect micro-kernel read the large one in place: the image, or
-// the dense layer's W. The batch calls a convolution layer makes
-// (ConvForwardBatchInto, ConvColGradBatchInto) pack their weights once
-// per call and let every image of the batch read that one pack. Packing
-// buffers come from an internal Pool, so steady-state calls allocate
-// nothing unless they fork.
+// Every product the package computes runs on a rowPlan: the plain
+// matmul, a dense layer's three (y = x@W, dx = dy@Wᵀ, dW = xᵀ@dy) and a
+// convolution's three (the forward pass, the weight gradient and the
+// column gradients). A plan packs only the product's small operand into
+// NR-column panels, once however many large operands read it, and a
+// row-indirect micro-kernel reads the large one where it lies through
+// two offset tables: a convolution's padded image, a dense layer's W, or
+// an output gradient dy. The batch calls a convolution layer makes
+// (ConvForwardBatchInto, ConvColGradBatchInto) build one plan per call
+// and let every image of the batch read it. Packing buffers come from an
+// internal Pool, so steady-state calls allocate nothing unless they
+// fork.
 //
 // Determinism: every output element is produced by exactly one
 // micro-kernel call that accumulates its k terms in ascending order in a
@@ -48,107 +46,66 @@ const (
 // loop reuses the same handful of panels round after round.
 var packPool Pool
 
-// offsetPool does the same for the convolution products' offset tables.
+// offsetPool does the same for the plans' offset tables.
 var offsetPool slicePool[int]
-
-// ukernFunc computes one MR×NR output tile over the full k extent of a
-// packed A panel (k×MR interleaved) and packed B panel (k×NR
-// interleaved). The tile is overwritten, not accumulated; row r starts
-// at c[r*ldc].
-type ukernFunc func(k int, ap, bp, c []float64, ldc int)
 
 // rowKernFunc computes one MR×NR tile of a row-indirect product over
 // the full extent of koff: element (r, j) is the sum over kk of
-// bp[kk*NR+j] · x[rows[r]+koff[kk]], where bp is a packed B panel. The
-// tile is overwritten and stored transposed: column j starts at
-// c[j*ldc]. koff must not be empty.
+// bp[kk*NR+j] · x[rows[r]+koff[kk]], where bp is a packed panel of the
+// small operand. The tile is overwritten and stored transposed: column
+// j starts at c[j*ldc]. koff must not be empty. The pair form needs no
+// type of its own: it is a rowKernFunc that reads 2·MR rows and stores
+// 2·MR-long columns, with the result two calls would give, bit for bit.
 type rowKernFunc func(x []float64, rows, koff []int, bp, c []float64, ldc int)
 
-// ukernPairFunc computes the 2·MR×NR tile of two vertically adjacent
-// row blocks — packed A panels ap0 and ap1 against one B panel — with
-// the result two ukernFunc calls would give, bit for bit. The
-// row-indirect kernel's pair form needs no type of its own: it is a
-// rowKernFunc that reads 2·MR rows and stores 2·MR-long columns.
-type ukernPairFunc func(k int, ap0, ap1, bp, c []float64, ldc int)
-
-// kernExact / kernFast (and rowKernExact / rowKernFast) are the active
-// micro-kernels, overridden at init by the amd64 vector kernels when the
-// CPU supports them. The exact ones are always bit-identical to their
-// generic bodies; the fast ones may contract multiply-adds (FMA) and
-// fall back to the exact kernels on hardware without FMA.
+// rowKernExact / rowKernFast are the active micro-kernels, overridden at
+// init by the amd64 vector kernels when the CPU supports them. The exact
+// one is always bit-identical to its generic body; the fast one may
+// contract multiply-adds (FMA) and falls back to the exact kernel on
+// hardware without FMA.
 var (
-	kernExact ukernFunc = ukernExactGeneric
-	kernFast  ukernFunc = ukernExactGeneric
-
 	rowKernExact rowKernFunc = rowKernExactGeneric
 	rowKernFast  rowKernFunc = rowKernExactGeneric
 )
 
-// kernExactPair / rowKernExactPair are the exact kernels' pair forms,
-// nil unless init found hardware with a register file wide enough for
-// them (AVX-512 on amd64). The chunk drivers hand them two full row
-// blocks at a time and everything else — ragged tiles, the odd last
-// block of a chunk, fast mode — to the 4×8 kernels.
-var (
-	kernExactPair    ukernPairFunc
-	rowKernExactPair rowKernFunc
-)
+// rowKernExactPair is the exact kernel's pair form, nil unless init
+// found hardware with a register file wide enough for it (AVX-512 on
+// amd64). The tile driver hands it two full row blocks at a time and
+// everything else — ragged tiles, the odd last block of a chunk, fast
+// mode — to the 4×8 kernels.
+var rowKernExactPair rowKernFunc
 
 // pairMinSteps is the least pair-kernel work — full 8×8 tiles times k,
 // i.e. k steps of the pair kernel's inner loop — a product must offer
-// before its drivers use the pair kernels at all. A core that executes
-// 512-bit multiplies runs everything at a lower clock for a while
-// afterwards, so a product with a handful of short tiles taxes the rest
-// of the program by more than it saves itself: measured on the
+// before the tile driver uses the pair kernel at all. A core that
+// executes 512-bit multiplies runs everything at a lower clock for a
+// while afterwards, so a product with a handful of short tiles taxes the
+// rest of the program by more than it saves itself: measured on the
 // benchmark host, a server step of the load generator's 32→4 layer (4
 // tiles, k = 4: 16 steps) made its round 5–8 % slower, while the
-// smallest convolution of an 8-pixel job (≥ 192 steps) is where the
-// gain starts (ARCHITECTURE, "Blocking scheme"). The gate is a property
-// of the operands, so it is the same at any worker count, and it cannot
-// be seen in any bit.
+// smallest convolution of an 8-pixel job (≥ 192 steps) is where the gain
+// starts (ARCHITECTURE, "Blocking scheme"). The gate is a property of
+// the operands, so it is the same at any worker count, and it cannot be
+// seen in any bit.
 const pairMinSteps = 64
 
-// pairWorthwhile reports whether an (m×k)·(k×n) product clears
-// pairMinSteps.
-func pairWorthwhile(m, k, n int) bool {
-	return (m/(2*gemmMR))*(n/gemmNR)*k >= pairMinSteps
+// pairWorthwhile reports whether a product of rows × outC outputs over
+// k clears pairMinSteps.
+func pairWorthwhile(rows, k, outC int) bool {
+	return (rows/(2*gemmMR))*(outC/gemmNR)*k >= pairMinSteps
 }
 
 // cpu records what the amd64 CPUID probe found, once, at init; every
-// field is false elsewhere. It is the only thing that selects between a
-// portable body and an assembly one — for the micro-kernels above and
-// for the elementwise bodies in vec.go alike.
+// field is false elsewhere and in a purego build, which compiles no
+// assembly. It is the only thing that selects between a portable body
+// and an assembly one at run time — for the micro-kernels above and for
+// the elementwise bodies in vec.go alike.
 var cpu struct{ avx2, fma, avx512 bool }
 
-type aKind uint8
-
-const (
-	aPlain      aKind = iota // a is (m×k) row-major
-	aTransposed              // a is (k×m) row-major, logical A = aᵀ
-)
-
-// aSource describes the logical (m×k) left operand in terms of its
-// physical storage. It is a small value passed on the stack;
-// constructing it never allocates.
-type aSource struct {
-	data []float64
-	kind aKind
-}
-
-// gemmKernels returns the packed kernels for an (m×k)·(k×n) product: the
-// exact 4×8 kernel and, when the product clears pairWorthwhile, its pair
-// form; in Reassociate mode the fast kernel alone.
-func gemmKernels(m, k, n int) (ukernFunc, ukernPairFunc) {
-	if numericReassoc.Load() {
-		return kernFast, nil
-	}
-	if !pairWorthwhile(m, k, n) {
-		return kernExact, nil
-	}
-	return kernExact, kernExactPair
-}
-
-// rowKernels is gemmKernels for the row-indirect kernels.
+// rowKernels returns the kernels for a product of the given rows, k
+// and outC: the exact 4×8 kernel and, when the product clears
+// pairWorthwhile, its pair form; in Reassociate mode the fast kernel
+// alone.
 func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 	if numericReassoc.Load() {
 		return rowKernFast, nil
@@ -159,168 +116,6 @@ func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 	return rowKernExact, rowKernExactPair
 }
 
-// gemmInto computes dst = A @ b for the logical A described by asrc and
-// b, a plain (k×n) matrix. dst is fully overwritten.
-func gemmInto(dst []float64, m, k, n int, asrc aSource, b []float64) {
-	if k == 0 {
-		clear(dst[:m*n])
-		return
-	}
-	kern, pair := gemmKernels(m, k, n)
-	nb := (n + gemmNR - 1) / gemmNR
-	bp := packPool.GetSlice(nb * k * gemmNR)
-	packB(bp, b, k, n)
-	mblocks := (m + gemmMR - 1) / gemmMR
-	grain := grainRows(2 * k * n * gemmMR)
-	if parallel.Inline(mblocks, grain) {
-		ap := packPool.GetSlice(mblocks*k*gemmMR + gemmMR*gemmNR)
-		gemmChunk(kern, pair, dst, ap, bp, asrc, m, k, n, 0, mblocks)
-		packPool.PutSlice(ap)
-	} else {
-		gemmParallel(kern, pair, dst, bp, asrc, m, k, n, mblocks, grain)
-	}
-	packPool.PutSlice(bp)
-}
-
-// gemmParallel is the fork-join path, split out so its closure (and the
-// escape of everything it captures) is only paid when the matrix is big
-// enough to fan out.
-func gemmParallel(kern ukernFunc, pair ukernPairFunc, dst, bp []float64, asrc aSource, m, k, n, mblocks, grain int) {
-	parallel.For(mblocks, grain, func(blo, bhi int) {
-		ap := packPool.GetSlice((bhi-blo)*k*gemmMR + gemmMR*gemmNR)
-		gemmChunk(kern, pair, dst, ap, bp, asrc, m, k, n, blo, bhi)
-		packPool.PutSlice(ap)
-	})
-}
-
-// gemmChunk packs A row-blocks [blo, bhi) into ap and runs gemmTiles
-// over them. ap carries gemmMR*gemmNR extra elements at its tail used as
-// the spill tile (keeping the scratch heap-backed so passing it to the
-// kernel does not force a per-call allocation).
-func gemmChunk(kern ukernFunc, pair ukernPairFunc, dst, ap, bp []float64, asrc aSource, m, k, n, blo, bhi int) {
-	switch asrc.kind {
-	case aPlain:
-		packA(ap, asrc.data, m, k, blo, bhi)
-	case aTransposed:
-		packATrans(ap, asrc.data, m, k, blo, bhi)
-	}
-	gemmTiles(kern, pair, dst, ap, bp, ap[(bhi-blo)*k*gemmMR:], m, k, n, blo, bhi)
-}
-
-// gemmTiles runs the micro-kernel over every tile of row blocks
-// [blo, bhi), whose A panels ap holds from its start; tiles ragged in
-// rows or columns go through spill (gemmMR*gemmNR elements) and only
-// their live part is copied out.
-//
-// When pair is not nil, two full row blocks at a time go to it wherever
-// the column panel is full too. A pair never straddles a chunk boundary
-// and computes each element exactly as kern would, so neither the
-// worker count nor the presence of pair is visible in any bit.
-func gemmTiles(kern ukernFunc, pair ukernPairFunc, dst, ap, bp, spill []float64, m, k, n, blo, bhi int) {
-	nb := (n + gemmNR - 1) / gemmNR
-	for bi := blo; bi < bhi; {
-		blocks := 1
-		if pair != nil && bi+2 <= bhi && (bi+2)*gemmMR <= m {
-			blocks = 2
-		}
-		for p := 0; p < nb; p++ {
-			j0 := p * gemmNR
-			jb := min(n-j0, gemmNR)
-			bpan := bp[p*k*gemmNR:]
-			if blocks == 2 && jb == gemmNR {
-				apan := ap[(bi-blo)*k*gemmMR:]
-				pair(k, apan, apan[k*gemmMR:], bpan, dst[bi*gemmMR*n+j0:], n)
-				continue
-			}
-			for b := bi; b < bi+blocks; b++ {
-				i0 := b * gemmMR
-				ib := min(m-i0, gemmMR)
-				apan := ap[(b-blo)*k*gemmMR:]
-				if ib == gemmMR && jb == gemmNR {
-					kern(k, apan, bpan, dst[i0*n+j0:], n)
-					continue
-				}
-				kern(k, apan, bpan, spill, gemmNR)
-				for r := 0; r < ib; r++ {
-					copy(dst[(i0+r)*n+j0:(i0+r)*n+j0+jb], spill[r*gemmNR:r*gemmNR+jb])
-				}
-			}
-		}
-		bi += blocks
-	}
-}
-
-// ConvColGradBatchInto computes the column gradients of a convolution's
-// input half for a whole batch: dcol_i = wᵀ @ dy_i for each of the n
-// images, where w is (outC × InC*KH*KW), dy holds n (outC × OutH*OutW)
-// output gradients and dcols, whose leading dimension is n, receives n
-// (InC*KH*KW × OutH*OutW) column matrices — the layout Col2ImBatch
-// scatters back to image space.
-//
-// wᵀ is packed into A panels once for the batch, and every image reads
-// that one read-only pack; an image packs only its own dy_i. Images are
-// partitioned across the worker pool and each writes its own column
-// matrix, so the result is bit-identical to n MatMulTransAInto calls at
-// any worker count. It returns dcols.
-func ConvColGradBatchInto(dcols, w, dy *Tensor, g ConvGeom) *Tensor {
-	m, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
-	k := checkConvDense("ConvColGradBatchInto", w, m, g)
-	n := checkConvBatch("ConvColGradBatchInto", dcols, m*spatial, dy, k*spatial, g)
-	if k == 0 {
-		clear(dcols.Data)
-		return dcols
-	}
-	gb := gemmBatches.Get().(*gemmBatch)
-	gb.kern, gb.pair = gemmKernels(m, k, spatial)
-	gb.m, gb.k, gb.n = m, k, spatial
-	mblocks := (m + gemmMR - 1) / gemmMR
-	gb.ap = packPool.GetSlice(mblocks * k * gemmMR)
-	packATrans(gb.ap, w.Data, m, k, 0, mblocks)
-	gb.dst, gb.b = dcols.Data, dy.Data
-	parallel.For(n, 1, gb.body)
-	packPool.PutSlice(gb.ap)
-	*gb = gemmBatch{body: gb.body}
-	gemmBatches.Put(gb)
-	return dcols
-}
-
-// gemmBatch is one ConvColGradBatchInto call's shared state: A packed
-// for every row block, and the batch of (k×n) B operands.
-//
-// Batch state is pooled, and each value binds its loop body once, when
-// it is made: a batch call that forks hands parallel.For that stored
-// body rather than a fresh closure, so it allocates nothing of its own.
-// At two workers every conv layer call of a training step forks, and
-// one closure a call was 9 MiB of garbage over a sim_paper pass, which
-// runs no collection after its set-up.
-type gemmBatch struct {
-	kern       ukernFunc
-	pair       ukernPairFunc
-	ap, dst, b []float64
-	m, k, n    int
-	body       func(lo, hi int)
-}
-
-var gemmBatches = sync.Pool{New: func() any {
-	gb := new(gemmBatch)
-	gb.body = gb.images
-	return gb
-}}
-
-// images computes dst_i = A @ B_i for images [lo, hi), packing each B_i
-// in turn into the chunk's own panels, whose tail is the spill tile.
-func (gb *gemmBatch) images(lo, hi int) {
-	m, k, n := gb.m, gb.k, gb.n
-	panels := (n + gemmNR - 1) / gemmNR * k * gemmNR
-	bp := packPool.GetSlice(panels + gemmMR*gemmNR)
-	mblocks := (m + gemmMR - 1) / gemmMR
-	for i := lo; i < hi; i++ {
-		packB(bp, gb.b[i*k*n:(i+1)*k*n], k, n)
-		gemmTiles(gb.kern, gb.pair, gb.dst[i*m*n:(i+1)*m*n], gb.ap, bp, bp[panels:], m, k, n, 0, mblocks)
-	}
-	packPool.PutSlice(bp)
-}
-
 // rowPlan is one row-indirect product,
 //
 //	dst[oc][r] = Σ_kk dense[oc][kk] · x[row[r] + koff[kk]]
@@ -328,25 +123,37 @@ func (gb *gemmBatch) images(lo, hi int) {
 // with dense (outC × k) small and x large: the kernels, the two offset
 // tables and dense, packed. x is the micro-kernel's broadcast operand
 // and is read where it lies; only dense is packed — once per plan,
-// however many x's read it. newRowPlan leases the buffers; release
-// returns them. Plans are pooled and bind their loop body once, for
-// gemmBatch's reason.
+// however many x's read it — from its (outC × k) storage or, kMajor,
+// its (k × outC) one. newRowPlan leases the buffers; release returns
+// them.
+//
+// Plans are pooled, and each binds its loop body once, when it is made:
+// a batch call that forks hands parallel.For that stored body rather
+// than a fresh closure, so it allocates nothing of its own. At two
+// workers every conv layer call of a training step forks, and one
+// closure a call was 9 MiB of garbage over a sim_paper pass, which runs
+// no collection after its set-up.
 //
 // Rows past a ragged last block read at the past-row offset the plan
 // was built with; those lanes only ever reach the spill tile, so the
 // kernel has no edge path. MR-row blocks are partitioned across the
-// worker pool exactly as gemmInto's are. Its two uses:
+// worker pool. Its uses:
 //
 //   - Convolution (newConvPlan). In padded coordinates the column matrix
 //     of an image is a sum of two offset tables, col[t][p] = x[tap[t] +
 //     pos[p]] (paddedGrids), so (row, koff) = (pos, tap) for the forward
 //     pass and (tap, pos) for the weight gradient; x is the padded copy
 //     of each image in turn, and past rows read its zero half.
-//   - A dense layer's two weight products (denseInto), where x is W
-//     (in × out) itself and each table is one strided line: the forward
-//     y = x@W has dense = x, k = in, koff[kk] = kk·out and row[r] = r;
-//     the input gradient dx = dy@Wᵀ has dense = dy, k = out, koff[kk] =
-//     kk and row[r] = r·out.
+//   - A row-major matrix read in place (denseInto), whose two tables are
+//     lines and whose past rows read its row 0. With b (k×n) read in
+//     place, koff[kk] = kk·n and row[r] = r: the matmul a@b, a dense
+//     layer's forward y = x@W, has dense = a; aᵀ@b, a dense layer's
+//     weight gradient xᵀ@dy, has dense = a stored (k×m), kMajor. A dense
+//     layer's input gradient dx = dy@Wᵀ reads W (in×out) with koff[kk]
+//     = kk and row[r] = r·out, and has dense = dy.
+//   - A convolution's column gradients dcol_i = Wᵀ@dy_i
+//     (ConvColGradBatchInto): aᵀ@b for each image, so dense = W, kMajor,
+//     and each dy_i is read in place.
 type rowPlan struct {
 	kern, pair         rowKernFunc
 	offs, koff, rowOff []int     // offs is the lease koff and rowOff live in
@@ -354,11 +161,13 @@ type rowPlan struct {
 	outC, rows         int
 	rblocks, grain     int
 
-	// A convolution's: the geometry, the padded image's element count,
-	// and the operands images reads — src's images, their outputs in
-	// dst, and the bias (nil for none).
+	// What images reads: items of srcSize elements from src, whose
+	// outputs it writes to dst, adding bias[oc] (nil for none) to every
+	// element of row oc. With pad > 0 an item is an image of geometry
+	// g, copied into a padded image of pad elements first; otherwise it
+	// is read in place.
 	g              ConvGeom
-	size           int
+	pad, srcSize   int
 	dst, bias, src []float64
 	body           func(lo, hi int) // images, bound once
 }
@@ -369,12 +178,13 @@ var rowPlans = sync.Pool{New: func() any {
 	return p
 }}
 
-// newRowPlan builds the plan of dense (outC × k) against an x of xLen
-// elements, with koff and the rows' offsets the points of kGrid and
-// rowGrid and past rows at pastRow. The kernels index x with no bounds
-// check, so it panics unless every offset it will read — the largest
-// row (past rows included) plus the largest koff — is inside x.
-func newRowPlan(dense []float64, outC int, kGrid, rowGrid offsetGrid, pastRow, xLen int) *rowPlan {
+// newRowPlan builds the plan of dense — (outC × k), or kMajor (k × outC)
+// — against an x of xLen elements, with koff and the rows' offsets the
+// points of kGrid and rowGrid and past rows at pastRow. The kernels
+// index x with no bounds check, so it panics unless every offset it will
+// read — the largest row (past rows included) plus the largest koff — is
+// inside x.
+func newRowPlan(dense []float64, kMajor bool, outC int, kGrid, rowGrid offsetGrid, pastRow, xLen int) *rowPlan {
 	k, rows := kGrid.size(), rowGrid.size()
 	rblocks := (rows + gemmMR - 1) / gemmMR
 	if k > 0 && rows > 0 {
@@ -397,7 +207,11 @@ func newRowPlan(dense []float64, outC int, kGrid, rowGrid offsetGrid, pastRow, x
 		p.rowOff[r] = pastRow
 	}
 	p.bp = packPool.GetSlice((outC + gemmNR - 1) / gemmNR * k * gemmNR)
-	packBTrans(p.bp, dense, k, outC)
+	if kMajor {
+		packB(p.bp, dense, k, outC)
+	} else {
+		packBTrans(p.bp, dense, k, outC)
+	}
 	p.grain = grainRows(2 * k * outC * gemmMR)
 	return p
 }
@@ -410,8 +224,8 @@ func newConvPlan(dense []float64, outC int, g ConvGeom, weightGrad bool) *rowPla
 	if weightGrad {
 		kGrid, rowGrid = rowGrid, kGrid
 	}
-	p := newRowPlan(dense, outC, kGrid, rowGrid, size, 2*size)
-	p.g, p.size = g, size
+	p := newRowPlan(dense, false, outC, kGrid, rowGrid, size, 2*size)
+	p.g, p.pad, p.srcSize = g, size, g.ImageSize()
 	return p
 }
 
@@ -426,24 +240,34 @@ func (p *rowPlan) release() {
 // run computes the plan's product against x into dst, (outC × rows)
 // row-major, over every row block — partitioned across the worker pool
 // when the product is more than one chunk. spill stages ragged tiles.
-// The plan's k must not be zero.
+// With k zero it clears dst: no kernel takes an empty offset table.
 func (p *rowPlan) run(dst, x, spill []float64) {
-	if parallel.Inline(p.rblocks, p.grain) {
+	switch {
+	case len(p.koff) == 0:
+		clear(dst[:p.outC*p.rows])
+	case parallel.Inline(p.rblocks, p.grain):
 		p.chunk(dst, x, spill, 0, p.rblocks)
-	} else {
+	default:
 		rowPlanParallel(p, dst, x)
 	}
 }
 
-// images computes the product of images [lo, hi) of p.src, each writing
+// images computes the product of items [lo, hi) of p.src, each writing
 // its own (outC × rows) block of p.dst, and adds p.bias[oc] to every
-// element of row oc. The padded copies share one lease.
+// element of row oc. The padded copies and the spill tile share one
+// lease.
 func (p *rowPlan) images(lo, hi int) {
-	imgSize, outSize := p.g.ImageSize(), p.outC*p.rows
-	buf := packPool.GetSlice(2*p.size + gemmMR*gemmNR)
+	outSize := p.outC * p.rows
+	buf := packPool.GetSlice(2*p.pad + gemmMR*gemmNR)
+	padded, spill := buf[:2*p.pad], buf[2*p.pad:]
 	for i := lo; i < hi; i++ {
 		out := p.dst[i*outSize : (i+1)*outSize]
-		p.image(out, p.src[i*imgSize:(i+1)*imgSize], buf[:2*p.size], buf[2*p.size:])
+		x := p.src[i*p.srcSize : (i+1)*p.srcSize]
+		if p.pad > 0 {
+			padImage(padded, x, p.g)
+			x = padded
+		}
+		p.run(out, x, spill)
 		for oc, b := range p.bias {
 			row := out[oc*p.rows : (oc+1)*p.rows]
 			for j := range row {
@@ -454,20 +278,10 @@ func (p *rowPlan) images(lo, hi int) {
 	packPool.PutSlice(buf)
 }
 
-// image computes one image's product into dst: the padded copy goes to
-// x (2·size elements: the image, then as many zeros), and the plan runs
-// against it.
-func (p *rowPlan) image(dst, img, x, spill []float64) {
-	if len(p.koff) == 0 {
-		clear(dst[:p.outC*p.rows])
-		return
-	}
-	padImage(x, img, p.g)
-	p.run(dst, x, spill)
-}
-
-// rowPlanParallel is run's fork-join path, split out for the reason
-// gemmParallel is. Each chunk borrows its own spill tile.
+// rowPlanParallel is run's fork-join path, split out so its closure
+// (and the escape of everything it captures) is only paid when the
+// product is big enough to fan out. Each chunk borrows its own spill
+// tile.
 func rowPlanParallel(p *rowPlan, dst, x []float64) {
 	parallel.For(p.rblocks, p.grain, func(blo, bhi int) {
 		spill := packPool.GetSlice(gemmMR * gemmNR)
@@ -479,8 +293,14 @@ func rowPlanParallel(p *rowPlan, dst, x []float64) {
 // chunk runs the row-indirect micro-kernel over every tile of row blocks
 // [blo, bhi) against x. Full tiles are stored straight into dst, which
 // is (outC × rows) row-major — the kernel's transposed store; ragged
-// ones go through spill (heap-backed for the reason gemmChunk's is).
-// pair takes two full row blocks at a time under gemmTiles' rule.
+// ones go through spill (heap-backed, so that passing it to the kernel
+// does not force a per-call allocation) and only their live part is
+// copied out.
+//
+// When pair is not nil, two full row blocks at a time go to it wherever
+// the column panel is full too. A pair never straddles a chunk boundary
+// and computes each element exactly as kern would, so neither the
+// worker count nor the presence of pair is visible in any bit.
 func (p *rowPlan) chunk(dst, x, spill []float64, blo, bhi int) {
 	kern, pair, rowOff, koff, bp := p.kern, p.pair, p.rowOff, p.koff, p.bp
 	rows, outC, k := p.rows, p.outC, len(koff)
@@ -522,19 +342,39 @@ func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, wei
 	p.release()
 }
 
-// denseInto is either weight product of a dense layer (see rowPlan):
-// dense (outC × k) against w read in place through kGrid and rowGrid.
-// Past rows read at row 0, which every table keeps inside w.
-func denseInto(dst, dense []float64, outC int, w []float64, kGrid, rowGrid offsetGrid) {
-	if kGrid.size() == 0 {
-		clear(dst)
-		return
-	}
-	p := newRowPlan(dense, outC, kGrid, rowGrid, 0, len(w))
+// denseInto is a product against a row-major matrix x read in place
+// (see rowPlan): dense — (outC × k), or kMajor (k × outC) — against x
+// through kGrid and rowGrid. Past rows read at row 0, which every table
+// keeps inside x.
+func denseInto(dst, dense []float64, kMajor bool, outC int, x []float64, kGrid, rowGrid offsetGrid) {
+	p := newRowPlan(dense, kMajor, outC, kGrid, rowGrid, 0, len(x))
 	spill := packPool.GetSlice(gemmMR * gemmNR)
-	p.run(dst, w, spill)
+	p.run(dst, x, spill)
 	packPool.PutSlice(spill)
 	p.release()
+}
+
+// ConvColGradBatchInto computes the column gradients of a convolution's
+// input half for a whole batch: dcol_i = wᵀ @ dy_i for each of the n
+// images, where w is (outC × InC*KH*KW), dy holds n (outC × OutH*OutW)
+// output gradients and dcols, whose leading dimension is n, receives n
+// (InC*KH*KW × OutH*OutW) column matrices — the layout Col2ImBatch
+// scatters back to image space.
+//
+// w is packed once for the batch, and every image reads that one
+// read-only plan; each dy_i is read where it lies. Images are
+// partitioned across the worker pool and each writes its own column
+// matrix, so the result is bit-identical to n MatMulTransAInto calls at
+// any worker count. It returns dcols.
+func ConvColGradBatchInto(dcols, w, dy *Tensor, g ConvGeom) *Tensor {
+	m, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	k := checkConvDense("ConvColGradBatchInto", w, m, g)
+	n := checkConvBatch("ConvColGradBatchInto", dcols, m*spatial, dy, k*spatial, g)
+	p := newRowPlan(w.Data, true, m, line(k, spatial), line(spatial, 1), 0, k*spatial)
+	p.dst, p.src, p.srcSize = dcols.Data, dy.Data, k*spatial
+	parallel.For(n, 1, p.body)
+	p.release()
+	return dcols
 }
 
 // ConvForwardBatchInto computes a convolution's forward pass for a whole

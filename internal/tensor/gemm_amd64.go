@@ -1,20 +1,14 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package tensor
 
 // Vector micro-kernel bindings. The kernels are selected at init after
 // a CPUID probe: the exact kernel needs AVX2 (and OS-enabled YMM state),
-// the fast kernel additionally needs FMA, the exact 8×8 pair kernels
+// the fast kernel additionally needs FMA, the exact 8×8 pair kernel
 // AVX-512F (and OS-enabled opmask and ZMM state). Without the hardware
-// the portable generic kernels stay active — still bit-identical, since
-// every exact assembly kernel performs the same per-element operation
-// sequence.
-
-//go:noescape
-func ukernExact4x8(k int64, ap, bp, c *float64, ldc int64)
-
-//go:noescape
-func ukernFast4x8(k int64, ap, bp, c *float64, ldc int64)
+// — or in a purego build, which leaves this file out — the portable
+// generic kernel stays active: still bit-identical, since every exact
+// assembly kernel performs the same per-element operation sequence.
 
 //go:noescape
 func ukernRowExact4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
@@ -23,30 +17,11 @@ func ukernRowExact4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc 
 func ukernRowFast4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
 
 //go:noescape
-func ukernExact8x8(k int64, ap0, ap1, bp, c *float64, ldc int64)
-
-//go:noescape
 func ukernRowExact8x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
-
-func ukernExactAVX2(k int, ap, bp, c []float64, ldc int) {
-	if k == 0 {
-		zeroTile(c, ldc)
-		return
-	}
-	ukernExact4x8(int64(k), &ap[0], &bp[0], &c[0], int64(ldc))
-}
-
-func ukernFastAVX2(k int, ap, bp, c []float64, ldc int) {
-	if k == 0 {
-		zeroTile(c, ldc)
-		return
-	}
-	ukernFast4x8(int64(k), &ap[0], &bp[0], &c[0], int64(ldc))
-}
 
 func rowKernExactAVX2(x []float64, rows, koff []int, bp, c []float64, ldc int) {
 	ukernRowExact4x8(int64(len(koff)), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc))
@@ -56,28 +31,13 @@ func rowKernFastAVX2(x []float64, rows, koff []int, bp, c []float64, ldc int) {
 	ukernRowFast4x8(int64(len(koff)), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc))
 }
 
-// The pair wrappers index the last element each operand must hold, so
-// a short panel, offset table or tile panics here and the assembly
+// rowKernExactAVX512 indexes the last element each operand must hold,
+// so a short offset table, panel or tile panics here and the assembly
 // never reads or writes past a slice (k < 1 panics too).
-
-func ukernExactAVX512(k int, ap0, ap1, bp, c []float64, ldc int) {
-	_, _, _, _ = ap0[k*gemmMR-1], ap1[k*gemmMR-1], bp[k*gemmNR-1], c[(2*gemmMR-1)*ldc+gemmNR-1]
-	ukernExact8x8(int64(k), &ap0[0], &ap1[0], &bp[0], &c[0], int64(ldc))
-}
-
 func rowKernExactAVX512(x []float64, rows, koff []int, bp, c []float64, ldc int) {
 	k := len(koff)
 	_, _, _ = rows[2*gemmMR-1], bp[k*gemmNR-1], c[(gemmNR-1)*ldc+2*gemmMR-1]
 	ukernRowExact8x8(int64(k), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc))
-}
-
-func zeroTile(c []float64, ldc int) {
-	for r := 0; r < gemmMR; r++ {
-		row := c[r*ldc : r*ldc+gemmNR]
-		for j := range row {
-			row[j] = 0
-		}
-	}
 }
 
 func init() {
@@ -85,13 +45,12 @@ func init() {
 	if !cpu.avx2 {
 		return
 	}
-	kernExact, rowKernExact = ukernExactAVX2, rowKernExactAVX2
-	kernFast, rowKernFast = ukernExactAVX2, rowKernExactAVX2
+	rowKernExact, rowKernFast = rowKernExactAVX2, rowKernExactAVX2
 	if cpu.fma {
-		kernFast, rowKernFast = ukernFastAVX2, rowKernFastAVX2
+		rowKernFast = rowKernFastAVX2
 	}
 	if cpu.avx512 {
-		kernExactPair, rowKernExactPair = ukernExactAVX512, rowKernExactAVX512
+		rowKernExactPair = rowKernExactAVX512
 	}
 }
 

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"gsfl/internal/parallel"
 )
 
-// Tests for the packed GEMM engine. The exact-mode contract is bitwise:
+// Tests for the GEMM engine. The exact-mode contract is bitwise:
 // every shape and every transpose variant must reproduce a naive
 // single-accumulator ascending-k reference bit for bit — that is the
 // property the repo-wide determinism guarantee rests on.
@@ -125,9 +126,8 @@ func requireBitEqual(t *testing.T, what string, got, want []float64, m, k, n int
 }
 
 // TestGEMMExhaustiveSmallShapes sweeps every (m,k,n) in 1..17 across
-// every product orientation and checks the public entry points — the
-// packed engine's and the dense layer's row-indirect ones, whatever the
-// shape — against the naive reference, bit for bit. 17 crosses the
+// every product orientation and checks the public matrix entry points
+// against the naive reference, bit for bit. 17 crosses the
 // MR=4/NR=8 tile edges, so full tiles, ragged edges, degenerate
 // m < MR / n < NR panels and (where the hardware has them) pairs are all
 // covered: once with the active row kernel and once with the portable
@@ -176,26 +176,21 @@ func checkGEMMExhaustiveSmallShapes(t *testing.T) {
 	}
 }
 
-// TestGEMMZeroK pins the degenerate inner dimension: the engine must
-// fully overwrite dst with zeros, not leave stale values — and the conv
-// driver must not hand its do-while kernel an empty offset table (a
-// kernel overhanging its input has no output positions, which is dW's k).
+// TestGEMMZeroK pins the degenerate inner dimension: every entry must
+// fully overwrite dst with zeros, not leave stale values, and must not
+// hand its do-while kernel an empty offset table (a kernel overhanging
+// its input has no output positions, which is the conv dW's k).
 func TestGEMMZeroK(t *testing.T) {
-	got := []float64{1, 2, 3, 4, 5, 6}
-	gemmInto(got, 2, 0, 3, aSource{kind: aPlain}, nil)
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("k=0 output element %d = %v, want 0", i, v)
-		}
-	}
-	// The dense products' k is x's width and dy's: with it zero the
-	// row-indirect kernel must not be handed an empty offset table.
+	g1 := ConvGeom{InC: 2, InH: 1, InW: 3, KH: 1, KW: 1, StrideH: 1, StrideW: 1} // 2 taps, 3 positions
 	for _, c := range []struct {
 		name string
 		got  *Tensor
 	}{
+		{"MatMulInto", MatMulInto(Full(7, 2, 3), New(2, 0), New(0, 3))},
+		{"MatMulTransAInto", MatMulTransAInto(Full(7, 2, 3), New(0, 2), New(0, 3))},
 		{"DenseForwardInto", DenseForwardInto(Full(7, 2, 3), New(2, 0), New(0, 3))},
 		{"DenseInputGradInto", DenseInputGradInto(Full(7, 2, 3), New(2, 0), New(3, 0))},
+		{"ConvColGradBatchInto", ConvColGradBatchInto(Full(7, 2, 2, 3), New(0, 2), New(2, 0, 3), g1)},
 	} {
 		for i, v := range c.got.Data {
 			if v != 0 {
@@ -220,22 +215,31 @@ func TestGEMMZeroK(t *testing.T) {
 // panics when it is built, and one that fits exactly does not.
 func TestRowPlanRefusesShortX(t *testing.T) {
 	dense := make([]float64, 3*4)
-	line := func(d, s int) offsetGrid { return offsetGrid{1, 1, d, 0, 0, s} }
-	build := func(rows offsetGrid, pastRow, xLen int) (panicked bool) {
+	build := func(kMajor bool, koff, rows offsetGrid, pastRow, xLen int) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		newRowPlan(dense, 3, line(4, 5), rows, pastRow, xLen).release()
+		newRowPlan(dense, kMajor, 3, koff, rows, pastRow, xLen).release()
 		return false
 	}
 	// koff reaches 15, rows 3 (a full block of four): x needs 19 elements.
-	if build(line(4, 1), 0, 19) {
+	if build(false, line(4, 5), line(4, 1), 0, 19) {
 		t.Fatal("plan that fits x exactly panicked")
 	}
-	if !build(line(4, 1), 0, 18) {
+	if !build(false, line(4, 5), line(4, 1), 0, 18) {
 		t.Fatal("plan reading x[18] of 18 elements did not panic")
 	}
 	// Three rows leave a past row in the block: it is read too.
-	if !build(line(3, 1), 9, 20) {
+	if !build(false, line(4, 5), line(3, 1), 9, 20) {
 		t.Fatal("plan whose past row reads x[24] of 20 elements did not panic")
+	}
+	// The operand aᵀ@b reads in place — dy (k×n) for a dense layer's dW,
+	// dy_i for each of a convolution's column gradients — through the
+	// tables MatMulTransAIntoOp and ConvColGradBatchInto build: koff
+	// line(k, n), rows line(n, 1), past rows at 0. With k = 4 and n = 6
+	// (a ragged second block) it must hold all k·n = 24 elements.
+	for _, xLen := range []int{24, 23} {
+		if got, want := build(true, line(4, 6), line(6, 1), 0, xLen), xLen < 24; got != want {
+			t.Fatalf("aᵀ@b plan over a %d-element dy: panicked = %v, want %v", xLen, got, want)
+		}
 	}
 }
 
@@ -369,12 +373,12 @@ func requireSameFloats(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestGenericKernelsMatchActive drives both kernel families — packed
-// and row-indirect — through their portable bodies and whatever init
-// installed (the assembly, on an AVX2 host) on the same operands, and
-// requires the same bits: the portable kernels are the exact mode's
-// definition and the only kernels off amd64, yet nothing else calls them
-// where the assembly is available. The pair subtest is the 8×8 case.
+// TestGenericKernelsMatchActive drives the row-indirect kernel through
+// its portable body and whatever init installed (the assembly, on an
+// AVX2 host) on the same operands, and requires the same bits: the
+// portable kernel is the exact mode's definition and the only kernel off
+// amd64, yet nothing else calls it where the assembly is available. The
+// pair subtest is the 8×8 case.
 func TestGenericKernelsMatchActive(t *testing.T) {
 	t.Logf("kernels: avx2=%v fma=%v avx512=%v", cpu.avx2, cpu.fma, cpu.avx512)
 	t.Run("tile", testTileKernelsMatchGeneric)
@@ -386,19 +390,13 @@ func testTileKernelsMatchGeneric(t *testing.T) {
 	const ldc = 11
 	for k := 1; k <= 40; k++ {
 		for trial := 0; trial < 8; trial++ {
-			ap := make([]float64, k*gemmMR)
 			bp := make([]float64, k*gemmNR)
-			fillHostile(rng, ap)
 			fillHostile(rng, bp)
-			got, want := make([]float64, gemmMR*ldc), make([]float64, gemmMR*ldc)
-			kernExact(k, ap, bp, got, ldc)
-			ukernExactGeneric(k, ap, bp, want, ldc)
-			requireSameFloats(t, fmt.Sprintf("packed kernel k=%d", k), got, want)
 
 			// Row r of the tile reads x at rows[r]+koff[kk]: overlapping
 			// windows of one buffer, as a convolution's are.
 			x, rows, koff := drawRowKernelOperands(rng, k, gemmMR)
-			got, want = make([]float64, gemmNR*ldc), make([]float64, gemmNR*ldc)
+			got, want := make([]float64, gemmNR*ldc), make([]float64, gemmNR*ldc)
 			rowKernExact(x, rows, koff, bp, got, ldc)
 			rowKernExactGeneric(x, rows, koff, bp, want, ldc)
 			requireSameFloats(t, fmt.Sprintf("row kernel k=%d", k), got, want)
@@ -423,14 +421,14 @@ func drawRowKernelOperands(rng *rand.Rand, k, nrows int) (x []float64, rows, kof
 	return x, rows, koff
 }
 
-// testPairKernelsMatchTwoGenericTiles holds each pair kernel to two
-// portable 4×8 calls on the same panels — the pairing must not be
-// visible in any bit. The tiles sit in a canary-filled buffer at a row
-// stride wider than the tile, so a store outside the tile is caught as
-// well.
+// testPairKernelsMatchTwoGenericTiles holds the pair kernel to two
+// portable 4×8 calls on the same panel — the pairing must not be
+// visible in any bit. The tiles sit in a canary-filled buffer at a
+// column stride wider than the tile, so a store outside the tile is
+// caught as well.
 func testPairKernelsMatchTwoGenericTiles(t *testing.T) {
-	if kernExactPair == nil {
-		t.Skip("no pair kernels on this host: they need CPUID leaf 7 EBX bit 16 (AVX512F) with opmask and ZMM state enabled in XCR0")
+	if rowKernExactPair == nil {
+		t.Skip("no pair kernel installed: it needs CPUID leaf 7 EBX bit 16 (AVX512F) with opmask and ZMM state enabled in XCR0")
 	}
 	rng := rand.New(rand.NewSource(37))
 	const ldc = 13
@@ -443,18 +441,10 @@ func testPairKernelsMatchTwoGenericTiles(t *testing.T) {
 	}
 	for k := 1; k <= 40; k++ {
 		for trial := 0; trial < 8; trial++ {
-			ap := make([]float64, 2*k*gemmMR) // two adjacent A panels, as gemmChunk packs them
 			bp := make([]float64, k*gemmNR)
-			fillHostile(rng, ap)
 			fillHostile(rng, bp)
-			got, want := fresh(2*gemmMR*ldc), fresh(2*gemmMR*ldc)
-			kernExactPair(k, ap, ap[k*gemmMR:], bp, got, ldc)
-			ukernExactGeneric(k, ap, bp, want, ldc)
-			ukernExactGeneric(k, ap[k*gemmMR:], bp, want[gemmMR*ldc:], ldc)
-			requireSameFloats(t, fmt.Sprintf("packed pair kernel k=%d", k), got, want)
-
 			x, rows, koff := drawRowKernelOperands(rng, k, 2*gemmMR)
-			got, want = fresh(gemmNR*ldc), fresh(gemmNR*ldc)
+			got, want := fresh(gemmNR*ldc), fresh(gemmNR*ldc)
 			rowKernExactPair(x, rows, koff, bp, got, ldc)
 			rowKernExactGeneric(x, rows, koff, bp, want, ldc)
 			rowKernExactGeneric(x, rows[gemmMR:], koff, bp, want[gemmMR:], ldc)
@@ -463,69 +453,186 @@ func testPairKernelsMatchTwoGenericTiles(t *testing.T) {
 	}
 }
 
-// TestPairDriversMatchNaive walks the chunk drivers' pair rule through
+// productCase is one call of a product entry on drawn operands, and the
+// naive reference's result for it.
+type productCase struct {
+	name string
+	run  func() []float64
+	want []float64
+}
+
+// matrixCases draws operands for the four matrix entries at (m, k, n).
+// Each tiles n into row blocks against m outputs a row, over k.
+func matrixCases(rng *rand.Rand, m, k, n int) []productCase {
+	a, at, b, bt := New(m, k), New(k, m), New(k, n), New(n, k)
+	for _, x := range []*Tensor{a, at, b, bt} {
+		fillMixed(rng, x.Data)
+	}
+	ab, atb, abt := make([]float64, m*n), make([]float64, m*n), make([]float64, m*n)
+	naiveMatMul(ab, a.Data, b.Data, m, k, n)
+	naiveTransA(atb, at.Data, b.Data, m, k, n)
+	naiveTransB(abt, a.Data, bt.Data, m, k, n)
+	return []productCase{
+		{"MatMulInto", func() []float64 { return MatMulInto(New(m, n), a, b).Data }, ab},
+		{"DenseForwardInto", func() []float64 { return DenseForwardInto(New(m, n), a, b).Data }, ab},
+		{"MatMulTransAInto", func() []float64 { return MatMulTransAInto(New(m, n), at, b).Data }, atb},
+		{"DenseInputGradInto", func() []float64 { return DenseInputGradInto(New(m, n), a, bt).Data }, abt},
+	}
+}
+
+// convCases draws operands for the conv entries over g with outC output
+// channels: the two single-image products, and the two batch calls over
+// two images, the forward one with a bias.
+func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
+	const batch = 2
+	taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	imgs, w := New(batch, g.InC, g.InH, g.InW), New(outC, taps)
+	bias, dys := New(outC), New(batch, outC, spatial)
+	for _, x := range []*Tensor{imgs, w, bias, dys} {
+		fillMixed(rng, x.Data)
+	}
+	img0, dy0 := imgs.Data[:g.ImageSize()], FromSlice(dys.Data[:outC*spatial], outC, spatial)
+	out0, dw0 := make([]float64, outC*spatial), make([]float64, outC*taps)
+	outs, dcols := make([]float64, batch*outC*spatial), make([]float64, batch*taps*spatial)
+	cols := make([]float64, g.ColSize())
+	for i := 0; i < batch; i++ {
+		im2colRef(cols, imgs.Data[i*g.ImageSize():], g)
+		out := outs[i*outC*spatial:][:outC*spatial]
+		naiveMatMul(out, w.Data, cols, outC, taps, spatial)
+		if i == 0 {
+			copy(out0, out)
+			naiveTransB(dw0, dy0.Data, cols, outC, spatial, taps)
+		}
+		for j := range out {
+			out[j] += bias.Data[j/spatial]
+		}
+		naiveTransA(dcols[i*taps*spatial:], w.Data, dys.Data[i*outC*spatial:], taps, outC, spatial)
+	}
+	return []productCase{
+		{"ConvMatMulInto", func() []float64 { return ConvMatMulInto(New(outC, spatial), w, img0, g).Data }, out0},
+		{"ConvMatMulTransBInto", func() []float64 { return ConvMatMulTransBInto(New(outC, taps), dy0, img0, g).Data }, dw0},
+		{"ConvForwardBatchInto", func() []float64 {
+			return ConvForwardBatchInto(New(batch, outC, spatial), w, bias, imgs, g).Data
+		}, outs},
+		{"ConvColGradBatchInto", func() []float64 {
+			return ConvColGradBatchInto(New(batch, taps, spatial), w, dys, g).Data
+		}, dcols},
+	}
+}
+
+// usePortablePair installs a portable pair kernel — two
+// rowKernExactGeneric calls, rows 0–3 and rows 4–7 — as rowKernExactPair
+// until the test ends, and returns the count of its calls. Without it
+// the pair branch of rowPlan.chunk runs only where AVX-512 exists.
+func usePortablePair(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	calls := new(atomic.Int64)
+	saved := rowKernExactPair
+	t.Cleanup(func() { rowKernExactPair = saved })
+	rowKernExactPair = func(x []float64, rows, koff []int, bp, c []float64, ldc int) {
+		calls.Add(1)
+		rowKernExactGeneric(x, rows, koff, bp, c, ldc)
+		rowKernExactGeneric(x, rows[gemmMR:], koff, bp, c[gemmMR:], ldc)
+	}
+	return calls
+}
+
+// TestPairDriversMatchNaive walks the tile driver's pair rule through
 // the cases it distinguishes — a pair with full and with ragged column
 // panels, the odd last block, a ragged last row block — at shapes that
-// clear pairMinSteps, against the naive references, at workers 1/2/8.
-// (Chunk boundaries between would-be partners are the fork tests'
-// business: forkingRows / TestConvPackForkJoin shapes clear the gate
-// too.) Without pair kernels it is one more pass over the 4×8 path.
+// clear pairMinSteps, against the naive references, at workers 1/2/8:
+// with the active kernels, and with the portable pair swapped in so that
+// the pair branch runs on every host. (Chunk boundaries between
+// would-be partners are the fork tests' business: forkingRows /
+// TestConvPackForkJoin shapes clear the gate too.)
 func TestPairDriversMatchNaive(t *testing.T) {
+	t.Run("active", checkPairDriversMatchNaive)
+	t.Run("portable", func(t *testing.T) {
+		calls := usePortablePair(t)
+		checkPairDriversMatchNaive(t)
+		if calls.Load() == 0 {
+			t.Fatal("the portable pair kernel was never called")
+		}
+	})
+}
+
+func checkPairDriversMatchNaive(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(39))
 	for _, workers := range []int{1, 2, 8} {
 		parallel.SetWorkers(workers)
+		// n is the rows the plans tile, m their outputs a row.
 		for _, m := range []int{8, 11, 12, 16, 20, 23, 40} {
 			for _, n := range []int{8, 13, 16, 29} {
 				for _, k := range []int{64, 65, 130} {
-					if !pairWorthwhile(m, k, n) {
+					if !pairWorthwhile(n, k, m) {
 						t.Fatalf("%d×%d×%d does not clear the pair gate: the test would miss the path it is for", m, k, n)
 					}
-					a, at := make([]float64, m*k), make([]float64, k*m)
-					b, bt := make([]float64, k*n), make([]float64, n*k)
-					for _, s := range [][]float64{a, at, b, bt} {
-						fillMixed(rng, s)
+					for _, c := range matrixCases(rng, m, k, n) {
+						requireBitEqual(t, fmt.Sprintf("workers=%d %s", workers, c.name), c.run(), c.want, m, k, n)
 					}
-					got, want := make([]float64, m*n), make([]float64, m*n)
-					naiveMatMul(want, a, b, m, k, n)
-					gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, b)
-					requireBitEqual(t, fmt.Sprintf("workers=%d plain", workers), got, want, m, k, n)
-					naiveTransA(want, at, b, m, k, n)
-					gemmInto(got, m, k, n, aSource{data: at, kind: aTransposed}, b)
-					requireBitEqual(t, fmt.Sprintf("workers=%d transA", workers), got, want, m, k, n)
-					naiveMatMul(want, a, b, m, k, n)
-					DenseForwardInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(b, k, n))
-					requireBitEqual(t, fmt.Sprintf("workers=%d DenseForwardInto", workers), got, want, m, k, n)
-					naiveTransB(want, a, bt, m, k, n)
-					DenseInputGradInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(bt, n, k))
-					requireBitEqual(t, fmt.Sprintf("workers=%d DenseInputGradInto", workers), got, want, m, k, n)
 				}
 			}
 		}
-		// The conv products: positions (forward) and taps (dW) as rows,
-		// both ragged against 8, outC with and without a ragged panel.
+		// The conv products: positions (forward, column gradients) and
+		// taps (dW) as rows, both ragged against 8, outC with and without
+		// a ragged panel.
 		g := ConvGeom{InC: 4, InH: 7, InW: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-		colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
-		img := make([]float64, g.ImageSize())
-		fillMixed(rng, img)
-		cols := make([]float64, g.ColSize())
-		im2colRef(cols, img, g)
+		taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 		for _, outC := range []int{8, 13, 24} {
-			if !pairWorthwhile(spatial, colRows, outC) || !pairWorthwhile(colRows, spatial, outC) {
+			if !pairWorthwhile(spatial, taps, outC) || !pairWorthwhile(taps, spatial, outC) || !pairWorthwhile(spatial, outC, taps) {
 				t.Fatalf("conv %+v outC=%d does not clear the pair gate", g, outC)
 			}
-			w, dy := New(outC, colRows), New(outC, spatial)
-			fillMixed(rng, w.Data)
-			fillMixed(rng, dy.Data)
-			want := make([]float64, outC*spatial)
-			naiveMatMul(want, w.Data, cols, outC, colRows, spatial)
-			got := ConvMatMulInto(New(outC, spatial), w, img, g)
-			requireBitEqual(t, fmt.Sprintf("workers=%d ConvMatMulInto", workers), got.Data, want, outC, colRows, spatial)
-			wantDW := make([]float64, outC*colRows)
-			naiveTransB(wantDW, dy.Data, cols, outC, spatial, colRows)
-			gotDW := ConvMatMulTransBInto(New(outC, colRows), dy, img, g)
-			requireBitEqual(t, fmt.Sprintf("workers=%d ConvMatMulTransBInto", workers), gotDW.Data, wantDW, outC, spatial, colRows)
+			for _, c := range convCases(rng, g, outC) {
+				requireBitEqual(t, fmt.Sprintf("workers=%d %s outC=%d", workers, c.name, outC), c.run(), c.want, outC, taps, spatial)
+			}
 		}
+	}
+}
+
+// TestPortablePairAtTheGate runs every product entry, with the portable
+// pair swapped in, at pairMinSteps − 1 and at pairMinSteps pair steps
+// (full 8×8 tiles times k): each must match the naive reference bit for
+// bit, and must call the pair kernel exactly when it clears the gate.
+func TestPortablePairAtTheGate(t *testing.T) {
+	calls := usePortablePair(t)
+	rng := rand.New(rand.NewSource(41))
+	check := func(what string, steps int, cases []productCase) {
+		t.Helper()
+		if steps != pairMinSteps-1 && steps != pairMinSteps {
+			t.Fatalf("%s: %d pair steps, want %d or %d: the shape misses the gate", what, steps, pairMinSteps-1, pairMinSteps)
+		}
+		for _, c := range cases {
+			calls.Store(0)
+			requireSameFloats(t, what+" "+c.name, c.run(), c.want)
+			if used, want := calls.Load() > 0, steps >= pairMinSteps; used != want {
+				t.Fatalf("%s %s at %d pair steps: pair kernel called = %v, want %v", what, c.name, steps, used, want)
+			}
+		}
+	}
+	steps := func(rows, k, outC int) int { return (rows / (2 * gemmMR)) * (outC / gemmNR) * k }
+	// The matrix entries tile n into rows against m outputs a row.
+	for _, sh := range [][3]int{{8, 63, 8}, {8, 64, 8}, {13, 21, 29}, {19, 16, 23}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		check(fmt.Sprintf("%d×%d×%d", m, k, n), steps(n, k, m), matrixCases(rng, m, k, n))
+	}
+	// Each geometry puts all three conv products at one step count: the
+	// forward tiles positions against outC over taps, dW taps against
+	// outC over positions, the column gradients positions against taps
+	// over outC.
+	for _, c := range []struct {
+		g    ConvGeom
+		outC int
+	}{
+		{ConvGeom{InC: 7, InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 9},
+		{ConvGeom{InC: 16, InH: 3, InW: 5, KH: 2, KW: 2, StrideH: 1, StrideW: 1}, 8},
+	} {
+		taps, spatial := c.g.InC*c.g.KH*c.g.KW, c.g.OutH()*c.g.OutW()
+		s := steps(spatial, taps, c.outC)
+		if steps(taps, spatial, c.outC) != s || steps(spatial, c.outC, taps) != s {
+			t.Fatalf("conv %+v outC=%d: the three products take different step counts", c.g, c.outC)
+		}
+		check(fmt.Sprintf("conv %+v outC=%d", c.g, c.outC), s, convCases(rng, c.g, c.outC))
 	}
 }
 
@@ -581,13 +688,12 @@ func TestConvNonFiniteIsShapeIndependent(t *testing.T) {
 }
 
 // TestFastModeToleranceAndWorkerDeterminism pins the reassociating
-// mode's two contracts, for the packed engine, both conv products and
-// both dense products: it stays within a tight tolerance of exact mode
+// mode's two contracts, for the matrix entries and the conv products:
+// it stays within a tight tolerance of exact mode
 // (FMA changes only last-ulp rounding), and on one machine it is still
 // bit-identical across worker counts (the per-element instruction
 // sequence does not depend on how output rows are partitioned). The
-// shapes are sized to fork (forkingRows, forkingConvOutC; the dense
-// products' m-row operand makes each W row block a chunk's worth).
+// shapes are sized to fork (forkingRows, forkingConvOutC).
 func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(9))
@@ -601,6 +707,7 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	w := New(outC, colRows).RandNormal(rng, 0, 1)
 	dy := New(outC, spatial).RandNormal(rng, 0, 1)
 	dyDense := New(m, 40).RandNormal(rng, 0, 1)
+	at := New(64, m).RandNormal(rng, 0, 1)
 	products := func() []*Tensor {
 		return []*Tensor{
 			MatMulInto(New(m, 40), a, b),
@@ -608,6 +715,8 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 			ConvMatMulTransBInto(New(outC, colRows), dy, img, g),
 			DenseForwardInto(New(m, 40), a, b),
 			DenseInputGradInto(New(m, 64), dyDense, b),
+			MatMulTransAInto(New(m, 40), at, b),
+			ConvColGradBatchInto(New(1, colRows, spatial), w, FromSlice(dy.Data, 1, outC, spatial), g),
 		}
 	}
 	exact := products()
@@ -621,7 +730,7 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	fast1 := products()
 	parallel.SetWorkers(4)
 	fastN := products()
-	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto", "DenseForwardInto", "DenseInputGradInto"} {
+	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto", "DenseForwardInto", "DenseInputGradInto", "MatMulTransAInto", "ConvColGradBatchInto"} {
 		if !AllClose(exact[i], fast1[i], 1e-10) {
 			t.Fatalf("%s: fast mode drifted beyond tolerance from exact mode", name)
 		}
@@ -629,10 +738,11 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// FuzzPackedGEMM drives the packed index math (panel layouts, ragged
-// edge padding) and the dense products' row-indirect tables with fuzzed
-// shapes and checks every orientation against the naive references bit
-// for bit; FuzzConvPack does the same for the conv products.
+// FuzzPackedGEMM drives the packing index math (panel layouts, ragged
+// edge padding) and the row-indirect tables of the matrix entries with
+// fuzzed shapes and checks every orientation against the naive
+// references bit for bit — ConvColGradBatchInto too, as aᵀ@b over two
+// images; FuzzConvPack does the same for the other conv products.
 func FuzzPackedGEMM(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(9))
 	f.Add(int64(7), uint8(4), uint8(16), uint8(8))
@@ -652,16 +762,28 @@ func FuzzPackedGEMM(f *testing.F) {
 		fillMixed(rng, a)
 		fillMixed(rng, b)
 		naiveMatMul(want, a, b, m, k, n)
-		gemmInto(got, m, k, n, aSource{data: a, kind: aPlain}, b)
-		requireBitEqual(t, "fuzz gemm", got, want, m, k, n)
+		MatMulInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(b, k, n))
+		requireBitEqual(t, "fuzz MatMulInto", got, want, m, k, n)
 		DenseForwardInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(b, k, n))
 		requireBitEqual(t, "fuzz DenseForwardInto", got, want, m, k, n)
 
 		at := make([]float64, k*m)
 		fillMixed(rng, at)
 		naiveTransA(want, at, b, m, k, n)
-		gemmInto(got, m, k, n, aSource{data: at, kind: aTransposed}, b)
-		requireBitEqual(t, "fuzz gemm transA", got, want, m, k, n)
+		MatMulTransAInto(FromSlice(got, m, n), FromSlice(at, k, m), FromSlice(b, k, n))
+		requireBitEqual(t, "fuzz MatMulTransAInto", got, want, m, k, n)
+
+		// The column gradients are aᵀ@b per image, at any geometry with m
+		// taps and n positions: here 1×1 kernels over a 1×n image.
+		g := ConvGeom{InC: m, InH: 1, InW: n, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+		dys := make([]float64, 2*k*n)
+		copy(dys, b)
+		fillMixed(rng, dys[k*n:])
+		wantCols := make([]float64, 2*m*n)
+		naiveTransA(wantCols, at, dys, m, k, n)
+		naiveTransA(wantCols[m*n:], at, dys[k*n:], m, k, n)
+		gotCols := ConvColGradBatchInto(New(2, m, n), FromSlice(at, k, m), FromSlice(dys, 2, k, n), g)
+		requireBitEqual(t, "fuzz ConvColGradBatchInto", gotCols.Data, wantCols, m, k, n)
 
 		bt := make([]float64, n*k)
 		fillMixed(rng, bt)

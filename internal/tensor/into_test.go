@@ -175,6 +175,8 @@ func TestKernelsAllocFreeSerial(t *testing.T) {
 	dy := New(8, spatial).RandNormal(rng, 0, 1)
 	dwDst := New(8, colRows)
 	testutil.MaxAllocs(t, "ConvMatMulTransBInto", 0, func() { ConvMatMulTransBInto(dwDst, dy, img, g) })
+	dys, dcols := FromSlice(dy.Data, 1, 8, spatial), New(1, colRows, spatial)
+	testutil.MaxAllocs(t, "ConvColGradBatchInto", 0, func() { ConvColGradBatchInto(dcols, w, dys, g) })
 
 	var ws, hdr Tensor
 	testutil.MaxAllocs(t, "Ensure", 0, func() { ws.Ensure(32, 24) })

@@ -29,16 +29,23 @@ func grainRows(flopsPerRow int) int {
 // storage: a is (m×k), b is (k×n), dst must be (m×n) and must not alias
 // a or b. It returns dst.
 //
-// Every shape runs on the blocked, panel-packed GEMM engine (gemm.go),
-// which accumulates each output element in ascending-k order in a
-// single accumulator and partitions output rows across the parallel
-// worker pool, so results are bit-identical to a single-worker run.
-// After warmup it performs no allocations in serial runs (see
-// parallel.Inline; the GEMM packing panels are pooled).
+// It is DenseForwardInto's product: a is packed and b is read where it
+// lies (rowPlan, gemm.go). Each output element accumulates in
+// ascending-k order in a single accumulator, and MR-row blocks of b's
+// columns are partitioned across the parallel worker pool, so results
+// are bit-identical to a single-worker run. After warmup it performs no
+// allocations in serial runs (see parallel.Inline; the packing panels
+// are pooled).
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul("MatMulInto", a, b)
-	checkMatMulDst("MatMulInto", dst, m, n)
-	gemmInto(dst.Data, m, k, n, aSource{data: a.Data}, b.Data)
+	return matMulInto("MatMulInto", dst, a, b)
+}
+
+// matMulInto is MatMulInto and DenseForwardInto, with the caller's name
+// for panic messages.
+func matMulInto(op string, dst, a, b *Tensor) *Tensor {
+	m, k, n := checkMatMul(op, a, b)
+	checkMatMulDst(op, dst, m, n)
+	denseInto(dst.Data, a.Data, false, m, b.Data, line(k, n), line(n, 1))
 	return dst
 }
 
@@ -65,7 +72,8 @@ func checkMatMulDst(op string, dst *Tensor, m, n int) {
 // (k×n), reusing dst's storage — the layer backward passes use it to
 // write a weight gradient (xᵀ @ dy) straight into a reusable workspace
 // buffer without materializing the transpose. dst must be (m×n), must
-// not alias a or b, and is fully overwritten. Each output element
+// not alias a or b, and is fully overwritten. Only a is packed, from its
+// (k×m) storage; b is read where it lies. Each output element
 // accumulates in ascending-k order on one worker, so results are
 // bit-identical to the serial schedule. It returns dst.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
@@ -77,7 +85,7 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 func MatMulTransAIntoOp(op string, dst, a, b *Tensor) *Tensor {
 	k, m, n := checkMatMulTransA(op, a, b)
 	checkMatMulDst(op, dst, m, n)
-	gemmInto(dst.Data, m, k, n, aSource{data: a.Data, kind: aTransposed}, b.Data)
+	denseInto(dst.Data, a.Data, true, m, b.Data, line(k, n), line(n, 1))
 	return dst
 }
 
@@ -98,13 +106,9 @@ func checkMatMulTransA(op string, a, b *Tensor) (k, m, n int) {
 // batch-sized operand, is packed: the micro-kernel reads w where it
 // lies (rowPlan), so a call costs the multiply, not a repack of the
 // weights. Each element accumulates in ascending-k order on one worker,
-// so results are bit-identical to MatMulInto's at any worker count. It
-// returns dst.
+// so results are bit-identical at any worker count. It returns dst.
 func DenseForwardInto(dst, x, w *Tensor) *Tensor {
-	batch, in, out := checkMatMul("DenseForwardInto", x, w)
-	checkMatMulDst("DenseForwardInto", dst, batch, out)
-	denseInto(dst.Data, x.Data, batch, w.Data, offsetGrid{1, 1, in, 0, 0, out}, offsetGrid{1, 1, out, 0, 0, 1})
-	return dst
+	return matMulInto("DenseForwardInto", dst, x, w)
 }
 
 // DenseInputGradInto computes a dense layer's input gradient
@@ -115,7 +119,7 @@ func DenseForwardInto(dst, x, w *Tensor) *Tensor {
 func DenseInputGradInto(dst, dy, w *Tensor) *Tensor {
 	batch, out, in := checkMatMulTransB("DenseInputGradInto", dy, w)
 	checkMatMulDst("DenseInputGradInto", dst, batch, in)
-	denseInto(dst.Data, dy.Data, batch, w.Data, offsetGrid{1, 1, out, 0, 0, 1}, offsetGrid{1, 1, in, 0, 0, out})
+	denseInto(dst.Data, dy.Data, false, batch, w.Data, line(out, 1), line(in, out))
 	return dst
 }
 

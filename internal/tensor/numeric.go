@@ -32,7 +32,7 @@ type NumericMode struct {
 const DefaultNumericMode = "exact"
 
 // numericModes is the closed set, sorted by name: one row per GEMM
-// micro-kernel (kernExact, kernFast).
+// micro-kernel (rowKernExact, rowKernFast).
 var numericModes = [...]NumericMode{
 	{Name: DefaultNumericMode},
 	{Name: "fast", Reassociate: true},

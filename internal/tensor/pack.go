@@ -1,79 +1,27 @@
 package tensor
 
-// Panel packing for the blocked GEMM engine (gemm.go).
+// Panel packing for the GEMM engine (gemm.go).
 //
-// The micro-kernel consumes two packed panel formats:
+// The micro-kernel reads one operand of every product where it lies and
+// the other from packed panels: one panel per NR-column stripe of the
+// product's small operand, whose panel p holds columns [p*NR, p*NR+NR)
+// interleaved k-major, bp[kk*NR+jr] = B[kk][p*NR+jr]. Columns past n
+// are zero-filled: a padded column only feeds scratch columns of the
+// spill tile that are discarded, so packing never perturbs the
+// bit-exact accumulation of live elements.
 //
-//   - A panels: one panel per MR-row block of the output. Panel bi holds
-//     A rows [bi*MR, bi*MR+MR) interleaved k-major:
-//     ap[kk*MR+ir] = A[bi*MR+ir][kk]. Rows past m are zero-filled, so
-//     edge tiles run the same bounds-check-free kernel and the padded
-//     rows land in scratch.
-//
-//   - B panels: one panel per NR-column stripe. Panel p holds B columns
-//     [p*NR, p*NR+NR) interleaved k-major: bp[kk*NR+jr] = B[kk][p*NR+jr].
-//     Columns past n are zero-filled.
-//
-// Padding is mathematically inert for the real outputs: a padded A row
-// only feeds scratch rows that are discarded, and a padded B column only
-// feeds scratch columns that are discarded, so packing never perturbs
-// the bit-exact accumulation of live elements.
-//
-// Four logical operand layouts are packed: a plain (m×k) or transposed
-// (k×m) A matrix, a plain (k×n) B matrix for gemmInto, and the small
-// operand of the row-indirect products (packBTrans). What those read in
-// place — a convolution's zero-padded image, a dense layer's W — is
-// addressed through two offset tables, at the end of this file.
+// The small operand B (k×n) comes in two layouts. packBTrans takes it
+// stored (n×k) — a convolution's weights in the forward pass, dy for
+// its weight gradient, a dense layer's x or dy; packB takes it stored
+// (k×n) — x for a dense layer's weight gradient, a convolution's
+// weights for its column gradients. What the kernel reads in place — a
+// convolution's zero-padded image, a dense layer's W, an output
+// gradient dy — is addressed through two offset tables, at the end of
+// this file.
 
-// packA packs A row-blocks [blo, bhi) from a plain (m×k) matrix.
-func packA(ap, a []float64, m, k, blo, bhi int) {
-	off := 0
-	for bi := blo; bi < bhi; bi++ {
-		i0 := bi * gemmMR
-		for ir := 0; ir < gemmMR; ir++ {
-			i := i0 + ir
-			if i >= m {
-				for kk := 0; kk < k; kk++ {
-					ap[off+kk*gemmMR+ir] = 0
-				}
-				continue
-			}
-			arow := a[i*k : (i+1)*k]
-			for kk, av := range arow {
-				ap[off+kk*gemmMR+ir] = av
-			}
-		}
-		off += k * gemmMR
-	}
-}
-
-// packATrans packs A row-blocks [blo, bhi) where the logical A (m×k) is
-// stored transposed as (k×m): A[i][kk] = a[kk*m+i]. The read of one
-// panel row is contiguous in a, which is why backprop's xᵀ@dy never
-// needs a materialized transpose.
-func packATrans(ap, a []float64, m, k, blo, bhi int) {
-	off := 0
-	for bi := blo; bi < bhi; bi++ {
-		i0 := bi * gemmMR
-		ib := m - i0
-		if ib > gemmMR {
-			ib = gemmMR
-		}
-		for kk := 0; kk < k; kk++ {
-			src := a[kk*m+i0 : kk*m+i0+ib]
-			dst := ap[off+kk*gemmMR : off+kk*gemmMR+gemmMR]
-			for ir := 0; ir < ib; ir++ {
-				dst[ir] = src[ir]
-			}
-			for ir := ib; ir < gemmMR; ir++ {
-				dst[ir] = 0
-			}
-		}
-		off += k * gemmMR
-	}
-}
-
-// packB packs every NR-column panel of a plain (k×n) matrix.
+// packB packs every NR-column panel of a plain (k×n) matrix: x for a
+// dense layer's weight gradient, or a convolution's weights once per
+// column-gradient call however many images the call covers.
 func packB(bp, b []float64, k, n int) {
 	np := (n + gemmNR - 1) / gemmNR
 	for p := 0; p < np; p++ {
@@ -99,9 +47,8 @@ func packB(bp, b []float64, k, n int) {
 // packBTrans packs every NR-column panel where the logical B (k×n) is
 // stored transposed as (n×k): B[kk][j] = b[j*k+kk]. A full panel reads
 // its eight rows of b side by side, so every panel row is one contiguous
-// store. It is the pack of every row-indirect product's small operand
-// (rowPlan): a convolution's weights or dy, once per call however many
-// images the call covers, and a dense layer's x or dy.
+// store. It packs a convolution's weights or dy, once per call however
+// many images the call covers, and a dense layer's x or dy.
 func packBTrans(bp, b []float64, k, n int) {
 	for j0 := 0; j0 < n; j0 += gemmNR {
 		jb := min(n-j0, gemmNR)
@@ -129,7 +76,7 @@ func packBTrans(bp, b []float64, k, n int) {
 	}
 }
 
-// The image side of the convolution products (convGemmInto). The im2col
+// The image side of the convolution products (newConvPlan). The im2col
 // column matrix of one CHW image — row (c,kh,kw), column (oh,ow), entry
 // pixel (c, oh*StrideH-PadH+kh, ow*StrideW-PadW+kw), zero where that
 // falls outside the image — is never materialized. padImage copies the
@@ -138,13 +85,16 @@ func packBTrans(bp, b []float64, k, n int) {
 // (tap, position) pair addresses a real element, at tap offset plus
 // position offset. Taps and positions are each a small grid of offsets
 // (offsetGrid) that the driver tabulates and the micro-kernel adds. A
-// dense layer's W needs no copy: its two tables are strided lines
-// (denseInto).
+// row-major matrix read in place — a dense layer's W, an output
+// gradient dy — needs no copy: its two tables are lines.
 
 // offsetGrid is the offsets i0*s0 + i1*s1 + i2*s2 of a d0×d1×d2 grid of
-// points, enumerated in row-major order; {1, 1, d, 0, 0, s} is the line
-// 0, s, …, (d-1)·s.
+// points, enumerated in row-major order.
 type offsetGrid struct{ d0, d1, d2, s0, s1, s2 int }
+
+// line is the grid 0, s, …, (d-1)·s: the rows or the columns of a
+// row-major matrix read in place.
+func line(d, s int) offsetGrid { return offsetGrid{1, 1, d, 0, 0, s} }
 
 func (og offsetGrid) size() int { return og.d0 * og.d1 * og.d2 }
 
@@ -179,7 +129,7 @@ func paddedGrids(g ConvGeom) (taps, pos offsetGrid, size int) {
 // padImage writes img with its zero border into dst, which holds the
 // padded image followed by as many zeros again: an all-zero region any
 // offset can be added to, which is what the rows past a ragged last
-// block read (see convGemmInto).
+// block read (see rowPlan).
 func padImage(dst, img []float64, g ConvGeom) {
 	clear(dst)
 	ph, pw := g.InH+2*g.PadH, g.InW+2*g.PadW

@@ -62,13 +62,15 @@ func TestMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 // (m×k)@(k×n) product is at least four chunks of minChunkFLOPs, and
 // fails the test unless the engine forks it once there are two workers
 // — a worker-determinism test over a product that runs inline proves
-// nothing, whatever the floor is moved to.
+// nothing, whatever the floor is moved to. The matrix entries partition
+// MR-blocks of n against m outputs each (rowPlan), so n must span at
+// least a few blocks.
 func forkingRows(t *testing.T, k, n int) int {
 	t.Helper()
 	m := 4*minChunkFLOPs/(2*k*n) + gemmMR + 3
 	parallel.SetWorkers(2)
 	defer parallel.SetWorkers(0)
-	if parallel.Inline((m+gemmMR-1)/gemmMR, grainRows(2*k*n*gemmMR)) {
+	if parallel.Inline((n+gemmMR-1)/gemmMR, grainRows(2*k*m*gemmMR)) {
 		t.Fatalf("%d×%d×%d (%d FLOPs) does not fork at a %d-FLOP floor", m, k, n, 2*m*k*n, minChunkFLOPs)
 	}
 	return m

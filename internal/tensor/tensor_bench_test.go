@@ -58,7 +58,7 @@ func BenchmarkMatMulInto64(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMExact256 times the packed engine's exact micro-kernel on
+// BenchmarkGEMMExact256 times the engine's exact micro-kernel on
 // the hot-path shape (the 256³ matmul the benchmark spine records as
 // tensor.matmul_256.ns).
 func BenchmarkGEMMExact256(b *testing.B) {

@@ -8,14 +8,14 @@ import "math"
 // accumulate.
 //
 // Each exists as a portable Go body (the *Portable functions below),
-// which defines the result bit for bit and is the only code off amd64,
-// and as a 4-lane AVX2 body (vec_amd64.s) that performs the same
-// operations per element in the same order — multiply and add rounded
-// separately, no FMA. No element depends on another, so there is no
-// accumulation order to preserve and the two agree by construction;
-// TestVecBodiesMatchPortable and FuzzVecBodies hold them to it. The
-// vector body is chosen by the CPUID probe that chooses the GEMM
-// kernels and by nothing else.
+// which defines the result bit for bit and is the only code off amd64
+// and in a purego build, and as a 4-lane AVX2 body (vec_amd64.s) that
+// performs the same operations per element in the same order — multiply
+// and add rounded separately, no FMA. No element depends on another, so
+// there is no accumulation order to preserve and the two agree by
+// construction; TestVecBodiesMatchPortable and FuzzVecBodies hold them
+// to it. The vector body is chosen by the CPUID probe that chooses the
+// GEMM kernels and by nothing else at run time.
 //
 // The exported wrappers own memory safety: every operand is re-sliced
 // to the destination's length before a pointer is taken, so a short

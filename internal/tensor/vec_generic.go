@@ -1,9 +1,10 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package tensor
 
-// Off amd64 there are no vector bodies: every *Vec handles nothing and
-// the portable bodies in vec.go do all of the work.
+// Off amd64, and in a purego build, there are no vector bodies: every
+// *Vec handles nothing and the portable bodies in vec.go do all of the
+// work.
 
 func maskPositiveVec(dst, src, gate []float64) int { return 0 }
 

@@ -140,9 +140,9 @@ func NewChannel(cfg Config, n int, seed int64) *Channel {
 	for i := 0; i < n; i++ {
 		// Uniform over the annulus area (sqrt for radial density).
 		u := placeRng.Float64()
-		r2min := cfg.MinDistanceM * cfg.MinDistanceM
-		r2max := cfg.MaxDistanceM * cfg.MaxDistanceM
-		ch.distM[i] = math.Sqrt(r2min + u*(r2max-r2min))
+		r2min := float64(cfg.MinDistanceM * cfg.MinDistanceM)
+		r2max := float64(cfg.MaxDistanceM * cfg.MaxDistanceM)
+		ch.distM[i] = math.Sqrt(r2min + float64(u*(r2max-r2min)))
 		ch.shadowDB[i] = placeRng.NormFloat64() * cfg.ShadowingSigmaDB
 	}
 	ch.rng = roundRng(seed, 0)
@@ -170,7 +170,7 @@ func (c *Channel) Distance(i int) float64 { return c.distM[i] }
 // pathLossDB is the 3GPP UMa-style path loss at distance d meters:
 // 128.1 + 37.6 log10(d/1000).
 func pathLossDB(dM float64) float64 {
-	return 128.1 + 37.6*math.Log10(dM/1000)
+	return 128.1 + float64(37.6*math.Log10(dM/1000))
 }
 
 // snr returns the linear SNR for client i over bandwidth wHz in the
@@ -180,7 +180,7 @@ func (c *Channel) snr(i int, wHz float64, uplink bool) float64 {
 	if !uplink {
 		tx = c.cfg.APTxPowerDBm
 	}
-	noiseDBm := c.cfg.NoiseDBmPerHz + 10*math.Log10(wHz)
+	noiseDBm := c.cfg.NoiseDBmPerHz + float64(10*math.Log10(wHz))
 	rxDBm := tx - pathLossDB(c.distM[i]) - c.shadowDB[i]
 	return math.Pow(10, (rxDBm-noiseDBm)/10)
 }
@@ -206,7 +206,7 @@ func (c *Channel) TransferSeconds(i int, bytes int64, wHz float64, uplink bool) 
 	}
 	rate := c.MeanRate(i, wHz, uplink)
 	if c.cfg.FadingJitter > 0 {
-		f := 1 + c.rng.NormFloat64()*c.cfg.FadingJitter
+		f := 1 + float64(c.rng.NormFloat64()*c.cfg.FadingJitter)
 		// Truncate so a fade can slow a transfer but never produce a
 		// non-positive rate.
 		if f < 0.2 {
@@ -253,7 +253,7 @@ func (c *Channel) AdvanceRound() {
 	}
 	const shadowRho = 0.9
 	for i := range c.distM {
-		d := c.distM[i] + c.rng.NormFloat64()*c.cfg.MobilitySigmaM
+		d := c.distM[i] + float64(c.rng.NormFloat64()*c.cfg.MobilitySigmaM)
 		// Reflect into [min, max].
 		for d < c.cfg.MinDistanceM || d > c.cfg.MaxDistanceM {
 			if d < c.cfg.MinDistanceM {
@@ -264,8 +264,8 @@ func (c *Channel) AdvanceRound() {
 			}
 		}
 		c.distM[i] = d
-		c.shadowDB[i] = shadowRho*c.shadowDB[i] +
-			math.Sqrt(1-shadowRho*shadowRho)*c.rng.NormFloat64()*c.cfg.ShadowingSigmaDB
+		c.shadowDB[i] = float64(shadowRho*c.shadowDB[i]) +
+			float64(math.Sqrt(1-shadowRho*shadowRho)*c.rng.NormFloat64()*c.cfg.ShadowingSigmaDB)
 	}
 }
 
