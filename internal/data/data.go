@@ -107,7 +107,7 @@ type Loader struct {
 	// src is the reseedable source behind rng for loaders that go
 	// through Reset; nil for loaders constructed around a caller-owned
 	// RNG that never reset.
-	src rand.Source
+	src *loaderSource
 }
 
 // NewLoader constructs a Loader producing batches of the given size with
@@ -133,12 +133,16 @@ func NewLoader(ds Dataset, batch int, inShape []int, rng *rand.Rand) *Loader {
 }
 
 // Reset re-points the loader at ds and restarts it on a fresh RNG
-// stream seeded with seed, as if newly constructed. The population
-// layer calls it once per sampled slot per round to mount a member's
-// data shard, so it reuses the loader's order buffer and (after the
-// first call) its RNG allocation: steady-state resets are
-// allocation-free as long as ds.Len() never exceeds a previously seen
-// length. The per-sample feature width must match the loader's shape.
+// stream seeded with seed, as if newly constructed with
+// rand.New(rand.NewSource(seed)). The population layer calls it once
+// per sampled slot per round to mount a member's data shard, so it
+// costs O(draws), not O(register): the stream comes from a source whose
+// Seed is O(1) and which computes each register word on first use
+// (rngsource.go), and a shard of n samples draws n−1 values to shuffle.
+// It reuses the loader's order buffer and (after the first call) its
+// RNG allocation: steady-state resets are allocation-free as long as
+// ds.Len() never exceeds a previously seen length. The per-sample
+// feature width must match the loader's shape.
 func (l *Loader) Reset(ds Dataset, seed int64) {
 	if ds.Len() == 0 {
 		panic("data: empty dataset")
@@ -152,7 +156,7 @@ func (l *Loader) Reset(ds Dataset, seed int64) {
 	}
 	l.ds = ds
 	if l.src == nil {
-		l.src = rand.NewSource(seed)
+		l.src = newLoaderSource(seed)
 		l.rng = rand.New(l.src)
 	} else {
 		l.src.Seed(seed)

@@ -162,17 +162,69 @@ func (s *SGD) Restore(st SGDState) error {
 }
 
 // clipFactor returns the multiplier that caps the global gradient norm at
-// clip (1 when clipping is disabled or unnecessary).
+// clip (1 when clipping is disabled or unnecessary). serialClipFactor,
+// one ordered accumulator over the squares, defines it; underClip only
+// settles the common case — a norm under the clip — faster.
+func clipFactor(grads []*tensor.Tensor, clip float64) float64 {
+	if clip <= 0 || underClip(grads, clip) {
+		return 1
+	}
+	return serialClipFactor(grads, clip)
+}
+
+// underClip reports whether serialClipFactor(grads, clip) is certainly
+// 1, judging from tensor.SumSquares, which sums the same squares in
+// another order. It says yes when that sum t is finite, clip² is a
+// normal float and t ≤ clip²·(1 − (n+4)·2⁻⁵¹) for n squares; every other
+// case goes to the serial sum.
+//
+// Why yes is right. Both sums add the same n rounded squares qᵢ ≥ 0 —
+// a square is one correctly rounded product whatever the order — so
+// they differ only in how the n − 1 additions associate. Let S = Σqᵢ
+// exactly, u = 2⁻⁵³ and γ = (n−1)u / (1−(n−1)u). Each rounded addition
+// is exact times (1+δ), |δ| ≤ u, even in the subnormal range (adding a
+// zero, as each accumulator's first addition does, is exact), and each
+// qᵢ passes through at most n − 1 of them, so every order of summing
+// non-negative terms lands in [(1−γ)S, (1+γ)S] (Higham, Accuracy and
+// Stability of Numerical Algorithms, §4.2). With s the serial sum,
+// s ≤ (1+γ)S ≤ t·(1+γ)/(1−γ) = t / (1 − 2(n−1)u). A finite t means no
+// partial sum overflowed: adding non-negative terms is monotone.
+//
+// The threshold is three rounded operations: clip·clip, 1 − (n+4)·4u
+// (the product is exact) and their product. The first two are within u
+// of exact; the third stays within 2u even when it is subnormal, since
+// it is at least 2⁻¹⁰²² · 1/2 (clip² normal, and n < 2⁴⁹ for any slice
+// that fits in memory). So t ≤ threshold gives
+//
+//	s ≤ clip² (1+u)²(1+2u)(1 − 4(n+4)u) / (1 − 2(n−1)u)
+//	  ≤ clip² (1 − (4n+11)u) / (1 − (2n−2)u) < clip²,
+//
+// hence √s ≤ clip: the square root is correctly rounded, so monotone,
+// and clip is itself a float. serialClipFactor then returns 1.
+func underClip(grads []*tensor.Tensor, clip float64) bool {
+	c2 := clip * clip
+	if !(c2 >= 0x1p-1022 && c2 <= math.MaxFloat64) {
+		return false
+	}
+	n, t := 0, 0.0
+	for _, g := range grads {
+		n += len(g.Data)
+		t += tensor.SumSquares(g.Data)
+	}
+	// The conversion keeps arm64 from fusing the product into the
+	// subtraction (see tensor/vec.go).
+	return t <= c2*(1-float64(float64(n+4)*0x1p-51))
+}
+
+// serialClipFactor is clipFactor from one ordered accumulator over the
+// squares.
 //
 // A finite gradient with a value of magnitude ≳ 1.3e154 has a sum of
 // squares that overflows to +Inf, and clip/Inf would zero the whole
 // step; only then is the norm taken again with every value scaled by the
 // largest magnitude. An infinite or NaN value keeps the plain sum's
 // factor (0 or NaN), as does every finite sum.
-func clipFactor(grads []*tensor.Tensor, clip float64) float64 {
-	if clip <= 0 {
-		return 1
-	}
+func serialClipFactor(grads []*tensor.Tensor, clip float64) float64 {
 	ss := 0.0
 	for _, g := range grads {
 		for _, v := range g.Data {

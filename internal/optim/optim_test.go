@@ -1,6 +1,8 @@
 package optim
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -289,4 +291,165 @@ func BenchmarkSGDStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sgd.Step(params, grads, decay)
 	}
+}
+
+// referenceClipFactor defines the clip factor: one ordered accumulator
+// over the squares and nothing else. clipFactor must return its bits on
+// every input.
+func referenceClipFactor(grads []*tensor.Tensor, clip float64) float64 {
+	if clip <= 0 {
+		return 1
+	}
+	ss := 0.0
+	for _, g := range grads {
+		for _, v := range g.Data {
+			ss += float64(v * v)
+		}
+	}
+	if math.IsInf(ss, 1) {
+		if scale := maxAbs(grads); !math.IsInf(scale, 1) {
+			return scaledClipFactor(grads, clip, scale)
+		}
+	}
+	norm := math.Sqrt(ss)
+	if norm <= clip {
+		return 1
+	}
+	return clip / norm
+}
+
+func requireClipFactor(t *testing.T, what string, grads []*tensor.Tensor, clip float64) {
+	t.Helper()
+	got, want := clipFactor(grads, clip), referenceClipFactor(grads, clip)
+	if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+		t.Fatalf("%s, clip %v (bits %016x): factor %v (bits %016x), serial %v (bits %016x)",
+			what, clip, math.Float64bits(clip), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// clipGrads splits vals into tensors of the given sizes (the rest, if
+// any, in one more).
+func clipGrads(vals []float64, sizes ...int) []*tensor.Tensor {
+	var grads []*tensor.Tensor
+	for _, n := range sizes {
+		n = min(n, len(vals))
+		grads = append(grads, tensor.FromSlice(vals[:n:n], n))
+		vals = vals[n:]
+	}
+	if len(vals) > 0 {
+		grads = append(grads, tensor.FromSlice(vals, len(vals)))
+	}
+	return grads
+}
+
+// nearClips returns clips around the serial norm of grads: within a few
+// ulps either side, and either side of underClip's margin.
+func nearClips(grads []*tensor.Tensor) []float64 {
+	ss, n := 0.0, 0
+	for _, g := range grads {
+		n += g.Size()
+		for _, v := range g.Data {
+			ss += float64(v * v)
+		}
+	}
+	norm := math.Sqrt(ss)
+	var clips []float64
+	for c, k := norm, 0; k < 6; k, c = k+1, math.Nextafter(c, math.Inf(1)) {
+		clips = append(clips, c)
+	}
+	for c, k := norm, 0; k < 6; k, c = k+1, math.Nextafter(c, 0) {
+		clips = append(clips, c)
+	}
+	// underClip's threshold is clip²·(1 − (n+4)·2⁻⁵¹): these put the
+	// norm at a quarter of that margin up to twice it below the clip.
+	margin := float64(n+4) * 0x1p-51
+	for _, f := range []float64{0.25, 0.5, 0.9, 1, 1.1, 2} {
+		clips = append(clips, norm*math.Sqrt(1+f*margin), norm/math.Sqrt(1-f*margin))
+	}
+	return clips
+}
+
+// TestClipFactorMatchesSerial: the vector bound never changes the
+// factor — at norms a few ulps either side of the clip and either side
+// of the bound's margin, on gradients with NaN, ±Inf, values whose
+// squares overflow and subnormals, at clip +Inf, at a clip whose square
+// is subnormal, and with no gradient values at all.
+func TestClipFactorMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1.3e154, -1e154, 1e200,
+		5e-324, -2e-310, 1e-160, 0, math.Copysign(0, -1)}
+	fixedClips := []float64{math.Inf(1), 1e-160, 1e-155, 0x1p-511, 0x1p-512, 5e-324, 1, 5, 1e154, 1.4e154,
+		math.MaxFloat64, -1, 0, math.NaN()}
+	for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100, 1000, 4099} {
+		for trial := 0; trial < 6; trial++ {
+			vals := make([]float64, n)
+			scale := math.Pow(10, float64(rng.Intn(9)-4))
+			for i := range vals {
+				vals[i] = rng.NormFloat64() * scale
+			}
+			sizes := []int{rng.Intn(n + 1), rng.Intn(9), 0, rng.Intn(n + 1)}
+			what := func(kind string) string { return fmt.Sprintf("n=%d trial=%d %s", n, trial, kind) }
+			grads := clipGrads(vals, sizes...)
+			for _, clip := range append(nearClips(grads), fixedClips...) {
+				requireClipFactor(t, what("finite"), grads, clip)
+			}
+			if n == 0 {
+				continue
+			}
+			for _, v := range special {
+				hostile := append([]float64(nil), vals...)
+				hostile[rng.Intn(n)] = v
+				grads := clipGrads(hostile, sizes...)
+				for _, clip := range append(nearClips(grads), fixedClips...) {
+					requireClipFactor(t, what(fmt.Sprintf("with %v", v)), grads, clip)
+				}
+			}
+			tiny := make([]float64, n) // every square subnormal or zero
+			for i := range tiny {
+				tiny[i] = vals[i] * 1e-160 / scale
+			}
+			grads = clipGrads(tiny, sizes...)
+			for _, clip := range append(nearClips(grads), fixedClips...) {
+				requireClipFactor(t, what("subnormal squares"), grads, clip)
+			}
+		}
+	}
+	for _, clip := range fixedClips {
+		requireClipFactor(t, "no tensors", nil, clip)
+		requireClipFactor(t, "empty tensors", []*tensor.Tensor{tensor.New(0), tensor.New(0)}, clip)
+	}
+}
+
+// FuzzClipFactor continues TestClipFactorMatchesSerial with
+// fuzzer-chosen values, tensor sizes and clips: raw is read as
+// little-endian float64s laid over a seeded draw, and mode picks whether
+// the clip is clipBits itself or a clip near the norm.
+func FuzzClipFactor(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint8(3), uint8(0), uint64(0x4014000000000000), []byte{})
+	f.Add(int64(2), uint16(9), uint8(1), uint8(1), uint64(0), []byte{0, 0, 0, 0, 0, 0, 0xF8, 0x7F})
+	f.Add(int64(3), uint16(300), uint8(7), uint8(2), uint64(0x7FF0000000000000), []byte{0, 0, 0, 0, 0, 0, 0x00, 0x60})
+	f.Fuzz(func(t *testing.T, seed int64, nn uint16, split uint8, mode uint8, clipBits uint64, raw []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]float64, int(nn)%2048)
+		scale := math.Pow(10, float64(rng.Intn(17)-8))
+		for i := range vals {
+			vals[i] = rng.NormFloat64() * scale
+			if len(raw) >= 8 {
+				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+				raw = raw[8:]
+			}
+		}
+		sizes := make([]int, int(split)%8)
+		for i := range sizes {
+			sizes[i] = rng.Intn(len(vals) + 1)
+		}
+		grads := clipGrads(vals, sizes...)
+		clips := []float64{math.Float64frombits(clipBits)}
+		if mode%2 == 1 {
+			clips = nearClips(grads)
+		}
+		for _, clip := range clips {
+			requireClipFactor(t, fmt.Sprintf("n=%d sizes=%v", len(vals), sizes), grads, clip)
+		}
+	})
 }

@@ -24,6 +24,7 @@ package schemes
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"gsfl/internal/data"
@@ -66,7 +67,9 @@ type Hyper struct {
 	LRDecayEvery  int
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field must be a
+// finite number in its range: NaN or ±Inf in any of them is an error,
+// not a run that trains to a NaN loss.
 func (h Hyper) Validate() error {
 	if h.Batch <= 0 {
 		return fmt.Errorf("schemes: batch %d must be positive", h.Batch)
@@ -74,16 +77,19 @@ func (h Hyper) Validate() error {
 	if h.StepsPerClient <= 0 {
 		return fmt.Errorf("schemes: steps per client %d must be positive", h.StepsPerClient)
 	}
-	if h.LR <= 0 {
-		return fmt.Errorf("schemes: learning rate %v must be positive", h.LR)
+	if !(h.LR > 0 && h.LR <= math.MaxFloat64) {
+		return fmt.Errorf("schemes: learning rate %v must be positive and finite", h.LR)
 	}
-	if h.Momentum < 0 || h.Momentum >= 1 {
+	if !(h.Momentum >= 0 && h.Momentum < 1) {
 		return fmt.Errorf("schemes: momentum %v outside [0,1)", h.Momentum)
+	}
+	if !(h.ClipNorm >= 0 && h.ClipNorm <= math.MaxFloat64) {
+		return fmt.Errorf("schemes: clip norm %v must be finite and non-negative (0 disables)", h.ClipNorm)
 	}
 	if (h.LRDecayFactor != 0) != (h.LRDecayEvery != 0) {
 		return fmt.Errorf("schemes: LR decay needs both factor (%v) and interval (%d)", h.LRDecayFactor, h.LRDecayEvery)
 	}
-	if h.LRDecayFactor < 0 || h.LRDecayFactor > 1 {
+	if !(h.LRDecayFactor >= 0 && h.LRDecayFactor <= 1) {
 		return fmt.Errorf("schemes: LR decay factor %v outside [0,1]", h.LRDecayFactor)
 	}
 	if h.LRDecayEvery < 0 {

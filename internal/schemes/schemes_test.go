@@ -17,15 +17,37 @@ func TestHyperValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid hyper rejected: %v", err)
 	}
-	cases := []schemes.Hyper{
-		{Batch: 0, StepsPerClient: 2, LR: 0.1},
-		{Batch: 8, StepsPerClient: 0, LR: 0.1},
-		{Batch: 8, StepsPerClient: 2, LR: 0},
-		{Batch: 8, StepsPerClient: 2, LR: 0.1, Momentum: 1},
+	full := schemes.Hyper{Batch: 8, StepsPerClient: 2, LR: 0.1, Momentum: 0.9, ClipNorm: 5,
+		LRDecayFactor: 0.5, LRDecayEvery: 10}
+	if err := full.Validate(); err != nil {
+		t.Fatalf("valid hyper rejected: %v", err)
 	}
-	for i, h := range cases {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*schemes.Hyper)
+	}{
+		{"zero batch", func(h *schemes.Hyper) { h.Batch = 0 }},
+		{"zero steps", func(h *schemes.Hyper) { h.StepsPerClient = 0 }},
+		{"zero lr", func(h *schemes.Hyper) { h.LR = 0 }},
+		{"NaN lr", func(h *schemes.Hyper) { h.LR = nan }},
+		{"infinite lr", func(h *schemes.Hyper) { h.LR = inf }},
+		{"momentum 1", func(h *schemes.Hyper) { h.Momentum = 1 }},
+		{"momentum 5", func(h *schemes.Hyper) { h.Momentum = 5 }},
+		{"negative momentum", func(h *schemes.Hyper) { h.Momentum = -0.5 }},
+		{"NaN momentum", func(h *schemes.Hyper) { h.Momentum = nan }},
+		{"negative clip", func(h *schemes.Hyper) { h.ClipNorm = -1 }},
+		{"NaN clip", func(h *schemes.Hyper) { h.ClipNorm = nan }},
+		{"infinite clip", func(h *schemes.Hyper) { h.ClipNorm = inf }},
+		{"NaN decay factor", func(h *schemes.Hyper) { h.LRDecayFactor = nan }},
+		{"infinite decay factor", func(h *schemes.Hyper) { h.LRDecayFactor = inf }},
+		{"negative decay factor", func(h *schemes.Hyper) { h.LRDecayFactor = -0.5 }},
+	}
+	for _, tc := range cases {
+		h := full
+		tc.mut(&h)
 		if err := h.Validate(); err == nil {
-			t.Fatalf("case %d: invalid hyper accepted", i)
+			t.Errorf("%s: invalid hyper %+v accepted", tc.name, h)
 		}
 	}
 }

@@ -2,28 +2,32 @@ package tensor
 
 import "math"
 
-// Elementwise bodies of a training step: the four loops that run
-// between the GEMMs and do one independent operation per element — the
-// ReLU mask, the 2×2 max-pool, the momentum-SGD update and the gradient
-// accumulate.
+// Vector bodies of a training step: the four loops that run between
+// the GEMMs and do one independent operation per element — the ReLU
+// mask, the 2×2 max-pool, the momentum-SGD update and the gradient
+// accumulate — and one reduction, the sum of squares gradient clipping
+// settles on.
 //
 // Each exists as a portable Go body (the *Portable functions below),
 // which defines the result bit for bit and is the only code off amd64
-// and in a purego build, and as a 4-lane AVX2 body (vec_amd64.s) that
-// performs the same operations per element in the same order — multiply
-// and add rounded separately, no FMA. No element depends on another, so
-// there is no accumulation order to preserve and the two agree by
-// construction; TestVecBodiesMatchPortable and FuzzVecBodies hold them
-// to it. The vector body is chosen by the CPUID probe that chooses the
-// GEMM kernels and by nothing else at run time.
+// and in a purego build, and as an AVX2 body (vec_amd64.s) that
+// performs the same operations in the same order — multiply and add
+// rounded separately, no FMA. In the four elementwise bodies no element
+// depends on another, so there is no accumulation order to preserve and
+// the two agree by construction. The reduction has an order, and its
+// portable body fixes it: eight lanes, folded in a stated pattern,
+// which the AVX2 body's two 4-lane accumulators follow step for step.
+// TestVecBodiesMatchPortable and FuzzVecBodies hold all five to their
+// portable bodies. The vector body is chosen by the CPUID probe that
+// chooses the GEMM kernels and by nothing else at run time.
 //
 // The exported wrappers own memory safety: every operand is re-sliced
 // to the destination's length before a pointer is taken, so a short
 // operand panics here, before anything is written, and the assembly
 // never sees a length it could overrun. The *Vec functions handle a
 // multiple-of-four prefix (of the slice; of every output row, for the
-// pool) and report its length (zero without the hardware); the portable
-// body finishes the tail.
+// pool; a multiple of eight for the reduction) and report its length
+// (zero without the hardware); the portable body finishes the tail.
 
 // MaskPositive writes src[i] where gate[i] > 0 and +0 elsewhere — for
 // gate <= 0, for -0 and for NaN, exactly like the comparison. src and
@@ -157,4 +161,45 @@ func addToPortable(dst, src []float64) {
 	for i, v := range src {
 		dst[i] += v
 	}
+}
+
+// SumSquares returns Σ x[i]², every square rounded on its own and
+// summed in a fixed order that is not the serial one: over the longest
+// multiple-of-eight prefix, lane l accumulates x[8j+l]² in ascending j;
+// the lanes are folded as ((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7));
+// and the remaining squares are added to that one at a time. Callers
+// that need the serial sum's bits must not use it (see optim's
+// clipFactor, which only bounds the serial sum with it).
+func SumSquares(x []float64) float64 {
+	s, n := sumSquaresVec(x)
+	if n == 0 {
+		return sumSquaresPortable(x)
+	}
+	return addSquares(s, x[n:])
+}
+
+func sumSquaresPortable(x []float64) float64 {
+	n := len(x) &^ 7
+	var l0, l1, l2, l3, l4, l5, l6, l7 float64
+	for i := 0; i < n; i += 8 {
+		q := x[i : i+8 : i+8]
+		// The conversions keep arm64 from fusing a square into its lane.
+		l0 += float64(q[0] * q[0])
+		l1 += float64(q[1] * q[1])
+		l2 += float64(q[2] * q[2])
+		l3 += float64(q[3] * q[3])
+		l4 += float64(q[4] * q[4])
+		l5 += float64(q[5] * q[5])
+		l6 += float64(q[6] * q[6])
+		l7 += float64(q[7] * q[7])
+	}
+	return addSquares(((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)), x[n:])
+}
+
+// addSquares returns s plus the squares of x, added in order.
+func addSquares(s float64, x []float64) float64 {
+	for _, v := range x {
+		s += float64(v * v)
+	}
+	return s
 }

@@ -2,12 +2,13 @@
 
 package tensor
 
-// AVX2 bindings of the elementwise bodies (vec.go). Each *Vec runs the
+// AVX2 bindings of the vector bodies (vec.go). Each *Vec runs the
 // assembly over the largest multiple-of-four prefix — of the slice, or
-// for the pool of every output row — and returns its length. The
-// callers in vec.go have already cut every operand to the length the
-// destination implies, so n never exceeds any of them; the assembly
-// requires n ≥ 4 and n%4 == 0.
+// for the pool of every output row; of eight for the sum of squares —
+// and returns its length. The callers in vec.go have already cut every
+// operand to the length the destination implies, so n never exceeds
+// any of them; the assembly requires n ≥ 4 and n%4 == 0 (n ≥ 8 and
+// n%8 == 0 for the sum of squares).
 
 //go:noescape
 func maskPositiveAVX2(dst, src, gate *float64, n int64)
@@ -20,6 +21,9 @@ func sgdMomentumAVX2(p, v, grad *float64, n int64, lr, momentum, clip, decay flo
 
 //go:noescape
 func addToAVX2(dst, src *float64, n int64)
+
+//go:noescape
+func sumSquaresAVX2(x *float64, n int64) float64
 
 func maskPositiveVec(dst, src, gate []float64) int {
 	n := len(dst) &^ 3
@@ -59,4 +63,12 @@ func addToVec(dst, src []float64) int {
 	}
 	addToAVX2(&dst[0], &src[0], int64(n))
 	return n
+}
+
+func sumSquaresVec(x []float64) (float64, int) {
+	n := len(x) &^ 7
+	if n == 0 || !cpu.avx2 {
+		return 0, 0
+	}
+	return sumSquaresAVX2(&x[0], int64(n)), n
 }

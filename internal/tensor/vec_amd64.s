@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the elementwise loops in vec.go. Every routine takes
-// n ≥ 4, a multiple of 4, and performs per element exactly the
+// AVX2 bodies of the vector loops in vec.go. Every elementwise routine
+// takes n ≥ 4, a multiple of 4, and performs per element exactly the
 // operation sequence of its portable body: separate VMULPD / VADDPD /
 // VSUBPD (no FMA), ordered-quiet compares, so the bits are the portable
-// body's. All moves between general and vector registers are the VEX
+// body's. The sum of squares takes n ≥ 8, a multiple of 8, and adds in
+// its portable body's lane order. All moves between general and vector registers are the VEX
 // forms (VMOVQ, never MOVQ — the legacy encoding inside a VEX region
 // costs a state transition per call) and every routine ends in
 // VZEROUPPER.
@@ -51,6 +52,39 @@ add_loop:
 	CMPQ AX, CX
 	JLT  add_loop
 
+	VZEROUPPER
+	RET
+
+// func sumSquaresAVX2(x *float64, n int64) float64
+//
+// Lanes 0–3 accumulate in Y0 and lanes 4–7 in Y1, each square rounded
+// before it is added. The fold is the portable body's: Y0+Y1 gives
+// (l0+l4, l1+l5, l2+l6, l3+l7), its halves added give
+// ((l0+l4)+(l2+l6), (l1+l5)+(l3+l7)), and those two are added last.
+TEXT ·sumSquaresAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ AX, AX
+
+sumsq_loop:
+	VMOVUPD (SI)(AX*8), Y2
+	VMULPD Y2, Y2, Y2
+	VADDPD Y2, Y0, Y0                  // lanes 0–3
+	VMOVUPD 32(SI)(AX*8), Y3
+	VMULPD Y3, Y3, Y3
+	VADDPD Y3, Y1, Y1                  // lanes 4–7
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  sumsq_loop
+
+	VADDPD Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD X1, X0, X0
+	VPERMILPD $1, X0, X1
+	VADDSD X1, X0, X0
+	VMOVSD X0, ret+16(FP)
 	VZEROUPPER
 	RET
 

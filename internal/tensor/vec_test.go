@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// The gate of the elementwise vector bodies (vec.go): whatever body the
-// CPUID probe selected must agree with the portable one bit for bit
-// (NaN-ness for NaN payloads, as everywhere x86 meets a portable body),
-// write nothing outside its destination, and refuse a short operand
-// before it writes anything.
+// The gate of the vector bodies (vec.go): whatever body the CPUID probe
+// selected must agree with the portable one bit for bit (NaN-ness for
+// NaN payloads, as everywhere x86 meets a portable body), write nothing
+// outside its destination, and refuse a short operand before it writes
+// anything.
 
 // canary is the bit pattern the guards either side of every destination
 // hold: a NaN payload no operation in this package produces.
@@ -87,10 +87,31 @@ func hostileScalar(rng *rand.Rand, usual float64) float64 {
 	return usual * rng.Float64()
 }
 
-// vecOperands is one call's worth of inputs for all four bodies, n
+// drawSquareOperand draws the sum of squares' operand. The hostile
+// fill makes almost every sum longer than a few dozen terms NaN or
+// +Inf, where any order gives the same answer; this one is mostly
+// finite, over twelve decades, so that a fold in another order than
+// the portable body's changes low bits. One value in 64 is an edge
+// case: a value whose square overflows, one whose square is subnormal
+// or zero, or a non-finite one.
+func drawSquareOperand(rng *rand.Rand, n int) []float64 {
+	edge := []float64{1e160, -1e155, 1e-160, -3e-162, 5e-324, math.Inf(-1), math.NaN()}
+	s := make([]float64, n)
+	for i := range s {
+		if rng.Intn(64) == 0 {
+			s[i] = edge[rng.Intn(len(edge))]
+		} else {
+			s[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-6))
+		}
+	}
+	return s
+}
+
+// vecOperands is one call's worth of inputs for all five bodies, n
 // outputs long; for the pool, n outputs a row of an h×w plane.
 type vecOperands struct {
 	a, b, c     []float64 // elementwise operands (a doubles as the destination's prior contents)
+	sq          []float64 // sum-of-squares operand, n long
 	plane       []float64 // pool input, h×w
 	base, h, w  int
 	lr, mom     float64
@@ -119,12 +140,14 @@ func drawVecOperands(rng *rand.Rand, n int) vecOperands {
 			}
 		}
 	}
+	o.sq = drawSquareOperand(rng, n)
 	return o
 }
 
-// checkVecBodies runs the four active bodies on o with every
-// destination off elements past an allocation boundary, and holds each
-// to its portable body and to its guards.
+// checkVecBodies runs the five active bodies on o with every
+// destination (and the sum of squares' operand) off elements past an
+// allocation boundary, and holds each to its portable body and to its
+// guards.
 func checkVecBodies(t *testing.T, o vecOperands, off int) {
 	t.Helper()
 	n := len(o.a)
@@ -164,6 +187,9 @@ func checkVecBodies(t *testing.T, o vecOperands, off int) {
 	requireSameFloats(t, what("SGDMomentum v"), gotV, wantV)
 	requireGuards(t, what("SGDMomentum p"), backing, n, off)
 	requireGuards(t, what("SGDMomentum v"), backingV, n, off)
+
+	requireSameFloats(t, what("SumSquares"), []float64{SumSquares(shift(o.sq))}, []float64{sumSquaresPortable(o.sq)})
+	requireSameFloats(t, what("SumSquares hostile"), []float64{SumSquares(b)}, []float64{sumSquaresPortable(o.b)})
 
 	outH, outW := o.h/2, o.w/2
 	pooled := outH * outW
@@ -255,7 +281,7 @@ func FuzzVecBodies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nn, off uint8, raw []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		o := drawVecOperands(rng, int(nn)%160)
-		for _, s := range [][]float64{o.a, o.b, o.c, o.plane} {
+		for _, s := range [][]float64{o.a, o.b, o.c, o.plane, o.sq} {
 			for i := range s {
 				if len(raw) < 8 {
 					break

@@ -237,11 +237,14 @@ func validateCut(arch model.Arch, cut int) error {
 // point the fault tests use to interpose faultconn wrappers between the
 // AP and its clients.
 func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
-	if cfg.StepsPerClient <= 0 {
-		return nil, fmt.Errorf("transport: steps per client %d must be positive", cfg.StepsPerClient)
-	}
-	if cfg.LR <= 0 {
-		return nil, fmt.Errorf("transport: learning rate %v must be positive", cfg.LR)
+	// The simulator's own check, so a NaN, a momentum outside [0,1) or a
+	// negative clip fails here as it does in a Spec. Batch is the
+	// clients' field, set here only to pass.
+	hyper := schemes.Hyper{Batch: 1, StepsPerClient: cfg.StepsPerClient,
+		LR: cfg.LR, Momentum: cfg.Momentum, ClipNorm: cfg.ClipNorm,
+		LRDecayFactor: cfg.LRDecayFactor, LRDecayEvery: cfg.LRDecayEvery}
+	if err := hyper.Validate(); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	if len(cfg.Groups) == 0 {
 		return nil, errors.New("transport: no groups configured")
@@ -329,9 +332,8 @@ func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
 		rep := cfg.Arch.NewSplit(rand.New(rand.NewSource(schemes.DeriveSeed(cfg.Seed, "replica", g))), cfg.Cut)
 		ap.groupRTs[g] = &groupRT{
 			server: rep.Server,
-			opt: schemes.Hyper{LR: cfg.LR, Momentum: cfg.Momentum, ClipNorm: cfg.ClipNorm,
-				LRDecayFactor: cfg.LRDecayFactor, LRDecayEvery: cfg.LRDecayEvery}.NewOptimizer(),
-			track: cfg.Tracer.Lane("ap", fmt.Sprintf("group %d", g)),
+			opt:    hyper.NewOptimizer(),
+			track:  cfg.Tracer.Lane("ap", fmt.Sprintf("group %d", g)),
 		}
 	}
 

@@ -89,11 +89,14 @@ func NewClientConn(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if cfg.Train == nil || cfg.Train.Len() == 0 {
 		return nil, errors.New("transport: client has no data")
 	}
-	if cfg.Batch <= 0 {
-		return nil, fmt.Errorf("transport: batch %d must be positive", cfg.Batch)
-	}
-	if cfg.LR <= 0 {
-		return nil, fmt.Errorf("transport: learning rate %v must be positive", cfg.LR)
+	// The simulator's own check, so a NaN, a momentum outside [0,1) or a
+	// negative clip fails here as it does in a Spec. StepsPerClient is
+	// the AP's field, set here only to pass.
+	hyper := schemes.Hyper{Batch: cfg.Batch, StepsPerClient: 1,
+		LR: cfg.LR, Momentum: cfg.Momentum, ClipNorm: cfg.ClipNorm,
+		LRDecayFactor: cfg.LRDecayFactor, LRDecayEvery: cfg.LRDecayEvery}
+	if err := hyper.Validate(); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	if err := validateCut(cfg.Arch, cfg.Cut); err != nil {
 		return nil, err
@@ -104,8 +107,7 @@ func NewClientConn(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		fc:   newFrameConn(conn, DefaultMaxFrameBytes),
 		// Structure only; parameters are overwritten by each train frame.
 		half: cfg.Arch.NewSplit(rand.New(rand.NewSource(cfg.Seed)), cfg.Cut),
-		opt: schemes.Hyper{LR: cfg.LR, Momentum: cfg.Momentum, ClipNorm: cfg.ClipNorm,
-			LRDecayFactor: cfg.LRDecayFactor, LRDecayEvery: cfg.LRDecayEvery}.NewOptimizer(),
+		opt:  hyper.NewOptimizer(),
 		loader: data.NewLoader(cfg.Train, cfg.Batch, cfg.Arch.InShape,
 			rand.New(rand.NewSource(schemes.DeriveSeed(cfg.Seed, "loader", cfg.ID)))),
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -233,6 +234,14 @@ func TestNewAPValidation(t *testing.T) {
 	}{
 		{"zero steps", func(c *APConfig) { c.StepsPerClient = 0 }},
 		{"zero lr", func(c *APConfig) { c.LR = 0 }},
+		{"NaN lr", func(c *APConfig) { c.LR = math.NaN() }},
+		{"infinite lr", func(c *APConfig) { c.LR = math.Inf(1) }},
+		{"NaN momentum", func(c *APConfig) { c.Momentum = math.NaN() }},
+		{"momentum 5", func(c *APConfig) { c.Momentum = 5 }},
+		{"negative momentum", func(c *APConfig) { c.Momentum = -0.1 }},
+		{"NaN clip", func(c *APConfig) { c.ClipNorm = math.NaN() }},
+		{"negative clip", func(c *APConfig) { c.ClipNorm = -1 }},
+		{"NaN decay factor", func(c *APConfig) { c.LRDecayFactor, c.LRDecayEvery = math.NaN(), 10 }},
 		{"no groups", func(c *APConfig) { c.Groups = nil }},
 		{"empty group", func(c *APConfig) { c.Groups = [][]int{{}} }},
 		{"duplicate client", func(c *APConfig) { c.Groups = [][]int{{0}, {0}} }},
@@ -267,6 +276,13 @@ func TestDialValidation(t *testing.T) {
 		{"no data", ClientConfig{ID: 0, Arch: arch, Cut: 2, Batch: 4, LR: 0.1}},
 		{"zero batch", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 0, LR: 0.1}},
 		{"zero lr", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 4, LR: 0}},
+		{"NaN lr", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 4, LR: math.NaN()}},
+		{"infinite lr", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 4, LR: math.Inf(1)}},
+		{"NaN momentum", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 4, LR: 0.1, Momentum: math.NaN()}},
+		{"momentum 5", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 4, LR: 0.1, Momentum: 5}},
+		{"NaN clip", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 4, LR: 0.1, ClipNorm: math.NaN()}},
+		{"negative clip", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 4, LR: 0.1, ClipNorm: -1}},
+		{"decay factor 2", ClientConfig{ID: 0, Arch: arch, Cut: 2, Train: ds, Batch: 4, LR: 0.1, LRDecayFactor: 2, LRDecayEvery: 10}},
 		{"cut out of range", ClientConfig{ID: 0, Arch: arch, Cut: 99, Train: ds, Batch: 4, LR: 0.1}},
 	}
 	for _, tc := range cases {
