@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -66,6 +68,43 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	for name, args := range cases {
 		if err := run(context.Background(), args); err == nil {
 			t.Fatalf("%s: expected error", name)
+		}
+	}
+}
+
+// mainArgsEnv, when set, makes the test binary run main with its
+// value's fields as the command line: the way to watch the process's
+// exit status rather than run's error.
+const mainArgsEnv = "GSFL_SIM_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"gsfl-sim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestNonFiniteFlagsExitOne runs the command with non-finite float
+// flags. Each must exit 1 with an error naming the Spec field: an
+// infinite Dirichlet concentration used to panic inside the
+// partitioner, and NaN ones used to train and exit 0.
+func TestNonFiniteFlagsExitOne(t *testing.T) {
+	for _, c := range []struct{ flag, value, field string }{
+		{"-alpha", "Inf", "Alpha"},
+		{"-alpha", "NaN", "Alpha"},
+		{"-dropout", "NaN", "DropoutProb"},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(tinyArgs(c.flag, c.value), " "))
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s %s: exit %v, want status 1\n%s", c.flag, c.value, err, out)
+		}
+		if !strings.Contains(string(out), c.field) {
+			t.Fatalf("%s %s: output does not name %s:\n%s", c.flag, c.value, c.field, out)
 		}
 	}
 }

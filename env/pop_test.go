@@ -1,6 +1,7 @@
 package env_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,6 +42,7 @@ func TestPopulationSpecValidation(t *testing.T) {
 		{"mix without population", func(s *env.Spec) { s.Population = 0; s.SampleFraction = 0; s.AvailTrace = "" }, "DeviceProfileMix"},
 		{"negative fraction", func(s *env.Spec) { s.SampleFraction = -0.1 }, "SampleFraction"},
 		{"fraction above one", func(s *env.Spec) { s.SampleFraction = 1.5 }, "SampleFraction"},
+		{"NaN fraction", func(s *env.Spec) { s.SampleFraction = math.NaN() }, "SampleFraction"},
 		{"cohort exceeds slots", func(s *env.Spec) { s.SampleFraction = 0.5 }, "slots"},
 		{"unknown trace", func(s *env.Spec) { s.AvailTrace = "nope" }, "AvailTrace"},
 		{"malformed mix", func(s *env.Spec) { s.DeviceProfileMix = "low-end:zero" }, "DeviceProfileMix"},

@@ -273,8 +273,8 @@ func (s Spec) Validate() error {
 	if s.TestPerClass <= 0 {
 		return fmt.Errorf("env: TestPerClass %d must be positive", s.TestPerClass)
 	}
-	if s.Alpha < 0 {
-		return fmt.Errorf("env: Alpha %v must be non-negative (0 = IID)", s.Alpha)
+	if !(s.Alpha >= 0 && s.Alpha <= math.MaxFloat64) {
+		return fmt.Errorf("env: Alpha %v must be finite and non-negative (0 = IID)", s.Alpha)
 	}
 	if s.Cut < 0 {
 		return fmt.Errorf("env: Cut %d must be non-negative", s.Cut)
@@ -282,7 +282,7 @@ func (s Spec) Validate() error {
 	if err := s.Hyper.Validate(); err != nil {
 		return fmt.Errorf("env: %w", err)
 	}
-	if s.DropoutProb < 0 || s.DropoutProb >= 1 {
+	if !(s.DropoutProb >= 0 && s.DropoutProb < 1) {
 		return fmt.Errorf("env: DropoutProb %v outside [0,1)", s.DropoutProb)
 	}
 	if err := s.Wireless.Validate(); err != nil {
@@ -318,7 +318,7 @@ func (s Spec) validatePopulation() error {
 	if s.Population < s.Clients {
 		return fmt.Errorf("env: Population %d smaller than Clients %d (members need a data shard each slot)", s.Population, s.Clients)
 	}
-	if s.SampleFraction <= 0 || s.SampleFraction > 1 {
+	if !(s.SampleFraction > 0 && s.SampleFraction <= 1) {
 		return fmt.Errorf("env: SampleFraction %v outside (0,1]", s.SampleFraction)
 	}
 	if k := s.CohortSize(); k > s.Clients {

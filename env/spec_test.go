@@ -3,6 +3,7 @@ package env_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -140,6 +141,8 @@ func TestSpecValidate(t *testing.T) {
 		{"zero train samples", func(s *env.Spec) { s.TrainPerClient = 0 }, "TrainPerClient"},
 		{"zero test samples", func(s *env.Spec) { s.TestPerClass = 0 }, "TestPerClass"},
 		{"negative alpha", func(s *env.Spec) { s.Alpha = -1 }, "Alpha"},
+		{"infinite alpha", func(s *env.Spec) { s.Alpha = math.Inf(1) }, "Alpha"},
+		{"NaN alpha", func(s *env.Spec) { s.Alpha = math.NaN() }, "Alpha"},
 		{"negative cut", func(s *env.Spec) { s.Cut = -1 }, "Cut"},
 		{"zero batch", func(s *env.Spec) { s.Hyper.Batch = 0 }, "batch"},
 		{"zero steps", func(s *env.Spec) { s.Hyper.StepsPerClient = 0 }, "steps"},
@@ -150,6 +153,7 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown arch", func(s *env.Spec) { s.Arch = "nope" }, "Arch"},
 		{"negative dropout", func(s *env.Spec) { s.DropoutProb = -0.1 }, "DropoutProb"},
 		{"dropout of one", func(s *env.Spec) { s.DropoutProb = 1 }, "DropoutProb"},
+		{"NaN dropout", func(s *env.Spec) { s.DropoutProb = math.NaN() }, "DropoutProb"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,13 +22,15 @@ import (
 // has two independent halves. The parameter half (BackwardParams)
 // accumulates dW and db serially in sample order, keeping gradient
 // summation order — and hence training numerics — exactly equal to a
-// single-worker run. The input half computes the column gradients
-// (dcol = Wᵀ @ dy, materialized because tensor.Col2ImBatch scatters it
-// back to image space) in one batch call that packs Wᵀ once, the way
-// the forward pass does. Backward runs both; a Conv2D that is the first
-// layer of a network whose caller discards the input gradient
-// (Sequential.BackwardParams) runs only the parameter half and never
-// sizes the dcols/dx buffers at all.
+// single-worker run. The input half is one batch call too,
+// tensor.ConvInputGradBatchInto: it packs W once, rearranged, and writes
+// each sample's dx directly, tap by tap in the order a col2im scatter of
+// the column gradients Wᵀ @ dy would add them — bit for bit that
+// scatter's result while W is finite, with no column matrix and no
+// scatter. Backward runs
+// both; a Conv2D that is the first layer of a network whose caller
+// discards the input gradient (Sequential.BackwardParams) runs only the
+// parameter half and never sizes the dx buffer at all.
 //
 // All batch-shaped buffers (output, gradients) live in a lazily-sized
 // workspace, as does the tensor header the weight-gradient loop
@@ -52,11 +54,10 @@ type Conv2D struct {
 
 // convWorkspace is Conv2D's reusable buffer set.
 type convWorkspace struct {
-	out   tensor.Tensor // forward output (N, outC, outH, outW)
-	dcols tensor.Tensor // batched column gradients (input half of Backward only)
-	dx    tensor.Tensor // input gradient (N, C, H, W) (input half of Backward only)
-	dwT   tensor.Tensor // one sample's weight-gradient staging buffer
-	dyI   tensor.Tensor // header aliasing one sample's slice of dy
+	out tensor.Tensor // forward output (N, outC, outH, outW)
+	dx  tensor.Tensor // input gradient (N, C, H, W) (input half of Backward only)
+	dwT tensor.Tensor // one sample's weight-gradient staging buffer
+	dyI tensor.Tensor // header aliasing one sample's slice of dy
 }
 
 // NewConv2D constructs a Conv2D layer with He initialization. Stride and
@@ -112,17 +113,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	c.BackwardParams(dy)
 	g := c.geom
-	n := c.x.Dim(0)
-	ws := &c.ws
-
-	// dcol_i = Wᵀ @ dy_i for every sample, then one batched scatter back
-	// to image space. Both phases write disjoint per-sample regions.
-	dcols := ws.dcols.Ensure(n, g.InC*g.KH*g.KW, g.OutH()*g.OutW())
-	tensor.ConvColGradBatchInto(dcols, c.w, dy, g)
-	dx := ws.dx.Ensure(n, c.InC, g.InH, g.InW)
-	dx.Zero()
-	tensor.Col2ImBatch(dx.Data, dcols.Data, n, g)
-	return dx
+	dx := c.ws.dx.Ensure(c.x.Dim(0), c.InC, g.InH, g.InW)
+	return tensor.ConvInputGradBatchInto(dx, c.w, dy, g)
 }
 
 // BackwardParams accumulates dL/dW and dL/db from dy without computing

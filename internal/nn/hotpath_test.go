@@ -71,14 +71,14 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 
 // TestFirstConvOwnsNoInputGradientBuffers pins the memory half of the
 // claim: a Conv2D only ever driven through BackwardParams never sizes
-// the column-gradient and input-gradient buffers.
+// the input-gradient buffer.
 func TestFirstConvOwnsNoInputGradientBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	conv := NewConv2D(rng, 3, 8, 3, 1, 1)
 	net := NewSequential(conv, NewReLU())
 	x := tensor.New(4, 3, 8, 8).RandNormal(rng, 0, 1)
 	net.BackwardParams(net.Forward(x, true).Clone())
-	if n := conv.ws.dcols.Size() + conv.ws.dx.Size(); n != 0 {
+	if n := conv.ws.dx.Size(); n != 0 {
 		t.Fatalf("first conv sized %d elements of input-gradient workspace", n)
 	}
 }
@@ -209,9 +209,10 @@ func TestMaxPoolNaNWindow(t *testing.T) {
 // pack W once per layer call for every image to read, to a per-image
 // reference built from the single-image products on the same weights:
 // output, dx, dW and db, bit for bit. Batches 1, 3 and 16; outC 5, 12
-// (a full and a ragged 8-wide panel) and 16 (full panels only); inC 1,
-// whose 9 taps leave a ragged MR block in dcol = Wᵀ@dy, beside inC 3;
-// 35 output positions, a ragged block the other way; workers 1, 2, 8.
+// (a full and a ragged 8-wide panel) and 16 (full panels only); inC 1
+// and 3, ragged panels of the input gradient, whose 5×7 pixels are a
+// ragged MR block; 35 output positions, a ragged block of the forward
+// pass; workers 1, 2, 8.
 func TestConv2DSharedPackMatchesPerImage(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(31))
@@ -244,8 +245,9 @@ type convRef struct{ y, dx, dw, db []float64 }
 // convPerImage computes c's forward output and, for output gradient dy,
 // its input and parameter gradients one image at a time through the
 // exported single-image products: ConvMatMulInto plus the bias,
-// MatMulTransAInto for the column gradients, ConvMatMulTransBInto and
-// row sums accumulated in image order.
+// MatMulTransAInto for the column gradients scattered back onto a zeroed
+// dx by col2imRef, ConvMatMulTransBInto and row sums accumulated in
+// image order.
 func convPerImage(c *Conv2D, x, dy *tensor.Tensor) convRef {
 	g := c.geomFor(x)
 	n, colRows, spatial := x.Dim(0), g.InC*g.KH*g.KW, g.OutH()*g.OutW()
@@ -254,7 +256,6 @@ func convPerImage(c *Conv2D, x, dy *tensor.Tensor) convRef {
 		y: make([]float64, n*outSize), dx: make([]float64, n*imgSize),
 		dw: make([]float64, c.OutC*colRows), db: make([]float64, c.OutC),
 	}
-	dcols := make([]float64, n*g.ColSize())
 	out, dyI := tensor.New(c.OutC, spatial), tensor.New(c.OutC, spatial)
 	dcol, dwI := tensor.New(colRows, spatial), tensor.New(c.OutC, colRows)
 	for i := 0; i < n; i++ {
@@ -264,7 +265,7 @@ func convPerImage(c *Conv2D, x, dy *tensor.Tensor) convRef {
 			ref.y[i*outSize+j] = v + c.b.Data[j/spatial]
 		}
 		copy(dyI.Data, dy.Data[i*outSize:(i+1)*outSize])
-		copy(dcols[i*g.ColSize():], tensor.MatMulTransAInto(dcol, c.w, dyI).Data)
+		col2imRef(ref.dx[i*imgSize:(i+1)*imgSize], tensor.MatMulTransAInto(dcol, c.w, dyI).Data, g)
 		for j, v := range tensor.ConvMatMulTransBInto(dwI, dyI, img, g).Data {
 			ref.dw[j] += v
 		}
@@ -276,8 +277,30 @@ func convPerImage(c *Conv2D, x, dy *tensor.Tensor) convRef {
 			ref.db[oc] += s
 		}
 	}
-	tensor.Col2ImBatch(ref.dx, dcols, n, g)
 	return ref
+}
+
+// col2imRef scatter-adds one image's column matrix (rows (c,kh,kw),
+// columns (oh,ow)) onto dst, every entry bounds-tested on its own, rows
+// and positions in ascending order: the definition of the input
+// gradient's summation order.
+func col2imRef(dst, cols []float64, g tensor.ConvGeom) {
+	outH, outW := g.OutH(), g.OutW()
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				row := (c*g.KH+kh)*g.KW + kw
+				for oh := 0; oh < outH; oh++ {
+					for ow := 0; ow < outW; ow++ {
+						ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+							dst[(c*g.InH+ih)*g.InW+iw] += cols[(row*outH+oh)*outW+ow]
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func requireSameBits(t *testing.T, what string, got, want []float64) {

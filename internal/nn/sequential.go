@@ -99,8 +99,8 @@ type paramsBackwarder interface {
 // exactly as Backward accumulates it — the layers above the first run
 // their ordinary Backward — but the first layer is asked for its
 // parameter gradients only, so the network-input gradient (for a
-// Conv2D: the Wᵀ@dy products, the col2im scatter and both buffers they
-// fill) is never computed.
+// Conv2D: its input-gradient product and the buffer it fills) is never
+// computed.
 func (s *Sequential) BackwardParams(dy *tensor.Tensor) {
 	if len(s.Layers) == 0 {
 		return

@@ -2,20 +2,24 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gsfl/internal/parallel"
 	"gsfl/internal/testutil"
 )
 
-// Tests for the three routines that walk the im2col index map — the two
-// row-indirect convolution products and the col2im scatter — against
-// per-element references that test every pixel's bounds one at a time.
+// Tests for the routines that walk the im2col index map — the three
+// row-indirect convolution products — against per-element references
+// that test every pixel's bounds one at a time.
 
-// col2imRef is the per-element scatter Col2ImBatch must reproduce bit
-// for bit: one image, every column entry bounds-tested on its own, rows
-// (c,kh,kw) and positions (oh,ow) visited in ascending order.
+// col2imRef is the per-element scatter that defines the input gradient's
+// summation order: one image, every column entry bounds-tested on its
+// own, rows (c,kh,kw) and positions (oh,ow) visited in ascending order,
+// each added onto what dst holds. ConvInputGradBatchInto must reproduce
+// it, onto a zeroed image, bit for bit.
 func col2imRef(dst, cols []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	for c := 0; c < g.InC; c++ {
@@ -37,22 +41,23 @@ func col2imRef(dst, cols []float64, g ConvGeom) {
 
 // convPackCase holds one geometry's operands and reference results.
 type convPackCase struct {
-	g                ConvGeom
-	outC, batch      int
-	w, dy            *Tensor   // (outC×colRows), (outC×spatial)
-	wantOut, wantDW  []float64 // products over the first of imgs
-	cols, imgs, want []float64 // col2im: batch column matrices onto batch images
+	g               ConvGeom
+	outC, batch     int
+	w, dy, dys      *Tensor   // (outC×colRows), (outC×spatial), batch of dy
+	imgs            []float64 // batch images
+	wantOut, wantDW []float64 // products over the first of imgs
+	wantDX          []float64 // input gradients of dys
 }
 
 func newConvPackCase(rng *rand.Rand, g ConvGeom, outC, batch int) *convPackCase {
 	colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
-	c := &convPackCase{g: g, outC: outC, batch: batch, w: New(outC, colRows), dy: New(outC, spatial)}
+	c := &convPackCase{g: g, outC: outC, batch: batch,
+		w: New(outC, colRows), dy: New(outC, spatial), dys: New(batch, outC, spatial)}
 	c.imgs = make([]float64, batch*g.ImageSize())
-	c.cols = make([]float64, batch*g.ColSize())
 	fillMixed(rng, c.imgs)
-	fillMixed(rng, c.cols)
 	fillMixed(rng, c.w.Data)
 	fillMixed(rng, c.dy.Data)
+	fillMixed(rng, c.dys.Data)
 
 	ref := make([]float64, g.ColSize())
 	im2colRef(ref, c.imgs[:g.ImageSize()], g)
@@ -60,14 +65,29 @@ func newConvPackCase(rng *rand.Rand, g ConvGeom, outC, batch int) *convPackCase 
 	naiveMatMul(c.wantOut, c.w.Data, ref, outC, colRows, spatial)
 	c.wantDW = make([]float64, outC*colRows)
 	naiveTransB(c.wantDW, c.dy.Data, ref, outC, spatial, colRows)
-
-	// The scatter accumulates onto whatever dst holds, so start from the
-	// (non-zero) images rather than from zeros.
-	c.want = append([]float64(nil), c.imgs...)
-	for i := 0; i < batch; i++ {
-		col2imRef(c.want[i*g.ImageSize():(i+1)*g.ImageSize()], c.cols[i*g.ColSize():(i+1)*g.ColSize()], g)
-	}
+	c.wantDX = inputGradRef(c.w, c.dys, g)
 	return c
+}
+
+// inputGradRef is the input gradient's definition over a batch of
+// output gradients dys: per image, the column gradients wᵀ@dy_i by
+// naiveTransA, scattered onto a zeroed image by col2imRef.
+func inputGradRef(w, dys *Tensor, g ConvGeom) []float64 {
+	outC, colRows, spatial := w.shape[0], g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	n := dys.Size() / (outC * spatial)
+	dx, cols := make([]float64, n*g.ImageSize()), make([]float64, g.ColSize())
+	for i := 0; i < n; i++ {
+		naiveTransA(cols, w.Data, dys.Data[i*outC*spatial:], colRows, outC, spatial)
+		col2imRef(dx[i*g.ImageSize():], cols, g)
+	}
+	return dx
+}
+
+// inputGradInto runs ConvInputGradBatchInto on a fresh dx full of NaN,
+// so that an element it fails to write cannot pass for a zero.
+func inputGradInto(w, dys *Tensor, g ConvGeom) []float64 {
+	n := dys.Size() / (w.shape[0] * g.OutH() * g.OutW())
+	return ConvInputGradBatchInto(Full(math.NaN(), n, g.InC, g.InH, g.InW), w, dys, g).Data
 }
 
 // check runs the three production routines at the ambient worker count.
@@ -85,15 +105,14 @@ func (c *convPackCase) check(t *testing.T) {
 	requireBitEqual(t, "ConvMatMulInto", got.Data, c.wantOut, c.outC, colRows, spatial)
 	gotDW := ConvMatMulTransBInto(New(c.outC, colRows), c.dy, img, g)
 	requireBitEqual(t, "ConvMatMulTransBInto", gotDW.Data, c.wantDW, c.outC, spatial, colRows)
-	dst := append([]float64(nil), c.imgs...)
-	Col2ImBatch(dst, c.cols, c.batch, g)
-	requireBitEqual(t, "Col2ImBatch", dst, c.want, c.batch, colRows, spatial)
+	requireBitEqual(t, "ConvInputGradBatchInto", inputGradInto(c.w, c.dys, g), c.wantDX, c.batch, c.outC, spatial)
 }
 
 // checkBatch runs the two batch calls over every image of the case, so
 // one pack of w is read by all of them, against per-image naive
-// references: the forward product plus a bias, and the column gradients
-// wᵀ @ dy_i. rng draws the bias and the per-image gradients.
+// references: the forward product plus a bias, and the input gradients
+// of output gradients holding signed zeros, subnormals, infinities and
+// NaNs (fillHostile). rng draws the bias and the gradients.
 func (c *convPackCase) checkBatch(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	g := c.g
@@ -101,9 +120,9 @@ func (c *convPackCase) checkBatch(t *testing.T, rng *rand.Rand) {
 	bias := New(c.outC)
 	dys := New(c.batch, c.outC, spatial)
 	fillMixed(rng, bias.Data)
-	fillMixed(rng, dys.Data)
+	fillHostile(rng, dys.Data)
 	wantOut := make([]float64, c.batch*c.outC*spatial)
-	wantCols := make([]float64, c.batch*colRows*spatial)
+	wantDX := inputGradRef(c.w, dys, g)
 	cols := make([]float64, g.ColSize())
 	for i := 0; i < c.batch; i++ {
 		im2colRef(cols, c.imgs[i*g.ImageSize():(i+1)*g.ImageSize()], g)
@@ -112,15 +131,14 @@ func (c *convPackCase) checkBatch(t *testing.T, rng *rand.Rand) {
 		for j := range out {
 			out[j] += bias.Data[j/spatial]
 		}
-		naiveTransA(wantCols[i*colRows*spatial:], c.w.Data, dys.Data[i*c.outC*spatial:], colRows, c.outC, spatial)
 	}
 	x := FromSlice(c.imgs, c.batch, g.InC, g.InH, g.InW)
 	for _, w := range convPackWorkers {
 		parallel.SetWorkers(w)
 		got := ConvForwardBatchInto(New(c.batch, c.outC, spatial), c.w, bias, x, g)
 		requireBitEqual(t, fmt.Sprintf("workers=%d ConvForwardBatchInto", w), got.Data, wantOut, c.outC, colRows, spatial)
-		gotCols := ConvColGradBatchInto(New(c.batch, colRows, spatial), c.w, dys, g)
-		requireBitEqual(t, fmt.Sprintf("workers=%d ConvColGradBatchInto", w), gotCols.Data, wantCols, colRows, c.outC, spatial)
+		requireSameFloats(t, fmt.Sprintf("workers=%d ConvInputGradBatchInto, non-finite dy, %+v outC=%d", w, g, c.outC),
+			inputGradInto(c.w, dys, g), wantDX)
 	}
 }
 
@@ -173,11 +191,12 @@ func TestConvPackGeometrySweep(t *testing.T) {
 	t.Logf("%d geometries", count)
 }
 
-// forkingConvOutC returns an outC, ragged against NR, at which both conv
-// products over g are at least four chunks of minChunkFLOPs, and fails
-// the test unless both fork once there are two workers. The products
-// partition MR-row blocks of positions (forward) or taps (dW), so g needs
-// at least four blocks of each.
+// forkingConvOutC returns an outC, ragged against NR, at which the three
+// conv products over g are at least four chunks of minChunkFLOPs, and
+// fails the test unless all three fork once there are two workers. The
+// products partition MR-row blocks of positions (forward), taps (dW) or
+// input pixels (input gradient), so g needs at least four blocks of
+// each.
 func forkingConvOutC(t *testing.T, g ConvGeom) int {
 	t.Helper()
 	taps, pos := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
@@ -186,7 +205,8 @@ func forkingConvOutC(t *testing.T, g ConvGeom) int {
 	defer parallel.SetWorkers(0)
 	blocks := func(rows int) int { return (rows + gemmMR - 1) / gemmMR }
 	if parallel.Inline(blocks(pos), grainRows(2*taps*outC*gemmMR)) ||
-		parallel.Inline(blocks(taps), grainRows(2*pos*outC*gemmMR)) {
+		parallel.Inline(blocks(taps), grainRows(2*pos*outC*gemmMR)) ||
+		parallel.Inline(blocks(g.InH*g.InW), grainRows(2*g.KH*g.KW*outC*g.InC*gemmMR)) {
 		t.Fatalf("%+v outC=%d does not fork at a %d-FLOP floor", g, outC, minChunkFLOPs)
 	}
 	return outC
@@ -194,8 +214,8 @@ func forkingConvOutC(t *testing.T, g ConvGeom) int {
 
 // TestConvPackForkJoin repeats the check where the worker pool actually
 // forks: on the geometries with enough row blocks for forkingConvOutC,
-// and with a batch that is four chunks of the scatter's (sample,
-// channel) units.
+// with a batch of three images for the input gradient's images to fork
+// across as well.
 func TestConvPackForkJoin(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	rng := rand.New(rand.NewSource(22))
@@ -205,13 +225,7 @@ func TestConvPackForkJoin(t *testing.T) {
 			continue
 		}
 		ran++
-		outC := forkingConvOutC(t, g)
-		batch := 4*grainChannels(g)/g.InC + 1
-		parallel.SetWorkers(2)
-		if parallel.Inline(batch*g.InC, grainChannels(g)) {
-			t.Fatalf("%+v batch=%d: col2im does not fork at a %d-FLOP floor", g, batch, minChunkFLOPs)
-		}
-		c := newConvPackCase(rng, g, outC, batch)
+		c := newConvPackCase(rng, g, forkingConvOutC(t, g), 3)
 		for _, w := range convPackWorkers {
 			parallel.SetWorkers(w)
 			c.check(t)
@@ -226,7 +240,8 @@ func TestConvPackForkJoin(t *testing.T) {
 // with the sweep's corners: 1×1 everything, padding at and past the
 // kernel size, strides that skip most of the input, unequal axes, and
 // tap/position counts on both sides of NR. It also runs the batch calls
-// over the case's three images, each reading the one pack of w.
+// over the case's three images, each reading the one pack of w, the
+// input gradient's on output gradients with non-finite entries.
 func FuzzConvPack(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(4), uint8(4), uint8(3), uint8(3), uint8(4), uint8(4))
@@ -254,4 +269,71 @@ func FuzzConvPack(f *testing.F) {
 		}
 		c.checkBatch(t, rng)
 	})
+}
+
+// TestConvInputGradMatchesCol2Im holds ConvInputGradBatchInto to its
+// definition — per image, the column gradients wᵀ@dy_i by
+// MatMulTransAInto, scattered onto a zeroed image by col2imRef — over
+// InC 1, 3, 8, 12 and 17 (a ragged, a full, and a full-and-ragged
+// panel), 3×3, 5×7 and 8×8 images, kernels 1, 3 and 5, strides 1–3 and
+// paddings 0, 1, K−1 and K (where the canvas crops output-gradient
+// entries that reach no pixel), batches 1 and 5, and workers 1, 2 and 8.
+// A finite dy must give the same bits; one holding signed zeros,
+// subnormals, infinities and NaNs (fillHostile) too, NaN payloads aside.
+func TestConvInputGradMatchesCol2Im(t *testing.T) {
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	rng := rand.New(rand.NewSource(23))
+	count := 0
+	for _, inC := range []int{1, 3, 8, 12, 17} {
+		for _, hw := range [][2]int{{3, 3}, {5, 7}, {8, 8}} {
+			for _, k := range []int{1, 3, 5} {
+				pads := []int{0, 1, k - 1, k}
+				for _, stride := range []int{1, 2, 3} {
+					for i, pad := range pads {
+						g := ConvGeom{InC: inC, InH: hw[0], InW: hw[1], KH: k, KW: k,
+							StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+						if slices.Index(pads, pad) < i || g.Validate() != nil {
+							continue
+						}
+						count++
+						outC := []int{1, 5, 16}[count%3]
+						for _, batch := range []int{1, 5} {
+							checkInputGradMatchesCol2Im(t, rng, g, outC, batch)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d geometries", count)
+}
+
+func checkInputGradMatchesCol2Im(t *testing.T, rng *rand.Rand, g ConvGeom, outC, batch int) {
+	t.Helper()
+	colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	w, dys := New(outC, colRows), New(batch, outC, spatial)
+	fillMixed(rng, w.Data)
+	dyI, dcol := New(outC, spatial), New(colRows, spatial)
+	for _, hostile := range []bool{false, true} {
+		if hostile {
+			fillHostile(rng, dys.Data)
+		} else {
+			fillMixed(rng, dys.Data)
+		}
+		want := make([]float64, batch*g.ImageSize())
+		for i := 0; i < batch; i++ {
+			copy(dyI.Data, dys.Data[i*outC*spatial:])
+			col2imRef(want[i*g.ImageSize():], MatMulTransAInto(dcol, w, dyI).Data, g)
+		}
+		for _, workers := range convPackWorkers {
+			parallel.SetWorkers(workers)
+			what := fmt.Sprintf("%+v outC=%d batch=%d workers=%d non-finite dy=%v", g, outC, batch, workers, hostile)
+			got := inputGradInto(w, dys, g)
+			if hostile {
+				requireSameFloats(t, what, got, want)
+			} else {
+				requireBitEqual(t, what, got, want, batch, outC, spatial)
+			}
+		}
+	}
 }

@@ -12,22 +12,26 @@ import (
 // Every product the package computes runs on a rowPlan: the plain
 // matmul, a dense layer's three (y = x@W, dx = dy@Wᵀ, dW = xᵀ@dy) and a
 // convolution's three (the forward pass, the weight gradient and the
-// column gradients). A plan packs only the product's small operand into
+// input gradient). A plan packs only the product's small operand into
 // NR-column panels, once however many large operands read it, and a
 // row-indirect micro-kernel reads the large one where it lies through
-// two offset tables: a convolution's padded image, a dense layer's W, or
-// an output gradient dy. The batch calls a convolution layer makes
-// (ConvForwardBatchInto, ConvColGradBatchInto) build one plan per call
-// and let every image of the batch read it. Packing buffers come from an
-// internal Pool, so steady-state calls allocate nothing unless they
-// fork.
+// two offset tables: a convolution's padded image or its output
+// gradient laid on a canvas, a dense layer's W, or an output gradient
+// dy. The batch calls a convolution layer makes (ConvForwardBatchInto,
+// ConvInputGradBatchInto) build one plan per call and let every image of
+// the batch read it. Packing buffers come from an internal Pool, so
+// steady-state calls allocate nothing unless they fork.
 //
-// Determinism: every output element is produced by exactly one
-// micro-kernel call that accumulates its k terms in ascending order in a
-// single accumulator. Chunk boundaries fall between MR-row blocks and
-// never change any element's accumulation sequence, so results are
-// bit-identical at any worker count — the same contract the previous
-// scalar kernels had. In the default "exact" numeric mode the kernels
+// Determinism: a plan's k steps fall into groups of equal length — one
+// group of all k for every product but the input gradient, whose groups
+// are its kernel taps. Every output element is one accumulator per
+// group, over that group's terms in ascending order, and the groups'
+// results are added onto it in ascending order: the first group's
+// kernel call stores the tile, each later one adds its tile onto it.
+// Chunk boundaries fall between MR-row blocks and never change any
+// element's accumulation sequence, so results are bit-identical at any
+// worker count — the same contract the previous scalar kernels had. In
+// the default "exact" numeric mode the kernels
 // round every multiply and add separately (scalar and AVX2 paths agree
 // bit-for-bit); a Reassociate mode swaps in FMA kernels whose results
 // are still worker-count-independent but only tolerance-comparable to
@@ -52,11 +56,13 @@ var offsetPool slicePool[int]
 // rowKernFunc computes one MR×NR tile of a row-indirect product over
 // the full extent of koff: element (r, j) is the sum over kk of
 // bp[kk*NR+j] · x[rows[r]+koff[kk]], where bp is a packed panel of the
-// small operand. The tile is overwritten and stored transposed: column
-// j starts at c[j*ldc]. koff must not be empty. The pair form needs no
-// type of its own: it is a rowKernFunc that reads 2·MR rows and stores
-// 2·MR-long columns, with the result two calls would give, bit for bit.
-type rowKernFunc func(x []float64, rows, koff []int, bp, c []float64, ldc int)
+// small operand, in one accumulator that starts at +0. The tile is
+// stored transposed, column j at c[j*ldc]: it overwrites c, or with add
+// it is added onto what c holds (c + tile, element by element). koff
+// must not be empty. The pair form needs no type of its own: it is a
+// rowKernFunc that reads 2·MR rows and stores 2·MR-long columns, with
+// the result two calls would give, bit for bit.
+type rowKernFunc func(x []float64, rows, koff []int, bp, c []float64, ldc int, add bool)
 
 // rowKernExact / rowKernFast are the active micro-kernels, overridden at
 // init by the amd64 vector kernels when the CPU supports them. The exact
@@ -123,9 +129,9 @@ func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 // with dense (outC × k) small and x large: the kernels, the two offset
 // tables and dense, packed. x is the micro-kernel's broadcast operand
 // and is read where it lies; only dense is packed — once per plan,
-// however many x's read it — from its (outC × k) storage or, kMajor,
-// its (k × outC) one. newRowPlan leases the buffers; release returns
-// them.
+// however many x's read it. newRowPlan leases the buffers and its
+// caller packs dense; release returns them. The k steps are summed in
+// groups of group steps (see the determinism contract above).
 //
 // Plans are pooled, and each binds its loop body once, when it is made:
 // a batch call that forks hands parallel.For that stored body rather
@@ -139,11 +145,15 @@ func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 // kernel has no edge path. MR-row blocks are partitioned across the
 // worker pool. Its uses:
 //
-//   - Convolution (newConvPlan). In padded coordinates the column matrix
-//     of an image is a sum of two offset tables, col[t][p] = x[tap[t] +
-//     pos[p]] (paddedGrids), so (row, koff) = (pos, tap) for the forward
-//     pass and (tap, pos) for the weight gradient; x is the padded copy
-//     of each image in turn, and past rows read its zero half.
+//   - Convolution forward and weight gradient (newConvPlan). In padded
+//     coordinates the column matrix of an image is a sum of two offset
+//     tables, col[t][p] = x[tap[t] + pos[p]] (paddedGrids), so (row,
+//     koff) = (pos, tap) for the forward pass and (tap, pos) for the
+//     weight gradient; x is the padded copy of each image in turn, and
+//     past rows read its zero half.
+//   - Convolution input gradient (newInputGradPlan): rows are input
+//     pixels, k runs over (tap, output channel) and x is each output
+//     gradient laid on a canvas (see there).
 //   - A row-major matrix read in place (denseInto), whose two tables are
 //     lines and whose past rows read its row 0. With b (k×n) read in
 //     place, koff[kk] = kk·n and row[r] = r: the matmul a@b, a dense
@@ -151,23 +161,17 @@ func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 //     weight gradient xᵀ@dy, has dense = a stored (k×m), kMajor. A dense
 //     layer's input gradient dx = dy@Wᵀ reads W (in×out) with koff[kk]
 //     = kk and row[r] = r·out, and has dense = dy.
-//   - A convolution's column gradients dcol_i = Wᵀ@dy_i
-//     (ConvColGradBatchInto): aᵀ@b for each image, so dense = W, kMajor,
-//     and each dy_i is read in place.
 type rowPlan struct {
 	kern, pair         rowKernFunc
 	offs, koff, rowOff []int     // offs is the lease koff and rowOff live in
 	bp                 []float64 // dense, packed into k×NR panels
-	outC, rows         int
+	outC, rows, group  int
 	rblocks, grain     int
 
-	// What images reads: items of srcSize elements from src, whose
-	// outputs it writes to dst, adding bias[oc] (nil for none) to every
-	// element of row oc. With pad > 0 an item is an image of geometry
-	// g, copied into a padded image of pad elements first; otherwise it
-	// is read in place.
-	g              ConvGeom
-	pad, srcSize   int
+	// What images reads: items from src, each placed on cv before the
+	// kernel reads it, whose outputs it writes to dst, adding bias[oc]
+	// (nil for none) to every element of row oc.
+	cv             canvas
 	dst, bias, src []float64
 	body           func(lo, hi int) // images, bound once
 }
@@ -178,26 +182,26 @@ var rowPlans = sync.Pool{New: func() any {
 	return p
 }}
 
-// newRowPlan builds the plan of dense — (outC × k), or kMajor (k × outC)
-// — against an x of xLen elements, with koff and the rows' offsets the
-// points of kGrid and rowGrid and past rows at pastRow. The kernels
-// index x with no bounds check, so it panics unless every offset it will
-// read — the largest row (past rows included) plus the largest koff — is
-// inside x.
-func newRowPlan(dense []float64, kMajor bool, outC int, kGrid, rowGrid offsetGrid, pastRow, xLen int) *rowPlan {
+// newRowPlan builds the plan of an (outC × k) dense operand against an
+// x of xLen elements, with koff and the rows' offsets the points of
+// kGrid and rowGrid, past rows at pastRow, and all k steps one group.
+// The caller packs dense into p.bp. The kernels index x with no bounds
+// check, so it panics unless every offset it will read — the largest row
+// (past rows included) plus the largest koff — is inside x.
+func newRowPlan(outC int, kGrid, rowGrid offsetGrid, pastRow, xLen int) *rowPlan {
 	k, rows := kGrid.size(), rowGrid.size()
 	rblocks := (rows + gemmMR - 1) / gemmMR
 	if k > 0 && rows > 0 {
-		hi := rowGrid.last()
+		hi := rowGrid.hi()
 		if rblocks*gemmMR > rows {
 			hi = max(hi, pastRow)
 		}
-		if end := hi + kGrid.last(); end >= xLen {
+		if end := hi + kGrid.hi(); end >= xLen {
 			panic(fmt.Sprintf("tensor: row plan reads x[%d], past its %d elements", end, xLen))
 		}
 	}
 	p := rowPlans.Get().(*rowPlan)
-	p.outC, p.rows, p.rblocks = outC, rows, rblocks
+	p.outC, p.rows, p.rblocks, p.group = outC, rows, rblocks, k
 	p.kern, p.pair = rowKernels(rows, k, outC)
 	p.offs = offsetPool.GetSlice(k + rblocks*gemmMR)
 	p.koff, p.rowOff = p.offs[:k], p.offs[k:]
@@ -207,25 +211,70 @@ func newRowPlan(dense []float64, kMajor bool, outC int, kGrid, rowGrid offsetGri
 		p.rowOff[r] = pastRow
 	}
 	p.bp = packPool.GetSlice((outC + gemmNR - 1) / gemmNR * k * gemmNR)
-	if kMajor {
-		packB(p.bp, dense, k, outC)
-	} else {
-		packBTrans(p.bp, dense, k, outC)
-	}
 	p.grain = grainRows(2 * k * outC * gemmMR)
 	return p
 }
 
 // newConvPlan builds the plan of dense (outC × k) against images of g's
 // geometry: the forward product, or with weightGrad the weight
-// gradient's. x is a padded copy and its zero half (padImage).
+// gradient's. x is a padded copy and its zero half (paddedGrids).
 func newConvPlan(dense []float64, outC int, g ConvGeom, weightGrad bool) *rowPlan {
-	kGrid, rowGrid, size := paddedGrids(g)
+	kGrid, rowGrid, cv := paddedGrids(g)
 	if weightGrad {
 		kGrid, rowGrid = rowGrid, kGrid
 	}
-	p := newRowPlan(dense, false, outC, kGrid, rowGrid, size, 2*size)
-	p.g, p.pad, p.srcSize = g, size, g.ImageSize()
+	size := cv.size()
+	p := newRowPlan(outC, kGrid, rowGrid, size, 2*size)
+	packBTrans(p.bp, dense, len(p.koff), outC)
+	p.cv = cv
+	return p
+}
+
+// newInputGradPlan builds the input-gradient plan of w (outC × InC·T,
+// T = KH·KW taps) against output gradients of g's geometry:
+//
+//	dx[c][ih][iw] = Σ_t Σ_oc w[oc][c·T+t] · dy[oc][oh][ow]
+//
+// over the taps t = (kh, kw) and output positions (oh, ow) with
+// ih = oh·StrideH − PadH + kh and iw = ow·StrideW − PadW + kw — what
+// col2im makes of the column gradients wᵀ@dy. Rows are input pixels and
+// k runs over taps, tap-major with oc inside, in groups of outC: one per
+// tap. The dense operand is w rearranged as it is packed (packTaps):
+// B[t·outC+oc][c] = w[oc][c·T+t].
+//
+// x is dy laid on a canvas: outC zeroed planes of H′ × W′ =
+// (InH+KH−1) × (InW+KW−1), dy[oc][oh][ow] at (oh·StrideH + KH−1−PadH,
+// ow·StrideW + KW−1−PadW), anything outside cropped — for stride 1 and
+// PadH ≤ KH−1 that is dy zero-padded by KH−1−PadH. Pixel
+// (ih, iw) is at offset ih·W′+iw and tap (kh, kw, oc) at oc·H′W′ +
+// (KH−1−kh)·W′ + (KW−1−kw), so the kernel reads dy[oc][oh][ow] exactly
+// where ih − kh = oh·StrideH − PadH, and a zero of the canvas wherever
+// the tap puts the pixel under no output position. Past rows read the
+// zero half after the canvas, as in the forward plan.
+//
+// Why the bits are col2im's: every element comes out as ((s₀ + s₁) + …)
+// over the taps in ascending order, each s_t one ascending accumulator
+// over oc that starts at +0 — the sum a column-gradient element holds,
+// added in the order col2im visits taps. A tap that falls on the
+// canvas's zeros gives s_t = +0 when the weights are finite, and
+// x + (+0) = x for every x but −0; no partial sum is ever −0, because
+// under round-to-nearest a sum that starts at +0 reaches −0 only by
+// adding −0 to −0. So adding the zero taps col2im skipped moves no bit,
+// and starting from s₀ rather than from a zeroed dx moves none either.
+// The one divergence is a non-finite weight: it turns a zero tap into
+// NaN where col2im skipped the term — as the forward pass already
+// multiplies w by its padding zeros.
+func newInputGradPlan(w []float64, outC int, g ConvGeom) *rowPlan {
+	cv := canvas{c: outC, h: g.OutH(), w: g.OutW(), ch: g.InH + g.KH - 1, cw: g.InW + g.KW - 1,
+		oh: g.KH - 1 - g.PadH, ow: g.KW - 1 - g.PadW, sh: g.StrideH, sw: g.StrideW}
+	kGrid := offsetGrid{o: (g.KH-1)*cv.cw + g.KW - 1,
+		d0: g.KH, d1: g.KW, d2: outC, s0: -cv.cw, s1: -1, s2: cv.ch * cv.cw}
+	rowGrid := offsetGrid{d0: 1, d1: g.InH, d2: g.InW, s1: cv.cw, s2: 1}
+	size := cv.size()
+	p := newRowPlan(g.InC, kGrid, rowGrid, size, 2*size)
+	p.group = outC
+	packTaps(p.bp, w, outC, g.InC, g.KH*g.KW)
+	p.cv = cv
 	return p
 }
 
@@ -252,21 +301,24 @@ func (p *rowPlan) run(dst, x, spill []float64) {
 	}
 }
 
-// images computes the product of items [lo, hi) of p.src, each writing
-// its own (outC × rows) block of p.dst, and adds p.bias[oc] to every
-// element of row oc. The padded copies and the spill tile share one
-// lease.
+// images computes the product of items [lo, hi) of p.src, each placed
+// on p.cv and writing its own (outC × rows) block of p.dst, and adds
+// p.bias[oc] to every element of row oc. The canvas, its zero half and
+// the spill tile share one lease. The canvas is cleared once: every item
+// lands on the same positions, so the rest stays zero from item to
+// item. The zero half is cleared only when there are past rows to read
+// it.
 func (p *rowPlan) images(lo, hi int) {
-	outSize := p.outC * p.rows
-	buf := packPool.GetSlice(2*p.pad + gemmMR*gemmNR)
-	padded, spill := buf[:2*p.pad], buf[2*p.pad:]
+	outSize, srcSize, size := p.outC*p.rows, p.cv.srcSize(), p.cv.size()
+	buf := packPool.GetSlice(2*size + gemmMR*gemmNR)
+	x, spill := buf[:size], buf[2*size:]
+	if p.rblocks*gemmMR > p.rows {
+		x = buf[:2*size]
+	}
+	clear(x)
 	for i := lo; i < hi; i++ {
 		out := p.dst[i*outSize : (i+1)*outSize]
-		x := p.src[i*p.srcSize : (i+1)*p.srcSize]
-		if p.pad > 0 {
-			padImage(padded, x, p.g)
-			x = padded
-		}
+		p.cv.place(x, p.src[i*srcSize:(i+1)*srcSize])
 		p.run(out, x, spill)
 		for oc, b := range p.bias {
 			row := out[oc*p.rows : (oc+1)*p.rows]
@@ -291,50 +343,65 @@ func rowPlanParallel(p *rowPlan, dst, x []float64) {
 }
 
 // chunk runs the row-indirect micro-kernel over every tile of row blocks
-// [blo, bhi) against x. Full tiles are stored straight into dst, which
-// is (outC × rows) row-major — the kernel's transposed store; ragged
-// ones go through spill (heap-backed, so that passing it to the kernel
-// does not force a per-call allocation) and only their live part is
-// copied out.
+// [blo, bhi) against x, once per group of k steps, groups in ascending
+// order: the first group's calls store each tile, each later group's
+// add onto it. Full tiles are stored straight into dst, which is
+// (outC × rows) row-major — the kernel's transposed store; ragged ones
+// go through spill (heap-backed, so that passing it to the kernel does
+// not force a per-call allocation) and only their live part is copied
+// out, or added. The loop over groups is outermost, so a product of one
+// group — every product but the input gradient — adds nothing to a
+// kernel call: a dense layer's weight gradient, whose k is the batch,
+// makes hundreds of 8-step calls.
 //
 // When pair is not nil, two full row blocks at a time go to it wherever
 // the column panel is full too. A pair never straddles a chunk boundary
 // and computes each element exactly as kern would, so neither the
 // worker count nor the presence of pair is visible in any bit.
 func (p *rowPlan) chunk(dst, x, spill []float64, blo, bhi int) {
-	kern, pair, rowOff, koff, bp := p.kern, p.pair, p.rowOff, p.koff, p.bp
-	rows, outC, k := p.rows, p.outC, len(koff)
-	for bi := blo; bi < bhi; {
-		blocks := 1
-		if pair != nil && bi+2 <= bhi && (bi+2)*gemmMR <= rows {
-			blocks = 2
-		}
-		for j0 := 0; j0 < outC; j0 += gemmNR {
-			jb := min(outC-j0, gemmNR)
-			bpan := bp[j0*k:]
-			if blocks == 2 && jb == gemmNR {
-				pair(x, rowOff[bi*gemmMR:], koff, bpan, dst[j0*rows+bi*gemmMR:], rows)
-				continue
+	kern, pair, rowOff, bp := p.kern, p.pair, p.rowOff, p.bp
+	rows, outC, k := p.rows, p.outC, len(p.koff)
+	for g := 0; g < k; g += p.group {
+		koff, add := p.koff[g:g+p.group], g > 0
+		for bi := blo; bi < bhi; {
+			blocks := 1
+			if pair != nil && bi+2 <= bhi && (bi+2)*gemmMR <= rows {
+				blocks = 2
 			}
-			for b := bi; b < bi+blocks; b++ {
-				r0 := b * gemmMR
-				rb := min(rows-r0, gemmMR)
-				if rb == gemmMR && jb == gemmNR {
-					kern(x, rowOff[r0:], koff, bpan, dst[j0*rows+r0:], rows)
+			for j0 := 0; j0 < outC; j0 += gemmNR {
+				jb := min(outC-j0, gemmNR)
+				bpan := bp[j0*k+g*gemmNR:]
+				if blocks == 2 && jb == gemmNR {
+					pair(x, rowOff[bi*gemmMR:], koff, bpan, dst[j0*rows+bi*gemmMR:], rows, add)
 					continue
 				}
-				kern(x, rowOff[r0:], koff, bpan, spill, gemmMR)
-				for j := 0; j < jb; j++ {
-					copy(dst[(j0+j)*rows+r0:][:rb], spill[j*gemmMR:])
+				for b := bi; b < bi+blocks; b++ {
+					r0 := b * gemmMR
+					rb := min(rows-r0, gemmMR)
+					if rb == gemmMR && jb == gemmNR {
+						kern(x, rowOff[r0:], koff, bpan, dst[j0*rows+r0:], rows, add)
+						continue
+					}
+					kern(x, rowOff[r0:], koff, bpan, spill, gemmMR, false)
+					for j := 0; j < jb; j++ {
+						d, s := dst[(j0+j)*rows+r0:][:rb], spill[j*gemmMR:][:rb]
+						if !add {
+							copy(d, s)
+							continue
+						}
+						for r, v := range s {
+							d[r] += v
+						}
+					}
 				}
 			}
+			bi += blocks
 		}
-		bi += blocks
 	}
 }
 
-// convGemmInto is one image's product of either kind: a plan, then that
-// plan's one image.
+// convGemmInto is one image's forward or weight-gradient product: a
+// plan, then that plan's one image.
 func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, weightGrad bool) {
 	p := newConvPlan(dense, outC, g, weightGrad)
 	p.dst, p.src = dst, img
@@ -347,34 +414,41 @@ func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, wei
 // through kGrid and rowGrid. Past rows read at row 0, which every table
 // keeps inside x.
 func denseInto(dst, dense []float64, kMajor bool, outC int, x []float64, kGrid, rowGrid offsetGrid) {
-	p := newRowPlan(dense, kMajor, outC, kGrid, rowGrid, 0, len(x))
+	p := newRowPlan(outC, kGrid, rowGrid, 0, len(x))
+	if kMajor {
+		packB(p.bp, dense, len(p.koff), outC)
+	} else {
+		packBTrans(p.bp, dense, len(p.koff), outC)
+	}
 	spill := packPool.GetSlice(gemmMR * gemmNR)
 	p.run(dst, x, spill)
 	packPool.PutSlice(spill)
 	p.release()
 }
 
-// ConvColGradBatchInto computes the column gradients of a convolution's
-// input half for a whole batch: dcol_i = wᵀ @ dy_i for each of the n
-// images, where w is (outC × InC*KH*KW), dy holds n (outC × OutH*OutW)
-// output gradients and dcols, whose leading dimension is n, receives n
-// (InC*KH*KW × OutH*OutW) column matrices — the layout Col2ImBatch
-// scatters back to image space.
+// ConvInputGradBatchInto computes a convolution's input gradient for a
+// whole batch: for each of the n output gradients of dy (each
+// (outC × OutH*OutW)), dx_i = col2im(wᵀ @ dy_i), where w is
+// (outC × InC*KH*KW) and dx, whose leading dimension is n, receives n
+// CHW images of g's geometry. Every element of dx is overwritten. No
+// column gradient is materialized: each tile of dx_i is computed tap by
+// tap in col2im's order (newInputGradPlan), so the result is
+// bit-identical to n MatMulTransAInto calls scattered back by a
+// per-element col2im onto zeroed images, at any worker count, as long
+// as w is finite.
 //
-// w is packed once for the batch, and every image reads that one
-// read-only plan; each dy_i is read where it lies. Images are
-// partitioned across the worker pool and each writes its own column
-// matrix, so the result is bit-identical to n MatMulTransAInto calls at
-// any worker count. It returns dcols.
-func ConvColGradBatchInto(dcols, w, dy *Tensor, g ConvGeom) *Tensor {
-	m, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
-	k := checkConvDense("ConvColGradBatchInto", w, m, g)
-	n := checkConvBatch("ConvColGradBatchInto", dcols, m*spatial, dy, k*spatial, g)
-	p := newRowPlan(w.Data, true, m, line(k, spatial), line(spatial, 1), 0, k*spatial)
-	p.dst, p.src, p.srcSize = dcols.Data, dy.Data, k*spatial
+// w is rearranged and packed once for the batch, and every image reads
+// that one read-only plan; images are partitioned across the worker
+// pool, each writing its own dx_i. It returns dx.
+func ConvInputGradBatchInto(dx, w, dy *Tensor, g ConvGeom) *Tensor {
+	spatial := g.OutH() * g.OutW()
+	outC := checkConvDense("ConvInputGradBatchInto", w, g.InC*g.KH*g.KW, g)
+	n := checkConvBatch("ConvInputGradBatchInto", dx, g.ImageSize(), dy, outC*spatial, g)
+	p := newInputGradPlan(w.Data, outC, g)
+	p.dst, p.src = dx.Data, dy.Data
 	parallel.For(n, 1, p.body)
 	p.release()
-	return dcols
+	return dx
 }
 
 // ConvForwardBatchInto computes a convolution's forward pass for a whole

@@ -2,7 +2,8 @@
 
 package tensor
 
-// Vector micro-kernel bindings. The kernels are selected at init after
+// Vector micro-kernel bindings; each takes the add flag of rowKernFunc
+// as its last argument. The kernels are selected at init after
 // a CPUID probe: the exact kernel needs AVX2 (and OS-enabled YMM state),
 // the fast kernel additionally needs FMA, the exact 8×8 pair kernel
 // AVX-512F (and OS-enabled opmask and ZMM state). Without the hardware
@@ -11,33 +12,33 @@ package tensor
 // assembly kernel performs the same per-element operation sequence.
 
 //go:noescape
-func ukernRowExact4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
+func ukernRowExact4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64, add bool)
 
 //go:noescape
-func ukernRowFast4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
+func ukernRowFast4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64, add bool)
 
 //go:noescape
-func ukernRowExact8x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
+func ukernRowExact8x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64, add bool)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-func rowKernExactAVX2(x []float64, rows, koff []int, bp, c []float64, ldc int) {
-	ukernRowExact4x8(int64(len(koff)), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc))
+func rowKernExactAVX2(x []float64, rows, koff []int, bp, c []float64, ldc int, add bool) {
+	ukernRowExact4x8(int64(len(koff)), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc), add)
 }
 
-func rowKernFastAVX2(x []float64, rows, koff []int, bp, c []float64, ldc int) {
-	ukernRowFast4x8(int64(len(koff)), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc))
+func rowKernFastAVX2(x []float64, rows, koff []int, bp, c []float64, ldc int, add bool) {
+	ukernRowFast4x8(int64(len(koff)), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc), add)
 }
 
 // rowKernExactAVX512 indexes the last element each operand must hold,
 // so a short offset table, panel or tile panics here and the assembly
 // never reads or writes past a slice (k < 1 panics too).
-func rowKernExactAVX512(x []float64, rows, koff []int, bp, c []float64, ldc int) {
+func rowKernExactAVX512(x []float64, rows, koff []int, bp, c []float64, ldc int, add bool) {
 	k := len(koff)
 	_, _, _ = rows[2*gemmMR-1], bp[k*gemmNR-1], c[(gemmNR-1)*ldc+2*gemmMR-1]
-	ukernRowExact8x8(int64(k), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc))
+	ukernRowExact8x8(int64(k), &x[0], &rows[0], &koff[0], &bp[0], &c[0], int64(ldc), add)
 }
 
 func init() {

@@ -13,52 +13,76 @@
 // with the packed value as the multiply's first source — the
 // determinism contract of the engine, and the operation sequence of
 // rowKernExactGeneric. The tile is stored transposed, column j at
-// c[j*ldc], because the callers' outputs are (outC × rows) row-major.
+// c[j*ldc], because the callers' outputs are (outC × rows) row-major —
+// overwriting c or, when the add argument is set, added onto it
+// (c + tile), which is how the input gradient's later tap groups land.
 // k must be ≥ 1 (the loops are do-while shaped; rowPlan.run never hands
 // a kernel an empty table).
 
-// STORE_TILE_TRANSPOSED writes the 4×8 tile held as rows (Y0|Y1, Y2|Y3,
-// Y4|Y5, Y6|Y7) to c column by column: c[j*ldc + r] for j < 8, r < 4,
-// eight 4-wide stores. Each half of the tile is one 4×4 transpose —
-// unpack pairs of rows, then recombine 128-bit lanes. DI = c, SI = ldc
-// in bytes.
-#define STORE_TILE_TRANSPOSED \
-	VUNPCKLPD Y2, Y0, Y8 \
-	VUNPCKHPD Y2, Y0, Y9 \
-	VUNPCKLPD Y6, Y4, Y10 \
-	VUNPCKHPD Y6, Y4, Y11 \
+// TRANSPOSE_HALF(r0, r1, r2, r3) turns one half of the 4×8 tile — four
+// 4-wide row vectors, (Y0, Y2, Y4, Y6) for columns 0–3 or (Y1, Y3, Y5,
+// Y7) for columns 4–7 — into its four columns in Y12–Y15: unpack pairs
+// of rows, then recombine 128-bit lanes. Y8–Y11 are scratch, and dead
+// after it.
+#define TRANSPOSE_HALF(r0, r1, r2, r3) \
+	VUNPCKLPD r1, r0, Y8 \
+	VUNPCKHPD r1, r0, Y9 \
+	VUNPCKLPD r3, r2, Y10 \
+	VUNPCKHPD r3, r2, Y11 \
 	VPERM2F128 $0x20, Y10, Y8, Y12 \
 	VPERM2F128 $0x20, Y11, Y9, Y13 \
 	VPERM2F128 $0x31, Y10, Y8, Y14 \
-	VPERM2F128 $0x31, Y11, Y9, Y15 \
-	VMOVUPD Y12, (DI) \
-	ADDQ SI, DI \
-	VMOVUPD Y13, (DI) \
-	ADDQ SI, DI \
-	VMOVUPD Y14, (DI) \
-	ADDQ SI, DI \
-	VMOVUPD Y15, (DI) \
-	ADDQ SI, DI \
-	VUNPCKLPD Y3, Y1, Y8 \
-	VUNPCKHPD Y3, Y1, Y9 \
-	VUNPCKLPD Y7, Y5, Y10 \
-	VUNPCKHPD Y7, Y5, Y11 \
-	VPERM2F128 $0x20, Y10, Y8, Y12 \
-	VPERM2F128 $0x20, Y11, Y9, Y13 \
-	VPERM2F128 $0x31, Y10, Y8, Y14 \
-	VPERM2F128 $0x31, Y11, Y9, Y15 \
-	VMOVUPD Y12, (DI) \
-	ADDQ SI, DI \
-	VMOVUPD Y13, (DI) \
-	ADDQ SI, DI \
-	VMOVUPD Y14, (DI) \
-	ADDQ SI, DI \
-	VMOVUPD Y15, (DI)
+	VPERM2F128 $0x31, Y11, Y9, Y15
 
-// func ukernRowExact4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
+// PUT_COL(col) stores one column of the tile at DI and steps DI to the
+// next column (SI = ldc in bytes); ADD_COL(col, tmp) adds it onto what
+// is there instead, as c + tile, the order rowKernExactGeneric's += has.
+#define PUT_COL(col) \
+	VMOVUPD col, (DI) \
+	ADDQ SI, DI
+
+#define ADD_COL(col, tmp) \
+	VMOVUPD (DI), tmp \
+	VADDPD col, tmp, tmp \
+	VMOVUPD tmp, (DI) \
+	ADDQ SI, DI
+
+// STORE_TILE_TRANSPOSED writes the 4×8 tile held as rows (Y0|Y1, Y2|Y3,
+// Y4|Y5, Y6|Y7) to c column by column, c[j*ldc + r] for j < 8, r < 4 —
+// overwriting c, or adding onto it when the add argument is set. DI = c,
+// SI = ldc in bytes. It ends the kernel.
+#define STORE_TILE_TRANSPOSED(addlabel) \
+	TRANSPOSE_HALF(Y0, Y2, Y4, Y6) \
+	CMPB add+56(FP), $0 \
+	JNE addlabel \
+	PUT_COL(Y12) \
+	PUT_COL(Y13) \
+	PUT_COL(Y14) \
+	PUT_COL(Y15) \
+	TRANSPOSE_HALF(Y1, Y3, Y5, Y7) \
+	PUT_COL(Y12) \
+	PUT_COL(Y13) \
+	PUT_COL(Y14) \
+	PUT_COL(Y15) \
+	VZEROUPPER \
+	RET \
+addlabel: \
+	ADD_COL(Y12, Y8) \
+	ADD_COL(Y13, Y9) \
+	ADD_COL(Y14, Y10) \
+	ADD_COL(Y15, Y11) \
+	TRANSPOSE_HALF(Y1, Y3, Y5, Y7) \
+	ADD_COL(Y12, Y8) \
+	ADD_COL(Y13, Y9) \
+	ADD_COL(Y14, Y10) \
+	ADD_COL(Y15, Y11) \
+	VZEROUPPER \
+	RET
+
+// func ukernRowExact4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64, add bool)
 //
 // Exact mode: VMULPD then VADDPD, bit-identical to rowKernExactGeneric.
-TEXT ·ukernRowExact4x8(SB), NOSPLIT, $0-56
+TEXT ·ukernRowExact4x8(SB), NOSPLIT, $0-57
 	MOVQ k+0(FP), CX
 	MOVQ x+8(FP), AX
 	MOVQ rows+16(FP), R12
@@ -120,16 +144,14 @@ rowexact_loop:
 	DECQ CX
 	JNZ  rowexact_loop
 
-	STORE_TILE_TRANSPOSED
-	VZEROUPPER
-	RET
+	STORE_TILE_TRANSPOSED(rowexact_add)
 
-// func ukernRowFast4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
+// func ukernRowFast4x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64, add bool)
 //
 // Fast mode: the same tile with fused multiply-add — one rounding per
 // update instead of two. Only reachable through a Reassociate numeric
 // mode; pinned by tolerance tests, not bit-equality.
-TEXT ·ukernRowFast4x8(SB), NOSPLIT, $0-56
+TEXT ·ukernRowFast4x8(SB), NOSPLIT, $0-57
 	MOVQ k+0(FP), CX
 	MOVQ x+8(FP), AX
 	MOVQ rows+16(FP), R12
@@ -183,9 +205,7 @@ rowfast_loop:
 	DECQ CX
 	JNZ  rowfast_loop
 
-	STORE_TILE_TRANSPOSED
-	VZEROUPPER
-	RET
+	STORE_TILE_TRANSPOSED(rowfast_add)
 
 // The AVX-512 body of the exact kernel: an 8×8 tile — two vertically
 // adjacent MR-row blocks against one packed panel — in eight ZMM
@@ -211,14 +231,14 @@ rowfast_loop:
 	VPXORQ Z6, Z6, Z6 \
 	VPXORQ Z7, Z7, Z7
 
-// func ukernRowExact8x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64)
+// func ukernRowExact8x8(k int64, x *float64, rows, koff *int, bp, c *float64, ldc int64, add bool)
 //
 // The 8×8 tile: eight row pointers &x[rows[r]], and the
 // transposed store as one in-register 8×8 transpose — unpack pairs of
 // rows, then two rounds of 128-bit lane shuffles ($0x88 takes lanes
 // 0,2 of each source, $0xDD lanes 1,3) — followed by eight 64-byte
 // stores at c + j·ldc.
-TEXT ·ukernRowExact8x8(SB), NOSPLIT, $0-56
+TEXT ·ukernRowExact8x8(SB), NOSPLIT, $0-57
 	MOVQ x+8(FP), AX
 	MOVQ rows+16(FP), BX
 	MOVQ (BX), R8
@@ -303,21 +323,29 @@ rowexact8_loop:
 	VSHUFF64X2 $0xDD, Z3, Z1, Z14    // column 6
 	VSHUFF64X2 $0xDD, Z7, Z5, Z15    // column 7
 
-	VMOVUPD Z8, (DI)
-	ADDQ SI, DI
-	VMOVUPD Z9, (DI)
-	ADDQ SI, DI
-	VMOVUPD Z10, (DI)
-	ADDQ SI, DI
-	VMOVUPD Z11, (DI)
-	ADDQ SI, DI
-	VMOVUPD Z12, (DI)
-	ADDQ SI, DI
-	VMOVUPD Z13, (DI)
-	ADDQ SI, DI
-	VMOVUPD Z14, (DI)
-	ADDQ SI, DI
-	VMOVUPD Z15, (DI)
+	CMPB add+56(FP), $0
+	JNE  rowexact8_add
+	PUT_COL(Z8)
+	PUT_COL(Z9)
+	PUT_COL(Z10)
+	PUT_COL(Z11)
+	PUT_COL(Z12)
+	PUT_COL(Z13)
+	PUT_COL(Z14)
+	PUT_COL(Z15)
+	VZEROUPPER
+	RET
+
+	// The add form: c + column, with c loaded into the dead Z0–Z7.
+rowexact8_add:
+	ADD_COL(Z8, Z0)
+	ADD_COL(Z9, Z1)
+	ADD_COL(Z10, Z2)
+	ADD_COL(Z11, Z3)
+	ADD_COL(Z12, Z4)
+	ADD_COL(Z13, Z5)
+	ADD_COL(Z14, Z6)
+	ADD_COL(Z15, Z7)
 	VZEROUPPER
 	RET
 

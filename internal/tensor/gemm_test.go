@@ -179,7 +179,9 @@ func checkGEMMExhaustiveSmallShapes(t *testing.T) {
 // TestGEMMZeroK pins the degenerate inner dimension: every entry must
 // fully overwrite dst with zeros, not leave stale values, and must not
 // hand its do-while kernel an empty offset table (a kernel overhanging
-// its input has no output positions, which is the conv dW's k).
+// its input has no output positions, which is the conv dW's k; a
+// convolution with no output channels has no terms in its input
+// gradient).
 func TestGEMMZeroK(t *testing.T) {
 	g1 := ConvGeom{InC: 2, InH: 1, InW: 3, KH: 1, KW: 1, StrideH: 1, StrideW: 1} // 2 taps, 3 positions
 	for _, c := range []struct {
@@ -190,7 +192,7 @@ func TestGEMMZeroK(t *testing.T) {
 		{"MatMulTransAInto", MatMulTransAInto(Full(7, 2, 3), New(0, 2), New(0, 3))},
 		{"DenseForwardInto", DenseForwardInto(Full(7, 2, 3), New(2, 0), New(0, 3))},
 		{"DenseInputGradInto", DenseInputGradInto(Full(7, 2, 3), New(2, 0), New(3, 0))},
-		{"ConvColGradBatchInto", ConvColGradBatchInto(Full(7, 2, 2, 3), New(0, 2), New(2, 0, 3), g1)},
+		{"ConvInputGradBatchInto", ConvInputGradBatchInto(Full(7, 2, 2, 1, 3), New(0, 2), New(2, 0, 1, 3), g1)},
 	} {
 		for i, v := range c.got.Data {
 			if v != 0 {
@@ -214,31 +216,40 @@ func TestGEMMZeroK(t *testing.T) {
 // largest row plus largest koff — past rows included — falls outside x
 // panics when it is built, and one that fits exactly does not.
 func TestRowPlanRefusesShortX(t *testing.T) {
-	dense := make([]float64, 3*4)
-	build := func(kMajor bool, koff, rows offsetGrid, pastRow, xLen int) (panicked bool) {
+	build := func(koff, rows offsetGrid, pastRow, xLen int) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		newRowPlan(dense, kMajor, 3, koff, rows, pastRow, xLen).release()
+		newRowPlan(3, koff, rows, pastRow, xLen).release()
 		return false
 	}
 	// koff reaches 15, rows 3 (a full block of four): x needs 19 elements.
-	if build(false, line(4, 5), line(4, 1), 0, 19) {
+	if build(line(4, 5), line(4, 1), 0, 19) {
 		t.Fatal("plan that fits x exactly panicked")
 	}
-	if !build(false, line(4, 5), line(4, 1), 0, 18) {
+	if !build(line(4, 5), line(4, 1), 0, 18) {
 		t.Fatal("plan reading x[18] of 18 elements did not panic")
 	}
 	// Three rows leave a past row in the block: it is read too.
-	if !build(false, line(4, 5), line(3, 1), 9, 20) {
+	if !build(line(4, 5), line(3, 1), 9, 20) {
 		t.Fatal("plan whose past row reads x[24] of 20 elements did not panic")
 	}
-	// The operand aᵀ@b reads in place — dy (k×n) for a dense layer's dW,
-	// dy_i for each of a convolution's column gradients — through the
-	// tables MatMulTransAIntoOp and ConvColGradBatchInto build: koff
-	// line(k, n), rows line(n, 1), past rows at 0. With k = 4 and n = 6
-	// (a ragged second block) it must hold all k·n = 24 elements.
+	// The operand aᵀ@b reads in place — dy (k×n) for a dense layer's dW
+	// — through the tables MatMulTransAIntoOp builds: koff line(k, n),
+	// rows line(n, 1), past rows at 0. With k = 4 and n = 6 (a ragged
+	// second block) it must hold all k·n = 24 elements.
 	for _, xLen := range []int{24, 23} {
-		if got, want := build(true, line(4, 6), line(6, 1), 0, xLen), xLen < 24; got != want {
+		if got, want := build(line(4, 6), line(6, 1), 0, xLen), xLen < 24; got != want {
 			t.Fatalf("aᵀ@b plan over a %d-element dy: panicked = %v, want %v", xLen, got, want)
+		}
+	}
+	// The input gradient's tap table runs backwards from its origin: its
+	// largest offset is the first tap's, of the last output channel. Two
+	// channels of 3×3 canvas planes and 2×2 taps reach 9 + 3 + 1 = 13;
+	// the 2×2 pixels (rows 0, 1, 3, 4, a full block) reach 4.
+	taps := offsetGrid{o: 4, d0: 2, d1: 2, d2: 2, s0: -3, s1: -1, s2: 9}
+	pixels := offsetGrid{d0: 1, d1: 2, d2: 2, s1: 3, s2: 1}
+	for _, xLen := range []int{18, 17} {
+		if got, want := build(taps, pixels, 0, xLen), xLen < 18; got != want {
+			t.Fatalf("input-gradient plan over a %d-element canvas: panicked = %v, want %v", xLen, got, want)
 		}
 	}
 }
@@ -377,12 +388,31 @@ func requireSameFloats(t *testing.T, what string, got, want []float64) {
 // its portable body and whatever init installed (the assembly, on an
 // AVX2 host) on the same operands, and requires the same bits: the
 // portable kernel is the exact mode's definition and the only kernel off
-// amd64, yet nothing else calls it where the assembly is available. The
-// pair subtest is the 8×8 case.
+// amd64, yet nothing else calls it where the assembly is available. Both
+// store forms are held: the overwrite, and the add onto a tile that
+// already holds signed zeros, subnormals, infinities, NaNs and values
+// near the overflow threshold. The pair subtest is the 8×8 case; the
+// fast subtest holds the FMA body, both forms, by tolerance.
 func TestGenericKernelsMatchActive(t *testing.T) {
 	t.Logf("kernels: avx2=%v fma=%v avx512=%v", cpu.avx2, cpu.fma, cpu.avx512)
 	t.Run("tile", testTileKernelsMatchGeneric)
 	t.Run("pair", testPairKernelsMatchTwoGenericTiles)
+	t.Run("fast", testFastKernelNearGeneric)
+}
+
+// storeForms names the kernels' two store forms, by their add argument.
+var storeForms = map[bool]string{false: "store", true: "add"}
+
+// fillTile writes what an add-form call finds in c: hostile values
+// (fillHostile), and one element in four ±1e308, whose sum with a
+// product overflows or not by the last bit.
+func fillTile(rng *rand.Rand, c []float64) {
+	fillHostile(rng, c)
+	for i := range c {
+		if rng.Intn(4) == 0 {
+			c[i] = math.Copysign(1e308, rng.NormFloat64())
+		}
+	}
 }
 
 func testTileKernelsMatchGeneric(t *testing.T) {
@@ -396,10 +426,49 @@ func testTileKernelsMatchGeneric(t *testing.T) {
 			// Row r of the tile reads x at rows[r]+koff[kk]: overlapping
 			// windows of one buffer, as a convolution's are.
 			x, rows, koff := drawRowKernelOperands(rng, k, gemmMR)
-			got, want := make([]float64, gemmNR*ldc), make([]float64, gemmNR*ldc)
-			rowKernExact(x, rows, koff, bp, got, ldc)
-			rowKernExactGeneric(x, rows, koff, bp, want, ldc)
-			requireSameFloats(t, fmt.Sprintf("row kernel k=%d", k), got, want)
+			for add, form := range storeForms {
+				got, want := make([]float64, gemmNR*ldc), make([]float64, gemmNR*ldc)
+				fillTile(rng, want)
+				copy(got, want)
+				rowKernExact(x, rows, koff, bp, got, ldc, add)
+				rowKernExactGeneric(x, rows, koff, bp, want, ldc, add)
+				requireSameFloats(t, fmt.Sprintf("row kernel %s k=%d", form, k), got, want)
+			}
+		}
+	}
+}
+
+// testFastKernelNearGeneric holds the fast kernel, which may fuse each
+// multiply into its add, within a rounding error per term of the exact
+// one, in both store forms, on finite operands.
+func testFastKernelNearGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const ldc = 5
+	for k := 1; k <= 40; k++ {
+		bp := New(k*gemmNR).RandNormal(rng, 0, 1).Data
+		x := New(3*k+gemmMR).RandNormal(rng, 0, 1).Data
+		_, rows, koff := drawRowKernelOperands(rng, k, gemmMR)
+		for add, form := range storeForms {
+			got := New(gemmNR*ldc).RandNormal(rng, 0, 1).Data
+			want := append([]float64(nil), got...)
+			rowKernFast(x, rows, koff, bp, got, ldc, add)
+			rowKernExactGeneric(x, rows, koff, bp, want, ldc, add)
+			for j := 0; j < gemmNR; j++ {
+				for r := 0; r < gemmMR; r++ {
+					// The scale of element (r, j)'s terms bounds each
+					// step's rounding.
+					diff, bound := math.Abs(got[j*ldc+r]-want[j*ldc+r]), 0.0
+					for kk, off := range koff {
+						bound += math.Abs(bp[kk*gemmNR+j] * x[rows[r]+off])
+					}
+					if add {
+						bound += 4 // the prefilled value is a normal draw
+					}
+					if diff > 1e-12*bound {
+						t.Fatalf("fast row kernel %s k=%d element (%d,%d): %v vs exact %v", form, k, r, j, got[j*ldc+r], want[j*ldc+r])
+					}
+				}
+			}
 		}
 	}
 }
@@ -422,10 +491,11 @@ func drawRowKernelOperands(rng *rand.Rand, k, nrows int) (x []float64, rows, kof
 }
 
 // testPairKernelsMatchTwoGenericTiles holds the pair kernel to two
-// portable 4×8 calls on the same panel — the pairing must not be
-// visible in any bit. The tiles sit in a canary-filled buffer at a
-// column stride wider than the tile, so a store outside the tile is
-// caught as well.
+// portable 4×8 calls on the same panel, in both store forms — the
+// pairing must not be visible in any bit. The tiles sit in a
+// canary-filled buffer at a column stride wider than the tile, so a
+// store outside the tile is caught as well; the add form finds the tile
+// itself prefilled as testTileKernelsMatchGeneric's does.
 func testPairKernelsMatchTwoGenericTiles(t *testing.T) {
 	if rowKernExactPair == nil {
 		t.Skip("no pair kernel installed: it needs CPUID leaf 7 EBX bit 16 (AVX512F) with opmask and ZMM state enabled in XCR0")
@@ -444,11 +514,17 @@ func testPairKernelsMatchTwoGenericTiles(t *testing.T) {
 			bp := make([]float64, k*gemmNR)
 			fillHostile(rng, bp)
 			x, rows, koff := drawRowKernelOperands(rng, k, 2*gemmMR)
-			got, want := fresh(gemmNR*ldc), fresh(gemmNR*ldc)
-			rowKernExactPair(x, rows, koff, bp, got, ldc)
-			rowKernExactGeneric(x, rows, koff, bp, want, ldc)
-			rowKernExactGeneric(x, rows[gemmMR:], koff, bp, want[gemmMR:], ldc)
-			requireSameFloats(t, fmt.Sprintf("row pair kernel k=%d", k), got, want)
+			for add, form := range storeForms {
+				got, want := fresh(gemmNR*ldc), fresh(gemmNR*ldc)
+				for j := 0; j < gemmNR; j++ {
+					fillTile(rng, want[j*ldc:][:2*gemmMR])
+				}
+				copy(got, want)
+				rowKernExactPair(x, rows, koff, bp, got, ldc, add)
+				rowKernExactGeneric(x, rows, koff, bp, want, ldc, add)
+				rowKernExactGeneric(x, rows[gemmMR:], koff, bp, want[gemmMR:], ldc, add)
+				requireSameFloats(t, fmt.Sprintf("row pair kernel %s k=%d", form, k), got, want)
+			}
 		}
 	}
 }
@@ -482,7 +558,8 @@ func matrixCases(rng *rand.Rand, m, k, n int) []productCase {
 
 // convCases draws operands for the conv entries over g with outC output
 // channels: the two single-image products, and the two batch calls over
-// two images, the forward one with a bias.
+// two images, the forward one with a bias. The input gradient's
+// reference is col2im of the naive column gradients.
 func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
 	const batch = 2
 	taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
@@ -493,7 +570,7 @@ func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
 	}
 	img0, dy0 := imgs.Data[:g.ImageSize()], FromSlice(dys.Data[:outC*spatial], outC, spatial)
 	out0, dw0 := make([]float64, outC*spatial), make([]float64, outC*taps)
-	outs, dcols := make([]float64, batch*outC*spatial), make([]float64, batch*taps*spatial)
+	outs, dxs := make([]float64, batch*outC*spatial), make([]float64, batch*g.ImageSize())
 	cols := make([]float64, g.ColSize())
 	for i := 0; i < batch; i++ {
 		im2colRef(cols, imgs.Data[i*g.ImageSize():], g)
@@ -506,7 +583,8 @@ func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
 		for j := range out {
 			out[j] += bias.Data[j/spatial]
 		}
-		naiveTransA(dcols[i*taps*spatial:], w.Data, dys.Data[i*outC*spatial:], taps, outC, spatial)
+		naiveTransA(cols, w.Data, dys.Data[i*outC*spatial:], taps, outC, spatial)
+		col2imRef(dxs[i*g.ImageSize():], cols, g)
 	}
 	return []productCase{
 		{"ConvMatMulInto", func() []float64 { return ConvMatMulInto(New(outC, spatial), w, img0, g).Data }, out0},
@@ -514,9 +592,9 @@ func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
 		{"ConvForwardBatchInto", func() []float64 {
 			return ConvForwardBatchInto(New(batch, outC, spatial), w, bias, imgs, g).Data
 		}, outs},
-		{"ConvColGradBatchInto", func() []float64 {
-			return ConvColGradBatchInto(New(batch, taps, spatial), w, dys, g).Data
-		}, dcols},
+		{"ConvInputGradBatchInto", func() []float64 {
+			return ConvInputGradBatchInto(New(batch, g.InC, g.InH, g.InW), w, dys, g).Data
+		}, dxs},
 	}
 }
 
@@ -529,10 +607,10 @@ func usePortablePair(t *testing.T) *atomic.Int64 {
 	calls := new(atomic.Int64)
 	saved := rowKernExactPair
 	t.Cleanup(func() { rowKernExactPair = saved })
-	rowKernExactPair = func(x []float64, rows, koff []int, bp, c []float64, ldc int) {
+	rowKernExactPair = func(x []float64, rows, koff []int, bp, c []float64, ldc int, add bool) {
 		calls.Add(1)
-		rowKernExactGeneric(x, rows, koff, bp, c, ldc)
-		rowKernExactGeneric(x, rows[gemmMR:], koff, bp, c[gemmMR:], ldc)
+		rowKernExactGeneric(x, rows, koff, bp, c, ldc, add)
+		rowKernExactGeneric(x, rows[gemmMR:], koff, bp, c[gemmMR:], ldc, add)
 	}
 	return calls
 }
@@ -574,13 +652,15 @@ func checkPairDriversMatchNaive(t *testing.T) {
 				}
 			}
 		}
-		// The conv products: positions (forward, column gradients) and
-		// taps (dW) as rows, both ragged against 8, outC with and without
-		// a ragged panel.
-		g := ConvGeom{InC: 4, InH: 7, InW: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+		// The conv products: positions (forward), taps (dW) and pixels
+		// (input gradient) as rows, all ragged against 8, outC with and
+		// without a ragged panel, and the input gradient's 12 channels a
+		// full and a ragged panel.
+		g := ConvGeom{InC: 12, InH: 7, InW: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 		taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 		for _, outC := range []int{8, 13, 24} {
-			if !pairWorthwhile(spatial, taps, outC) || !pairWorthwhile(taps, spatial, outC) || !pairWorthwhile(spatial, outC, taps) {
+			if !pairWorthwhile(spatial, taps, outC) || !pairWorthwhile(taps, spatial, outC) ||
+				!pairWorthwhile(g.InH*g.InW, g.KH*g.KW*outC, g.InC) {
 				t.Fatalf("conv %+v outC=%d does not clear the pair gate", g, outC)
 			}
 			for _, c := range convCases(rng, g, outC) {
@@ -616,23 +696,33 @@ func TestPortablePairAtTheGate(t *testing.T) {
 		m, k, n := sh[0], sh[1], sh[2]
 		check(fmt.Sprintf("%d×%d×%d", m, k, n), steps(n, k, m), matrixCases(rng, m, k, n))
 	}
-	// Each geometry puts all three conv products at one step count: the
-	// forward tiles positions against outC over taps, dW taps against
-	// outC over positions, the column gradients positions against taps
-	// over outC.
+	// Each of the first two geometries puts the forward product and dW
+	// at one step count: the forward tiles positions against outC over
+	// taps, dW taps against outC over positions. The input gradient
+	// tiles pixels against input channels over taps × outC and has
+	// geometries of its own, the last two.
 	for _, c := range []struct {
-		g    ConvGeom
-		outC int
+		g         ConvGeom
+		outC      int
+		inputGrad bool
 	}{
-		{ConvGeom{InC: 7, InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 9},
-		{ConvGeom{InC: 16, InH: 3, InW: 5, KH: 2, KW: 2, StrideH: 1, StrideW: 1}, 8},
+		{ConvGeom{InC: 7, InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 9, false},
+		{ConvGeom{InC: 16, InH: 3, InW: 5, KH: 2, KW: 2, StrideH: 1, StrideW: 1}, 8, false},
+		{ConvGeom{InC: 8, InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 7, true},
+		{ConvGeom{InC: 8, InH: 2, InW: 4, KH: 2, KW: 2, StrideH: 1, StrideW: 1}, 16, true},
 	} {
 		taps, spatial := c.g.InC*c.g.KH*c.g.KW, c.g.OutH()*c.g.OutW()
-		s := steps(spatial, taps, c.outC)
-		if steps(taps, spatial, c.outC) != s || steps(spatial, c.outC, taps) != s {
-			t.Fatalf("conv %+v outC=%d: the three products take different step counts", c.g, c.outC)
+		cases := convCases(rng, c.g, c.outC)
+		what := fmt.Sprintf("conv %+v outC=%d", c.g, c.outC)
+		if c.inputGrad {
+			check(what, steps(c.g.InH*c.g.InW, c.g.KH*c.g.KW*c.outC, c.g.InC), cases[3:])
+			continue
 		}
-		check(fmt.Sprintf("conv %+v outC=%d", c.g, c.outC), s, convCases(rng, c.g, c.outC))
+		s := steps(spatial, taps, c.outC)
+		if steps(taps, spatial, c.outC) != s {
+			t.Fatalf("%s: the forward product and dW take different step counts", what)
+		}
+		check(what, s, cases[:3])
 	}
 }
 
@@ -716,7 +806,7 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 			DenseForwardInto(New(m, 40), a, b),
 			DenseInputGradInto(New(m, 64), dyDense, b),
 			MatMulTransAInto(New(m, 40), at, b),
-			ConvColGradBatchInto(New(1, colRows, spatial), w, FromSlice(dy.Data, 1, outC, spatial), g),
+			ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, FromSlice(dy.Data, 1, outC, spatial), g),
 		}
 	}
 	exact := products()
@@ -730,7 +820,7 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	fast1 := products()
 	parallel.SetWorkers(4)
 	fastN := products()
-	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto", "DenseForwardInto", "DenseInputGradInto", "MatMulTransAInto", "ConvColGradBatchInto"} {
+	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto", "DenseForwardInto", "DenseInputGradInto", "MatMulTransAInto", "ConvInputGradBatchInto"} {
 		if !AllClose(exact[i], fast1[i], 1e-10) {
 			t.Fatalf("%s: fast mode drifted beyond tolerance from exact mode", name)
 		}
@@ -741,8 +831,8 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 // FuzzPackedGEMM drives the packing index math (panel layouts, ragged
 // edge padding) and the row-indirect tables of the matrix entries with
 // fuzzed shapes and checks every orientation against the naive
-// references bit for bit — ConvColGradBatchInto too, as aᵀ@b over two
-// images; FuzzConvPack does the same for the other conv products.
+// references bit for bit; FuzzConvPack does the same for the conv
+// products.
 func FuzzPackedGEMM(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(9))
 	f.Add(int64(7), uint8(4), uint8(16), uint8(8))
@@ -772,18 +862,6 @@ func FuzzPackedGEMM(f *testing.F) {
 		naiveTransA(want, at, b, m, k, n)
 		MatMulTransAInto(FromSlice(got, m, n), FromSlice(at, k, m), FromSlice(b, k, n))
 		requireBitEqual(t, "fuzz MatMulTransAInto", got, want, m, k, n)
-
-		// The column gradients are aᵀ@b per image, at any geometry with m
-		// taps and n positions: here 1×1 kernels over a 1×n image.
-		g := ConvGeom{InC: m, InH: 1, InW: n, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
-		dys := make([]float64, 2*k*n)
-		copy(dys, b)
-		fillMixed(rng, dys[k*n:])
-		wantCols := make([]float64, 2*m*n)
-		naiveTransA(wantCols, at, dys, m, k, n)
-		naiveTransA(wantCols[m*n:], at, dys[k*n:], m, k, n)
-		gotCols := ConvColGradBatchInto(New(2, m, n), FromSlice(at, k, m), FromSlice(dys, 2, k, n), g)
-		requireBitEqual(t, "fuzz ConvColGradBatchInto", gotCols.Data, wantCols, m, k, n)
 
 		bt := make([]float64, n*k)
 		fillMixed(rng, bt)

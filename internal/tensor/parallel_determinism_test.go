@@ -120,33 +120,34 @@ func convTestGeom() ConvGeom {
 	}
 }
 
-func TestCol2ImBitIdenticalAcrossWorkers(t *testing.T) {
+func TestConvInputGradBitIdenticalAcrossWorkers(t *testing.T) {
 	g := convTestGeom()
+	const outC = 6
 	rng := rand.New(rand.NewSource(15))
-	src := New(g.ColSize()).RandNormal(rng, 0, 1)
-	mustBitIdentical(t, "Col2Im", atWorkers(t, func() []float64 {
-		dst := make([]float64, g.ImageSize())
-		Col2ImBatch(dst, src.Data, 1, g)
-		return dst
+	w := New(outC, g.InC*g.KH*g.KW).RandNormal(rng, 0, 1)
+	dy := New(1, outC, g.OutH()*g.OutW()).RandNormal(rng, 0, 1)
+	mustBitIdentical(t, "ConvInputGrad", atWorkers(t, func() []float64 {
+		return ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, dy, g).Data
 	}))
 }
 
-func TestCol2ImBatchMatchesPerSampleSerial(t *testing.T) {
+func TestConvInputGradBatchMatchesPerSampleSerial(t *testing.T) {
 	g := convTestGeom()
-	const n = 6
+	const n, outC = 6, 6
 	rng := rand.New(rand.NewSource(17))
-	src := New(n*g.ColSize()).RandNormal(rng, 0, 1)
+	w := New(outC, g.InC*g.KH*g.KW).RandNormal(rng, 0, 1)
+	perDY := outC * g.OutH() * g.OutW()
+	dys := New(n, outC, g.OutH(), g.OutW()).RandNormal(rng, 0, 1)
 
 	parallel.SetWorkers(1)
-	want := make([]float64, n*g.ImageSize())
+	want := make([]float64, 0, n*g.ImageSize())
 	for i := 0; i < n; i++ {
-		Col2ImBatch(want[i*g.ImageSize():(i+1)*g.ImageSize()], src.Data[i*g.ColSize():(i+1)*g.ColSize()], 1, g)
+		dy := FromSlice(dys.Data[i*perDY:(i+1)*perDY], 1, perDY)
+		want = append(want, ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, dy, g).Data...)
 	}
 	results := atWorkers(t, func() []float64 {
-		dst := make([]float64, n*g.ImageSize())
-		Col2ImBatch(dst, src.Data, n, g)
-		return dst
+		return ConvInputGradBatchInto(New(n, g.InC, g.InH, g.InW), w, dys, g).Data
 	})
 	parallel.SetWorkers(0)
-	mustBitIdentical(t, "Col2ImBatch", append([][]float64{want}, results...))
+	mustBitIdentical(t, "ConvInputGradBatchInto", append([][]float64{want}, results...))
 }

@@ -139,8 +139,8 @@ func BenchmarkAddInPlace(b *testing.B) {
 
 // paperConvGeoms are the two convolutions of the paper's GTSRB model as
 // the benchmark spine runs it (3→8 channels on 16×16, 8→16 on 8×8, both
-// 3×3 / stride 1 / pad 1): the shapes the conv products and the col2im
-// scatter spend the split step in.
+// 3×3 / stride 1 / pad 1): the shapes the conv products spend the split
+// step in.
 var paperConvGeoms = []struct {
 	name string
 	outC int
@@ -150,10 +150,11 @@ var paperConvGeoms = []struct {
 	{"8to16@8", 16, ConvGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
 }
 
-// convProduct is one sample's forward or weight-gradient product at a
-// paper geometry, as a closure over preallocated operands. bytes counts
-// the column-matrix elements it consumes (8 bytes each), so ns/op ÷
-// (bytes/8) is ns per multiply-add per output channel.
+// convProduct is one sample's forward, weight-gradient or input-gradient
+// product at a paper geometry, as a closure over preallocated operands.
+// bytes counts the column-matrix elements it consumes or stands for (8
+// bytes each), so ns/op ÷ (bytes/8) is ns per multiply-add per output
+// channel.
 type convProduct struct {
 	name  string
 	bytes int64
@@ -170,10 +171,12 @@ func paperConvProducts() []convProduct {
 		w := New(pg.outC, colRows).RandNormal(rng, 0, 1)
 		dy := New(pg.outC, spatial).RandNormal(rng, 0, 1)
 		out, dw := New(pg.outC, spatial), New(pg.outC, colRows)
+		dys, dx := FromSlice(dy.Data, 1, pg.outC, spatial), New(1, g.InC, g.InH, g.InW)
 		bytes := int64(8 * g.ColSize())
 		ops = append(ops,
 			convProduct{pg.name + "/forward", bytes, func() { ConvMatMulInto(out, w, img, g) }},
-			convProduct{pg.name + "/dW", bytes, func() { ConvMatMulTransBInto(dw, dy, img, g) }})
+			convProduct{pg.name + "/dW", bytes, func() { ConvMatMulTransBInto(dw, dy, img, g) }},
+			convProduct{pg.name + "/dx", bytes, func() { ConvInputGradBatchInto(dx, w, dys, g) }})
 	}
 	return ops
 }
@@ -198,21 +201,5 @@ func BenchmarkConvMatMulPaper(b *testing.B) {
 func TestConvMatMulPaperAllocFree(t *testing.T) {
 	for _, op := range paperConvProducts() {
 		testutil.MaxAllocs(t, op.name, 0, op.run)
-	}
-}
-
-func BenchmarkCol2Im(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	for _, pg := range paperConvGeoms {
-		g := pg.g
-		b.Run(pg.name, func(b *testing.B) {
-			img := New(g.ImageSize()).RandNormal(rng, 0, 1).Data
-			cols := New(g.ColSize()).RandNormal(rng, 0, 1).Data
-			b.SetBytes(int64(8 * g.ColSize()))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Col2ImBatch(img, cols, 1, g)
-			}
-		})
 	}
 }

@@ -411,9 +411,9 @@ func TestPropDotNorm(t *testing.T) {
 	}
 }
 
-// prop: Im2Col followed by Col2Im of an all-ones column matrix counts how
-// many windows cover each pixel; with kernel 1x1 stride 1 no padding it is
-// exactly 1 everywhere (perfect reconstruction).
+// prop: with a 1x1 kernel, stride 1 and no padding the column matrix is
+// the image itself, and the input gradient through identity weights
+// scatters it back exactly (perfect reconstruction).
 func TestPropIm2ColIdentityKernel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -422,9 +422,12 @@ func TestPropIm2ColIdentityKernel(t *testing.T) {
 		src := New(c*h*w).RandNormal(rng, 0, 1)
 		col := make([]float64, c*g.OutH()*g.OutW())
 		im2colRef(col, src.Data, g)
-		back := make([]float64, c*h*w)
-		Col2ImBatch(back, col, 1, g)
-		return AllClose(FromSlice(back, c*h*w), src, 1e-12)
+		eye := New(c, c)
+		for i := 0; i < c; i++ {
+			eye.Data[i*c+i] = 1
+		}
+		back := ConvInputGradBatchInto(New(1, c, h, w), eye, FromSlice(col, 1, c, h*w), g)
+		return AllClose(FromSlice(back.Data, c*h*w), src, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
