@@ -286,7 +286,28 @@ func (d *Dec) Tensor(pool *tensor.Pool) *tensor.Tensor {
 	return t
 }
 
-func (d *Dec) TensorList(pool *tensor.Pool) []*tensor.Tensor {
+// TensorInto decodes one tensor into t, reusing its storage when it is
+// large enough, and returns it; a nil t gets a new tensor. On failure it
+// returns nil and t's contents are unspecified.
+func (d *Dec) TensorInto(t *tensor.Tensor) *tensor.Tensor {
+	dims, _ := d.Shape(8)
+	if d.err != nil {
+		return nil
+	}
+	if t == nil {
+		t = tensor.New(dims...)
+	} else {
+		t.Ensure(dims...)
+	}
+	d.F64sInto(t.Data)
+	return t
+}
+
+// TensorListInto decodes a tensor list into dst's tensors, reusing them
+// in order (TensorInto), and returns the list; a nil dst decodes into
+// new tensors. On failure it returns nil and dst's contents are
+// unspecified.
+func (d *Dec) TensorListInto(dst []*tensor.Tensor) []*tensor.Tensor {
 	count := int(d.U16())
 	if d.err != nil {
 		return nil
@@ -296,40 +317,66 @@ func (d *Dec) TensorList(pool *tensor.Pool) []*tensor.Tensor {
 		d.Fail("tensor list claims %d tensors in %d bytes", count, d.Remaining())
 		return nil
 	}
-	ts := make([]*tensor.Tensor, count)
-	for i := range ts {
-		ts[i] = d.Tensor(pool)
-		if d.err != nil {
+	ts := dst[:0]
+	for i := 0; i < count; i++ {
+		var t *tensor.Tensor
+		if i < len(dst) {
+			t = dst[i]
+		}
+		if t = d.TensorInto(t); d.err != nil {
 			return nil
 		}
+		ts = append(ts, t)
 	}
 	return ts
 }
 
+// OptState decodes an optimizer state into a new one; the zero state on
+// failure.
 func (d *Dec) OptState() optim.SGDState {
-	st := optim.SGDState{Step: int(d.U64())}
-	if st.Step < 0 {
-		d.Fail("negative optimizer step count")
+	var st optim.SGDState
+	if d.OptStateInto(&st); d.err != nil {
 		return optim.SGDState{}
+	}
+	return st
+}
+
+// OptStateInto decodes an optimizer state into st, reusing its momentum
+// buffers where they are large enough. On failure st's contents are
+// unspecified.
+func (d *Dec) OptStateInto(st *optim.SGDState) {
+	step := int(d.U64())
+	if step < 0 {
+		d.Fail("negative optimizer step count")
+		return
 	}
 	count := int(d.U16())
 	if d.err != nil {
-		return optim.SGDState{}
+		return
 	}
 	if count > d.Remaining() {
 		d.Fail("optimizer state claims %d buffers in %d bytes", count, d.Remaining())
-		return optim.SGDState{}
+		return
 	}
+	st.Step = step
+	shapes, bufs := st.VelocityShapes[:0], st.VelocityData[:0]
 	for i := 0; i < count; i++ {
 		dims, n := d.Shape(8)
-		data := d.F64s(n)
 		if d.err != nil {
-			return optim.SGDState{}
+			return
 		}
-		st.VelocityShapes = append(st.VelocityShapes, dims)
-		st.VelocityData = append(st.VelocityData, data)
+		var buf []float64
+		if i < len(st.VelocityData) {
+			buf = st.VelocityData[i]
+		}
+		if buf == nil || cap(buf) < n {
+			buf = make([]float64, n)
+		}
+		buf = buf[:n]
+		d.F64sInto(buf)
+		shapes, bufs = append(shapes, dims), append(bufs, buf)
 	}
-	return st
+	st.VelocityShapes, st.VelocityData = shapes, bufs
 }
 
 // Finish reports the decoder's sticky error, or a trailing-garbage error

@@ -122,19 +122,46 @@ func (s *SGD) Steps() int { return s.step }
 // checkpoint encoder, which writes them without the copy State makes.
 func (s *SGD) Velocity() []*tensor.Tensor { return s.velocity }
 
-// State deep-copies the optimizer's state (the TCP relay ships it).
-func (s *SGD) State() SGDState {
-	st := SGDState{Step: s.step}
-	for _, v := range s.velocity {
-		st.VelocityShapes = append(st.VelocityShapes, v.Shape())
-		st.VelocityData = append(st.VelocityData, append([]float64(nil), v.Data...))
+// StateInto deep-copies the optimizer's state into dst, reusing dst's
+// buffers where they are large enough: the TCP relay ships the state
+// every turn from one destination.
+func (s *SGD) StateInto(dst *SGDState) {
+	dst.Step = s.step
+	dst.resize(len(s.velocity))
+	for i, v := range s.velocity {
+		dst.VelocityShapes[i] = v.AppendShape(dst.VelocityShapes[i][:0])
+		dst.VelocityData[i] = append(dst.VelocityData[i][:0], v.Data...)
 	}
-	return st
 }
 
-// Restore resets the optimizer to a state captured by State. The
+// CopyFrom sets st to a deep copy of src, reusing st's buffers where
+// they are large enough.
+func (st *SGDState) CopyFrom(src SGDState) {
+	st.Step = src.Step
+	st.resize(len(src.VelocityShapes))
+	for i, shape := range src.VelocityShapes {
+		st.VelocityShapes[i] = append(st.VelocityShapes[i][:0], shape...)
+		st.VelocityData[i] = append(st.VelocityData[i][:0], src.VelocityData[i]...)
+	}
+}
+
+// resize gives st n velocity entries, keeping the buffers of those it
+// already has.
+func (st *SGDState) resize(n int) {
+	for len(st.VelocityShapes) < n {
+		st.VelocityShapes = append(st.VelocityShapes, nil)
+	}
+	for len(st.VelocityData) < n {
+		st.VelocityData = append(st.VelocityData, nil)
+	}
+	st.VelocityShapes, st.VelocityData = st.VelocityShapes[:n], st.VelocityData[:n]
+}
+
+// Restore resets the optimizer to a state captured by StateInto. The
 // optimizer must have been constructed with the same hyperparameters;
-// subsequent steps then continue bit-identically.
+// subsequent steps then continue bit-identically. It copies st, into
+// the momentum buffers the optimizer already has where they fit, and
+// changes nothing when st is invalid.
 func (s *SGD) Restore(st SGDState) error {
 	if st.Step < 0 {
 		return fmt.Errorf("optim: negative step count %d", st.Step)
@@ -142,7 +169,6 @@ func (s *SGD) Restore(st SGDState) error {
 	if len(st.VelocityShapes) != len(st.VelocityData) {
 		return fmt.Errorf("optim: %d velocity shapes vs %d buffers", len(st.VelocityShapes), len(st.VelocityData))
 	}
-	var vel []*tensor.Tensor
 	for i, shape := range st.VelocityShapes {
 		n := 1
 		for _, d := range shape {
@@ -154,10 +180,21 @@ func (s *SGD) Restore(st SGDState) error {
 		if n != len(st.VelocityData[i]) {
 			return fmt.Errorf("optim: velocity %d shape %v does not match %d values", i, shape, len(st.VelocityData[i]))
 		}
-		vel = append(vel, tensor.FromSlice(append([]float64(nil), st.VelocityData[i]...), shape...))
 	}
 	s.step = st.Step
-	s.velocity = vel
+	if len(st.VelocityShapes) == 0 {
+		s.velocity = nil
+		return nil
+	}
+	if len(s.velocity) != len(st.VelocityShapes) {
+		s.velocity = make([]*tensor.Tensor, len(st.VelocityShapes))
+	}
+	for i, shape := range st.VelocityShapes {
+		if s.velocity[i] == nil {
+			s.velocity[i] = new(tensor.Tensor)
+		}
+		copy(s.velocity[i].Ensure(shape...).Data, st.VelocityData[i])
+	}
 	return nil
 }
 

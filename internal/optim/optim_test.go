@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gsfl/internal/tensor"
@@ -206,7 +207,8 @@ func TestSGDStateRestoreContinuesBitIdentically(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ref.Step(p1, grad, nil)
 	}
-	st := ref.State()
+	var st SGDState
+	ref.StateInto(&st)
 
 	restored, p2 := mk(), params()
 	// Bring p2 to p1's current values (the model snapshot does this in a
@@ -223,6 +225,83 @@ func TestSGDStateRestoreContinuesBitIdentically(t *testing.T) {
 		if p1[0].Data[j] != p2[0].Data[j] {
 			t.Fatalf("param %d diverged after restore: %v vs %v", j, p1[0].Data[j], p2[0].Data[j])
 		}
+	}
+}
+
+// The TCP relay ships and restores a client optimizer every turn:
+// StateInto and Restore reuse the buffers they hold when the shapes
+// fit, and every copy is deep.
+func TestSGDStateBuffersAreReused(t *testing.T) {
+	opt := NewSGDMomentum(0.1, 0.9)
+	params := []*tensor.Tensor{tensor.FromSlice([]float64{1, 2, 3}, 3), tensor.FromSlice([]float64{4, 5}, 2)}
+	grads := []*tensor.Tensor{tensor.FromSlice([]float64{0.5, -1, 0.25}, 3), tensor.FromSlice([]float64{1, -2}, 2)}
+	opt.Step(params, grads, nil)
+
+	state := func(o *SGD) SGDState {
+		var st SGDState
+		o.StateInto(&st)
+		return st
+	}
+	want := SGDState{Step: 1}
+	for _, v := range opt.Velocity() {
+		want.VelocityShapes = append(want.VelocityShapes, v.Shape())
+		want.VelocityData = append(want.VelocityData, append([]float64(nil), v.Data...))
+	}
+	st := state(opt)
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("StateInto gave %+v, want %+v", st, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { opt.StateInto(&st) }); n != 0 {
+		t.Fatalf("StateInto into a used state allocates %v times", n)
+	}
+
+	restored := NewSGDMomentum(0.1, 0.9)
+	if err := restored.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	v := &restored.Velocity()[0].Data[0]
+	if n := testing.AllocsPerRun(10, func() {
+		if err := restored.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Restore into buffers that fit allocates %v times", n)
+	}
+	if &restored.Velocity()[0].Data[0] != v {
+		t.Fatal("Restore replaced a buffer that fit")
+	}
+	if got := state(restored); !reflect.DeepEqual(got, st) {
+		t.Fatalf("restored %+v, want %+v", got, st)
+	}
+
+	var cp SGDState
+	cp.CopyFrom(st)
+	if !reflect.DeepEqual(cp, st) {
+		t.Fatalf("CopyFrom gave %+v, want %+v", cp, st)
+	}
+	if n := testing.AllocsPerRun(10, func() { cp.CopyFrom(st) }); n != 0 {
+		t.Fatalf("CopyFrom into a used state allocates %v times", n)
+	}
+	first := st.VelocityData[0][0]
+	st.VelocityData[0][0], st.VelocityShapes[0][0] = 42, 7
+	if cp.VelocityData[0][0] != first || cp.VelocityShapes[0][0] != 3 || restored.Velocity()[0].Data[0] != first {
+		t.Fatal("a copy aliases the state it was made from")
+	}
+
+	// Other shapes, and no momentum at all, replace what was held.
+	other := SGDState{Step: 5, VelocityShapes: [][]int{{2, 2}}, VelocityData: [][]float64{{1, 2, 3, 4}}}
+	if err := restored.Restore(other); err != nil {
+		t.Fatal(err)
+	}
+	cp.CopyFrom(other)
+	if got := state(restored); !reflect.DeepEqual(got, other) || !reflect.DeepEqual(cp, other) {
+		t.Fatalf("after a reshaping restore and copy: %+v and %+v, want %+v", got, cp, other)
+	}
+	if err := restored.Restore(SGDState{Step: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Velocity() != nil || restored.Steps() != 1 {
+		t.Fatalf("restoring no momentum left %d buffers at step %d", len(restored.Velocity()), restored.Steps())
 	}
 }
 

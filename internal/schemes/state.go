@@ -141,7 +141,7 @@ func DecodeState(d *bincodec.Dec) *TrainerState {
 	// The smallest encodings: an empty tensor list is 2 bytes, an
 	// optimizer without momentum 10, a loader 16.
 	for n := count(d, "model", 2); len(st.Models) < n && d.Err() == nil; {
-		st.Models = append(st.Models, model.Snapshot{Tensors: d.TensorList(nil)})
+		st.Models = append(st.Models, model.Snapshot{Tensors: d.TensorListInto(nil)})
 	}
 	for n := count(d, "optimizer", 10); len(st.Opts) < n && d.Err() == nil; {
 		st.Opts = append(st.Opts, d.OptState())

@@ -133,17 +133,21 @@ type clientConn struct {
 	fc      *frameConn
 	// lastGood is the turn state this client returned on its most recent
 	// completed turn — what the reuse-last straggler policy substitutes.
+	// It points at last, or is nil before the first completed turn.
 	lastGood *TurnState
+	last     TurnState
 }
 
 // groupRT is one group's training runtime: its server-half replica and
-// optimizer, the relayed client-side optimizer state between rounds, and
-// the reusable per-step workspaces (loss gradient, activation pool,
-// quantization buffers) that keep steady-state turns allocation-free.
+// optimizer, the relayed client-side optimizer state between rounds (a
+// copy, owned by the group), and the reusable per-step workspaces (loss
+// gradient, activation pool, quantization buffers, the return frame's
+// decode target) that keep steady-state turns allocation-free.
 type groupRT struct {
 	server         *nn.Sequential
 	opt            *optim.SGD
 	clientOptState optim.SGDState
+	ret            TurnState
 
 	lossGrad tensor.Tensor
 	pool     tensor.Pool
@@ -636,7 +640,7 @@ func (ap *AP) Round() (RoundStats, error) {
 		stats.Participants += r.participants
 		stats.Stragglers += r.stragglers
 		stats.Skipped += r.skipped
-		ap.groupRTs[g].clientOptState = r.state.Opt
+		ap.groupRTs[g].clientOptState.CopyFrom(r.state.Opt)
 		if r.weight > 0 {
 			ap.capServer[g].CaptureFrom(ap.groupRTs[g].server)
 			aggClient = append(aggClient, r.state.Model)
@@ -801,16 +805,20 @@ func (ap *AP) runTurn(rt *groupRT, cc *clientConn, chain *TurnState, deadline ti
 	if kind != frameReturn {
 		return fmt.Errorf("transport: client %d sent kind %d, want return", cc.id, kind)
 	}
-	st, err := decodeReturn(payload, nil)
-	if err != nil {
+	if err := decodeReturn(payload, &rt.ret); err != nil {
 		return err
 	}
-	if err := ap.checkModel(st.Model); err != nil {
+	if err := ap.checkModel(rt.ret.Model); err != nil {
 		return fmt.Errorf("transport: client %d returned %w", cc.id, err)
 	}
 	ap.phase(tk, phaseReadReturn, at)
-	*chain = st
-	cc.lastGood = &st
+	// The client's previous return is referenced by lastGood alone: a
+	// chain holds states only within its round, and Round copies the
+	// optimizer state it keeps. So its buffers become the group's next
+	// decode target.
+	rt.ret, cc.last = cc.last, rt.ret
+	*chain = cc.last
+	cc.lastGood = &cc.last
 	return nil
 }
 

@@ -54,14 +54,16 @@ type Client struct {
 	opt    *optim.SGD
 	loader *data.Loader
 
-	// Reusable turn state: the mini-batch destination, gradient decode
-	// pool, dequantize/quantize buffers, and the return-snapshot capture
-	// target. Steady-state turns allocate only the optimizer-state copy.
+	// Reusable turn state: the mini-batch destination, the relayed state
+	// each train frame decodes into, gradient decode pool,
+	// dequantize/quantize buffers, and the returned state. Steady-state
+	// turns allocate no tensor or optimizer storage.
 	batch data.Batch
+	in    TurnState
 	pool  tensor.Pool
 	deq   tensor.Tensor
 	qActs quantize.Quantized
-	snap  model.Snapshot
+	out   TurnState
 }
 
 // Dial connects to the AP and registers. The returned Client is ready
@@ -130,9 +132,9 @@ func (c *Client) Run() error {
 		case frameShutdown:
 			return nil
 		case frameTrain:
-			steps, st, err := decodeTrain(payload, &c.pool)
+			steps, err := decodeTrain(payload, &c.in)
 			if err == nil {
-				err = c.trainTurn(steps, st)
+				err = c.trainTurn(steps, &c.in)
 			}
 			if err != nil {
 				return fmt.Errorf("transport: client %d: %w", c.cfg.ID, err)
@@ -147,18 +149,13 @@ func (c *Client) Run() error {
 // and group optimizer state, run the requested split mini-batches
 // against the AP, and return both. The op sequence per step matches the
 // simulator's SplitStep exactly.
-func (c *Client) trainTurn(steps int, st TurnState) error {
+func (c *Client) trainTurn(steps int, st *TurnState) error {
 	if err := c.checkState(st); err != nil {
 		return err
 	}
 	st.Model.Restore(c.half.Client)
 	if err := c.opt.Restore(st.Opt); err != nil {
 		return fmt.Errorf("restoring optimizer state: %w", err)
-	}
-	// Both restores copy, so the decoded tensors can go straight back to
-	// the pool — the relay path then recycles its buffers across turns.
-	for _, t := range st.Model.Tensors {
-		c.pool.Put(t)
 	}
 
 	for s := 0; s < steps; s++ {
@@ -203,14 +200,14 @@ func (c *Client) trainTurn(steps int, st TurnState) error {
 		}
 	}
 
-	c.snap.CaptureFrom(c.half.Client)
-	ret := TurnState{Model: c.snap, Opt: c.opt.State()}
-	return c.fc.writeReturn(&ret)
+	c.out.Model.CaptureFrom(c.half.Client)
+	c.opt.StateInto(&c.out.Opt)
+	return c.fc.writeReturn(&c.out)
 }
 
 // checkState validates a relayed model against the local structure
 // before Restore (which panics on mismatch) can see it.
-func (c *Client) checkState(st TurnState) error {
+func (c *Client) checkState(st *TurnState) error {
 	params := c.half.Client.Params()
 	if len(st.Model.Tensors) != len(params) {
 		return fmt.Errorf("relayed model has %d tensors, want %d", len(st.Model.Tensors), len(params))

@@ -192,10 +192,12 @@ func (d *wireDec) labels() []int {
 	return ys
 }
 
-func (d *wireDec) turnState(pool *tensor.Pool) TurnState {
-	st := TurnState{Opt: d.OptState()}
-	st.Model = model.Snapshot{Tensors: d.TensorList(pool)}
-	return st
+// turnState decodes a turn state into st, reusing its tensors and
+// momentum buffers where they fit: a relay decodes every turn into the
+// same destination. On failure st's contents are unspecified.
+func (d *wireDec) turnState(st *TurnState) {
+	d.OptStateInto(&st.Opt)
+	st.Model.Tensors = d.TensorListInto(st.Model.Tensors)
 }
 
 // --- message codecs ----------------------------------------------------
@@ -223,17 +225,19 @@ func decodeHello(p []byte) (helloMsg, error) {
 	return msg, nil
 }
 
-func decodeTrain(p []byte, pool *tensor.Pool) (steps int, st TurnState, err error) {
+// decodeTrain decodes a train frame's turn state into st (see
+// turnState) and returns its step count.
+func decodeTrain(p []byte, st *TurnState) (steps int, err error) {
 	d := newWireDec(p)
 	steps = int(d.U32())
-	st = d.turnState(pool)
+	d.turnState(st)
 	if err := d.Finish(); err != nil {
-		return 0, TurnState{}, err
+		return 0, err
 	}
 	if steps <= 0 {
-		return 0, TurnState{}, fmt.Errorf("transport: train frame with %d steps", steps)
+		return 0, fmt.Errorf("transport: train frame with %d steps", steps)
 	}
-	return steps, st, nil
+	return steps, nil
 }
 
 func decodeSmashed(p []byte, pool *tensor.Pool) (acts *tensor.Tensor, q *quantize.Quantized, ys []int, err error) {
@@ -271,13 +275,12 @@ func decodeGradient(p []byte, pool *tensor.Pool) (grad *tensor.Tensor, q *quanti
 	return grad, q, nil
 }
 
-func decodeReturn(p []byte, pool *tensor.Pool) (TurnState, error) {
+// decodeReturn decodes a return frame's turn state into st (see
+// turnState).
+func decodeReturn(p []byte, st *TurnState) error {
 	d := newWireDec(p)
-	st := d.turnState(pool)
-	if err := d.Finish(); err != nil {
-		return TurnState{}, err
-	}
-	return st, nil
+	d.turnState(st)
+	return d.Finish()
 }
 
 // decodeFrame dispatches a payload through the kind's decoder,
@@ -289,7 +292,7 @@ func decodeFrame(kind byte, p []byte) error {
 		_, err := decodeHello(p)
 		return err
 	case frameTrain:
-		_, _, err := decodeTrain(p, nil)
+		_, err := decodeTrain(p, new(TurnState))
 		return err
 	case frameSmashed:
 		_, _, _, err := decodeSmashed(p, nil)
@@ -298,8 +301,7 @@ func decodeFrame(kind byte, p []byte) error {
 		_, _, err := decodeGradient(p, nil)
 		return err
 	case frameReturn:
-		_, err := decodeReturn(p, nil)
-		return err
+		return decodeReturn(p, new(TurnState))
 	case frameShutdown:
 		if len(p) != 0 {
 			return fmt.Errorf("transport: shutdown frame carries %d payload bytes", len(p))

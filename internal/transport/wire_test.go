@@ -94,7 +94,8 @@ func TestWireTrainRoundTrip(t *testing.T) {
 		e.U32(3)
 		e.turnState(&want)
 	})
-	steps, got, err := decodeTrain(payload, nil)
+	var got TurnState
+	steps, err := decodeTrain(payload, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +117,68 @@ func TestWireTrainRoundTrip(t *testing.T) {
 	}
 }
 
+// A relay decodes every turn into one destination: a turn state of the
+// same shapes lands in the buffers already there, and one of other
+// shapes still decodes exactly.
+func TestWireTurnStateDecodesIntoItsDestination(t *testing.T) {
+	returnPayload := func(st *TurnState) []byte {
+		_, p := encodeFrame(func(e *wireEnc) {
+			e.begin(frameReturn)
+			e.turnState(st)
+		})
+		return p
+	}
+	same := func(got, want *TurnState) {
+		t.Helper()
+		if len(got.Model.Tensors) != len(want.Model.Tensors) || want.Model.L2Distance(got.Model) != 0 {
+			t.Fatalf("model %v, want %v", got.Model.Tensors, want.Model.Tensors)
+		}
+		if got.Opt.Step != want.Opt.Step || len(got.Opt.VelocityData) != len(want.Opt.VelocityData) {
+			t.Fatalf("optimizer state %+v, want %+v", got.Opt, want.Opt)
+		}
+		for i, buf := range want.Opt.VelocityData {
+			if len(got.Opt.VelocityShapes[i]) != len(want.Opt.VelocityShapes[i]) || len(got.Opt.VelocityData[i]) != len(buf) {
+				t.Fatalf("velocity %d is %v, want %v", i, got.Opt.VelocityShapes[i], want.Opt.VelocityShapes[i])
+			}
+			for j, v := range buf {
+				if got.Opt.VelocityData[i][j] != v {
+					t.Fatalf("velocity[%d][%d] = %v, want %v", i, j, got.Opt.VelocityData[i][j], v)
+				}
+			}
+		}
+	}
+
+	var got TurnState
+	first := testTurnState(5)
+	if err := decodeReturn(returnPayload(&first), &got); err != nil {
+		t.Fatal(err)
+	}
+	same(&got, &first)
+	w, v := &got.Model.Tensors[0].Data[0], &got.Opt.VelocityData[0][0]
+	second := testTurnState(6)
+	if err := decodeReturn(returnPayload(&second), &got); err != nil {
+		t.Fatal(err)
+	}
+	same(&got, &second)
+	if &got.Model.Tensors[0].Data[0] != w || &got.Opt.VelocityData[0][0] != v {
+		t.Fatal("decoding a state of the same shapes replaced buffers that fit")
+	}
+
+	other := TurnState{
+		Model: model.Snapshot{Tensors: []*tensor.Tensor{tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)}},
+		Opt: optim.SGDState{Step: 2, VelocityShapes: [][]int{{20}},
+			VelocityData: [][]float64{make([]float64, 20)}},
+	}
+	other.Opt.VelocityData[0][19] = -1
+	if err := decodeReturn(returnPayload(&other), &got); err != nil {
+		t.Fatal(err)
+	}
+	same(&got, &other)
+	if d := got.Model.Tensors[0]; d.Dims() != 2 || d.Dim(0) != 2 || d.Dim(1) != 3 {
+		t.Fatalf("tensor shape %v, want [2 3]", d.Shape())
+	}
+}
+
 // TestWireTrainReturnPayloadAlignment pins the layout guarantee the
 // loadgen echo depends on: a return payload is exactly a train payload
 // minus its leading step-count word.
@@ -126,7 +189,7 @@ func TestWireTrainReturnPayloadAlignment(t *testing.T) {
 		e.U32(5)
 		e.turnState(&st)
 	})
-	if _, err := decodeReturn(train[4:], nil); err != nil {
+	if err := decodeReturn(train[4:], new(TurnState)); err != nil {
 		t.Fatalf("train[4:] does not decode as a return payload: %v", err)
 	}
 }
