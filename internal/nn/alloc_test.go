@@ -69,8 +69,8 @@ func TestFlattenAllocFree(t *testing.T) {
 	layerAllocCase(t, NewFlatten(), tensor.New(4, 3, 4, 4).RandNormal(rng, 0, 1))
 }
 
-// TestSequentialStepAllocFree drives a full CNN training step — forward,
-// zero-grads, backward, with and without the network-input gradient —
+// TestSequentialStepAllocFree drives a full CNN training step — forward
+// and backward, with and without the network-input gradient —
 // and asserts it is allocation-free after warmup, which is what the
 // benchmark spine's gsfl.round.allocs rests on.
 func TestSequentialStepAllocFree(t *testing.T) {
@@ -90,12 +90,10 @@ func TestSequentialStepAllocFree(t *testing.T) {
 	dy := y.Clone()
 	testutil.MaxAllocs(t, "sequential step", 0, func() {
 		net.Forward(x, true)
-		net.ZeroGrads()
 		net.Backward(dy)
 	})
 	testutil.MaxAllocs(t, "sequential step, parameters only", 0, func() {
 		net.Forward(x, true)
-		net.ZeroGrads()
 		net.BackwardParams(dy)
 	})
 }
@@ -115,7 +113,6 @@ func TestWorkspaceReuseMatchesFreshLayer(t *testing.T) {
 		warm.Backward(w)
 	}
 	warm.Forward(tensor.New(2, 2, 8, 8).RandNormal(rng, 0, 1), false)
-	ZeroGrads([]Layer{warm})
 
 	x := tensor.New(4, 2, 8, 8).RandNormal(rng, 0, 1)
 	dy := tensor.New(4, 4, 8, 8).RandNormal(rng, 0, 1)

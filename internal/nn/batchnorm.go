@@ -198,10 +198,11 @@ func (b *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		sumDy[f] += dy.Data[i]
 		sumDyXhat[f] += float64(dy.Data[i] * b.xhat.Data[i])
 	})
-	for f := 0; f < b.F; f++ {
-		b.dbeta.Data[f] += sumDy[f]
-		b.dgamma.Data[f] += sumDyXhat[f]
-	}
+	copy(b.dbeta.Data, sumDy)
+	copy(b.dgamma.Data, sumDyXhat)
+	// Backward writes every Grads slot, the running statistics' zeros too.
+	clear(b.zeroA.Data)
+	clear(b.zeroB.Data)
 
 	dx := b.ws.dx.Ensure(b.inShape...)
 	b.forEach(dy, spatial, func(f, i int) {

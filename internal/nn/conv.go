@@ -19,10 +19,12 @@ import (
 // and every sample's product, partitioned across the parallel worker
 // pool, reads that one pack and writes a disjoint slice of the output,
 // so results are bit-identical to the serial loop. The backward pass
-// has two independent halves. The parameter half (BackwardParams)
-// accumulates dW and db serially in sample order, keeping gradient
-// summation order — and hence training numerics — exactly equal to a
-// single-worker run. The input half is one batch call too,
+// has two independent halves. The parameter half (BackwardParams) is
+// one batch call, tensor.ConvWeightGradBatchInto: a single product over
+// every sample writes dW, and db is written from the row sums of dy,
+// each element the per-sample terms summed in sample order, so results
+// are bit-identical at any worker count. The input half is one batch
+// call too,
 // tensor.ConvInputGradBatchInto: it packs W once, rearranged, and writes
 // each sample's dx directly, tap by tap in the order a col2im scatter of
 // the column gradients Wᵀ @ dy would add them — bit for bit that
@@ -32,10 +34,9 @@ import (
 // discards the input gradient (Sequential.BackwardParams) runs only the
 // parameter half and never sizes the dx buffer at all.
 //
-// All batch-shaped buffers (output, gradients) live in a lazily-sized
-// workspace, as does the tensor header the weight-gradient loop
-// addresses one sample of dy through, so steady-state Forward/Backward
-// calls allocate nothing.
+// All batch-shaped buffers (output, input gradient) live in a
+// lazily-sized workspace, so steady-state Forward/Backward calls
+// allocate nothing.
 type Conv2D struct {
 	InC, OutC int
 	KH, KW    int
@@ -56,8 +57,6 @@ type Conv2D struct {
 type convWorkspace struct {
 	out tensor.Tensor // forward output (N, outC, outH, outW)
 	dx  tensor.Tensor // input gradient (N, C, H, W) (input half of Backward only)
-	dwT tensor.Tensor // one sample's weight-gradient staging buffer
-	dyI tensor.Tensor // header aliasing one sample's slice of dy
 }
 
 // NewConv2D constructs a Conv2D layer with He initialization. Stride and
@@ -117,41 +116,17 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return tensor.ConvInputGradBatchInto(dx, c.w, dy, g)
 }
 
-// BackwardParams accumulates dL/dW and dL/db from dy without computing
-// the input gradient: the half of Backward a first layer needs when
-// nothing upstream consumes dL/dx.
+// BackwardParams writes dL/dW and dL/db from dy without computing the
+// input gradient: the half of Backward a first layer needs when nothing
+// upstream consumes dL/dx. The geometry is the cached training
+// geometry, not whatever the last Forward saw. (The cached input's
+// *contents* still require that no other Forward ran since the matching
+// training pass — the package-level buffer-ownership rule.)
 func (c *Conv2D) BackwardParams(dy *tensor.Tensor) {
 	if c.x == nil {
 		panic("nn: Conv2D.Backward called before training-mode Forward")
 	}
-	g := c.geom
-	n := c.x.Dim(0)
-	ws := &c.ws
-	// Sizes come from the cached training geometry, not from whatever the
-	// last Forward saw. (The cached input's *contents* still require that
-	// no other Forward ran since the matching training pass — the
-	// package-level buffer-ownership rule.)
-	spatial, colRows, imgSize := g.OutH()*g.OutW(), g.InC*g.KH*g.KW, g.ImageSize()
-	outSize := c.OutC * spatial
-
-	// Weight/bias gradients accumulate serially in sample order (the
-	// per-sample matmul itself is row-parallel) so the floating-point
-	// summation order matches the serial implementation bit for bit.
-	dwT := ws.dwT.Ensure(c.OutC, colRows)
-	for i := 0; i < n; i++ {
-		dyMat := ws.dyI.SliceViewOf(dy, i*outSize, (i+1)*outSize, c.OutC, spatial)
-		img := c.x.Data[i*imgSize : (i+1)*imgSize]
-		// dW += dy_mat @ im2col(x_i)ᵀ (columns read implicitly from the
-		// cached input); db += row sums of dy_mat.
-		c.dw.AddInPlace(tensor.ConvMatMulTransBInto(dwT, dyMat, img, g))
-		for oc := 0; oc < c.OutC; oc++ {
-			s := 0.0
-			for _, v := range dyMat.Row(oc) {
-				s += v
-			}
-			c.db.Data[oc] += s
-		}
-	}
+	tensor.ConvWeightGradBatchInto(c.dw, c.db, dy, c.x, c.geom)
 }
 
 // Params implements Layer.

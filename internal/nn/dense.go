@@ -19,11 +19,10 @@ type Dense struct {
 
 	// ws is the reusable forward/backward workspace (see the package
 	// comment's buffer-ownership rule): out and dx back the returned
-	// tensors; dwT/dbT stage this batch's parameter gradients before the
-	// single AddInPlace that keeps accumulation order identical to the
-	// allocate-fresh implementation.
+	// tensors. The parameter gradients are written straight into dw and
+	// db.
 	ws struct {
-		out, dx, dwT, dbT tensor.Tensor
+		out, dx tensor.Tensor
 	}
 }
 
@@ -66,14 +65,14 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return tensor.DenseInputGradInto(d.ws.dx.Ensure(dy.Dim(0), d.In), dy, d.w)
 }
 
-// BackwardParams accumulates dW += xᵀ @ dy and db += column sums of dy
+// BackwardParams writes dW = xᵀ @ dy and db = column sums of dy
 // without computing the input gradient (see Sequential.BackwardParams).
 func (d *Dense) BackwardParams(dy *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: Dense.Backward called before training-mode Forward")
 	}
-	d.dw.AddInPlace(tensor.MatMulTransAIntoOp("Dense backward dW=xᵀ@dy", d.ws.dwT.Ensure(d.In, d.Out), d.x, dy))
-	d.db.AddInPlace(dy.SumRowsInto(&d.ws.dbT))
+	tensor.MatMulTransAIntoOp("Dense backward dW=xᵀ@dy", d.dw, d.x, dy)
+	dy.SumRowsInto(d.db)
 }
 
 // Params implements Layer.

@@ -35,7 +35,6 @@ func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Tensor, tol float6
 	// Analytic pass.
 	y := layer.Forward(x, true)
 	loss := newScalarLoss(rng, y.Shape())
-	ZeroGrads([]Layer{layer})
 	dx := layer.Backward(loss.grad())
 
 	eval := func() float64 {
@@ -165,7 +164,6 @@ func TestSequentialCNNGradients(t *testing.T) {
 	lossRng := rand.New(rand.NewSource(13))
 	y := net.Forward(x, true)
 	loss := newScalarLoss(lossRng, y.Shape())
-	net.ZeroGrads()
 	dx := net.Backward(loss.grad())
 
 	const h = 1e-5

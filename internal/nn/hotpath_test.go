@@ -49,14 +49,12 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			full := tc.build(rand.New(rand.NewSource(31)))
 			skip := tc.build(rand.New(rand.NewSource(31)))
 			rng := rand.New(rand.NewSource(32))
-			// Two steps, so gradients also accumulate onto a workspace
-			// the first step already sized.
+			// Two steps, so the second writes its gradients over the
+			// first's, into a workspace the first step already sized.
 			for step := 0; step < 2; step++ {
 				x := tensor.New(tc.in...).RandNormal(rng, 0, 1)
 				dy := full.Forward(x, true).Clone().RandNormal(rng, 0, 1)
 				skip.Forward(x, true)
-				full.ZeroGrads()
-				skip.ZeroGrads()
 				full.Backward(dy)
 				skip.BackwardParams(dy)
 				gf, gs := full.Grads(), skip.Grads()
@@ -228,7 +226,6 @@ func TestConv2DSharedPackMatchesPerImage(t *testing.T) {
 				for _, workers := range []int{1, 2, 8} {
 					parallel.SetWorkers(workers)
 					name := fmt.Sprintf("batch=%d inC=%d outC=%d workers=%d", batch, inC, outC, workers)
-					ZeroGrads([]Layer{c})
 					requireSameBits(t, name+" output", c.Forward(x, true).Data, want.y)
 					requireSameBits(t, name+" dx", c.Backward(dy).Data, want.dx)
 					requireSameBits(t, name+" dW", c.dw.Data, want.dw)

@@ -40,6 +40,11 @@
 //     written with exactly the per-element schedule the allocate-fresh
 //     implementation used, so results are bit-identical, at any worker
 //     count, to the pre-workspace code.
+//   - Parameter gradients are written, not accumulated: Backward
+//     overwrites Grads with this batch's gradient, so no step zeroes them
+//     first. Each element is the value adding onto a zeroed tensor gave —
+//     a sum that starts at +0 is never −0, and +0 + s = s for every other
+//     s.
 package nn
 
 import (
@@ -56,9 +61,11 @@ import (
 //     train is true the layer may cache whatever it needs for Backward and
 //     may behave stochastically (Dropout) or update running statistics
 //     (BatchNorm).
-//   - Backward consumes dL/d(output) and returns dL/d(input), accumulating
-//     dL/d(param) into Grads. It must be called after a training-mode
-//     Forward with the matching batch.
+//   - Backward consumes dL/d(output) and returns dL/d(input), writing
+//     dL/d(param) into Grads: every element of every Grads tensor is
+//     overwritten with this batch's gradient, so a training step needs
+//     no zeroing first. It must be called after a training-mode Forward
+//     with the matching batch.
 //
 // Params and Grads return aligned slices: Grads()[i] is the gradient of
 // Params()[i]. Layers without parameters return nil for both.
@@ -69,7 +76,7 @@ type Layer interface {
 	// Forward computes the layer output for a batch.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward computes the input gradient from the output gradient and
-	// accumulates parameter gradients.
+	// writes the parameter gradients.
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameter tensors (may be nil).
 	Params() []*tensor.Tensor
@@ -86,8 +93,10 @@ type Layer interface {
 	FwdFLOPs(in []int) int64
 }
 
-// ZeroGrads zeroes every gradient tensor of every layer in ls.
-// Call between mini-batches; Backward accumulates.
+// ZeroGrads zeroes every gradient tensor of every layer in ls. Backward
+// writes every gradient, so no training step calls it; it stays because
+// the benchmark's per-layer probe (internal/bench) still times it with
+// each layer's step.
 func ZeroGrads(ls []Layer) {
 	for _, l := range ls {
 		for _, g := range l.Grads() {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -273,25 +274,59 @@ func TestSequentialSummary(t *testing.T) {
 	}
 }
 
-func TestZeroGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	net := NewSequential(NewDense(rng, 3, 3), NewReLU(), NewDense(rng, 3, 2))
-	x := tensor.New(4, 3).RandNormal(rng, 0, 1)
-	y := net.Forward(x, true)
-	net.Backward(tensor.Ones(y.Shape()...))
-	nonzero := false
-	for _, g := range net.Grads() {
-		if g.L2Norm() > 0 {
-			nonzero = true
-		}
+// TestBackwardWritesParamGrads holds the Layer contract that Backward
+// writes parameter gradients rather than adding onto them: twin networks
+// take one step each, one with every Grads() tensor first filled with
+// NaN and 1e300, and every gradient — and, through Backward, the input
+// gradient — must come out with the same bits. It covers Conv2D as the
+// first layer (BackwardParams) and as a middle one, Dense, BatchNorm
+// over both layouts, and a parameter-free first layer.
+func TestBackwardWritesParamGrads(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(rng *rand.Rand) *Sequential
+		in    []int
+	}{
+		{"conv first and middle", func(rng *rand.Rand) *Sequential {
+			return NewSequential(NewConv2D(rng, 3, 8, 3, 1, 1), NewReLU(),
+				NewConv2D(rng, 8, 4, 3, 2, 0), NewFlatten(), NewDense(rng, 4*3*3, 5))
+		}, []int{5, 3, 8, 8}},
+		{"dense", func(rng *rand.Rand) *Sequential {
+			return NewSequential(NewDense(rng, 20, 16), NewReLU(), NewDense(rng, 16, 5))
+		}, []int{6, 20}},
+		{"batchnorm", func(rng *rand.Rand) *Sequential {
+			return NewSequential(NewConv2D(rng, 2, 4, 3, 1, 1), NewBatchNorm(4), NewReLU(),
+				NewFlatten(), NewDense(rng, 4*5*5, 6), NewBatchNorm(6), NewDense(rng, 6, 3))
+		}, []int{4, 2, 5, 5}},
+		{"parameter-free first", func(rng *rand.Rand) *Sequential {
+			return NewSequential(NewFlatten(), NewDense(rng, 2*3*3, 4))
+		}, []int{4, 2, 3, 3}},
 	}
-	if !nonzero {
-		t.Fatal("expected some nonzero grads after Backward")
-	}
-	net.ZeroGrads()
-	for i, g := range net.Grads() {
-		if g.L2Norm() != 0 {
-			t.Fatalf("grad %d not zeroed", i)
+	for _, tc := range cases {
+		for _, paramsOnly := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/paramsOnly=%v", tc.name, paramsOnly), func(t *testing.T) {
+				dirty := tc.build(rand.New(rand.NewSource(51)))
+				fresh := tc.build(rand.New(rand.NewSource(51)))
+				rng := rand.New(rand.NewSource(52))
+				x := tensor.New(tc.in...).RandNormal(rng, 0, 1)
+				dy := fresh.Forward(x, true).Clone().RandNormal(rng, 0, 1)
+				dirty.Forward(x, true)
+				for _, g := range dirty.Grads() {
+					for i := range g.Data {
+						g.Data[i] = []float64{math.NaN(), 1e300}[i%2]
+					}
+				}
+				if paramsOnly {
+					dirty.BackwardParams(dy)
+					fresh.BackwardParams(dy)
+				} else {
+					requireSameBits(t, "input gradient", dirty.Backward(dy).Data, fresh.Backward(dy).Data)
+				}
+				gd, gf := dirty.Grads(), fresh.Grads()
+				for i := range gf {
+					requireSameBits(t, fmt.Sprintf("gradient %d", i), gd[i].Data, gf[i].Data)
+				}
+			})
 		}
 	}
 }

@@ -48,7 +48,6 @@ func BenchmarkConv2DForwardBackward(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				y := layer.Forward(x, true)
-				ZeroGrads([]Layer{layer})
 				layer.Backward(y)
 			}
 		})
@@ -84,7 +83,6 @@ func BenchmarkDenseForwardBackward(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				y := layer.Forward(x, true)
-				ZeroGrads([]Layer{layer})
 				layer.Backward(y)
 			}
 		})

@@ -88,16 +88,16 @@ func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 // paramsBackwarder is implemented by layers (Conv2D, Dense) that can
-// accumulate their parameter gradients without computing dL/d(input).
+// write their parameter gradients without computing dL/d(input).
 type paramsBackwarder interface {
 	BackwardParams(dy *tensor.Tensor)
 }
 
 // BackwardParams is Backward for callers that discard the input
 // gradient: a client-side model half or a whole local model, whose
-// input is a data batch. Every parameter gradient is accumulated
-// exactly as Backward accumulates it — the layers above the first run
-// their ordinary Backward — but the first layer is asked for its
+// input is a data batch. Every parameter gradient is written exactly
+// as Backward writes it — the layers above the first run their
+// ordinary Backward — but the first layer is asked for its
 // parameter gradients only, so the network-input gradient (for a
 // Conv2D: its input-gradient product and the buffer it fills) is never
 // computed.
@@ -112,15 +112,6 @@ func (s *Sequential) BackwardParams(dy *tensor.Tensor) {
 		first.BackwardParams(dy)
 	} else {
 		s.Layers[0].Backward(dy)
-	}
-}
-
-// ZeroGrads zeroes all parameter gradients. It walks the cached gradient
-// views, so per-step calls allocate nothing (layer Grads() builds a
-// fresh slice per call).
-func (s *Sequential) ZeroGrads() {
-	for _, g := range s.Grads() {
-		g.Zero()
 	}
 }
 

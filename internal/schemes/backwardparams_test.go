@@ -25,9 +25,7 @@ func refSplitStep(m *model.SplitModel, cOpt, sOpt optim.Optimizer, b data.Batch)
 	var grad tensor.Tensor
 	logits := m.Server.Forward(m.Client.Forward(b.X, true), true)
 	loss.SoftmaxCrossEntropy{}.EvalInto(logits, b.Y, &grad)
-	m.Server.ZeroGrads()
 	dSmashed := m.Server.Backward(&grad)
-	m.Client.ZeroGrads()
 	m.Client.Backward(dSmashed)
 	sOpt.Step(m.Server.Params(), m.Server.Grads(), m.Server.DecayMask())
 	cOpt.Step(m.Client.Params(), m.Client.Grads(), m.Client.DecayMask())
@@ -36,7 +34,6 @@ func refSplitStep(m *model.SplitModel, cOpt, sOpt optim.Optimizer, b data.Batch)
 func refLocalStep(net *nn.Sequential, opt optim.Optimizer, b data.Batch) {
 	var grad tensor.Tensor
 	loss.SoftmaxCrossEntropy{}.EvalInto(net.Forward(b.X, true), b.Y, &grad)
-	net.ZeroGrads()
 	net.Backward(&grad)
 	opt.Step(net.Params(), net.Grads(), net.DecayMask())
 }

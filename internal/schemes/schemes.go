@@ -339,12 +339,10 @@ func (ws *StepWorkspace) SplitStep(m *model.SplitModel, clientOpt, serverOpt opt
 	logits := m.Server.Forward(serverIn, true)
 	l := loss.SoftmaxCrossEntropy{}.EvalInto(logits, batch.Y, &ws.lossGrad)
 
-	m.Server.ZeroGrads()
 	dSmashed := m.Server.Backward(&ws.lossGrad)
 	if quantizeTransfers {
 		dSmashed = ws.qDown.RoundTrip(dSmashed)
 	}
-	m.Client.ZeroGrads()
 	m.Client.BackwardParams(dSmashed)
 
 	serverOpt.Step(m.Server.Params(), m.Server.Grads(), m.Server.DecayMask())
@@ -358,7 +356,6 @@ func (ws *StepWorkspace) SplitStep(m *model.SplitModel, clientOpt, serverOpt opt
 func (ws *StepWorkspace) LocalStep(net *nn.Sequential, opt optim.Optimizer, batch data.Batch) float64 {
 	logits := net.Forward(batch.X, true)
 	l := loss.SoftmaxCrossEntropy{}.EvalInto(logits, batch.Y, &ws.lossGrad)
-	net.ZeroGrads()
 	net.BackwardParams(&ws.lossGrad)
 	opt.Step(net.Params(), net.Grads(), net.DecayMask())
 	return l

@@ -83,6 +83,33 @@ func inputGradRef(w, dys *Tensor, g ConvGeom) []float64 {
 	return dx
 }
 
+// weightGradRef is the weight gradient's definition over a batch from
+// the naive references: per image, naiveTransB of dy_i against the
+// columns by im2colRef, added onto a zeroed dw, and dy_i's row sums, each
+// a serial ascending sum from +0, added onto a zeroed db, images in
+// ascending order.
+func weightGradRef(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, db []float64) {
+	taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	dw, db, one := make([]float64, outC*taps), make([]float64, outC), make([]float64, outC*taps)
+	cols := make([]float64, g.ColSize())
+	for i := 0; i < dys.Size()/(outC*spatial); i++ {
+		dy := dys.Data[i*outC*spatial:][:outC*spatial]
+		im2colRef(cols, imgs[i*g.ImageSize():][:g.ImageSize()], g)
+		naiveTransB(one, dy, cols, outC, spatial, taps)
+		for j, v := range one {
+			dw[j] += v
+		}
+		for oc := range db {
+			s := 0.0
+			for _, v := range dy[oc*spatial:][:spatial] {
+				s += v
+			}
+			db[oc] += s
+		}
+	}
+	return dw, db
+}
+
 // inputGradInto runs ConvInputGradBatchInto on a fresh dx full of NaN,
 // so that an element it fails to write cannot pass for a zero.
 func inputGradInto(w, dys *Tensor, g ConvGeom) []float64 {
@@ -108,11 +135,13 @@ func (c *convPackCase) check(t *testing.T) {
 	requireBitEqual(t, "ConvInputGradBatchInto", inputGradInto(c.w, c.dys, g), c.wantDX, c.batch, c.outC, spatial)
 }
 
-// checkBatch runs the two batch calls over every image of the case, so
-// one pack of w is read by all of them, against per-image naive
-// references: the forward product plus a bias, and the input gradients
-// of output gradients holding signed zeros, subnormals, infinities and
-// NaNs (fillHostile). rng draws the bias and the gradients.
+// checkBatch runs the three batch calls over every image of the case —
+// the forward pass and the input gradient reading one pack of w, the
+// weight gradient one product over the batch — against per-image naive
+// references: the forward product plus a bias, and the input and
+// parameter gradients of output gradients holding signed zeros,
+// subnormals, infinities and NaNs (fillHostile). rng draws the bias and
+// the gradients.
 func (c *convPackCase) checkBatch(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	g := c.g
@@ -123,6 +152,7 @@ func (c *convPackCase) checkBatch(t *testing.T, rng *rand.Rand) {
 	fillHostile(rng, dys.Data)
 	wantOut := make([]float64, c.batch*c.outC*spatial)
 	wantDX := inputGradRef(c.w, dys, g)
+	wantDW, wantDB := weightGradRef(dys, c.imgs, g, c.outC)
 	cols := make([]float64, g.ColSize())
 	for i := 0; i < c.batch; i++ {
 		im2colRef(cols, c.imgs[i*g.ImageSize():(i+1)*g.ImageSize()], g)
@@ -139,6 +169,10 @@ func (c *convPackCase) checkBatch(t *testing.T, rng *rand.Rand) {
 		requireBitEqual(t, fmt.Sprintf("workers=%d ConvForwardBatchInto", w), got.Data, wantOut, c.outC, colRows, spatial)
 		requireSameFloats(t, fmt.Sprintf("workers=%d ConvInputGradBatchInto, non-finite dy, %+v outC=%d", w, g, c.outC),
 			inputGradInto(c.w, dys, g), wantDX)
+		gotDW, gotDB := weightGradInto(dys, c.imgs, g, c.outC)
+		what := fmt.Sprintf("workers=%d ConvWeightGradBatchInto, non-finite dy, %+v outC=%d", w, g, c.outC)
+		requireSameFloats(t, what+" dw", gotDW, wantDW)
+		requireSameFloats(t, what+" db", gotDB, wantDB)
 	}
 }
 
@@ -239,9 +273,9 @@ func TestConvPackForkJoin(t *testing.T) {
 // FuzzConvPack drives the same check with fuzzed geometries, seeded
 // with the sweep's corners: 1×1 everything, padding at and past the
 // kernel size, strides that skip most of the input, unequal axes, and
-// tap/position counts on both sides of NR. It also runs the batch calls
-// over the case's three images, each reading the one pack of w, the
-// input gradient's on output gradients with non-finite entries.
+// tap/position counts on both sides of NR. It also runs the three batch
+// calls over the case's three images, the gradients' on output
+// gradients with non-finite entries.
 func FuzzConvPack(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(4), uint8(4), uint8(3), uint8(3), uint8(4), uint8(4))
@@ -334,6 +368,107 @@ func checkInputGradMatchesCol2Im(t *testing.T, rng *rand.Rand, g ConvGeom, outC,
 			} else {
 				requireBitEqual(t, what, got, want, batch, outC, spatial)
 			}
+		}
+	}
+}
+
+// weightGradPerImage is the weight gradient's definition over a batch:
+// per image, ConvMatMulTransBInto added onto a zeroed dw by AddInPlace,
+// and the row sums of dy_i, each a serial ascending sum from +0, added
+// onto a zeroed db in image order.
+func weightGradPerImage(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, db []float64) {
+	taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	sum, one, dyI := New(outC, taps), New(outC, taps), New(outC, spatial)
+	db = make([]float64, outC)
+	for i := 0; i < dys.Size()/(outC*spatial); i++ {
+		copy(dyI.Data, dys.Data[i*outC*spatial:])
+		sum.AddInPlace(ConvMatMulTransBInto(one, dyI, imgs[i*g.ImageSize():][:g.ImageSize()], g))
+		for oc := range db {
+			s := 0.0
+			for _, v := range dyI.Row(oc) {
+				s += v
+			}
+			db[oc] += s
+		}
+	}
+	return sum.Data, db
+}
+
+// weightGradInto runs ConvWeightGradBatchInto on a fresh dw and db full
+// of NaN, so that an element it fails to write cannot pass for a sum.
+func weightGradInto(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, db []float64) {
+	n := dys.Size() / (outC * g.OutH() * g.OutW())
+	gotDB := Full(math.NaN(), outC)
+	gotDW := ConvWeightGradBatchInto(Full(math.NaN(), outC, g.InC*g.KH*g.KW), gotDB, dys,
+		FromSlice(imgs[:n*g.ImageSize()], n, g.InC, g.InH, g.InW), g)
+	return gotDW.Data, gotDB.Data
+}
+
+// TestConvWeightGradBatchMatchesPerImage holds ConvWeightGradBatchInto —
+// one product over the whole batch — to its per-image definition
+// (weightGradPerImage), bit for bit, over InC 1, 3, 8 and 17, outC 1, 5,
+// 8, 12 and 16 (ragged and full panels), 3×3, 5×7 and 8×8 images,
+// kernels 1, 3 and 5, strides 1–3 and paddings 0, 1, K−1 and K, batches
+// 1, 5 and 16, and workers 1, 2 and 8: with finite output gradients, and
+// with ones holding signed zeros, subnormals, infinities and NaNs
+// (fillHostile), NaN payloads aside. Under the race detector and -short
+// one geometry in four is checked.
+func TestConvWeightGradBatchMatchesPerImage(t *testing.T) {
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	rng := rand.New(rand.NewSource(24))
+	thin := testutil.RaceEnabled || testing.Short()
+	count := 0
+	for _, inC := range []int{1, 3, 8, 17} {
+		for _, hw := range [][2]int{{3, 3}, {5, 7}, {8, 8}} {
+			for _, k := range []int{1, 3, 5} {
+				pads := []int{0, 1, k - 1, k}
+				for _, stride := range []int{1, 2, 3} {
+					for i, pad := range pads {
+						g := ConvGeom{InC: inC, InH: hw[0], InW: hw[1], KH: k, KW: k,
+							StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+						if slices.Index(pads, pad) < i || g.Validate() != nil {
+							continue
+						}
+						count++
+						if thin && count%4 != 0 {
+							continue
+						}
+						outC := []int{1, 5, 8, 12, 16}[count%5]
+						for _, batch := range []int{1, 5, 16} {
+							checkWeightGradMatchesPerImage(t, rng, g, outC, batch)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d geometries", count)
+}
+
+func checkWeightGradMatchesPerImage(t *testing.T, rng *rand.Rand, g ConvGeom, outC, batch int) {
+	t.Helper()
+	spatial := g.OutH() * g.OutW()
+	imgs, dys := make([]float64, batch*g.ImageSize()), New(batch, outC, spatial)
+	fillMixed(rng, imgs)
+	for _, hostile := range []bool{false, true} {
+		if hostile {
+			fillHostile(rng, dys.Data)
+		} else {
+			fillMixed(rng, dys.Data)
+		}
+		parallel.SetWorkers(1)
+		wantDW, wantDB := weightGradPerImage(dys, imgs, g, outC)
+		for _, workers := range convPackWorkers {
+			parallel.SetWorkers(workers)
+			what := fmt.Sprintf("%+v outC=%d batch=%d workers=%d non-finite dy=%v", g, outC, batch, workers, hostile)
+			gotDW, gotDB := weightGradInto(dys, imgs, g, outC)
+			if hostile {
+				requireSameFloats(t, what+" dw", gotDW, wantDW)
+				requireSameFloats(t, what+" db", gotDB, wantDB)
+				continue
+			}
+			requireBitEqual(t, what+" dw", gotDW, wantDW, outC, batch*spatial, g.InC*g.KH*g.KW)
+			requireBitEqual(t, what+" db", gotDB, wantDB, outC, batch*spatial, 1)
 		}
 	}
 }

@@ -16,15 +16,19 @@ import (
 // NR-column panels, once however many large operands read it, and a
 // row-indirect micro-kernel reads the large one where it lies through
 // two offset tables: a convolution's padded image or its output
-// gradient laid on a canvas, a dense layer's W, or an output gradient
-// dy. The batch calls a convolution layer makes (ConvForwardBatchInto,
-// ConvInputGradBatchInto) build one plan per call and let every image of
-// the batch read it. Packing buffers come from an internal Pool, so
-// steady-state calls allocate nothing unless they fork.
+// gradient laid on a canvas, the padded images of a whole batch, a dense
+// layer's W, or an output gradient dy. The batch calls a convolution
+// layer makes (ConvForwardBatchInto, ConvWeightGradBatchInto,
+// ConvInputGradBatchInto) build one plan per call: the forward pass and
+// the input gradient let every image of the batch read it, and the
+// weight gradient is one product over all of the batch's images.
+// Packing buffers come from an internal Pool, so steady-state calls
+// allocate nothing unless they fork.
 //
 // Determinism: a plan's k steps fall into groups of equal length — one
-// group of all k for every product but the input gradient, whose groups
-// are its kernel taps. Every output element is one accumulator per
+// group of all k for a dense product and a convolution's forward pass,
+// one per image for the weight gradient and one per kernel tap for the
+// input gradient. Every output element is one accumulator per
 // group, over that group's terms in ascending order, and the groups'
 // results are added onto it in ascending order: the first group's
 // kernel call stores the tile, each later one adds its tile onto it.
@@ -133,8 +137,8 @@ func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 // caller packs dense; release returns them. The k steps are summed in
 // groups of group steps (see the determinism contract above).
 //
-// Plans are pooled, and each binds its loop body once, when it is made:
-// a batch call that forks hands parallel.For that stored body rather
+// Plans are pooled, and each binds its loop bodies once, when it is
+// made: a batch call that forks hands parallel.For a stored body rather
 // than a fresh closure, so it allocates nothing of its own. At two
 // workers every conv layer call of a training step forks, and one
 // closure a call was 9 MiB of garbage over a sim_paper pass, which runs
@@ -145,12 +149,14 @@ func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 // kernel has no edge path. MR-row blocks are partitioned across the
 // worker pool. Its uses:
 //
-//   - Convolution forward and weight gradient (newConvPlan). In padded
-//     coordinates the column matrix of an image is a sum of two offset
-//     tables, col[t][p] = x[tap[t] + pos[p]] (paddedGrids), so (row,
-//     koff) = (pos, tap) for the forward pass and (tap, pos) for the
-//     weight gradient; x is the padded copy of each image in turn, and
-//     past rows read its zero half.
+//   - Convolution forward (newConvPlan). In padded coordinates the
+//     column matrix of an image is a sum of two offset tables,
+//     col[t][p] = x[tap[t] + pos[p]] (paddedGrids), so (row, koff) =
+//     (pos, tap); x is the padded copy of each image in turn, and past
+//     rows read its zero half.
+//   - Convolution weight gradient (newWeightGradPlan): (row, koff) =
+//     (tap, pos), koff running over the positions of every image of the
+//     batch, and x the batch's padded copies side by side.
 //   - Convolution input gradient (newInputGradPlan): rows are input
 //     pixels, k runs over (tap, output channel) and x is each output
 //     gradient laid on a canvas (see there).
@@ -174,11 +180,17 @@ type rowPlan struct {
 	cv             canvas
 	dst, bias, src []float64
 	body           func(lo, hi int) // images, bound once
+
+	// What packImages reads and writes: the items of src, placed on
+	// canvases, and the output gradients of dy, packed into bp with each
+	// channel's sum in sums.
+	dy, canvases, sums []float64
+	pack               func(lo, hi int) // packImages, bound once
 }
 
 var rowPlans = sync.Pool{New: func() any {
 	p := new(rowPlan)
-	p.body = p.images
+	p.body, p.pack = p.images, p.packImages
 	return p
 }}
 
@@ -215,18 +227,50 @@ func newRowPlan(outC int, kGrid, rowGrid offsetGrid, pastRow, xLen int) *rowPlan
 	return p
 }
 
-// newConvPlan builds the plan of dense (outC × k) against images of g's
-// geometry: the forward product, or with weightGrad the weight
-// gradient's. x is a padded copy and its zero half (paddedGrids).
-func newConvPlan(dense []float64, outC int, g ConvGeom, weightGrad bool) *rowPlan {
+// newConvPlan builds the forward plan of w (outC × InC·KH·KW) against
+// images of g's geometry. x is a padded copy and its zero half
+// (paddedGrids).
+func newConvPlan(w []float64, outC int, g ConvGeom) *rowPlan {
 	kGrid, rowGrid, cv := paddedGrids(g)
-	if weightGrad {
-		kGrid, rowGrid = rowGrid, kGrid
-	}
 	size := cv.size()
 	p := newRowPlan(outC, kGrid, rowGrid, size, 2*size)
-	packBTrans(p.bp, dense, len(p.koff), outC)
+	packBTrans(p.bp, w, len(p.koff), outC, len(p.koff)*gemmNR, nil)
 	p.cv = cv
+	return p
+}
+
+// newWeightGradPlan builds the weight-gradient plan of n output
+// gradients dy_i (outC × OutH·OutW) against n images x_i of g's
+// geometry:
+//
+//	dw[oc][t] = Σ_i Σ_p dy_i[oc][p] · im2col(x_i)[t][p]
+//
+// Rows are taps t = (c, kh, kw); k runs over (image, position), image
+// major, in n groups of one image's positions. x is the n images on n
+// consecutive canvases (paddedGrids), so image i's koff is its position
+// grid shifted by i canvases. Past rows read at offset 0, as in
+// denseInto: their lanes reach only the spill tile's discarded rows, so
+// no zero half is needed. The dense operand is dy, packed by packImages
+// (its caller forks it across the images): image i fills panel rows
+// [i·spatial, (i+1)·spatial) and leaves the row sums of dy_i — the bias
+// gradient's terms — in sums.
+//
+// Why the bits are the per-image sum's: every element comes out as
+// ((s₀ + s₁) + …) over the images in ascending order, each s_i the
+// ascending accumulator over positions that starts at +0 — what one
+// image's ConvMatMulTransBInto stores. Adding those onto a zeroed dw in
+// image order gives ((+0 + s₀) + s₁) + …, and +0 + s₀ = s₀ because s₀
+// is never −0: under round-to-nearest a sum that starts at +0 reaches −0
+// only by adding −0 to −0. The same holds for each row sum, so the bias
+// gradient folded in image order — the first image stores, each later
+// one adds — is what accumulating onto a zeroed db gave, bit for bit.
+// This is newInputGradPlan's argument, over images instead of taps.
+func newWeightGradPlan(outC, n int, g ConvGeom) *rowPlan {
+	taps, pos, cv := paddedGrids(g)
+	spatial, size := pos.size(), cv.size()
+	pos.d0, pos.s0 = n, size
+	p := newRowPlan(outC, pos, taps, 0, n*size)
+	p.group, p.cv = spatial, cv
 	return p
 }
 
@@ -282,7 +326,7 @@ func newInputGradPlan(w []float64, outC int, g ConvGeom) *rowPlan {
 func (p *rowPlan) release() {
 	packPool.PutSlice(p.bp)
 	offsetPool.PutSlice(p.offs)
-	*p = rowPlan{body: p.body}
+	*p = rowPlan{body: p.body, pack: p.pack}
 	rowPlans.Put(p)
 }
 
@@ -328,6 +372,20 @@ func (p *rowPlan) images(lo, hi int) {
 		}
 	}
 	packPool.PutSlice(buf)
+}
+
+// packImages readies images [lo, hi) of the weight-gradient plan
+// (newWeightGradPlan): image i of src is placed on canvas i, and dy_i
+// packed into its rows of every panel, its channel sums in sums.
+func (p *rowPlan) packImages(lo, hi int) {
+	size, srcSize, spatial := p.cv.size(), p.cv.srcSize(), p.group
+	outSize, stride := p.outC*spatial, len(p.koff)*gemmNR
+	for i := lo; i < hi; i++ {
+		x := p.canvases[i*size:][:size]
+		clear(x)
+		p.cv.place(x, p.src[i*srcSize:][:srcSize])
+		packBTrans(p.bp[i*spatial*gemmNR:], p.dy[i*outSize:][:outSize], spatial, p.outC, stride, p.sums[i*p.outC:][:p.outC])
+	}
 }
 
 // rowPlanParallel is run's fork-join path, split out so its closure
@@ -400,25 +458,16 @@ func (p *rowPlan) chunk(dst, x, spill []float64, blo, bhi int) {
 	}
 }
 
-// convGemmInto is one image's forward or weight-gradient product: a
-// plan, then that plan's one image.
-func convGemmInto(dst, dense []float64, outC int, img []float64, g ConvGeom, weightGrad bool) {
-	p := newConvPlan(dense, outC, g, weightGrad)
-	p.dst, p.src = dst, img
-	p.images(0, 1)
-	p.release()
-}
-
 // denseInto is a product against a row-major matrix x read in place
 // (see rowPlan): dense — (outC × k), or kMajor (k × outC) — against x
 // through kGrid and rowGrid. Past rows read at row 0, which every table
 // keeps inside x.
 func denseInto(dst, dense []float64, kMajor bool, outC int, x []float64, kGrid, rowGrid offsetGrid) {
 	p := newRowPlan(outC, kGrid, rowGrid, 0, len(x))
-	if kMajor {
-		packB(p.bp, dense, len(p.koff), outC)
+	if k := len(p.koff); kMajor {
+		packB(p.bp, dense, k, outC)
 	} else {
-		packBTrans(p.bp, dense, len(p.koff), outC)
+		packBTrans(p.bp, dense, k, outC, k*gemmNR, nil)
 	}
 	spill := packPool.GetSlice(gemmMR * gemmNR)
 	p.run(dst, x, spill)
@@ -473,11 +522,72 @@ func ConvForwardBatchInto(dst, w, b, x *Tensor, g ConvGeom) *Tensor {
 		}
 		bias = b.Data
 	}
-	p := newConvPlan(w.Data, outC, g, false)
-	p.dst, p.bias, p.src = dst.Data, bias, x.Data
+	convForward(dst.Data, w.Data, outC, bias, x.Data, n, g)
+	return dst
+}
+
+// convForward is ConvForwardBatchInto past its checks: n images of src
+// against w's one plan, forked across the images.
+func convForward(dst, w []float64, outC int, bias, src []float64, n int, g ConvGeom) {
+	p := newConvPlan(w, outC, g)
+	p.dst, p.bias, p.src = dst, bias, src
 	parallel.For(n, 1, p.body)
 	p.release()
-	return dst
+}
+
+// ConvWeightGradBatchInto computes a convolution's parameter gradients
+// for a whole batch: dw = Σ_i dy_i @ im2col(x_i)ᵀ and
+// db[oc] = Σ_i (the sum of row oc of dy_i), over the n images of x
+// (n is its leading dimension; each one CHW image of g's geometry) and
+// the n output gradients of dy (each (outC × OutH*OutW)). dw is
+// (outC × InC*KH*KW) and db has outC elements; every element of both is
+// overwritten.
+//
+// It is one product (newWeightGradPlan): dy is packed, each image's row
+// sums taken and each image padded once for the call, partitioned
+// across the worker pool by image; the product's taps are partitioned
+// across it after. The result is bit-identical, at any worker count, to
+// n ConvMatMulTransBInto calls and n serial row sums added in image
+// order onto zeroed dw and db. It returns dw.
+func ConvWeightGradBatchInto(dw, db, dy, x *Tensor, g ConvGeom) *Tensor {
+	spatial := g.OutH() * g.OutW()
+	outC := checkConvDense("ConvWeightGradBatchInto", dw, g.InC*g.KH*g.KW, g)
+	n := checkConvBatch("ConvWeightGradBatchInto", x, g.ImageSize(), dy, outC*spatial, g)
+	if db.Size() != outC {
+		panic(fmt.Sprintf("tensor: ConvWeightGradBatchInto: bias gradient has %d elements, want %d", db.Size(), outC))
+	}
+	convWeightGrad(dw.Data, db.Data, dy.Data, outC, x.Data, n, g)
+	return dw
+}
+
+// convWeightGrad is ConvWeightGradBatchInto past its checks, or with db
+// nil ConvMatMulTransBInto. The canvases, the images' row sums and the
+// spill tile share one lease.
+func convWeightGrad(dw, db, dy []float64, outC int, src []float64, n int, g ConvGeom) {
+	p := newWeightGradPlan(outC, n, g)
+	xLen, sLen := n*p.cv.size(), n*outC
+	buf := packPool.GetSlice(xLen + sLen + gemmMR*gemmNR)
+	p.src, p.dy, p.canvases, p.sums = src, dy, buf[:xLen], buf[xLen:][:sLen]
+	parallel.For(n, 1, p.pack)
+	if db != nil {
+		// In image order, the first image storing: see newWeightGradPlan.
+		if n == 0 {
+			clear(db)
+		}
+		for i := 0; i < n; i++ {
+			s := p.sums[i*outC:][:outC]
+			if i == 0 {
+				copy(db, s)
+				continue
+			}
+			for oc, v := range s {
+				db[oc] += v
+			}
+		}
+	}
+	p.run(dw, p.canvases, buf[xLen+sLen:])
+	packPool.PutSlice(buf)
+	p.release()
 }
 
 // ConvMatMulInto computes dst = w @ im2col(img) without materializing
@@ -491,19 +601,20 @@ func ConvMatMulInto(dst, w *Tensor, img []float64, g ConvGeom) *Tensor {
 	k := g.InC * g.KH * g.KW
 	n := g.OutH() * g.OutW()
 	m := checkConvMatMul("ConvMatMulInto", dst, w, img, g, k, n)
-	convGemmInto(dst.Data, w.Data, m, img, g, false)
+	convForward(dst.Data, w.Data, m, nil, img, 1, g)
 	return dst
 }
 
 // ConvMatMulTransBInto computes dst = dy @ im2col(img)ᵀ without
-// materializing the column matrix — the implicit-GEMM weight-gradient
-// kernel of the conv backward pass. dy is (outC × OutH*OutW), dst is
-// (outC × InC*KH*KW). It returns dst.
+// materializing the column matrix — one image's weight gradient. dy is
+// (outC × OutH*OutW), dst is (outC × InC*KH*KW). It is
+// ConvWeightGradBatchInto for one image and no bias gradient. It
+// returns dst.
 func ConvMatMulTransBInto(dst, dy *Tensor, img []float64, g ConvGeom) *Tensor {
 	k := g.OutH() * g.OutW()
 	n := g.InC * g.KH * g.KW
 	m := checkConvMatMul("ConvMatMulTransBInto", dst, dy, img, g, k, n)
-	convGemmInto(dst.Data, dy.Data, m, img, g, true)
+	convWeightGrad(dst.Data, nil, dy.Data, m, img, 1, g)
 	return dst
 }
 

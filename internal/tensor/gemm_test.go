@@ -209,6 +209,17 @@ func TestGEMMZeroK(t *testing.T) {
 			t.Fatalf("conv k=0 output element %d = %v, want 0", i, v)
 		}
 	}
+	// The batch call's k is every image's positions, and its bias
+	// gradient is written too: with no positions, or with no images.
+	for _, n := range []int{2, 0} {
+		dw, db := Full(7, 2, 9), Full(7, 2)
+		ConvWeightGradBatchInto(dw, db, New(n, 2, 0), New(n, 1, 2, 2), g)
+		for i, v := range append(dw.Data, db.Data...) {
+			if v != 0 {
+				t.Fatalf("ConvWeightGradBatchInto k=0 over %d images: element %d = %v, want 0", n, i, v)
+			}
+		}
+	}
 }
 
 // TestRowPlanRefusesShortX pins the row-indirect plan's one bounds
@@ -557,8 +568,8 @@ func matrixCases(rng *rand.Rand, m, k, n int) []productCase {
 }
 
 // convCases draws operands for the conv entries over g with outC output
-// channels: the two single-image products, and the two batch calls over
-// two images, the forward one with a bias. The input gradient's
+// channels: the two single-image products, and the three batch calls
+// over two images, the forward one with a bias. The input gradient's
 // reference is col2im of the naive column gradients.
 func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
 	const batch = 2
@@ -595,7 +606,19 @@ func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
 		{"ConvInputGradBatchInto", func() []float64 {
 			return ConvInputGradBatchInto(New(batch, g.InC, g.InH, g.InW), w, dys, g).Data
 		}, dxs},
+		weightGradCase(g, outC, imgs.Data, dys),
 	}
+}
+
+// weightGradCase is ConvWeightGradBatchInto's entry over the images of
+// imgs and the output gradients of dys, dw and db as one slice, against
+// weightGradRef.
+func weightGradCase(g ConvGeom, outC int, imgs []float64, dys *Tensor) productCase {
+	dw, db := weightGradRef(dys, imgs, g, outC)
+	return productCase{"ConvWeightGradBatchInto", func() []float64 {
+		dw, db := weightGradInto(dys, imgs, g, outC)
+		return append(dw, db...)
+	}, append(dw, db...)}
 }
 
 // usePortablePair installs a portable pair kernel — two
@@ -715,7 +738,7 @@ func TestPortablePairAtTheGate(t *testing.T) {
 		cases := convCases(rng, c.g, c.outC)
 		what := fmt.Sprintf("conv %+v outC=%d", c.g, c.outC)
 		if c.inputGrad {
-			check(what, steps(c.g.InH*c.g.InW, c.g.KH*c.g.KW*c.outC, c.g.InC), cases[3:])
+			check(what, steps(c.g.InH*c.g.InW, c.g.KH*c.g.KW*c.outC, c.g.InC), cases[3:4])
 			continue
 		}
 		s := steps(spatial, taps, c.outC)
@@ -723,6 +746,23 @@ func TestPortablePairAtTheGate(t *testing.T) {
 			t.Fatalf("%s: the forward product and dW take different step counts", what)
 		}
 		check(what, s, cases[:3])
+	}
+	// The weight gradient's batch call tiles taps against outC over the
+	// positions of every image, so its gate counts the whole batch: 3
+	// images of 21 positions, then 4 of 16, over 9 taps.
+	for _, c := range []struct {
+		g           ConvGeom
+		outC, batch int
+	}{
+		{ConvGeom{InC: 1, InH: 3, InW: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 8, 3},
+		{ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 8, 4},
+	} {
+		taps, spatial := c.g.InC*c.g.KH*c.g.KW, c.g.OutH()*c.g.OutW()
+		imgs, dys := make([]float64, c.batch*c.g.ImageSize()), New(c.batch, c.outC, spatial)
+		fillMixed(rng, imgs)
+		fillMixed(rng, dys.Data)
+		check(fmt.Sprintf("conv %+v outC=%d batch=%d", c.g, c.outC, c.batch), steps(taps, c.batch*spatial, c.outC),
+			[]productCase{weightGradCase(c.g, c.outC, imgs, dys)})
 	}
 }
 
@@ -793,9 +833,11 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	g := convGeoms[len(convGeoms)-1]
 	colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 	outC := forkingConvOutC(t, g)
-	img := New(g.ImageSize()).RandNormal(rng, 0, 1).Data
+	imgs := New(3, g.InC, g.InH, g.InW).RandNormal(rng, 0, 1)
+	img := imgs.Data[:g.ImageSize()]
 	w := New(outC, colRows).RandNormal(rng, 0, 1)
 	dy := New(outC, spatial).RandNormal(rng, 0, 1)
+	dys := New(3, outC, spatial).RandNormal(rng, 0, 1)
 	dyDense := New(m, 40).RandNormal(rng, 0, 1)
 	at := New(64, m).RandNormal(rng, 0, 1)
 	products := func() []*Tensor {
@@ -807,6 +849,7 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 			DenseInputGradInto(New(m, 64), dyDense, b),
 			MatMulTransAInto(New(m, 40), at, b),
 			ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, FromSlice(dy.Data, 1, outC, spatial), g),
+			ConvWeightGradBatchInto(New(outC, colRows), New(outC), dys, imgs, g),
 		}
 	}
 	exact := products()
@@ -820,7 +863,7 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 	fast1 := products()
 	parallel.SetWorkers(4)
 	fastN := products()
-	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto", "DenseForwardInto", "DenseInputGradInto", "MatMulTransAInto", "ConvInputGradBatchInto"} {
+	for i, name := range []string{"MatMulInto", "ConvMatMulInto", "ConvMatMulTransBInto", "DenseForwardInto", "DenseInputGradInto", "MatMulTransAInto", "ConvInputGradBatchInto", "ConvWeightGradBatchInto"} {
 		if !AllClose(exact[i], fast1[i], 1e-10) {
 			t.Fatalf("%s: fast mode drifted beyond tolerance from exact mode", name)
 		}

@@ -175,6 +175,8 @@ func TestKernelsAllocFreeSerial(t *testing.T) {
 	testutil.MaxAllocs(t, "ConvMatMulTransBInto", 0, func() { ConvMatMulTransBInto(dwDst, dy, img, g) })
 	dys, dx := FromSlice(dy.Data, 1, 8, spatial), New(1, g.InC, g.InH, g.InW)
 	testutil.MaxAllocs(t, "ConvInputGradBatchInto", 0, func() { ConvInputGradBatchInto(dx, w, dys, g) })
+	x, dys2, db := FromSlice(src, 2, g.InC, g.InH, g.InW), New(2, 8, spatial).RandNormal(rng, 0, 1), New(8)
+	testutil.MaxAllocs(t, "ConvWeightGradBatchInto", 0, func() { ConvWeightGradBatchInto(dwDst, db, dys2, x, g) })
 
 	var ws, hdr Tensor
 	testutil.MaxAllocs(t, "Ensure", 0, func() { ws.Ensure(32, 24) })

@@ -11,8 +11,8 @@ package tensor
 // bit-exact accumulation of live elements.
 //
 // The small operand B (k×n) comes in three layouts. packBTrans takes it
-// stored (n×k) — a convolution's weights in the forward pass, dy for
-// its weight gradient, a dense layer's x or dy; packB takes it stored
+// stored (n×k) — a convolution's weights in the forward pass, the dy_i
+// of its weight gradient, a dense layer's x or dy; packB takes it stored
 // (k×n) — x for a dense layer's weight gradient; packTaps rearranges a
 // convolution's weights into its input gradient's B. What the kernel
 // reads in place — a convolution's zero-padded image or its output
@@ -67,27 +67,51 @@ func packTaps(bp, w []float64, m, n, taps int) {
 }
 
 // packBTrans packs every NR-column panel where the logical B (k×n) is
-// stored transposed as (n×k): B[kk][j] = b[j*k+kk]. A full panel reads
-// its eight rows of b side by side, so every panel row is one contiguous
-// store. It packs a convolution's weights or dy, once per call however
-// many images the call covers, and a dense layer's x or dy.
-func packBTrans(bp, b []float64, k, n int) {
+// stored transposed as (n×k): B[kk][j] = b[j*k+kk], panel p at
+// bp[p*stride:]. A full panel reads its eight rows of b side by side,
+// so every panel row is one contiguous store. It packs a convolution's
+// weights, once per call however many images the call covers, and a
+// dense layer's x or dy, at stride k·NR. A convolution's weight
+// gradient packs each image's dy_i into its own k rows of panels as tall
+// as the batch, at stride n_images·k·NR, and takes sums: with sums not
+// nil, sums[j] is set to the sum of B's column j over kk in ascending
+// order, in one accumulator that starts at +0 — the row sums of dy_i, a
+// channel's bias gradient, taken while the values pass.
+func packBTrans(bp, b []float64, k, n, stride int, sums []float64) {
 	for j0 := 0; j0 < n; j0 += gemmNR {
 		jb := min(n-j0, gemmNR)
-		pan := bp[j0*k:][:k*gemmNR]
+		pan := bp[j0/gemmNR*stride:][:k*gemmNR]
 		if jb == gemmNR {
 			r0, r1, r2, r3 := b[(j0+0)*k:][:k], b[(j0+1)*k:][:k], b[(j0+2)*k:][:k], b[(j0+3)*k:][:k]
 			r4, r5, r6, r7 := b[(j0+4)*k:][:k], b[(j0+5)*k:][:k], b[(j0+6)*k:][:k], b[(j0+7)*k:][:k]
+			if sums == nil {
+				for kk := range r0 {
+					d := pan[kk*gemmNR:][:gemmNR]
+					d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
+					d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+				}
+				continue
+			}
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
 			for kk := range r0 {
 				d := pan[kk*gemmNR:][:gemmNR]
 				d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
 				d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+				s0, s1, s2, s3 = s0+r0[kk], s1+r1[kk], s2+r2[kk], s3+r3[kk]
+				s4, s5, s6, s7 = s4+r4[kk], s5+r5[kk], s6+r6[kk], s7+r7[kk]
 			}
+			s := sums[j0:][:gemmNR]
+			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
 			continue
 		}
 		for jr := 0; jr < jb; jr++ {
+			s := 0.0
 			for kk, bv := range b[(j0+jr)*k:][:k] {
 				pan[kk*gemmNR+jr] = bv
+				s += bv
+			}
+			if sums != nil {
+				sums[j0+jr] = s
 			}
 		}
 		for jr := jb; jr < gemmNR; jr++ {
@@ -98,14 +122,16 @@ func packBTrans(bp, b []float64, k, n int) {
 	}
 }
 
-// The image side of the convolution products (newConvPlan). The im2col
-// column matrix of one CHW image — row (c,kh,kw), column (oh,ow), entry
-// pixel (c, oh*StrideH-PadH+kh, ow*StrideW-PadW+kw), zero where that
-// falls outside the image — is never materialized. The plan places the
-// image on a canvas, its copy with the zero border written out; that is
-// the only place the padding is decided, because in padded coordinates
-// every (tap, position) pair addresses a real element, at tap offset
-// plus position offset. Taps and positions are each a small grid of
+// The image side of the convolution products (newConvPlan,
+// newWeightGradPlan). The im2col column matrix of one CHW image — row
+// (c,kh,kw), column (oh,ow), entry pixel (c, oh*StrideH-PadH+kh,
+// ow*StrideW-PadW+kw), zero where that falls outside the image — is
+// never materialized. The plan places the image on a canvas, its copy
+// with the zero border written out (the weight gradient places every
+// image of the batch, each on its own); that is the only place the
+// padding is decided, because in padded coordinates every (tap,
+// position) pair addresses a real element, at tap offset plus position
+// offset. Taps and positions are each a small grid of
 // offsets (offsetGrid) that the driver tabulates and the micro-kernel
 // adds. The input gradient's plan (newInputGradPlan) places dy on a
 // canvas the same way. A row-major matrix read in place — a dense

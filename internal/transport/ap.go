@@ -769,7 +769,6 @@ func (ap *AP) runTurn(rt *groupRT, cc *clientConn, chain *TurnState, deadline ti
 		at = time.Now()
 		logits := rt.server.Forward(serverIn, true)
 		lossFn.EvalInto(logits, ys, &rt.lossGrad)
-		rt.server.ZeroGrads()
 		dSmashed := rt.server.Backward(&rt.lossGrad)
 		ap.phase(tk, phaseServerCompute, at)
 		at = time.Now()

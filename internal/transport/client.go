@@ -192,7 +192,6 @@ func (c *Client) trainTurn(steps int, st *TurnState) error {
 			}
 			return fmt.Errorf("gradient shape %v, want %v", g.Shape(), smashed.Shape())
 		}
-		c.half.Client.ZeroGrads()
 		c.half.Client.BackwardParams(g)
 		c.opt.Step(c.half.Client.Params(), c.half.Client.Grads(), c.half.Client.DecayMask())
 		if grad != nil {

@@ -143,15 +143,17 @@ func raiseFDLimit() {
 	}
 }
 
-// faultProfileFor maps a client index to its faultconn profile (zero
-// profile = clean). The first StallFrac·N clients stall, the next
-// DropFrac·N drop mid-frame, the next DelayFrac·N delay writes —
-// deterministic assignment, so a (config, seed) pair replays exactly.
+// faultProfileFor maps a client index to its faultconn profile, the
+// zero profile for a clean client. The first StallFrac·N clients stall,
+// the next DropFrac·N drop mid-frame, the next DelayFrac·N delay writes
+// — deterministic assignment, so a (config, seed) pair replays exactly.
+// Only a faulty client's profile carries a seed: a clean client's is
+// zero in every field, so that wrapConn can tell it apart.
 func (cfg *LoadGenConfig) faultProfileFor(i int) faultconn.Profile {
 	nStall := int(cfg.StallFrac * float64(cfg.Clients))
 	nDrop := int(cfg.DropFrac * float64(cfg.Clients))
 	nDelay := int(cfg.DelayFrac * float64(cfg.Clients))
-	p := faultconn.Profile{Seed: cfg.Seed*1_000_003 + int64(i)}
+	var p faultconn.Profile
 	switch {
 	case i < nStall:
 		// Hang partway into the first turn (after hello + one smashed).
@@ -162,8 +164,21 @@ func (cfg *LoadGenConfig) faultProfileFor(i int) faultconn.Profile {
 	case i < nStall+nDrop+nDelay:
 		p.WriteDelayProb = 0.5
 		p.WriteDelay = cfg.Delay
+	default:
+		return p
 	}
+	p.Seed = cfg.Seed*1_000_003 + int64(i)
 	return p
+}
+
+// wrapConn returns client i's connection wrapped in faultconn when its
+// profile injects a fault, and raw itself when the client is clean, so
+// that a clean client's reads and writes pay for no fault bookkeeping.
+func (cfg *LoadGenConfig) wrapConn(i int, raw net.Conn) net.Conn {
+	if p := cfg.faultProfileFor(i); p != (faultconn.Profile{}) {
+		return faultconn.Wrap(raw, p)
+	}
+	return raw
 }
 
 func (cfg *LoadGenConfig) faultCount() int {
@@ -239,10 +254,7 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadGenReport, error) {
 			dialErr = fmt.Errorf("transport: loadgen dial %d: %w", i, err)
 			break
 		}
-		conn := net.Conn(raw)
-		if p := cfg.faultProfileFor(i); p != (faultconn.Profile{}) {
-			conn = faultconn.Wrap(raw, p)
-		}
+		conn := cfg.wrapConn(i, raw)
 		conns[i] = conn
 		wg.Add(1)
 		go func(id int, conn net.Conn) {

@@ -1,9 +1,50 @@
 package transport
 
 import (
+	"net"
 	"testing"
 	"time"
+
+	"gsfl/internal/testutil/faultconn"
 )
+
+// TestLoadGenWrapsOnlyFaultyClients pins which connections the load
+// generator hands to faultconn: with no fault fractions none, whatever
+// the seed; with stall, drop and delay fractions exactly the first
+// StallFrac·N + DropFrac·N + DelayFrac·N clients, each with its own
+// fault.
+func TestLoadGenWrapsOnlyFaultyClients(t *testing.T) {
+	raw, peer := net.Pipe()
+	defer raw.Close()
+	defer peer.Close()
+	// wrapped returns the indices of the clients wrapConn wraps.
+	wrapped := func(cfg *LoadGenConfig) (idx []int) {
+		for i := 0; i < cfg.Clients; i++ {
+			if _, ok := cfg.wrapConn(i, raw).(*faultconn.Conn); ok {
+				idx = append(idx, i)
+			}
+		}
+		return idx
+	}
+	for _, seed := range []int64{0, 1, 7} {
+		if idx := wrapped(&LoadGenConfig{Clients: 40, Groups: 4, Rounds: 1, Seed: seed, Delay: time.Millisecond}); len(idx) != 0 {
+			t.Fatalf("seed %d: a config with no fault fractions wrapped clients %v", seed, idx)
+		}
+	}
+	cfg := &LoadGenConfig{Clients: 40, Groups: 4, Rounds: 1, Seed: 7,
+		StallFrac: 0.1, DropFrac: 0.05, DelayFrac: 0.1, Delay: time.Millisecond}
+	idx := wrapped(cfg)
+	if len(idx) != 10 || len(idx) != cfg.faultCount() || idx[len(idx)-1] != 9 {
+		t.Fatalf("wrapped clients %v, want the first %d", idx, cfg.faultCount())
+	}
+	for _, i := range idx {
+		p := cfg.faultProfileFor(i)
+		stall, drop, delay := i < 4, i >= 4 && i < 6, i >= 6
+		if (p.StallAfterWrites > 0) != stall || (p.DropAfterBytes > 0) != drop || (p.WriteDelayProb > 0) != delay {
+			t.Fatalf("client %d profile %+v: want stall=%v drop=%v delay=%v", i, p, stall, drop, delay)
+		}
+	}
+}
 
 func TestLoadGenValidation(t *testing.T) {
 	cases := []LoadGenConfig{
