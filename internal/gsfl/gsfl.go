@@ -26,10 +26,14 @@
 // position).
 //
 // Execution mirrors the model: the M groups really do train on
-// concurrent goroutines (internal/parallel) each round, since every group
-// owns its replica, optimizer state, and its clients' data loaders.
-// Latency pricing, which consumes the shared wireless fading RNG, stays
-// serial in group order, so both training numerics and ledgers are
+// concurrent goroutines (internal/parallel), one task per group per
+// round. A task runs its group's whole turn chain — distribution into
+// the group's replica, every member's split steps in turn, the capture
+// for aggregation — touching only state the group owns: its replica,
+// optimizer state, step workspace, and its members' data loaders.
+// Latency pricing, which consumes the shared wireless fading RNG, runs
+// after the join, serially in (position, group) order from the batch
+// sizes the tasks recorded, so both training numerics and ledgers are
 // bit-identical for any worker count.
 //
 // The paper's baselines other than centralized learning are members of
@@ -137,8 +141,17 @@ type Trainer struct {
 	aggClient, aggServer []model.Snapshot
 	aggW                 []float64
 
-	// popCaps is the population path's reusable capacity scratch for
+	// batchSizes[g] is the batch size of each of group g's split steps
+	// this round, in turn order, recorded by its training task for
+	// pricing after the join; live is the round's live-group list. Both
+	// are reused across rounds.
+	batchSizes [][]int
+	live       []int
+
+	// binds is the round's population bindings, binds[slot] the member
+	// mounted on that slot; popCaps is the reusable capacity scratch for
 	// per-round cohort regrouping.
+	binds   []schemes.SlotBinding
 	popCaps []float64
 }
 
@@ -186,6 +199,7 @@ func newWithPlan(env *schemes.Env, cfg schemes.FactoryOpts, p plan) (*Trainer, e
 	t.stepWS = make([]schemes.StepWorkspace, len(groups))
 	t.capClient = make([]model.Snapshot, len(groups))
 	t.capServer = make([]model.Snapshot, len(groups))
+	t.batchSizes = make([][]int, len(groups))
 	for g := range groups {
 		// Fresh structure; parameters are overwritten from the global
 		// snapshots at the start of every round.
@@ -222,17 +236,19 @@ func (t *Trainer) ServerStorageBytes() int64 {
 }
 
 // mountCohort wires one round's sampled population members onto the
-// physical slots: every binding's slot loader is re-pointed at the
-// member's data shard under the member's participation seed, the
-// cohort is regrouped (bindings are dense — binding i owns slot i —
-// so group member indices remain valid slot indices). The per-round
-// regrouping draws from the dedicated "pop-grouping" stream keyed by
-// round, leaving the classic path's "grouping" stream untouched.
+// physical slots: it keeps each slot's binding (the group task re-points
+// the slot's loader at the member's data shard, under the member's
+// participation seed, right before the member's turn), records the
+// mounted shard sizes, and regroups the cohort (bindings are dense —
+// binding i owns slot i — so group member indices remain valid slot
+// indices). The per-round regrouping draws from the dedicated
+// "pop-grouping" stream keyed by round, leaving the classic path's
+// "grouping" stream untouched.
 func (t *Trainer) mountCohort(binds []schemes.SlotBinding) {
 	env := t.env
+	t.binds = binds
 	for i := range binds {
 		b := &binds[i]
-		t.loaders[b.Slot].Reset(env.Train[b.Shard], b.LoaderSeed)
 		t.mounted[b.Slot] = float64(env.Train[b.Shard].Len())
 	}
 	k := len(binds)
@@ -279,7 +295,7 @@ func (t *Trainer) availableGroups() ([][]int, []float64) {
 }
 
 // Round implements schemes.Trainer: one full distribute/train/aggregate
-// cycle. Cancellation is honoured between client positions; a cancelled
+// cycle. Cancellation is honoured between client turns; a cancelled
 // round returns ctx.Err() and leaves the trainer unusable (resume from
 // the last checkpoint instead).
 func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
@@ -303,47 +319,107 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	groups, weights := t.availableGroups()
 
 	// Indices of groups with at least one available client this round.
-	var live []int
+	live := t.live[:0]
+	maxLen := 0
 	for g, members := range groups {
 		if len(members) > 0 {
 			live = append(live, g)
+			maxLen = max(maxLen, len(members))
 		}
 	}
+	t.live = live
 	if len(live) == 0 {
 		// Every client dropped: the round is a no-op (the AP waits out a
 		// timeout; we price nothing and keep the previous global model).
 		return &simnet.Ledger{}, nil
 	}
 
+	// --- Step 2: model training within groups (parallel) --------------
+	// One task per live group runs the group's whole turn chain: reset
+	// the replica to the global halves (Step 1's model distribution),
+	// train each member's StepsPerClient split steps in turn, recording
+	// every batch size for pricing, and capture the result for Step 3.
+	//
+	// No bit depends on the worker count or the schedule. A task touches
+	// only state its group owns — the replica, its optimizers, stepWS[g],
+	// its capture slots, and the loaders of its members; groups partition
+	// the cohort, so every slot belongs to one group. Restore reads the
+	// global snapshots, which nothing writes before aggregation. A
+	// population member's loader is re-pointed at its shard and seed
+	// right before its turn, so a dropped member's loader is left alone
+	// in a round it does not train and re-pointed before any later use
+	// (population loaders carry no checkpointed state: ReplayedLoaders).
+	// Nothing in training reads the channel or the allocator, so pricing
+	// below keeps every fading draw in its place.
+	steps := env.Hyper.StepsPerClient
+	// FL's steps send nothing, so there is nothing to quantize.
+	quantize := env.Hyper.QuantizeTransfers && !t.plan.local
+	train := func(g int) {
+		rep := t.replicas[g]
+		t.globalClient.Restore(rep.Client)
+		t.globalServer.Restore(rep.Server)
+		ws := &t.stepWS[g]
+		sizes := t.batchSizes[g][:0]
+		for _, ci := range groups[g] {
+			if env.Pop != nil {
+				b := &t.binds[ci]
+				t.loaders[ci].Reset(env.Train[b.Shard], b.LoaderSeed)
+			}
+			if ctx.Err() != nil {
+				return
+			}
+			for s := 0; s < steps; s++ {
+				t.loaders[ci].NextInto(&ws.Batch)
+				ws.SplitStep(rep, t.clientOpts[g], t.serverOpts[g], ws.Batch, quantize)
+				sizes = append(sizes, len(ws.Batch.Y))
+			}
+		}
+		t.batchSizes[g] = sizes
+		if !t.plan.chain {
+			t.capClient[g].CaptureFrom(rep.Client)
+			t.capServer[g].CaptureFrom(rep.Server)
+		}
+	}
+	parallel.For(len(live), 1, func(lo, hi int) {
+		for _, g := range live[lo:hi] {
+			train(g)
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Latency pricing draws fast-fading samples from the shared channel
+	// RNG, so it runs serially after the join, in (position, group)
+	// order — the exact draw sequence of the paper's schedule, where the
+	// groups training their p-th client share the spectrum.
+	//
 	// Tracing (nil when disabled): one lane per live group on the
 	// virtual clock, phase spans straight from the ledger adds.
 	rt := env.BeginRoundTrace(t.plan.scheme, t.round)
 
-	// --- Step 1: model distribution -----------------------------------
-	// Every live group replica is reset to the global halves. The first
-	// available client of each group downloads the client-side model; the
-	// downloads are concurrent and share the downlink budget. A chain has
-	// nothing to download: its model is already with the first client.
-	// Under FL the client half is the whole model, and its download and
-	// return are the round's only transfers: FL's Downlink and Uplink.
+	// --- Step 1, priced: model distribution ----------------------------
+	// The first available client of each group downloads the client-side
+	// model; the downloads are concurrent and share the downlink budget.
+	// A chain has nothing to download: its model is already with the
+	// first client. Under FL the client half is the whole model, and its
+	// download and return are the round's only transfers: FL's Downlink
+	// and Uplink.
 	handOff, giveBack := simnet.Relay, simnet.Relay
 	if t.plan.local {
 		handOff, giveBack = simnet.Downlink, simnet.Uplink
 	}
-	groupLeds := make(map[int]*simnet.Ledger, len(live))
+	leds := make([]*simnet.Ledger, len(live))
 	firstClients := make([]int, len(live))
 	for li, g := range live {
-		groupLeds[g] = &simnet.Ledger{}
-		rt.Lane("group", g, groupLeds[g])
+		leds[li] = &simnet.Ledger{}
+		rt.Lane("group", g, leds[li])
 		firstClients[li] = groups[g][0]
-		t.globalClient.Restore(t.replicas[g].Client)
-		t.globalServer.Restore(t.replicas[g].Server)
 	}
 	var distAlloc []float64
 	distribute := func(li int) {
-		g := live[li]
-		groupLeds[g].Add(handOff, env.Channel.TransferSeconds(firstClients[li],
-			t.replicas[g].ClientParamBytes(), distAlloc[li], false))
+		leds[li].Add(handOff, env.Channel.TransferSeconds(firstClients[li],
+			t.replicas[live[li]].ClientParamBytes(), distAlloc[li], false))
 	}
 	if !t.plan.chain {
 		distAlloc = env.Alloc.Allocate(env.Channel, firstClients, env.Channel.DownlinkHz(), false)
@@ -354,30 +430,19 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		}
 	}
 
-	// --- Step 2: model training within groups (parallel) --------------
-	maxLen := 0
-	for _, g := range live {
-		if len(groups[g]) > maxLen {
-			maxLen = len(groups[g])
-		}
-	}
 	var upAlloc, downAlloc []float64
 	if t.plan.chain {
 		// The sole active client takes the full budget.
 		upAlloc, downAlloc = []float64{env.Channel.UplinkHz()}, []float64{env.Channel.DownlinkHz()}
 	}
-	// FL's steps send nothing, so there is nothing to quantize.
-	quantize := env.Hyper.QuantizeTransfers && !t.plan.local
+	active := make([]int, 0, len(live))
+	activeClients := make([]int, 0, len(live))
 	for pos := 0; pos < maxLen; pos++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		// Groups still training at this position contend for spectrum.
-		var activeGroups []int
-		var activeClients []int
-		for _, g := range live {
+		active, activeClients = active[:0], activeClients[:0]
+		for li, g := range live {
 			if pos < len(groups[g]) {
-				activeGroups = append(activeGroups, g)
+				active = append(active, li)
 				activeClients = append(activeClients, groups[g][pos])
 			}
 		}
@@ -385,51 +450,25 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 			upAlloc = env.Alloc.Allocate(env.Channel, activeClients, env.Channel.UplinkHz(), true)
 			downAlloc = env.Alloc.Allocate(env.Channel, activeClients, env.Channel.DownlinkHz(), false)
 		}
-
-		// The active groups train concurrently — the paper's "M groups in
-		// parallel", executed as real goroutines. Each group touches only
-		// group-owned state (its replica, its optimizers, its clients'
-		// loaders), so worker scheduling cannot perturb training numerics.
-		batchSizes := make([][]int, len(activeGroups))
-		parallel.For(len(activeGroups), 1, func(lo, hi int) {
-			for ai := lo; ai < hi; ai++ {
-				g := activeGroups[ai]
-				ci := activeClients[ai]
-				rep := t.replicas[g]
-				ws := &t.stepWS[g]
-				sizes := make([]int, env.Hyper.StepsPerClient)
-				for s := 0; s < env.Hyper.StepsPerClient; s++ {
-					t.loaders[ci].NextInto(&ws.Batch)
-					ws.SplitStep(rep, t.clientOpts[g], t.serverOpts[g], ws.Batch, quantize)
-					sizes[s] = len(ws.Batch.Y)
-				}
-				batchSizes[ai] = sizes
-			}
-		})
-
-		// Latency pricing draws fast-fading samples from the shared
-		// channel RNG, so it runs serially in group order — the exact
-		// draw sequence of a single-worker run, keeping ledgers (and
-		// therefore every latency figure) bit-identical.
-		for ai, g := range activeGroups {
-			ci := activeClients[ai]
+		for ai, li := range active {
+			g, ci, led := live[li], activeClients[ai], leds[li]
 			rep := t.replicas[g]
 			if pos == 0 && t.plan.distributionInTurn {
-				distribute(ai) // every live group is active at position 0
+				distribute(li) // every live group is active at position 0
 			}
-			rt.BeginSlot(groupLeds[g], "client", ci)
+			rt.BeginSlot(led, "client", ci)
 			if t.cfg.Pipelined {
-				if err := schemes.TurnLatency(env, rep, ci, env.Hyper.Batch, env.Hyper.StepsPerClient,
-					upAlloc[ai], downAlloc[ai], groupLeds[g]); err != nil {
+				if err := schemes.TurnLatency(env, rep, ci, env.Hyper.Batch, steps,
+					upAlloc[ai], downAlloc[ai], led); err != nil {
 					return nil, err
 				}
 			} else {
-				for _, bn := range batchSizes[ai] {
+				for _, bn := range t.batchSizes[g][pos*steps : (pos+1)*steps] {
 					if t.plan.local { // the loss is on the client: no per-step transfers
-						groupLeds[g].Add(simnet.ClientCompute,
+						led.Add(simnet.ClientCompute,
 							env.Fleet.Clients[ci].ComputeSeconds(3*rep.ClientFwdFLOPs()*int64(bn)))
 					} else {
-						schemes.StepLatency(env, rep, ci, bn, upAlloc[ai], downAlloc[ai], groupLeds[g])
+						schemes.StepLatency(env, rep, ci, bn, upAlloc[ai], downAlloc[ai], led)
 					}
 				}
 			}
@@ -438,22 +477,17 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 			// model to the AP after the last client.
 			switch {
 			case pos+1 < len(groups[g]):
-				schemes.RelayLatency(env, rep, ci, groups[g][pos+1], upAlloc[ai], downAlloc[ai], groupLeds[g])
+				schemes.RelayLatency(env, rep, ci, groups[g][pos+1], upAlloc[ai], downAlloc[ai], led)
 			case t.plan.chain:
-				schemes.RelayLatency(env, rep, ci, groups[g][0], upAlloc[ai], downAlloc[ai], groupLeds[g])
+				schemes.RelayLatency(env, rep, ci, groups[g][0], upAlloc[ai], downAlloc[ai], led)
 			default:
-				groupLeds[g].Add(giveBack,
-					env.Channel.TransferSeconds(ci, rep.ClientParamBytes(), upAlloc[ai], true))
+				led.Add(giveBack, env.Channel.TransferSeconds(ci, rep.ClientParamBytes(), upAlloc[ai], true))
 			}
-			rt.EndSlot(groupLeds[g])
+			rt.EndSlot(led)
 		}
 	}
 
 	// --- Step 3: aggregation among groups ------------------------------
-	leds := make([]*simnet.Ledger, 0, len(live))
-	for _, g := range live {
-		leds = append(leds, groupLeds[g])
-	}
 	round := simnet.MaxOf(leds)
 	if t.plan.chain {
 		// Nothing to average and nothing to price: the trained model is
@@ -472,8 +506,6 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	t.aggServer = t.aggServer[:0]
 	t.aggW = t.aggW[:0]
 	for _, g := range live {
-		t.capClient[g].CaptureFrom(t.replicas[g].Client)
-		t.capServer[g].CaptureFrom(t.replicas[g].Server)
 		t.aggClient = append(t.aggClient, t.capClient[g])
 		t.aggServer = append(t.aggServer, t.capServer[g])
 		t.aggW = append(t.aggW, weights[g])

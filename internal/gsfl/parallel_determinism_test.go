@@ -3,6 +3,7 @@ package gsfl
 import (
 	"testing"
 
+	"gsfl/env"
 	"gsfl/internal/metrics"
 	"gsfl/internal/model"
 	"gsfl/internal/parallel"
@@ -16,13 +17,13 @@ import (
 // and the aggregated model parameters must be bit-identical to a
 // single-worker run.
 
-// runAtWorkers trains a fresh GSFL trainer under the given worker count
-// and returns its curve plus the final aggregated halves.
-func runAtWorkers(t *testing.T, workers int, cfg schemes.FactoryOpts) (*metrics.Curve, model.Snapshot, model.Snapshot) {
+// runAtWorkers trains a fresh GSFL trainer on a fresh world under the
+// given worker count and returns its curve plus the final aggregated
+// halves.
+func runAtWorkers(t *testing.T, workers int, world func(*testing.T) *schemes.Env, cfg schemes.FactoryOpts) (*metrics.Curve, model.Snapshot, model.Snapshot) {
 	t.Helper()
 	parallel.SetWorkers(workers)
-	env := schemestest.NewEnv(21, 8, 40)
-	tr, err := New(env, cfg)
+	tr, err := New(world(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +61,55 @@ func mustEqualSnapshots(t *testing.T, workers int, name string, a, b model.Snaps
 	}
 }
 
+// TestGSFLBitIdenticalAcrossWorkers runs each row at 1, 2 and 8 workers.
+// Every live group trains its whole turn chain as one task, so the rows
+// cover what a task does beyond split steps: re-mounting population
+// members (some bound slots dropped, so their loaders sit out a round),
+// groups far outnumbering the workers with uneven sizes (For hands out
+// multi-group chunks, and groups finish at different positions), and
+// the quantized path.
 func TestGSFLBitIdenticalAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
-	for _, cfg := range []schemes.FactoryOpts{
-		{Groups: 3, Strategy: "round-robin"},
-		{Groups: 3, Strategy: "round-robin", Pipelined: true},
-		{Groups: 3, Strategy: "round-robin", DropoutProb: 0.2},
-	} {
-		baseCurve, baseClient, baseServer := runAtWorkers(t, 1, cfg)
-		for _, workers := range []int{2, 8} {
-			curve, client, server := runAtWorkers(t, workers, cfg)
-			mustEqualCurves(t, workers, baseCurve, curve)
-			mustEqualSnapshots(t, workers, "client-half", baseClient, client)
-			mustEqualSnapshots(t, workers, "server-half", baseServer, server)
+	small := func(*testing.T) *schemes.Env { return schemestest.NewEnv(21, 8, 40) }
+	quantized := func(t *testing.T) *schemes.Env {
+		w := small(t)
+		w.Hyper.QuantizeTransfers = true
+		return w
+	}
+	// 60 clients in 36 groups: 24 pairs and 12 singletons, more groups
+	// than the 32 chunks For cuts at 8 workers.
+	wide := func(*testing.T) *schemes.Env { return schemestest.NewEnv(22, 60, 40) }
+	population := func(t *testing.T) *schemes.Env {
+		spec := env.TestSpec()
+		spec.Population = 4 * spec.Clients
+		spec.SampleFraction = 0.25
+		spec.AvailTrace = "onoff"
+		world, err := env.Build(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return world
+	}
+	for _, row := range []struct {
+		name  string
+		world func(*testing.T) *schemes.Env
+		cfg   schemes.FactoryOpts
+	}{
+		{"plain", small, schemes.FactoryOpts{Groups: 3, Strategy: "round-robin"}},
+		{"pipelined", small, schemes.FactoryOpts{Groups: 3, Strategy: "round-robin", Pipelined: true}},
+		{"dropout", small, schemes.FactoryOpts{Groups: 3, Strategy: "round-robin", DropoutProb: 0.2}},
+		{"quantized", quantized, schemes.FactoryOpts{Groups: 3, Strategy: "round-robin"}},
+		{"uneven-many-groups", wide, schemes.FactoryOpts{Groups: 36, Strategy: "round-robin", DropoutProb: 0.1}},
+		{"population-onoff-dropout", population, schemes.FactoryOpts{Groups: 3, Strategy: "round-robin", DropoutProb: 0.3}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			baseCurve, baseClient, baseServer := runAtWorkers(t, 1, row.world, row.cfg)
+			for _, workers := range []int{2, 8} {
+				curve, client, server := runAtWorkers(t, workers, row.world, row.cfg)
+				mustEqualCurves(t, workers, baseCurve, curve)
+				mustEqualSnapshots(t, workers, "client-half", baseClient, client)
+				mustEqualSnapshots(t, workers, "server-half", baseServer, server)
+			}
+		})
 	}
 }

@@ -34,7 +34,9 @@ type Arch struct {
 
 // NewSplit builds the architecture and cuts it at layer index cut:
 // client = layers[:cut], server = layers[cut:]. It validates that the
-// stack is assemblable (shape propagation panics otherwise).
+// stack is assemblable (shape propagation panics otherwise) and prices
+// the per-sample quantities the latency model charges every turn, so
+// pricing never walks the layers again.
 func (a Arch) NewSplit(rng *rand.Rand, cut int) *SplitModel {
 	layers := a.Build(rng)
 	if cut < 0 || cut > len(layers) {
@@ -45,12 +47,18 @@ func (a Arch) NewSplit(rng *rand.Rand, cut int) *SplitModel {
 	if len(out) != 1 || out[0] != a.Classes {
 		panic(fmt.Sprintf("model: arch %q outputs %v, want [%d]", a.Name, out, a.Classes))
 	}
-	return &SplitModel{
+	m := &SplitModel{
 		Arch:   a,
 		Cut:    cut,
 		Client: nn.NewSequential(layers[:cut]...),
 		Server: nn.NewSequential(layers[cut:]...),
 	}
+	smashed := m.SmashedShape()
+	m.smashedScalars = int64(prodInt(smashed))
+	m.clientFwdFLOPs = m.Client.FwdFLOPs(a.InShape)
+	m.serverFwdFLOPs = m.Server.FwdFLOPs(smashed)
+	m.clientParams = int64(m.Client.ParamCount())
+	return m
 }
 
 // SplitModel is a model cut into a client-side and a server-side half.
@@ -61,6 +69,13 @@ type SplitModel struct {
 	Cut    int
 	Client *nn.Sequential
 	Server *nn.Sequential
+
+	// Costs fixed by the architecture and the cut, computed once by
+	// NewSplit: per sample, the activations at the cut and each half's
+	// forward FLOPs; and the client half's parameter count.
+	smashedScalars                 int64
+	clientFwdFLOPs, serverFwdFLOPs int64
+	clientParams                   int64
 }
 
 // Forward runs both halves, returning the logits. Used for evaluation and
@@ -84,8 +99,8 @@ func (m *SplitModel) SmashedBytes(batch int) int64 {
 // SmashedBytesWith is SmashedBytes at an explicit per-scalar wire width
 // (e.g. 1 for 8-bit quantized transfers).
 func (m *SplitModel) SmashedBytesWith(batch, bytesPerScalar int) int64 {
-	per := prodInt(m.SmashedShape()) + 1 // +1 label
-	return int64(batch) * int64(per) * int64(bytesPerScalar)
+	per := m.smashedScalars + 1 // +1 label
+	return int64(batch) * per * int64(bytesPerScalar)
 }
 
 // GradBytes returns the wire size of the cut-layer gradient for a batch.
@@ -95,13 +110,13 @@ func (m *SplitModel) GradBytes(batch int) int64 {
 
 // GradBytesWith is GradBytes at an explicit per-scalar wire width.
 func (m *SplitModel) GradBytesWith(batch, bytesPerScalar int) int64 {
-	return int64(batch) * int64(prodInt(m.SmashedShape())) * int64(bytesPerScalar)
+	return int64(batch) * m.smashedScalars * int64(bytesPerScalar)
 }
 
 // ClientParamBytes returns the wire size of the client-side model, the
 // quantity transferred during model distribution and intra-group sharing.
 func (m *SplitModel) ClientParamBytes() int64 {
-	return int64(m.Client.ParamCount()) * WireBytesPerScalar
+	return m.clientParams * WireBytesPerScalar
 }
 
 // ServerParamBytes returns the wire size of the server-side model.
@@ -110,10 +125,10 @@ func (m *SplitModel) ServerParamBytes() int64 {
 }
 
 // ClientFwdFLOPs returns per-sample forward FLOPs of the client half.
-func (m *SplitModel) ClientFwdFLOPs() int64 { return m.Client.FwdFLOPs(m.Arch.InShape) }
+func (m *SplitModel) ClientFwdFLOPs() int64 { return m.clientFwdFLOPs }
 
 // ServerFwdFLOPs returns per-sample forward FLOPs of the server half.
-func (m *SplitModel) ServerFwdFLOPs() int64 { return m.Server.FwdFLOPs(m.SmashedShape()) }
+func (m *SplitModel) ServerFwdFLOPs() int64 { return m.serverFwdFLOPs }
 
 // prodInt multiplies the dimensions of a shape.
 func prodInt(shape []int) int {

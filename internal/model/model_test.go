@@ -224,3 +224,45 @@ func TestPropSnapshotRestoreIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCachedCostsMatchTheLayers: NewSplit prices a split once, so the
+// cached per-sample costs must equal what walking the halves' layers
+// gives, for every registered architecture at every cut — a new layer or
+// arch cannot drift from the cache.
+func TestCachedCostsMatchTheLayers(t *testing.T) {
+	for _, name := range ArchNames() {
+		arch, err := NewArch(name, ArchConfig{ImageSize: 8, Classes: 5, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers := len(arch.Build(rand.New(rand.NewSource(0))))
+		for cut := 0; cut <= layers; cut++ {
+			m := arch.NewSplit(rand.New(rand.NewSource(1)), cut)
+			smashed := m.Client.OutShape(arch.InShape)
+			per := int64(1)
+			for _, d := range smashed {
+				per *= int64(d)
+			}
+			for _, batch := range []int{1, 16} {
+				for _, width := range []int{1, WireBytesPerScalar} {
+					b, w := int64(batch), int64(width)
+					if got, want := m.SmashedBytesWith(batch, width), b*(per+1)*w; got != want {
+						t.Errorf("%s cut %d: SmashedBytesWith(%d, %d) = %d, layers give %d", name, cut, batch, width, got, want)
+					}
+					if got, want := m.GradBytesWith(batch, width), b*per*w; got != want {
+						t.Errorf("%s cut %d: GradBytesWith(%d, %d) = %d, layers give %d", name, cut, batch, width, got, want)
+					}
+				}
+			}
+			if got, want := m.ClientFwdFLOPs(), m.Client.FwdFLOPs(arch.InShape); got != want {
+				t.Errorf("%s cut %d: ClientFwdFLOPs = %d, layers give %d", name, cut, got, want)
+			}
+			if got, want := m.ServerFwdFLOPs(), m.Server.FwdFLOPs(smashed); got != want {
+				t.Errorf("%s cut %d: ServerFwdFLOPs = %d, layers give %d", name, cut, got, want)
+			}
+			if got, want := m.ClientParamBytes(), int64(m.Client.ParamCount())*WireBytesPerScalar; got != want {
+				t.Errorf("%s cut %d: ClientParamBytes = %d, layers give %d", name, cut, got, want)
+			}
+		}
+	}
+}
