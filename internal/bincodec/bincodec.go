@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"gsfl/internal/optim"
 	"gsfl/internal/tensor"
@@ -52,9 +53,26 @@ func (e *Enc) F64s(xs []float64) {
 	off := len(e.Buf)
 	e.Buf = slices.Grow(e.Buf, 8*len(xs))[:off+8*len(xs)]
 	b := e.Buf[off:]
+	if littleEndian {
+		copy(b, f64Bytes(xs))
+		return
+	}
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
+}
+
+// littleEndian reports whether this host lays a float64 out in memory
+// as the encoding does; then a block of them moves as one copy of its
+// bytes, and only a big-endian host converts value by value.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes is xs's memory as bytes.
+func f64Bytes(xs []float64) []byte {
+	if len(xs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), 8*len(xs))
 }
 
 // Raw appends b as it is.
@@ -214,6 +232,13 @@ func (d *Dec) Blob() []byte {
 // (elemBytes per element), so a hostile shape cannot trigger a huge
 // allocation downstream.
 func (d *Dec) Shape(elemBytes int) (dims []int, n int) {
+	return d.shapeInto(nil, elemBytes)
+}
+
+// shapeInto is Shape reading the dimensions into dst's storage when it
+// has room, so a caller that only passes them on can read them into an
+// array on its stack.
+func (d *Dec) shapeInto(dst []int, elemBytes int) (dims []int, n int) {
 	nd := int(d.U8())
 	if d.err != nil {
 		return nil, 0
@@ -222,7 +247,7 @@ func (d *Dec) Shape(elemBytes int) (dims []int, n int) {
 		d.Fail("tensor rank %d exceeds %d", nd, MaxTensorDims)
 		return nil, 0
 	}
-	dims = make([]int, nd)
+	dims = slices.Grow(dst[:0], nd)[:nd]
 	n = 1
 	for i := range dims {
 		v := d.U32()
@@ -232,20 +257,25 @@ func (d *Dec) Shape(elemBytes int) (dims []int, n int) {
 		dims[i] = int(v)
 		n *= int(v)
 		if n < 0 || n > d.Remaining()/elemBytes+1 {
-			d.Fail("tensor shape %v claims more elements than the %d remaining bytes hold", dims[:i+1], d.Remaining())
+			d.Fail("tensor shape %v claims more elements than the %d remaining bytes hold", slices.Clone(dims[:i+1]), d.Remaining())
 			return nil, 0
 		}
 	}
 	if n*elemBytes > d.Remaining() {
-		d.Fail("tensor shape %v needs %d bytes, %d remain", dims, n*elemBytes, d.Remaining())
+		d.Fail("tensor shape %v needs %d bytes, %d remain", slices.Clone(dims), n*elemBytes, d.Remaining())
 		return nil, 0
 	}
 	return dims, n
 }
 
-// F64sInto fills dst from the next raw block.
+// F64sInto fills dst from the next raw block; it writes nothing when
+// the input is short.
 func (d *Dec) F64sInto(dst []float64) {
 	if !d.Need(8 * len(dst)) {
+		return
+	}
+	if littleEndian {
+		d.off += copy(f64Bytes(dst), d.b[d.off:])
 		return
 	}
 	for i := range dst {
@@ -269,28 +299,12 @@ func (d *Dec) F64s(n int) []float64 {
 	return xs
 }
 
-// Tensor decodes one tensor, drawing the backing buffer from pool when
-// one is supplied.
-func (d *Dec) Tensor(pool *tensor.Pool) *tensor.Tensor {
-	dims, _ := d.Shape(8)
-	if d.err != nil {
-		return nil
-	}
-	var t *tensor.Tensor
-	if pool != nil {
-		t = pool.Get(dims...)
-	} else {
-		t = tensor.New(dims...)
-	}
-	d.F64sInto(t.Data)
-	return t
-}
-
 // TensorInto decodes one tensor into t, reusing its storage when it is
 // large enough, and returns it; a nil t gets a new tensor. On failure it
 // returns nil and t's contents are unspecified.
 func (d *Dec) TensorInto(t *tensor.Tensor) *tensor.Tensor {
-	dims, _ := d.Shape(8)
+	var buf [MaxTensorDims]int
+	dims, _ := d.shapeInto(buf[:0], 8)
 	if d.err != nil {
 		return nil
 	}

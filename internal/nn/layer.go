@@ -32,6 +32,10 @@
 //     pass would overwrite the cached activations Backward reads).
 //     Within a Sequential this holds automatically for the usual
 //     forward → backward → optimizer step loop.
+//   - Inside a Sequential, a ReLU directly followed by a MaxPool2D is
+//     one op: the pool scans relu(x) and masks its gradient scatter by
+//     its own output, so the ReLU layer is never called and never
+//     sizes a buffer. The result is bit for bit the two layers'.
 //   - A network whose input is a data batch has nobody to hand
 //     dL/d(input) to. Its caller runs Sequential.BackwardParams, which
 //     asks the first layer for parameter gradients only; a first-layer

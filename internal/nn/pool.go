@@ -48,6 +48,17 @@ func growInts(xs []int, n int) []int {
 // to a real position, instead of laundering the NaN into -Inf and
 // leaving no argmax at all.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return p.forward(x, train, false)
+}
+
+// forward pools x, or with relu set relu(x): ReLU.Forward followed by
+// Forward as one op, for a Sequential that holds the pair, with no
+// pass over x and no buffer for relu(x). Each window's scan is seeded
+// with its first element masked to +0 unless positive, and candidates
+// are compared unmasked. The outputs and argmaxes are the pair's bit
+// for bit, for any K (tensor.MaxPool2Plane's comment has the
+// argument).
+func (p *MaxPool2D) forward(x *tensor.Tensor, train, relu bool) *tensor.Tensor {
 	mustRank(p, x, 4)
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if h < p.K || w < p.K {
@@ -66,7 +77,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			if train {
 				argPlane = arg[outBase:][:outH*outW]
 			}
-			tensor.MaxPool2Plane(y.Data[outBase:][:outH*outW], argPlane, x.Data[inBase:][:h*w], inBase, h, w)
+			tensor.MaxPool2Plane(y.Data[outBase:][:outH*outW], argPlane, x.Data[inBase:][:h*w], inBase, h, w, relu)
 			continue
 		}
 		for oh := 0; oh < outH; oh++ {
@@ -78,6 +89,9 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			for ow := range out {
 				bi := inBase + oh*p.K*w + ow*p.K
 				best := x.Data[bi]
+				if relu {
+					best = tensor.PositivePart(best)
+				}
 				for kh := 0; kh < p.K; kh++ {
 					rowBase := inBase + (oh*p.K+kh)*w + ow*p.K
 					for kw := 0; kw < p.K; kw++ {
@@ -103,14 +117,36 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer: gradients route to the argmax positions.
 func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	dx := p.zeroedDX()
+	for oi, ii := range p.argmax {
+		dx.Data[ii] += dy.Data[oi]
+	}
+	return dx
+}
+
+// zeroedDX sizes the input-gradient workspace to the last training
+// input and zeroes it.
+func (p *MaxPool2D) zeroedDX() *tensor.Tensor {
 	if p.argmax == nil {
 		panic("nn: MaxPool2D.Backward called before training-mode Forward")
 	}
 	dx := p.ws.dx.Ensure(p.inShape...)
 	dx.Zero()
-	for oi, ii := range p.argmax {
-		dx.Data[ii] += dy.Data[oi]
-	}
+	return dx
+}
+
+// backwardReLU is Backward followed by ReLU.Backward, after forward
+// with relu set: dy reaches each argmax only where the pooled output is
+// positive. The pair's ReLU masked the pool's dx by relu(x), which at
+// an argmax is the pooled output, and elsewhere passed the +0 the
+// zeroed dx holds. A masked window therefore adds +0 onto +0, and an
+// unmasked one adds dy onto +0, as the pool's scatter did before the
+// ReLU passed it through. The mask is the pool's own output, valid
+// under Layer's contract: no Forward runs between a training Forward
+// and its Backward.
+func (p *MaxPool2D) backwardReLU(dy *tensor.Tensor) *tensor.Tensor {
+	dx := p.zeroedDX()
+	tensor.ScatterAddPositive(dx.Data, p.argmax, dy.Data, p.ws.out.Data)
 	return dx
 }
 

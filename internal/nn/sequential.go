@@ -22,11 +22,20 @@ func (b *BatchNorm) NoDecayParams() []bool { return []bool{true, true, true, tru
 // Sequential chains layers into a network. It is the unit both the whole
 // model and each side of a split model are built from.
 //
-// The flattened Params/Grads/DecayMask views are cached after first use
-// (they are consulted on every optimizer step, so rebuilding them would
-// put slice allocations in the training hot path). The Layers slice must
-// therefore not be mutated after the Sequential is first used, and
-// callers must treat the returned slices as read-only.
+// Every ReLU directly followed by a MaxPool2D runs as one op with it:
+// the pool scans relu(x) and routes gradients only through positive
+// outputs (MaxPool2D.forward with relu set, backwardReLU), so neither
+// of the ReLU's full passes nor its two buffers exists, and no bit
+// differs from running the two layers. The paired ReLU is never
+// called. Only pairs inside one Sequential fuse: a split model cut
+// between the two runs each on its own side.
+//
+// The flattened Params/Grads/DecayMask views and the pairs are found
+// once, at first use (the views are consulted on every optimizer step,
+// so rebuilding them would put slice allocations in the training hot
+// path). The Layers slice must therefore not be mutated after the
+// Sequential is first used, and callers must treat the returned slices
+// as read-only.
 type Sequential struct {
 	Layers []Layer
 
@@ -34,13 +43,25 @@ type Sequential struct {
 	params     []*tensor.Tensor
 	grads      []*tensor.Tensor
 	decay      []bool
+	// reluPool[i] is Layers[i+1] when Layers[i] is a ReLU fused into
+	// that pool, and nil otherwise.
+	reluPool []*MaxPool2D
 }
 
-// buildCache assembles the flattened parameter views once.
+// buildCache assembles the flattened parameter views and finds the
+// fused pairs, once.
 func (s *Sequential) buildCache() {
 	s.params = nil
 	s.grads = nil
 	s.decay = nil
+	s.reluPool = make([]*MaxPool2D, len(s.Layers))
+	for i := 0; i+1 < len(s.Layers); i++ {
+		_, relu := s.Layers[i].(*ReLU)
+		if pool, ok := s.Layers[i+1].(*MaxPool2D); relu && ok {
+			s.reluPool[i] = pool
+			i++
+		}
+	}
 	for _, l := range s.Layers {
 		ps := l.Params()
 		s.params = append(s.params, ps...)
@@ -67,10 +88,23 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
+// ensureCache builds the cached views and pairs on first use.
+func (s *Sequential) ensureCache() {
+	if !s.cacheBuilt {
+		s.buildCache()
+	}
+}
+
 // Forward runs the full forward pass.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	s.ensureCache()
+	for i := 0; i < len(s.Layers); i++ {
+		if pool := s.reluPool[i]; pool != nil {
+			x = pool.forward(x, train, true)
+			i++
+			continue
+		}
+		x = s.Layers[i].Forward(x, train)
 	}
 	return x
 }
@@ -81,7 +115,19 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // that gradient — anything whose input is data, not another network's
 // activations — should call BackwardParams instead.
 func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	s.ensureCache()
+	return s.backwardDownTo(dy, 0)
+}
+
+// backwardDownTo runs Backward through layers [lo, len(Layers)), top
+// down; no fused pair may straddle lo.
+func (s *Sequential) backwardDownTo(dy *tensor.Tensor, lo int) *tensor.Tensor {
+	for i := len(s.Layers) - 1; i >= lo; i-- {
+		if i > lo && s.reluPool[i-1] != nil {
+			dy = s.reluPool[i-1].backwardReLU(dy)
+			i--
+			continue
+		}
 		dy = s.Layers[i].Backward(dy)
 	}
 	return dy
@@ -105,9 +151,13 @@ func (s *Sequential) BackwardParams(dy *tensor.Tensor) {
 	if len(s.Layers) == 0 {
 		return
 	}
-	for i := len(s.Layers) - 1; i > 0; i-- {
-		dy = s.Layers[i].Backward(dy)
+	s.ensureCache()
+	if s.reluPool[0] != nil {
+		// The first op is a fused pair: it has no parameters.
+		s.backwardDownTo(dy, 0)
+		return
 	}
+	dy = s.backwardDownTo(dy, 1)
 	if first, ok := s.Layers[0].(paramsBackwarder); ok {
 		first.BackwardParams(dy)
 	} else {
@@ -118,18 +168,14 @@ func (s *Sequential) BackwardParams(dy *tensor.Tensor) {
 // Params returns all parameter tensors in layer order. The slice is
 // cached and shared — treat it as read-only.
 func (s *Sequential) Params() []*tensor.Tensor {
-	if !s.cacheBuilt {
-		s.buildCache()
-	}
+	s.ensureCache()
 	return s.params
 }
 
 // Grads returns all gradient tensors aligned with Params. The slice is
 // cached and shared — treat it as read-only.
 func (s *Sequential) Grads() []*tensor.Tensor {
-	if !s.cacheBuilt {
-		s.buildCache()
-	}
+	s.ensureCache()
 	return s.grads
 }
 
@@ -137,9 +183,7 @@ func (s *Sequential) Grads() []*tensor.Tensor {
 // receive L2 weight decay (true = decay). The slice is cached and
 // shared — treat it as read-only.
 func (s *Sequential) DecayMask() []bool {
-	if !s.cacheBuilt {
-		s.buildCache()
-	}
+	s.ensureCache()
 	return s.decay
 }
 

@@ -281,7 +281,9 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 // AddInPlace adds o to t elementwise. Shapes must have equal element counts.
 func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
 	checkSameSize("AddInPlace", t, o)
-	addTo(t.Data, o.Data)
+	for i, v := range o.Data {
+		t.Data[i] += v
+	}
 	return t
 }
 

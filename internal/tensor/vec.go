@@ -2,24 +2,26 @@ package tensor
 
 import "math"
 
-// Vector bodies of a training step: the four loops that run between
-// the GEMMs and do one independent operation per element — the ReLU
-// mask, the 2×2 max-pool, the momentum-SGD update and the gradient
-// accumulate — and one reduction, the sum of squares gradient clipping
-// settles on.
+// Vector bodies of a training step: the loops that run between the
+// GEMMs and do one independent operation per element — the ReLU mask,
+// the 2×2 max-pool (optionally of relu(x), for a ReLU fused into the
+// pool it feeds), the pool's masked gradient scatter and the
+// momentum-SGD update — and one reduction, the sum of squares gradient
+// clipping settles on.
 //
 // Each exists as a portable Go body (the *Portable functions below),
 // which defines the result bit for bit and is the only code off amd64
-// and in a purego build, and as an AVX2 body (vec_amd64.s) that
-// performs the same operations in the same order — multiply and add
-// rounded separately, no FMA. In the four elementwise bodies no element
-// depends on another, so there is no accumulation order to preserve and
-// the two agree by construction. The reduction has an order, and its
-// portable body fixes it: eight lanes, folded in a stated pattern,
-// which the AVX2 body's two 4-lane accumulators follow step for step.
-// TestVecBodiesMatchPortable and FuzzVecBodies hold all five to their
-// portable bodies. The vector body is chosen by the CPUID probe that
-// chooses the GEMM kernels and by nothing else at run time.
+// and in a purego build, and, all but the scatter, as an AVX2 body
+// (vec_amd64.s) that performs the same operations in the same order —
+// multiply and add rounded separately, no FMA. In the elementwise
+// bodies no element depends on another, so there is no accumulation
+// order to preserve and the two agree by construction. The reduction
+// has an order, and its portable body fixes it: eight lanes, folded in
+// a stated pattern, which the AVX2 body's two 4-lane accumulators
+// follow step for step. TestVecBodiesMatchPortable and FuzzVecBodies
+// hold every body to its portable one. The vector body is chosen by
+// the CPUID probe that chooses the GEMM kernels and by nothing else at
+// run time.
 //
 // The exported wrappers own memory safety: every operand is re-sliced
 // to the destination's length before a pointer is taken, so a short
@@ -59,6 +61,12 @@ func positiveMask(v float64) uint64 {
 	return uint64((^t & (t - infBits)) >> 63)
 }
 
+// PositivePart returns v when v > 0 and +0 otherwise — for -0 and NaN
+// too: max(0, v) as MaskPositive(dst, x, x) computes it, one element.
+func PositivePart(v float64) float64 {
+	return math.Float64frombits(math.Float64bits(v) & positiveMask(v))
+}
+
 // MaxPool2Plane max-pools one h×w plane (row-major in in) over 2×2
 // windows with stride 2 into its (h/2)×(w/2) output; an odd last row or
 // column is dropped. Output (i, j)'s window holds in[2i·w+2j],
@@ -68,20 +76,29 @@ func positiveMask(v float64) uint64 {
 // outputs what it holds. When arg is not nil it receives each winner's
 // flat index, in[0] being element base of the caller's buffer. in must
 // hold h·w elements, out and arg (h/2)·(w/2).
-func MaxPool2Plane(out []float64, arg []int, in []float64, base, h, w int) {
+//
+// With relu set it pools relu(in) without writing it: the scan's seed,
+// the window's first element, is replaced by PositivePart of itself,
+// and the rest of the scan is unchanged. The outputs and argmaxes are
+// those of pooling MaskPositive(in, in) bit for bit. The running
+// maximum starts at ≥ +0 and only grows, so a candidate that is
+// non-positive or NaN never wins v > best — nor would its relu, +0 —
+// and a positive candidate is its own relu; a NaN or −0 seed becomes
+// +0, exactly as the mask makes it.
+func MaxPool2Plane(out []float64, arg []int, in []float64, base, h, w int, relu bool) {
 	outH, outW := h/2, w/2
 	out, in = out[:outH*outW], in[:h*w]
 	if arg != nil {
 		arg = arg[:outH*outW]
 	}
 	// The vector body pools the first nv outputs of every row.
-	nv := maxPool2PlaneVec(out, arg, in, base, outH, outW, w)
-	maxPool2PlanePortable(out, arg, in, base, outH, outW, w, nv)
+	nv := maxPool2PlaneVec(out, arg, in, base, outH, outW, w, relu)
+	maxPool2PlanePortable(out, arg, in, base, outH, outW, w, nv, relu)
 }
 
 // maxPool2PlanePortable pools outputs [from, outW) of every output row;
 // from 0 it is the whole plane, and the definition.
-func maxPool2PlanePortable(out []float64, arg []int, in []float64, base, outH, outW, w, from int) {
+func maxPool2PlanePortable(out []float64, arg []int, in []float64, base, outH, outW, w, from int, relu bool) {
 	if from == outW {
 		return
 	}
@@ -91,17 +108,23 @@ func maxPool2PlanePortable(out []float64, arg []int, in []float64, base, outH, o
 		if arg != nil {
 			a = arg[o:][:outW-from]
 		}
-		maxPool2RowPortable(out[o:][:outW-from], a, in[r:], in[r+w:], base+r, w)
+		maxPool2RowPortable(out[o:][:outW-from], a, in[r:], in[r+w:], base+r, w, relu)
 	}
 }
 
 // maxPool2RowPortable pools one output row: window i holds r0[2i],
 // r0[2i+1], r1[2i], r1[2i+1], and r0[0] and r1[0] are elements base and
-// base+w of the caller's buffer.
-func maxPool2RowPortable(out []float64, arg []int, r0, r1 []float64, base, w int) {
+// base+w of the caller's buffer. With relu set each seed is masked to
+// +0 unless it is positive.
+func maxPool2RowPortable(out []float64, arg []int, r0, r1 []float64, base, w int, relu bool) {
 	r0, r1 = r0[:2*len(out)], r1[:2*len(out)]
+	keep := ^uint64(0) // every seed kept whole, or ...
+	if relu {
+		keep = 0 // ... only where positiveMask says so
+	}
 	for i := range out {
-		best, bi := math.Float64bits(r0[2*i]), 0
+		seed := r0[2*i]
+		best, bi := math.Float64bits(seed)&(positiveMask(seed)|keep), 0
 		best, bi = takeGreater(best, bi, r0[2*i+1], 1)
 		best, bi = takeGreater(best, bi, r1[2*i], w)
 		best, bi = takeGreater(best, bi, r1[2*i+1], w+1)
@@ -109,6 +132,24 @@ func maxPool2RowPortable(out []float64, arg []int, r0, r1 []float64, base, w int
 		if arg != nil {
 			arg[i] = base + 2*i + bi
 		}
+	}
+}
+
+// ScatterAddPositive adds src[i] onto dst[idx[i]] where gate[i] > 0,
+// and +0 there elsewhere (for gate <= 0, -0 and NaN) — the backward
+// pass of a max-pool fused with the ReLU before it, where idx is the
+// pool's argmax, gate its output and src the output gradient. The mask
+// is positiveMask, not a branch: whether a pooled value is positive is
+// close to random. src and gate must be at least as long as idx; every
+// index must lie in dst.
+//
+// It has no vector body. AVX2 cannot scatter, and an index an assembly
+// loop wrote through unchecked would have to be bounds-checked in a
+// pass of its own, where the Go loop checks each one as it goes.
+func ScatterAddPositive(dst []float64, idx []int, src, gate []float64) {
+	src, gate = src[:len(idx)], gate[:len(idx)]
+	for i, j := range idx {
+		dst[j] += math.Float64frombits(math.Float64bits(src[i]) & positiveMask(gate[i]))
 	}
 }
 
@@ -145,21 +186,6 @@ func sgdMomentumPortable(p, v, grad []float64, lr, momentum, clip, decay float64
 		gj := float64(grad[j]*clip) + float64(decay*p[j])
 		v[j] = float64(momentum*v[j]) + gj
 		p[j] -= float64(lr * v[j])
-	}
-}
-
-// addTo adds src to dst elementwise. src must be at least as long as
-// dst.
-func addTo(dst, src []float64) {
-	src = src[:len(dst)]
-	n := addToVec(dst, src)
-	addToPortable(dst[n:], src[n:])
-}
-
-func addToPortable(dst, src []float64) {
-	src = src[:len(dst)]
-	for i, v := range src {
-		dst[i] += v
 	}
 }
 

@@ -14,13 +14,10 @@ package tensor
 func maskPositiveAVX2(dst, src, gate *float64, n int64)
 
 //go:noescape
-func maxPool2PlaneAVX2(out *float64, arg *int, in *float64, outH, outW, n, base, w int64)
+func maxPool2PlaneAVX2(out *float64, arg *int, in *float64, outH, outW, n, base, w int64, relu bool)
 
 //go:noescape
 func sgdMomentumAVX2(p, v, grad *float64, n int64, lr, momentum, clip, decay float64)
-
-//go:noescape
-func addToAVX2(dst, src *float64, n int64)
 
 //go:noescape
 func sumSquaresAVX2(x *float64, n int64) float64
@@ -34,7 +31,7 @@ func maskPositiveVec(dst, src, gate []float64) int {
 	return n
 }
 
-func maxPool2PlaneVec(out []float64, arg []int, in []float64, base, outH, outW, w int) int {
+func maxPool2PlaneVec(out []float64, arg []int, in []float64, base, outH, outW, w int, relu bool) int {
 	n := outW &^ 3
 	if n == 0 || outH == 0 || !cpu.avx2 {
 		return 0
@@ -43,7 +40,7 @@ func maxPool2PlaneVec(out []float64, arg []int, in []float64, base, outH, outW, 
 	if arg != nil {
 		argp = &arg[0]
 	}
-	maxPool2PlaneAVX2(&out[0], argp, &in[0], int64(outH), int64(outW), int64(n), int64(base), int64(w))
+	maxPool2PlaneAVX2(&out[0], argp, &in[0], int64(outH), int64(outW), int64(n), int64(base), int64(w), relu)
 	return n
 }
 
@@ -53,15 +50,6 @@ func sgdMomentumVec(p, v, grad []float64, lr, momentum, clip, decay float64) int
 		return 0
 	}
 	sgdMomentumAVX2(&p[0], &v[0], &grad[0], int64(n), lr, momentum, clip, decay)
-	return n
-}
-
-func addToVec(dst, src []float64) int {
-	n := len(dst) &^ 3
-	if n == 0 || !cpu.avx2 {
-		return 0
-	}
-	addToAVX2(&dst[0], &src[0], int64(n))
 	return n
 }
 

@@ -35,26 +35,6 @@ mask_loop:
 	VZEROUPPER
 	RET
 
-// func addToAVX2(dst, src *float64, n int64)
-//
-// dst[i] += src[i].
-TEXT ·addToAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	XORQ AX, AX
-
-add_loop:
-	VMOVUPD (DI)(AX*8), Y0
-	VADDPD (SI)(AX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  add_loop
-
-	VZEROUPPER
-	RET
-
 // func sumSquaresAVX2(x *float64, n int64) float64
 //
 // Lanes 0–3 accumulate in Y0 and lanes 4–7 in Y1, each square rounded
@@ -129,7 +109,7 @@ DATA poolLanes<>+16(SB)/8, $4
 DATA poolLanes<>+24(SB)/8, $6
 GLOBL poolLanes<>(SB), RODATA|NOPTR, $32
 
-// func maxPool2PlaneAVX2(out *float64, arg *int, in *float64, outH, outW, n, base, w int64)
+// func maxPool2PlaneAVX2(out *float64, arg *int, in *float64, outH, outW, n, base, w int64, relu bool)
 //
 // The first n outputs (n ≥ 4, a multiple of 4, ≤ outW) of each of outH
 // output rows; output rows are outW apart, input rows w apart, and
@@ -143,7 +123,11 @@ GLOBL poolLanes<>(SB), RODATA|NOPTR, $32
 // NaNs and signed zeros included; the same comparison (0x1E, GT_OQ)
 // selects the winner's offset 0, 1, w or w+1 as int64 lanes, to which
 // the window's own index base + 2i·w + 2j is added. arg may be nil.
-TEXT ·maxPool2PlaneAVX2(SB), NOSPLIT, $0-64
+// With relu set the seed is first masked to +0 unless 0 < seed
+// (LT_OQ: false for NaN and both zeros), so the scan pools relu(in);
+// the flag is the same for every step, so its branch always predicts.
+// (R14 is scratch in ABI0: the wrapper restores g on return.)
+TEXT ·maxPool2PlaneAVX2(SB), NOSPLIT, $0-65
 	MOVQ out+0(FP), R10
 	MOVQ arg+8(FP), R11
 	MOVQ in+16(FP), R9
@@ -152,6 +136,7 @@ TEXT ·maxPool2PlaneAVX2(SB), NOSPLIT, $0-64
 	SHLQ $3, BX                        // output row stride in bytes
 	MOVQ base+48(FP), R13              // flat index of the row's first element
 	MOVQ w+56(FP), AX
+	MOVBQZX relu+64(FP), R14
 	VPXOR Y15, Y15, Y15
 	VPCMPEQQ Y9, Y9, Y9
 	VPSUBQ Y9, Y15, Y9                 // 1 in every lane
@@ -183,7 +168,12 @@ pool_loop:
 	VINSERTF128 $1, 48(DX), Y1, Y1
 	VUNPCKLPD Y1, Y0, Y4               // r1 even columns
 	VUNPCKHPD Y1, Y0, Y5               // r1 odd columns
+	TESTQ R14, R14
+	JZ   pool_seeded
+	VCMPPD $0x11, Y2, Y15, Y6          // 0 < seed
+	VANDPD Y6, Y2, Y2                  // relu(seed)
 
+pool_seeded:
 	VCMPPD $0x1E, Y2, Y3, Y6           // r0 odd > best
 	VMAXPD Y2, Y3, Y2
 	VPAND Y9, Y6, Y7                   // offset 1 or 0

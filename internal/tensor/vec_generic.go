@@ -8,10 +8,10 @@ package tensor
 
 func maskPositiveVec(dst, src, gate []float64) int { return 0 }
 
-func maxPool2PlaneVec(out []float64, arg []int, in []float64, base, outH, outW, w int) int { return 0 }
+func maxPool2PlaneVec(out []float64, arg []int, in []float64, base, outH, outW, w int, relu bool) int {
+	return 0
+}
 
 func sgdMomentumVec(p, v, grad []float64, lr, momentum, clip, decay float64) int { return 0 }
-
-func addToVec(dst, src []float64) int { return 0 }
 
 func sumSquaresVec(x []float64) (float64, int) { return 0, 0 }

@@ -107,7 +107,7 @@ func drawSquareOperand(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// vecOperands is one call's worth of inputs for all five bodies, n
+// vecOperands is one call's worth of inputs for every body, n
 // outputs long; for the pool, n outputs a row of an h×w plane.
 type vecOperands struct {
 	a, b, c     []float64 // elementwise operands (a doubles as the destination's prior contents)
@@ -144,7 +144,7 @@ func drawVecOperands(rng *rand.Rand, n int) vecOperands {
 	return o
 }
 
-// checkVecBodies runs the five active bodies on o with every
+// checkVecBodies runs every active body on o with every
 // destination (and the sum of squares' operand) off elements past an
 // allocation boundary, and holds each to its portable body and to its
 // guards.
@@ -168,14 +168,6 @@ func checkVecBodies(t *testing.T, o vecOperands, off int) {
 	requireGuards(t, what("MaskPositive"), backing, n, off)
 
 	got, backing = guarded(n, off)
-	copy(got, o.a)
-	copy(want, o.a)
-	addTo(got, b)
-	addToPortable(want, o.b)
-	requireSameFloats(t, what("addTo"), got, want)
-	requireGuards(t, what("addTo"), backing, n, off)
-
-	got, backing = guarded(n, off)
 	gotV, backingV := guarded(n, off)
 	copy(got, o.a)
 	copy(gotV, o.b)
@@ -193,25 +185,63 @@ func checkVecBodies(t *testing.T, o vecOperands, off int) {
 
 	outH, outW := o.h/2, o.w/2
 	pooled := outH * outW
-	want, wantArg := make([]float64, pooled), make([]int, pooled)
-	maxPool2PlanePortable(want, wantArg, o.plane, o.base, outH, outW, o.w, 0)
-	for _, train := range []bool{true, false} {
-		got, backing = guarded(pooled, off)
-		var gotArg, backingArg []int
-		if train {
-			gotArg, backingArg = guardedInts(pooled, off)
+	relued := make([]float64, len(o.plane))
+	maskPositivePortable(relued, o.plane, o.plane)
+	for _, relu := range []bool{false, true} {
+		want, wantArg := make([]float64, pooled), make([]int, pooled)
+		maxPool2PlanePortable(want, wantArg, o.plane, o.base, outH, outW, o.w, 0, relu)
+		if relu {
+			// The seeded scan is the pool of relu(plane), argmax included.
+			ref, refArg := make([]float64, pooled), make([]int, pooled)
+			maxPool2PlanePortable(ref, refArg, relued, o.base, outH, outW, o.w, 0, false)
+			name := fmt.Sprintf("maxPool2PlanePortable relu %dx%d vs pool of MaskPositive", o.h, o.w)
+			requireSameFloats(t, name, want, ref)
+			requireSameInts(t, name, wantArg, refArg)
 		}
-		MaxPool2Plane(got, gotArg, plane, o.base, o.h, o.w)
-		name := fmt.Sprintf("MaxPool2Plane %dx%d off=%d train=%v", o.h, o.w, off, train)
-		requireSameFloats(t, name, got, want)
-		requireGuards(t, name, backing, pooled, off)
-		for i := range gotArg {
-			if gotArg[i] != wantArg[i] {
-				t.Fatalf("%s: argmax[%d] = %d, want %d", name, i, gotArg[i], wantArg[i])
+		for _, train := range []bool{true, false} {
+			got, backing = guarded(pooled, off)
+			var gotArg, backingArg []int
+			if train {
+				gotArg, backingArg = guardedInts(pooled, off)
+			}
+			MaxPool2Plane(got, gotArg, plane, o.base, o.h, o.w, relu)
+			name := fmt.Sprintf("MaxPool2Plane %dx%d off=%d relu=%v train=%v", o.h, o.w, off, relu, train)
+			requireSameFloats(t, name, got, want)
+			requireGuards(t, name, backing, pooled, off)
+			if train {
+				requireSameInts(t, name, gotArg, wantArg)
+				requireIntGuards(t, name, backingArg, pooled, off)
 			}
 		}
-		if train {
-			requireIntGuards(t, name, backingArg, pooled, off)
+	}
+
+	// The masked scatter, as the fused pool's backward drives it: the
+	// output gradient through the argmax of a base-0 pool, gated by the
+	// pooled values, onto a destination that already holds values.
+	idx, gate := make([]int, pooled), make([]float64, pooled)
+	maxPool2PlanePortable(gate, idx, o.plane, 0, outH, outW, o.w, 0, false)
+	src := o.plane[len(o.plane)-pooled:]
+	want = append([]float64(nil), o.plane...)
+	for i, j := range idx {
+		if gate[i] > 0 {
+			want[j] += src[i]
+		} else {
+			want[j] += 0
+		}
+	}
+	got, backing = guarded(len(o.plane), off)
+	copy(got, o.plane)
+	ScatterAddPositive(got, idx, shift(src), shift(gate))
+	name := fmt.Sprintf("ScatterAddPositive %dx%d off=%d", o.h, o.w, off)
+	requireSameFloats(t, name, got, want)
+	requireGuards(t, name, backing, len(o.plane), off)
+}
+
+func requireSameInts(t *testing.T, what string, got, want []int) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: [%d] = %d, want %d", what, i, got[i], want[i])
 		}
 	}
 }
@@ -237,17 +267,27 @@ func TestVecBodiesRefuseShortOperands(t *testing.T) {
 		o := drawVecOperands(rng, n)
 		full := func() []float64 { return make([]float64, n) }
 		short := func() []float64 { return make([]float64, n-1) }
+		ramp := func() []int { // every index of the destination, once
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = i
+			}
+			return idx
+		}
 		for _, c := range []struct {
 			name string
 			call func(dst []float64)
 		}{
 			{"MaskPositive short src", func(d []float64) { MaskPositive(d, short(), full()) }},
 			{"MaskPositive short gate", func(d []float64) { MaskPositive(d, full(), short()) }},
-			{"addTo short src", func(d []float64) { addTo(d, short()) }},
 			{"SGDMomentum short v", func(d []float64) { SGDMomentum(d, short(), full(), 0.1, 0.9, 1, 0) }},
 			{"SGDMomentum short grad", func(d []float64) { SGDMomentum(d, full(), short(), 0.1, 0.9, 1, 0) }},
-			{"MaxPool2Plane short in", func(d []float64) { MaxPool2Plane(d, nil, make([]float64, 4*n-1), 0, 2, 2*n) }},
-			{"MaxPool2Plane short arg", func(d []float64) { MaxPool2Plane(d, make([]int, n-1), make([]float64, 4*n), 0, 2, 2*n) }},
+			{"MaxPool2Plane short in", func(d []float64) { MaxPool2Plane(d, nil, make([]float64, 4*n-1), 0, 2, 2*n, false) }},
+			{"MaxPool2Plane short arg", func(d []float64) { MaxPool2Plane(d, make([]int, n-1), make([]float64, 4*n), 0, 2, 2*n, false) }},
+			{"MaxPool2Plane relu short in", func(d []float64) { MaxPool2Plane(d, nil, make([]float64, 4*n-1), 0, 2, 2*n, true) }},
+			{"MaxPool2Plane relu short arg", func(d []float64) { MaxPool2Plane(d, make([]int, n-1), make([]float64, 4*n), 0, 2, 2*n, true) }},
+			{"ScatterAddPositive short src", func(d []float64) { ScatterAddPositive(d, ramp(), short(), full()) }},
+			{"ScatterAddPositive short gate", func(d []float64) { ScatterAddPositive(d, ramp(), full(), short()) }},
 		} {
 			dst, backing := guarded(n, 1)
 			copy(dst, o.a)

@@ -141,8 +141,9 @@ type clientConn struct {
 // groupRT is one group's training runtime: its server-half replica and
 // optimizer, the relayed client-side optimizer state between rounds (a
 // copy, owned by the group), and the reusable per-step workspaces (loss
-// gradient, activation pool, quantization buffers, the return frame's
-// decode target) that keep steady-state turns allocation-free.
+// gradient, the smashed frame's decode targets, quantization buffers,
+// the return frame's decode target) that keep steady-state turns
+// allocation-free.
 type groupRT struct {
 	server         *nn.Sequential
 	opt            *optim.SGD
@@ -150,7 +151,8 @@ type groupRT struct {
 	ret            TurnState
 
 	lossGrad tensor.Tensor
-	pool     tensor.Pool
+	acts     tensor.Tensor
+	ys       []int
 	deq      tensor.Tensor
 	qGrad    quantize.Quantized
 
@@ -743,10 +745,11 @@ func (ap *AP) runTurn(rt *groupRT, cc *clientConn, chain *TurnState, deadline ti
 		if kind != frameSmashed {
 			return fmt.Errorf("transport: client %d sent kind %d, want smashed", cc.id, kind)
 		}
-		acts, q, ys, err := decodeSmashed(payload, &rt.pool)
+		acts, q, ys, err := decodeSmashed(payload, &rt.acts, rt.ys)
 		if err != nil {
 			return err
 		}
+		rt.ys = ys
 		serverIn := acts
 		if q != nil {
 			if !ap.cfg.Quantize {
@@ -757,9 +760,6 @@ func (ap *AP) runTurn(rt *groupRT, cc *clientConn, chain *TurnState, deadline ti
 			return fmt.Errorf("transport: client %d sent full-precision frame to quantizing ap", cc.id)
 		}
 		if err := ap.checkSmashed(serverIn, ys); err != nil {
-			if acts != nil {
-				rt.pool.Put(acts)
-			}
 			return fmt.Errorf("transport: client %d: %w", cc.id, err)
 		}
 		ap.phase(tk, phaseReadSmashed, at)
@@ -788,9 +788,6 @@ func (ap *AP) runTurn(rt *groupRT, cc *clientConn, chain *TurnState, deadline ti
 		// unattributed in the phase breakdown — it is slack, not a leg of
 		// the wire round trip.
 		rt.opt.Step(rt.server.Params(), rt.server.Grads(), rt.server.DecayMask())
-		if acts != nil {
-			rt.pool.Put(acts)
-		}
 		if werr != nil {
 			return werr
 		}

@@ -55,12 +55,12 @@ type Client struct {
 	loader *data.Loader
 
 	// Reusable turn state: the mini-batch destination, the relayed state
-	// each train frame decodes into, gradient decode pool,
-	// dequantize/quantize buffers, and the returned state. Steady-state
-	// turns allocate no tensor or optimizer storage.
+	// each train frame decodes into, the gradient each gradient frame
+	// decodes into, dequantize/quantize buffers, and the returned state.
+	// Steady-state turns allocate no tensor or optimizer storage.
 	batch data.Batch
 	in    TurnState
-	pool  tensor.Pool
+	grad  tensor.Tensor
 	deq   tensor.Tensor
 	qActs quantize.Quantized
 	out   TurnState
@@ -178,7 +178,7 @@ func (c *Client) trainTurn(steps int, st *TurnState) error {
 		if kind != frameGradient {
 			return fmt.Errorf("got frame kind %d, want gradient", kind)
 		}
-		grad, qg, err := decodeGradient(payload, &c.pool)
+		grad, qg, err := decodeGradient(payload, &c.grad)
 		if err != nil {
 			return err
 		}
@@ -187,16 +187,10 @@ func (c *Client) trainTurn(steps int, st *TurnState) error {
 			g = qg.DequantizeInto(&c.deq)
 		}
 		if !g.SameShape(smashed) {
-			if grad != nil {
-				c.pool.Put(grad)
-			}
 			return fmt.Errorf("gradient shape %v, want %v", g.Shape(), smashed.Shape())
 		}
 		c.half.Client.BackwardParams(g)
 		c.opt.Step(c.half.Client.Params(), c.half.Client.Grads(), c.half.Client.DecayMask())
-		if grad != nil {
-			c.pool.Put(grad)
-		}
 	}
 
 	c.out.Model.CaptureFrom(c.half.Client)

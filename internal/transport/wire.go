@@ -36,8 +36,10 @@
 // loadgen's synthetic fleet) can answer a turn without parsing models.
 //
 // Encoding appends into one reusable buffer per connection and issues a
-// single Write per frame; decoding reads into one reusable buffer and
-// materializes tensors from a tensor.Pool. Steady-state rounds therefore
+// single Write per frame; decoding reads into one reusable buffer, and
+// every relayed tensor — turn states, smashed activations and their
+// labels, gradients — decodes in place into a destination its group or
+// client owns and passes again next turn. Steady-state rounds therefore
 // run the framing layer allocation-free — the per-message buffer churn
 // of the previous gob stream is gone. Every decoder is bincodec's
 // hardened cursor, which validates claimed sizes against the actual
@@ -52,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 
 	"gsfl/internal/bincodec"
 	"gsfl/internal/model"
@@ -176,7 +179,8 @@ func (d *wireDec) quantized() *quantize.Quantized {
 	return q
 }
 
-func (d *wireDec) labels() []int {
+// labelsInto decodes a label list into ys's storage when it fits.
+func (d *wireDec) labelsInto(ys []int) []int {
 	count := int(d.U32())
 	if d.Err() != nil {
 		return nil
@@ -185,7 +189,7 @@ func (d *wireDec) labels() []int {
 		d.Fail("label list claims %d entries in %d bytes", count, d.Remaining())
 		return nil
 	}
-	ys := make([]int, count)
+	ys = slices.Grow(ys[:0], count)[:count]
 	for i := range ys {
 		ys[i] = int(d.U32())
 	}
@@ -240,30 +244,37 @@ func decodeTrain(p []byte, st *TurnState) (steps int, err error) {
 	return steps, nil
 }
 
-func decodeSmashed(p []byte, pool *tensor.Pool) (acts *tensor.Tensor, q *quantize.Quantized, ys []int, err error) {
+// decodeSmashed decodes a smashed frame. Full-precision activations
+// decode into into and the labels into ys's storage, where they fit, so
+// a relay that passes the same destinations every step allocates
+// nothing for them; nil destinations get new ones. On failure their
+// contents are unspecified.
+func decodeSmashed(p []byte, into *tensor.Tensor, ys []int) (acts *tensor.Tensor, q *quantize.Quantized, labels []int, err error) {
 	d := newWireDec(p)
 	switch enc := d.U8(); {
 	case d.Err() != nil:
 	case enc == encFloat64:
-		acts = d.Tensor(pool)
+		acts = d.TensorInto(into)
 	case enc == encQuant8:
 		q = d.quantized()
 	default:
 		d.Fail("unknown transfer encoding %d", enc)
 	}
-	ys = d.labels()
+	labels = d.labelsInto(ys)
 	if err := d.Finish(); err != nil {
 		return nil, nil, nil, err
 	}
-	return acts, q, ys, nil
+	return acts, q, labels, nil
 }
 
-func decodeGradient(p []byte, pool *tensor.Pool) (grad *tensor.Tensor, q *quantize.Quantized, err error) {
+// decodeGradient decodes a gradient frame; a full-precision gradient
+// decodes into into (see decodeSmashed).
+func decodeGradient(p []byte, into *tensor.Tensor) (grad *tensor.Tensor, q *quantize.Quantized, err error) {
 	d := newWireDec(p)
 	switch enc := d.U8(); {
 	case d.Err() != nil:
 	case enc == encFloat64:
-		grad = d.Tensor(pool)
+		grad = d.TensorInto(into)
 	case enc == encQuant8:
 		q = d.quantized()
 	default:
@@ -295,7 +306,7 @@ func decodeFrame(kind byte, p []byte) error {
 		_, err := decodeTrain(p, new(TurnState))
 		return err
 	case frameSmashed:
-		_, _, _, err := decodeSmashed(p, nil)
+		_, _, _, err := decodeSmashed(p, nil, nil)
 		return err
 	case frameGradient:
 		_, _, err := decodeGradient(p, nil)

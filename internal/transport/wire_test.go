@@ -11,6 +11,7 @@ import (
 	"gsfl/internal/optim"
 	"gsfl/internal/quantize"
 	"gsfl/internal/tensor"
+	"gsfl/internal/testutil"
 )
 
 // encodeFrame renders one frame through the production encoder and
@@ -179,6 +180,66 @@ func TestWireTurnStateDecodesIntoItsDestination(t *testing.T) {
 	}
 }
 
+// TestWireRelayTensorsDecodeInPlace: a smashed frame decodes its
+// activations and labels, and a gradient frame its gradient, into the
+// destinations passed, which a relay passes again every step — the
+// same buffers across two decodes, and no allocation.
+func TestWireRelayTensorsDecodeInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	smashed := func(seed int) []byte {
+		_, p := encodeFrame(func(e *wireEnc) {
+			e.begin(frameSmashed)
+			e.U8(encFloat64)
+			e.Tensor(tensor.New(3, 2, 4).RandNormal(rng, 0, 1))
+			e.labels([]int{seed, 1, 0})
+		})
+		return p
+	}
+	gradient := func() []byte {
+		_, p := encodeFrame(func(e *wireEnc) {
+			e.begin(frameGradient)
+			e.U8(encFloat64)
+			e.Tensor(tensor.New(3, 2, 4).RandNormal(rng, 0, 1))
+		})
+		return p
+	}
+	first, second := smashed(2), smashed(5)
+	var acts tensor.Tensor
+	var ys []int
+	got, _, ys, err := decodeSmashed(first, &acts, ys)
+	if err != nil || got != &acts || ys[0] != 2 {
+		t.Fatalf("first smashed frame: %v (decoded into %p, want %p; labels %v)", err, got, &acts, ys)
+	}
+	a, y := &acts.Data[0], &ys[0]
+	got, _, ys, err = decodeSmashed(second, &acts, ys)
+	if err != nil || got != &acts || ys[0] != 5 {
+		t.Fatalf("second smashed frame: %v (decoded into %p, want %p; labels %v)", err, got, &acts, ys)
+	}
+	if &acts.Data[0] != a || &ys[0] != y {
+		t.Fatal("decoding a smashed frame of the same shape replaced buffers that fit")
+	}
+	testutil.MaxAllocs(t, "decodeSmashed", 0, func() {
+		if _, _, ys, err = decodeSmashed(first, &acts, ys); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	var grad tensor.Tensor
+	g1, g2 := gradient(), gradient()
+	if got, _, err = decodeGradient(g1, &grad); err != nil || got != &grad {
+		t.Fatalf("first gradient frame: %v", err)
+	}
+	gd := &grad.Data[0]
+	if got, _, err = decodeGradient(g2, &grad); err != nil || got != &grad || &grad.Data[0] != gd {
+		t.Fatalf("second gradient frame: %v, or its buffer was replaced", err)
+	}
+	testutil.MaxAllocs(t, "decodeGradient", 0, func() {
+		if _, _, err = decodeGradient(g1, &grad); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestWireTrainReturnPayloadAlignment pins the layout guarantee the
 // loadgen echo depends on: a return payload is exactly a train payload
 // minus its leading step-count word.
@@ -203,7 +264,7 @@ func TestWireSmashedRoundTrip(t *testing.T) {
 		e.Tensor(acts)
 		e.labels(ys)
 	})
-	got, q, gotYs, err := decodeSmashed(payload, nil)
+	got, q, gotYs, err := decodeSmashed(payload, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +293,7 @@ func TestWireQuantizedSmashedRoundTrip(t *testing.T) {
 		e.quantized(q)
 		e.labels([]int{0, 1, 2, 3})
 	})
-	got, gotQ, ys, err := decodeSmashed(payload, nil)
+	got, gotQ, ys, err := decodeSmashed(payload, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
