@@ -1,7 +1,7 @@
 // Package cliutil holds the flag vocabulary shared by the harness CLIs
 // (gsfl-sim, gsfl-sweep): the environment knobs every command exposes
-// (-alloc, -strategy, -arch, -numeric, -workers), the -scale presets
-// mapping to experiment specs, and the -list registry dump.
+// (-alloc, -strategy, -arch, -workers), the -scale presets mapping to
+// experiment specs, and the -list registry dump.
 // Centralizing them keeps the commands' help text, accepted tokens, and
 // defaults identical.
 //
@@ -30,9 +30,6 @@ type EnvFlags struct {
 	Alloc    string
 	Strategy string
 	Arch     string
-	// Numeric is the tensor-kernel numeric mode ("exact" keeps the
-	// bit-identical default; "fast" allows FMA reassociation).
-	Numeric string
 	// Workers is the worker-goroutine budget flag value.
 	Workers int
 }
@@ -47,17 +44,12 @@ func (e *EnvFlags) Register(fs *flag.FlagSet) {
 		"grouping strategy: "+strings.Join(env.Strategies(), "|"))
 	fs.StringVar(&e.Arch, "arch", env.DefaultArch,
 		"model architecture: "+strings.Join(env.Archs(), "|"))
-	fs.StringVar(&e.Numeric, "numeric", env.DefaultNumericMode,
-		"tensor-kernel numeric mode: "+strings.Join(env.NumericModes(), "|"))
 	fs.IntVar(&e.Workers, "workers", 0, "worker goroutines for parallel execution (0 = GOMAXPROCS, 1 = serial)")
 }
 
-// Apply resolves the allocator, strategy, architecture, and numeric-
-// mode tokens through the env registries and writes their canonical
-// names onto spec. The numeric mode is additionally installed process-
-// wide (env.SetNumericMode), so single-run commands whose kernels never
-// consult a Spec — gsfl-sim's Runner, checkpoint resume — honor the
-// flag too.
+// Apply resolves the allocator, strategy, and architecture tokens
+// through the env registries and writes their canonical names onto
+// spec.
 func (e *EnvFlags) Apply(spec *env.Spec) error {
 	alloc, err := env.CanonicalAllocator(e.Alloc)
 	if err != nil {
@@ -74,12 +66,7 @@ func (e *EnvFlags) Apply(spec *env.Spec) error {
 		return err
 	}
 	spec.Arch = arch
-	numeric, err := env.CanonicalNumericMode(e.Numeric)
-	if err != nil {
-		return err
-	}
-	spec.Numeric = numeric
-	return env.SetNumericMode(numeric)
+	return nil
 }
 
 // PopFlags are the population-layer knobs (PR 7) a harness command
@@ -174,5 +161,4 @@ func PrintRegistries(w io.Writer) {
 	fmt.Fprintf(w, "stragglers:  %s\n", strings.Join(env.StragglerPolicies(), " "))
 	fmt.Fprintf(w, "traces:      %s\n", strings.Join(env.AvailTraces(), " "))
 	fmt.Fprintf(w, "profiles:    %s\n", strings.Join(env.DeviceProfiles(), " "))
-	fmt.Fprintf(w, "numerics:    %s\n", strings.Join(env.NumericModes(), " "))
 }

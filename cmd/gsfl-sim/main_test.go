@@ -63,6 +63,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		"bad alloc":           tinyArgs("-alloc", "bogus"),
 		"bad strategy":        tinyArgs("-strategy", "bogus"),
 		"bad flag":            {"-no-such-flag"},
+		"numeric flag":        tinyArgs("-numeric", "fast"),
 		"resume without ckpt": tinyArgs("-resume"),
 	}
 	for name, args := range cases {

@@ -98,7 +98,7 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 // -resume.
 func TestRunSingleExperiments(t *testing.T) {
 	// What each entry writes is the catalogue's to say (its Outputs);
-	// the catalogue's own tests pin the 16 names and 17 files.
+	// the catalogue's own tests pin the 15 names and 16 files.
 	cases := map[string][]string{}
 	for _, e := range sweep.GridExperiments(sweep.Spec{}, 2, 2, 0.3) {
 		for _, o := range e.Outputs {
@@ -230,6 +230,10 @@ func TestGridFileRejectsUnknownKeys(t *testing.T) {
 		"scheme":    `{"name":"typo","rounds":2,"eval_every":1,"axes":{"alphas":[0.1,1],"scheme":["gsfl","sl"]}}`,
 		"allocator": `{"name":"typo","rounds":2,"eval_every":1,"base":{"allocator":"latency-min"},"axes":{"alphas":[0.1,1]}}`,
 		"round":     `{"name":"typo","round":2,"eval_every":1,"axes":{"alphas":[0.1,1]}}`,
+		// The numeric-mode axis and Spec field are gone: a grid file
+		// written for them fails rather than running exact kernels.
+		"numerics": `{"name":"typo","rounds":2,"eval_every":1,"axes":{"numerics":["exact","fast"]}}`,
+		"numeric":  `{"name":"typo","rounds":2,"eval_every":1,"base":{"numeric":"fast"},"axes":{"alphas":[0.1,1]}}`,
 	} {
 		t.Run(key, func(t *testing.T) {
 			tmp := t.TempDir()

@@ -97,14 +97,6 @@ type Spec struct {
 	// DeviceProfiles); "" assigns every member the baseline profile.
 	// Only meaningful with Population set.
 	DeviceProfileMix string `json:"device_profile_mix,omitempty"`
-	// Numeric names the registered numeric mode the tensor kernels run
-	// under ("" = exact; see NumericModes). The default mode is
-	// bit-identical at any worker count; other modes (e.g. "fast", the
-	// reassociating FMA kernels) trade that for speed and are pinned by
-	// tolerance tests. Normalized folds an explicit "exact" back to "",
-	// so specs that never leave the default keep byte-identical JSON,
-	// job IDs, and checkpoint fingerprints.
-	Numeric string `json:"numeric,omitempty"`
 }
 
 // PaperSpec is the configuration of the paper's Section III: 30
@@ -173,12 +165,6 @@ func (s Spec) Normalized() Spec {
 			s.SampleFraction = 1
 		}
 	}
-	// The numeric default normalizes the other way — to the empty
-	// string — so a spec that spells out "exact" hashes, marshals, and
-	// fingerprints identically to one that never mentions numerics.
-	if s.Numeric == DefaultNumericMode {
-		s.Numeric = ""
-	}
 	return s
 }
 
@@ -215,8 +201,8 @@ func (s Spec) populationActive() bool {
 
 // Canonical returns the normalized spec with every registry-named field
 // resolved: Alloc and Strategy aliases rewritten to their canonical
-// names, and Dataset, Arch, AvailTrace (when a population is set) and
-// Numeric checked to exist. It is the single name-resolution point —
+// names, and Dataset, Arch and AvailTrace (when a population is set)
+// checked to exist. It is the single name-resolution point —
 // Validate, grid expansion and the job content hash all go through it —
 // so an unknown name is reported once, prefixed with the field at
 // fault. Alloc has no default: an empty one is an error.
@@ -241,9 +227,7 @@ func (s Spec) Canonical() (Spec, error) {
 	if s.Population > 0 { // otherwise validatePopulation requires it unset
 		resolve("AvailTrace", &s.AvailTrace, CanonicalAvailTrace)
 	}
-	resolve("Numeric", &s.Numeric, CanonicalNumericMode)
-	// Resolving "" spelled the numeric default out; fold it back.
-	return s.Normalized(), err
+	return s, err
 }
 
 // Validate checks every Spec field eagerly and reports the first

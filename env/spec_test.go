@@ -84,47 +84,6 @@ func TestSpecNormalizedDefaults(t *testing.T) {
 	}
 }
 
-// TestSpecNumericByteStability pins the numeric field's inverse
-// normalization: the default mode is erased from both the normalized
-// spec and the JSON encoding, so every spec written before the field
-// existed — and every spec that spells the default explicitly —
-// produces the same bytes, hashes, and store entries.
-func TestSpecNumericByteStability(t *testing.T) {
-	plain := env.TestSpec()
-	explicit := env.TestSpec()
-	explicit.Numeric = env.DefaultNumericMode
-	if n := explicit.Normalized(); n.Numeric != "" {
-		t.Fatalf("Normalized kept the default numeric mode: %q", n.Numeric)
-	}
-	bufPlain, err := json.Marshal(plain.Normalized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufExplicit, err := json.Marshal(explicit.Normalized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(bufPlain) != string(bufExplicit) {
-		t.Fatalf("explicit default numeric mode changed the spec bytes:\n  %s\n  %s", bufPlain, bufExplicit)
-	}
-	if strings.Contains(string(bufPlain), "numeric") {
-		t.Fatalf("default-mode spec JSON must omit the numeric field: %s", bufPlain)
-	}
-
-	fast := env.TestSpec()
-	fast.Numeric = "fast"
-	if n := fast.Normalized(); n.Numeric != "fast" {
-		t.Fatalf("Normalized dropped a non-default numeric mode: %q", n.Numeric)
-	}
-	if err := fast.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	fast.Numeric = "bogus"
-	if err := fast.Validate(); err == nil || !strings.Contains(err.Error(), "Numeric") {
-		t.Fatalf("Validate must reject unknown numeric modes, got %v", err)
-	}
-}
-
 // TestSpecValidate covers the eager field-specific validation Build
 // runs before constructing anything.
 func TestSpecValidate(t *testing.T) {
@@ -194,4 +153,63 @@ func TestBuildDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a.Points, b.Points) {
 		t.Fatal("Build is not deterministic")
 	}
+}
+
+// FuzzSpecJSON decodes arbitrary bytes as a Spec and validates it,
+// which must never panic. A spec Validate accepts must keep the Spec
+// doc's promise that it marshals to JSON and back without loss: its
+// canonical form marshals, unmarshals, re-validates and re-canonicalizes
+// to the same bytes. The last seed carries "numeric", a key specs no
+// longer have.
+func FuzzSpecJSON(f *testing.F) {
+	popSpec := env.TestSpec()
+	popSpec.Population = 24
+	popSpec.SampleFraction = 0.25
+	popSpec.AvailTrace = "onoff"
+	popSpec.DeviceProfileMix = "low-end:0.5,baseline:0.5"
+	for _, s := range []env.Spec{env.PaperSpec(), env.TestSpec(), popSpec} {
+		buf, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	buf, err := json.Marshal(env.TestSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(`{"numeric":"fast",`), buf[1:]...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s env.Spec
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		canon, err := s.Canonical()
+		if err != nil {
+			t.Fatalf("Validate accepted a spec Canonical rejects: %v", err)
+		}
+		first, err := json.Marshal(canon)
+		if err != nil {
+			t.Fatalf("marshalling an accepted spec: %v", err)
+		}
+		var back env.Spec
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("unmarshalling %s: %v", first, err)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("the round trip of an accepted spec is rejected: %v\n%s", err, first)
+		}
+		recanon, err := back.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := json.Marshal(recanon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(first) != string(second) {
+			t.Fatalf("the canonical spec changed in a JSON round trip:\n  %s\n  %s", first, second)
+		}
+	})
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -61,11 +60,12 @@ func saveAll(t *testing.T) (dir string, sel GridSelection) {
 }
 
 // TestCatalogueAllWritesSeventeenFiles pins the exact set of artifacts
-// of "-exp all": 16 experiments, the 17 CSVs their Outputs declare,
-// nothing else.
+// of "-exp all": 15 experiments, the 16 CSVs their Outputs declare,
+// nothing else. (It is named for the 17 files the catalogue wrote while
+// it still held the numeric-mode study.)
 func TestCatalogueAllWritesSeventeenFiles(t *testing.T) {
 	dir, sel := saveAll(t)
-	if got := names(sel.Experiments); !reflect.DeepEqual(got, ExperimentNames()) || len(got) != 16 {
+	if got := names(sel.Experiments); !reflect.DeepEqual(got, ExperimentNames()) || len(got) != 15 {
 		t.Fatalf("\"all\" selected %v, catalogue names are %v", got, ExperimentNames())
 	}
 	entries, err := os.ReadDir(dir)
@@ -82,8 +82,8 @@ func TestCatalogueAllWritesSeventeenFiles(t *testing.T) {
 		}
 	}
 	sort.Strings(want)
-	if len(want) != 17 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("-exp all wrote %v, want the 17 files %v", got, want)
+	if len(want) != 16 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("-exp all wrote %v, want the 16 files %v", got, want)
 	}
 }
 
@@ -92,8 +92,7 @@ func TestCatalogueAllWritesSeventeenFiles(t *testing.T) {
 // data: testdata/catalogue_sha256.txt was generated from the parent
 // commit's gsfl-sweep binary (-exp all -scale test -rounds 2). A header,
 // a format verb, a column order or a file name edited in the catalogue
-// fails here. numeric.csv is pinned on its header and exact row only —
-// the fast row is FMA-dependent across CPUs.
+// fails here.
 func TestCatalogueBytesPinned(t *testing.T) {
 	dir, _ := saveAll(t)
 	pins, err := os.Open(filepath.Join("testdata", "catalogue_sha256.txt"))
@@ -107,25 +106,17 @@ func TestCatalogueBytesPinned(t *testing.T) {
 		if !ok || strings.HasPrefix(sc.Text(), "#") {
 			continue
 		}
-		file, exactOnly := strings.CutSuffix(name, "#exact")
-		buf, err := os.ReadFile(filepath.Join(dir, file))
+		buf, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if exactOnly {
-			lines := bytes.SplitAfterN(buf, []byte("\n"), 3)
-			if len(lines) < 2 || !bytes.HasPrefix(lines[1], []byte("exact,")) {
-				t.Fatalf("%s: second line is not the exact row:\n%s", file, buf)
-			}
-			buf = bytes.Join(lines[:2], nil)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != want {
 			t.Errorf("%s: sha256 %s, pinned %s; contents:\n%s", name, got, want, buf)
 		}
 		pinned++
 	}
-	if pinned != 17 {
-		t.Fatalf("pin file covers %d CSVs, want 17", pinned)
+	if pinned != 16 {
+		t.Fatalf("pin file covers %d CSVs, want 16", pinned)
 	}
 }
 
@@ -158,7 +149,7 @@ func TestReadmeTableMatchesCatalogue(t *testing.T) {
 		files += len(fs)
 		want = append(want, e.Name+": "+strings.Join(fs, ", "))
 	}
-	if len(want) != 16 || files != 17 || !reflect.DeepEqual(got, want) {
+	if len(want) != 15 || files != 16 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("README table lists\n  %s\nthe catalogue has %d entries, %d files\n  %s",
 			strings.Join(got, "\n  "), len(want), files, strings.Join(want, "\n  "))
 	}
@@ -171,8 +162,8 @@ func TestSelectUnknownExperimentListsCatalogue(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an error for an unknown experiment")
 	}
-	if len(ExperimentNames()) != 16 {
-		t.Fatalf("catalogue has %d names, want 16: %v", len(ExperimentNames()), ExperimentNames())
+	if len(ExperimentNames()) != 15 {
+		t.Fatalf("catalogue has %d names, want 15: %v", len(ExperimentNames()), ExperimentNames())
 	}
 	for _, name := range append(ExperimentNames(), "all", `"bogus"`) {
 		if !strings.Contains(err.Error(), name) {

@@ -6,7 +6,7 @@
 // Environment construction lives in the public gsfl/env package — Spec
 // is an alias of env.Spec, worlds come from env.Build, and every name a
 // spec carries (allocator, grouping strategy, dataset, architecture,
-// availability trace, numeric mode) is resolved in one place,
+// availability trace) is resolved in one place,
 // Spec.Canonical. What lives here is the harness itself: the Grid
 // expansion (a table of axes) with stable job content hashes and the
 // single job executor, RunJob (grid.go), and the catalogue,

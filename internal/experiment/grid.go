@@ -12,7 +12,6 @@ import (
 	"gsfl/internal/metrics"
 	"gsfl/internal/schemes"
 	"gsfl/internal/simnet"
-	"gsfl/internal/tensor"
 	"gsfl/internal/wireless"
 	"gsfl/sim"
 )
@@ -62,10 +61,6 @@ type Axes struct {
 	Populations     []int     `json:"populations,omitempty"`
 	SampleFractions []float64 `json:"sample_fractions,omitempty"`
 	AvailTraces     []string  `json:"avail_traces,omitempty"`
-	// Numerics sweeps the registered numeric modes the kernels run
-	// under ("exact", "fast", …); the default-mode cell hashes exactly
-	// like a spec that never mentions numerics.
-	Numerics []string `json:"numerics,omitempty"`
 	// Schemes defaults to ["gsfl"], the subject of every ablation.
 	Schemes []string `json:"schemes,omitempty"`
 }
@@ -168,12 +163,6 @@ func hashJob(j Job) (string, error) {
 			ProfileMix     string
 		}{s.Population, s.SampleFraction, s.AvailTrace, s.DeviceProfileMix})
 	}
-	// The numeric mode (PR 8) extends the hash only when it is not the
-	// default (which canonicalizes to ""), so every exact-mode job — the
-	// entire historical catalogue — keeps its historical ID.
-	if s.Numeric != "" {
-		write(struct{ Numeric string }{s.Numeric})
-	}
 	if err != nil {
 		return "", fmt.Errorf("experiment: encoding job identity: %w", err)
 	}
@@ -215,7 +204,7 @@ func axisOf[T any](key string, vals []T, verb string, set func(*Job, T)) axis {
 	return a
 }
 
-// axes lists the sixteen swept dimensions in canonical nesting order;
+// axes lists the fifteen swept dimensions in canonical nesting order;
 // Jobs skips the empty ones.
 func (g Grid) axes() []axis {
 	ax, schemes := g.Axes, g.Axes.Schemes
@@ -237,7 +226,6 @@ func (g Grid) axes() []axis {
 		axisOf("pop", ax.Populations, "%d", func(j *Job, v int) { j.Spec.Population = v }),
 		axisOf("frac", ax.SampleFractions, "%g", func(j *Job, v float64) { j.Spec.SampleFraction = v }),
 		axisOf("trace", ax.AvailTraces, "%s", func(j *Job, v string) { j.Spec.AvailTrace = v }),
-		axisOf("numeric", ax.Numerics, "%s", func(j *Job, v string) { j.Spec.Numeric = v }),
 		axisOf("scheme", schemes, "%s", func(j *Job, v string) { j.Scheme = v }),
 	}
 }
@@ -338,14 +326,6 @@ func RunJob(ctx context.Context, j Job, from *Handoff, opts ...sim.RunOption) (r
 			res, err = JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
 		}
 	}()
-	// The numeric mode is a process-global kernel switch: hold it for
-	// the job's duration so concurrent same-mode jobs proceed together
-	// while a mixed exact/fast grid serializes only at mode boundaries.
-	release, err := tensor.AcquireNumericMode(j.Spec.Numeric)
-	if err != nil {
-		return res, err
-	}
-	defer release()
 	world, err := env.Build(j.Spec)
 	if err != nil {
 		return res, err

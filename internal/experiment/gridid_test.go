@@ -78,12 +78,6 @@ var goldenJobIDs = []string{
 	"seeds 25591a8afc47a2a5 seeds-fl/seed=1",
 	"seeds 8ba7a9874b08c75e seeds-fl/seed=1001",
 	"seeds 5b02a95b67cf5c0f seeds-fl/seed=2001",
-	// PR 8: the numeric-mode study. The exact cell must share the base
-	// gsfl cell's ID (4f4917f2affe18bb) — the default mode is erased
-	// from the identity encoding, so the scheduler dedups it against
-	// fig2a's gsfl run and every historical store entry stays valid.
-	"numeric 4f4917f2affe18bb numeric/numeric=exact",
-	"numeric 86f4ba5b876490ca numeric/numeric=fast",
 }
 
 // TestGridIDStabilityAcrossSpecMigration expands the full catalogue and

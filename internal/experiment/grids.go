@@ -453,20 +453,6 @@ func GridExperiments(spec Spec, rounds, evalEvery int, target float64) []GridExp
 			}},
 		},
 		{
-			// The base GSFL cell under each registered numeric mode (PR 8).
-			// The exact-mode cell canonicalizes to a numeric-free spec, so it
-			// shares its job ID — and its sweep-store entry — with the rest
-			// of the catalogue; only non-default modes add cells. Both
-			// derived columns are simulation-deterministic, never host
-			// wall-clock, so the CSV is identical at any -jobs value even
-			// though the cells ran under different kernels.
-			Name:  "numeric",
-			Grids: grid("numeric", evalEvery, Axes{Numerics: env.NumericModes()}),
-			Outputs: []Output{perJob("numeric.csv",
-				col("numeric", func(r JobResult) any { mode, _ := env.CanonicalNumericMode(r.Job.Spec.Numeric); return mode }),
-				roundLatency, finalAccuracy)},
-		},
-		{
 			// Analytic latency model against event-driven processor
 			// sharing; trains nothing.
 			Name: "validate",

@@ -34,12 +34,12 @@ import (
 // kernel call stores the tile, each later one adds its tile onto it.
 // Chunk boundaries fall between MR-row blocks and never change any
 // element's accumulation sequence, so results are bit-identical at any
-// worker count — the same contract the previous scalar kernels had. In
-// the default "exact" numeric mode the kernels
-// round every multiply and add separately (scalar and AVX2 paths agree
-// bit-for-bit); a Reassociate mode swaps in FMA kernels whose results
-// are still worker-count-independent but only tolerance-comparable to
-// exact mode.
+// worker count — the same contract the previous scalar kernels had. The
+// kernels round every multiply and add separately (scalar and AVX2
+// paths agree bit-for-bit). The one exception is the FMA kernel that
+// AcquireNumericMode("fast") swaps in for the benchmark's probe of it
+// (see numeric.go): still worker-count-independent, but only
+// tolerance-comparable to the exact kernels.
 
 const (
 	// gemmMR × gemmNR is the micro-kernel register tile: 4 rows × 8
@@ -114,7 +114,7 @@ var cpu struct{ avx2, fma, avx512 bool }
 
 // rowKernels returns the kernels for a product of the given rows, k
 // and outC: the exact 4×8 kernel and, when the product clears
-// pairWorthwhile, its pair form; in Reassociate mode the fast kernel
+// pairWorthwhile, its pair form; while "fast" is held, the FMA kernel
 // alone.
 func rowKernels(rows, k, outC int) (kern, pair rowKernFunc) {
 	if numericReassoc.Load() {

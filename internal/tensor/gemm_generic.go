@@ -5,7 +5,7 @@ package tensor
 // rounded separately from add, row r's k-th value read in place at
 // x[rows[r]+koff[kk]] and the tile stored transposed — or, with add,
 // added onto what c holds. It defines the bit-exact reference semantics
-// of the default numeric mode — the amd64 exact kernels perform the
+// of the GEMM engine — the amd64 exact kernels perform the
 // identical operation sequence per element and therefore produce
 // identical bits. Where there is no vector kernel (off amd64, or in a
 // purego build) it also serves as the "fast" kernel: there is nothing

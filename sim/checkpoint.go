@@ -10,7 +10,6 @@ import (
 	"gsfl/internal/atomicfile"
 	"gsfl/internal/bincodec"
 	"gsfl/internal/schemes"
-	"gsfl/internal/tensor"
 	"gsfl/internal/wireless"
 )
 
@@ -112,13 +111,6 @@ func envFingerprint(env *Env) uint64 {
 		TestLen:       env.Test.Len(),
 		Population:    popID,
 	})
-	// The numeric mode extends the fingerprint only when it is not the
-	// default, mirroring the job-identity hash: default-mode checkpoints
-	// keep their historical hashes, while a run under "fast" kernels can
-	// only be resumed under "fast" kernels.
-	if mode := tensor.CurrentNumericMode(); mode.Name != tensor.DefaultNumericMode {
-		_ = gob.NewEncoder(h).Encode(struct{ Numeric string }{mode.Name})
-	}
 	return h.Sum64()
 }
 
