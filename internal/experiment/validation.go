@@ -21,14 +21,14 @@ type ValidationResult struct {
 	RelativeGap float64
 }
 
-// RunValidationEventDriven builds one GSFL round twice over a fading-free
-// copy of the spec's world: once through the analytic latency model
-// (what every figure uses) and once through simnet.RunChains, where
-// groups desynchronize and the spectrum is re-divided at every task
-// boundary. A small relative gap validates the analytic approximation;
-// its sign shows whether the approximation is conservative (positive:
-// analytic over-estimates because it assumes worst-case contention for
-// whole positions).
+// RunValidationEventDriven trains one GSFL round over a fading-free copy
+// of the spec's world, priced by the analytic model every figure uses,
+// and replays the chains that round charged (Trainer.RoundChains)
+// through simnet.RunChains, where groups desynchronize and the spectrum
+// is re-divided at every task boundary; aggregation is the round's own
+// in both. A positive gap means the analytic model, which assumes
+// contention for whole positions, over-estimates. A round in which no
+// group trains is an error.
 func RunValidationEventDriven(spec Spec) (ValidationResult, error) {
 	// Fading and outages off: both models must price identical physics.
 	spec.Wireless.FadingJitter = 0
@@ -50,74 +50,15 @@ func RunValidationEventDriven(spec Spec) (ValidationResult, error) {
 	if err != nil {
 		return ValidationResult{}, fmt.Errorf("experiment: analytic round: %w", err)
 	}
-	analytic := led.Total()
-
-	// Rebuild the same round's task structure as event-sim chains. The
-	// model quantities (FLOPs, bytes) are identical by construction; only
-	// the bandwidth-sharing discipline differs.
-	env2, err := env.Build(spec)
-	if err != nil {
-		return ValidationResult{}, err
+	chains := tr.RoundChains()
+	if len(chains) == 0 {
+		return ValidationResult{}, fmt.Errorf("experiment: the validation round priced nothing (no live group)")
 	}
-	probe := env2.Arch.NewSplit(env2.Rng("probe", 0), spec.Cut)
-	tr2, err := gsfl.New(env2, opts)
-	if err != nil {
-		return ValidationResult{}, err
-	}
-	batch := int64(spec.Hyper.Batch)
-	clientFLOPs := 3 * probe.ClientFwdFLOPs() * batch
-	serverFLOPs := 3 * probe.ServerFwdFLOPs() * batch
-	smashedBits := float64(probe.SmashedBytes(spec.Hyper.Batch)) * 8
-	gradBits := float64(probe.GradBytes(spec.Hyper.Batch)) * 8
-	modelBits := float64(probe.ClientParamBytes()) * 8
-
-	chains := make([][]simnet.Task, 0, spec.Groups)
-	for _, members := range tr2.Groups() {
-		var chain []simnet.Task
-		// Model distribution to the first client.
-		chain = append(chain, simnet.Task{
-			Kind: simnet.TaskDownlink, Bits: modelBits,
-			Client: members[0], Component: simnet.Relay,
-		})
-		for pos, ci := range members {
-			dev := env2.Fleet.Clients[ci]
-			for s := 0; s < spec.Hyper.StepsPerClient; s++ {
-				chain = append(chain,
-					simnet.Task{Kind: simnet.TaskCompute, Seconds: dev.ComputeSeconds(clientFLOPs), Component: simnet.ClientCompute},
-					simnet.Task{Kind: simnet.TaskUplink, Bits: smashedBits, Client: ci, Component: simnet.Uplink},
-					simnet.Task{Kind: simnet.TaskCompute, Seconds: env2.Fleet.Server.ComputeSeconds(serverFLOPs), Component: simnet.ServerCompute},
-					simnet.Task{Kind: simnet.TaskDownlink, Bits: gradBits, Client: ci, Component: simnet.Downlink},
-				)
-			}
-			// Relay to the next client or return to the AP.
-			chain = append(chain, simnet.Task{
-				Kind: simnet.TaskUplink, Bits: modelBits, Client: ci, Component: simnet.Relay,
-			})
-			if pos+1 < len(members) {
-				chain = append(chain, simnet.Task{
-					Kind: simnet.TaskDownlink, Bits: modelBits,
-					Client: members[pos+1], Component: simnet.Relay,
-				})
-			}
-		}
-		chains = append(chains, chain)
-	}
-
-	res, err := simnet.RunChains(chains, env2.Channel.UplinkHz(), env2.Channel.DownlinkHz(),
-		func(client int, wHz float64, uplink bool) float64 {
-			return env2.Channel.MeanRate(client, wHz, uplink)
-		})
+	res, err := simnet.RunChains(chains, world.Channel.UplinkHz(), world.Channel.DownlinkHz(), world.Channel.MeanRate)
 	if err != nil {
 		return ValidationResult{}, fmt.Errorf("experiment: event-driven replay: %w", err)
 	}
-	// Aggregation cost is identical in both models; add it to the
-	// event-driven side for a like-for-like total.
-	var aggLed simnet.Ledger
-	total := probe.Client.ParamCount() + probe.Server.ParamCount()
-	aggFLOPs := int64(2) * int64(spec.Groups) * int64(total)
-	aggLed.Add(simnet.Aggregation, env2.Fleet.Server.ComputeSeconds(aggFLOPs))
-	eventDriven := res.Makespan + aggLed.Total()
-
+	analytic, eventDriven := led.Total(), res.Makespan+led.Get(simnet.Aggregation)
 	return ValidationResult{
 		AnalyticSeconds:    analytic,
 		EventDrivenSeconds: eventDriven,

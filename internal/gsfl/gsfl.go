@@ -47,6 +47,7 @@ package gsfl
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gsfl/internal/agg"
 	"gsfl/internal/data"
@@ -147,6 +148,9 @@ type Trainer struct {
 	// are reused across rounds.
 	batchSizes [][]int
 	live       []int
+	// chains[li] is every task live group li's ledger charged this
+	// round, in order (RoundChains); the buffers are reused.
+	chains [][]simnet.Task
 
 	// binds is the round's population bindings, binds[slot] the member
 	// mounted on that slot; popCaps is the reusable capacity scratch for
@@ -222,6 +226,11 @@ func (t *Trainer) Name() string { return t.plan.scheme }
 
 // Groups exposes the group assignment (read-only view for diagnostics).
 func (t *Trainer) Groups() [][]int { return t.groups }
+
+// RoundChains exposes the tasks each live group's ledger charged in the
+// last Round, in order (read-only view; aggregation, priced after the
+// join, is in none). It is empty after a round that priced nothing.
+func (t *Trainer) RoundChains() [][]simnet.Task { return t.chains }
 
 // ServerReplicaCount returns how many server-side models the edge server
 // hosts — M for GSFL, the storage quantity Table 3 compares against
@@ -299,6 +308,7 @@ func (t *Trainer) availableGroups() ([][]int, []float64) {
 // round returns ctx.Err() and leaves the trainer unusable (resume from
 // the last checkpoint instead).
 func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
+	t.chains = t.chains[:0]
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -411,15 +421,17 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	}
 	leds := make([]*simnet.Ledger, len(live))
 	firstClients := make([]int, len(live))
+	t.chains = slices.Grow(t.chains, len(live))[:len(live)]
 	for li, g := range live {
 		leds[li] = &simnet.Ledger{}
+		leds[li].Record(&t.chains[li])
 		rt.Lane("group", g, leds[li])
 		firstClients[li] = groups[g][0]
 	}
 	var distAlloc []float64
 	distribute := func(li int) {
-		leds[li].Add(handOff, env.Channel.TransferSeconds(firstClients[li],
-			t.replicas[live[li]].ClientParamBytes(), distAlloc[li], false))
+		schemes.Charge(env, simnet.Task{Kind: simnet.TaskDownlink, Bytes: t.replicas[live[li]].ClientParamBytes(),
+			Client: firstClients[li], Component: handOff}, 0, distAlloc[li], leds[li])
 	}
 	if !t.plan.chain {
 		distAlloc = env.Alloc.Allocate(env.Channel, firstClients, env.Channel.DownlinkHz(), false)
@@ -465,8 +477,7 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 			} else {
 				for _, bn := range t.batchSizes[g][pos*steps : (pos+1)*steps] {
 					if t.plan.local { // the loss is on the client: no per-step transfers
-						led.Add(simnet.ClientCompute,
-							env.Fleet.Clients[ci].ComputeSeconds(3*rep.ClientFwdFLOPs()*int64(bn)))
+						schemes.Charge(env, schemes.StepTasks(env, rep, ci, bn)[0], 0, 0, led)
 					} else {
 						schemes.StepLatency(env, rep, ci, bn, upAlloc[ai], downAlloc[ai], led)
 					}
@@ -481,7 +492,8 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 			case t.plan.chain:
 				schemes.RelayLatency(env, rep, ci, groups[g][0], upAlloc[ai], downAlloc[ai], led)
 			default:
-				led.Add(giveBack, env.Channel.TransferSeconds(ci, rep.ClientParamBytes(), upAlloc[ai], true))
+				schemes.Charge(env, simnet.Task{Kind: simnet.TaskUplink, Bytes: rep.ClientParamBytes(),
+					Client: ci, Component: giveBack}, upAlloc[ai], 0, led)
 			}
 			rt.EndSlot(led)
 		}

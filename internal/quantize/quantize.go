@@ -6,7 +6,8 @@
 // dominate GSFL's communication budget. Quantizing transfers to one byte
 // per scalar cuts that traffic 4x at a small, measurable accuracy cost —
 // the classic communication/precision trade-off this package lets the
-// experiments explore (ablation Q in DESIGN.md).
+// experiments explore (the catalogue's `quant` experiment; see
+// docs/ARCHITECTURE.md, "The sweep engine").
 //
 // The scheme is standard uniform affine quantization: a tensor maps to
 // uint8 codes via code = round((x - min) / scale), dequantizing to

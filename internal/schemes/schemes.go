@@ -378,18 +378,42 @@ func transferWidth(e *Env) int {
 	return model.WireBytesPerScalar
 }
 
-// StepLatency prices one split mini-batch for client ci under the given
-// bandwidth allocations, adding components to led. The backward pass is
-// priced at 2x forward FLOPs (the standard training-cost model), so a
-// full client step costs 3x its forward FLOPs.
-func StepLatency(e *Env, m *model.SplitModel, ci, batchN int, upHz, downHz float64, led *simnet.Ledger) {
-	client := e.Fleet.Clients[ci]
+// StepTasks returns one split mini-batch of client ci as its four
+// tasks: client compute, smashed-data uplink, server compute, gradient
+// downlink. Backward costs 2x forward FLOPs, so a step costs 3x forward.
+func StepTasks(e *Env, m *model.SplitModel, ci, batchN int) [4]simnet.Task {
 	b := int64(batchN)
 	w := transferWidth(e)
-	led.Add(simnet.ClientCompute, client.ComputeSeconds(3*m.ClientFwdFLOPs()*b))
-	led.Add(simnet.Uplink, e.Channel.TransferSeconds(ci, m.SmashedBytesWith(batchN, w), upHz, true))
-	led.Add(simnet.ServerCompute, e.Fleet.Server.ComputeSeconds(3*m.ServerFwdFLOPs()*b))
-	led.Add(simnet.Downlink, e.Channel.TransferSeconds(ci, m.GradBytesWith(batchN, w), downHz, false))
+	return [4]simnet.Task{
+		{Kind: simnet.TaskCompute, Seconds: e.Fleet.Clients[ci].ComputeSeconds(3 * m.ClientFwdFLOPs() * b), Client: ci, Component: simnet.ClientCompute},
+		{Kind: simnet.TaskUplink, Bytes: m.SmashedBytesWith(batchN, w), Client: ci, Component: simnet.Uplink},
+		{Kind: simnet.TaskCompute, Seconds: e.Fleet.Server.ComputeSeconds(3 * m.ServerFwdFLOPs() * b), Client: ci, Component: simnet.ServerCompute},
+		{Kind: simnet.TaskDownlink, Bytes: m.GradBytesWith(batchN, w), Client: ci, Component: simnet.Downlink},
+	}
+}
+
+// Charge prices task onto led (simnet.Ledger.Charge) and returns its
+// analytic seconds: a compute task's own duration, or one
+// Channel.TransferSeconds draw at the allocation for its direction. It
+// is the one path by which a round's lanes are priced.
+func Charge(e *Env, task simnet.Task, upHz, downHz float64, led *simnet.Ledger) float64 {
+	dt := task.Seconds
+	switch task.Kind {
+	case simnet.TaskUplink:
+		dt = e.Channel.TransferSeconds(task.Client, task.Bytes, upHz, true)
+	case simnet.TaskDownlink:
+		dt = e.Channel.TransferSeconds(task.Client, task.Bytes, downHz, false)
+	}
+	led.Charge(task, dt)
+	return dt
+}
+
+// StepLatency prices one split mini-batch for client ci under the given
+// bandwidth allocations: StepTasks, charged in order to led.
+func StepLatency(e *Env, m *model.SplitModel, ci, batchN int, upHz, downHz float64, led *simnet.Ledger) {
+	for _, task := range StepTasks(e, m, ci, batchN) {
+		Charge(e, task, upHz, downHz, led)
+	}
 }
 
 // TurnLatency prices a whole pipelined client turn of `steps`
@@ -401,32 +425,26 @@ func StepLatency(e *Env, m *model.SplitModel, ci, batchN int, upHz, downHz float
 //
 //	turn = (t_client + t_up + t_srv + t_down) + (steps-1) * max(stages)
 //
-// The warm-up charges each component once; the steady-state remainder is
-// attributed to the bottleneck component.
+// The warm-up charges each stage once; the steady state is one task, the
+// bottleneck scaled by steps-1 (back-to-back transfers by one client are
+// one transfer of their summed bytes), priced from the warm-up's draw.
 func TurnLatency(e *Env, m *model.SplitModel, ci, batchN, steps int, upHz, downHz float64, led *simnet.Ledger) error {
 	if steps <= 0 {
 		return fmt.Errorf("schemes: turn needs positive steps, got %d", steps)
 	}
-	client := e.Fleet.Clients[ci]
-	b := int64(batchN)
-	w := transferWidth(e)
-	stages := []struct {
-		comp simnet.Component
-		secs float64
-	}{
-		{simnet.ClientCompute, client.ComputeSeconds(3 * m.ClientFwdFLOPs() * b)},
-		{simnet.Uplink, e.Channel.TransferSeconds(ci, m.SmashedBytesWith(batchN, w), upHz, true)},
-		{simnet.ServerCompute, e.Fleet.Server.ComputeSeconds(3 * m.ServerFwdFLOPs() * b)},
-		{simnet.Downlink, e.Channel.TransferSeconds(ci, m.GradBytesWith(batchN, w), downHz, false)},
-	}
+	tasks := StepTasks(e, m, ci, batchN)
+	var secs [4]float64
 	bottleneck := 0
-	for i, s := range stages {
-		led.Add(s.comp, s.secs) // warm-up: one full pass through the pipe
-		if s.secs > stages[bottleneck].secs {
+	for i, task := range tasks { // warm-up: one full pass through the pipe
+		secs[i] = Charge(e, task, upHz, downHz, led)
+		if secs[i] > secs[bottleneck] {
 			bottleneck = i
 		}
 	}
-	led.Add(stages[bottleneck].comp, float64(steps-1)*stages[bottleneck].secs)
+	rest := tasks[bottleneck]
+	rest.Seconds *= float64(steps - 1)
+	rest.Bytes *= int64(steps - 1)
+	led.Charge(rest, float64(steps-1)*secs[bottleneck])
 	return nil
 }
 
@@ -435,8 +453,8 @@ func TurnLatency(e *Env, m *model.SplitModel, ci, batchN, steps int, upHz, downH
 // transfer of the client-model parameters.
 func RelayLatency(e *Env, m *model.SplitModel, from, to int, upHz, downHz float64, led *simnet.Ledger) {
 	bytes := m.ClientParamBytes()
-	led.Add(simnet.Relay, e.Channel.TransferSeconds(from, bytes, upHz, true))
-	led.Add(simnet.Relay, e.Channel.TransferSeconds(to, bytes, downHz, false))
+	Charge(e, simnet.Task{Kind: simnet.TaskUplink, Bytes: bytes, Client: from, Component: simnet.Relay}, upHz, downHz, led)
+	Charge(e, simnet.Task{Kind: simnet.TaskDownlink, Bytes: bytes, Client: to, Component: simnet.Relay}, upHz, downHz, led)
 }
 
 // AggregationLatency prices FedAvg at the AP over nModels models of the

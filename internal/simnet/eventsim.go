@@ -19,8 +19,9 @@ import (
 // that: transfers progress under processor sharing — at any instant the k
 // active same-direction transfers each get budget/k Hz, converted to a
 // rate by the caller's RateFunc — and every task completion re-triggers
-// rate recomputation. Experiment V in DESIGN.md uses it to quantify the
-// approximation error of the analytic model.
+// rate recomputation. Experiment V (docs/ARCHITECTURE.md, "The
+// group-parallel latency model") replays the chains the analytic model
+// priced through it to quantify that model's approximation error.
 
 // TaskKind distinguishes chain task types.
 type TaskKind int
@@ -28,9 +29,9 @@ type TaskKind int
 const (
 	// TaskCompute runs for a fixed duration on a dedicated resource.
 	TaskCompute TaskKind = iota
-	// TaskUplink moves bits over the shared uplink.
+	// TaskUplink moves bytes over the shared uplink.
 	TaskUplink
-	// TaskDownlink moves bits over the shared downlink.
+	// TaskDownlink moves bytes over the shared downlink.
 	TaskDownlink
 )
 
@@ -39,8 +40,8 @@ type Task struct {
 	Kind TaskKind
 	// Seconds is the duration of a compute task (ignored for transfers).
 	Seconds float64
-	// Bits is the transfer size (ignored for compute).
-	Bits float64
+	// Bytes is the transfer size (ignored for compute).
+	Bytes int64
 	// Client identifies whose radio the transfer uses (rate lookup).
 	Client int
 	// Component attributes the task's elapsed time in the ledger.
@@ -176,7 +177,7 @@ func taskBudget(t Task) float64 {
 	if t.Kind == TaskCompute {
 		return t.Seconds
 	}
-	return t.Bits
+	return float64(t.Bytes) * 8
 }
 
 func validateTask(t Task) error {
@@ -186,8 +187,8 @@ func validateTask(t Task) error {
 			return fmt.Errorf("negative compute duration %v", t.Seconds)
 		}
 	case TaskUplink, TaskDownlink:
-		if t.Bits < 0 {
-			return fmt.Errorf("negative transfer size %v", t.Bits)
+		if t.Bytes < 0 {
+			return fmt.Errorf("negative transfer size %d", t.Bytes)
 		}
 	default:
 		return fmt.Errorf("unknown task kind %d", int(t.Kind))

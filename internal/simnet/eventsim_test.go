@@ -6,21 +6,21 @@ import (
 )
 
 // linearRate is a rate function exactly proportional to bandwidth:
-// 1 bit/s per Hz, making expected completion times hand-computable.
-func linearRate(client int, wHz float64, uplink bool) float64 { return wHz }
+// 1 byte/s per Hz, making expected completion times hand-computable.
+func linearRate(client int, wHz float64, uplink bool) float64 { return 8 * wHz }
 
 func TestEventSimSingleChainSequential(t *testing.T) {
 	chains := [][]Task{{
 		{Kind: TaskCompute, Seconds: 2, Component: ClientCompute},
-		{Kind: TaskUplink, Bits: 10, Client: 0, Component: Uplink},
+		{Kind: TaskUplink, Bytes: 10, Client: 0, Component: Uplink},
 		{Kind: TaskCompute, Seconds: 1, Component: ServerCompute},
-		{Kind: TaskDownlink, Bits: 20, Client: 0, Component: Downlink},
+		{Kind: TaskDownlink, Bytes: 20, Client: 0, Component: Downlink},
 	}}
 	res, err := RunChains(chains, 10, 10, linearRate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2s + 10bits/10Hz + 1s + 20bits/10Hz = 2+1+1+2 = 6.
+	// 2s + 10B/10Hz + 1s + 20B/10Hz = 2+1+1+2 = 6.
 	if math.Abs(res.Makespan-6) > 1e-9 {
 		t.Fatalf("makespan = %v, want 6", res.Makespan)
 	}
@@ -34,8 +34,8 @@ func TestEventSimProcessorSharing(t *testing.T) {
 	// Two identical uplink transfers start together: they share the link,
 	// each at half rate, finishing together at twice the solo time.
 	chains := [][]Task{
-		{{Kind: TaskUplink, Bits: 10, Client: 0, Component: Uplink}},
-		{{Kind: TaskUplink, Bits: 10, Client: 1, Component: Uplink}},
+		{{Kind: TaskUplink, Bytes: 10, Client: 0, Component: Uplink}},
+		{{Kind: TaskUplink, Bytes: 10, Client: 1, Component: Uplink}},
 	}
 	res, err := RunChains(chains, 10, 10, linearRate)
 	if err != nil {
@@ -51,14 +51,14 @@ func TestEventSimProcessorSharing(t *testing.T) {
 
 func TestEventSimDesynchronizedSharing(t *testing.T) {
 	// Chain A transfers immediately; chain B computes 1s first. A has the
-	// full link for 1s (10 bits done), then shares: remaining 10 bits at
-	// 5 Hz -> 2 more seconds. A finishes at 3. B's 10 bits: 1s compute,
-	// then 5 Hz while sharing with A (2s -> 10 bits done at t=3).
+	// full link for 1s (10 bytes done), then shares: remaining 10 bytes at
+	// 5 Hz -> 2 more seconds. A finishes at 3. B's 10 bytes: 1s compute,
+	// then 5 Hz while sharing with A (2s -> 10 bytes done at t=3).
 	chains := [][]Task{
-		{{Kind: TaskUplink, Bits: 20, Client: 0, Component: Uplink}},
+		{{Kind: TaskUplink, Bytes: 20, Client: 0, Component: Uplink}},
 		{
 			{Kind: TaskCompute, Seconds: 1, Component: ClientCompute},
-			{Kind: TaskUplink, Bits: 10, Client: 1, Component: Uplink},
+			{Kind: TaskUplink, Bytes: 10, Client: 1, Component: Uplink},
 		},
 	}
 	res, err := RunChains(chains, 10, 10, linearRate)
@@ -76,8 +76,8 @@ func TestEventSimDesynchronizedSharing(t *testing.T) {
 func TestEventSimDirectionsDoNotContend(t *testing.T) {
 	// An uplink and a downlink transfer run concurrently at full budget.
 	chains := [][]Task{
-		{{Kind: TaskUplink, Bits: 10, Client: 0, Component: Uplink}},
-		{{Kind: TaskDownlink, Bits: 10, Client: 1, Component: Downlink}},
+		{{Kind: TaskUplink, Bytes: 10, Client: 0, Component: Uplink}},
+		{{Kind: TaskDownlink, Bytes: 10, Client: 1, Component: Downlink}},
 	}
 	res, err := RunChains(chains, 10, 10, linearRate)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestEventSimDirectionsDoNotContend(t *testing.T) {
 
 func TestEventSimZeroBitTransfer(t *testing.T) {
 	chains := [][]Task{{
-		{Kind: TaskUplink, Bits: 0, Client: 0, Component: Uplink},
+		{Kind: TaskUplink, Bytes: 0, Client: 0, Component: Uplink},
 		{Kind: TaskCompute, Seconds: 1, Component: ClientCompute},
 	}}
 	res, err := RunChains(chains, 10, 10, linearRate)
@@ -126,7 +126,7 @@ func TestEventSimValidation(t *testing.T) {
 	if _, err := RunChains(unknown, 10, 10, linearRate); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	zeroRate := [][]Task{{{Kind: TaskUplink, Bits: 1, Client: 0, Component: Uplink}}}
+	zeroRate := [][]Task{{{Kind: TaskUplink, Bytes: 1, Client: 0, Component: Uplink}}}
 	if _, err := RunChains(zeroRate, 10, 10, func(int, float64, bool) float64 { return 0 }); err == nil {
 		t.Fatal("zero rate accepted")
 	}
@@ -154,14 +154,14 @@ func TestEventSimSublinearRateSharingAdvantage(t *testing.T) {
 		snrPerHz := 1e7 // high-SNR regime
 		return wHz * math.Log2(1+snrPerHz/wHz)
 	}
-	solo := [][]Task{{{Kind: TaskUplink, Bits: 1e6, Client: 0, Component: Uplink}}}
+	solo := [][]Task{{{Kind: TaskUplink, Bytes: 1e6, Client: 0, Component: Uplink}}}
 	rSolo, err := RunChains(solo, 10e6, 10e6, shannon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := [][]Task{
-		{{Kind: TaskUplink, Bits: 1e6, Client: 0, Component: Uplink}},
-		{{Kind: TaskUplink, Bits: 1e6, Client: 1, Component: Uplink}},
+		{{Kind: TaskUplink, Bytes: 1e6, Client: 0, Component: Uplink}},
+		{{Kind: TaskUplink, Bytes: 1e6, Client: 1, Component: Uplink}},
 	}
 	rShared, err := RunChains(shared, 10e6, 10e6, shannon)
 	if err != nil {

@@ -68,6 +68,8 @@ type Ledger struct {
 	// tracer's tap into the latency model. It never affects the totals;
 	// the disabled state is a single nil check on the pricing path.
 	onAdd func(Component, float64)
+	// chain, when set, receives every charged task in order (Record).
+	chain *[]Task
 }
 
 // Add records dt seconds against component c. Negative durations panic:
@@ -83,6 +85,21 @@ func (l *Ledger) Add(c Component, dt float64) {
 	if l.onAdd != nil {
 		l.onAdd(c, dt)
 	}
+}
+
+// Charge records dt, the priced seconds of task, against its component
+// (as Add) and appends task to the chain installed by Record.
+func (l *Ledger) Charge(task Task, dt float64) {
+	l.Add(task.Component, dt)
+	if l.chain != nil {
+		*l.chain = append(*l.chain, task)
+	}
+}
+
+// Record empties *chain and makes it the destination of every later
+// Charge; the caller owns the slice, so its buffer outlives the ledger.
+func (l *Ledger) Record(chain *[]Task) {
+	*chain, l.chain = (*chain)[:0], chain
 }
 
 // Observe installs fn as the ledger's Add observer (nil detaches). The
@@ -118,9 +135,9 @@ func (l *Ledger) Merge(other *Ledger) {
 
 // MaxOf returns a ledger representing parallel composition: the ledger
 // among ls with the largest total (the critical path). Component detail
-// of the chosen ledger is preserved so breakdowns stay meaningful; any
-// Add observer is NOT inherited (the copy starts a new lane in time,
-// so the winner's per-lane tap would misattribute later adds).
+// of the chosen ledger is preserved so breakdowns stay meaningful; its
+// Add observer and chain are NOT inherited (the copy starts a new lane
+// in time, so the winner's per-lane taps would misattribute later adds).
 // It panics on an empty slice.
 func MaxOf(ls []*Ledger) *Ledger {
 	if len(ls) == 0 {
@@ -133,6 +150,6 @@ func MaxOf(ls []*Ledger) *Ledger {
 		}
 	}
 	cp := *best
-	cp.onAdd = nil
+	cp.onAdd, cp.chain = nil, nil
 	return &cp
 }
