@@ -83,6 +83,7 @@ type Coordinator struct {
 	finished bool // results recorded + store compacted (or sweep failed)
 	doneCh   chan struct{}
 	closed   bool
+	changed  *sync.Cond // broadcast when a lease is released or the sweep ends
 
 	wg sync.WaitGroup // the lease reaper
 }
@@ -110,6 +111,7 @@ func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coor
 		doneCh: make(chan struct{}),
 		reg:    metrics.NewRegistry(),
 	}
+	c.changed = sync.NewCond(&c.mu)
 	for _, j := range jobs {
 		if j.ID == "" {
 			return nil, fmt.Errorf("fleet: job %q has no ID (expand jobs via Grid.Jobs)", j.Name)
@@ -213,22 +215,17 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	err := c.greeter.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	// After the grace, close what remains: that unblocks its handler's
+	// ReadFrame, or the Wait below never returns.
+	grace := time.AfterFunc(2*time.Second, func() {
 		c.mu.Lock()
-		if c.workers == 0 || time.Now().After(deadline) {
-			// Unblock handler goroutines parked in ReadFrame on any
-			// remaining connections, or the Wait below never returns.
-			for _, conn := range c.conns {
-				conn.Close()
-			}
-			c.mu.Unlock()
-			break
+		defer c.mu.Unlock()
+		for _, conn := range c.conns {
+			conn.Close()
 		}
-		c.mu.Unlock()
-		time.Sleep(10 * time.Millisecond)
-	}
+	})
 	c.greeter.Wait()
+	grace.Stop()
 	c.wg.Wait()
 	return err
 }
@@ -257,8 +254,10 @@ func (c *Coordinator) emitLocked(e Event) {
 	}
 }
 
-// finishLocked closes doneCh exactly once.
+// finishLocked closes doneCh exactly once and drains every parked
+// lease request.
 func (c *Coordinator) finishLocked() {
+	c.changed.Broadcast()
 	select {
 	case <-c.doneCh:
 	default:
@@ -317,6 +316,7 @@ func (c *Coordinator) releaseLocked(st *jobState, why string) {
 		return
 	}
 	st.leased = false
+	c.changed.Broadcast()
 	c.mReassigned.Inc()
 	if tk := c.cfg.Tracer.Lane("fleet", st.worker); tk.On() {
 		tk.WallInstant("reassign "+st.job.Name, "lease", why)
@@ -357,9 +357,6 @@ func (c *Coordinator) handle(conn net.Conn, admit func() bool) {
 	}
 	c.emitLocked(Event{Kind: WorkerJoined, Worker: worker})
 	c.mu.Unlock()
-	if closed {
-		return
-	}
 
 	defer func() {
 		c.mu.Lock()
@@ -377,12 +374,14 @@ func (c *Coordinator) handle(conn net.Conn, admit func() bool) {
 		c.emitLocked(Event{Kind: WorkerLeft, Worker: worker})
 		c.mu.Unlock()
 	}()
+	if closed {
+		return
+	}
 
 	if err := fc.WriteWelcome(transport.FleetWelcome{
 		Fingerprint:     c.fp,
 		Jobs:            len(c.unique),
 		LeaseMillis:     int(c.cfg.LeaseTTL / time.Millisecond),
-		RetryMillis:     int(DefaultRetry / time.Millisecond),
 		CheckpointEvery: c.cfg.CheckpointEvery,
 	}); err != nil {
 		return
@@ -440,26 +439,14 @@ func (c *Coordinator) handle(conn net.Conn, admit func() bool) {
 }
 
 // grantLease answers one lease request: a job grant (with checkpoint
-// handoff when a usable one exists), a wait, or a drain.
+// handoff when a usable one exists) or a drain. While every remaining
+// job is leased the request parks here, unanswered.
 func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker string, connID uint64) error {
 	c.mu.Lock()
-	if c.finished || c.firstErr != nil || c.closed {
-		c.mu.Unlock()
-		return fc.WriteLease(transport.FleetLease{Status: transport.LeaseDrain})
-	}
-	var st *jobState
-	for _, s := range c.states {
-		if !s.done && !s.leased {
-			st = s
-			break
-		}
-	}
+	st := c.awaitJobLocked(tk)
 	if st == nil {
 		c.mu.Unlock()
-		return fc.WriteLease(transport.FleetLease{
-			Status:      transport.LeaseWait,
-			RetryMillis: int(DefaultRetry / time.Millisecond),
-		})
+		return fc.WriteLease(transport.FleetLease{Status: transport.LeaseDrain})
 	}
 
 	// Checkpoint handoff: attach the previous holder's uploaded state
@@ -508,6 +495,32 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 		Progress: progJSON,
 		Ckpt:     ckpt,
 	})
+}
+
+// awaitJobLocked returns the first pending job, parked on c.changed
+// while every remaining job is leased, or nil once the sweep is over.
+// A park ends in a "parked" span on the worker's lane. A parked handler
+// reads nothing: a worker that drops meanwhile is noticed after its
+// reply.
+func (c *Coordinator) awaitJobLocked(tk *obs.Track) *jobState {
+	var parked time.Time // stays zero untraced
+	defer func() {
+		if !parked.IsZero() {
+			tk.WallSpanAt("parked", "lease", parked, time.Since(parked))
+		}
+	}()
+	for !c.finished && c.firstErr == nil && !c.closed {
+		for _, st := range c.states {
+			if !st.done && !st.leased {
+				return st
+			}
+		}
+		if tk.On() && parked.IsZero() {
+			parked = time.Now()
+		}
+		c.changed.Wait()
+	}
+	return nil
 }
 
 // leaseOfLocked returns the job state iff connID currently holds its

@@ -36,8 +36,8 @@
 //	worker                          coordinator
 //	  |---- hello ------------------->|  register
 //	  |<--- welcome ------------------|  fingerprint, cadences
-//	  |---- lease request ----------->|
-//	  |<--- grant / wait / drain -----|  job (+ checkpoint handoff)
+//	  |---- lease request ----------->|  parks while every job is leased
+//	  |<--- grant / drain ------------|  job (+ checkpoint handoff)
 //	  |---- progress (ckpt upload) -->|  persist, renew lease
 //	  |<--- ack (lease valid?) -------|
 //	  |---- heartbeat --------------->|  renew lease
@@ -56,15 +56,9 @@ import (
 	"gsfl/sweep"
 )
 
-// Defaults for the lease lifecycle.
-const (
-	// DefaultLeaseTTL is how long a lease survives without a heartbeat,
-	// progress, or result from its holder.
-	DefaultLeaseTTL = 15 * time.Second
-	// DefaultRetry is how long a worker waits to re-request when every
-	// remaining job is leased out.
-	DefaultRetry = 250 * time.Millisecond
-)
+// DefaultLeaseTTL is how long a lease survives without a heartbeat,
+// progress, or result from its holder.
+const DefaultLeaseTTL = 15 * time.Second
 
 // EventKind labels a coordinator progress event.
 type EventKind int

@@ -1,7 +1,9 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -17,6 +19,7 @@ import (
 	"gsfl/fleet"
 	"gsfl/internal/testutil"
 	"gsfl/internal/transport"
+	"gsfl/obs"
 	"gsfl/sweep"
 )
 
@@ -334,36 +337,8 @@ func TestFleetLeaseExpiryReassigns(t *testing.T) {
 	defer c.Close()
 
 	// The zombie: takes a lease, then goes silent without disconnecting.
-	conn, err := net.Dial("tcp", c.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fc := transport.NewFleetConn(conn, 0)
-	if err := fc.WriteHello(transport.FleetHello{Worker: "zombie", PID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, err := fc.ReadFrame()
-	if err != nil || kind != transport.FrameFleetHello {
-		t.Fatalf("welcome: kind %d err %v", kind, err)
-	}
-	if _, err := transport.DecodeFleetWelcome(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.WriteLeaseRequest(); err != nil {
-		t.Fatal(err)
-	}
-	kind, payload, err = fc.ReadFrame()
-	if err != nil || kind != transport.FrameFleetLease {
-		t.Fatalf("lease reply: kind %d err %v", kind, err)
-	}
-	lease, err := transport.DecodeFleetLease(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lease.Status != transport.LeaseGrant {
-		t.Fatalf("lease status %d, want grant", lease.Status)
-	}
+	conn, fc := rawWorker(t, c, "zombie")
+	lease := takeLease(t, fc)
 
 	select {
 	case <-reassigned:
@@ -376,7 +351,7 @@ func TestFleetLeaseExpiryReassigns(t *testing.T) {
 	if err := fc.WriteHeartbeat(transport.FleetHeartbeat{JobID: lease.JobID, Round: 1}); err != nil {
 		t.Fatal(err)
 	}
-	kind, payload, err = fc.ReadFrame()
+	kind, payload, err := fc.ReadFrame()
 	if err != nil || kind != transport.FrameFleetHeartbeat {
 		t.Fatalf("heartbeat ack: kind %d err %v", kind, err)
 	}
@@ -466,17 +441,7 @@ func TestFleetCloseWithSilentPeer(t *testing.T) {
 	defer silent.Close()
 	// Connections are accepted in order, so once a later peer has its
 	// welcome the silent one is inside the coordinator.
-	conn, err := net.Dial("tcp", c.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := transport.NewFleetConn(conn, 0)
-	if err := fc.WriteHello(transport.FleetHello{Worker: "prompt", PID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if kind, _, err := fc.ReadFrame(); err != nil || kind != transport.FrameFleetHello {
-		t.Fatalf("welcome: kind %d err %v", kind, err)
-	}
+	conn, _ := rawWorker(t, c, "prompt")
 	conn.Close()
 
 	closed := make(chan struct{})
@@ -710,7 +675,7 @@ func TestFleetWorkerStopsOnUnusableWelcome(t *testing.T) {
 			mu.Unlock()
 			fc := transport.NewFleetConn(conn, 0)
 			if _, _, err := fc.ReadFrame(); err == nil {
-				_ = fc.WriteWelcome(transport.FleetWelcome{Jobs: 1, LeaseMillis: 0, RetryMillis: 100})
+				_ = fc.WriteWelcome(transport.FleetWelcome{Jobs: 1, LeaseMillis: 0})
 			}
 			go func() { // hold the connection until the worker drops it
 				_, _, _ = fc.ReadFrame()
@@ -728,5 +693,307 @@ func TestFleetWorkerStopsOnUnusableWelcome(t *testing.T) {
 	defer mu.Unlock()
 	if accepted != 1 {
 		t.Fatalf("worker connected %d times, want once", accepted)
+	}
+}
+
+// rawWorker joins c as a hand-driven worker: hello sent, welcome read.
+func rawWorker(t *testing.T, c *fleet.Coordinator, name string) (net.Conn, *transport.FleetConn) {
+	t.Helper()
+	conn, err := net.Dial("tcp", c.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fc := transport.NewFleetConn(conn, 0)
+	if err := fc.WriteHello(transport.FleetHello{Worker: name, PID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, err := fc.ReadFrame()
+	if err != nil || kind != transport.FrameFleetHello {
+		t.Fatalf("welcome: kind %d err %v", kind, err)
+	}
+	if _, err := transport.DecodeFleetWelcome(payload); err != nil {
+		t.Fatal(err)
+	}
+	return conn, fc
+}
+
+// takeLease asks for a lease on fc and requires a grant.
+func takeLease(t *testing.T, fc *transport.FleetConn) transport.FleetLease {
+	t.Helper()
+	if err := fc.WriteLeaseRequest(); err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, err := fc.ReadFrame()
+	if err != nil || kind != transport.FrameFleetLease {
+		t.Fatalf("lease reply: kind %d err %v", kind, err)
+	}
+	lease, err := transport.DecodeFleetLease(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lease.Status != transport.LeaseGrant {
+		t.Fatalf("lease status %d, want grant", lease.Status)
+	}
+	return lease
+}
+
+// stampedEvent is a coordinator event with the moment it was emitted.
+type stampedEvent struct {
+	fleet.Event
+	at time.Time
+}
+
+// serveOneJob serves the first job of the test grid under cfg and
+// streams every coordinator event, stamped, to the returned channel.
+func serveOneJob(t *testing.T, cfg fleet.Config) (*fleet.Coordinator, sweep.Job, <-chan stampedEvent) {
+	t.Helper()
+	job := jobsOf(t, testGrid())[0]
+	store, err := sweep.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	// The observer runs under the coordinator's lock and must never
+	// block: 64 is well above the events one of these tests emits.
+	events := make(chan stampedEvent, 64)
+	cfg.Observers = []fleet.Observer{fleet.ObserverFunc(func(e fleet.Event) {
+		events <- stampedEvent{e, time.Now()}
+	})}
+	c, err := fleet.Serve("127.0.0.1:0", []sweep.Job{job}, store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, job, events
+}
+
+// awaitEvent skips events until worker's next one of kind and returns
+// the moment it was emitted.
+func awaitEvent(t *testing.T, events <-chan stampedEvent, kind fleet.EventKind, worker string, within time.Duration) time.Time {
+	t.Helper()
+	timeout := time.After(within)
+	for {
+		select {
+		case e := <-events:
+			if e.Kind == kind && e.Worker == worker {
+				return e.at
+			}
+		case <-timeout:
+			t.Fatalf("no %v event from %s within %v", kind, worker, within)
+		}
+	}
+}
+
+// resultOf runs j in process and returns the result frame its holder
+// would send.
+func resultOf(t *testing.T, j sweep.Job) transport.FleetResult {
+	t.Helper()
+	res, err := sweep.RunLeased(context.Background(), j, t.TempDir(), 0, nil, sweep.LeaseCallbacks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(sweep.PartsOf(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return transport.FleetResult{JobID: j.ID, Body: body}
+}
+
+// sendResult ships msg on fc and requires an OK ack.
+func sendResult(t *testing.T, fc *transport.FleetConn, msg transport.FleetResult) {
+	t.Helper()
+	if err := fc.WriteResult(msg); err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, err := fc.ReadFrame()
+	if err != nil || kind != transport.FrameFleetHeartbeat {
+		t.Fatalf("result ack: kind %d err %v", kind, err)
+	}
+	if ack, err := transport.DecodeFleetAck(payload); err != nil || !ack.OK {
+		t.Fatalf("result ack %+v, %v", ack, err)
+	}
+}
+
+// startWorker runs a worker named name against c until ctx ends; its
+// RunWorker error arrives on the returned channel.
+func startWorker(t *testing.T, ctx context.Context, c *fleet.Coordinator, name string) <-chan error {
+	done := make(chan error, 1)
+	cfg := fleet.WorkerConfig{Addr: c.Addr().String(), Name: name, ScratchDir: t.TempDir()}
+	go func() { done <- fleet.RunWorker(ctx, cfg) }()
+	return done
+}
+
+// parkDelay is how long after joining a worker's first lease request is
+// surely in: parked at the coordinator, where a polling one would have
+// answered it with a wait and had the worker sleep out its retry.
+const parkDelay = 50 * time.Millisecond
+
+// TestFleetParkedRequestGrantedOnRelease: a worker whose request found
+// every job leased is granted the job the moment it is released — its
+// holder dropped, or went silent past the TTL — not after a retry
+// sleep.
+func TestFleetParkedRequestGrantedOnRelease(t *testing.T) {
+	for _, release := range []string{"drop", "expiry"} {
+		t.Run(release, func(t *testing.T) {
+			var cfg fleet.Config
+			if release == "expiry" {
+				cfg.LeaseTTL = 200 * time.Millisecond
+			}
+			c, _, events := serveOneJob(t, cfg)
+			connA, a := rawWorker(t, c, "A")
+			takeLease(t, a)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := startWorker(t, ctx, c, "B")
+			awaitEvent(t, events, fleet.WorkerJoined, "B", 5*time.Second)
+			time.Sleep(parkDelay)
+
+			released := time.Now()
+			if release == "drop" {
+				connA.Close()
+			} else {
+				released = awaitEvent(t, events, fleet.JobReassigned, "A", 5*time.Second)
+			}
+			if d := awaitEvent(t, events, fleet.JobLeased, "B", 5*time.Second).Sub(released); d > 100*time.Millisecond {
+				t.Fatalf("B was granted the released job %v after A lost it, want under 100ms", d)
+			}
+			wctx, wcancel := context.WithTimeout(context.Background(), time.Minute)
+			defer wcancel()
+			if _, err := c.Wait(wctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("B: %v, want drained", err)
+			}
+		})
+	}
+}
+
+// TestFleetParkedRequestDrainsOnFinish: a worker parked when another's
+// result completes the sweep is drained at once, so Close need not
+// wait for it. The park shows as one "parked" span on its lane.
+func TestFleetParkedRequestDrainsOnFinish(t *testing.T) {
+	tr := obs.New(obs.ClockWall)
+	c, job, events := serveOneJob(t, fleet.Config{Tracer: tr})
+	result := resultOf(t, job)
+	connA, a := rawWorker(t, c, "A")
+	takeLease(t, a)
+
+	done := startWorker(t, context.Background(), c, "B")
+	awaitEvent(t, events, fleet.WorkerJoined, "B", 5*time.Second)
+	time.Sleep(parkDelay)
+
+	sendResult(t, a, result)
+	connA.Close()
+	start := time.Now()
+	c.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v after the sweep finished, want under 100ms", d)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("B: %v, want drained", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("B never returned")
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[int]any{} // tid -> thread name
+	var parked []int
+	for _, e := range file.TraceEvents {
+		switch {
+		case e.Ph == "M" && e.Name == "thread_name":
+			lanes[e.Tid] = e.Args["name"]
+		case e.Name == "parked":
+			parked = append(parked, e.Tid)
+		}
+	}
+	if len(parked) != 1 || lanes[parked[0]] != "B" {
+		t.Fatalf("parked spans on lanes %v (names %v), want one on B", parked, lanes)
+	}
+}
+
+// TestFleetParkedWorkerStopsOnCancel: a worker parked behind another
+// worker's running job returns its context's error as soon as it is
+// cancelled, leaving no goroutine behind.
+func TestFleetParkedWorkerStopsOnCancel(t *testing.T) {
+	c, _, events := serveOneJob(t, fleet.Config{})
+	connA, a := rawWorker(t, c, "A")
+	takeLease(t, a)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := startWorker(t, ctx, c, "B")
+	awaitEvent(t, events, fleet.WorkerJoined, "B", 5*time.Second)
+	time.Sleep(parkDelay)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("B: %v, want %v", err, context.Canceled)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("cancelled parked worker did not return within 1s")
+	}
+	connA.Close()
+	c.Close()
+	testutil.ExpectNoGoroutines(t, "gsfl/fleet.")
+}
+
+// TestFleetParkedHandlerEndsWithDroppedWorker: a parked handler reads
+// nothing, so it learns that its worker dropped only once it answers.
+// It must answer, and end, at the next release, at the sweep's finish
+// or at Close, well inside Close's grace period.
+func TestFleetParkedHandlerEndsWithDroppedWorker(t *testing.T) {
+	for _, wake := range []string{"release", "finish", "close"} {
+		t.Run(wake, func(t *testing.T) {
+			c, job, events := serveOneJob(t, fleet.Config{})
+			result := resultOf(t, job)
+			connA, a := rawWorker(t, c, "A")
+			takeLease(t, a)
+			connB, b := rawWorker(t, c, "B")
+			if err := b.WriteLeaseRequest(); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(parkDelay)
+			connB.Close()
+
+			closed := make(chan struct{})
+			switch wake {
+			case "release":
+				connA.Close()
+			case "finish":
+				sendResult(t, a, result)
+			case "close":
+				go func() {
+					defer close(closed)
+					c.Close()
+				}()
+			}
+			awaitEvent(t, events, fleet.WorkerLeft, "B", time.Second)
+			connA.Close()
+			if wake == "close" {
+				<-closed
+			}
+			c.Close()
+			testutil.ExpectNoGoroutines(t, "gsfl/fleet.(*Coordinator)")
+		})
 	}
 }

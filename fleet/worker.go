@@ -146,7 +146,10 @@ func (w *workerConn) roundTripAck(write func(fc *transport.FleetConn) error) (tr
 }
 
 // workerSession runs one connection: handshake, then the lease loop.
+// Cancelling ctx closes the connection, which also ends a lease request
+// parked at the coordinator.
 func workerSession(ctx context.Context, conn net.Conn, cfg WorkerConfig, scratch string, logf func(string, ...any)) error {
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	wc := &workerConn{fc: transport.NewFleetConn(conn, transport.DefaultMaxFrameBytes)}
 	if err := wc.fc.WriteHello(transport.FleetHello{Worker: cfg.Name, PID: uint64(os.Getpid())}); err != nil {
 		return err
@@ -190,12 +193,6 @@ func workerSession(ctx context.Context, conn net.Conn, cfg WorkerConfig, scratch
 		switch lease.Status {
 		case transport.LeaseDrain:
 			return errDrain
-		case transport.LeaseWait:
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(time.Duration(lease.RetryMillis) * time.Millisecond):
-			}
 		case transport.LeaseGrant:
 			if err := runLeasedJob(ctx, wc, welcome, lease, scratch, logf); err != nil {
 				return err

@@ -9,9 +9,11 @@ package transport
 //	hello     worker -> coord   registration (role=worker)
 //	hello     coord  -> worker  welcome: grid fingerprint, lease/ckpt config
 //	lease     worker -> coord   empty payload: "give me a job"
-//	lease     coord  -> worker  grant (job + optional checkpoint handoff),
-//	                            wait (all jobs leased; poll again), or
-//	                            drain (sweep complete; disconnect)
+//	lease     coord  -> worker  grant (job + optional checkpoint handoff)
+//	                            or drain (sweep over; disconnect). While
+//	                            every job is leased the request parks at
+//	                            the coordinator and is answered when one
+//	                            frees up or the sweep ends.
 //	progress  worker -> coord   checkpoint upload at a round boundary
 //	result    worker -> coord   completed (or failed) job
 //	heartbeat worker -> coord   lease keepalive between checkpoints
@@ -24,12 +26,11 @@ package transport
 //	                      str worker | u64 pid
 //	fleetHello(coord)  := u32 magic | u16 fleetVersion | u8 role=1 |
 //	                      u64 fingerprint | u32 jobs |
-//	                      u32 leaseMillis | u32 retryMillis | u32 ckptEvery
+//	                      u32 leaseMillis | u32 ckptEvery
 //	lease(request)     := (empty)
-//	lease(reply)       := u8 status | status=grant: str jobID | blob job |
+//	lease(reply)       := u8 status | status=grant(1): str jobID | blob job |
 //	                      blob progress | blob ckpt
-//	                    | status=wait: u32 retryMillis
-//	                    | status=drain: (nothing)
+//	                    | status=drain(3): (nothing)
 //	progress           := str jobID | u32 round | f64 hostSeconds |
 //	                      blob progress | blob ckpt
 //	result             := str jobID | u8 failed | f64 hostSeconds | blob body
@@ -60,15 +61,13 @@ const (
 
 // fleetVersion guards coordinator/worker protocol compatibility
 // independently of the tensor-plane wireVersion.
-const fleetVersion = 1
+const fleetVersion = 2
 
-// Lease reply statuses.
+// Lease reply statuses (2 was version 1's wait reply; it stays unused).
 const (
 	// LeaseGrant carries a job (and possibly a checkpoint handoff).
 	LeaseGrant byte = 1
-	// LeaseWait means every remaining job is leased out; poll again.
-	LeaseWait byte = 2
-	// LeaseDrain means the sweep is complete; disconnect.
+	// LeaseDrain means the sweep is over; disconnect.
 	LeaseDrain byte = 3
 )
 
@@ -95,22 +94,20 @@ type FleetWelcome struct {
 	Fingerprint     uint64
 	Jobs            int
 	LeaseMillis     int
-	RetryMillis     int
 	CheckpointEvery int
 }
 
-// FleetLease is a lease reply. Status is LeaseGrant, LeaseWait, or
-// LeaseDrain; the job fields are set only on a grant. Progress and Ckpt
-// carry a checkpoint handoff (both empty for a fresh job): the sweep
-// progress sidecar JSON and the sim checkpoint file of a previous
-// partial execution, which the worker resumes bit-identically.
+// FleetLease is a lease reply. Status is LeaseGrant or LeaseDrain; the
+// job fields are set only on a grant. Progress and Ckpt carry a
+// checkpoint handoff (both empty for a fresh job): the sweep progress
+// sidecar JSON and the sim checkpoint file of a previous partial
+// execution, which the worker resumes bit-identically.
 type FleetLease struct {
-	Status      byte
-	JobID       string
-	Job         []byte
-	Progress    []byte
-	Ckpt        []byte
-	RetryMillis int
+	Status   byte
+	JobID    string
+	Job      []byte
+	Progress []byte
+	Ckpt     []byte
 }
 
 // FleetProgress is a worker's checkpoint upload after a round boundary:
@@ -189,14 +186,13 @@ func DecodeFleetWelcome(p []byte) (FleetWelcome, error) {
 		Fingerprint:     d.U64(),
 		Jobs:            int(d.U32()),
 		LeaseMillis:     int(d.U32()),
-		RetryMillis:     int(d.U32()),
 		CheckpointEvery: int(d.U32()),
 	}
 	if err := d.Finish(); err != nil {
 		return FleetWelcome{}, err
 	}
-	if w.LeaseMillis <= 0 || w.RetryMillis <= 0 {
-		return FleetWelcome{}, fmt.Errorf("transport: fleet welcome with non-positive cadences (lease %dms, retry %dms)", w.LeaseMillis, w.RetryMillis)
+	if w.LeaseMillis <= 0 {
+		return FleetWelcome{}, fmt.Errorf("transport: fleet welcome with non-positive lease %dms", w.LeaseMillis)
 	}
 	return w, nil
 }
@@ -215,11 +211,6 @@ func DecodeFleetLease(p []byte) (FleetLease, error) {
 		l.Job = d.Blob()
 		l.Progress = d.Blob()
 		l.Ckpt = d.Blob()
-	case LeaseWait:
-		l.RetryMillis = int(d.U32())
-		if d.Err() == nil && l.RetryMillis <= 0 {
-			d.Fail("lease wait with retry %dms", l.RetryMillis)
-		}
 	case LeaseDrain:
 	default:
 		d.Fail("unknown lease status %d", l.Status)
@@ -398,7 +389,6 @@ func (f *FleetConn) WriteWelcome(w FleetWelcome) error {
 	e.U64(w.Fingerprint)
 	e.U32(uint32(w.Jobs))
 	e.U32(uint32(w.LeaseMillis))
-	e.U32(uint32(w.RetryMillis))
 	e.U32(uint32(w.CheckpointEvery))
 	return f.fc.flush()
 }
@@ -414,14 +404,11 @@ func (f *FleetConn) WriteLease(l FleetLease) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetLease)
 	e.U8(l.Status)
-	switch l.Status {
-	case LeaseGrant:
+	if l.Status == LeaseGrant {
 		e.Str(l.JobID)
 		e.Blob(l.Job)
 		e.Blob(l.Progress)
 		e.Blob(l.Ckpt)
-	case LeaseWait:
-		e.U32(uint32(l.RetryMillis))
 	}
 	return f.fc.flush()
 }

@@ -62,7 +62,7 @@ func TestFleetHelloRoundTrip(t *testing.T) {
 
 func TestFleetWelcomeRoundTrip(t *testing.T) {
 	w, r := fleetPipe(t, 0)
-	want := FleetWelcome{Fingerprint: 0xDEADBEEFCAFE, Jobs: 65, LeaseMillis: 15000, RetryMillis: 250, CheckpointEvery: 2}
+	want := FleetWelcome{Fingerprint: 0xDEADBEEFCAFE, Jobs: 65, LeaseMillis: 15000, CheckpointEvery: 2}
 	kind, p := sendRecv(t, w, r, func() error { return w.WriteWelcome(want) })
 	if kind != FrameFleetHello {
 		t.Fatalf("kind %d", kind)
@@ -112,13 +112,7 @@ func TestFleetLeaseRoundTrip(t *testing.T) {
 		t.Fatalf("fresh grant decoded %+v, %v", got, err)
 	}
 
-	// Wait and drain.
-	_, p = sendRecv(t, r, w, func() error {
-		return r.WriteLease(FleetLease{Status: LeaseWait, RetryMillis: 300})
-	})
-	if got, err = DecodeFleetLease(p); err != nil || got.Status != LeaseWait || got.RetryMillis != 300 {
-		t.Fatalf("wait decoded %+v, %v", got, err)
-	}
+	// Drain.
 	_, p = sendRecv(t, r, w, func() error {
 		return r.WriteLease(FleetLease{Status: LeaseDrain})
 	})
@@ -242,18 +236,23 @@ func TestFleetDecodersRejectHostileInput(t *testing.T) {
 		{"hello empty", FrameFleetHello, nil},
 		{"hello bad magic", FrameFleetHello, []byte{0xEF, 0xBE, 0xAD, 0xDE, 1, 0, 0}},
 		{"hello bad version", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 99, 0, 0}},
-		{"hello bad role", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 1, 0, 7}},
-		{"hello empty worker name", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 1, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}},
+		// A version-1 worker hello, well formed but for the retired poll.
+		{"hello version 1", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 1, 0, 0, 1, 0, 0, 0, 'w', 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"hello bad role", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 7}},
+		{"hello empty worker name", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}},
 		// str length claims 64 KiB in a near-empty payload: must error
 		// before allocating.
-		{"hello name flood", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 1, 0, 0, 0xFF, 0xFF, 0, 0}},
-		{"welcome truncated", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 1, 0, 1, 9}},
-		{"welcome zero cadence", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 1, 0, 1}, make([]byte, 24)...)},
+		{"hello name flood", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 0, 0xFF, 0xFF, 0, 0}},
+		{"welcome truncated", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 1, 9}},
+		{"welcome zero cadence", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 1}, make([]byte, 20)...)},
+		// The version-1 layout: a retry cadence between lease and ckpt.
+		{"welcome retry field", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 1}, make([]byte, 24)...)},
 		{"lease unknown status", FrameFleetLease, []byte{9}},
 		{"lease truncated grant", FrameFleetLease, grantPayload[:len(grantPayload)/2]},
 		{"lease trailing garbage", FrameFleetLease, append(append([]byte(nil), grantPayload...), 0xFF)},
 		{"lease empty job id", FrameFleetLease, []byte{LeaseGrant, 0, 0, 0, 0, 1, 0, 0, 0, 'x', 0, 0, 0, 0, 0, 0, 0, 0}},
-		{"lease wait zero retry", FrameFleetLease, []byte{LeaseWait, 0, 0, 0, 0}},
+		// Status 2 was the version-1 wait reply; requests now park.
+		{"lease retired wait status", FrameFleetLease, []byte{2, 0xFA, 0, 0, 0}},
 		{"lease drain trailing", FrameFleetLease, []byte{LeaseDrain, 1}},
 		// blob length claims ~2 GiB backed by nothing: must error, not
 		// allocate.
@@ -328,7 +327,6 @@ func fleetFuzzSeeds(addFrame func(build func(e *wireEnc))) {
 		e.U64(0xFEEDFACE)
 		e.U32(65)
 		e.U32(15000)
-		e.U32(250)
 		e.U32(2)
 	})
 	addFrame(func(e *wireEnc) {
@@ -340,9 +338,9 @@ func fleetFuzzSeeds(addFrame func(build func(e *wireEnc))) {
 		e.Blob(l.Progress)
 		e.Blob(l.Ckpt)
 	})
-	addFrame(func(e *wireEnc) {
+	addFrame(func(e *wireEnc) { // version 1's wait reply, now refused
 		e.begin(FrameFleetLease)
-		e.U8(LeaseWait)
+		e.U8(2)
 		e.U32(250)
 	})
 	addFrame(func(e *wireEnc) {
