@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"gsfl/internal/metrics"
@@ -21,8 +22,9 @@ import (
 // Config parameterizes a coordinator. The zero value of every field is
 // usable.
 type Config struct {
-	// LeaseTTL is how long a lease survives without any message from
-	// its holder (default DefaultLeaseTTL).
+	// LeaseTTL bounds each wait for a worker's next frame and each
+	// reply to it (default DefaultLeaseTTL): a worker silent that long
+	// loses its connection and, with it, its leases.
 	LeaseTTL time.Duration
 	// CheckpointEvery is the mid-job checkpoint cadence, in rounds,
 	// every worker must follow (0 disables mid-job handoff; a killed
@@ -44,7 +46,6 @@ type jobState struct {
 	leased    bool
 	worker    string // display name of the leaseholder
 	connID    uint64 // fencing: which connection holds the lease
-	deadline  time.Time
 	grantedAt time.Time
 	round     int // last checkpointed round
 }
@@ -84,8 +85,6 @@ type Coordinator struct {
 	doneCh   chan struct{}
 	closed   bool
 	changed  *sync.Cond // broadcast when a lease is released or the sweep ends
-
-	wg sync.WaitGroup // the lease reaper
 }
 
 // Serve starts a coordinator listening on addr ("host:port"; port 0
@@ -159,8 +158,6 @@ func Serve(addr string, jobs []sweep.Job, store *sweep.Store, cfg Config) (*Coor
 	c.maybeFinishLocked()
 	c.mu.Unlock()
 
-	c.wg.Add(1)
-	go c.reaperLoop()
 	c.greeter = transport.Greet(ln, c.handle)
 	return c, nil
 }
@@ -226,7 +223,6 @@ func (c *Coordinator) Close() error {
 	})
 	c.greeter.Wait()
 	grace.Stop()
-	c.wg.Wait()
 	return err
 }
 
@@ -286,28 +282,6 @@ func (c *Coordinator) failLocked(err error) {
 	c.finishLocked()
 }
 
-// reaperLoop expires leases whose holders went silent.
-func (c *Coordinator) reaperLoop() {
-	defer c.wg.Done()
-	tick := time.NewTicker(c.cfg.LeaseTTL / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.doneCh:
-			return
-		case now := <-tick.C:
-			c.mu.Lock()
-			for _, st := range c.states {
-				if st.leased && !st.done && now.After(st.deadline) {
-					c.releaseLocked(st, "lease expired")
-				}
-			}
-			c.gaugesLocked()
-			c.mu.Unlock()
-		}
-	}
-}
-
 // releaseLocked returns a leased job to the pending pool. Clearing
 // leased fences every in-flight message from the old holder
 // (leaseOfLocked).
@@ -326,7 +300,8 @@ func (c *Coordinator) releaseLocked(st *jobState, why string) {
 
 // handle runs one worker connection to completion, under the greeter:
 // until admit the connection is the greeter's to abort, afterwards it
-// sits in c.conns.
+// sits in c.conns. The connection is the lease: however it ends, its
+// leases are released.
 func (c *Coordinator) handle(conn net.Conn, admit func() bool) {
 	defer conn.Close()
 	fc := transport.NewFleetConn(conn, transport.DefaultMaxFrameBytes)
@@ -342,7 +317,7 @@ func (c *Coordinator) handle(conn net.Conn, admit func() bool) {
 	}
 	// Worker display names need not be unique; fencing uses connID.
 	// Track emission for this worker's obs lane is serialized under
-	// c.mu, because the reaper and other connections may also stamp it.
+	// c.mu, because other connections may also stamp it.
 	worker := hello.Worker
 	tk := c.cfg.Tracer.Lane("fleet", worker)
 	c.mu.Lock()
@@ -359,94 +334,115 @@ func (c *Coordinator) handle(conn net.Conn, admit func() bool) {
 	c.mu.Unlock()
 
 	defer func() {
+		why := "worker disconnected"
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			why = "lease expired"
+		}
 		c.mu.Lock()
 		delete(c.conns, connID)
 		c.workers--
 		c.mWorkers.Set(int64(c.workers))
-		// A dropped connection releases its leases immediately — no need
-		// to wait out the TTL.
 		for _, st := range c.states {
 			if st.leased && !st.done && st.connID == connID {
-				c.releaseLocked(st, "worker disconnected")
+				c.releaseLocked(st, why)
 			}
 		}
 		c.gaugesLocked()
 		c.emitLocked(Event{Kind: WorkerLeft, Worker: worker})
 		c.mu.Unlock()
 	}()
-	if closed {
-		return
+	if !closed {
+		err = c.converse(conn, fc, tk, worker, connID) // its error names the release
 	}
+}
 
+// converse answers an admitted worker until its connection ends, and
+// returns why. Each wait for a frame and each reply is bounded by the
+// TTL on its own, so only the worker's silence counts: neither a park
+// nor the coordinator's work before a reply (an fsync under c.mu) does.
+func (c *Coordinator) converse(conn net.Conn, fc *transport.FleetConn, tk *obs.Track, worker string, connID uint64) error {
+	// A deadline fails to set only on a closed connection, whose next
+	// read or write fails anyway.
+	ttl := c.cfg.LeaseTTL
+	conn.SetWriteDeadline(time.Now().Add(ttl))
 	if err := fc.WriteWelcome(transport.FleetWelcome{
 		Fingerprint:     c.fp,
 		Jobs:            len(c.unique),
-		LeaseMillis:     int(c.cfg.LeaseTTL / time.Millisecond),
+		LeaseMillis:     int(ttl / time.Millisecond),
 		CheckpointEvery: c.cfg.CheckpointEvery,
 	}); err != nil {
-		return
+		return err
 	}
 
 	for {
+		conn.SetReadDeadline(time.Now().Add(ttl))
 		kind, payload, err := fc.ReadFrame()
 		if err != nil {
-			return // EOF or broken conn; the deferred release handles leases
+			return err
 		}
+		var ok bool
 		switch kind {
 		case transport.FrameFleetLease:
 			if _, err := transport.DecodeFleetLease(payload); err != nil {
-				return
+				return err
 			}
-			if err := c.grantLease(fc, tk, worker, connID); err != nil {
-				return
+			lease, err := c.grantLease(conn, tk, worker, connID)
+			if err != nil {
+				return err
 			}
+			conn.SetWriteDeadline(time.Now().Add(ttl))
+			if err := fc.WriteLease(lease); err != nil {
+				return err
+			}
+			continue
+		case transport.FrameFleetHeartbeat:
+			// Reading it was the renewal; nothing is answered.
+			msg, err := transport.DecodeFleetHeartbeat(payload)
+			if err != nil {
+				return err
+			}
+			c.mu.Lock()
+			stale := c.leaseOfLocked(connID, msg.JobID) == nil
+			c.mu.Unlock()
+			if stale {
+				return fmt.Errorf("fleet: heartbeat from %s for a job it does not hold", worker)
+			}
+			continue
 		case transport.FrameFleetProgress:
 			msg, err := transport.DecodeFleetProgress(payload)
 			if err != nil {
-				return
+				return err
 			}
-			ok, perr := c.applyProgress(worker, connID, msg)
-			if perr != nil {
-				return // the sweep has failed; the worker's next lease request drains it
-			}
-			if err := fc.WriteAck(transport.FleetAck{OK: ok}); err != nil {
-				return
+			if ok, err = c.applyProgress(worker, connID, msg); err != nil {
+				return err
 			}
 		case transport.FrameFleetResult:
 			msg, err := transport.DecodeFleetResult(payload)
 			if err != nil {
-				return
+				return err
 			}
-			ok, rerr := c.applyResult(tk, worker, connID, msg)
-			if rerr != nil {
-				return
-			}
-			if err := fc.WriteAck(transport.FleetAck{OK: ok}); err != nil {
-				return
-			}
-		case transport.FrameFleetHeartbeat:
-			msg, err := transport.DecodeFleetHeartbeat(payload)
-			if err != nil {
-				return
-			}
-			if err := fc.WriteAck(transport.FleetAck{OK: c.renewLease(connID, msg.JobID)}); err != nil {
-				return
-			}
+			ok = c.applyResult(tk, worker, connID, msg)
 		default:
-			return // protocol violation
+			return fmt.Errorf("fleet: frame kind %d from worker %s", kind, worker)
+		}
+		conn.SetWriteDeadline(time.Now().Add(ttl))
+		if err := fc.WriteAck(transport.FleetAck{OK: ok}); err != nil {
+			return err
 		}
 	}
 }
 
 // grantLease answers one lease request: a job grant (with checkpoint
 // handoff when a usable one exists) or a drain. While every remaining
-// job is leased the request parks here, unanswered.
-func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker string, connID uint64) error {
+// job is leased the request parks here, unanswered, and a worker that
+// drops meanwhile is answered nothing (an error).
+func (c *Coordinator) grantLease(conn net.Conn, tk *obs.Track, worker string, connID uint64) (transport.FleetLease, error) {
+	drain := transport.FleetLease{Status: transport.LeaseDrain}
 	c.mu.Lock()
-	st := c.awaitJobLocked(tk)
+	defer c.mu.Unlock()
+	st, err := c.awaitJobLocked(tk, conn)
 	if st == nil {
-		c.mu.Unlock()
-		return fc.WriteLease(transport.FleetLease{Status: transport.LeaseDrain})
+		return drain, err
 	}
 
 	// Checkpoint handoff: attach the previous holder's uploaded state
@@ -473,36 +469,32 @@ func (c *Coordinator) grantLease(fc *transport.FleetConn, tk *obs.Track, worker 
 	jobJSON, err := sweep.MarshalJobWire(j)
 	if err != nil {
 		c.failLocked(fmt.Errorf("fleet: encoding job %s: %w", j.Name, err))
-		c.mu.Unlock()
-		return fc.WriteLease(transport.FleetLease{Status: transport.LeaseDrain})
+		return drain, nil
 	}
 	st.leased = true
 	st.worker = worker
 	st.connID = connID
 	st.grantedAt = time.Now()
-	st.deadline = st.grantedAt.Add(c.cfg.LeaseTTL)
 	st.round = handoffRound
 	c.mGranted.Inc()
 	c.gaugesLocked()
 	tk.WallInstant("lease "+j.Name, "lease", fmt.Sprintf("from round %d", handoffRound))
 	c.emitLocked(Event{Kind: JobLeased, Worker: worker, Job: j, Round: handoffRound})
-	c.mu.Unlock()
-
-	return fc.WriteLease(transport.FleetLease{
+	return transport.FleetLease{
 		Status:   transport.LeaseGrant,
 		JobID:    j.ID,
 		Job:      jobJSON,
 		Progress: progJSON,
 		Ckpt:     ckpt,
-	})
+	}, nil
 }
 
 // awaitJobLocked returns the first pending job, parked on c.changed
 // while every remaining job is leased, or nil once the sweep is over.
-// A park ends in a "parked" span on the worker's lane. A parked handler
-// reads nothing: a worker that drops meanwhile is noticed after its
-// reply.
-func (c *Coordinator) awaitJobLocked(tk *obs.Track) *jobState {
+// A park ends in a "parked" span on the worker's lane. A parked worker
+// sends nothing, so one found hung up, or with bytes waiting, on a wake
+// is gone: an error, and it is granted nothing.
+func (c *Coordinator) awaitJobLocked(tk *obs.Track, conn net.Conn) (*jobState, error) {
 	var parked time.Time // stays zero untraced
 	defer func() {
 		if !parked.IsZero() {
@@ -512,47 +504,67 @@ func (c *Coordinator) awaitJobLocked(tk *obs.Track) *jobState {
 	for !c.finished && c.firstErr == nil && !c.closed {
 		for _, st := range c.states {
 			if !st.done && !st.leased {
-				return st
+				return st, nil
 			}
 		}
 		if tk.On() && parked.IsZero() {
 			parked = time.Now()
 		}
 		c.changed.Wait()
+		if workerGone(conn) {
+			return nil, errors.New("fleet: worker gone while parked")
+		}
 	}
-	return nil
+	return nil, nil
+}
+
+// workerGone peeks at conn without blocking (it runs under c.mu) and
+// reports whether the peer hung up or sent a byte. It clears the read
+// deadline first: the one armed before the request may have passed
+// during the park, and RawConn.Read fails at once on an expired one.
+func workerGone(conn net.Conn) bool {
+	raw, err := conn.(syscall.Conn).SyscallConn() // the listener is TCP
+	if err != nil || conn.SetReadDeadline(time.Time{}) != nil {
+		return true
+	}
+	var peek error
+	err = raw.Read(func(fd uintptr) bool {
+		_, _, peek = syscall.Recvfrom(int(fd), make([]byte, 1), syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		return true // never wait for readability
+	})
+	return err != nil || peek != syscall.EAGAIN
 }
 
 // leaseOfLocked returns the job state iff connID currently holds its
 // lease. Stale holders (expired, reassigned, or already-done jobs) get
-// nil — their messages are fenced, not applied. The connection and the
-// leased flag are the whole fence; the package comment says why no
-// per-grant token is needed.
+// nil, and count in mStale — their messages are fenced, not applied.
+// The connection and the leased flag are the whole fence; the package
+// comment says why no per-grant token is needed.
 func (c *Coordinator) leaseOfLocked(connID uint64, jobID string) *jobState {
 	st, ok := c.byID[jobID]
 	if !ok || st.done || !st.leased || st.connID != connID {
+		c.mStale.Inc()
 		return nil
 	}
 	return st
 }
 
-// applyProgress persists a checkpoint upload and renews the lease.
-// ok=false means the sender no longer holds the lease, and only that: a
-// store that cannot take the upload is an error, which has already
-// failed the sweep — acked as a lost lease it would have the worker
-// abandon the job and the next holder fail at the same write, forever.
+// applyProgress persists a checkpoint upload. ok=false means the
+// sender no longer holds the lease, and only that. An error ends the
+// connection: a sidecar that contradicts its frame, or a store that
+// cannot take the upload, which has already failed the sweep — acked as
+// a lost lease it would have the worker abandon the job and the next
+// holder fail at the same write, forever.
 func (c *Coordinator) applyProgress(worker string, connID uint64, msg transport.FleetProgress) (ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.leaseOfLocked(connID, msg.JobID)
 	if st == nil {
-		c.mStale.Inc()
 		return false, nil
 	}
 	var p sweep.Progress
 	if err := json.Unmarshal(msg.Progress, &p); err != nil || p.Round != msg.Round {
-		c.mStale.Inc()
-		return false, nil
+		return false, fmt.Errorf("fleet: malformed progress for round %d of job %s", msg.Round, st.job.Name)
 	}
 	if err := c.store.SaveBoundary(st.job, p, msg.Ckpt); err != nil {
 		err = fmt.Errorf("fleet: persisting round %d of job %s: %w", msg.Round, st.job.Name, err)
@@ -561,7 +573,6 @@ func (c *Coordinator) applyProgress(worker string, connID uint64, msg transport.
 		return false, err
 	}
 	st.round = msg.Round
-	st.deadline = time.Now().Add(c.cfg.LeaseTTL)
 	c.mCkptBytes.Observe(float64(len(msg.Ckpt)))
 	c.emitLocked(Event{Kind: JobProgressed, Worker: worker, Job: st.job, Round: msg.Round})
 	return true, nil
@@ -571,35 +582,30 @@ func (c *Coordinator) applyProgress(worker string, connID uint64, msg transport.
 // failure). Results are accepted from any current leaseholder; a
 // zombie's duplicate result for an already-done job is acked OK —
 // results are bit-identical by contract, so the first write stands.
-func (c *Coordinator) applyResult(tk *obs.Track, worker string, connID uint64, msg transport.FleetResult) (bool, error) {
+func (c *Coordinator) applyResult(tk *obs.Track, worker string, connID uint64, msg transport.FleetResult) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.byID[msg.JobID]
-	if !ok {
-		c.mStale.Inc()
-		return false, nil
+	if st := c.byID[msg.JobID]; st != nil && st.done {
+		return true // duplicate finish from a fenced zombie
 	}
-	if st.done {
-		return true, nil // duplicate finish from a fenced zombie
-	}
-	if cur := c.leaseOfLocked(connID, msg.JobID); cur == nil {
-		c.mStale.Inc()
-		return false, nil
+	st := c.leaseOfLocked(connID, msg.JobID)
+	if st == nil {
+		return false
 	}
 	if msg.Failed {
 		err := fmt.Errorf("fleet: job %s failed on %s: %s", st.job.Name, worker, msg.Body)
 		c.emitLocked(Event{Kind: JobFailed, Worker: worker, Job: st.job, Err: err})
 		c.failLocked(err)
-		return true, nil
+		return true
 	}
 	var parts sweep.ResultParts
 	if err := json.Unmarshal(msg.Body, &parts); err != nil {
 		c.failLocked(fmt.Errorf("fleet: decoding result for %s: %w", st.job.Name, err))
-		return false, nil
+		return false
 	}
 	if err := c.store.Record(sweep.ResultFrom(st.job, parts)); err != nil {
 		c.failLocked(err)
-		return false, nil
+		return false
 	}
 	_ = c.store.RecordTiming(st.job.ID, msg.HostSeconds)
 	st.done = true
@@ -611,19 +617,5 @@ func (c *Coordinator) applyResult(tk *obs.Track, worker string, connID uint64, m
 	c.gaugesLocked()
 	c.emitLocked(Event{Kind: JobRecorded, Worker: worker, Job: st.job})
 	c.maybeFinishLocked()
-	return true, nil
-}
-
-// renewLease extends a heartbeating holder's deadline. Returns false
-// when the lease is gone (the worker must abandon the job).
-func (c *Coordinator) renewLease(connID uint64, jobID string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.leaseOfLocked(connID, jobID)
-	if st == nil {
-		c.mStale.Inc()
-		return false
-	}
-	st.deadline = time.Now().Add(c.cfg.LeaseTTL)
 	return true
 }

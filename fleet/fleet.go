@@ -18,30 +18,30 @@
 //     the compacted store bytes depend only on the grid — not on how
 //     many workers ran, where they ran, or which of them died.
 //
-//   - Leases expire. A worker that stops heartbeating (crash, kill -9,
-//     partition) has its job reassigned; its uploaded checkpoints let
-//     the next worker resume mid-job bit-identically (the same
-//     resume-soundness rule as the Scheduler: checkpoint and progress
-//     sidecar must agree, else the pair before them is taken, or the
-//     job reruns from scratch — never wrong, only slower). A zombie
-//     worker's late messages are fenced by the connection they arrive
-//     on: a message counts only while that connection holds the lease
-//     it names. That is sufficient because a connection is strictly
-//     request/response and a worker quiesces its heartbeat goroutine
-//     before asking for the next lease, so no message about an earlier
-//     grant can trail a later grant to the same connection.
+//   - A lease lives exactly as long as its connection. A worker that
+//     drops (crash, kill -9) or falls silent for the lease TTL (hang,
+//     partition: the coordinator's read or reply deadline fires) loses
+//     its connection, and its job is reassigned; its uploaded
+//     checkpoints let the next worker resume mid-job bit-identically
+//     (the same resume-soundness rule as the Scheduler: checkpoint and
+//     progress sidecar must agree, else the pair before them is taken,
+//     or the job reruns from scratch — never wrong, only slower). A
+//     message counts only while the connection it arrives on holds the
+//     lease it names. That fence is sufficient because a connection is
+//     strictly request/response and a worker quiesces its heartbeat
+//     goroutine before asking for the next lease, so no message about
+//     an earlier grant can trail a later grant to the same connection.
 //
-// Protocol (strictly worker-initiated request/response):
+// Protocol (worker-initiated; every frame but a heartbeat is answered):
 //
 //	worker                          coordinator
 //	  |---- hello ------------------->|  register
 //	  |<--- welcome ------------------|  fingerprint, cadences
 //	  |---- lease request ----------->|  parks while every job is leased
 //	  |<--- grant / drain ------------|  job (+ checkpoint handoff)
-//	  |---- progress (ckpt upload) -->|  persist, renew lease
+//	  |---- progress (ckpt upload) -->|  persist
 //	  |<--- ack (lease valid?) -------|
-//	  |---- heartbeat --------------->|  renew lease
-//	  |<--- ack ----------------------|
+//	  |---- heartbeat --------------->|  keepalive, unanswered
 //	  |---- result ------------------>|  record, mark done
 //	  |<--- ack ----------------------|
 //
@@ -56,8 +56,9 @@ import (
 	"gsfl/sweep"
 )
 
-// DefaultLeaseTTL is how long a lease survives without a heartbeat,
-// progress, or result from its holder.
+// DefaultLeaseTTL is how long the coordinator waits for a worker's next
+// frame, or for a reply to reach it, before it ends the connection and
+// releases its lease.
 const DefaultLeaseTTL = 15 * time.Second
 
 // EventKind labels a coordinator progress event.
@@ -73,8 +74,8 @@ const (
 	JobLeased
 	// JobProgressed fires when a worker's checkpoint upload is persisted.
 	JobProgressed
-	// JobReassigned fires when a lease expires (or its holder
-	// disconnects) and the job returns to the pending pool.
+	// JobReassigned fires when its holder's connection ends (a drop, or
+	// silence past the lease TTL) and the job returns to the pending pool.
 	JobReassigned
 	// JobRecorded fires when a job's result lands in the store.
 	JobRecorded

@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -304,10 +307,11 @@ func TestFleetKillAndRejoinByteIdentical(t *testing.T) {
 }
 
 // TestFleetLeaseExpiryReassigns covers the silent-failure path the
-// kill test cannot: a worker that holds its connection open but stops
-// heartbeating (a hung process, a one-way partition). Its lease must
-// expire, the job reassign, and every later message from the zombie be
-// fenced with a failed ack.
+// kill test cannot: a worker that holds its connection open but sends
+// nothing (a hung process, a one-way partition). Once the TTL has
+// passed, the coordinator must close that connection and reassign its
+// job, and a heartbeat naming the revoked lease must end the connection
+// it arrives on and count as stale.
 func TestFleetLeaseExpiryReassigns(t *testing.T) {
 	jobs := jobsOf(t, testGrid())
 	dir := t.TempDir()
@@ -326,8 +330,9 @@ func TestFleetLeaseExpiryReassigns(t *testing.T) {
 			}
 		}
 	})
+	const ttl = 250 * time.Millisecond
 	c, err := fleet.Serve("127.0.0.1:0", jobs, store, fleet.Config{
-		LeaseTTL:        250 * time.Millisecond,
+		LeaseTTL:        ttl,
 		CheckpointEvery: 1,
 		Observers:       []fleet.Observer{observer},
 	})
@@ -339,28 +344,33 @@ func TestFleetLeaseExpiryReassigns(t *testing.T) {
 	// The zombie: takes a lease, then goes silent without disconnecting.
 	conn, fc := rawWorker(t, c, "zombie")
 	lease := takeLease(t, fc)
-
+	granted := time.Now()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, _, err := fc.ReadFrame(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("silent worker's connection: read %v, want it closed by the coordinator", err)
+	}
+	if d := time.Since(granted); d < ttl {
+		t.Fatalf("silent worker's connection closed %v after its grant, inside the %v TTL", d, ttl)
+	}
 	select {
 	case <-reassigned:
 	case <-time.After(10 * time.Second):
-		t.Fatal("silent worker's lease never expired")
+		t.Fatal("silent worker's job was never reassigned")
 	}
 
-	// The fence: the zombie's heartbeat for its revoked lease must be
-	// answered, but with OK=false.
+	// The fence: on a new connection, a heartbeat for the revoked lease
+	// ends that connection, unanswered, and counts as stale.
+	stale := metric(t, c, "gsfl_fleet_stale_messages_total")
+	conn, fc = rawWorker(t, c, "zombie")
 	if err := fc.WriteHeartbeat(transport.FleetHeartbeat{JobID: lease.JobID, Round: 1}); err != nil {
 		t.Fatal(err)
 	}
-	kind, payload, err := fc.ReadFrame()
-	if err != nil || kind != transport.FrameFleetHeartbeat {
-		t.Fatalf("heartbeat ack: kind %d err %v", kind, err)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if kind, _, err := fc.ReadFrame(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("heartbeat on a revoked lease: got frame kind %d (err %v), want the connection closed", kind, err)
 	}
-	ack, err := transport.DecodeFleetAck(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.OK {
-		t.Fatal("heartbeat on an expired lease renewed it")
+	if got := metric(t, c, "gsfl_fleet_stale_messages_total"); got != stale+1 {
+		t.Fatalf("stale messages %v after the revoked heartbeat, want %v", got, stale+1)
 	}
 	conn.Close()
 
@@ -383,6 +393,36 @@ func TestFleetLeaseExpiryReassigns(t *testing.T) {
 	}
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
+	}
+}
+
+// TestFleetHeartbeatsHoldLease: heartbeats alone keep a lease for many
+// TTLs. A worker that never uploads a checkpoint but heartbeats every
+// TTL/3 holds its job for five TTLs, and its result is then accepted.
+func TestFleetHeartbeatsHoldLease(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	c, job, events := serveOneJob(t, fleet.Config{LeaseTTL: ttl})
+	result := resultOf(t, job)
+	_, a := rawWorker(t, c, "A")
+	takeLease(t, a)
+	for start := time.Now(); time.Since(start) < 5*ttl; time.Sleep(ttl / 3) {
+		if err := a.WriteHeartbeat(transport.FleetHeartbeat{JobID: job.ID, Round: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendResult(t, a, result)
+	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer wcancel()
+	if _, err := c.Wait(wctx); err != nil {
+		t.Fatal(err)
+	}
+	for len(events) > 0 {
+		if e := <-events; e.Kind == fleet.JobReassigned {
+			t.Fatalf("the heartbeating worker's lease was reassigned at %v", e.at)
+		}
+	}
+	if got := metric(t, c, "gsfl_fleet_leases_granted_total"); got != 1 {
+		t.Fatalf("leases granted %v, want 1", got)
 	}
 }
 
@@ -631,9 +671,7 @@ func TestFleetPersistenceFailureFailsTheSweep(t *testing.T) {
 
 // TestFleetRefusesSubMillisecondLease: the welcome carries the lease TTL
 // in whole milliseconds, so Serve refuses one under a millisecond. 500µs
-// would reach every worker as a zero it rejects, and 2ns would also stop
-// the lease reaper's ticker (TTL/4 = 0) with a panic that kills the
-// process.
+// or 2ns would reach every worker as a zero it rejects.
 func TestFleetRefusesSubMillisecondLease(t *testing.T) {
 	store, err := sweep.OpenStore(t.TempDir())
 	if err != nil {
@@ -738,6 +776,24 @@ func takeLease(t *testing.T, fc *transport.FleetConn) transport.FleetLease {
 	return lease
 }
 
+// metric reads one unlabelled counter or gauge from c's metrics page.
+func metric(t *testing.T, c *fleet.Coordinator, name string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	c.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s on the metrics page", name)
+	return 0
+}
+
 // stampedEvent is a coordinator event with the moment it was emitted.
 type stampedEvent struct {
 	fleet.Event
@@ -832,15 +888,23 @@ const parkDelay = 50 * time.Millisecond
 // TestFleetParkedRequestGrantedOnRelease: a worker whose request found
 // every job leased is granted the job the moment it is released — its
 // holder dropped, or went silent past the TTL — not after a retry
-// sleep.
+// sleep. A park does not count against the parked worker: in long-park
+// the holder heartbeats for two TTLs before it drops, and the worker
+// parked all that time is still the one granted. The release's trace
+// note tells a silence from a drop.
 func TestFleetParkedRequestGrantedOnRelease(t *testing.T) {
-	for _, release := range []string{"drop", "expiry"} {
+	for release, note := range map[string]string{
+		"drop":      "worker disconnected",
+		"expiry":    "lease expired",
+		"long-park": "worker disconnected",
+	} {
 		t.Run(release, func(t *testing.T) {
-			var cfg fleet.Config
-			if release == "expiry" {
+			tr := obs.New(obs.ClockWall)
+			cfg := fleet.Config{Tracer: tr}
+			if release != "drop" {
 				cfg.LeaseTTL = 200 * time.Millisecond
 			}
-			c, _, events := serveOneJob(t, cfg)
+			c, job, events := serveOneJob(t, cfg)
 			connA, a := rawWorker(t, c, "A")
 			takeLease(t, a)
 
@@ -851,10 +915,19 @@ func TestFleetParkedRequestGrantedOnRelease(t *testing.T) {
 			time.Sleep(parkDelay)
 
 			released := time.Now()
-			if release == "drop" {
+			switch release {
+			case "drop":
 				connA.Close()
-			} else {
+			case "expiry":
 				released = awaitEvent(t, events, fleet.JobReassigned, "A", 5*time.Second)
+			case "long-park":
+				for start := time.Now(); time.Since(start) < 2*cfg.LeaseTTL; time.Sleep(cfg.LeaseTTL / 3) {
+					if err := a.WriteHeartbeat(transport.FleetHeartbeat{JobID: job.ID}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				released = time.Now()
+				connA.Close()
 			}
 			if d := awaitEvent(t, events, fleet.JobLeased, "B", 5*time.Second).Sub(released); d > 100*time.Millisecond {
 				t.Fatalf("B was granted the released job %v after A lost it, want under 100ms", d)
@@ -866,6 +939,15 @@ func TestFleetParkedRequestGrantedOnRelease(t *testing.T) {
 			}
 			if err := <-done; err != nil {
 				t.Fatalf("B: %v, want drained", err)
+			}
+			var notes []any
+			for _, e := range traceEvents(t, tr) {
+				if strings.HasPrefix(e.Name, "reassign ") {
+					notes = append(notes, e.Args["note"])
+				}
+			}
+			if len(notes) != 1 || notes[0] != note {
+				t.Fatalf("release notes %v, want [%s]", notes, note)
 			}
 		})
 	}
@@ -901,24 +983,9 @@ func TestFleetParkedRequestDrainsOnFinish(t *testing.T) {
 		t.Fatal("B never returned")
 	}
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-		t.Fatal(err)
-	}
 	lanes := map[int]any{} // tid -> thread name
 	var parked []int
-	for _, e := range file.TraceEvents {
+	for _, e := range traceEvents(t, tr) {
 		switch {
 		case e.Ph == "M" && e.Name == "thread_name":
 			lanes[e.Tid] = e.Args["name"]
@@ -929,6 +996,30 @@ func TestFleetParkedRequestDrainsOnFinish(t *testing.T) {
 	if len(parked) != 1 || lanes[parked[0]] != "B" {
 		t.Fatalf("parked spans on lanes %v (names %v), want one on B", parked, lanes)
 	}
+}
+
+// traceEvent is one event of a Chrome trace, as far as the tests read it.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// traceEvents renders tr and returns its events.
+func traceEvents(t *testing.T, tr *obs.Tracer) []traceEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	return file.TraceEvents
 }
 
 // TestFleetParkedWorkerStopsOnCancel: a worker parked behind another
@@ -957,10 +1048,12 @@ func TestFleetParkedWorkerStopsOnCancel(t *testing.T) {
 	testutil.ExpectNoGoroutines(t, "gsfl/fleet.")
 }
 
-// TestFleetParkedHandlerEndsWithDroppedWorker: a parked handler reads
-// nothing, so it learns that its worker dropped only once it answers.
-// It must answer, and end, at the next release, at the sweep's finish
-// or at Close, well inside Close's grace period.
+// TestFleetParkedHandlerEndsWithDroppedWorker: a parked handler learns
+// that its worker dropped when it wakes, at the next release, at the
+// sweep's finish or at Close, and ends well inside Close's grace
+// period. It answers nothing: the job released at the wake is not
+// granted to the dead connection, so neither a lease to B nor a second
+// reassignment shows.
 func TestFleetParkedHandlerEndsWithDroppedWorker(t *testing.T) {
 	for _, wake := range []string{"release", "finish", "close"} {
 		t.Run(wake, func(t *testing.T) {
@@ -987,7 +1080,25 @@ func TestFleetParkedHandlerEndsWithDroppedWorker(t *testing.T) {
 					c.Close()
 				}()
 			}
-			awaitEvent(t, events, fleet.WorkerLeft, "B", time.Second)
+			var log []string
+			for timeout := time.After(time.Second); !slices.Contains(log, "worker-left B"); {
+				select {
+				case e := <-events:
+					log = append(log, e.Kind.String()+" "+e.Worker)
+				case <-timeout:
+					t.Fatalf("B never left; events %v", log)
+				}
+			}
+			if slices.Contains(log, "leased B") {
+				t.Fatalf("the dropped worker was granted a job: events %v", log)
+			}
+			if wake == "release" {
+				for _, name := range []string{"gsfl_fleet_leases_granted_total", "gsfl_fleet_leases_reassigned_total"} {
+					if got := metric(t, c, name); got != 1 {
+						t.Fatalf("%s = %v, want 1 (events %v)", name, got, log)
+					}
+				}
+			}
 			connA.Close()
 			if wake == "close" {
 				<-closed

@@ -109,7 +109,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			return ctx.Err()
 		default:
 			// Connection-level failure: reconnect and carry on. Any job in
-			// flight was abandoned; its lease will expire and reassign.
+			// flight was abandoned, and released with the connection.
 			logf("session ended (%v), reconnecting", err)
 			select {
 			case <-ctx.Done():
@@ -120,9 +120,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 }
 
-// workerConn serializes request/response pairs on one coordinator
-// connection: the training goroutine's checkpoint uploads and the
-// heartbeat goroutine must not interleave their frames.
+// workerConn serializes the frames written to one coordinator
+// connection: the training goroutine's requests and the heartbeat
+// goroutine's keepalives must not interleave. The training goroutine
+// is the connection's only reader.
 type workerConn struct {
 	mu sync.Mutex
 	fc *transport.FleetConn
@@ -230,15 +231,14 @@ func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWe
 		lost    atomic.Bool  // coordinator fenced us off the job
 		connErr atomic.Value // first connection-level error
 		hbDone  = make(chan struct{})
-		hbStop  = make(chan struct{})
 	)
 	failConn := func(err error) {
 		connErr.CompareAndSwap(nil, err)
 		cancel()
 	}
 
-	// Heartbeats keep the lease alive between checkpoint uploads. An
-	// ack with OK=false means the lease is gone: abandon the job.
+	// Heartbeats keep the connection, and so the lease, alive between
+	// checkpoint uploads. The coordinator does not answer them.
 	ttl := time.Duration(welcome.LeaseMillis) * time.Millisecond
 	go func() {
 		defer close(hbDone)
@@ -246,21 +246,14 @@ func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWe
 		defer tick.Stop()
 		for {
 			select {
-			case <-hbStop:
-				return
 			case <-jctx.Done():
 				return
 			case <-tick.C:
-				ack, err := wc.roundTripAck(func(fc *transport.FleetConn) error {
-					return fc.WriteHeartbeat(transport.FleetHeartbeat{JobID: j.ID, Round: int(round.Load())})
-				})
+				wc.mu.Lock()
+				err := wc.fc.WriteHeartbeat(transport.FleetHeartbeat{JobID: j.ID, Round: int(round.Load())})
+				wc.mu.Unlock()
 				if err != nil {
 					failConn(err)
-					return
-				}
-				if !ack.OK {
-					lost.Store(true)
-					cancel()
 					return
 				}
 			}
@@ -297,14 +290,13 @@ func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWe
 			return nil
 		},
 	})
-	// Quiesce the heartbeat goroutine before touching the connection
-	// again: its in-flight round trip must finish first.
-	close(hbStop)
+	// Quiesce the heartbeat goroutine before the next request: no
+	// keepalive for this job may follow its result or a new lease.
 	cancel()
 	<-hbDone
 
 	if err, ok := connErr.Load().(error); ok && err != nil {
-		return err // reconnect; the job reassigns via lease expiry
+		return err // reconnect; the dropped connection releases the job
 	}
 	if lost.Load() {
 		logf("lease lost on %s after round %d, abandoning", j.Name, round.Load())

@@ -3,8 +3,8 @@ package transport
 // This file defines the fleet job plane's wire format — the frames a
 // sweep coordinator and its pull-based workers exchange (gsfl/fleet) —
 // layered on the same length-prefixed binary framing as the tensor
-// frames above. The protocol is strictly request/response and always
-// worker-initiated:
+// frames above. The protocol is always worker-initiated, and every
+// frame but a heartbeat is answered:
 //
 //	hello     worker -> coord   registration (role=worker)
 //	hello     coord  -> worker  welcome: grid fingerprint, lease/ckpt config
@@ -16,9 +16,9 @@ package transport
 //	                            frees up or the sweep ends.
 //	progress  worker -> coord   checkpoint upload at a round boundary
 //	result    worker -> coord   completed (or failed) job
-//	heartbeat worker -> coord   lease keepalive between checkpoints
-//	heartbeat coord  -> worker  ack for progress/result/heartbeat; the
-//	                            OK flag is the lease-validity signal
+//	heartbeat worker -> coord   keepalive between checkpoints; unanswered
+//	heartbeat coord  -> worker  ack for progress/result; the OK flag is
+//	                            the lease-validity signal
 //
 // Frame payloads (str := u32 len | bytes; blob := u32 len | bytes):
 //
@@ -35,7 +35,7 @@ package transport
 //	                      blob progress | blob ckpt
 //	result             := str jobID | u8 failed | f64 hostSeconds | blob body
 //	heartbeat(worker)  := u8 role=0 | str jobID | u32 round
-//	heartbeat(coord)   := u8 role=1 | u8 flags (bit0 = lease valid)
+//	heartbeat(coord)   := u8 role=1 | u8 flags (bit0 = lease valid): an ack
 //
 // Job, progress, and result bodies are JSON (Go's float64 encoding
 // round-trips exactly, so the determinism contract survives the wire);
@@ -61,7 +61,7 @@ const (
 
 // fleetVersion guards coordinator/worker protocol compatibility
 // independently of the tensor-plane wireVersion.
-const fleetVersion = 2
+const fleetVersion = 3
 
 // Lease reply statuses (2 was version 1's wait reply; it stays unused).
 const (
@@ -131,16 +131,17 @@ type FleetResult struct {
 	Body        []byte
 }
 
-// FleetHeartbeat is a worker's lease keepalive.
+// FleetHeartbeat is a worker's keepalive. It is not answered: reading
+// it is what keeps the connection, and so the lease, alive.
 type FleetHeartbeat struct {
 	JobID string
 	Round int
 }
 
-// FleetAck is the coordinator's reply to progress, result, and
-// heartbeat frames. OK reports that the worker still holds the lease
-// (respectively, that the result was accepted); on false the worker
-// must abandon the job and request a new lease.
+// FleetAck is the coordinator's reply to progress and result frames. OK
+// reports that the worker still holds the lease (respectively, that the
+// result was accepted); on false the worker must abandon the job and
+// request a new lease.
 type FleetAck struct {
 	OK bool
 }

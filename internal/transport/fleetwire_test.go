@@ -238,15 +238,18 @@ func TestFleetDecodersRejectHostileInput(t *testing.T) {
 		{"hello bad version", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 99, 0, 0}},
 		// A version-1 worker hello, well formed but for the retired poll.
 		{"hello version 1", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 1, 0, 0, 1, 0, 0, 0, 'w', 1, 0, 0, 0, 0, 0, 0, 0}},
-		{"hello bad role", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 7}},
-		{"hello empty worker name", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}},
+		// A version-2 worker hello, well formed, from a worker that
+		// waits for heartbeat acks version 3 no longer sends.
+		{"hello version 2", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 0, 1, 0, 0, 0, 'w', 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"hello bad role", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 7}},
+		{"hello empty worker name", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}},
 		// str length claims 64 KiB in a near-empty payload: must error
 		// before allocating.
-		{"hello name flood", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 0, 0xFF, 0xFF, 0, 0}},
-		{"welcome truncated", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 1, 9}},
-		{"welcome zero cadence", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 1}, make([]byte, 20)...)},
+		{"hello name flood", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 0, 0xFF, 0xFF, 0, 0}},
+		{"welcome truncated", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 1, 9}},
+		{"welcome zero cadence", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 1}, make([]byte, 20)...)},
 		// The version-1 layout: a retry cadence between lease and ckpt.
-		{"welcome retry field", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 1}, make([]byte, 24)...)},
+		{"welcome retry field", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 1}, make([]byte, 24)...)},
 		{"lease unknown status", FrameFleetLease, []byte{9}},
 		{"lease truncated grant", FrameFleetLease, grantPayload[:len(grantPayload)/2]},
 		{"lease trailing garbage", FrameFleetLease, append(append([]byte(nil), grantPayload...), 0xFF)},
