@@ -1108,3 +1108,89 @@ func TestFleetParkedHandlerEndsWithDroppedWorker(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetWriteDeadlineReleasesLease: each reply is bounded by the TTL
+// as each read is. A worker that asks for a lease and never reads the
+// reply — a one-way partition, a hung process — blocks the grant's
+// write once the socket buffers are full, and the lease must not wait
+// for TCP to give up: the write times out about one TTL in, the handler
+// ends, and the lease is released as a silent worker's is. The job is
+// resumed from its slot in the store, so the grant carries a checkpoint
+// larger than both buffers (Linux lets loopback's send buffer grow to
+// 4 MB; the worker shrinks its receive buffer).
+func TestFleetWriteDeadlineReleasesLease(t *testing.T) {
+	spec := env.TestSpec()
+	spec.ImageSize = 96
+	spec.TrainPerClient = 8
+	spec.TestPerClass = 1
+	spec.Hyper.StepsPerClient = 1
+	job := jobsOf(t, sweep.Grid{
+		Name: "deaf", Base: spec, Rounds: 2, EvalEvery: 2,
+		Axes: sweep.Axes{Groups: []int{1}, Schemes: []string{"gsfl"}},
+	})[0]
+	store, err := sweep.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	// Round 1's boundary in the store, as an earlier holder's upload
+	// left it.
+	var ckptBytes int
+	if _, err := sweep.RunLeased(context.Background(), job, t.TempDir(), 1, nil, sweep.LeaseCallbacks{
+		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
+			ckptBytes = len(ckpt)
+			return store.SaveBoundary(job, p, ckpt)
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ckptBytes < 8<<20 {
+		t.Fatalf("a %d-byte checkpoint may fit in the socket buffers", ckptBytes)
+	}
+
+	const ttl = 400 * time.Millisecond
+	events := make(chan stampedEvent, 64)
+	c, err := fleet.Serve("127.0.0.1:0", []sweep.Job{job}, store, fleet.Config{
+		LeaseTTL:        ttl,
+		CheckpointEvery: 1,
+		Observers: []fleet.Observer{fleet.ObserverFunc(func(e fleet.Event) {
+			events <- stampedEvent{e, time.Now()}
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	conn, fc := rawWorker(t, c, "deaf")
+	if err := conn.(*net.TCPConn).SetReadBuffer(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.WriteLeaseRequest(); err != nil {
+		t.Fatal(err)
+	}
+	var leased, released time.Time
+	for timeout := time.After(10 * time.Second); released.IsZero(); {
+		select {
+		case e := <-events:
+			switch {
+			case e.Kind == fleet.JobLeased && e.Round != 1:
+				t.Fatalf("leased from round %d, want the handoff of round 1", e.Round)
+			case e.Kind == fleet.JobLeased:
+				leased = e.at
+			case e.Kind == fleet.JobReassigned:
+				released = e.at
+			}
+		case <-timeout:
+			t.Fatal("the deaf worker's lease was never released")
+		}
+	}
+	if d := released.Sub(leased); leased.IsZero() || d < ttl || d > 3*ttl {
+		t.Fatalf("lease released %v after the grant, want about one %v TTL", d, ttl)
+	}
+	for _, name := range []string{"gsfl_fleet_leases_granted_total", "gsfl_fleet_leases_reassigned_total"} {
+		if got := metric(t, c, name); got != 1 {
+			t.Fatalf("%s = %v, want 1", name, got)
+		}
+	}
+}

@@ -1,20 +1,24 @@
-// Package atomicfile is the single durable-write path: every file the
-// repo writes whole or not at all — a sim checkpoint at a user-named
-// path and the compacted manifest, replaced in place; a sweep store's
-// checkpoint and sidecar generations, each onto a name nothing holds —
-// goes through Write, so a crash harness has one seam to cut.
+// Package atomicfile is the single durable-write path, and so the crash
+// harness's one seam. A file the repo writes whole or not at all — a
+// sim checkpoint at a user-named path, the compacted manifest — goes
+// through Write: a temp file renamed over the name. A file the repo
+// holds open and rewrites in place — a sweep store's checkpoint and
+// progress slots — goes through Overwrite, whose torn states the
+// reader tells apart by the checksums it stores (see sweep.Store).
 package atomicfile
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 )
 
-// boundary is a point of Write after which a crash leaves a distinct
-// state on disk.
+// boundary is a point of Write or Overwrite after which a crash leaves
+// a distinct state on disk.
 type boundary int
 
+// Write's boundaries.
 const (
 	tempCreated boundary = iota
 	halfWritten
@@ -23,10 +27,17 @@ const (
 	renamed
 )
 
-// crashAt is the crash harness's seam, nil outside tests: Write asks it
-// after every boundary whether the process dies there and, told yes,
-// returns errCrashed at once, leaving the disk as kill -9 would — the
-// temp file where it is, nothing cleaned up.
+// Overwrite's boundaries: halfWritten and allWritten, between these.
+const (
+	beforeWrite boundary = renamed + 1 + iota
+	cut
+)
+
+// crashAt is the crash harness's seam, nil outside tests: Write and
+// Overwrite ask it after every boundary whether the process dies there
+// and, told yes, return errCrashed at once, leaving the disk as kill -9
+// would — a temp file where it is, a file half rewritten, nothing
+// cleaned up.
 var crashAt func(path string, b boundary) bool
 
 var errCrashed = errors.New("atomicfile: crashed by the test harness")
@@ -60,22 +71,8 @@ func fill(tmp *os.File, path string, data []byte) error {
 	if crashed(path, tempCreated) {
 		return errCrashed
 	}
-	if crashAt != nil {
-		// Two writes under the harness, so a crash can land between them.
-		half := len(data) / 2
-		if _, err := tmp.Write(data[:half]); err != nil {
-			return err
-		}
-		if crashed(path, halfWritten) {
-			return errCrashed
-		}
-		data = data[half:]
-	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := writeHalves(tmp, path, data); err != nil {
 		return err
-	}
-	if crashed(path, allWritten) {
-		return errCrashed
 	}
 	if err := tmp.Close(); err != nil {
 		return err
@@ -84,4 +81,53 @@ func fill(tmp *os.File, path string, data []byte) error {
 		return errCrashed
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// Overwrite rewrites the open file f, which holds size bytes, to hold
+// data: data goes at offset 0, and the file is cut to len(data) only
+// when it held more. The file keeps its inode — no create, rename or
+// unlink — and, data not being empty, is never truncated to zero, so
+// ext4 has no replace to flush at once (auto_da_alloc). It is not
+// atomic: a crash can leave any prefix of data over the old bytes, or
+// data followed by the old tail, and a reader must be able to tell
+// those states from a whole write.
+func Overwrite(f *os.File, size int64, data []byte) error {
+	path := f.Name()
+	if crashed(path, beforeWrite) {
+		return errCrashed
+	}
+	if err := writeHalves(io.NewOffsetWriter(f, 0), path, data); err != nil {
+		return err
+	}
+	if size > int64(len(data)) {
+		if err := f.Truncate(int64(len(data))); err != nil {
+			return err
+		}
+	}
+	if crashed(path, cut) {
+		return errCrashed
+	}
+	return nil
+}
+
+// writeHalves writes data to w, in two writes under the harness so that
+// a crash can land between them.
+func writeHalves(w io.Writer, path string, data []byte) error {
+	if crashAt != nil {
+		half := len(data) / 2
+		if _, err := w.Write(data[:half]); err != nil {
+			return err
+		}
+		if crashed(path, halfWritten) {
+			return errCrashed
+		}
+		data = data[half:]
+	}
+	if _, err := w.Write(data); err != nil {
+		return err
+	}
+	if crashed(path, allWritten) {
+		return errCrashed
+	}
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,17 +18,18 @@ import (
 
 // The crash-point harness: one 7-round job checkpointing every round —
 // six saved boundaries, the last round's is never saved — killed at
-// every boundary of every write of a generation and between the unlinks
-// of the one before, through both processes that write them: the
-// Scheduler and the fleet coordinator (fed by one worker over
-// loopback), each one Store.SaveBoundary per boundary. A killed process
-// is a goroutine stopped inside the seam: nothing after the boundary
-// runs until the assertions are over — a stopped coordinator holds its
-// lock, so its worker just waits for an ack.
+// every boundary of both in-place writes of each saved boundary (the
+// checkpoint into the spare slot, then the slot's record), through both
+// processes that write them: the Scheduler and the fleet coordinator
+// (fed by one worker over loopback), each one Store.SaveBoundary per
+// boundary. A killed process is a goroutine stopped inside the seam:
+// nothing after the boundary runs until the assertions are over — a
+// stopped coordinator holds its lock, so its worker just waits for an
+// ack.
 
 const (
 	crashRounds = 7
-	// savedBoundaries is how many generations an uncrashed run writes.
+	// savedBoundaries is how many boundaries an uncrashed run saves.
 	savedBoundaries = crashRounds - 1
 )
 
@@ -90,27 +90,43 @@ func openStore(t *testing.T, dir string) *sweep.Store {
 	return store
 }
 
-// genOf names which half ("ckpt" or "progress") of which generation of
-// the store's transient pair a write targets; file is "" for any other
-// path (the compacted manifest).
-func genOf(dir, path string) (file string, round int) {
+// slotOf names which file ("ckpt" or "progress") of which slot ("a"
+// or "b") a write targets; file is "" for any path that is not a slot
+// file of the store rooted at dir (the compacted manifest).
+func slotOf(dir, path string) (file, slot string) {
 	if filepath.Dir(path) != filepath.Join(dir, "ckpt") {
-		return "", 0
+		return "", ""
 	}
 	parts := strings.Split(filepath.Base(path), ".")
-	if len(parts) != 3 || (parts[2] != "ckpt" && parts[2] != "progress") {
-		return "", 0
+	if len(parts) != 3 || (parts[1] != "a" && parts[1] != "b") || (parts[2] != "ckpt" && parts[2] != "progress") {
+		return "", ""
 	}
-	round, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return "", 0
-	}
-	return parts[2], round
+	return parts[2], parts[1]
 }
 
-// genPath is genOf's inverse for job j.
-func genPath(dir string, j sweep.Job, round int, file string) string {
-	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%d.%s", j.ID, round, file))
+// slotPath is slotOf's inverse for job j.
+func slotPath(dir string, j sweep.Job, slot, file string) string {
+	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%s.%s", j.ID, slot, file))
+}
+
+// otherSlot is the slot a boundary in slot does not write.
+func otherSlot(slot string) string {
+	if slot == "a" {
+		return "b"
+	}
+	return "a"
+}
+
+// boundaryCounter numbers the writes of one job's boundaries as the
+// seam sees them: a boundary's round is how many writes of its file
+// have begun.
+type boundaryCounter map[string]int
+
+func (c boundaryCounter) round(file string, b atomicfile.Boundary) int {
+	if b == atomicfile.BeforeWrite {
+		c[file]++
+	}
+	return c[file]
 }
 
 // ckptNames lists what the store rooted at dir holds under ckpt/.
@@ -146,7 +162,7 @@ func durable(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// reference is an uncrashed run: what each generation's two writes left
+// reference is an uncrashed run: what each boundary's two writes left
 // on disk, by file and round, and the durable bytes at the end.
 type reference struct {
 	writes  map[string]map[int]string
@@ -157,13 +173,16 @@ func uncrashed(t *testing.T, j sweep.Job, drv driver) reference {
 	t.Helper()
 	dir := t.TempDir()
 	ref := reference{writes: map[string]map[int]string{"ckpt": {}, "progress": {}}}
+	count := boundaryCounter{}
 	atomicfile.SetCrashAt(func(path string, b atomicfile.Boundary) bool {
-		if f, round := genOf(dir, path); f != "" && b == atomicfile.Renamed {
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				t.Error(err)
+		if f, _ := slotOf(dir, path); f != "" {
+			if round := count.round(f, b); b == atomicfile.Cut {
+				buf, err := os.ReadFile(path)
+				if err != nil {
+					t.Error(err)
+				}
+				ref.writes[f][round] = string(buf)
 			}
-			ref.writes[f][round] = string(buf)
 		}
 		return false
 	})
@@ -184,57 +203,38 @@ func uncrashed(t *testing.T, j sweep.Job, drv driver) reference {
 }
 
 // crashPoint is where a run dies: after boundary of the write of file
-// in generation round — or, file "unlink", after that generation's
-// sidecar landed and the generation before lost the files unlinked
-// names (see unlinks).
+// at the boundary after round.
 type crashPoint struct {
 	round    int
 	file     string
 	boundary atomicfile.Boundary
-	unlinked string
 }
 
-// unlinks are the states between a generation's commit and the end of
-// its boundary: the store unlinks the two files of the generation
-// before, and a kill can land after either. os.Remove has no seam, so
-// the harness stops the run at the commit and removes the files itself
-// — either one alone, so that no order of the two is assumed, and both.
-var (
-	unlinkStates = []string{"prev-sidecar-gone", "prev-checkpoint-gone", "prev-pair-gone"}
-	unlinks      = map[string][]string{
-		"prev-sidecar-gone":    {"progress"},
-		"prev-checkpoint-gone": {"ckpt"},
-		"prev-pair-gone":       {"progress", "ckpt"},
-	}
-)
-
 func (cp crashPoint) String() string {
-	if cp.file == "unlink" {
-		return fmt.Sprintf("(round %d, unlink, %s)", cp.round, cp.unlinked)
-	}
 	return fmt.Sprintf("(round %d, %s, %v)", cp.round, cp.file, cp.boundary)
 }
 
 // crash runs the job against a fresh store in dir until it dies at cp,
-// and returns with the dead process's locks released, as the kernel
-// would leave them. bury lets the stopped goroutine unwind (every
-// further write it attempts dies at once) and waits for it.
-func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (bury func()) {
+// and returns the slot the dying write targets, with the dead process's
+// locks and files released, as the kernel would leave them. bury lets
+// the stopped goroutine unwind (every further write it attempts dies at
+// once) and waits for it.
+func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (slot string, bury func()) {
 	t.Helper()
-	at := cp
-	if cp.file == "unlink" {
-		at.file, at.boundary = "progress", atomicfile.Renamed
-	}
 	var (
-		hit     = make(chan struct{})
+		hit     = make(chan string)
 		release = make(chan struct{})
 		done    = make(chan error, 1)
+		count   = boundaryCounter{}
 	)
 	atomicfile.SetCrashAt(func(path string, b atomicfile.Boundary) bool {
-		f, round := genOf(dir, path)
-		fire := f == at.file && round == at.round && b == at.boundary
+		f, slot := slotOf(dir, path)
+		if f == "" {
+			return false
+		}
+		fire := count.round(f, b) == cp.round && f == cp.file && b == cp.boundary
 		if fire {
-			close(hit)
+			hit <- slot
 			<-release
 		}
 		return fire
@@ -248,7 +248,7 @@ func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (bu
 		atomicfile.SetCrashAt(nil)
 	}
 	select {
-	case <-hit:
+	case slot = <-hit:
 	case err := <-done:
 		atomicfile.SetCrashAt(nil)
 		store.Close()
@@ -256,12 +256,7 @@ func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (bu
 	}
 	atomicfile.SetCrashAt(nil)
 	store.Close()
-	for _, f := range unlinks[cp.unlinked] {
-		if err := os.Remove(genPath(dir, j, cp.round-1, f)); err != nil {
-			t.Fatalf("crash point %v: the generation before is not whole at the commit: %v", cp, err)
-		}
-	}
-	return bury
+	return slot, bury
 }
 
 func TestCrashPoints(t *testing.T) {
@@ -270,21 +265,12 @@ func TestCrashPoints(t *testing.T) {
 		ref := uncrashed(t, j, drv)
 		for round := 1; round <= savedBoundaries; round++ {
 			for _, file := range []string{"ckpt", "progress"} {
-				for _, b := range atomicfile.Boundaries {
+				for _, b := range atomicfile.OverwriteBoundaries {
 					cp := crashPoint{round: round, file: file, boundary: b}
 					t.Run(fmt.Sprintf("%s/round%d/%s/%v", drv.name, round, file, b), func(t *testing.T) {
 						checkCrashPoint(t, j, drv, ref, cp)
 					})
 				}
-			}
-			for _, state := range unlinkStates {
-				if round == 1 {
-					break // nothing before the first generation
-				}
-				cp := crashPoint{round: round, file: "unlink", unlinked: state}
-				t.Run(fmt.Sprintf("%s/round%d/unlink/%s", drv.name, round, state), func(t *testing.T) {
-					checkCrashPoint(t, j, drv, ref, cp)
-				})
 			}
 		}
 	}
@@ -297,48 +283,57 @@ func checkCrashPoint(t *testing.T, j sweep.Job, drv driver, ref reference, cp cr
 		t.Fatalf("crash at %v: %s\nreplay: go test ./internal/atomicfile -run '%s'",
 			cp, fmt.Sprintf(format, args...), t.Name())
 	}
-	bury := crash(t, j, drv, dir, cp)
+	slot, bury := crash(t, j, drv, dir, cp)
 	defer bury()
 
-	// A generation is committed by its sidecar's rename and by nothing
-	// before it; a name comes to exist at its rename, whole.
-	committed := cp.file == "unlink" || (cp.file == "progress" && cp.boundary == atomicfile.Renamed)
-	newest := cp.round - 1
-	if committed {
-		newest = cp.round
+	// The dying write has landed as far as its boundary says: nothing,
+	// the first half, all of it, all of it and nothing after.
+	want := ref.writes[cp.file][cp.round]
+	landed := map[atomicfile.Boundary]int{
+		atomicfile.BeforeWrite: 0, atomicfile.HalfWritten: len(want) / 2,
+		atomicfile.AllWritten: len(want), atomicfile.Cut: len(want),
+	}[cp.boundary]
+	got, err := os.ReadFile(slotPath(dir, j, slot, cp.file))
+	switch {
+	case err != nil:
+		fail("the slot being written is unreadable: %v", err)
+	case !strings.HasPrefix(string(got), want[:landed]):
+		fail("slot %s's %s does not begin with the %d bytes of round %d its write has landed", slot, cp.file, landed, cp.round)
+	case cp.boundary == atomicfile.Cut && string(got) != want:
+		fail("slot %s's %s is not round %d's once cut", slot, cp.file, cp.round)
 	}
-	for _, file := range []string{"ckpt", "progress"} {
-		path := genPath(dir, j, cp.round, file)
-		got, err := os.ReadFile(path)
-		landed := committed || (file == "ckpt" && (cp.file == "progress" || cp.boundary == atomicfile.Renamed))
-		switch {
-		case !landed && !os.IsNotExist(err):
-			fail("%s exists before its rename (%v)", filepath.Base(path), err)
-		case landed && err != nil:
-			fail("%s unreadable after its rename: %v", filepath.Base(path), err)
-		case landed && string(got) != ref.writes[file][cp.round]:
-			fail("%s does not hold round %d's bytes", filepath.Base(path), cp.round)
-		}
+
+	// A boundary is committed by its record landing whole and by nothing
+	// before it; until then the newest committed boundary is the one
+	// before, in the other slot.
+	committed := cp.file == "progress" && (cp.boundary == atomicfile.AllWritten || cp.boundary == atomicfile.Cut)
+	newest, newestSlot := cp.round-1, otherSlot(slot)
+	if committed {
+		newest, newestSlot = cp.round, slot
 	}
 	if newest > 0 {
-		// The newest committed pair is whole, whatever is torn around it.
-		for _, file := range []string{"ckpt", "progress"} {
-			got, err := os.ReadFile(genPath(dir, j, newest, file))
-			if err != nil || string(got) != ref.writes[file][newest] {
-				fail("generation %d's %s is not whole (%v)", newest, file, err)
-			}
+		// The newest committed slot is whole, whatever is torn beside it:
+		// its checkpoint exactly, its record followed by nothing but the
+		// tail of the longer record it was written over.
+		ckpt, err := os.ReadFile(slotPath(dir, j, newestSlot, "ckpt"))
+		if err != nil || string(ckpt) != ref.writes["ckpt"][newest] {
+			fail("slot %s's checkpoint is not round %d's (%v)", newestSlot, newest, err)
 		}
-		path := genPath(dir, j, newest, "ckpt")
+		rec, err := os.ReadFile(slotPath(dir, j, newestSlot, "progress"))
+		if err != nil || !strings.HasPrefix(string(rec), ref.writes["progress"][newest]) {
+			fail("slot %s's record is not round %d's (%v)", newestSlot, newest, err)
+		}
+		path := slotPath(dir, j, newestSlot, "ckpt")
 		if scheme, round, err := sim.PeekCheckpoint(path); err != nil || scheme != j.Scheme || round != newest {
 			fail("PeekCheckpoint = (%q, %d, %v), want (%q, %d)", scheme, round, err, j.Scheme, newest)
 		}
 	}
 
-	// The rerun resumes from that pair — every crash from round 2 on has
+	// The rerun resumes from that slot — every crash from round 2 on has
 	// one — and ends where the uncrashed run did, nothing left behind.
 	resumedFrom := 0
 	store := openStore(t, dir)
-	_, err := (&sweep.Scheduler{Jobs: 1, Workers: 1, CheckpointEvery: 1,
+	_, err = (&sweep.Scheduler{Jobs: 1, Workers: 1, CheckpointEvery: 1,
 		Observers: []sweep.Observer{sweep.ObserverFunc(func(e sweep.Event) {
 			if e.Kind == sweep.JobResumed {
 				resumedFrom = e.Round
@@ -351,12 +346,12 @@ func checkCrashPoint(t *testing.T, j sweep.Job, drv driver, ref reference, cp cr
 	if resumedFrom != newest {
 		fail("rerun resumed from round %d, want %d", resumedFrom, newest)
 	}
-	got := durable(t, dir)
-	if len(got) != len(ref.durable) {
-		fail("rerun left %d durable files, want %d", len(got), len(ref.durable))
+	durableGot := durable(t, dir)
+	if len(durableGot) != len(ref.durable) {
+		fail("rerun left %d durable files, want %d", len(durableGot), len(ref.durable))
 	}
 	for path, body := range ref.durable {
-		if got[path] != body {
+		if durableGot[path] != body {
 			fail("rerun's %s differs from the uncrashed run's", path)
 		}
 	}
@@ -365,32 +360,40 @@ func checkCrashPoint(t *testing.T, j sweep.Job, drv driver, ref reference, cp cr
 	}
 }
 
-// TestOpenStoreRemovesCrashOrphans: a process killed between CreateTemp
-// and Rename leaves its temp file in <store>/ckpt, and nothing but the
-// next OpenStore — which holds the store's lock, so no live writer can
-// own the file — is placed to remove it.
+// TestOpenStoreRemovesCrashOrphans: under ckpt/ a store keeps slot
+// files and nothing else. What an older layout left there — a killed
+// writer's temp file, a generation named by its round, a fixed-name
+// pair — has no reader, and the next OpenStore, which holds the store's
+// lock so that no live writer can own a file, removes it, while the
+// slots a crash left stay for the rerun.
 func TestOpenStoreRemovesCrashOrphans(t *testing.T) {
 	j := crashJob(t)
 	for _, cp := range []crashPoint{
-		{round: 2, file: "ckpt", boundary: atomicfile.AllWritten},
-		{round: 2, file: "progress", boundary: atomicfile.HalfWritten},
+		{round: 3, file: "ckpt", boundary: atomicfile.AllWritten},
+		{round: 3, file: "progress", boundary: atomicfile.HalfWritten},
 	} {
 		t.Run(cp.file, func(t *testing.T) {
 			dir := t.TempDir()
-			defer crash(t, j, drivers[0], dir, cp)()
-			temps := func() []string {
-				names, err := filepath.Glob(filepath.Join(dir, "ckpt", ".*"))
-				if err != nil {
+			_, bury := crash(t, j, drivers[0], dir, cp)
+			defer bury()
+			slots := ckptNames(t, dir)
+			if len(slots) != 4 {
+				t.Fatalf("crash at %v left %v, want both slots' files", cp, slots)
+			}
+			orphans := []string{
+				"." + cp.file + "-123456",          // the temp file of a writer killed before its rename
+				j.ID + ".1." + cp.file,             // a generation of round 1
+				j.ID + "." + cp.file,               // the fixed-name layout before generations
+				j.ID + ".a." + cp.file + "-654321", // a temp file beside a slot's name
+			}
+			for _, name := range orphans {
+				if err := os.WriteFile(filepath.Join(dir, "ckpt", name), []byte("orphan"), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				return names
-			}
-			if len(temps()) != 1 {
-				t.Fatalf("crash at %v left temp files %v, want one orphan", cp, temps())
 			}
 			openStore(t, dir).Close()
-			if left := temps(); len(left) != 0 {
-				t.Fatalf("OpenStore kept the orphaned temp files %v", left)
+			if left := ckptNames(t, dir); fmt.Sprint(left) != fmt.Sprint(slots) {
+				t.Fatalf("OpenStore left %v, want the slots %v alone", left, slots)
 			}
 		})
 	}

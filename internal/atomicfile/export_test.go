@@ -4,18 +4,18 @@ package atomicfile
 
 type Boundary = boundary
 
-var Boundaries = []Boundary{tempCreated, halfWritten, allWritten, closed, renamed}
+// OverwriteBoundaries are Overwrite's, in order.
+var OverwriteBoundaries = []Boundary{beforeWrite, halfWritten, allWritten, cut}
 
 const (
-	TempCreated = tempCreated
+	BeforeWrite = beforeWrite
 	HalfWritten = halfWritten
 	AllWritten  = allWritten
-	Closed      = closed
-	Renamed     = renamed
+	Cut         = cut
 )
 
 func (b boundary) String() string {
-	return [...]string{"temp-created", "half-written", "all-written", "closed", "renamed"}[b]
+	return [...]string{"temp-created", "half-written", "all-written", "closed", "renamed", "before-write", "cut"}[b]
 }
 
 func SetCrashAt(f func(path string, b Boundary) bool) { crashAt = f }

@@ -30,7 +30,7 @@ type jobSink struct {
 // the same round of the job's scheme, with rounds still to run. Seeding
 // the cumulative ledger from a sidecar of any other round would corrupt
 // every later sum — so anything else is discarded (never wrong, only
-// slower: the Store falls back to the generation before, a lease to a
+// slower: the Store falls back to the other slot, a lease to a
 // rerun from scratch).
 func soundHandoff(j Job, ckptPath string, prior Progress) bool {
 	scheme, round, err := sim.PeekCheckpoint(ckptPath)

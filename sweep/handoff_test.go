@@ -99,12 +99,12 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 }
 
 // handoffCase is one state a killed execution (or a hostile disk) can
-// leave behind: a pair, in the store as the generation named gen. prog
-// nil means the sidecar is missing; resumeAt 0 means the handoff must
-// be rejected.
+// leave behind: a pair, saved in the store as the boundary after round.
+// prog nil means the sidecar is missing; resumeAt 0 means the handoff
+// must be rejected.
 type handoffCase struct {
 	name     string
-	gen      int
+	round    int
 	ckpt     []byte
 	prog     *sweep.Progress
 	resumeAt int
@@ -148,30 +148,47 @@ func exists(path string) bool {
 	return err == nil
 }
 
-// genFile is where a store rooted at dir keeps one file (ext "ckpt" or
-// "progress") of the job's generation at round.
-func genFile(dir string, j sweep.Job, round int, ext string) string {
-	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%d.%s", j.ID, round, ext))
+// slotFile is where a store rooted at dir keeps one file (ext "ckpt"
+// or "progress") of the job's slot ("a" or "b").
+func slotFile(dir string, j sweep.Job, slot, ext string) string {
+	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%s.%s", j.ID, slot, ext))
 }
 
-// plantGen writes a generation into a store's directory as a killed
-// execution would have left it, sound or not; a nil half is left out.
-func plantGen(t *testing.T, dir string, j sweep.Job, round int, ckpt []byte, prog *sweep.Progress) {
+// saved is one boundary as a sink is handed it.
+type saved struct {
+	prog sweep.Progress
+	ckpt []byte
+}
+
+// plantSlots saves each boundary in turn through a Store opened on dir,
+// leaving what an execution of j killed after saving them leaves: the
+// first in slot a, the second in slot b.
+func plantSlots(t *testing.T, dir string, j sweep.Job, boundaries ...saved) {
 	t.Helper()
-	if err := os.MkdirAll(filepath.Join(dir, "ckpt"), 0o755); err != nil {
+	store, err := sweep.OpenStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ckpt != nil {
-		if err := os.WriteFile(genFile(dir, j, round, "ckpt"), ckpt, 0o644); err != nil {
+	defer store.Close()
+	for _, b := range boundaries {
+		if err := store.SaveBoundary(j, b.prog, b.ckpt); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// plantSlot saves one boundary, as a killed execution would have left
+// it, sound or not, in slot a; a nil prog is a record lost after the
+// save, so the checkpoint stands alone.
+func plantSlot(t *testing.T, dir string, j sweep.Job, round int, ckpt []byte, prog *sweep.Progress) {
+	t.Helper()
+	b := saved{prog: sweep.Progress{Round: round}, ckpt: ckpt}
 	if prog != nil {
-		buf, err := json.Marshal(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(genFile(dir, j, round, "progress"), buf, 0o644); err != nil {
+		b.prog = *prog
+	}
+	plantSlots(t, dir, j, b)
+	if prog == nil {
+		if err := os.Remove(slotFile(dir, j, "a", "progress")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +236,7 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 	for _, tc := range fx.cases() {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			plantGen(t, dir, fx.job, tc.gen, tc.ckpt, tc.prog)
+			plantSlot(t, dir, fx.job, tc.round, tc.ckpt, tc.prog)
 			store, err := sweep.OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -274,7 +291,7 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 	t.Run("sibling cell's checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
 		prog := fx.prog[2]
-		plantGen(t, dir, fx.sibling, 2, fx.ckpt[2], &prog)
+		plantSlot(t, dir, fx.sibling, 2, fx.ckpt[2], &prog)
 		store, err := sweep.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -284,9 +301,10 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 		requireSiblingRefused(t, err)
 	})
 
-	// The last case again, the pair not planted but taken from a live
+	// The last case again, the slots not planted but taken from a live
 	// store at the instant its last round ends: the Scheduler must not
-	// have superseded the last pair a job can resume from.
+	// have superseded the last boundary a job can resume from. Rounds 1,
+	// 2 and 3 went to slots a, b and a.
 	t.Run("crash after the last round, as a live run leaves it", func(t *testing.T) {
 		live, crashed := t.TempDir(), t.TempDir()
 		runSweep(t, []sweep.Job{fx.job}, live, &sweep.Scheduler{Jobs: 1, CheckpointEvery: 1,
@@ -308,7 +326,10 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 				}
 			})}})
 		last := handoffRounds - 1
-		wantFiles := []string{filepath.Base(genFile(crashed, fx.job, last, "ckpt")), filepath.Base(genFile(crashed, fx.job, last, "progress"))}
+		var wantFiles []string
+		for _, slot := range []string{"a", "b"} {
+			wantFiles = append(wantFiles, filepath.Base(slotFile(crashed, fx.job, slot, "ckpt")), filepath.Base(slotFile(crashed, fx.job, slot, "progress")))
+		}
 		if got := ckptFiles(t, crashed); fmt.Sprint(got) != fmt.Sprint(wantFiles) {
 			t.Fatalf("after the last round ckpt/ held %v, want %v", got, wantFiles)
 		}

@@ -6,9 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,24 +26,31 @@ import (
 //	manifest.jsonl           one Entry per completed job, appended as jobs
 //	                         finish, rewritten into job order on Compact
 //	curves/<id>.csv          the job's training curve (trace long format)
-//	ckpt/<id>.<r>.ckpt       sim checkpoint of an in-flight job after
-//	                         round r (transient)
-//	ckpt/<id>.<r>.progress   sweep-side cumulative ledger at the same
-//	                         boundary (transient); its rename commits the
-//	                         pair
+//	ckpt/<id>.<s>.ckpt       slot s (a or b) of an in-flight job: the sim
+//	                         checkpoint of one of its boundaries
+//	                         (transient)
+//	ckpt/<id>.<s>.progress   the slot's record: the sweep-side cumulative
+//	                         ledger at that boundary, and the length and
+//	                         CRC-32C of the checkpoint it commits
+//	                         (transient)
 //
 // Everything durable is keyed by the job's content-hash ID, so a store
 // is shared safely by overlapping grids and across resumed runs.
 //
-// A boundary's pair is a generation, named by its round, and a
-// generation is written onto names nothing holds: the checkpoint, then
-// the sidecar, and only once the sidecar has landed is the generation
-// before it unlinked. No live transient file is ever overwritten — a
-// rename onto an existing name makes ext4 (auto_da_alloc) allocate and
-// write the new file back at once, 200 KB to the block device every
-// round for state deleted a round later, while a file renamed onto a
-// fresh name and unlinked soon after never leaves the page cache. A
-// sound pair is on disk at every instant from the first boundary on.
+// An in-flight job has two slots, and a boundary rewrites the one that
+// does not hold the newest committed boundary: its checkpoint at offset
+// 0, then its record, whose landing is the commit. The store opens a
+// slot's two files at its first write and holds them until the job is
+// recorded or dropped, or the store closes, so from a job's third
+// boundary on a boundary is two pwrites — no create, rename or unlink.
+// A file is cut only when what it holds shrinks, and never to zero: a
+// rename over a live name or a truncation to zero makes ext4
+// (auto_da_alloc) write the file back at once, 200 KB to the block
+// device every round for state dropped a few rounds later, while a file
+// rewritten in place stays in the page cache. A kill mid-boundary tears
+// only the spare slot, and a torn slot fails its checksums
+// (LoadBoundary), so the other slot's sound boundary is on disk at every
+// instant from the first boundary on.
 const (
 	manifestName = "manifest.jsonl"
 	curvesDir    = "curves"
@@ -56,13 +64,19 @@ const (
 	timingsName = "timings.jsonl"
 	// lockName is the store's advisory-lock file.
 	lockName = ".lock"
-	// ckptExt and progressExt end the two files of a generation;
-	// ckptTemp and progressTemp name the temp files they are written
-	// through (atomicfile.Write patterns).
-	ckptExt      = ".ckpt"
-	progressExt  = ".progress"
-	ckptTemp     = ".ckpt-*"
-	progressTemp = ".progress-*"
+)
+
+// A slot's files, as slotPair indexes them.
+const (
+	ckptFile = iota
+	progressFile
+)
+
+var (
+	slotExt = [2]string{".ckpt", ".progress"}
+	// slotTag names the two slots; no name of an older layout ends its
+	// stem in one.
+	slotTag = [2]string{".a", ".b"}
 )
 
 // Point is one stored curve evaluation (a metrics.Point with fixed JSON
@@ -100,10 +114,9 @@ type Entry struct {
 
 // Progress is the transient sidecar persisted next to a job's sim
 // checkpoint: the sweep-level accumulators the checkpoint itself does
-// not carry. Round must match the checkpoint's completed rounds and the
-// round the pair's generation is named by; a pair that does not is
-// discarded for the generation before it, or a rerun from scratch —
-// determinism is never at risk, only work.
+// not carry. Round must match the checkpoint's completed rounds; a
+// slot whose pair does not is discarded for the other slot, or a rerun
+// from scratch — determinism is never at risk, only work.
 // It is exported because the fleet coordinator ships it to workers as
 // part of a lease's checkpoint handoff.
 type Progress struct {
@@ -129,10 +142,52 @@ type Store struct {
 	f       *os.File           // manifest append handle
 	lock    *os.File           // flock handle on lockName
 
-	// genMu guards gen alone, apart from mu: a job's boundary must not
-	// wait behind another job's Record, which fsyncs under mu.
-	genMu sync.Mutex
-	gen   map[string]int // job ID -> round of its newest committed generation
+	// slotMu guards slots alone, apart from mu: a job's boundary must
+	// not wait behind another job's Record, which fsyncs under mu. A
+	// job's slotPair has one user at a time — its runner, or the fleet
+	// coordinator under its own lock — and no lock of its own.
+	slotMu sync.Mutex
+	slots  map[string]*slotPair // job ID -> its held slots; nil once closed
+}
+
+// slotPair is what an open store holds of one in-flight job: the files
+// of its two slots, each opened at its first write (or by LoadBoundary)
+// and held until the job's slots are dropped or the store closes, and
+// what each holds.
+type slotPair struct {
+	file   [2][2]*os.File // [slot][ckptFile or progressFile]; nil until opened
+	size   [2][2]int64    // bytes each file holds
+	crc    [2]uint32      // CRC-32C of each slot's checkpoint
+	newest int            // slot of the newest committed boundary; -1 for none
+}
+
+// spare is the slot a boundary writes: the one not holding the newest
+// committed boundary.
+func (p *slotPair) spare() int {
+	if p.newest == 0 {
+		return 1
+	}
+	return 0
+}
+
+// closeSlot closes the files the pair holds of slot k.
+func (p *slotPair) closeSlot(k int) {
+	for file, f := range p.file[k] {
+		if f != nil {
+			f.Close()
+			p.file[k][file] = nil
+		}
+	}
+}
+
+// close closes every file the pair holds; a nil pair holds none.
+func (p *slotPair) close() {
+	if p == nil {
+		return
+	}
+	for k := range p.file {
+		p.closeSlot(k)
+	}
 }
 
 // OpenStore opens (creating if needed) a sweep results directory and
@@ -152,17 +207,17 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, err
 	}
 	// Under the lock no live writer owns a file in ckpt/, and whatever is
-	// not a generation there has no reader: the temp file of a writer
-	// killed between CreateTemp and Rename, or a fixed-name <id>.ckpt /
-	// <id>.progress pair left by a binary from before generations — that
-	// job reruns from scratch, to the same bytes.
+	// not a slot file there has no reader: the files of an older layout
+	// (an <id>.<round>.ckpt generation, a fixed-name <id>.ckpt, the temp
+	// file of a writer killed before its rename) — that job reruns from
+	// scratch, to the same bytes.
 	entries, _ := os.ReadDir(filepath.Join(dir, ckptDir))
 	for _, e := range entries {
-		if _, _, ok := splitGen(e.Name()); !ok {
+		if !isSlotName(e.Name()) {
 			os.Remove(filepath.Join(dir, ckptDir, e.Name()))
 		}
 	}
-	s := &Store{dir: dir, entries: map[string]*Entry{}, timings: map[string]float64{}, gen: map[string]int{}, lock: lock}
+	s := &Store{dir: dir, entries: map[string]*Entry{}, timings: map[string]float64{}, slots: map[string]*slotPair{}, lock: lock}
 	path := filepath.Join(dir, manifestName)
 	if data, err := openManifest(dir); err == nil {
 		sc := bufio.NewScanner(data)
@@ -247,8 +302,16 @@ func StoreExists(dir string) bool {
 	return err == nil
 }
 
-// Close releases the manifest handle and the store lock.
+// Close releases the manifest handle, every held slot file and the
+// store lock. The slots stay on disk: they are the handoff a later
+// store resumes from.
 func (s *Store) Close() error {
+	s.slotMu.Lock()
+	for _, p := range s.slots {
+		p.close()
+	}
+	s.slots = nil
+	s.slotMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var err error
@@ -341,129 +404,214 @@ func (s *Store) Record(res JobResult) error {
 	return nil
 }
 
-// genName names one file of a job's generation at round.
-func genName(id string, round int, ext string) string {
-	return id + "." + strconv.Itoa(round) + ext
-}
-
-// splitGen is genName's inverse: ok=false for any name that is not a
-// generation file — a temp file, a fixed-name <id>.ckpt of the layout
-// before generations, a round not spelt the one way genName spells it.
-// A job's files are the names whose id equals the job's, whole, so no
-// job's listing can match another's.
-func splitGen(name string) (id string, round int, ok bool) {
-	ext := filepath.Ext(name)
-	if ext != ckptExt && ext != progressExt {
-		return "", 0, false
-	}
-	stem := strings.TrimSuffix(name, ext)
-	dot := strings.LastIndexByte(stem, '.')
-	if dot < 1 {
-		return "", 0, false
-	}
-	round, err := strconv.Atoi(stem[dot+1:])
-	if err != nil || round < 1 || name != genName(stem[:dot], round, ext) {
-		return "", 0, false
-	}
-	return stem[:dot], round, true
-}
-
-func (s *Store) genPath(id string, round int, ext string) string {
-	return filepath.Join(s.dir, ckptDir, genName(id, round, ext))
-}
-
-// generations lists the rounds the job has a file of under ckpt/,
-// newest first.
-func (s *Store) generations(id string) []int {
-	entries, _ := os.ReadDir(filepath.Join(s.dir, ckptDir))
-	var rounds []int
-	for _, e := range entries {
-		if gid, r, ok := splitGen(e.Name()); ok && gid == id {
-			rounds = append(rounds, r)
+// isSlotName reports whether name is a slot file of some job: the only
+// names a store keeps under ckpt/.
+func isSlotName(name string) bool {
+	for _, ext := range slotExt {
+		stem, ok := strings.CutSuffix(name, ext)
+		if !ok {
+			continue
+		}
+		for _, tag := range slotTag {
+			if id, ok := strings.CutSuffix(stem, tag); ok && id != "" {
+				return true
+			}
 		}
 	}
-	slices.Sort(rounds)
-	rounds = slices.Compact(rounds) // a whole generation is two files
-	slices.Reverse(rounds)
-	return rounds
+	return false
 }
 
-// removeGen unlinks one generation, the sidecar that commits it first.
-func (s *Store) removeGen(id string, round int) {
-	os.Remove(s.genPath(id, round, progressExt))
-	os.Remove(s.genPath(id, round, ckptExt))
+// slotPath names one file of one of a job's two slots.
+func (s *Store) slotPath(id string, slot, file int) string {
+	return filepath.Join(s.dir, ckptDir, id+slotTag[slot]+slotExt[file])
+}
+
+// slotRecord is a slot's progress file: the sidecar and the identity of
+// the checkpoint it commits.
+type slotRecord struct {
+	Progress
+	CkptBytes int64  `json:"ckpt_bytes"`
+	CkptCRC   uint32 `json:"ckpt_crc32c"`
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeRecord spells a record as its JSON, a newline, and the JSON's
+// own CRC-32C in eight hex digits and a newline. A record is rewritten
+// in place, so a crash can leave one torn; the trailing checksum is
+// what tells.
+func encodeRecord(r slotRecord) ([]byte, error) {
+	buf, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	return fmt.Appendf(buf, "\n%08x\n", crc32.Checksum(buf, castagnoli)), nil
+}
+
+// decodeRecord is encodeRecord's inverse. What follows a whole record —
+// the tail of a longer one it was written over, not yet cut — is not
+// read.
+func decodeRecord(buf []byte) (slotRecord, bool) {
+	var r slotRecord
+	body, rest, ok := bytes.Cut(buf, []byte{'\n'})
+	if !ok || len(rest) < 9 || rest[8] != '\n' {
+		return r, false
+	}
+	sum, err := strconv.ParseUint(string(rest[:8]), 16, 32)
+	if err != nil || uint32(sum) != crc32.Checksum(body, castagnoli) {
+		return r, false
+	}
+	return r, json.Unmarshal(body, &r) == nil
+}
+
+// pair returns the slots the store holds for a job, an empty pair for
+// a job it holds none of.
+func (s *Store) pair(id string) (*slotPair, error) {
+	s.slotMu.Lock()
+	defer s.slotMu.Unlock()
+	if s.slots == nil {
+		return nil, fmt.Errorf("sweep: store is closed")
+	}
+	p := s.slots[id]
+	if p == nil {
+		p = &slotPair{newest: -1}
+		s.slots[id] = p
+	}
+	return p, nil
+}
+
+// release forgets the job's held slots and closes their files.
+func (s *Store) release(id string) {
+	s.slotMu.Lock()
+	p := s.slots[id]
+	delete(s.slots, id)
+	s.slotMu.Unlock()
+	p.close()
+}
+
+// write rewrites one file of slot k to hold data, opening it at its
+// first use.
+func (s *Store) write(id string, p *slotPair, k, file int, data []byte) error {
+	f := p.file[k][file]
+	if f == nil {
+		var err error
+		if f, err = os.OpenFile(s.slotPath(id, k, file), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
+			return err
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return err
+		}
+		p.file[k][file], p.size[k][file] = f, fi.Size()
+	}
+	had := p.size[k][file]
+	// Until the write lands whole, the file may hold the longer of the two.
+	p.size[k][file] = max(had, int64(len(data)))
+	if err := atomicfile.Overwrite(f, had, data); err != nil {
+		return err
+	}
+	p.size[k][file] = int64(len(data))
+	return nil
 }
 
 // SaveBoundary persists the boundary after round p.Round of an
-// in-flight job as a new generation: the sim checkpoint, then — the
-// commit — the progress sidecar, each onto a name nothing holds, and
-// last the unlink of the generation it supersedes. A crash anywhere in
-// between leaves the newest committed pair whole for LoadBoundary.
+// in-flight job into its spare slot: the sim checkpoint, then — the
+// commit — the slot's record. A crash anywhere in between tears only
+// the spare slot and leaves the other's boundary whole for
+// LoadBoundary.
 func (s *Store) SaveBoundary(j Job, p Progress, ckpt []byte) error {
-	path := s.genPath(j.ID, p.Round, ckptExt)
-	if err := atomicfile.Write(path, ckptTemp, ckpt); err != nil {
-		return fmt.Errorf("sweep: writing checkpoint %s: %w", path, err)
+	pair, err := s.pair(j.ID)
+	if err != nil {
+		return err
 	}
+	k := pair.spare()
+	if err := s.write(j.ID, pair, k, ckptFile, ckpt); err != nil {
+		return fmt.Errorf("sweep: writing checkpoint %s: %w", s.slotPath(j.ID, k, ckptFile), err)
+	}
+	pair.crc[k] = crc32.Checksum(ckpt, castagnoli)
 	return s.SaveProgress(j, p)
 }
 
-// SaveProgress is the commit half of SaveBoundary: it atomically writes
-// the sidecar of generation p.Round, then unlinks the generation that
-// was the job's newest until now.
+// SaveProgress is the commit half of SaveBoundary: it writes the spare
+// slot's record — p, and the length and CRC of the checkpoint the slot
+// holds — and makes that slot the newest.
 func (s *Store) SaveProgress(j Job, p Progress) error {
-	buf, err := json.Marshal(p)
+	pair, err := s.pair(j.ID)
+	if err != nil {
+		return err
+	}
+	k := pair.spare()
+	rec, err := encodeRecord(slotRecord{Progress: p, CkptBytes: pair.size[k][ckptFile], CkptCRC: pair.crc[k]})
 	if err != nil {
 		return fmt.Errorf("sweep: encoding progress: %w", err)
 	}
-	path := s.genPath(j.ID, p.Round, progressExt)
-	if err := atomicfile.Write(path, progressTemp, buf); err != nil {
-		return fmt.Errorf("sweep: writing progress %s: %w", path, err)
+	if err := s.write(j.ID, pair, k, progressFile, rec); err != nil {
+		return fmt.Errorf("sweep: writing progress %s: %w", s.slotPath(j.ID, k, progressFile), err)
 	}
-	s.genMu.Lock()
-	prev := s.gen[j.ID]
-	s.gen[j.ID] = p.Round
-	s.genMu.Unlock()
-	if prev != 0 && prev != p.Round {
-		s.removeGen(j.ID, prev)
-	}
+	pair.newest = k
 	return nil
 }
 
 // LoadBoundary returns the handoff an earlier execution of the job left
-// behind: the newest generation whose sidecar names its own round and
-// forms a sound handoff with its checkpoint (see soundHandoff), as the
-// sidecar and the checkpoint's path. Every other file of the job — a
-// newer generation a crash tore, older ones it had no time to unlink,
-// an orphan checkpoint — is removed, so ok=false leaves the job nothing.
+// behind: of the job's two slots, the newer one whose record commits
+// the checkpoint beside it (its length and CRC match) and forms a sound
+// handoff with it (see soundHandoff), as the record's sidecar and the
+// checkpoint's path. It opens the job's four names and no others, holds
+// the chosen slot's files for the job's next boundaries, and removes
+// the other slot — torn by a crash, or just older — so ok=false leaves
+// the job nothing.
 func (s *Store) LoadBoundary(j Job) (p Progress, ckptPath string, ok bool) {
-	chosen := 0
-	for _, r := range s.generations(j.ID) {
-		if chosen == 0 {
-			q, err := s.readProgress(j.ID, r)
-			if err == nil && q.Round == r && soundHandoff(j, s.genPath(j.ID, r, ckptExt), q) {
-				p, chosen = q, r
-				continue
-			}
+	s.release(j.ID)
+	pair := &slotPair{newest: -1}
+	for k := range slotTag {
+		if q, sound := s.openSlot(j, pair, k); sound && (pair.newest < 0 || q.Round > p.Round) {
+			p, pair.newest = q, k
 		}
-		s.removeGen(j.ID, r)
 	}
-	s.genMu.Lock()
-	defer s.genMu.Unlock()
-	if chosen == 0 {
-		delete(s.gen, j.ID)
+	for k := range slotTag {
+		if k != pair.newest {
+			pair.closeSlot(k)
+			s.removeSlot(j.ID, k)
+		}
+	}
+	if pair.newest < 0 {
 		return Progress{}, "", false
 	}
-	s.gen[j.ID] = chosen
-	return p, s.genPath(j.ID, chosen, ckptExt), true
+	s.slotMu.Lock()
+	defer s.slotMu.Unlock()
+	if s.slots == nil {
+		pair.close()
+		return Progress{}, "", false
+	}
+	s.slots[j.ID] = pair
+	return p, s.slotPath(j.ID, pair.newest, ckptFile), true
 }
 
-func (s *Store) readProgress(id string, round int) (Progress, error) {
-	var p Progress
-	buf, err := os.ReadFile(s.genPath(id, round, progressExt))
-	if err == nil {
-		err = json.Unmarshal(buf, &p)
+// openSlot opens slot k's two files into pair and returns the slot's
+// sidecar, sound=true when the record is whole, commits the checkpoint
+// beside it, and forms a sound handoff with it.
+func (s *Store) openSlot(j Job, pair *slotPair, k int) (p Progress, sound bool) {
+	var body [2][]byte
+	for file := range slotExt {
+		f, err := os.OpenFile(s.slotPath(j.ID, k, file), os.O_RDWR, 0)
+		if err != nil {
+			return Progress{}, false
+		}
+		pair.file[k][file] = f
+		if body[file], err = io.ReadAll(f); err != nil {
+			return Progress{}, false
+		}
+		pair.size[k][file] = int64(len(body[file]))
 	}
-	return p, err
+	r, ok := decodeRecord(body[progressFile])
+	crc := crc32.Checksum(body[ckptFile], castagnoli)
+	if !ok || r.CkptBytes != int64(len(body[ckptFile])) || r.CkptCRC != crc ||
+		!soundHandoff(j, s.slotPath(j.ID, k, ckptFile), r.Progress) {
+		return Progress{}, false
+	}
+	pair.crc[k] = crc
+	return r.Progress, true
 }
 
 // sink is the Scheduler's jobSink for j: the store itself.
@@ -474,17 +622,22 @@ func (s *Store) sink(j Job) *jobSink {
 	}
 }
 
-// DropTransient removes every generation of the job (used when falling
-// back to a from-scratch run, and once its result is recorded).
+// DropTransient releases and removes both slots of the job (used when
+// falling back to a from-scratch run, and once its result is recorded).
 func (s *Store) DropTransient(j Job) { s.dropTransient(j.ID) }
 
 func (s *Store) dropTransient(id string) {
-	for _, r := range s.generations(id) {
-		s.removeGen(id, r)
+	s.release(id)
+	for k := range slotTag {
+		s.removeSlot(id, k)
 	}
-	s.genMu.Lock()
-	delete(s.gen, id)
-	s.genMu.Unlock()
+}
+
+// removeSlot unlinks both files of the job's slot k.
+func (s *Store) removeSlot(id string, k int) {
+	for file := range slotExt {
+		os.Remove(s.slotPath(id, k, file))
+	}
 }
 
 // timingEntry is one line of the transient timings sidecar.

@@ -1,6 +1,7 @@
 package sweep_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gsfl/env"
 	"gsfl/sweep"
 )
 
@@ -185,37 +187,85 @@ func TestSkippedJobsCarryHostSeconds(t *testing.T) {
 }
 
 // TestLoadBoundaryPicksNewestSoundGeneration: what a killed run leaves
-// under ckpt/ is a set of generations, and the pair load takes the
-// newest one the resume rule accepts and removes every other file of
-// the job — whatever made the newer ones unsound.
+// under ckpt/ is a job's two slots, and the load takes the newer one
+// whose record commits its checkpoint and which the resume rule
+// accepts, and removes every other file of the job — whatever made the
+// newer one unsound.
 func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 	fx := newHandoffFixture(t)
 	p := func(r int) *sweep.Progress { v := fx.prog[r]; return &v }
+	slotB := func(ext string) string { return slotFile("", fx.job, "b", ext) }
+	cut := func(ext string, keep func(n int) int) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			path := filepath.Join(dir, slotB(ext))
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, int64(keep(int(fi.Size())))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		ckpt []byte          // generation 3's checkpoint
-		prog *sweep.Progress // and its sidecar
+		name   string
+		newer  saved                          // the boundary saved into slot b
+		damage func(t *testing.T, dir string) // then done to slot b
 	}{
-		{"sidecar missing", fx.ckpt[3], nil},
-		{"checkpoint torn", fx.ckpt[3][:len(fx.ckpt[3])/2], p(3)},
-		{"scheme mismatch", fx.slCkpt[3], p(3)},
-		{"sidecar round is not the file name's", fx.ckpt[2], p(2)},
+		{"sidecar missing", saved{fx.prog[3], fx.ckpt[3]}, func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, slotB("progress"))); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"checkpoint torn", saved{fx.prog[3], fx.ckpt[3]}, cut("ckpt", func(n int) int { return n / 2 })},
+		{"CRC mismatch", saved{fx.prog[3], fx.ckpt[3]}, func(t *testing.T, dir string) {
+			f, err := os.OpenFile(filepath.Join(dir, slotB("ckpt")), os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			last := len(fx.ckpt[3]) - 1
+			if _, err := f.WriteAt([]byte{^fx.ckpt[3][last]}, int64(last)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"short record", saved{fx.prog[3], fx.ckpt[3]}, cut("progress", func(n int) int { return n - 3 })},
+		// A record that still parses, its sums no longer the ones written.
+		{"record torn", saved{fx.prog[3], fx.ckpt[3]}, func(t *testing.T, dir string) {
+			path := filepath.Join(dir, slotB("progress"))
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The last digit of total_seconds.
+			at := bytes.Index(buf, []byte(`,"ckpt_bytes"`)) - 1
+			if at < 0 || buf[at] < '0' || buf[at] > '9' {
+				t.Fatalf("record %q: no digit to change before ckpt_bytes", buf)
+			}
+			buf[at] = '0' + (buf[at]-'0'+1)%10
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"scheme mismatch", saved{fx.prog[3], fx.slCkpt[3]}, nil},
+		{"wrong round", saved{fx.prog[2], fx.ckpt[3]}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			plantGen(t, dir, fx.job, 1, fx.ckpt[1], p(1))
-			plantGen(t, dir, fx.job, 2, fx.ckpt[2], p(2))
-			plantGen(t, dir, fx.job, 3, tc.ckpt, tc.prog)
+			plantSlots(t, dir, fx.job, saved{fx.prog[2], fx.ckpt[2]}, tc.newer)
+			if tc.damage != nil {
+				tc.damage(t, dir)
+			}
 			store, err := sweep.OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer store.Close()
 			got, path, ok := store.LoadBoundary(fx.job)
-			if !ok || got.Round != 2 || path != genFile(dir, fx.job, 2, "ckpt") {
-				t.Fatalf("LoadBoundary = (round %d, %s, %v), want generation 2", got.Round, path, ok)
+			if !ok || got.Round != 2 || path != slotFile(dir, fx.job, "a", "ckpt") {
+				t.Fatalf("LoadBoundary = (round %d, %s, %v), want round 2 in slot a", got.Round, path, ok)
 			}
-			want := []string{filepath.Base(genFile(dir, fx.job, 2, "ckpt")), filepath.Base(genFile(dir, fx.job, 2, "progress"))}
+			want := []string{filepath.Base(slotFile(dir, fx.job, "a", "ckpt")), filepath.Base(slotFile(dir, fx.job, "a", "progress"))}
 			if left := ckptFiles(t, dir); fmt.Sprint(left) != fmt.Sprint(want) {
 				t.Fatalf("ckpt/ holds %v after the load, want %v", left, want)
 			}
@@ -224,7 +274,7 @@ func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 
 	t.Run("orphan checkpoint alone", func(t *testing.T) {
 		dir := t.TempDir()
-		plantGen(t, dir, fx.job, 2, fx.ckpt[2], nil)
+		plantSlot(t, dir, fx.job, 2, fx.ckpt[2], nil)
 		store, err := sweep.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -238,18 +288,23 @@ func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 		}
 	})
 
-	// A pair in the fixed-name layout of the binaries before generations
-	// is not read: OpenStore removes it and the job runs from round 1.
+	// A pair in a layout of older binaries — the fixed names before
+	// generations, a generation named by its round — is not read:
+	// OpenStore removes it and the job runs from round 1.
 	t.Run("parent-layout pair", func(t *testing.T) {
 		dir := t.TempDir()
-		plantGen(t, dir, fx.job, 2, nil, nil) // ckpt/ itself
+		if err := os.MkdirAll(filepath.Join(dir, "ckpt"), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		buf, err := json.Marshal(fx.prog[2])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, body := range map[string][]byte{fx.job.ID + ".ckpt": fx.ckpt[2], fx.job.ID + ".progress": buf} {
-			if err := os.WriteFile(filepath.Join(dir, "ckpt", name), body, 0o644); err != nil {
-				t.Fatal(err)
+		for _, stem := range []string{fx.job.ID, fx.job.ID + ".2"} {
+			for name, body := range map[string][]byte{stem + ".ckpt": fx.ckpt[2], stem + ".progress": buf} {
+				if err := os.WriteFile(filepath.Join(dir, "ckpt", name), body, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		store, err := sweep.OpenStore(dir)
@@ -278,38 +333,107 @@ func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 		}
 	})
 
-	// One job's listing is its own files: not another job's, and not a
-	// name that merely starts with its ID.
+	// One job's files are its own four names: not another job's, and not
+	// a name that merely starts with its ID.
 	t.Run("another job's files", func(t *testing.T) {
 		dir := t.TempDir()
 		other := fx.job
-		other.ID = fx.job.ID + ".1" // <id>.1.2.ckpt is this job's round 2, not fx.job's
+		other.ID = fx.job.ID + ".a" // <id>.a.a.ckpt is this job's slot a, not fx.job's
 		third := fx.job
 		third.ID = "z" + fx.job.ID[1:]
-		plantGen(t, dir, fx.job, 2, fx.ckpt[2], p(2))
-		plantGen(t, dir, other, 2, fx.ckpt[2], p(2))
-		plantGen(t, dir, third, 3, fx.ckpt[3], p(3))
+		plantSlot(t, dir, fx.job, 2, fx.ckpt[2], p(2))
+		plantSlot(t, dir, other, 2, fx.ckpt[2], p(2))
+		plantSlots(t, dir, third, saved{fx.prog[2], fx.ckpt[2]}, saved{fx.prog[3], fx.ckpt[3]})
 		store, err := sweep.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		foreign := []string{
-			filepath.Base(genFile(dir, other, 2, "ckpt")), filepath.Base(genFile(dir, other, 2, "progress")),
-			filepath.Base(genFile(dir, third, 3, "ckpt")), filepath.Base(genFile(dir, third, 3, "progress")),
+		var foreign []string
+		for _, name := range []string{
+			slotFile(dir, other, "a", "ckpt"), slotFile(dir, other, "a", "progress"),
+			slotFile(dir, third, "a", "ckpt"), slotFile(dir, third, "a", "progress"),
+			slotFile(dir, third, "b", "ckpt"), slotFile(dir, third, "b", "progress"),
+		} {
+			foreign = append(foreign, filepath.Base(name))
 		}
 		sort.Strings(foreign)
 		if got, _, ok := store.LoadBoundary(fx.job); !ok || got.Round != 2 {
-			t.Fatalf("LoadBoundary = (round %d, %v), want the job's own generation 2", got.Round, ok)
+			t.Fatalf("LoadBoundary = (round %d, %v), want the job's own round 2", got.Round, ok)
 		}
 		if left := ckptFiles(t, dir); len(left) != len(foreign)+2 {
-			t.Fatalf("ckpt/ holds %v after the load, want all six files", left)
+			t.Fatalf("ckpt/ holds %v after the load, want all eight files", left)
 		}
 		store.DropTransient(fx.job)
 		if left := ckptFiles(t, dir); fmt.Sprint(left) != fmt.Sprint(foreign) {
 			t.Fatalf("ckpt/ holds %v after the job's drop, want %v", left, foreign)
 		}
 	})
+}
+
+// TestStoreReleasesSlotHandles: a store holds an in-flight job's slot
+// files open from boundary to boundary, and gives every one back —
+// Record once the job is done, Close for a sweep cancelled mid-job,
+// whose slots stay on disk for the resume.
+func TestStoreReleasesSlotHandles(t *testing.T) {
+	openFDs := func() int {
+		t.Helper()
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(entries)
+	}
+	jobs := jobsOf(t, sweep.Grid{
+		Name: "fd", Base: env.TestSpec(), Rounds: 6, EvalEvery: 3,
+		Axes: sweep.Axes{Groups: []int{2}, Schemes: []string{"gsfl", "sl"}},
+	})
+	dir := t.TempDir()
+	// A store opened and closed once first, so that whatever the runtime
+	// keeps open after its first file (the poller) is in every count.
+	store, err := sweep.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	before := openFDs()
+	if store, err = sweep.OpenStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	opened := openFDs()
+	sched := &sweep.Scheduler{Jobs: 1, CheckpointEvery: 1}
+	if _, err := sched.Run(context.Background(), jobs[:1], store); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFDs(); n != opened {
+		t.Fatalf("%d descriptors open after the job was recorded, %d before it ran", n, opened)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	held := 0
+	sched.Observers = []sweep.Observer{sweep.ObserverFunc(func(e sweep.Event) {
+		if e.Kind == sweep.JobRound && e.Round == 3 {
+			held = openFDs() - opened
+			cancel()
+		}
+	})}
+	if _, err := sched.Run(ctx, jobs[1:], store); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v", err)
+	}
+	if held != 4 {
+		t.Fatalf("after three boundaries the store held %d descriptors, want both slots' four", held)
+	}
+	if left := ckptFiles(t, dir); len(left) != 4 {
+		t.Fatalf("the cancelled job left %v under ckpt/, want both slots", left)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFDs(); n != before {
+		t.Fatalf("%d descriptors open after Close, %d before the store was opened", n, before)
+	}
 }
 
 // BenchmarkStoreBoundary is one boundary of an in-flight job: a 200 KB
