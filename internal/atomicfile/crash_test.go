@@ -19,13 +19,13 @@ import (
 // The crash-point harness: one 7-round job checkpointing every round —
 // six saved boundaries, the last round's is never saved — killed at
 // every boundary of both in-place writes of each saved boundary (the
-// checkpoint into the spare slot, then the slot's record), through both
-// processes that write them: the Scheduler and the fleet coordinator
-// (fed by one worker over loopback), each one Store.SaveBoundary per
-// boundary. A killed process is a goroutine stopped inside the seam:
-// nothing after the boundary runs until the assertions are over — a
-// stopped coordinator holds its lock, so its worker just waits for an
-// ack.
+// checkpoint into the spare slot, then the slot's record) and between
+// the unlinks of the older slot, through both processes that write
+// them: the Scheduler and the fleet coordinator (fed by one worker over
+// loopback), each one Store.SaveBoundary per boundary. A killed process
+// is a goroutine stopped inside the seam: nothing after the boundary
+// runs until the assertions are over — a stopped coordinator holds its
+// lock, so its worker just waits for an ack.
 
 const (
 	crashRounds = 7
@@ -203,15 +203,60 @@ func uncrashed(t *testing.T, j sweep.Job, drv driver) reference {
 }
 
 // crashPoint is where a run dies: after boundary of the write of file
-// at the boundary after round.
+// at the boundary after round — or, file "unlink", after that
+// boundary's record landed whole and the other slot lost the files
+// unlinked names (see unlinks).
 type crashPoint struct {
 	round    int
 	file     string
 	boundary atomicfile.Boundary
+	unlinked string
 }
 
+// crashStates name what a kill after each of Overwrite's boundaries
+// leaves of the write, in the terms the suite has used since slot files
+// were written through a temp file and a rename: nothing landed
+// (temp-created), the first half, all of it, and all of it with the
+// file cut to its length, the write wholly in place (renamed).
+var crashStates = []struct {
+	name     string
+	boundary atomicfile.Boundary
+}{
+	{"temp-created", atomicfile.BeforeWrite},
+	{"half-written", atomicfile.HalfWritten},
+	{"all-written", atomicfile.AllWritten},
+	{"renamed", atomicfile.Cut},
+}
+
+// unlinks are the states a kill leaves while the store unlinks a slot
+// that is not the newest — LoadBoundary removing the older slot at a
+// resume, or Record and DropTransient removing both — beside a whole
+// newer slot. os.Remove has no seam, so the harness stops the run at
+// the newer boundary's commit and removes the older slot's files itself:
+// either one alone, so that no order of the two is assumed, and both.
+var (
+	unlinkStates = []string{"prev-sidecar-gone", "prev-checkpoint-gone", "prev-pair-gone"}
+	unlinks      = map[string][]string{
+		"prev-sidecar-gone":    {"progress"},
+		"prev-checkpoint-gone": {"ckpt"},
+		"prev-pair-gone":       {"progress", "ckpt"},
+	}
+)
+
 func (cp crashPoint) String() string {
+	if cp.file == "unlink" {
+		return fmt.Sprintf("(round %d, unlink, %s)", cp.round, cp.unlinked)
+	}
 	return fmt.Sprintf("(round %d, %s, %v)", cp.round, cp.file, cp.boundary)
+}
+
+// dyingWrite is the write a crash at cp stops in: for an unlink state,
+// the newer boundary's record, landed whole.
+func (cp crashPoint) dyingWrite() crashPoint {
+	if cp.file == "unlink" {
+		return crashPoint{round: cp.round, file: "progress", boundary: atomicfile.Cut}
+	}
+	return cp
 }
 
 // crash runs the job against a fresh store in dir until it dies at cp,
@@ -221,6 +266,7 @@ func (cp crashPoint) String() string {
 // once) and waits for it.
 func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (slot string, bury func()) {
 	t.Helper()
+	at := cp.dyingWrite()
 	var (
 		hit     = make(chan string)
 		release = make(chan struct{})
@@ -232,7 +278,7 @@ func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (sl
 		if f == "" {
 			return false
 		}
-		fire := count.round(f, b) == cp.round && f == cp.file && b == cp.boundary
+		fire := count.round(f, b) == at.round && f == at.file && b == at.boundary
 		if fire {
 			hit <- slot
 			<-release
@@ -256,6 +302,11 @@ func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (sl
 	}
 	atomicfile.SetCrashAt(nil)
 	store.Close()
+	for _, f := range unlinks[cp.unlinked] {
+		if err := os.Remove(slotPath(dir, j, otherSlot(slot), f)); err != nil {
+			t.Fatalf("crash point %v: the older slot is not whole at the commit: %v", cp, err)
+		}
+	}
 	return slot, bury
 }
 
@@ -265,12 +316,21 @@ func TestCrashPoints(t *testing.T) {
 		ref := uncrashed(t, j, drv)
 		for round := 1; round <= savedBoundaries; round++ {
 			for _, file := range []string{"ckpt", "progress"} {
-				for _, b := range atomicfile.OverwriteBoundaries {
-					cp := crashPoint{round: round, file: file, boundary: b}
-					t.Run(fmt.Sprintf("%s/round%d/%s/%v", drv.name, round, file, b), func(t *testing.T) {
+				for _, state := range crashStates {
+					cp := crashPoint{round: round, file: file, boundary: state.boundary}
+					t.Run(fmt.Sprintf("%s/round%d/%s/%s", drv.name, round, file, state.name), func(t *testing.T) {
 						checkCrashPoint(t, j, drv, ref, cp)
 					})
 				}
+			}
+			for _, state := range unlinkStates {
+				if round == 1 {
+					break // no slot is older than the first boundary's
+				}
+				cp := crashPoint{round: round, file: "unlink", unlinked: state}
+				t.Run(fmt.Sprintf("%s/round%d/unlink/%s", drv.name, round, state), func(t *testing.T) {
+					checkCrashPoint(t, j, drv, ref, cp)
+				})
 			}
 		}
 	}
@@ -288,25 +348,26 @@ func checkCrashPoint(t *testing.T, j sweep.Job, drv driver, ref reference, cp cr
 
 	// The dying write has landed as far as its boundary says: nothing,
 	// the first half, all of it, all of it and nothing after.
-	want := ref.writes[cp.file][cp.round]
+	at := cp.dyingWrite()
+	want := ref.writes[at.file][at.round]
 	landed := map[atomicfile.Boundary]int{
 		atomicfile.BeforeWrite: 0, atomicfile.HalfWritten: len(want) / 2,
 		atomicfile.AllWritten: len(want), atomicfile.Cut: len(want),
-	}[cp.boundary]
-	got, err := os.ReadFile(slotPath(dir, j, slot, cp.file))
+	}[at.boundary]
+	got, err := os.ReadFile(slotPath(dir, j, slot, at.file))
 	switch {
 	case err != nil:
 		fail("the slot being written is unreadable: %v", err)
 	case !strings.HasPrefix(string(got), want[:landed]):
-		fail("slot %s's %s does not begin with the %d bytes of round %d its write has landed", slot, cp.file, landed, cp.round)
-	case cp.boundary == atomicfile.Cut && string(got) != want:
-		fail("slot %s's %s is not round %d's once cut", slot, cp.file, cp.round)
+		fail("slot %s's %s does not begin with the %d bytes of round %d its write has landed", slot, at.file, landed, at.round)
+	case at.boundary == atomicfile.Cut && string(got) != want:
+		fail("slot %s's %s is not round %d's once cut", slot, at.file, at.round)
 	}
 
 	// A boundary is committed by its record landing whole and by nothing
 	// before it; until then the newest committed boundary is the one
 	// before, in the other slot.
-	committed := cp.file == "progress" && (cp.boundary == atomicfile.AllWritten || cp.boundary == atomicfile.Cut)
+	committed := at.file == "progress" && (at.boundary == atomicfile.AllWritten || at.boundary == atomicfile.Cut)
 	newest, newestSlot := cp.round-1, otherSlot(slot)
 	if committed {
 		newest, newestSlot = cp.round, slot

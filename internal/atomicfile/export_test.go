@@ -4,9 +4,6 @@ package atomicfile
 
 type Boundary = boundary
 
-// OverwriteBoundaries are Overwrite's, in order.
-var OverwriteBoundaries = []Boundary{beforeWrite, halfWritten, allWritten, cut}
-
 const (
 	BeforeWrite = beforeWrite
 	HalfWritten = halfWritten
