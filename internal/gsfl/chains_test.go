@@ -113,3 +113,73 @@ func TestRoundChainsEmptyAfterNoOpRound(t *testing.T) {
 		t.Fatalf("all-dropped round: latency %v, %d chains; want 0 and none", led.Total(), len(tr.RoundChains()))
 	}
 }
+
+// TestRoundChainsCarryTheChargedSeconds holds the seconds a round's
+// chains carry (what its trace draws) to what its ledgers priced, for
+// every registration, quantized or not, pipelined or not: folding each
+// chain's Charged per component, in charge order, and taking the
+// critical path must reproduce the round ledger's component totals bit
+// for bit, aggregation aside; the tail chain folds to its Aggregation.
+// Each client turn starts exactly one recorded turn.
+func TestRoundChainsCarryTheChargedSeconds(t *testing.T) {
+	fold := func(chain []simnet.Task) *simnet.Ledger {
+		var led simnet.Ledger
+		for _, task := range chain {
+			led.Add(task.Component, task.Charged)
+		}
+		return &led
+	}
+	ctx := context.Background()
+	for _, quant := range []bool{false, true} {
+		for _, pipelined := range []bool{false, true} {
+			spec := env.TestSpec()
+			spec.Hyper.QuantizeTransfers = quant
+			spec.Pipelined = pipelined
+			for _, scheme := range []string{"gsfl", "sl", "sfl", "fl"} {
+				world, err := env.Build(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts, err := spec.SchemeOptions()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := schemes.NewByName(scheme, world, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				round, err := st.Round(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := st.(*Trainer)
+				chains := tr.RoundChains()
+				folded := make([]*simnet.Ledger, len(chains))
+				turns := 0
+				for li, chain := range chains {
+					folded[li] = fold(chain)
+					turns += len(tr.turns[li])
+				}
+				path := simnet.MaxOf(folded)
+				for _, c := range simnet.Components() {
+					want := round.Get(c)
+					got := path.Get(c)
+					if c == simnet.Aggregation {
+						got = fold(tr.tail).Get(c)
+					}
+					if got != want {
+						t.Errorf("%s quant=%v pipelined=%v: %v folds to %v, ledger has %v",
+							scheme, quant, pipelined, c, got, want)
+					}
+				}
+				if tr.plan.chain && len(tr.tail) != 0 {
+					t.Errorf("%s: a chain prices no aggregation, tail has %d tasks", scheme, len(tr.tail))
+				}
+				if turns != spec.Clients {
+					t.Errorf("%s quant=%v pipelined=%v: %d turns recorded for %d clients",
+						scheme, quant, pipelined, turns, spec.Clients)
+				}
+			}
+		}
+	}
+}

@@ -48,6 +48,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"gsfl/internal/agg"
 	"gsfl/internal/data"
@@ -149,8 +150,12 @@ type Trainer struct {
 	batchSizes [][]int
 	live       []int
 	// chains[li] is every task live group li's ledger charged this
-	// round, in order (RoundChains); the buffers are reused.
+	// round, in order (RoundChains), and turns[li] the index in it of
+	// each client turn's first task; tail is what the round's ledger
+	// charged after the join (aggregation). The buffers are reused.
 	chains [][]simnet.Task
+	turns  [][]int
+	tail   []simnet.Task
 
 	// binds is the round's population bindings, binds[slot] the member
 	// mounted on that slot; popCaps is the reusable capacity scratch for
@@ -403,10 +408,6 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	// RNG, so it runs serially after the join, in (position, group)
 	// order — the exact draw sequence of the paper's schedule, where the
 	// groups training their p-th client share the spectrum.
-	//
-	// Tracing (nil when disabled): one lane per live group on the
-	// virtual clock, phase spans straight from the ledger adds.
-	rt := env.BeginRoundTrace(t.plan.scheme, t.round)
 
 	// --- Step 1, priced: model distribution ----------------------------
 	// The first available client of each group downloads the client-side
@@ -422,10 +423,11 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	leds := make([]*simnet.Ledger, len(live))
 	firstClients := make([]int, len(live))
 	t.chains = slices.Grow(t.chains, len(live))[:len(live)]
+	t.turns = slices.Grow(t.turns, len(live))[:len(live)]
 	for li, g := range live {
 		leds[li] = &simnet.Ledger{}
 		leds[li].Record(&t.chains[li])
-		rt.Lane("group", g, leds[li])
+		t.turns[li] = t.turns[li][:0]
 		firstClients[li] = groups[g][0]
 	}
 	var distAlloc []float64
@@ -468,7 +470,7 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 			if pos == 0 && t.plan.distributionInTurn {
 				distribute(li) // every live group is active at position 0
 			}
-			rt.BeginSlot(led, "client", ci)
+			t.turns[li] = append(t.turns[li], len(t.chains[li]))
 			if t.cfg.Pipelined {
 				if err := schemes.TurnLatency(env, rep, ci, env.Hyper.Batch, steps,
 					upAlloc[ai], downAlloc[ai], led); err != nil {
@@ -495,38 +497,45 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 				schemes.Charge(env, simnet.Task{Kind: simnet.TaskUplink, Bytes: rep.ClientParamBytes(),
 					Client: ci, Component: giveBack}, upAlloc[ai], 0, led)
 			}
-			rt.EndSlot(led)
 		}
 	}
 
 	// --- Step 3: aggregation among groups ------------------------------
 	round := simnet.MaxOf(leds)
+	joined := round.Total()
 	if t.plan.chain {
 		// Nothing to average and nothing to price: the trained model is
 		// the global model.
 		t.globalClient.CaptureFrom(t.replicas[live[0]].Client)
 		t.globalServer.CaptureFrom(t.replicas[live[0]].Server)
-		rt.End(round)
-		return round, nil
+	} else {
+		t.aggClient = t.aggClient[:0]
+		t.aggServer = t.aggServer[:0]
+		t.aggW = t.aggW[:0]
+		for _, g := range live {
+			t.aggClient = append(t.aggClient, t.capClient[g])
+			t.aggServer = append(t.aggServer, t.capServer[g])
+			t.aggW = append(t.aggW, weights[g])
+		}
+		agg.FedAvgInto(&t.globalClient, t.aggClient, t.aggW)
+		agg.FedAvgInto(&t.globalServer, t.aggServer, t.aggW)
+		// Aggregation prices onto the critical-path ledger after the
+		// groups join, where the slowest group finished.
+		round.Record(&t.tail)
+		schemes.AggregationLatency(t.env, len(live),
+			t.globalClient.ParamCount()+t.globalServer.ParamCount(), round)
 	}
-	// Aggregation prices onto the critical-path ledger after the groups
-	// join; its spans belong on the AP's lane, starting where the
-	// slowest group finished.
-	rt.TailLane("ap", -1, round)
 
-	t.aggClient = t.aggClient[:0]
-	t.aggServer = t.aggServer[:0]
-	t.aggW = t.aggW[:0]
-	for _, g := range live {
-		t.aggClient = append(t.aggClient, t.capClient[g])
-		t.aggServer = append(t.aggServer, t.capServer[g])
-		t.aggW = append(t.aggW, weights[g])
+	if env.Trace != nil {
+		lanes := make([]schemes.TraceLane, len(live), len(live)+1)
+		for li, g := range live {
+			lanes[li] = schemes.TraceLane{Name: "group " + strconv.Itoa(g), Chain: t.chains[li], Turns: t.turns[li]}
+		}
+		if !t.plan.chain {
+			lanes = append(lanes, schemes.TraceLane{Name: "ap", At: joined, Chain: t.tail})
+		}
+		env.TraceRound(t.plan.scheme, t.round, lanes, round)
 	}
-	agg.FedAvgInto(&t.globalClient, t.aggClient, t.aggW)
-	agg.FedAvgInto(&t.globalServer, t.aggServer, t.aggW)
-	schemes.AggregationLatency(t.env, len(live),
-		t.globalClient.ParamCount()+t.globalServer.ParamCount(), round)
-	rt.End(round)
 	return round, nil
 }
 

@@ -42,6 +42,8 @@ type Trainer struct {
 
 	// round counts completed rounds (trace labels only).
 	round int
+	// chain is every task the last round charged (reused).
+	chain []simnet.Task
 }
 
 // New validates the environment and assembles a CL trainer. The pooled
@@ -87,9 +89,8 @@ func (t *Trainer) Name() string { return "cl" }
 // data, all on the edge server. Cancellation is honoured between steps.
 func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	t.round++
-	rt := t.env.BeginRoundTrace("cl", t.round)
 	led := &simnet.Ledger{}
-	rt.Lane("server", -1, led) // everything runs on the edge server
+	led.Record(&t.chain)
 	server := t.env.Fleet.Server
 	perSample := 3 * t.m.ServerFwdFLOPs() // cut 0: whole model is server-side
 	for s := 0; s < t.stepsPerRound; s++ {
@@ -98,9 +99,13 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		}
 		t.loader.NextInto(&t.ws.Batch)
 		t.ws.LocalStep(t.m.Server, t.opt, t.ws.Batch)
-		led.Add(simnet.ServerCompute, server.ComputeSeconds(perSample*int64(len(t.ws.Batch.Y))))
+		schemes.Charge(t.env, simnet.Task{Kind: simnet.TaskCompute, Component: simnet.ServerCompute,
+			Seconds: server.ComputeSeconds(perSample * int64(len(t.ws.Batch.Y)))}, 0, 0, led)
 	}
-	rt.End(led)
+	if t.env.Trace != nil {
+		// Everything runs on the edge server.
+		t.env.TraceRound("cl", t.round, []schemes.TraceLane{{Name: "server", Chain: t.chain}}, led)
+	}
 	return led, nil
 }
 

@@ -1,6 +1,7 @@
 package cl
 
 import (
+	"context"
 	"testing"
 
 	"gsfl/internal/schemes/schemestest"
@@ -68,5 +69,28 @@ func TestCLInvalidEnv(t *testing.T) {
 	env.Hyper.Batch = 0
 	if _, err := New(env); err == nil {
 		t.Fatal("expected error for invalid env")
+	}
+}
+
+// TestRoundChainCarriesTheChargedSeconds: folding the round's chain's
+// Charged seconds per component, in charge order, reproduces its ledger
+// bit for bit — the chain is what the trace draws.
+func TestRoundChainCarriesTheChargedSeconds(t *testing.T) {
+	tr := newTrainer(t, 3, 6)
+	led, err := tr.Round(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.chain) != tr.stepsPerRound {
+		t.Fatalf("chain has %d tasks for %d steps", len(tr.chain), tr.stepsPerRound)
+	}
+	var folded simnet.Ledger
+	for _, task := range tr.chain {
+		folded.Add(task.Component, task.Charged)
+	}
+	for _, c := range simnet.Components() {
+		if got, want := folded.Get(c), led.Get(c); got != want {
+			t.Errorf("%v folds to %v, ledger has %v", c, got, want)
+		}
 	}
 }

@@ -462,5 +462,6 @@ func RelayLatency(e *Env, m *model.SplitModel, from, to int, upHz, downHz float6
 // model on the edge server.
 func AggregationLatency(e *Env, nModels, paramCount int, led *simnet.Ledger) {
 	flops := int64(2) * int64(nModels) * int64(paramCount)
-	led.Add(simnet.Aggregation, e.Fleet.Server.ComputeSeconds(flops))
+	Charge(e, simnet.Task{Kind: simnet.TaskCompute, Seconds: e.Fleet.Server.ComputeSeconds(flops),
+		Component: simnet.Aggregation}, 0, 0, led)
 }

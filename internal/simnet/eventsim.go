@@ -46,6 +46,9 @@ type Task struct {
 	Client int
 	// Component attributes the task's elapsed time in the ledger.
 	Component Component
+	// Charged is the analytic seconds Ledger.Charge priced the task at
+	// (RunChains ignores it).
+	Charged float64
 }
 
 // RateFunc returns the achievable rate in bits/s for a client granted

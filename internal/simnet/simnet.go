@@ -64,10 +64,6 @@ func Components() []Component {
 // empty ledger ready to use.
 type Ledger struct {
 	seconds [numComponents]float64
-	// onAdd, when set, observes every Add in order — the execution
-	// tracer's tap into the latency model. It never affects the totals;
-	// the disabled state is a single nil check on the pricing path.
-	onAdd func(Component, float64)
 	// chain, when set, receives every charged task in order (Record).
 	chain *[]Task
 }
@@ -82,16 +78,15 @@ func (l *Ledger) Add(c Component, dt float64) {
 		panic(fmt.Sprintf("simnet: unknown component %d", int(c)))
 	}
 	l.seconds[c] += dt
-	if l.onAdd != nil {
-		l.onAdd(c, dt)
-	}
 }
 
 // Charge records dt, the priced seconds of task, against its component
-// (as Add) and appends task to the chain installed by Record.
+// (as Add) and appends task, with Charged set to dt, to the chain
+// installed by Record.
 func (l *Ledger) Charge(task Task, dt float64) {
 	l.Add(task.Component, dt)
 	if l.chain != nil {
+		task.Charged = dt
 		*l.chain = append(*l.chain, task)
 	}
 }
@@ -100,13 +95,6 @@ func (l *Ledger) Charge(task Task, dt float64) {
 // Charge; the caller owns the slice, so its buffer outlives the ledger.
 func (l *Ledger) Record(chain *[]Task) {
 	*chain, l.chain = (*chain)[:0], chain
-}
-
-// Observe installs fn as the ledger's Add observer (nil detaches). The
-// observer sees each (component, dt) in pricing order; it must not
-// mutate the ledger.
-func (l *Ledger) Observe(fn func(Component, float64)) {
-	l.onAdd = fn
 }
 
 // Get returns the accumulated seconds for component c.
@@ -136,9 +124,8 @@ func (l *Ledger) Merge(other *Ledger) {
 // MaxOf returns a ledger representing parallel composition: the ledger
 // among ls with the largest total (the critical path). Component detail
 // of the chosen ledger is preserved so breakdowns stay meaningful; its
-// Add observer and chain are NOT inherited (the copy starts a new lane
-// in time, so the winner's per-lane taps would misattribute later adds).
-// It panics on an empty slice.
+// chain is NOT inherited (the copy continues past the join, so later
+// charges belong to no group's chain). It panics on an empty slice.
 func MaxOf(ls []*Ledger) *Ledger {
 	if len(ls) == 0 {
 		panic("simnet: MaxOf of zero ledgers")
@@ -150,6 +137,6 @@ func MaxOf(ls []*Ledger) *Ledger {
 		}
 	}
 	cp := *best
-	cp.onAdd, cp.chain = nil, nil
+	cp.chain = nil
 	return &cp
 }

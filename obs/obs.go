@@ -7,7 +7,7 @@
 //
 //   - The virtual clock prices spans in latency-model seconds — the
 //     simulator's currency. Each Track keeps a cursor in virtual
-//     seconds; Span/Begin/End advance it as the latency ledgers accrue.
+//     seconds; Span/Begin/End advance it as a priced round is drawn.
 //   - The wall clock prices spans in host time via BeginWall/End, used
 //     by the TCP deployment (internal/transport) and the sweep
 //     scheduler, where real elapsed time is the quantity of interest.
