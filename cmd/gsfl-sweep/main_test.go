@@ -312,7 +312,7 @@ func TestHostileHardwareIsAnError(t *testing.T) {
 			}
 			j, err := sweep.UnmarshalJobWire(wire)
 			if err == nil {
-				_, err = sweep.RunLeased(context.Background(), j, t.TempDir(), 0, nil, sweep.LeaseCallbacks{})
+				_, err = sweep.RunLeased(context.Background(), j, 0, nil, sweep.LeaseCallbacks{})
 			}
 			names("UnmarshalJobWire+RunLeased", err)
 		})

@@ -448,21 +448,19 @@ func (c *Coordinator) grantLease(conn net.Conn, tk *obs.Track, worker string, co
 	// Checkpoint handoff: attach the previous holder's uploaded state
 	// when the store vouches for it (LoadBoundary applies the one
 	// resume-soundness rule; the worker's sink applies it again to the
-	// bytes that arrive).
+	// bytes that arrive), as the bytes LoadBoundary read. One that
+	// cannot be shipped is dropped, and the job reruns from scratch.
 	j := st.job
 	var progJSON, ckpt []byte
 	handoffRound := 0
 	if c.cfg.CheckpointEvery > 0 {
-		if prior, path, ok := c.store.LoadBoundary(j); ok {
-			if data, err := os.ReadFile(path); err == nil {
-				if buf, err := json.Marshal(prior); err == nil {
-					progJSON, ckpt = buf, data
-					handoffRound = prior.Round
-				}
+		if h, ok := c.store.LoadBoundary(j); ok {
+			if buf, err := json.Marshal(h.Progress); err == nil {
+				progJSON, ckpt = buf, h.Ckpt
+				handoffRound = h.Progress.Round
+			} else {
+				c.store.DropTransient(j)
 			}
-		}
-		if ckpt == nil {
-			c.store.DropTransient(j)
 		}
 	}
 

@@ -25,7 +25,9 @@
 //     checkpoints let the next worker resume mid-job bit-identically
 //     (the same resume-soundness rule as the Scheduler: checkpoint and
 //     progress sidecar must agree, else the pair before them is taken,
-//     or the job reruns from scratch — never wrong, only slower). A
+//     or the job reruns from scratch — never wrong, only slower). The
+//     grant carries the checkpoint bytes the store read from its slot,
+//     and the worker decodes them in memory: a worker writes no file. A
 //     message counts only while the connection it arrives on holds the
 //     lease it names. That fence is sufficient because a connection is
 //     strictly request/response and a worker quiesces its heartbeat

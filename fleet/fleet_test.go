@@ -498,10 +498,10 @@ func TestFleetCloseWithSilentPeer(t *testing.T) {
 }
 
 // TestFleetWorkerWritesNothingPerRound: a lease checkpoints into the
-// wire, not into the worker's scratch directory. Listed while the worker
-// blocks on each upload's ack, the directory holds nothing for a job
-// leased fresh and only the staged handoff for one that resumed — whose
-// Runner, left alone, would rewrite the file it resumed from.
+// wire and resumes from the bytes it arrived with, never from a file.
+// Listed while the worker blocks on each upload's ack, the (deprecated,
+// ignored) scratch directory holds nothing, for a job leased fresh and
+// for one that resumed alike.
 func TestFleetWorkerWritesNothingPerRound(t *testing.T) {
 	jobs := jobsOf(t, testGrid())
 	store, err := sweep.OpenStore(t.TempDir())
@@ -513,7 +513,7 @@ func TestFleetWorkerWritesNothingPerRound(t *testing.T) {
 	// What a worker that died after its first upload leaves behind.
 	resumed := jobs[0]
 	errStop := errors.New("stop after the first checkpoint")
-	_, err = sweep.RunLeased(context.Background(), resumed, t.TempDir(), 1, nil, sweep.LeaseCallbacks{
+	_, err = sweep.RunLeased(context.Background(), resumed, 1, nil, sweep.LeaseCallbacks{
 		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
 			if err := store.SaveBoundary(resumed, p, ckpt); err != nil {
 				return err
@@ -547,13 +547,9 @@ func TestFleetWorkerWritesNothingPerRound(t *testing.T) {
 			for _, ent := range entries {
 				names = append(names, ent.Name())
 			}
-			var want []string
-			if handoff[e.Job.ID] {
-				want = []string{e.Job.ID + ".ckpt"}
-			}
-			if fmt.Sprint(names) != fmt.Sprint(want) {
-				t.Errorf("scratch holds %v at round %d of %s (handoff %v), want %v",
-					names, e.Round, e.Job.Name, handoff[e.Job.ID], want)
+			if len(names) != 0 {
+				t.Errorf("scratch holds %v at round %d of %s (handoff %v), want nothing",
+					names, e.Round, e.Job.Name, handoff[e.Job.ID])
 			}
 		}
 	})
@@ -723,7 +719,7 @@ func TestFleetWorkerStopsOnUnusableWelcome(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	err = fleet.RunWorker(ctx, fleet.WorkerConfig{Addr: ln.Addr().String(), Name: "w", ScratchDir: t.TempDir()})
+	err = fleet.RunWorker(ctx, fleet.WorkerConfig{Addr: ln.Addr().String(), Name: "w"})
 	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "lease 0ms") {
 		t.Fatalf("RunWorker returned %v (context: %v), want the welcome's decode error", err, ctx.Err())
 	}
@@ -845,7 +841,7 @@ func awaitEvent(t *testing.T, events <-chan stampedEvent, kind fleet.EventKind, 
 // would send.
 func resultOf(t *testing.T, j sweep.Job) transport.FleetResult {
 	t.Helper()
-	res, err := sweep.RunLeased(context.Background(), j, t.TempDir(), 0, nil, sweep.LeaseCallbacks{})
+	res, err := sweep.RunLeased(context.Background(), j, 0, nil, sweep.LeaseCallbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -875,7 +871,7 @@ func sendResult(t *testing.T, fc *transport.FleetConn, msg transport.FleetResult
 // RunWorker error arrives on the returned channel.
 func startWorker(t *testing.T, ctx context.Context, c *fleet.Coordinator, name string) <-chan error {
 	done := make(chan error, 1)
-	cfg := fleet.WorkerConfig{Addr: c.Addr().String(), Name: name, ScratchDir: t.TempDir()}
+	cfg := fleet.WorkerConfig{Addr: c.Addr().String(), Name: name}
 	go func() { done <- fleet.RunWorker(ctx, cfg) }()
 	return done
 }
@@ -1136,7 +1132,7 @@ func TestFleetWriteDeadlineReleasesLease(t *testing.T) {
 	// Round 1's boundary in the store, as an earlier holder's upload
 	// left it.
 	var ckptBytes int
-	if _, err := sweep.RunLeased(context.Background(), job, t.TempDir(), 1, nil, sweep.LeaseCallbacks{
+	if _, err := sweep.RunLeased(context.Background(), job, 1, nil, sweep.LeaseCallbacks{
 		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
 			ckptBytes = len(ckpt)
 			return store.SaveBoundary(job, p, ckpt)

@@ -23,10 +23,11 @@ type WorkerConfig struct {
 	// label events, metrics lanes, and logs; the coordinator fences
 	// leases by connection, not by name.
 	Name string
-	// ScratchDir stages the checkpoint a resumed lease arrived with, for
-	// the length of that job (default: a fresh temp directory, removed on
-	// exit). Nothing is written there per round: a lease's checkpoints go
-	// into the wire.
+	// ScratchDir is not read: a worker writes no file. A resumed lease
+	// decodes the checkpoint it arrived with in memory, and its
+	// checkpoints go into the wire.
+	//
+	// Deprecated: ignored.
 	ScratchDir string
 	// Logf, when non-nil, receives one line per lifecycle step.
 	Logf func(format string, args ...any)
@@ -66,15 +67,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	scratch := cfg.ScratchDir
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "gsfl-fleet-*")
-		if err != nil {
-			return fmt.Errorf("fleet: creating scratch dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		scratch = dir
-	}
 
 	fails := 0
 	for {
@@ -97,7 +89,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			continue
 		}
 		fails = 0
-		err = workerSession(ctx, conn, cfg, scratch, logf)
+		err = workerSession(ctx, conn, cfg, logf)
 		conn.Close()
 		switch {
 		case errors.Is(err, errDrain):
@@ -149,7 +141,7 @@ func (w *workerConn) roundTripAck(write func(fc *transport.FleetConn) error) (tr
 // workerSession runs one connection: handshake, then the lease loop.
 // Cancelling ctx closes the connection, which also ends a lease request
 // parked at the coordinator.
-func workerSession(ctx context.Context, conn net.Conn, cfg WorkerConfig, scratch string, logf func(string, ...any)) error {
+func workerSession(ctx context.Context, conn net.Conn, cfg WorkerConfig, logf func(string, ...any)) error {
 	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	wc := &workerConn{fc: transport.NewFleetConn(conn, transport.DefaultMaxFrameBytes)}
 	if err := wc.fc.WriteHello(transport.FleetHello{Worker: cfg.Name, PID: uint64(os.Getpid())}); err != nil {
@@ -195,7 +187,7 @@ func workerSession(ctx context.Context, conn net.Conn, cfg WorkerConfig, scratch
 		case transport.LeaseDrain:
 			return errDrain
 		case transport.LeaseGrant:
-			if err := runLeasedJob(ctx, wc, welcome, lease, scratch, logf); err != nil {
+			if err := runLeasedJob(ctx, wc, welcome, lease, logf); err != nil {
 				return err
 			}
 		default:
@@ -208,7 +200,7 @@ func workerSession(ctx context.Context, conn net.Conn, cfg WorkerConfig, scratch
 // errors propagate (the session reconnects); a lost lease or a
 // coordinator-reported rejection returns nil — the worker just moves
 // on to its next lease request.
-func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWelcome, lease transport.FleetLease, scratch string, logf func(string, ...any)) error {
+func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWelcome, lease transport.FleetLease, logf func(string, ...any)) error {
 	j, err := sweep.UnmarshalJobWire(lease.Job)
 	if err != nil {
 		// A job that fails integrity checks must not execute; report it
@@ -216,11 +208,11 @@ func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWe
 		logf("rejecting job %s: %v", lease.JobID, err)
 		return sendResult(wc, transport.FleetResult{JobID: lease.JobID, Failed: true, Body: []byte(err.Error())})
 	}
-	var handoff *sweep.LeaseCheckpoint
+	var handoff *sweep.Handoff
 	if len(lease.Ckpt) > 0 {
 		var p sweep.Progress
 		if json.Unmarshal(lease.Progress, &p) == nil {
-			handoff = &sweep.LeaseCheckpoint{Progress: p, Ckpt: lease.Ckpt}
+			handoff = &sweep.Handoff{Progress: p, Ckpt: lease.Ckpt}
 		}
 	}
 
@@ -266,7 +258,7 @@ func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWe
 		logf("leased %s", j.Name)
 	}
 	start := time.Now()
-	res, runErr := sweep.RunLeased(jctx, j, scratch, welcome.CheckpointEvery, handoff, sweep.LeaseCallbacks{
+	res, runErr := sweep.RunLeased(jctx, j, welcome.CheckpointEvery, handoff, sweep.LeaseCallbacks{
 		OnRound: func(r, rounds int, hostSeconds float64) { round.Store(int64(r)) },
 		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
 			buf, err := json.Marshal(p)

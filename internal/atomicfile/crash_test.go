@@ -71,7 +71,7 @@ var drivers = []driver{
 		}
 		defer c.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cfg := fleet.WorkerConfig{Addr: c.Addr().String(), ScratchDir: t.TempDir()}
+		cfg := fleet.WorkerConfig{Addr: c.Addr().String()}
 		worker := make(chan error, 1)
 		go func() { worker <- fleet.RunWorker(ctx, cfg) }()
 		_, err = c.Wait(ctx)
@@ -426,7 +426,9 @@ func checkCrashPoint(t *testing.T, j sweep.Job, drv driver, ref reference, cp cr
 // writer's temp file, a generation named by its round, a fixed-name
 // pair — has no reader, and the next OpenStore, which holds the store's
 // lock so that no live writer can own a file, removes it, while the
-// slots a crash left stay for the rerun.
+// slots a crash left stay for the rerun. So is the temp file of a
+// Compact killed before its rename, beside the whole manifest it was to
+// replace: OpenStore removes it and loads every entry of that manifest.
 func TestOpenStoreRemovesCrashOrphans(t *testing.T) {
 	j := crashJob(t)
 	for _, cp := range []crashPoint{
@@ -455,6 +457,39 @@ func TestOpenStoreRemovesCrashOrphans(t *testing.T) {
 			openStore(t, dir).Close()
 			if left := ckptNames(t, dir); fmt.Sprint(left) != fmt.Sprint(slots) {
 				t.Fatalf("OpenStore left %v, want the slots %v alone", left, slots)
+			}
+		})
+	}
+
+	for _, b := range []atomicfile.Boundary{atomicfile.HalfWritten, atomicfile.AllWritten} {
+		t.Run("manifest "+b.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			store := openStore(t, dir)
+			if err := drivers[0].run(t, j, store); err != nil {
+				t.Fatal(err)
+			}
+			want := durable(t, dir)
+			manifest := filepath.Join(dir, "manifest.jsonl")
+			atomicfile.SetCrashAt(func(path string, at atomicfile.Boundary) bool { return path == manifest && at == b })
+			err := store.Compact([]sweep.Job{j})
+			atomicfile.SetCrashAt(nil)
+			store.Close()
+			if err == nil {
+				t.Fatal("Compact outlived its crash")
+			}
+			if temps, _ := filepath.Glob(filepath.Join(dir, ".manifest-*")); len(temps) != 1 {
+				t.Fatalf("a Compact killed %v left %v, want its one temp file", b, temps)
+			}
+			store = openStore(t, dir)
+			defer store.Close()
+			if temps, _ := filepath.Glob(filepath.Join(dir, ".manifest-*")); len(temps) != 0 {
+				t.Fatalf("OpenStore left %v", temps)
+			}
+			if _, ok := store.Lookup(j.ID); !ok || store.Len() != 1 {
+				t.Fatalf("OpenStore loaded %d entries (the job's: %v), want the manifest's one", store.Len(), ok)
+			}
+			if got := durable(t, dir); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatal("the durable bytes changed across the killed Compact")
 			}
 		})
 	}

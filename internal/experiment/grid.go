@@ -301,14 +301,14 @@ type JobResult struct {
 }
 
 // Handoff is what an earlier, killed execution of a job left behind: a
-// sim checkpoint plus the ledger and total accumulated over exactly the
-// Round rounds that checkpoint had completed (the sweep store persists
-// them alongside it).
+// decoded sim checkpoint plus the ledger and total accumulated over
+// exactly the Round rounds that checkpoint had completed (the sweep
+// store persists them alongside it). RunJob consumes the checkpoint.
 type Handoff struct {
-	CheckpointPath string
-	Round          int
-	Ledger         simnet.Ledger
-	TotalSeconds   float64
+	Checkpoint   *sim.Checkpoint
+	Round        int
+	Ledger       simnet.Ledger
+	TotalSeconds float64
 }
 
 // RunJob executes one cell: build the world, then drive a Runner over a
@@ -352,14 +352,15 @@ func RunJob(ctx context.Context, j Job, from *Handoff, opts ...sim.RunOption) (r
 		runner = sim.NewRunner(tr, ropts...)
 	} else {
 		res.Ledger, res.TotalSeconds = from.Ledger, from.TotalSeconds
-		if runner, err = sim.Resume(from.CheckpointPath, world, ropts...); err != nil {
+		if runner, err = sim.ResumeFrom(from.Checkpoint, world, ropts...); err != nil {
 			return res, err
 		}
-		// Resume took the scheme and its options from the file. This is
-		// the one hard check that the Runner it built is the one the
-		// handoff described and the job names: the environment fingerprint
-		// does not cover the options, so a sibling cell's checkpoint (same
-		// world, other groups or strategy) restores without complaint.
+		// ResumeFrom took the scheme and its options from the checkpoint.
+		// This is the one hard check that the Runner it built is the one
+		// the handoff described and the job names: the environment
+		// fingerprint does not cover the options, so a sibling cell's
+		// checkpoint (same world, other groups or strategy) restores
+		// without complaint.
 		if runner.Scheme() != j.Scheme {
 			return res, fmt.Errorf("checkpoint trains %q, job wants %q", runner.Scheme(), j.Scheme)
 		}

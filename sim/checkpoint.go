@@ -40,27 +40,30 @@ const (
 	maxNameLen = 256
 )
 
-// checkpointFile is a decoded checkpoint: which scheme (and options) to
+// Checkpoint is a decoded checkpoint: which scheme (and options) to
 // rebuild, how far the run had progressed, the curve so far, and the
-// trainer's complete mutable state.
-type checkpointFile struct {
+// trainer's complete mutable state. DecodeCheckpoint makes one;
+// ResumeFrom consumes it.
+type Checkpoint struct {
+	// Scheme is the name the trainer is registered under; Round the
+	// number of rounds it has completed.
 	Scheme string
-	Opts   schemes.FactoryOpts
-	// EnvHash fingerprints the environment the run was built over;
-	// Resume rejects an env that does not match, since continuing in a
+	Round  int
+	opts   schemes.FactoryOpts
+	// envHash fingerprints the environment the run was built over;
+	// resuming rejects an env that does not match, since continuing in a
 	// different world would silently break the bit-identical contract.
-	EnvHash uint64
-	// EvalEvery/CkptEvery are the run's cadences; Resume inherits them
+	envHash uint64
+	// evalEvery/ckptEvery are the run's cadences; a resume inherits them
 	// unless overridden, so a resumed run keeps evaluating and
 	// checkpointing as the original did.
-	EvalEvery int
-	CkptEvery int
-	// Round is the number of completed rounds; Elapsed their cumulative
-	// latency; Points the evaluations recorded so far.
-	Round   int
-	Elapsed float64
-	Points  []Point
-	State   *schemes.TrainerState
+	evalEvery int
+	ckptEvery int
+	// elapsed is the completed rounds' cumulative latency; points the
+	// evaluations recorded so far.
+	elapsed float64
+	points  []Point
+	state   *schemes.TrainerState
 }
 
 // envFingerprint hashes the run-relevant identity of an environment:
@@ -165,8 +168,10 @@ func (r *Runner) encodeCheckpoint(round int, elapsed float64, curve *Curve) []by
 // stream with the type definition of the value it carries.
 var gobTypeName = []byte("checkpointFile")
 
-// decodeCheckpoint reads and validates a checkpoint's bytes.
-func decodeCheckpoint(data []byte) (*checkpointFile, error) {
+// DecodeCheckpoint reads and validates a checkpoint's bytes — what a
+// Runner hands its observers (RoundEvent.Checkpoint) or writes to its
+// checkpoint path. The result does not alias data.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	d := bincodec.NewDec("sim", data)
 	magic, version := d.U32(), d.U16()
 	switch {
@@ -180,31 +185,31 @@ func decodeCheckpoint(data []byte) (*checkpointFile, error) {
 	default:
 		return nil, fmt.Errorf("sim: not a checkpoint: magic %#08x, want %#08x", magic, uint32(checkpointMagic))
 	}
-	cf := &checkpointFile{Scheme: d.Str(maxNameLen)}
-	cf.Opts.Groups = int(int64(d.U64()))
-	cf.Opts.Strategy = d.Str(maxNameLen)
+	cf := &Checkpoint{Scheme: d.Str(maxNameLen)}
+	cf.opts.Groups = int(int64(d.U64()))
+	cf.opts.Strategy = d.Str(maxNameLen)
 	switch b := d.U8(); b {
 	case 0, 1:
-		cf.Opts.Pipelined = b == 1
+		cf.opts.Pipelined = b == 1
 	default:
 		d.Fail("checkpoint pipelined flag %d", b)
 	}
-	cf.Opts.DropoutProb = d.F64()
-	cf.EnvHash = d.U64()
-	cf.EvalEvery = int(d.U32())
-	cf.CkptEvery = int(d.U32())
+	cf.opts.DropoutProb = d.F64()
+	cf.envHash = d.U64()
+	cf.evalEvery = int(d.U32())
+	cf.ckptEvery = int(d.U32())
 	cf.Round = int(int64(d.U64()))
-	cf.Elapsed = d.F64()
+	cf.elapsed = d.F64()
 	n := int(d.U32())
 	if d.Err() == nil && n > d.Remaining()/32 {
 		d.Fail("checkpoint claims %d curve points in %d bytes", n, d.Remaining())
 	}
-	for len(cf.Points) < n && d.Err() == nil {
-		cf.Points = append(cf.Points, Point{
+	for len(cf.points) < n && d.Err() == nil {
+		cf.points = append(cf.points, Point{
 			Round: int(int64(d.U64())), LatencySeconds: d.F64(), Loss: d.F64(), Accuracy: d.F64(),
 		})
 	}
-	cf.State = schemes.DecodeState(&d)
+	cf.state = schemes.DecodeState(&d)
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("sim: decoding checkpoint: %w", err)
 	}
@@ -215,18 +220,18 @@ func decodeCheckpoint(data []byte) (*checkpointFile, error) {
 }
 
 // loadCheckpoint reads and validates a checkpoint file.
-func loadCheckpoint(path string) (*checkpointFile, error) {
+func loadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("sim: opening checkpoint: %w", err)
 	}
-	return decodeCheckpoint(data)
+	return DecodeCheckpoint(data)
 }
 
-// PeekCheckpoint reads a checkpoint's identity — which scheme it trains
-// and how many rounds it has completed — without rebuilding a trainer.
-// Orchestrators (the sweep engine) use it to decide whether a resume is
-// viable before paying for environment construction and training.
+// PeekCheckpoint reads a checkpoint file's identity — which scheme it
+// trains and how many rounds it has completed — without rebuilding a
+// trainer. An orchestrator holding the bytes decodes them once instead
+// (DecodeCheckpoint) and resumes from what it decoded (ResumeFrom).
 func PeekCheckpoint(path string) (scheme string, round int, err error) {
 	cf, err := loadCheckpoint(path)
 	if err != nil {
@@ -235,7 +240,7 @@ func PeekCheckpoint(path string) (scheme string, round int, err error) {
 	return cf.Scheme, cf.Round, nil
 }
 
-// Resume rebuilds a run from a checkpoint written by a Runner with
+// Resume rebuilds a run from a checkpoint file written by a Runner with
 // checkpointing enabled. env must be constructed identically to the
 // original run's environment (same spec and seed) — the checkpoint
 // carries the trainer's mutable state, not the world it trains in, and
@@ -257,11 +262,20 @@ func Resume(path string, env *Env, opts ...RunOption) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ResumeFrom(cf, env, append([]RunOption{WithCheckpointPath(path)}, opts...)...)
+}
+
+// ResumeFrom is Resume from a decoded checkpoint, which it consumes:
+// the restored trainer takes the checkpoint's state as its own, so a
+// Checkpoint resumes one Runner. The Runner has no checkpoint path —
+// its checkpoints reach its observers alone unless WithCheckpointPath
+// names a file.
+func ResumeFrom(cf *Checkpoint, env *Env, opts ...RunOption) (*Runner, error) {
 	envHash := envFingerprint(env)
-	if envHash != cf.EnvHash {
+	if envHash != cf.envHash {
 		return nil, fmt.Errorf("sim: environment does not match the checkpointed run (rebuild it from the original spec and seed before resuming)")
 	}
-	tr, err := New(cf.Scheme, env, cf.Opts)
+	tr, err := New(cf.Scheme, env, cf.opts)
 	if err != nil {
 		return nil, fmt.Errorf("sim: rebuilding %q trainer: %w", cf.Scheme, err)
 	}
@@ -269,18 +283,17 @@ func Resume(path string, env *Env, opts ...RunOption) (*Runner, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: scheme %q does not support state capture", cf.Scheme)
 	}
-	if err := cp.StateParts().Restore(cf.State); err != nil {
+	if err := cp.StateParts().Restore(cf.state); err != nil {
 		return nil, fmt.Errorf("sim: restoring %q state: %w", cf.Scheme, err)
 	}
 	r := &Runner{
 		trainer:      tr,
-		evalEvery:    cf.EvalEvery,
-		ckptEvery:    cf.CkptEvery,
-		ckptPath:     path,
+		evalEvery:    cf.evalEvery,
+		ckptEvery:    cf.ckptEvery,
 		envHash:      envHash,
 		startRound:   cf.Round,
-		startElapsed: cf.Elapsed,
-		priorPoints:  cf.Points,
+		startElapsed: cf.elapsed,
+		priorPoints:  cf.points,
 	}
 	for _, o := range opts {
 		o(r)

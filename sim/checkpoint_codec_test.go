@@ -66,9 +66,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(retiredCheckpoint(f, "checkpoint_v2.bin"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cf, err := decodeCheckpoint(data)
-		if err == nil && (cf.Round <= 0 || cf.State == nil) {
-			t.Fatalf("accepted a checkpoint at round %d with state %v", cf.Round, cf.State)
+		cf, err := DecodeCheckpoint(data)
+		if err == nil && (cf.Round <= 0 || cf.state == nil) {
+			t.Fatalf("accepted a checkpoint at round %d with state %v", cf.Round, cf.state)
 		}
 	})
 }
@@ -79,7 +79,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 func decodeBounded(t *testing.T, what string, data []byte) error {
 	t.Helper()
 	before := heapAllocated()
-	_, err := decodeCheckpoint(data)
+	_, err := DecodeCheckpoint(data)
 	if got, limit := heapAllocated()-before, uint64(4*len(data)+64<<10); got > limit && !testutil.RaceEnabled {
 		t.Fatalf("%s: decoding %d bytes allocated %d, want <= %d", what, len(data), got, limit)
 	}
@@ -101,7 +101,7 @@ func TestLoadCheckpointHostileInput(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range file {
-				if _, err := decodeCheckpoint(file[:i]); err == nil {
+				if _, err := DecodeCheckpoint(file[:i]); err == nil {
 					t.Fatalf("accepted the file truncated at %d of %d bytes", i, len(file))
 				}
 			}

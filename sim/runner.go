@@ -93,16 +93,18 @@ func WithWorkers(n int) RunOption {
 // and after the final round the trainer's complete state is encoded,
 // handed to the observers (RoundEvent.Checkpoint) and, with
 // WithCheckpointPath, written to that file. Requires a trainer
-// constructed by New (or Resume) whose scheme supports state capture —
-// all built-in schemes do — and a path or an observer to receive it.
+// constructed by New (or Resume, ResumeFrom) whose scheme supports
+// state capture — all built-in schemes do — and a path or an observer
+// to receive it.
 func WithCheckpointEvery(n int) RunOption {
 	return func(r *Runner) { r.ckptEvery = n }
 }
 
 // WithCheckpointPath sets the checkpoint file location. The file is
-// rewritten atomically at each checkpoint. On resume it defaults to the
-// file the run resumed from; an empty path there keeps the continued
-// run's checkpoints off the disk.
+// rewritten atomically at each checkpoint. Under Resume it defaults to
+// the file the run resumed from, and an empty path there keeps the
+// continued run's checkpoints off the disk; under ResumeFrom there is
+// none unless this names one.
 func WithCheckpointPath(path string) RunOption {
 	return func(r *Runner) { r.ckptPath = path }
 }
@@ -120,7 +122,7 @@ func WithTracer(t *obs.Tracer) RunOption {
 
 // Runner drives one trainer for a configured number of rounds,
 // streaming RoundEvents and optionally checkpointing. Create with
-// NewRunner or Resume; a Runner runs once.
+// NewRunner, Resume or ResumeFrom; a Runner runs once.
 type Runner struct {
 	trainer   schemes.Trainer
 	rounds    int

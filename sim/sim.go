@@ -19,7 +19,9 @@
 //     boundaries; Resume rebuilds the trainer from the file and an
 //     identically constructed environment and continues bit-identically
 //     — a killed 100-round run restarts from round 50 and produces the
-//     exact curve, latencies included, of an uninterrupted run.
+//     exact curve, latencies included, of an uninterrupted run. A caller
+//     holding the bytes rather than a file decodes them once
+//     (DecodeCheckpoint) and resumes from what it decoded (ResumeFrom).
 //
 // Minimal use:
 //

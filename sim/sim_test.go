@@ -271,7 +271,9 @@ func newTestEnv(t *testing.T, seed int64) *sim.Env {
 // TestResumeEquivalence is the checkpoint contract test: for every
 // built-in scheme, 8 straight rounds must be bit-identical — losses,
 // accuracies, AND latencies — to 4 rounds, a checkpoint, and 4 resumed
-// rounds on a freshly built world.
+// rounds on a freshly built world, whether the resume reads the file
+// (Resume) or starts from its decoded bytes (ResumeFrom, which has no
+// checkpoint path to report).
 func TestResumeEquivalence(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -315,23 +317,53 @@ func TestResumeEquivalence(t *testing.T) {
 			).Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
+			data, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
 			runner, err := sim.Resume(ckpt, newTestEnv(t, seed), sim.WithRounds(total))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runner.Run(context.Background())
+			cp, err := sim.DecodeCheckpoint(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			if len(got.Points) != len(want.Points) {
-				t.Fatalf("resumed curve has %d points, want %d", len(got.Points), len(want.Points))
+			if cp.Scheme != tc.scheme || cp.Round != ckptRound {
+				t.Fatalf("decoded checkpoint of %q at round %d, want %q at %d", cp.Scheme, cp.Round, tc.scheme, ckptRound)
 			}
-			for i := range want.Points {
-				if got.Points[i] != want.Points[i] {
-					t.Fatalf("point %d diverged after resume:\n  straight: %+v\n  resumed:  %+v",
-						i, want.Points[i], got.Points[i])
+			sunk := 0
+			fromBytes, err := sim.ResumeFrom(cp, newTestEnv(t, seed), sim.WithRounds(total),
+				sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
+					if e.Checkpoint != nil {
+						sunk++
+					}
+					if e.CheckpointPath != "" {
+						t.Errorf("round %d of a ResumeFrom run reports checkpoint path %q", e.Round, e.CheckpointPath)
+					}
+				})))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, r := range map[string]*sim.Runner{"Resume": runner, "ResumeFrom": fromBytes} {
+				got, err := r.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
 				}
+				if len(got.Points) != len(want.Points) {
+					t.Fatalf("%s: resumed curve has %d points, want %d", name, len(got.Points), len(want.Points))
+				}
+				for i := range want.Points {
+					if got.Points[i] != want.Points[i] {
+						t.Fatalf("%s: point %d diverged after resume:\n  straight: %+v\n  resumed:  %+v",
+							name, i, want.Points[i], got.Points[i])
+					}
+				}
+			}
+			// The inherited cadence checkpoints the final round into the
+			// observer alone.
+			if sunk != 1 {
+				t.Fatalf("ResumeFrom run handed its observer %d checkpoints, want the final round's", sunk)
 			}
 		})
 	}

@@ -7,18 +7,25 @@ import (
 	"gsfl/sim"
 )
 
+// Handoff is what an earlier execution of a job left for the next one:
+// the progress sidecar of a checkpoint boundary and the sim checkpoint's
+// bytes, as Store.LoadBoundary reads them and a fleet lease carries them.
+type Handoff struct {
+	Progress Progress
+	Ckpt     []byte
+	decoded  *sim.Checkpoint // set by soundHandoff, consumed by the resume
+}
+
 // jobSink is where one executing job keeps its transient state: the
 // Scheduler's is the Store (Store.sink), a fleet worker's the lease
-// callbacks, with its scratch directory staging a handoff (RunLeased).
-// The job's Runner writes no file either way: every checkpoint it
-// encodes reaches save and nothing else.
+// callbacks (RunLeased). The job's Runner writes no file either way:
+// every checkpoint it encodes reaches save and nothing else.
 type jobSink struct {
-	// load returns the handoff an earlier execution left: the progress
-	// sidecar and the path of the sim checkpoint it goes with. It returns
+	// load returns the handoff an earlier execution left. It returns
 	// only what soundHandoff accepted — the sink applies the rule where
-	// it finds the pair, once — and with ok=false it has removed whatever
-	// it found.
-	load func() (p Progress, ckptPath string, ok bool)
+	// it finds the pair, once — and with ok=false it has removed
+	// whatever it found.
+	load func() (h Handoff, ok bool)
 	// save persists the checkpoint the Runner just encoded and its
 	// sidecar. ckpt is the Runner's buffer, valid during the call only.
 	// An error aborts the job.
@@ -31,10 +38,15 @@ type jobSink struct {
 // the cumulative ledger from a sidecar of any other round would corrupt
 // every later sum — so anything else is discarded (never wrong, only
 // slower: the Store falls back to the other slot, a lease to a
-// rerun from scratch).
-func soundHandoff(j Job, ckptPath string, prior Progress) bool {
-	scheme, round, err := sim.PeekCheckpoint(ckptPath)
-	return err == nil && scheme == j.Scheme && round == prior.Round && round < j.Rounds
+// rerun from scratch). It decodes h.Ckpt, and keeps what it decoded
+// for the resume when the rule holds.
+func soundHandoff(j Job, h *Handoff) bool {
+	cp, err := sim.DecodeCheckpoint(h.Ckpt)
+	if err != nil || cp.Scheme != j.Scheme || cp.Round != h.Progress.Round || cp.Round >= j.Rounds {
+		return false
+	}
+	h.decoded = cp
+	return true
 }
 
 // runJob executes one job to completion: resumed from the sink's
@@ -48,17 +60,15 @@ func soundHandoff(j Job, ckptPath string, prior Progress) bool {
 func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 	onResumed func(round int), onRound func(round, rounds int, hostSeconds float64)) (JobResult, error) {
 	var (
-		prior    Progress
-		ckptPath string
-		resume   bool
-		opts     []sim.RunOption
+		h      Handoff
+		resume bool
+		opts   []sim.RunOption
 	)
 	if sink != nil {
-		prior, ckptPath, resume = sink.load()
-		// Stated even though empty or zero: a resumed Runner would
-		// otherwise inherit the handoff file as its path, and the cadence
-		// it was written at.
-		opts = append(opts, sim.WithCheckpointPath(""), sim.WithCheckpointEvery(checkpointEvery))
+		h, resume = sink.load()
+		// Stated even though zero: a resumed Runner would otherwise
+		// inherit the cadence its checkpoint was written at.
+		opts = append(opts, sim.WithCheckpointEvery(checkpointEvery))
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -68,7 +78,7 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 	// afterwards — so a resumed job adds its rounds in the floating-point
 	// order of an uninterrupted run. RunJob seeds the result the same way
 	// from the handoff's copy of sum, taken before the first round.
-	sum, totalSec := ledgerOf(prior.Components), prior.TotalSeconds
+	sum, totalSec := ledgerOf(h.Progress.Components), h.Progress.TotalSeconds
 	var sinkErr error
 	opts = append(opts, sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
 		sum.Merge(e.Ledger)
@@ -88,9 +98,9 @@ func runJob(ctx context.Context, j Job, checkpointEvery int, sink *jobSink,
 	var from *experiment.Handoff
 	if resume {
 		if onResumed != nil {
-			onResumed(prior.Round)
+			onResumed(h.Progress.Round)
 		}
-		from = &experiment.Handoff{CheckpointPath: ckptPath, Round: prior.Round, Ledger: sum, TotalSeconds: totalSec}
+		from = &experiment.Handoff{Checkpoint: h.decoded, Round: h.Progress.Round, Ledger: sum, TotalSeconds: totalSec}
 	}
 	res, err := experiment.RunJob(ctx, j, from, opts...)
 	if sinkErr != nil {

@@ -4,8 +4,8 @@ package sweep
 // to run one job on a remote worker while keeping the determinism
 // contract. The coordinator owns the Store; a worker gets a
 // Job (and possibly a checkpoint handoff) over the wire, executes it
-// with RunLeased against a scratch directory, streams checkpoints back
-// through a callback, and ships the result home as ResultParts. All
+// with RunLeased, streams checkpoints back through a callback, and
+// ships the result home as ResultParts — writing no file. All
 // cross-process payloads are JSON: Go's float64 encoding round-trips
 // exactly, so a result reconstructed on the coordinator is bit-equal to
 // one computed in-process.
@@ -14,8 +14,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"gsfl/internal/experiment"
 	"gsfl/internal/metrics"
@@ -119,14 +117,6 @@ func ResultFrom(j Job, parts ResultParts) JobResult {
 	return res
 }
 
-// LeaseCheckpoint is the handoff state attached to a lease of a
-// partially-executed job: the progress sidecar plus the sim checkpoint
-// bytes a previous worker uploaded before dying.
-type LeaseCheckpoint struct {
-	Progress Progress
-	Ckpt     []byte
-}
-
 // LeaseCallbacks observe a leased job's execution. All callbacks are
 // invoked synchronously from the training goroutine, in round order.
 type LeaseCallbacks struct {
@@ -146,29 +136,22 @@ type LeaseCallbacks struct {
 
 // RunLeased executes one job on a fleet worker: the Scheduler's
 // executor (runJob) over a sink made of the lease. A sound handoff —
-// staged in scratchDir for the length of the job, the only file a
-// lease writes — seeds a bit-identical mid-job resume, any other is
-// discarded where it is staged (soundHandoff, the sink's one call);
-// checkpoint bytes go from the Runner's buffer straight to
-// cb.OnCheckpoint for the coordinator to persist, never to the
-// worker's disk: the next leaseholder resumes from the coordinator's
-// copy, so nothing would read one.
-func RunLeased(ctx context.Context, j Job, scratchDir string, checkpointEvery int, handoff *LeaseCheckpoint, cb LeaseCallbacks) (JobResult, error) {
-	path := filepath.Join(scratchDir, j.ID+".ckpt")
-	defer os.Remove(path)
+// decoded from the bytes that arrived, once — seeds a bit-identical
+// mid-job resume, any other is discarded (soundHandoff, the sink's one
+// call); checkpoint bytes go from the Runner's buffer straight to
+// cb.OnCheckpoint for the coordinator to persist. A lease writes no
+// file: the next leaseholder resumes from the coordinator's copy.
+func RunLeased(ctx context.Context, j Job, checkpointEvery int, handoff *Handoff, cb LeaseCallbacks) (JobResult, error) {
 	sink := &jobSink{
-		// The handoff arrived with the lease: stage its bytes for the
-		// executor to resume from. One that cannot be staged, or that the
-		// resume rule turns down, is no handoff.
-		load: func() (Progress, string, bool) {
-			if handoff == nil || len(handoff.Ckpt) == 0 {
-				return Progress{}, "", false
+		load: func() (Handoff, bool) {
+			if handoff == nil {
+				return Handoff{}, false
 			}
-			if os.WriteFile(path, handoff.Ckpt, 0o644) != nil || !soundHandoff(j, path, handoff.Progress) {
-				os.Remove(path)
-				return Progress{}, "", false
+			h := *handoff
+			if !soundHandoff(j, &h) {
+				return Handoff{}, false
 			}
-			return handoff.Progress, path, true
+			return h, true
 		},
 		save: func(p Progress, ckpt []byte) error {
 			if cb.OnCheckpoint == nil {

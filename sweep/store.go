@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"gsfl/internal/atomicfile"
 	"gsfl/internal/metrics"
@@ -53,6 +52,9 @@ import (
 // instant from the first boundary on.
 const (
 	manifestName = "manifest.jsonl"
+	// manifestTemp is the pattern of the temp file Compact writes the
+	// new manifest to before renaming it over the old.
+	manifestTemp = ".manifest-*"
 	curvesDir    = "curves"
 	ckptDir      = "ckpt"
 	// timingsName is a transient host wall-clock sidecar: one line per
@@ -193,9 +195,8 @@ func (p *slotPair) close() {
 // OpenStore opens (creating if needed) a sweep results directory and
 // loads its manifest. A trailing partially-written manifest line (crash
 // mid-append) is dropped; complete entries before it stand. Opening a
-// store another process holds open fails with ErrStoreLocked; a
-// manifest momentarily absent because a compacting coordinator is
-// mid-rename is retried, not treated as empty.
+// store another process holds open fails with ErrStoreLocked — so no
+// other process can be compacting the manifest while it is read.
 func OpenStore(dir string) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, curvesDir), filepath.Join(dir, ckptDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -210,16 +211,22 @@ func OpenStore(dir string) (*Store, error) {
 	// not a slot file there has no reader: the files of an older layout
 	// (an <id>.<round>.ckpt generation, a fixed-name <id>.ckpt, the temp
 	// file of a writer killed before its rename) — that job reruns from
-	// scratch, to the same bytes.
+	// scratch, to the same bytes. Nor does the temp file of a Compact
+	// killed before its rename (manifestTemp): the manifest it was to
+	// replace is whole.
 	entries, _ := os.ReadDir(filepath.Join(dir, ckptDir))
 	for _, e := range entries {
 		if !isSlotName(e.Name()) {
 			os.Remove(filepath.Join(dir, ckptDir, e.Name()))
 		}
 	}
+	temps, _ := filepath.Glob(filepath.Join(dir, manifestTemp))
+	for _, name := range temps {
+		os.Remove(name)
+	}
 	s := &Store{dir: dir, entries: map[string]*Entry{}, timings: map[string]float64{}, slots: map[string]*slotPair{}, lock: lock}
 	path := filepath.Join(dir, manifestName)
-	if data, err := openManifest(dir); err == nil {
+	if data, err := os.Open(path); err == nil {
 		sc := bufio.NewScanner(data)
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 		for sc.Scan() {
@@ -261,38 +268,6 @@ func lockStore(dir string) (*os.File, error) {
 		return nil, fmt.Errorf("%w: %s", ErrStoreLocked, dir)
 	}
 	return lock, nil
-}
-
-// afterManifestMiss is a test seam, nil outside tests: openManifest
-// calls it between finding no manifest and looking for Compact's temp
-// file, the window in which a rename can land.
-var afterManifestMiss func()
-
-// openManifest opens the manifest tolerating a concurrently-compacting
-// coordinator. Compact replaces the file atomically via rename, but a
-// reader that raced StoreExists can still observe ErrNotExist on
-// filesystems that surface the swap as unlink+link; the in-flight
-// rename is distinguishable from a genuinely fresh store by Compact's
-// temp file, so retry while one is visible. Seeing neither the manifest
-// nor a temp file is not yet a fresh store: the rename may have landed
-// between the two looks — the only way the temp can vanish — so the
-// manifest gets one more look, and only its absence then means fresh.
-func openManifest(dir string) (*os.File, error) {
-	path := filepath.Join(dir, manifestName)
-	for attempt := 0; ; attempt++ {
-		f, err := os.Open(path)
-		if err == nil || !errors.Is(err, os.ErrNotExist) || attempt >= 100 {
-			return f, err
-		}
-		if afterManifestMiss != nil {
-			afterManifestMiss()
-		}
-		tmps, _ := filepath.Glob(filepath.Join(dir, ".manifest-*"))
-		if len(tmps) == 0 {
-			return os.Open(path)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // StoreExists reports whether dir already holds a sweep manifest —
@@ -557,16 +532,16 @@ func (s *Store) SaveProgress(j Job, p Progress) error {
 // behind: of the job's two slots, the newer one whose record commits
 // the checkpoint beside it (its length and CRC match) and forms a sound
 // handoff with it (see soundHandoff), as the record's sidecar and the
-// checkpoint's path. It opens the job's four names and no others, holds
-// the chosen slot's files for the job's next boundaries, and removes
-// the other slot — torn by a crash, or just older — so ok=false leaves
-// the job nothing.
-func (s *Store) LoadBoundary(j Job) (p Progress, ckptPath string, ok bool) {
+// checkpoint's bytes, read once. It opens the job's four names and no
+// others, holds the chosen slot's files for the job's next boundaries,
+// and removes the other slot — torn by a crash, or just older — so
+// ok=false leaves the job nothing.
+func (s *Store) LoadBoundary(j Job) (h Handoff, ok bool) {
 	s.release(j.ID)
 	pair := &slotPair{newest: -1}
 	for k := range slotTag {
-		if q, sound := s.openSlot(j, pair, k); sound && (pair.newest < 0 || q.Round > p.Round) {
-			p, pair.newest = q, k
+		if q, sound := s.openSlot(j, pair, k); sound && (pair.newest < 0 || q.Progress.Round > h.Progress.Round) {
+			h, pair.newest = q, k
 		}
 	}
 	for k := range slotTag {
@@ -576,48 +551,48 @@ func (s *Store) LoadBoundary(j Job) (p Progress, ckptPath string, ok bool) {
 		}
 	}
 	if pair.newest < 0 {
-		return Progress{}, "", false
+		return Handoff{}, false
 	}
 	s.slotMu.Lock()
 	defer s.slotMu.Unlock()
 	if s.slots == nil {
 		pair.close()
-		return Progress{}, "", false
+		return Handoff{}, false
 	}
 	s.slots[j.ID] = pair
-	return p, s.slotPath(j.ID, pair.newest, ckptFile), true
+	return h, true
 }
 
-// openSlot opens slot k's two files into pair and returns the slot's
-// sidecar, sound=true when the record is whole, commits the checkpoint
-// beside it, and forms a sound handoff with it.
-func (s *Store) openSlot(j Job, pair *slotPair, k int) (p Progress, sound bool) {
+// openSlot opens slot k's two files into pair and returns what the
+// slot holds, sound=true when the record is whole, commits the
+// checkpoint beside it, and forms a sound handoff with it.
+func (s *Store) openSlot(j Job, pair *slotPair, k int) (h Handoff, sound bool) {
 	var body [2][]byte
 	for file := range slotExt {
 		f, err := os.OpenFile(s.slotPath(j.ID, k, file), os.O_RDWR, 0)
 		if err != nil {
-			return Progress{}, false
+			return Handoff{}, false
 		}
 		pair.file[k][file] = f
 		if body[file], err = io.ReadAll(f); err != nil {
-			return Progress{}, false
+			return Handoff{}, false
 		}
 		pair.size[k][file] = int64(len(body[file]))
 	}
 	r, ok := decodeRecord(body[progressFile])
 	crc := crc32.Checksum(body[ckptFile], castagnoli)
-	if !ok || r.CkptBytes != int64(len(body[ckptFile])) || r.CkptCRC != crc ||
-		!soundHandoff(j, s.slotPath(j.ID, k, ckptFile), r.Progress) {
-		return Progress{}, false
+	h = Handoff{Progress: r.Progress, Ckpt: body[ckptFile]}
+	if !ok || r.CkptBytes != int64(len(h.Ckpt)) || r.CkptCRC != crc || !soundHandoff(j, &h) {
+		return Handoff{}, false
 	}
 	pair.crc[k] = crc
-	return r.Progress, true
+	return h, true
 }
 
 // sink is the Scheduler's jobSink for j: the store itself.
 func (s *Store) sink(j Job) *jobSink {
 	return &jobSink{
-		load: func() (Progress, string, bool) { return s.LoadBoundary(j) },
+		load: func() (Handoff, bool) { return s.LoadBoundary(j) },
 		save: func(p Progress, ckpt []byte) error { return s.SaveBoundary(j, p, ckpt) },
 	}
 }
@@ -737,8 +712,7 @@ func (s *Store) Compact(jobs []Job) error {
 	if s.f != nil {
 		s.f.Close()
 	}
-	// openManifest recognizes an in-flight compaction by this pattern.
-	if err := atomicfile.Write(path, ".manifest-*", buf.Bytes()); err != nil {
+	if err := atomicfile.Write(path, manifestTemp, buf.Bytes()); err != nil {
 		return fmt.Errorf("sweep: compacting manifest: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
