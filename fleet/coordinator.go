@@ -547,8 +547,11 @@ func (c *Coordinator) leaseOfLocked(connID uint64, jobID string) *jobState {
 	return st
 }
 
-// applyProgress persists a checkpoint upload. ok=false means the
-// sender no longer holds the lease, and only that. An error ends the
+// applyProgress persists a checkpoint upload. msg's sidecar and
+// checkpoint are views into the frame just read: SaveBoundary writes
+// them into the slot and keeps nothing, so they are done with before
+// the connection's next read. ok=false means the sender no longer holds
+// the lease, and only that. An error ends the
 // connection: a sidecar that contradicts its frame, or a store that
 // cannot take the upload, which has already failed the sweep — acked as
 // a lost lease it would have the worker abandon the job and the next

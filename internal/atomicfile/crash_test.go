@@ -494,3 +494,53 @@ func TestOpenStoreRemovesCrashOrphans(t *testing.T) {
 		})
 	}
 }
+
+// TestCompactKilledKeepsTheManifestHandle: a Compact that dies before
+// its rename has replaced nothing, so the store must go on appending to
+// the manifest it holds open. A later Record lands in the manifest a
+// reader opens, and Close reports nothing — not a handle Compact closed
+// and left behind.
+func TestCompactKilledKeepsTheManifestHandle(t *testing.T) {
+	jobs, err := sweep.Grid{
+		Name: "compact", Base: crashJob(t).Spec, Rounds: 2, EvalEvery: 2,
+		Axes: sweep.Axes{Seeds: []int64{1, 2}},
+	}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]sweep.JobResult, len(jobs))
+	for i, j := range jobs {
+		if results[i], err = sweep.RunLeased(context.Background(), j, 0, nil, sweep.LeaseCallbacks{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range []atomicfile.Boundary{atomicfile.HalfWritten, atomicfile.AllWritten} {
+		t.Run(b.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			store := openStore(t, dir)
+			if err := store.Record(results[0]); err != nil {
+				t.Fatal(err)
+			}
+			manifest := filepath.Join(dir, "manifest.jsonl")
+			atomicfile.SetCrashAt(func(path string, at atomicfile.Boundary) bool { return path == manifest && at == b })
+			err := store.Compact(jobs)
+			atomicfile.SetCrashAt(nil)
+			if err == nil {
+				t.Fatal("Compact outlived its crash")
+			}
+			if err := store.Record(results[1]); err != nil {
+				t.Fatalf("Record after the killed Compact: %v", err)
+			}
+			if err := store.Close(); err != nil {
+				t.Fatalf("Close after the killed Compact: %v", err)
+			}
+			store = openStore(t, dir)
+			defer store.Close()
+			for _, j := range jobs {
+				if _, ok := store.Lookup(j.ID); !ok {
+					t.Fatalf("the manifest lost %s across the killed Compact", j.Name)
+				}
+			}
+		})
+	}
+}

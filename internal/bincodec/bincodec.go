@@ -224,8 +224,12 @@ func (d *Dec) Str(max int) string {
 // Blob reads a length-prefixed byte string. The returned slice is a
 // copy, so it survives the input buffer's reuse.
 func (d *Dec) Blob() []byte {
-	return append([]byte(nil), d.Raw(int(d.U32()))...)
+	return append([]byte(nil), d.View()...)
 }
+
+// View reads a length-prefixed byte string as a slice of the input: no
+// copy, so it is valid only as long as the input is; nil on failure.
+func (d *Dec) View() []byte { return d.Raw(int(d.U32())) }
 
 // Shape reads a dimension list and returns the element count. The
 // product is bounded by what the remaining input could possibly back

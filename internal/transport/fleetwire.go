@@ -43,6 +43,14 @@ package transport
 // validates claimed lengths against the remaining payload before
 // allocating, exactly like the tensor decoders, and every fleet frame
 // is seeded into FuzzDecodeFrame.
+//
+// A checkpoint blob is always its frame's last field, so it crosses
+// without a user-space copy where it can: WriteProgress and WriteLease
+// send it from the caller's buffer as the frame's writev tail, and
+// DecodeFleetProgress returns it (and the sidecar) as views into the
+// frame payload, which the coordinator writes into the store before it
+// reads the next frame. A lease grant is decoded into copies: a worker
+// holds its handoff across later reads.
 
 import (
 	"fmt"
@@ -113,7 +121,8 @@ type FleetLease struct {
 // FleetProgress is a worker's checkpoint upload after a round boundary:
 // the progress sidecar JSON plus the sim checkpoint bytes, which the
 // coordinator persists into the store so the job survives both worker
-// and coordinator kills.
+// and coordinator kills. Decoded, Progress and Ckpt are views into the
+// frame payload, valid until the connection's next ReadFrame.
 type FleetProgress struct {
 	JobID       string
 	Round       int
@@ -230,12 +239,14 @@ func DecodeFleetLease(p []byte) (FleetLease, error) {
 	return l, nil
 }
 
-// DecodeFleetProgress decodes a checkpoint-upload frame.
+// DecodeFleetProgress decodes a checkpoint-upload frame. Progress and
+// Ckpt alias p (no copy, whatever the checkpoint's size); the caller
+// must be done with them before p's buffer is reused.
 func DecodeFleetProgress(p []byte) (FleetProgress, error) {
 	d := newWireDec(p)
 	m := FleetProgress{JobID: d.Str(maxFleetNameLen), Round: int(d.U32()), HostSeconds: d.F64()}
-	m.Progress = d.Blob()
-	m.Ckpt = d.Blob()
+	m.Progress = d.View()
+	m.Ckpt = d.View()
 	if err := d.Finish(); err != nil {
 		return FleetProgress{}, err
 	}
@@ -347,11 +358,11 @@ func decodeFleetFrame(kind byte, p []byte) error {
 
 // --- FleetConn ----------------------------------------------------------
 
-// FleetConn frames one coordinator/worker connection. Like the tensor
-// plane's frameConn it is single-buffer in each direction and strictly
-// request/response; unlike it, both the frame kinds and the codec
-// surface are exported, because the job plane lives in gsfl/fleet
-// rather than in this package.
+// FleetConn frames one coordinator/worker connection. It is the tensor
+// plane's frameConn — one reused buffer in each direction, a
+// checkpoint sent as a borrowed writev tail, strictly request/response
+// — with the frame kinds and the codec surface exported, because the
+// job plane lives in gsfl/fleet rather than in this package.
 type FleetConn struct {
 	fc *frameConn
 }
@@ -364,8 +375,8 @@ func NewFleetConn(c net.Conn, maxFrame int) *FleetConn {
 }
 
 // ReadFrame returns the next frame's kind and payload. The payload is
-// valid until the next ReadFrame call; the Decode* functions copy any
-// byte strings they return.
+// valid until the next ReadFrame call, and so are the byte strings
+// DecodeFleetProgress returns; the other Decode* functions copy theirs.
 func (f *FleetConn) ReadFrame() (byte, []byte, error) { return f.fc.readFrame() }
 
 // WriteHello sends a worker registration.
@@ -400,21 +411,24 @@ func (f *FleetConn) WriteLeaseRequest() error {
 	return f.fc.flush()
 }
 
-// WriteLease sends a lease reply.
+// WriteLease sends a lease reply. A grant's handoff checkpoint goes out
+// from l.Ckpt itself, read only during the call.
 func (f *FleetConn) WriteLease(l FleetLease) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetLease)
 	e.U8(l.Status)
-	if l.Status == LeaseGrant {
-		e.Str(l.JobID)
-		e.Blob(l.Job)
-		e.Blob(l.Progress)
-		e.Blob(l.Ckpt)
+	if l.Status != LeaseGrant {
+		return f.fc.flush()
 	}
-	return f.fc.flush()
+	e.Str(l.JobID)
+	e.Blob(l.Job)
+	e.Blob(l.Progress)
+	e.U32(uint32(len(l.Ckpt)))
+	return f.fc.flushTail(l.Ckpt)
 }
 
-// WriteProgress sends a checkpoint upload.
+// WriteProgress sends a checkpoint upload. The checkpoint goes out from
+// m.Ckpt itself, read only during the call.
 func (f *FleetConn) WriteProgress(m FleetProgress) error {
 	e := &f.fc.enc
 	e.begin(FrameFleetProgress)
@@ -422,8 +436,8 @@ func (f *FleetConn) WriteProgress(m FleetProgress) error {
 	e.U32(uint32(m.Round))
 	e.F64(m.HostSeconds)
 	e.Blob(m.Progress)
-	e.Blob(m.Ckpt)
-	return f.fc.flush()
+	e.U32(uint32(len(m.Ckpt)))
+	return f.fc.flushTail(m.Ckpt)
 }
 
 // WriteResult sends a job completion.

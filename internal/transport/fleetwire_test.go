@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net"
+	"runtime"
 	"testing"
+
+	"gsfl/internal/testutil"
 )
 
 // testLeaseGrant is a representative grant with a checkpoint handoff.
@@ -301,12 +305,159 @@ func TestFleetConnRejectsOversizePayload(t *testing.T) {
 	if err := big.WriteLease(testLeaseGrant()); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("write err %v, want ErrFrameTooLarge", err)
 	}
+
+	// A checkpoint's two-buffer frame is capped on the prefix and the
+	// tail together: a prefix that fits does not let it through, and
+	// nothing is written.
+	conn := &writeLog{}
+	m := testProgress(bytes.Repeat([]byte{1}, 100))
+	if err := NewFleetConn(conn, 64).WriteProgress(m); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("write err %v, want ErrFrameTooLarge", err)
+	}
+	if len(conn.writes) != 0 {
+		t.Fatalf("an oversize frame wrote %d buffers", len(conn.writes))
+	}
+	m.Ckpt = nil
+	if err := NewFleetConn(conn, 64).WriteProgress(m); err != nil {
+		t.Fatalf("the prefix alone: %v", err)
+	}
 }
 
 func TestFleetConnSurfacesShortWrite(t *testing.T) {
 	fc := NewFleetConn(&shortWriteConn{}, 0)
 	if err := fc.WriteLeaseRequest(); !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("err %v, want ErrShortWrite", err)
+	}
+	// A checkpoint's two-buffer frame alike.
+	if err := fc.WriteProgress(testProgress(bytes.Repeat([]byte{1}, 100))); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("progress err %v, want ErrShortWrite", err)
+	}
+}
+
+// testProgress is a representative checkpoint upload carrying ckpt.
+func testProgress(ckpt []byte) FleetProgress {
+	return FleetProgress{
+		JobID:       "a1b2c3d4e5f60718",
+		Round:       4,
+		HostSeconds: 3.14159,
+		Progress:    []byte(`{"round":4}`),
+		Ckpt:        ckpt,
+	}
+}
+
+// encodeProgress encodes m as one buffer, the checkpoint copied in.
+func encodeProgress(e *wireEnc, m FleetProgress) {
+	e.begin(FrameFleetProgress)
+	e.Str(m.JobID)
+	e.U32(uint32(m.Round))
+	e.F64(m.HostSeconds)
+	e.Blob(m.Progress)
+	e.Blob(m.Ckpt)
+}
+
+// writeLog is a conn that keeps a copy of every Write, whole.
+type writeLog struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *writeLog) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestFleetCheckpointTailKeepsTheWireBytes: a checkpoint sent as the
+// frame's borrowed tail crosses as the same bytes a single-buffer
+// encode of the frame makes, counted whole by the byte accounting, and
+// the encoder never grows to the checkpoint's size.
+func TestFleetCheckpointTailKeepsTheWireBytes(t *testing.T) {
+	ckpt := bytes.Repeat([]byte{0x5A, 0xA5, 7}, 90_000)
+	for _, tc := range []struct {
+		name  string
+		write func(f *FleetConn) error
+		enc   func(e *wireEnc)
+	}{
+		{"progress", func(f *FleetConn) error { return f.WriteProgress(testProgress(ckpt)) }, func(e *wireEnc) {
+			encodeProgress(e, testProgress(ckpt))
+		}},
+		{"lease grant", func(f *FleetConn) error {
+			l := testLeaseGrant()
+			l.Ckpt = ckpt
+			return f.WriteLease(l)
+		}, func(e *wireEnc) {
+			l := testLeaseGrant()
+			e.begin(FrameFleetLease)
+			e.U8(l.Status)
+			e.Str(l.JobID)
+			e.Blob(l.Job)
+			e.Blob(l.Progress)
+			e.Blob(ckpt)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := &writeLog{}
+			f := NewFleetConn(conn, 0)
+			var counted int
+			f.fc.onWrite = func(n int) { counted += n }
+			if err := tc.write(f); err != nil {
+				t.Fatal(err)
+			}
+			var want wireEnc
+			tc.enc(&want)
+			got := bytes.Join(conn.writes, nil)
+			if !bytes.Equal(got, want.finish()) {
+				t.Fatalf("sent %d bytes that differ from the %d-byte single-buffer frame", len(got), len(want.Buf))
+			}
+			if counted != len(got) {
+				t.Fatalf("onWrite counted %d bytes of a %d-byte frame", counted, len(got))
+			}
+			if c := cap(f.fc.enc.Buf); c >= len(ckpt) {
+				t.Fatalf("encoder grew to %d bytes for a %d-byte checkpoint", c, len(ckpt))
+			}
+		})
+	}
+}
+
+// TestDecodeFleetProgressCopiesNothing: the upload's sidecar and
+// checkpoint are views into the payload, so decoding a 1 MiB checkpoint
+// allocates what decoding a 1 KiB one does.
+func TestDecodeFleetProgressCopiesNothing(t *testing.T) {
+	type cost struct {
+		allocs float64
+		bytes  uint64
+	}
+	measure := func(size int) cost {
+		var e wireEnc
+		encodeProgress(&e, testProgress(bytes.Repeat([]byte{3}, size)))
+		payload := e.finish()[frameHeaderLen:]
+		decode := func() {
+			got, err := DecodeFleetProgress(payload)
+			if err != nil || len(got.Ckpt) != size || &got.Ckpt[0] != &payload[len(payload)-size] {
+				t.Fatalf("decode: %d-byte checkpoint not a view of the payload (%v)", len(got.Ckpt), err)
+			}
+		}
+		const runs = 100
+		c := cost{allocs: testing.AllocsPerRun(runs, decode), bytes: math.MaxUint64}
+		// The fewest bytes over a few passes: the runtime's own
+		// allocations land in TotalAlloc too, now and then.
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				decode()
+			}
+			runtime.ReadMemStats(&after)
+			c.bytes = min(c.bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return c
+	}
+	small, large := measure(1<<10), measure(1<<20)
+	t.Logf("1 KiB: %+v, 1 MiB: %+v per decode", small, large)
+	if testutil.RaceEnabled {
+		return // race instrumentation perturbs the counts
+	}
+	if small != large {
+		t.Fatalf("decoding a 1 MiB checkpoint costs %+v, a 1 KiB one %+v", large, small)
 	}
 }
 

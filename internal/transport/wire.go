@@ -36,7 +36,9 @@
 // loadgen's synthetic fleet) can answer a turn without parsing models.
 //
 // Encoding appends into one reusable buffer per connection and issues a
-// single Write per frame; decoding reads into one reusable buffer, and
+// single Write per frame (a fleet frame's trailing checkpoint blob goes
+// out beside it in the same writev, from the caller's buffer; see
+// flushTail); decoding reads into one reusable buffer, and
 // every relayed tensor — turn states, smashed activations and their
 // labels, gradients — decodes in place into a destination its group or
 // client owns and passes again next turn. Steady-state rounds therefore
@@ -328,8 +330,9 @@ func decodeFrame(kind byte, p []byte) error {
 // --- framed connection -------------------------------------------------
 
 // frameConn frames one net.Conn: single-buffer encode with one Write
-// per frame, single-buffer reads, per-direction byte accounting, and a
-// payload size cap. A frameConn is used by one goroutine at a time per
+// per frame — or one writev of the encoded prefix and a borrowed tail
+// (flushTail) — single-buffer reads, per-direction byte accounting, and
+// a payload size cap. A frameConn is used by one goroutine at a time per
 // direction (the protocol is strictly request/response). Reads go
 // straight to the conn — no user-space buffering — so a read deadline
 // that fires mid-frame never leaves hidden buffered state behind.
@@ -375,22 +378,40 @@ func (fc *frameConn) readFrame() (byte, []byte, error) {
 }
 
 // flush writes the frame the encoder holds as a single Write.
-func (fc *frameConn) flush() error {
-	frame := fc.enc.finish()
-	if len(frame)-frameHeaderLen > fc.maxFrame {
-		return fmt.Errorf("%w: encoding %d bytes, cap %d", ErrFrameTooLarge, len(frame)-frameHeaderLen, fc.maxFrame)
+func (fc *frameConn) flush() error { return fc.flushTail(nil) }
+
+// flushTail writes the frame the encoder holds followed by tail, the
+// rest of its payload, as one frame: the length prefix counts both, and
+// a non-empty tail goes out with the encoded prefix in one writev
+// (net.Buffers), straight from the caller's memory — a large blob is
+// never copied into the encoder. tail is only read during the call.
+func (fc *frameConn) flushTail(tail []byte) error {
+	frame := fc.enc.Buf
+	n := len(frame) - frameHeaderLen + len(tail)
+	if n > fc.maxFrame {
+		return fmt.Errorf("%w: encoding %d bytes, cap %d", ErrFrameTooLarge, n, fc.maxFrame)
 	}
-	n, err := fc.c.Write(frame)
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(n))
+	var wrote int64
+	var err error
+	if len(tail) == 0 {
+		var w int
+		w, err = fc.c.Write(frame)
+		wrote = int64(w)
+	} else {
+		bufs := net.Buffers{frame, tail}
+		wrote, err = bufs.WriteTo(fc.c)
+	}
 	if err != nil {
 		return err
 	}
-	if n != len(frame) {
+	if wrote != int64(frameHeaderLen+n) {
 		// A short write would desync the frame stream for the peer;
 		// failing the turn here keeps the failure local and explicit.
 		return io.ErrShortWrite
 	}
 	if fc.onWrite != nil {
-		fc.onWrite(len(frame))
+		fc.onWrite(frameHeaderLen + n)
 	}
 	return nil
 }

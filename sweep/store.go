@@ -494,7 +494,9 @@ func (s *Store) write(id string, p *slotPair, k, file int, data []byte) error {
 // in-flight job into its spare slot: the sim checkpoint, then — the
 // commit — the slot's record. A crash anywhere in between tears only
 // the spare slot and leaves the other's boundary whole for
-// LoadBoundary.
+// LoadBoundary. ckpt is only read during the call, never kept: the
+// caller may hand in a buffer it reuses (a Runner's, or the fleet
+// coordinator's frame).
 func (s *Store) SaveBoundary(j Job, p Progress, ckpt []byte) error {
 	pair, err := s.pair(j.ID)
 	if err != nil {
@@ -709,17 +711,21 @@ func (s *Store) Compact(jobs []Job) error {
 		buf.WriteByte('\n')
 	}
 	path := filepath.Join(s.dir, manifestName)
+	if err := atomicfile.Write(path, manifestTemp, buf.Bytes()); err != nil {
+		// Nothing was renamed: the manifest and its append handle stand.
+		return fmt.Errorf("sweep: compacting manifest: %w", err)
+	}
+	// The old handle appends to the replaced file now. Without a new
+	// one the store is closed to Record, rather than writing where no
+	// reader looks.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if s.f != nil {
 		s.f.Close()
 	}
-	if err := atomicfile.Write(path, manifestTemp, buf.Bytes()); err != nil {
-		return fmt.Errorf("sweep: compacting manifest: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	s.f = f // nil when the open failed
 	if err != nil {
 		return fmt.Errorf("sweep: reopening manifest: %w", err)
 	}
-	s.f = f
 	// A compacted store is a completed sweep: drop the transient host
 	// timings so the directory's bytes depend only on the grid.
 	os.Remove(filepath.Join(s.dir, timingsName))
