@@ -41,6 +41,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *perClass <= 0 {
+		return fmt.Errorf("-per-class %d must be positive", *perClass)
+	}
 
 	src, err := env.NewDataset(env.DefaultDataset, env.DataConfig{
 		ImageSize: *size,
@@ -55,52 +58,53 @@ func run(args []string) error {
 		return err
 	}
 
+	// Balanced draws perClass samples of class 0, then of class 1, …:
+	// sample i is number i%perClass of class i/perClass.
+	ds := src.Balanced(*perClass)
 	switch *format {
 	case "png":
-		return writePNGs(src, *outDir, *perClass, *size)
+		return writePNGs(ds, *outDir, *perClass, *size)
 	case "csv":
-		return writeCSV(src, *outDir, *perClass, *size)
+		return writeCSV(ds, *outDir, *size)
 	default:
 		return fmt.Errorf("unknown format %q (want png|csv)", *format)
 	}
 }
 
-func writePNGs(gen env.DataSource, dir string, perClass, size int) error {
+func writePNGs(ds env.Dataset, dir string, perClass, size int) error {
 	plane := size * size
-	for c := 0; c < gen.Classes(); c++ {
-		for i := 0; i < perClass; i++ {
-			feats, label := gen.Sample(c)
-			img := image.NewRGBA(image.Rect(0, 0, size, size))
-			for y := 0; y < size; y++ {
-				for x := 0; x < size; x++ {
-					p := y*size + x
-					img.Set(x, y, color.RGBA{
-						R: uint8(feats[p] * 255),
-						G: uint8(feats[plane+p] * 255),
-						B: uint8(feats[2*plane+p] * 255),
-						A: 255,
-					})
-				}
-			}
-			name := filepath.Join(dir, fmt.Sprintf("class%02d_sample%02d_label%02d.png", c, i, label))
-			f, err := os.Create(name)
-			if err != nil {
-				return err
-			}
-			if err := png.Encode(f, img); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
+	for i := 0; i < ds.Len(); i++ {
+		feats, label := ds.Sample(i)
+		img := image.NewRGBA(image.Rect(0, 0, size, size))
+		for y := 0; y < size; y++ {
+			for x := 0; x < size; x++ {
+				p := y*size + x
+				img.Set(x, y, color.RGBA{
+					R: uint8(feats[p] * 255),
+					G: uint8(feats[plane+p] * 255),
+					B: uint8(feats[2*plane+p] * 255),
+					A: 255,
+				})
 			}
 		}
+		name := filepath.Join(dir, fmt.Sprintf("class%02d_sample%02d_label%02d.png", i/perClass, i%perClass, label))
+		f, err := os.Create(name)
+		if err != nil {
+			return err
+		}
+		if err := png.Encode(f, img); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
-	fmt.Printf("wrote %d PNGs to %s\n", gen.Classes()*perClass, dir)
+	fmt.Printf("wrote %d PNGs to %s\n", ds.Len(), dir)
 	return nil
 }
 
-func writeCSV(gen env.DataSource, dir string, perClass, size int) error {
+func writeCSV(ds env.Dataset, dir string, size int) error {
 	path := filepath.Join(dir, "gtsrb_synthetic.csv")
 	f, err := os.Create(path)
 	if err != nil {
@@ -116,23 +120,21 @@ func writeCSV(gen env.DataSource, dir string, perClass, size int) error {
 	if err := w.Write(header); err != nil {
 		return err
 	}
-	for c := 0; c < gen.Classes(); c++ {
-		for i := 0; i < perClass; i++ {
-			feats, label := gen.Sample(c)
-			rec := make([]string, 1, 1+len(feats))
-			rec[0] = strconv.Itoa(label)
-			for _, v := range feats {
-				rec = append(rec, strconv.FormatFloat(v, 'f', 4, 64))
-			}
-			if err := w.Write(rec); err != nil {
-				return err
-			}
+	for i := 0; i < ds.Len(); i++ {
+		feats, label := ds.Sample(i)
+		rec := make([]string, 1, 1+len(feats))
+		rec[0] = strconv.Itoa(label)
+		for _, v := range feats {
+			rec = append(rec, strconv.FormatFloat(v, 'f', 4, 64))
+		}
+		if err := w.Write(rec); err != nil {
+			return err
 		}
 	}
 	w.Flush()
 	if err := w.Error(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d samples to %s\n", gen.Classes()*perClass, path)
+	fmt.Printf("wrote %d samples to %s\n", ds.Len(), path)
 	return f.Close()
 }

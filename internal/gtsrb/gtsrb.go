@@ -11,6 +11,11 @@
 // shape, a fill colour, and an oriented stripe glyph, all derived
 // deterministically from the class index; each sample perturbs position,
 // scale, brightness, background, and pixel noise.
+//
+// A generator's bytes are a function of its Config and seed alone, at
+// any worker-pool width: every random number is drawn serially, in one
+// fixed order, and only the rendering of drawn samples — which consumes
+// no randomness — runs on the pool (see Generator).
 package gtsrb
 
 import (
@@ -19,6 +24,7 @@ import (
 	"math/rand"
 
 	"gsfl/internal/data"
+	"gsfl/internal/parallel"
 )
 
 // NumClasses matches the real GTSRB.
@@ -55,9 +61,7 @@ type classSpec struct {
 // positions × 4 stripe angles × 3 frequencies cover 43 classes with a
 // minimum pairwise difference a CNN can separate.
 func specFor(c int) classSpec {
-	if c < 0 || c >= NumClasses {
-		panic(fmt.Sprintf("gtsrb: class %d outside [0,%d)", c, NumClasses))
-	}
+	checkClass(c)
 	borderHue := float64((c*83)%360) / 360
 	fillHue := float64((c*151+120)%360) / 360
 	br, bg, bb := hsvToRGB(borderHue, 0.9, 0.9)
@@ -69,6 +73,12 @@ func specFor(c int) classSpec {
 		stripeAngle: float64((c/int(numShapes))%4) * math.Pi / 4,
 		stripeFreq:  2 + float64((c/(int(numShapes)*4))%3),
 		stripeDark:  0.45,
+	}
+}
+
+func checkClass(c int) {
+	if c < 0 || c >= NumClasses {
+		panic(fmt.Sprintf("gtsrb: class %d outside [0,%d)", c, NumClasses))
 	}
 }
 
@@ -163,6 +173,14 @@ func DefaultConfig(size int) Config {
 // Generator produces synthetic GTSRB samples. It is deterministic given
 // its seed and safe for concurrent use via independent instances (each
 // client's data is generated from its own derived seed).
+//
+// Every sample is made in two steps. draw consumes the generator's
+// random stream — the sample's pose, lighting, background and stripe
+// phase, one Gaussian noise term per pixel channel, the label noise —
+// and render turns those draws into pixels without touching any
+// randomness. Dataset and Balanced draw serially, in the order a loop
+// of Sample calls would, and render on the worker pool, so their bytes
+// are a loop of Sample calls' at any pool width.
 type Generator struct {
 	cfg Config
 	rng *rand.Rand
@@ -186,45 +204,79 @@ func (g *Generator) jitter(amp float64) float64 {
 	return float64((float64(g.rng.Float64())*2 - 1) * amp)
 }
 
-// Sample renders one image of the given class, returning CHW-flattened
-// features (3*Size*Size) and the (possibly noise-corrupted) label.
-func (g *Generator) Sample(class int) ([]float64, int) {
-	spec := specFor(class)
-	s := g.cfg.Size
-	img := make([]float64, 3*s*s)
+// sampleDraw is what render needs of one sample besides its noise
+// terms, which draw leaves in the sample's own pixels.
+type sampleDraw struct {
+	cx, cy, scale, bright float64
+	bgR, bgG, bgB         float64
+	phase                 float64
+	theta                 float64 // sign rotation; 0 when RotationJitter is 0
+	class                 uint8
+}
 
-	// Per-sample perturbations.
-	cx := g.jitter(g.cfg.Jitter)
-	cy := g.jitter(g.cfg.Jitter)
-	scale := 1 + g.jitter(g.cfg.ScaleJitter)
-	bright := 1 + g.jitter(g.cfg.BrightnessJitter)
-	bgR := 0.2 + float64(0.3*g.rng.Float64())
-	bgG := 0.2 + float64(0.3*g.rng.Float64())
-	bgB := 0.2 + float64(0.3*g.rng.Float64())
-	phase := float64(float64(g.rng.Float64()) * 2 * math.Pi)
-	var sinR, cosR float64 = 0, 1
+// draw consumes one sample's share of the random stream, in this order:
+// the four jitters, the three background levels, the stripe phase, the
+// rotation when RotationJitter > 0, the 3·Size² noise terms (pixel by
+// pixel, r then g then b), and the label noise. It stores the noise
+// terms in img and returns the rest with the label.
+func (g *Generator) draw(class int, img []float64) (sampleDraw, int) {
+	checkClass(class) // before any randomness is consumed
+	d := sampleDraw{class: uint8(class)}
+	d.cx = g.jitter(g.cfg.Jitter)
+	d.cy = g.jitter(g.cfg.Jitter)
+	d.scale = 1 + g.jitter(g.cfg.ScaleJitter)
+	d.bright = 1 + g.jitter(g.cfg.BrightnessJitter)
+	d.bgR = 0.2 + float64(0.3*g.rng.Float64())
+	d.bgG = 0.2 + float64(0.3*g.rng.Float64())
+	d.bgB = 0.2 + float64(0.3*g.rng.Float64())
+	d.phase = float64(float64(g.rng.Float64()) * 2 * math.Pi)
 	if g.cfg.RotationJitter > 0 {
-		theta := g.jitter(g.cfg.RotationJitter)
-		sinR, cosR = math.Sin(theta), math.Cos(theta)
+		d.theta = g.jitter(g.cfg.RotationJitter)
 	}
+
+	plane := len(img) / 3
+	for i := 0; i < plane; i++ {
+		img[i] = float64(g.rng.NormFloat64() * g.cfg.NoiseStd)
+		img[plane+i] = float64(g.rng.NormFloat64() * g.cfg.NoiseStd)
+		img[2*plane+i] = float64(g.rng.NormFloat64() * g.cfg.NoiseStd)
+	}
+
+	label := class
+	if g.cfg.LabelNoise > 0 && g.rng.Float64() < g.cfg.LabelNoise {
+		label = g.rng.Intn(NumClasses)
+	}
+	return d, label
+}
+
+// render paints the sign d describes into img, the CHW image of edge s
+// whose entries hold the sample's noise terms: each becomes
+// clamp01(colour·brightness + noise). It is a function of its arguments
+// alone and consumes no randomness, so any goroutine may render any
+// sample once draw has returned.
+func render(s int, d *sampleDraw, img []float64) {
+	spec := specFor(int(d.class))
+	// Sin(0) and Cos(0) are exactly 0 and 1: an unrotated sign needs no
+	// branch.
+	sinR, cosR := math.Sin(d.theta), math.Cos(d.theta)
+	stripeCos, stripeSin := math.Cos(spec.stripeAngle), math.Sin(spec.stripeAngle)
 
 	plane := s * s
 	for py := 0; py < s; py++ {
 		for px := 0; px < s; px++ {
 			// Map pixel to sign-local coordinates.
-			x := ((float64(px)+0.5)/float64(s)*2 - 1 - cx) / (0.9 * scale)
-			y := ((float64(py)+0.5)/float64(s)*2 - 1 - cy) / (0.9 * scale)
+			x := ((float64(px)+0.5)/float64(s)*2 - 1 - d.cx) / (0.9 * d.scale)
+			y := ((float64(py)+0.5)/float64(s)*2 - 1 - d.cy) / (0.9 * d.scale)
 			// Rotate sign-local coordinates (inverse rotation of the sign).
 			x, y = float64(x*cosR)+float64(y*sinR), float64(-x*sinR)+float64(y*cosR)
-			r, gg, b := bgR, bgG, bgB
+			r, gg, b := d.bgR, d.bgG, d.bgB
 			if in, border := spec.inside(x, y); in {
 				if border {
 					r, gg, b = spec.borderR, spec.borderG, spec.borderB
 				} else {
 					r, gg, b = spec.fillR, spec.fillG, spec.fillB
 					// Oriented stripe glyph in the interior.
-					u := float64(x*math.Cos(spec.stripeAngle)) + float64(y*math.Sin(spec.stripeAngle))
-					if math.Sin(float64(u*spec.stripeFreq*math.Pi)+phase) > 0.3 {
+					u := float64(x*stripeCos) + float64(y*stripeSin)
+					if math.Sin(float64(u*spec.stripeFreq*math.Pi)+d.phase) > 0.3 {
 						r *= spec.stripeDark
 						gg *= spec.stripeDark
 						b *= spec.stripeDark
@@ -232,16 +284,20 @@ func (g *Generator) Sample(class int) ([]float64, int) {
 				}
 			}
 			i := py*s + px
-			img[i] = clamp01(float64(r*bright) + float64(g.rng.NormFloat64()*g.cfg.NoiseStd))
-			img[plane+i] = clamp01(float64(gg*bright) + float64(g.rng.NormFloat64()*g.cfg.NoiseStd))
-			img[2*plane+i] = clamp01(float64(b*bright) + float64(g.rng.NormFloat64()*g.cfg.NoiseStd))
+			img[i] = clamp01(float64(r*d.bright) + img[i])
+			img[plane+i] = clamp01(float64(gg*d.bright) + img[plane+i])
+			img[2*plane+i] = clamp01(float64(b*d.bright) + img[2*plane+i])
 		}
 	}
+}
 
-	label := class
-	if g.cfg.LabelNoise > 0 && g.rng.Float64() < g.cfg.LabelNoise {
-		label = g.rng.Intn(NumClasses)
-	}
+// Sample renders one image of the given class, returning CHW-flattened
+// features (3*Size*Size) and the (possibly noise-corrupted) label.
+func (g *Generator) Sample(class int) ([]float64, int) {
+	s := g.cfg.Size
+	img := make([]float64, 3*s*s)
+	d, label := g.draw(class, img)
+	render(s, &d, img)
 	return img, label
 }
 
@@ -253,13 +309,7 @@ func (g *Generator) Dataset(n int, classWeights []float64) *data.InMemory {
 		panic(fmt.Sprintf("gtsrb: dataset size %d must be positive", n))
 	}
 	cum := cumulative(classWeights)
-	x := make([][]float64, n)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := drawClass(g.rng, cum)
-		x[i], y[i] = g.Sample(c)
-	}
-	return data.NewInMemory(x, y, NumClasses)
+	return g.samples(n, func(int) int { return drawClass(g.rng, cum) })
 }
 
 // Balanced generates perClass samples of every class (size 43*perClass),
@@ -268,16 +318,71 @@ func (g *Generator) Balanced(perClass int) *data.InMemory {
 	if perClass <= 0 {
 		panic(fmt.Sprintf("gtsrb: perClass %d must be positive", perClass))
 	}
-	n := NumClasses * perClass
-	x := make([][]float64, 0, n)
-	y := make([]int, 0, n)
-	for c := 0; c < NumClasses; c++ {
-		for i := 0; i < perClass; i++ {
-			f, label := g.Sample(c)
-			x = append(x, f)
-			y = append(y, label)
+	return g.samples(NumClasses*perClass, func(i int) int { return i / perClass })
+}
+
+// blockSize is how many samples the drawer publishes to the renderers
+// at a time.
+const blockSize = 64
+
+// samples makes n samples, sample i of class classOf(i), with the bytes
+// of a loop calling classOf(i) then Sample for i = 0, 1, …: classOf may
+// consume the random stream. Index 0 of one parallel.For draws every
+// sample in that order and publishes it by blocks; each other index
+// renders one block once it is published. At width 1 For runs inline,
+// drawing everything before rendering anything. If the drawer panics it
+// still releases every renderer, which then returns without rendering,
+// and For re-raises the panic.
+func (g *Generator) samples(n int, classOf func(i int) int) *data.InMemory {
+	s := g.cfg.Size
+	x := make([][]float64, n)
+	y := make([]int, n)
+	// Block b holds samples [b·blockSize, (b+1)·blockSize). Its draws are
+	// set, then ready is closed, when the drawer finishes it; the renderer
+	// drops them once painted. A block closed with nil draws was never
+	// finished.
+	blocks := make([]struct {
+		draws []sampleDraw
+		ready chan struct{}
+	}, (n+blockSize-1)/blockSize)
+	for b := range blocks {
+		blocks[b].ready = make(chan struct{})
+	}
+	drawAll := func() {
+		b := 0
+		defer func() {
+			for ; b < len(blocks); b++ {
+				close(blocks[b].ready)
+			}
+		}()
+		for ; b < len(blocks); b++ {
+			lo, hi := b*blockSize, min(n, (b+1)*blockSize)
+			draws := make([]sampleDraw, hi-lo)
+			for i := lo; i < hi; i++ {
+				x[i] = make([]float64, 3*s*s)
+				draws[i-lo], y[i] = g.draw(classOf(i), x[i])
+			}
+			blocks[b].draws = draws
+			close(blocks[b].ready)
 		}
 	}
+	parallel.For(len(blocks)+1, 1, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			if k == 0 {
+				drawAll()
+				continue
+			}
+			blk := &blocks[k-1]
+			<-blk.ready
+			if blk.draws == nil {
+				return // the drawer panicked; For re-raises it
+			}
+			for j := range blk.draws {
+				render(s, &blk.draws[j], x[(k-1)*blockSize+j])
+			}
+			blk.draws = nil
+		}
+	})
 	return data.NewInMemory(x, y, NumClasses)
 }
 

@@ -1,11 +1,14 @@
 package gtsrb
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"gsfl/internal/data"
+	"gsfl/internal/parallel"
 )
 
 func TestSampleShapeAndRange(t *testing.T) {
@@ -237,4 +240,111 @@ func TestSourceRejectsUnknownOption(t *testing.T) {
 	if _, err := data.NewSource(SourceName, cfg); err == nil || !strings.Contains(err.Error(), `"noise_sdt"`) {
 		t.Fatalf("unknown option error = %v, want one naming \"noise_sdt\"", err)
 	}
+}
+
+// withWidths runs f at pool widths 1, 2 and 8, restoring the default
+// width afterwards.
+func withWidths(t *testing.T, f func(t *testing.T)) {
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	for _, w := range []int{1, 2, 8} {
+		parallel.SetWorkers(w)
+		t.Run(fmt.Sprintf("w%d", w), f)
+	}
+}
+
+// sampleLoop is the serial reference for Dataset and Balanced: classOf
+// then Sample for each index, on one generator.
+func sampleLoop(g *Generator, n int, classOf func(i int) int) ([][]float64, []int) {
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		x[i], y[i] = g.Sample(classOf(i))
+	}
+	return x, y
+}
+
+func requireSameSamples(t *testing.T, got *data.InMemory, x [][]float64, y []int) {
+	t.Helper()
+	if got.Len() != len(x) {
+		t.Fatalf("Len = %d, want %d", got.Len(), len(x))
+	}
+	for i := range x {
+		if got.Y[i] != y[i] {
+			t.Fatalf("sample %d: label %d, want %d", i, got.Y[i], y[i])
+		}
+		for j, v := range x[i] {
+			if math.Float64bits(got.X[i][j]) != math.Float64bits(v) {
+				t.Fatalf("sample %d feature %d: %v, want %v", i, j, got.X[i][j], v)
+			}
+		}
+	}
+}
+
+// equivalenceConfigs are the default config and one that also draws a
+// rotation and label noise per sample.
+func equivalenceConfigs() map[string]Config {
+	noisy := DefaultConfig(8)
+	noisy.RotationJitter = 0.3
+	noisy.LabelNoise = 0.2
+	return map[string]Config{"default": DefaultConfig(8), "rotation+labelnoise": noisy}
+}
+
+// TestDatasetMatchesSampleLoop: Dataset's pipelined draw and render
+// yields the bytes of drawing each class and calling Sample, in turn,
+// on a twin generator — at every pool width, across block boundaries.
+func TestDatasetMatchesSampleLoop(t *testing.T) {
+	for name, cfg := range equivalenceConfigs() {
+		for _, n := range []int{1, blockSize - 1, blockSize, blockSize + 1, 6000} {
+			twin := NewGenerator(cfg, 11)
+			cum := cumulative(nil)
+			x, y := sampleLoop(twin, n, func(int) int { return drawClass(twin.rng, cum) })
+			t.Run(fmt.Sprintf("%s/n%d", name, n), func(t *testing.T) {
+				withWidths(t, func(t *testing.T) {
+					requireSameSamples(t, NewGenerator(cfg, 11).Dataset(n, nil), x, y)
+				})
+			})
+		}
+	}
+}
+
+// TestBalancedMatchesSampleLoop is TestDatasetMatchesSampleLoop for
+// Balanced: perClass samples of class 0, then of class 1, and so on.
+func TestBalancedMatchesSampleLoop(t *testing.T) {
+	for name, cfg := range equivalenceConfigs() {
+		for _, perClass := range []int{1, 2, 140} {
+			x, y := sampleLoop(NewGenerator(cfg, 12), NumClasses*perClass, func(i int) int { return i / perClass })
+			t.Run(fmt.Sprintf("%s/perClass%d", name, perClass), func(t *testing.T) {
+				withWidths(t, func(t *testing.T) {
+					requireSameSamples(t, NewGenerator(cfg, 12).Balanced(perClass), x, y)
+				})
+			})
+		}
+	}
+}
+
+// TestSamplesDrawerPanicReturns: a panic while drawing reaches the
+// caller at every pool width instead of leaving a renderer waiting for
+// a block that will never be published.
+func TestSamplesDrawerPanicReturns(t *testing.T) {
+	withWidths(t, func(t *testing.T) {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			g := NewGenerator(DefaultConfig(8), 1)
+			g.samples(5*blockSize, func(i int) int {
+				if i == 2*blockSize+3 {
+					return NumClasses // rejected by draw
+				}
+				return i % NumClasses
+			})
+		}()
+		select {
+		case r := <-done:
+			if r == nil || !strings.Contains(fmt.Sprint(r), "outside") {
+				t.Fatalf("recovered %v, want the drawer's bad-class panic", r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("samples did not return after its drawer panicked")
+		}
+	})
 }
