@@ -270,11 +270,6 @@ func (l *Loader) NextInto(b *Batch) {
 	}
 }
 
-// StepsPerEpoch returns how many batches one epoch yields.
-func (l *Loader) StepsPerEpoch() int {
-	return (l.ds.Len() + l.batch - 1) / l.batch
-}
-
 // All materializes the entire dataset as one batch, in index order.
 // Used for evaluation.
 func All(ds Dataset, inShape []int) Batch {

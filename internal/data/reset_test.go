@@ -24,7 +24,7 @@ func synthDataset(n, width, classes int, seed int64) *InMemory {
 func drainEpoch(l *Loader) []int {
 	var labels []int
 	var b Batch
-	for i := 0; i < l.StepsPerEpoch(); i++ {
+	for i := 0; i < (l.ds.Len()+l.batch-1)/l.batch; i++ {
 		l.NextInto(&b)
 		labels = append(labels, b.Y...)
 	}

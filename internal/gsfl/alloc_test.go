@@ -16,18 +16,19 @@ import (
 // split training in every group, latency pricing, FedAvg aggregation —
 // must stay within a small bookkeeping budget that grows with the group
 // count, not with clients × turns. The budgets cover round-scoped
-// bookkeeping (one ledger per live group, the bandwidth allocations of
-// each position, the fork-join), not per-element tensor traffic, so a
-// regression that reintroduces per-step buffer allocation, or pricing
-// that walks the layers' shapes per turn, trips them immediately.
+// bookkeeping (the bandwidth allocations of each position, the
+// fork-join, the round's folded ledger), not per-element tensor traffic,
+// so a regression that reintroduces per-step buffer allocation, or
+// pricing that walks the layers' shapes per turn, trips them
+// immediately.
 //
-// Measured on linux/amd64: 18 allocs/round at the test shape and 26 at
-// the paper's shape (N=30, M=6, gtsrb-cnn at 16 px) on one worker, 269
+// Measured on linux/amd64: 15 allocs/round at the test shape and 19 at
+// the paper's shape (N=30, M=6, gtsrb-cnn at 16 px) on one worker, 262
 // at the paper's shape on two, where each kernel call inside a group
-// task builds its fork-join closure. Before one task per group and
-// cached per-sample costs the same rounds made 264, 2,902 and 3,169.
-// Each limit sits ~10% above its measurement so it ratchets down with
-// the code.
+// task builds its fork-join closure. Pricing into a ledger per group
+// beside the chains made them 18, 26 and 269; before one task per group
+// and cached per-sample costs they were 264, 2,902 and 3,169. Each limit
+// sits ~10% above its measurement so it ratchets down with the code.
 func TestRoundSteadyStateAllocs(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	for _, c := range []struct {
@@ -36,9 +37,9 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 		workers int
 		limit   float64
 	}{
-		{"test shape", false, 1, 20},
-		{"paper shape", true, 1, 29},
-		{"paper shape, two workers", true, 2, 296},
+		{"test shape", false, 1, 17},
+		{"paper shape", true, 1, 21},
+		{"paper shape, two workers", true, 2, 288},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			world, groups := schemestest.NewEnv(7, 6, 48), 2

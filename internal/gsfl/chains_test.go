@@ -114,21 +114,13 @@ func TestRoundChainsEmptyAfterNoOpRound(t *testing.T) {
 	}
 }
 
-// TestRoundChainsCarryTheChargedSeconds holds the seconds a round's
-// chains carry (what its trace draws) to what its ledgers priced, for
-// every registration, quantized or not, pipelined or not: folding each
-// chain's Charged per component, in charge order, and taking the
-// critical path must reproduce the round ledger's component totals bit
+// TestRoundChainsCarryTheChargedSeconds holds the round a trainer
+// returns to the seconds its chains carry (what its trace draws), for
+// every registration, quantized or not, pipelined or not: simnet.Fold
+// of the group chains must reproduce the round's component totals bit
 // for bit, aggregation aside; the tail chain folds to its Aggregation.
 // Each client turn starts exactly one recorded turn.
 func TestRoundChainsCarryTheChargedSeconds(t *testing.T) {
-	fold := func(chain []simnet.Task) *simnet.Ledger {
-		var led simnet.Ledger
-		for _, task := range chain {
-			led.Add(task.Component, task.Charged)
-		}
-		return &led
-	}
 	ctx := context.Background()
 	for _, quant := range []bool{false, true} {
 		for _, pipelined := range []bool{false, true} {
@@ -153,19 +145,16 @@ func TestRoundChainsCarryTheChargedSeconds(t *testing.T) {
 					t.Fatal(err)
 				}
 				tr := st.(*Trainer)
-				chains := tr.RoundChains()
-				folded := make([]*simnet.Ledger, len(chains))
 				turns := 0
-				for li, chain := range chains {
-					folded[li] = fold(chain)
+				for li := range tr.RoundChains() {
 					turns += len(tr.turns[li])
 				}
-				path := simnet.MaxOf(folded)
+				path, tail := simnet.Fold(tr.RoundChains()...), simnet.Fold(tr.tail)
 				for _, c := range simnet.Components() {
 					want := round.Get(c)
 					got := path.Get(c)
 					if c == simnet.Aggregation {
-						got = fold(tr.tail).Get(c)
+						got = tail.Get(c)
 					}
 					if got != want {
 						t.Errorf("%s quant=%v pipelined=%v: %v folds to %v, ledger has %v",

@@ -149,10 +149,11 @@ type Trainer struct {
 	// are reused across rounds.
 	batchSizes [][]int
 	live       []int
-	// chains[li] is every task live group li's ledger charged this
-	// round, in order (RoundChains), and turns[li] the index in it of
-	// each client turn's first task; tail is what the round's ledger
-	// charged after the join (aggregation). The buffers are reused.
+	// chains[li] is every task live group li charged this round, in
+	// order (RoundChains), and turns[li] the index in it of each client
+	// turn's first task; tail is what the round charged after the join
+	// (aggregation). The round's ledger is their fold. The buffers are
+	// reused.
 	chains [][]simnet.Task
 	turns  [][]int
 	tail   []simnet.Task
@@ -232,9 +233,9 @@ func (t *Trainer) Name() string { return t.plan.scheme }
 // Groups exposes the group assignment (read-only view for diagnostics).
 func (t *Trainer) Groups() [][]int { return t.groups }
 
-// RoundChains exposes the tasks each live group's ledger charged in the
-// last Round, in order (read-only view; aggregation, priced after the
-// join, is in none). It is empty after a round that priced nothing.
+// RoundChains exposes the tasks each live group charged in the last
+// Round, in order (read-only view; aggregation, priced after the join,
+// is in none). It is empty after a round that priced nothing.
 func (t *Trainer) RoundChains() [][]simnet.Task { return t.chains }
 
 // ServerReplicaCount returns how many server-side models the edge server
@@ -420,20 +421,18 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	if t.plan.local {
 		handOff, giveBack = simnet.Downlink, simnet.Uplink
 	}
-	leds := make([]*simnet.Ledger, len(live))
 	firstClients := make([]int, len(live))
 	t.chains = slices.Grow(t.chains, len(live))[:len(live)]
 	t.turns = slices.Grow(t.turns, len(live))[:len(live)]
 	for li, g := range live {
-		leds[li] = &simnet.Ledger{}
-		leds[li].Record(&t.chains[li])
+		t.chains[li] = t.chains[li][:0]
 		t.turns[li] = t.turns[li][:0]
 		firstClients[li] = groups[g][0]
 	}
 	var distAlloc []float64
 	distribute := func(li int) {
-		schemes.Charge(env, simnet.Task{Kind: simnet.TaskDownlink, Bytes: t.replicas[live[li]].ClientParamBytes(),
-			Client: firstClients[li], Component: handOff}, 0, distAlloc[li], leds[li])
+		schemes.Charge(env, &t.chains[li], 0, distAlloc[li], simnet.Task{Kind: simnet.TaskDownlink,
+			Bytes: t.replicas[live[li]].ClientParamBytes(), Client: firstClients[li], Component: handOff})
 	}
 	if !t.plan.chain {
 		distAlloc = env.Alloc.Allocate(env.Channel, firstClients, env.Channel.DownlinkHz(), false)
@@ -465,43 +464,42 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 			downAlloc = env.Alloc.Allocate(env.Channel, activeClients, env.Channel.DownlinkHz(), false)
 		}
 		for ai, li := range active {
-			g, ci, led := live[li], activeClients[ai], leds[li]
-			rep := t.replicas[g]
+			g, ci, chain := live[li], activeClients[ai], &t.chains[li]
+			rep, up, down := t.replicas[g], upAlloc[ai], downAlloc[ai]
 			if pos == 0 && t.plan.distributionInTurn {
 				distribute(li) // every live group is active at position 0
 			}
-			t.turns[li] = append(t.turns[li], len(t.chains[li]))
+			t.turns[li] = append(t.turns[li], len(*chain))
 			if t.cfg.Pipelined {
-				if err := schemes.TurnLatency(env, rep, ci, env.Hyper.Batch, steps,
-					upAlloc[ai], downAlloc[ai], led); err != nil {
+				if err := schemes.ChargeTurn(env, rep, ci, env.Hyper.Batch, steps, up, down, chain); err != nil {
 					return nil, err
 				}
 			} else {
 				for _, bn := range t.batchSizes[g][pos*steps : (pos+1)*steps] {
+					step := schemes.StepTasks(env, rep, ci, bn)
+					tasks := step[:]
 					if t.plan.local { // the loss is on the client: no per-step transfers
-						schemes.Charge(env, schemes.StepTasks(env, rep, ci, bn)[0], 0, 0, led)
-					} else {
-						schemes.StepLatency(env, rep, ci, bn, upAlloc[ai], downAlloc[ai], led)
+						tasks = step[:1]
 					}
+					schemes.Charge(env, chain, up, down, tasks...)
 				}
 			}
 			// Model sharing: relay to the next client in the group — a
 			// chain wraps to the round's first — or return the client
 			// model to the AP after the last client.
-			switch {
-			case pos+1 < len(groups[g]):
-				schemes.RelayLatency(env, rep, ci, groups[g][pos+1], upAlloc[ai], downAlloc[ai], led)
-			case t.plan.chain:
-				schemes.RelayLatency(env, rep, ci, groups[g][0], upAlloc[ai], downAlloc[ai], led)
-			default:
-				schemes.Charge(env, simnet.Task{Kind: simnet.TaskUplink, Bytes: rep.ClientParamBytes(),
-					Client: ci, Component: giveBack}, upAlloc[ai], 0, led)
+			if members := groups[g]; pos+1 < len(members) || t.plan.chain {
+				relay := schemes.RelayTasks(rep, ci, members[(pos+1)%len(members)])
+				schemes.Charge(env, chain, up, down, relay[:]...)
+			} else {
+				schemes.Charge(env, chain, up, 0, simnet.Task{Kind: simnet.TaskUplink, Bytes: rep.ClientParamBytes(),
+					Client: ci, Component: giveBack})
 			}
 		}
 	}
 
 	// --- Step 3: aggregation among groups ------------------------------
-	round := simnet.MaxOf(leds)
+	// The groups ran in parallel: the round is their chains' fold.
+	round := simnet.Fold(t.chains...)
 	joined := round.Total()
 	if t.plan.chain {
 		// Nothing to average and nothing to price: the trained model is
@@ -519,11 +517,13 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		}
 		agg.FedAvgInto(&t.globalClient, t.aggClient, t.aggW)
 		agg.FedAvgInto(&t.globalServer, t.aggServer, t.aggW)
-		// Aggregation prices onto the critical-path ledger after the
-		// groups join, where the slowest group finished.
-		round.Record(&t.tail)
-		schemes.AggregationLatency(t.env, len(live),
-			t.globalClient.ParamCount()+t.globalServer.ParamCount(), round)
+		// Aggregation runs on the AP after the groups join, where the
+		// slowest group finished: the tail chain adds to the fold.
+		t.tail = t.tail[:0]
+		schemes.Charge(env, &t.tail, 0, 0, schemes.AggregationTask(env, len(live),
+			t.globalClient.ParamCount()+t.globalServer.ParamCount()))
+		tail := simnet.Fold(t.tail)
+		round.Merge(&tail)
 	}
 
 	if env.Trace != nil {
@@ -534,9 +534,9 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		if !t.plan.chain {
 			lanes = append(lanes, schemes.TraceLane{Name: "ap", At: joined, Chain: t.tail})
 		}
-		env.TraceRound(t.plan.scheme, t.round, lanes, round)
+		env.TraceRound(t.plan.scheme, t.round, lanes, &round)
 	}
-	return round, nil
+	return &round, nil
 }
 
 // Evaluate implements schemes.Trainer: test-set performance of the

@@ -103,12 +103,8 @@ func (m *SplitModel) SmashedBytesWith(batch, bytesPerScalar int) int64 {
 	return int64(batch) * per * int64(bytesPerScalar)
 }
 
-// GradBytes returns the wire size of the cut-layer gradient for a batch.
-func (m *SplitModel) GradBytes(batch int) int64 {
-	return m.GradBytesWith(batch, WireBytesPerScalar)
-}
-
-// GradBytesWith is GradBytes at an explicit per-scalar wire width.
+// GradBytesWith returns the wire size of the cut-layer gradient for a
+// batch at the given per-scalar wire width.
 func (m *SplitModel) GradBytesWith(batch, bytesPerScalar int) int64 {
 	return int64(batch) * m.smashedScalars * int64(bytesPerScalar)
 }
@@ -117,11 +113,6 @@ func (m *SplitModel) GradBytesWith(batch, bytesPerScalar int) int64 {
 // quantity transferred during model distribution and intra-group sharing.
 func (m *SplitModel) ClientParamBytes() int64 {
 	return m.clientParams * WireBytesPerScalar
-}
-
-// ServerParamBytes returns the wire size of the server-side model.
-func (m *SplitModel) ServerParamBytes() int64 {
-	return int64(m.Server.ParamCount()) * WireBytesPerScalar
 }
 
 // ClientFwdFLOPs returns per-sample forward FLOPs of the client half.

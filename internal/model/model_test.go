@@ -51,8 +51,8 @@ func TestByteAccounting(t *testing.T) {
 	if got := m.ClientParamBytes(); got != 66*WireBytesPerScalar {
 		t.Fatalf("ClientParamBytes = %d, want %d", got, 66*WireBytesPerScalar)
 	}
-	if got := m.ServerParamBytes(); got != 21*WireBytesPerScalar {
-		t.Fatalf("ServerParamBytes = %d, want %d", got, 21*WireBytesPerScalar)
+	if got := m.Server.ParamCount(); got != 21 {
+		t.Fatalf("server params = %d, want 21", got)
 	}
 	// Cut after the last layer (FL): the client half is the whole model.
 	full := arch.NewSplit(rand.New(rand.NewSource(1)), len(arch.Build(rand.New(rand.NewSource(0)))))
@@ -63,8 +63,8 @@ func TestByteAccounting(t *testing.T) {
 	if got := m.SmashedBytes(4); got != 4*7*WireBytesPerScalar {
 		t.Fatalf("SmashedBytes(4) = %d", got)
 	}
-	if got := m.GradBytes(4); got != 4*6*WireBytesPerScalar {
-		t.Fatalf("GradBytes(4) = %d", got)
+	if got := m.GradBytesWith(4, WireBytesPerScalar); got != 4*6*WireBytesPerScalar {
+		t.Fatalf("GradBytesWith(4) = %d", got)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestCutMonotonicity(t *testing.T) {
 			t.Fatalf("client bytes decreased at cut %d", cut)
 		}
 		prevClient = cb
-		tt := cb + m.ServerParamBytes()
+		tt := cb + int64(m.Server.ParamCount())*WireBytesPerScalar
 		if total == 0 {
 			total = tt
 		}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"strings"
 
 	"gsfl/internal/tensor"
 )
@@ -200,21 +199,6 @@ func (s *Sequential) OutShape(in []int) []int {
 	return in
 }
 
-// ShapeAt returns the per-sample activation shape after layer k (k layers
-// applied), so ShapeAt(in, 0) == in and ShapeAt(in, len(Layers)) is the
-// output shape. This is the quantity the split-learning latency model
-// prices as "smashed data".
-func (s *Sequential) ShapeAt(in []int, k int) []int {
-	if k < 0 || k > len(s.Layers) {
-		panic(fmt.Sprintf("nn: ShapeAt index %d outside [0,%d]", k, len(s.Layers)))
-	}
-	out := append([]int(nil), in...)
-	for _, l := range s.Layers[:k] {
-		out = l.OutShape(out)
-	}
-	return out
-}
-
 // FwdFLOPs sums per-sample forward FLOPs over all layers for the given
 // per-sample input shape.
 func (s *Sequential) FwdFLOPs(in []int) int64 {
@@ -224,24 +208,4 @@ func (s *Sequential) FwdFLOPs(in []int) int64 {
 		in = l.OutShape(in)
 	}
 	return total
-}
-
-// Summary renders a layer-by-layer description with activation shapes and
-// parameter counts, similar to Keras's model.summary().
-func (s *Sequential) Summary(in []int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s %-16s %10s\n", "layer", "output", "params")
-	shape := append([]int(nil), in...)
-	total := 0
-	for _, l := range s.Layers {
-		shape = l.OutShape(shape)
-		n := 0
-		for _, p := range l.Params() {
-			n += p.Size()
-		}
-		total += n
-		fmt.Fprintf(&sb, "%-28s %-16v %10d\n", l.Name(), shape, n)
-	}
-	fmt.Fprintf(&sb, "total params: %d\n", total)
-	return sb.String()
 }

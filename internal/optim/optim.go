@@ -55,9 +55,6 @@ type SGD struct {
 	velocity []*tensor.Tensor
 }
 
-// NewSGD constructs plain SGD with a constant learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{Schedule: ConstLR(lr)} }
-
 // NewSGDMomentum constructs SGD with momentum.
 func NewSGDMomentum(lr, momentum float64) *SGD {
 	return &SGD{Schedule: ConstLR(lr), Momentum: momentum}

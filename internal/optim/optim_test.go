@@ -41,7 +41,7 @@ func runOptimizer(t *testing.T, opt Optimizer, steps int) float64 {
 }
 
 func TestSGDConvergesOnQuadratic(t *testing.T) {
-	if v := runOptimizer(t, NewSGD(0.1), 200); v > 1e-10 {
+	if v := runOptimizer(t, NewSGDMomentum(0.1, 0), 200); v > 1e-10 {
 		t.Fatalf("SGD final value %v, want ≈0", v)
 	}
 }
@@ -55,7 +55,7 @@ func TestSGDMomentumConverges(t *testing.T) {
 func TestSGDSingleStepExact(t *testing.T) {
 	p := tensor.FromSlice([]float64{1, 2}, 2)
 	g := tensor.FromSlice([]float64{0.5, -0.5}, 2)
-	NewSGD(0.1).Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}, nil)
+	NewSGDMomentum(0.1, 0).Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}, nil)
 	want := tensor.FromSlice([]float64{0.95, 2.05}, 2)
 	if !tensor.AllClose(p, want, 1e-12) {
 		t.Fatalf("p = %v, want %v", p, want)
@@ -65,7 +65,7 @@ func TestSGDSingleStepExact(t *testing.T) {
 func TestWeightDecayShrinksParams(t *testing.T) {
 	p := tensor.FromSlice([]float64{10}, 1)
 	g := tensor.New(1) // zero gradient: only decay acts
-	opt := NewSGD(0.1)
+	opt := NewSGDMomentum(0.1, 0)
 	opt.WeightDecay = 0.5
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}, nil)
 	// p -= lr * wd * p = 10 - 0.1*0.5*10 = 9.5
@@ -78,7 +78,7 @@ func TestDecayMaskExemptsParams(t *testing.T) {
 	p1 := tensor.FromSlice([]float64{10}, 1)
 	p2 := tensor.FromSlice([]float64{10}, 1)
 	g1, g2 := tensor.New(1), tensor.New(1)
-	opt := NewSGD(0.1)
+	opt := NewSGDMomentum(0.1, 0)
 	opt.WeightDecay = 0.5
 	opt.Step([]*tensor.Tensor{p1, p2}, []*tensor.Tensor{g1, g2}, []bool{true, false})
 	if p1.Data[0] >= 10 {
@@ -92,7 +92,7 @@ func TestDecayMaskExemptsParams(t *testing.T) {
 func TestClipNormCapsUpdates(t *testing.T) {
 	p := tensor.New(2)
 	g := tensor.FromSlice([]float64{300, 400}, 2) // norm 500
-	opt := NewSGD(1.0)
+	opt := NewSGDMomentum(1.0, 0)
 	opt.ClipNorm = 5
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}, nil)
 	// Clipped gradient has norm 5 => update norm 5 with lr 1.
@@ -107,7 +107,7 @@ func TestClipNormCapsUpdates(t *testing.T) {
 func TestClipNormOverflowingNormStillClips(t *testing.T) {
 	p := tensor.New(2)
 	g := tensor.FromSlice([]float64{1e200, 0}, 2)
-	opt := NewSGD(1.0)
+	opt := NewSGDMomentum(1.0, 0)
 	opt.ClipNorm = 5
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}, nil)
 	if p.Data[0] != -5 || p.Data[1] != 0 {
@@ -131,7 +131,7 @@ func TestClipNormOverflowingNormStillClips(t *testing.T) {
 func TestClipNormNoEffectWhenSmall(t *testing.T) {
 	p := tensor.New(1)
 	g := tensor.FromSlice([]float64{0.1}, 1)
-	opt := NewSGD(1.0)
+	opt := NewSGDMomentum(1.0, 0)
 	opt.ClipNorm = 5
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}, nil)
 	if math.Abs(p.Data[0]+0.1) > 1e-12 {
@@ -162,7 +162,7 @@ func TestMisalignedPanics(t *testing.T) {
 			t.Fatal("expected panic on misaligned params/grads")
 		}
 	}()
-	NewSGD(0.1).Step([]*tensor.Tensor{tensor.New(1)}, nil, nil)
+	NewSGDMomentum(0.1, 0).Step([]*tensor.Tensor{tensor.New(1)}, nil, nil)
 }
 
 func TestMomentumAcceleratesOnRavine(t *testing.T) {
@@ -185,7 +185,7 @@ func TestMomentumAcceleratesOnRavine(t *testing.T) {
 		}
 		return val(p)
 	}
-	plain := run(NewSGD(0.1))
+	plain := run(NewSGDMomentum(0.1, 0))
 	mom := run(NewSGDMomentum(0.1, 0.9))
 	if mom >= plain {
 		t.Fatalf("momentum (%v) should beat plain SGD (%v) on a ravine", mom, plain)

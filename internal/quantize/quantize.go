@@ -109,9 +109,6 @@ func (q *Quantized) WireBytes() int64 {
 	return int64(len(q.Codes))*WireBytesPerScalar + headerBytes
 }
 
-// MaxError returns the worst-case absolute round-trip error (scale/2).
-func (q *Quantized) MaxError() float64 { return q.Scale / 2 }
-
 // RoundTrip is the convenience composition used inside training steps:
 // quantize then immediately dequantize, returning the precision-lossy
 // tensor the receiving side would see.

@@ -14,7 +14,7 @@ func TestRoundTripErrorBound(t *testing.T) {
 	x := tensor.New(1000).RandNormal(rng, 0, 3)
 	q := Quantize(x)
 	back := q.Dequantize()
-	bound := q.MaxError() + 1e-12
+	bound := q.Scale/2 + 1e-12
 	for i := range x.Data {
 		if err := math.Abs(x.Data[i] - back.Data[i]); err > bound {
 			t.Fatalf("element %d error %v exceeds bound %v", i, err, bound)
@@ -82,7 +82,7 @@ func TestPropRoundTripBounded(t *testing.T) {
 		x := tensor.New(n).RandNormal(rng, rng.NormFloat64()*5, 0.1+rng.Float64()*4)
 		q := Quantize(x)
 		back := q.Dequantize()
-		bound := q.MaxError() + 1e-9
+		bound := q.Scale/2 + 1e-9
 		for i := range x.Data {
 			if math.Abs(x.Data[i]-back.Data[i]) > bound {
 				return false

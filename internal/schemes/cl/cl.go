@@ -42,7 +42,8 @@ type Trainer struct {
 
 	// round counts completed rounds (trace labels only).
 	round int
-	// chain is every task the last round charged (reused).
+	// chain is every task the last round charged (reused); the round's
+	// ledger is its fold.
 	chain []simnet.Task
 }
 
@@ -89,8 +90,7 @@ func (t *Trainer) Name() string { return "cl" }
 // data, all on the edge server. Cancellation is honoured between steps.
 func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	t.round++
-	led := &simnet.Ledger{}
-	led.Record(&t.chain)
+	t.chain = t.chain[:0]
 	server := t.env.Fleet.Server
 	perSample := 3 * t.m.ServerFwdFLOPs() // cut 0: whole model is server-side
 	for s := 0; s < t.stepsPerRound; s++ {
@@ -99,14 +99,15 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		}
 		t.loader.NextInto(&t.ws.Batch)
 		t.ws.LocalStep(t.m.Server, t.opt, t.ws.Batch)
-		schemes.Charge(t.env, simnet.Task{Kind: simnet.TaskCompute, Component: simnet.ServerCompute,
-			Seconds: server.ComputeSeconds(perSample * int64(len(t.ws.Batch.Y)))}, 0, 0, led)
+		schemes.Charge(t.env, &t.chain, 0, 0, simnet.Task{Kind: simnet.TaskCompute, Component: simnet.ServerCompute,
+			Seconds: server.ComputeSeconds(perSample * int64(len(t.ws.Batch.Y)))})
 	}
+	led := simnet.Fold(t.chain)
 	if t.env.Trace != nil {
 		// Everything runs on the edge server.
-		t.env.TraceRound("cl", t.round, []schemes.TraceLane{{Name: "server", Chain: t.chain}}, led)
+		t.env.TraceRound("cl", t.round, []schemes.TraceLane{{Name: "server", Chain: t.chain}}, &led)
 	}
-	return led, nil
+	return &led, nil
 }
 
 // Evaluate implements schemes.Trainer.

@@ -72,9 +72,9 @@ func TestCLInvalidEnv(t *testing.T) {
 	}
 }
 
-// TestRoundChainCarriesTheChargedSeconds: folding the round's chain's
-// Charged seconds per component, in charge order, reproduces its ledger
-// bit for bit — the chain is what the trace draws.
+// TestRoundChainCarriesTheChargedSeconds: simnet.Fold of the round's
+// chain reproduces the round it returned bit for bit — the chain is what
+// the trace draws.
 func TestRoundChainCarriesTheChargedSeconds(t *testing.T) {
 	tr := newTrainer(t, 3, 6)
 	led, err := tr.Round(context.Background())
@@ -84,10 +84,7 @@ func TestRoundChainCarriesTheChargedSeconds(t *testing.T) {
 	if len(tr.chain) != tr.stepsPerRound {
 		t.Fatalf("chain has %d tasks for %d steps", len(tr.chain), tr.stepsPerRound)
 	}
-	var folded simnet.Ledger
-	for _, task := range tr.chain {
-		folded.Add(task.Component, task.Charged)
-	}
+	folded := simnet.Fold(tr.chain)
 	for _, c := range simnet.Components() {
 		if got, want := folded.Get(c), led.Get(c); got != want {
 			t.Errorf("%v folds to %v, ledger has %v", c, got, want)

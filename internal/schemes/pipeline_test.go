@@ -13,14 +13,17 @@ import (
 func TestTurnLatencyPipelinedNeverSlower(t *testing.T) {
 	env := schemestest.NewEnv(20, 4, 30)
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
-	var plain, piped simnet.Ledger
+	var plain, piped []simnet.Task
 	// Use generous bandwidth so transfer jitter cannot flip the ordering.
 	for s := 0; s < 6; s++ {
-		schemes.StepLatency(env, m, 0, 8, 5e6, 5e6, &plain)
+		step := schemes.StepTasks(env, m, 0, 8)
+		schemes.Charge(env, &plain, 5e6, 5e6, step[:]...)
 	}
-	schemes.TurnLatency(env, m, 0, 8, 6, 5e6, 5e6, &piped)
-	if piped.Total() > plain.Total()*1.05 {
-		t.Fatalf("pipelined turn %v slower than sequential %v", piped.Total(), plain.Total())
+	if err := schemes.ChargeTurn(env, m, 0, 8, 6, 5e6, 5e6, &piped); err != nil {
+		t.Fatal(err)
+	}
+	if p, q := simnet.Fold(piped), simnet.Fold(plain); p.Total() > q.Total()*1.05 {
+		t.Fatalf("pipelined turn %v slower than sequential %v", p.Total(), q.Total())
 	}
 }
 
@@ -30,8 +33,11 @@ func TestTurnLatencySingleStepEquivalent(t *testing.T) {
 	// component structure instead: both must charge all four components.
 	env := schemestest.NewEnv(21, 4, 30)
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
-	var led simnet.Ledger
-	schemes.TurnLatency(env, m, 0, 8, 1, 5e6, 5e6, &led)
+	var chain []simnet.Task
+	if err := schemes.ChargeTurn(env, m, 0, 8, 1, 5e6, 5e6, &chain); err != nil {
+		t.Fatal(err)
+	}
+	led := simnet.Fold(chain)
 	for _, c := range []simnet.Component{
 		simnet.ClientCompute, simnet.Uplink, simnet.ServerCompute, simnet.Downlink,
 	} {
@@ -44,7 +50,7 @@ func TestTurnLatencySingleStepEquivalent(t *testing.T) {
 func TestTurnLatencyValidation(t *testing.T) {
 	env := schemestest.NewEnv(22, 4, 30)
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
-	if err := schemes.TurnLatency(env, m, 0, 8, 0, 1e6, 1e6, &simnet.Ledger{}); err == nil {
+	if err := schemes.ChargeTurn(env, m, 0, 8, 0, 1e6, 1e6, new([]simnet.Task)); err == nil {
 		t.Fatal("expected error for zero steps")
 	}
 }

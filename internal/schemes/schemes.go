@@ -8,13 +8,14 @@
 // A scheme consumes an Env — the fleet, the wireless channel, the
 // per-client datasets, the architecture and cut layer, and the training
 // hyperparameters — and produces, per round, a simnet.Ledger pricing that
-// round's critical-path latency. The experiment harness turns sequences
-// of (round, ledger, evaluation) into the paper's figures.
+// round's critical-path latency: the simnet.Fold of the chains of tasks
+// the round charged (Charge). The experiment harness turns sequences of
+// (round, ledger, evaluation) into the paper's figures.
 //
 // Parallelism in the modelled system (GSFL's concurrent groups, FL's and
-// SplitFed's concurrent clients) is priced through ledger composition
-// (simnet.MaxOf) and executed as real goroutines on the shared worker
-// pool (internal/parallel): independent groups/clients train
+// SplitFed's concurrent clients) is priced as one chain per parallel
+// lane and executed as real goroutines on the shared worker pool
+// (internal/parallel): independent groups/clients train
 // concurrently, while everything that consumes a shared RNG stream —
 // notably wireless fading draws — runs serially in a fixed order. Every
 // run is therefore exactly reproducible: results are bit-identical for
@@ -324,7 +325,7 @@ type StepWorkspace struct {
 // (conceptual) smashed-data upload, server-side forward + loss +
 // backward, (conceptual) gradient download, client-side backward, and
 // both optimizer steps. It returns the batch loss. Latency is priced
-// separately by the calling scheme via StepLatency, keeping numerical
+// separately by the calling scheme from StepTasks, keeping numerical
 // training and time accounting decoupled.
 //
 // When quantizeTransfers is true, the smashed data and the returned
@@ -392,33 +393,31 @@ func StepTasks(e *Env, m *model.SplitModel, ci, batchN int) [4]simnet.Task {
 	}
 }
 
-// Charge prices task onto led (simnet.Ledger.Charge) and returns its
-// analytic seconds: a compute task's own duration, or one
-// Channel.TransferSeconds draw at the allocation for its direction. It
-// is the one path by which a round's lanes are priced.
-func Charge(e *Env, task simnet.Task, upHz, downHz float64, led *simnet.Ledger) float64 {
-	dt := task.Seconds
+// Charge prices each task in order — a compute task at its own
+// duration, a transfer at one Channel.TransferSeconds draw at the
+// allocation for its direction — and appends it to chain with Charged
+// set. It is the one path by which a round's chains are priced.
+func Charge(e *Env, chain *[]simnet.Task, upHz, downHz float64, tasks ...simnet.Task) {
+	for _, task := range tasks {
+		task.Charged = price(e, task, upHz, downHz)
+		*chain = append(*chain, task)
+	}
+}
+
+// price is the analytic seconds of task, as Charge describes.
+func price(e *Env, task simnet.Task, upHz, downHz float64) float64 {
 	switch task.Kind {
 	case simnet.TaskUplink:
-		dt = e.Channel.TransferSeconds(task.Client, task.Bytes, upHz, true)
+		return e.Channel.TransferSeconds(task.Client, task.Bytes, upHz, true)
 	case simnet.TaskDownlink:
-		dt = e.Channel.TransferSeconds(task.Client, task.Bytes, downHz, false)
+		return e.Channel.TransferSeconds(task.Client, task.Bytes, downHz, false)
 	}
-	led.Charge(task, dt)
-	return dt
+	return task.Seconds
 }
 
-// StepLatency prices one split mini-batch for client ci under the given
-// bandwidth allocations: StepTasks, charged in order to led.
-func StepLatency(e *Env, m *model.SplitModel, ci, batchN int, upHz, downHz float64, led *simnet.Ledger) {
-	for _, task := range StepTasks(e, m, ci, batchN) {
-		Charge(e, task, upHz, downHz, led)
-	}
-}
-
-// TurnLatency prices a whole pipelined client turn of `steps`
-// mini-batches (a non-pipelined turn is steps independent StepLatency
-// charges). With pipelining (the "parallel design" of the paper's
+// ChargeTurn charges a whole pipelined client turn of `steps`
+// mini-batches to chain (a non-pipelined turn is steps charges of
+// StepTasks). With pipelining (the "parallel design" of the paper's
 // reference [2]), the four stages — client compute, uplink, server
 // compute, downlink — overlap across consecutive batches, so after a
 // one-step warm-up the turn advances at the pace of its slowest stage:
@@ -428,40 +427,59 @@ func StepLatency(e *Env, m *model.SplitModel, ci, batchN int, upHz, downHz float
 // The warm-up charges each stage once; the steady state is one task, the
 // bottleneck scaled by steps-1 (back-to-back transfers by one client are
 // one transfer of their summed bytes), priced from the warm-up's draw.
-func TurnLatency(e *Env, m *model.SplitModel, ci, batchN, steps int, upHz, downHz float64, led *simnet.Ledger) error {
+func ChargeTurn(e *Env, m *model.SplitModel, ci, batchN, steps int, upHz, downHz float64, chain *[]simnet.Task) error {
 	if steps <= 0 {
 		return fmt.Errorf("schemes: turn needs positive steps, got %d", steps)
 	}
 	tasks := StepTasks(e, m, ci, batchN)
-	var secs [4]float64
-	bottleneck := 0
-	for i, task := range tasks { // warm-up: one full pass through the pipe
-		secs[i] = Charge(e, task, upHz, downHz, led)
-		if secs[i] > secs[bottleneck] {
-			bottleneck = i
+	Charge(e, chain, upHz, downHz, tasks[:]...)
+	warm := (*chain)[len(*chain)-len(tasks):]
+	rest := warm[0]
+	for _, task := range warm[1:] {
+		if task.Charged > rest.Charged {
+			rest = task
 		}
 	}
-	rest := tasks[bottleneck]
 	rest.Seconds *= float64(steps - 1)
 	rest.Bytes *= int64(steps - 1)
-	led.Charge(rest, float64(steps-1)*secs[bottleneck])
+	rest.Charged *= float64(steps - 1)
+	*chain = append(*chain, rest)
 	return nil
 }
 
-// RelayLatency prices handing the client-side model from client `from`
-// to client `to` through the AP: an uplink transfer then a downlink
-// transfer of the client-model parameters.
-func RelayLatency(e *Env, m *model.SplitModel, from, to int, upHz, downHz float64, led *simnet.Ledger) {
+// RelayTasks hands the client-side model from client `from` to client
+// `to` through the AP: an uplink transfer then a downlink transfer of
+// the client-model parameters.
+func RelayTasks(m *model.SplitModel, from, to int) [2]simnet.Task {
 	bytes := m.ClientParamBytes()
-	Charge(e, simnet.Task{Kind: simnet.TaskUplink, Bytes: bytes, Client: from, Component: simnet.Relay}, upHz, downHz, led)
-	Charge(e, simnet.Task{Kind: simnet.TaskDownlink, Bytes: bytes, Client: to, Component: simnet.Relay}, upHz, downHz, led)
+	return [2]simnet.Task{
+		{Kind: simnet.TaskUplink, Bytes: bytes, Client: from, Component: simnet.Relay},
+		{Kind: simnet.TaskDownlink, Bytes: bytes, Client: to, Component: simnet.Relay},
+	}
 }
 
-// AggregationLatency prices FedAvg at the AP over nModels models of the
-// given total parameter count: one add + one multiply per scalar per
-// model on the edge server.
-func AggregationLatency(e *Env, nModels, paramCount int, led *simnet.Ledger) {
+// AggregationTask is FedAvg at the AP over nModels models of the given
+// total parameter count: one add + one multiply per scalar per model on
+// the edge server.
+func AggregationTask(e *Env, nModels, paramCount int) simnet.Task {
 	flops := int64(2) * int64(nModels) * int64(paramCount)
-	Charge(e, simnet.Task{Kind: simnet.TaskCompute, Seconds: e.Fleet.Server.ComputeSeconds(flops),
-		Component: simnet.Aggregation}, 0, 0, led)
+	return simnet.Task{Kind: simnet.TaskCompute, Seconds: e.Fleet.Server.ComputeSeconds(flops), Component: simnet.Aggregation}
+}
+
+// StepLatency adds the price of StepTasks to led, task by task as Charge
+// prices them. internal/bench's price_turn probe is its one caller; the
+// round engine charges chains.
+func StepLatency(e *Env, m *model.SplitModel, ci, batchN int, upHz, downHz float64, led *simnet.Ledger) {
+	for _, task := range StepTasks(e, m, ci, batchN) {
+		led.Add(task.Component, price(e, task, upHz, downHz))
+	}
+}
+
+// RelayLatency adds the price of RelayTasks to led, task by task as
+// Charge prices them. internal/bench's price_turn probe is its one
+// caller; the round engine charges chains.
+func RelayLatency(e *Env, m *model.SplitModel, from, to int, upHz, downHz float64, led *simnet.Ledger) {
+	for _, task := range RelayTasks(m, from, to) {
+		led.Add(task.Component, price(e, task, upHz, downHz))
+	}
 }

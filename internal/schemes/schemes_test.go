@@ -150,10 +150,8 @@ func TestRelayLatency(t *testing.T) {
 
 func TestAggregationLatencyScales(t *testing.T) {
 	env := schemestest.NewEnv(6, 4, 30)
-	l1, l2 := &simnet.Ledger{}, &simnet.Ledger{}
-	schemes.AggregationLatency(env, 2, 1000, l1)
-	schemes.AggregationLatency(env, 4, 1000, l2)
-	if l2.Get(simnet.Aggregation) != 2*l1.Get(simnet.Aggregation) {
+	t1, t2 := schemes.AggregationTask(env, 2, 1000), schemes.AggregationTask(env, 4, 1000)
+	if t1.Component != simnet.Aggregation || t2.Seconds != 2*t1.Seconds {
 		t.Fatal("aggregation time must scale with model count")
 	}
 }

@@ -52,8 +52,3 @@ func (m EnergyModel) ClientEnergyJ(l *Ledger) float64 {
 func (m EnergyModel) ServerEnergyJ(l *Ledger) float64 {
 	return (l.Get(ServerCompute) + l.Get(Aggregation)) * m.ServerComputeW
 }
-
-// TotalEnergyJ is the sum of client and server energy.
-func (m EnergyModel) TotalEnergyJ(l *Ledger) float64 {
-	return m.ClientEnergyJ(l) + m.ServerEnergyJ(l)
-}

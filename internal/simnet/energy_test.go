@@ -21,7 +21,7 @@ func TestEnergyModelAttribution(t *testing.T) {
 	if got := m.ServerEnergyJ(&l); math.Abs(got-400) > 1e-12 {
 		t.Fatalf("server energy = %v, want 400", got)
 	}
-	if got := m.TotalEnergyJ(&l); math.Abs(got-431) > 1e-12 {
+	if got := m.ClientEnergyJ(&l) + m.ServerEnergyJ(&l); math.Abs(got-431) > 1e-12 {
 		t.Fatalf("total energy = %v, want 431", got)
 	}
 }
@@ -29,7 +29,7 @@ func TestEnergyModelAttribution(t *testing.T) {
 func TestEnergyModelEmptyLedger(t *testing.T) {
 	m := DefaultEnergyModel()
 	var l Ledger
-	if m.TotalEnergyJ(&l) != 0 {
+	if m.ClientEnergyJ(&l)+m.ServerEnergyJ(&l) != 0 {
 		t.Fatal("empty ledger must cost zero energy")
 	}
 }
@@ -51,10 +51,10 @@ func TestEnergyAdditiveUnderMerge(t *testing.T) {
 	a.Add(ClientCompute, 1)
 	b.Add(Downlink, 3)
 	b.Add(ServerCompute, 0.5)
-	ea := m.TotalEnergyJ(&a)
-	eb := m.TotalEnergyJ(&b)
+	ea := m.ClientEnergyJ(&a) + m.ServerEnergyJ(&a)
+	eb := m.ClientEnergyJ(&b) + m.ServerEnergyJ(&b)
 	a.Merge(&b)
-	if got := m.TotalEnergyJ(&a); math.Abs(got-(ea+eb)) > 1e-12 {
+	if got := m.ClientEnergyJ(&a) + m.ServerEnergyJ(&a); math.Abs(got-(ea+eb)) > 1e-12 {
 		t.Fatalf("energy not additive: %v vs %v", got, ea+eb)
 	}
 }

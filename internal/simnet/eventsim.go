@@ -46,8 +46,8 @@ type Task struct {
 	Client int
 	// Component attributes the task's elapsed time in the ledger.
 	Component Component
-	// Charged is the analytic seconds Ledger.Charge priced the task at
-	// (RunChains ignores it).
+	// Charged is the analytic seconds the task was priced at when it was
+	// charged to its chain (Fold sums it; RunChains ignores it).
 	Charged float64
 }
 
@@ -62,8 +62,6 @@ type EventResult struct {
 	Makespan float64
 	// ChainFinish holds each chain's completion time.
 	ChainFinish []float64
-	// Ledgers attributes each chain's elapsed time per component.
-	Ledgers []*Ledger
 }
 
 // RunChains executes the chains concurrently under processor sharing of
@@ -76,10 +74,7 @@ func RunChains(chains [][]Task, upHz, downHz float64, rate RateFunc) (EventResul
 		return EventResult{}, fmt.Errorf("simnet: budgets must be positive (up %v, down %v)", upHz, downHz)
 	}
 	n := len(chains)
-	res := EventResult{
-		ChainFinish: make([]float64, n),
-		Ledgers:     make([]*Ledger, n),
-	}
+	res := EventResult{ChainFinish: make([]float64, n)}
 	type state struct {
 		idx       int     // current task index
 		remaining float64 // seconds (compute) or bits (transfer)
@@ -87,7 +82,6 @@ func RunChains(chains [][]Task, upHz, downHz float64, rate RateFunc) (EventResul
 	st := make([]state, n)
 	active := 0
 	for i, ch := range chains {
-		res.Ledgers[i] = &Ledger{}
 		for ti, task := range ch {
 			if err := validateTask(task); err != nil {
 				return EventResult{}, fmt.Errorf("simnet: chain %d task %d: %w", i, ti, err)
@@ -108,6 +102,9 @@ func RunChains(chains [][]Task, upHz, downHz float64, rate RateFunc) (EventResul
 	for _, ch := range chains {
 		maxIter += len(ch) + 1
 	}
+	// speed[i] is the progress speed of chain i's current task (units/sec
+	// in the task's own budget currency), rewritten every iteration.
+	speed := make([]float64, n)
 	for iter := 0; active > 0; iter++ {
 		if iter > maxIter {
 			return EventResult{}, fmt.Errorf("simnet: event loop exceeded %d iterations (internal bug)", maxIter)
@@ -125,9 +122,6 @@ func RunChains(chains [][]Task, upHz, downHz float64, rate RateFunc) (EventResul
 				downActive++
 			}
 		}
-		// Progress speed of each chain's current task (units/sec in the
-		// task's own budget currency).
-		speed := make([]float64, n)
 		dt := math.Inf(1)
 		for i := range st {
 			if st[i].idx >= len(chains[i]) {
@@ -159,7 +153,6 @@ func RunChains(chains [][]Task, upHz, downHz float64, rate RateFunc) (EventResul
 				continue
 			}
 			task := chains[i][st[i].idx]
-			res.Ledgers[i].Add(task.Component, dt)
 			st[i].remaining -= float64(dt * speed[i])
 			if st[i].remaining <= eps*math.Max(1, taskBudget(task)) {
 				st[i].idx++

@@ -1,13 +1,16 @@
 // Package simnet provides the deterministic virtual-clock accounting the
 // latency evaluation runs on.
 //
-// The paper's delay numbers come from summing compute and transfer times
-// along each scheme's critical path: sequential stages add, parallel
-// stages take the max. A Ledger records those contributions per
-// component (client compute, uplink, downlink, server compute, model
-// relay, aggregation), which yields both the Fig. 2(b) curves and the
-// latency-breakdown table. No real time passes; everything is replayable
-// and exact.
+// A round is described once, as chains of Tasks — one chain per parallel
+// lane, each task carrying the seconds it was charged — and priced from
+// them. The paper's delay numbers sum compute and transfer times along
+// the critical path: sequential stages add, parallel stages take the max.
+// Fold is that rule; its Ledger holds the round's seconds per component
+// (client compute, uplink, downlink, server compute, model relay,
+// aggregation), which yields both the Fig. 2(b) curves and the
+// latency-breakdown table. RunChains replays the same chains event by
+// event under processor sharing. No real time passes; everything is
+// replayable and exact.
 package simnet
 
 import "fmt"
@@ -64,8 +67,6 @@ func Components() []Component {
 // empty ledger ready to use.
 type Ledger struct {
 	seconds [numComponents]float64
-	// chain, when set, receives every charged task in order (Record).
-	chain *[]Task
 }
 
 // Add records dt seconds against component c. Negative durations panic:
@@ -78,23 +79,6 @@ func (l *Ledger) Add(c Component, dt float64) {
 		panic(fmt.Sprintf("simnet: unknown component %d", int(c)))
 	}
 	l.seconds[c] += dt
-}
-
-// Charge records dt, the priced seconds of task, against its component
-// (as Add) and appends task, with Charged set to dt, to the chain
-// installed by Record.
-func (l *Ledger) Charge(task Task, dt float64) {
-	l.Add(task.Component, dt)
-	if l.chain != nil {
-		task.Charged = dt
-		*l.chain = append(*l.chain, task)
-	}
-}
-
-// Record empties *chain and makes it the destination of every later
-// Charge; the caller owns the slice, so its buffer outlives the ledger.
-func (l *Ledger) Record(chain *[]Task) {
-	*chain, l.chain = (*chain)[:0], chain
 }
 
 // Get returns the accumulated seconds for component c.
@@ -121,22 +105,21 @@ func (l *Ledger) Merge(other *Ledger) {
 	}
 }
 
-// MaxOf returns a ledger representing parallel composition: the ledger
-// among ls with the largest total (the critical path). Component detail
-// of the chosen ledger is preserved so breakdowns stay meaningful; its
-// chain is NOT inherited (the copy continues past the join, so later
-// charges belong to no group's chain). It panics on an empty slice.
-func MaxOf(ls []*Ledger) *Ledger {
-	if len(ls) == 0 {
-		panic("simnet: MaxOf of zero ledgers")
-	}
-	best := ls[0]
-	for _, l := range ls[1:] {
-		if l.Total() > best.Total() {
+// Fold is the analytic price of parallel chains: each chain's Charged
+// seconds summed per component in charge order (sequential stages add),
+// then the chain with the largest total, the critical path (parallel
+// stages take the max); the first of equal totals wins. No chains fold
+// to the zero ledger.
+func Fold(chains ...[]Task) Ledger {
+	var best Ledger
+	for i, chain := range chains {
+		var l Ledger
+		for _, task := range chain {
+			l.Add(task.Component, task.Charged)
+		}
+		if i == 0 || l.Total() > best.Total() {
 			best = l
 		}
 	}
-	cp := *best
-	cp.chain = nil
-	return &cp
+	return best
 }

@@ -58,29 +58,37 @@ func TestMergeIsSequentialComposition(t *testing.T) {
 	}
 }
 
-func TestMaxOfPicksCriticalPath(t *testing.T) {
-	var a, b, c Ledger
-	a.Add(Uplink, 1)
-	b.Add(ServerCompute, 5)
-	c.Add(Downlink, 3)
-	got := MaxOf([]*Ledger{&a, &b, &c})
+func TestFoldPicksCriticalPath(t *testing.T) {
+	got := Fold(
+		[]Task{{Component: Uplink, Charged: 1}},
+		[]Task{{Component: ServerCompute, Charged: 2}, {Component: ServerCompute, Charged: 3}},
+		[]Task{{Component: Downlink, Charged: 3}},
+	)
 	if got.Total() != 5 || got.Get(ServerCompute) != 5 {
-		t.Fatalf("MaxOf picked wrong ledger: total %v, server compute %v", got.Total(), got.Get(ServerCompute))
-	}
-	// The returned ledger is a copy: mutating it must not affect b.
-	got.Add(Uplink, 100)
-	if b.Get(Uplink) != 0 {
-		t.Fatal("MaxOf must return a copy")
+		t.Fatalf("Fold picked the wrong chain: total %v, server compute %v", got.Total(), got.Get(ServerCompute))
 	}
 }
 
-func TestMaxOfEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MaxOf(nil)
+// TestFoldTieKeepsFirst: of chains with equal totals the first is the
+// critical path, whatever its components.
+func TestFoldTieKeepsFirst(t *testing.T) {
+	got := Fold(
+		[]Task{{Component: Relay, Charged: 2}},
+		[]Task{{Component: Uplink, Charged: 2}},
+		[]Task{{Component: Relay, Charged: 1}},
+	)
+	if got.Get(Relay) != 2 || got.Get(Uplink) != 0 {
+		t.Fatalf("tie went to a later chain: relay %v, uplink %v", got.Get(Relay), got.Get(Uplink))
+	}
+}
+
+func TestFoldOfNoChainsIsZero(t *testing.T) {
+	if got := Fold(); got != (Ledger{}) {
+		t.Fatalf("Fold() = %+v, want the zero ledger", got)
+	}
+	if got := Fold(nil, []Task{}); got != (Ledger{}) {
+		t.Fatalf("Fold of empty chains = %+v, want the zero ledger", got)
+	}
 }
 
 func TestComponentsAndStrings(t *testing.T) {
@@ -120,22 +128,28 @@ func TestPropLedgerAdditive(t *testing.T) {
 	}
 }
 
-// prop: MaxOf total ≥ every input total.
-func TestPropMaxOfDominates(t *testing.T) {
+// prop: one chain folds bit for bit to sequential Adds of its Charged
+// seconds, and a fold's total is ≥ every chain's own fold.
+func TestPropFoldDominates(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		ls := make([]*Ledger, n)
-		for i := range ls {
-			var l Ledger
-			for j := 0; j < 5; j++ {
-				l.Add(Component(rng.Intn(int(numComponents))), rng.Float64())
+		chains := make([][]Task, 1+rng.Intn(6))
+		for i := range chains {
+			chains[i] = make([]Task, rng.Intn(8))
+			for j := range chains[i] {
+				chains[i][j] = Task{Component: Component(rng.Intn(int(numComponents))), Charged: rng.Float64()}
 			}
-			ls[i] = &l
 		}
-		m := MaxOf(ls)
-		for _, l := range ls {
-			if m.Total() < l.Total() {
+		var want Ledger
+		for _, task := range chains[0] {
+			want.Add(task.Component, task.Charged)
+		}
+		if Fold(chains[0]) != want {
+			return false
+		}
+		m := Fold(chains...)
+		for _, chain := range chains {
+			if l := Fold(chain); m.Total() < l.Total() {
 				return false
 			}
 		}

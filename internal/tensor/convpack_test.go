@@ -59,7 +59,7 @@ func newConvPackCase(rng *rand.Rand, g ConvGeom, outC, batch int) *convPackCase 
 	fillMixed(rng, c.dy.Data)
 	fillMixed(rng, c.dys.Data)
 
-	ref := make([]float64, g.ColSize())
+	ref := make([]float64, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
 	im2colRef(ref, c.imgs[:g.ImageSize()], g)
 	c.wantOut = make([]float64, outC*spatial)
 	naiveMatMul(c.wantOut, c.w.Data, ref, outC, colRows, spatial)
@@ -75,7 +75,7 @@ func newConvPackCase(rng *rand.Rand, g ConvGeom, outC, batch int) *convPackCase 
 func inputGradRef(w, dys *Tensor, g ConvGeom) []float64 {
 	outC, colRows, spatial := w.shape[0], g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 	n := dys.Size() / (outC * spatial)
-	dx, cols := make([]float64, n*g.ImageSize()), make([]float64, g.ColSize())
+	dx, cols := make([]float64, n*g.ImageSize()), make([]float64, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
 	for i := 0; i < n; i++ {
 		naiveTransA(cols, w.Data, dys.Data[i*outC*spatial:], colRows, outC, spatial)
 		col2imRef(dx[i*g.ImageSize():], cols, g)
@@ -91,7 +91,7 @@ func inputGradRef(w, dys *Tensor, g ConvGeom) []float64 {
 func weightGradRef(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, db []float64) {
 	taps, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 	dw, db, one := make([]float64, outC*taps), make([]float64, outC), make([]float64, outC*taps)
-	cols := make([]float64, g.ColSize())
+	cols := make([]float64, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
 	for i := 0; i < dys.Size()/(outC*spatial); i++ {
 		dy := dys.Data[i*outC*spatial:][:outC*spatial]
 		im2colRef(cols, imgs[i*g.ImageSize():][:g.ImageSize()], g)
@@ -153,7 +153,7 @@ func (c *convPackCase) checkBatch(t *testing.T, rng *rand.Rand) {
 	wantOut := make([]float64, c.batch*c.outC*spatial)
 	wantDX := inputGradRef(c.w, dys, g)
 	wantDW, wantDB := weightGradRef(dys, c.imgs, g, c.outC)
-	cols := make([]float64, g.ColSize())
+	cols := make([]float64, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
 	for i := 0; i < c.batch; i++ {
 		im2colRef(cols, c.imgs[i*g.ImageSize():(i+1)*g.ImageSize()], g)
 		out := wantOut[i*c.outC*spatial : (i+1)*c.outC*spatial]

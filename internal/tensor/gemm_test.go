@@ -347,7 +347,7 @@ func checkConvMatMulMatchesIm2Col(t *testing.T) {
 		spatial := g.OutH() * g.OutW()
 		img := make([]float64, g.ImageSize())
 		fillMixed(rng, img)
-		cols := make([]float64, g.ColSize())
+		cols := make([]float64, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
 		im2colRef(cols, img, g)
 
 		for _, outC := range []int{3, 8, 19} {
@@ -582,7 +582,7 @@ func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
 	img0, dy0 := imgs.Data[:g.ImageSize()], FromSlice(dys.Data[:outC*spatial], outC, spatial)
 	out0, dw0 := make([]float64, outC*spatial), make([]float64, outC*taps)
 	outs, dxs := make([]float64, batch*outC*spatial), make([]float64, batch*g.ImageSize())
-	cols := make([]float64, g.ColSize())
+	cols := make([]float64, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
 	for i := 0; i < batch; i++ {
 		im2colRef(cols, imgs.Data[i*g.ImageSize():], g)
 		out := outs[i*outC*spatial:][:outC*spatial]
@@ -781,7 +781,7 @@ func TestConvNonFiniteIsShapeIndependent(t *testing.T) {
 		colRows, spatial := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 		img := make([]float64, g.ImageSize())
 		fillMixed(rng, img)
-		cols := make([]float64, g.ColSize())
+		cols := make([]float64, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
 		im2colRef(cols, img, g)
 		for _, outC := range []int{2, 8, 13} {
 			for _, bad := range []float64{math.Inf(1), math.NaN()} {

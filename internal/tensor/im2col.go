@@ -17,10 +17,6 @@ func (g ConvGeom) OutH() int { return (g.InH+2*g.PadH-g.KH)/g.StrideH + 1 }
 // OutW returns the output width for this geometry.
 func (g ConvGeom) OutW() int { return (g.InW+2*g.PadW-g.KW)/g.StrideW + 1 }
 
-// ColSize returns the element count of one image's column matrix,
-// (InC*KH*KW) * (OutH*OutW).
-func (g ConvGeom) ColSize() int { return g.InC * g.KH * g.KW * g.OutH() * g.OutW() }
-
 // ImageSize returns the element count of one CHW image.
 func (g ConvGeom) ImageSize() int { return g.InC * g.InH * g.InW }
 

@@ -36,10 +36,15 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		t.Fatal("DenseInputGradInto != naive dy@Wᵀ")
 	}
 
-	x := New(4, 6).RandNormal(rng, 0, 1)
+	x, sumsWant := New(4, 6).RandNormal(rng, 0, 1), New(6)
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 6; c++ {
+			sumsWant.Data[c] += x.At(r, c)
+		}
+	}
 	var sums Tensor
-	if !AllClose(x.SumRowsInto(&sums), x.SumRows(), 0) {
-		t.Fatal("SumRowsInto != SumRows")
+	if !AllClose(x.SumRowsInto(&sums), sumsWant, 0) {
+		t.Fatal("SumRowsInto != naive row sums")
 	}
 }
 
@@ -91,12 +96,6 @@ func TestViews(t *testing.T) {
 	v.Data[0] = 42
 	if src.Data[0] != 42 {
 		t.Fatal("ViewOf must share storage")
-	}
-
-	var s Tensor
-	s.SliceViewOf(src, 3, 6, 1, 3)
-	if s.At(0, 0) != 3 || s.At(0, 2) != 5 {
-		t.Fatalf("SliceViewOf misreads: %v", s)
 	}
 
 	defer func() {
@@ -178,9 +177,8 @@ func TestKernelsAllocFreeSerial(t *testing.T) {
 	x, dys2, db := FromSlice(src, 2, g.InC, g.InH, g.InW), New(2, 8, spatial).RandNormal(rng, 0, 1), New(8)
 	testutil.MaxAllocs(t, "ConvWeightGradBatchInto", 0, func() { ConvWeightGradBatchInto(dwDst, db, dys2, x, g) })
 
-	var ws, hdr Tensor
+	var ws Tensor
 	testutil.MaxAllocs(t, "Ensure", 0, func() { ws.Ensure(32, 24) })
-	testutil.MaxAllocs(t, "SliceViewOf", 0, func() { hdr.SliceViewOf(a, 0, 48, 1, 48) })
 	var out Tensor
 	testutil.MaxAllocs(t, "SumRowsInto", 0, func() { a.SumRowsInto(&out) })
 }

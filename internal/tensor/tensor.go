@@ -18,7 +18,7 @@ import (
 //
 // Data is exposed deliberately: hot loops in internal/nn index it directly.
 // Mutating Data through an alias is allowed, but mutating shape metadata is
-// not — use Reshape, which validates element counts.
+// not — use ViewOf, which validates element counts.
 type Tensor struct {
 	// Data holds the elements in row-major order. len(Data) == Size().
 	Data []float64
@@ -142,20 +142,6 @@ func (t *Tensor) ViewOf(src *Tensor, shape ...int) *Tensor {
 	return t
 }
 
-// SliceViewOf repoints t to alias src.Data[lo:hi) under the given shape.
-// Like ViewOf it moves no data and allocates nothing when t's header is
-// reused; the convolution layer's per-sample weight-gradient products
-// use it to address one sample's slice of a batched buffer.
-func (t *Tensor) SliceViewOf(src *Tensor, lo, hi int, shape ...int) *Tensor {
-	n := checkShape(shape)
-	if lo < 0 || hi > len(src.Data) || lo > hi || hi-lo != n {
-		panicViewSize("SliceViewOf", shape, n, hi-lo)
-	}
-	t.Data = src.Data[lo:hi:hi]
-	t.shape = append(t.shape[:0], shape...)
-	return t
-}
-
 // Dims returns the number of dimensions.
 func (t *Tensor) Dims() int { return len(t.shape) }
 
@@ -191,39 +177,6 @@ func (t *Tensor) CopyFrom(o *Tensor) {
 		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(o.Data)))
 	}
 	copy(t.Data, o.Data)
-}
-
-// Reshape returns a tensor sharing t's data with a new shape.
-// The element count must be preserved. One dimension may be -1, in which
-// case it is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
-	infer := -1
-	known := 1
-	for i, d := range shape {
-		switch {
-		case d == -1:
-			if infer != -1 {
-				panic("tensor: Reshape with more than one -1 dimension")
-			}
-			infer = i
-		case d < 0:
-			panic(fmt.Sprintf("tensor: Reshape negative dimension in %v", shape))
-		default:
-			known *= d
-		}
-	}
-	if infer >= 0 {
-		if known == 0 || len(t.Data)%known != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
-		}
-		shape[infer] = len(t.Data) / known
-		known *= shape[infer]
-	}
-	if known != len(t.Data) {
-		panic(fmt.Sprintf("tensor: Reshape %v -> %v changes element count", t.shape, shape))
-	}
-	return &Tensor{Data: t.Data, shape: shape}
 }
 
 // At returns the element at the given multi-dimensional index.
@@ -410,22 +363,12 @@ func (t *Tensor) ArgMaxRows() []int {
 	return out
 }
 
-// SumRows returns a 1-D tensor holding the sum over rows (axis 0) of a
-// 2-D tensor, i.e. out[c] = sum_r t[r,c].
-func (t *Tensor) SumRows() *Tensor {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: SumRows on %d-D tensor", len(t.shape)))
-	}
-	return t.SumRowsInto(New(t.shape[1]))
-}
-
 // SumRowsInto computes the row sums of a 2-D tensor into dst, shaping
 // dst to a 1-D tensor of the column count (reusing its storage) and
-// returning dst. The accumulation visits rows in ascending order, so
-// results are bit-identical to SumRows.
+// returning dst. The accumulation visits rows in ascending order.
 func (t *Tensor) SumRowsInto(dst *Tensor) *Tensor {
 	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: SumRows on %d-D tensor", len(t.shape)))
+		panic(fmt.Sprintf("tensor: SumRowsInto on %d-D tensor", len(t.shape)))
 	}
 	rows, cols := t.shape[0], t.shape[1]
 	dst.Ensure(cols)

@@ -172,7 +172,7 @@ func paperConvProducts() []convProduct {
 		dy := New(pg.outC, spatial).RandNormal(rng, 0, 1)
 		out, dw := New(pg.outC, spatial), New(pg.outC, colRows)
 		dys, dx := FromSlice(dy.Data, 1, pg.outC, spatial), New(1, g.InC, g.InH, g.InW)
-		bytes := int64(8 * g.ColSize())
+		bytes := int64(8 * g.InC * g.KH * g.KW * g.OutH() * g.OutW())
 		ops = append(ops,
 			convProduct{pg.name + "/forward", bytes, func() { ConvMatMulInto(out, w, img, g) }},
 			convProduct{pg.name + "/dW", bytes, func() { ConvMatMulTransBInto(dw, dy, img, g) }},

@@ -101,40 +101,6 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Reshape(3, 2)
-	y.Data[0] = 42
-	if x.Data[0] != 42 {
-		t.Fatal("Reshape must share underlying data")
-	}
-	if y.At(2, 1) != 6 {
-		t.Fatalf("reshaped indexing wrong: %v", y)
-	}
-}
-
-func TestReshapeInfer(t *testing.T) {
-	x := New(4, 6)
-	y := x.Reshape(2, -1)
-	if y.Dim(1) != 12 {
-		t.Fatalf("inferred dim = %d, want 12", y.Dim(1))
-	}
-	z := x.Reshape(-1)
-	if z.Dims() != 1 || z.Dim(0) != 24 {
-		t.Fatalf("flatten = %v", z.Shape())
-	}
-}
-
-func TestReshapeBadCountPanics(t *testing.T) {
-	defer expectPanic(t, "element count change")
-	New(2, 3).Reshape(4, 2)
-}
-
-func TestReshapeDoubleInferPanics(t *testing.T) {
-	defer expectPanic(t, "double -1")
-	New(2, 3).Reshape(-1, -1)
-}
-
 func TestRowView(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	r := x.Row(1)
@@ -221,10 +187,10 @@ func TestArgMaxRows(t *testing.T) {
 
 func TestSumRows(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	got := x.SumRows()
+	got := x.SumRowsInto(New(1))
 	want := FromSlice([]float64{5, 7, 9}, 3)
 	if !AllClose(got, want, 0) {
-		t.Fatalf("SumRows = %v, want %v", got, want)
+		t.Fatalf("SumRowsInto = %v, want %v", got, want)
 	}
 }
 

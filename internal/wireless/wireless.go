@@ -164,9 +164,6 @@ func roundRng(seed, round int64) *rand.Rand {
 // N returns the number of clients the channel was built for.
 func (c *Channel) N() int { return len(c.distM) }
 
-// Distance returns client i's distance from the AP in meters.
-func (c *Channel) Distance(i int) float64 { return c.distM[i] }
-
 // pathLossDB is the 3GPP UMa-style path loss at distance d meters:
 // 128.1 + 37.6 log10(d/1000).
 func pathLossDB(dM float64) float64 {

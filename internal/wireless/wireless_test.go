@@ -13,7 +13,7 @@ func testChannel(n int, seed int64) *Channel {
 func TestChannelDeterminism(t *testing.T) {
 	a, b := testChannel(10, 1), testChannel(10, 1)
 	for i := 0; i < 10; i++ {
-		if a.Distance(i) != b.Distance(i) {
+		if a.distM[i] != b.distM[i] {
 			t.Fatal("same seed must place clients identically")
 		}
 	}
@@ -23,7 +23,7 @@ func TestDistancesWithinBounds(t *testing.T) {
 	cfg := DefaultConfig()
 	ch := NewChannel(cfg, 100, 2)
 	for i := 0; i < 100; i++ {
-		d := ch.Distance(i)
+		d := ch.distM[i]
 		if d < cfg.MinDistanceM || d > cfg.MaxDistanceM {
 			t.Fatalf("client %d at %vm outside [%v, %v]", i, d, cfg.MinDistanceM, cfg.MaxDistanceM)
 		}
@@ -162,10 +162,10 @@ func TestProportionalFairFavorsGoodChannels(t *testing.T) {
 	// Find the nearest and farthest clients.
 	near, far := 0, 0
 	for i := 1; i < 30; i++ {
-		if ch.Distance(i) < ch.Distance(near) {
+		if ch.distM[i] < ch.distM[near] {
 			near = i
 		}
-		if ch.Distance(i) > ch.Distance(far) {
+		if ch.distM[i] > ch.distM[far] {
 			far = i
 		}
 	}
@@ -181,10 +181,10 @@ func TestLatencyMinEqualizesCompletionTimes(t *testing.T) {
 	ch := NewChannel(cfg, 30, 10)
 	near, far := 0, 0
 	for i := 1; i < 30; i++ {
-		if ch.Distance(i) < ch.Distance(near) {
+		if ch.distM[i] < ch.distM[near] {
 			near = i
 		}
-		if ch.Distance(i) > ch.Distance(far) {
+		if ch.distM[i] > ch.distM[far] {
 			far = i
 		}
 	}
@@ -231,12 +231,12 @@ func TestMobilityMovesClients(t *testing.T) {
 	ch := NewChannel(cfg, 10, 12)
 	before := make([]float64, 10)
 	for i := range before {
-		before[i] = ch.Distance(i)
+		before[i] = ch.distM[i]
 	}
 	ch.AdvanceRound()
 	moved := 0
 	for i := range before {
-		d := ch.Distance(i)
+		d := ch.distM[i]
 		if d < cfg.MinDistanceM || d > cfg.MaxDistanceM {
 			t.Fatalf("client %d escaped bounds: %v", i, d)
 		}
@@ -253,11 +253,11 @@ func TestMobilityZeroIsNoOp(t *testing.T) {
 	ch := testChannel(5, 13)
 	before := make([]float64, 5)
 	for i := range before {
-		before[i] = ch.Distance(i)
+		before[i] = ch.distM[i]
 	}
 	ch.AdvanceRound()
 	for i := range before {
-		if ch.Distance(i) != before[i] {
+		if ch.distM[i] != before[i] {
 			t.Fatal("static channel moved a client")
 		}
 	}
@@ -287,7 +287,7 @@ func TestMobilityStaysInBoundsLongRun(t *testing.T) {
 	for r := 0; r < 200; r++ {
 		ch.AdvanceRound()
 		for i := 0; i < 4; i++ {
-			d := ch.Distance(i)
+			d := ch.distM[i]
 			if d < cfg.MinDistanceM || d > cfg.MaxDistanceM {
 				t.Fatalf("round %d client %d out of bounds: %v", r, i, d)
 			}
@@ -320,8 +320,8 @@ func TestChannelStateRestoreContinuesBitIdentically(t *testing.T) {
 		ref.AdvanceRound()
 		restored.AdvanceRound()
 		for i := 0; i < 4; i++ {
-			if ref.Distance(i) != restored.Distance(i) {
-				t.Fatalf("round %d: client %d at %v vs %v", r, i, ref.Distance(i), restored.Distance(i))
+			if ref.distM[i] != restored.distM[i] {
+				t.Fatalf("round %d: client %d at %v vs %v", r, i, ref.distM[i], restored.distM[i])
 			}
 			a := ref.TransferSeconds(i, 1000, 1e6, true)
 			b := restored.TransferSeconds(i, 1000, 1e6, true)
