@@ -16,6 +16,7 @@ import (
 	"gsfl/internal/metrics"
 	"gsfl/internal/transport"
 	"gsfl/obs"
+	"gsfl/sim"
 	"gsfl/sweep"
 )
 
@@ -447,21 +448,13 @@ func (c *Coordinator) grantLease(conn net.Conn, tk *obs.Track, worker string, co
 
 	// Checkpoint handoff: attach the previous holder's uploaded state
 	// when the store vouches for it (LoadBoundary applies the one
-	// resume-soundness rule; the worker's sink applies it again to the
-	// bytes that arrive), as the bytes LoadBoundary read. One that
-	// cannot be shipped is dropped, and the job reruns from scratch.
+	// resume-soundness rule, to the checkpoint's header; the worker's
+	// sink applies it again to the bytes that arrive), as the bytes
+	// LoadBoundary read.
 	j := st.job
-	var progJSON, ckpt []byte
-	handoffRound := 0
+	var h sweep.Handoff
 	if c.cfg.CheckpointEvery > 0 {
-		if h, ok := c.store.LoadBoundary(j); ok {
-			if buf, err := json.Marshal(h.Progress); err == nil {
-				progJSON, ckpt = buf, h.Ckpt
-				handoffRound = h.Progress.Round
-			} else {
-				c.store.DropTransient(j)
-			}
-		}
+		h, _ = c.store.LoadBoundary(j)
 	}
 
 	jobJSON, err := sweep.MarshalJobWire(j)
@@ -473,17 +466,16 @@ func (c *Coordinator) grantLease(conn net.Conn, tk *obs.Track, worker string, co
 	st.worker = worker
 	st.connID = connID
 	st.grantedAt = time.Now()
-	st.round = handoffRound
+	st.round = h.Round
 	c.mGranted.Inc()
 	c.gaugesLocked()
-	tk.WallInstant("lease "+j.Name, "lease", fmt.Sprintf("from round %d", handoffRound))
-	c.emitLocked(Event{Kind: JobLeased, Worker: worker, Job: j, Round: handoffRound})
+	tk.WallInstant("lease "+j.Name, "lease", fmt.Sprintf("from round %d", h.Round))
+	c.emitLocked(Event{Kind: JobLeased, Worker: worker, Job: j, Round: h.Round})
 	return transport.FleetLease{
-		Status:   transport.LeaseGrant,
-		JobID:    j.ID,
-		Job:      jobJSON,
-		Progress: progJSON,
-		Ckpt:     ckpt,
+		Status: transport.LeaseGrant,
+		JobID:  j.ID,
+		Job:    jobJSON,
+		Ckpt:   h.Ckpt,
 	}, nil
 }
 
@@ -547,15 +539,15 @@ func (c *Coordinator) leaseOfLocked(connID uint64, jobID string) *jobState {
 	return st
 }
 
-// applyProgress persists a checkpoint upload. msg's sidecar and
-// checkpoint are views into the frame just read: SaveBoundary writes
-// them into the slot and keeps nothing, so they are done with before
-// the connection's next read. ok=false means the sender no longer holds
-// the lease, and only that. An error ends the
-// connection: a sidecar that contradicts its frame, or a store that
-// cannot take the upload, which has already failed the sweep — acked as
-// a lost lease it would have the worker abandon the job and the next
-// holder fail at the same write, forever.
+// applyProgress persists a checkpoint upload. msg's checkpoint is a
+// view into the frame just read: SaveBoundary writes it into the slot
+// and keeps nothing, so it is done with before the connection's next
+// read. ok=false means the sender no longer holds the lease, and only
+// that. An error ends the connection: a checkpoint whose header
+// contradicts its frame (another scheme, another round, or no header),
+// or a store that cannot take the upload, which has already failed the
+// sweep — acked as a lost lease it would have the worker abandon the
+// job and the next holder fail at the same write, forever.
 func (c *Coordinator) applyProgress(worker string, connID uint64, msg transport.FleetProgress) (ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -563,11 +555,10 @@ func (c *Coordinator) applyProgress(worker string, connID uint64, msg transport.
 	if st == nil {
 		return false, nil
 	}
-	var p sweep.Progress
-	if err := json.Unmarshal(msg.Progress, &p); err != nil || p.Round != msg.Round {
-		return false, fmt.Errorf("fleet: malformed progress for round %d of job %s", msg.Round, st.job.Name)
+	if scheme, round, err := sim.DecodeCheckpointHeader(msg.Ckpt); err != nil || scheme != st.job.Scheme || round != msg.Round {
+		return false, fmt.Errorf("fleet: malformed checkpoint for round %d of job %s", msg.Round, st.job.Name)
 	}
-	if err := c.store.SaveBoundary(st.job, p, msg.Ckpt); err != nil {
+	if err := c.store.SaveBoundary(st.job, msg.Ckpt); err != nil {
 		err = fmt.Errorf("fleet: persisting round %d of job %s: %w", msg.Round, st.job.Name, err)
 		c.emitLocked(Event{Kind: JobFailed, Worker: worker, Job: st.job, Round: msg.Round, Err: err})
 		c.failLocked(err)

@@ -22,17 +22,20 @@
 //     drops (crash, kill -9) or falls silent for the lease TTL (hang,
 //     partition: the coordinator's read or reply deadline fires) loses
 //     its connection, and its job is reassigned; its uploaded
-//     checkpoints let the next worker resume mid-job bit-identically
-//     (the same resume-soundness rule as the Scheduler: checkpoint and
-//     progress sidecar must agree, else the pair before them is taken,
-//     or the job reruns from scratch — never wrong, only slower). The
-//     grant carries the checkpoint bytes the store read from its slot,
-//     and the worker decodes them in memory: a worker writes no file. A
-//     message counts only while the connection it arrives on holds the
-//     lease it names. That fence is sufficient because a connection is
-//     strictly request/response and a worker quiesces its heartbeat
-//     goroutine before asking for the next lease, so no message about
-//     an earlier grant can trail a later grant to the same connection.
+//     checkpoints — each the job's whole resumable state, latency sums
+//     included — let the next worker resume mid-job bit-identically
+//     (the same resume-soundness rule as the Scheduler: the
+//     checkpoint's header must name the job's scheme and a round still
+//     to run, else the slot before it is taken, or the job reruns from
+//     scratch — never wrong, only slower). The coordinator reads only
+//     that header; the grant carries the checkpoint bytes the store read
+//     from its slot, and the worker decodes them in memory: a worker
+//     writes no file. A message counts only while the connection it
+//     arrives on holds the lease it names. That fence is sufficient
+//     because a connection is strictly request/response and a worker
+//     quiesces its heartbeat goroutine before asking for the next lease,
+//     so no message about an earlier grant can trail a later grant to
+//     the same connection.
 //
 // Protocol (worker-initiated; every frame but a heartbeat is answered):
 //

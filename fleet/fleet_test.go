@@ -514,8 +514,8 @@ func TestFleetWorkerWritesNothingPerRound(t *testing.T) {
 	resumed := jobs[0]
 	errStop := errors.New("stop after the first checkpoint")
 	_, err = sweep.RunLeased(context.Background(), resumed, 1, nil, sweep.LeaseCallbacks{
-		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
-			if err := store.SaveBoundary(resumed, p, ckpt); err != nil {
+		OnCheckpoint: func(_ int, ckpt []byte) error {
+			if err := store.SaveBoundary(resumed, ckpt); err != nil {
 				return err
 			}
 			return errStop
@@ -1133,9 +1133,9 @@ func TestFleetWriteDeadlineReleasesLease(t *testing.T) {
 	// left it.
 	var ckptBytes int
 	if _, err := sweep.RunLeased(context.Background(), job, 1, nil, sweep.LeaseCallbacks{
-		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
+		OnCheckpoint: func(_ int, ckpt []byte) error {
 			ckptBytes = len(ckpt)
-			return store.SaveBoundary(job, p, ckpt)
+			return store.SaveBoundary(job, ckpt)
 		},
 	}); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package fleet_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
@@ -29,10 +28,9 @@ func TestFleetBackToBackUploadsLandWhole(t *testing.T) {
 	// The job's two saved boundaries, as its holder uploads them.
 	var ups []transport.FleetProgress
 	if _, err := sweep.RunLeased(context.Background(), job, 1, nil, sweep.LeaseCallbacks{
-		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
-			buf, err := json.Marshal(p)
-			ups = append(ups, transport.FleetProgress{JobID: job.ID, Round: p.Round, Progress: buf, Ckpt: bytes.Clone(ckpt)})
-			return err
+		OnCheckpoint: func(round int, ckpt []byte) error {
+			ups = append(ups, transport.FleetProgress{JobID: job.ID, Round: round, Ckpt: bytes.Clone(ckpt)})
+			return nil
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -71,19 +69,82 @@ func TestFleetBackToBackUploadsLandWhole(t *testing.T) {
 	conn.Close()
 	c.Close()
 
-	// A fresh job's first boundary goes to slot a, its second to b.
+	// A fresh job's first boundary goes to slot a, its second to b,
+	// each after the slot's 8-byte header.
 	for k, up := range ups {
 		got, err := os.ReadFile(filepath.Join(dir, "ckpt", job.ID+"."+"ab"[k:k+1]+".ckpt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, up.Ckpt) {
+		if len(got) < 8 || !bytes.Equal(got[8:], up.Ckpt) {
 			t.Fatalf("slot %c does not hold round %d's upload", "ab"[k], up.Round)
 		}
 	}
 	h, ok := store.LoadBoundary(job)
-	if !ok || h.Progress.Round != ups[1].Round || !bytes.Equal(h.Ckpt, ups[1].Ckpt) {
-		t.Fatalf("LoadBoundary = round %d (ok %v), want round %d's upload exactly", h.Progress.Round, ok, ups[1].Round)
+	if !ok || h.Round != ups[1].Round || !bytes.Equal(h.Ckpt, ups[1].Ckpt) {
+		t.Fatalf("LoadBoundary = round %d (ok %v), want round %d's upload exactly", h.Round, ok, ups[1].Round)
+	}
+}
+
+// TestFleetUploadContradictingItsFrameEndsTheConnection: the
+// coordinator reads an upload's checkpoint header, and nothing past it,
+// before it persists the bytes. A checkpoint whose header names another
+// round than its frame, or another scheme than the leased job, or that
+// has no header at all ends the worker's connection, and the store
+// keeps nothing of it.
+func TestFleetUploadContradictingItsFrameEndsTheConnection(t *testing.T) {
+	jobs := jobsOf(t, testGrid())
+	job := jobs[0]
+	ckptOf := map[string][]byte{}
+	for _, j := range jobs[:2] {
+		if _, err := sweep.RunLeased(context.Background(), j, 1, nil, sweep.LeaseCallbacks{
+			OnCheckpoint: func(round int, ckpt []byte) error {
+				if round == 1 {
+					ckptOf[j.Scheme] = bytes.Clone(ckpt)
+				}
+				return nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := jobs[1].Scheme
+	if other == job.Scheme || ckptOf[job.Scheme] == nil || ckptOf[other] == nil {
+		t.Fatalf("want round-1 checkpoints of two schemes, got %d", len(ckptOf))
+	}
+	for _, tc := range []struct {
+		name  string
+		round int
+		ckpt  []byte
+	}{
+		{"another round", 2, ckptOf[job.Scheme]},
+		{"another scheme", 1, ckptOf[other]},
+		{"no header", 1, []byte("not a checkpoint")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := sweep.OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			c, err := fleet.Serve("127.0.0.1:0", []sweep.Job{job}, store, fleet.Config{CheckpointEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_, fc := rawWorker(t, c, "w")
+			takeLease(t, fc)
+			if err := fc.WriteProgress(transport.FleetProgress{JobID: job.ID, Round: tc.round, Ckpt: tc.ckpt}); err != nil {
+				t.Fatal(err)
+			}
+			if kind, _, err := fc.ReadFrame(); err == nil {
+				t.Fatalf("the upload was answered (frame kind %d), want the connection ended", kind)
+			}
+			c.Close()
+			if h, ok := store.LoadBoundary(job); ok {
+				t.Fatalf("the store kept the upload as round %d's boundary", h.Round)
+			}
+		})
 	}
 }
 
@@ -123,8 +184,7 @@ func BenchmarkFleetUpload(b *testing.B) {
 
 	up := transport.FleetProgress{
 		JobID: job.ID, Round: 1, HostSeconds: 0.5,
-		Progress: []byte(`{"round":1}`),
-		Ckpt:     bytes.Repeat([]byte{0x5A, 0xA5}, 267_000/2),
+		Ckpt: bytes.Repeat([]byte{0x5A, 0xA5}, 267_000/2),
 	}
 	done := make(chan error, 1)
 	b.SetBytes(int64(len(up.Ckpt)))
@@ -152,7 +212,7 @@ func BenchmarkFleetUpload(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := store.SaveBoundary(job, sweep.Progress{Round: msg.Round}, msg.Ckpt); err != nil {
+		if err := store.SaveBoundary(job, msg.Ckpt); err != nil {
 			b.Fatal(err)
 		}
 		if err := coord.WriteAck(transport.FleetAck{OK: true}); err != nil {

@@ -210,10 +210,7 @@ func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWe
 	}
 	var handoff *sweep.Handoff
 	if len(lease.Ckpt) > 0 {
-		var p sweep.Progress
-		if json.Unmarshal(lease.Progress, &p) == nil {
-			handoff = &sweep.Handoff{Progress: p, Ckpt: lease.Ckpt}
-		}
+		handoff = &sweep.Handoff{Ckpt: lease.Ckpt}
 	}
 
 	jctx, cancel := context.WithCancel(ctx)
@@ -252,23 +249,15 @@ func runLeasedJob(ctx context.Context, wc *workerConn, welcome transport.FleetWe
 		}
 	}()
 
-	if handoff != nil {
-		logf("leased %s (resume after round %d)", j.Name, handoff.Progress.Round)
-	} else {
-		logf("leased %s", j.Name)
-	}
+	logf("leased %s", j.Name)
 	start := time.Now()
 	res, runErr := sweep.RunLeased(jctx, j, welcome.CheckpointEvery, handoff, sweep.LeaseCallbacks{
-		OnRound: func(r, rounds int, hostSeconds float64) { round.Store(int64(r)) },
-		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
-			buf, err := json.Marshal(p)
-			if err != nil {
-				return err
-			}
+		OnResumed: func(r int) { logf("resume %s after round %d", j.Name, r) },
+		OnRound:   func(r, rounds int, hostSeconds float64) { round.Store(int64(r)) },
+		OnCheckpoint: func(r int, ckpt []byte) error {
 			ack, err := wc.roundTripAck(func(fc *transport.FleetConn) error {
 				return fc.WriteProgress(transport.FleetProgress{
-					JobID: j.ID, Round: p.Round, HostSeconds: time.Since(start).Seconds(),
-					Progress: buf, Ckpt: ckpt,
+					JobID: j.ID, Round: r, HostSeconds: time.Since(start).Seconds(), Ckpt: ckpt,
 				})
 			})
 			if err != nil {

@@ -2,9 +2,9 @@
 // harness's one seam. A file the repo writes whole or not at all — a
 // sim checkpoint at a user-named path, the compacted manifest — goes
 // through Write: a temp file renamed over the name. A file the repo
-// holds open and rewrites in place — a sweep store's checkpoint and
-// progress slots — goes through Overwrite, whose torn states the
-// reader tells apart by the checksums it stores (see sweep.Store).
+// holds open and rewrites in place — a sweep store's checkpoint slots —
+// goes through Overwrite, whose torn states the reader tells apart by
+// the checksum the file's head stores (see sweep.Store).
 package atomicfile
 
 import (
@@ -27,10 +27,13 @@ const (
 	renamed
 )
 
-// Overwrite's boundaries: halfWritten and allWritten, between these.
+// Overwrite's boundaries: halfWritten and allWritten (of the body)
+// between beforeWrite and cut, then the head's two.
 const (
 	beforeWrite boundary = renamed + 1 + iota
 	cut
+	headHalfWritten
+	headWritten
 )
 
 // crashAt is the crash harness's seam, nil outside tests: Write and
@@ -71,7 +74,7 @@ func fill(tmp *os.File, path string, data []byte) error {
 	if crashed(path, tempCreated) {
 		return errCrashed
 	}
-	if err := writeHalves(tmp, path, data); err != nil {
+	if err := writeHalves(tmp, path, data, halfWritten, allWritten); err != nil {
 		return err
 	}
 	if err := tmp.Close(); err != nil {
@@ -84,49 +87,51 @@ func fill(tmp *os.File, path string, data []byte) error {
 }
 
 // Overwrite rewrites the open file f, which holds size bytes, to hold
-// data: data goes at offset 0, and the file is cut to len(data) only
-// when it held more. The file keeps its inode — no create, rename or
-// unlink — and, data not being empty, is never truncated to zero, so
+// head followed by body: body goes at offset len(head), the file is cut
+// to its new length only when it held more, and head goes at offset 0
+// last. Neither is copied. The file keeps its inode — no create, rename
+// or unlink — and, head not being empty, is never truncated to zero, so
 // ext4 has no replace to flush at once (auto_da_alloc). It is not
-// atomic: a crash can leave any prefix of data over the old bytes, or
-// data followed by the old tail, and a reader must be able to tell
-// those states from a whole write.
-func Overwrite(f *os.File, size int64, data []byte) error {
+// atomic: a crash can leave any prefix of body over the old bytes, the
+// old head over a new body, or a torn new head, and a reader must be
+// able to tell those states from a whole write — the head is where a
+// caller puts what tells them apart.
+func Overwrite(f *os.File, size int64, head, body []byte) error {
 	path := f.Name()
 	if crashed(path, beforeWrite) {
 		return errCrashed
 	}
-	if err := writeHalves(io.NewOffsetWriter(f, 0), path, data); err != nil {
+	if err := writeHalves(io.NewOffsetWriter(f, int64(len(head))), path, body, halfWritten, allWritten); err != nil {
 		return err
 	}
-	if size > int64(len(data)) {
-		if err := f.Truncate(int64(len(data))); err != nil {
+	if n := int64(len(head) + len(body)); size > n {
+		if err := f.Truncate(n); err != nil {
 			return err
 		}
 	}
 	if crashed(path, cut) {
 		return errCrashed
 	}
-	return nil
+	return writeHalves(io.NewOffsetWriter(f, 0), path, head, headHalfWritten, headWritten)
 }
 
 // writeHalves writes data to w, in two writes under the harness so that
-// a crash can land between them.
-func writeHalves(w io.Writer, path string, data []byte) error {
+// a crash can land between them, at half, and after them, at all.
+func writeHalves(w io.Writer, path string, data []byte, half, all boundary) error {
 	if crashAt != nil {
-		half := len(data) / 2
-		if _, err := w.Write(data[:half]); err != nil {
+		mid := len(data) / 2
+		if _, err := w.Write(data[:mid]); err != nil {
 			return err
 		}
-		if crashed(path, halfWritten) {
+		if crashed(path, half) {
 			return errCrashed
 		}
-		data = data[half:]
+		data = data[mid:]
 	}
 	if _, err := w.Write(data); err != nil {
 		return err
 	}
-	if crashed(path, allWritten) {
+	if crashed(path, all) {
 		return errCrashed
 	}
 	return nil

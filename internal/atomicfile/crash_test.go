@@ -18,14 +18,15 @@ import (
 
 // The crash-point harness: one 7-round job checkpointing every round —
 // six saved boundaries, the last round's is never saved — killed at
-// every boundary of both in-place writes of each saved boundary (the
-// checkpoint into the spare slot, then the slot's record) and between
-// the unlinks of the older slot, through both processes that write
-// them: the Scheduler and the fleet coordinator (fed by one worker over
-// loopback), each one Store.SaveBoundary per boundary. A killed process
-// is a goroutine stopped inside the seam: nothing after the boundary
-// runs until the assertions are over — a stopped coordinator holds its
-// lock, so its worker just waits for an ack.
+// every boundary of the in-place write of each saved boundary (the
+// checkpoint into the spare slot's file, the cut, then the slot's
+// header) and with the older slot unlinked or damaged, through both
+// processes that write them: the Scheduler and the fleet coordinator
+// (fed by one worker over loopback), each one Store.SaveBoundary per
+// boundary. A killed process is a goroutine stopped inside the seam:
+// nothing after the boundary runs until the assertions are over — a
+// stopped coordinator holds its lock, so its worker just waits for an
+// ack.
 
 const (
 	crashRounds = 7
@@ -90,23 +91,27 @@ func openStore(t *testing.T, dir string) *sweep.Store {
 	return store
 }
 
-// slotOf names which file ("ckpt" or "progress") of which slot ("a"
-// or "b") a write targets; file is "" for any path that is not a slot
-// file of the store rooted at dir (the compacted manifest).
-func slotOf(dir, path string) (file, slot string) {
+// slotHeader is the length of a slot file's header: the checkpoint's
+// length and CRC-32C, which commit it.
+const slotHeader = 8
+
+// slotOf names which slot ("a" or "b") a write targets, "" for any
+// path that is not a slot file of the store rooted at dir (the
+// compacted manifest).
+func slotOf(dir, path string) string {
 	if filepath.Dir(path) != filepath.Join(dir, "ckpt") {
-		return "", ""
+		return ""
 	}
 	parts := strings.Split(filepath.Base(path), ".")
-	if len(parts) != 3 || (parts[1] != "a" && parts[1] != "b") || (parts[2] != "ckpt" && parts[2] != "progress") {
-		return "", ""
+	if len(parts) != 3 || (parts[1] != "a" && parts[1] != "b") || parts[2] != "ckpt" {
+		return ""
 	}
-	return parts[2], parts[1]
+	return parts[1]
 }
 
 // slotPath is slotOf's inverse for job j.
-func slotPath(dir string, j sweep.Job, slot, file string) string {
-	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%s.%s", j.ID, slot, file))
+func slotPath(dir string, j sweep.Job, slot string) string {
+	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%s.ckpt", j.ID, slot))
 }
 
 // otherSlot is the slot a boundary in slot does not write.
@@ -118,15 +123,15 @@ func otherSlot(slot string) string {
 }
 
 // boundaryCounter numbers the writes of one job's boundaries as the
-// seam sees them: a boundary's round is how many writes of its file
-// have begun.
-type boundaryCounter map[string]int
+// seam sees them: a boundary's round is how many slot writes have
+// begun.
+type boundaryCounter struct{ n int }
 
-func (c boundaryCounter) round(file string, b atomicfile.Boundary) int {
+func (c *boundaryCounter) round(b atomicfile.Boundary) int {
 	if b == atomicfile.BeforeWrite {
-		c[file]++
+		c.n++
 	}
-	return c[file]
+	return c.n
 }
 
 // ckptNames lists what the store rooted at dir holds under ckpt/.
@@ -162,26 +167,26 @@ func durable(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// reference is an uncrashed run: what each boundary's two writes left
-// on disk, by file and round, and the durable bytes at the end.
+// reference is an uncrashed run: the slot file each boundary's write
+// left on disk, by round, and the durable bytes at the end.
 type reference struct {
-	writes  map[string]map[int]string
+	writes  map[int]string
 	durable map[string]string
 }
 
 func uncrashed(t *testing.T, j sweep.Job, drv driver) reference {
 	t.Helper()
 	dir := t.TempDir()
-	ref := reference{writes: map[string]map[int]string{"ckpt": {}, "progress": {}}}
-	count := boundaryCounter{}
+	ref := reference{writes: map[int]string{}}
+	count := &boundaryCounter{}
 	atomicfile.SetCrashAt(func(path string, b atomicfile.Boundary) bool {
-		if f, _ := slotOf(dir, path); f != "" {
-			if round := count.round(f, b); b == atomicfile.Cut {
+		if slotOf(dir, path) != "" {
+			if round := count.round(b); b == atomicfile.HeadWritten {
 				buf, err := os.ReadFile(path)
 				if err != nil {
 					t.Error(err)
 				}
-				ref.writes[f][round] = string(buf)
+				ref.writes[round] = string(buf)
 			}
 		}
 		return false
@@ -192,71 +197,94 @@ func uncrashed(t *testing.T, j sweep.Job, drv driver) reference {
 	if err := drv.run(t, j, store); err != nil {
 		t.Fatal(err)
 	}
-	for f, byRound := range ref.writes {
-		if _, last := byRound[crashRounds]; last || len(byRound) != savedBoundaries {
-			t.Fatalf("%s driver wrote %s for %d rounds (the last round's: %v), want rounds 1..%d",
-				drv.name, f, len(byRound), last, savedBoundaries)
-		}
+	if _, last := ref.writes[crashRounds]; last || len(ref.writes) != savedBoundaries {
+		t.Fatalf("%s driver wrote slots for %d rounds (the last round's: %v), want rounds 1..%d",
+			drv.name, len(ref.writes), last, savedBoundaries)
 	}
 	ref.durable = durable(t, dir)
 	return ref
 }
 
-// crashPoint is where a run dies: after boundary of the write of file
-// at the boundary after round — or, file "unlink", after that
-// boundary's record landed whole and the other slot lost the files
-// unlinked names (see unlinks).
+// crashPoint is where a run dies: after boundary of the write of part
+// ("ckpt", the checkpoint after the header, or "progress", the header
+// that commits it) at the boundary after round — or, part "unlink",
+// after that boundary's header landed whole and the older slot lost
+// what unlinked names (see unlinks).
 type crashPoint struct {
 	round    int
-	file     string
+	part     string
 	boundary atomicfile.Boundary
 	unlinked string
 }
 
 // crashStates name what a kill after each of Overwrite's boundaries
-// leaves of the write, in the terms the suite has used since slot files
-// were written through a temp file and a rename: nothing landed
-// (temp-created), the first half, all of it, and all of it with the
-// file cut to its length, the write wholly in place (renamed).
+// leaves of each part of the write, in the terms the suite has used
+// since slot files were written through a temp file and a rename, and
+// the header was a record file of its own, "progress": nothing of the
+// part landed (temp-created), its first half, all of it, and the part
+// wholly in place (renamed) — for the checkpoint, with the file cut to
+// its length. The checkpoint's "renamed" and the header's
+// "temp-created" are one state, as they were when the two were files,
+// and so are the header's "all-written" and "renamed": the cut comes
+// before the header.
 var crashStates = []struct {
+	part     string
 	name     string
 	boundary atomicfile.Boundary
 }{
-	{"temp-created", atomicfile.BeforeWrite},
-	{"half-written", atomicfile.HalfWritten},
-	{"all-written", atomicfile.AllWritten},
-	{"renamed", atomicfile.Cut},
+	{"ckpt", "temp-created", atomicfile.BeforeWrite},
+	{"ckpt", "half-written", atomicfile.HalfWritten},
+	{"ckpt", "all-written", atomicfile.AllWritten},
+	{"ckpt", "renamed", atomicfile.Cut},
+	{"progress", "temp-created", atomicfile.Cut},
+	{"progress", "half-written", atomicfile.HeadHalf},
+	{"progress", "all-written", atomicfile.HeadWritten},
+	{"progress", "renamed", atomicfile.HeadWritten},
 }
 
-// unlinks are the states a kill leaves while the store unlinks a slot
-// that is not the newest — LoadBoundary removing the older slot at a
-// resume, or Record and DropTransient removing both — beside a whole
-// newer slot. os.Remove has no seam, so the harness stops the run at
-// the newer boundary's commit and removes the older slot's files itself:
-// either one alone, so that no order of the two is assumed, and both.
-var (
-	unlinkStates = []string{"prev-sidecar-gone", "prev-checkpoint-gone", "prev-pair-gone"}
-	unlinks      = map[string][]string{
-		"prev-sidecar-gone":    {"progress"},
-		"prev-checkpoint-gone": {"ckpt"},
-		"prev-pair-gone":       {"progress", "ckpt"},
-	}
-)
+// unlinks are the states of the older slot beside a whole newer one,
+// in the suite's terms (the header was the "sidecar"): the store
+// unlinks a slot that is not the newest — LoadBoundary removing the
+// older slot at a resume, or Record and DropTransient removing both —
+// and os.Remove has no seam, so the harness stops the run at the newer
+// boundary's commit and removes the older slot's file itself
+// (prev-pair-gone). A kill cannot take the older slot's header or
+// checkpoint alone, but power loss can (either slot may come back with
+// any subset of its pages), so the harness zeroes its header
+// (prev-sidecar-gone) or cuts the file to its header
+// (prev-checkpoint-gone) too: whatever is left of the older slot, the
+// rerun resumes from the newer.
+var unlinks = []struct {
+	name   string
+	damage func(path string) error
+}{
+	{"prev-sidecar-gone", func(path string) error {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		_, err = f.WriteAt(make([]byte, slotHeader), 0)
+		return err
+	}},
+	{"prev-checkpoint-gone", func(path string) error { return os.Truncate(path, slotHeader) }},
+	{"prev-pair-gone", os.Remove},
+}
 
 func (cp crashPoint) String() string {
-	if cp.file == "unlink" {
+	if cp.part == "unlink" {
 		return fmt.Sprintf("(round %d, unlink, %s)", cp.round, cp.unlinked)
 	}
-	return fmt.Sprintf("(round %d, %s, %v)", cp.round, cp.file, cp.boundary)
+	return fmt.Sprintf("(round %d, %s, %v)", cp.round, cp.part, cp.boundary)
 }
 
-// dyingWrite is the write a crash at cp stops in: for an unlink state,
-// the newer boundary's record, landed whole.
-func (cp crashPoint) dyingWrite() crashPoint {
-	if cp.file == "unlink" {
-		return crashPoint{round: cp.round, file: "progress", boundary: atomicfile.Cut}
+// dyingBoundary is the boundary of the write a crash at cp stops in:
+// for the unlink, the newer boundary's header, landed whole.
+func (cp crashPoint) dyingBoundary() atomicfile.Boundary {
+	if cp.part == "unlink" {
+		return atomicfile.HeadWritten
 	}
-	return cp
+	return cp.boundary
 }
 
 // crash runs the job against a fresh store in dir until it dies at cp,
@@ -266,19 +294,19 @@ func (cp crashPoint) dyingWrite() crashPoint {
 // once) and waits for it.
 func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (slot string, bury func()) {
 	t.Helper()
-	at := cp.dyingWrite()
+	at := cp.dyingBoundary()
 	var (
 		hit     = make(chan string)
 		release = make(chan struct{})
 		done    = make(chan error, 1)
-		count   = boundaryCounter{}
+		count   = &boundaryCounter{}
 	)
 	atomicfile.SetCrashAt(func(path string, b atomicfile.Boundary) bool {
-		f, slot := slotOf(dir, path)
-		if f == "" {
+		slot := slotOf(dir, path)
+		if slot == "" {
 			return false
 		}
-		fire := count.round(f, b) == at.round && f == at.file && b == at.boundary
+		fire := count.round(b) == cp.round && b == at
 		if fire {
 			hit <- slot
 			<-release
@@ -302,8 +330,11 @@ func crash(t *testing.T, j sweep.Job, drv driver, dir string, cp crashPoint) (sl
 	}
 	atomicfile.SetCrashAt(nil)
 	store.Close()
-	for _, f := range unlinks[cp.unlinked] {
-		if err := os.Remove(slotPath(dir, j, otherSlot(slot), f)); err != nil {
+	for _, u := range unlinks {
+		if u.name != cp.unlinked {
+			continue
+		}
+		if err := u.damage(slotPath(dir, j, otherSlot(slot))); err != nil {
 			t.Fatalf("crash point %v: the older slot is not whole at the commit: %v", cp, err)
 		}
 	}
@@ -315,20 +346,18 @@ func TestCrashPoints(t *testing.T) {
 	for _, drv := range drivers {
 		ref := uncrashed(t, j, drv)
 		for round := 1; round <= savedBoundaries; round++ {
-			for _, file := range []string{"ckpt", "progress"} {
-				for _, state := range crashStates {
-					cp := crashPoint{round: round, file: file, boundary: state.boundary}
-					t.Run(fmt.Sprintf("%s/round%d/%s/%s", drv.name, round, file, state.name), func(t *testing.T) {
-						checkCrashPoint(t, j, drv, ref, cp)
-					})
-				}
+			for _, state := range crashStates {
+				cp := crashPoint{round: round, part: state.part, boundary: state.boundary}
+				t.Run(fmt.Sprintf("%s/round%d/%s/%s", drv.name, round, state.part, state.name), func(t *testing.T) {
+					checkCrashPoint(t, j, drv, ref, cp)
+				})
 			}
-			for _, state := range unlinkStates {
+			for _, u := range unlinks {
 				if round == 1 {
 					break // no slot is older than the first boundary's
 				}
-				cp := crashPoint{round: round, file: "unlink", unlinked: state}
-				t.Run(fmt.Sprintf("%s/round%d/unlink/%s", drv.name, round, state), func(t *testing.T) {
+				cp := crashPoint{round: round, part: "unlink", unlinked: u.name}
+				t.Run(fmt.Sprintf("%s/round%d/unlink/%s", drv.name, round, u.name), func(t *testing.T) {
 					checkCrashPoint(t, j, drv, ref, cp)
 				})
 			}
@@ -346,47 +375,53 @@ func checkCrashPoint(t *testing.T, j sweep.Job, drv driver, ref reference, cp cr
 	slot, bury := crash(t, j, drv, dir, cp)
 	defer bury()
 
-	// The dying write has landed as far as its boundary says: nothing,
-	// the first half, all of it, all of it and nothing after.
-	at := cp.dyingWrite()
-	want := ref.writes[at.file][at.round]
-	landed := map[atomicfile.Boundary]int{
-		atomicfile.BeforeWrite: 0, atomicfile.HalfWritten: len(want) / 2,
-		atomicfile.AllWritten: len(want), atomicfile.Cut: len(want),
-	}[at.boundary]
-	got, err := os.ReadFile(slotPath(dir, j, slot, at.file))
-	switch {
-	case err != nil:
+	// The dying write has landed as far as its boundary says: of the
+	// checkpoint nothing, the first half or all of it, then the file is
+	// cut, then the header lands, half of it or all of it.
+	at := cp.dyingBoundary()
+	want := ref.writes[cp.round]
+	wantHead, wantBody := want[:slotHeader], want[slotHeader:]
+	landedBody := map[atomicfile.Boundary]int{
+		atomicfile.BeforeWrite: 0, atomicfile.HalfWritten: len(wantBody) / 2,
+	}
+	landed, ok := landedBody[at]
+	if !ok {
+		landed = len(wantBody)
+	}
+	cut := at == atomicfile.Cut || at == atomicfile.HeadHalf || at == atomicfile.HeadWritten
+	landedHead := map[atomicfile.Boundary]int{atomicfile.HeadHalf: slotHeader / 2, atomicfile.HeadWritten: slotHeader}[at]
+	got, err := os.ReadFile(slotPath(dir, j, slot))
+	if err != nil {
 		fail("the slot being written is unreadable: %v", err)
-	case !strings.HasPrefix(string(got), want[:landed]):
-		fail("slot %s's %s does not begin with the %d bytes of round %d its write has landed", slot, at.file, landed, at.round)
-	case at.boundary == atomicfile.Cut && string(got) != want:
-		fail("slot %s's %s is not round %d's once cut", slot, at.file, at.round)
+	}
+	head, body := string(got[:min(len(got), slotHeader)]), ""
+	if len(got) > slotHeader {
+		body = string(got[slotHeader:])
+	}
+	switch {
+	case !strings.HasPrefix(body, wantBody[:landed]):
+		fail("slot %s's checkpoint does not begin with the %d bytes of round %d its write has landed", slot, landed, cp.round)
+	case cut && body != wantBody:
+		fail("slot %s's checkpoint is not round %d's once cut", slot, cp.round)
+	case !strings.HasPrefix(head, wantHead[:landedHead]):
+		fail("slot %s's header does not begin with the %d bytes of round %d its write has landed", slot, landedHead, cp.round)
 	}
 
-	// A boundary is committed by its record landing whole and by nothing
+	// A boundary is committed by its header landing whole and by nothing
 	// before it; until then the newest committed boundary is the one
 	// before, in the other slot.
-	committed := at.file == "progress" && (at.boundary == atomicfile.AllWritten || at.boundary == atomicfile.Cut)
 	newest, newestSlot := cp.round-1, otherSlot(slot)
-	if committed {
+	if at == atomicfile.HeadWritten {
 		newest, newestSlot = cp.round, slot
 	}
 	if newest > 0 {
-		// The newest committed slot is whole, whatever is torn beside it:
-		// its checkpoint exactly, its record followed by nothing but the
-		// tail of the longer record it was written over.
-		ckpt, err := os.ReadFile(slotPath(dir, j, newestSlot, "ckpt"))
-		if err != nil || string(ckpt) != ref.writes["ckpt"][newest] {
-			fail("slot %s's checkpoint is not round %d's (%v)", newestSlot, newest, err)
+		// The newest committed slot is whole, whatever is torn beside it.
+		buf, err := os.ReadFile(slotPath(dir, j, newestSlot))
+		if err != nil || string(buf) != ref.writes[newest] {
+			fail("slot %s is not round %d's (%v)", newestSlot, newest, err)
 		}
-		rec, err := os.ReadFile(slotPath(dir, j, newestSlot, "progress"))
-		if err != nil || !strings.HasPrefix(string(rec), ref.writes["progress"][newest]) {
-			fail("slot %s's record is not round %d's (%v)", newestSlot, newest, err)
-		}
-		path := slotPath(dir, j, newestSlot, "ckpt")
-		if scheme, round, err := sim.PeekCheckpoint(path); err != nil || scheme != j.Scheme || round != newest {
-			fail("PeekCheckpoint = (%q, %d, %v), want (%q, %d)", scheme, round, err, j.Scheme, newest)
+		if cf, err := sim.DecodeCheckpoint(buf[slotHeader:]); err != nil || cf.Scheme != j.Scheme || cf.Round != newest {
+			fail("slot %s decodes to (%v, %v), want %q at round %d", newestSlot, cf, err, j.Scheme, newest)
 		}
 	}
 
@@ -424,7 +459,7 @@ func checkCrashPoint(t *testing.T, j sweep.Job, drv driver, ref reference, cp cr
 // TestOpenStoreRemovesCrashOrphans: under ckpt/ a store keeps slot
 // files and nothing else. What an older layout left there — a killed
 // writer's temp file, a generation named by its round, a fixed-name
-// pair — has no reader, and the next OpenStore, which holds the store's
+// pair, a slot's separate record file — has no reader, and the next OpenStore, which holds the store's
 // lock so that no live writer can own a file, removes it, while the
 // slots a crash left stay for the rerun. So is the temp file of a
 // Compact killed before its rename, beside the whole manifest it was to
@@ -432,22 +467,23 @@ func checkCrashPoint(t *testing.T, j sweep.Job, drv driver, ref reference, cp cr
 func TestOpenStoreRemovesCrashOrphans(t *testing.T) {
 	j := crashJob(t)
 	for _, cp := range []crashPoint{
-		{round: 3, file: "ckpt", boundary: atomicfile.AllWritten},
-		{round: 3, file: "progress", boundary: atomicfile.HalfWritten},
+		{round: 3, part: "ckpt", boundary: atomicfile.AllWritten},
+		{round: 3, part: "progress", boundary: atomicfile.HeadHalf},
 	} {
-		t.Run(cp.file, func(t *testing.T) {
+		t.Run(cp.part, func(t *testing.T) {
 			dir := t.TempDir()
 			_, bury := crash(t, j, drivers[0], dir, cp)
 			defer bury()
 			slots := ckptNames(t, dir)
-			if len(slots) != 4 {
+			if len(slots) != 2 {
 				t.Fatalf("crash at %v left %v, want both slots' files", cp, slots)
 			}
 			orphans := []string{
-				"." + cp.file + "-123456",          // the temp file of a writer killed before its rename
-				j.ID + ".1." + cp.file,             // a generation of round 1
-				j.ID + "." + cp.file,               // the fixed-name layout before generations
-				j.ID + ".a." + cp.file + "-654321", // a temp file beside a slot's name
+				"." + cp.part + "-123456",          // the temp file of a writer killed before its rename
+				j.ID + ".1." + cp.part,             // a generation of round 1
+				j.ID + "." + cp.part,               // the fixed-name layout before generations
+				j.ID + ".a." + cp.part + "-654321", // a temp file beside a slot's name
+				j.ID + ".a." + "progress",          // a slot's record, before the checkpoint carried its sums
 			}
 			for _, name := range orphans {
 				if err := os.WriteFile(filepath.Join(dir, "ckpt", name), []byte("orphan"), 0o644); err != nil {

@@ -18,33 +18,32 @@ import (
 // renamed over or unlinked (every slot file keeps the inode it was
 // created as), a slot file that has held bytes is never cut to zero,
 // ckpt/ holds slot files alone, and from the third boundary on every
-// write goes through the four descriptors the store opened at the
-// first two. Once the job is recorded, ckpt/ is empty.
+// write goes through the two descriptors the store opened at the first
+// two. Once the job is recorded, ckpt/ is empty.
 func TestStoreNeverReplacesTransientFile(t *testing.T) {
 	j := crashJob(t)
 	for _, drv := range drivers {
 		t.Run(drv.name, func(t *testing.T) {
 			dir := t.TempDir()
 			var (
-				count  = boundaryCounter{}
+				count  = &boundaryCounter{}
 				inode  = map[string]uint64{} // slot file -> the inode it was created as
 				filled = map[string]bool{}   // slot file -> has held bytes
 				held   []string              // the descriptors open on ckpt/ at the third boundary
 				writes int
 			)
 			atomicfile.SetCrashAt(func(path string, b atomicfile.Boundary) bool {
-				file, _ := slotOf(dir, path)
-				if file == "" {
+				if slotOf(dir, path) == "" {
 					return false
 				}
-				round := count.round(file, b)
-				if b == atomicfile.Cut {
+				round := count.round(b)
+				if b == atomicfile.HeadWritten {
 					writes++
 				}
 				names := ckptNames(t, dir)
 				for _, name := range names {
 					p := filepath.Join(dir, "ckpt", name)
-					if f, _ := slotOf(dir, p); f == "" {
+					if slotOf(dir, p) == "" {
 						t.Errorf("ckpt/ holds %s, not a slot file", name)
 						continue
 					}
@@ -55,13 +54,13 @@ func TestStoreNeverReplacesTransientFile(t *testing.T) {
 					}
 					ino := fi.Sys().(*syscall.Stat_t).Ino
 					if prev, seen := inode[name]; seen && prev != ino {
-						t.Errorf("%s replaced (inode %d, then %d) by round %d's %s write", name, prev, ino, round, file)
+						t.Errorf("%s replaced (inode %d, then %d) by round %d's write", name, prev, ino, round)
 					}
 					inode[name] = ino
 					if fi.Size() > 0 {
 						filled[name] = true
 					} else if filled[name] {
-						t.Errorf("%s cut to zero by round %d's %s write", name, round, file)
+						t.Errorf("%s cut to zero by round %d's write", name, round)
 					}
 				}
 				for name := range inode {
@@ -72,12 +71,12 @@ func TestStoreNeverReplacesTransientFile(t *testing.T) {
 				if round >= 3 {
 					fds := ckptFDs(t, dir)
 					switch {
-					case held == nil && len(fds) != 4:
-						t.Errorf("at round 3 the store holds %v open under ckpt/, want both slots' four files", fds)
+					case held == nil && len(fds) != 2:
+						t.Errorf("at round 3 the store holds %v open under ckpt/, want both slots' files", fds)
 					case held == nil:
 						held = fds
 					case fmt.Sprint(fds) != fmt.Sprint(held):
-						t.Errorf("round %d's %s write: open under ckpt/ %v, want the descriptors held since round 3, %v", round, file, fds, held)
+						t.Errorf("round %d's write: open under ckpt/ %v, want the descriptors held since round 3, %v", round, fds, held)
 					}
 				}
 				return false
@@ -88,11 +87,11 @@ func TestStoreNeverReplacesTransientFile(t *testing.T) {
 			if err := drv.run(t, j, store); err != nil {
 				t.Fatal(err)
 			}
-			if writes != 2*savedBoundaries {
-				t.Fatalf("saw %d writes under ckpt/, want %d", writes, 2*savedBoundaries)
+			if writes != savedBoundaries {
+				t.Fatalf("saw %d writes under ckpt/, want %d", writes, savedBoundaries)
 			}
-			if len(inode) != 4 {
-				t.Fatalf("the job had slot files %v, want each of its four created once", inode)
+			if len(inode) != 2 {
+				t.Fatalf("the job had slot files %v, want each of its two created once", inode)
 			}
 			if left := ckptNames(t, dir); len(left) != 0 {
 				t.Fatalf("ckpt/ holds %v after the job was recorded", left)
@@ -128,8 +127,8 @@ func ckptFDs(t *testing.T, dir string) []string {
 }
 
 // TestOverwriteCutsOnlyWhatShrank: an in-place rewrite leaves the file
-// holding exactly the new bytes, in the inode it had, and truncates only
-// when the new bytes are fewer than the old.
+// holding exactly the new head and body, in the inode it had, and
+// truncates only when the new bytes are fewer than the old.
 func TestOverwriteCutsOnlyWhatShrank(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "slot")
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -146,17 +145,18 @@ func TestOverwriteCutsOnlyWhatShrank(t *testing.T) {
 	}
 	first := inode()
 	size := int64(0)
-	for _, body := range []string{"a longer first write", "short", "and a longest third write"} {
-		if err := atomicfile.Overwrite(f, size, []byte(body)); err != nil {
+	for i, body := range []string{"a longer first write", "short", "and a longest third write"} {
+		head := fmt.Sprintf("head %d:", i)
+		if err := atomicfile.Overwrite(f, size, []byte(head), []byte(body)); err != nil {
 			t.Fatal(err)
 		}
-		size = int64(len(body))
+		size = int64(len(head) + len(body))
 		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != body {
-			t.Fatalf("after writing %q the file holds %q", body, got)
+		if string(got) != head+body {
+			t.Fatalf("after writing %q then %q the file holds %q", head, body, got)
 		}
 		if inode() != first {
 			t.Fatalf("writing %q replaced the file", body)

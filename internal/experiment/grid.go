@@ -300,27 +300,17 @@ type JobResult struct {
 	TotalSeconds float64
 }
 
-// Handoff is what an earlier, killed execution of a job left behind: a
-// decoded sim checkpoint plus the ledger and total accumulated over
-// exactly the Round rounds that checkpoint had completed (the sweep
-// store persists them alongside it). RunJob consumes the checkpoint.
-type Handoff struct {
-	Checkpoint   *sim.Checkpoint
-	Round        int
-	Ledger       simnet.Ledger
-	TotalSeconds float64
-}
-
 // RunJob executes one cell: build the world, then drive a Runner over a
-// freshly constructed scheme or — given a handoff — over the trainer
-// its checkpoint restores. The handoff's sums seed the result's
-// accumulators rather than being merged in afterwards, which keeps the
-// floating-point addition order of an uninterrupted run, so a resumed
-// result is bit identical. Extra options (observers, checkpointing) are
-// appended to the job's own rounds/cadence configuration. This is the
-// single job-execution path: gsfl/sweep's scheduler and the fleet
-// workers both reach it through sweep's runJob.
-func RunJob(ctx context.Context, j Job, from *Handoff, opts ...sim.RunOption) (res JobResult, err error) {
+// freshly constructed scheme or — given a checkpoint an earlier, killed
+// execution left — over the trainer the checkpoint restores. The
+// result's sums are the Runner's (Runner.Totals), which a resumed Runner
+// continues from the checkpoint's in the floating-point order of an
+// uninterrupted run, so a resumed result is bit identical. Extra options
+// (observers, checkpointing) are appended to the job's own
+// rounds/cadence configuration. This is the single job-execution path:
+// gsfl/sweep's scheduler and the fleet workers both reach it through
+// sweep's runJob.
+func RunJob(ctx context.Context, j Job, from *sim.Checkpoint, opts ...sim.RunOption) (res JobResult, err error) {
 	defer func() {
 		if err != nil {
 			res, err = JobResult{}, fmt.Errorf("experiment: job %s: %w", j.Name, err)
@@ -331,14 +321,7 @@ func RunJob(ctx context.Context, j Job, from *Handoff, opts ...sim.RunOption) (r
 		return res, err
 	}
 	res.Job = j
-	ropts := append([]sim.RunOption{
-		sim.WithRounds(j.Rounds),
-		sim.WithEvalEvery(j.EvalEvery),
-		sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
-			res.Ledger.Merge(e.Ledger)
-			res.TotalSeconds += e.RoundSeconds
-		})),
-	}, opts...)
+	ropts := append([]sim.RunOption{sim.WithRounds(j.Rounds), sim.WithEvalEvery(j.EvalEvery)}, opts...)
 	schemeOpts, err := j.Spec.SchemeOptions()
 	if err != nil {
 		return res, err
@@ -351,26 +334,22 @@ func RunJob(ctx context.Context, j Job, from *Handoff, opts ...sim.RunOption) (r
 		}
 		runner = sim.NewRunner(tr, ropts...)
 	} else {
-		res.Ledger, res.TotalSeconds = from.Ledger, from.TotalSeconds
-		if runner, err = sim.ResumeFrom(from.Checkpoint, world, ropts...); err != nil {
+		if runner, err = sim.ResumeFrom(from, world, ropts...); err != nil {
 			return res, err
 		}
 		// ResumeFrom took the scheme and its options from the checkpoint.
 		// This is the one hard check that the Runner it built is the one
-		// the handoff described and the job names: the environment
-		// fingerprint does not cover the options, so a sibling cell's
-		// checkpoint (same world, other groups or strategy) restores
-		// without complaint.
+		// the job names: the environment fingerprint does not cover the
+		// options, so a sibling cell's checkpoint (same world, other
+		// groups or strategy) restores without complaint.
 		if runner.Scheme() != j.Scheme {
 			return res, fmt.Errorf("checkpoint trains %q, job wants %q", runner.Scheme(), j.Scheme)
-		}
-		if runner.CompletedRounds() != from.Round {
-			return res, fmt.Errorf("checkpoint is at round %d, handoff sums cover %d", runner.CompletedRounds(), from.Round)
 		}
 		if got := runner.Options(); got != schemeOpts {
 			return res, fmt.Errorf("checkpoint trains under options %+v, job wants %+v", got, schemeOpts)
 		}
 	}
 	res.Curve, err = runner.Run(ctx)
+	res.Ledger, res.TotalSeconds = runner.Totals()
 	return res, err
 }

@@ -3,6 +3,7 @@ package gsfl_test
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -169,11 +170,36 @@ func TestPinnedRounds(t *testing.T) {
 }
 
 // pinnedCheckpoints are the sha256 digests of the checkpoint a Runner
-// hands its observers after round 3, recorded while fl still had its own
-// trainer: the state layout, not just the numerics, must not move.
-var pinnedCheckpoints = map[string]string{
-	"fl":            "625b1d186ea19b20ad033bd7c5beb48396c3fb31a7cbd4a835ca53f55467b00d",
-	"fl/population": "8b884452651e262a4d4c512e167b67aca39f0ac9fe4e8dd61dc43ed1f8baf026",
+// hands its observers after round 3, in format v3, recorded while fl
+// still had its own trainer: the state layout, not just the numerics,
+// must not move. Format v4 is v3 with the run's ledger after elapsed,
+// so a v4 file less its ledger, under v3's version number, must still
+// hash to them; pinnedCheckpointsV4 hold the v4 files whole.
+var (
+	pinnedCheckpoints = map[string]string{
+		"fl":            "625b1d186ea19b20ad033bd7c5beb48396c3fb31a7cbd4a835ca53f55467b00d",
+		"fl/population": "8b884452651e262a4d4c512e167b67aca39f0ac9fe4e8dd61dc43ed1f8baf026",
+	}
+	pinnedCheckpointsV4 = map[string]string{
+		"fl":            "8ebbb62d3a67d01a33433d8e2a399e401dc9a275b2024342c2da5850eb67148f",
+		"fl/population": "84ded11a9484d379ded9802424ca093154f26e8e3bbcf7f83ae5879db99a352f",
+	}
+)
+
+// asV3 is a v4 checkpoint in format v3: version 3, no ledger. The
+// ledger sits past the magic and version (6), the scheme name, the
+// group count (8), the strategy name, the rest of the options (9), the
+// environment hash (8), two cadences (8), the round (8) and elapsed (8).
+func asV3(t *testing.T, v4 []byte) []byte {
+	t.Helper()
+	if len(v4) < 6 || binary.LittleEndian.Uint16(v4[4:]) != 4 {
+		t.Fatalf("not a v4 checkpoint: % x", v4[:min(len(v4), 6)])
+	}
+	strategy := 6 + 4 + int(binary.LittleEndian.Uint32(v4[6:])) + 8
+	ledger := strategy + 4 + int(binary.LittleEndian.Uint32(v4[strategy:])) + 9 + 8 + 8 + 8 + 8
+	v3 := append(append([]byte(nil), v4[:ledger]...), v4[ledger+8*len(simnet.Components()):]...)
+	binary.LittleEndian.PutUint16(v3[4:], 3)
+	return v3
 }
 
 func TestPinnedCheckpoints(t *testing.T) {
@@ -203,17 +229,21 @@ func TestPinnedCheckpoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got string
+			var got, gotV3 string
 			_, err = sim.NewRunner(tr, sim.WithRounds(3), sim.WithCheckpointEvery(3),
 				sim.WithObserver(sim.ObserverFunc(func(e sim.RoundEvent) {
 					if e.Round == 3 {
 						got = fmt.Sprintf("%x", sha256.Sum256(e.Checkpoint))
+						gotV3 = fmt.Sprintf("%x", sha256.Sum256(asV3(t, e.Checkpoint)))
 					}
 				}))).Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := pinnedCheckpoints[row.name]; got != want {
+			if want := pinnedCheckpoints[row.name]; gotV3 != want {
+				t.Fatalf("checkpoint bytes moved (in format v3)\n\t%q: %q,\nwant %q", row.name, gotV3, want)
+			}
+			if want := pinnedCheckpointsV4[row.name]; got != want {
 				t.Fatalf("checkpoint bytes moved\n\t%q: %q,\nwant %q", row.name, got, want)
 			}
 		})

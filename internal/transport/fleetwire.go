@@ -29,17 +29,18 @@ package transport
 //	                      u32 leaseMillis | u32 ckptEvery
 //	lease(request)     := (empty)
 //	lease(reply)       := u8 status | status=grant(1): str jobID | blob job |
-//	                      blob progress | blob ckpt
+//	                      blob ckpt
 //	                    | status=drain(3): (nothing)
-//	progress           := str jobID | u32 round | f64 hostSeconds |
-//	                      blob progress | blob ckpt
+//	progress           := str jobID | u32 round | f64 hostSeconds | blob ckpt
 //	result             := str jobID | u8 failed | f64 hostSeconds | blob body
 //	heartbeat(worker)  := u8 role=0 | str jobID | u32 round
 //	heartbeat(coord)   := u8 role=1 | u8 flags (bit0 = lease valid): an ack
 //
-// Job, progress, and result bodies are JSON (Go's float64 encoding
-// round-trips exactly, so the determinism contract survives the wire);
-// checkpoint blobs are the sim checkpoint files verbatim. Every decoder
+// Job and result bodies are JSON (Go's float64 encoding round-trips
+// exactly, so the determinism contract survives the wire); checkpoint
+// blobs are the sim checkpoints verbatim, each a job's whole resumable
+// state. Version 4 dropped the progress sidecar blob that versions 1–3
+// carried beside the checkpoint in grants and uploads. Every decoder
 // validates claimed lengths against the remaining payload before
 // allocating, exactly like the tensor decoders, and every fleet frame
 // is seeded into FuzzDecodeFrame.
@@ -47,9 +48,9 @@ package transport
 // A checkpoint blob is always its frame's last field, so it crosses
 // without a user-space copy where it can: WriteProgress and WriteLease
 // send it from the caller's buffer as the frame's writev tail, and
-// DecodeFleetProgress returns it (and the sidecar) as views into the
-// frame payload, which the coordinator writes into the store before it
-// reads the next frame. A lease grant is decoded into copies: a worker
+// DecodeFleetProgress returns it as a view into the frame payload,
+// which the coordinator writes into the store before it reads the next
+// frame. A lease grant is decoded into copies: a worker
 // holds its handoff across later reads.
 
 import (
@@ -69,7 +70,7 @@ const (
 
 // fleetVersion guards coordinator/worker protocol compatibility
 // independently of the tensor-plane wireVersion.
-const fleetVersion = 3
+const fleetVersion = 4
 
 // Lease reply statuses (2 was version 1's wait reply; it stays unused).
 const (
@@ -106,28 +107,25 @@ type FleetWelcome struct {
 }
 
 // FleetLease is a lease reply. Status is LeaseGrant or LeaseDrain; the
-// job fields are set only on a grant. Progress and Ckpt carry a
-// checkpoint handoff (both empty for a fresh job): the sweep progress
-// sidecar JSON and the sim checkpoint file of a previous partial
+// job fields are set only on a grant. Ckpt carries a checkpoint handoff
+// (empty for a fresh job): the sim checkpoint of a previous partial
 // execution, which the worker resumes bit-identically.
 type FleetLease struct {
-	Status   byte
-	JobID    string
-	Job      []byte
-	Progress []byte
-	Ckpt     []byte
+	Status byte
+	JobID  string
+	Job    []byte
+	Ckpt   []byte
 }
 
 // FleetProgress is a worker's checkpoint upload after a round boundary:
-// the progress sidecar JSON plus the sim checkpoint bytes, which the
-// coordinator persists into the store so the job survives both worker
-// and coordinator kills. Decoded, Progress and Ckpt are views into the
-// frame payload, valid until the connection's next ReadFrame.
+// the sim checkpoint bytes, which the coordinator persists into the
+// store so the job survives both worker and coordinator kills. Decoded,
+// Ckpt is a view into the frame payload, valid until the connection's
+// next ReadFrame.
 type FleetProgress struct {
 	JobID       string
 	Round       int
 	HostSeconds float64
-	Progress    []byte
 	Ckpt        []byte
 }
 
@@ -219,7 +217,6 @@ func DecodeFleetLease(p []byte) (FleetLease, error) {
 	case LeaseGrant:
 		l.JobID = d.Str(maxFleetNameLen)
 		l.Job = d.Blob()
-		l.Progress = d.Blob()
 		l.Ckpt = d.Blob()
 	case LeaseDrain:
 	default:
@@ -239,13 +236,12 @@ func DecodeFleetLease(p []byte) (FleetLease, error) {
 	return l, nil
 }
 
-// DecodeFleetProgress decodes a checkpoint-upload frame. Progress and
-// Ckpt alias p (no copy, whatever the checkpoint's size); the caller
-// must be done with them before p's buffer is reused.
+// DecodeFleetProgress decodes a checkpoint-upload frame. Ckpt aliases p
+// (no copy, whatever the checkpoint's size); the caller must be done
+// with it before p's buffer is reused.
 func DecodeFleetProgress(p []byte) (FleetProgress, error) {
 	d := newWireDec(p)
 	m := FleetProgress{JobID: d.Str(maxFleetNameLen), Round: int(d.U32()), HostSeconds: d.F64()}
-	m.Progress = d.View()
 	m.Ckpt = d.View()
 	if err := d.Finish(); err != nil {
 		return FleetProgress{}, err
@@ -375,7 +371,7 @@ func NewFleetConn(c net.Conn, maxFrame int) *FleetConn {
 }
 
 // ReadFrame returns the next frame's kind and payload. The payload is
-// valid until the next ReadFrame call, and so are the byte strings
+// valid until the next ReadFrame call, and so is the checkpoint
 // DecodeFleetProgress returns; the other Decode* functions copy theirs.
 func (f *FleetConn) ReadFrame() (byte, []byte, error) { return f.fc.readFrame() }
 
@@ -422,7 +418,6 @@ func (f *FleetConn) WriteLease(l FleetLease) error {
 	}
 	e.Str(l.JobID)
 	e.Blob(l.Job)
-	e.Blob(l.Progress)
 	e.U32(uint32(len(l.Ckpt)))
 	return f.fc.flushTail(l.Ckpt)
 }
@@ -435,7 +430,6 @@ func (f *FleetConn) WriteProgress(m FleetProgress) error {
 	e.Str(m.JobID)
 	e.U32(uint32(m.Round))
 	e.F64(m.HostSeconds)
-	e.Blob(m.Progress)
 	e.U32(uint32(len(m.Ckpt)))
 	return f.fc.flushTail(m.Ckpt)
 }

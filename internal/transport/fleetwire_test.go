@@ -15,11 +15,10 @@ import (
 // testLeaseGrant is a representative grant with a checkpoint handoff.
 func testLeaseGrant() FleetLease {
 	return FleetLease{
-		Status:   LeaseGrant,
-		JobID:    "a1b2c3d4e5f60718",
-		Job:      []byte(`{"name":"fig2a/gsfl-g4","rounds":6}`),
-		Progress: []byte(`{"round":4,"total_seconds":12.5}`),
-		Ckpt:     bytes.Repeat([]byte{0xAB, 0xCD}, 512),
+		Status: LeaseGrant,
+		JobID:  "a1b2c3d4e5f60718",
+		Job:    []byte(`{"name":"fig2a/gsfl-g4","rounds":6}`),
+		Ckpt:   bytes.Repeat([]byte{0xAB, 0xCD}, 512),
 	}
 }
 
@@ -104,15 +103,14 @@ func TestFleetLeaseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Status != LeaseGrant || got.JobID != want.JobID ||
-		!bytes.Equal(got.Job, want.Job) || !bytes.Equal(got.Progress, want.Progress) ||
-		!bytes.Equal(got.Ckpt, want.Ckpt) {
+		!bytes.Equal(got.Job, want.Job) || !bytes.Equal(got.Ckpt, want.Ckpt) {
 		t.Fatalf("grant changed in transit: %+v", got)
 	}
 
-	// Fresh-job grant: empty progress and checkpoint blobs survive.
+	// Fresh-job grant: an empty checkpoint blob survives.
 	fresh := FleetLease{Status: LeaseGrant, JobID: "id", Job: []byte(`{}`)}
 	_, p = sendRecv(t, r, w, func() error { return r.WriteLease(fresh) })
-	if got, err = DecodeFleetLease(p); err != nil || len(got.Ckpt) != 0 || len(got.Progress) != 0 {
+	if got, err = DecodeFleetLease(p); err != nil || len(got.Ckpt) != 0 {
 		t.Fatalf("fresh grant decoded %+v, %v", got, err)
 	}
 
@@ -131,7 +129,6 @@ func TestFleetProgressRoundTrip(t *testing.T) {
 		JobID:       "a1b2c3d4e5f60718",
 		Round:       4,
 		HostSeconds: 3.14159,
-		Progress:    []byte(`{"round":4}`),
 		Ckpt:        bytes.Repeat([]byte{7}, 100),
 	}
 	kind, p := sendRecv(t, w, r, func() error { return w.WriteProgress(want) })
@@ -143,7 +140,7 @@ func TestFleetProgressRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.JobID != want.JobID || got.Round != want.Round || got.HostSeconds != want.HostSeconds ||
-		!bytes.Equal(got.Progress, want.Progress) || !bytes.Equal(got.Ckpt, want.Ckpt) {
+		!bytes.Equal(got.Ckpt, want.Ckpt) {
 		t.Fatalf("progress changed in transit: %+v", got)
 	}
 }
@@ -228,7 +225,6 @@ func TestFleetDecodersRejectHostileInput(t *testing.T) {
 		e.U8(l.Status)
 		e.Str(l.JobID)
 		e.Blob(l.Job)
-		e.Blob(l.Progress)
 		e.Blob(l.Ckpt)
 		return append([]byte(nil), e.finish()[frameHeaderLen:]...)
 	}()
@@ -245,27 +241,30 @@ func TestFleetDecodersRejectHostileInput(t *testing.T) {
 		// A version-2 worker hello, well formed, from a worker that
 		// waits for heartbeat acks version 3 no longer sends.
 		{"hello version 2", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 2, 0, 0, 1, 0, 0, 0, 'w', 1, 0, 0, 0, 0, 0, 0, 0}},
-		{"hello bad role", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 7}},
-		{"hello empty worker name", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}},
+		// A version-3 worker hello, well formed, from a worker that
+		// uploads a progress sidecar beside each checkpoint.
+		{"hello version 3", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 0, 1, 0, 0, 0, 'w', 1, 0, 0, 0, 0, 0, 0, 0}},
+		{"hello bad role", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 4, 0, 7}},
+		{"hello empty worker name", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 4, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}},
 		// str length claims 64 KiB in a near-empty payload: must error
 		// before allocating.
-		{"hello name flood", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 0, 0xFF, 0xFF, 0, 0}},
-		{"welcome truncated", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 1, 9}},
-		{"welcome zero cadence", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 1}, make([]byte, 20)...)},
+		{"hello name flood", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 4, 0, 0, 0xFF, 0xFF, 0, 0}},
+		{"welcome truncated", FrameFleetHello, []byte{0x4C, 0x46, 0x53, 0x47, 4, 0, 1, 9}},
+		{"welcome zero cadence", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 4, 0, 1}, make([]byte, 20)...)},
 		// The version-1 layout: a retry cadence between lease and ckpt.
-		{"welcome retry field", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 3, 0, 1}, make([]byte, 24)...)},
+		{"welcome retry field", FrameFleetHello, append([]byte{0x4C, 0x46, 0x53, 0x47, 4, 0, 1}, make([]byte, 24)...)},
 		{"lease unknown status", FrameFleetLease, []byte{9}},
 		{"lease truncated grant", FrameFleetLease, grantPayload[:len(grantPayload)/2]},
 		{"lease trailing garbage", FrameFleetLease, append(append([]byte(nil), grantPayload...), 0xFF)},
-		{"lease empty job id", FrameFleetLease, []byte{LeaseGrant, 0, 0, 0, 0, 1, 0, 0, 0, 'x', 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"lease empty job id", FrameFleetLease, []byte{LeaseGrant, 0, 0, 0, 0, 1, 0, 0, 0, 'x', 0, 0, 0, 0}},
 		// Status 2 was the version-1 wait reply; requests now park.
 		{"lease retired wait status", FrameFleetLease, []byte{2, 0xFA, 0, 0, 0}},
 		{"lease drain trailing", FrameFleetLease, []byte{LeaseDrain, 1}},
 		// blob length claims ~2 GiB backed by nothing: must error, not
 		// allocate.
-		{"lease ckpt flood", FrameFleetLease, []byte{LeaseGrant, 2, 0, 0, 0, 'i', 'd', 1, 0, 0, 0, 'x', 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F}},
+		{"lease ckpt flood", FrameFleetLease, []byte{LeaseGrant, 2, 0, 0, 0, 'i', 'd', 1, 0, 0, 0, 'x', 0xFF, 0xFF, 0xFF, 0x7F}},
 		{"progress empty", FrameFleetProgress, nil},
-		{"progress zero round", FrameFleetProgress, []byte{2, 0, 0, 0, 'i', 'd', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"progress zero round", FrameFleetProgress, []byte{2, 0, 0, 0, 'i', 'd', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{"result empty", FrameFleetResult, nil},
 		{"result bad flag", FrameFleetResult, []byte{2, 0, 0, 0, 'i', 'd', 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{"heartbeat empty", FrameFleetHeartbeat, nil},
@@ -340,7 +339,6 @@ func testProgress(ckpt []byte) FleetProgress {
 		JobID:       "a1b2c3d4e5f60718",
 		Round:       4,
 		HostSeconds: 3.14159,
-		Progress:    []byte(`{"round":4}`),
 		Ckpt:        ckpt,
 	}
 }
@@ -351,7 +349,6 @@ func encodeProgress(e *wireEnc, m FleetProgress) {
 	e.Str(m.JobID)
 	e.U32(uint32(m.Round))
 	e.F64(m.HostSeconds)
-	e.Blob(m.Progress)
 	e.Blob(m.Ckpt)
 }
 
@@ -390,7 +387,6 @@ func TestFleetCheckpointTailKeepsTheWireBytes(t *testing.T) {
 			e.U8(l.Status)
 			e.Str(l.JobID)
 			e.Blob(l.Job)
-			e.Blob(l.Progress)
 			e.Blob(ckpt)
 		}},
 	} {
@@ -418,8 +414,8 @@ func TestFleetCheckpointTailKeepsTheWireBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeFleetProgressCopiesNothing: the upload's sidecar and
-// checkpoint are views into the payload, so decoding a 1 MiB checkpoint
+// TestDecodeFleetProgressCopiesNothing: the upload's checkpoint is a
+// view into the payload, so decoding a 1 MiB checkpoint
 // allocates what decoding a 1 KiB one does.
 func TestDecodeFleetProgressCopiesNothing(t *testing.T) {
 	type cost struct {
@@ -489,7 +485,6 @@ func fleetFuzzSeeds(addFrame func(build func(e *wireEnc))) {
 		e.U8(l.Status)
 		e.Str(l.JobID)
 		e.Blob(l.Job)
-		e.Blob(l.Progress)
 		e.Blob(l.Ckpt)
 	})
 	addFrame(func(e *wireEnc) { // version 1's wait reply, now refused
@@ -506,7 +501,6 @@ func fleetFuzzSeeds(addFrame func(build func(e *wireEnc))) {
 		e.Str("a1b2c3d4")
 		e.U32(4)
 		e.F64(3.25)
-		e.Blob([]byte(`{"round":4}`))
 		e.Blob([]byte{1, 2, 3, 4})
 	})
 	addFrame(func(e *wireEnc) {

@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 
 	"gsfl/internal/atomicfile"
 	"gsfl/internal/bincodec"
 	"gsfl/internal/schemes"
+	"gsfl/internal/simnet"
 	"gsfl/internal/wireless"
 )
 
@@ -17,24 +19,29 @@ import (
 // vocabulary — the one the TCP wire speaks — so the trainer state has a
 // single hardened decoder wherever it travels:
 //
-//	file   := u32 magic | u16 version | str scheme | opts | u64 envHash
-//	          | u32 evalEvery | u32 ckptEvery | u64 round | f64 elapsed
-//	          | points | state
+//	file   := header | f64 elapsed | ledger | points | state
+//	header := u32 magic | u16 version | str scheme | opts | u64 envHash
+//	          | u32 evalEvery | u32 ckptEvery | u64 round
 //	opts   := u64 groups | str strategy | u8 pipelined | f64 dropoutProb
+//	ledger := one f64 per simnet component, in simnet.Components order
 //	points := u32 count | count × (u64 round | f64 latency | f64 loss | f64 accuracy)
 //
-// with state as schemes.StateParts.AppendState lays it out. The scheme
-// and the grouping strategy travel as the names they are registered
-// under, so a file means the same run in every process that can read
-// it. Version 3 is the only format written or read. Version 2 stored
-// the strategy as an integer minted by registration order and version 1
-// was a gob stream; a checkpoint is transient by contract (it exists
-// while its run is in flight), so neither has a reader: Resume refuses
-// the file, an orchestrator drops it and reruns from round 0, and the
-// determinism contract makes that run's bytes the same.
+// with state as schemes.StateParts.AppendState lays it out. elapsed and
+// ledger are the run's sums over its completed rounds (Runner.Totals),
+// so the file is a run's whole resumable state: an orchestrator keeps
+// nothing beside it. The header is all DecodeCheckpointHeader reads. The
+// scheme and the grouping strategy travel as the names they are
+// registered under, so a file means the same run in every process that
+// can read it. Version 4 is the only format written or read. Version 3
+// had no ledger, version 2 stored the strategy as an integer minted by
+// registration order and version 1 was a gob stream; a checkpoint is
+// transient by contract (it exists while its run is in flight), so none
+// of them has a reader: Resume refuses the file, an orchestrator drops
+// it and reruns from round 0, and the determinism contract makes that
+// run's bytes the same.
 const (
 	checkpointMagic   = 0x4B435347 // "GSCK"
-	checkpointVersion = 3
+	checkpointVersion = 4
 	// maxNameLen bounds the scheme and strategy names a checkpoint may
 	// claim.
 	maxNameLen = 256
@@ -59,9 +66,10 @@ type Checkpoint struct {
 	// checkpointing as the original did.
 	evalEvery int
 	ckptEvery int
-	// elapsed is the completed rounds' cumulative latency; points the
-	// evaluations recorded so far.
+	// elapsed and ledger are the completed rounds' sums
+	// (Runner.Totals); points the evaluations recorded so far.
 	elapsed float64
+	ledger  Ledger
 	points  []Point
 	state   *schemes.TrainerState
 }
@@ -121,8 +129,8 @@ func envFingerprint(env *Env) uint64 {
 // and, when the Runner has a path, atomically replaces that file with
 // it. The returned bytes are the Runner's buffer, valid until the next
 // save.
-func (r *Runner) saveCheckpoint(round int, elapsed float64, curve *Curve) ([]byte, error) {
-	buf := r.encodeCheckpoint(round, elapsed, curve)
+func (r *Runner) saveCheckpoint(round int, curve *Curve) ([]byte, error) {
+	buf := r.encodeCheckpoint(round, curve)
 	if r.ckptPath != "" {
 		if err := atomicfile.Write(r.ckptPath, ".ckpt-*", buf); err != nil {
 			return nil, fmt.Errorf("sim: writing checkpoint: %w", err)
@@ -133,7 +141,7 @@ func (r *Runner) saveCheckpoint(round int, elapsed float64, curve *Curve) ([]byt
 
 // encodeCheckpoint writes the checkpoint into the Runner's reused
 // buffer, straight from the live trainer.
-func (r *Runner) encodeCheckpoint(round int, elapsed float64, curve *Curve) []byte {
+func (r *Runner) encodeCheckpoint(round int, curve *Curve) []byte {
 	st := r.trainer.(*SchemeTrainer)
 	e := &r.ckptEnc
 	e.Buf = e.Buf[:0]
@@ -152,7 +160,10 @@ func (r *Runner) encodeCheckpoint(round int, elapsed float64, curve *Curve) []by
 	e.U32(uint32(r.evalEvery))
 	e.U32(uint32(r.ckptEvery))
 	e.U64(uint64(round))
-	e.F64(elapsed)
+	e.F64(r.elapsed)
+	for _, c := range simnet.Components() {
+		e.F64(r.ledger.Get(c))
+	}
 	e.U32(uint32(len(curve.Points)))
 	for _, p := range curve.Points {
 		e.U64(uint64(p.Round))
@@ -173,6 +184,54 @@ var gobTypeName = []byte("checkpointFile")
 // checkpoint path. The result does not alias data.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	d := bincodec.NewDec("sim", data)
+	cf, err := decodeHeader(&d, data)
+	if err != nil {
+		return nil, err
+	}
+	cf.elapsed = d.F64()
+	for _, c := range simnet.Components() {
+		// Ledger.Add panics on a negative duration: a file claiming one,
+		// or a NaN or an infinity, is refused before it is added.
+		switch v := d.F64(); {
+		case d.Err() != nil:
+		case v >= 0 && v <= math.MaxFloat64:
+			cf.ledger.Add(c, v)
+		default:
+			d.Fail("checkpoint %v latency %v", c, v)
+		}
+	}
+	n := int(d.U32())
+	if d.Err() == nil && n > d.Remaining()/32 {
+		d.Fail("checkpoint claims %d curve points in %d bytes", n, d.Remaining())
+	}
+	for len(cf.points) < n && d.Err() == nil {
+		cf.points = append(cf.points, Point{
+			Round: int(int64(d.U64())), LatencySeconds: d.F64(), Loss: d.F64(), Accuracy: d.F64(),
+		})
+	}
+	cf.state = schemes.DecodeState(&d)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("sim: decoding checkpoint: %w", err)
+	}
+	return cf, nil
+}
+
+// DecodeCheckpointHeader reads what a checkpoint states of itself
+// before its sums, curve and state — which scheme it trains and how
+// many rounds it has completed — and nothing past that: an orchestrator
+// that only routes the bytes (a store choosing a slot, a fleet
+// coordinator) learns whose they are without decoding a model.
+func DecodeCheckpointHeader(data []byte) (scheme string, round int, err error) {
+	d := bincodec.NewDec("sim", data)
+	cf, err := decodeHeader(&d, data)
+	if err != nil {
+		return "", 0, err
+	}
+	return cf.Scheme, cf.Round, nil
+}
+
+// decodeHeader reads data's header through d into a new Checkpoint.
+func decodeHeader(d *bincodec.Dec, data []byte) (*Checkpoint, error) {
 	magic, version := d.U32(), d.U16()
 	switch {
 	case d.Err() == nil && magic == checkpointMagic && version == checkpointVersion:
@@ -199,18 +258,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	cf.evalEvery = int(d.U32())
 	cf.ckptEvery = int(d.U32())
 	cf.Round = int(int64(d.U64()))
-	cf.elapsed = d.F64()
-	n := int(d.U32())
-	if d.Err() == nil && n > d.Remaining()/32 {
-		d.Fail("checkpoint claims %d curve points in %d bytes", n, d.Remaining())
-	}
-	for len(cf.points) < n && d.Err() == nil {
-		cf.points = append(cf.points, Point{
-			Round: int(int64(d.U64())), LatencySeconds: d.F64(), Loss: d.F64(), Accuracy: d.F64(),
-		})
-	}
-	cf.state = schemes.DecodeState(&d)
-	if err := d.Finish(); err != nil {
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("sim: decoding checkpoint: %w", err)
 	}
 	if cf.Round <= 0 {
@@ -287,13 +335,14 @@ func ResumeFrom(cf *Checkpoint, env *Env, opts ...RunOption) (*Runner, error) {
 		return nil, fmt.Errorf("sim: restoring %q state: %w", cf.Scheme, err)
 	}
 	r := &Runner{
-		trainer:      tr,
-		evalEvery:    cf.evalEvery,
-		ckptEvery:    cf.ckptEvery,
-		envHash:      envHash,
-		startRound:   cf.Round,
-		startElapsed: cf.elapsed,
-		priorPoints:  cf.points,
+		trainer:     tr,
+		evalEvery:   cf.evalEvery,
+		ckptEvery:   cf.ckptEvery,
+		envHash:     envHash,
+		startRound:  cf.Round,
+		priorPoints: cf.points,
+		ledger:      cf.ledger,
+		elapsed:     cf.elapsed,
 	}
 	for _, o := range opts {
 		o(r)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"gsfl/env"
 	"gsfl/internal/model"
 	"gsfl/internal/schemes/schemestest"
+	"gsfl/internal/simnet"
 	"gsfl/internal/testutil"
 )
 
@@ -42,9 +44,11 @@ func realCheckpoint(tb testing.TB, scheme string) []byte {
 }
 
 // retiredCheckpoint reads a file an earlier binary wrote:
-// checkpoint_v1.gob (the gob stream) or checkpoint_v2.bin (the binary
+// checkpoint_v1.gob (the gob stream), checkpoint_v2.bin (the binary
 // layout whose strategy was an integer; realCheckpoint's gsfl file as
-// the commit before format v3 wrote it).
+// the commit before format v3 wrote it) or checkpoint_v3.bin (the
+// layout without the run's latency ledger; the same file as the commit
+// before format v4 wrote it).
 func retiredCheckpoint(tb testing.TB, name string) []byte {
 	tb.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -54,10 +58,10 @@ func retiredCheckpoint(tb testing.TB, name string) []byte {
 	return data
 }
 
-// FuzzLoadCheckpoint feeds the checkpoint decoder — what Resume,
+// FuzzLoadCheckpoint feeds the checkpoint decoders — what Resume,
 // PeekCheckpoint and through them every orchestrator run on a file they
 // did not write — arbitrary bytes: an error or a checkpoint, never a
-// panic.
+// panic, and a header that agrees with the whole file's.
 func FuzzLoadCheckpoint(f *testing.F) {
 	for _, scheme := range Schemes() {
 		f.Add(realCheckpoint(f, scheme))
@@ -65,12 +69,40 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(retiredCheckpoint(f, "checkpoint_v1.gob"))
 	f.Add(retiredCheckpoint(f, "checkpoint_v2.bin"))
 	f.Add([]byte{})
+	f.Add(retiredCheckpoint(f, "checkpoint_v3.bin"))
+	file := realCheckpoint(f, "gsfl")
+	at := ledgerOffset(file)
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
+		mut := append([]byte(nil), file...)
+		binary.LittleEndian.PutUint64(mut[at+8*int(simnet.Uplink):], math.Float64bits(v))
+		f.Add(mut)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cf, err := DecodeCheckpoint(data)
-		if err == nil && (cf.Round <= 0 || cf.state == nil) {
+		if err != nil {
+			return
+		}
+		if cf.Round <= 0 || cf.state == nil {
 			t.Fatalf("accepted a checkpoint at round %d with state %v", cf.Round, cf.state)
 		}
+		for _, c := range simnet.Components() {
+			if v := cf.ledger.Get(c); !(v >= 0 && v <= math.MaxFloat64) {
+				t.Fatalf("accepted a checkpoint whose %v latency is %v", c, v)
+			}
+		}
+		if scheme, round, err := DecodeCheckpointHeader(data); err != nil || scheme != cf.Scheme || round != cf.Round {
+			t.Fatalf("header (%q, %d, %v) of a checkpoint of %q at round %d", scheme, round, err, cf.Scheme, cf.Round)
+		}
 	})
+}
+
+// ledgerOffset is where a checkpoint's ledger begins: past the header
+// (6) come the scheme name, the group count (8) and the strategy name;
+// past that the rest of opts (9), env hash (8), two cadences (8), round
+// (8) and elapsed (8).
+func ledgerOffset(file []byte) int {
+	strategy := 6 + 4 + int(binary.LittleEndian.Uint32(file[6:])) + 8
+	return strategy + 4 + int(binary.LittleEndian.Uint32(file[strategy:])) + 9 + 8 + 8 + 8 + 8
 }
 
 // decodeBounded decodes data and fails the test when doing so allocated
@@ -130,11 +162,12 @@ func TestLoadCheckpointHostileInput(t *testing.T) {
 		return mut
 	}
 	// Past the header (6) come the scheme name, the group count (8) and
-	// the strategy name; past that the rest of opts (9), env hash (8),
-	// two cadences (8), round (8), elapsed (8), then the curve's point
-	// count.
+	// the strategy name; the ledger (ledgerOffset) holds one f64 a
+	// component, then comes the curve's point count.
 	strategy := 6 + 4 + int(binary.LittleEndian.Uint32(file[6:])) + 8
-	pointCount := strategy + 4 + int(binary.LittleEndian.Uint32(file[strategy:])) + 9 + 8 + 8 + 8 + 8
+	ledger := ledgerOffset(file)
+	pointCount := ledger + 8*len(simnet.Components())
+	f64 := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -143,12 +176,16 @@ func TestLoadCheckpointHostileInput(t *testing.T) {
 		{"empty file", nil, "no header"},
 		{"wrong magic", patched(0, 'G', 'S', 'F', 'L'), "not a checkpoint: magic"},
 		{"text", []byte("not a checkpoint"), "not a checkpoint: magic"},
-		{"later version", patched(4, 4, 0), "format v4 is not readable"},
+		{"later version", patched(4, 5, 0), "format v5 is not readable"},
 		{"parent-format gob file", retiredCheckpoint(t, "checkpoint_v1.gob"), "sim: checkpoint format v1 is not readable by this version (rerun from round 0)"},
-		{"parent-format v2 file", retiredCheckpoint(t, "checkpoint_v2.bin"), "sim: checkpoint format v2 is not readable by this version, which reads v3"},
+		{"parent-format v2 file", retiredCheckpoint(t, "checkpoint_v2.bin"), "sim: checkpoint format v2 is not readable by this version, which reads v4"},
+		{"parent-format v3 file", retiredCheckpoint(t, "checkpoint_v3.bin"), "sim: checkpoint format v3 is not readable by this version, which reads v4"},
 		{"scheme name length past the file", patched(6, 0xFF, 0xFF, 0xFF, 0x7F), "string length"},
 		{"strategy name length past the file", patched(strategy, 0xFF, 0xFF, 0xFF, 0x7F), "string length"},
 		{"curve point count past the file", patched(pointCount, 0xFF, 0xFF, 0xFF, 0xFF), "curve points"},
+		{"negative ledger entry", patched(ledger, f64(-1)...), "client-compute latency -1"},
+		{"NaN ledger entry", patched(ledger+8, f64(math.NaN())...), "uplink latency NaN"},
+		{"infinite ledger entry", patched(ledger+8*int(simnet.Aggregation), f64(math.Inf(1))...), "aggregation latency +Inf"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := decodeBounded(t, tc.name, tc.data)
@@ -183,7 +220,7 @@ func saver(tb testing.TB, scheme string) (save func(), size int) {
 		tb.Fatal(err)
 	}
 	save = func() {
-		buf, err := r.saveCheckpoint(2, 1, curve)
+		buf, err := r.saveCheckpoint(2, curve)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -140,11 +140,14 @@ type Runner struct {
 	envHash   uint64
 	ckptEnc   bincodec.Enc
 
-	// Resume state: rounds already completed, their cumulative latency,
-	// and the curve points they produced.
-	startRound   int
-	startElapsed float64
-	priorPoints  []Point
+	// Resume state: rounds already completed and the curve points they
+	// produced.
+	startRound  int
+	priorPoints []Point
+	// The sums over every completed round, a resumed run's checkpointed
+	// ones included (Totals).
+	ledger  Ledger
+	elapsed float64
 
 	err error // construction error, surfaced by Run
 }
@@ -219,6 +222,13 @@ func (r *Runner) Options() Options {
 // Resume.
 func (r *Runner) CompletedRounds() int { return r.startRound }
 
+// Totals returns the run's latency sums over every round completed so
+// far, a resumed run's checkpointed rounds included: the per-component
+// ledger, and the cumulative latency (each round's total added in round
+// order, numerically ledger.Total() in another order). A resumed run's
+// are bit-identical to an uninterrupted one's.
+func (r *Runner) Totals() (Ledger, float64) { return r.ledger, r.elapsed }
+
 // Run executes the remaining rounds. It returns the training curve —
 // on resume, including the points restored from the checkpoint — and
 // the first error encountered. Cancelling ctx stops the run within one
@@ -237,7 +247,7 @@ func (r *Runner) Run(ctx context.Context) (*Curve, error) {
 		// On resume, fast-forward the virtual clock to where the
 		// checkpointed run left off so new spans land after the (absent)
 		// earlier rounds rather than on top of them.
-		if gap := r.startElapsed - r.tracer.Now(); gap > 0 {
+		if gap := r.elapsed - r.tracer.Now(); gap > 0 {
 			r.tracer.Advance(gap)
 		}
 	}
@@ -247,7 +257,6 @@ func (r *Runner) Run(ctx context.Context) (*Curve, error) {
 		}
 	}
 	curve := &Curve{Scheme: r.trainer.Name(), Points: append([]Point(nil), r.priorPoints...)}
-	elapsed := r.startElapsed
 	for round := r.startRound + 1; round <= r.rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return curve, err
@@ -257,14 +266,15 @@ func (r *Runner) Run(ctx context.Context) (*Curve, error) {
 		if err != nil {
 			return curve, r.runErr(ctx, fmt.Errorf("sim: round %d: %w", round, err))
 		}
-		elapsed += led.Total()
+		r.ledger.Merge(led)
+		r.elapsed += led.Total()
 		ev := RoundEvent{
 			Scheme:         r.trainer.Name(),
 			Round:          round,
 			Rounds:         r.rounds,
 			Ledger:         led,
 			RoundSeconds:   led.Total(),
-			ElapsedSeconds: elapsed,
+			ElapsedSeconds: r.elapsed,
 		}
 		if round%r.evalEvery == 0 || round == r.rounds {
 			e, err := r.trainer.Evaluate(ctx)
@@ -273,17 +283,17 @@ func (r *Runner) Run(ctx context.Context) (*Curve, error) {
 			}
 			ev.Eval = &e
 			curve.Append(metrics.Point{
-				Round: round, LatencySeconds: elapsed, Loss: e.Loss, Accuracy: e.Accuracy,
+				Round: round, LatencySeconds: r.elapsed, Loss: e.Loss, Accuracy: e.Accuracy,
 			})
 			if r.tracer.On() {
 				lane := r.tracer.Lane(r.trainer.Name(), "eval")
-				lane.Seek(elapsed)
+				lane.Seek(r.elapsed)
 				lane.Instant("eval", "eval",
 					fmt.Sprintf("round %d acc=%.4f loss=%.4f", round, e.Accuracy, e.Loss))
 			}
 		}
 		if r.ckptEvery > 0 && (round%r.ckptEvery == 0 || round == r.rounds) {
-			if ev.Checkpoint, err = r.saveCheckpoint(round, elapsed, curve); err != nil {
+			if ev.Checkpoint, err = r.saveCheckpoint(round, curve); err != nil {
 				return curve, err
 			}
 			ev.CheckpointPath = r.ckptPath

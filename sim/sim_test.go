@@ -299,10 +299,12 @@ func TestResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sim.NewRunner(tr, sim.WithRounds(total)).Run(context.Background())
+			straight := sim.NewRunner(tr, sim.WithRounds(total))
+			want, err := straight.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantLedger, wantTotal := straight.Totals()
 
 			// Interrupted: run to the checkpoint, drop everything, resume.
 			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
@@ -358,6 +360,11 @@ func TestResumeEquivalence(t *testing.T) {
 						t.Fatalf("%s: point %d diverged after resume:\n  straight: %+v\n  resumed:  %+v",
 							name, i, want.Points[i], got.Points[i])
 					}
+				}
+				// The run's sums continue from the checkpoint's, bit for bit.
+				if gotLedger, gotTotal := r.Totals(); gotLedger != wantLedger || gotTotal != wantTotal {
+					t.Fatalf("%s: totals diverged after resume:\n  straight: %+v %v\n  resumed:  %+v %v",
+						name, wantLedger, wantTotal, gotLedger, gotTotal)
 				}
 			}
 			// The inherited cadence checkpoints the final round into the

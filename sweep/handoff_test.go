@@ -14,20 +14,20 @@ import (
 )
 
 // handoffFixture holds one 4-round job, its uninterrupted result, and
-// the (checkpoint, sidecar) pair a killed execution would have left at
-// every round boundary it saves — every one but the last round's, whose
-// pair (taken from a run one round longer) no sink is handed — plus the
+// the checkpoint a killed execution would have left at every round
+// boundary it saves — every one but the last round's, whose checkpoint
+// (taken from a run one round longer) no sink is handed — plus the
 // checkpoints of the same cell trained under another scheme.
 type handoffFixture struct {
 	job    sweep.Job
 	ref    sweep.JobResult
 	ckpt   map[int][]byte
-	prog   map[int]sweep.Progress
 	slCkpt map[int][]byte
-	// v1Ckpt and v2Ckpt are checkpoints in the retired formats (the gob
-	// stream; the binary layout with an integer strategy), as a sweep
-	// killed under an older binary leaves them.
-	v1Ckpt, v2Ckpt []byte
+	// v1Ckpt, v2Ckpt and v3Ckpt are checkpoints in the retired formats
+	// (the gob stream; the binary layout with an integer strategy; the
+	// layout without the run's latency sums), as a sweep killed under an
+	// older binary leaves them.
+	v1Ckpt, v2Ckpt, v3Ckpt []byte
 	// sibling is the job's groups=3 neighbour in the same world: the
 	// environment fingerprint cannot tell their checkpoints apart.
 	sibling sweep.Job
@@ -41,23 +41,23 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 		Name: "h", Base: env.TestSpec(), Rounds: handoffRounds, EvalEvery: 1,
 		Axes: sweep.Axes{Groups: []int{2}, Schemes: []string{"gsfl", "sl"}},
 	})
-	fx := handoffFixture{job: jobs[0], ckpt: map[int][]byte{}, prog: map[int]sweep.Progress{}, slCkpt: map[int][]byte{}}
+	fx := handoffFixture{job: jobs[0], ckpt: map[int][]byte{}, slCkpt: map[int][]byte{}}
 	if fx.job.Scheme != "gsfl" || jobs[1].Scheme != "sl" {
 		t.Fatalf("fixture grid expanded to %s, %s", fx.job.Scheme, jobs[1].Scheme)
 	}
 	var err error
 	fx.ref, err = sweep.RunLeased(context.Background(), fx.job, 1, nil, sweep.LeaseCallbacks{
-		OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
-			fx.ckpt[p.Round] = append([]byte(nil), ckpt...)
-			fx.prog[p.Round] = p
+		OnCheckpoint: func(round int, ckpt []byte) error {
+			fx.ckpt[round] = append([]byte(nil), ckpt...)
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The boundary after the last round is not saved: the newest pair a
-	// crash between that round and the result leaves is round Rounds-1's.
+	// The boundary after the last round is not saved: the newest
+	// checkpoint a crash between that round and the result leaves is
+	// round Rounds-1's.
 	if _, saved := fx.ckpt[handoffRounds]; saved || len(fx.ckpt) != handoffRounds-1 {
 		t.Fatalf("captured checkpoints of %d rounds (last round's: %v), want rounds 1..%d",
 			len(fx.ckpt), saved, handoffRounds-1)
@@ -68,13 +68,12 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 	})
 	for _, other := range []sweep.Job{jobs[1], longer[0]} {
 		if _, err := sweep.RunLeased(context.Background(), other, 1, nil, sweep.LeaseCallbacks{
-			OnCheckpoint: func(p sweep.Progress, ckpt []byte) error {
+			OnCheckpoint: func(round int, ckpt []byte) error {
 				switch {
 				case other.Scheme == "sl":
-					fx.slCkpt[p.Round] = append([]byte(nil), ckpt...)
-				case other.Scheme == "gsfl" && p.Round == handoffRounds:
-					fx.ckpt[p.Round] = append([]byte(nil), ckpt...)
-					fx.prog[p.Round] = p
+					fx.slCkpt[round] = append([]byte(nil), ckpt...)
+				case other.Scheme == "gsfl" && round == handoffRounds:
+					fx.ckpt[round] = append([]byte(nil), ckpt...)
 				}
 				return nil
 			},
@@ -85,11 +84,12 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 	if len(fx.slCkpt) != handoffRounds-1 || fx.ckpt[handoffRounds] == nil {
 		t.Fatal("fixture runs did not reach the boundaries they are run for")
 	}
-	if fx.v1Ckpt, err = os.ReadFile(filepath.Join("..", "sim", "testdata", "checkpoint_v1.gob")); err != nil {
-		t.Fatal(err)
-	}
-	if fx.v2Ckpt, err = os.ReadFile(filepath.Join("..", "sim", "testdata", "checkpoint_v2.bin")); err != nil {
-		t.Fatal(err)
+	for name, dst := range map[string]*[]byte{
+		"checkpoint_v1.gob": &fx.v1Ckpt, "checkpoint_v2.bin": &fx.v2Ckpt, "checkpoint_v3.bin": &fx.v3Ckpt,
+	} {
+		if *dst, err = os.ReadFile(filepath.Join("..", "sim", "testdata", name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fx.sibling = jobsOf(t, sweep.Grid{
 		Name: "h", Base: env.TestSpec(), Rounds: handoffRounds, EvalEvery: 1,
@@ -99,38 +99,37 @@ func newHandoffFixture(t *testing.T) handoffFixture {
 }
 
 // handoffCase is one state a killed execution (or a hostile disk) can
-// leave behind: a pair, saved in the store as the boundary after round.
-// prog nil means the sidecar is missing; resumeAt 0 means the handoff
-// must be rejected.
+// leave behind: a checkpoint, saved in the store as a boundary.
+// resumeAt 0 means the handoff must be rejected.
 type handoffCase struct {
 	name     string
-	round    int
 	ckpt     []byte
-	prog     *sweep.Progress
 	resumeAt int
 }
 
 func (fx handoffFixture) cases() []handoffCase {
-	p := func(r int) *sweep.Progress { v := fx.prog[r]; return &v }
 	last := handoffRounds - 1
 	return []handoffCase{
-		{"sidecar one checkpoint behind", 2, fx.ckpt[2], p(1), 0},
-		{"scheme mismatch", 2, fx.slCkpt[2], p(2), 0},
-		{"checkpoint at Rounds", handoffRounds, fx.ckpt[handoffRounds], p(handoffRounds), 0},
-		{"unreadable checkpoint", 2, []byte("not a checkpoint"), p(2), 0},
-		{"parent-format (v1) checkpoint", 2, fx.v1Ckpt, p(2), 0},
-		{"parent-format (v2) checkpoint", 2, fx.v2Ckpt, p(2), 0},
-		{"sidecar missing", 2, fx.ckpt[2], nil, 0},
-		{"valid handoff", 2, fx.ckpt[2], p(2), 2},
+		{"scheme mismatch", fx.slCkpt[2], 0},
+		{"checkpoint at Rounds", fx.ckpt[handoffRounds], 0},
+		{"unreadable checkpoint", []byte("not a checkpoint"), 0},
+		{"parent-format (v1) checkpoint", fx.v1Ckpt, 0},
+		{"parent-format (v2) checkpoint", fx.v2Ckpt, 0},
+		{"parent-format (v3) checkpoint", fx.v3Ckpt, 0},
+		// A sound header over a body that does not decode: no kill
+		// leaves one (a slot's CRC covers the whole checkpoint), so it is
+		// dropped at the resume, and the job reruns from round 0.
+		{"checkpoint body unreadable", fx.ckpt[2][:len(fx.ckpt[2])-1], 0},
+		{"valid handoff", fx.ckpt[2], 2},
 		// The last round ran and the result did not land: what is held is
-		// the pair before it, and only that round is run again.
-		{"crash after the last round", last, fx.ckpt[last], p(last), last},
+		// the boundary before it, and only that round is run again.
+		{"crash after the last round", fx.ckpt[last], last},
 	}
 }
 
-// siblingOptionsError is what a job handed its groups=2 sibling's pair
-// must fail with: the pair is sound by the handoff rule (right scheme,
-// right round, same world), so only the options clause of RunJob's
+// siblingOptionsError is what a job handed its groups=2 sibling's
+// checkpoint must fail with: it is sound by the handoff rule (right
+// scheme, a round still to run, same world), so only the options clause of RunJob's
 // assertion stands between the job and a result trained under the
 // file's options and recorded under its own ID.
 const siblingOptionsError = "checkpoint trains under options {Groups:2 Strategy:round-robin Pipelined:false DropoutProb:0}, " +
@@ -143,47 +142,24 @@ func requireSiblingRefused(t *testing.T, err error) {
 	}
 }
 
-// slotFile is where a store rooted at dir keeps one file (ext "ckpt"
-// or "progress") of the job's slot ("a" or "b").
-func slotFile(dir string, j sweep.Job, slot, ext string) string {
-	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%s.%s", j.ID, slot, ext))
+// slotFile is where a store rooted at dir keeps the job's slot ("a" or
+// "b").
+func slotFile(dir string, j sweep.Job, slot string) string {
+	return filepath.Join(dir, "ckpt", fmt.Sprintf("%s.%s.ckpt", j.ID, slot))
 }
 
-// saved is one boundary as a sink is handed it.
-type saved struct {
-	prog sweep.Progress
-	ckpt []byte
-}
-
-// plantSlots saves each boundary in turn through a Store opened on dir,
-// leaving what an execution of j killed after saving them leaves: the
-// first in slot a, the second in slot b.
-func plantSlots(t *testing.T, dir string, j sweep.Job, boundaries ...saved) {
+// plantSlots saves each checkpoint in turn through a Store opened on
+// dir, leaving what an execution of j killed after saving them leaves:
+// the first in slot a, the second in slot b.
+func plantSlots(t *testing.T, dir string, j sweep.Job, ckpts ...[]byte) {
 	t.Helper()
 	store, err := sweep.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	for _, b := range boundaries {
-		if err := store.SaveBoundary(j, b.prog, b.ckpt); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// plantSlot saves one boundary, as a killed execution would have left
-// it, sound or not, in slot a; a nil prog is a record lost after the
-// save, so the checkpoint stands alone.
-func plantSlot(t *testing.T, dir string, j sweep.Job, round int, ckpt []byte, prog *sweep.Progress) {
-	t.Helper()
-	b := saved{prog: sweep.Progress{Round: round}, ckpt: ckpt}
-	if prog != nil {
-		b.prog = *prog
-	}
-	plantSlots(t, dir, j, b)
-	if prog == nil {
-		if err := os.Remove(slotFile(dir, j, "a", "progress")); err != nil {
+	for _, ckpt := range ckpts {
+		if err := store.SaveBoundary(j, ckpt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,9 +195,10 @@ func ckptFiles(t *testing.T, dir string) []string {
 }
 
 // TestHandoffRuleStoreSink drives the one resume rule through the
-// Scheduler (store sink): every unsound pair is dropped before training
-// starts and the job reruns from scratch; the sound pair resumes at its
-// round; either way the store ends byte-equal to an uninterrupted run.
+// Scheduler (store sink): every unsound checkpoint is dropped before
+// training starts and the job reruns from scratch; a sound one resumes
+// at its round; either way the store ends byte-equal to an
+// uninterrupted run.
 func TestHandoffRuleStoreSink(t *testing.T) {
 	fx := newHandoffFixture(t)
 	refDir := t.TempDir()
@@ -231,7 +208,7 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 	for _, tc := range fx.cases() {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			plantSlot(t, dir, fx.job, tc.round, tc.ckpt, tc.prog)
+			plantSlots(t, dir, fx.job, tc.ckpt)
 			store, err := sweep.OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -252,7 +229,7 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 					case e.Kind == sweep.JobRound && firstRound == 0:
 						firstRound = e.Round
 						if left := ckptFiles(t, dir); tc.resumeAt == 0 && len(left) != 0 {
-							t.Errorf("rejected handoff left its transient pair behind: %v", left)
+							t.Errorf("rejected handoff left its transient slot behind: %v", left)
 						}
 					}
 				})}}
@@ -285,8 +262,7 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 
 	t.Run("sibling cell's checkpoint", func(t *testing.T) {
 		dir := t.TempDir()
-		prog := fx.prog[2]
-		plantSlot(t, dir, fx.sibling, 2, fx.ckpt[2], &prog)
+		plantSlots(t, dir, fx.sibling, fx.ckpt[2])
 		store, err := sweep.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -323,7 +299,7 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 		last := handoffRounds - 1
 		var wantFiles []string
 		for _, slot := range []string{"a", "b"} {
-			wantFiles = append(wantFiles, filepath.Base(slotFile(crashed, fx.job, slot, "ckpt")), filepath.Base(slotFile(crashed, fx.job, slot, "progress")))
+			wantFiles = append(wantFiles, filepath.Base(slotFile(crashed, fx.job, slot)))
 		}
 		if got := ckptFiles(t, crashed); fmt.Sprint(got) != fmt.Sprint(wantFiles) {
 			t.Fatalf("after the last round ckpt/ held %v, want %v", got, wantFiles)
@@ -343,8 +319,7 @@ func TestHandoffRuleStoreSink(t *testing.T) {
 }
 
 // TestHandoffRuleLeaseSink drives the same table through RunLeased
-// (lease sink), where the sidecar arrives with the lease: a missing one
-// is the zero Progress.
+// (lease sink), where the checkpoint arrives with the lease.
 func TestHandoffRuleLeaseSink(t *testing.T) {
 	fx := newHandoffFixture(t)
 	want, err := json.Marshal(sweep.PartsOf(fx.ref))
@@ -354,9 +329,6 @@ func TestHandoffRuleLeaseSink(t *testing.T) {
 	for _, tc := range fx.cases() {
 		t.Run(tc.name, func(t *testing.T) {
 			handoff := &sweep.Handoff{Ckpt: tc.ckpt}
-			if tc.prog != nil {
-				handoff.Progress = *tc.prog
-			}
 			resumedAt, firstRound := 0, 0
 			res, err := sweep.RunLeased(context.Background(), fx.job, 3, handoff, sweep.LeaseCallbacks{
 				OnResumed: func(round int) { resumedAt = round },
@@ -384,7 +356,7 @@ func TestHandoffRuleLeaseSink(t *testing.T) {
 	}
 
 	t.Run("sibling cell's checkpoint", func(t *testing.T) {
-		handoff := &sweep.Handoff{Progress: fx.prog[2], Ckpt: fx.ckpt[2]}
+		handoff := &sweep.Handoff{Ckpt: fx.ckpt[2]}
 		_, err := sweep.RunLeased(context.Background(), fx.sibling, 3, handoff, sweep.LeaseCallbacks{})
 		requireSiblingRefused(t, err)
 	})

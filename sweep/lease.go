@@ -70,8 +70,8 @@ type ResultParts struct {
 }
 
 // componentsOf flattens a ledger into the name-keyed map every
-// persisted form carries (manifest entries, progress sidecars, wire
-// results); components that never accrued time are omitted.
+// persisted form carries (manifest entries, wire results); components
+// that never accrued time are omitted.
 func componentsOf(l *simnet.Ledger) map[string]float64 {
 	m := map[string]float64{}
 	for _, c := range simnet.Components() {
@@ -127,18 +127,18 @@ type LeaseCallbacks struct {
 	OnResumed func(round int)
 	// OnCheckpoint fires at every checkpoint boundary but the one after
 	// the last round (the result follows at once, and nothing resumes a
-	// finished job) with the progress sidecar and the checkpoint bytes
-	// just encoded — the Runner's own buffer, valid during the call
-	// only. An error aborts the job (the worker lost its lease, or the
+	// finished job) with the round and the checkpoint bytes just
+	// encoded — the Runner's own buffer, valid during the call only. An
+	// error aborts the job (the worker lost its lease, or the
 	// coordinator is gone).
-	OnCheckpoint func(p Progress, ckpt []byte) error
+	OnCheckpoint func(round int, ckpt []byte) error
 }
 
 // RunLeased executes one job on a fleet worker: the Scheduler's
-// executor (runJob) over a sink made of the lease. A sound handoff —
-// decoded from the bytes that arrived, once — seeds a bit-identical
-// mid-job resume, any other is discarded (soundHandoff, the sink's one
-// call); checkpoint bytes go from the Runner's buffer straight to
+// executor (runJob) over a sink made of the lease. A sound handoff
+// (soundHandoff, the sink's one call) — decoded from the bytes that
+// arrived, once — seeds a bit-identical mid-job resume, any other is
+// discarded; checkpoint bytes go from the Runner's buffer straight to
 // cb.OnCheckpoint for the coordinator to persist. A lease writes no
 // file: the next leaseholder resumes from the coordinator's copy.
 func RunLeased(ctx context.Context, j Job, checkpointEvery int, handoff *Handoff, cb LeaseCallbacks) (JobResult, error) {
@@ -153,11 +153,11 @@ func RunLeased(ctx context.Context, j Job, checkpointEvery int, handoff *Handoff
 			}
 			return h, true
 		},
-		save: func(p Progress, ckpt []byte) error {
+		save: func(round int, ckpt []byte) error {
 			if cb.OnCheckpoint == nil {
 				return nil
 			}
-			return cb.OnCheckpoint(p, ckpt)
+			return cb.OnCheckpoint(round, ckpt)
 		},
 	}
 	return runJob(ctx, j, checkpointEvery, sink, cb.OnResumed, cb.OnRound)

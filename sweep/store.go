@@ -3,6 +3,7 @@ package sweep
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -22,34 +22,33 @@ import (
 
 // Store layout under its directory:
 //
-//	manifest.jsonl           one Entry per completed job, appended as jobs
-//	                         finish, rewritten into job order on Compact
-//	curves/<id>.csv          the job's training curve (trace long format)
-//	ckpt/<id>.<s>.ckpt       slot s (a or b) of an in-flight job: the sim
-//	                         checkpoint of one of its boundaries
-//	                         (transient)
-//	ckpt/<id>.<s>.progress   the slot's record: the sweep-side cumulative
-//	                         ledger at that boundary, and the length and
-//	                         CRC-32C of the checkpoint it commits
-//	                         (transient)
+//	manifest.jsonl      one Entry per completed job, appended as jobs
+//	                    finish, rewritten into job order on Compact
+//	curves/<id>.csv     the job's training curve (trace long format)
+//	ckpt/<id>.<s>.ckpt  slot s (a or b) of an in-flight job: a header —
+//	                    the length and CRC-32C of the checkpoint it
+//	                    commits — then the sim checkpoint of one of the
+//	                    job's boundaries (transient)
 //
 // Everything durable is keyed by the job's content-hash ID, so a store
-// is shared safely by overlapping grids and across resumed runs.
+// is shared safely by overlapping grids and across resumed runs. The
+// checkpoint is the job's whole resumable state (its round, curve,
+// latency sums and trainer), so a slot holds nothing beside it.
 //
 // An in-flight job has two slots, and a boundary rewrites the one that
-// does not hold the newest committed boundary: its checkpoint at offset
-// 0, then its record, whose landing is the commit. The store opens a
-// slot's two files at its first write and holds them until the job is
+// does not hold the newest committed boundary: its checkpoint after the
+// header, then the header, whose landing is the commit. The store opens
+// a slot's file at its first write and holds it until the job is
 // recorded or dropped, or the store closes, so from a job's third
-// boundary on a boundary is two pwrites — no create, rename or unlink.
-// A file is cut only when what it holds shrinks, and never to zero: a
-// rename over a live name or a truncation to zero makes ext4
-// (auto_da_alloc) write the file back at once, 200 KB to the block
-// device every round for state dropped a few rounds later, while a file
-// rewritten in place stays in the page cache. A kill mid-boundary tears
-// only the spare slot, and a torn slot fails its checksums
-// (LoadBoundary), so the other slot's sound boundary is on disk at every
-// instant from the first boundary on.
+// boundary on a boundary is two pwrites into one file — no create,
+// rename or unlink. A file is cut only when what it holds shrinks, and
+// never to zero: a rename over a live name or a truncation to zero
+// makes ext4 (auto_da_alloc) write the file back at once, 200 KB to the
+// block device every round for state dropped a few rounds later, while
+// a file rewritten in place stays in the page cache. A kill
+// mid-boundary tears only the spare slot, and a torn slot fails its
+// checksum (LoadBoundary), so the other slot's sound boundary is on disk
+// at every instant from the first boundary on.
 const (
 	manifestName = "manifest.jsonl"
 	// manifestTemp is the pattern of the temp file Compact writes the
@@ -68,18 +67,19 @@ const (
 	lockName = ".lock"
 )
 
-// A slot's files, as slotPair indexes them.
 const (
-	ckptFile = iota
-	progressFile
+	// slotExt ends every slot file's name.
+	slotExt = ".ckpt"
+	// slotHeader is the length of a slot file's header: the
+	// checkpoint's length and its CRC-32C, two little-endian u32s.
+	slotHeader = 8
 )
 
-var (
-	slotExt = [2]string{".ckpt", ".progress"}
-	// slotTag names the two slots; no name of an older layout ends its
-	// stem in one.
-	slotTag = [2]string{".a", ".b"}
-)
+// slotTag names the two slots. Of the older layouts' names only the
+// last one's slot checkpoint ends its stem in one, and it held a bare
+// checkpoint: read as a header, its magic claims a checkpoint of over a
+// gigabyte, which no such file holds, so LoadBoundary drops it.
+var slotTag = [2]string{".a", ".b"}
 
 // Point is one stored curve evaluation (a metrics.Point with fixed JSON
 // field names, so the manifest format does not silently track internal
@@ -114,13 +114,12 @@ type Entry struct {
 	CurveFile string  `json:"curve_file"`
 }
 
-// Progress is the transient sidecar persisted next to a job's sim
-// checkpoint: the sweep-level accumulators the checkpoint itself does
-// not carry. Round must match the checkpoint's completed rounds; a
-// slot whose pair does not is discarded for the other slot, or a rerun
-// from scratch — determinism is never at risk, only work.
-// It is exported because the fleet coordinator ships it to workers as
-// part of a lease's checkpoint handoff.
+// Progress is the sidecar of a retired store layout: the sums a
+// checkpoint now carries itself.
+//
+// Deprecated: the checkpoint is a job's whole resumable state. Its one
+// caller is internal/bench's sweep.store_progress probe, through
+// SaveProgress.
 type Progress struct {
 	Round        int                `json:"round"`
 	Components   map[string]float64 `json:"components"`
@@ -152,15 +151,14 @@ type Store struct {
 	slots  map[string]*slotPair // job ID -> its held slots; nil once closed
 }
 
-// slotPair is what an open store holds of one in-flight job: the files
-// of its two slots, each opened at its first write (or by LoadBoundary)
-// and held until the job's slots are dropped or the store closes, and
-// what each holds.
+// slotPair is what an open store holds of one in-flight job: the file
+// of each of its two slots, opened at its first write (or by
+// LoadBoundary) and held until the job's slots are dropped or the store
+// closes, and what each holds.
 type slotPair struct {
-	file   [2][2]*os.File // [slot][ckptFile or progressFile]; nil until opened
-	size   [2][2]int64    // bytes each file holds
-	crc    [2]uint32      // CRC-32C of each slot's checkpoint
-	newest int            // slot of the newest committed boundary; -1 for none
+	file   [2]*os.File // nil until opened
+	size   [2]int64    // bytes each file holds
+	newest int         // slot of the newest committed boundary; -1 for none
 }
 
 // spare is the slot a boundary writes: the one not holding the newest
@@ -172,13 +170,11 @@ func (p *slotPair) spare() int {
 	return 0
 }
 
-// closeSlot closes the files the pair holds of slot k.
+// closeSlot closes the file the pair holds of slot k.
 func (p *slotPair) closeSlot(k int) {
-	for file, f := range p.file[k] {
-		if f != nil {
-			f.Close()
-			p.file[k][file] = nil
-		}
+	if p.file[k] != nil {
+		p.file[k].Close()
+		p.file[k] = nil
 	}
 }
 
@@ -382,61 +378,39 @@ func (s *Store) Record(res JobResult) error {
 // isSlotName reports whether name is a slot file of some job: the only
 // names a store keeps under ckpt/.
 func isSlotName(name string) bool {
-	for _, ext := range slotExt {
-		stem, ok := strings.CutSuffix(name, ext)
-		if !ok {
-			continue
-		}
-		for _, tag := range slotTag {
-			if id, ok := strings.CutSuffix(stem, tag); ok && id != "" {
-				return true
-			}
+	stem, ok := strings.CutSuffix(name, slotExt)
+	if !ok {
+		return false
+	}
+	for _, tag := range slotTag {
+		if id, ok := strings.CutSuffix(stem, tag); ok && id != "" {
+			return true
 		}
 	}
 	return false
 }
 
-// slotPath names one file of one of a job's two slots.
-func (s *Store) slotPath(id string, slot, file int) string {
-	return filepath.Join(s.dir, ckptDir, id+slotTag[slot]+slotExt[file])
-}
-
-// slotRecord is a slot's progress file: the sidecar and the identity of
-// the checkpoint it commits.
-type slotRecord struct {
-	Progress
-	CkptBytes int64  `json:"ckpt_bytes"`
-	CkptCRC   uint32 `json:"ckpt_crc32c"`
+// slotPath names the file of one of a job's two slots.
+func (s *Store) slotPath(id string, slot int) string {
+	return filepath.Join(s.dir, ckptDir, id+slotTag[slot]+slotExt)
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeRecord spells a record as its JSON, a newline, and the JSON's
-// own CRC-32C in eight hex digits and a newline. A record is rewritten
-// in place, so a crash can leave one torn; the trailing checksum is
-// what tells.
-func encodeRecord(r slotRecord) ([]byte, error) {
-	buf, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
+// slotBody returns the checkpoint a slot file's bytes commit: as many
+// bytes past the header as it states, when their CRC-32C is the one it
+// states. What follows them — the tail of a longer checkpoint, not yet
+// cut — is not read. A torn header or body fails the check.
+func slotBody(buf []byte) ([]byte, bool) {
+	if len(buf) < slotHeader {
+		return nil, false
 	}
-	return fmt.Appendf(buf, "\n%08x\n", crc32.Checksum(buf, castagnoli)), nil
-}
-
-// decodeRecord is encodeRecord's inverse. What follows a whole record —
-// the tail of a longer one it was written over, not yet cut — is not
-// read.
-func decodeRecord(buf []byte) (slotRecord, bool) {
-	var r slotRecord
-	body, rest, ok := bytes.Cut(buf, []byte{'\n'})
-	if !ok || len(rest) < 9 || rest[8] != '\n' {
-		return r, false
+	n := binary.LittleEndian.Uint32(buf)
+	if uint64(n) > uint64(len(buf)-slotHeader) {
+		return nil, false
 	}
-	sum, err := strconv.ParseUint(string(rest[:8]), 16, 32)
-	if err != nil || uint32(sum) != crc32.Checksum(body, castagnoli) {
-		return r, false
-	}
-	return r, json.Unmarshal(body, &r) == nil
+	body := buf[slotHeader : slotHeader+int(n)]
+	return body, crc32.Checksum(body, castagnoli) == binary.LittleEndian.Uint32(buf[4:])
 }
 
 // pair returns the slots the store holds for a job, an empty pair for
@@ -464,13 +438,13 @@ func (s *Store) release(id string) {
 	p.close()
 }
 
-// write rewrites one file of slot k to hold data, opening it at its
-// first use.
-func (s *Store) write(id string, p *slotPair, k, file int, data []byte) error {
-	f := p.file[k][file]
+// write rewrites slot k to hold head, then body, opening its file at
+// its first use.
+func (s *Store) write(id string, p *slotPair, k int, head, body []byte) error {
+	f := p.file[k]
 	if f == nil {
 		var err error
-		if f, err = os.OpenFile(s.slotPath(id, k, file), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
+		if f, err = os.OpenFile(s.slotPath(id, k), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
 			return err
 		}
 		fi, err := f.Stat()
@@ -478,71 +452,60 @@ func (s *Store) write(id string, p *slotPair, k, file int, data []byte) error {
 			f.Close()
 			return err
 		}
-		p.file[k][file], p.size[k][file] = f, fi.Size()
+		p.file[k], p.size[k] = f, fi.Size()
 	}
-	had := p.size[k][file]
+	had, n := p.size[k], int64(len(head)+len(body))
 	// Until the write lands whole, the file may hold the longer of the two.
-	p.size[k][file] = max(had, int64(len(data)))
-	if err := atomicfile.Overwrite(f, had, data); err != nil {
+	p.size[k] = max(had, n)
+	if err := atomicfile.Overwrite(f, had, head, body); err != nil {
 		return err
 	}
-	p.size[k][file] = int64(len(data))
+	p.size[k] = n
 	return nil
 }
 
-// SaveBoundary persists the boundary after round p.Round of an
-// in-flight job into its spare slot: the sim checkpoint, then — the
-// commit — the slot's record. A crash anywhere in between tears only
-// the spare slot and leaves the other's boundary whole for
-// LoadBoundary. ckpt is only read during the call, never kept: the
-// caller may hand in a buffer it reuses (a Runner's, or the fleet
-// coordinator's frame).
-func (s *Store) SaveBoundary(j Job, p Progress, ckpt []byte) error {
+// SaveBoundary persists the boundary ckpt, the sim checkpoint an
+// in-flight job's Runner encoded, into the job's spare slot: the
+// checkpoint after the header, then — the commit — the header. A crash
+// anywhere in between tears only the spare slot and leaves the other's
+// boundary whole for LoadBoundary. ckpt is written from where it lies
+// and only read during the call, never kept: the caller may hand in a
+// buffer it reuses (a Runner's, or the fleet coordinator's frame).
+func (s *Store) SaveBoundary(j Job, ckpt []byte) error {
 	pair, err := s.pair(j.ID)
 	if err != nil {
 		return err
 	}
 	k := pair.spare()
-	if err := s.write(j.ID, pair, k, ckptFile, ckpt); err != nil {
-		return fmt.Errorf("sweep: writing checkpoint %s: %w", s.slotPath(j.ID, k, ckptFile), err)
-	}
-	pair.crc[k] = crc32.Checksum(ckpt, castagnoli)
-	return s.SaveProgress(j, p)
-}
-
-// SaveProgress is the commit half of SaveBoundary: it writes the spare
-// slot's record — p, and the length and CRC of the checkpoint the slot
-// holds — and makes that slot the newest.
-func (s *Store) SaveProgress(j Job, p Progress) error {
-	pair, err := s.pair(j.ID)
-	if err != nil {
-		return err
-	}
-	k := pair.spare()
-	rec, err := encodeRecord(slotRecord{Progress: p, CkptBytes: pair.size[k][ckptFile], CkptCRC: pair.crc[k]})
-	if err != nil {
-		return fmt.Errorf("sweep: encoding progress: %w", err)
-	}
-	if err := s.write(j.ID, pair, k, progressFile, rec); err != nil {
-		return fmt.Errorf("sweep: writing progress %s: %w", s.slotPath(j.ID, k, progressFile), err)
+	var head [slotHeader]byte
+	binary.LittleEndian.PutUint32(head[:], uint32(len(ckpt)))
+	binary.LittleEndian.PutUint32(head[4:], crc32.Checksum(ckpt, castagnoli))
+	if err := s.write(j.ID, pair, k, head[:], ckpt); err != nil {
+		return fmt.Errorf("sweep: writing checkpoint %s: %w", s.slotPath(j.ID, k), err)
 	}
 	pair.newest = k
 	return nil
 }
 
+// SaveProgress commits an empty checkpoint into the job's spare slot,
+// which no LoadBoundary accepts.
+//
+// Deprecated: a boundary is its checkpoint (SaveBoundary). Its one
+// caller is internal/bench's sweep.store_progress probe.
+func (s *Store) SaveProgress(j Job, _ Progress) error { return s.SaveBoundary(j, nil) }
+
 // LoadBoundary returns the handoff an earlier execution of the job left
-// behind: of the job's two slots, the newer one whose record commits
-// the checkpoint beside it (its length and CRC match) and forms a sound
-// handoff with it (see soundHandoff), as the record's sidecar and the
-// checkpoint's bytes, read once. It opens the job's four names and no
-// others, holds the chosen slot's files for the job's next boundaries,
-// and removes the other slot — torn by a crash, or just older — so
-// ok=false leaves the job nothing.
+// behind: of the job's two slots, the one with the higher round whose
+// header commits the checkpoint after it and which soundHandoff
+// accepts, as the checkpoint's bytes, read once. It opens the job's two
+// names and no others, holds the chosen slot's file for the job's next
+// boundaries, and removes the other slot — torn by a crash, or just
+// older — so ok=false leaves the job nothing.
 func (s *Store) LoadBoundary(j Job) (h Handoff, ok bool) {
 	s.release(j.ID)
 	pair := &slotPair{newest: -1}
 	for k := range slotTag {
-		if q, sound := s.openSlot(j, pair, k); sound && (pair.newest < 0 || q.Progress.Round > h.Progress.Round) {
+		if q, sound := s.openSlot(j, pair, k); sound && (pair.newest < 0 || q.Round > h.Round) {
 			h, pair.newest = q, k
 		}
 	}
@@ -565,29 +528,27 @@ func (s *Store) LoadBoundary(j Job) (h Handoff, ok bool) {
 	return h, true
 }
 
-// openSlot opens slot k's two files into pair and returns what the
-// slot holds, sound=true when the record is whole, commits the
-// checkpoint beside it, and forms a sound handoff with it.
+// openSlot opens slot k's file into pair and returns what the slot
+// holds, sound=true when its header commits the checkpoint after it and
+// soundHandoff accepts that checkpoint.
 func (s *Store) openSlot(j Job, pair *slotPair, k int) (h Handoff, sound bool) {
-	var body [2][]byte
-	for file := range slotExt {
-		f, err := os.OpenFile(s.slotPath(j.ID, k, file), os.O_RDWR, 0)
-		if err != nil {
-			return Handoff{}, false
-		}
-		pair.file[k][file] = f
-		if body[file], err = io.ReadAll(f); err != nil {
-			return Handoff{}, false
-		}
-		pair.size[k][file] = int64(len(body[file]))
-	}
-	r, ok := decodeRecord(body[progressFile])
-	crc := crc32.Checksum(body[ckptFile], castagnoli)
-	h = Handoff{Progress: r.Progress, Ckpt: body[ckptFile]}
-	if !ok || r.CkptBytes != int64(len(h.Ckpt)) || r.CkptCRC != crc || !soundHandoff(j, &h) {
+	f, err := os.OpenFile(s.slotPath(j.ID, k), os.O_RDWR, 0)
+	if err != nil {
 		return Handoff{}, false
 	}
-	pair.crc[k] = crc
+	pair.file[k] = f
+	fi, err := f.Stat()
+	if err != nil {
+		return Handoff{}, false
+	}
+	buf := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return Handoff{}, false
+	}
+	pair.size[k] = int64(len(buf))
+	if h.Ckpt, sound = slotBody(buf); !sound || !soundHandoff(j, &h) {
+		return Handoff{}, false
+	}
 	return h, true
 }
 
@@ -595,7 +556,8 @@ func (s *Store) openSlot(j Job, pair *slotPair, k int) (h Handoff, sound bool) {
 func (s *Store) sink(j Job) *jobSink {
 	return &jobSink{
 		load: func() (Handoff, bool) { return s.LoadBoundary(j) },
-		save: func(p Progress, ckpt []byte) error { return s.SaveBoundary(j, p, ckpt) },
+		save: func(_ int, ckpt []byte) error { return s.SaveBoundary(j, ckpt) },
+		drop: func() { s.DropTransient(j) },
 	}
 }
 
@@ -610,12 +572,8 @@ func (s *Store) dropTransient(id string) {
 	}
 }
 
-// removeSlot unlinks both files of the job's slot k.
-func (s *Store) removeSlot(id string, k int) {
-	for file := range slotExt {
-		os.Remove(s.slotPath(id, k, file))
-	}
-}
+// removeSlot unlinks the file of the job's slot k.
+func (s *Store) removeSlot(id string, k int) { os.Remove(s.slotPath(id, k)) }
 
 // timingEntry is one line of the transient timings sidecar.
 type timingEntry struct {

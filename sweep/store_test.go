@@ -3,7 +3,6 @@ package sweep_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -111,72 +110,46 @@ func TestSkippedJobsCarryHostSeconds(t *testing.T) {
 }
 
 // TestLoadBoundaryPicksNewestSoundGeneration: what a killed run leaves
-// under ckpt/ is a job's two slots, and the load takes the newer one
-// whose record commits its checkpoint and which the resume rule
-// accepts, and removes every other file of the job — whatever made the
-// newer one unsound.
+// under ckpt/ is a job's two slots, and the load takes the one with the
+// higher round whose header commits its checkpoint and which the
+// resume rule accepts, and removes every other file of the job —
+// whatever made the newer one unsound.
 func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 	fx := newHandoffFixture(t)
-	p := func(r int) *sweep.Progress { v := fx.prog[r]; return &v }
-	slotB := func(ext string) string { return slotFile("", fx.job, "b", ext) }
-	cut := func(ext string, keep func(n int) int) func(t *testing.T, dir string) {
+	slotB := func(dir string) string { return slotFile(dir, fx.job, "b") }
+	// rewrite applies edit to slot b's bytes.
+	rewrite := func(edit func(buf []byte) []byte) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
-			path := filepath.Join(dir, slotB(ext))
-			fi, err := os.Stat(path)
+			buf, err := os.ReadFile(slotB(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Truncate(path, int64(keep(int(fi.Size())))); err != nil {
+			if err := os.WriteFile(slotB(dir), edit(buf), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for _, tc := range []struct {
 		name   string
-		newer  saved                          // the boundary saved into slot b
+		newer  []byte                         // the checkpoint saved into slot b
 		damage func(t *testing.T, dir string) // then done to slot b
 	}{
-		{"sidecar missing", saved{fx.prog[3], fx.ckpt[3]}, func(t *testing.T, dir string) {
-			if err := os.Remove(filepath.Join(dir, slotB("progress"))); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"checkpoint torn", saved{fx.prog[3], fx.ckpt[3]}, cut("ckpt", func(n int) int { return n / 2 })},
-		{"CRC mismatch", saved{fx.prog[3], fx.ckpt[3]}, func(t *testing.T, dir string) {
-			f, err := os.OpenFile(filepath.Join(dir, slotB("ckpt")), os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			last := len(fx.ckpt[3]) - 1
-			if _, err := f.WriteAt([]byte{^fx.ckpt[3][last]}, int64(last)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"short record", saved{fx.prog[3], fx.ckpt[3]}, cut("progress", func(n int) int { return n - 3 })},
-		// A record that still parses, its sums no longer the ones written.
-		{"record torn", saved{fx.prog[3], fx.ckpt[3]}, func(t *testing.T, dir string) {
-			path := filepath.Join(dir, slotB("progress"))
-			buf, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The last digit of total_seconds.
-			at := bytes.Index(buf, []byte(`,"ckpt_bytes"`)) - 1
-			if at < 0 || buf[at] < '0' || buf[at] > '9' {
-				t.Fatalf("record %q: no digit to change before ckpt_bytes", buf)
-			}
-			buf[at] = '0' + (buf[at]-'0'+1)%10
-			if err := os.WriteFile(path, buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"scheme mismatch", saved{fx.prog[3], fx.slCkpt[3]}, nil},
-		{"wrong round", saved{fx.prog[2], fx.ckpt[3]}, nil},
+		{"checkpoint torn", fx.ckpt[3], rewrite(func(buf []byte) []byte { return buf[:len(buf)/2] })},
+		{"CRC mismatch", fx.ckpt[3], rewrite(func(buf []byte) []byte {
+			buf[len(buf)-1] ^= 0xFF
+			return buf
+		})},
+		// The length landed and the CRC did not: the zeros the fresh file
+		// held are where it goes.
+		{"header torn", fx.ckpt[3], rewrite(func(buf []byte) []byte {
+			copy(buf[4:8], []byte{0, 0, 0, 0})
+			return buf
+		})},
+		{"scheme mismatch", fx.slCkpt[3], nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			plantSlots(t, dir, fx.job, saved{fx.prog[2], fx.ckpt[2]}, tc.newer)
+			plantSlots(t, dir, fx.job, fx.ckpt[2], tc.newer)
 			if tc.damage != nil {
 				tc.damage(t, dir)
 			}
@@ -186,47 +159,31 @@ func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 			}
 			defer store.Close()
 			got, ok := store.LoadBoundary(fx.job)
-			if !ok || got.Progress.Round != 2 || !bytes.Equal(got.Ckpt, fx.ckpt[2]) {
+			if !ok || got.Round != 2 || !bytes.Equal(got.Ckpt, fx.ckpt[2]) {
 				t.Fatalf("LoadBoundary = (round %d, %d checkpoint bytes, %v), want slot a's round 2 and its %d bytes",
-					got.Progress.Round, len(got.Ckpt), ok, len(fx.ckpt[2]))
+					got.Round, len(got.Ckpt), ok, len(fx.ckpt[2]))
 			}
-			want := []string{filepath.Base(slotFile(dir, fx.job, "a", "ckpt")), filepath.Base(slotFile(dir, fx.job, "a", "progress"))}
+			want := []string{filepath.Base(slotFile(dir, fx.job, "a"))}
 			if left := ckptFiles(t, dir); fmt.Sprint(left) != fmt.Sprint(want) {
 				t.Fatalf("ckpt/ holds %v after the load, want %v", left, want)
 			}
 		})
 	}
 
-	t.Run("orphan checkpoint alone", func(t *testing.T) {
-		dir := t.TempDir()
-		plantSlot(t, dir, fx.job, 2, fx.ckpt[2], nil)
-		store, err := sweep.OpenStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
-		if _, ok := store.LoadBoundary(fx.job); ok {
-			t.Fatal("a checkpoint without a sidecar was offered as a handoff")
-		}
-		if left := ckptFiles(t, dir); len(left) != 0 {
-			t.Fatalf("ckpt/ holds %v after the load, want nothing", left)
-		}
-	})
-
 	// A pair in a layout of older binaries — the fixed names before
-	// generations, a generation named by its round — is not read:
-	// OpenStore removes it and the job runs from round 1.
+	// generations, a generation named by its round, a slot whose record
+	// was a file of its own — is not read: OpenStore removes what is not
+	// a slot's name, LoadBoundary the slot file that holds a bare
+	// checkpoint, and the job runs from round 1.
 	t.Run("parent-layout pair", func(t *testing.T) {
 		dir := t.TempDir()
 		if err := os.MkdirAll(filepath.Join(dir, "ckpt"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		buf, err := json.Marshal(fx.prog[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, stem := range []string{fx.job.ID, fx.job.ID + ".2"} {
-			for name, body := range map[string][]byte{stem + ".ckpt": fx.ckpt[2], stem + ".progress": buf} {
+		record := []byte(`{"round":2,"components":{},"total_seconds":0}`)
+		for _, stem := range []string{fx.job.ID, fx.job.ID + ".2", fx.job.ID + ".a"} {
+			for ext, body := range map[string][]byte{"ckpt": fx.ckpt[2], "progress": record} {
+				name := stem + "." + ext
 				if err := os.WriteFile(filepath.Join(dir, "ckpt", name), body, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -237,8 +194,8 @@ func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		if left := ckptFiles(t, dir); len(left) != 0 {
-			t.Fatalf("OpenStore kept %v", left)
+		if left, want := ckptFiles(t, dir), filepath.Base(slotFile(dir, fx.job, "a")); fmt.Sprint(left) != fmt.Sprint([]string{want}) {
+			t.Fatalf("OpenStore kept %v, want the slot name %s alone", left, want)
 		}
 		first := 0
 		sched := &sweep.Scheduler{Jobs: 1, CheckpointEvery: 1,
@@ -258,7 +215,7 @@ func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 		}
 	})
 
-	// One job's files are its own four names: not another job's, and not
+	// One job's files are its own two names: not another job's, and not
 	// a name that merely starts with its ID.
 	t.Run("another job's files", func(t *testing.T) {
 		dir := t.TempDir()
@@ -266,28 +223,24 @@ func TestLoadBoundaryPicksNewestSoundGeneration(t *testing.T) {
 		other.ID = fx.job.ID + ".a" // <id>.a.a.ckpt is this job's slot a, not fx.job's
 		third := fx.job
 		third.ID = "z" + fx.job.ID[1:]
-		plantSlot(t, dir, fx.job, 2, fx.ckpt[2], p(2))
-		plantSlot(t, dir, other, 2, fx.ckpt[2], p(2))
-		plantSlots(t, dir, third, saved{fx.prog[2], fx.ckpt[2]}, saved{fx.prog[3], fx.ckpt[3]})
+		plantSlots(t, dir, fx.job, fx.ckpt[2])
+		plantSlots(t, dir, other, fx.ckpt[2])
+		plantSlots(t, dir, third, fx.ckpt[2], fx.ckpt[3])
 		store, err := sweep.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer store.Close()
 		var foreign []string
-		for _, name := range []string{
-			slotFile(dir, other, "a", "ckpt"), slotFile(dir, other, "a", "progress"),
-			slotFile(dir, third, "a", "ckpt"), slotFile(dir, third, "a", "progress"),
-			slotFile(dir, third, "b", "ckpt"), slotFile(dir, third, "b", "progress"),
-		} {
+		for _, name := range []string{slotFile(dir, other, "a"), slotFile(dir, third, "a"), slotFile(dir, third, "b")} {
 			foreign = append(foreign, filepath.Base(name))
 		}
 		sort.Strings(foreign)
-		if got, ok := store.LoadBoundary(fx.job); !ok || got.Progress.Round != 2 {
-			t.Fatalf("LoadBoundary = (round %d, %v), want the job's own round 2", got.Progress.Round, ok)
+		if got, ok := store.LoadBoundary(fx.job); !ok || got.Round != 2 {
+			t.Fatalf("LoadBoundary = (round %d, %v), want the job's own round 2", got.Round, ok)
 		}
-		if left := ckptFiles(t, dir); len(left) != len(foreign)+2 {
-			t.Fatalf("ckpt/ holds %v after the load, want all eight files", left)
+		if left := ckptFiles(t, dir); len(left) != len(foreign)+1 {
+			t.Fatalf("ckpt/ holds %v after the load, want all four files", left)
 		}
 		store.DropTransient(fx.job)
 		if left := ckptFiles(t, dir); fmt.Sprint(left) != fmt.Sprint(foreign) {
@@ -347,10 +300,10 @@ func TestStoreReleasesSlotHandles(t *testing.T) {
 	if _, err := sched.Run(ctx, jobs[1:], store); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: %v", err)
 	}
-	if held != 4 {
-		t.Fatalf("after three boundaries the store held %d descriptors, want both slots' four", held)
+	if held != 2 {
+		t.Fatalf("after three boundaries the store held %d descriptors, want both slots' two", held)
 	}
-	if left := ckptFiles(t, dir); len(left) != 4 {
+	if left := ckptFiles(t, dir); len(left) != 2 {
 		t.Fatalf("the cancelled job left %v under ckpt/, want both slots", left)
 	}
 	if err := store.Close(); err != nil {
@@ -362,8 +315,8 @@ func TestStoreReleasesSlotHandles(t *testing.T) {
 }
 
 // BenchmarkStoreBoundary is one boundary of an in-flight job: a 200 KB
-// checkpoint and its sidecar written into a store that holds the
-// boundary before, which the write supersedes.
+// checkpoint written into a store that holds the boundary before, which
+// the write supersedes.
 func BenchmarkStoreBoundary(b *testing.B) {
 	store, err := sweep.OpenStore(b.TempDir())
 	if err != nil {
@@ -372,17 +325,56 @@ func BenchmarkStoreBoundary(b *testing.B) {
 	defer store.Close()
 	j := sweep.Job{ID: "0123456789abcdef"}
 	ckpt := make([]byte, 200<<10)
-	p := sweep.Progress{Components: map[string]float64{"client-compute": 1, "uplink": 2, "relay": 3}, TotalSeconds: 6}
-	save := func(round int) {
-		p.Round = round
-		if err := store.SaveBoundary(j, p, ckpt); err != nil {
+	save := func() {
+		if err := store.SaveBoundary(j, ckpt); err != nil {
 			b.Fatal(err)
 		}
 	}
-	save(1)
+	save()
 	b.SetBytes(int64(len(ckpt)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		save(i + 2)
+		save()
+	}
+}
+
+// BenchmarkLoadBoundary is what a fleet coordinator does under its lock
+// for each grant of a resumed job, and the Scheduler at a resume: load
+// the newer of a job's slots, whose checkpoint a PaperSpec run of the
+// scheme wrote after its first round. Only the checkpoint's header is
+// decoded.
+func BenchmarkLoadBoundary(b *testing.B) {
+	for _, scheme := range []string{"sl", "gsfl", "sfl"} {
+		b.Run(scheme, func(b *testing.B) {
+			j := jobsOf(b, sweep.Grid{
+				Name: "load", Base: env.PaperSpec(), Rounds: 2, EvalEvery: 2,
+				Axes: sweep.Axes{Schemes: []string{scheme}},
+			})[0]
+			errStop := errors.New("first boundary taken")
+			var ckpt []byte
+			if _, err := sweep.RunLeased(context.Background(), j, 1, nil, sweep.LeaseCallbacks{
+				OnCheckpoint: func(_ int, buf []byte) error {
+					ckpt = bytes.Clone(buf)
+					return errStop
+				},
+			}); !errors.Is(err, errStop) {
+				b.Fatalf("taking the first boundary: %v", err)
+			}
+			store, err := sweep.OpenStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			if err := store.SaveBoundary(j, ckpt); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(ckpt)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if h, ok := store.LoadBoundary(j); !ok || h.Round != 1 {
+					b.Fatalf("LoadBoundary = (round %d, %v), want round 1", h.Round, ok)
+				}
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ func testGrid() sweep.Grid {
 	}
 }
 
-func jobsOf(t *testing.T, g sweep.Grid) []sweep.Job {
+func jobsOf(t testing.TB, g sweep.Grid) []sweep.Job {
 	t.Helper()
 	jobs, err := g.Jobs()
 	if err != nil {
