@@ -22,11 +22,12 @@ import (
 // pricing that walks the layers' shapes per turn, trips them
 // immediately.
 //
-// Measured on linux/amd64: 15 allocs/round at the test shape and 19 at
-// the paper's shape (N=30, M=6, gtsrb-cnn at 16 px) on one worker, 262
-// at the paper's shape on two, where each kernel call inside a group
-// task builds its fork-join closure. Pricing into a ledger per group
-// beside the chains made them 18, 26 and 269; before one task per group
+// Measured on linux/amd64: 12 allocs/round at the test shape and 16 at
+// the paper's shape (N=30, M=6, gtsrb-cnn at 16 px) on one worker,
+// 258–259 at the paper's shape on two, where each kernel call inside a
+// group task builds its fork-join closure. Round-scoped client lists
+// made fresh each round made them 15, 19 and 262; pricing into a ledger
+// per group beside the chains 18, 26 and 269; before one task per group
 // and cached per-sample costs they were 264, 2,902 and 3,169. Each limit
 // sits ~10% above its measurement so it ratchets down with the code.
 func TestRoundSteadyStateAllocs(t *testing.T) {
@@ -37,9 +38,9 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 		workers int
 		limit   float64
 	}{
-		{"test shape", false, 1, 17},
-		{"paper shape", true, 1, 21},
-		{"paper shape, two workers", true, 2, 288},
+		{"test shape", false, 1, 13},
+		{"paper shape", true, 1, 18},
+		{"paper shape, two workers", true, 2, 284},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			world, groups := schemestest.NewEnv(7, 6, 48), 2

@@ -145,10 +145,13 @@ type Trainer struct {
 
 	// batchSizes[g] is the batch size of each of group g's split steps
 	// this round, in turn order, recorded by its training task for
-	// pricing after the join; live is the round's live-group list. Both
-	// are reused across rounds.
-	batchSizes [][]int
-	live       []int
+	// pricing after the join; live is the round's live-group list,
+	// firstClients[li] live group li's first client, and active and
+	// activeClients the live groups training at one turn position and
+	// their clients. All are reused across rounds.
+	batchSizes            [][]int
+	live, firstClients    []int
+	active, activeClients []int
 	// chains[li] is every task live group li charged this round, in
 	// order (RoundChains), and turns[li] the index in it of each client
 	// turn's first task; tail is what the round charged after the join
@@ -421,7 +424,8 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 	if t.plan.local {
 		handOff, giveBack = simnet.Downlink, simnet.Uplink
 	}
-	firstClients := make([]int, len(live))
+	firstClients := slices.Grow(t.firstClients[:0], len(live))[:len(live)]
+	t.firstClients = firstClients
 	t.chains = slices.Grow(t.chains, len(live))[:len(live)]
 	t.turns = slices.Grow(t.turns, len(live))[:len(live)]
 	for li, g := range live {
@@ -448,8 +452,7 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 		// The sole active client takes the full budget.
 		upAlloc, downAlloc = []float64{env.Channel.UplinkHz()}, []float64{env.Channel.DownlinkHz()}
 	}
-	active := make([]int, 0, len(live))
-	activeClients := make([]int, 0, len(live))
+	active, activeClients := t.active, t.activeClients
 	for pos := 0; pos < maxLen; pos++ {
 		// Groups still training at this position contend for spectrum.
 		active, activeClients = active[:0], activeClients[:0]
@@ -496,6 +499,7 @@ func (t *Trainer) Round(ctx context.Context) (*simnet.Ledger, error) {
 			}
 		}
 	}
+	t.active, t.activeClients = active, activeClients
 
 	// --- Step 3: aggregation among groups ------------------------------
 	// The groups ran in parallel: the round is their chains' fold.

@@ -34,9 +34,10 @@ import (
 // discards the input gradient (Sequential.BackwardParams) runs only the
 // parameter half and never sizes the dx buffer at all.
 //
-// All batch-shaped buffers (output, input gradient) live in a
-// lazily-sized workspace, so steady-state Forward/Backward calls
-// allocate nothing.
+// All batch-shaped buffers (output, input gradient) and the plans of the
+// three products live in a lazily-sized workspace, so steady-state
+// Forward/Backward calls allocate nothing. Each product leases one
+// buffer a call, for the images of its batch.
 type Conv2D struct {
 	InC, OutC int
 	KH, KW    int
@@ -55,8 +56,9 @@ type Conv2D struct {
 
 // convWorkspace is Conv2D's reusable buffer set.
 type convWorkspace struct {
-	out tensor.Tensor // forward output (N, outC, outH, outW)
-	dx  tensor.Tensor // input gradient (N, C, H, W) (input half of Backward only)
+	out  tensor.Tensor // forward output (N, outC, outH, outW)
+	dx   tensor.Tensor // input gradient (N, C, H, W) (input half of Backward only)
+	gemm tensor.GEMM   // the plans of the forward pass and both gradients
 }
 
 // NewConv2D constructs a Conv2D layer with He initialization. Stride and
@@ -101,11 +103,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	g := c.geomFor(x)
 	y := c.ws.out.Ensure(x.Dim(0), c.OutC, g.OutH(), g.OutW())
-	if train {
-		c.x = x
-		c.geom = g
+	if !train {
+		// An evaluation pass borrows its plan rather than keeping one: its
+		// chunk is a batch size training never uses, and a model that
+		// only evaluates would keep plans for nothing else.
+		return tensor.ConvForwardBatchInto(y, c.w, c.b, x, g)
 	}
-	return tensor.ConvForwardBatchInto(y, c.w, c.b, x, g)
+	c.x = x
+	c.geom = g
+	return c.ws.gemm.ConvForwardBatchInto(y, c.w, c.b, x, g)
 }
 
 // Backward implements Layer: BackwardParams plus the input gradient.
@@ -113,7 +119,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	c.BackwardParams(dy)
 	g := c.geom
 	dx := c.ws.dx.Ensure(c.x.Dim(0), c.InC, g.InH, g.InW)
-	return tensor.ConvInputGradBatchInto(dx, c.w, dy, g)
+	return c.ws.gemm.ConvInputGradBatchInto(dx, c.w, dy, g)
 }
 
 // BackwardParams writes dL/dW and dL/db from dy without computing the
@@ -126,8 +132,10 @@ func (c *Conv2D) BackwardParams(dy *tensor.Tensor) {
 	if c.x == nil {
 		panic("nn: Conv2D.Backward called before training-mode Forward")
 	}
-	tensor.ConvWeightGradBatchInto(c.dw, c.db, dy, c.x, c.geom)
+	c.ws.gemm.ConvWeightGradBatchInto(c.dw, c.db, dy, c.x, c.geom)
 }
+
+func (c *Conv2D) sharePanels(p *tensor.Panels) { c.ws.gemm.Panels = p }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.w, c.b} }

@@ -19,10 +19,11 @@ type Dense struct {
 
 	// ws is the reusable forward/backward workspace (see the package
 	// comment's buffer-ownership rule): out and dx back the returned
-	// tensors. The parameter gradients are written straight into dw and
-	// db.
+	// tensors, and gemm holds the plans of the layer's three products.
+	// The parameter gradients are written straight into dw and db.
 	ws struct {
 		out, dx tensor.Tensor
+		gemm    tensor.GEMM
 	}
 }
 
@@ -51,18 +52,21 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dim(1) != d.In {
 		panic(fmt.Sprintf("nn: %s got input width %d", d.Name(), x.Dim(1)))
 	}
+	y := d.ws.out.Ensure(x.Dim(0), d.Out)
 	if train {
 		d.x = x
+		d.ws.gemm.DenseForwardInto(y, x, d.w)
+	} else {
+		// An evaluation chunk's plan is borrowed, not kept: see Conv2D.
+		tensor.DenseForwardInto(y, x, d.w)
 	}
-	y := tensor.DenseForwardInto(d.ws.out.Ensure(x.Dim(0), d.Out), x, d.w)
-	y.AddRowVector(d.b)
-	return y
+	return y.AddRowVector(d.b)
 }
 
 // Backward implements Layer: BackwardParams plus dx = dy @ Wᵀ.
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	d.BackwardParams(dy)
-	return tensor.DenseInputGradInto(d.ws.dx.Ensure(dy.Dim(0), d.In), dy, d.w)
+	return d.ws.gemm.DenseInputGradInto(d.ws.dx.Ensure(dy.Dim(0), d.In), dy, d.w)
 }
 
 // BackwardParams writes dW = xᵀ @ dy and db = column sums of dy
@@ -71,9 +75,11 @@ func (d *Dense) BackwardParams(dy *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: Dense.Backward called before training-mode Forward")
 	}
-	tensor.MatMulTransAIntoOp("Dense backward dW=xᵀ@dy", d.dw, d.x, dy)
+	d.ws.gemm.MatMulTransAIntoOp("Dense backward dW=xᵀ@dy", d.dw, d.x, dy)
 	dy.SumRowsInto(d.db)
 }
+
+func (d *Dense) sharePanels(p *tensor.Panels) { d.ws.gemm.Panels = p }
 
 // Params implements Layer.
 func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.w, d.b} }

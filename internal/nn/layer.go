@@ -11,8 +11,10 @@
 // wireless latency model (internal/wireless, internal/simnet) can price
 // each transfer in bytes and each pass in FLOPs.
 //
-// All layers are deterministic given their RNG and inputs, and none share
-// mutable state, so group replicas can train concurrently.
+// All layers are deterministic given their RNG and inputs, and no two
+// models share mutable state, so group replicas can train concurrently.
+// (The layers of one Sequential share its GEMM packing scratch, which
+// they use one at a time.)
 //
 // # Buffer ownership
 //

@@ -29,12 +29,17 @@ func (b *BatchNorm) NoDecayParams() []bool { return []bool{true, true, true, tru
 // called. Only pairs inside one Sequential fuse: a split model cut
 // between the two runs each on its own side.
 //
-// The flattened Params/Grads/DecayMask views and the pairs are found
-// once, at first use (the views are consulted on every optimizer step,
-// so rebuilding them would put slice allocations in the training hot
-// path). The Layers slice must therefore not be mutated after the
-// Sequential is first used, and callers must treat the returned slices
-// as read-only.
+// The layers whose products pack a small operand (Conv2D, Dense) share
+// one tensor.Panels: a Sequential runs its layers one at a time, so the
+// packing buffer need only be as large as its largest product, not the
+// sum of all of them.
+//
+// The flattened Params/Grads/DecayMask views, the pairs and the shared
+// panels are set up once, at first use (the views are consulted on
+// every optimizer step, so rebuilding them would put slice allocations
+// in the training hot path). The Layers slice must therefore not be
+// mutated after the Sequential is first used, and callers must treat
+// the returned slices as read-only.
 type Sequential struct {
 	Layers []Layer
 
@@ -47,12 +52,25 @@ type Sequential struct {
 	reluPool []*MaxPool2D
 }
 
-// buildCache assembles the flattened parameter views and finds the
-// fused pairs, once.
+// panelSharer is implemented by the layers whose products pack into a
+// tensor.Panels.
+type panelSharer interface{ sharePanels(*tensor.Panels) }
+
+// buildCache assembles the flattened parameter views, finds the fused
+// pairs and hands the layers their shared panels, once.
 func (s *Sequential) buildCache() {
 	s.params = nil
 	s.grads = nil
 	s.decay = nil
+	var panels *tensor.Panels
+	for _, l := range s.Layers {
+		if ps, ok := l.(panelSharer); ok {
+			if panels == nil {
+				panels = new(tensor.Panels)
+			}
+			ps.sharePanels(panels)
+		}
+	}
 	s.reluPool = make([]*MaxPool2D, len(s.Layers))
 	for i := 0; i+1 < len(s.Layers); i++ {
 		_, relu := s.Layers[i].(*ReLU)

@@ -225,12 +225,18 @@ func TestGEMMZeroK(t *testing.T) {
 // TestRowPlanRefusesShortX pins the row-indirect plan's one bounds
 // check: its kernels index x in assembly with none, so a plan whose
 // largest row plus largest koff — past rows included — falls outside x
-// panics when it is built, and one that fits exactly does not.
+// panics when it is shaped, and one that fits exactly does not. One
+// plan takes every case, so the check also holds when the geometry is
+// the last call's and only x is shorter.
 func TestRowPlanRefusesShortX(t *testing.T) {
-	build := func(koff, rows offsetGrid, pastRow, xLen int) (panicked bool) {
+	var p rowPlan
+	repeated := func(koff, rows offsetGrid, pastRow, xLen, reps, shift int) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		newRowPlan(3, koff, rows, pastRow, xLen).release()
+		p.shape(3, koff, rows, pastRow, xLen, reps, shift)
 		return false
+	}
+	build := func(koff, rows offsetGrid, pastRow, xLen int) bool {
+		return repeated(koff, rows, pastRow, xLen, 1, 0)
 	}
 	// koff reaches 15, rows 3 (a full block of four): x needs 19 elements.
 	if build(line(4, 5), line(4, 1), 0, 19) {
@@ -261,6 +267,14 @@ func TestRowPlanRefusesShortX(t *testing.T) {
 	for _, xLen := range []int{18, 17} {
 		if got, want := build(taps, pixels, 0, xLen), xLen < 18; got != want {
 			t.Fatalf("input-gradient plan over a %d-element canvas: panicked = %v, want %v", xLen, got, want)
+		}
+	}
+	// The weight gradient reads koff once per image, each pass against x
+	// shifted by one canvas: the last pass decides. koff reaches 15 and
+	// rows 3; the third of three passes 20 apart reaches 18 + 40.
+	for _, xLen := range []int{59, 58} {
+		if got, want := repeated(line(4, 5), line(4, 1), 0, xLen, 3, 20), xLen < 59; got != want {
+			t.Fatalf("three-pass plan over a %d-element x: panicked = %v, want %v", xLen, got, want)
 		}
 	}
 }

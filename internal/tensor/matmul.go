@@ -34,18 +34,21 @@ func grainRows(flopsPerRow int) int {
 // ascending-k order in a single accumulator, and MR-row blocks of b's
 // columns are partitioned across the parallel worker pool, so results
 // are bit-identical to a single-worker run. After warmup it performs no
-// allocations in serial runs (see parallel.Inline; the packing panels
-// are pooled).
+// allocations in serial runs (see parallel.Inline; the plans are
+// pooled GEMMs).
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	return matMulInto("MatMulInto", dst, a, b)
+	gm := gemms.Get().(*GEMM)
+	gm.matMulInto("MatMulInto", dst, a, b)
+	gemms.Put(gm)
+	return dst
 }
 
 // matMulInto is MatMulInto and DenseForwardInto, with the caller's name
 // for panic messages.
-func matMulInto(op string, dst, a, b *Tensor) *Tensor {
+func (gm *GEMM) matMulInto(op string, dst, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul(op, a, b)
 	checkMatMulDst(op, dst, m, n)
-	denseInto(dst.Data, a.Data, false, m, b.Data, line(k, n), line(n, 1))
+	gm.denseInto(&gm.fwd, dst.Data, a.Data, false, m, b.Data, line(k, n), line(n, 1))
 	return dst
 }
 
@@ -83,9 +86,18 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 // MatMulTransAIntoOp is MatMulTransAInto with a caller-supplied
 // operation name for panic messages.
 func MatMulTransAIntoOp(op string, dst, a, b *Tensor) *Tensor {
+	gm := gemms.Get().(*GEMM)
+	gm.MatMulTransAIntoOp(op, dst, a, b)
+	gemms.Put(gm)
+	return dst
+}
+
+// MatMulTransAIntoOp is the package function on gm's plans: a dense
+// layer's weight gradient dW = xᵀ@dy.
+func (gm *GEMM) MatMulTransAIntoOp(op string, dst, a, b *Tensor) *Tensor {
 	k, m, n := checkMatMulTransA(op, a, b)
 	checkMatMulDst(op, dst, m, n)
-	denseInto(dst.Data, a.Data, true, m, b.Data, line(k, n), line(n, 1))
+	gm.denseInto(&gm.wGrad, dst.Data, a.Data, true, m, b.Data, line(k, n), line(n, 1))
 	return dst
 }
 
@@ -108,7 +120,15 @@ func checkMatMulTransA(op string, a, b *Tensor) (k, m, n int) {
 // weights. Each element accumulates in ascending-k order on one worker,
 // so results are bit-identical at any worker count. It returns dst.
 func DenseForwardInto(dst, x, w *Tensor) *Tensor {
-	return matMulInto("DenseForwardInto", dst, x, w)
+	gm := gemms.Get().(*GEMM)
+	gm.DenseForwardInto(dst, x, w)
+	gemms.Put(gm)
+	return dst
+}
+
+// DenseForwardInto is the package function on gm's plans.
+func (gm *GEMM) DenseForwardInto(dst, x, w *Tensor) *Tensor {
+	return gm.matMulInto("DenseForwardInto", dst, x, w)
 }
 
 // DenseInputGradInto computes a dense layer's input gradient
@@ -117,9 +137,17 @@ func DenseForwardInto(dst, x, w *Tensor) *Tensor {
 // DenseForwardInto only dy is packed and w is read in place, so the
 // transpose is never materialized. It returns dst.
 func DenseInputGradInto(dst, dy, w *Tensor) *Tensor {
+	gm := gemms.Get().(*GEMM)
+	gm.DenseInputGradInto(dst, dy, w)
+	gemms.Put(gm)
+	return dst
+}
+
+// DenseInputGradInto is the package function on gm's plans.
+func (gm *GEMM) DenseInputGradInto(dst, dy, w *Tensor) *Tensor {
 	batch, out, in := checkMatMulTransB("DenseInputGradInto", dy, w)
 	checkMatMulDst("DenseInputGradInto", dst, batch, in)
-	denseInto(dst.Data, dy.Data, false, batch, w.Data, line(out, 1), line(in, out))
+	gm.denseInto(&gm.inGrad, dst.Data, dy.Data, false, batch, w.Data, line(out, 1), line(in, out))
 	return dst
 }
 

@@ -43,7 +43,7 @@ func packB(bp, b []float64, k, n int) {
 	}
 }
 
-// packTaps packs the input gradient's dense operand (newInputGradPlan)
+// packTaps packs the input gradient's dense operand (convInputGrad)
 // straight from a convolution's weights w, (m × n·taps): B is
 // (taps·m × n) with B[t·m+oc][c] = w[oc][c·taps+t], so that k runs over
 // taps with the output channels inside. It runs once per call however
@@ -122,8 +122,8 @@ func packBTrans(bp, b []float64, k, n, stride int, sums []float64) {
 	}
 }
 
-// The image side of the convolution products (newConvPlan,
-// newWeightGradPlan). The im2col column matrix of one CHW image — row
+// The image side of the convolution products (convForward,
+// convWeightGrad). The im2col column matrix of one CHW image — row
 // (c,kh,kw), column (oh,ow), entry pixel (c, oh*StrideH-PadH+kh,
 // ow*StrideW-PadW+kw), zero where that falls outside the image — is
 // never materialized. The plan places the image on a canvas, its copy
@@ -133,7 +133,7 @@ func packBTrans(bp, b []float64, k, n, stride int, sums []float64) {
 // position) pair addresses a real element, at tap offset plus position
 // offset. Taps and positions are each a small grid of
 // offsets (offsetGrid) that the driver tabulates and the micro-kernel
-// adds. The input gradient's plan (newInputGradPlan) places dy on a
+// adds. The input gradient's plan (convInputGrad) places dy on a
 // canvas the same way. A row-major matrix read in place — a dense
 // layer's W, an output gradient dy — needs no copy: its two tables are
 // lines.
