@@ -42,39 +42,92 @@ func (l SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) (float64,
 	return l.EvalInto(logits, labels, grad), grad
 }
 
-// EvalInto implements Loss.
+// EvalInto implements Loss. It takes each row's log-sum-exp in one
+// pass — the row maximum m, the exps of v − m written into the
+// gradient row as scratch, their sum in index order, logSum =
+// log(sum) + m — then writes exp(v − logSum)·inv into the gradient
+// row, each rounded on its own, and subtracts inv at the label. The
+// exps run through tensor.ExpSub a block of rows at a time; the sums,
+// the maxima and the logs stay serial Go.
 func (SoftmaxCrossEntropy) EvalInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) float64 {
 	checkBatch(logits, labels)
 	n, c := logits.Dim(0), logits.Dim(1)
+	checkLabels(labels, c)
 	grad.Ensure(n, c)
 	total := 0.0
 	inv := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		row := logits.Row(i)
-		y := labels[i]
-		if y < 0 || y >= c {
-			panic(fmt.Sprintf("loss: label %d outside [0,%d)", y, c))
+	var lse [blockRows]float64
+	for lo := 0; lo < n; lo += blockRows {
+		hi := min(lo+blockRows, n)
+		x, g, s := logits.Data[lo*c:hi*c], grad.Data[lo*c:hi*c], lse[:hi-lo]
+		total = addLosses(total, s, x, g, labels[lo:hi], c)
+		tensor.ExpSub(g, x, s)
+		for j := range g {
+			g[j] *= inv
 		}
-		// Numerically stable log-sum-exp.
+		for i, y := range labels[lo:hi] {
+			g[i*c+y] -= inv
+		}
+	}
+	return total * inv
+}
+
+// Loss returns the mean loss EvalInto returns, bit for bit, without the
+// gradient: its first pass alone, with scratch (shaped to (batch,
+// classes), reusing its storage) where the gradient held the exps.
+// Evaluation uses it.
+func (SoftmaxCrossEntropy) Loss(logits *tensor.Tensor, labels []int, scratch *tensor.Tensor) float64 {
+	checkBatch(logits, labels)
+	n, c := logits.Dim(0), logits.Dim(1)
+	checkLabels(labels, c)
+	scratch.Ensure(n, c)
+	total := 0.0
+	var lse [blockRows]float64
+	for lo := 0; lo < n; lo += blockRows {
+		hi := min(lo+blockRows, n)
+		total = addLosses(total, lse[:hi-lo], logits.Data[lo*c:hi*c], scratch.Data[lo*c:hi*c], labels[lo:hi], c)
+	}
+	return total * (1 / float64(n))
+}
+
+// blockRows is how many rows share one tensor.ExpSub call: their
+// log-sum-exps live in an array on the stack, so the loss allocates
+// nothing, and a block of training batches is one call.
+const blockRows = 64
+
+// addLosses is the loss's first pass over a block of rows of c logits
+// in x: it sets lse[i] to row i's log-sum-exp, leaving the exps in
+// scratch (x's size), and returns total plus each row's logSum − x[y]
+// in row order.
+func addLosses(total float64, lse, x, scratch []float64, labels []int, c int) float64 {
+	for i := range lse {
+		row := x[i*c:][:c]
 		m := row[0]
 		for _, v := range row[1:] {
 			if v > m {
 				m = v
 			}
 		}
-		sum := 0.0
-		for _, v := range row {
-			sum += math.Exp(v - m)
-		}
-		logSum := math.Log(sum) + m
-		total += logSum - row[y]
-		g := grad.Row(i)
-		for j, v := range row {
-			g[j] = math.Exp(v-logSum) * inv
-		}
-		g[y] -= inv
+		lse[i] = m
 	}
-	return total * inv
+	tensor.ExpSub(scratch, x, lse)
+	for i, y := range labels {
+		sum := 0.0
+		for _, e := range scratch[i*c:][:c] {
+			sum += e
+		}
+		lse[i] += math.Log(sum)
+		total += lse[i] - x[i*c+y]
+	}
+	return total
+}
+
+func checkLabels(labels []int, c int) {
+	for _, y := range labels {
+		if y < 0 || y >= c {
+			panic(fmt.Sprintf("loss: label %d outside [0,%d)", y, c))
+		}
+	}
 }
 
 // MSE is mean squared error against one-hot targets; provided as a

@@ -260,46 +260,47 @@ type Trainer interface {
 // never allocate huge activations.
 const EvalChunk = 256
 
-// evalPool recycles the evaluation chunk buffers across Evaluate calls
-// (batch-shaped temporaries with no owning workspace — exactly what
+// evalPool recycles the evaluation batch buffer across Evaluate calls
+// (a batch-shaped temporary with no owning workspace — exactly what
 // tensor.Pool exists for).
 var evalPool tensor.Pool
 
 // Evaluate runs the split model over the test set in chunks and returns
 // the mean loss and accuracy. It is the shared implementation behind
 // every scheme's Evaluate; cancellation is honoured between chunks.
+// One batch buffer, label buffer, prediction buffer and loss scratch
+// serve every chunk, and the loss is computed without its gradient.
 func Evaluate(ctx context.Context, m *model.SplitModel, test data.Dataset, inShape []int) (Eval, error) {
 	n := test.Len()
-	lossFn := loss.SoftmaxCrossEntropy{}
+	shape := append([]int{min(n, EvalChunk)}, inShape...)
+	x := evalPool.Get(shape...)
+	defer evalPool.Put(x)
+	per := x.Size() / max(shape[0], 1)
+	y, pred := make([]int, shape[0]), make([]int, shape[0])
+	var scratch tensor.Tensor
 	totalLoss := 0.0
 	correct := 0
 	for lo := 0; lo < n; lo += EvalChunk {
 		if err := ctx.Err(); err != nil {
 			return Eval{}, err
 		}
-		hi := lo + EvalChunk
-		if hi > n {
-			hi = n
-		}
-		cnt := hi - lo
-		shape := append([]int{cnt}, inShape...)
-		x := evalPool.Get(shape...)
-		y := make([]int, cnt)
-		per := x.Size() / cnt
-		for i := lo; i < hi; i++ {
-			f, label := test.Sample(i)
-			copy(x.Data[(i-lo)*per:(i-lo+1)*per], f)
-			y[i-lo] = label
+		cnt := min(EvalChunk, n-lo)
+		shape[0] = cnt
+		x.Ensure(shape...)
+		for i := range cnt {
+			f, label := test.Sample(lo + i)
+			copy(x.Data[i*per:(i+1)*per], f)
+			y[i] = label
 		}
 		logits := m.Forward(x, false)
-		l, _ := lossFn.Eval(logits, y)
+		l := loss.SoftmaxCrossEntropy{}.Loss(logits, y[:cnt], &scratch)
 		totalLoss += float64(l * float64(cnt))
-		for i, p := range logits.ArgMaxRows() {
+		pred = logits.ArgMaxRowsInto(pred)
+		for i, p := range pred {
 			if p == y[i] {
 				correct++
 			}
 		}
-		evalPool.Put(x)
 	}
 	return Eval{Loss: totalLoss / float64(n), Accuracy: float64(correct) / float64(n)}, nil
 }

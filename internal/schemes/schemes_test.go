@@ -3,13 +3,16 @@ package schemes_test
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"gsfl/internal/data"
+	"gsfl/internal/loss"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/simnet"
 	"gsfl/internal/tensor"
+	"gsfl/internal/testutil"
 )
 
 func TestHyperValidate(t *testing.T) {
@@ -101,6 +104,72 @@ func TestEvaluateMatchesDirectComputation(t *testing.T) {
 	}
 	if e1 != e2 {
 		t.Fatal("Evaluate is not deterministic")
+	}
+}
+
+// TestEvaluateMatchesChunkedEval pins Evaluate's bits to the chunked
+// computation it replaced: each chunk's loss from the loss's full Eval,
+// weighted by the chunk's size, and accuracy by ArgMaxRows — over a
+// test set that ends in a partial chunk.
+func TestEvaluateMatchesChunkedEval(t *testing.T) {
+	env := schemestest.NewEnv(2, 4, 30)
+	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
+	test := schemestest.Blobs(2*schemes.EvalChunk+37, 0.6, rand.New(rand.NewSource(9)))
+	got, err := schemes.Evaluate(context.Background(), m, test, env.Arch.InShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := test.Len()
+	total, correct := 0.0, 0
+	for lo := 0; lo < n; lo += schemes.EvalChunk {
+		hi := min(lo+schemes.EvalChunk, n)
+		b := data.All(data.NewSubset(test, seq(lo, hi)), env.Arch.InShape)
+		logits := m.Forward(b.X, false)
+		l, _ := loss.SoftmaxCrossEntropy{}.Eval(logits, b.Y)
+		total += float64(l * float64(hi-lo))
+		for i, p := range logits.ArgMaxRows() {
+			if p == b.Y[i] {
+				correct++
+			}
+		}
+	}
+	want := schemes.Eval{Loss: total / float64(n), Accuracy: float64(correct) / float64(n)}
+	if math.Float64bits(got.Loss) != math.Float64bits(want.Loss) || got.Accuracy != want.Accuracy {
+		t.Fatalf("Evaluate = %+v, chunked Eval = %+v", got, want)
+	}
+}
+
+func seq(lo, hi int) []int {
+	s := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+// TestEvaluateAllocsIndependentOfChunks: a test set five chunks long
+// costs Evaluate no more allocations than a one-chunk set — batch,
+// labels and loss scratch are set up once a call, never per chunk.
+func TestEvaluateAllocsIndependentOfChunks(t *testing.T) {
+	env := schemestest.NewEnv(2, 4, 30)
+	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
+	allocs := func(n int) float64 {
+		test := schemestest.Blobs(n, 0.6, rand.New(rand.NewSource(int64(n))))
+		eval := func() {
+			if _, err := schemes.Evaluate(context.Background(), m, test, env.Arch.InShape); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eval()
+		return testing.AllocsPerRun(5, eval)
+	}
+	one, five := allocs(schemes.EvalChunk), allocs(4*schemes.EvalChunk+3)
+	if testutil.RaceEnabled {
+		t.Logf("one chunk %.1f, five chunks %.1f allocs/op (not asserted under -race)", one, five)
+		return
+	}
+	if five > one {
+		t.Fatalf("Evaluate: %.1f allocs over five chunks, %.1f over one", five, one)
 	}
 }
 

@@ -345,11 +345,20 @@ func Dot(a, b *Tensor) float64 {
 // ArgMaxRows returns, for a 2-D tensor, the column index of the maximum in
 // each row. Ties resolve to the lowest index, making results deterministic.
 func (t *Tensor) ArgMaxRows() []int {
+	return t.ArgMaxRowsInto(nil)
+}
+
+// ArgMaxRowsInto is ArgMaxRows into dst's storage, grown if it holds
+// fewer than a row's worth of indices; it returns the filled slice.
+func (t *Tensor) ArgMaxRowsInto(dst []int) []int {
 	if len(t.shape) != 2 {
 		panic(fmt.Sprintf("tensor: ArgMaxRows on %d-D tensor", len(t.shape)))
 	}
 	rows, cols := t.shape[0], t.shape[1]
-	out := make([]int, rows)
+	if cap(dst) < rows {
+		dst = make([]int, rows)
+	}
+	out := dst[:rows]
 	for r := 0; r < rows; r++ {
 		best, bi := math.Inf(-1), 0
 		row := t.Data[r*cols : (r+1)*cols]

@@ -1,13 +1,17 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"unsafe"
+)
 
 // Vector bodies of a training step: the loops that run between the
 // GEMMs and do one independent operation per element — the ReLU mask,
 // the 2×2 max-pool (optionally of relu(x), for a ReLU fused into the
 // pool it feeds), the pool's masked gradient scatter and the
-// momentum-SGD update — and one reduction, the sum of squares gradient
-// clipping settles on.
+// momentum-SGD update — one reduction, the sum of squares gradient
+// clipping settles on, and the softmax's shifted exp.
 //
 // Each exists as a portable Go body (the *Portable functions below),
 // which defines the result bit for bit and is the only code off amd64
@@ -19,9 +23,11 @@ import "math"
 // has an order, and its portable body fixes it: eight lanes, folded in
 // a stated pattern, which the AVX2 body's two 4-lane accumulators
 // follow step for step. TestVecBodiesMatchPortable and FuzzVecBodies
-// hold every body to its portable one. The vector body is chosen by
-// the CPUID probe that chooses the GEMM kernels and by nothing else at
-// run time.
+// hold every body to its portable one. The exp is the exception to
+// "no FMA": its portable body is math.Exp, which on amd64 fuses where
+// the CPU has FMA, and its AVX2 body runs only there and fuses exactly
+// where math.Exp does. The vector body is chosen by the CPUID probe
+// that chooses the GEMM kernels and by nothing else at run time.
 //
 // The exported wrappers own memory safety: every operand is re-sliced
 // to the destination's length before a pointer is taken, so a short
@@ -30,6 +36,7 @@ import "math"
 // multiple-of-four prefix (of the slice; of every output row, for the
 // pool; a multiple of eight for the reduction) and report its length
 // (zero without the hardware); the portable body finishes the tail.
+// The exp body's unit is the row, and it reports whole rows.
 
 // MaskPositive writes src[i] where gate[i] > 0 and +0 elsewhere — for
 // gate <= 0, for -0 and for NaN, exactly like the comparison. src and
@@ -228,4 +235,58 @@ func addSquares(s float64, x []float64) float64 {
 		s += float64(v * v)
 	}
 	return s
+}
+
+// ExpSub sets dst[i] = math.Exp(src[i] − sub[r]) for every element i
+// of row r, dst being len(sub) rows of equal width (len(dst)/len(sub),
+// which must divide exactly): the exps of a batch of softmax rows, each
+// shifted by its own maximum or log-sum. Its definition is math.Exp bit
+// for bit. src must be at least as long as dst; it may be dst itself.
+//
+// The AVX2 body takes rows of at least four elements on a CPU with FMA,
+// and hands a row with an x = src[i] − sub[r] outside [−708, 709] or
+// NaN — where math.Exp branches — back to math.Exp. A call that
+// covers the whole batch costs one trip through the wrapper: at 43
+// classes a row is 11 vector steps of about 3 ns each, against 21 ns a
+// call.
+func ExpSub(dst, src, sub []float64) {
+	rows := len(sub)
+	w := 0
+	if rows > 0 {
+		w = len(dst) / rows
+	}
+	if w*rows != len(dst) {
+		panic(fmt.Sprintf("tensor: ExpSub of %d elements in %d rows", len(dst), rows))
+	}
+	src = src[:len(dst)]
+	if overlaps(dst, src) {
+		// The vector body reads a row's tail after writing its head.
+		for r := 0; r < rows; r++ {
+			expSubPortable(dst[r*w:][:w], src[r*w:][:w], sub[r])
+		}
+		return
+	}
+	for r := 0; r < rows; {
+		r += expSubVec(dst[r*w:], src[r*w:], sub[r:], w)
+		if r < rows { // a row the vector body refused, or all of them
+			expSubPortable(dst[r*w:][:w], src[r*w:][:w], sub[r])
+			r++
+		}
+	}
+}
+
+func expSubPortable(dst, src []float64, sub float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = math.Exp(v - sub)
+	}
+}
+
+// overlaps reports whether a and b share an element.
+func overlaps(a, b []float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b))*8 && pb < pa+uintptr(len(a))*8
 }

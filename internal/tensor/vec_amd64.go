@@ -8,7 +8,8 @@ package tensor
 // and returns its length. The callers in vec.go have already cut every
 // operand to the length the destination implies, so n never exceeds
 // any of them; the assembly requires n ≥ 4 and n%4 == 0 (n ≥ 8 and
-// n%8 == 0 for the sum of squares).
+// n%8 == 0 for the sum of squares). The exp body works in rows instead
+// and needs FMA as well (see expSubVec).
 
 //go:noescape
 func maskPositiveAVX2(dst, src, gate *float64, n int64)
@@ -21,6 +22,9 @@ func sgdMomentumAVX2(p, v, grad *float64, n int64, lr, momentum, clip, decay flo
 
 //go:noescape
 func sumSquaresAVX2(x *float64, n int64) float64
+
+//go:noescape
+func expSubAVX2(dst, src, sub *float64, rows, w int64) int64
 
 func maskPositiveVec(dst, src, gate []float64) int {
 	n := len(dst) &^ 3
@@ -59,4 +63,18 @@ func sumSquaresVec(x []float64) (float64, int) {
 		return 0, 0
 	}
 	return sumSquaresAVX2(&x[0], int64(n)), n
+}
+
+// expSubVec runs the exp body over the rows of w elements that dst,
+// src and sub describe, and returns how many leading rows it finished;
+// the row after those, if any, needs the portable body. It needs rows
+// of at least four, and FMA: math.Exp takes the branch the body
+// replicates exactly where the CPU has AVX and FMA, and everywhere
+// else it would round differently.
+func expSubVec(dst, src, sub []float64, w int) int {
+	if w < 4 || len(sub) == 0 || !cpu.avx2 || !cpu.fma {
+		return 0
+	}
+	_, _ = dst[len(sub)*w-1], src[len(sub)*w-1]
+	return int(expSubAVX2(&dst[0], &src[0], &sub[0], int64(len(sub)), int64(w)))
 }

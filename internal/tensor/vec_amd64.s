@@ -7,7 +7,9 @@
 // operation sequence of its portable body: separate VMULPD / VADDPD /
 // VSUBPD (no FMA), ordered-quiet compares, so the bits are the portable
 // body's. The sum of squares takes n ≥ 8, a multiple of 8, and adds in
-// its portable body's lane order. All moves between general and vector registers are the VEX
+// its portable body's lane order. The exp at the end of this file is
+// the exception: it takes rows, and fuses exactly where math.Exp, its
+// portable body, does. All moves between general and vector registers are the VEX
 // forms (VMOVQ, never MOVQ — the legacy encoding inside a VEX region
 // costs a state transition per call) and every routine ends in
 // VZEROUPPER.
@@ -212,5 +214,124 @@ pool_rows:
 	DECQ R12
 	JNZ  pool_row
 
+	VZEROUPPER
+	RET
+
+// The avxfma branch of the standard library's exp (math/exp_amd64.s)
+// in four lanes: its constants, each in every lane, and the exponent
+// bias as four int32s. The decimal literals are that file's, so they
+// assemble to the same bits.
+#define LANES4(off, v) DATA expConsts<>+(off)(SB)/8, v; DATA expConsts<>+(off+8)(SB)/8, v; DATA expConsts<>+(off+16)(SB)/8, v; DATA expConsts<>+(off+24)(SB)/8, v
+LANES4(0, $-708.0)                                         // lowest x taken
+LANES4(32, $709.0)                                         // highest x taken
+LANES4(64, $1.4426950408889634073599246810018920)          // LOG2E
+LANES4(96, $0.69314718055966295651160180568695068359375)   // LN2U
+LANES4(128, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+LANES4(160, $0.0625)
+LANES4(192, $2.0)
+LANES4(224, $1.0)
+LANES4(256, $0.5)
+LANES4(288, $1.6666666666666666667e-1)
+LANES4(320, $4.1666666666666666667e-2)
+LANES4(352, $8.3333333333333333333e-3)
+LANES4(384, $1.3888888888888888889e-3)
+LANES4(416, $1.9841269841269841270e-4)
+LANES4(448, $2.4801587301587301587e-5)
+DATA expConsts<>+480(SB)/8, $0x000003FF000003FF
+DATA expConsts<>+488(SB)/8, $0x000003FF000003FF
+GLOBL expConsts<>(SB), RODATA|NOPTR, $496
+
+// func expSubAVX2(dst, src, sub *float64, rows, w int64) int64
+//
+// dst[r·w+j] = exp(src[r·w+j] − sub[r]) over rows ≥ 1 rows of w ≥ 4
+// elements, four a step; a row's last step overlaps the one before it
+// when w is not a multiple of 4, so dst must not overlap src. Per lane
+// it is the avxfma branch of math.Exp instruction for instruction —
+// MULSD, CVTSD2SL and CVTSL2SD, two VFNMADD231SD, MULSD, the Horner
+// chain of VFMADD213SD, four add/multiply steps, a last VFMADD213SD and
+// the multiply by 2^k — each as its packed form, which rounds the same.
+// Inside [−708, 709] math.Exp takes none of its branches (no overflow,
+// no subnormal result), and neither does this. Every x is checked
+// against that range (ordered compares, so NaN fails too); the routine
+// returns how many leading rows passed. It stops after the first row
+// that did not, which it has left written with garbage for the caller
+// to redo.
+TEXT ·expSubAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ sub+16(FP), DX
+	MOVQ rows+24(FP), R8
+	MOVQ w+32(FP), R9
+	SHLQ $3, R9                        // row stride in bytes
+	LEAQ -32(R9), R10                  // byte offset of a row's last step
+	XORQ R11, R11                      // rows done
+	VMOVUPD expConsts<>+0(SB), Y4
+	VMOVUPD expConsts<>+32(SB), Y5
+	VMOVUPD expConsts<>+64(SB), Y6
+	VMOVUPD expConsts<>+96(SB), Y7
+	VMOVUPD expConsts<>+128(SB), Y8
+	VMOVUPD expConsts<>+160(SB), Y9
+	VMOVUPD expConsts<>+192(SB), Y10
+	VMOVUPD expConsts<>+224(SB), Y11
+	VMOVUPD expConsts<>+256(SB), Y14
+	VMOVUPD expConsts<>+288(SB), Y15
+
+exp_row:
+	VBROADCASTSD (DX)(R11*8), Y12      // the row's shift
+	VPCMPEQQ Y13, Y13, Y13             // every lane in range so far
+	XORQ AX, AX
+
+exp_step:
+	CMPQ AX, R10
+	CMOVQGT R10, AX
+	VMOVUPD (SI)(AX*1), Y0
+	VSUBPD Y12, Y0, Y0                 // x = src − sub
+	VCMPPD $0x1D, Y4, Y0, Y3           // x ≥ −708 (GE_OQ)
+	VANDPD Y3, Y13, Y13
+	VCMPPD $0x12, Y5, Y0, Y3           // x ≤ 709 (LE_OQ)
+	VANDPD Y3, Y13, Y13
+	VMULPD Y6, Y0, Y1                  // x·LOG2E
+	VCVTPD2DQY Y1, X2                  // k, to nearest
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD Y7, Y1, Y0            // x − k·LN2U
+	VFNMADD231PD Y8, Y1, Y0            // − k·LN2L
+	VMULPD Y9, Y0, Y0                  // r
+	VMOVUPD expConsts<>+448(SB), Y1
+	VFMADD213PD expConsts<>+416(SB), Y0, Y1
+	VFMADD213PD expConsts<>+384(SB), Y0, Y1
+	VFMADD213PD expConsts<>+352(SB), Y0, Y1
+	VFMADD213PD expConsts<>+320(SB), Y0, Y1
+	VFMADD213PD Y15, Y0, Y1
+	VFMADD213PD Y14, Y0, Y1
+	VFMADD213PD Y11, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y10, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y10, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y10, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y10, Y0, Y1
+	VFMADD213PD Y11, Y1, Y0
+	VPADDD expConsts<>+480(SB), X2, X2 // k + 1023
+	VPMOVZXDQ X2, Y2
+	VPSLLQ $52, Y2, Y2                 // 2^k
+	VMULPD Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	CMPQ AX, R10
+	LEAQ 32(AX), AX
+	JNE  exp_step
+
+	VMOVMSKPD Y13, BX
+	CMPQ BX, $15
+	JNE  exp_done
+	ADDQ R9, SI
+	ADDQ R9, DI
+	INCQ R11
+	CMPQ R11, R8
+	JLT  exp_row
+
+exp_done:
+	MOVQ R11, ret+40(FP)
 	VZEROUPPER
 	RET

@@ -15,3 +15,5 @@ func maxPool2PlaneVec(out []float64, arg []int, in []float64, base, outH, outW, 
 func sgdMomentumVec(p, v, grad []float64, lr, momentum, clip, decay float64) int { return 0 }
 
 func sumSquaresVec(x []float64) (float64, int) { return 0, 0 }
+
+func expSubVec(dst, src, sub []float64, w int) int { return 0 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -112,6 +113,7 @@ func drawSquareOperand(rng *rand.Rand, n int) []float64 {
 type vecOperands struct {
 	a, b, c     []float64 // elementwise operands (a doubles as the destination's prior contents)
 	sq          []float64 // sum-of-squares operand, n long
+	ex, subs    []float64 // exp operand, len(subs) rows of n, and each row's shift
 	plane       []float64 // pool input, h×w
 	base, h, w  int
 	lr, mom     float64
@@ -141,7 +143,50 @@ func drawVecOperands(rng *rand.Rand, n int) vecOperands {
 		}
 	}
 	o.sq = drawSquareOperand(rng, n)
+	o.ex, o.subs = drawExpOperand(rng, n)
 	return o
+}
+
+// drawExpOperand draws one to three rows of n exp inputs and a shift a
+// row. Any one refused input sends its whole row to math.Exp, so most
+// rows hold ordinary values only — logits over four decades, around
+// an ordinary shift — and the vector body runs on them; one row in
+// three gets an edge value planted, and one shift in sixteen is itself
+// hostile. The edges are math.Exp's branch points and both sides of
+// them (±0, ±Inf, NaNs of both signs, −708/−708.5, 709/709.5, −750,
+// 710, arguments far past either end) and inputs whose result is
+// subnormal; a row that holds one has a zero shift, so the planted
+// value is exactly the exp's argument.
+func drawExpOperand(rng *rand.Rand, n int) (ex, subs []float64) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	edge := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), negNaN,
+		-708, -708.5, 709, 709.5, -750, 710, 720, 1e300, -1e300, -709.5, -720, -744.4}
+	subs = make([]float64, 1+rng.Intn(3))
+	ex = make([]float64, len(subs)*n)
+	for r := range subs {
+		row := ex[r*n:][:n]
+		subs[r] = rng.NormFloat64() * 10
+		if rng.Intn(16) == 0 {
+			subs[r] = edge[rng.Intn(6)]
+		}
+		for i := range row {
+			row[i] = subs[r] + rng.NormFloat64()*math.Pow(10, float64(rng.Intn(4)-1))
+		}
+		if n > 0 && rng.Intn(3) == 0 {
+			subs[r] = 0
+			row[rng.Intn(n)] = edge[rng.Intn(len(edge))]
+		}
+	}
+	return ex, subs
+}
+
+// expWant is ExpSub's definition, computed with math.Exp directly.
+func expWant(ex, subs []float64) []float64 {
+	want, w := make([]float64, len(ex)), len(ex)/len(subs)
+	for i, v := range ex {
+		want[i] = math.Exp(v - subs[i/w])
+	}
+	return want
 }
 
 // checkVecBodies runs every active body on o with every
@@ -179,6 +224,16 @@ func checkVecBodies(t *testing.T, o vecOperands, off int) {
 	requireSameFloats(t, what("SGDMomentum v"), gotV, wantV)
 	requireGuards(t, what("SGDMomentum p"), backing, n, off)
 	requireGuards(t, what("SGDMomentum v"), backingV, n, off)
+
+	wantExp := expWant(o.ex, o.subs)
+	got, backing = guarded(len(o.ex), off)
+	ExpSub(got, shift(o.ex), o.subs)
+	requireSameFloats(t, what("ExpSub"), got, wantExp)
+	requireGuards(t, what("ExpSub"), backing, len(o.ex), off)
+	copy(got, o.ex)
+	ExpSub(got, got, o.subs)
+	requireSameFloats(t, what("ExpSub in place"), got, wantExp)
+	requireGuards(t, what("ExpSub in place"), backing, len(o.ex), off)
 
 	requireSameFloats(t, what("SumSquares"), []float64{SumSquares(shift(o.sq))}, []float64{sumSquaresPortable(o.sq)})
 	requireSameFloats(t, what("SumSquares hostile"), []float64{SumSquares(b)}, []float64{sumSquaresPortable(o.b)})
@@ -288,6 +343,9 @@ func TestVecBodiesRefuseShortOperands(t *testing.T) {
 			{"MaxPool2Plane relu short arg", func(d []float64) { MaxPool2Plane(d, make([]int, n-1), make([]float64, 4*n), 0, 2, 2*n, true) }},
 			{"ScatterAddPositive short src", func(d []float64) { ScatterAddPositive(d, ramp(), short(), full()) }},
 			{"ScatterAddPositive short gate", func(d []float64) { ScatterAddPositive(d, ramp(), full(), short()) }},
+			{"ExpSub short src", func(d []float64) { ExpSub(d, short(), []float64{0}) }},
+			{"ExpSub ragged rows", func(d []float64) { ExpSub(d, full(), make([]float64, n+1)) }},
+			{"ExpSub no rows", func(d []float64) { ExpSub(d, full(), nil) }},
 		} {
 			dst, backing := guarded(n, 1)
 			copy(dst, o.a)
@@ -321,7 +379,7 @@ func FuzzVecBodies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nn, off uint8, raw []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		o := drawVecOperands(rng, int(nn)%160)
-		for _, s := range [][]float64{o.a, o.b, o.c, o.plane, o.sq} {
+		for _, s := range [][]float64{o.a, o.b, o.c, o.plane, o.sq, o.ex} {
 			for i := range s {
 				if len(raw) < 8 {
 					break
@@ -331,5 +389,81 @@ func FuzzVecBodies(f *testing.F) {
 			}
 		}
 		checkVecBodies(t, o, int(off)%4)
+	})
+}
+
+// TestExpSubVectorRows pins the exp body's row protocol where it runs:
+// it finishes every row of an in-range batch, stops at the first row
+// holding a refused input, and leaves rows narrower than four to the
+// portable body.
+func TestExpSubVectorRows(t *testing.T) {
+	if !cpu.avx2 || !cpu.fma {
+		t.Skipf("no exp body on this host (avx2=%v fma=%v)", cpu.avx2, cpu.fma)
+	}
+	src := []float64{-1, 2, 0.5, -3, 4, 1, 1, 1, 1, 1, -2, -2, -2, -2, -2}
+	dst := make([]float64, len(src))
+	subs := []float64{0.5, 1, -1}
+	if got := expSubVec(dst, src, subs, 5); got != 3 {
+		t.Fatalf("in-range batch: %d rows done, want 3", got)
+	}
+	src[7] = 800
+	if got := expSubVec(dst, src, subs, 5); got != 1 {
+		t.Fatalf("refused input in row 1: %d rows done, want 1", got)
+	}
+	if got := expSubVec(dst[:9], src[:9], subs, 3); got != 0 {
+		t.Fatalf("rows of 3: %d rows done, want 0", got)
+	}
+}
+
+// TestExpSubMatchesMathExpSweep holds ExpSub to math.Exp on 10⁷ random
+// inputs, |x| log-uniform over [1e-3, 700] with either sign — every one
+// inside the range the vector body takes.
+func TestExpSubMatchesMathExpSweep(t *testing.T) {
+	const total, rows, w = 10_000_000, 64, 64
+	rng := rand.New(rand.NewSource(47))
+	src, dst, subs := make([]float64, rows*w), make([]float64, rows*w), make([]float64, rows)
+	for done := 0; done < total; done += len(src) {
+		for i := range src {
+			src[i] = math.Pow(10, -3+rng.Float64()*math.Log10(700/1e-3))
+			if rng.Intn(2) == 0 {
+				src[i] = -src[i]
+			}
+		}
+		ExpSub(dst, src, subs)
+		for i, x := range src {
+			if want := math.Exp(x); math.Float64bits(dst[i]) != math.Float64bits(want) {
+				t.Fatalf("ExpSub gives exp(%v) = %016x, math.Exp %016x (avx2=%v fma=%v). "+
+					"The AVX2 body replicates the avxfma branch of math.Exp's amd64 code "+
+					"(math/exp_amd64.s) instruction for instruction: if %s changed that code, "+
+					"the body in vec_amd64.s must change with it.",
+					x, math.Float64bits(dst[i]), math.Float64bits(want), cpu.avx2, cpu.fma, runtime.Version())
+			}
+		}
+	}
+}
+
+// BenchmarkExpSub times the loss's pass over a batch of 8 rows of 43
+// classes: ExpSub as one call, and the math.Exp loop it replaced.
+func BenchmarkExpSub(b *testing.B) {
+	const rows, w = 8, 43
+	rng := rand.New(rand.NewSource(1))
+	src, dst, subs := make([]float64, rows*w), make([]float64, rows*w), make([]float64, rows)
+	for i := range src {
+		src[i] = rng.NormFloat64() * 3
+	}
+	for i := range subs {
+		subs[i] = 6
+	}
+	b.Run("ExpSub", func(b *testing.B) {
+		for b.Loop() {
+			ExpSub(dst, src, subs)
+		}
+	})
+	b.Run("math.Exp", func(b *testing.B) {
+		for b.Loop() {
+			for i, v := range src {
+				dst[i] = math.Exp(v - subs[i/w])
+			}
+		}
 	})
 }

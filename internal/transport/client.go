@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 
 	"gsfl/internal/data"
 	"gsfl/internal/model"
+	"gsfl/internal/nn"
 	"gsfl/internal/optim"
 	"gsfl/internal/quantize"
 	"gsfl/internal/schemes"
@@ -50,7 +52,7 @@ type Client struct {
 	cfg    ClientConfig
 	conn   net.Conn
 	fc     *frameConn
-	half   *model.SplitModel
+	half   *nn.Sequential // the client-side layers
 	opt    *optim.SGD
 	loader *data.Loader
 
@@ -107,8 +109,7 @@ func NewClientConn(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		cfg:  cfg,
 		conn: conn,
 		fc:   newFrameConn(conn, DefaultMaxFrameBytes),
-		// Structure only; parameters are overwritten by each train frame.
-		half: cfg.Arch.NewSplit(rand.New(rand.NewSource(cfg.Seed)), cfg.Cut),
+		half: clientHalf(cfg.Arch, cfg.Cut, rand.New(rand.NewSource(cfg.Seed))),
 		opt:  hyper.NewOptimizer(),
 		loader: data.NewLoader(cfg.Train, cfg.Batch, cfg.Arch.InShape,
 			rand.New(rand.NewSource(schemes.DeriveSeed(cfg.Seed, "loader", cfg.ID)))),
@@ -117,6 +118,17 @@ func NewClientConn(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("transport: hello: %w", err)
 	}
 	return c, nil
+}
+
+// clientHalf builds the layers arch puts before cut — structure only:
+// every train frame overwrites their parameters. Arch.Build makes the
+// whole stack; only the client half is kept (the clone lets the server
+// half's layers be collected), shape-checked as NewSplit checks the
+// stack.
+func clientHalf(arch model.Arch, cut int, rng *rand.Rand) *nn.Sequential {
+	half := nn.NewSequential(slices.Clone(arch.Build(rng)[:cut])...)
+	half.OutShape(arch.InShape)
+	return half
 }
 
 // Run processes training turns until the AP sends shutdown or the
@@ -153,14 +165,14 @@ func (c *Client) trainTurn(steps int, st *TurnState) error {
 	if err := c.checkState(st); err != nil {
 		return err
 	}
-	st.Model.Restore(c.half.Client)
+	st.Model.Restore(c.half)
 	if err := c.opt.Restore(st.Opt); err != nil {
 		return fmt.Errorf("restoring optimizer state: %w", err)
 	}
 
 	for s := 0; s < steps; s++ {
 		c.loader.NextInto(&c.batch)
-		smashed := c.half.Client.Forward(c.batch.X, true)
+		smashed := c.half.Forward(c.batch.X, true)
 		var err error
 		if c.cfg.Quantize {
 			quantize.QuantizeInto(&c.qActs, smashed)
@@ -189,11 +201,11 @@ func (c *Client) trainTurn(steps int, st *TurnState) error {
 		if !g.SameShape(smashed) {
 			return fmt.Errorf("gradient shape %v, want %v", g.Shape(), smashed.Shape())
 		}
-		c.half.Client.BackwardParams(g)
-		c.opt.Step(c.half.Client.Params(), c.half.Client.Grads(), c.half.Client.DecayMask())
+		c.half.BackwardParams(g)
+		c.opt.Step(c.half.Params(), c.half.Grads(), c.half.DecayMask())
 	}
 
-	c.out.Model.CaptureFrom(c.half.Client)
+	c.out.Model.CaptureFrom(c.half)
 	c.opt.StateInto(&c.out.Opt)
 	return c.fc.writeReturn(&c.out)
 }
@@ -201,7 +213,7 @@ func (c *Client) trainTurn(steps int, st *TurnState) error {
 // checkState validates a relayed model against the local structure
 // before Restore (which panics on mismatch) can see it.
 func (c *Client) checkState(st *TurnState) error {
-	params := c.half.Client.Params()
+	params := c.half.Params()
 	if len(st.Model.Tensors) != len(params) {
 		return fmt.Errorf("relayed model has %d tensors, want %d", len(st.Model.Tensors), len(params))
 	}

@@ -83,8 +83,9 @@ func WithObserver(obs Observer) RunOption {
 }
 
 // WithWorkers sets the shared worker pool size for the run
-// (0 = GOMAXPROCS, 1 = serial). Results are bit-identical for any
-// worker count; omitting the option leaves the pool untouched.
+// (0 = GOMAXPROCS, 1 = serial); Run restores the size it found when it
+// returns. Results are bit-identical for any worker count; omitting the
+// option leaves the pool untouched.
 func WithWorkers(n int) RunOption {
 	return func(r *Runner) { r.workers = &n }
 }
@@ -238,7 +239,9 @@ func (r *Runner) Run(ctx context.Context) (*Curve, error) {
 		return nil, r.err
 	}
 	if r.workers != nil {
+		prev := parallel.Workers()
 		parallel.SetWorkers(*r.workers)
+		defer parallel.SetWorkers(prev)
 	}
 	if r.tracer.On() {
 		if st, ok := r.trainer.(*SchemeTrainer); ok {

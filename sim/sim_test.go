@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"gsfl/env"
 	"gsfl/internal/bincodec"
 	"gsfl/internal/model"
+	"gsfl/internal/parallel"
 	"gsfl/internal/schemes"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/wireless"
@@ -648,5 +650,33 @@ func TestResumeExtendsFinishedRunOnCadence(t *testing.T) {
 		if got.Points[i] != want.Points[i] {
 			t.Fatalf("point %d diverged: %+v vs %+v", i, got.Points[i], want.Points[i])
 		}
+	}
+}
+
+// TestWithWorkersRestoresWidth: a run's worker option lasts as long as
+// the run. The width the process had before Run is the width it has
+// after, so one run's option does not change the next run's.
+func TestWithWorkersRestoresWidth(t *testing.T) {
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	parallel.SetWorkers(2)
+	spec := env.TestSpec()
+	world, err := env.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := spec.SchemeOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.New("gsfl", world, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.NewRunner(tr, sim.WithRounds(1), sim.WithWorkers(1)).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := parallel.Workers(); got != 2 {
+		t.Fatalf("width %d after a WithWorkers(1) run, want the 2 it started with", got)
 	}
 }
