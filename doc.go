@@ -31,11 +31,11 @@
 // distributes a sweep across processes and machines: a coordinator
 // owns the Store and leases jobs to pull-based workers over the
 // transport wire, with lease expiry, zombie fencing, and
-// checkpoint-sidecar handoff keeping the compacted store byte-identical
+// checkpoint handoff keeping the compacted store byte-identical
 // for any worker count or kill schedule. The shared CLI flag vocabulary
 // lives in gsfl/cliutil, built on the public API alone; env, sim,
 // sweep, pop, and fleet are the only packages allowed to import
-// gsfl/internal (enforced by a CI grep and env/boundary_test.go).
+// gsfl/internal (enforced by env/boundary_test.go).
 //
 // The implementation lives under internal/: a tensor and neural-network
 // training framework (internal/tensor, internal/nn, internal/loss,

@@ -16,8 +16,7 @@ import (
 // import gsfl/internal/... . Commands, examples, and cliutil must build
 // entirely on the public API (their non-test sources and their tests
 // alike, except the shims' own tests, which may reach behind the
-// curtain to set up fixtures). The CI workflow runs the same check as a
-// grep so a violation fails fast even when tests are skipped.
+// curtain to set up fixtures).
 func TestNoInternalImportsOutsideShims(t *testing.T) {
 	root := ".." // this test lives in <repo>/env
 	sanctioned := map[string]bool{"env": true, "sim": true, "sweep": true, "pop": true, "fleet": true}

@@ -13,25 +13,17 @@ import (
 	"gsfl/internal/tensor"
 )
 
-// FedAvg returns the weighted average of structurally identical
-// snapshots. weights are typically per-group sample counts; they are
-// normalized internally, so any positive scale works. Passing nil weights
-// averages uniformly.
-func FedAvg(snaps []model.Snapshot, weights []float64) model.Snapshot {
-	var out model.Snapshot
-	FedAvgInto(&out, snaps, weights)
-	return out
-}
-
 // FedAvgInto computes the weighted average of structurally identical
 // snapshots into dst, reusing dst's tensors (they are allocated on first
 // use, when dst is the zero Snapshot). dst must not alias any of the
-// input snapshots. Accumulation visits snapshots in slice order, exactly
-// like FedAvg, so reusing dst round after round is bit-identical to
-// allocating fresh.
+// input snapshots. weights are typically per-group sample counts; they
+// are normalized internally, so any positive scale works. Passing nil
+// weights averages uniformly. Accumulation visits snapshots in slice
+// order, so reusing dst round after round is bit-identical to a fresh
+// destination.
 func FedAvgInto(dst *model.Snapshot, snaps []model.Snapshot, weights []float64) {
 	if len(snaps) == 0 {
-		panic("agg: FedAvg of zero snapshots")
+		panic("agg: FedAvgInto of zero snapshots")
 	}
 	if weights == nil {
 		weights = make([]float64, len(snaps))

@@ -15,7 +15,7 @@ func snapOf(vals ...float64) model.Snapshot {
 }
 
 func TestFedAvgUniform(t *testing.T) {
-	got := FedAvg([]model.Snapshot{snapOf(1, 2), snapOf(3, 4)}, nil)
+	got := fedAvg([]model.Snapshot{snapOf(1, 2), snapOf(3, 4)}, nil)
 	want := snapOf(2, 3)
 	if got.L2Distance(want) > 1e-12 {
 		t.Fatalf("uniform FedAvg = %v", got.Tensors[0])
@@ -23,7 +23,7 @@ func TestFedAvgUniform(t *testing.T) {
 }
 
 func TestFedAvgWeighted(t *testing.T) {
-	got := FedAvg([]model.Snapshot{snapOf(0), snapOf(10)}, []float64{1, 3})
+	got := fedAvg([]model.Snapshot{snapOf(0), snapOf(10)}, []float64{1, 3})
 	if math.Abs(got.Tensors[0].Data[0]-7.5) > 1e-12 {
 		t.Fatalf("weighted FedAvg = %v, want 7.5", got.Tensors[0].Data[0])
 	}
@@ -31,14 +31,14 @@ func TestFedAvgWeighted(t *testing.T) {
 
 func TestFedAvgSingleIsIdentity(t *testing.T) {
 	s := snapOf(1.5, -2.5, 3)
-	got := FedAvg([]model.Snapshot{s}, []float64{7})
+	got := fedAvg([]model.Snapshot{s}, []float64{7})
 	if got.L2Distance(s) > 1e-12 {
 		t.Fatal("FedAvg of one snapshot must be that snapshot")
 	}
 }
 
 func TestFedAvgZeroWeightIgnored(t *testing.T) {
-	got := FedAvg([]model.Snapshot{snapOf(5), snapOf(1000)}, []float64{1, 0})
+	got := fedAvg([]model.Snapshot{snapOf(5), snapOf(1000)}, []float64{1, 0})
 	if math.Abs(got.Tensors[0].Data[0]-5) > 1e-12 {
 		t.Fatalf("zero-weight snapshot leaked into average: %v", got.Tensors[0].Data[0])
 	}
@@ -46,8 +46,8 @@ func TestFedAvgZeroWeightIgnored(t *testing.T) {
 
 func TestFedAvgScaleInvariantWeights(t *testing.T) {
 	snaps := []model.Snapshot{snapOf(1, 2), snapOf(5, 6), snapOf(-1, 0)}
-	a := FedAvg(snaps, []float64{1, 2, 3})
-	b := FedAvg(snaps, []float64{10, 20, 30})
+	a := fedAvg(snaps, []float64{1, 2, 3})
+	b := fedAvg(snaps, []float64{10, 20, 30})
 	if a.L2Distance(b) > 1e-12 {
 		t.Fatal("FedAvg must be invariant to weight scaling")
 	}
@@ -58,11 +58,11 @@ func TestFedAvgPanics(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"empty", func() { FedAvg(nil, nil) }},
-		{"weight count", func() { FedAvg([]model.Snapshot{snapOf(1)}, []float64{1, 2}) }},
-		{"negative weight", func() { FedAvg([]model.Snapshot{snapOf(1)}, []float64{-1}) }},
-		{"all zero weights", func() { FedAvg([]model.Snapshot{snapOf(1)}, []float64{0}) }},
-		{"structure mismatch", func() { FedAvg([]model.Snapshot{snapOf(1), snapOf(1, 2)}, nil) }},
+		{"empty", func() { fedAvg(nil, nil) }},
+		{"weight count", func() { fedAvg([]model.Snapshot{snapOf(1)}, []float64{1, 2}) }},
+		{"negative weight", func() { fedAvg([]model.Snapshot{snapOf(1)}, []float64{-1}) }},
+		{"all zero weights", func() { fedAvg([]model.Snapshot{snapOf(1)}, []float64{0}) }},
+		{"structure mismatch", func() { fedAvg([]model.Snapshot{snapOf(1), snapOf(1, 2)}, nil) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,7 +93,7 @@ func TestPropFedAvgConvexity(t *testing.T) {
 			snaps[i] = snapOf(vals...)
 			weights[i] = rng.Float64() + 0.01
 		}
-		avg := FedAvg(snaps, weights)
+		avg := fedAvg(snaps, weights)
 		for j := 0; j < dim; j++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for i := range snaps {
@@ -128,7 +128,7 @@ func TestPropFedAvgIdempotent(t *testing.T) {
 		for i := range snaps {
 			snaps[i] = s.Clone()
 		}
-		return FedAvg(snaps, nil).L2Distance(s) < 1e-9
+		return fedAvg(snaps, nil).L2Distance(s) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

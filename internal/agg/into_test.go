@@ -9,6 +9,13 @@ import (
 	"gsfl/internal/testutil"
 )
 
+// fedAvg is FedAvgInto into a fresh destination.
+func fedAvg(snaps []model.Snapshot, weights []float64) model.Snapshot {
+	var out model.Snapshot
+	FedAvgInto(&out, snaps, weights)
+	return out
+}
+
 func randSnaps(rng *rand.Rand, k int) []model.Snapshot {
 	out := make([]model.Snapshot, k)
 	for i := range out {
@@ -21,18 +28,18 @@ func randSnaps(rng *rand.Rand, k int) []model.Snapshot {
 }
 
 // TestFedAvgIntoMatchesFedAvg pins the reusable-destination aggregation
-// to the allocating one bit for bit, including when the destination is
-// reused across calls with different weights.
+// to one into a fresh destination bit for bit, including when the
+// destination is reused across calls with different weights.
 func TestFedAvgIntoMatchesFedAvg(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	snaps := randSnaps(rng, 3)
 	var dst model.Snapshot
 	for trial := 0; trial < 4; trial++ {
 		weights := []float64{rng.Float64() + 0.1, rng.Float64() + 0.1, rng.Float64() + 0.1}
-		want := FedAvg(snaps, weights)
+		want := fedAvg(snaps, weights)
 		FedAvgInto(&dst, snaps, weights)
 		if d := want.L2Distance(dst); d != 0 {
-			t.Fatalf("trial %d: FedAvgInto differs from FedAvg by %v", trial, d)
+			t.Fatalf("trial %d: FedAvgInto into a reused destination differs from a fresh one by %v", trial, d)
 		}
 	}
 }

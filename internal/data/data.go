@@ -218,22 +218,14 @@ func (l *Loader) Restore(st LoaderState) error {
 	return nil
 }
 
-// Next returns the next mini-batch as freshly allocated buffers,
-// starting a new shuffled epoch when the current one is exhausted.
-// Training hot loops use NextInto instead.
-func (l *Loader) Next() Batch {
-	var b Batch
-	l.NextInto(&b)
-	return b
-}
-
-// NextInto fills b with the next mini-batch, reusing b's feature tensor
+// NextInto fills b with the next mini-batch, starting a new shuffled
+// epoch when the current one is exhausted and reusing b's feature tensor
 // and label slice (they are allocated on first use and grown as needed).
 // The batch contents are valid until the next NextInto call with the
 // same b; training loops that fully consume each batch before drawing
 // the next — every scheme in this repository — therefore draw batches
-// allocation-free after warmup. The sample draw order is identical to
-// Next, so training numerics do not depend on which variant is used.
+// allocation-free after warmup. The sample draw order depends only on
+// the loader, never on b.
 func (l *Loader) NextInto(b *Batch) {
 	if l.pos >= len(l.order) {
 		l.reshuffle()

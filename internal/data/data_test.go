@@ -73,7 +73,7 @@ func TestLoaderCoversEpochExactlyOnce(t *testing.T) {
 	seen := map[float64]int{}
 	total := 0
 	for i := 0; i < 4; i++ { // 3+3+3+1
-		b := l.Next()
+		b := next(l)
 		total += len(b.Y)
 		for r := 0; r < len(b.Y); r++ {
 			seen[b.X.At(r, 0)]++
@@ -92,8 +92,8 @@ func TestLoaderCoversEpochExactlyOnce(t *testing.T) {
 func TestLoaderReshufflesBetweenEpochs(t *testing.T) {
 	ds := tinyDataset(64, 2)
 	l := NewLoader(ds, 64, []int{2}, rand.New(rand.NewSource(2)))
-	e1 := l.Next()
-	e2 := l.Next()
+	e1 := next(l)
+	e2 := next(l)
 	same := true
 	for i := range e1.Y {
 		if e1.X.At(i, 0) != e2.X.At(i, 0) {
@@ -108,7 +108,7 @@ func TestLoaderReshufflesBetweenEpochs(t *testing.T) {
 
 func TestLoaderDeterministicAcrossSeeds(t *testing.T) {
 	mk := func() Batch {
-		return NewLoader(tinyDataset(20, 2), 5, []int{2}, rand.New(rand.NewSource(7))).Next()
+		return next(NewLoader(tinyDataset(20, 2), 5, []int{2}, rand.New(rand.NewSource(7))))
 	}
 	a, b := mk(), mk()
 	if !tensor.AllClose(a.X, b.X, 0) {
@@ -119,7 +119,7 @@ func TestLoaderDeterministicAcrossSeeds(t *testing.T) {
 func TestLoaderBatchShape(t *testing.T) {
 	ds := tinyDataset(8, 2)
 	l := NewLoader(ds, 4, []int{2}, rand.New(rand.NewSource(3)))
-	b := l.Next()
+	b := next(l)
 	if b.X.Dim(0) != 4 || b.X.Dim(1) != 2 {
 		t.Fatalf("batch shape = %v", b.X.Shape())
 	}
@@ -176,7 +176,7 @@ func TestLoaderStateRestoreContinuesBitIdentically(t *testing.T) {
 	// batch 4 = 3 batches per epoch), then capture.
 	ref := mk()
 	for i := 0; i < 5; i++ {
-		ref.Next()
+		next(ref)
 	}
 	st := ref.State()
 
@@ -187,7 +187,7 @@ func TestLoaderStateRestoreContinuesBitIdentically(t *testing.T) {
 	// Both loaders must now produce identical batches, including across
 	// the next reshuffle.
 	for i := 0; i < 7; i++ {
-		a, b := ref.Next(), restored.Next()
+		a, b := next(ref), next(restored)
 		if len(a.Y) != len(b.Y) {
 			t.Fatalf("batch %d: sizes %d vs %d", i, len(a.Y), len(b.Y))
 		}
@@ -203,7 +203,7 @@ func TestLoaderRestoreValidation(t *testing.T) {
 	ds := tinyDataset(10, 3)
 	l := NewLoader(ds, 4, []int{2}, rand.New(rand.NewSource(9)))
 	for i := 0; i < 4; i++ {
-		l.Next() // epoch 2
+		next(l) // epoch 2
 	}
 	fresh := NewLoader(ds, 4, []int{2}, rand.New(rand.NewSource(9)))
 	if err := fresh.Restore(LoaderState{Epoch: 0, Pos: 0}); err == nil {

@@ -1,7 +1,7 @@
-// Package loss implements the loss functions used by the GSFL training
-// schemes. Each loss returns both the scalar loss value and the gradient
-// with respect to the logits, which the server-side model's backward pass
-// consumes directly.
+// Package loss implements the softmax cross-entropy loss the GSFL
+// training schemes use. EvalInto returns the scalar loss and writes the
+// gradient with respect to the logits, which the server-side model's
+// backward pass consumes directly; Loss returns the loss alone.
 package loss
 
 import (
@@ -11,38 +11,15 @@ import (
 	"gsfl/internal/tensor"
 )
 
-// Loss maps a batch of predictions and integer labels to a scalar loss
-// and the gradient of the mean loss with respect to the predictions.
-type Loss interface {
-	// Name identifies the loss in traces.
-	Name() string
-	// Eval returns (mean loss over the batch, dL/dlogits).
-	Eval(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor)
-	// EvalInto is the destination-passing form of Eval: the gradient is
-	// written into grad (shaped to (batch, classes), reusing its
-	// storage), and the mean loss is returned. Training loops pass a
-	// per-replica workspace tensor so steady-state steps allocate
-	// nothing; every element of grad is overwritten, so results are
-	// bit-identical to Eval.
-	EvalInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) float64
-}
-
 // SoftmaxCrossEntropy is the fused softmax + cross-entropy loss for
 // multi-class classification. Fusing keeps the gradient numerically exact:
 // dL/dlogit = (softmax - onehot)/batch.
 type SoftmaxCrossEntropy struct{}
 
-// Name implements Loss.
-func (SoftmaxCrossEntropy) Name() string { return "softmax-xent" }
-
-// Eval implements Loss. logits must be (batch, classes); labels holds one
-// class index per row.
-func (l SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	grad := &tensor.Tensor{}
-	return l.EvalInto(logits, labels, grad), grad
-}
-
-// EvalInto implements Loss. It takes each row's log-sum-exp in one
+// EvalInto writes dL/dlogits into grad (shaped to (batch, classes),
+// reusing its storage, every element overwritten) and returns the mean
+// loss over the batch. logits must be (batch, classes); labels holds
+// one class index per row. It takes each row's log-sum-exp in one
 // pass — the row maximum m, the exps of v − m written into the
 // gradient row as scratch, their sum in index order, logSum =
 // log(sum) + m — then writes exp(v − logSum)·inv into the gradient
@@ -128,55 +105,6 @@ func checkLabels(labels []int, c int) {
 			panic(fmt.Sprintf("loss: label %d outside [0,%d)", y, c))
 		}
 	}
-}
-
-// MSE is mean squared error against one-hot targets; provided as a
-// secondary loss for regression-style experiments and ablations.
-type MSE struct{}
-
-// Name implements Loss.
-func (MSE) Name() string { return "mse" }
-
-// Eval implements Loss, treating labels as one-hot targets.
-func (l MSE) Eval(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	grad := &tensor.Tensor{}
-	return l.EvalInto(logits, labels, grad), grad
-}
-
-// EvalInto implements Loss.
-func (MSE) EvalInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) float64 {
-	checkBatch(logits, labels)
-	n, c := logits.Dim(0), logits.Dim(1)
-	grad.Ensure(n, c)
-	total := 0.0
-	inv := 1 / float64(n*c)
-	for i := 0; i < n; i++ {
-		row := logits.Row(i)
-		g := grad.Row(i)
-		for j, v := range row {
-			target := 0.0
-			if j == labels[i] {
-				target = 1
-			}
-			d := v - target
-			total += float64(d * d)
-			g[j] = 2 * d * inv
-		}
-	}
-	return total * inv
-}
-
-// Accuracy returns the fraction of rows whose argmax matches the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	checkBatch(logits, labels)
-	pred := logits.ArgMaxRows()
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
 }
 
 func checkBatch(logits *tensor.Tensor, labels []int) {

@@ -9,10 +9,16 @@ import (
 	"gsfl/internal/tensor"
 )
 
+// xent evaluates the loss into a fresh gradient tensor.
+func xent(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	grad := &tensor.Tensor{}
+	return SoftmaxCrossEntropy{}.EvalInto(logits, labels, grad), grad
+}
+
 func TestSoftmaxXentUniformLogits(t *testing.T) {
 	// All-zero logits => uniform softmax => loss = ln(C).
 	logits := tensor.New(4, 10)
-	l, grad := SoftmaxCrossEntropy{}.Eval(logits, []int{0, 1, 2, 3})
+	l, grad := xent(logits, []int{0, 1, 2, 3})
 	if math.Abs(l-math.Log(10)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln(10) = %v", l, math.Log(10))
 	}
@@ -31,7 +37,7 @@ func TestSoftmaxXentUniformLogits(t *testing.T) {
 func TestSoftmaxXentPerfectPrediction(t *testing.T) {
 	logits := tensor.New(1, 3)
 	logits.Set(100, 0, 2) // overwhelming confidence in the true class
-	l, _ := SoftmaxCrossEntropy{}.Eval(logits, []int{2})
+	l, _ := xent(logits, []int{2})
 	if l > 1e-9 {
 		t.Fatalf("confident correct prediction loss = %v, want ≈0", l)
 	}
@@ -39,7 +45,7 @@ func TestSoftmaxXentPerfectPrediction(t *testing.T) {
 
 func TestSoftmaxXentNumericalStability(t *testing.T) {
 	logits := tensor.FromSlice([]float64{1e4, -1e4, 0}, 1, 3)
-	l, grad := SoftmaxCrossEntropy{}.Eval(logits, []int{0})
+	l, grad := xent(logits, []int{0})
 	if math.IsNaN(l) || math.IsInf(l, 0) {
 		t.Fatalf("loss = %v with extreme logits", l)
 	}
@@ -54,58 +60,19 @@ func TestSoftmaxXentGradientNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	logits := tensor.New(3, 5).RandNormal(rng, 0, 2)
 	labels := []int{4, 0, 2}
-	_, grad := SoftmaxCrossEntropy{}.Eval(logits, labels)
+	_, grad := xent(logits, labels)
 	const h = 1e-6
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + h
-		lp, _ := SoftmaxCrossEntropy{}.Eval(logits, labels)
+		lp, _ := xent(logits, labels)
 		logits.Data[i] = orig - h
-		lm, _ := SoftmaxCrossEntropy{}.Eval(logits, labels)
+		lm, _ := xent(logits, labels)
 		logits.Data[i] = orig
 		num := (lp - lm) / (2 * h)
 		if math.Abs(num-grad.Data[i]) > 1e-6 {
 			t.Fatalf("grad[%d] = %v, numeric %v", i, grad.Data[i], num)
 		}
-	}
-}
-
-func TestMSEGradientNumeric(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	logits := tensor.New(2, 4).RandNormal(rng, 0, 1)
-	labels := []int{1, 3}
-	_, grad := MSE{}.Eval(logits, labels)
-	const h = 1e-6
-	for i := range logits.Data {
-		orig := logits.Data[i]
-		logits.Data[i] = orig + h
-		lp, _ := MSE{}.Eval(logits, labels)
-		logits.Data[i] = orig - h
-		lm, _ := MSE{}.Eval(logits, labels)
-		logits.Data[i] = orig
-		num := (lp - lm) / (2 * h)
-		if math.Abs(num-grad.Data[i]) > 1e-6 {
-			t.Fatalf("grad[%d] = %v, numeric %v", i, grad.Data[i], num)
-		}
-	}
-}
-
-func TestMSEPerfect(t *testing.T) {
-	logits := tensor.FromSlice([]float64{0, 1, 0}, 1, 3)
-	l, _ := MSE{}.Eval(logits, []int{1})
-	if l != 0 {
-		t.Fatalf("perfect MSE = %v, want 0", l)
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float64{
-		0.9, 0.1,
-		0.2, 0.8,
-		0.6, 0.4,
-	}, 3, 2)
-	if a := Accuracy(logits, []int{0, 1, 1}); math.Abs(a-2.0/3) > 1e-12 {
-		t.Fatalf("accuracy = %v, want 2/3", a)
 	}
 }
 
@@ -115,7 +82,7 @@ func TestBadLabelPanics(t *testing.T) {
 			t.Fatal("expected panic on out-of-range label")
 		}
 	}()
-	SoftmaxCrossEntropy{}.Eval(tensor.New(1, 3), []int{3})
+	xent(tensor.New(1, 3), []int{3})
 }
 
 func TestEmptyBatchPanics(t *testing.T) {
@@ -124,7 +91,7 @@ func TestEmptyBatchPanics(t *testing.T) {
 			t.Fatal("expected panic on empty batch")
 		}
 	}()
-	SoftmaxCrossEntropy{}.Eval(tensor.New(0, 3), nil)
+	xent(tensor.New(0, 3), nil)
 }
 
 func TestLabelCountMismatchPanics(t *testing.T) {
@@ -133,7 +100,7 @@ func TestLabelCountMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on label count mismatch")
 		}
 	}()
-	SoftmaxCrossEntropy{}.Eval(tensor.New(2, 3), []int{0})
+	xent(tensor.New(2, 3), []int{0})
 }
 
 // prop: softmax cross-entropy is invariant to shifting all logits in a row
@@ -147,10 +114,10 @@ func TestPropXentShiftInvariance(t *testing.T) {
 		for i := range labels {
 			labels[i] = rng.Intn(c)
 		}
-		l1, g1 := SoftmaxCrossEntropy{}.Eval(logits, labels)
+		l1, g1 := xent(logits, labels)
 		shift := rng.NormFloat64() * 5
 		shifted := logits.Clone().Apply(func(v float64) float64 { return v + shift })
-		l2, _ := SoftmaxCrossEntropy{}.Eval(shifted, labels)
+		l2, _ := xent(shifted, labels)
 		if math.Abs(l1-l2) > 1e-8*(1+math.Abs(l1)) {
 			return false
 		}
@@ -177,9 +144,9 @@ func TestPropXentMonotoneInTrueLogit(t *testing.T) {
 		c := 2 + rng.Intn(6)
 		logits := tensor.New(1, c).RandNormal(rng, 0, 2)
 		label := []int{rng.Intn(c)}
-		l1, _ := SoftmaxCrossEntropy{}.Eval(logits, label)
+		l1, _ := xent(logits, label)
 		logits.Row(0)[label[0]] += 1.0
-		l2, _ := SoftmaxCrossEntropy{}.Eval(logits, label)
+		l2, _ := xent(logits, label)
 		return l1 >= 0 && l2 < l1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

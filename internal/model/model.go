@@ -32,13 +32,16 @@ type Arch struct {
 	Build   func(rng *rand.Rand) []nn.Layer
 }
 
-// NewSplit builds the architecture and cuts it at layer index cut:
+// NewSplit builds the architecture from rng and cuts it at layer index
+// cut (see Split).
+func (a Arch) NewSplit(rng *rand.Rand, cut int) *SplitModel { return a.Split(a.Build(rng), cut) }
+
+// Split cuts layers, a stack a.Build made, at layer index cut:
 // client = layers[:cut], server = layers[cut:]. It validates that the
 // stack is assemblable (shape propagation panics otherwise) and prices
 // the per-sample quantities the latency model charges every turn, so
 // pricing never walks the layers again.
-func (a Arch) NewSplit(rng *rand.Rand, cut int) *SplitModel {
-	layers := a.Build(rng)
+func (a Arch) Split(layers []nn.Layer, cut int) *SplitModel {
 	if cut < 0 || cut > len(layers) {
 		panic(fmt.Sprintf("model: cut %d outside [0,%d]", cut, len(layers)))
 	}

@@ -20,12 +20,12 @@ import (
 // pool, reads that one pack and writes a disjoint slice of the output,
 // so results are bit-identical to the serial loop. The backward pass
 // has two independent halves. The parameter half (BackwardParams) is
-// one batch call, tensor.ConvWeightGradBatchInto: a single product over
+// one batch call, GEMM.ConvWeightGradBatchInto: a single product over
 // every sample writes dW, and db is written from the row sums of dy,
 // each element the per-sample terms summed in sample order, so results
 // are bit-identical at any worker count. The input half is one batch
 // call too,
-// tensor.ConvInputGradBatchInto: it packs W once, rearranged, and writes
+// GEMM.ConvInputGradBatchInto: it packs W once, rearranged, and writes
 // each sample's dx directly, tap by tap in the order a col2im scatter of
 // the column gradients Wᵀ @ dy would add them — bit for bit that
 // scatter's result while W is finite, with no column matrix and no

@@ -241,10 +241,10 @@ type convRef struct{ y, dx, dw, db []float64 }
 
 // convPerImage computes c's forward output and, for output gradient dy,
 // its input and parameter gradients one image at a time through the
-// exported single-image products: ConvMatMulInto plus the bias,
-// MatMulTransAInto for the column gradients scattered back onto a zeroed
-// dx by col2imRef, ConvMatMulTransBInto and row sums accumulated in
-// image order.
+// exported single-image products: ConvMatMulInto plus the bias, a
+// GEMM's MatMulTransAIntoOp for the column gradients scattered back onto
+// a zeroed dx by col2imRef, ConvMatMulTransBInto and row sums
+// accumulated in image order.
 func convPerImage(c *Conv2D, x, dy *tensor.Tensor) convRef {
 	g := c.geomFor(x)
 	n, colRows, spatial := x.Dim(0), g.InC*g.KH*g.KW, g.OutH()*g.OutW()
@@ -255,6 +255,7 @@ func convPerImage(c *Conv2D, x, dy *tensor.Tensor) convRef {
 	}
 	out, dyI := tensor.New(c.OutC, spatial), tensor.New(c.OutC, spatial)
 	dcol, dwI := tensor.New(colRows, spatial), tensor.New(c.OutC, colRows)
+	var gm tensor.GEMM
 	for i := 0; i < n; i++ {
 		img := x.Data[i*imgSize : (i+1)*imgSize]
 		tensor.ConvMatMulInto(out, c.w, img, g)
@@ -262,7 +263,7 @@ func convPerImage(c *Conv2D, x, dy *tensor.Tensor) convRef {
 			ref.y[i*outSize+j] = v + c.b.Data[j/spatial]
 		}
 		copy(dyI.Data, dy.Data[i*outSize:(i+1)*outSize])
-		col2imRef(ref.dx[i*imgSize:(i+1)*imgSize], tensor.MatMulTransAInto(dcol, c.w, dyI).Data, g)
+		col2imRef(ref.dx[i*imgSize:(i+1)*imgSize], gm.MatMulTransAIntoOp("dcol", dcol, c.w, dyI).Data, g)
 		for j, v := range tensor.ConvMatMulTransBInto(dwI, dyI, img, g).Data {
 			ref.dw[j] += v
 		}

@@ -131,18 +131,6 @@ func prod(shape []int) int {
 	return n
 }
 
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // mustRank takes the layer rather than its name so the Name() fmt call
 // — an allocation — only happens on the panic path, not on every
 // Forward.

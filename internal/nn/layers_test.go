@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gsfl/internal/tensor"
@@ -258,7 +259,7 @@ func TestSequentialShapeAt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		got := NewSequential(net.Layers[:tc.k]...).OutShape(in)
-		if !shapeEq(got, tc.want) {
+		if !slices.Equal(got, tc.want) {
 			t.Fatalf("shape after %d layers = %v, want %v", tc.k, got, tc.want)
 		}
 	}

@@ -14,8 +14,9 @@ import (
 // through a run's batch sizes — full, ragged, full — and then evaluates
 // an evaluation chunk and its remainder, at widths 1 and 2, and requires
 // every output and gradient to equal, bit for bit, what the tensor
-// package functions compute from the same operands: the plans a layer
-// keeps between calls change no bit.
+// package functions (the forward products) or a fresh GEMM (the
+// gradients) compute from the same operands: the plans a layer keeps
+// between calls change no bit.
 func TestLayerPlansMatchPackageFunctions(t *testing.T) {
 	t.Cleanup(func() { parallel.SetWorkers(0) })
 	for _, width := range []int{1, 2} {
@@ -42,19 +43,20 @@ func TestLayerPlansMatchPackageFunctions(t *testing.T) {
 				continue
 			}
 
+			var fresh tensor.GEMM
 			dy := tensor.New(n, 13).RandNormal(rng, 0, 1)
 			dx := d.Backward(dy)
 			wantDx, wantDw := tensor.New(n, 24), tensor.New(24, 13)
-			tensor.DenseInputGradInto(wantDx, dy, d.w)
-			tensor.MatMulTransAInto(wantDw, x, dy)
+			fresh.DenseInputGradInto(wantDx, dy, d.w)
+			fresh.MatMulTransAIntoOp("dW", wantDw, x, dy)
 			testutil.RequireSameBits(t, what+": dense input gradient", dx.Data, wantDx.Data)
 			testutil.RequireSameBits(t, what+": dense weight gradient", d.dw.Data, wantDw.Data)
 
 			cdy := tensor.New(n, 5, g.OutH()*g.OutW()).RandNormal(rng, 0, 1)
 			cdx := c.Backward(cdy)
 			wantCdx, wantCdw, wantCdb := tensor.New(n, 2, 6, 5), tensor.New(5, 18), tensor.New(5)
-			tensor.ConvInputGradBatchInto(wantCdx, c.w, cdy, g)
-			tensor.ConvWeightGradBatchInto(wantCdw, wantCdb, cdy, img, g)
+			fresh.ConvInputGradBatchInto(wantCdx, c.w, cdy, g)
+			fresh.ConvWeightGradBatchInto(wantCdw, wantCdb, cdy, img, g)
 			testutil.RequireSameBits(t, what+": conv input gradient", cdx.Data, wantCdx.Data)
 			testutil.RequireSameBits(t, what+": conv weight gradient", c.dw.Data, wantCdw.Data)
 			testutil.RequireSameBits(t, what+": conv bias gradient", c.db.Data, wantCdb.Data)

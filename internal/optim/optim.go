@@ -1,8 +1,9 @@
-// Package optim implements the gradient-descent optimizers the training
-// schemes use to update client-side and server-side model halves.
+// Package optim implements SGD, the gradient-descent optimizer the
+// training schemes use to update client-side and server-side model
+// halves.
 //
-// An Optimizer owns per-parameter state (momentum buffers) keyed by
-// position, so each model half gets its own optimizer instance; the
+// An SGD owns per-parameter state (momentum buffers) keyed by
+// position, so each model half gets its own instance; the
 // split schemes create one per server-side replica and one per
 // client-side model, mirroring how the paper's AP and clients update
 // their halves independently.
@@ -14,16 +15,6 @@ import (
 
 	"gsfl/internal/tensor"
 )
-
-// Optimizer updates parameters in place from accumulated gradients.
-type Optimizer interface {
-	// Name identifies the optimizer in traces.
-	Name() string
-	// Step applies one update. params and grads are aligned; decay is an
-	// optional mask (nil = decay everything) marking which parameters
-	// receive L2 weight decay.
-	Step(params, grads []*tensor.Tensor, decay []bool)
-}
 
 // LRSchedule maps a 0-based step index to a learning rate.
 type LRSchedule func(step int) float64
@@ -60,12 +51,11 @@ func NewSGDMomentum(lr, momentum float64) *SGD {
 	return &SGD{Schedule: ConstLR(lr), Momentum: momentum}
 }
 
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// Step implements Optimizer. Everything that can be wrong with its
-// operands — params against grads, decay flags, a Restored velocity —
-// is checked before the first element is written.
+// Step applies one update in place. params and grads are aligned;
+// decay is an optional mask (nil = decay everything) marking which
+// parameters receive L2 weight decay. Everything that can be wrong
+// with its operands — params against grads, decay flags, a Restored
+// velocity — is checked before the first element is written.
 func (s *SGD) Step(params, grads []*tensor.Tensor, decay []bool) {
 	checkAligned(params, grads, decay, s.velocity)
 	lr := s.Schedule(s.step)

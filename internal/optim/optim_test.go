@@ -19,16 +19,15 @@ type quadratic struct {
 }
 
 func (q quadratic) grad(p *tensor.Tensor) *tensor.Tensor {
-	g := tensor.Sub(p, q.target)
-	return g.Scale(2)
+	return p.Clone().AddScaled(-1, q.target).Scale(2)
 }
 
 func (q quadratic) value(p *tensor.Tensor) float64 {
-	d := tensor.Sub(p, q.target)
+	d := p.Clone().AddScaled(-1, q.target)
 	return tensor.Dot(d, d)
 }
 
-func runOptimizer(t *testing.T, opt Optimizer, steps int) float64 {
+func runOptimizer(t *testing.T, opt *SGD, steps int) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	target := tensor.New(8).RandNormal(rng, 0, 1)
@@ -178,7 +177,7 @@ func TestMomentumAcceleratesOnRavine(t *testing.T) {
 		}
 		return p, grad, val
 	}
-	run := func(opt Optimizer) float64 {
+	run := func(opt *SGD) float64 {
 		p, grad, val := build()
 		for i := 0; i < 100; i++ {
 			opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{grad(p)}, nil)

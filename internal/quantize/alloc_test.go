@@ -21,10 +21,10 @@ func TestBufferMatchesRoundTrip(t *testing.T) {
 		tensor.New(4, 8).RandNormal(rng, 0, 1),
 	}
 	for i, x := range cases {
-		want := RoundTrip(x)
+		want := roundTrip(x)
 		got := buf.RoundTrip(x)
 		if !tensor.AllClose(got, want, 0) {
-			t.Fatalf("case %d: Buffer.RoundTrip differs from RoundTrip", i)
+			t.Fatalf("case %d: Buffer.RoundTrip differs from Quantize then DequantizeInto", i)
 		}
 	}
 }

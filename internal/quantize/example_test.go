@@ -14,10 +14,10 @@ func ExampleQuantize() {
 	q := quantize.Quantize(smashed)
 
 	fullBytes := int64(smashed.Size()) * 4 // float32 wire
-	fmt.Printf("full %dB -> quantized %dB (payload %dB)\n",
-		fullBytes, q.WireBytes(), len(q.Codes))
+	fmt.Printf("full %dB -> quantized %dB\n",
+		fullBytes, len(q.Codes)*quantize.WireBytesPerScalar)
 	fmt.Printf("max error %.4f\n", q.Scale/2)
 	// Output:
-	// full 20B -> quantized 21B (payload 5B)
+	// full 20B -> quantized 5B
 	// max error 0.0039
 }

@@ -25,9 +25,6 @@ import (
 // WireBytesPerScalar is the transfer cost of one quantized element.
 const WireBytesPerScalar = 1
 
-// headerBytes prices the (scale, min, shape) metadata per tensor.
-const headerBytes = 16
-
 // Quantized is an 8-bit encoded tensor.
 type Quantized struct {
 	Min   float64
@@ -84,14 +81,9 @@ func QuantizeInto(q *Quantized, t *tensor.Tensor) {
 	}
 }
 
-// Dequantize decodes back to a float tensor.
-func (q *Quantized) Dequantize() *tensor.Tensor {
-	return q.DequantizeInto(&tensor.Tensor{})
-}
-
 // DequantizeInto decodes into dst, shaping it to the encoded shape
-// (reusing its storage) and returning dst. Every element is overwritten,
-// so results are identical to Dequantize.
+// (reusing its storage) and returning dst. Every element is
+// overwritten, so a reused dst gives a fresh one's results.
 func (q *Quantized) DequantizeInto(dst *tensor.Tensor) *tensor.Tensor {
 	dst.Ensure(q.Shape...)
 	if q.Scale == 0 {
@@ -104,18 +96,6 @@ func (q *Quantized) DequantizeInto(dst *tensor.Tensor) *tensor.Tensor {
 	return dst
 }
 
-// WireBytes returns the transfer size of the encoded tensor.
-func (q *Quantized) WireBytes() int64 {
-	return int64(len(q.Codes))*WireBytesPerScalar + headerBytes
-}
-
-// RoundTrip is the convenience composition used inside training steps:
-// quantize then immediately dequantize, returning the precision-lossy
-// tensor the receiving side would see.
-func RoundTrip(t *tensor.Tensor) *tensor.Tensor {
-	return Quantize(t).Dequantize()
-}
-
 // Buffer is a reusable quantize→dequantize workspace. Each
 // concurrently-training replica owns its own (one per transfer
 // direction); steady-state round trips then allocate nothing.
@@ -124,10 +104,10 @@ type Buffer struct {
 	out tensor.Tensor
 }
 
-// RoundTrip is the allocation-free form of the package-level RoundTrip:
-// the returned tensor is the buffer's own and is valid until the next
-// call on the same Buffer. Results are bit-identical to the allocating
-// version.
+// RoundTrip quantizes t and immediately dequantizes it, returning the
+// precision-lossy tensor the receiving side would see. The returned
+// tensor is the buffer's own and is valid until the next call on the
+// same Buffer. Results are bit-identical to Quantize then DequantizeInto.
 func (b *Buffer) RoundTrip(t *tensor.Tensor) *tensor.Tensor {
 	QuantizeInto(&b.q, t)
 	return b.q.DequantizeInto(&b.out)

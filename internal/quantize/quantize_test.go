@@ -9,11 +9,16 @@ import (
 	"gsfl/internal/tensor"
 )
 
+// roundTrip is the allocating composition Buffer.RoundTrip matches.
+func roundTrip(x *tensor.Tensor) *tensor.Tensor {
+	return Quantize(x).DequantizeInto(new(tensor.Tensor))
+}
+
 func TestRoundTripErrorBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(1000).RandNormal(rng, 0, 3)
 	q := Quantize(x)
-	back := q.Dequantize()
+	back := q.DequantizeInto(new(tensor.Tensor))
 	bound := q.Scale/2 + 1e-12
 	for i := range x.Data {
 		if err := math.Abs(x.Data[i] - back.Data[i]); err > bound {
@@ -24,7 +29,7 @@ func TestRoundTripErrorBound(t *testing.T) {
 
 func TestConstantTensorExact(t *testing.T) {
 	x := tensor.Full(3.14, 64)
-	back := RoundTrip(x)
+	back := roundTrip(x)
 	if !tensor.AllClose(x, back, 0) {
 		t.Fatal("constant tensor must round-trip exactly")
 	}
@@ -33,7 +38,7 @@ func TestConstantTensorExact(t *testing.T) {
 func TestEndpointsExact(t *testing.T) {
 	// Min and max always map to codes 0 and 255 and decode exactly.
 	x := tensor.FromSlice([]float64{-5, 0.3, 7}, 3)
-	back := RoundTrip(x)
+	back := roundTrip(x)
 	if back.Data[0] != -5 || math.Abs(back.Data[2]-7) > 1e-12 {
 		t.Fatalf("endpoints changed: %v", back.Data)
 	}
@@ -42,17 +47,9 @@ func TestEndpointsExact(t *testing.T) {
 func TestEmptyTensor(t *testing.T) {
 	x := tensor.New(0)
 	q := Quantize(x)
-	back := q.Dequantize()
+	back := q.DequantizeInto(new(tensor.Tensor))
 	if back.Size() != 0 {
 		t.Fatalf("empty round trip size %d", back.Size())
-	}
-}
-
-func TestWireBytes(t *testing.T) {
-	x := tensor.New(100)
-	q := Quantize(x)
-	if got := q.WireBytes(); got != 100+headerBytes {
-		t.Fatalf("WireBytes = %d, want %d", got, 100+headerBytes)
 	}
 }
 
@@ -67,7 +64,7 @@ func TestNonFinitePanics(t *testing.T) {
 
 func TestShapePreserved(t *testing.T) {
 	x := tensor.New(2, 3, 4).RandNormal(rand.New(rand.NewSource(2)), 0, 1)
-	back := RoundTrip(x)
+	back := roundTrip(x)
 	if back.Dims() != 3 || back.Dim(2) != 4 {
 		t.Fatalf("shape lost: %v", back.Shape())
 	}
@@ -81,7 +78,7 @@ func TestPropRoundTripBounded(t *testing.T) {
 		n := 1 + rng.Intn(200)
 		x := tensor.New(n).RandNormal(rng, rng.NormFloat64()*5, 0.1+rng.Float64()*4)
 		q := Quantize(x)
-		back := q.Dequantize()
+		back := q.DequantizeInto(new(tensor.Tensor))
 		bound := q.Scale/2 + 1e-9
 		for i := range x.Data {
 			if math.Abs(x.Data[i]-back.Data[i]) > bound {
@@ -101,8 +98,8 @@ func TestPropIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x := tensor.New(1+rng.Intn(64)).RandNormal(rng, 0, 2)
-		once := RoundTrip(x)
-		twice := RoundTrip(once)
+		once := roundTrip(x)
+		twice := roundTrip(once)
 		return tensor.AllClose(once, twice, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

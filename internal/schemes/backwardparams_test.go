@@ -21,7 +21,7 @@ import (
 // first) for five steps each way and require every parameter to end
 // bit-equal to a reference step that runs the full Backward.
 
-func refSplitStep(m *model.SplitModel, cOpt, sOpt optim.Optimizer, b data.Batch) {
+func refSplitStep(m *model.SplitModel, cOpt, sOpt *optim.SGD, b data.Batch) {
 	var grad tensor.Tensor
 	logits := m.Server.Forward(m.Client.Forward(b.X, true), true)
 	loss.SoftmaxCrossEntropy{}.EvalInto(logits, b.Y, &grad)
@@ -31,7 +31,7 @@ func refSplitStep(m *model.SplitModel, cOpt, sOpt optim.Optimizer, b data.Batch)
 	cOpt.Step(m.Client.Params(), m.Client.Grads(), m.Client.DecayMask())
 }
 
-func refLocalStep(net *nn.Sequential, opt optim.Optimizer, b data.Batch) {
+func refLocalStep(net *nn.Sequential, opt *optim.SGD, b data.Batch) {
 	var grad tensor.Tensor
 	loss.SoftmaxCrossEntropy{}.EvalInto(net.Forward(b.X, true), b.Y, &grad)
 	net.Backward(&grad)

@@ -22,7 +22,7 @@ import (
 func BenchmarkSplitStepContended(b *testing.B) {
 	type replica struct {
 		m          *model.SplitModel
-		copt, sopt optim.Optimizer
+		copt, sopt *optim.SGD
 		ws         schemes.StepWorkspace
 	}
 	arch := model.MLP(192, 64, 43)

@@ -61,10 +61,11 @@ func TestQuantizedSplitStepStillLearns(t *testing.T) {
 	m := env.Arch.NewSplit(env.Rng("init", 0), env.Cut)
 	cOpt, sOpt := env.Hyper.NewOptimizer(), env.Hyper.NewOptimizer()
 	batch := data.All(env.Train[0], env.Arch.InShape)
+	var ws schemes.StepWorkspace
 	var last float64
 	first := math.Inf(1)
 	for i := 0; i < 60; i++ {
-		l := schemes.SplitStep(m, cOpt, sOpt, batch, true)
+		l := ws.SplitStep(m, cOpt, sOpt, batch, true)
 		if i == 0 {
 			first = l
 		}

@@ -332,7 +332,7 @@ type StepWorkspace struct {
 // When quantizeTransfers is true, the smashed data and the returned
 // gradient pass through an 8-bit quantization round trip, so the
 // receiving side trains on exactly what the narrower wire would deliver.
-func (ws *StepWorkspace) SplitStep(m *model.SplitModel, clientOpt, serverOpt optim.Optimizer, batch data.Batch, quantizeTransfers bool) float64 {
+func (ws *StepWorkspace) SplitStep(m *model.SplitModel, clientOpt, serverOpt *optim.SGD, batch data.Batch, quantizeTransfers bool) float64 {
 	smashed := m.Client.Forward(batch.X, true)
 	serverIn := smashed
 	if quantizeTransfers {
@@ -355,20 +355,12 @@ func (ws *StepWorkspace) SplitStep(m *model.SplitModel, clientOpt, serverOpt opt
 // LocalStep runs one full-model mini-batch (forward, loss, backward,
 // optimizer step) on net — the centralized update CL uses. It returns
 // the batch loss.
-func (ws *StepWorkspace) LocalStep(net *nn.Sequential, opt optim.Optimizer, batch data.Batch) float64 {
+func (ws *StepWorkspace) LocalStep(net *nn.Sequential, opt *optim.SGD, batch data.Batch) float64 {
 	logits := net.Forward(batch.X, true)
 	l := loss.SoftmaxCrossEntropy{}.EvalInto(logits, batch.Y, &ws.lossGrad)
 	net.BackwardParams(&ws.lossGrad)
 	opt.Step(net.Params(), net.Grads(), net.DecayMask())
 	return l
-}
-
-// SplitStep is the convenience form of StepWorkspace.SplitStep for
-// callers outside the training hot path (tests, one-off probes); it
-// allocates a throwaway workspace per call.
-func SplitStep(m *model.SplitModel, clientOpt, serverOpt optim.Optimizer, batch data.Batch, quantizeTransfers bool) float64 {
-	var ws StepWorkspace
-	return ws.SplitStep(m, clientOpt, serverOpt, batch, quantizeTransfers)
 }
 
 // transferWidth returns the per-scalar wire width the env's precision

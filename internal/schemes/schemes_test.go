@@ -108,8 +108,8 @@ func TestEvaluateMatchesDirectComputation(t *testing.T) {
 }
 
 // TestEvaluateMatchesChunkedEval pins Evaluate's bits to the chunked
-// computation it replaced: each chunk's loss from the loss's full Eval,
-// weighted by the chunk's size, and accuracy by ArgMaxRows — over a
+// computation it replaced: each chunk's loss from the loss's full EvalInto,
+// weighted by the chunk's size, and accuracy by ArgMaxRowsInto — over a
 // test set that ends in a partial chunk.
 func TestEvaluateMatchesChunkedEval(t *testing.T) {
 	env := schemestest.NewEnv(2, 4, 30)
@@ -125,9 +125,10 @@ func TestEvaluateMatchesChunkedEval(t *testing.T) {
 		hi := min(lo+schemes.EvalChunk, n)
 		b := data.All(data.NewSubset(test, seq(lo, hi)), env.Arch.InShape)
 		logits := m.Forward(b.X, false)
-		l, _ := loss.SoftmaxCrossEntropy{}.Eval(logits, b.Y)
+		var grad tensor.Tensor
+		l := loss.SoftmaxCrossEntropy{}.EvalInto(logits, b.Y, &grad)
 		total += float64(l * float64(hi-lo))
-		for i, p := range logits.ArgMaxRows() {
+		for i, p := range logits.ArgMaxRowsInto(nil) {
 			if p == b.Y[i] {
 				correct++
 			}
@@ -180,10 +181,11 @@ func TestSplitStepReducesLoss(t *testing.T) {
 
 	// Train on a fixed batch; the loss on that batch must fall.
 	batch := data.All(env.Train[0], env.Arch.InShape)
-	first := schemes.SplitStep(m, cOpt, sOpt, batch, false)
+	var ws schemes.StepWorkspace
+	first := ws.SplitStep(m, cOpt, sOpt, batch, false)
 	var last float64
 	for i := 0; i < 30; i++ {
-		last = schemes.SplitStep(m, cOpt, sOpt, batch, false)
+		last = ws.SplitStep(m, cOpt, sOpt, batch, false)
 	}
 	if last >= first {
 		t.Fatalf("loss did not fall on a fixed batch: %v -> %v", first, last)

@@ -1,7 +1,5 @@
 package simnet
 
-import "fmt"
-
 // EnergyModel converts a latency ledger into energy estimates — the
 // second resource that "resource-limited" wireless clients actually run
 // out of. Power draws are average device-level figures; energy is simply
@@ -29,14 +27,6 @@ func DefaultEnergyModel() EnergyModel {
 		ClientRxW:      0.8,
 		ServerComputeW: 150,
 	}
-}
-
-// Validate reports non-physical configurations.
-func (m EnergyModel) Validate() error {
-	if m.ClientComputeW < 0 || m.ClientTxW < 0 || m.ClientRxW < 0 || m.ServerComputeW < 0 {
-		return fmt.Errorf("simnet: negative power in energy model %+v", m)
-	}
-	return nil
 }
 
 // ClientEnergyJ estimates total client-side energy for the ledger.

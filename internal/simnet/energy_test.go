@@ -34,16 +34,6 @@ func TestEnergyModelEmptyLedger(t *testing.T) {
 	}
 }
 
-func TestEnergyModelValidate(t *testing.T) {
-	if err := DefaultEnergyModel().Validate(); err != nil {
-		t.Fatalf("default model invalid: %v", err)
-	}
-	bad := EnergyModel{ClientComputeW: -1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative power accepted")
-	}
-}
-
 func TestEnergyAdditiveUnderMerge(t *testing.T) {
 	m := DefaultEnergyModel()
 	var a, b Ledger

@@ -114,7 +114,7 @@ func weightGradRef(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, db []
 // so that an element it fails to write cannot pass for a zero.
 func inputGradInto(w, dys *Tensor, g ConvGeom) []float64 {
 	n := dys.Size() / (w.shape[0] * g.OutH() * g.OutW())
-	return ConvInputGradBatchInto(Full(math.NaN(), n, g.InC, g.InH, g.InW), w, dys, g).Data
+	return testGM.ConvInputGradBatchInto(Full(math.NaN(), n, g.InC, g.InH, g.InW), w, dys, g).Data
 }
 
 // check runs the three production routines at the ambient worker count.
@@ -357,7 +357,7 @@ func checkInputGradMatchesCol2Im(t *testing.T, rng *rand.Rand, g ConvGeom, outC,
 		want := make([]float64, batch*g.ImageSize())
 		for i := 0; i < batch; i++ {
 			copy(dyI.Data, dys.Data[i*outC*spatial:])
-			col2imRef(want[i*g.ImageSize():], MatMulTransAInto(dcol, w, dyI).Data, g)
+			col2imRef(want[i*g.ImageSize():], testGM.MatMulTransAIntoOp("MatMulTransAInto", dcol, w, dyI).Data, g)
 		}
 		for _, workers := range convPackWorkers {
 			parallel.SetWorkers(workers)
@@ -373,7 +373,7 @@ func checkInputGradMatchesCol2Im(t *testing.T, rng *rand.Rand, g ConvGeom, outC,
 }
 
 // weightGradPerImage is the weight gradient's definition over a batch:
-// per image, ConvMatMulTransBInto added onto a zeroed dw by AddInPlace,
+// per image, ConvMatMulTransBInto added onto a zeroed dw by AddScaled,
 // and the row sums of dy_i, each a serial ascending sum from +0, added
 // onto a zeroed db in image order.
 func weightGradPerImage(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, db []float64) {
@@ -382,7 +382,7 @@ func weightGradPerImage(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, 
 	db = make([]float64, outC)
 	for i := 0; i < dys.Size()/(outC*spatial); i++ {
 		copy(dyI.Data, dys.Data[i*outC*spatial:])
-		sum.AddInPlace(ConvMatMulTransBInto(one, dyI, imgs[i*g.ImageSize():][:g.ImageSize()], g))
+		sum.AddScaled(1, ConvMatMulTransBInto(one, dyI, imgs[i*g.ImageSize():][:g.ImageSize()], g))
 		for oc := range db {
 			s := 0.0
 			for _, v := range dyI.Row(oc) {
@@ -399,7 +399,7 @@ func weightGradPerImage(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, 
 func weightGradInto(dys *Tensor, imgs []float64, g ConvGeom, outC int) (dw, db []float64) {
 	n := dys.Size() / (outC * g.OutH() * g.OutW())
 	gotDB := Full(math.NaN(), outC)
-	gotDW := ConvWeightGradBatchInto(Full(math.NaN(), outC, g.InC*g.KH*g.KW), gotDB, dys,
+	gotDW := testGM.ConvWeightGradBatchInto(Full(math.NaN(), outC, g.InC*g.KH*g.KW), gotDB, dys,
 		FromSlice(imgs[:n*g.ImageSize()], n, g.InC, g.InH, g.InW), g)
 	return gotDW.Data, gotDB.Data
 }

@@ -12,3 +12,9 @@ func CountLeases(f func()) int {
 	f()
 	return int(n.Load())
 }
+
+// testGM runs the tests' products that have no package function. One
+// GEMM meets every shape the tests draw, so a plan's refill of its
+// tables and panels stays covered; tests use it from one goroutine at a
+// time.
+var testGM GEMM

@@ -31,9 +31,9 @@ import (
 // too. A convolution leases one buffer a call from packPool, for what
 // holds its batch of images — its canvases, the weight gradient's packed
 // dy — and its packed weights ride in that lease; a forked chunk leases
-// its own scratch. The exported functions are the same code on a GEMM
-// taken from a sync.Pool, so steady-state calls allocate nothing unless
-// they fork.
+// its own scratch. The package functions — the plain matmul and the
+// forward products — are the same code on a GEMM taken from a
+// sync.Pool, so steady-state calls allocate nothing unless they fork.
 //
 // Determinism: a plan's k steps fall into groups of equal length — one
 // group of all k for a dense product and a convolution's forward pass,
@@ -268,8 +268,8 @@ func panelLen(outC, k int) int { return (outC + gemmNR - 1) / gemmNR * k * gemmN
 // each shape a GEMM's calls allocate nothing unless they fork.
 //
 // The zero value is ready to use. A GEMM must not be used by two
-// goroutines at once; the results it writes are those of the matching
-// package function, bit for bit.
+// goroutines at once; the results it writes are a fresh GEMM's, and
+// the matching package function's, bit for bit.
 type GEMM struct {
 	// Panels is the scratch the GEMM's dense products pack into and its
 	// inline products stage ragged tiles in; nil gets the GEMM its own on
@@ -649,26 +649,19 @@ func (gm *GEMM) denseInto(p *rowPlan, dst, dense []float64, kMajor bool, outC in
 }
 
 // ConvInputGradBatchInto computes a convolution's input gradient for a
-// whole batch: for each of the n output gradients of dy (each
-// (outC × OutH*OutW)), dx_i = col2im(wᵀ @ dy_i), where w is
+// whole batch on gm's plans: for each of the n output gradients of dy
+// (each (outC × OutH*OutW)), dx_i = col2im(wᵀ @ dy_i), where w is
 // (outC × InC*KH*KW) and dx, whose leading dimension is n, receives n
 // CHW images of g's geometry. Every element of dx is overwritten. No
 // column gradient is materialized: each tile of dx_i is computed tap by
 // tap in col2im's order (convInputGrad), so the result is bit-identical
-// to n MatMulTransAInto calls scattered back by a per-element col2im
-// onto zeroed images, at any worker count, as long as w is finite.
+// to n MatMulTransAIntoOp products scattered back by a per-element
+// col2im onto zeroed images, at any worker count, as long as w is
+// finite.
 //
 // w is rearranged and packed once for the batch, and every image reads
 // that one read-only plan; images are partitioned across the worker
 // pool, each writing its own dx_i. It returns dx.
-func ConvInputGradBatchInto(dx, w, dy *Tensor, g ConvGeom) *Tensor {
-	gm := gemms.Get().(*GEMM)
-	gm.ConvInputGradBatchInto(dx, w, dy, g)
-	gemms.Put(gm)
-	return dx
-}
-
-// ConvInputGradBatchInto is the package function on gm's plans.
 func (gm *GEMM) ConvInputGradBatchInto(dx, w, dy *Tensor, g ConvGeom) *Tensor {
 	spatial := g.OutH() * g.OutW()
 	outC := checkConvDense("ConvInputGradBatchInto", w, g.InC*g.KH*g.KW, g)
@@ -712,7 +705,7 @@ func (gm *GEMM) ConvForwardBatchInto(dst, w, b, x *Tensor, g ConvGeom) *Tensor {
 }
 
 // ConvWeightGradBatchInto computes a convolution's parameter gradients
-// for a whole batch: dw = Σ_i dy_i @ im2col(x_i)ᵀ and
+// for a whole batch on gm's plans: dw = Σ_i dy_i @ im2col(x_i)ᵀ and
 // db[oc] = Σ_i (the sum of row oc of dy_i), over the n images of x
 // (n is its leading dimension; each one CHW image of g's geometry) and
 // the n output gradients of dy (each (outC × OutH*OutW)). dw is
@@ -725,14 +718,6 @@ func (gm *GEMM) ConvForwardBatchInto(dst, w, b, x *Tensor, g ConvGeom) *Tensor {
 // across it after. The result is bit-identical, at any worker count, to
 // n ConvMatMulTransBInto calls and n serial row sums added in image
 // order onto zeroed dw and db. It returns dw.
-func ConvWeightGradBatchInto(dw, db, dy, x *Tensor, g ConvGeom) *Tensor {
-	gm := gemms.Get().(*GEMM)
-	gm.ConvWeightGradBatchInto(dw, db, dy, x, g)
-	gemms.Put(gm)
-	return dw
-}
-
-// ConvWeightGradBatchInto is the package function on gm's plans.
 func (gm *GEMM) ConvWeightGradBatchInto(dw, db, dy, x *Tensor, g ConvGeom) *Tensor {
 	spatial := g.OutH() * g.OutW()
 	outC := checkConvDense("ConvWeightGradBatchInto", dw, g.InC*g.KH*g.KW, g)

@@ -162,14 +162,14 @@ func checkGEMMExhaustiveSmallShapes(t *testing.T) {
 				// at is (k×m): reuse a's buffer with the transposed fill.
 				fillMixed(rng, a[:k*m])
 				naiveTransA(want, a, b, m, k, n)
-				MatMulTransAInto(FromSlice(got[:m*n], m, n), FromSlice(a[:k*m], k, m), FromSlice(b[:k*n], k, n))
+				testGM.MatMulTransAIntoOp("MatMulTransAInto", FromSlice(got[:m*n], m, n), FromSlice(a[:k*m], k, m), FromSlice(b[:k*n], k, n))
 				requireBitEqual(t, "MatMulTransAInto", got[:m*n], want[:m*n], m, k, n)
 
 				// bt is (n×k): W, (in×out), read as Wᵀ.
 				fillMixed(rng, a[:m*k])
 				fillMixed(rng, b[:n*k])
 				naiveTransB(want, a, b, m, k, n)
-				DenseInputGradInto(FromSlice(got[:m*n], m, n), FromSlice(a[:m*k], m, k), FromSlice(b[:n*k], n, k))
+				testGM.DenseInputGradInto(FromSlice(got[:m*n], m, n), FromSlice(a[:m*k], m, k), FromSlice(b[:n*k], n, k))
 				requireBitEqual(t, "DenseInputGradInto", got[:m*n], want[:m*n], m, k, n)
 			}
 		}
@@ -189,10 +189,10 @@ func TestGEMMZeroK(t *testing.T) {
 		got  *Tensor
 	}{
 		{"MatMulInto", MatMulInto(Full(7, 2, 3), New(2, 0), New(0, 3))},
-		{"MatMulTransAInto", MatMulTransAInto(Full(7, 2, 3), New(0, 2), New(0, 3))},
+		{"MatMulTransAInto", testGM.MatMulTransAIntoOp("MatMulTransAInto", Full(7, 2, 3), New(0, 2), New(0, 3))},
 		{"DenseForwardInto", DenseForwardInto(Full(7, 2, 3), New(2, 0), New(0, 3))},
-		{"DenseInputGradInto", DenseInputGradInto(Full(7, 2, 3), New(2, 0), New(3, 0))},
-		{"ConvInputGradBatchInto", ConvInputGradBatchInto(Full(7, 2, 2, 1, 3), New(0, 2), New(2, 0, 1, 3), g1)},
+		{"DenseInputGradInto", testGM.DenseInputGradInto(Full(7, 2, 3), New(2, 0), New(3, 0))},
+		{"ConvInputGradBatchInto", testGM.ConvInputGradBatchInto(Full(7, 2, 2, 1, 3), New(0, 2), New(2, 0, 1, 3), g1)},
 	} {
 		for i, v := range c.got.Data {
 			if v != 0 {
@@ -213,7 +213,7 @@ func TestGEMMZeroK(t *testing.T) {
 	// gradient is written too: with no positions, or with no images.
 	for _, n := range []int{2, 0} {
 		dw, db := Full(7, 2, 9), Full(7, 2)
-		ConvWeightGradBatchInto(dw, db, New(n, 2, 0), New(n, 1, 2, 2), g)
+		testGM.ConvWeightGradBatchInto(dw, db, New(n, 2, 0), New(n, 1, 2, 2), g)
 		for i, v := range append(dw.Data, db.Data...) {
 			if v != 0 {
 				t.Fatalf("ConvWeightGradBatchInto k=0 over %d images: element %d = %v, want 0", n, i, v)
@@ -303,9 +303,9 @@ func TestMatMulNonFiniteIsShapeIndependent(t *testing.T) {
 					got  *Tensor
 				}{
 					{"MatMulInto", MatMulInto(New(m, n), a, b)},
-					{"MatMulTransAInto", MatMulTransAInto(New(m, n), at, b)},
+					{"MatMulTransAInto", testGM.MatMulTransAIntoOp("MatMulTransAInto", New(m, n), at, b)},
 					{"DenseForwardInto", DenseForwardInto(New(m, n), a, b)},
-					{"DenseInputGradInto", DenseInputGradInto(New(m, n), a, bt)},
+					{"DenseInputGradInto", testGM.DenseInputGradInto(New(m, n), a, bt)},
 				} {
 					// Element (i,0) multiplies a zero by the non-finite entry.
 					for i := 0; i < m; i++ {
@@ -576,8 +576,8 @@ func matrixCases(rng *rand.Rand, m, k, n int) []productCase {
 	return []productCase{
 		{"MatMulInto", func() []float64 { return MatMulInto(New(m, n), a, b).Data }, ab},
 		{"DenseForwardInto", func() []float64 { return DenseForwardInto(New(m, n), a, b).Data }, ab},
-		{"MatMulTransAInto", func() []float64 { return MatMulTransAInto(New(m, n), at, b).Data }, atb},
-		{"DenseInputGradInto", func() []float64 { return DenseInputGradInto(New(m, n), a, bt).Data }, abt},
+		{"MatMulTransAInto", func() []float64 { return testGM.MatMulTransAIntoOp("MatMulTransAInto", New(m, n), at, b).Data }, atb},
+		{"DenseInputGradInto", func() []float64 { return testGM.DenseInputGradInto(New(m, n), a, bt).Data }, abt},
 	}
 }
 
@@ -618,7 +618,7 @@ func convCases(rng *rand.Rand, g ConvGeom, outC int) []productCase {
 			return ConvForwardBatchInto(New(batch, outC, spatial), w, bias, imgs, g).Data
 		}, outs},
 		{"ConvInputGradBatchInto", func() []float64 {
-			return ConvInputGradBatchInto(New(batch, g.InC, g.InH, g.InW), w, dys, g).Data
+			return testGM.ConvInputGradBatchInto(New(batch, g.InC, g.InH, g.InW), w, dys, g).Data
 		}, dxs},
 		weightGradCase(g, outC, imgs.Data, dys),
 	}
@@ -860,10 +860,10 @@ func TestFastModeToleranceAndWorkerDeterminism(t *testing.T) {
 			ConvMatMulInto(New(outC, spatial), w, img, g),
 			ConvMatMulTransBInto(New(outC, colRows), dy, img, g),
 			DenseForwardInto(New(m, 40), a, b),
-			DenseInputGradInto(New(m, 64), dyDense, b),
-			MatMulTransAInto(New(m, 40), at, b),
-			ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, FromSlice(dy.Data, 1, outC, spatial), g),
-			ConvWeightGradBatchInto(New(outC, colRows), New(outC), dys, imgs, g),
+			testGM.DenseInputGradInto(New(m, 64), dyDense, b),
+			testGM.MatMulTransAIntoOp("MatMulTransAInto", New(m, 40), at, b),
+			testGM.ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, FromSlice(dy.Data, 1, outC, spatial), g),
+			testGM.ConvWeightGradBatchInto(New(outC, colRows), New(outC), dys, imgs, g),
 		}
 	}
 	exact := products()
@@ -917,13 +917,13 @@ func FuzzPackedGEMM(f *testing.F) {
 		at := make([]float64, k*m)
 		fillMixed(rng, at)
 		naiveTransA(want, at, b, m, k, n)
-		MatMulTransAInto(FromSlice(got, m, n), FromSlice(at, k, m), FromSlice(b, k, n))
+		testGM.MatMulTransAIntoOp("MatMulTransAInto", FromSlice(got, m, n), FromSlice(at, k, m), FromSlice(b, k, n))
 		requireBitEqual(t, "fuzz MatMulTransAInto", got, want, m, k, n)
 
 		bt := make([]float64, n*k)
 		fillMixed(rng, bt)
 		naiveTransB(want, a, bt, m, k, n)
-		DenseInputGradInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(bt, n, k))
+		testGM.DenseInputGradInto(FromSlice(got, m, n), FromSlice(a, m, k), FromSlice(bt, n, k))
 		requireBitEqual(t, "fuzz DenseInputGradInto", got, want, m, k, n)
 	})
 }

@@ -23,7 +23,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 	at := New(5, 7).RandNormal(rng, 0, 1)
 	naiveTransA(want.Data, at.Data, b.Data, 7, 5, 9)
-	if got := MatMulTransAInto(New(7, 9), at, b); !AllClose(got, want, 0) {
+	if got := testGM.MatMulTransAIntoOp("MatMulTransAInto", New(7, 9), at, b); !AllClose(got, want, 0) {
 		t.Fatal("MatMulTransAInto != naive aᵀ@b")
 	}
 	naiveMatMul(want.Data, a.Data, b.Data, 7, 5, 9)
@@ -32,7 +32,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 	bt := New(9, 5).RandNormal(rng, 0, 1)
 	naiveTransB(want.Data, a.Data, bt.Data, 7, 5, 9)
-	if got := DenseInputGradInto(New(7, 9), a, bt); !AllClose(got, want, 0) {
+	if got := testGM.DenseInputGradInto(New(7, 9), a, bt); !AllClose(got, want, 0) {
 		t.Fatal("DenseInputGradInto != naive dy@Wᵀ")
 	}
 
@@ -154,10 +154,10 @@ func TestKernelsAllocFreeSerial(t *testing.T) {
 	dst := New(32, 24)
 	testutil.MaxAllocs(t, "MatMulInto", 0, func() { MatMulInto(dst, a, b) })
 	at := New(48, 32).RandNormal(rng, 0, 1)
-	testutil.MaxAllocs(t, "MatMulTransAInto", 0, func() { MatMulTransAInto(dst, at, b) })
+	testutil.MaxAllocs(t, "MatMulTransAInto", 0, func() { testGM.MatMulTransAIntoOp("MatMulTransAInto", dst, at, b) })
 	testutil.MaxAllocs(t, "DenseForwardInto", 0, func() { DenseForwardInto(dst, a, b) })
 	bt := New(24, 48).RandNormal(rng, 0, 1)
-	testutil.MaxAllocs(t, "DenseInputGradInto", 0, func() { DenseInputGradInto(dst, a, bt) })
+	testutil.MaxAllocs(t, "DenseInputGradInto", 0, func() { testGM.DenseInputGradInto(dst, a, bt) })
 
 	g := ConvGeom{InC: 2, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	src := make([]float64, 2*g.ImageSize())
@@ -173,9 +173,9 @@ func TestKernelsAllocFreeSerial(t *testing.T) {
 	dwDst := New(8, colRows)
 	testutil.MaxAllocs(t, "ConvMatMulTransBInto", 0, func() { ConvMatMulTransBInto(dwDst, dy, img, g) })
 	dys, dx := FromSlice(dy.Data, 1, 8, spatial), New(1, g.InC, g.InH, g.InW)
-	testutil.MaxAllocs(t, "ConvInputGradBatchInto", 0, func() { ConvInputGradBatchInto(dx, w, dys, g) })
+	testutil.MaxAllocs(t, "ConvInputGradBatchInto", 0, func() { testGM.ConvInputGradBatchInto(dx, w, dys, g) })
 	x, dys2, db := FromSlice(src, 2, g.InC, g.InH, g.InW), New(2, 8, spatial).RandNormal(rng, 0, 1), New(8)
-	testutil.MaxAllocs(t, "ConvWeightGradBatchInto", 0, func() { ConvWeightGradBatchInto(dwDst, db, dys2, x, g) })
+	testutil.MaxAllocs(t, "ConvWeightGradBatchInto", 0, func() { testGM.ConvWeightGradBatchInto(dwDst, db, dys2, x, g) })
 
 	var ws Tensor
 	testutil.MaxAllocs(t, "Ensure", 0, func() { ws.Ensure(32, 24) })

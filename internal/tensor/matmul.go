@@ -71,29 +71,15 @@ func checkMatMulDst(op string, dst *Tensor, m, n int) {
 	}
 }
 
-// MatMulTransAInto computes dst = aᵀ @ b where a is (k×m) and b is
-// (k×n), reusing dst's storage — the layer backward passes use it to
-// write a weight gradient (xᵀ @ dy) straight into a reusable workspace
-// buffer without materializing the transpose. dst must be (m×n), must
-// not alias a or b, and is fully overwritten. Only a is packed, from its
-// (k×m) storage; b is read where it lies. Each output element
-// accumulates in ascending-k order on one worker, so results are
-// bit-identical to the serial schedule. It returns dst.
-func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
-	return MatMulTransAIntoOp("MatMulTransAInto", dst, a, b)
-}
-
-// MatMulTransAIntoOp is MatMulTransAInto with a caller-supplied
-// operation name for panic messages.
-func MatMulTransAIntoOp(op string, dst, a, b *Tensor) *Tensor {
-	gm := gemms.Get().(*GEMM)
-	gm.MatMulTransAIntoOp(op, dst, a, b)
-	gemms.Put(gm)
-	return dst
-}
-
-// MatMulTransAIntoOp is the package function on gm's plans: a dense
-// layer's weight gradient dW = xᵀ@dy.
+// MatMulTransAIntoOp computes dst = aᵀ @ b on gm's plans, where a is
+// (k×m) and b is (k×n), reusing dst's storage — a dense layer's
+// backward pass uses it to write its weight gradient dW = xᵀ@dy
+// straight into a reusable workspace buffer without materializing the
+// transpose; op names the operation in panic messages. dst must be
+// (m×n), must not alias a or b, and is fully overwritten. Only a is
+// packed, from its (k×m) storage; b is read where it lies. Each output
+// element accumulates in ascending-k order on one worker, so results
+// are bit-identical to the serial schedule. It returns dst.
 func (gm *GEMM) MatMulTransAIntoOp(op string, dst, a, b *Tensor) *Tensor {
 	k, m, n := checkMatMulTransA(op, a, b)
 	checkMatMulDst(op, dst, m, n)
@@ -131,19 +117,11 @@ func (gm *GEMM) DenseForwardInto(dst, x, w *Tensor) *Tensor {
 	return gm.matMulInto("DenseForwardInto", dst, x, w)
 }
 
-// DenseInputGradInto computes a dense layer's input gradient
-// dst = dy @ wᵀ, where dy is (batch×out), w is (in×out) and dst must be
-// (batch×in), not aliasing dy or w; every element is overwritten. As in
-// DenseForwardInto only dy is packed and w is read in place, so the
-// transpose is never materialized. It returns dst.
-func DenseInputGradInto(dst, dy, w *Tensor) *Tensor {
-	gm := gemms.Get().(*GEMM)
-	gm.DenseInputGradInto(dst, dy, w)
-	gemms.Put(gm)
-	return dst
-}
-
-// DenseInputGradInto is the package function on gm's plans.
+// DenseInputGradInto computes a dense layer's input gradient on gm's
+// plans: dst = dy @ wᵀ, where dy is (batch×out), w is (in×out) and dst
+// must be (batch×in), not aliasing dy or w; every element is
+// overwritten. As in DenseForwardInto only dy is packed and w is read
+// in place, so the transpose is never materialized. It returns dst.
 func (gm *GEMM) DenseInputGradInto(dst, dy, w *Tensor) *Tensor {
 	batch, out, in := checkMatMulTransB("DenseInputGradInto", dy, w)
 	checkMatMulDst("DenseInputGradInto", dst, batch, in)

@@ -82,7 +82,7 @@ func TestMatMulTransABitIdenticalAcrossWorkers(t *testing.T) {
 	a := New(130, m).RandNormal(rng, 0, 1)
 	b := New(130, 33).RandNormal(rng, 0, 1)
 	mustBitIdentical(t, "MatMulTransA", atWorkers(t, func() []float64 {
-		return MatMulTransAInto(New(m, 33), a, b).Data
+		return testGM.MatMulTransAIntoOp("MatMulTransAInto", New(m, 33), a, b).Data
 	}))
 }
 
@@ -107,7 +107,7 @@ func TestDenseProductsBitIdenticalAcrossWorkers(t *testing.T) {
 		return DenseForwardInto(New(batch, out), x, w).Data
 	}))
 	mustBitIdentical(t, "DenseInputGradInto", atWorkers(t, func() []float64 {
-		return DenseInputGradInto(New(batch, in), dy, w).Data
+		return testGM.DenseInputGradInto(New(batch, in), dy, w).Data
 	}))
 }
 
@@ -127,7 +127,7 @@ func TestConvInputGradBitIdenticalAcrossWorkers(t *testing.T) {
 	w := New(outC, g.InC*g.KH*g.KW).RandNormal(rng, 0, 1)
 	dy := New(1, outC, g.OutH()*g.OutW()).RandNormal(rng, 0, 1)
 	mustBitIdentical(t, "ConvInputGrad", atWorkers(t, func() []float64 {
-		return ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, dy, g).Data
+		return testGM.ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, dy, g).Data
 	}))
 }
 
@@ -143,10 +143,10 @@ func TestConvInputGradBatchMatchesPerSampleSerial(t *testing.T) {
 	want := make([]float64, 0, n*g.ImageSize())
 	for i := 0; i < n; i++ {
 		dy := FromSlice(dys.Data[i*perDY:(i+1)*perDY], 1, perDY)
-		want = append(want, ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, dy, g).Data...)
+		want = append(want, testGM.ConvInputGradBatchInto(New(1, g.InC, g.InH, g.InW), w, dy, g).Data...)
 	}
 	results := atWorkers(t, func() []float64 {
-		return ConvInputGradBatchInto(New(n, g.InC, g.InH, g.InW), w, dys, g).Data
+		return testGM.ConvInputGradBatchInto(New(n, g.InC, g.InH, g.InW), w, dys, g).Data
 	})
 	parallel.SetWorkers(0)
 	mustBitIdentical(t, "ConvInputGradBatchInto", append([][]float64{want}, results...))

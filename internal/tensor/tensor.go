@@ -231,24 +231,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	return t
 }
 
-// AddInPlace adds o to t elementwise. Shapes must have equal element counts.
-func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
-	checkSameSize("AddInPlace", t, o)
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
-	return t
-}
-
-// SubInPlace subtracts o from t elementwise.
-func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
-	checkSameSize("SubInPlace", t, o)
-	for i, v := range o.Data {
-		t.Data[i] -= v
-	}
-	return t
-}
-
 // Scale multiplies every element by s in place and returns t.
 func (t *Tensor) Scale(s float64) *Tensor {
 	for i := range t.Data {
@@ -265,12 +247,6 @@ func (t *Tensor) AddScaled(s float64, o *Tensor) *Tensor {
 	}
 	return t
 }
-
-// Add returns t + o as a new tensor.
-func Add(t, o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
-
-// Sub returns t - o as a new tensor.
-func Sub(t, o *Tensor) *Tensor { return t.Clone().SubInPlace(o) }
 
 func checkSameSize(op string, a, b *Tensor) {
 	if len(a.Data) != len(b.Data) {
@@ -342,17 +318,13 @@ func Dot(a, b *Tensor) float64 {
 	return s
 }
 
-// ArgMaxRows returns, for a 2-D tensor, the column index of the maximum in
-// each row. Ties resolve to the lowest index, making results deterministic.
-func (t *Tensor) ArgMaxRows() []int {
-	return t.ArgMaxRowsInto(nil)
-}
-
-// ArgMaxRowsInto is ArgMaxRows into dst's storage, grown if it holds
-// fewer than a row's worth of indices; it returns the filled slice.
+// ArgMaxRowsInto writes, for a 2-D tensor, the column index of the
+// maximum in each row into dst's storage, grown if it holds fewer than
+// a row's worth of indices, and returns the filled slice. Ties resolve
+// to the lowest index, making results deterministic.
 func (t *Tensor) ArgMaxRowsInto(dst []int) []int {
 	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: ArgMaxRows on %d-D tensor", len(t.shape)))
+		panic(fmt.Sprintf("tensor: ArgMaxRowsInto on %d-D tensor", len(t.shape)))
 	}
 	rows, cols := t.shape[0], t.shape[1]
 	if cap(dst) < rows {

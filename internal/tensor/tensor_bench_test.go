@@ -110,7 +110,7 @@ func BenchmarkMatMulTransA(b *testing.B) {
 	dst := New(64, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMulTransAInto(dst, x, y)
+		testGM.MatMulTransAIntoOp("MatMulTransAInto", dst, x, y)
 	}
 }
 
@@ -121,19 +121,6 @@ func BenchmarkAddScaled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x.AddScaled(0.001, y)
-	}
-}
-
-// BenchmarkAddInPlace accumulates the largest gradient of the paper's
-// model (the 256→64 dense layer's dW at the spine's 16-pixel spec).
-func BenchmarkAddInPlace(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	x := New(256, 64)
-	y := New(256, 64).RandNormal(rng, 0, 1e-3)
-	b.SetBytes(int64(8 * x.Size()))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x.AddInPlace(y)
 	}
 }
 
@@ -176,7 +163,7 @@ func paperConvProducts() []convProduct {
 		ops = append(ops,
 			convProduct{pg.name + "/forward", bytes, func() { ConvMatMulInto(out, w, img, g) }},
 			convProduct{pg.name + "/dW", bytes, func() { ConvMatMulTransBInto(dw, dy, img, g) }},
-			convProduct{pg.name + "/dx", bytes, func() { ConvInputGradBatchInto(dx, w, dys, g) }})
+			convProduct{pg.name + "/dx", bytes, func() { testGM.ConvInputGradBatchInto(dx, w, dys, g) }})
 	}
 	return ops
 }

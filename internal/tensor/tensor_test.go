@@ -116,12 +116,6 @@ func TestRowView(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3}, 3)
 	b := FromSlice([]float64{10, 20, 30}, 3)
-	if got := Add(a, b); !AllClose(got, FromSlice([]float64{11, 22, 33}, 3), 0) {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := Sub(b, a); !AllClose(got, FromSlice([]float64{9, 18, 27}, 3), 0) {
-		t.Fatalf("Sub = %v", got)
-	}
 	c := a.Clone().Scale(2)
 	if !AllClose(c, FromSlice([]float64{2, 4, 6}, 3), 0) {
 		t.Fatalf("Scale = %v", c)
@@ -134,7 +128,7 @@ func TestElementwiseOps(t *testing.T) {
 
 func TestSizeMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "size mismatch")
-	New(2).AddInPlace(New(3))
+	New(2).AddScaled(1, New(3))
 }
 
 func TestReductions(t *testing.T) {
@@ -176,11 +170,11 @@ func TestArgMaxRows(t *testing.T) {
 		0.5, 0.5, 0.4, // tie -> lowest index
 		-3, -1, -2,
 	}, 3, 3)
-	got := x.ArgMaxRows()
+	got := x.ArgMaxRowsInto(nil)
 	want := []int{1, 0, 1}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ArgMaxRows = %v, want %v", got, want)
+			t.Fatalf("ArgMaxRowsInto = %v, want %v", got, want)
 		}
 	}
 }
@@ -247,14 +241,14 @@ func TestMatMulTransVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := New(5, 3).RandNormal(rng, 0, 1)
 	b := New(5, 4).RandNormal(rng, 0, 1)
-	got := MatMulTransAInto(New(3, 4), a, b)
+	got := testGM.MatMulTransAIntoOp("MatMulTransAInto", New(3, 4), a, b)
 	want := mm(transposed(a), b)
 	if !AllClose(got, want, 1e-10) {
 		t.Fatal("MatMulTransA != Aᵀ@B")
 	}
 	c := New(6, 3).RandNormal(rng, 0, 1)
 	d := New(4, 3).RandNormal(rng, 0, 1)
-	got2 := DenseInputGradInto(New(6, 4), c, d)
+	got2 := testGM.DenseInputGradInto(New(6, 4), c, d)
 	want2 := mm(c, transposed(d))
 	if !AllClose(got2, want2, 1e-10) {
 		t.Fatal("DenseInputGradInto != A@Bᵀ")
@@ -324,8 +318,8 @@ func TestPropMatMulDistributive(t *testing.T) {
 		a := New(m, k).RandNormal(rng, 0, 1)
 		b := New(k, n).RandNormal(rng, 0, 1)
 		c := New(k, n).RandNormal(rng, 0, 1)
-		lhs := mm(a, Add(b, c))
-		rhs := Add(mm(a, b), mm(a, c))
+		lhs := mm(a, b.Clone().AddScaled(1, c))
+		rhs := mm(a, b).AddScaled(1, mm(a, c))
 		return AllClose(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -392,7 +386,7 @@ func TestPropIm2ColIdentityKernel(t *testing.T) {
 		for i := 0; i < c; i++ {
 			eye.Data[i*c+i] = 1
 		}
-		back := ConvInputGradBatchInto(New(1, c, h, w), eye, FromSlice(col, 1, c, h*w), g)
+		back := testGM.ConvInputGradBatchInto(New(1, c, h, w), eye, FromSlice(col, 1, c, h*w), g)
 		return AllClose(FromSlice(back.Data, c*h*w), src, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

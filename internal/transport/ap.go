@@ -225,18 +225,20 @@ func NewAP(addr string, cfg APConfig) (*AP, error) {
 	return ap, nil
 }
 
-// validateCut rejects a missing architecture or out-of-range cut with
-// an error instead of the panic Arch.NewSplit reserves for programmer
-// errors: in the network processes the cut comes from a user flag and
-// must fail gracefully.
-func validateCut(arch model.Arch, cut int) error {
+// buildCut builds arch's layers from rng, rejecting a missing
+// architecture or an out-of-range cut with an error instead of the
+// panic Arch.Split reserves for programmer errors: in the network
+// processes the cut comes from a user flag and must fail gracefully.
+// The layers it returns are the ones the caller goes on to train.
+func buildCut(arch model.Arch, cut int, rng *rand.Rand) ([]nn.Layer, error) {
 	if arch.Build == nil {
-		return errors.New("transport: missing architecture")
+		return nil, errors.New("transport: missing architecture")
 	}
-	if n := len(arch.Build(rand.New(rand.NewSource(0)))); cut < 0 || cut > n {
-		return fmt.Errorf("transport: cut %d outside [0,%d] for arch %q", cut, n, arch.Name)
+	layers := arch.Build(rng)
+	if cut < 0 || cut > len(layers) {
+		return nil, fmt.Errorf("transport: cut %d outside [0,%d] for arch %q", cut, len(layers), arch.Name)
 	}
-	return nil
+	return layers, nil
 }
 
 // NewAPListener builds an AP over an existing listener — the injection
@@ -273,7 +275,11 @@ func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
 	if cfg.Test == nil || cfg.Test.Len() == 0 {
 		return nil, errors.New("transport: missing test set")
 	}
-	if err := validateCut(cfg.Arch, cfg.Cut); err != nil {
+	// Model init draws from the same derived stream as the in-process
+	// trainer's env.Rng("init", 0) — the root of the byte-identity
+	// guarantee between the two substrates.
+	initLayers, err := buildCut(cfg.Arch, cfg.Cut, rand.New(rand.NewSource(schemes.DeriveSeed(cfg.Seed, "init", 0))))
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Straggler == "" {
@@ -284,10 +290,7 @@ func NewAPListener(ln net.Listener, cfg APConfig) (*AP, error) {
 		return nil, err
 	}
 
-	// Model init draws from the same derived stream as the in-process
-	// trainer's env.Rng("init", 0) — the root of the byte-identity
-	// guarantee between the two substrates.
-	init := cfg.Arch.NewSplit(rand.New(rand.NewSource(schemes.DeriveSeed(cfg.Seed, "init", 0))), cfg.Cut)
+	init := cfg.Arch.Split(initLayers, cfg.Cut)
 	ap := &AP{
 		cfg:          cfg,
 		ln:           ln,

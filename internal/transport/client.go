@@ -102,14 +102,15 @@ func NewClientConn(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if err := hyper.Validate(); err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	if err := validateCut(cfg.Arch, cfg.Cut); err != nil {
+	layers, err := buildCut(cfg.Arch, cfg.Cut, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
 		return nil, err
 	}
 	c := &Client{
 		cfg:  cfg,
 		conn: conn,
 		fc:   newFrameConn(conn, DefaultMaxFrameBytes),
-		half: clientHalf(cfg.Arch, cfg.Cut, rand.New(rand.NewSource(cfg.Seed))),
+		half: clientHalf(cfg.Arch, layers[:cfg.Cut]),
 		opt:  hyper.NewOptimizer(),
 		loader: data.NewLoader(cfg.Train, cfg.Batch, cfg.Arch.InShape,
 			rand.New(rand.NewSource(schemes.DeriveSeed(cfg.Seed, "loader", cfg.ID)))),
@@ -120,13 +121,13 @@ func NewClientConn(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// clientHalf builds the layers arch puts before cut — structure only:
-// every train frame overwrites their parameters. Arch.Build makes the
-// whole stack; only the client half is kept (the clone lets the server
-// half's layers be collected), shape-checked as NewSplit checks the
-// stack.
-func clientHalf(arch model.Arch, cut int, rng *rand.Rand) *nn.Sequential {
-	half := nn.NewSequential(slices.Clone(arch.Build(rng)[:cut])...)
+// clientHalf keeps the layers arch puts before the cut — structure
+// only: every train frame overwrites their parameters. buildCut makes
+// the whole stack; only the client half is kept (the clone lets the
+// server half's layers be collected), shape-checked as Split checks
+// the stack.
+func clientHalf(arch model.Arch, layers []nn.Layer) *nn.Sequential {
+	half := nn.NewSequential(slices.Clone(layers)...)
 	half.OutShape(arch.InShape)
 	return half
 }

@@ -306,52 +306,6 @@ func DecodeFleetAck(p []byte) (FleetAck, error) {
 	return FleetAck{OK: flags&1 != 0}, nil
 }
 
-// decodeFleetHeartbeatAny dispatches a heartbeat-kind payload by role —
-// the fuzz entry point for both directions.
-func decodeFleetHeartbeatAny(p []byte) error {
-	if len(p) > 0 && p[0] == fleetRoleCoord {
-		_, err := DecodeFleetAck(p)
-		return err
-	}
-	_, err := DecodeFleetHeartbeat(p)
-	return err
-}
-
-// decodeFleetHelloAny dispatches a hello-kind payload by role.
-func decodeFleetHelloAny(p []byte) error {
-	// The role byte sits after the u32 magic and u16 version.
-	if len(p) > 6 && p[6] == fleetRoleCoord {
-		_, err := DecodeFleetWelcome(p)
-		return err
-	}
-	_, err := DecodeFleetHello(p)
-	return err
-}
-
-// decodeFleetFrame dispatches a fleet payload through its kind's
-// decoder, discarding the result — the fuzz surface for the job plane,
-// exercising exactly what the coordinator and workers run on untrusted
-// input.
-func decodeFleetFrame(kind byte, p []byte) error {
-	switch kind {
-	case FrameFleetHello:
-		return decodeFleetHelloAny(p)
-	case FrameFleetLease:
-		_, err := DecodeFleetLease(p)
-		return err
-	case FrameFleetProgress:
-		_, err := DecodeFleetProgress(p)
-		return err
-	case FrameFleetResult:
-		_, err := DecodeFleetResult(p)
-		return err
-	case FrameFleetHeartbeat:
-		return decodeFleetHeartbeatAny(p)
-	default:
-		return fmt.Errorf("transport: unknown fleet frame kind %d", kind)
-	}
-}
-
 // --- FleetConn ----------------------------------------------------------
 
 // FleetConn frames one coordinator/worker connection. It is the tensor

@@ -13,6 +13,7 @@ import (
 
 	"gsfl/internal/data"
 	"gsfl/internal/model"
+	"gsfl/internal/nn"
 	"gsfl/internal/partition"
 	"gsfl/internal/schemes/schemestest"
 	"gsfl/internal/testutil"
@@ -262,6 +263,45 @@ func TestNewAPValidation(t *testing.T) {
 				t.Fatal("expected config error")
 			}
 		})
+	}
+}
+
+// TestConstructorsBuildOnce counts Arch.Build calls through a wrapping
+// Arch: the cut is checked against the stack each constructor trains,
+// so a client builds once and the AP once for its initial model and
+// once for each group's replica.
+func TestConstructorsBuildOnce(t *testing.T) {
+	arch := model.MLP(schemestest.BlobDim, 8, schemestest.BlobClasses)
+	builds := 0
+	counted := arch
+	counted.Build = func(rng *rand.Rand) []nn.Layer {
+		builds++
+		return arch.Build(rng)
+	}
+
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	defer c2.Close()
+	go io.Copy(io.Discard, c2) // takes the hello
+	train := schemestest.Blobs(10, 0.6, rand.New(rand.NewSource(1)))
+	if _, err := NewClientConn(c1, ClientConfig{ID: 0, Arch: counted, Cut: model.MLPDefaultCut, Train: train, Batch: 4, LR: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 {
+		t.Fatalf("a client built its architecture %d times, want 1", builds)
+	}
+
+	builds = 0
+	test := schemestest.Blobs(20, 0.6, rand.New(rand.NewSource(2)))
+	groups := [][]int{{0}, {1}, {2}}
+	ap, err := NewAP("127.0.0.1:0", APConfig{Arch: counted, Cut: model.MLPDefaultCut,
+		Groups: groups, StepsPerClient: 1, LR: 0.1, Test: test})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap.Shutdown()
+	if want := 1 + len(groups); builds != want {
+		t.Fatalf("the AP built its architecture %d times, want %d", builds, want)
 	}
 }
 

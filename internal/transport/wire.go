@@ -296,37 +296,6 @@ func decodeReturn(p []byte, st *TurnState) error {
 	return d.Finish()
 }
 
-// decodeFrame dispatches a payload through the kind's decoder,
-// discarding the result — the fuzz entry point, exercising exactly the
-// code the AP and clients run on untrusted input.
-func decodeFrame(kind byte, p []byte) error {
-	switch kind {
-	case frameHello:
-		_, err := decodeHello(p)
-		return err
-	case frameTrain:
-		_, err := decodeTrain(p, new(TurnState))
-		return err
-	case frameSmashed:
-		_, _, _, err := decodeSmashed(p, nil, nil)
-		return err
-	case frameGradient:
-		_, _, err := decodeGradient(p, nil)
-		return err
-	case frameReturn:
-		return decodeReturn(p, new(TurnState))
-	case frameShutdown:
-		if len(p) != 0 {
-			return fmt.Errorf("transport: shutdown frame carries %d payload bytes", len(p))
-		}
-		return nil
-	case FrameFleetHello, FrameFleetLease, FrameFleetProgress, FrameFleetResult, FrameFleetHeartbeat:
-		return decodeFleetFrame(kind, p)
-	default:
-		return fmt.Errorf("transport: unknown frame kind %d", kind)
-	}
-}
-
 // --- framed connection -------------------------------------------------
 
 // frameConn frames one net.Conn: single-buffer encode with one Write

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -13,6 +14,83 @@ import (
 	"gsfl/internal/tensor"
 	"gsfl/internal/testutil"
 )
+
+// decodeFrame dispatches a payload through the kind's decoder,
+// discarding the result — the fuzz entry point, exercising exactly the
+// code the AP and clients run on untrusted input.
+func decodeFrame(kind byte, p []byte) error {
+	switch kind {
+	case frameHello:
+		_, err := decodeHello(p)
+		return err
+	case frameTrain:
+		_, err := decodeTrain(p, new(TurnState))
+		return err
+	case frameSmashed:
+		_, _, _, err := decodeSmashed(p, nil, nil)
+		return err
+	case frameGradient:
+		_, _, err := decodeGradient(p, nil)
+		return err
+	case frameReturn:
+		return decodeReturn(p, new(TurnState))
+	case frameShutdown:
+		if len(p) != 0 {
+			return fmt.Errorf("transport: shutdown frame carries %d payload bytes", len(p))
+		}
+		return nil
+	case FrameFleetHello, FrameFleetLease, FrameFleetProgress, FrameFleetResult, FrameFleetHeartbeat:
+		return decodeFleetFrame(kind, p)
+	default:
+		return fmt.Errorf("transport: unknown frame kind %d", kind)
+	}
+}
+
+// decodeFleetFrame dispatches a fleet payload through its kind's
+// decoder, discarding the result — the fuzz surface for the job plane,
+// exercising exactly what the coordinator and workers run on untrusted
+// input.
+func decodeFleetFrame(kind byte, p []byte) error {
+	switch kind {
+	case FrameFleetHello:
+		return decodeFleetHelloAny(p)
+	case FrameFleetLease:
+		_, err := DecodeFleetLease(p)
+		return err
+	case FrameFleetProgress:
+		_, err := DecodeFleetProgress(p)
+		return err
+	case FrameFleetResult:
+		_, err := DecodeFleetResult(p)
+		return err
+	case FrameFleetHeartbeat:
+		return decodeFleetHeartbeatAny(p)
+	default:
+		return fmt.Errorf("transport: unknown fleet frame kind %d", kind)
+	}
+}
+
+// decodeFleetHeartbeatAny dispatches a heartbeat-kind payload by role —
+// the fuzz entry point for both directions.
+func decodeFleetHeartbeatAny(p []byte) error {
+	if len(p) > 0 && p[0] == fleetRoleCoord {
+		_, err := DecodeFleetAck(p)
+		return err
+	}
+	_, err := DecodeFleetHeartbeat(p)
+	return err
+}
+
+// decodeFleetHelloAny dispatches a hello-kind payload by role.
+func decodeFleetHelloAny(p []byte) error {
+	// The role byte sits after the u32 magic and u16 version.
+	if len(p) > 6 && p[6] == fleetRoleCoord {
+		_, err := DecodeFleetWelcome(p)
+		return err
+	}
+	_, err := DecodeFleetHello(p)
+	return err
+}
 
 // encodeFrame renders one frame through the production encoder and
 // returns (kind, payload) — the exact bytes readFrame would hand a peer.
@@ -305,7 +383,7 @@ func TestWireQuantizedSmashedRoundTrip(t *testing.T) {
 	}
 	// Dequantizing the wire copy must reproduce the sender's numerics
 	// exactly — quantization error is paid once, at QuantizeInto.
-	a, b := q.Dequantize(), gotQ.Dequantize()
+	a, b := q.DequantizeInto(new(tensor.Tensor)), gotQ.DequantizeInto(new(tensor.Tensor))
 	if !a.SameShape(b) {
 		t.Fatal("shape changed in transit")
 	}

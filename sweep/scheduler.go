@@ -93,8 +93,8 @@ type Scheduler struct {
 	// GOMAXPROCS).
 	Workers int
 	// CheckpointEvery, when positive and a store is present, persists
-	// each in-flight job's sim checkpoint (plus the store's progress
-	// sidecar) every n rounds, making killed sweeps resumable mid-job.
+	// each in-flight job's sim checkpoint, which carries the run's sums,
+	// every n rounds, making killed sweeps resumable mid-job.
 	CheckpointEvery int
 	// Observers receive progress events.
 	Observers []Observer
